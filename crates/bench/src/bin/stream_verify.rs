@@ -379,7 +379,7 @@ fn main() {
                     continue;
                 }
             };
-            let ctx = patch.verify_ctx();
+            let ctx = patch.ctx();
             let fwd = verify_phase(&out.layout, &patch.placement, &patch.fwd, false, &ctx).err();
             let bwd = verify_plan(&out.layout, &patch.bwd_placement, &patch.bwd).err();
             let timing = verify_structure(&patch.timing).err();

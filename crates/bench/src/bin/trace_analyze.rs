@@ -38,7 +38,7 @@ use dcp_obs::{
     Source,
 };
 use dcp_sched::plan::{Instr, PhasePlan};
-use dcp_sched::verify::{verify_phase, VerifyCtx};
+use dcp_sched::{verify_phase, RecoveryCtx};
 use dcp_sim::{estimate_fault_spec, simulate_phase_faulted, trace_to_obs, Fault, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec};
 
@@ -295,7 +295,7 @@ fn main() {
                 &out0.placement,
                 &bad,
                 false,
-                &VerifyCtx::default(),
+                &RecoveryCtx::default(),
             )
             .err()
         })

@@ -19,8 +19,9 @@
 //!   raw online-softmax accumulators ship to the replacement shards over
 //!   dedicated salvage comm ops, so the shards fold the residual blocks into
 //!   them exactly where the failed device left off — the merged batch output
-//!   is bitwise identical to an unfaulted run (see
-//!   `dcp_exec::execute_forward_recovery`);
+//!   is bitwise identical to an unfaulted run (the salvage and stand-in
+//!   rules are DESIGN.md "Stream semantics", carried by
+//!   [`RecoveryPatch::ctx`]);
 //! - survivor instruction streams are reused **verbatim**: shards deposit
 //!   the failed device's outstanding partials under the original comm ids,
 //!   so nothing downstream of the failure is regenerated. Only the failed
@@ -69,8 +70,8 @@ use dcp_hypergraph::{partition, HypergraphBuilder, PartitionConfig, VertexWeight
 use dcp_obs::{Event, ObsHandle, Source as ObsSource};
 use dcp_sched::{
     build_plan, verify_phase, verify_plan, verify_structure, BufferStats, CommId, CommOp,
-    DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, ReduceItem,
-    ScheduleConfig, Transfer, VerifyCtx,
+    DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx,
+    ReduceItem, ScheduleConfig, Transfer,
 };
 use dcp_sim::FaultSpec;
 use dcp_types::{DcpError, DcpResult};
@@ -145,11 +146,11 @@ pub struct RecoveryStats {
 /// The shrink-and-reshard patch for one [`FailureEvent`].
 ///
 /// `fwd` is the functional plan: `D + shard_hosts.len()` logical devices,
-/// executed with `dcp_exec::execute_forward_recovery` using a salvage
-/// context built from `failed` / `salvage_comms` / `producer_of` /
-/// `reowned`. `timing` folds the shard work onto the `D` physical ranks for
-/// the simulator. The backward phase is re-planned: `bwd_placement` assigns
-/// nothing to the failed device and `bwd` is its freshly built plan.
+/// verified and executed (`dcp_exec::execute_forward_recovery`) under
+/// [`RecoveryPatch::ctx`]. `timing` folds the shard work onto the `D`
+/// physical ranks for the simulator. The backward phase is re-planned:
+/// `bwd_placement` assigns nothing to the failed device and `bwd` is its
+/// freshly built plan.
 #[derive(Debug, Clone)]
 pub struct RecoveryPatch {
     /// The most recently failed device rank (this patch's event).
@@ -191,17 +192,15 @@ pub struct RecoveryPatch {
 }
 
 impl RecoveryPatch {
-    /// The verifier context under which `fwd` passes
-    /// [`dcp_sched::verify_phase`]; mirror it into
-    /// `dcp_exec::SalvageCtx` to execute the patch.
-    pub fn verify_ctx(&self) -> VerifyCtx {
-        VerifyCtx {
+    /// The recovery semantics of `fwd`: what the verifier, the executor and
+    /// the host-fold read it under.
+    pub fn ctx(&self) -> RecoveryCtx {
+        RecoveryCtx {
             failed: self.failed_streams.clone(),
             salvage_comms: self.salvage_comms.clone(),
             producer_of: self.producer_of.clone(),
-            producer_of_dq: HashMap::new(),
-            producer_of_dkv: HashMap::new(),
             reowned: self.reowned.clone(),
+            ..RecoveryCtx::default()
         }
     }
 }
@@ -210,9 +209,9 @@ impl RecoveryPatch {
 /// phase** (see [`RecoveryPlanner::plan_backward_recovery`]).
 ///
 /// `bwd` is the functional patched backward phase over `D + S` logical
-/// devices, executed with `dcp_exec::execute_backward_recovery` under a
-/// salvage context mirroring [`BwdRecoveryPatch::verify_ctx`]. `timing`
-/// folds the shard work onto the `D` physical ranks for the simulator.
+/// devices, verified and executed (`dcp_exec::execute_backward_recovery`)
+/// under [`BwdRecoveryPatch::ctx`]. `timing` folds the shard work onto the
+/// `D` physical ranks for the simulator.
 #[derive(Debug, Clone)]
 pub struct BwdRecoveryPatch {
     /// The failed device rank.
@@ -241,16 +240,16 @@ pub struct BwdRecoveryPatch {
 }
 
 impl BwdRecoveryPatch {
-    /// The verifier context under which `bwd` passes
-    /// [`dcp_sched::verify_phase`].
-    pub fn verify_ctx(&self) -> VerifyCtx {
-        VerifyCtx {
+    /// The recovery semantics of `bwd`: what the verifier, the executor and
+    /// the host-fold read it under.
+    pub fn ctx(&self) -> RecoveryCtx {
+        RecoveryCtx {
             failed: HashSet::from([self.failed]),
             salvage_comms: self.salvage_comms.clone(),
-            producer_of: HashMap::new(),
             producer_of_dq: self.producer_of_dq.clone(),
             producer_of_dkv: self.producer_of_dkv.clone(),
             reowned: self.reowned.clone(),
+            ..RecoveryCtx::default()
         }
     }
 }
@@ -960,100 +959,9 @@ impl RecoveryPlanner {
                 });
             }
         }
-        let patch_fwd = PhasePlan {
-            comms: comms.clone(),
-            devices,
-        };
+        let patch_fwd = PhasePlan { comms, devices };
 
-        // --- 8. Timing plan: fold shards onto their physical hosts. ------
-        let host = |x: u32| {
-            if x >= d_total {
-                shard_hosts[(x - d_total) as usize]
-            } else {
-                x
-            }
-        };
-        let tcomms: Vec<CommOp> = comms
-            .iter()
-            .enumerate()
-            .map(|(cid, op)| CommOp {
-                transfers: op
-                    .transfers
-                    .iter()
-                    .map(|tr| {
-                        // Outstanding partials are now produced by a shard,
-                        // so the flow must originate from the shard's host
-                        // for the spliced launch to start it. Salvage ops
-                        // are genuine dead→shard evacuations and keep
-                        // their source.
-                        let from = match tr.payload {
-                            Payload::PartialO(tb, p)
-                                if failed_streams.contains(&tr.from)
-                                    && !salvage_comms.contains(&(cid as u32)) =>
-                            {
-                                producer_of.get(&(tb, p)).copied().unwrap_or(tr.from)
-                            }
-                            _ => tr.from,
-                        };
-                        Transfer { from, ..*tr }
-                    })
-                    .filter(|tr| host(tr.from) != host(tr.to))
-                    .map(|tr| Transfer {
-                        from: host(tr.from),
-                        to: host(tr.to),
-                        ..tr
-                    })
-                    .collect(),
-            })
-            .collect();
-        let l_new = d_total + shard_hosts.len() as u32;
-        let mut tdevices: Vec<DeviceStream> = Vec::with_capacity(d_total as usize);
-        for r in 0..d_total {
-            if failed_devices.contains(&r) {
-                // A dead rank replays the truncated prefixes of every
-                // logical stream it was running, in splice order.
-                let mut instrs: Vec<Instr> = patch_fwd.devices[r as usize].instrs.clone();
-                for l in d_total..l_new {
-                    if shard_hosts[(l - d_total) as usize] == r && failed_streams.contains(&l) {
-                        instrs.extend(patch_fwd.devices[l as usize].instrs.iter().cloned());
-                    }
-                }
-                tdevices.push(DeviceStream {
-                    device: r,
-                    instrs,
-                    buffer: base_fwd.devices[r as usize].buffer,
-                });
-                continue;
-            }
-            let orig = &base_fwd.devices[r as usize];
-            let mut instrs = orig.instrs.clone();
-            // Shard work slots in after the host's own compute, before its
-            // trailing output waits and reduce. Every live shard hosted on
-            // this rank splices here, in ascending logical id.
-            let mut tail = instrs.len();
-            while tail > 0 && matches!(instrs[tail - 1], Instr::CommWait(_) | Instr::Reduce { .. })
-            {
-                tail -= 1;
-            }
-            let mut spliced: Vec<Instr> = Vec::new();
-            for l in d_total..l_new {
-                if shard_hosts[(l - d_total) as usize] == r && !failed_streams.contains(&l) {
-                    spliced.extend(patch_fwd.devices[l as usize].instrs.iter().cloned());
-                }
-            }
-            instrs.splice(tail..tail, spliced);
-            tdevices.push(DeviceStream {
-                device: r,
-                instrs,
-                buffer: orig.buffer,
-            });
-        }
-        let timing = PhasePlan {
-            comms: tcomms,
-            devices: tdevices,
-        };
-
-        // --- 9. Backward: re-plan from scratch on the survivors. ---------
+        // --- 8. Backward: re-plan from scratch on the survivors. ---------
         let mut bwd_token = bwd_token0;
         let mut bwd_comp = bwd_comp0;
         for (v, units) in view_units.iter().enumerate() {
@@ -1104,39 +1012,12 @@ impl RecoveryPlanner {
             },
         )?;
 
-        // Every rendered patch stream must satisfy the legal-stream contract
-        // before it ships: the functional forward phase under the salvage
-        // rules, the re-planned backward phase as an ordinary plan, and the
-        // host-folded timing phase structurally (host folding legitimately
-        // leaves some waits with no incoming transfers, so the full symbolic
-        // check does not apply).
-        let verify_ctx = VerifyCtx {
-            failed: failed_streams.clone(),
-            salvage_comms: salvage_comms.clone(),
-            producer_of: producer_of.clone(),
-            producer_of_dq: HashMap::new(),
-            producer_of_dkv: HashMap::new(),
-            reowned: reowned.clone(),
-        };
-        verify_phase(layout, &placement, &patch_fwd, false, &verify_ctx)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery fwd patch: {d}")))?;
-        verify_plan(layout, &bwd_placement, &bwd)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd plan: {d}")))?;
-        verify_structure(&timing)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery timing plan: {d}")))?;
-
-        let stats = RecoveryStats {
-            failed_flops,
-            redone_flops,
-            salvage_bytes,
-            refetch_bytes,
-            residual_units: view_units.iter().map(Vec::len).sum(),
-            greedy_fallback,
-            plan_wall_s: t0.elapsed().as_secs_f64(),
-            cascade_depth,
-        };
-        self.emit_obs(failed, ev.divisions_done, &stats);
-        Ok(RecoveryPatch {
+        // --- 9. Timing rendering, then verify everything that ships. -----
+        // The functional forward phase under the patch's recovery rules, the
+        // re-planned backward phase as an ordinary plan, and the host-folded
+        // timing phase structurally (folding legitimately leaves some waits
+        // with no incoming transfers, so the full check does not apply).
+        let mut patch = RecoveryPatch {
             failed,
             divisions_done: ev.divisions_done,
             failed_devices,
@@ -1147,11 +1028,35 @@ impl RecoveryPlanner {
             salvage_comms,
             producer_of,
             reowned,
-            timing,
+            timing: PhasePlan {
+                comms: Vec::new(),
+                devices: Vec::new(),
+            },
             bwd_placement,
             bwd,
-            stats,
-        })
+            stats: RecoveryStats {
+                failed_flops,
+                redone_flops,
+                salvage_bytes,
+                refetch_bytes,
+                residual_units: view_units.iter().map(Vec::len).sum(),
+                greedy_fallback,
+                plan_wall_s: 0.0,
+                cascade_depth,
+            },
+        };
+        let ctx = patch.ctx();
+        patch.timing = fold_onto_hosts(&patch.fwd, &ctx, &patch.shard_hosts);
+        verify_phase(layout, &patch.placement, &patch.fwd, false, &ctx)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery fwd patch: {d}")))?;
+        verify_plan(layout, &patch.bwd_placement, &patch.bwd)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd plan: {d}")))?;
+        verify_structure(&patch.timing)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery timing plan: {d}")))?;
+
+        patch.stats.plan_wall_s = t0.elapsed().as_secs_f64();
+        self.emit_obs(failed, ev.divisions_done, &patch.stats);
+        Ok(patch)
     }
 
     /// Produces a reduction-frontier salvage patch for a failure **during
@@ -1503,7 +1408,7 @@ impl RecoveryPlanner {
         let mut devices: Vec<DeviceStream> = bwd.devices.clone();
         devices[failed as usize] = DeviceStream {
             device: failed,
-            instrs: truncated.clone(),
+            instrs: truncated,
             buffer: bstream.buffer,
         };
         for j in 0..s_count {
@@ -1566,108 +1471,10 @@ impl RecoveryPlanner {
                 buffer: BufferStats::default(),
             });
         }
-        let patch_bwd = PhasePlan {
-            comms: comms.clone(),
-            devices,
-        };
+        let patch_bwd = PhasePlan { comms, devices };
 
-        // --- 7. Timing plan. ----------------------------------------------
-        let host = |x: u32| {
-            if x >= d_total {
-                survivors[(x - d_total) as usize]
-            } else {
-                x
-            }
-        };
-        let tcomms: Vec<CommOp> = comms
-            .iter()
-            .enumerate()
-            .map(|(cid, op)| CommOp {
-                transfers: op
-                    .transfers
-                    .iter()
-                    .map(|tr| {
-                        let from = match tr.payload {
-                            Payload::PartialDq(tb, p)
-                                if tr.from == failed && !salvage_comms.contains(&(cid as u32)) =>
-                            {
-                                producer_of_dq.get(&(tb, p)).copied().unwrap_or(tr.from)
-                            }
-                            Payload::PartialDkv(tb, p)
-                                if tr.from == failed && !salvage_comms.contains(&(cid as u32)) =>
-                            {
-                                producer_of_dkv.get(&(tb, p)).copied().unwrap_or(tr.from)
-                            }
-                            _ => tr.from,
-                        };
-                        Transfer { from, ..*tr }
-                    })
-                    .filter(|tr| host(tr.from) != host(tr.to))
-                    .map(|tr| Transfer {
-                        from: host(tr.from),
-                        to: host(tr.to),
-                        ..tr
-                    })
-                    .collect(),
-            })
-            .collect();
-        let mut tdevices: Vec<DeviceStream> = Vec::with_capacity(d_total as usize);
-        for r in 0..d_total {
-            if r == failed {
-                tdevices.push(DeviceStream {
-                    device: r,
-                    instrs: truncated.clone(),
-                    buffer: bstream.buffer,
-                });
-                continue;
-            }
-            let j = survivors.iter().position(|&s| s == r).expect("survivor");
-            let orig = &bwd.devices[r as usize];
-            let mut instrs = orig.instrs.clone();
-            let mut tail = instrs.len();
-            while tail > 0 && matches!(instrs[tail - 1], Instr::CommWait(_) | Instr::Reduce { .. })
-            {
-                tail -= 1;
-            }
-            let shard = patch_bwd.devices[d_total as usize + j].instrs.clone();
-            instrs.splice(tail..tail, shard);
-            tdevices.push(DeviceStream {
-                device: r,
-                instrs,
-                buffer: orig.buffer,
-            });
-        }
-        let timing = PhasePlan {
-            comms: tcomms,
-            devices: tdevices,
-        };
-
-        // --- 8. Verify both renderings. -----------------------------------
-        let verify_ctx = VerifyCtx {
-            failed: HashSet::from([failed]),
-            salvage_comms: salvage_comms.clone(),
-            producer_of: HashMap::new(),
-            producer_of_dq: producer_of_dq.clone(),
-            producer_of_dkv: producer_of_dkv.clone(),
-            reowned: reowned.clone(),
-        };
-        verify_phase(layout, &placement, &patch_bwd, true, &verify_ctx)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd patch: {d}")))?;
-        verify_structure(&timing)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd timing plan: {d}")))?;
-
-        let stats = RecoveryStats {
-            failed_flops,
-            redone_flops,
-            salvage_bytes,
-            refetch_bytes,
-            residual_units: comps.len(),
-            greedy_fallback: false,
-            plan_wall_s: t0.elapsed().as_secs_f64(),
-            cascade_depth: 1,
-        };
-        self.emit_obs(failed, ev.divisions_done, &stats);
-        Ok(BwdRecoveryPatch {
+        // --- 7. Timing rendering, then verify both. -----------------------
+        let mut patch = BwdRecoveryPatch {
             failed,
             divisions_done: ev.divisions_done,
             shard_hosts: survivors,
@@ -1677,9 +1484,31 @@ impl RecoveryPlanner {
             producer_of_dq,
             producer_of_dkv,
             reowned,
-            timing,
-            stats,
-        })
+            timing: PhasePlan {
+                comms: Vec::new(),
+                devices: Vec::new(),
+            },
+            stats: RecoveryStats {
+                failed_flops,
+                redone_flops,
+                salvage_bytes,
+                refetch_bytes,
+                residual_units: comps.len(),
+                greedy_fallback: false,
+                plan_wall_s: 0.0,
+                cascade_depth: 1,
+            },
+        };
+        let ctx = patch.ctx();
+        patch.timing = fold_onto_hosts(&patch.bwd, &ctx, &patch.shard_hosts);
+        verify_phase(layout, &patch.placement, &patch.bwd, true, &ctx)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd patch: {d}")))?;
+        verify_structure(&patch.timing)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd timing plan: {d}")))?;
+
+        patch.stats.plan_wall_s = t0.elapsed().as_secs_f64();
+        self.emit_obs(failed, ev.divisions_done, &patch.stats);
+        Ok(patch)
     }
 
     /// Shared obs emission for forward and backward patches.
@@ -1721,6 +1550,72 @@ impl RecoveryPlanner {
             ));
         }
     }
+}
+
+/// Folds a patched logical phase — `D + S` streams, shard `j` being logical
+/// device `D + j` hosted on rank `shard_hosts[j]` — onto its `D` physical
+/// ranks, for the cluster simulator.
+///
+/// Transfers move to their endpoints' hosts and vanish when both share one.
+/// A survivor runs its own stream with its live shards' work (ascending
+/// logical id) slotted in after its own compute, before its trailing output
+/// waits and reduce; a dead rank replays the truncated prefix of every
+/// logical stream it was running, in the same splice order.
+fn fold_onto_hosts(logical: &PhasePlan, ctx: &RecoveryCtx, shard_hosts: &[u32]) -> PhasePlan {
+    let l_total = logical.devices.len() as u32;
+    let d_total = l_total - shard_hosts.len() as u32;
+    let host = |x: u32| match x.checked_sub(d_total) {
+        Some(j) => shard_hosts[j as usize],
+        None => x,
+    };
+    let comms = logical
+        .comms
+        .iter()
+        .enumerate()
+        .map(|(cid, op)| {
+            // An outstanding partial is now produced by a shard, so its
+            // flow must originate from the shard's host for the spliced
+            // launch to start it. Salvage ops are genuine dead→shard
+            // evacuations and keep their source.
+            let owed = !ctx.salvage_comms.contains(&(cid as u32));
+            let transfers = op.transfers.iter().filter_map(|tr| {
+                let stand_in = (owed && ctx.failed.contains(&tr.from))
+                    .then(|| ctx.stand_in(tr.payload))
+                    .flatten();
+                let (from, to) = (host(stand_in.unwrap_or(tr.from)), host(tr.to));
+                (from != to).then_some(Transfer { from, to, ..*tr })
+            });
+            CommOp {
+                transfers: transfers.collect(),
+            }
+        })
+        .collect();
+    let devices = (0..d_total)
+        .map(|r| {
+            let own = &logical.devices[r as usize];
+            let dead = ctx.failed.contains(&r);
+            let mut instrs = own.instrs.clone();
+            let at = if dead {
+                instrs.len()
+            } else {
+                let trailing = |i: &Instr| matches!(i, Instr::CommWait(_) | Instr::Reduce { .. });
+                instrs
+                    .iter()
+                    .rposition(|i| !trailing(i))
+                    .map_or(0, |i| i + 1)
+            };
+            let hosted = (d_total..l_total)
+                .filter(|&l| host(l) == r && ctx.failed.contains(&l) == dead)
+                .flat_map(|l| logical.devices[l as usize].instrs.iter().cloned());
+            instrs.splice(at..at, hosted.collect::<Vec<_>>());
+            DeviceStream {
+                device: r,
+                instrs,
+                buffer: own.buffer,
+            }
+        })
+        .collect();
+    PhasePlan { comms, devices }
 }
 
 /// Splits a device stream at its execution frontier: the instruction just

@@ -1,20 +1,19 @@
-//! A cooperative multi-device interpreter for execution plans.
+//! The numeric backend of the stream walker.
 //!
-//! Each plan device is simulated as a state machine stepping through its
-//! instruction stream; devices are driven round-robin, blocking on
-//! `CommWait` until the matching data has been deposited. Transfers move
-//! through a mailbox keyed by (operation, payload):
+//! [`dcp_sched::stream`] owns what an instruction stream means — the
+//! round-robin order, who deposits what at `CommLaunch`, what a `CommWait`
+//! blocks on, which blocks a device may read — and rejects illegal streams
+//! with the verifier's typed diagnostics. This module supplies the data:
+//! a deposited slot is an f32 tensor (or a raw accumulator on a salvage
+//! op), `Attn`/`AttnBwd` run the blockwise kernels on the rayon pool and
+//! `Reduce` merges partials, always in plan order, so results are bitwise
+//! identical at every thread count.
 //!
-//! - *input* payloads (Q, KV, dO) are deposited when the **receiver**
-//!   launches the operation (model inputs exist from the start of the phase,
-//!   matching the scheduler's eager-send assumption);
-//! - *partial* payloads (O/dQ/dKV) are deposited when the **producer**
-//!   launches, i.e. after it finishes computing.
-//!
-//! Crucially, a device may only read block data it **owns** or that
-//! **arrived** through a waited operation. A plan that forgets a transfer
-//! fails with [`DcpError::InvalidPlan`] rather than silently producing
-//! correct-looking results — executing a plan is itself a verification.
+//! A device can only read block data it **owns** or that **arrived** through
+//! a waited operation — the walker resolves every input — so a plan that
+//! forgets a transfer fails with [`DcpError::InvalidPlan`] rather than
+//! silently producing correct-looking results: executing a plan is itself a
+//! verification.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -22,7 +21,10 @@ use std::time::Instant;
 
 use dcp_blocks::{BatchLayout, TokenBlockId};
 use dcp_obs::{Event, ObsSink, Phase as ObsPhase, Source as ObsSource, NOOP};
-use dcp_sched::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement};
+use dcp_sched::stream::{AttnItem, Backend, Stream};
+use dcp_sched::{
+    ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx, ReduceItem,
+};
 use dcp_types::{DcpError, DcpResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -138,22 +140,24 @@ pub struct BlockGrads {
     pub dv: Vec<f32>,
 }
 
-/// Data moving through the mailbox.
-#[derive(Debug, Clone)]
-enum Data {
-    Q(Vec<f32>),
-    Kv(Vec<f32>, Vec<f32>),
+/// What a transfer carries while in flight and once arrived. Inputs borrow
+/// the batch; partials own what the producer computed.
+enum Data<'a> {
+    Q(&'a [f32]),
+    Kv(&'a [f32], &'a [f32]),
     /// dO plus the forward O and lse of the same rows (the paper's backward
     /// kernels need O and the softmax statistics alongside dO).
     OutGrad {
-        d_o: Vec<f32>,
-        o: Vec<f32>,
-        lse: Vec<f32>,
+        d_o: &'a [f32],
+        o: &'a [f32],
+        lse: &'a [f32],
     },
     PartialO {
         o: Vec<f32>,
         lse: Vec<f32>,
     },
+    /// A dQ partial. Gradient accumulators are plain sums, so the raw state
+    /// salvaged from a failing device and the partial payload coincide.
     PartialDq(Vec<f32>),
     PartialDkv(Vec<f32>, Vec<f32>),
     /// A *raw* (un-finalized) flash-attention accumulator, salvaged from a
@@ -162,6 +166,9 @@ enum Data {
     /// finalize-then-merge and continued raw accumulation round differently.
     Acc(BlockAcc),
 }
+
+/// The walker hands back each slot under the payload it was deposited for.
+const SLOT_KIND: &str = "a slot's variant follows its payload's kind";
 
 /// Observability context for an executor call: the sink plus the iteration
 /// index stamped onto every emitted event. [`ExecObs::disabled`] is the
@@ -203,19 +210,48 @@ impl ExecObs<'static> {
     }
 }
 
-/// Shared interpreter scaffolding for one phase.
-struct Interp<'a> {
+/// dK and dV running sums of one token block.
+type KvGrad = (Vec<f32>, Vec<f32>);
+
+/// What a backward phase reads besides the batch: `(fwd_out, d_o)`.
+type GradsIn<'a> = (
+    &'a HashMap<TokenBlockId, BlockOut>,
+    &'a HashMap<TokenBlockId, Vec<f32>>,
+);
+
+fn add_into(acc: &mut [f32], part: &[f32]) {
+    for (a, b) in acc.iter_mut().zip(part) {
+        *a += b;
+    }
+}
+
+/// The numeric backend: batch data in, per-device accumulators, and the
+/// executor's span stream.
+struct Numeric<'a> {
+    layout: &'a BatchLayout,
     phase: &'a PhasePlan,
-    mailbox: HashMap<(u32, Payload), Data>,
-    /// Per device: payloads that have arrived (moved out of the mailbox).
-    avail: Vec<HashMap<Payload, Data>>,
-    /// Per device instruction pointer.
-    ip: Vec<usize>,
-    /// Observability context (inert when the sink is disabled).
+    data: &'a BatchData,
+    /// Backward only: the forward outputs and the output gradients.
+    grads_in: Option<GradsIn<'a>>,
+    qh: usize,
+    kvh: usize,
+    dim: usize,
+    scale: f32,
+    /// Per device: forward online-softmax accumulators by Q block.
+    acc_o: Vec<HashMap<TokenBlockId, BlockAcc>>,
+    /// Per device: backward dQ / dKV running sums.
+    acc_dq: Vec<HashMap<TokenBlockId, Vec<f32>>>,
+    acc_dkv: Vec<HashMap<TokenBlockId, KvGrad>>,
+    /// Blocks finalized by a forward `Reduce`.
+    finals: HashMap<TokenBlockId, BlockOut>,
     obs: &'a ExecObs<'a>,
     obs_phase: ObsPhase,
+    enabled: bool,
     /// Time origin shared by every span of this phase.
     t0: Instant,
+    /// End of the previous poll. Polls are serial, so it is also the start
+    /// of the current one.
+    mark: Instant,
     /// Per device: divisions completed so far (an `Attn`/`AttnBwd`
     /// instruction closes a division).
     division: Vec<u32>,
@@ -224,163 +260,76 @@ struct Interp<'a> {
     wait_since: Vec<Option<Instant>>,
 }
 
-impl<'a> Interp<'a> {
+impl<'a> Numeric<'a> {
     fn new(
-        placement: &Placement,
+        layout: &'a BatchLayout,
         phase: &'a PhasePlan,
+        data: &'a BatchData,
         obs: &'a ExecObs<'a>,
         obs_phase: ObsPhase,
     ) -> Self {
-        let n = placement.num_devices as usize;
-        Interp {
+        let n = phase.devices.len();
+        let (qh, kvh) = BatchData::head_counts(layout);
+        let dim = layout.attn.head_dim as usize;
+        let t0 = Instant::now();
+        Numeric {
+            layout,
             phase,
-            mailbox: HashMap::new(),
-            avail: vec![HashMap::new(); n],
-            ip: vec![0; n],
+            data,
+            grads_in: None,
+            qh,
+            kvh,
+            dim,
+            scale: 1.0 / (dim as f32).sqrt(),
+            acc_o: vec![HashMap::new(); n],
+            acc_dq: vec![HashMap::new(); n],
+            acc_dkv: vec![HashMap::new(); n],
+            finals: HashMap::new(),
             obs,
             obs_phase,
-            t0: Instant::now(),
+            enabled: obs.sink.enabled(),
+            t0,
+            mark: t0,
             division: vec![0; n],
             wait_since: vec![None; n],
         }
     }
 
-    /// Runs the round-robin loop; `step` executes one instruction and
-    /// returns `Ok(true)` on progress, `Ok(false)` when blocked.
-    ///
-    /// When observability is enabled, every completed instruction emits one
-    /// span from this (serial) loop. The round-robin order depends only on
-    /// plan structure and mailbox state — rayon parallelism stays inside an
-    /// instruction — so the emitted stream is deterministic across thread
-    /// counts.
-    fn run(
-        &mut self,
-        mut step: impl FnMut(&mut Self, u32, &Instr) -> DcpResult<bool>,
-    ) -> DcpResult<()> {
-        let n = self.avail.len();
-        let enabled = self.obs.sink.enabled();
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            for d in 0..n {
-                loop {
-                    let idx = self.ip[d];
-                    let Some(ins) = self.phase.devices[d].instrs.get(idx) else {
-                        break;
-                    };
-                    all_done = false;
-                    let ins = ins.clone();
-                    let t_start = if enabled { Some(Instant::now()) } else { None };
-                    if step(self, d as u32, &ins)? {
-                        if let Some(t) = t_start {
-                            self.emit(d as u32, &ins, t);
-                        }
-                        self.ip[d] += 1;
-                        progressed = true;
-                    } else {
-                        if enabled && self.wait_since[d].is_none() {
-                            self.wait_since[d] = t_start;
-                        }
-                        break;
-                    }
-                }
-            }
-            if all_done {
-                return Ok(());
-            }
-            if !progressed {
-                return Err(DcpError::invalid_plan(
-                    "interpreter deadlock: no device can make progress",
-                ));
-            }
-        }
-    }
-
-    /// Emits the span for one completed instruction: per-instruction-class
-    /// name, per-division index, and the bytes/flops payload.
-    fn emit(&mut self, dev: u32, ins: &Instr, t_start: Instant) {
-        let d = dev as usize;
-        let base = Event::span(ObsSource::Executor, "")
-            .with_device(dev)
-            .with_phase(self.obs_phase);
-        let (mut ev, started) = match ins {
-            Instr::CommLaunch(cid) => {
-                let mut e = base;
-                e.name = "comm_launch".into();
-                (
-                    e.with_division(self.division[d])
-                        .with_comm(cid.0)
-                        .with_bytes(self.phase.comms[cid.0 as usize].bytes()),
-                    t_start,
-                )
-            }
-            Instr::CommWait(cid) => {
-                // The span covers the whole blocked interval, not just the
-                // final successful poll.
-                let began = self.wait_since[d].take().unwrap_or(t_start);
-                let mut e = base;
-                e.name = "comm_wait".into();
-                (
-                    e.with_division(self.division[d])
-                        .with_comm(cid.0)
-                        .with_bytes(self.phase.comms[cid.0 as usize].bytes_into(dev)),
-                    began,
-                )
-            }
-            Instr::Attn { items, flops } => {
-                let div = self.division[d];
-                self.division[d] += 1;
-                let mut e = base;
-                e.name = "attn".into();
-                (
-                    e.with_division(div)
-                        .with_flops(*flops)
-                        .with_value(items.len() as f64),
-                    t_start,
-                )
-            }
-            Instr::AttnBwd { items, flops } => {
-                let div = self.division[d];
-                self.division[d] += 1;
-                let mut e = base;
-                e.name = "attn_bwd".into();
-                (
-                    e.with_division(div)
-                        .with_flops(*flops)
-                        .with_value(items.len() as f64),
-                    t_start,
-                )
-            }
-            Instr::Reduce { items, bytes } => {
-                let mut e = base;
-                e.name = "reduce".into();
-                (
-                    e.with_division(self.division[d].saturating_sub(1))
-                        .with_bytes(*bytes)
-                        .with_value(items.len() as f64),
-                    t_start,
-                )
-            }
-            Instr::Copy { bytes } => {
-                let mut e = base;
-                e.name = "copy".into();
-                (
-                    e.with_division(self.division[d].saturating_sub(1))
-                        .with_bytes(*bytes),
-                    t_start,
-                )
-            }
+    /// Kernel arguments of one resolved item (`None` inputs read the
+    /// device's own blocks).
+    fn block_args(&self, item: &AttnItem<'_, Data<'a>>) -> BlockArgs<'a> {
+        let (layout, data) = (self.layout, self.data);
+        let (qi, ki) = (item.q_block.0 as usize, item.kv_block.0 as usize);
+        let q = match item.q {
+            None => &data.q[qi][..],
+            Some(Data::Q(q)) => q,
+            Some(_) => unreachable!("{SLOT_KIND}"),
         };
-        ev = ev.with_time(
-            (started - self.t0).as_secs_f64(),
-            started.elapsed().as_secs_f64(),
-        );
-        self.obs.sink.record(self.obs.stamp(ev));
+        let (k, v) = match item.kv {
+            None => (&data.k[ki][..], &data.v[ki][..]),
+            Some(Data::Kv(k, v)) => (*k, *v),
+            Some(_) => unreachable!("{SLOT_KIND}"),
+        };
+        let (qtb, ktb) = (layout.token_blocks[qi], layout.token_blocks[ki]);
+        BlockArgs {
+            q,
+            k,
+            v,
+            qh: self.qh,
+            kvh: self.kvh,
+            dim: self.dim,
+            q_len: qtb.len as usize,
+            kv_len: ktb.len as usize,
+            q_start: qtb.start,
+            kv_start: ktb.start,
+            mask: &layout.masks[qtb.seq as usize],
+            scale: self.scale,
+        }
     }
 
     /// Per-device peak planned buffer gauges for this phase.
     fn emit_buffer_gauges(&self) {
-        if !self.obs.sink.enabled() {
+        if !self.enabled {
             return;
         }
         for ds in &self.phase.devices {
@@ -397,27 +346,245 @@ impl<'a> Interp<'a> {
             );
         }
     }
+}
 
-    /// Handles `CommWait`: returns false (blocked) if data is missing.
-    fn try_wait(&mut self, dev: u32, cid: u32) -> bool {
-        let op = &self.phase.comms[cid as usize];
-        let incoming: Vec<Payload> = op
-            .transfers
+impl<'a> Backend for Numeric<'a> {
+    type Slot = Data<'a>;
+
+    fn accumulates(&self, dev: u32, kind: PayloadKind, tb: TokenBlockId) -> bool {
+        let d = dev as usize;
+        match kind {
+            PayloadKind::PartialO => self.acc_o[d].contains_key(&tb),
+            PayloadKind::PartialDq => self.acc_dq[d].contains_key(&tb),
+            PayloadKind::PartialDkv => self.acc_dkv[d].contains_key(&tb),
+            _ => false,
+        }
+    }
+
+    fn deposit(&mut self, dev: u32, payload: Payload, raw: bool) -> Data<'a> {
+        const HELD: &str = "the walker checked the device accumulates this block";
+        let (d, data) = (dev as usize, self.data);
+        match payload {
+            Payload::Q(tb) => Data::Q(&data.q[tb.0 as usize]),
+            Payload::Kv(tb) => Data::Kv(&data.k[tb.0 as usize], &data.v[tb.0 as usize]),
+            Payload::DO(tb) => {
+                let (fwd_out, d_o) = self.grads_in.expect("dO is legal only in backward");
+                let out = &fwd_out[&tb];
+                Data::OutGrad {
+                    d_o: &d_o[&tb],
+                    o: &out.o,
+                    lse: &out.lse,
+                }
+            }
+            Payload::PartialO(tb, _) => {
+                let acc = self.acc_o[d].get(&tb).expect(HELD);
+                if raw {
+                    Data::Acc(acc.clone())
+                } else {
+                    let (o, lse) = acc.finalize();
+                    Data::PartialO { o, lse }
+                }
+            }
+            Payload::PartialDq(tb, _) => {
+                Data::PartialDq(self.acc_dq[d].get(&tb).expect(HELD).clone())
+            }
+            Payload::PartialDkv(tb, _) => {
+                let (gk, gv) = self.acc_dkv[d].get(&tb).expect(HELD);
+                Data::PartialDkv(gk.clone(), gv.clone())
+            }
+        }
+    }
+
+    fn install(&mut self, dev: u32, payload: Payload, slot: Data<'a>) {
+        let (d, tb) = (dev as usize, payload.token_block());
+        match slot {
+            Data::Acc(acc) => drop(self.acc_o[d].insert(tb, acc)),
+            Data::PartialDq(g) => drop(self.acc_dq[d].insert(tb, g)),
+            Data::PartialDkv(gk, gv) => drop(self.acc_dkv[d].insert(tb, (gk, gv))),
+            _ => unreachable!("{SLOT_KIND}"),
+        }
+    }
+
+    /// Hot path: compute each computation block's partial on the rayon
+    /// pool, then fold the partials into the device's accumulators in item
+    /// order. The fold order is fixed by the plan, never by the scheduler,
+    /// so results are bitwise identical at every thread count
+    /// (RAYON_NUM_THREADS=1 degenerates to a serial loop).
+    fn attn(&mut self, dev: u32, backward: bool, items: &[AttnItem<'_, Data<'a>>]) {
+        let d = dev as usize;
+        if !backward {
+            let work: Vec<(TokenBlockId, BlockArgs<'_>)> = items
+                .iter()
+                .map(|item| (item.q_block, self.block_args(item)))
+                .collect();
+            let parts: Vec<(TokenBlockId, BlockAcc)> = work
+                .into_par_iter()
+                .map(|(qb, args)| {
+                    let mut acc = BlockAcc::new(args.q_len, args.qh, args.dim);
+                    attn_block_fwd(&mut acc, args);
+                    (qb, acc)
+                })
+                .collect();
+            for (qb, part) in parts {
+                match self.acc_o[d].entry(qb) {
+                    Entry::Occupied(e) => e.into_mut().merge(&part),
+                    Entry::Vacant(e) => {
+                        e.insert(part);
+                    }
+                }
+            }
+            return;
+        }
+        let (fwd_out, d_o) = self.grads_in.expect("AttnBwd is legal only in backward");
+        let work: Vec<(TokenBlockId, TokenBlockId, BlockBwdArgs<'_>)> = items
             .iter()
-            .filter(|t| t.to == dev)
-            .map(|t| t.payload)
+            .map(|item| {
+                let qb = item.q_block;
+                let (d_o, o, lse): (&[f32], &[f32], &[f32]) = match item.d_o {
+                    None => {
+                        let out = &fwd_out[&qb];
+                        (&d_o[&qb], &out.o, &out.lse)
+                    }
+                    Some(Data::OutGrad { d_o, o, lse }) => (d_o, o, lse),
+                    Some(_) => unreachable!("{SLOT_KIND}"),
+                };
+                let fwd = self.block_args(item);
+                (qb, item.kv_block, BlockBwdArgs { fwd, o, lse, d_o })
+            })
             .collect();
-        if incoming
-            .iter()
-            .any(|p| !self.mailbox.contains_key(&(cid, *p)))
-        {
-            return false;
+        type GradPart = (TokenBlockId, TokenBlockId, Vec<f32>, Vec<f32>, Vec<f32>);
+        let parts: Vec<GradPart> = work
+            .into_par_iter()
+            .map(|(qb, kb, args)| {
+                let a = args.fwd;
+                let mut pdq = vec![0.0f32; a.q_len * a.qh * a.dim];
+                let mut pdk = vec![0.0f32; a.kv_len * a.kvh * a.dim];
+                let mut pdv = vec![0.0f32; a.kv_len * a.kvh * a.dim];
+                attn_block_bwd(args, &mut pdq, &mut pdk, &mut pdv);
+                (qb, kb, pdq, pdk, pdv)
+            })
+            .collect();
+        for (qb, kb, pdq, pdk, pdv) in parts {
+            let dq = self.acc_dq[d]
+                .entry(qb)
+                .or_insert_with(|| vec![0.0; pdq.len()]);
+            add_into(dq, &pdq);
+            let (dk, dv) = self.acc_dkv[d]
+                .entry(kb)
+                .or_insert_with(|| (vec![0.0; pdk.len()], vec![0.0; pdv.len()]));
+            add_into(dk, &pdk);
+            add_into(dv, &pdv);
         }
-        for p in incoming {
-            let data = self.mailbox.remove(&(cid, p)).expect("checked present");
-            self.avail[dev as usize].insert(p, data);
+    }
+
+    fn reduce(&mut self, dev: u32, item: &ReduceItem, parts: &[&Data<'a>]) {
+        let (d, tb) = (dev as usize, item.target);
+        let len = self.layout.token_blocks[tb.0 as usize].len as usize;
+        match item.kind {
+            PayloadKind::PartialO => {
+                // Start from the device's own partial (if it computed
+                // locally for this block).
+                let mut merged = self.acc_o[d].get(&tb).map(BlockAcc::finalize);
+                for part in parts {
+                    let Data::PartialO { o, lse } = part else {
+                        unreachable!("{SLOT_KIND}")
+                    };
+                    merged = Some(match merged {
+                        None => (o.clone(), lse.clone()),
+                        Some((mo, mlse)) => merge_outputs(&mo, &mlse, o, lse, self.dim),
+                    });
+                }
+                let (o, lse) = merged.expect("the walker requires a source or a local accumulator");
+                self.finals.insert(tb, BlockOut { o, lse });
+            }
+            PayloadKind::PartialDq => {
+                let acc = self.acc_dq[d]
+                    .entry(tb)
+                    .or_insert_with(|| vec![0.0; len * self.qh * self.dim]);
+                for part in parts {
+                    let Data::PartialDq(g) = part else {
+                        unreachable!("{SLOT_KIND}")
+                    };
+                    add_into(acc, g);
+                }
+            }
+            PayloadKind::PartialDkv => {
+                let n = len * self.kvh * self.dim;
+                let (dk, dv) = self.acc_dkv[d]
+                    .entry(tb)
+                    .or_insert_with(|| (vec![0.0; n], vec![0.0; n]));
+                for part in parts {
+                    let Data::PartialDkv(gk, gv) = part else {
+                        unreachable!("{SLOT_KIND}")
+                    };
+                    add_into(dk, gk);
+                    add_into(dv, gv);
+                }
+            }
+            _ => unreachable!("the walker reduces partial kinds only"),
         }
-        true
+    }
+
+    /// Emits the span of a retired instruction: per-instruction-class name,
+    /// per-division index, and the bytes/flops payload. The walker's order
+    /// depends only on plan structure — rayon parallelism stays inside an
+    /// instruction — so the stream is deterministic across thread counts.
+    fn polled(&mut self, dev: u32, ins: &Instr, retired: bool) {
+        if !self.enabled {
+            return;
+        }
+        let d = dev as usize;
+        let (polled_at, now) = (self.mark, Instant::now());
+        self.mark = now;
+        if !retired {
+            self.wait_since[d].get_or_insert(polled_at);
+            return;
+        }
+        let span = |name: &str| {
+            Event::span(ObsSource::Executor, name)
+                .with_device(dev)
+                .with_phase(self.obs_phase)
+        };
+        let mut started = polled_at;
+        let ev = match ins {
+            Instr::CommLaunch(cid) => span("comm_launch")
+                .with_division(self.division[d])
+                .with_comm(cid.0)
+                .with_bytes(self.phase.comms[cid.0 as usize].bytes()),
+            Instr::CommWait(cid) => {
+                // The span covers the whole blocked interval, not just the
+                // final successful poll.
+                started = self.wait_since[d].take().unwrap_or(polled_at);
+                span("comm_wait")
+                    .with_division(self.division[d])
+                    .with_comm(cid.0)
+                    .with_bytes(self.phase.comms[cid.0 as usize].bytes_into(dev))
+            }
+            Instr::Attn { items, flops } | Instr::AttnBwd { items, flops } => {
+                let div = self.division[d];
+                self.division[d] += 1;
+                let name = match ins {
+                    Instr::Attn { .. } => "attn",
+                    _ => "attn_bwd",
+                };
+                span(name)
+                    .with_division(div)
+                    .with_flops(*flops)
+                    .with_value(items.len() as f64)
+            }
+            Instr::Reduce { items, bytes } => span("reduce")
+                .with_division(self.division[d].saturating_sub(1))
+                .with_bytes(*bytes)
+                .with_value(items.len() as f64),
+            Instr::Copy { bytes } => span("copy")
+                .with_division(self.division[d].saturating_sub(1))
+                .with_bytes(*bytes),
+        };
+        let ev = ev.with_time(
+            (started - self.t0).as_secs_f64(),
+            (now - started).as_secs_f64(),
+        );
+        self.obs.sink.record(self.obs.stamp(ev));
     }
 }
 
@@ -426,8 +593,9 @@ impl<'a> Interp<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidPlan`] if the plan reads data that was never
-/// communicated, deadlocks, or references unknown blocks.
+/// Returns [`DcpError::InvalidPlan`], carrying the walker's diagnostic, if
+/// the plan reads data that was never communicated, deadlocks, or
+/// references unknown blocks, devices or comm ops.
 pub fn execute_forward(
     layout: &BatchLayout,
     placement: &Placement,
@@ -437,7 +605,7 @@ pub fn execute_forward(
     execute_forward_obs(layout, placement, plan, data, &ExecObs::disabled())
 }
 
-/// [`execute_forward`] with observability: emits one span per completed
+/// [`execute_forward`] with observability: emits one span per retired
 /// instruction (`attn` / `reduce` / `copy` / `comm_launch` / `comm_wait`,
 /// with per-division indices and bytes/flops payloads) plus per-device
 /// `peak_buffer_bytes` gauges. With [`ExecObs::disabled`] the overhead is a
@@ -449,461 +617,58 @@ pub fn execute_forward_obs(
     data: &BatchData,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockOut>> {
-    placement.validate(layout)?;
-    let (qh, kvh) = BatchData::head_counts(layout);
-    let dim = layout.attn.head_dim as usize;
-    let scale = 1.0 / (dim as f32).sqrt();
-    let n = placement.num_devices as usize;
-
-    let mut accs: Vec<HashMap<TokenBlockId, BlockAcc>> = vec![HashMap::new(); n];
-    let mut finals: HashMap<TokenBlockId, BlockOut> = HashMap::new();
-
-    let mut interp = Interp::new(placement, &plan.fwd, obs, ObsPhase::Fwd);
-    interp.run(|it, dev, ins| {
-        match ins {
-            Instr::CommLaunch(cid) => {
-                let op = &it.phase.comms[cid.0 as usize];
-                for tr in &op.transfers {
-                    let tb = tr.payload.token_block();
-                    match tr.payload {
-                        Payload::Q(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Q(data.q[tb.0 as usize].clone()),
-                            );
-                        }
-                        Payload::Kv(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Kv(
-                                    data.k[tb.0 as usize].clone(),
-                                    data.v[tb.0 as usize].clone(),
-                                ),
-                            );
-                        }
-                        Payload::PartialO(_, producer) if tr.from == dev => {
-                            debug_assert_eq!(producer, dev);
-                            let acc = accs[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends partial O for {tb:?} it never computed"
-                                ))
-                            })?;
-                            let (o, lse) = acc.finalize();
-                            it.mailbox
-                                .insert((cid.0, tr.payload), Data::PartialO { o, lse });
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(true)
-            }
-            Instr::CommWait(cid) => Ok(it.try_wait(dev, cid.0)),
-            Instr::Attn { items, .. } => {
-                // Hot path: resolve every item's inputs serially (so
-                // under-communication errors surface in item order), compute
-                // each computation block's partial accumulator on the rayon
-                // pool, then fold the partials into the per-Q-block state in
-                // item order. The fold order is fixed by the plan, never by
-                // the scheduler, so results are bitwise identical at every
-                // thread count (RAYON_NUM_THREADS=1 degenerates to the old
-                // serial loop).
-                let avail = &it.avail[dev as usize];
-                let mut work: Vec<(TokenBlockId, BlockArgs<'_>)> = Vec::with_capacity(items.len());
-                for &c in items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = cb.q_block;
-                    let kb = cb.kv_block;
-                    let q_owned = placement.token_dev(qb) == dev;
-                    let kv_owned = placement.token_dev(kb) == dev;
-                    let qdata: &[f32] = if q_owned {
-                        &data.q[qb.0 as usize]
-                    } else {
-                        match avail.get(&Payload::Q(qb)) {
-                            Some(Data::Q(v)) => v,
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without Q({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (kdata, vdata): (&[f32], &[f32]) = if kv_owned {
-                        (&data.k[kb.0 as usize], &data.v[kb.0 as usize])
-                    } else {
-                        match avail.get(&Payload::Kv(kb)) {
-                            Some(Data::Kv(k, v)) => (k, v),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without KV({kb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let qtb = layout.token_blocks[qb.0 as usize];
-                    let ktb = layout.token_blocks[kb.0 as usize];
-                    work.push((
-                        qb,
-                        BlockArgs {
-                            q: qdata,
-                            k: kdata,
-                            v: vdata,
-                            qh,
-                            kvh,
-                            dim,
-                            q_len: qtb.len as usize,
-                            kv_len: ktb.len as usize,
-                            q_start: qtb.start,
-                            kv_start: ktb.start,
-                            mask: &layout.masks[qtb.seq as usize],
-                            scale,
-                        },
-                    ));
-                }
-                let parts: Vec<(TokenBlockId, BlockAcc)> = work
-                    .into_par_iter()
-                    .map(|(qb, args)| {
-                        let mut acc = BlockAcc::new(args.q_len, args.qh, args.dim);
-                        attn_block_fwd(&mut acc, args);
-                        (qb, acc)
-                    })
-                    .collect();
-                for (qb, part) in parts {
-                    match accs[dev as usize].entry(qb) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut().merge(&part),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(part);
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Reduce { items, .. } => {
-                for item in items {
-                    if item.kind != PayloadKind::PartialO {
-                        return Err(DcpError::invalid_plan(
-                            "forward reduce with non-O payload kind",
-                        ));
-                    }
-                    let tb = item.target;
-                    // Start from the device's own partial (if it computed
-                    // locally for this block).
-                    let mut merged: Option<(Vec<f32>, Vec<f32>)> =
-                        accs[dev as usize].get(&tb).map(BlockAcc::finalize);
-                    for &src in &item.sources {
-                        let p = Payload::PartialO(tb, src);
-                        let (po, plse) = match it.avail[dev as usize].get(&p) {
-                            Some(Data::PartialO { o, lse }) => (o.clone(), lse.clone()),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} reduces {tb:?} without partial from {src}"
-                                )))
-                            }
-                        };
-                        merged = Some(match merged {
-                            None => (po, plse),
-                            Some((o, lse)) => merge_outputs(&o, &lse, &po, &plse, dim),
-                        });
-                    }
-                    let (o, lse) = merged.expect("at least one source");
-                    finals.insert(tb, BlockOut { o, lse });
-                }
-                Ok(true)
-            }
-            Instr::AttnBwd { .. } => Err(DcpError::invalid_plan("backward instr in forward phase")),
-            Instr::Copy { .. } => Ok(true),
-        }
-    })?;
-    interp.emit_buffer_gauges();
-
-    // Owned blocks whose outputs were computed entirely locally.
-    for (i, _) in layout.token_blocks.iter().enumerate() {
-        let tb = TokenBlockId(i as u32);
-        if finals.contains_key(&tb) {
-            continue;
-        }
-        let owner = placement.token_dev(tb) as usize;
-        let out = match accs[owner].get(&tb) {
-            Some(acc) => {
-                let (o, lse) = acc.finalize();
-                BlockOut { o, lse }
-            }
-            None => {
-                // No computation targets this block (possible only when the
-                // mask has no pairs in its rows).
-                let len = layout.token_blocks[i].len as usize;
-                BlockOut {
-                    o: vec![0.0; len * qh * dim],
-                    lse: vec![f32::NEG_INFINITY; len * qh],
-                }
-            }
-        };
-        finals.insert(tb, out);
-    }
-    Ok(finals)
+    let ctx = RecoveryCtx::default();
+    execute_forward_recovery(layout, placement, &plan.fwd, data, &ctx, obs)
 }
 
-/// Context for executing a recovery *patch plan*: a phase in which one or
-/// more dead logical streams stop at their execution frontiers, ship their
-/// raw partial accumulators to replacement shards over dedicated salvage
-/// comm ops, and the shards finish the remaining computation and ownership
-/// duties under the original comm ids.
-#[derive(Debug, Clone, Default)]
-pub struct SalvageCtx {
-    /// Dead logical streams whose accumulators are salvaged: the failed
-    /// physical rank(s) plus any recovery-shard streams they were hosting
-    /// when they died (cascading failures compose patches, so more than one
-    /// stream can be dead at once).
-    pub failed: std::collections::HashSet<u32>,
-    /// Comm ids (indices into the phase's op table) carrying raw
-    /// accumulators from dead streams to their replacement shards.
-    pub salvage_comms: std::collections::HashSet<u32>,
-    /// For each forward partial a dead stream still owed — keyed by
-    /// `(token block, original producer)` since two dead streams may owe
-    /// partials for the same block — the shard that now finishes and
-    /// deposits it (under the original comm id, with the payload's producer
-    /// field still naming the dead stream).
-    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
-    /// Same for outstanding backward dQ partials.
-    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
-    /// Same for outstanding backward dKV partials.
-    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
-    /// Token blocks the patch re-owns away from dead streams. A dead stream
-    /// still holds their data until evacuation completes, so its truncated
-    /// prefix may keep reading them directly.
-    pub reowned: std::collections::HashSet<TokenBlockId>,
-}
-
-/// Executes the forward phase of a recovery patch plan (see [`SalvageCtx`]).
+/// Executes a forward phase under recovery semantics (a patch's
+/// `RecoveryPatch::ctx()`); with the default context this *is* the normal
+/// forward executor. Survivor streams execute verbatim and salvaged
+/// accumulators resume raw, so a patch execution's outputs are bitwise
+/// identical to the unfaulted run's.
 ///
-/// Differences from [`execute_forward_obs`]:
+/// # Errors
 ///
-/// - a `CommLaunch` on a salvage op deposits the failed device's **raw**
-///   [`BlockAcc`] instead of a finalized partial;
-/// - a `CommWait` on a salvage op installs the received accumulator as the
-///   waiting shard's starting state for that Q block, so subsequent `Attn`
-///   items fold into it exactly where the failed device left off;
-/// - partial-output deposits under original comm ids are honored when the
-///   launching device is the shard [`SalvageCtx::producer_of`] names, even
-///   though the transfer's `from`/producer still name the failed device.
-///
-/// Survivor streams execute verbatim, so a patch execution's outputs are
-/// bitwise identical to the unfaulted run's.
+/// As [`execute_forward`].
 pub fn execute_forward_recovery(
     layout: &BatchLayout,
     placement: &Placement,
     phase: &PhasePlan,
     data: &BatchData,
-    ctx: &SalvageCtx,
+    ctx: &RecoveryCtx,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockOut>> {
-    placement.validate(layout)?;
-    let (qh, kvh) = BatchData::head_counts(layout);
-    let dim = layout.attn.head_dim as usize;
-    let scale = 1.0 / (dim as f32).sqrt();
-    let n = placement.num_devices as usize;
+    let mut num = Numeric::new(layout, phase, data, obs, ObsPhase::Fwd);
+    Stream {
+        phase,
+        backward: false,
+        ctx,
+        logical: Some((layout, placement)),
+    }
+    .walk(&mut num)?;
+    num.emit_buffer_gauges();
 
-    let mut accs: Vec<HashMap<TokenBlockId, BlockAcc>> = vec![HashMap::new(); n];
-    let mut finals: HashMap<TokenBlockId, BlockOut> = HashMap::new();
-
-    let mut interp = Interp::new(placement, phase, obs, ObsPhase::Fwd);
-    interp.run(|it, dev, ins| {
-        match ins {
-            Instr::CommLaunch(cid) => {
-                let op = &it.phase.comms[cid.0 as usize];
-                for tr in &op.transfers {
-                    let tb = tr.payload.token_block();
-                    match tr.payload {
-                        Payload::Q(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Q(data.q[tb.0 as usize].clone()),
-                            );
-                        }
-                        Payload::Kv(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Kv(
-                                    data.k[tb.0 as usize].clone(),
-                                    data.v[tb.0 as usize].clone(),
-                                ),
-                            );
-                        }
-                        Payload::PartialO(_, producer)
-                            if tr.from == dev
-                                || (ctx.failed.contains(&tr.from)
-                                    && ctx.producer_of.get(&(tb, producer)) == Some(&dev)) =>
-                        {
-                            debug_assert!(producer == dev || ctx.failed.contains(&producer));
-                            let acc = accs[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends partial O for {tb:?} it never computed"
-                                ))
-                            })?;
-                            if ctx.salvage_comms.contains(&cid.0) {
-                                it.mailbox
-                                    .insert((cid.0, tr.payload), Data::Acc(acc.clone()));
-                            } else {
-                                let (o, lse) = acc.finalize();
-                                it.mailbox
-                                    .insert((cid.0, tr.payload), Data::PartialO { o, lse });
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(true)
-            }
-            Instr::CommWait(cid) => {
-                if !it.try_wait(dev, cid.0) {
-                    return Ok(false);
-                }
-                if ctx.salvage_comms.contains(&cid.0) {
-                    // Install salvaged accumulators as this shard's starting
-                    // state. The schedule waits on salvage ops before any
-                    // Attn touches these Q blocks, so the entry is fresh.
-                    let op = &it.phase.comms[cid.0 as usize];
-                    for tr in op.transfers.iter().filter(|t| t.to == dev) {
-                        let tb = tr.payload.token_block();
-                        if let Some(Data::Acc(acc)) = it.avail[dev as usize].remove(&tr.payload) {
-                            if accs[dev as usize].insert(tb, acc).is_some() {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} salvaged {tb:?} it already accumulates"
-                                )));
-                            }
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Attn { items, .. } => {
-                let avail = &it.avail[dev as usize];
-                let mut work: Vec<(TokenBlockId, BlockArgs<'_>)> = Vec::with_capacity(items.len());
-                for &c in items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = cb.q_block;
-                    let kb = cb.kv_block;
-                    let local = |tb: TokenBlockId| {
-                        placement.token_dev(tb) == dev
-                            || (ctx.failed.contains(&dev) && ctx.reowned.contains(&tb))
-                    };
-                    let qdata: &[f32] = if local(qb) {
-                        &data.q[qb.0 as usize]
-                    } else {
-                        match avail.get(&Payload::Q(qb)) {
-                            Some(Data::Q(v)) => v,
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without Q({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (kdata, vdata): (&[f32], &[f32]) = if local(kb) {
-                        (&data.k[kb.0 as usize], &data.v[kb.0 as usize])
-                    } else {
-                        match avail.get(&Payload::Kv(kb)) {
-                            Some(Data::Kv(k, v)) => (k, v),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} computes {c:?} without KV({kb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let qtb = layout.token_blocks[qb.0 as usize];
-                    let ktb = layout.token_blocks[kb.0 as usize];
-                    work.push((
-                        qb,
-                        BlockArgs {
-                            q: qdata,
-                            k: kdata,
-                            v: vdata,
-                            qh,
-                            kvh,
-                            dim,
-                            q_len: qtb.len as usize,
-                            kv_len: ktb.len as usize,
-                            q_start: qtb.start,
-                            kv_start: ktb.start,
-                            mask: &layout.masks[qtb.seq as usize],
-                            scale,
-                        },
-                    ));
-                }
-                let parts: Vec<(TokenBlockId, BlockAcc)> = work
-                    .into_par_iter()
-                    .map(|(qb, args)| {
-                        let mut acc = BlockAcc::new(args.q_len, args.qh, args.dim);
-                        attn_block_fwd(&mut acc, args);
-                        (qb, acc)
-                    })
-                    .collect();
-                for (qb, part) in parts {
-                    match accs[dev as usize].entry(qb) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut().merge(&part),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(part);
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Reduce { items, .. } => {
-                for item in items {
-                    if item.kind != PayloadKind::PartialO {
-                        return Err(DcpError::invalid_plan(
-                            "forward reduce with non-O payload kind",
-                        ));
-                    }
-                    let tb = item.target;
-                    let mut merged: Option<(Vec<f32>, Vec<f32>)> =
-                        accs[dev as usize].get(&tb).map(BlockAcc::finalize);
-                    for &src in &item.sources {
-                        let p = Payload::PartialO(tb, src);
-                        let (po, plse) = match it.avail[dev as usize].get(&p) {
-                            Some(Data::PartialO { o, lse }) => (o.clone(), lse.clone()),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} reduces {tb:?} without partial from {src}"
-                                )))
-                            }
-                        };
-                        merged = Some(match merged {
-                            None => (po, plse),
-                            Some((o, lse)) => merge_outputs(&o, &lse, &po, &plse, dim),
-                        });
-                    }
-                    let (o, lse) = merged.expect("at least one source");
-                    finals.insert(tb, BlockOut { o, lse });
-                }
-                Ok(true)
-            }
-            Instr::AttnBwd { .. } => Err(DcpError::invalid_plan("backward instr in forward phase")),
-            Instr::Copy { .. } => Ok(true),
-        }
-    })?;
-    interp.emit_buffer_gauges();
-
-    for (i, _) in layout.token_blocks.iter().enumerate() {
+    // Owned blocks whose outputs were computed entirely locally.
+    let mut finals = num.finals;
+    for (i, block) in layout.token_blocks.iter().enumerate() {
         let tb = TokenBlockId(i as u32);
-        if finals.contains_key(&tb) {
-            continue;
-        }
-        let owner = placement.token_dev(tb) as usize;
-        let out = match accs[owner].get(&tb) {
-            Some(acc) => {
-                let (o, lse) = acc.finalize();
-                BlockOut { o, lse }
-            }
-            None => {
-                let len = layout.token_blocks[i].len as usize;
-                BlockOut {
-                    o: vec![0.0; len * qh * dim],
-                    lse: vec![f32::NEG_INFINITY; len * qh],
+        finals.entry(tb).or_insert_with(|| {
+            match num.acc_o[placement.token_dev(tb) as usize].get(&tb) {
+                Some(acc) => {
+                    let (o, lse) = acc.finalize();
+                    BlockOut { o, lse }
+                }
+                // No computation targets this block (possible only when the
+                // mask has no pairs in its rows).
+                None => {
+                    let len = block.len as usize;
+                    BlockOut {
+                        o: vec![0.0; len * num.qh * num.dim],
+                        lse: vec![f32::NEG_INFINITY; len * num.qh],
+                    }
                 }
             }
-        };
-        finals.insert(tb, out);
+        });
     }
     Ok(finals)
 }
@@ -914,8 +679,8 @@ pub fn execute_forward_recovery(
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidPlan`] on under-communication or deadlock, and
-/// [`DcpError::InvalidArgument`] if `d_o` is missing a block.
+/// Returns [`DcpError::InvalidPlan`] as [`execute_forward`] does, and
+/// [`DcpError::InvalidArgument`] if `d_o` or `fwd_out` is missing a block.
 pub fn execute_backward(
     layout: &BatchLayout,
     placement: &Placement,
@@ -924,15 +689,8 @@ pub fn execute_backward(
     fwd_out: &HashMap<TokenBlockId, BlockOut>,
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    execute_backward_obs(
-        layout,
-        placement,
-        plan,
-        data,
-        fwd_out,
-        d_o,
-        &ExecObs::disabled(),
-    )
+    let obs = ExecObs::disabled();
+    execute_backward_obs(layout, placement, plan, data, fwd_out, d_o, &obs)
 }
 
 /// [`execute_backward`] with observability — the backward mirror of
@@ -946,41 +704,19 @@ pub fn execute_backward_obs(
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    execute_backward_recovery(
-        layout,
-        placement,
-        &plan.bwd,
-        data,
-        fwd_out,
-        d_o,
-        &SalvageCtx::default(),
-        obs,
-    )
+    let ctx = RecoveryCtx::default();
+    execute_backward_recovery(layout, placement, &plan.bwd, data, fwd_out, d_o, &ctx, obs)
 }
 
-/// Executes a backward phase under recovery semantics (see [`SalvageCtx`]) —
-/// the backward mirror of [`execute_forward_recovery`]. With the default
-/// context this *is* the normal backward executor ([`execute_backward_obs`]
-/// delegates here), byte for byte.
-///
-/// Differences from the clean path, active only under a non-default context:
-///
-/// - a `CommLaunch` on a salvage op ships a dead stream's **raw** `dQ` /
-///   `dKV` running sums (gradient accumulators are plain sums, so the raw
-///   state and the partial payload coincide — no finalize step exists);
-/// - a `CommWait` on a salvage op installs the received sums as the waiting
-///   shard's starting accumulator state, so its residual `AttnBwd` items
-///   fold in exactly where the dead stream's reduction frontier left off;
-/// - partial deposits under original comm ids are honored when the
-///   launching device is the shard [`SalvageCtx::producer_of_dq`] /
-///   [`SalvageCtx::producer_of_dkv`] names, even though the transfer's
-///   `from`/producer still name the dead stream;
-/// - dead streams' truncated prefixes may read re-owned blocks locally.
+/// Executes a backward phase under recovery semantics (a patch's
+/// `BwdRecoveryPatch::ctx()`) — the backward mirror of
+/// [`execute_forward_recovery`]. Gradient accumulators are plain sums, so a
+/// salvaged running sum resumes bitwise exactly where the dead stream's
+/// reduction frontier left off.
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidPlan`] on under-communication or deadlock, and
-/// [`DcpError::InvalidArgument`] if `d_o` or `fwd_out` is missing a block.
+/// As [`execute_backward`].
 #[allow(clippy::too_many_arguments)]
 pub fn execute_backward_recovery(
     layout: &BatchLayout,
@@ -989,14 +725,9 @@ pub fn execute_backward_recovery(
     data: &BatchData,
     fwd_out: &HashMap<TokenBlockId, BlockOut>,
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
-    ctx: &SalvageCtx,
+    ctx: &RecoveryCtx,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    placement.validate(layout)?;
-    let (qh, kvh) = BatchData::head_counts(layout);
-    let dim = layout.attn.head_dim as usize;
-    let scale = 1.0 / (dim as f32).sqrt();
-    let n = placement.num_devices as usize;
     for i in 0..layout.token_blocks.len() {
         let tb = TokenBlockId(i as u32);
         if !d_o.contains_key(&tb) || !fwd_out.contains_key(&tb) {
@@ -1005,302 +736,16 @@ pub fn execute_backward_recovery(
             )));
         }
     }
-
-    // Per device gradient accumulators (dK and dV are kept as a pair).
-    type KvGradPair = (Vec<f32>, Vec<f32>);
-    let mut dq_acc: Vec<HashMap<TokenBlockId, Vec<f32>>> = vec![HashMap::new(); n];
-    let mut dkv_acc: Vec<HashMap<TokenBlockId, KvGradPair>> = vec![HashMap::new(); n];
-
-    let mut interp = Interp::new(placement, phase, obs, ObsPhase::Bwd);
-    interp.run(|it, dev, ins| {
-        match ins {
-            Instr::CommLaunch(cid) => {
-                let op = &it.phase.comms[cid.0 as usize];
-                for tr in &op.transfers {
-                    let tb = tr.payload.token_block();
-                    match tr.payload {
-                        Payload::Q(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Q(data.q[tb.0 as usize].clone()),
-                            );
-                        }
-                        Payload::Kv(_) if tr.to == dev => {
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::Kv(
-                                    data.k[tb.0 as usize].clone(),
-                                    data.v[tb.0 as usize].clone(),
-                                ),
-                            );
-                        }
-                        Payload::DO(_) if tr.to == dev => {
-                            let out = &fwd_out[&tb];
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::OutGrad {
-                                    d_o: d_o[&tb].clone(),
-                                    o: out.o.clone(),
-                                    lse: out.lse.clone(),
-                                },
-                            );
-                        }
-                        Payload::PartialDq(_, producer)
-                            if tr.from == dev
-                                || (ctx.failed.contains(&tr.from)
-                                    && ctx.producer_of_dq.get(&(tb, producer)) == Some(&dev)) =>
-                        {
-                            debug_assert!(producer == dev || ctx.failed.contains(&producer));
-                            let g = dq_acc[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends dQ partial for {tb:?} it never computed"
-                                ))
-                            })?;
-                            it.mailbox
-                                .insert((cid.0, tr.payload), Data::PartialDq(g.clone()));
-                        }
-                        Payload::PartialDkv(_, producer)
-                            if tr.from == dev
-                                || (ctx.failed.contains(&tr.from)
-                                    && ctx.producer_of_dkv.get(&(tb, producer)) == Some(&dev)) =>
-                        {
-                            debug_assert!(producer == dev || ctx.failed.contains(&producer));
-                            let (gk, gv) = dkv_acc[dev as usize].get(&tb).ok_or_else(|| {
-                                DcpError::invalid_plan(format!(
-                                    "device {dev} sends dKV partial for {tb:?} it never computed"
-                                ))
-                            })?;
-                            it.mailbox.insert(
-                                (cid.0, tr.payload),
-                                Data::PartialDkv(gk.clone(), gv.clone()),
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(true)
-            }
-            Instr::CommWait(cid) => {
-                if !it.try_wait(dev, cid.0) {
-                    return Ok(false);
-                }
-                if ctx.salvage_comms.contains(&cid.0) {
-                    // Install salvaged raw sums as this shard's starting
-                    // accumulator state. The schedule waits on salvage ops
-                    // before any AttnBwd touches these blocks, so the
-                    // entries are fresh.
-                    let op = &it.phase.comms[cid.0 as usize];
-                    for tr in op.transfers.iter().filter(|t| t.to == dev) {
-                        let tb = tr.payload.token_block();
-                        match it.avail[dev as usize].remove(&tr.payload) {
-                            Some(Data::PartialDq(g)) => match dq_acc[dev as usize].entry(tb) {
-                                Entry::Occupied(_) => {
-                                    return Err(DcpError::invalid_plan(format!(
-                                        "device {dev} salvaged dQ {tb:?} it already \
-                                             accumulates"
-                                    )));
-                                }
-                                Entry::Vacant(slot) => {
-                                    slot.insert(g);
-                                }
-                            },
-                            Some(Data::PartialDkv(gk, gv)) => {
-                                match dkv_acc[dev as usize].entry(tb) {
-                                    Entry::Occupied(_) => {
-                                        return Err(DcpError::invalid_plan(format!(
-                                            "device {dev} salvaged dKV {tb:?} it already \
-                                             accumulates"
-                                        )));
-                                    }
-                                    Entry::Vacant(slot) => {
-                                        slot.insert((gk, gv));
-                                    }
-                                }
-                            }
-                            Some(other) => {
-                                it.avail[dev as usize].insert(tr.payload, other);
-                            }
-                            None => {}
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::AttnBwd { items, .. } => {
-                // Mirror of the forward hot path: resolve inputs serially
-                // (borrowing instead of the old per-item clones), compute
-                // per-item gradient partials on the rayon pool, then add
-                // them into the device accumulators in item order. Gradient
-                // addition order is fixed by the plan, so results are
-                // bitwise identical at every thread count.
-                let avail = &it.avail[dev as usize];
-                let mut work: Vec<(TokenBlockId, TokenBlockId, BlockBwdArgs<'_>)> =
-                    Vec::with_capacity(items.len());
-                for &c in items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = cb.q_block;
-                    let kb = cb.kv_block;
-                    let local = |tb: TokenBlockId| {
-                        placement.token_dev(tb) == dev
-                            || (ctx.failed.contains(&dev) && ctx.reowned.contains(&tb))
-                    };
-                    let q_owned = local(qb);
-                    let kv_owned = local(kb);
-                    let qtb = layout.token_blocks[qb.0 as usize];
-                    let ktb = layout.token_blocks[kb.0 as usize];
-                    let qdata: &[f32] = if q_owned {
-                        &data.q[qb.0 as usize]
-                    } else {
-                        match avail.get(&Payload::Q(qb)) {
-                            Some(Data::Q(v)) => v,
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} bwd {c:?} without Q({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (kdata, vdata): (&[f32], &[f32]) = if kv_owned {
-                        (&data.k[kb.0 as usize], &data.v[kb.0 as usize])
-                    } else {
-                        match avail.get(&Payload::Kv(kb)) {
-                            Some(Data::Kv(k, v)) => (k, v),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} bwd {c:?} without KV({kb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    let (dob, ob, lseb): (&[f32], &[f32], &[f32]) = if q_owned {
-                        let out = &fwd_out[&qb];
-                        (&d_o[&qb], &out.o, &out.lse)
-                    } else {
-                        match avail.get(&Payload::DO(qb)) {
-                            Some(Data::OutGrad { d_o, o, lse }) => (d_o, o, lse),
-                            _ => {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "device {dev} bwd {c:?} without dO({qb:?})"
-                                )))
-                            }
-                        }
-                    };
-                    work.push((
-                        qb,
-                        kb,
-                        BlockBwdArgs {
-                            fwd: BlockArgs {
-                                q: qdata,
-                                k: kdata,
-                                v: vdata,
-                                qh,
-                                kvh,
-                                dim,
-                                q_len: qtb.len as usize,
-                                kv_len: ktb.len as usize,
-                                q_start: qtb.start,
-                                kv_start: ktb.start,
-                                mask: &layout.masks[qtb.seq as usize],
-                                scale,
-                            },
-                            o: ob,
-                            lse: lseb,
-                            d_o: dob,
-                        },
-                    ));
-                }
-                type GradPart = (TokenBlockId, TokenBlockId, Vec<f32>, Vec<f32>, Vec<f32>);
-                let parts: Vec<GradPart> = work
-                    .into_par_iter()
-                    .map(|(qb, kb, args)| {
-                        let a = args.fwd;
-                        let mut pdq = vec![0.0f32; a.q_len * a.qh * a.dim];
-                        let mut pdk = vec![0.0f32; a.kv_len * a.kvh * a.dim];
-                        let mut pdv = vec![0.0f32; a.kv_len * a.kvh * a.dim];
-                        attn_block_bwd(args, &mut pdq, &mut pdk, &mut pdv);
-                        (qb, kb, pdq, pdk, pdv)
-                    })
-                    .collect();
-                for (qb, kb, pdq, pdk, pdv) in parts {
-                    let dq = dq_acc[dev as usize]
-                        .entry(qb)
-                        .or_insert_with(|| vec![0.0; pdq.len()]);
-                    for (a, b) in dq.iter_mut().zip(&pdq) {
-                        *a += b;
-                    }
-                    let kv_entry = dkv_acc[dev as usize]
-                        .entry(kb)
-                        .or_insert_with(|| (vec![0.0; pdk.len()], vec![0.0; pdv.len()]));
-                    for (a, b) in kv_entry.0.iter_mut().zip(&pdk) {
-                        *a += b;
-                    }
-                    for (a, b) in kv_entry.1.iter_mut().zip(&pdv) {
-                        *a += b;
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Reduce { items, .. } => {
-                for item in items {
-                    let tb = item.target;
-                    match item.kind {
-                        PayloadKind::PartialDq => {
-                            let len = layout.token_blocks[tb.0 as usize].len as usize;
-                            let acc = dq_acc[dev as usize]
-                                .entry(tb)
-                                .or_insert_with(|| vec![0.0; len * qh * dim]);
-                            for &src in &item.sources {
-                                match it.avail[dev as usize].get(&Payload::PartialDq(tb, src)) {
-                                    Some(Data::PartialDq(g)) => {
-                                        for (a, b) in acc.iter_mut().zip(g) {
-                                            *a += b;
-                                        }
-                                    }
-                                    _ => {
-                                        return Err(DcpError::invalid_plan(format!(
-                                            "missing dQ partial for {tb:?} from {src}"
-                                        )))
-                                    }
-                                }
-                            }
-                        }
-                        PayloadKind::PartialDkv => {
-                            let len = layout.token_blocks[tb.0 as usize].len as usize;
-                            let acc = dkv_acc[dev as usize].entry(tb).or_insert_with(|| {
-                                (vec![0.0; len * kvh * dim], vec![0.0; len * kvh * dim])
-                            });
-                            for &src in &item.sources {
-                                match it.avail[dev as usize].get(&Payload::PartialDkv(tb, src)) {
-                                    Some(Data::PartialDkv(gk, gv)) => {
-                                        for (a, b) in acc.0.iter_mut().zip(gk) {
-                                            *a += b;
-                                        }
-                                        for (a, b) in acc.1.iter_mut().zip(gv) {
-                                            *a += b;
-                                        }
-                                    }
-                                    _ => {
-                                        return Err(DcpError::invalid_plan(format!(
-                                            "missing dKV partial for {tb:?} from {src}"
-                                        )))
-                                    }
-                                }
-                            }
-                        }
-                        _ => {
-                            return Err(DcpError::invalid_plan(
-                                "backward reduce with forward payload kind",
-                            ))
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            Instr::Attn { .. } => Err(DcpError::invalid_plan("forward instr in backward phase")),
-            Instr::Copy { .. } => Ok(true),
-        }
-    })?;
-    interp.emit_buffer_gauges();
+    let mut num = Numeric::new(layout, phase, data, obs, ObsPhase::Bwd);
+    num.grads_in = Some((fwd_out, d_o));
+    Stream {
+        phase,
+        backward: true,
+        ctx,
+        logical: Some((layout, placement)),
+    }
+    .walk(&mut num)?;
+    num.emit_buffer_gauges();
 
     // Assemble owned gradients.
     let mut grads = HashMap::new();
@@ -1308,12 +753,13 @@ pub fn execute_backward_recovery(
         let id = TokenBlockId(i as u32);
         let owner = placement.token_dev(id) as usize;
         let len = tb.len as usize;
-        let dq = dq_acc[owner]
+        let dq = num.acc_dq[owner]
             .remove(&id)
-            .unwrap_or_else(|| vec![0.0; len * qh * dim]);
-        let (dk, dv) = dkv_acc[owner]
-            .remove(&id)
-            .unwrap_or_else(|| (vec![0.0; len * kvh * dim], vec![0.0; len * kvh * dim]));
+            .unwrap_or_else(|| vec![0.0; len * num.qh * num.dim]);
+        let (dk, dv) = num.acc_dkv[owner].remove(&id).unwrap_or_else(|| {
+            let n = len * num.kvh * num.dim;
+            (vec![0.0; n], vec![0.0; n])
+        });
         grads.insert(id, BlockGrads { dq, dk, dv });
     }
     Ok(grads)

@@ -12,11 +12,11 @@
 //!   backward for one (Q-block, KV-block) pair.
 //! - [`reference`]: dense masked multi-head (GQA) attention forward and
 //!   backward, the ground truth.
-//! - [`executor`]: a cooperative multi-device interpreter for
-//!   [`dcp_sched::ExecutionPlan`]s. Each simulated device may only read data
-//!   it owns or data that arrived through a waited communication operation —
-//!   so a plan that under-communicates fails loudly instead of silently
-//!   reading someone else's memory.
+//! - [`executor`]: the numeric backend of the stream walker
+//!   ([`dcp_sched::stream`]) for [`dcp_sched::ExecutionPlan`]s. Each device
+//!   may only read data it owns or data that arrived through a waited
+//!   communication operation — so a plan that under-communicates fails
+//!   loudly instead of silently reading someone else's memory.
 //! - [`train`]: a tiny real transformer with handwritten backprop, used to
 //!   reproduce the loss-curve experiment (training with DCP-planned
 //!   attention vs. dense attention).
@@ -30,7 +30,6 @@ pub mod train;
 pub use executor::{
     execute_backward, execute_backward_obs, execute_backward_recovery, execute_forward,
     execute_forward_obs, execute_forward_recovery, BatchData, BlockGrads, BlockOut, ExecObs,
-    SalvageCtx,
 };
 pub use oracle::{
     forward_outputs_identical, grads_identical, plans_equivalent, random_output_grads,

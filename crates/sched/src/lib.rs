@@ -17,8 +17,10 @@
 //! 4. replays the streams through a [`buffer::BufferManager`] to account for
 //!    peak block-buffer memory with slot reuse.
 //!
-//! The resulting [`ExecutionPlan`] is consumed by the numerical executor
-//! (`dcp-exec`) and by the cluster simulator (`dcp-sim`), and serializes to
+//! The resulting [`ExecutionPlan`] is given meaning by one driver, the
+//! [`stream`] walker, which the numerical executor (`dcp-exec`) and the
+//! verifier ([`verify`]) plug backends into; the cluster simulator
+//! (`dcp-sim`) shares its deposit and arrival rules. Plans serialize to
 //! JSON for the dataloader-to-executor handoff the paper implements with a
 //! distributed KV store.
 
@@ -28,6 +30,7 @@ pub mod placement;
 pub mod plan;
 pub mod report;
 pub mod schedule;
+pub mod stream;
 pub mod verify;
 
 pub use buffer::BufferStats;
@@ -39,6 +42,5 @@ pub use plan::{
 };
 pub use report::{DeviceReport, DivisionReport, PlanReport};
 pub use schedule::{build_plan, ScheduleConfig};
-pub use verify::{
-    verify_phase, verify_plan, verify_structure, Diagnostic, VerifyCtx, ViolationKind,
-};
+pub use stream::RecoveryCtx;
+pub use verify::{verify_phase, verify_plan, verify_structure, Diagnostic, ViolationKind};

@@ -36,7 +36,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::buffer::compute_stats;
 use crate::placement::Placement;
-use crate::plan::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan};
+use crate::plan::{ExecutionPlan, Instr, Payload, PhasePlan};
+use crate::stream::{incoming, is_input};
 use crate::verify::instr_reads;
 
 /// Configuration of the pass pipeline.
@@ -217,20 +218,12 @@ impl Pass for DeadCommElim {
                         // alone cannot prove the launch dead.
                         cx.protected.contains(&cid.0)
                             || phase.comms[cid.0 as usize].transfers.iter().any(|t| {
-                                t.to == dev
-                                    || t.from == dev
-                                    || !matches!(
-                                        t.payload.kind(),
-                                        PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                                    )
+                                t.to == dev || t.from == dev || !is_input(t.payload.kind())
                             })
                     }
                     Instr::CommWait(cid) => {
                         cx.protected.contains(&cid.0)
-                            || phase.comms[cid.0 as usize]
-                                .transfers
-                                .iter()
-                                .any(|t| t.to == dev)
+                            || incoming(&phase.comms[cid.0 as usize], dev).next().is_some()
                     }
                     _ => true,
                 });
@@ -345,13 +338,10 @@ impl Pass for FuseCommLaunch {
             }
             let op = &phase.comms[cid as usize];
             !op.transfers.is_empty()
-                && op.transfers.iter().all(|t| {
-                    t.to == dev
-                        && matches!(
-                            t.payload.kind(),
-                            PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                        )
-                })
+                && op
+                    .transfers
+                    .iter()
+                    .all(|t| t.to == dev && is_input(t.payload.kind()))
                 && refs
                     .get(&cid)
                     .is_some_and(|r| r.len() == 1 && r.contains(&dev))
@@ -452,16 +442,13 @@ impl Pass for SinkCommWait {
                     if cx.protected.contains(&cid.0) {
                         return 2 * i;
                     }
-                    let incoming: Vec<Payload> = phase.comms[cid.0 as usize]
-                        .transfers
-                        .iter()
-                        .filter(|t| t.to == dev)
+                    let arriving: Vec<Payload> = incoming(&phase.comms[cid.0 as usize], dev)
                         .map(|t| t.payload)
                         .collect();
-                    if incoming.is_empty() {
+                    if arriving.is_empty() {
                         return 2 * i;
                     }
-                    match (i + 1..n).find(|&j| incoming.iter().any(|p| reads[j].contains(p))) {
+                    match (i + 1..n).find(|&j| arriving.iter().any(|p| reads[j].contains(p))) {
                         Some(j) if 2 * j - 1 > 2 * i => {
                             waits_sunk += 1;
                             2 * j - 1

@@ -117,6 +117,19 @@ pub struct ReduceItem {
     pub kind: PayloadKind,
 }
 
+impl ReduceItem {
+    /// The partial this item reads from source device `src`; `None` when
+    /// `kind` is not a partial kind.
+    pub fn source_payload(&self, src: u32) -> Option<Payload> {
+        match self.kind {
+            PayloadKind::PartialO => Some(Payload::PartialO(self.target, src)),
+            PayloadKind::PartialDq => Some(Payload::PartialDq(self.target, src)),
+            PayloadKind::PartialDkv => Some(Payload::PartialDkv(self.target, src)),
+            _ => None,
+        }
+    }
+}
+
 /// One instruction of a device stream — the paper's five instruction types.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Instr {

@@ -33,6 +33,7 @@ use crate::plan::{
     CommId, CommOp, DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan,
     ReduceItem, Transfer,
 };
+use crate::verify::verify_plan;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -460,114 +461,18 @@ fn schedule_phase(
     PhasePlan { comms, devices }
 }
 
-/// Checks plan structural invariants against the layout and placement:
-/// every computation block appears in exactly one attention instruction on
-/// its assigned device, every `CommWait` has a matching prior `CommLaunch`
-/// *or* waits for eagerly-sent input data, transfers reference the correct
-/// owners, and division 0 carries no communication.
+/// Checks a plan against its layout and placement: [`verify_plan`] with the
+/// diagnostic folded into the crate-wide error type.
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidPlan`] describing the first violated
-/// invariant.
+/// Returns [`DcpError::InvalidPlan`] describing the first violated rule.
 pub fn validate_plan(
     layout: &BatchLayout,
     placement: &Placement,
     plan: &ExecutionPlan,
 ) -> DcpResult<()> {
-    for (phase, backward) in [(&plan.fwd, false), (&plan.bwd, true)] {
-        let mut seen = vec![false; layout.comp_blocks.len()];
-        for stream in &phase.devices {
-            let mut launched: HashSet<CommId> = HashSet::new();
-            for ins in &stream.instrs {
-                match ins {
-                    Instr::CommLaunch(cid) => {
-                        if cid.0 as usize >= phase.comms.len() {
-                            return Err(DcpError::invalid_plan("comm id out of range"));
-                        }
-                        launched.insert(*cid);
-                    }
-                    Instr::CommWait(cid) => {
-                        let op = &phase.comms[cid.0 as usize];
-                        let receives = op.transfers.iter().any(|t| t.to == stream.device);
-                        let input_only = op.transfers.iter().all(|t| {
-                            matches!(
-                                t.payload.kind(),
-                                PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                            )
-                        });
-                        if !receives {
-                            return Err(DcpError::invalid_plan(format!(
-                                "device {} waits on op {:?} that sends it nothing",
-                                stream.device, cid
-                            )));
-                        }
-                        // Input fetches are receiver-launched; partials are
-                        // producer-launched, so the receiver legitimately
-                        // waits without launching.
-                        if input_only && !launched.contains(cid) {
-                            return Err(DcpError::invalid_plan(format!(
-                                "device {} waits on input op {:?} before launching it",
-                                stream.device, cid
-                            )));
-                        }
-                    }
-                    Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
-                        let want_bwd = matches!(ins, Instr::AttnBwd { .. });
-                        if want_bwd != backward {
-                            return Err(DcpError::invalid_plan(
-                                "attention direction does not match phase",
-                            ));
-                        }
-                        for &c in items {
-                            if placement.comp_dev(c) != stream.device {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "comp block {:?} executed on wrong device",
-                                    c
-                                )));
-                            }
-                            if seen[c.0 as usize] {
-                                return Err(DcpError::invalid_plan(format!(
-                                    "comp block {:?} scheduled twice",
-                                    c
-                                )));
-                            }
-                            seen[c.0 as usize] = true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(DcpError::invalid_plan(format!(
-                "comp block {missing} never scheduled"
-            )));
-        }
-        // Transfers reference correct owners/producers.
-        for op in &phase.comms {
-            for tr in &op.transfers {
-                let tb = tr.payload.token_block();
-                let owner = placement.token_to_dev[tb.0 as usize];
-                let ok = match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => tr.from == owner,
-                    Payload::PartialO(_, p)
-                    | Payload::PartialDq(_, p)
-                    | Payload::PartialDkv(_, p) => tr.from == p && tr.to == owner,
-                };
-                if !ok {
-                    return Err(DcpError::invalid_plan(format!(
-                        "transfer {:?} inconsistent with ownership",
-                        tr
-                    )));
-                }
-                if tr.from == tr.to {
-                    return Err(DcpError::invalid_plan("self transfer"));
-                }
-            }
-        }
-    }
-    Ok(())
+    Ok(verify_plan(layout, placement, plan)?)
 }
 
 #[cfg(test)]

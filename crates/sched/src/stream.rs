@@ -1,0 +1,560 @@
+//! The one stream walker: what a rendered instruction stream *means*.
+//!
+//! A [`PhasePlan`] is immutable IR; [`Stream::walk`] is the only driver that
+//! gives it meaning. The walker owns everything every consumer must agree
+//! on — round-robin progress with deadlock detection, shape and id bounds,
+//! the deposit rule at `CommLaunch`, the arrival rule at `CommWait`,
+//! salvage-accumulator install, the locality predicate and per-item input
+//! resolution — and is generic over a small [`Backend`] that says what a
+//! deposited slot *is* and what `Attn`/`AttnBwd`/`Reduce` *do* with resolved
+//! inputs. `dcp-exec` supplies the numeric backend (f32 tensors), the
+//! verifier (`crate::verify`) the symbolic one (no data at all). DESIGN.md
+//! "Stream semantics" states each rule once; this module is that section
+//! in code.
+//!
+//! The simulator keeps its own event loop (it advances a clock, the walker
+//! does not) but takes [`check_ids`], [`depositor`] and [`incoming`] from
+//! here, as do the passes.
+
+use std::collections::{HashMap, HashSet};
+
+use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
+
+use crate::placement::Placement;
+use crate::plan::{CommOp, Instr, Payload, PayloadKind, PhasePlan, ReduceItem, Transfer};
+use crate::verify::{Diagnostic, ViolationKind};
+
+/// Whether `kind` is a model *input* (Q, KV, dO) rather than a partial
+/// result. Inputs exist from the start of the phase, so the **receiver**
+/// deposits them; partials exist once computed, so the **sender** does.
+pub(crate) fn is_input(kind: PayloadKind) -> bool {
+    matches!(kind, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO)
+}
+
+/// The device whose `CommLaunch` puts `tr` in flight (outside recovery).
+pub fn depositor(tr: &Transfer) -> u32 {
+    if is_input(tr.payload.kind()) {
+        tr.to
+    } else {
+        tr.from
+    }
+}
+
+/// The transfers of `op` that a `CommWait` on `dev` blocks on.
+pub fn incoming(op: &CommOp, dev: u32) -> impl Iterator<Item = &Transfer> {
+    op.transfers.iter().filter(move |t| t.to == dev)
+}
+
+/// Recovery semantics of a patch plan: a phase in which dead logical
+/// streams stop at their frontiers, ship raw accumulators to replacement
+/// shards over salvage ops, and the shards finish the dead streams' work
+/// under the original comm ids. The default context is a normal plan.
+///
+/// Built only by `RecoveryPatch::ctx()` / `BwdRecoveryPatch::ctx()` in
+/// `dcp-core`; every consumer of a patch takes it from there.
+#[derive(Debug, Clone, Default)]
+pub struct RecoveryCtx {
+    /// Dead logical streams: the failed rank(s) plus any shard streams they
+    /// hosted when they died (cascading failures compose patches).
+    pub failed: HashSet<u32>,
+    /// Comm ids carrying raw accumulators from dead streams to shards.
+    pub salvage_comms: HashSet<u32>,
+    /// Shard that deposits each outstanding forward partial under the
+    /// original comm id, keyed by `(token block, original producer)` — the
+    /// payload's producer field still names the dead stream, and two dead
+    /// streams may owe distinct partials for the same block.
+    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
+    /// Same for outstanding backward dQ partials.
+    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
+    /// Same for outstanding backward dKV partials.
+    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
+    /// Token blocks re-owned away from dead streams. A dead stream holds
+    /// their data until evacuation completes, so its truncated prefix may
+    /// still read (and serve) them.
+    pub reowned: HashSet<TokenBlockId>,
+}
+
+impl RecoveryCtx {
+    /// The shard standing in for the dead producer of partial `payload`.
+    pub fn stand_in(&self, payload: Payload) -> Option<u32> {
+        match payload {
+            Payload::PartialO(tb, p) => self.producer_of.get(&(tb, p)),
+            Payload::PartialDq(tb, p) => self.producer_of_dq.get(&(tb, p)),
+            Payload::PartialDkv(tb, p) => self.producer_of_dkv.get(&(tb, p)),
+            Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => None,
+        }
+        .copied()
+    }
+
+    /// The deposit rule: does a `CommLaunch` by `dev` put `tr` in flight?
+    /// The [`depositor`] does; so does the shard standing in for a dead
+    /// sender, even though `tr.from` still names the dead stream.
+    fn deposits(&self, tr: &Transfer, dev: u32) -> bool {
+        depositor(tr) == dev
+            || (self.failed.contains(&tr.from) && self.stand_in(tr.payload) == Some(dev))
+    }
+
+    /// The locality rule: may `dev` read block `tb` without a transfer?
+    /// Its owner may, and so may a dead stream that held the block before
+    /// the patch re-owned it.
+    pub(crate) fn local(&self, placement: &Placement, dev: u32, tb: TokenBlockId) -> bool {
+        placement.token_dev(tb) == dev || (self.failed.contains(&dev) && self.reowned.contains(&tb))
+    }
+}
+
+/// A stream position, for anchoring diagnostics.
+#[derive(Debug, Clone, Copy)]
+pub struct At {
+    /// Device rank (index of the stream in the phase).
+    pub dev: u32,
+    /// Instruction index in that device's stream.
+    pub idx: usize,
+}
+
+impl At {
+    /// A diagnostic of `kind` anchored here.
+    pub(crate) fn err(self, kind: ViolationKind, message: impl Into<String>) -> Diagnostic {
+        Diagnostic::at(kind, self.dev, self.idx, message)
+    }
+}
+
+/// One computation block of an `Attn`/`AttnBwd` with its inputs resolved:
+/// `None` is a local read of the block's own data, `Some` the arrived slot.
+pub struct AttnItem<'s, S> {
+    /// Its Q token block.
+    pub q_block: TokenBlockId,
+    /// Its KV token block.
+    pub kv_block: TokenBlockId,
+    /// Q input.
+    pub q: Option<&'s S>,
+    /// KV input.
+    pub kv: Option<&'s S>,
+    /// dO input (always `None` in the forward phase).
+    pub d_o: Option<&'s S>,
+}
+
+/// What a consumer supplies to [`Stream::walk`]: what a slot is, which
+/// accumulators a device holds, and what the compute instructions do. The
+/// walker has applied every rule a stream needs to be *executable* by the
+/// time it calls in, so those methods cannot fail.
+pub trait Backend {
+    /// What a deposited transfer is while in flight and once arrived.
+    type Slot;
+
+    /// Conventions beyond executability that this consumer imposes on
+    /// `ins`, checked on every poll before the walker executes it. The
+    /// verifier holds planner output to its placement here (routes follow
+    /// ownership, blocks run once on their assigned device); the executor
+    /// imposes none, so it also runs relayed-ring baselines.
+    ///
+    /// # Errors
+    ///
+    /// The violated convention.
+    fn admit(&mut self, _at: At, _ins: &Instr) -> Result<(), Diagnostic> {
+        Ok(())
+    }
+
+    /// Whether `dev` holds an accumulator of partial `kind` for block `tb`
+    /// (forward O/lse, backward dQ or dKV running sums).
+    fn accumulates(&self, dev: u32, kind: PayloadKind, tb: TokenBlockId) -> bool;
+
+    /// `dev` launches `payload`: materialise an input, or ship its
+    /// accumulator for a partial (`raw` on salvage ops: un-finalized).
+    fn deposit(&mut self, dev: u32, payload: Payload, raw: bool) -> Self::Slot;
+
+    /// A raw accumulator arrived over a salvage op: it becomes `dev`'s
+    /// starting state for the payload's block, so residual work folds in
+    /// exactly where the dead stream left off.
+    fn install(&mut self, dev: u32, payload: Payload, slot: Self::Slot);
+
+    /// Fused blockwise attention (backward when `backward`) over resolved
+    /// items, in plan order.
+    fn attn(&mut self, dev: u32, backward: bool, items: &[AttnItem<'_, Self::Slot>]);
+
+    /// Merges the arrived partials of `item`'s sources, in source order,
+    /// into `dev`'s accumulator for `item.target`.
+    fn reduce(&mut self, dev: u32, item: &ReduceItem, parts: &[&Self::Slot]);
+
+    /// Called after every poll of `ins` on `dev`; `retired` is false when
+    /// the device stays blocked on it. Polls are serial and plan-ordered.
+    fn polled(&mut self, _dev: u32, _ins: &Instr, _retired: bool) {}
+}
+
+/// Shape and id bounds of an untrusted phase, checked once before anything
+/// indexes by them: streams are one per device in rank order, comm ids are
+/// inside the op table, transfer endpoints are devices of the phase and —
+/// given a layout — computation and token block ids are inside it.
+///
+/// # Errors
+///
+/// [`ViolationKind::ShapeMismatch`], [`ViolationKind::CommIdOutOfRange`],
+/// [`ViolationKind::BadRoute`] or [`ViolationKind::BlockIdOutOfRange`].
+pub fn check_ids(phase: &PhasePlan, layout: Option<&BatchLayout>) -> Result<(), Diagnostic> {
+    let n = phase.devices.len() as u32;
+    let tb_ok = |tb: TokenBlockId| layout.is_none_or(|l| (tb.0 as usize) < l.token_blocks.len());
+    for (cid, op) in phase.comms.iter().enumerate() {
+        for tr in &op.transfers {
+            if tr.from >= n || tr.to >= n {
+                return Err(Diagnostic::phase_level(
+                    ViolationKind::BadRoute,
+                    format!("op {cid} transfer {tr:?} leaves the phase's {n} devices"),
+                ));
+            }
+            if !tb_ok(tr.payload.token_block()) {
+                return Err(Diagnostic::phase_level(
+                    ViolationKind::BlockIdOutOfRange,
+                    format!("op {cid} transfer {tr:?} names a block outside the layout"),
+                ));
+            }
+        }
+    }
+    for (d, stream) in phase.devices.iter().enumerate() {
+        if stream.device != d as u32 {
+            return Err(Diagnostic::phase_level(
+                ViolationKind::ShapeMismatch,
+                format!("stream {d} is labelled device {}", stream.device),
+            ));
+        }
+        for (idx, ins) in stream.instrs.iter().enumerate() {
+            let at = At { dev: d as u32, idx };
+            match ins {
+                Instr::CommLaunch(cid) | Instr::CommWait(cid) => {
+                    if cid.0 as usize >= phase.comms.len() {
+                        let verb = match ins {
+                            Instr::CommLaunch(_) => "launch of",
+                            _ => "wait on",
+                        };
+                        return Err(at.err(
+                            ViolationKind::CommIdOutOfRange,
+                            format!("{verb} comm id {} outside op table", cid.0),
+                        ));
+                    }
+                }
+                Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
+                    let bound = layout.map_or(usize::MAX, |l| l.comp_blocks.len());
+                    if let Some(c) = items.iter().find(|c| c.0 as usize >= bound) {
+                        return Err(at.err(
+                            ViolationKind::BlockIdOutOfRange,
+                            format!("comp block {c:?} outside the layout"),
+                        ));
+                    }
+                }
+                Instr::Reduce { items, .. } => {
+                    if let Some(item) = items.iter().find(|item| !tb_ok(item.target)) {
+                        return Err(at.err(
+                            ViolationKind::BlockIdOutOfRange,
+                            format!("reduce target {:?} outside the layout", item.target),
+                        ));
+                    }
+                }
+                Instr::Copy { .. } => {}
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Kinds of payload legal in each phase direction.
+fn kind_in_phase(kind: PayloadKind, backward: bool) -> bool {
+    match kind {
+        PayloadKind::Q | PayloadKind::Kv => true,
+        PayloadKind::PartialO => !backward,
+        PayloadKind::DO | PayloadKind::PartialDq | PayloadKind::PartialDkv => backward,
+    }
+}
+
+/// One phase to walk, and how to read it.
+pub struct Stream<'a> {
+    /// The instruction streams and their op table.
+    pub phase: &'a PhasePlan,
+    /// Whether this is the backward phase.
+    pub backward: bool,
+    /// Recovery semantics ([`RecoveryCtx::default`] for a normal plan).
+    pub ctx: &'a RecoveryCtx,
+    /// The layout and placement the streams are interpreted against. `None`
+    /// walks launch/wait structure only — for host-folded timing plans,
+    /// which have no logical placement, so their compute instructions
+    /// cannot be resolved and no accumulator state exists.
+    pub logical: Option<(&'a BatchLayout, &'a Placement)>,
+}
+
+/// Where one transfer of the op table is.
+enum Flight<S> {
+    /// Not deposited yet.
+    Pending,
+    /// Deposited by a launch, not yet waited for.
+    Sent(S),
+    /// Moved to the receiver by a wait. It stays arrived, so a repeated
+    /// wait on the same op stays satisfied (the simulator's flows are
+    /// idempotent in the same way).
+    Arrived,
+}
+
+/// The walker's own state: everything in flight or arrived.
+struct State<S> {
+    /// One entry per transfer, ops laid end to end.
+    flights: Vec<Flight<S>>,
+    /// Per op: the index of its first transfer in `flights`.
+    base: Vec<usize>,
+    /// Per device: payloads that have arrived.
+    avail: Vec<HashMap<Payload, S>>,
+}
+
+impl Stream<'_> {
+    /// Walks the phase to completion: devices step round-robin, each
+    /// running until it blocks on a `CommWait` whose data is not yet
+    /// deposited. The order depends only on plan structure and mailbox
+    /// state, so it is identical for every backend and thread count.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Diagnostic`]: an id or shape violation found up front, a
+    /// rule violated in-stream, or [`ViolationKind::Deadlock`] anchored at
+    /// the first stalled device.
+    pub fn walk<B: Backend>(&self, backend: &mut B) -> Result<(), Diagnostic> {
+        let phase = self.phase;
+        let n = phase.devices.len();
+        if let Some((layout, placement)) = self.logical {
+            let shape = |m: String| Diagnostic::phase_level(ViolationKind::ShapeMismatch, m);
+            placement
+                .validate(layout)
+                .map_err(|e| shape(e.to_string()))?;
+            if n != placement.num_devices as usize {
+                return Err(shape(format!(
+                    "phase has {n} streams, placement has {} devices",
+                    placement.num_devices
+                )));
+            }
+        }
+        check_ids(phase, self.logical.map(|(layout, _)| layout))?;
+        if self.logical.is_some() {
+            let stray = |tr: &&Transfer| !kind_in_phase(tr.payload.kind(), self.backward);
+            if let Some(tr) = phase.comms.iter().flat_map(|op| &op.transfers).find(stray) {
+                let dir = if self.backward { "backward" } else { "forward" };
+                return Err(Diagnostic::phase_level(
+                    ViolationKind::WrongPhase,
+                    format!("transfer {tr:?} in the {dir} phase"),
+                ));
+            }
+        }
+        let mut total = 0;
+        let base = phase.comms.iter().map(|op| {
+            total += op.transfers.len();
+            total - op.transfers.len()
+        });
+        let mut st = State {
+            base: base.collect(),
+            flights: (0..total).map(|_| Flight::Pending).collect(),
+            avail: (0..n).map(|_| HashMap::new()).collect(),
+        };
+        let mut ip = vec![0usize; n];
+        loop {
+            let mut progressed = false;
+            let mut all_done = true;
+            for (d, stream) in phase.devices.iter().enumerate() {
+                while let Some(ins) = stream.instrs.get(ip[d]) {
+                    all_done = false;
+                    let at = At {
+                        dev: d as u32,
+                        idx: ip[d],
+                    };
+                    backend.admit(at, ins)?;
+                    let retired = self.step(at, ins, backend, &mut st)?;
+                    backend.polled(at.dev, ins, retired);
+                    if !retired {
+                        break;
+                    }
+                    ip[d] += 1;
+                    progressed = true;
+                }
+            }
+            if all_done {
+                return Ok(());
+            }
+            if !progressed {
+                let d = (0..n)
+                    .find(|&d| ip[d] < phase.devices[d].instrs.len())
+                    .expect("not all done, so some device is blocked");
+                return Err(Diagnostic::at(
+                    ViolationKind::Deadlock,
+                    d as u32,
+                    ip[d],
+                    "no device can make progress (missing launch or circular wait)",
+                ));
+            }
+        }
+    }
+
+    /// Executes one instruction; `Ok(false)` means blocked on a wait.
+    fn step<B: Backend>(
+        &self,
+        at: At,
+        ins: &Instr,
+        backend: &mut B,
+        st: &mut State<B::Slot>,
+    ) -> Result<bool, Diagnostic> {
+        let (dev, d) = (at.dev, at.dev as usize);
+        let ctx = self.ctx;
+        match ins {
+            Instr::CommLaunch(cid) => {
+                let op = &self.phase.comms[cid.0 as usize];
+                let flights = &mut st.flights[st.base[cid.0 as usize]..][..op.transfers.len()];
+                let salvage = ctx.salvage_comms.contains(&cid.0);
+                for (tr, flight) in op.transfers.iter().zip(flights) {
+                    if !ctx.deposits(tr, dev) {
+                        continue;
+                    }
+                    let (kind, tb) = (tr.payload.kind(), tr.payload.token_block());
+                    let partial = !is_input(kind);
+                    if partial && self.logical.is_some() && !backend.accumulates(dev, kind, tb) {
+                        return Err(at.err(
+                            ViolationKind::MissingProducerState,
+                            format!("sends {kind:?} for {tb:?} it never computed"),
+                        ));
+                    }
+                    *flight = Flight::Sent(backend.deposit(dev, tr.payload, salvage && partial));
+                }
+                Ok(true)
+            }
+            Instr::CommWait(cid) => {
+                let op = &self.phase.comms[cid.0 as usize];
+                let flights = &mut st.flights[st.base[cid.0 as usize]..][..op.transfers.len()];
+                let arriving = || op.transfers.iter().enumerate().filter(|(_, t)| t.to == dev);
+                for (i, tr) in arriving() {
+                    if !matches!(flights[i], Flight::Pending) {
+                        continue;
+                    }
+                    // Only this device deposits its own inputs, so a missing
+                    // one can never arrive; a missing partial still may.
+                    if is_input(tr.payload.kind()) {
+                        return Err(at.err(
+                            ViolationKind::WaitWithoutLaunch,
+                            format!("waits on input op {} before launching it", cid.0),
+                        ));
+                    }
+                    return Ok(false);
+                }
+                let salvage = ctx.salvage_comms.contains(&cid.0);
+                for (i, tr) in arriving() {
+                    let Flight::Sent(slot) = std::mem::replace(&mut flights[i], Flight::Arrived)
+                    else {
+                        continue;
+                    };
+                    let (kind, tb) = (tr.payload.kind(), tr.payload.token_block());
+                    if salvage && !is_input(kind) {
+                        if backend.accumulates(dev, kind, tb) {
+                            return Err(at.err(
+                                ViolationKind::DuplicateSalvage,
+                                format!("salvaged {tb:?} it already accumulates"),
+                            ));
+                        }
+                        backend.install(dev, tr.payload, slot);
+                    } else {
+                        st.avail[d].insert(tr.payload, slot);
+                    }
+                }
+                Ok(true)
+            }
+            Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
+                let Some((layout, placement)) = self.logical else {
+                    return Ok(true);
+                };
+                let backward = matches!(ins, Instr::AttnBwd { .. });
+                if backward != self.backward {
+                    let (is, phase) = if backward {
+                        ("backward", "forward")
+                    } else {
+                        ("forward", "backward")
+                    };
+                    return Err(at.err(
+                        ViolationKind::WrongPhase,
+                        format!("{is} attention in {phase} phase"),
+                    ));
+                }
+                let avail = &st.avail[d];
+                // An input is a local read (`None`) or an arrived slot; the
+                // error is the payload that is neither.
+                let fetch = |p: Payload| match ctx.local(placement, dev, p.token_block()) {
+                    true => Ok(None),
+                    false => avail.get(&p).map(Some).ok_or(p),
+                };
+                let resolve = |c: CompBlockId| {
+                    let cb = &layout.comp_blocks[c.0 as usize];
+                    Ok(AttnItem {
+                        q_block: cb.q_block,
+                        kv_block: cb.kv_block,
+                        q: fetch(Payload::Q(cb.q_block))?,
+                        kv: fetch(Payload::Kv(cb.kv_block))?,
+                        d_o: match backward {
+                            true => fetch(Payload::DO(cb.q_block))?,
+                            false => None,
+                        },
+                    })
+                };
+                let mut resolved = Vec::with_capacity(items.len());
+                for &c in items {
+                    resolved.push(resolve(c).map_err(|missing: Payload| {
+                        let verb = if backward { "bwd" } else { "computes" };
+                        let name = match missing {
+                            Payload::Q(_) => "Q",
+                            Payload::Kv(_) => "KV",
+                            _ => "dO",
+                        };
+                        let tb = missing.token_block();
+                        at.err(
+                            ViolationKind::MissingInput,
+                            format!("{verb} {c:?} without {name}({tb:?})"),
+                        )
+                    })?);
+                }
+                backend.attn(dev, backward, &resolved);
+                Ok(true)
+            }
+            Instr::Reduce { items, .. } => {
+                if self.logical.is_none() {
+                    return Ok(true);
+                }
+                for item in items {
+                    let tb = item.target;
+                    if is_input(item.kind) || !kind_in_phase(item.kind, self.backward) {
+                        return Err(at.err(
+                            ViolationKind::WrongPhase,
+                            format!("reduce of {:?} in the wrong phase", item.kind),
+                        ));
+                    }
+                    // A forward reduce finalizes the block from the local
+                    // accumulator and the sources: it needs at least one.
+                    if !self.backward
+                        && item.sources.is_empty()
+                        && !backend.accumulates(dev, item.kind, tb)
+                    {
+                        return Err(at.err(
+                            ViolationKind::MissingPartial,
+                            format!("reduces {tb:?} from no source and no local accumulator"),
+                        ));
+                    }
+                    let avail = &st.avail[d];
+                    let part = |&src: &u32| {
+                        let p = item
+                            .source_payload(src)
+                            .expect("partial kind checked above");
+                        avail.get(&p).ok_or_else(|| {
+                            at.err(
+                                ViolationKind::MissingPartial,
+                                format!("reduces {tb:?} without partial from {src}"),
+                            )
+                        })
+                    };
+                    let parts = item
+                        .sources
+                        .iter()
+                        .map(part)
+                        .collect::<Result<Vec<_>, _>>()?;
+                    backend.reduce(dev, item, &parts);
+                }
+                Ok(true)
+            }
+            Instr::Copy { .. } => Ok(true),
+        }
+    }
+}

@@ -1,36 +1,34 @@
-//! Stream verifier: a symbolic interpreter over rendered instruction
-//! streams.
+//! Stream verifier: the symbolic backend of the stream walker.
 //!
-//! The verifier mirrors the numerical executor's legality rules — deposit
-//! rules at `CommLaunch`, arrival rules at `CommWait`, input availability at
-//! `Attn`/`AttnBwd`, partial availability at `Reduce`, round-robin progress
-//! — without touching any data, so it runs in microseconds per plan and can
-//! gate every planner output and every recovery-patch rendering. Where the
-//! executor would return an opaque [`dcp_types::DcpError::InvalidPlan`] or
-//! deadlock, the verifier returns a typed [`Diagnostic`] naming the
-//! violated rule, the offending device and the instruction index.
+//! [`crate::stream`] owns what a stream means and which streams are legal;
+//! this module runs that walker over a backend that carries no data — a
+//! deposited slot is `()`, an accumulator is a set membership — so it runs
+//! in microseconds per plan and can gate every planner output and every
+//! recovery-patch rendering. A rejection is a typed [`Diagnostic`] naming
+//! the violated rule, the offending device and the instruction index; the
+//! numeric executor, driving the same walker, rejects exactly the same
+//! streams with the same diagnostics.
 //!
 //! Three entry points:
 //!
 //! - [`verify_plan`]: both phases of an [`ExecutionPlan`] against its layout
 //!   and placement (normal planner outputs).
-//! - [`verify_phase`]: one phase with an explicit [`VerifyCtx`], encoding
-//!   the relaxed ownership rules of a recovery patch plan (salvage ops,
-//!   re-owned blocks, shard-deposited partials) exactly as
-//!   `dcp_exec::executor::execute_forward_recovery` interprets them.
+//! - [`verify_phase`]: one phase under an explicit [`RecoveryCtx`] (the
+//!   functional rendering of a recovery patch).
 //! - [`verify_structure`]: launch/wait/deposit structure only, for streams
 //!   with no logical placement (a recovery patch's host-folded `timing`
-//!   plan, whose self-transfers are filtered and whose waits may legally
-//!   receive nothing after folding).
+//!   plan).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use dcp_blocks::{BatchLayout, TokenBlockId};
+use dcp_types::DcpError;
 use serde::{Deserialize, Serialize};
 
 use crate::placement::Placement;
-use crate::plan::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan};
+use crate::plan::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, ReduceItem, Transfer};
+use crate::stream::{incoming, At, AttnItem, Backend, RecoveryCtx, Stream};
 
 /// Which legality rule a stream violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,6 +64,11 @@ pub enum ViolationKind {
     DuplicateSalvage,
     /// No device can make progress (circular or absent dependencies).
     Deadlock,
+    /// A computation or token block id lies outside the layout.
+    BlockIdOutOfRange,
+    /// The stream table, the placement and the layout disagree in shape
+    /// (stream count vs. device count, stream order, placement lengths).
+    ShapeMismatch,
 }
 
 impl fmt::Display for ViolationKind {
@@ -85,6 +88,8 @@ impl fmt::Display for ViolationKind {
             ViolationKind::SelfTransfer => "self-transfer",
             ViolationKind::DuplicateSalvage => "duplicate-salvage",
             ViolationKind::Deadlock => "deadlock",
+            ViolationKind::BlockIdOutOfRange => "block-id-out-of-range",
+            ViolationKind::ShapeMismatch => "shape-mismatch",
         };
         f.write_str(s)
     }
@@ -107,7 +112,12 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    fn at(kind: ViolationKind, device: u32, instr: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn at(
+        kind: ViolationKind,
+        device: u32,
+        instr: usize,
+        message: impl Into<String>,
+    ) -> Self {
         Diagnostic {
             kind,
             device: Some(device),
@@ -116,7 +126,7 @@ impl Diagnostic {
         }
     }
 
-    fn phase_level(kind: ViolationKind, message: impl Into<String>) -> Self {
+    pub(crate) fn phase_level(kind: ViolationKind, message: impl Into<String>) -> Self {
         Diagnostic {
             kind,
             device: None,
@@ -141,37 +151,11 @@ impl fmt::Display for Diagnostic {
 /// Result alias for verifier entry points.
 pub type VerifyResult = Result<(), Diagnostic>;
 
-/// Recovery semantics for [`verify_phase`], mirroring the executor's
-/// `SalvageCtx`. The default context encodes a normal (non-recovery) plan.
-#[derive(Debug, Clone, Default)]
-pub struct VerifyCtx {
-    /// Dead logical streams of a recovery patch: the failed physical
-    /// rank(s) plus any recovery-shard streams they were hosting when they
-    /// died (cascading failures compose patches, so more than one stream
-    /// can be dead at once).
-    pub failed: HashSet<u32>,
-    /// Comm ids carrying raw accumulators from a dead stream to its
-    /// replacement shards.
-    pub salvage_comms: HashSet<u32>,
-    /// Shard that deposits each outstanding forward partial under the
-    /// original comm id, keyed by `(token block, original producer)` — the
-    /// payload's producer field still names the dead stream, and two dead
-    /// streams may hold distinct partials for the same token block.
-    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
-    /// Shard that deposits each outstanding backward dQ partial under the
-    /// original comm id, keyed by `(token block, original producer)`.
-    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
-    /// Shard that deposits each outstanding backward dKV partial under the
-    /// original comm id, keyed by `(token block, original producer)`.
-    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
-    /// Token blocks re-owned away from dead streams; their truncated
-    /// prefixes may still read them locally.
-    pub reowned: HashSet<TokenBlockId>,
-}
-
-impl VerifyCtx {
-    fn is_failed(&self, dev: u32) -> bool {
-        self.failed.contains(&dev)
+/// An untrusted plan surfaces from the executor as a typed error carrying
+/// the verifier's diagnostic.
+impl From<Diagnostic> for DcpError {
+    fn from(d: Diagnostic) -> Self {
+        DcpError::invalid_plan(d.to_string())
     }
 }
 
@@ -196,15 +180,7 @@ pub(crate) fn instr_reads(layout: &BatchLayout, ins: &Instr, out: &mut HashSet<P
         }
         Instr::Reduce { items, .. } => {
             for item in items {
-                for &src in &item.sources {
-                    let p = match item.kind {
-                        PayloadKind::PartialO => Payload::PartialO(item.target, src),
-                        PayloadKind::PartialDq => Payload::PartialDq(item.target, src),
-                        PayloadKind::PartialDkv => Payload::PartialDkv(item.target, src),
-                        _ => continue,
-                    };
-                    out.insert(p);
-                }
+                out.extend(item.sources.iter().filter_map(|&s| item.source_payload(s)));
             }
         }
         _ => {}
@@ -222,611 +198,205 @@ pub fn verify_plan(
     placement: &Placement,
     plan: &ExecutionPlan,
 ) -> VerifyResult {
-    let ctx = VerifyCtx::default();
+    let ctx = RecoveryCtx::default();
     verify_phase(layout, placement, &plan.fwd, false, &ctx)?;
     verify_phase(layout, placement, &plan.bwd, true, &ctx)
 }
 
-/// Symbolic state of one phase verification.
-struct SymState {
-    /// Per device: payloads that have arrived, flagged raw-accumulator.
-    avail: Vec<HashMap<Payload, bool>>,
-    /// In-flight deposits keyed `(comm id, payload)`, flagged
-    /// raw-accumulator.
-    mailbox: HashMap<(u32, Payload), bool>,
-    /// Per device: forward accumulators / backward dQ / backward dKV state.
-    acc: Vec<HashSet<TokenBlockId>>,
-    dq: Vec<HashSet<TokenBlockId>>,
-    dkv: Vec<HashSet<TokenBlockId>>,
-    /// Per device: comm ids launched so far.
-    launched: Vec<HashSet<u32>>,
-    /// Computation blocks executed so far.
-    seen: Vec<bool>,
-}
-
-/// Verifies one phase with explicit recovery semantics, mirroring the
-/// executor instruction by instruction (round-robin progress, deposit and
-/// arrival rules, accumulator state).
+/// Verifies one phase under explicit recovery semantics: the walker's
+/// executability rules plus the placement conventions of [`Placed`].
 ///
 /// # Errors
 ///
 /// Returns the first [`Diagnostic`] encountered; blocked progress surfaces
 /// as [`ViolationKind::Deadlock`] anchored at the first stalled device.
-// The round-robin executor indexes `ip` and `phase.devices` in lockstep.
-#[allow(clippy::needless_range_loop)]
 pub fn verify_phase(
     layout: &BatchLayout,
     placement: &Placement,
     phase: &PhasePlan,
     backward: bool,
-    ctx: &VerifyCtx,
+    ctx: &RecoveryCtx,
 ) -> VerifyResult {
-    let n = phase.devices.len();
-    let mut st = SymState {
-        avail: vec![HashMap::new(); n],
-        mailbox: HashMap::new(),
-        acc: vec![HashSet::new(); n],
-        dq: vec![HashSet::new(); n],
-        dkv: vec![HashSet::new(); n],
-        launched: vec![HashSet::new(); n],
-        seen: vec![false; layout.comp_blocks.len()],
+    let mut sym = Symbolic {
+        acc: vec![HashSet::new(); phase.devices.len()],
+        placed: Some(Placed {
+            phase,
+            placement,
+            ctx,
+            routed: vec![false; phase.comms.len()],
+            seen: vec![false; layout.comp_blocks.len()],
+        }),
     };
-    let mut ip = vec![0usize; n];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for d in 0..n {
-            loop {
-                let idx = ip[d];
-                let Some(ins) = phase.devices[d].instrs.get(idx) else {
-                    break;
-                };
-                all_done = false;
-                if step(
-                    layout, placement, phase, backward, ctx, &mut st, d as u32, idx, ins,
-                )? {
-                    ip[d] += 1;
-                    progressed = true;
-                } else {
-                    break;
-                }
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let d = (0..n)
-                .find(|&d| ip[d] < phase.devices[d].instrs.len())
-                .expect("some device is blocked");
-            return Err(Diagnostic::at(
-                ViolationKind::Deadlock,
-                phase.devices[d].device,
-                ip[d],
-                "no device can make progress (missing launch or circular wait)",
-            ));
-        }
+    Stream {
+        phase,
+        backward,
+        ctx,
+        logical: Some((layout, placement)),
     }
+    .walk(&mut sym)?;
     // Coverage: every computation block executed exactly once, on its
     // assigned device (duplicates and wrong devices are caught in-stream).
-    if let Some(missing) = st.seen.iter().position(|&s| !s) {
-        return Err(Diagnostic::phase_level(
+    match sym.placed.and_then(|p| p.seen.iter().position(|&s| !s)) {
+        Some(missing) => Err(Diagnostic::phase_level(
             ViolationKind::MissingCompute,
             format!("comp block {missing} never scheduled in this phase"),
-        ));
-    }
-    Ok(())
-}
-
-/// Kinds of payload legal in each phase direction.
-fn kind_in_phase(kind: PayloadKind, backward: bool) -> bool {
-    match kind {
-        PayloadKind::Q | PayloadKind::Kv => true,
-        PayloadKind::PartialO => !backward,
-        PayloadKind::DO | PayloadKind::PartialDq | PayloadKind::PartialDkv => backward,
-    }
-}
-
-/// Executes one symbolic instruction; `Ok(false)` means blocked on a wait.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    layout: &BatchLayout,
-    placement: &Placement,
-    phase: &PhasePlan,
-    backward: bool,
-    ctx: &VerifyCtx,
-    st: &mut SymState,
-    dev: u32,
-    idx: usize,
-    ins: &Instr,
-) -> Result<bool, Diagnostic> {
-    let d = dev as usize;
-    match ins {
-        Instr::CommLaunch(cid) => {
-            if cid.0 as usize >= phase.comms.len() {
-                return Err(Diagnostic::at(
-                    ViolationKind::CommIdOutOfRange,
-                    dev,
-                    idx,
-                    format!("launch of comm id {} outside op table", cid.0),
-                ));
-            }
-            let op = &phase.comms[cid.0 as usize];
-            // Route checks for every transfer of the op (anchored at the
-            // launch, the first stream position that references the op).
-            for tr in &op.transfers {
-                if tr.from == tr.to {
-                    return Err(Diagnostic::at(
-                        ViolationKind::SelfTransfer,
-                        dev,
-                        idx,
-                        format!(
-                            "op {} transfer {:?} sends a device its own data",
-                            cid.0, tr.payload
-                        ),
-                    ));
-                }
-                if !kind_in_phase(tr.payload.kind(), backward) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongPhase,
-                        dev,
-                        idx,
-                        format!(
-                            "op {} carries {:?} in the {} phase",
-                            cid.0,
-                            tr.payload.kind(),
-                            if backward { "backward" } else { "forward" }
-                        ),
-                    ));
-                }
-                let tb = tr.payload.token_block();
-                let owner = placement.token_dev(tb);
-                let ok = match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => {
-                        tr.from == owner || (ctx.is_failed(tr.from) && ctx.reowned.contains(&tb))
-                    }
-                    Payload::PartialO(_, p)
-                    | Payload::PartialDq(_, p)
-                    | Payload::PartialDkv(_, p) => {
-                        tr.from == p && (tr.to == owner || ctx.salvage_comms.contains(&cid.0))
-                    }
-                };
-                if !ok {
-                    return Err(Diagnostic::at(
-                        ViolationKind::BadRoute,
-                        dev,
-                        idx,
-                        format!("op {} transfer {tr:?} inconsistent with ownership", cid.0),
-                    ));
-                }
-            }
-            // Deposits, exactly as the executor performs them.
-            for tr in &op.transfers {
-                let tb = tr.payload.token_block();
-                let deposit = match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => tr.to == dev,
-                    Payload::PartialO(_, p) if !backward => {
-                        tr.from == dev
-                            || (ctx.is_failed(tr.from)
-                                && ctx.producer_of.get(&(tb, p)) == Some(&dev))
-                    }
-                    Payload::PartialDq(_, p) if backward => {
-                        tr.from == dev
-                            || (ctx.is_failed(tr.from)
-                                && ctx.producer_of_dq.get(&(tb, p)) == Some(&dev))
-                    }
-                    Payload::PartialDkv(_, p) if backward => {
-                        tr.from == dev
-                            || (ctx.is_failed(tr.from)
-                                && ctx.producer_of_dkv.get(&(tb, p)) == Some(&dev))
-                    }
-                    _ => false,
-                };
-                if !deposit {
-                    continue;
-                }
-                match tr.payload {
-                    Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => {
-                        st.mailbox.insert((cid.0, tr.payload), false);
-                    }
-                    Payload::PartialO(..) => {
-                        if !st.acc[d].contains(&tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::MissingProducerState,
-                                dev,
-                                idx,
-                                format!("sends partial O for {tb:?} it never computed"),
-                            ));
-                        }
-                        let is_acc = ctx.salvage_comms.contains(&cid.0);
-                        st.mailbox.insert((cid.0, tr.payload), is_acc);
-                    }
-                    Payload::PartialDq(..) => {
-                        if !st.dq[d].contains(&tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::MissingProducerState,
-                                dev,
-                                idx,
-                                format!("sends dQ partial for {tb:?} it never computed"),
-                            ));
-                        }
-                        let is_acc = ctx.salvage_comms.contains(&cid.0);
-                        st.mailbox.insert((cid.0, tr.payload), is_acc);
-                    }
-                    Payload::PartialDkv(..) => {
-                        if !st.dkv[d].contains(&tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::MissingProducerState,
-                                dev,
-                                idx,
-                                format!("sends dKV partial for {tb:?} it never computed"),
-                            ));
-                        }
-                        let is_acc = ctx.salvage_comms.contains(&cid.0);
-                        st.mailbox.insert((cid.0, tr.payload), is_acc);
-                    }
-                }
-            }
-            st.launched[d].insert(cid.0);
-            Ok(true)
-        }
-        Instr::CommWait(cid) => {
-            if cid.0 as usize >= phase.comms.len() {
-                return Err(Diagnostic::at(
-                    ViolationKind::CommIdOutOfRange,
-                    dev,
-                    idx,
-                    format!("wait on comm id {} outside op table", cid.0),
-                ));
-            }
-            let op = &phase.comms[cid.0 as usize];
-            let incoming: Vec<Payload> = op
-                .transfers
-                .iter()
-                .filter(|t| t.to == dev)
-                .map(|t| t.payload)
-                .collect();
-            if incoming.is_empty() {
-                return Err(Diagnostic::at(
-                    ViolationKind::WaitReceivesNothing,
-                    dev,
-                    idx,
-                    format!("waits on op {} that sends it nothing", cid.0),
-                ));
-            }
-            // Input fetches are receiver-launched; a wait on an input-only
-            // op without a prior launch in the same stream can never be
-            // satisfied by another device.
-            let input_only = op.transfers.iter().all(|t| {
-                matches!(
-                    t.payload.kind(),
-                    PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO
-                )
-            });
-            if input_only && !st.launched[d].contains(&cid.0) {
-                return Err(Diagnostic::at(
-                    ViolationKind::WaitWithoutLaunch,
-                    dev,
-                    idx,
-                    format!("waits on input op {} before launching it", cid.0),
-                ));
-            }
-            if incoming
-                .iter()
-                .any(|p| !st.mailbox.contains_key(&(cid.0, *p)))
-            {
-                return Ok(false);
-            }
-            for p in incoming {
-                let is_acc = st.mailbox.remove(&(cid.0, p)).expect("checked present");
-                st.avail[d].insert(p, is_acc);
-            }
-            if ctx.salvage_comms.contains(&cid.0) {
-                for tr in op.transfers.iter().filter(|t| t.to == dev) {
-                    let tb = tr.payload.token_block();
-                    if st.avail[d].get(&tr.payload) == Some(&true) {
-                        st.avail[d].remove(&tr.payload);
-                        // Raw accumulators resume the dead stream's state:
-                        // forward O/LSE accs, or backward dQ/dKV sums.
-                        let target = match tr.payload {
-                            Payload::PartialDq(..) => &mut st.dq[d],
-                            Payload::PartialDkv(..) => &mut st.dkv[d],
-                            _ => &mut st.acc[d],
-                        };
-                        if !target.insert(tb) {
-                            return Err(Diagnostic::at(
-                                ViolationKind::DuplicateSalvage,
-                                dev,
-                                idx,
-                                format!("salvaged {tb:?} it already accumulates"),
-                            ));
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        }
-        Instr::Attn { items, .. } => {
-            if backward {
-                return Err(Diagnostic::at(
-                    ViolationKind::WrongPhase,
-                    dev,
-                    idx,
-                    "forward attention in backward phase",
-                ));
-            }
-            for &c in items {
-                if placement.comp_dev(c) != dev {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongDevice,
-                        dev,
-                        idx,
-                        format!(
-                            "comp block {c:?} belongs to device {}",
-                            placement.comp_dev(c)
-                        ),
-                    ));
-                }
-                if st.seen[c.0 as usize] {
-                    return Err(Diagnostic::at(
-                        ViolationKind::DuplicateCompute,
-                        dev,
-                        idx,
-                        format!("comp block {c:?} scheduled twice"),
-                    ));
-                }
-                st.seen[c.0 as usize] = true;
-                let cb = &layout.comp_blocks[c.0 as usize];
-                let local = |tb: TokenBlockId| {
-                    placement.token_dev(tb) == dev
-                        || (ctx.is_failed(dev) && ctx.reowned.contains(&tb))
-                };
-                if !local(cb.q_block) && st.avail[d].get(&Payload::Q(cb.q_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("computes {c:?} without Q({:?})", cb.q_block),
-                    ));
-                }
-                if !local(cb.kv_block) && st.avail[d].get(&Payload::Kv(cb.kv_block)) != Some(&false)
-                {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("computes {c:?} without KV({:?})", cb.kv_block),
-                    ));
-                }
-                st.acc[d].insert(cb.q_block);
-            }
-            Ok(true)
-        }
-        Instr::AttnBwd { items, .. } => {
-            if !backward {
-                return Err(Diagnostic::at(
-                    ViolationKind::WrongPhase,
-                    dev,
-                    idx,
-                    "backward attention in forward phase",
-                ));
-            }
-            for &c in items {
-                if placement.comp_dev(c) != dev {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongDevice,
-                        dev,
-                        idx,
-                        format!(
-                            "comp block {c:?} belongs to device {}",
-                            placement.comp_dev(c)
-                        ),
-                    ));
-                }
-                if st.seen[c.0 as usize] {
-                    return Err(Diagnostic::at(
-                        ViolationKind::DuplicateCompute,
-                        dev,
-                        idx,
-                        format!("comp block {c:?} scheduled twice"),
-                    ));
-                }
-                st.seen[c.0 as usize] = true;
-                let cb = &layout.comp_blocks[c.0 as usize];
-                let local = |tb: TokenBlockId| {
-                    placement.token_dev(tb) == dev
-                        || (ctx.is_failed(dev) && ctx.reowned.contains(&tb))
-                };
-                let q_owned = local(cb.q_block);
-                let kv_owned = local(cb.kv_block);
-                if !q_owned && st.avail[d].get(&Payload::Q(cb.q_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("bwd {c:?} without Q({:?})", cb.q_block),
-                    ));
-                }
-                if !kv_owned && st.avail[d].get(&Payload::Kv(cb.kv_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("bwd {c:?} without KV({:?})", cb.kv_block),
-                    ));
-                }
-                if !q_owned && st.avail[d].get(&Payload::DO(cb.q_block)) != Some(&false) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::MissingInput,
-                        dev,
-                        idx,
-                        format!("bwd {c:?} without dO({:?})", cb.q_block),
-                    ));
-                }
-                st.dq[d].insert(cb.q_block);
-                st.dkv[d].insert(cb.kv_block);
-            }
-            Ok(true)
-        }
-        Instr::Reduce { items, .. } => {
-            for item in items {
-                let tb = item.target;
-                let expect_kind = if backward {
-                    matches!(item.kind, PayloadKind::PartialDq | PayloadKind::PartialDkv)
-                } else {
-                    item.kind == PayloadKind::PartialO
-                };
-                if !expect_kind {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WrongPhase,
-                        dev,
-                        idx,
-                        format!("reduce of {:?} in the wrong phase", item.kind),
-                    ));
-                }
-                for &src in &item.sources {
-                    let p = match item.kind {
-                        PayloadKind::PartialO => Payload::PartialO(tb, src),
-                        PayloadKind::PartialDq => Payload::PartialDq(tb, src),
-                        PayloadKind::PartialDkv => Payload::PartialDkv(tb, src),
-                        _ => unreachable!("checked above"),
-                    };
-                    if st.avail[d].get(&p) != Some(&false) {
-                        return Err(Diagnostic::at(
-                            ViolationKind::MissingPartial,
-                            dev,
-                            idx,
-                            format!("reduces {tb:?} without partial from {src}"),
-                        ));
-                    }
-                }
-            }
-            Ok(true)
-        }
-        Instr::Copy { .. } => Ok(true),
+        )),
+        None => Ok(()),
     }
 }
 
 /// Structural verification for streams with no logical placement (e.g. a
-/// recovery patch's host-folded `timing` plan): comm ids in range, every
-/// wait's incoming transfers deposited by some launch (receiver-launched
-/// for inputs, sender-launched for partials), and round-robin progress
-/// without deadlock. Waits that receive nothing are legal here — host
-/// folding filters same-host transfers out of ops whose waits remain.
+/// recovery patch's host-folded `timing` plan): ids in range, every wait's
+/// incoming transfers deposited by some launch (receiver-launched for
+/// inputs, sender-launched for partials), and round-robin progress without
+/// deadlock. Waits that receive nothing are legal here — host folding
+/// filters same-host transfers out of ops whose waits remain.
 ///
 /// # Errors
 ///
 /// Returns the first [`Diagnostic`] encountered.
-// The round-robin walk indexes `ip` and `phase.devices` in lockstep.
-#[allow(clippy::needless_range_loop)]
 pub fn verify_structure(phase: &PhasePlan) -> VerifyResult {
-    let n = phase.devices.len();
-    // Which devices launch each op (any position, any stream).
-    let mut launchers: Vec<HashSet<u32>> = vec![HashSet::new(); phase.comms.len()];
-    for stream in &phase.devices {
-        for (idx, ins) in stream.instrs.iter().enumerate() {
-            match ins {
-                Instr::CommLaunch(cid) | Instr::CommWait(cid) => {
-                    if cid.0 as usize >= phase.comms.len() {
-                        return Err(Diagnostic::at(
-                            ViolationKind::CommIdOutOfRange,
-                            stream.device,
-                            idx,
-                            format!("comm id {} outside op table", cid.0),
-                        ));
-                    }
-                    if matches!(ins, Instr::CommLaunch(_)) {
-                        launchers[cid.0 as usize].insert(stream.device);
-                    }
-                }
-                _ => {}
-            }
-        }
+    let mut sym = Symbolic {
+        acc: Vec::new(),
+        placed: None,
+    };
+    Stream {
+        phase,
+        backward: false,
+        ctx: &RecoveryCtx::default(),
+        logical: None,
     }
-    // A wait can only be satisfied if each of its incoming transfers has a
-    // depositor: the receiver (inputs) or the sender (partials) launches
-    // the op somewhere.
-    for stream in &phase.devices {
-        for (idx, ins) in stream.instrs.iter().enumerate() {
-            let Instr::CommWait(cid) = ins else { continue };
-            let op = &phase.comms[cid.0 as usize];
-            for tr in op.transfers.iter().filter(|t| t.to == stream.device) {
-                let depositor = match tr.payload.kind() {
-                    PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO => tr.to,
-                    _ => tr.from,
-                };
-                if !launchers[cid.0 as usize].contains(&depositor) {
-                    return Err(Diagnostic::at(
-                        ViolationKind::WaitWithoutLaunch,
-                        stream.device,
-                        idx,
-                        format!(
-                            "waits on op {} whose {:?} is never launched by device {depositor}",
-                            cid.0, tr.payload
-                        ),
+    .walk(&mut sym)
+}
+
+/// The symbolic backend: no data, only which accumulators exist — per
+/// device, the `(partial kind, token block)` pairs it currently accumulates
+/// (forward O/lse, backward dQ, backward dKV).
+struct Symbolic<'a> {
+    acc: Vec<HashSet<(PayloadKind, TokenBlockId)>>,
+    /// The placement a planner output is held to; `None` for a
+    /// structure-only walk, which has none.
+    placed: Option<Placed<'a>>,
+}
+
+/// The verifier's conventions on top of executability: a stream that breaks
+/// one may still execute, but it is not what its placement says.
+struct Placed<'a> {
+    phase: &'a PhasePlan,
+    placement: &'a Placement,
+    ctx: &'a RecoveryCtx,
+    /// Ops whose routes were checked (at their first launch, the first
+    /// stream position that references the op).
+    routed: Vec<bool>,
+    /// Computation blocks executed so far.
+    seen: Vec<bool>,
+}
+
+impl Placed<'_> {
+    fn admit(&mut self, at: At, ins: &Instr) -> Result<(), Diagnostic> {
+        match ins {
+            Instr::CommLaunch(cid) => {
+                if std::mem::replace(&mut self.routed[cid.0 as usize], true) {
+                    return Ok(());
+                }
+                for tr in &self.phase.comms[cid.0 as usize].transfers {
+                    self.check_route(at, cid.0, tr)?;
+                }
+            }
+            Instr::CommWait(cid) => {
+                let op = &self.phase.comms[cid.0 as usize];
+                if incoming(op, at.dev).next().is_none() {
+                    return Err(at.err(
+                        ViolationKind::WaitReceivesNothing,
+                        format!("waits on op {} that sends it nothing", cid.0),
                     ));
                 }
             }
-        }
-    }
-    // Round-robin progress with structural deposits.
-    let mut mailbox: HashSet<(u32, Payload)> = HashSet::new();
-    let mut ip = vec![0usize; n];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for d in 0..n {
-            let dev = phase.devices[d].device;
-            loop {
-                let idx = ip[d];
-                let Some(ins) = phase.devices[d].instrs.get(idx) else {
-                    break;
-                };
-                all_done = false;
-                let ok = match ins {
-                    Instr::CommLaunch(cid) => {
-                        let op = &phase.comms[cid.0 as usize];
-                        for tr in &op.transfers {
-                            let depositor = match tr.payload.kind() {
-                                PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO => tr.to,
-                                _ => tr.from,
-                            };
-                            if depositor == dev {
-                                mailbox.insert((cid.0, tr.payload));
-                            }
-                        }
-                        true
+            Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
+                for &c in items {
+                    let owner = self.placement.comp_dev(c);
+                    if owner != at.dev {
+                        return Err(at.err(
+                            ViolationKind::WrongDevice,
+                            format!("comp block {c:?} belongs to device {owner}"),
+                        ));
                     }
-                    Instr::CommWait(cid) => phase.comms[cid.0 as usize]
-                        .transfers
-                        .iter()
-                        .filter(|t| t.to == dev)
-                        .all(|t| mailbox.contains(&(cid.0, t.payload))),
-                    _ => true,
-                };
-                if ok {
-                    ip[d] += 1;
-                    progressed = true;
-                } else {
-                    break;
+                    if std::mem::replace(&mut self.seen[c.0 as usize], true) {
+                        return Err(at.err(
+                            ViolationKind::DuplicateCompute,
+                            format!("comp block {c:?} scheduled twice"),
+                        ));
+                    }
                 }
             }
+            Instr::Reduce { .. } | Instr::Copy { .. } => {}
         }
-        if all_done {
-            return Ok(());
-        }
-        if !progressed {
-            let d = (0..n)
-                .find(|&d| ip[d] < phase.devices[d].instrs.len())
-                .expect("some device is blocked");
-            return Err(Diagnostic::at(
-                ViolationKind::Deadlock,
-                phase.devices[d].device,
-                ip[d],
-                "no device can make progress (missing launch or circular wait)",
+        Ok(())
+    }
+
+    /// Inputs leave a device that holds the block; partials leave their
+    /// producer for the block's owner (or, on a salvage op, for a shard).
+    fn check_route(&self, at: At, cid: u32, tr: &Transfer) -> Result<(), Diagnostic> {
+        if tr.from == tr.to {
+            return Err(at.err(
+                ViolationKind::SelfTransfer,
+                format!(
+                    "op {cid} transfer {:?} sends a device its own data",
+                    tr.payload
+                ),
             ));
         }
+        let tb = tr.payload.token_block();
+        let ok = match tr.payload {
+            Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => {
+                self.ctx.local(self.placement, tr.from, tb)
+            }
+            Payload::PartialO(_, p) | Payload::PartialDq(_, p) | Payload::PartialDkv(_, p) => {
+                tr.from == p
+                    && (tr.to == self.placement.token_dev(tb)
+                        || self.ctx.salvage_comms.contains(&cid))
+            }
+        };
+        if !ok {
+            return Err(at.err(
+                ViolationKind::BadRoute,
+                format!("op {cid} transfer {tr:?} inconsistent with ownership"),
+            ));
+        }
+        Ok(())
     }
+}
+
+impl Backend for Symbolic<'_> {
+    type Slot = ();
+
+    fn admit(&mut self, at: At, ins: &Instr) -> Result<(), Diagnostic> {
+        self.placed.as_mut().map_or(Ok(()), |p| p.admit(at, ins))
+    }
+
+    fn accumulates(&self, dev: u32, kind: PayloadKind, tb: TokenBlockId) -> bool {
+        self.acc[dev as usize].contains(&(kind, tb))
+    }
+
+    fn deposit(&mut self, _dev: u32, _payload: Payload, _raw: bool) {}
+
+    fn install(&mut self, dev: u32, payload: Payload, _slot: ()) {
+        self.acc[dev as usize].insert((payload.kind(), payload.token_block()));
+    }
+
+    fn attn(&mut self, dev: u32, backward: bool, items: &[AttnItem<'_, ()>]) {
+        let acc = &mut self.acc[dev as usize];
+        for item in items {
+            if backward {
+                acc.insert((PayloadKind::PartialDq, item.q_block));
+                acc.insert((PayloadKind::PartialDkv, item.kv_block));
+            } else {
+                acc.insert((PayloadKind::PartialO, item.q_block));
+            }
+        }
+    }
+
+    fn reduce(&mut self, _dev: u32, _item: &ReduceItem, _parts: &[&()]) {}
 }
 
 #[cfg(test)]

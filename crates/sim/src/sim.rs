@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 
-use dcp_sched::{CommId, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan};
+use dcp_sched::stream::{check_ids, depositor, incoming};
+use dcp_sched::{CommId, ExecutionPlan, Instr, PhasePlan};
 use dcp_types::{ClusterSpec, DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
@@ -75,18 +76,14 @@ impl PlanSim {
     }
 }
 
-fn is_input(p: &Payload) -> bool {
-    matches!(p.kind(), PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO)
-}
-
 /// Simulates one phase of a plan on `cluster`. Plan ranks map to cluster
 /// ranks identically.
 ///
 /// # Errors
 ///
 /// Returns [`DcpError::InvalidPlan`] if the streams deadlock (a wait on a
-/// transfer that is never launched) or reference devices outside the
-/// cluster.
+/// transfer that is never launched), reference comm ops outside the op
+/// table, or reference devices outside the phase or the cluster.
 pub fn simulate_phase(cluster: &ClusterSpec, phase: &PhasePlan) -> DcpResult<PhaseSim> {
     Ok(simulate_phase_traced(cluster, phase)?.0)
 }
@@ -172,6 +169,7 @@ fn simulate_phase_opts(
     scratch_engine: bool,
 ) -> DcpResult<(PhaseSim, Vec<TraceEvent>, SimCounters)> {
     cluster.validate()?;
+    check_ids(phase, None)?;
     let n = phase.devices.len();
     if n as u32 > cluster.num_devices() {
         return Err(DcpError::invalid_plan(format!(
@@ -269,12 +267,9 @@ fn simulate_phase_opts(
                             // Coalesce this device's transfers by (src, dst).
                             let mut pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
                             for tr in &op.transfers {
-                                let mine = if is_input(&tr.payload) {
-                                    tr.to == d as u32
-                                } else {
-                                    tr.from == d as u32
-                                };
-                                if mine && !flows.contains_key(&(cid.0, tr.from, tr.to)) {
+                                if depositor(tr) == d as u32
+                                    && !flows.contains_key(&(cid.0, tr.from, tr.to))
+                                {
                                     *pair_bytes.entry((tr.from, tr.to)).or_insert(0) += tr.bytes;
                                 }
                             }
@@ -458,15 +453,10 @@ fn wait_done(
     flows: &HashMap<(u32, u32, u32), FlowId>,
     net: &Network,
 ) -> bool {
-    let op = &phase.comms[cid.0 as usize];
-    op.transfers.iter().all(|tr| {
-        if tr.to != dev {
-            return true;
-        }
-        match flows.get(&(cid.0, tr.from, tr.to)) {
-            Some(f) => net.is_done(*f),
-            None => false,
-        }
+    incoming(&phase.comms[cid.0 as usize], dev).all(|tr| {
+        flows
+            .get(&(cid.0, tr.from, tr.to))
+            .is_some_and(|f| net.is_done(*f))
     })
 }
 
@@ -672,7 +662,7 @@ mod tests {
     #[test]
     fn deadlock_is_detected() {
         // Handcraft a stream waiting on a partial op that nobody launches.
-        use dcp_sched::{CommOp, DeviceStream, Transfer};
+        use dcp_sched::{CommOp, DeviceStream, Payload, Transfer};
         let phase = PhasePlan {
             comms: vec![CommOp {
                 transfers: vec![Transfer {

@@ -126,6 +126,39 @@ fn capture() -> Vec<Event> {
     sink.drain()
 }
 
+/// FNV-1a hash of [`executor_identity_hash`] on [`capture`]'s scenario,
+/// computed at the commit before the executor moved onto the shared stream
+/// walker (`dcp_sched::stream`).
+const EXECUTOR_IDENTITY_GOLDEN: u64 = 16_661_483_682_922_942_827;
+
+/// FNV-1a over the identity of every executor event, in stream order: name,
+/// device, phase, division, comm id, bytes, flops, value bits and `seq`.
+fn executor_identity_hash(events: &[Event]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in events
+        .iter()
+        .filter(|e| e.source == dcp::obs::Source::Executor)
+    {
+        let line = format!(
+            "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}\n",
+            e.name,
+            e.kind,
+            e.device,
+            e.phase,
+            e.division,
+            e.comm,
+            e.bytes,
+            e.flops,
+            e.value.map(f64::to_bits),
+            e.seq
+        );
+        for b in line.bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[test]
 fn event_stream_is_identical_across_thread_counts() {
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
@@ -158,6 +191,14 @@ fn event_stream_is_identical_across_thread_counts() {
             "no events from {source:?}"
         );
     }
+
+    // The executor's slice of the stream is pinned across refactors, not
+    // just across thread counts: same spans, same order, same payloads.
+    assert_eq!(
+        executor_identity_hash(base),
+        EXECUTOR_IDENTITY_GOLDEN,
+        "the executor's forward+backward event identity stream changed"
+    );
 
     let base_ids = identities(base);
     for (threads, stream) in &streams[1..] {

@@ -10,7 +10,7 @@
 //! which is process-global state; they serialize on [`ENV_LOCK`]
 //! (mirroring `tests/determinism.rs` and `tests/fault_determinism.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dcp::blocks::TokenBlockId;
@@ -21,7 +21,7 @@ use dcp::core::{
 };
 use dcp::exec::executor::{
     execute_backward, execute_backward_recovery, execute_forward, execute_forward_recovery,
-    BatchData, BlockOut, ExecObs, SalvageCtx,
+    BatchData, BlockOut, ExecObs,
 };
 use dcp::mask::MaskSpec;
 use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
@@ -82,27 +82,6 @@ fn busiest_device(out: &PlanOutput) -> (u32, u32) {
         })
         .max_by_key(|&(i, n)| (n, std::cmp::Reverse(i)))
         .unwrap()
-}
-
-fn salvage_ctx(patch: &dcp::core::RecoveryPatch) -> SalvageCtx {
-    SalvageCtx {
-        failed: patch.failed_streams.clone(),
-        salvage_comms: patch.salvage_comms.clone(),
-        producer_of: patch.producer_of.clone(),
-        reowned: patch.reowned.clone(),
-        ..SalvageCtx::default()
-    }
-}
-
-fn bwd_salvage_ctx(patch: &dcp::core::BwdRecoveryPatch) -> SalvageCtx {
-    SalvageCtx {
-        failed: HashSet::from([patch.failed]),
-        salvage_comms: patch.salvage_comms.clone(),
-        producer_of_dq: patch.producer_of_dq.clone(),
-        producer_of_dkv: patch.producer_of_dkv.clone(),
-        reowned: patch.reowned.clone(),
-        ..SalvageCtx::default()
-    }
 }
 
 /// Clean-run forward outputs and a seeded output-gradient batch.
@@ -189,7 +168,7 @@ fn mid_iteration_recovery_end_to_end() {
 
     // Execute the patched forward: survivors + replacement shards, with the
     // failed device replaying only its pre-failure prefix.
-    let ctx = salvage_ctx(&patch);
+    let ctx = patch.ctx();
     let rec = execute_forward_recovery(
         &out.layout,
         &patch.placement,
@@ -280,7 +259,7 @@ fn mid_iteration_recovery_end_to_end() {
             .plan_recovery(&out, &ev)
             .unwrap();
         let data = BatchData::random(&out.layout, 2024);
-        let ctx = salvage_ctx(&patch);
+        let ctx = patch.ctx();
         let rec = execute_forward_recovery(
             &out.layout,
             &patch.placement,
@@ -405,7 +384,7 @@ fn cascading_failure_composes_patches_bitwise() {
         &patch2.placement,
         &patch2.fwd,
         &data,
-        &salvage_ctx(&patch2),
+        &patch2.ctx(),
         &ExecObs::disabled(),
     )
     .unwrap();
@@ -431,7 +410,7 @@ fn cascading_failure_composes_patches_bitwise() {
             &patch2.placement,
             &patch2.fwd,
             &data,
-            &salvage_ctx(&patch2),
+            &patch2.ctx(),
             &ExecObs::disabled(),
         )
         .unwrap();
@@ -511,7 +490,7 @@ fn backward_phase_failure_salvages_partial_accumulators() {
         &data,
         &fwd_out,
         &d_o,
-        &bwd_salvage_ctx(&patch),
+        &patch.ctx(),
         &ExecObs::disabled(),
     )
     .unwrap();
@@ -597,7 +576,7 @@ proptest! {
             &patch.placement,
             &patch.fwd,
             false,
-            &patch.verify_ctx(),
+            &patch.ctx(),
         )
         .map_err(|d| TestCaseError::fail(format!("patch rejected: {d}")))?;
         dcp::sched::verify_structure(&patch.timing)
@@ -605,7 +584,7 @@ proptest! {
 
         let data = BatchData::random(&out.layout, seed ^ 0xD15EA5E);
         let clean = execute_forward(&out.layout, &out.placement, &out.plan, &data).unwrap();
-        let ctx = salvage_ctx(&patch);
+        let ctx = patch.ctx();
         let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut bits: Option<Vec<u32>> = None;
         for threads in ["1", "2", "8"] {

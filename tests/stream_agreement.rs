@@ -1,0 +1,384 @@
+//! Three-way agreement on what a stream means: the verifier, the numeric
+//! executor and the simulator, over seeded random layouts × masks ×
+//! placements, each plan taken clean, through the eight `stream_verify`
+//! mutation classes and through the malformed-plan cases that used to panic
+//! a consumer (ids past the op table or the layout, a forward reduce of
+//! nothing, a stream table that disagrees with the placement).
+//!
+//! The contract, checked for every variant:
+//!
+//! - (a) nothing panics — untrusted plans return typed errors;
+//! - (b) verifier-accepted ⇒ forward + backward execute to the dense
+//!   reference and the simulation completes;
+//! - (c) executor or simulator error ⇒ verifier error.
+
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use dcp::blocks::{BatchLayout, BlockConfig, CompBlockId, TokenBlockId};
+use dcp::exec::{execute_backward, execute_forward, reference, BatchData};
+use dcp::mask::MaskSpec;
+use dcp::sched::{
+    build_plan, verify_plan, CommId, ExecutionPlan, Instr, Payload, PayloadKind, Placement,
+    ReduceItem, ScheduleConfig,
+};
+use dcp::sim::simulate_plan;
+use dcp::types::{AttnSpec, ClusterSpec, DcpError};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+const SEEDS: u64 = 16;
+
+/// A small random batch, an arbitrary (scattered) placement of its token and
+/// computation blocks, and the schedule built for them.
+fn random_case(seed: u64) -> (BatchLayout, Placement, ExecutionPlan) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let block_size = 8 * rng.gen_range(1..3u32);
+    let seqs: Vec<(u32, MaskSpec)> = (0..rng.gen_range(1..4))
+        .map(|_| {
+            let mask = match rng.gen_range(0..4) {
+                0 => MaskSpec::Causal,
+                1 => MaskSpec::Lambda { sink: 2, window: 9 },
+                2 => MaskSpec::CausalBlockwise {
+                    block: 8,
+                    window_blocks: 2,
+                    sink_blocks: 1,
+                },
+                _ => MaskSpec::SharedQuestion {
+                    question_len: 16,
+                    answer_lens: vec![8, 16],
+                },
+            };
+            let len = match mask {
+                MaskSpec::SharedQuestion { .. } => 40,
+                _ => 8 * rng.gen_range(2..8u32),
+            };
+            (len, mask)
+        })
+        .collect();
+    let config = BlockConfig {
+        block_size,
+        head_blocks: rng.gen_range(1..3),
+    };
+    let layout = BatchLayout::build(AttnSpec::new(4, 2, 8, 2), config, &seqs).unwrap();
+    let n = rng.gen_range(2..5);
+    let placement = Placement {
+        num_devices: n,
+        token_to_dev: (0..layout.token_blocks.len())
+            .map(|_| rng.gen_range(0..n))
+            .collect(),
+        comp_to_dev: (0..layout.comp_blocks.len())
+            .map(|_| rng.gen_range(0..n))
+            .collect(),
+    };
+    let cfg = ScheduleConfig {
+        divisions: rng.gen_range(1..5),
+        ..Default::default()
+    };
+    let plan = build_plan(&layout, &placement, &cfg).unwrap();
+    (layout, placement, plan)
+}
+
+/// Position of the first forward instruction satisfying `pred`.
+fn find_instr(plan: &ExecutionPlan, pred: impl Fn(&Instr) -> bool) -> Option<(usize, usize)> {
+    plan.fwd.devices.iter().enumerate().find_map(|(d, s)| {
+        let i = s.instrs.iter().position(&pred)?;
+        Some((d, i))
+    })
+}
+
+type Mutation = (&'static str, fn(&mut ExecutionPlan) -> bool);
+
+/// The eight `stream_verify` mutation classes, then the malformed-plan
+/// cases. Each returns whether it applied to this plan.
+const MUTATIONS: &[Mutation] = &[
+    ("wait-before-launch", |plan| {
+        for stream in &mut plan.fwd.devices {
+            for i in 0..stream.instrs.len() {
+                let Instr::CommLaunch(cid) = stream.instrs[i] else {
+                    continue;
+                };
+                let input_only = plan.fwd.comms[cid.0 as usize]
+                    .transfers
+                    .iter()
+                    .all(|t| matches!(t.payload.kind(), PayloadKind::Q | PayloadKind::Kv));
+                let wait = stream.instrs[i + 1..]
+                    .iter()
+                    .position(|x| *x == Instr::CommWait(cid));
+                if let (true, Some(j)) = (input_only, wait) {
+                    let wait = stream.instrs.remove(i + 1 + j);
+                    stream.instrs.insert(i, wait);
+                    return true;
+                }
+            }
+        }
+        false
+    }),
+    ("duplicate-compute", |plan| {
+        let Some((d, i)) = find_instr(plan, |ins| matches!(ins, Instr::Attn { .. })) else {
+            return false;
+        };
+        let Instr::Attn { items, .. } = &mut plan.fwd.devices[d].instrs[i] else {
+            unreachable!()
+        };
+        items.push(items[0]);
+        true
+    }),
+    ("dropped-input-transfer", |plan| {
+        for op in &mut plan.fwd.comms {
+            let input =
+                |t: &dcp::sched::Transfer| matches!(t.payload, Payload::Q(_) | Payload::Kv(_));
+            if let Some(pos) = op.transfers.iter().position(input) {
+                op.transfers.remove(pos);
+                return true;
+            }
+        }
+        false
+    }),
+    ("out-of-range-comm-id", |plan| {
+        let bogus = CommId(plan.fwd.comms.len() as u32 + 7);
+        plan.fwd.devices[0].instrs.insert(0, Instr::CommWait(bogus));
+        true
+    }),
+    ("self-transfer", |plan| {
+        for tr in plan.fwd.comms.iter_mut().flat_map(|op| &mut op.transfers) {
+            if matches!(tr.payload, Payload::Q(_) | Payload::Kv(_)) {
+                tr.from = tr.to;
+                return true;
+            }
+        }
+        false
+    }),
+    ("dropped-attn", |plan| {
+        let Some((d, i)) = find_instr(plan, |ins| matches!(ins, Instr::Attn { .. })) else {
+            return false;
+        };
+        plan.fwd.devices[d].instrs.remove(i);
+        true
+    }),
+    ("phantom-reduce-source", |plan| {
+        let nd = plan.num_devices;
+        for stream in &mut plan.fwd.devices {
+            let dev = stream.device;
+            for ins in &mut stream.instrs {
+                let Instr::Reduce { items, .. } = ins else {
+                    continue;
+                };
+                for item in items {
+                    let free = (0..nd).find(|d| !item.sources.contains(d) && *d != dev);
+                    if let Some(phantom) = free {
+                        item.sources.push(phantom);
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }),
+    ("misdirected-partial", |plan| {
+        let nd = plan.num_devices;
+        for tr in plan.fwd.comms.iter_mut().flat_map(|op| &mut op.transfers) {
+            // With two devices there is nowhere else to send it.
+            if matches!(tr.payload, Payload::PartialO(..)) && nd > 2 {
+                tr.to = (tr.to + 1) % nd;
+                if tr.to == tr.from {
+                    tr.to = (tr.to + 1) % nd;
+                }
+                return true;
+            }
+        }
+        false
+    }),
+    // --- Malformed plans: each used to panic at least one consumer. -------
+    ("out-of-range-launch", |plan| {
+        let bogus = CommId(plan.bwd.comms.len() as u32);
+        plan.bwd.devices[0].instrs.push(Instr::CommLaunch(bogus));
+        true
+    }),
+    ("out-of-range-comp-block", |plan| {
+        let Some((d, i)) = find_instr(plan, |ins| matches!(ins, Instr::Attn { .. })) else {
+            return false;
+        };
+        let Instr::Attn { items, .. } = &mut plan.fwd.devices[d].instrs[i] else {
+            unreachable!()
+        };
+        items.push(CompBlockId(u32::MAX));
+        true
+    }),
+    ("out-of-range-token-block", |plan| {
+        for tr in plan.fwd.comms.iter_mut().flat_map(|op| &mut op.transfers) {
+            if let Payload::Kv(tb) = &mut tr.payload {
+                tb.0 = u32::MAX - 1;
+                return true;
+            }
+        }
+        false
+    }),
+    ("out-of-range-reduce-target", |plan| {
+        let item = ReduceItem {
+            target: TokenBlockId(1 << 30),
+            sources: vec![0],
+            kind: PayloadKind::PartialO,
+        };
+        let (items, bytes) = (vec![item], 0);
+        plan.fwd.devices[0]
+            .instrs
+            .push(Instr::Reduce { items, bytes });
+        true
+    }),
+    ("reduce-of-nothing", |plan| {
+        // A forward reduce with no sources, placed first so the device has
+        // no local accumulator for the block either.
+        let item = ReduceItem {
+            target: TokenBlockId(0),
+            sources: Vec::new(),
+            kind: PayloadKind::PartialO,
+        };
+        let (items, bytes) = (vec![item], 0);
+        plan.fwd.devices[0]
+            .instrs
+            .insert(0, Instr::Reduce { items, bytes });
+        true
+    }),
+    ("missing-stream", |plan| plan.fwd.devices.pop().is_some()),
+    ("extra-stream", |plan| {
+        let mut extra = plan.bwd.devices[0].clone();
+        extra.device = plan.bwd.devices.len() as u32;
+        extra.instrs.clear();
+        plan.bwd.devices.push(extra);
+        true
+    }),
+    ("mislabelled-stream", |plan| {
+        plan.fwd.devices[0].device += 1;
+        true
+    }),
+];
+
+/// Executes forward + backward and returns the largest deviation from the
+/// dense reference over O, dQ, dK and dV.
+fn execute_vs_reference(
+    layout: &BatchLayout,
+    placement: &Placement,
+    plan: &ExecutionPlan,
+) -> Result<f32, DcpError> {
+    let data = BatchData::random(layout, 2024);
+    let (qh, kvh) = BatchData::head_counts(layout);
+    let dim = layout.attn.head_dim as usize;
+    let hb = layout.config.head_blocks as usize;
+    let (tq, tkv) = (qh * hb, kvh * hb);
+    let mut rng = SmallRng::seed_from_u64(99);
+    let d_o: HashMap<TokenBlockId, Vec<f32>> = (0..layout.token_blocks.len())
+        .map(|i| {
+            let n = layout.token_blocks[i].len as usize * qh * dim;
+            let v = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            (TokenBlockId(i as u32), v)
+        })
+        .collect();
+    let out = execute_forward(layout, placement, plan, &data)?;
+    let grads = execute_backward(layout, placement, plan, &data, &out, &d_o)?;
+
+    let mut worst = 0.0f32;
+    for seq in 0..layout.num_seqs() as u32 {
+        let (q, k, v) = data.assemble_sequence(layout, seq);
+        let len = layout.seq_lens[seq as usize] as usize;
+        let mask = &layout.masks[seq as usize];
+        let blocks = || {
+            let of_seq = move |(_, tb): &(usize, &dcp::blocks::TokenBlock)| tb.seq == seq;
+            layout.token_blocks.iter().enumerate().filter(of_seq)
+        };
+        // Row of token `t`, head `h` of block `tb` in the full-sequence and
+        // in the per-block tensors (`heads` per block, `total` per sequence).
+        let rows = |tb: &dcp::blocks::TokenBlock, heads: usize, total: usize| {
+            let (start, h0) = (tb.start as usize, tb.head_block as usize * heads);
+            (0..tb.len as usize * heads).map(move |r| {
+                let (t, h) = (r / heads, r % heads);
+                (((start + t) * total + h0 + h) * dim, r * dim)
+            })
+        };
+        let mut full_do = vec![0.0f32; len * tq * dim];
+        for (i, tb) in blocks() {
+            for (full, blk) in rows(tb, qh, tq) {
+                full_do[full..full + dim]
+                    .copy_from_slice(&d_o[&TokenBlockId(i as u32)][blk..blk + dim]);
+            }
+        }
+        let (ro, rlse) = reference::attention(&q, &k, &v, len, tq, tkv, dim, mask);
+        let (rdq, rdk, rdv) =
+            reference::attention_bwd(&q, &k, &v, &ro, &rlse, &full_do, len, tq, tkv, dim, mask);
+        let mut compare = |got: &[f32], want: &[f32], full: usize, blk: usize| {
+            for d in 0..dim {
+                worst = worst.max((got[blk + d] - want[full + d]).abs());
+            }
+        };
+        for (i, tb) in blocks() {
+            let id = TokenBlockId(i as u32);
+            for (full, blk) in rows(tb, qh, tq) {
+                compare(&out[&id].o, &ro, full, blk);
+                compare(&grads[&id].dq, &rdq, full, blk);
+            }
+            for (full, blk) in rows(tb, kvh, tkv) {
+                compare(&grads[&id].dk, &rdk, full, blk);
+                compare(&grads[&id].dv, &rdv, full, blk);
+            }
+        }
+    }
+    Ok(worst)
+}
+
+/// Runs all three consumers on one plan variant and checks the contract.
+fn check_agreement(what: &str, layout: &BatchLayout, placement: &Placement, plan: &ExecutionPlan) {
+    let cluster = ClusterSpec::single_node(8);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        (
+            verify_plan(layout, placement, plan),
+            simulate_plan(&cluster, plan),
+            execute_vs_reference(layout, placement, plan),
+        )
+    }));
+    let Ok((verified, simulated, executed)) = outcome else {
+        panic!("{what}: a consumer panicked on an untrusted plan");
+    };
+    if verified.is_ok() {
+        let sim = simulated
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: verified but sim failed: {e}"));
+        assert!(sim.total() > 0.0, "{what}: empty simulation");
+        let worst = *executed
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: verified but exec failed: {e}"));
+        assert!(worst < 2e-3, "{what}: off the dense reference by {worst}");
+    }
+    for e in [simulated.err(), executed.err()].into_iter().flatten() {
+        assert!(
+            verified.is_err(),
+            "{what}: a consumer rejects ({e}), the verifier accepts"
+        );
+    }
+}
+
+#[test]
+fn verifier_executor_and_simulator_agree() {
+    let mut applied = vec![0u32; MUTATIONS.len()];
+    for seed in 0..SEEDS {
+        let (layout, placement, plan) = random_case(seed);
+        verify_plan(&layout, &placement, &plan)
+            .unwrap_or_else(|d| panic!("seed {seed}: clean schedule rejected: {d}"));
+        check_agreement(&format!("seed {seed} clean"), &layout, &placement, &plan);
+        for (m, (name, mutate)) in MUTATIONS.iter().enumerate() {
+            let mut mutated = plan.clone();
+            if !mutate(&mut mutated) {
+                continue;
+            }
+            applied[m] += 1;
+            let what = format!("seed {seed} {name}");
+            assert!(
+                verify_plan(&layout, &placement, &mutated).is_err(),
+                "{what}: verifier accepted an illegal stream"
+            );
+            check_agreement(&what, &layout, &placement, &mutated);
+        }
+    }
+    for ((name, _), n) in MUTATIONS.iter().zip(applied) {
+        assert!(n > 0, "mutation {name} applied to no generated plan");
+    }
+}

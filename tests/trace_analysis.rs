@@ -20,7 +20,7 @@ use dcp::obs::{
     FlightRecorder, IncidentKind, ObsSink, Phase, PostmortemBundle, RecorderConfig, Source,
 };
 use dcp::sched::plan::{Instr, PhasePlan};
-use dcp::sched::verify::{verify_phase, VerifyCtx};
+use dcp::sched::{verify_phase, RecoveryCtx};
 use dcp::sim::{estimate_fault_spec, simulate_phase_faulted, trace_to_obs, Fault, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec};
 use proptest::prelude::*;
@@ -215,7 +215,7 @@ fn forced_verifier_diagnostic_dumps_valid_postmortem() {
         &out.placement,
         &bad,
         false,
-        &VerifyCtx::default(),
+        &RecoveryCtx::default(),
     )
     .expect_err("a dropped CommWait must be rejected");
 
