@@ -14,10 +14,17 @@ fn randv(n: usize, rng: &mut SmallRng) -> Vec<f32> {
 }
 
 fn bench_kernels(c: &mut Criterion) {
-    let (qh, kvh, dim) = (4usize, 2usize, 32usize);
+    // The ledger's two executor workloads: head dim 16 and 64.
+    for dim in [16usize, 64] {
+        bench_dim(c, dim);
+    }
+}
+
+fn bench_dim(c: &mut Criterion, dim: usize) {
+    let (qh, kvh) = (4usize, 2usize);
     let mut rng = SmallRng::seed_from_u64(1);
 
-    let mut group = c.benchmark_group("attn_block_fwd");
+    let mut group = c.benchmark_group(format!("attn_block_fwd_d{dim}"));
     for block in [64usize, 128, 256] {
         let q = randv(block * qh * dim, &mut rng);
         let k = randv(block * kvh * dim, &mut rng);
@@ -73,7 +80,7 @@ fn bench_kernels(c: &mut Criterion) {
     let (o, lse) = acc.finalize();
     let d_o = randv(block * qh * dim, &mut rng);
 
-    c.bench_function("attn_block_bwd_128", |b| {
+    c.bench_function(format!("attn_block_bwd_128_d{dim}"), |b| {
         b.iter(|| {
             let mut dq = vec![0.0f32; block * qh * dim];
             let mut dk = vec![0.0f32; block * kvh * dim];
@@ -93,7 +100,7 @@ fn bench_kernels(c: &mut Criterion) {
         });
     });
 
-    c.bench_function("merge_outputs_128", |b| {
+    c.bench_function(format!("merge_outputs_128_d{dim}"), |b| {
         b.iter(|| merge_outputs(&o, &lse, &o, &lse, dim));
     });
 }

@@ -50,6 +50,7 @@ use dcp_exec::executor::{
     execute_backward, execute_forward, execute_forward_recovery, BatchData, BlockGrads, BlockOut,
     ExecObs,
 };
+use dcp_exec::kernels::{attn_block_bwd, attn_block_fwd, BlockAcc, BlockArgs, BlockBwdArgs};
 use dcp_exec::plans_equivalent;
 use dcp_mask::MaskSpec;
 use dcp_sched::{verify_phase, verify_structure, Instr, PassConfig, PassManager};
@@ -133,6 +134,107 @@ fn run_exec(out: &PlanOutput, data: &BatchData, d_o: &HashMap<TokenBlockId, Vec<
         fwd,
         bwd,
     }
+}
+
+/// Kernel throughput along the block-size axis (the paper's Fig. 17/18
+/// trade-off seen from the kernel): one (Q-block, KV-block) pair at 4Q/2KV
+/// heads per block size × head dim, fully unmasked and on the causal
+/// diagonal. Each point is the best of three timed batches of calls; flops
+/// count unmasked pairs only (`4 · pairs · q_heads · dim` forward, 2.5× that
+/// backward).
+fn kernel_sweep() -> Vec<serde_json::Value> {
+    const BLOCKS: [usize; 4] = [32, 64, 128, 256];
+    const DIMS: [usize; 3] = [16, 64, 128];
+    let (qh, kvh) = (4usize, 2usize);
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let mut randv = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+    let best_s = |calls: usize, f: &mut dyn FnMut()| {
+        let batch = |f: &mut dyn FnMut()| {
+            let t0 = Instant::now();
+            (0..calls).for_each(|_| f());
+            t0.elapsed().as_secs_f64() / calls as f64
+        };
+        (0..3).map(|_| batch(f)).fold(f64::MAX, f64::min)
+    };
+    let mut rows = Vec::new();
+    let mut table = Table::new(&["block", "dim", "mask", "fwd GF/s", "bwd GF/s", "fwd blk/s"]);
+    for block in BLOCKS {
+        let mask = MaskSpec::Causal
+            .instantiate(2 * block as u32)
+            .expect("valid mask");
+        for dim in DIMS {
+            let (q, d_o) = (randv(block * qh * dim), randv(block * qh * dim));
+            let (k, v) = (randv(block * kvh * dim), randv(block * kvh * dim));
+            // Q block = the sequence's second block: the first KV block is
+            // fully visible to it, its own is the causal diagonal.
+            for (kind, kv_start) in [("full", 0u32), ("causal_diagonal", block as u32)] {
+                let fwd = BlockArgs {
+                    q: &q,
+                    k: &k,
+                    v: &v,
+                    qh,
+                    kvh,
+                    dim,
+                    q_len: block,
+                    kv_len: block,
+                    q_start: block as u32,
+                    kv_start,
+                    mask: &mask,
+                    scale: 1.0 / (dim as f32).sqrt(),
+                };
+                let pairs = mask.pair_count_block(
+                    fwd.q_start,
+                    fwd.q_start + block as u32,
+                    kv_start,
+                    kv_start + block as u32,
+                );
+                let fwd_flops = 4.0 * pairs as f64 * (qh * dim) as f64;
+                // ~20 ms of forward work per timed batch at 10 GFLOP/s.
+                let calls = ((2e8 / fwd_flops) as usize).clamp(1, 2000);
+                let mut acc = BlockAcc::new(block, qh, dim);
+                attn_block_fwd(&mut acc, fwd);
+                let (o, lse) = acc.finalize();
+                let fwd_s = best_s(calls, &mut || {
+                    let mut acc = BlockAcc::new(block, qh, dim);
+                    attn_block_fwd(&mut acc, fwd);
+                    std::hint::black_box(&acc);
+                });
+                let bwd = BlockBwdArgs {
+                    fwd,
+                    o: &o,
+                    lse: &lse,
+                    d_o: &d_o,
+                };
+                let mut dq = vec![0.0f32; q.len()];
+                let (mut dk, mut dv) = (vec![0.0f32; k.len()], vec![0.0f32; v.len()]);
+                let bwd_s = best_s(calls.div_ceil(2), &mut || {
+                    attn_block_bwd(bwd, &mut dq, &mut dk, &mut dv);
+                });
+                std::hint::black_box((&dq, &dk, &dv));
+                let (fwd_gf, bwd_gf) = (fwd_flops / fwd_s / 1e9, 2.5 * fwd_flops / bwd_s / 1e9);
+                table.row(vec![
+                    block.to_string(),
+                    dim.to_string(),
+                    kind.into(),
+                    format!("{fwd_gf:.1}"),
+                    format!("{bwd_gf:.1}"),
+                    format!("{:.0}", 1.0 / fwd_s),
+                ]);
+                rows.push(json!({
+                    "block": block,
+                    "head_dim": dim,
+                    "mask": kind,
+                    "fwd_gflops": fwd_gf,
+                    "bwd_gflops": bwd_gf,
+                    "fwd_blocks_per_s": 1.0 / fwd_s,
+                    "bwd_blocks_per_s": 1.0 / bwd_s,
+                }));
+            }
+        }
+    }
+    println!("\nkernel sweep (4Q/2KV heads, one thread):");
+    table.print();
+    rows
 }
 
 /// Robustness benchmarks: plan latency per fallback tier, fallback-tier
@@ -654,6 +756,7 @@ fn main() {
         "total_wall_s_1_thread": total_t1,
         "total_wall_s_default": total_tn,
         "runs": exec_rows,
+        "kernel_sweep": kernel_sweep(),
     });
     // Pass pipeline over recovery patches: the truncated failed stream
     // retains prefetches whose waits were cut — genuine dead communication

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::kernels::{
-    attn_block_bwd, attn_block_fwd, merge_outputs, BlockAcc, BlockArgs, BlockBwdArgs,
+    attn_block_bwd, attn_block_fwd, merge_into, BlockAcc, BlockArgs, BlockBwdArgs,
 };
 
 /// Per-token-block input tensors of one batch.
@@ -489,10 +489,11 @@ impl<'a> Backend for Numeric<'a> {
                     let Data::PartialO { o, lse } = part else {
                         unreachable!("{SLOT_KIND}")
                     };
-                    merged = Some(match merged {
-                        None => (o.clone(), lse.clone()),
-                        Some((mo, mlse)) => merge_outputs(&mo, &mlse, o, lse, self.dim),
-                    });
+                    match &mut merged {
+                        // The first partial's copy is the block's output.
+                        None => merged = Some((o.clone(), lse.clone())),
+                        Some((mo, mlse)) => merge_into(mo, mlse, o, lse, self.dim),
+                    }
                 }
                 let (o, lse) = merged.expect("the walker requires a source or a local accumulator");
                 self.finals.insert(tb, BlockOut { o, lse });

@@ -4,14 +4,310 @@
 //! Data layout: all tensors are row-major `[tokens, heads, dim]`, i.e.
 //! element `(t, h, d)` lives at `(t * heads + h) * dim + d`. GQA is handled
 //! by mapping query head `h` to KV head `h / (q_heads / kv_heads)`.
+//!
+//! The kernels are laid out for the vector units without changing what is
+//! summed in which order (DESIGN.md §7, "Kernel summation order"):
+//!
+//! - every product against a key (`q·k`, `dO·v`) runs over a tile-major
+//!   copy of the KV block, [`TILE`] keys at a time with `d` as the outer
+//!   loop, so each lane still adds `d = 0, 1, …` in order while the lanes
+//!   are independent, and a tile is loaded once for the [`PAIR`] query heads
+//!   that share its KV head;
+//! - every update of a query-side row (`PV`, `dQ`) holds a piece of the row
+//!   in registers while it walks the keys in ascending order, and every
+//!   update of a KV-side row (`dV`, `dK`) loads and stores the row once per
+//!   head pair;
+//! - a query row's allowed keys are its mask's two spans clipped to the KV
+//!   block, never a per-key test;
+//! - the hot bodies are compiled once per usual head dim and once generic;
+//! - all buffers come from one thread-local [`Scratch`].
+
+use std::cell::RefCell;
 
 use dcp_mask::Mask;
 
-/// Dot product of two equal-length rows (kept `inline` so the executor's
-/// per-row loops vectorize).
+/// Keys per score tile: four SSE vectors of accumulators per query row.
+const TILE: usize = 16;
+
+/// Query heads of one GQA group scored against a key tile together.
+const PAIR: usize = 2;
+
+/// Allowed keys of one query row, as block-local `[lo, hi)` spans in
+/// ascending key order.
+type Spans = [(usize, usize); 2];
+
+/// Per-thread buffers, grown on first use and kept: a kernel call allocates
+/// nothing once its thread has seen the largest block.
+#[derive(Default)]
+struct Scratch {
+    /// The KV block's K, tile-major: `[kv_head][key / TILE][d][key % TILE]`,
+    /// the last tile zero-padded.
+    kt: Vec<f32>,
+    /// The KV block's V in the same layout (backward only).
+    vt: Vec<f32>,
+    /// The KV block's V as `[kv_head][key][d]`, so the rows one head's `PV`
+    /// walks are contiguous (forward only).
+    v_rows: Vec<f32>,
+    /// The query-side rows of one head pair, `[d][row]`.
+    x: Vec<f32>,
+    /// Per row of the head pair, by key: scores, then probabilities.
+    p: Vec<f32>,
+    /// Per row of the head pair, by key: `dP`, then `dS` (backward only).
+    ds: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Dot product of two equal-length rows, summed left to right.
 #[inline]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Writes `src` (`[key][kv_head][d]`) into `dst` tile by tile as
+/// `[kv_head][key / TILE][d][key % TILE]`, the last tile zero-padded.
+fn pack_tiles(dst: &mut Vec<f32>, src: &[f32], kvh: usize, dim: usize) {
+    let kv_len = src.len() / (kvh * dim);
+    let kp = kv_len.next_multiple_of(TILE);
+    dst.resize(kvh * dim * kp, 0.0);
+    if kp != kv_len {
+        // The lanes past the last key still hold an earlier block's values.
+        for head in dst.chunks_exact_mut(dim * kp) {
+            head[dim * (kp - TILE)..].fill(0.0);
+        }
+    }
+    for (j, token) in src.chunks_exact(kvh * dim).enumerate() {
+        for (head, row) in token.chunks_exact(dim).enumerate() {
+            let tile = &mut dst[(head * kp + j - j % TILE) * dim..][..dim * TILE];
+            for (lanes, &x) in tile.chunks_exact_mut(TILE).zip(row) {
+                lanes[j % TILE] = x;
+            }
+        }
+    }
+}
+
+/// Writes `src` (`[key][kv_head][d]`) into `dst` as `[kv_head][key][d]`.
+fn pack_rows(dst: &mut Vec<f32>, src: &[f32], kvh: usize, dim: usize) {
+    let kv_len = src.len() / (kvh * dim);
+    dst.resize(src.len(), 0.0);
+    for (j, token) in src.chunks_exact(kvh * dim).enumerate() {
+        for (head, row) in token.chunks_exact(dim).enumerate() {
+            dst[(head * kv_len + j) * dim..][..dim].copy_from_slice(row);
+        }
+    }
+}
+
+/// `out[r][j] = dot(x_r, y_j) * scale` for `R` rows `x` (`[d][row]`) and
+/// every key of the tiles that cover `spans`, where `yt` is one KV head's
+/// tile pack and `out` holds [`PAIR`] rows of keys. Each lane adds its
+/// products in `d` order starting from the `-0.0` that `Iterator::sum`
+/// starts from, so a lane holds exactly [`dot`]'s bits.
+#[inline(always)]
+fn tile_dots<const R: usize>(x: &[f32], yt: &[f32], spans: Spans, scale: f32, out: &mut [f32]) {
+    let (dim, kp) = (x.len() / R, out.len() / PAIR);
+    let mut done = 0;
+    for (lo, hi) in spans {
+        // The spans may end and start inside one tile: compute it once.
+        let first = (lo - lo % TILE).max(done);
+        done = hi.next_multiple_of(TILE).max(first);
+        let tiles = yt[first * dim..done * dim].chunks_exact(TILE * dim);
+        for (tile, j0) in tiles.zip((first..).step_by(TILE)) {
+            let mut acc = [[-0.0f32; TILE]; R];
+            for (y, xd) in tile.chunks_exact(TILE).zip(x.chunks_exact(R)) {
+                for (acc, &xr) in acc.iter_mut().zip(xd) {
+                    for (a, &yc) in acc.iter_mut().zip(y) {
+                        *a += xr * yc;
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (o, &a) in out[r * kp + j0..][..TILE].iter_mut().zip(acc) {
+                    *o = a * scale;
+                }
+            }
+        }
+    }
+}
+
+/// [`tile_dots`] of `rows`: one `dim`-long row or a [`PAIR`] of consecutive
+/// ones, which `x` is the buffer to interleave into.
+#[inline(always)]
+fn head_dots(
+    x: &mut Vec<f32>,
+    rows: &[f32],
+    dim: usize,
+    yt: &[f32],
+    spans: Spans,
+    scale: f32,
+    out: &mut [f32],
+) {
+    if rows.len() == dim {
+        return tile_dots::<1>(rows, yt, spans, scale, out);
+    }
+    x.resize(PAIR * dim, 0.0);
+    for (r, row) in rows.chunks_exact(dim).enumerate() {
+        for (lanes, &v) in x.chunks_exact_mut(PAIR).zip(row) {
+            lanes[r] = v;
+        }
+    }
+    tile_dots::<PAIR>(x, yt, spans, scale, out);
+}
+
+/// `out[c] += w[j] * rows[j * stride + c]` for the keys of `spans` in
+/// ascending order, `out` (exactly `C` long) held in registers throughout.
+/// Returns `Σ_j w[j]`, added in the same order.
+#[inline(always)]
+fn gather_chunk<const C: usize>(
+    out: &mut [f32],
+    w: &[f32],
+    rows: &[f32],
+    stride: usize,
+    spans: Spans,
+) -> f32 {
+    let out: &mut [f32; C] = out.try_into().expect("a C-long slice");
+    let (mut r, mut sum) = (*out, 0.0f32);
+    for (lo, hi) in spans {
+        for (&wj, row) in w[lo..hi].iter().zip(rows[lo * stride..].chunks(stride)) {
+            sum += wj;
+            for (a, &x) in r.iter_mut().zip(&row[..C]) {
+                *a += wj * x;
+            }
+        }
+    }
+    *out = r;
+    sum
+}
+
+/// `out += Σ_j w[j] * row_j` over the keys of `spans` in ascending order per
+/// element (`PV` and `dQ`), `stride` separating consecutive rows. The output
+/// row is taken in register-sized chunks, widest first, so every head dim
+/// goes through the same code. Returns `Σ_j w[j]` in key order: the sum rides
+/// along a chunk's walk, where its add chain hides behind the multiplies
+/// instead of stalling a loop of its own.
+#[inline(always)]
+fn gather_rows(out: &mut [f32], w: &[f32], rows: &[f32], stride: usize, spans: Spans) -> f32 {
+    let (mut off, mut sum) = (0, 0.0);
+    macro_rules! pass {
+        ($c:literal) => {
+            while out.len() - off >= $c {
+                let chunk = &mut out[off..off + $c];
+                // Every chunk walks the same keys: any one's sum is the sum.
+                sum = gather_chunk::<$c>(chunk, w, &rows[off..], stride, spans);
+                off += $c;
+            }
+        };
+    }
+    pass!(32);
+    pass!(16);
+    pass!(4);
+    pass!(1);
+    sum
+}
+
+/// `row_j += Σ_n w[n][j] * x[n]` for the keys of `spans`, the `N` terms added
+/// in order, where `row_j` is the first `x[n].len()` elements of
+/// `rows[j * stride..]` (`dV` and `dK`). A row is updated piece by piece in a
+/// local copy: it is loaded and stored once for all `N` terms, and the
+/// compiler need not prove `rows` and `x` disjoint before it vectorizes.
+#[inline(always)]
+fn scatter_rows<const N: usize>(
+    rows: &mut [f32],
+    stride: usize,
+    w: [&[f32]; N],
+    x: [&[f32]; N],
+    spans: Spans,
+) {
+    const PIECE: usize = 8;
+    let dim = x[0].len();
+    for (lo, hi) in spans {
+        for (j, row) in (lo..hi).zip(rows[lo * stride..].chunks_mut(stride)) {
+            let wj = w.map(|w| w[j]);
+            let mut pieces = row[..dim].chunks_exact_mut(PIECE);
+            for (piece, off) in (&mut pieces).zip((0..).step_by(PIECE)) {
+                let mut r = [0.0f32; PIECE];
+                r.copy_from_slice(piece);
+                for (wj, x) in wj.iter().zip(x) {
+                    for (a, &x) in r.iter_mut().zip(&x[off..off + PIECE]) {
+                        *a += wj * x;
+                    }
+                }
+                piece.copy_from_slice(&r);
+            }
+            let off = dim - dim % PIECE;
+            for (o, c) in pieces.into_remainder().iter_mut().zip(off..) {
+                for (wj, x) in wj.iter().zip(x) {
+                    *o += wj * x[c];
+                }
+            }
+        }
+    }
+}
+
+/// The largest of `xs` over the keys of `spans` (`-inf` when there is none,
+/// NaNs ignored), as a left-to-right `f32::max` fold gives it.
+fn max_in_key_order(xs: &[f32], spans: Spans) -> f32 {
+    // One `maxps` per vector where `f32::max` is five instructions; the two
+    // agree on everything but which zero wins a tie.
+    let greater = |m: f32, x: f32| if x > m { x } else { m };
+    let mut lanes = [f32::NEG_INFINITY; TILE];
+    let mut m = f32::NEG_INFINITY;
+    for (lo, hi) in spans {
+        let mut chunks = xs[lo..hi].chunks_exact(TILE);
+        for c in &mut chunks {
+            for (l, &x) in lanes.iter_mut().zip(c) {
+                *l = greater(*l, x);
+            }
+        }
+        m = chunks.remainder().iter().fold(m, |m, &x| greater(m, x));
+    }
+    m = lanes.iter().fold(m, |m, &x| greater(m, x));
+    if m != 0.0 {
+        return m;
+    }
+    // `f32::max` may return either of two zeros of opposite sign, so which
+    // one wins depends on the fold order: re-derive a zero maximum in key
+    // order to keep its sign bit where the scalar fold puts it.
+    let keys = spans.iter().flat_map(|&(lo, hi)| &xs[lo..hi]);
+    keys.fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+}
+
+/// A query row's allowed keys inside the KV block, block-local.
+fn row_spans(a: &BlockArgs<'_>, t: usize) -> Spans {
+    let kv_end = a.kv_start + a.kv_len as u32;
+    a.mask
+        .allowed(a.q_start + t as u32)
+        .spans_in(a.kv_start, kv_end)
+        .map(|(lo, hi)| ((lo - a.kv_start) as usize, (hi - a.kv_start) as usize))
+}
+
+fn is_empty(spans: Spans) -> bool {
+    spans.iter().all(|(lo, hi)| lo == hi)
+}
+
+/// The query heads in ascending order as `(first head, count)` runs of up to
+/// [`PAIR`] heads that share a KV head.
+fn head_pairs(qh: usize, group: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..qh / group).flat_map(move |g| {
+        (0..group)
+            .step_by(PAIR)
+            .map(move |i| (g * group + i, PAIR.min(group - i)))
+    })
+}
+
+/// Runs `$body::<D>` with the head dim as a constant for the usual sizes,
+/// and with `D = 0` ("read it from the arguments") for every other.
+macro_rules! with_head_dim {
+    ($dim:expr, $body:ident($($arg:expr),*)) => {
+        match $dim {
+            16 => $body::<16>($($arg),*),
+            32 => $body::<32>($($arg),*),
+            64 => $body::<64>($($arg),*),
+            128 => $body::<128>($($arg),*),
+            _ => $body::<0>($($arg),*),
+        }
+    };
 }
 
 /// The running state of one output block's online softmax: the unnormalized
@@ -135,86 +431,69 @@ pub struct BlockArgs<'a> {
 pub fn attn_block_fwd(acc: &mut BlockAcc, a: BlockArgs<'_>) {
     debug_assert_eq!(acc.len, a.q_len);
     debug_assert_eq!(acc.qh, a.qh);
+    SCRATCH.with_borrow_mut(|s| with_head_dim!(a.dim, fwd_body(acc, a, s)));
+}
+
+fn fwd_body<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratch) {
+    let dim = if D == 0 { a.dim } else { D };
     let group = a.qh / a.kvh;
-    let mut scores = vec![0.0f32; a.kv_len];
-    let mut allowed = vec![false; a.kv_len];
+    let kp = a.kv_len.next_multiple_of(TILE);
+    let kv_elems = a.kv_len * a.kvh * dim;
+    pack_tiles(&mut s.kt, &a.k[..kv_elems], a.kvh, dim);
+    pack_rows(&mut s.v_rows, &a.v[..kv_elems], a.kvh, dim);
+    s.p.resize(PAIR * kp, 0.0);
     for t in 0..a.q_len {
-        let abs_q = a.q_start + t as u32;
-        let ranges = a.mask.allowed(abs_q);
-        let mut any = false;
-        for (j, al) in allowed.iter_mut().enumerate() {
-            *al = ranges.contains(a.kv_start + j as u32);
-            any |= *al;
-        }
-        if !any {
+        let spans = row_spans(&a, t);
+        if is_empty(spans) {
             continue;
         }
-        for h in 0..a.qh {
-            let kvh_idx = h / group;
-            let r = t * a.qh + h;
-            let qbase = r * a.dim;
-            let qrow = &a.q[qbase..qbase + a.dim];
-            // Scores for allowed keys.
-            let mut row_max = f32::NEG_INFINITY;
-            for j in 0..a.kv_len {
-                if !allowed[j] {
+        for (h, n) in head_pairs(a.qh, group) {
+            let kv_head = h / group;
+            let r0 = t * a.qh + h;
+            let kt = &s.kt[kv_head * dim * kp..][..dim * kp];
+            let q = &a.q[r0 * dim..][..n * dim];
+            head_dots(&mut s.x, q, dim, kt, spans, a.scale, &mut s.p);
+            for (r, p) in (r0..r0 + n).zip(s.p.chunks_exact_mut(kp)) {
+                let row_max = max_in_key_order(p, spans);
+                if row_max == f32::NEG_INFINITY {
                     continue;
                 }
-                let kbase = (j * a.kvh + kvh_idx) * a.dim;
-                let s = dot(qrow, &a.k[kbase..kbase + a.dim]) * a.scale;
-                scores[j] = s;
-                row_max = row_max.max(s);
-            }
-            if row_max == f32::NEG_INFINITY {
-                continue;
-            }
-            // Online-softmax rescale, fused over the hoisted output row.
-            let new_m = acc.m[r].max(row_max);
-            let correction = if acc.m[r] == f32::NEG_INFINITY {
-                0.0
-            } else {
-                (acc.m[r] - new_m).exp()
-            };
-            let orow = &mut acc.o[qbase..qbase + a.dim];
-            for o in orow.iter_mut() {
-                *o *= correction;
-            }
-            acc.m[r] = new_m;
-            let mut l_add = 0.0f32;
-            for j in 0..a.kv_len {
-                if !allowed[j] {
-                    continue;
+                // Online-softmax rescale, fused over the hoisted output row.
+                let new_m = acc.m[r].max(row_max);
+                let correction = if acc.m[r] == f32::NEG_INFINITY {
+                    0.0
+                } else {
+                    (acc.m[r] - new_m).exp()
+                };
+                acc.m[r] = new_m;
+                for (lo, hi) in spans {
+                    for x in &mut p[lo..hi] {
+                        *x = (*x - new_m).exp();
+                    }
                 }
-                let p = (scores[j] - new_m).exp();
-                l_add += p;
-                let vbase = (j * a.kvh + kvh_idx) * a.dim;
-                for (o, &vv) in orow.iter_mut().zip(&a.v[vbase..vbase + a.dim]) {
-                    *o += p * vv;
+                let orow = &mut acc.o[r * dim..][..dim];
+                for o in orow.iter_mut() {
+                    *o *= correction;
                 }
+                let v = &s.v_rows[kv_head * a.kv_len * dim..];
+                let l_add = gather_rows(orow, p, v, dim, spans);
+                acc.l[r] = acc.l[r] * correction + l_add;
             }
-            acc.l[r] = acc.l[r] * correction + l_add;
         }
     }
 }
 
-/// Merges two *normalized* partial outputs `(o, lse)` of the same rows into
-/// one (the paper's Blockwise Reduction). Rows absent from one side
-/// (`lse = -inf`) pass through from the other.
-pub fn merge_outputs(
-    o1: &[f32],
-    lse1: &[f32],
-    o2: &[f32],
-    lse2: &[f32],
-    dim: usize,
-) -> (Vec<f32>, Vec<f32>) {
-    debug_assert_eq!(o1.len(), o2.len());
-    debug_assert_eq!(lse1.len(), lse2.len());
-    let rows = lse1.len();
-    let mut o = vec![0.0f32; o1.len()];
-    let mut lse = vec![f32::NEG_INFINITY; rows];
-    for r in 0..rows {
-        let (a, b) = (lse1[r], lse2[r]);
+/// Merges the *normalized* partial output `(o2, lse2)` into `(o, lse)` of
+/// the same rows, in place (the paper's Blockwise Reduction). Rows absent
+/// from one side (`lse = -inf`) pass through from the other.
+pub(crate) fn merge_into(o: &mut [f32], lse: &mut [f32], o2: &[f32], lse2: &[f32], dim: usize) {
+    debug_assert_eq!(o.len(), o2.len());
+    debug_assert_eq!(lse.len(), lse2.len());
+    let rows = o.chunks_exact_mut(dim).zip(lse.iter_mut());
+    for ((orow, lse), (o2row, &b)) in rows.zip(o2.chunks_exact(dim).zip(lse2)) {
+        let a = *lse;
         if a == f32::NEG_INFINITY && b == f32::NEG_INFINITY {
+            orow.fill(0.0);
             continue;
         }
         let m = a.max(b);
@@ -229,12 +508,25 @@ pub fn merge_outputs(
             (b - m).exp()
         };
         let sum = ea + eb;
-        lse[r] = m + sum.ln();
+        *lse = m + sum.ln();
         let (wa, wb) = (ea / sum, eb / sum);
-        for d in 0..dim {
-            o[r * dim + d] = wa * o1[r * dim + d] + wb * o2[r * dim + d];
+        for (x, &y) in orow.iter_mut().zip(o2row) {
+            *x = wa * *x + wb * y;
         }
     }
+}
+
+/// [`merge_into`] on copies: merges two normalized partial outputs of the
+/// same rows into a new one.
+pub fn merge_outputs(
+    o1: &[f32],
+    lse1: &[f32],
+    o2: &[f32],
+    lse2: &[f32],
+    dim: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let (mut o, mut lse) = (o1.to_vec(), lse1.to_vec());
+    merge_into(&mut o, &mut lse, o2, lse2, dim);
     (o, lse)
 }
 
@@ -259,43 +551,80 @@ pub struct BlockBwdArgs<'a> {
 /// `dV += P^T dO`, `dP = dO V^T`, `delta = rowsum(dO * O)`,
 /// `dS = P * (dP - delta)`, `dQ += dS K * scale`, `dK += dS^T Q * scale`.
 pub fn attn_block_bwd(args: BlockBwdArgs<'_>, dq: &mut [f32], dk: &mut [f32], dv: &mut [f32]) {
+    SCRATCH.with_borrow_mut(|s| with_head_dim!(args.fwd.dim, bwd_body(args, dq, dk, dv, s)));
+}
+
+fn bwd_body<const D: usize>(
+    args: BlockBwdArgs<'_>,
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+    s: &mut Scratch,
+) {
     let a = args.fwd;
+    let dim = if D == 0 { a.dim } else { D };
     let group = a.qh / a.kvh;
+    let kp = a.kv_len.next_multiple_of(TILE);
+    let (kv_row, kv_elems) = (a.kvh * dim, a.kv_len * a.kvh * dim);
+    pack_tiles(&mut s.kt, &a.k[..kv_elems], a.kvh, dim);
+    pack_tiles(&mut s.vt, &a.v[..kv_elems], a.kvh, dim);
+    s.p.resize(PAIR * kp, 0.0);
+    s.ds.resize(PAIR * kp, 0.0);
     for t in 0..a.q_len {
-        let abs_q = a.q_start + t as u32;
-        let ranges = a.mask.allowed(abs_q);
-        for h in 0..a.qh {
-            let r = t * a.qh + h;
-            if args.lse[r] == f32::NEG_INFINITY {
-                continue;
-            }
-            let kvh_idx = h / group;
-            let rbase = r * a.dim;
-            let qrow = &a.q[rbase..rbase + a.dim];
-            let dorow = &args.d_o[rbase..rbase + a.dim];
-            let dqrow = &mut dq[rbase..rbase + a.dim];
-            let lse_r = args.lse[r];
-            // delta = rowsum(dO * O).
-            let delta = dot(dorow, &args.o[rbase..rbase + a.dim]);
-            for j in 0..a.kv_len {
-                if !ranges.contains(a.kv_start + j as u32) {
+        let spans = row_spans(&a, t);
+        if is_empty(spans) {
+            continue;
+        }
+        for (h, n) in head_pairs(a.qh, group) {
+            let kv_head = h / group;
+            let r0 = t * a.qh + h;
+            let head_pack = kv_head * dim * kp..(kv_head + 1) * dim * kp;
+            let (kt, vt) = (&s.kt[head_pack.clone()], &s.vt[head_pack]);
+            let rows = r0 * dim..(r0 + n) * dim;
+            let (q, d_o) = (&a.q[rows.clone()], &args.d_o[rows]);
+            head_dots(&mut s.x, q, dim, kt, spans, a.scale, &mut s.p);
+            head_dots(&mut s.x, d_o, dim, vt, spans, 1.0, &mut s.ds);
+            // P and dS of the rows that have a softmax at all.
+            let mut live = [(0, &[][..], &[][..]); PAIR];
+            let mut n_live = 0;
+            let rows = s.p.chunks_exact_mut(kp).zip(s.ds.chunks_exact_mut(kp));
+            for (r, (p, ds)) in (r0..r0 + n).zip(rows) {
+                let lse_r = args.lse[r];
+                if lse_r == f32::NEG_INFINITY {
                     continue;
                 }
-                let kbase = (j * a.kvh + kvh_idx) * a.dim;
-                let krow = &a.k[kbase..kbase + a.dim];
-                let vrow = &a.v[kbase..kbase + a.dim];
-                let s = dot(qrow, krow) * a.scale;
-                let p = (s - lse_r).exp();
-                // dV += p * dO; dP = dO . V ; dS = p * (dP - delta).
-                for (g, &go) in dv[kbase..kbase + a.dim].iter_mut().zip(dorow) {
-                    *g += p * go;
+                // delta = rowsum(dO * O).
+                let delta = dot(&args.d_o[r * dim..][..dim], &args.o[r * dim..][..dim]);
+                for (lo, hi) in spans {
+                    for j in lo..hi {
+                        // P = exp(S - lse); dS = P * (dP - delta) * scale.
+                        p[j] = (p[j] - lse_r).exp();
+                        ds[j] = p[j] * (ds[j] - delta) * a.scale;
+                    }
                 }
-                let ds = p * (dot(dorow, vrow) - delta) * a.scale;
-                let dkrow = &mut dk[kbase..kbase + a.dim];
-                for d in 0..a.dim {
-                    dqrow[d] += ds * krow[d];
-                    dkrow[d] += ds * qrow[d];
+                live[n_live] = (r, &*p, &*ds);
+                n_live += 1;
+            }
+            // dV += P^T dO, then dK += dS^T Q: one array at a time, so a
+            // store to one never sits in front of a load from the other.
+            let (pw, dw) = (live.map(|(_, p, _)| p), live.map(|(_, _, ds)| ds));
+            let dos = live.map(|(r, _, _)| &args.d_o[r * dim..][..dim]);
+            let qs = live.map(|(r, _, _)| &a.q[r * dim..][..dim]);
+            let head = kv_head * dim;
+            match n_live {
+                2 => {
+                    scatter_rows::<2>(&mut dv[head..], kv_row, pw, dos, spans);
+                    scatter_rows::<2>(&mut dk[head..], kv_row, dw, qs, spans);
                 }
+                1 => {
+                    scatter_rows::<1>(&mut dv[head..], kv_row, [pw[0]], [dos[0]], spans);
+                    scatter_rows::<1>(&mut dk[head..], kv_row, [dw[0]], [qs[0]], spans);
+                }
+                _ => {}
+            }
+            // dQ += dS K.
+            for &(r, _, ds) in &live[..n_live] {
+                gather_rows(&mut dq[r * dim..][..dim], ds, &a.k[head..], kv_row, spans);
             }
         }
     }

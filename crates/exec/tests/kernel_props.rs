@@ -1,7 +1,9 @@
 //! Property tests for the numerical kernels: the online-softmax algebra
 //! must be exact under arbitrary splits, orders and masks.
 
-use dcp_exec::kernels::{attn_block_fwd, merge_outputs, BlockAcc, BlockArgs};
+use dcp_exec::kernels::{
+    attn_block_bwd, attn_block_fwd, merge_outputs, BlockAcc, BlockArgs, BlockBwdArgs,
+};
 use dcp_exec::reference;
 use dcp_mask::MaskSpec;
 use proptest::prelude::*;
@@ -18,7 +20,30 @@ fn arb_mask() -> impl Strategy<Value = MaskSpec> {
         Just(MaskSpec::Causal),
         Just(MaskSpec::Full),
         (0u32..3, 1u32..12).prop_map(|(sink, window)| MaskSpec::Lambda { sink, window }),
+        (1u32..6, 1u32..3, 0u32..2).prop_map(|(block, window_blocks, sink_blocks)| {
+            MaskSpec::CausalBlockwise {
+                block,
+                window_blocks,
+                sink_blocks,
+            }
+        }),
     ]
+}
+
+/// Consecutive `[start, end)` chunks covering `[0, len)`, cut after each of
+/// `splits` tokens (the tail is one chunk).
+fn kv_chunks(len: usize, splits: &[usize]) -> Vec<(usize, usize)> {
+    let mut bounds = vec![0usize];
+    for s in splits {
+        let next = (bounds[bounds.len() - 1] + s).min(len);
+        if next > bounds[bounds.len() - 1] {
+            bounds.push(next);
+        }
+    }
+    if bounds[bounds.len() - 1] != len {
+        bounds.push(len);
+    }
+    bounds.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
 proptest! {
@@ -40,23 +65,7 @@ proptest! {
         let mask = mask.instantiate(len as u32).unwrap();
         let scale = 1.0 / (dim as f32).sqrt();
 
-        // Build split boundaries covering [0, len).
-        let mut bounds = vec![0usize];
-        let mut cur = 0;
-        for s in splits {
-            cur = (cur + s).min(len);
-            if cur > *bounds.last().unwrap() {
-                bounds.push(cur);
-            }
-            if cur == len {
-                break;
-            }
-        }
-        if *bounds.last().unwrap() != len {
-            bounds.push(len);
-        }
-        let mut chunks: Vec<(usize, usize)> =
-            bounds.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut chunks = kv_chunks(len, &splits);
         if reverse {
             chunks.reverse();
         }
@@ -92,6 +101,72 @@ proptest! {
                 prop_assert_eq!(*a, f32::NEG_INFINITY);
             } else {
                 prop_assert!((a - b).abs() < 1e-4, "lse {a} vs {b}");
+            }
+        }
+    }
+
+    /// The backward over KV chunks adds up to the backward over the whole KV
+    /// range — bitwise when the chunks run in key order, since every
+    /// gradient element then meets its terms in the same order — and both
+    /// agree with the dense reference.
+    #[test]
+    fn bwd_kv_split_additivity(
+        len in 2usize..40,
+        splits in prop::collection::vec(1usize..20, 1..5),
+        mask in arb_mask(),
+        seed in 0u64..1000,
+        reverse in any::<bool>(),
+        (qh, kvh) in prop_oneof![Just((2usize, 1usize)), Just((2, 2)), Just((3, 1)), Just((4, 2))],
+    ) {
+        let dim = 4usize;
+        let q = randv(len * qh * dim, seed);
+        let k = randv(len * kvh * dim, seed ^ 1);
+        let v = randv(len * kvh * dim, seed ^ 2);
+        let d_o = randv(len * qh * dim, seed ^ 3);
+        let mask = mask.instantiate(len as u32).unwrap();
+        let (o, lse) = reference::attention(&q, &k, &v, len, qh, kvh, dim, &mask);
+        let run = |chunks: &[(usize, usize)]| {
+            let mut dq = vec![0.0f32; q.len()];
+            let (mut dk, mut dv) = (vec![0.0f32; k.len()], vec![0.0f32; v.len()]);
+            for &(s, e) in chunks {
+                let kv = s * kvh * dim..e * kvh * dim;
+                let fwd = BlockArgs {
+                    q: &q,
+                    k: &k[kv.clone()],
+                    v: &v[kv.clone()],
+                    qh,
+                    kvh,
+                    dim,
+                    q_len: len,
+                    kv_len: e - s,
+                    q_start: 0,
+                    kv_start: s as u32,
+                    mask: &mask,
+                    scale: 1.0 / (dim as f32).sqrt(),
+                };
+                let args = BlockBwdArgs { fwd, o: &o, lse: &lse, d_o: &d_o };
+                attn_block_bwd(args, &mut dq, &mut dk[kv.clone()], &mut dv[kv]);
+            }
+            [dq, dk, dv]
+        };
+        let whole = run(&[(0, len)]);
+        let mut chunks = kv_chunks(len, &splits);
+        if reverse {
+            chunks.reverse();
+        }
+        let split = run(&chunks);
+        let (rq, rk, rv) =
+            reference::attention_bwd(&q, &k, &v, &o, &lse, &d_o, len, qh, kvh, dim, &mask);
+        for ((w, s), r) in whole.iter().zip(&split).zip([rq, rk, rv]) {
+            if reverse {
+                for (a, b) in w.iter().zip(s) {
+                    prop_assert!((a - b).abs() < 1e-4, "split {b} vs whole {a}");
+                }
+            } else {
+                prop_assert_eq!(w, s);
+            }
+            for (a, b) in w.iter().zip(&r) {
+                prop_assert!((a - b).abs() < 1e-3, "kernel {a} vs reference {b}");
             }
         }
     }

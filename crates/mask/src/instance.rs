@@ -104,6 +104,25 @@ impl RangePair {
         let hit = |(s, e): (u32, u32)| s.max(lo) < e.min(hi);
         hit(self.a) || self.b.is_some_and(hit)
     }
+
+    /// The covered keys inside `[lo, hi)` as two half-open spans in ascending
+    /// key order: walking the first and then the second visits exactly the
+    /// keys [`RangePair::contains`] accepts, each once. A span that covers
+    /// nothing is `(lo, lo)`.
+    pub fn spans_in(&self, lo: u32, hi: u32) -> [(u32, u32); 2] {
+        let clip = |(s, e): (u32, u32)| {
+            let (s, e) = (s.max(lo), e.min(hi));
+            if s < e {
+                (s, e)
+            } else {
+                (lo, lo)
+            }
+        };
+        // Fields are public and masks deserialize: re-normalizing makes the
+        // spans disjoint and ordered whatever the pair held.
+        let n = self.normalized();
+        [clip(n.a), n.b.map_or((lo, lo), clip)]
+    }
 }
 
 /// A mask bound to a concrete sequence length, with one [`RangePair`] per
@@ -347,6 +366,32 @@ mod tests {
             for k in 0..40u32 {
                 let expect = (s1 <= k && k < s1 + l1) || (s2 <= k && k < s2 + l2);
                 prop_assert_eq!(r.contains(k), expect, "k={}", k);
+            }
+        }
+
+        /// Walking the clipped spans visits exactly the keys `contains`
+        /// accepts inside the window, ascending and once each — for raw
+        /// (overlapping, reversed, empty) field values too.
+        #[test]
+        fn spans_in_walk_equals_contains(
+            s1 in 0u32..20, l1 in 0u32..10,
+            s2 in 0u32..20, l2 in 0u32..10,
+            raw in any::<bool>(),
+            lo in 0u32..30, wlen in 0u32..20,
+        ) {
+            let r = if raw {
+                RangePair { a: (s1, s1 + l1), b: Some((s2, s2 + l2)) }
+            } else {
+                RangePair::merged(s1, s1 + l1, s2, s2 + l2)
+            };
+            let hi = lo + wlen;
+            let spans = r.spans_in(lo, hi);
+            let walked: Vec<u32> = spans.iter().flat_map(|&(s, e)| s..e).collect();
+            let expect: Vec<u32> = (lo..hi).filter(|&k| r.contains(k)).collect();
+            prop_assert_eq!(walked, expect);
+            for (s, e) in spans {
+                prop_assert!(lo <= s && s <= e && e <= hi.max(lo));
+                prop_assert!(s < e || (s, e) == (lo, lo), "empty spans are (lo, lo)");
             }
         }
 
