@@ -5,13 +5,13 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use dcp_blocks::{BatchLayout, BlockConfig};
+use dcp_blocks::{BatchLayout, BlockConfig, CompBlock, CompBlockId, TokenBlock, TokenBlockId};
 use dcp_hypergraph::{
     partition_warm_with_stats, partition_with_stats, HgArena, Hypergraph, HypergraphBuilder,
     PartitionConfig, PartitionStats, VertexWeight,
 };
 use dcp_mask::MaskSpec;
-use dcp_obs::{Event, ObsHandle, Source as ObsSource};
+use dcp_obs::{Event, ObsHandle, Source as ObsSource, Span};
 use dcp_sched::{
     build_plan, verify_plan, ExecutionPlan, PassConfig, PassManager, PassOutcome, Placement,
     ScheduleConfig,
@@ -19,10 +19,6 @@ use dcp_sched::{
 use dcp_sim::{simulate_plan, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec, DcpError, DcpResult, PlanTier};
 use serde::{Deserialize, Serialize};
-
-/// Floor on the per-device network weight derived from degraded links, so a
-/// near-dead link never drives a placement target to zero.
-const MIN_NET_WEIGHT: f64 = 0.05;
 
 /// Planner hyper-parameters (the paper's defaults from Sec. 7.1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -168,57 +164,6 @@ impl Default for PlannerConfig {
     }
 }
 
-/// The subset of [`PlannerConfig`] that determines plan *content*, borrowed
-/// for serialization into cache signatures. Keying on this instead of the
-/// full config keeps plan-irrelevant knobs — the cache capacities themselves
-/// — from forcing artificial cold misses when toggled.
-#[derive(Serialize)]
-struct SignatureConfig<'a> {
-    block_size: u32,
-    head_blocks: Option<u32>,
-    divisions: u32,
-    eps_inter: f64,
-    eps_intra: f64,
-    seed: u64,
-    hierarchical: bool,
-    refine: bool,
-    fallback: bool,
-    strict_epsilon: bool,
-    force_tier: Option<PlanTier>,
-    max_fallback_regression: f64,
-    fault_spec: &'a Option<FaultSpec>,
-    passes: &'a PassConfig,
-    /// Warm-started plans may legitimately differ from cold plans (within
-    /// the quality bound), so whether the incremental path is live — and how
-    /// tight its bound is — is part of the semantic key. Its cache capacity
-    /// is not.
-    incremental_enabled: bool,
-    incremental_max_regression: f64,
-}
-
-impl PlannerConfig {
-    fn signature_cfg(&self) -> SignatureConfig<'_> {
-        SignatureConfig {
-            block_size: self.block_size,
-            head_blocks: self.head_blocks,
-            divisions: self.divisions,
-            eps_inter: self.eps_inter,
-            eps_intra: self.eps_intra,
-            seed: self.seed,
-            hierarchical: self.hierarchical,
-            refine: self.refine,
-            fallback: self.fallback,
-            strict_epsilon: self.strict_epsilon,
-            force_tier: self.force_tier,
-            max_fallback_regression: self.max_fallback_regression,
-            fault_spec: &self.fault_spec,
-            passes: &self.passes,
-            incremental_enabled: self.incremental.enabled,
-            incremental_max_regression: self.incremental.max_regression,
-        }
-    }
-}
-
 /// Wall-clock time spent in each planning stage (the paper's Fig. 18).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlanningTimes {
@@ -300,14 +245,14 @@ impl PlanOutput {
 /// every block, keyed by block identity so surviving blocks of a similar
 /// batch map back to their old parts, plus the cost context the quality
 /// bound scales against.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct NearEntry {
     /// Device count the seeding placement targeted.
     num_devices: u32,
-    /// Token-block part by `(seq, head_block, start)`.
-    token_parts: HashMap<(u32, u32, u32, u32), u32>,
-    /// Comp-block part by `(seq, head_block, q_start, kv_start)`.
-    comp_parts: HashMap<(u32, u32, u32, u32), u32>,
+    /// Token-block part by [`token_key`].
+    token_parts: HashMap<BlockKey, u32>,
+    /// Comp-block part by [`comp_key`].
+    comp_parts: HashMap<BlockKey, u32>,
     /// Forward communication bytes of the seeding plan (pre-pass), i.e. its
     /// connectivity−1 cost.
     cost: u64,
@@ -322,30 +267,69 @@ struct NearEntry {
     plan: ExecutionPlan,
 }
 
-/// LRU cache of finished plans keyed by the canonical batch signature,
-/// plus the similarity-keyed near-hit tier of warm-start seeds.
-/// Shared (behind `Arc<Mutex<_>>`) across clones of a [`Planner`], so
-/// dataloader workers planning on separate threads reuse each other's work.
-#[derive(Debug, Default)]
-struct PlanCache {
+/// A block's identity across batches.
+type BlockKey = (u32, u32, u32, u32);
+
+/// `(seq, head_block, start, len)`.
+fn token_key(tb: &TokenBlock) -> BlockKey {
+    (tb.seq, tb.head_block, tb.start, tb.len)
+}
+
+/// `(seq, head_block, q_start, kv_start)`.
+fn comp_key(layout: &BatchLayout, cb: &CompBlock) -> BlockKey {
+    let start = |tb: TokenBlockId| layout.token_blocks[tb.0 as usize].start;
+    (cb.seq, cb.head_block, start(cb.q_block), start(cb.kv_block))
+}
+
+/// A string-keyed LRU map with lookup counters, shared (behind
+/// `Arc<Mutex<_>>`) across clones of a [`Planner`] so dataloader workers
+/// planning on separate threads reuse each other's work. Values are shared
+/// too: a lookup hands out an `Arc`, and whoever needs an owned copy clones
+/// it after releasing the lock.
+#[derive(Debug)]
+struct Lru<V> {
+    /// Maximum number of entries; `0` stores nothing.
+    cap: usize,
     /// Monotonic access counter used as the recency stamp.
     stamp: u64,
     hits: u64,
     misses: u64,
-    entries: HashMap<String, (u64, PlanOutput)>,
-    near_hits: u64,
-    near_misses: u64,
-    near: HashMap<String, (u64, NearEntry)>,
+    entries: HashMap<String, (u64, Arc<V>)>,
 }
 
-impl PlanCache {
-    fn get(&mut self, key: &str) -> Option<PlanOutput> {
+impl<V> Lru<V> {
+    fn new(cap: usize) -> Self {
+        Lru {
+            cap,
+            stamp: 0,
+            hits: 0,
+            misses: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    /// Locks a shared cache, recovering from a poisoned mutex: a plan that
+    /// panicked while holding the lock (the dataloader catches such panics
+    /// and retries) must not brick every subsequent `plan()` on all clones.
+    /// The contents may be mid-mutation at poison time, so recovery clears
+    /// them — losing cached plans, never correctness. The poison flag is
+    /// cleared too, so recovery happens once, not on every subsequent lock.
+    fn lock(shared: &Mutex<Self>) -> MutexGuard<'_, Self> {
+        shared.lock().unwrap_or_else(|poison| {
+            shared.clear_poison();
+            let mut g = poison.into_inner();
+            *g = Lru::new(g.cap);
+            g
+        })
+    }
+
+    fn get(&mut self, key: &str) -> Option<Arc<V>> {
         self.stamp += 1;
         match self.entries.get_mut(key) {
-            Some((t, out)) => {
+            Some((t, v)) => {
                 *t = self.stamp;
                 self.hits += 1;
-                Some(out.clone())
+                Some(Arc::clone(v))
             }
             None => {
                 self.misses += 1;
@@ -354,12 +338,14 @@ impl PlanCache {
         }
     }
 
-    fn insert(&mut self, cap: usize, key: String, out: PlanOutput) {
-        if cap == 0 {
+    /// Stores `value` under `key`, evicting the least-recently-used entry
+    /// when a *new* key would exceed the capacity.
+    fn insert(&mut self, key: String, value: Arc<V>) {
+        if self.cap == 0 {
             return;
         }
         self.stamp += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= cap {
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.cap {
             let victim = self
                 .entries
                 .iter()
@@ -369,40 +355,7 @@ impl PlanCache {
                 self.entries.remove(&k);
             }
         }
-        self.entries.insert(key, (self.stamp, out));
-    }
-
-    fn near_get(&mut self, key: &str) -> Option<NearEntry> {
-        self.stamp += 1;
-        match self.near.get_mut(key) {
-            Some((t, e)) => {
-                *t = self.stamp;
-                self.near_hits += 1;
-                Some(e.clone())
-            }
-            None => {
-                self.near_misses += 1;
-                None
-            }
-        }
-    }
-
-    fn near_insert(&mut self, cap: usize, key: String, entry: NearEntry) {
-        if cap == 0 {
-            return;
-        }
-        self.stamp += 1;
-        if !self.near.contains_key(&key) && self.near.len() >= cap {
-            let victim = self
-                .near
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone());
-            if let Some(k) = victim {
-                self.near.remove(&k);
-            }
-        }
-        self.near.insert(key, (self.stamp, entry));
+        self.entries.insert(key, (self.stamp, value));
     }
 }
 
@@ -412,40 +365,52 @@ pub struct Planner {
     cluster: ClusterSpec,
     attn: AttnSpec,
     cfg: PlannerConfig,
-    cache: Arc<Mutex<PlanCache>>,
-    /// Reusable hypergraph build buffers (shared across clones; a worker
-    /// that cannot take the lock immediately builds with fresh buffers).
+    /// The cluster-and-config part of both cache keys, serialized once: the
+    /// whole [`PlannerConfig`] with the two cache capacities zeroed, so
+    /// every knob that can change a plan keys it and retuning a capacity
+    /// alone forces no cold miss.
+    sig_tail: String,
+    /// `cfg.fault_spec` as per-device `[compute, bytes]` capacity weights
+    /// ([`FaultSpec::capacity_weights`]); `None` plans for a healthy cluster.
+    capacity: Option<Vec<[f64; 2]>>,
+    /// Finished plans by exact batch signature.
+    exact: Arc<Mutex<Lru<PlanOutput>>>,
+    /// Warm-start seeds by similarity key.
+    near: Arc<Mutex<Lru<NearEntry>>>,
+    /// Reusable hypergraph build buffers, shared across clones.
     arena: Arc<Mutex<HgArena>>,
     obs: ObsHandle,
 }
 
+/// A placement with the partitioned tier's by-products: whether every level
+/// met its balance caps, the merged stage stats, and the connectivity cost
+/// (== forward comm bytes, pinned by
+/// `hypergraph_cost_matches_plan_forward_comm`).
+type Placed = (Placement, bool, PartitionStats, u64);
+
 impl Planner {
     /// Creates a planner for `cluster` and `attn` under `cfg`.
     pub fn new(cluster: ClusterSpec, attn: AttnSpec, cfg: PlannerConfig) -> Self {
+        let mut keyed = cfg.clone();
+        keyed.plan_cache = 0;
+        keyed.incremental.near_cache = 0;
+        let sig_tail = serde_json::to_string(&(&cluster, &keyed))
+            .expect("planner signature serialization cannot fail");
+        let capacity = cfg
+            .fault_spec
+            .as_ref()
+            .and_then(|s| s.capacity_weights(cluster.num_devices() as usize));
         Planner {
+            exact: Arc::new(Mutex::new(Lru::new(cfg.plan_cache))),
+            near: Arc::new(Mutex::new(Lru::new(cfg.incremental.near_cache))),
             cluster,
             attn,
             cfg,
-            cache: Arc::new(Mutex::new(PlanCache::default())),
+            sig_tail,
+            capacity,
             arena: Arc::new(Mutex::new(HgArena::default())),
             obs: ObsHandle::noop(),
         }
-    }
-
-    /// Locks the shared plan cache, recovering from a poisoned mutex: a plan
-    /// that panicked while holding the lock (the dataloader catches such
-    /// panics and retries) must not brick every subsequent `plan()` on all
-    /// clones. The cache contents may be mid-mutation at poison time, so
-    /// recovery clears them — losing cached plans, never correctness. The
-    /// poison flag is cleared too, so recovery happens once, not on every
-    /// subsequent lock.
-    fn lock_cache(&self) -> MutexGuard<'_, PlanCache> {
-        self.cache.lock().unwrap_or_else(|poison| {
-            self.cache.clear_poison();
-            let mut g = poison.into_inner();
-            *g = PlanCache::default();
-            g
-        })
     }
 
     /// Attaches an observability sink: every subsequent `plan()` call emits
@@ -461,7 +426,7 @@ impl Planner {
     /// Lifetime cache hit / miss counts of this planner (shared across
     /// clones). A degenerate batch rejected before lookup counts as neither.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let c = self.lock_cache();
+        let c = Lru::lock(&self.exact);
         (c.hits, c.misses)
     }
 
@@ -469,23 +434,22 @@ impl Planner {
     /// Counts lookups only — a near hit whose warm plan fails the quality
     /// bound still counts as a hit here (the seed was found and tried).
     pub fn near_cache_stats(&self) -> (u64, u64) {
-        let c = self.lock_cache();
-        (c.near_hits, c.near_misses)
+        let c = Lru::lock(&self.near);
+        (c.hits, c.misses)
     }
 
-    /// The canonical batch signature: the *ordered* `(length, mask)` list
-    /// plus the cluster shape and the semantic config subset
-    /// ([`SignatureConfig`]), serialized to JSON. Order matters — block and
+    /// The canonical batch signature: the *ordered* `(length, mask)` list as
+    /// JSON, then the cluster-and-config tail. Order matters — block and
     /// vertex numbering follow batch order, so permuted batches legitimately
     /// produce different plans.
     fn signature(&self, seqs: &[(u32, MaskSpec)]) -> String {
-        serde_json::to_string(&(seqs, &self.cluster, &self.cfg.signature_cfg()))
-            .expect("planner signature serialization cannot fail")
+        serde_json::to_string(&seqs).expect("planner signature serialization cannot fail")
+            + &self.sig_tail
     }
 
     /// The similarity key of the near-hit tier: the *bucketed* batch shape —
     /// per-sequence block counts as a sorted histogram plus the multiset of
-    /// masks — with the cluster and semantic config. Batches with the same
+    /// masks — then the cluster-and-config tail. Batches with the same
     /// block-count histogram and mask mix share a key even when raw lengths
     /// differ within a block, which is exactly when the previous placement
     /// transfers well as a warm-start seed.
@@ -498,8 +462,9 @@ impl Planner {
             .map(|(_, m)| serde_json::to_string(m).expect("mask serialization cannot fail"))
             .collect();
         masks.sort_unstable();
-        serde_json::to_string(&(lens, masks, &self.cluster, &self.cfg.signature_cfg()))
+        serde_json::to_string(&(lens, masks))
             .expect("planner near-signature serialization cannot fail")
+            + &self.sig_tail
     }
 
     /// The planner's configuration.
@@ -534,6 +499,11 @@ impl Planner {
     /// every emitted observability event (the planner itself has no notion
     /// of iterations; callers that do — the dataloader, the trace harness —
     /// pass it here so planner spans correlate with executor/sim spans).
+    ///
+    /// The stages, in order: exact-cache lookup, block layout, the
+    /// incremental path when a near-hit seed exists ([`Call::try_warm`]),
+    /// else the fallback chain ([`Call::walk_tiers`]), then passes,
+    /// verification and caching ([`Call::finish`]).
     pub fn plan_for_iter(
         &self,
         seqs: &[(u32, MaskSpec)],
@@ -543,450 +513,94 @@ impl Planner {
             return Err(DcpError::invalid_argument("empty batch"));
         }
         self.cluster.validate()?;
-        let n = self.cluster.num_devices();
         if self.cfg.divisions == 0 {
             return Err(DcpError::invalid_argument("divisions must be > 0"));
         }
-        let t_total = Instant::now();
-        // Observability events carry the batch index when known; all
-        // emission below is on the calling thread, in plan order.
-        let obs_on = self.obs.enabled();
-        let stamp = |e: Event| match iter {
-            Some(i) => e.with_iter(i),
-            None => e,
+        let mut call = Call {
+            p: self,
+            origin: Instant::now(),
+            iter,
+            key: (self.cfg.plan_cache > 0).then(|| self.signature(seqs)),
+            near_key: None,
+            times: PlanningTimes::default(),
+            pstats: PartitionStats::default(),
+            reasons: Vec::new(),
         };
-        let key = if self.cfg.plan_cache > 0 {
-            let key = self.signature(seqs);
-            if let Some(mut out) = self.lock_cache().get(&key) {
-                out.stats = PlanStats {
-                    cache_hit: true,
-                    total_s: t_total.elapsed().as_secs_f64(),
-                    ..PlanStats::default()
-                };
-                if obs_on {
-                    self.obs.record(stamp(
-                        Event::counter(ObsSource::Planner, "plan_cache_hit", 1.0)
-                            .with_label(out.tier.label()),
-                    ));
-                }
-                return Ok(out);
-            }
-            if obs_on {
-                self.obs.record(stamp(Event::counter(
-                    ObsSource::Planner,
-                    "plan_cache_miss",
-                    1.0,
-                )));
-            }
-            Some(key)
-        } else {
-            None
-        };
+        if let Some(hit) = call.lookup() {
+            return Ok(hit);
+        }
         // Near-hit tier: on an exact miss, a batch with the same bucketed
         // shape may have left a placement to warm-start from. The lookup is
         // independent of the exact cache so incremental planning works even
         // with exact caching disabled.
         let incremental_on = self.cfg.incremental.enabled && self.cfg.incremental.near_cache > 0;
-        let near_key = incremental_on.then(|| self.near_signature(seqs));
-        let near_entry = near_key
-            .as_ref()
-            .and_then(|k| self.lock_cache().near_get(k));
-        let t0 = Instant::now();
-        let head_blocks = self.cfg.head_blocks.unwrap_or(self.attn.kv_heads);
+        call.near_key = incremental_on.then(|| self.near_signature(seqs));
+        let seed = call
+            .near_key
+            .as_deref()
+            .and_then(|k| Lru::lock(&self.near).get(k));
+        let span = call.span(Event::span(ObsSource::Planner, "block_gen"));
         let layout = BatchLayout::build(
             self.attn,
             BlockConfig {
                 block_size: self.cfg.block_size,
-                head_blocks,
+                head_blocks: self.cfg.head_blocks.unwrap_or(self.attn.kv_heads),
             },
             seqs,
-        )?;
-        let block_gen = t0.elapsed().as_secs_f64();
-        if obs_on {
-            self.obs.record(stamp(
-                Event::span(ObsSource::Planner, "block_gen")
-                    .with_time((t0 - t_total).as_secs_f64(), block_gen),
-            ));
+        );
+        call.times.block_gen = span.finish();
+        let layout = layout?;
+        // Pinned tiers and fault-aware placements always plan cold (a forced
+        // tier is an explicit user decision; fault targets change the caps
+        // the seed was balanced under).
+        let warm = seed
+            .filter(|e| {
+                self.cfg.force_tier.is_none()
+                    && e.num_devices == self.cluster.num_devices()
+                    && self.capacity.is_none()
+            })
+            .and_then(|e| call.try_warm(&layout, &e));
+        match warm {
+            Some(Warm::Replay(placement, plan)) => {
+                let out = call.output(layout, placement, plan, PlanTier::Partitioned, true);
+                call.remember(&out, None);
+                Ok(out)
+            }
+            Some(Warm::Refined(placement, plan)) => {
+                call.finish(layout, placement, plan, PlanTier::Partitioned, true)
+            }
+            None => {
+                let (placement, plan, tier) = call.walk_tiers(&layout)?;
+                call.finish(layout, placement, plan, tier, false)
+            }
         }
+    }
 
-        let start = self.cfg.force_tier.unwrap_or(PlanTier::Partitioned);
-        let mut partition_s = 0.0;
-        let mut schedule_s = 0.0;
-        let mut pstats = PartitionStats::default();
-        let mut reasons: Vec<String> = Vec::new();
-        let mut last_err: Option<DcpError> = None;
-        let mut chosen: Option<(Placement, ExecutionPlan, PlanTier)> = None;
-        // The partitioned placement that failed the balance check, kept as
-        // the makespan reference the fallback quality gate compares against.
-        let mut reference: Option<Placement> = None;
-        // Incremental path: warm-start from a near-hit seed. Pinned tiers
-        // and fault-aware placements always plan cold (a forced tier is an
-        // explicit user decision; fault targets change the caps the seed was
-        // balanced under).
-        let mut near_hit = false;
-        if let Some(entry) = near_entry.filter(|e| {
-            self.cfg.force_tier.is_none() && e.num_devices == n && self.fault_weights(n).is_none()
-        }) {
-            let t_seed = Instant::now();
-            let (seed, exact) = Self::warm_seed(&layout, &entry);
-            let exact = exact && entry.edge_total == Self::total_edge_weight(&layout);
-            let seed_dt = t_seed.elapsed().as_secs_f64();
-            if obs_on {
-                self.obs.record(stamp(
-                    Event::span(ObsSource::Planner, "warm_seed")
-                        .with_time((t_seed - t_total).as_secs_f64(), seed_dt),
-                ));
-            }
-            // Block-identical layout: the seed IS the seeding placement,
-            // and the retained plan is exactly what the pipeline would
-            // rebuild for it (layout, placement and config all identical) —
-            // so partitioning, scheduling and the pass pipeline are all
-            // skipped and the stored plan is replayed through the verifier.
-            // Re-planning an unchanged batch reproduces the prior plan bit
-            // for bit at near-lookup cost. Anything else goes through
-            // warm-started delta refinement.
-            if exact {
-                let nt = layout.token_blocks.len();
-                let placement = Placement {
-                    num_devices: n,
-                    token_to_dev: seed[..nt].to_vec(),
-                    comp_to_dev: seed[nt..].to_vec(),
-                };
-                let plan = entry.plan.clone();
-                if verify_plan(&layout, &placement, &plan).is_ok() {
-                    if obs_on {
-                        self.obs
-                            .record(stamp(Event::counter(ObsSource::Planner, "near_hit", 1.0)));
-                    }
-                    let out = PlanOutput {
-                        layout,
-                        placement,
-                        plan,
-                        times: PlanningTimes {
-                            block_gen,
-                            partition: seed_dt,
-                            schedule: 0.0,
-                        },
-                        tier: PlanTier::Partitioned,
-                        fallback_reason: None,
-                        stats: PlanStats {
-                            cache_hit: false,
-                            near_hit: true,
-                            total_s: t_total.elapsed().as_secs_f64(),
-                            ..PlanStats::default()
-                        },
-                        passes: Vec::new(),
-                    };
-                    if let Some(key) = key {
-                        self.lock_cache()
-                            .insert(self.cfg.plan_cache, key, out.clone());
-                    }
-                    return Ok(out);
-                }
-                // A stored plan that no longer verifies (e.g. a poisoned
-                // entry) falls through to warm delta refinement.
-            }
-            let t_warm = Instant::now();
-            let warm = self.place_warm(&layout, &seed);
-            let warm_dt = t_warm.elapsed().as_secs_f64();
-            partition_s += seed_dt + warm_dt;
-            if obs_on {
-                self.obs.record(stamp(
-                    Event::span(ObsSource::Planner, "delta_refine")
-                        .with_time((t_warm - t_total).as_secs_f64(), warm_dt),
-                ));
-            }
-            if let Ok((placement, balanced, wstats, cost)) = warm {
-                // Quality bound: comm bytes within the configured factor of
-                // the seeding plan's cost, scaled to this batch's hyperedge
-                // volume. A zero-cost seed must stay zero-cost.
-                let edge_total = Self::total_edge_weight(&layout);
-                let scaled =
-                    entry.cost as f64 * (edge_total as f64 / entry.edge_total.max(1) as f64);
-                let within = if entry.cost == 0 {
-                    cost == 0
-                } else {
-                    cost as f64 <= self.cfg.incremental.max_regression * scaled
-                };
-                if balanced && within {
-                    let ts = Instant::now();
-                    let built = build_plan(
-                        &layout,
-                        &placement,
-                        &ScheduleConfig {
-                            divisions: self.cfg.divisions,
-                            ..Default::default()
-                        },
-                    );
-                    let sched_dt = ts.elapsed().as_secs_f64();
-                    schedule_s += sched_dt;
-                    if obs_on {
-                        self.obs.record(stamp(
-                            Event::span(ObsSource::Planner, "schedule")
-                                .with_label("warm")
-                                .with_time((ts - t_total).as_secs_f64(), sched_dt),
-                        ));
-                    }
-                    if let Ok(plan) = built {
-                        pstats.merge(&wstats);
-                        chosen = Some((placement, plan, PlanTier::Partitioned));
-                        near_hit = true;
-                        if obs_on {
-                            self.obs.record(stamp(Event::counter(
-                                ObsSource::Planner,
-                                "near_hit",
-                                1.0,
-                            )));
-                        }
-                    }
-                }
-            }
-            if !near_hit && obs_on {
-                self.obs.record(stamp(
-                    Event::instant(ObsSource::Planner, "warm_fallback")
-                        .with_time(t_total.elapsed().as_secs_f64(), 0.0),
-                ));
-            }
-        }
-        for tier in PlanTier::all() {
-            if chosen.is_some() {
-                break;
-            }
-            if tier < start {
-                continue;
-            }
-            let tp = Instant::now();
-            let placed = self.placement_for_tier(&layout, tier, n, &mut pstats, &mut reference);
-            let place_dt = tp.elapsed().as_secs_f64();
-            partition_s += place_dt;
-            if obs_on {
-                self.obs.record(stamp(
-                    Event::span(ObsSource::Planner, "place")
-                        .with_label(tier.label())
-                        .with_time((tp - t_total).as_secs_f64(), place_dt),
-                ));
-            }
-            let placement = match placed {
-                Ok(p) => p,
-                Err(e) => {
-                    if obs_on {
-                        self.obs.record(stamp(
-                            Event::instant(ObsSource::Planner, "tier_fallback")
-                                .with_label(tier.label())
-                                .with_time((t_total.elapsed()).as_secs_f64(), 0.0),
-                        ));
-                    }
-                    reasons.push(format!("{}: {e}", tier.label()));
-                    last_err = Some(e);
-                    if !self.cfg.fallback {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            let ts = Instant::now();
-            let built = build_plan(
-                &layout,
-                &placement,
-                &ScheduleConfig {
-                    divisions: self.cfg.divisions,
-                    ..Default::default()
-                },
-            );
-            let sched_dt = ts.elapsed().as_secs_f64();
-            schedule_s += sched_dt;
-            if obs_on {
-                self.obs.record(stamp(
-                    Event::span(ObsSource::Planner, "schedule")
-                        .with_label(tier.label())
-                        .with_time((ts - t_total).as_secs_f64(), sched_dt),
-                ));
-            }
-            match built {
-                Ok(plan) => {
-                    // Fallback quality gate: a degraded-tier plan must not
-                    // regress the simulated makespan past the configured
-                    // factor of what the (unbalanced) partitioned placement
-                    // would have achieved. `force_tier` has no reference to
-                    // compare against and is exempt.
-                    if tier != PlanTier::Partitioned && self.cfg.force_tier.is_none() {
-                        if let Some(factor) = reference
-                            .as_ref()
-                            .and_then(|r| self.fallback_regression(&layout, r, &plan))
-                        {
-                            if factor > self.cfg.max_fallback_regression {
-                                let e = DcpError::fallback_rejected(
-                                    tier,
-                                    factor,
-                                    self.cfg.max_fallback_regression,
-                                );
-                                if obs_on {
-                                    self.obs.record(stamp(
-                                        Event::instant(ObsSource::Planner, "fallback_rejected")
-                                            .with_label(tier.label())
-                                            .with_time(t_total.elapsed().as_secs_f64(), 0.0),
-                                    ));
-                                }
-                                reasons.push(format!("{}: {e}", tier.label()));
-                                last_err = Some(e);
-                                if !self.cfg.fallback {
-                                    break;
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    chosen = Some((placement, plan, tier));
-                    break;
-                }
-                Err(e) => {
-                    if obs_on {
-                        self.obs.record(stamp(
-                            Event::instant(ObsSource::Planner, "tier_fallback")
-                                .with_label(tier.label())
-                                .with_time((t_total.elapsed()).as_secs_f64(), 0.0),
-                        ));
-                    }
-                    reasons.push(format!("{}: {e}", tier.label()));
-                    last_err = Some(e);
-                    if !self.cfg.fallback {
-                        break;
-                    }
-                }
-            }
-        }
-
-        let Some((placement, mut plan, tier)) = chosen else {
-            return Err(last_err
-                .unwrap_or_else(|| DcpError::invalid_plan("no fallback tier produced a plan")));
+    /// Schedules `placement` into instruction streams under the configured
+    /// division count.
+    fn schedule(&self, layout: &BatchLayout, placement: &Placement) -> DcpResult<ExecutionPlan> {
+        let sched = ScheduleConfig {
+            divisions: self.cfg.divisions,
+            ..Default::default()
         };
-        // Forward comm bytes before any pass rewrites them: this equals the
-        // hypergraph connectivity cost and is what future warm starts scale
-        // their quality bound against.
-        let pre_pass_fwd_comm = plan.fwd.total_comm_bytes();
-        // Optimizer pass pipeline (when enabled), then the stream verifier on
-        // every freshly produced plan — optimized or not. Cache hits skip
-        // both: the cached plan already passed.
-        let mut pass_outcomes: Vec<PassOutcome> = Vec::new();
-        if self.cfg.passes.enabled {
-            let tp = Instant::now();
-            let pm = PassManager::new(self.cfg.passes.clone());
-            pass_outcomes = pm.run_plan(&layout, &placement, &mut plan);
-            schedule_s += tp.elapsed().as_secs_f64();
-            if obs_on {
-                let mut at = (tp - t_total).as_secs_f64();
-                let per_pass = tp.elapsed().as_secs_f64() / pass_outcomes.len().max(1) as f64;
-                for o in &pass_outcomes {
-                    self.obs.record(stamp(
-                        Event::span(ObsSource::Planner, "pass")
-                            .with_label(format!("{}:{}", o.pass, o.phase))
-                            .with_time(at, per_pass),
-                    ));
-                    at += per_pass;
-                }
-                let saved: u64 = pass_outcomes
-                    .iter()
-                    .map(PassOutcome::comm_bytes_saved)
-                    .sum();
-                self.obs.record(stamp(Event::counter(
-                    ObsSource::Planner,
-                    "pass_comm_bytes_saved",
-                    saved as f64,
-                )));
-            }
-        }
-        if let Err(diag) = verify_plan(&layout, &placement, &plan) {
-            if obs_on {
-                // Flight-recorder trigger: a postmortem bundle captures the
-                // events leading up to the illegal stream.
-                let mut ev = Event::instant(ObsSource::Planner, "verify_diagnostic")
-                    .with_label(diag.to_string());
-                if let Some(d) = diag.device {
-                    ev = ev.with_device(d);
-                }
-                self.obs.record(stamp(ev));
-            }
-            return Err(DcpError::invalid_plan(format!(
-                "planner produced an illegal stream ({} tier): {diag}",
-                tier.label()
-            )));
-        }
-        if obs_on {
-            // Partitioner stage breakdown (CPU seconds summed over the
-            // hierarchy, rendered as consecutive segments of one row).
-            let mut at = block_gen;
-            for (name, dur) in [
-                ("coarsen", pstats.coarsen_s),
-                ("initial", pstats.initial_s),
-                ("refine", pstats.refine_s),
-            ] {
-                self.obs.record(stamp(
-                    Event::span(ObsSource::Planner, name)
-                        .with_label(tier.label())
-                        .with_time(at, dur),
-                ));
-                at += dur;
-            }
-        }
-        let out = PlanOutput {
-            layout,
-            placement,
-            plan,
-            times: PlanningTimes {
-                block_gen,
-                partition: partition_s,
-                schedule: schedule_s,
-            },
-            tier,
-            fallback_reason: if reasons.is_empty() {
-                None
-            } else {
-                Some(reasons.join("; "))
-            },
-            stats: PlanStats {
-                cache_hit: false,
-                near_hit,
-                coarsen_s: pstats.coarsen_s,
-                initial_s: pstats.initial_s,
-                refine_s: pstats.refine_s,
-                schedule_s,
-                total_s: t_total.elapsed().as_secs_f64(),
-            },
-            passes: pass_outcomes,
-        };
-        // Retain this placement as a warm-start seed for similar future
-        // batches (warm-accepted plans included, so the seed chain follows
-        // distribution drift). Only the partitioned tier seeds: greedy and
-        // static placements are not worth warm-starting from.
-        if let Some(near_key) = near_key {
-            if out.tier == PlanTier::Partitioned {
-                let entry =
-                    Self::near_entry_of(&out.layout, &out.placement, &out.plan, pre_pass_fwd_comm);
-                self.lock_cache()
-                    .near_insert(self.cfg.incremental.near_cache, near_key, entry);
-            }
-        }
-        if let Some(key) = key {
-            self.lock_cache()
-                .insert(self.cfg.plan_cache, key, out.clone());
-        }
-        Ok(out)
+        build_plan(layout, placement, &sched)
     }
 
     /// Computes the placement for one tier of the fallback chain,
     /// accumulating partitioner stage timings into `pstats` (the greedy and
-    /// static tiers do not partition and leave it untouched).
+    /// static tiers do not partition and leave it untouched). A partitioned
+    /// placement that fails the balance check is left in `reference`.
     fn placement_for_tier(
         &self,
         layout: &BatchLayout,
         tier: PlanTier,
-        n: u32,
         pstats: &mut PartitionStats,
         reference: &mut Option<Placement>,
     ) -> DcpResult<Placement> {
+        let n = self.cluster.num_devices();
         match tier {
             PlanTier::Partitioned => {
-                let (placement, balanced, stats) = self.place(layout)?;
+                let (placement, balanced, stats, _) = self.place(layout, None)?;
                 pstats.merge(&stats);
                 if !balanced {
                     *reference = Some(placement);
@@ -1024,11 +638,7 @@ impl Planner {
         reference: &Placement,
         candidate: &ExecutionPlan,
     ) -> Option<f64> {
-        let sched = ScheduleConfig {
-            divisions: self.cfg.divisions,
-            ..Default::default()
-        };
-        let ref_plan = build_plan(layout, reference, &sched).ok()?;
+        let ref_plan = self.schedule(layout, reference).ok()?;
         let ref_t = simulate_plan(&self.cluster, &ref_plan).ok()?.total();
         let cand_t = simulate_plan(&self.cluster, candidate).ok()?.total();
         if !ref_t.is_finite() || ref_t <= 0.0 || !cand_t.is_finite() {
@@ -1049,23 +659,22 @@ impl Planner {
         Self::fill_builder(HypergraphBuilder::new(nt + nc), layout)
     }
 
-    /// [`Planner::build_hypergraph`] routed through the planner's reusable
-    /// arena buffers, avoiding the per-batch allocation churn of a fresh
-    /// build. Pair with [`Planner::recycle_hg`] when done with the graph.
-    fn build_hypergraph_in(&self, layout: &BatchLayout) -> Hypergraph {
-        let b = {
-            let mut arena = self.arena.lock().unwrap_or_else(|p| p.into_inner());
-            arena.builder(layout.token_blocks.len() + layout.comp_blocks.len())
+    /// The placement hypergraph's hyperedges in edge order: per token block
+    /// `i`, `(weight, i, consumers)` for Q+O and then for KV. An edge nobody
+    /// consumes has one pin, never costs, and is skipped.
+    fn edges(layout: &BatchLayout) -> impl Iterator<Item = (u64, usize, &[CompBlockId])> {
+        let per_token = |(i, tb): (usize, &TokenBlock)| {
+            [
+                (tb.q_bytes + tb.o_bytes, i, &layout.q_consumers[i][..]),
+                (tb.kv_bytes, i, &layout.kv_consumers[i][..]),
+            ]
         };
-        Self::fill_builder(b, layout)
-    }
-
-    /// Returns a hypergraph's buffers to the shared arena for the next build.
-    fn recycle_hg(&self, hg: Hypergraph) {
-        self.arena
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .recycle(hg);
+        layout
+            .token_blocks
+            .iter()
+            .enumerate()
+            .flat_map(per_token)
+            .filter(|(_, _, consumers)| !consumers.is_empty())
     }
 
     fn fill_builder(mut b: HypergraphBuilder, layout: &BatchLayout) -> Hypergraph {
@@ -1077,45 +686,23 @@ impl Planner {
             b.set_vertex_weight(nt + i, [cb.flops, 0]);
         }
         let mut pins: Vec<u32> = Vec::new();
-        for (i, tb) in layout.token_blocks.iter().enumerate() {
-            // Q + O edge.
+        for (weight, i, consumers) in Self::edges(layout) {
             pins.clear();
             pins.push(i as u32);
-            pins.extend(layout.q_consumers[i].iter().map(|c| nt as u32 + c.0));
-            if pins.len() > 1 {
-                b.add_edge(tb.q_bytes + tb.o_bytes, &pins);
-            }
-            // KV edge.
-            pins.clear();
-            pins.push(i as u32);
-            pins.extend(layout.kv_consumers[i].iter().map(|c| nt as u32 + c.0));
-            if pins.len() > 1 {
-                b.add_edge(tb.kv_bytes, &pins);
-            }
+            pins.extend(consumers.iter().map(|c| nt as u32 + c.0));
+            b.add_edge(weight, &pins);
         }
         b.build().expect("pins are in range by construction")
     }
 
-    /// Total multi-pin hyperedge weight of `layout`'s placement hypergraph
-    /// (single-pin edges never cost and are skipped, mirroring
-    /// [`Planner::build_hypergraph`]). Used to scale a warm-start seed's
-    /// cost bound to the new batch's volume without building the graph.
+    /// Total hyperedge weight of `layout`'s placement hypergraph, without
+    /// building it: what a warm-start seed's cost bound is scaled by.
     fn total_edge_weight(layout: &BatchLayout) -> u64 {
-        let mut t = 0u64;
-        for (i, tb) in layout.token_blocks.iter().enumerate() {
-            if !layout.q_consumers[i].is_empty() {
-                t += tb.q_bytes + tb.o_bytes;
-            }
-            if !layout.kv_consumers[i].is_empty() {
-                t += tb.kv_bytes;
-            }
-        }
-        t
+        Self::edges(layout).map(|(weight, ..)| weight).sum()
     }
 
     /// Maps `layout`'s blocks onto the seeding placement's parts by block
-    /// identity — token blocks by `(seq, head_block, start, len)`, comp
-    /// blocks by `(seq, head_block, q_start, kv_start)`. Unmatched token
+    /// identity ([`token_key`], [`comp_key`]). Unmatched token
     /// blocks inherit the last matched part in block order (deterministic
     /// carry-forward keeps new blocks near their sequence neighbors);
     /// unmatched comp blocks colocate with their Q block. The returned flag
@@ -1129,22 +716,14 @@ impl Planner {
             nt == entry.token_parts.len() && layout.comp_blocks.len() == entry.comp_parts.len();
         let mut last = 0u32;
         for (i, tb) in layout.token_blocks.iter().enumerate() {
-            match entry
-                .token_parts
-                .get(&(tb.seq, tb.head_block, tb.start, tb.len))
-            {
+            match entry.token_parts.get(&token_key(tb)) {
                 Some(&p) => last = p,
                 None => exact = false,
             }
             seed[i] = last;
         }
         for (i, cb) in layout.comp_blocks.iter().enumerate() {
-            let q = &layout.token_blocks[cb.q_block.0 as usize];
-            let kv = &layout.token_blocks[cb.kv_block.0 as usize];
-            match entry
-                .comp_parts
-                .get(&(cb.seq, cb.head_block, q.start, kv.start))
-            {
+            match entry.comp_parts.get(&comp_key(layout, cb)) {
                 Some(&p) => seed[nt + i] = p,
                 None => {
                     exact = false;
@@ -1166,17 +745,13 @@ impl Planner {
             .token_blocks
             .iter()
             .zip(&placement.token_to_dev)
-            .map(|(tb, &d)| ((tb.seq, tb.head_block, tb.start, tb.len), d))
+            .map(|(tb, &d)| (token_key(tb), d))
             .collect();
         let comp_parts = layout
             .comp_blocks
             .iter()
             .zip(&placement.comp_to_dev)
-            .map(|(cb, &d)| {
-                let q = &layout.token_blocks[cb.q_block.0 as usize];
-                let kv = &layout.token_blocks[cb.kv_block.0 as usize];
-                ((cb.seq, cb.head_block, q.start, kv.start), d)
-            })
+            .map(|(cb, &d)| (comp_key(layout, cb), d))
             .collect();
         NearEntry {
             num_devices: placement.num_devices,
@@ -1186,38 +761,6 @@ impl Planner {
             edge_total: Self::total_edge_weight(layout),
             plan: plan.clone(),
         }
-    }
-
-    /// Per-device capacity weights derived from `cfg.fault_spec`:
-    /// `[compute, bytes]` — compute ∝ 1/slowdown, bytes ∝ the rate factor of
-    /// the device's worst incident link (flapping links contribute their
-    /// duty-weighted mean). `None` when no spec is set or it changes nothing,
-    /// so the healthy path is byte-identical to a fault-blind planner.
-    fn fault_weights(&self, n: u32) -> Option<Vec<[f64; 2]>> {
-        let spec = self.cfg.fault_spec.as_ref()?;
-        let n = n as usize;
-        let slow = spec.slowdowns(n);
-        let mut net = vec![1.0f64; n];
-        for (src, dst, factor) in spec.link_factors() {
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(factor.max(MIN_NET_WEIGHT));
-                }
-            }
-        }
-        for (src, dst, _period, duty, factor) in spec.flapping_links() {
-            let mean = duty * factor + (1.0 - duty);
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(mean.max(MIN_NET_WEIGHT));
-                }
-            }
-        }
-        let w: Vec<[f64; 2]> = (0..n).map(|d| [1.0 / slow[d].max(1.0), net[d]]).collect();
-        if w.iter().all(|x| x[0] >= 1.0 - 1e-12 && x[1] >= 1.0 - 1e-12) {
-            return None;
-        }
-        Some(w)
     }
 
     /// Splits `totals` across parts proportionally to `weights` (per
@@ -1233,42 +776,39 @@ impl Planner {
         t
     }
 
-    /// Warm-started placement: refines `seed` (a full vertex → device
-    /// assignment) through the same hierarchy as [`Planner::place`] —
-    /// machine level first, then the per-machine device level on induced
-    /// subgraphs — but skipping coarsening and initial partitioning at every
-    /// level. Returns the placement, whether every level met its balance
-    /// caps, the merged stage stats, and the connectivity cost (== forward
-    /// comm bytes, pinned by `hypergraph_cost_matches_plan_forward_comm`).
-    fn place_warm(
-        &self,
-        layout: &BatchLayout,
-        seed: &[u32],
-    ) -> DcpResult<(Placement, bool, PartitionStats, u64)> {
-        let hg = self.build_hypergraph_in(layout);
-        let nt = layout.token_blocks.len();
-        let n = self.cluster.num_devices();
+    /// The vertex → device `assignment` of a placement hypergraph (token
+    /// blocks first, then comp blocks) as a [`Placement`].
+    fn split_placement(&self, layout: &BatchLayout, assignment: &[u32]) -> Placement {
+        let (tokens, comps) = assignment.split_at(layout.token_blocks.len());
+        Placement {
+            num_devices: self.cluster.num_devices(),
+            token_to_dev: tokens.to_vec(),
+            comp_to_dev: comps.to_vec(),
+        }
+    }
+
+    /// The partitioned tier's placement of `layout` through the level
+    /// hierarchy ([`Planner::place_levels`]): cold, or refined from `warm`,
+    /// a full vertex → device seed, skipping coarsening and initial
+    /// partitioning at every level.
+    fn place(&self, layout: &BatchLayout, warm: Option<&[u32]>) -> DcpResult<Placed> {
+        // Build in the shared arena's recycled buffers (a fresh build per
+        // batch churns the allocator) and hand them back afterwards.
+        let arena = || self.arena.lock().unwrap_or_else(|p| p.into_inner());
+        let vertices = layout.token_blocks.len() + layout.comp_blocks.len();
+        let builder = arena().builder(vertices);
+        let hg = Self::fill_builder(builder, layout);
         let levels = self.placement_levels();
-        let result = self.place_warm_levels(&hg, &levels, self.cfg.seed, seed);
-        let (assignment, balanced, stats) = match result {
-            Ok(v) => v,
-            Err(e) => {
-                self.recycle_hg(hg);
-                return Err(e);
-            }
-        };
-        let cost = hg.connectivity_cost(&assignment, n);
-        self.recycle_hg(hg);
-        Ok((
-            Placement {
-                num_devices: n,
-                token_to_dev: assignment[..nt].to_vec(),
-                comp_to_dev: assignment[nt..].to_vec(),
-            },
-            balanced,
-            stats,
-            cost,
-        ))
+        let weights = self.capacity.as_deref();
+        let placed = self
+            .place_levels(&hg, &levels, self.cfg.seed, weights, 0, warm)
+            .map(|(assignment, balanced, stats)| {
+                let cost = hg.connectivity_cost(&assignment, self.cluster.num_devices());
+                let placement = self.split_placement(layout, &assignment);
+                (placement, balanced, stats, cost)
+            });
+        arena().recycle(hg);
+        placed
     }
 
     /// The partition hierarchy as `(parts, epsilon)` refinement levels,
@@ -1302,101 +842,17 @@ impl Planner {
         levels
     }
 
-    /// Warm-started placement through the level hierarchy: at each level the
-    /// seeded assignment (divided down to that level's granularity) is
-    /// refined without coarsening or initial partitioning, then each part
-    /// recurses on its induced subgraph — the same subgraphs, epsilons and
-    /// per-part seeds as the cold [`Planner::place_levels`], so a converged
-    /// seed reproduces the cold placement exactly.
-    fn place_warm_levels(
-        &self,
-        hg: &Hypergraph,
-        levels: &[(u32, f64)],
-        seed: u64,
-        dev_seed: &[u32],
-    ) -> DcpResult<(Vec<u32>, bool, PartitionStats)> {
-        type LocalPartition = (Vec<u32>, Vec<u32>, bool, PartitionStats);
-        let (parts, eps) = levels[0];
-        let stride: u32 = levels[1..].iter().map(|l| l.0).product();
-        let mut pc = PartitionConfig::new(parts)
-            .with_epsilon(eps)
-            .with_seed(seed);
-        pc.refine_enabled = self.cfg.refine;
-        if levels.len() == 1 {
-            let (part, s) = partition_warm_with_stats(hg, &pc, dev_seed)?;
-            return Ok((part.assignment, part.balanced, s));
-        }
-        // Warm-refine this level's assignment implied by the seeded devices
-        // (part = device / stride).
-        let level_seed: Vec<u32> = dev_seed.iter().map(|&d| d / stride).collect();
-        let (part, s1) = partition_warm_with_stats(hg, &pc, &level_seed)?;
-        let mut stats = s1;
-        let mut balanced = part.balanced;
-        use rayon::prelude::*;
-        let locals: Vec<DcpResult<LocalPartition>> = (0..parts)
-            .into_par_iter()
-            .map(|p| {
-                let verts: Vec<u32> = (0..hg.num_vertices() as u32)
-                    .filter(|&v| part.assignment[v as usize] == p)
-                    .collect();
-                if verts.is_empty() {
-                    return Ok((Vec::new(), Vec::new(), true, PartitionStats::default()));
-                }
-                let (sub, map) = hg.induced_subgraph(&verts);
-                // Seeded sub-level index within the part; still valid when
-                // this level's refinement moved the vertex to another part.
-                let local_seed: Vec<u32> = map
-                    .iter()
-                    .map(|&orig| dev_seed[orig as usize] % stride)
-                    .collect();
-                let (local, lb, ls) = self.place_warm_levels(
-                    &sub,
-                    &levels[1..],
-                    seed.wrapping_add(p as u64 + 1),
-                    &local_seed,
-                )?;
-                Ok((map, local, lb, ls))
-            })
-            .collect();
-        let mut assignment = vec![0u32; hg.num_vertices()];
-        for (p, res) in locals.into_iter().enumerate() {
-            let (map, local, local_balanced, ls) = res?;
-            balanced &= local_balanced;
-            stats.merge(&ls);
-            for (i, &orig) in map.iter().enumerate() {
-                assignment[orig as usize] = p as u32 * stride + local[i];
-            }
-        }
-        Ok((assignment, balanced, stats))
-    }
-
-    fn place(&self, layout: &BatchLayout) -> DcpResult<(Placement, bool, PartitionStats)> {
-        let hg = self.build_hypergraph_in(layout);
-        let nt = layout.token_blocks.len();
-        let n = self.cluster.num_devices();
-        let fw = self.fault_weights(n);
-        let levels = self.placement_levels();
-        let result = self.place_levels(&hg, &levels, self.cfg.seed, fw.as_deref(), 0);
-        self.recycle_hg(hg);
-        let (assignment, balanced, stats) = result?;
-        Ok((
-            Placement {
-                num_devices: n,
-                token_to_dev: assignment[..nt].to_vec(),
-                comp_to_dev: assignment[nt..].to_vec(),
-            },
-            balanced,
-            stats,
-        ))
-    }
-
-    /// Cold placement through the level hierarchy: partition this level's
-    /// graph `parts` ways (minimizing the traffic that would cross this
-    /// fabric boundary), then recurse per part on the induced subgraph with
-    /// a per-part derived seed. `weights` are per-device fault capacities
-    /// over the *global* device space; `base` is this subproblem's first
-    /// global device. The per-part subproblems are independent — solved on
-    /// the rayon pool (the paper parallelizes planning across CPU cores,
+    /// Placement through the level hierarchy: partition this level's graph
+    /// `parts` ways (minimizing the traffic that would cross this fabric
+    /// boundary), then recurse per part on the induced subgraph with a
+    /// per-part derived seed. `weights` are per-device fault capacities over
+    /// the *global* device space; `base` is this subproblem's first global
+    /// device. With `warm` — a seeded device per vertex — every level
+    /// refines the seed divided down to its granularity instead of
+    /// partitioning from scratch; subgraphs, epsilons and per-part seeds are
+    /// the same either way, so a converged seed reproduces the cold
+    /// placement exactly. The per-part subproblems are independent — solved
+    /// on the rayon pool (the paper parallelizes planning across CPU cores,
     /// Sec. 6.1) and merged in part order, so the result is
     /// thread-count-independent.
     fn place_levels(
@@ -1406,6 +862,7 @@ impl Planner {
         seed: u64,
         weights: Option<&[[f64; 2]]>,
         base: usize,
+        warm: Option<&[u32]>,
     ) -> DcpResult<(Vec<u32>, bool, PartitionStats)> {
         type LocalPartition = (Vec<u32>, Vec<u32>, bool, PartitionStats);
         let (parts, eps) = levels[0];
@@ -1431,11 +888,17 @@ impl Planner {
                 .collect();
             pc = pc.with_part_targets(Self::targets_from_weights(totals, &pw));
         }
-        let (part, s1) = partition_with_stats(hg, &pc)?;
+        let (part, mut stats) = match warm {
+            // A seeded device's part at this level is `device / stride`.
+            Some(devs) => {
+                let level_seed: Vec<u32> = devs.iter().map(|&d| d / stride).collect();
+                partition_warm_with_stats(hg, &pc, &level_seed)?
+            }
+            None => partition_with_stats(hg, &pc)?,
+        };
         if levels.len() == 1 {
-            return Ok((part.assignment, part.balanced, s1));
+            return Ok((part.assignment, part.balanced, stats));
         }
-        let mut stats = s1;
         let mut balanced = part.balanced;
         use rayon::prelude::*;
         let locals: Vec<DcpResult<LocalPartition>> = (0..parts)
@@ -1448,12 +911,20 @@ impl Planner {
                     return Ok((Vec::new(), Vec::new(), true, PartitionStats::default()));
                 }
                 let (sub, map) = hg.induced_subgraph(&verts);
+                // Seeded sub-level index within the part; still valid when
+                // this level's refinement moved the vertex to another part.
+                let local_seed: Option<Vec<u32>> = warm.map(|devs| {
+                    map.iter()
+                        .map(|&orig| devs[orig as usize] % stride)
+                        .collect()
+                });
                 let (local, lb, ls) = self.place_levels(
                     &sub,
                     &levels[1..],
                     seed.wrapping_add(p as u64 + 1),
                     weights,
                     base + p as usize * stride as usize,
+                    local_seed.as_deref(),
                 )?;
                 Ok((map, local, lb, ls))
             })
@@ -1468,6 +939,342 @@ impl Planner {
             }
         }
         Ok((assignment, balanced, stats))
+    }
+}
+
+/// What the incremental path produced from a near-hit seed.
+enum Warm {
+    /// The layout is block-identical to the seeding batch: the seeding
+    /// placement and its stored plan, re-verified, are the answer.
+    Replay(Placement, ExecutionPlan),
+    /// A warm-refined placement that passed the quality bound, scheduled.
+    Refined(Placement, ExecutionPlan),
+}
+
+/// One `plan()` call in flight: the time origin and `iter` stamp every
+/// stage's events share, and what the stages accumulate for the output.
+/// All emission is on the calling thread, in plan order.
+struct Call<'a> {
+    p: &'a Planner,
+    origin: Instant,
+    iter: Option<u64>,
+    /// This batch's exact-cache key (`None`: exact caching is off) and,
+    /// once the exact lookup missed, its near-hit key (`None`: incremental
+    /// planning is off).
+    key: Option<String>,
+    near_key: Option<String>,
+    times: PlanningTimes,
+    pstats: PartitionStats,
+    /// Why each tier that was tried and rejected was rejected.
+    reasons: Vec<String>,
+}
+
+impl<'a> Call<'a> {
+    fn stamp(&self, e: Event) -> Event {
+        match self.iter {
+            Some(i) => e.with_iter(i),
+            None => e,
+        }
+    }
+
+    /// Records the event `make` builds, if anyone is listening.
+    fn emit(&self, make: impl FnOnce() -> Event) {
+        if self.p.obs.enabled() {
+            self.p.obs.record(self.stamp(make()));
+        }
+    }
+
+    /// Records a point event at the current offset from the origin.
+    fn instant(&self, name: &str, label: Option<&str>) {
+        self.emit(|| {
+            let e = Event::instant(ObsSource::Planner, name)
+                .with_time(self.origin.elapsed().as_secs_f64(), 0.0);
+            match label {
+                Some(l) => e.with_label(l),
+                None => e,
+            }
+        });
+    }
+
+    /// Opens a stage span; `finish()` on it records the stage and returns
+    /// its seconds, which the output needs whether or not a sink listens.
+    fn span(&self, proto: Event) -> Span<'a> {
+        Span::enter_at(self.p.obs.sink(), self.stamp(proto), self.origin)
+    }
+
+    /// Exact-cache lookup. A hit is the stored output with this call's
+    /// (lookup-only) timing: the stage times are zero.
+    fn lookup(&self) -> Option<PlanOutput> {
+        let key = self.key.as_deref()?;
+        let stored = Lru::lock(&self.p.exact).get(key);
+        let Some(stored) = stored else {
+            self.emit(|| Event::counter(ObsSource::Planner, "plan_cache_miss", 1.0));
+            return None;
+        };
+        let mut out = PlanOutput::clone(&stored);
+        out.times = PlanningTimes::default();
+        out.stats = PlanStats {
+            cache_hit: true,
+            total_s: self.origin.elapsed().as_secs_f64(),
+            ..PlanStats::default()
+        };
+        self.emit(|| {
+            Event::counter(ObsSource::Planner, "plan_cache_hit", 1.0).with_label(out.tier.label())
+        });
+        Some(out)
+    }
+
+    /// Division scheduling of `placement`, timed as a `schedule` span.
+    fn schedule(
+        &mut self,
+        layout: &BatchLayout,
+        placement: &Placement,
+        label: &str,
+    ) -> DcpResult<ExecutionPlan> {
+        let span = self.span(Event::span(ObsSource::Planner, "schedule").with_label(label));
+        let built = self.p.schedule(layout, placement);
+        self.times.schedule += span.finish();
+        built
+    }
+
+    /// Incremental path: warm-start from a near-hit seed. `None` means the
+    /// warm plan was rejected and the batch must be planned cold.
+    fn try_warm(&mut self, layout: &BatchLayout, entry: &NearEntry) -> Option<Warm> {
+        let span = self.span(Event::span(ObsSource::Planner, "warm_seed"));
+        let (seed, exact) = Planner::warm_seed(layout, entry);
+        let edge_total = Planner::total_edge_weight(layout);
+        self.times.partition += span.finish();
+        let near_hit = || Event::counter(ObsSource::Planner, "near_hit", 1.0);
+        // Block-identical layout: the seed IS the seeding placement, and
+        // the retained plan is exactly what the pipeline would rebuild for
+        // it (layout, placement and config all identical) — so
+        // partitioning, scheduling and the pass pipeline are all skipped
+        // and the stored plan is replayed through the verifier.
+        // Re-planning an unchanged batch reproduces the prior plan bit for
+        // bit at near-lookup cost. Anything else — including a stored plan
+        // that no longer verifies — goes through warm-started delta
+        // refinement.
+        if exact && entry.edge_total == edge_total {
+            let placement = self.p.split_placement(layout, &seed);
+            if verify_plan(layout, &placement, &entry.plan).is_ok() {
+                self.emit(near_hit);
+                return Some(Warm::Replay(placement, entry.plan.clone()));
+            }
+        }
+        let span = self.span(Event::span(ObsSource::Planner, "delta_refine"));
+        let placed = self.p.place(layout, Some(&seed));
+        self.times.partition += span.finish();
+        // Quality bound: balanced, and comm bytes within the configured
+        // factor of the seeding plan's cost, scaled to this batch's
+        // hyperedge volume. A zero-cost seed must stay zero-cost.
+        let scaled = entry.cost as f64 * (edge_total as f64 / entry.edge_total.max(1) as f64);
+        let max_regression = self.p.cfg.incremental.max_regression;
+        let within = |cost: u64| match entry.cost {
+            0 => cost == 0,
+            _ => cost as f64 <= max_regression * scaled,
+        };
+        let refined = placed
+            .ok()
+            .filter(|&(_, balanced, _, cost)| balanced && within(cost))
+            .and_then(|(placement, _, stats, _)| {
+                let plan = self.schedule(layout, &placement, "warm").ok()?;
+                self.pstats.merge(&stats);
+                Some(Warm::Refined(placement, plan))
+            });
+        match refined {
+            Some(_) => self.emit(near_hit),
+            None => self.instant("warm_fallback", None),
+        }
+        refined
+    }
+
+    /// Walks the fallback chain from the configured starting tier until one
+    /// tier yields a scheduled plan that passes the quality gate. A tier
+    /// that fails is recorded (event, reason) and, with `cfg.fallback` on,
+    /// the next one is tried; the last failure is the error.
+    fn walk_tiers(
+        &mut self,
+        layout: &BatchLayout,
+    ) -> DcpResult<(Placement, ExecutionPlan, PlanTier)> {
+        let start = self.p.cfg.force_tier.unwrap_or(PlanTier::Partitioned);
+        // The partitioned placement that failed the balance check, kept as
+        // the makespan reference the fallback quality gate compares against.
+        let mut reference: Option<Placement> = None;
+        let mut last_err: Option<DcpError> = None;
+        for tier in PlanTier::all().into_iter().filter(|&t| t >= start) {
+            match self.try_tier(layout, tier, &mut reference) {
+                Ok((placement, plan)) => return Ok((placement, plan, tier)),
+                Err((event, e)) => {
+                    self.instant(event, Some(tier.label()));
+                    self.reasons.push(format!("{}: {e}", tier.label()));
+                    last_err = Some(e);
+                    if !self.p.cfg.fallback {
+                        break;
+                    }
+                }
+            }
+        }
+        Err(last_err.unwrap_or_else(|| DcpError::invalid_plan("no fallback tier produced a plan")))
+    }
+
+    /// Places and schedules one tier. An error carries the name of the
+    /// event that reports it: `tier_fallback` when the tier could not
+    /// produce a plan, `fallback_rejected` when the quality gate vetoed it.
+    fn try_tier(
+        &mut self,
+        layout: &BatchLayout,
+        tier: PlanTier,
+        reference: &mut Option<Placement>,
+    ) -> Result<(Placement, ExecutionPlan), (&'static str, DcpError)> {
+        let p = self.p;
+        let span = self.span(Event::span(ObsSource::Planner, "place").with_label(tier.label()));
+        let placed = p.placement_for_tier(layout, tier, &mut self.pstats, reference);
+        self.times.partition += span.finish();
+        let placement = placed.map_err(|e| ("tier_fallback", e))?;
+        let plan = self
+            .schedule(layout, &placement, tier.label())
+            .map_err(|e| ("tier_fallback", e))?;
+        // Fallback quality gate: a degraded-tier plan must not regress the
+        // simulated makespan past the configured factor of what the
+        // (unbalanced) partitioned placement would have achieved.
+        // `force_tier` has no reference to compare against and is exempt.
+        if tier != PlanTier::Partitioned && p.cfg.force_tier.is_none() {
+            let limit = p.cfg.max_fallback_regression;
+            let factor = reference
+                .as_ref()
+                .and_then(|r| p.fallback_regression(layout, r, &plan));
+            if let Some(factor) = factor.filter(|&f| f > limit) {
+                let e = DcpError::fallback_rejected(tier, factor, limit);
+                return Err(("fallback_rejected", e));
+            }
+        }
+        Ok((placement, plan))
+    }
+
+    /// The output of this call, from what the stages accumulated.
+    fn output(
+        &self,
+        layout: BatchLayout,
+        placement: Placement,
+        plan: ExecutionPlan,
+        tier: PlanTier,
+        near_hit: bool,
+    ) -> PlanOutput {
+        PlanOutput {
+            layout,
+            placement,
+            plan,
+            times: self.times,
+            tier,
+            fallback_reason: (!self.reasons.is_empty()).then(|| self.reasons.join("; ")),
+            stats: PlanStats {
+                cache_hit: false,
+                near_hit,
+                coarsen_s: self.pstats.coarsen_s,
+                initial_s: self.pstats.initial_s,
+                refine_s: self.pstats.refine_s,
+                schedule_s: self.times.schedule,
+                total_s: self.origin.elapsed().as_secs_f64(),
+            },
+            passes: Vec::new(),
+        }
+    }
+
+    /// Caches the finished `out`: in the exact cache and, given `seed_cost`
+    /// (its pre-pass forward bytes), as a warm-start seed for similar
+    /// batches. Copies are made before the shared lock is taken.
+    fn remember(self, out: &PlanOutput, seed_cost: Option<u64>) {
+        if let (Some(near_key), Some(cost)) = (self.near_key, seed_cost) {
+            let entry = Planner::near_entry_of(&out.layout, &out.placement, &out.plan, cost);
+            Lru::lock(&self.p.near).insert(near_key, Arc::new(entry));
+        }
+        if let Some(key) = self.key {
+            let stored = Arc::new(out.clone());
+            Lru::lock(&self.p.exact).insert(key, stored);
+        }
+    }
+
+    /// Everything after a tier was chosen: the optimizer pass pipeline (when
+    /// enabled), then the stream verifier on the freshly produced plan —
+    /// optimized or not — the partitioner's stage breakdown, and both
+    /// caches. Cache hits and replays skip the first three: those plans
+    /// already passed.
+    fn finish(
+        mut self,
+        layout: BatchLayout,
+        placement: Placement,
+        mut plan: ExecutionPlan,
+        tier: PlanTier,
+        near_hit: bool,
+    ) -> DcpResult<PlanOutput> {
+        let p = self.p;
+        // Forward comm bytes before any pass rewrites them: this equals the
+        // hypergraph connectivity cost and is what future warm starts scale
+        // their quality bound against.
+        let pre_pass_fwd_comm = plan.fwd.total_comm_bytes();
+        let mut passes: Vec<PassOutcome> = Vec::new();
+        if p.cfg.passes.enabled {
+            // No span of its own: the run is reported as one `pass` span per
+            // outcome, the measured time split evenly between them.
+            let at = self.origin.elapsed().as_secs_f64();
+            passes =
+                PassManager::new(p.cfg.passes.clone()).run_plan(&layout, &placement, &mut plan);
+            let dt = self.origin.elapsed().as_secs_f64() - at;
+            self.times.schedule += dt;
+            let per_pass = dt / passes.len().max(1) as f64;
+            for (i, o) in passes.iter().enumerate() {
+                self.emit(|| {
+                    Event::span(ObsSource::Planner, "pass")
+                        .with_label(format!("{}:{}", o.pass, o.phase))
+                        .with_time(at + i as f64 * per_pass, per_pass)
+                });
+            }
+            self.emit(|| {
+                let saved: u64 = passes.iter().map(PassOutcome::comm_bytes_saved).sum();
+                Event::counter(ObsSource::Planner, "pass_comm_bytes_saved", saved as f64)
+            });
+        }
+        if let Err(diag) = verify_plan(&layout, &placement, &plan) {
+            // Flight-recorder trigger: a postmortem bundle captures the
+            // events leading up to the illegal stream.
+            self.emit(|| {
+                let ev = Event::instant(ObsSource::Planner, "verify_diagnostic")
+                    .with_label(diag.to_string());
+                match diag.device {
+                    Some(d) => ev.with_device(d),
+                    None => ev,
+                }
+            });
+            return Err(DcpError::invalid_plan(format!(
+                "planner produced an illegal stream ({} tier): {diag}",
+                tier.label()
+            )));
+        }
+        // Partitioner stage breakdown (CPU seconds summed over the
+        // hierarchy, rendered as consecutive segments of one row).
+        let mut at = self.times.block_gen;
+        for (name, dur) in [
+            ("coarsen", self.pstats.coarsen_s),
+            ("initial", self.pstats.initial_s),
+            ("refine", self.pstats.refine_s),
+        ] {
+            self.emit(|| {
+                Event::span(ObsSource::Planner, name)
+                    .with_label(tier.label())
+                    .with_time(at, dur)
+            });
+            at += dur;
+        }
+        let mut out = self.output(layout, placement, plan, tier, near_hit);
+        out.passes = passes;
+        // Warm-accepted plans seed too, so the seed chain follows
+        // distribution drift. Only the partitioned tier seeds: greedy and
+        // static placements are not worth warm-starting from.
+        self.remember(
+            &out,
+            (tier == PlanTier::Partitioned).then_some(pre_pass_fwd_comm),
+        );
+        Ok(out)
     }
 }
 
@@ -1906,9 +1713,11 @@ mod tests {
             (2048, MaskSpec::Causal),
         ];
         let cold = p.plan(&seqs).unwrap();
-        assert!(!cold.stats.cache_hit);
+        assert!(!cold.stats.cache_hit && cold.times.total() > 0.0);
         let warm = p.plan(&seqs).unwrap();
         assert!(warm.stats.cache_hit);
+        // A hit ran no stage: it must not echo the cold plan's stage seconds.
+        assert_eq!(warm.times.total(), 0.0);
         // A fresh planner (empty cache) must produce the identical plan.
         let fresh = planner(2).plan(&seqs).unwrap();
         for out in [&warm, &fresh] {
@@ -1949,28 +1758,61 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_shared_across_clones_and_lru_bounded() {
+    fn caches_are_shared_across_clones_and_sized_by_the_config() {
         let p = Planner::new(
             ClusterSpec::p4de(1),
             AttnSpec::paper_micro(),
             PlannerConfig {
                 block_size: 1024,
                 plan_cache: 2,
+                incremental: IncrementalConfig {
+                    near_cache: 1,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         );
         let s1 = [(8192, MaskSpec::Causal)];
-        let s2 = [(12288, MaskSpec::Causal)];
-        let s3 = [(16384, MaskSpec::Causal)];
         p.plan(&s1).unwrap();
         // A clone sees the entry (shared cache).
         assert!(p.clone().plan(&s1).unwrap().stats.cache_hit);
-        // Fill past capacity: s3 evicts the least-recently-used entry (s1).
-        p.plan(&s2).unwrap();
-        p.plan(&s3).unwrap();
-        assert!(p.plan(&s3).unwrap().stats.cache_hit);
-        assert!(p.plan(&s2).unwrap().stats.cache_hit);
-        assert!(!p.plan(&s1).unwrap().stats.cache_hit, "s1 was evicted");
+        // Eviction itself is `lru_evicts_the_least_recently_used_key`.
+        assert_eq!(Lru::lock(&p.exact).cap, 2);
+        assert_eq!(Lru::lock(&p.near).cap, 1);
+    }
+
+    #[test]
+    fn lru_evicts_the_least_recently_used_key() {
+        // (capacity, operations, keys present afterwards): `+k` stores the
+        // operation's index under k, `?k` looks k up.
+        let cases: [(usize, &str, &[&str]); 5] = [
+            (0, "+a +b", &[]),
+            (1, "+a +b", &["b"]),
+            (2, "+a +b +c", &["b", "c"]),
+            // A lookup refreshes recency: `a` outlives the older-touched `b`.
+            (2, "+a +b ?a +c", &["a", "c"]),
+            // Re-inserting a present key replaces it and evicts nothing.
+            (2, "+a +b +a +c", &["a", "c"]),
+        ];
+        for (cap, ops, want) in cases {
+            let mut lru: Lru<usize> = Lru::new(cap);
+            for (i, op) in ops.split(' ').enumerate() {
+                match op.split_at(1) {
+                    ("+", key) => lru.insert(key.to_string(), Arc::new(i)),
+                    (_, key) => assert!(lru.get(key).is_some(), "cap {cap}: {ops}"),
+                }
+            }
+            let mut have: Vec<&str> = lru.entries.keys().map(String::as_str).collect();
+            have.sort_unstable();
+            assert_eq!(have, want, "cap {cap}: {ops}");
+        }
+        // The value stored last is the one served; lookups are counted.
+        let mut lru: Lru<usize> = Lru::new(1);
+        lru.insert("a".into(), Arc::new(1));
+        lru.insert("a".into(), Arc::new(2));
+        assert_eq!(lru.get("a").as_deref(), Some(&2));
+        assert_eq!(lru.get("b"), None);
+        assert_eq!((lru.hits, lru.misses), (1, 1));
     }
 
     #[test]
@@ -2026,7 +1868,7 @@ mod tests {
         // holding the guard (what a panicking plan under catch_unwind does).
         let p2 = p.clone();
         std::thread::spawn(move || {
-            let _guard = p2.cache.lock().unwrap();
+            let _guard = p2.exact.lock().unwrap();
             panic!("poisoned on purpose");
         })
         .join()
@@ -2168,34 +2010,5 @@ mod tests {
         let out = p.plan(&seqs).unwrap();
         assert!(!out.stats.near_hit);
         assert_eq!(p.near_cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn near_cache_is_lru_bounded() {
-        let p = Planner::new(
-            ClusterSpec::p4de(1),
-            AttnSpec::paper_micro(),
-            PlannerConfig {
-                block_size: 1024,
-                plan_cache: 0,
-                incremental: IncrementalConfig {
-                    enabled: true,
-                    near_cache: 1,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        let s1 = vec![(8192, MaskSpec::Causal)];
-        let s2 = vec![(12288, MaskSpec::Causal)];
-        p.plan(&s1).unwrap();
-        assert!(p.plan(&s1).unwrap().stats.near_hit, "s1's seed is live");
-        p.plan(&s2).unwrap(); // evicts s1's seed (capacity 1)
-                              // Cold again (the eviction check) — and this cold plan re-seeds s1.
-        assert!(
-            !p.plan(&s1).unwrap().stats.near_hit,
-            "s1's seed was evicted"
-        );
-        assert!(p.plan(&s1).unwrap().stats.near_hit, "s1 was re-seeded");
     }
 }

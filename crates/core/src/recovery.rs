@@ -73,16 +73,11 @@ use dcp_sched::{
     DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx,
     ReduceItem, ScheduleConfig, Transfer,
 };
-use dcp_sim::FaultSpec;
+use dcp_sim::{FaultSpec, MIN_CAPACITY_WEIGHT};
 use dcp_types::{DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
 use crate::planner::PlanOutput;
-
-/// Floor for fault-adjusted capacity weights, mirroring the planner's
-/// `MIN_NET_WEIGHT`: even a badly degraded survivor keeps a sliver of
-/// capacity so targets stay positive.
-const MIN_CAP_WEIGHT: f64 = 0.05;
 
 /// A device loss at a division boundary of the forward phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -332,35 +327,14 @@ impl RecoveryPlanner {
         self
     }
 
-    /// Per-physical-device capacity weights `[compute, bytes]` derived from
-    /// the fault spec, or `None` when no spec is set or it changes nothing
-    /// (so the healthy path stays byte-identical). Mirrors the planner's
-    /// `fault_weights`.
-    fn fault_caps(&self, n: u32) -> Option<Vec<[f64; 2]>> {
-        let spec = self.fault_spec.as_ref()?;
-        let n = n as usize;
-        let slow = spec.slowdowns(n);
-        let mut net = vec![1.0f64; n];
-        for (src, dst, factor) in spec.link_factors() {
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(factor.max(MIN_CAP_WEIGHT));
-                }
-            }
-        }
-        for (src, dst, _period, duty, factor) in spec.flapping_links() {
-            let mean = duty * factor + (1.0 - duty);
-            for d in [src, dst] {
-                if (d as usize) < n {
-                    net[d as usize] = net[d as usize].min(mean.max(MIN_CAP_WEIGHT));
-                }
-            }
-        }
-        let w: Vec<[f64; 2]> = (0..n)
-            .map(|d| [(1.0 / slow[d].max(1.0)).max(MIN_CAP_WEIGHT), net[d]])
-            .collect();
-        if w.iter().all(|x| x[0] >= 1.0 - 1e-12 && x[1] >= 1.0 - 1e-12) {
-            return None;
+    /// Survivor capacity weights `[compute, bytes]` over `n` physical
+    /// devices ([`FaultSpec::capacity_weights`]), `None` without a spec or
+    /// when it changes nothing. Compute is floored like bytes: a crawling
+    /// survivor keeps a sliver of capacity so its target stays positive.
+    fn capacity(&self, n: u32) -> Option<Vec<[f64; 2]>> {
+        let mut w = self.fault_spec.as_ref()?.capacity_weights(n as usize)?;
+        for x in &mut w {
+            x[0] = x[0].max(MIN_CAPACITY_WEIGHT);
         }
         Some(w)
     }
@@ -630,7 +604,7 @@ impl RecoveryPlanner {
         // between the post-recovery ideal and what each survivor already
         // has queued — scaled by estimated survivor health when a fault
         // spec is attached.
-        let caps = self.fault_caps(d_total);
+        let caps = self.capacity(d_total);
         let k_own = views[0].k;
         let mut queued: Vec<u64> = survivors
             .iter()
@@ -1232,7 +1206,7 @@ impl RecoveryPlanner {
         }
 
         // --- 3. Water-fill components over survivor backward capacity. ---
-        let caps = self.fault_caps(d_total);
+        let caps = self.capacity(d_total);
         let queued: Vec<u64> = survivors
             .iter()
             .map(|&s| remaining_flops(&bwd.devices[s as usize].instrs, ev.divisions_done))

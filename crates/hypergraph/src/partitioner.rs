@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::coarsen::{coarsen_to, coarsen_to_respecting};
+use crate::coarsen::{coarsen_to, coarsen_to_respecting, Level};
 use crate::graph::{Hypergraph, VertexWeight};
 use crate::initial::{initial_partition, is_balanced, Caps};
 use crate::refine::{rebalance, refine};
@@ -182,16 +182,8 @@ pub fn partition(hg: &Hypergraph, cfg: &PartitionConfig) -> DcpResult<Partition>
     partition_with_stats(hg, cfg).map(|(p, _)| p)
 }
 
-/// Like [`partition`], but also returns the per-stage wall-clock breakdown.
-///
-/// # Errors
-///
-/// Returns [`DcpError::InvalidArgument`] if `k == 0` or the hypergraph has no
-/// vertices.
-pub fn partition_with_stats(
-    hg: &Hypergraph,
-    cfg: &PartitionConfig,
-) -> DcpResult<(Partition, PartitionStats)> {
+/// The argument checks the cold and the warm entry point share.
+fn check_args(hg: &Hypergraph, cfg: &PartitionConfig) -> DcpResult<()> {
     if cfg.k == 0 {
         return Err(DcpError::invalid_argument("k must be > 0"));
     }
@@ -200,23 +192,107 @@ pub fn partition_with_stats(
             "cannot partition an empty hypergraph",
         ));
     }
-    if let Some(t) = &cfg.part_targets {
-        if t.len() != cfg.k as usize {
-            return Err(DcpError::invalid_argument(format!(
-                "part_targets has {} entries for k = {}",
-                t.len(),
-                cfg.k
-            )));
+    match &cfg.part_targets {
+        Some(t) if t.len() != cfg.k as usize => Err(DcpError::invalid_argument(format!(
+            "part_targets has {} entries for k = {}",
+            t.len(),
+            cfg.k
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// One run's fixed inputs, so the helpers below take the assignment alone.
+struct Run<'a> {
+    hg: &'a Hypergraph,
+    cfg: &'a PartitionConfig,
+    caps: Caps,
+    rng: SmallRng,
+}
+
+impl Run<'_> {
+    fn refine(&mut self, g: &Hypergraph, assignment: &mut [u32]) {
+        if self.cfg.refine_enabled {
+            let (k, passes) = (self.cfg.k, self.cfg.refine_passes);
+            refine(g, assignment, k, &self.caps, passes, &mut self.rng);
         }
     }
+
+    /// Refines `assignment` on the coarsest graph of `levels`, then projects
+    /// it down through every level to `self.hg`, refining at each.
+    fn uncoarsen(&mut self, levels: &[Level], mut assignment: Vec<u32>) -> Vec<u32> {
+        self.refine(
+            levels.last().map_or(self.hg, |l| &l.coarse),
+            &mut assignment,
+        );
+        for i in (0..levels.len()).rev() {
+            let fine = if i == 0 {
+                self.hg
+            } else {
+                &levels[i - 1].coarse
+            };
+            assignment = levels[i]
+                .fine_to_coarse
+                .iter()
+                .map(|&c| assignment[c as usize])
+                .collect();
+            self.refine(fine, &mut assignment);
+        }
+        assignment
+    }
+
+    /// Balance repair and a last polish at the finest level: the tail of the
+    /// cold pipeline and the whole of the warm one.
+    fn repair_and_polish(&mut self, assignment: &mut [u32]) {
+        if !self.is_balanced(assignment) {
+            rebalance(self.hg, assignment, self.cfg.k, &self.caps);
+        }
+        self.refine(self.hg, assignment);
+    }
+
+    fn is_balanced(&self, assignment: &[u32]) -> bool {
+        is_balanced(self.hg, assignment, self.cfg.k, &self.caps)
+    }
+
+    fn finish(self, assignment: Vec<u32>) -> Partition {
+        let cost = self.hg.connectivity_cost(&assignment, self.cfg.k);
+        let part_weights = self.hg.part_weights(&assignment, self.cfg.k);
+        let balanced = part_weights.iter().enumerate().all(|(p, w)| {
+            let cap = self.caps.at(p as u32);
+            w[0] <= cap[0] && w[1] <= cap[1]
+        });
+        Partition {
+            assignment,
+            cost,
+            part_weights,
+            balanced,
+            caps: self.caps.uniform,
+        }
+    }
+}
+
+/// Like [`partition`], but also returns the per-stage wall-clock breakdown.
+///
+/// # Errors
+///
+/// Returns [`DcpError::InvalidArgument`] if `k == 0`, the hypergraph has no
+/// vertices, or `part_targets` has the wrong length.
+pub fn partition_with_stats(
+    hg: &Hypergraph,
+    cfg: &PartitionConfig,
+) -> DcpResult<(Partition, PartitionStats)> {
+    check_args(hg, cfg)?;
     let k = cfg.k;
-    let caps = balance_caps_full(hg, cfg);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut run = Run {
+        hg,
+        cfg,
+        caps: balance_caps_full(hg, cfg),
+        rng: SmallRng::seed_from_u64(cfg.seed),
+    };
     let mut stats = PartitionStats::default();
 
     if k == 1 {
-        let assignment = vec![0u32; hg.num_vertices()];
-        return Ok((finish(hg, assignment, k, &caps), stats));
+        return Ok((run.finish(vec![0u32; hg.num_vertices()]), stats));
     }
 
     // Coarsen.
@@ -231,48 +307,18 @@ pub fn partition_with_stats(
         (total[1] / (k as u64 * 8)).max(1),
     ];
     let t = Instant::now();
-    let levels = coarsen_to(hg, target, max_cluster, &mut rng);
+    let levels = coarsen_to(hg, target, max_cluster, &mut run.rng);
     stats.coarsen_s += t.elapsed().as_secs_f64();
     stats.levels = levels.len() as u32;
     let coarsest = levels.last().map_or(hg, |l| &l.coarse);
 
     // Initial partition on the coarsest level.
     let t = Instant::now();
-    let mut assignment = initial_partition(coarsest, k, &caps, cfg.initial_tries, &mut rng);
+    let assignment = initial_partition(coarsest, k, &run.caps, cfg.initial_tries, &mut run.rng);
     stats.initial_s += t.elapsed().as_secs_f64();
     let t = Instant::now();
-    if cfg.refine_enabled {
-        refine(
-            coarsest,
-            &mut assignment,
-            k,
-            &caps,
-            cfg.refine_passes,
-            &mut rng,
-        );
-    }
-
-    // Uncoarsen: project through the levels, refining at each.
-    for i in (0..levels.len()).rev() {
-        let fine: &Hypergraph = if i == 0 { hg } else { &levels[i - 1].coarse };
-        let map = &levels[i].fine_to_coarse;
-        let mut fine_assignment = vec![0u32; fine.num_vertices()];
-        for v in 0..fine.num_vertices() {
-            fine_assignment[v] = assignment[map[v] as usize];
-        }
-        assignment = fine_assignment;
-        if cfg.refine_enabled {
-            refine(fine, &mut assignment, k, &caps, cfg.refine_passes, &mut rng);
-        }
-    }
-
-    // Final balance repair and polish at the finest level.
-    if !is_balanced(hg, &assignment, k, &caps) {
-        rebalance(hg, &mut assignment, k, &caps);
-    }
-    if cfg.refine_enabled {
-        refine(hg, &mut assignment, k, &caps, cfg.refine_passes, &mut rng);
-    }
+    let mut assignment = run.uncoarsen(&levels, assignment);
+    run.repair_and_polish(&mut assignment);
     stats.refine_s += t.elapsed().as_secs_f64();
 
     // V-cycles: re-coarsen respecting the partition, refine back up.
@@ -282,7 +328,8 @@ pub fn partition_with_stats(
         }
         let before = hg.connectivity_cost(&assignment, k);
         let t = Instant::now();
-        let levels = coarsen_to_respecting(hg, target, max_cluster, &mut rng, Some(&assignment));
+        let levels =
+            coarsen_to_respecting(hg, target, max_cluster, &mut run.rng, Some(&assignment));
         stats.coarsen_s += t.elapsed().as_secs_f64();
         if levels.is_empty() {
             break;
@@ -298,30 +345,17 @@ pub fn partition_with_stats(
             }
             coarse = next;
         }
-        let mut a = coarse;
-        let coarsest = &levels.last().expect("nonempty").coarse;
         let t = Instant::now();
-        refine(coarsest, &mut a, k, &caps, cfg.refine_passes, &mut rng);
-        for i in (0..levels.len()).rev() {
-            let fine: &Hypergraph = if i == 0 { hg } else { &levels[i - 1].coarse };
-            let map = &levels[i].fine_to_coarse;
-            let mut fine_assignment = vec![0u32; fine.num_vertices()];
-            for v in 0..fine.num_vertices() {
-                fine_assignment[v] = a[map[v] as usize];
-            }
-            a = fine_assignment;
-            refine(fine, &mut a, k, &caps, cfg.refine_passes, &mut rng);
-        }
+        let a = run.uncoarsen(&levels, coarse);
         stats.refine_s += t.elapsed().as_secs_f64();
         let after = hg.connectivity_cost(&a, k);
-        if after < before && is_balanced(hg, &a, k, &caps) == is_balanced(hg, &assignment, k, &caps)
-        {
+        if after < before && run.is_balanced(&a) == run.is_balanced(&assignment) {
             assignment = a;
         } else if after >= before {
             break;
         }
     }
-    Ok((finish(hg, assignment, k, &caps), stats))
+    Ok((run.finish(assignment), stats))
 }
 
 /// Refines a caller-supplied seed assignment ("warm start") instead of
@@ -348,14 +382,7 @@ pub fn partition_warm_with_stats(
     cfg: &PartitionConfig,
     seed: &[u32],
 ) -> DcpResult<(Partition, PartitionStats)> {
-    if cfg.k == 0 {
-        return Err(DcpError::invalid_argument("k must be > 0"));
-    }
-    if hg.num_vertices() == 0 {
-        return Err(DcpError::invalid_argument(
-            "cannot partition an empty hypergraph",
-        ));
-    }
+    check_args(hg, cfg)?;
     if seed.len() != hg.num_vertices() {
         return Err(DcpError::invalid_argument(format!(
             "warm seed has {} entries for {} vertices",
@@ -369,64 +396,20 @@ pub fn partition_warm_with_stats(
             cfg.k
         )));
     }
-    if let Some(t) = &cfg.part_targets {
-        if t.len() != cfg.k as usize {
-            return Err(DcpError::invalid_argument(format!(
-                "part_targets has {} entries for k = {}",
-                t.len(),
-                cfg.k
-            )));
-        }
-    }
-    let caps = balance_caps_full(hg, cfg);
-    let mut stats = PartitionStats::default();
+    let mut run = Run {
+        hg,
+        cfg,
+        caps: balance_caps_full(hg, cfg),
+        rng: SmallRng::seed_from_u64(cfg.seed),
+    };
     let mut assignment = seed.to_vec();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let t = Instant::now();
-    if !is_balanced(hg, &assignment, cfg.k, &caps) {
-        rebalance(hg, &mut assignment, cfg.k, &caps);
-    }
-    if cfg.refine_enabled {
-        refine(
-            hg,
-            &mut assignment,
-            cfg.k,
-            &caps,
-            cfg.refine_passes,
-            &mut rng,
-        );
-    }
-    stats.refine_s += t.elapsed().as_secs_f64();
-    Ok((finish(hg, assignment, cfg.k, &caps), stats))
-}
-
-/// [`partition_warm_with_stats`] without the stage breakdown.
-///
-/// # Errors
-///
-/// Same contract as [`partition_warm_with_stats`].
-pub fn partition_warm(
-    hg: &Hypergraph,
-    cfg: &PartitionConfig,
-    seed: &[u32],
-) -> DcpResult<Partition> {
-    partition_warm_with_stats(hg, cfg, seed).map(|(p, _)| p)
-}
-
-fn finish(hg: &Hypergraph, assignment: Vec<u32>, k: u32, caps: &Caps) -> Partition {
-    let cost = hg.connectivity_cost(&assignment, k);
-    let part_weights = hg.part_weights(&assignment, k);
-    let balanced = part_weights.iter().enumerate().all(|(p, w)| {
-        let cap = caps.at(p as u32);
-        w[0] <= cap[0] && w[1] <= cap[1]
-    });
-    Partition {
-        assignment,
-        cost,
-        part_weights,
-        balanced,
-        caps: caps.uniform,
-    }
+    run.repair_and_polish(&mut assignment);
+    let stats = PartitionStats {
+        refine_s: t.elapsed().as_secs_f64(),
+        ..Default::default()
+    };
+    Ok((run.finish(assignment), stats))
 }
 
 #[cfg(test)]
@@ -636,7 +619,7 @@ mod tests {
             seed[v] = 0;
         }
         let cfg = PartitionConfig::new(4).with_epsilon(0.1);
-        let warm = partition_warm(&hg, &cfg, &seed).unwrap();
+        let (warm, _) = partition_warm_with_stats(&hg, &cfg, &seed).unwrap();
         assert!(warm.balanced, "part weights: {:?}", warm.part_weights);
         assert_eq!(warm.cost, hg.connectivity_cost(&warm.assignment, 4));
         // Refinement from a near-truth seed must not be worse than the
@@ -649,14 +632,14 @@ mod tests {
         let (hg, truth) = planted(2, 8, 1);
         let cfg = PartitionConfig::new(2);
         // Wrong length.
-        assert!(partition_warm(&hg, &cfg, &truth[1..]).is_err());
+        assert!(partition_warm_with_stats(&hg, &cfg, &truth[1..]).is_err());
         // Out-of-range part.
         let mut bad = truth.clone();
         bad[0] = 9;
-        assert!(partition_warm(&hg, &cfg, &bad).is_err());
+        assert!(partition_warm_with_stats(&hg, &cfg, &bad).is_err());
         // part_targets length mismatch.
         let cfg_bad = PartitionConfig::new(2).with_part_targets(vec![[1, 1]; 3]);
-        assert!(partition_warm(&hg, &cfg_bad, &truth).is_err());
+        assert!(partition_warm_with_stats(&hg, &cfg_bad, &truth).is_err());
     }
 
     proptest! {

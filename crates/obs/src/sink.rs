@@ -2,8 +2,8 @@
 //!
 //! [`ObsSink`] is the one trait instrumented code talks to. The
 //! [`NoopSink`] reports `enabled() == false`, which instrumentation sites
-//! use to skip clock reads and event construction entirely — the disabled
-//! cost is a single branch per site. The [`RecordingSink`] appends every
+//! use to skip event construction — and, where nothing else needs the
+//! seconds, the clock reads too. The [`RecordingSink`] appends every
 //! event to an in-memory log, assigning sequence numbers in arrival order;
 //! because all library emission happens on serial, plan-ordered paths,
 //! the recorded stream is bitwise deterministic across thread counts.
@@ -158,41 +158,35 @@ impl std::fmt::Debug for ObsHandle {
     }
 }
 
-/// RAII span guard: captures the clock on entry (only when the sink is
-/// enabled) and records the prototype event with measured timing on drop.
+/// RAII span guard: reads the clock on entry and, when the sink is enabled,
+/// records the prototype event with the measured timing on [`Span::finish`]
+/// or drop. The clock is read whether or not the sink records, because
+/// callers such as the planner report stage seconds either way; only event
+/// recording is skipped when disabled.
 ///
 /// ```
 /// use dcp_obs::{Event, RecordingSink, Source, Span};
 /// let sink = RecordingSink::new();
-/// {
-///     let _span = Span::enter(&sink, Event::span(Source::Planner, "schedule"));
-/// }
+/// let secs = Span::enter(&sink, Event::span(Source::Planner, "schedule")).finish();
 /// assert_eq!(sink.events()[0].name, "schedule");
+/// assert_eq!(sink.events()[0].dur_s, secs);
 /// ```
 pub struct Span<'a> {
     sink: &'a dyn ObsSink,
+    /// The pending event; `None` once recorded or when the sink is disabled.
     proto: Option<Event>,
-    started: Option<Instant>,
+    started: Instant,
     base: Option<Instant>,
 }
 
 impl<'a> Span<'a> {
-    /// Opens a span; inert (no clock read) when the sink is disabled.
+    /// Opens a span starting now.
     pub fn enter(sink: &'a dyn ObsSink, proto: Event) -> Self {
-        if sink.enabled() {
-            Span {
-                sink,
-                proto: Some(proto),
-                started: Some(Instant::now()),
-                base: None,
-            }
-        } else {
-            Span {
-                sink,
-                proto: None,
-                started: None,
-                base: None,
-            }
+        Span {
+            sink,
+            proto: sink.enabled().then_some(proto),
+            started: Instant::now(),
+            base: None,
         }
     }
 
@@ -200,9 +194,7 @@ impl<'a> Span<'a> {
     /// spans of one recording share a time origin.
     pub fn enter_at(sink: &'a dyn ObsSink, proto: Event, base: Instant) -> Self {
         let mut s = Span::enter(sink, proto);
-        if s.proto.is_some() {
-            s.base = Some(base);
-        }
+        s.base = Some(base);
         s
     }
 
@@ -214,20 +206,21 @@ impl<'a> Span<'a> {
         }
     }
 
-    /// Closes the span early, recording it now.
-    pub fn finish(mut self) {
-        self.close();
+    /// Closes the span, recording it now, and returns the measured seconds
+    /// (also when the sink is disabled).
+    pub fn finish(mut self) -> f64 {
+        self.close()
     }
 
-    fn close(&mut self) {
-        if let (Some(proto), Some(started)) = (self.proto.take(), self.started.take()) {
-            let dur = started.elapsed().as_secs_f64();
-            let start = match self.base {
-                Some(base) => (started - base).as_secs_f64(),
-                None => 0.0,
-            };
+    fn close(&mut self) -> f64 {
+        let dur = self.started.elapsed().as_secs_f64();
+        if let Some(proto) = self.proto.take() {
+            let start = self
+                .base
+                .map_or(0.0, |base| (self.started - base).as_secs_f64());
             self.sink.record(proto.with_time(start, dur));
         }
+        dur
     }
 }
 
@@ -247,7 +240,10 @@ mod tests {
         let s = NoopSink;
         assert!(!s.enabled());
         s.record(Event::instant(Source::Planner, "x"));
-        let _span = Span::enter(&s, Event::span(Source::Planner, "y"));
+        // A span on a disabled sink records nothing but still measures.
+        let span = Span::enter(&s, Event::span(Source::Planner, "y"));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(span.finish() >= 1e-3);
     }
 
     #[test]
@@ -276,10 +272,19 @@ mod tests {
             let mut sp = Span::enter(&s, Event::span(Source::Executor, "attn"));
             sp.update(|e| e.flops = Some(7));
         }
+        let base = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let secs = Span::enter_at(&s, Event::span(Source::Planner, "place"), base).finish();
         let evs = s.events();
-        assert_eq!(evs.len(), 1);
+        assert_eq!(
+            evs.len(),
+            2,
+            "finish records once; the drop after it is inert"
+        );
         assert_eq!(evs[0].flops, Some(7));
-        assert!(evs[0].dur_s >= 0.0);
+        assert!(evs[0].dur_s >= 0.0 && evs[0].start_s == 0.0);
+        assert_eq!(evs[1].dur_s, secs);
+        assert!(evs[1].start_s >= 1e-3, "start is relative to the base");
     }
 
     #[test]

@@ -20,6 +20,11 @@ use serde::{Deserialize, Serialize};
 /// modeled as a near-total bandwidth collapse rather than a hard stop.
 pub const FAILED_LINK_FACTOR: f64 = 1e-3;
 
+/// Floor on a fault-derived capacity weight: even a near-dead link (or, for
+/// callers that also floor compute, a crawling straggler) keeps a sliver of
+/// capacity, so no placement target is driven to zero.
+pub const MIN_CAPACITY_WEIGHT: f64 = 0.05;
+
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Fault {
@@ -103,8 +108,6 @@ impl FaultSpec {
     }
 
     /// Per-device kernel slowdown factors (1.0 = nominal) for `n` devices.
-    /// Public so the planner can down-weight straggler capacity when
-    /// placing blocks fault-aware.
     pub fn slowdowns(&self, n: usize) -> Vec<f64> {
         let mut s = vec![1.0; n];
         for f in &self.faults {
@@ -134,8 +137,7 @@ impl FaultSpec {
     /// deduplicated multiplicatively in declaration order. Degenerate
     /// flapping (`duty >= 1` or `period_s <= 0`, i.e. the link never
     /// recovers) folds in here, which is what makes it bitwise identical
-    /// to [`Fault::DegradedLink`]. Public so the planner can penalize
-    /// degraded links when placing blocks fault-aware.
+    /// to [`Fault::DegradedLink`].
     pub fn link_factors(&self) -> Vec<(u32, u32, f64)> {
         let mut out: Vec<(u32, u32, f64)> = Vec::new();
         for f in &self.faults {
@@ -186,6 +188,34 @@ impl FaultSpec {
             }
         }
         out
+    }
+
+    /// Per-device capacity weights `[compute, bytes]` for placing work on
+    /// `n` devices *around* this spec: compute ∝ 1/slowdown, bytes ∝ the
+    /// rate factor of the device's worst incident link (a flapping link
+    /// counts its duty-weighted mean), floored at [`MIN_CAPACITY_WEIGHT`].
+    /// `None` when the spec changes nothing, so the healthy path stays
+    /// byte-identical to a fault-blind one.
+    pub fn capacity_weights(&self, n: usize) -> Option<Vec<[f64; 2]>> {
+        let mut w: Vec<[f64; 2]> = self
+            .slowdowns(n)
+            .iter()
+            .map(|s| [1.0 / s.max(1.0), 1.0])
+            .collect();
+        let flapping = self
+            .flapping_links()
+            .into_iter()
+            .map(|(src, dst, _period, duty, factor)| (src, dst, duty * factor + (1.0 - duty)));
+        for (src, dst, factor) in self.link_factors().into_iter().chain(flapping) {
+            for d in [src, dst] {
+                if let Some(x) = w.get_mut(d as usize) {
+                    x[1] = x[1].min(factor.max(MIN_CAPACITY_WEIGHT));
+                }
+            }
+        }
+        w.iter()
+            .any(|x| x[0] < 1.0 - 1e-12 || x[1] < 1.0 - 1e-12)
+            .then_some(w)
     }
 }
 
@@ -378,6 +408,43 @@ mod tests {
             ],
         };
         assert_eq!(s.flapping_links(), vec![(0, 1, 0.02, 0.25, 0.4)]);
+    }
+
+    #[test]
+    fn capacity_weights_follow_slowdowns_and_worst_incident_link() {
+        assert_eq!(FaultSpec::none().capacity_weights(4), None);
+        let s = FaultSpec {
+            seed: 0,
+            faults: vec![
+                Fault::Straggler {
+                    device: 1,
+                    slowdown: 4.0,
+                },
+                Fault::DegradedLink {
+                    src: 0,
+                    dst: 2,
+                    factor: 0.5,
+                },
+                // Below the floor; device 9 is out of range and ignored.
+                Fault::FailedLink { src: 2, dst: 9 },
+                Fault::FlappingLink {
+                    src: 3,
+                    dst: 0,
+                    period_s: 0.01,
+                    duty: 0.5,
+                    factor: 0.5,
+                },
+            ],
+        };
+        assert_eq!(
+            s.capacity_weights(4),
+            Some(vec![
+                [1.0, 0.5],
+                [0.25, 1.0],
+                [1.0, MIN_CAPACITY_WEIGHT],
+                [1.0, 0.75]
+            ])
+        );
     }
 
     #[test]

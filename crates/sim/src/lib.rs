@@ -28,7 +28,7 @@ pub mod network;
 pub mod sim;
 pub mod trace;
 
-pub use fault::{estimate_fault_spec, Fault, FaultSpec, FAILED_LINK_FACTOR};
+pub use fault::{estimate_fault_spec, Fault, FaultSpec, FAILED_LINK_FACTOR, MIN_CAPACITY_WEIGHT};
 pub use sim::{
     simulate_phase, simulate_phase_counted, simulate_phase_faulted, simulate_phase_scratch,
     simulate_phase_traced, simulate_plan, simulate_plan_faulted, DeviceTimeline, PhaseSim, PlanSim,

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dcp::blocks::TokenBlockId;
-use dcp::core::{DcpDataloader, Planner, PlannerConfig};
+use dcp::core::{DcpDataloader, IncrementalConfig, Planner, PlannerConfig};
 use dcp::data::Batch;
 use dcp::exec::{execute_backward_obs, execute_forward_obs, BatchData, ExecObs};
 use dcp::mask::MaskSpec;
@@ -26,7 +26,7 @@ use dcp::obs::{
     RecordingSink,
 };
 use dcp::sim::{simulate_phase_traced, trace_to_obs};
-use dcp::types::{AttnSpec, ClusterSpec};
+use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,12 +134,11 @@ const EXECUTOR_IDENTITY_GOLDEN: u64 = 16_661_483_682_922_942_827;
 /// FNV-1a over the identity of every executor event, in stream order: name,
 /// device, phase, division, comm id, bytes, flops, value bits and `seq`.
 fn executor_identity_hash(events: &[Event]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in events
+    let executor = events
         .iter()
-        .filter(|e| e.source == dcp::obs::Source::Executor)
-    {
-        let line = format!(
+        .filter(|e| e.source == dcp::obs::Source::Executor);
+    fnv1a(executor.map(|e| {
+        format!(
             "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}\n",
             e.name,
             e.kind,
@@ -151,12 +150,82 @@ fn executor_identity_hash(events: &[Event]) -> u64 {
             e.flops,
             e.value.map(f64::to_bits),
             e.seq
-        );
-        for b in line.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        )
+    }))
+}
+
+/// FNV-1a over the bytes of `lines`, in order.
+fn fnv1a(lines: impl Iterator<Item = String>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines.flat_map(String::into_bytes) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a of the `Debug` form of every event's identity in
+/// [`planner_capture`]'s stream, computed at the commit before the planner's
+/// stages moved onto `dcp_obs::Span`: same events, labels, `iter` stamps and
+/// order.
+const PLANNER_IDENTITY_GOLDEN: u64 = 9_858_070_285_007_540_427;
+
+/// Every way a `plan()` call can end, in a fixed order on one sink: cold
+/// plan, exact hit, identical replay, warm drift accepted, warm drift
+/// rejected (so planned cold), and an ε-infeasible partition that falls
+/// through the gated greedy tier to the static one.
+fn planner_capture() -> Vec<Event> {
+    let sink = Arc::new(RecordingSink::new());
+    let handle = ObsHandle::new(sink.clone());
+    let mk = |cfg: PlannerConfig| {
+        Planner::new(ClusterSpec::p4de(2), AttnSpec::new(4, 2, 16, 1), cfg).with_obs(handle.clone())
+    };
+    let warm_cfg = |max_regression: f64| PlannerConfig {
+        plan_cache: 0,
+        incremental: IncrementalConfig {
+            enabled: true,
+            max_regression,
+            ..Default::default()
+        },
+        ..planner_cfg()
+    };
+    let base = skewed_batch();
+    // Same block counts and masks, different lengths: a near hit.
+    let drifted: Vec<(u32, MaskSpec)> = base.iter().map(|(l, m)| (l - 3, m.clone())).collect();
+
+    let cached = mk(planner_cfg());
+    let cold = cached.plan_for_iter(&base, Some(0)).expect("cold");
+    assert!(!cold.stats.cache_hit && !cold.stats.near_hit);
+    let hit = cached.plan_for_iter(&base, Some(1)).expect("exact hit");
+    assert!(hit.stats.cache_hit);
+
+    let warm = mk(warm_cfg(1.25));
+    warm.plan_for_iter(&base, Some(2)).expect("seed");
+    let replay = warm.plan_for_iter(&base, Some(3)).expect("replay");
+    assert!(replay.stats.near_hit && replay.stats.schedule_s == 0.0);
+    let drift = warm.plan_for_iter(&drifted, Some(4)).expect("drift");
+    assert!(drift.stats.near_hit && drift.stats.schedule_s > 0.0);
+
+    let strict = mk(warm_cfg(1e-9));
+    strict.plan_for_iter(&base, Some(5)).expect("seed");
+    let rejected = strict.plan_for_iter(&drifted, Some(6)).expect("rejected");
+    assert!(!rejected.stats.near_hit && strict.near_cache_stats().0 == 1);
+
+    // The greedy plan simulates 1.46x the partitioned estimate, the static
+    // one 1.24x: the gate rejects the first and ships the second.
+    let infeasible = mk(PlannerConfig {
+        eps_intra: 0.0,
+        strict_epsilon: true,
+        max_fallback_regression: 1.35,
+        ..planner_cfg()
+    });
+    let fell = infeasible.plan_for_iter(&base, Some(7)).expect("fallback");
+    assert_eq!(fell.tier, PlanTier::Static, "{:?}", fell.fallback_reason);
+
+    sink.drain()
+}
+
+fn planner_identity_hash(events: &[Event]) -> u64 {
+    fnv1a(identities(events).iter().map(|e| format!("{e:?}\n")))
 }
 
 #[test]
@@ -167,6 +236,11 @@ fn event_stream_is_identical_across_thread_counts() {
     for threads in ["1", "2", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         streams.push((threads, capture()));
+        assert_eq!(
+            planner_identity_hash(&planner_capture()),
+            PLANNER_IDENTITY_GOLDEN,
+            "the planner's event identity stream changed (RAYON_NUM_THREADS={threads})"
+        );
     }
     match saved {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),

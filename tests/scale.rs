@@ -10,10 +10,13 @@
 //! The CI thread matrix re-runs this at `RAYON_NUM_THREADS` 1/2/8, so the
 //! pin doubles as the cross-thread-count determinism check.
 
-use dcp::core::{Planner, PlannerConfig};
+use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPlanner};
+use dcp::core::{IncrementalConfig, PlanOutput, Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
-use dcp::sim::{simulate_phase_counted, simulate_phase_scratch, simulate_plan};
-use dcp::types::{AttnSpec, ClusterSpec};
+use dcp::sim::{
+    simulate_phase, simulate_phase_counted, simulate_phase_scratch, simulate_plan, Fault, FaultSpec,
+};
+use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
 
 fn golden_batch() -> Vec<(u32, MaskSpec)> {
     vec![
@@ -148,4 +151,205 @@ fn incremental_engine_matches_scratch_on_golden_plans() {
             );
         }
     }
+}
+
+/// `[placement fnv, fwd makespan bits, bwd makespan bits, comm bytes]` of a
+/// finished plan: the pin the goldens in this file are written in.
+fn plan_pin(cluster: &ClusterSpec, out: &PlanOutput) -> [u64; 4] {
+    let sim = simulate_plan(cluster, &out.plan).unwrap();
+    [
+        placement_fnv(&out.placement),
+        sim.fwd.makespan.to_bits(),
+        sim.bwd.makespan.to_bits(),
+        out.plan.total_comm_bytes(),
+    ]
+}
+
+/// [`golden_batch`] with every length a few tokens short: the same block
+/// counts and masks, so it near-hits the seed the golden batch left behind
+/// but is not block-identical to it.
+fn drifted_batch() -> Vec<(u32, MaskSpec)> {
+    golden_batch()
+        .into_iter()
+        .map(|(len, mask)| (len - 5, mask))
+        .collect()
+}
+
+fn warm_planner(cluster: &ClusterSpec) -> Planner {
+    Planner::new(
+        cluster.clone(),
+        AttnSpec::paper_micro(),
+        PlannerConfig {
+            block_size: 1024,
+            plan_cache: 0,
+            incremental: IncrementalConfig {
+                enabled: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+}
+
+fn one_straggler_one_slow_link() -> FaultSpec {
+    FaultSpec {
+        seed: 0,
+        faults: vec![
+            Fault::Straggler {
+                device: 3,
+                slowdown: 2.5,
+            },
+            Fault::DegradedLink {
+                src: 9,
+                dst: 1,
+                factor: 0.25,
+            },
+        ],
+    }
+}
+
+/// Pins captured at the commit before cold and warm placement, the two
+/// caches and the fault weights were merged into one implementation each.
+#[test]
+fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
+    // (a) Warm drift re-plan through the two-level hierarchy.
+    let flat = ClusterSpec::p4de(2);
+    let p = warm_planner(&flat);
+    p.plan(&golden_batch()).unwrap();
+    let warm = p.plan(&drifted_batch()).unwrap();
+    assert!(warm.stats.near_hit && warm.stats.schedule_s > 0.0);
+    assert_eq!(
+        plan_pin(&flat, &warm),
+        [
+            0xfac48178649dcfb8,
+            0x3f70c0b75493222b,
+            0x3f848e46b19c70ad,
+            1340625440
+        ],
+        "warm drift re-plan on p4de(2)"
+    );
+
+    // (b) Cold plan around a straggler and a degraded link: the fault
+    // weights reach both levels of the hierarchy.
+    let faulted = Planner::new(
+        flat.clone(),
+        AttnSpec::paper_micro(),
+        PlannerConfig {
+            block_size: 1024,
+            fault_spec: Some(one_straggler_one_slow_link()),
+            ..Default::default()
+        },
+    )
+    .plan(&golden_batch())
+    .unwrap();
+    assert_eq!(faulted.tier, PlanTier::Partitioned);
+    assert_eq!(
+        plan_pin(&flat, &faulted),
+        [
+            0x2282ce4e2acf9e37,
+            0x3f720434be59b039,
+            0x3f8629a7407fe8a2,
+            1419640832
+        ],
+        "fault-aware cold plan on p4de(2)"
+    );
+
+    // (c) Three levels (leaves, nodes, devices), cold then warm.
+    let spine = ClusterSpec::p4de_spine(4, 2, 4.0);
+    let p = warm_planner(&spine);
+    let cold = p.plan(&golden_batch()).unwrap();
+    assert_eq!(
+        plan_pin(&spine, &cold),
+        [
+            0x28220176df277219,
+            0x3f6ff13a889757d4,
+            0x3f807e41a0a177ef,
+            2179989504
+        ],
+        "cold plan on the spine"
+    );
+    let warm = p.plan(&drifted_batch()).unwrap();
+    assert!(warm.stats.near_hit && warm.stats.schedule_s > 0.0);
+    assert_eq!(
+        plan_pin(&spine, &warm),
+        [
+            0xe21bb6e8ebd8916f,
+            0x3f701c92613a6d1d,
+            0x3f805bf9d5473576,
+            2168773376
+        ],
+        "warm drift re-plan on the spine"
+    );
+}
+
+/// One fault-aware recovery patch, pinned at the same commit. Every survivor
+/// is a straggler, most of them slow enough (x40 to x400) that the recovery
+/// planner's floor on compute weights, not the slowdown, decides their
+/// target: without the floor the x40 survivors would be given ten times the
+/// x400 ones' share instead of the same, and half the x10 ones' instead of a
+/// quarter.
+#[test]
+fn fault_aware_recovery_patch_is_bitwise_pinned() {
+    let cluster = ClusterSpec::single_node(8);
+    let out = Planner::new(
+        cluster.clone(),
+        AttnSpec::new(4, 2, 8, 2),
+        PlannerConfig {
+            block_size: 16,
+            ..Default::default()
+        },
+    )
+    .plan(&[
+        (200, MaskSpec::Causal),
+        (
+            160,
+            MaskSpec::Lambda {
+                sink: 4,
+                window: 24,
+            },
+        ),
+        (120, MaskSpec::Causal),
+        (96, MaskSpec::Causal),
+        (64, MaskSpec::Causal),
+    ])
+    .unwrap();
+    let spec = FaultSpec {
+        seed: 0,
+        faults: (1..8u32)
+            .map(|device| Fault::Straggler {
+                device,
+                slowdown: [10.0, 40.0, 100.0, 400.0][device as usize % 4],
+            })
+            .chain([Fault::DegradedLink {
+                src: 1,
+                dst: 6,
+                factor: 0.2,
+            }])
+            .collect(),
+    };
+    let patch = RecoveryPlanner::new(RecoveryConfig::default())
+        .with_fault_spec(spec)
+        .plan_recovery(
+            &out,
+            &FailureEvent {
+                device: 0,
+                divisions_done: 1,
+            },
+        )
+        .unwrap();
+    let timing = simulate_phase(&cluster, &patch.timing).unwrap();
+    assert_eq!(
+        [
+            placement_fnv(&patch.placement),
+            placement_fnv(&patch.bwd_placement),
+            timing.makespan.to_bits(),
+            patch.timing.total_comm_bytes(),
+        ],
+        [
+            0x9e6ac8edc970bbbb,
+            0x7881bf953914e411,
+            0x3f284007790b7ae1,
+            36416
+        ]
+    );
 }
