@@ -6,7 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcp_blocks::{BatchLayout, BlockConfig};
 use dcp_core::Planner;
-use dcp_hypergraph::{partition, refine, Hypergraph, HypergraphBuilder, PartitionConfig};
+use dcp_hypergraph::{
+    partition, refine, Hypergraph, HypergraphBuilder, PartitionConfig, PartitionWork,
+};
 use dcp_mask::MaskSpec;
 use dcp_types::AttnSpec;
 use rand::rngs::SmallRng;
@@ -110,7 +112,15 @@ fn bench_refinement(c: &mut Criterion) {
             b.iter(|| {
                 let mut a = start.clone();
                 let mut rng = SmallRng::seed_from_u64(7);
-                refine::refine(&hg, &mut a, 8, &caps.into(), 8, &mut rng)
+                refine::refine(
+                    &hg,
+                    &mut a,
+                    8,
+                    &caps.into(),
+                    8,
+                    &mut rng,
+                    &mut PartitionWork::default(),
+                )
             })
         });
         group.bench_with_input(

@@ -8,7 +8,7 @@ use std::time::Instant;
 use dcp_blocks::{BatchLayout, BlockConfig, CompBlock, CompBlockId, TokenBlock, TokenBlockId};
 use dcp_hypergraph::{
     partition_warm_with_stats, partition_with_stats, HgArena, Hypergraph, HypergraphBuilder,
-    PartitionConfig, PartitionStats, VertexWeight,
+    PartitionConfig, PartitionStats, PartitionWork, VertexWeight,
 };
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event, ObsHandle, Source as ObsSource, Span};
@@ -206,6 +206,11 @@ pub struct PlanStats {
     pub schedule_s: f64,
     /// End-to-end seconds for this `plan()` call.
     pub total_s: f64,
+    /// The partitioner's deterministic work counters, summed over every
+    /// sub-partition (matching levels, rounds, proposals, pins scanned; FM
+    /// moves applied and rolled back).
+    #[serde(default)]
+    pub work: PartitionWork,
 }
 
 /// Everything the planner produces for one batch. Serializable so planned
@@ -1175,6 +1180,7 @@ impl<'a> Call<'a> {
                 refine_s: self.pstats.refine_s,
                 schedule_s: self.times.schedule,
                 total_s: self.origin.elapsed().as_secs_f64(),
+                work: self.pstats.work,
             },
             passes: Vec::new(),
         }

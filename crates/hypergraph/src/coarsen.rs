@@ -6,19 +6,20 @@
 //! dedups pins, drops edges that collapse below two pins, and merges
 //! parallel edges (identical pin sets) by summing their weights.
 //!
-//! Matching is split into a **parallel proposal** phase — every unmatched
-//! vertex independently rates its neighbors against an immutable snapshot
-//! of the current matching — and a **serial resolution** phase that greedily
-//! commits proposals in a seed-shuffled order. Proposals are pure functions
-//! of the snapshot with a deterministic tie-break, and the single RNG draw
-//! (the shuffle) happens on the serial path, so the result is bitwise
-//! identical at every `RAYON_NUM_THREADS`.
+//! Matching runs in waves over a seed-shuffled vertex order: every
+//! unmatched vertex of a wave rates its neighbors against the matching as
+//! it stood when the wave began, then the wave's proposals are committed in
+//! wave order; vertices whose proposal was claimed first re-propose in a
+//! later round. A matched vertex never becomes unmatched, so each level
+//! keeps, per edge, the list of pins not yet seen matched ([`ActivePins`])
+//! and a scan drops the matched ones for good: later proposals over the
+//! same edge no longer visit them.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 
 use crate::graph::{Hypergraph, VertexWeight};
+use crate::partitioner::PartitionWork;
 
 /// One coarsening level: the coarse hypergraph plus the mapping from fine
 /// vertices to coarse vertices.
@@ -40,78 +41,130 @@ const MAX_RATED_EDGE: usize = 512;
 /// rounds shrink geometrically, so the bound is rarely reached.
 const MAX_MATCH_ROUNDS: usize = 8;
 
-/// Scratch for rating accumulation: a dense per-candidate accumulator reset
-/// between vertices via a touch list (cheaper than sorting contribution
-/// lists — a vertex can receive hundreds of contributions through large
-/// edges).
-struct RatingScratch {
-    rating: Vec<f64>,
-    touched: Vec<u32>,
+/// A candidate's rating so far in proposal number `turn` of the level
+/// (stale otherwise): a dense per-vertex accumulator that is never swept
+/// clean — a vertex can receive hundreds of contributions through large
+/// edges, and most vertices none.
+#[derive(Clone, Copy, Default)]
+struct Rated {
+    rating: f64,
+    turn: u32,
 }
 
-impl RatingScratch {
-    fn new(n: usize) -> Self {
-        RatingScratch {
-            rating: vec![0.0; n],
-            touched: Vec::new(),
+/// One level's rated edges: for each, its score `w / (|e| - 1)` and the
+/// pins not yet seen matched, laid out like the hypergraph's pin array.
+/// Edges outside `2..=MAX_RATED_EDGE` pins start with an empty list and are
+/// thereby never rated.
+///
+/// Dropping a matched pin swaps the list's last pin into its place, so the
+/// lists lose their order. That is free: a candidate's rating is a sum of
+/// edge scores taken in the proposing vertex's incident-edge order, one
+/// term per edge, and the best candidate is a maximum under a total order
+/// (rating, then smaller vertex id) — neither depends on the order of pins
+/// inside an edge.
+struct ActivePins<'a> {
+    offsets: &'a [u32],
+    pins: Vec<u32>,
+    len: Vec<u32>,
+    score: Vec<f64>,
+}
+
+impl<'a> ActivePins<'a> {
+    fn new(hg: &'a Hypergraph) -> Self {
+        let (offsets, pins) = hg.pin_csr();
+        let mut len = vec![0u32; hg.num_edges()];
+        let mut score = vec![0.0f64; hg.num_edges()];
+        for e in 0..hg.num_edges() {
+            let size = (offsets[e + 1] - offsets[e]) as usize;
+            if (2..=MAX_RATED_EDGE).contains(&size) {
+                len[e] = size as u32;
+                score[e] = hg.edge_weight(e as u32) as f64 / (size - 1) as f64;
+            }
+        }
+        ActivePins {
+            offsets,
+            pins: pins.to_vec(),
+            len,
+            score,
         }
     }
 }
 
-/// Best match candidate for `v` against the `mate` snapshot: the unmatched,
-/// weight-compatible neighbor with the highest accumulated heavy-edge
-/// rating, ties broken toward the smaller vertex id. Pure in `hg`/`mate`/
-/// `parts` (the scratch is reset on entry), so proposals can be computed in
-/// parallel without affecting the result.
-fn propose(
-    hg: &Hypergraph,
-    v: u32,
+/// One level's matching in progress.
+struct Matching<'a> {
+    hg: &'a Hypergraph,
     max_cluster: VertexWeight,
-    mate: &[u32],
-    parts: Option<&[u32]>,
-    scratch: &mut RatingScratch,
-) -> Option<u32> {
-    let vw = hg.vertex_weight(v);
-    scratch.touched.clear();
-    for &e in hg.incident_edges(v) {
-        let pins = hg.pins(e);
-        if pins.len() < 2 || pins.len() > MAX_RATED_EDGE {
-            continue;
-        }
-        let score = hg.edge_weight(e) as f64 / (pins.len() - 1) as f64;
-        for &u in pins {
-            if u == v || mate[u as usize] != u32::MAX {
-                continue;
-            }
-            if let Some(parts) = parts {
-                if parts[u as usize] != parts[v as usize] {
+    parts: Option<&'a [u32]>,
+    /// `mate[v]` is `v`'s partner, `u32::MAX` while unmatched.
+    mate: Vec<u32>,
+    active: ActivePins<'a>,
+    rated: Vec<Rated>,
+    /// Proposals rated so far (the current one's number while it runs).
+    turn: u32,
+}
+
+impl Matching<'_> {
+    /// Best match candidate for `v` against the current `mate`: the
+    /// unmatched, weight-compatible neighbor with the highest accumulated
+    /// heavy-edge rating, ties broken toward the smaller vertex id.
+    ///
+    /// The best is tracked while ratings accumulate rather than in a second
+    /// pass over the candidates: scores are non-negative, so a candidate's
+    /// rating only grows, its final value is the largest it ever showed,
+    /// and the maximum over everything shown is the maximum over the final
+    /// values.
+    fn propose(&mut self, v: u32, work: &mut PartitionWork) -> Option<u32> {
+        let (hg, mate, max_cluster) = (self.hg, &self.mate, self.max_cluster);
+        work.match_proposals += 1;
+        self.turn += 1;
+        let turn = self.turn;
+        let vw = hg.vertex_weight(v);
+        let mut best: Option<(u32, f64)> = None;
+        for &e in hg.incident_edges(v) {
+            let lo = self.active.offsets[e as usize] as usize;
+            let mut len = self.active.len[e as usize] as usize;
+            let score = self.active.score[e as usize];
+            let pins = &mut self.active.pins[lo..lo + len];
+            work.match_pins_scanned += len as u64;
+            let mut i = 0;
+            while i < len {
+                let u = pins[i];
+                if mate[u as usize] != u32::MAX {
+                    len -= 1;
+                    pins[i] = pins[len];
                     continue;
                 }
+                i += 1;
+                if u == v {
+                    continue;
+                }
+                if let Some(parts) = self.parts {
+                    if parts[u as usize] != parts[v as usize] {
+                        continue;
+                    }
+                }
+                let slot = &mut self.rated[u as usize];
+                let r = if slot.turn == turn {
+                    slot.rating + score
+                } else {
+                    score
+                };
+                *slot = Rated { rating: r, turn };
+                let better = match best {
+                    None => true,
+                    Some((bu, br)) => r > br || (r == br && u < bu),
+                };
+                if better {
+                    let uw = hg.vertex_weight(u);
+                    if vw[0] + uw[0] <= max_cluster[0] && vw[1] + uw[1] <= max_cluster[1] {
+                        best = Some((u, r));
+                    }
+                }
             }
-            if scratch.rating[u as usize] == 0.0 {
-                scratch.touched.push(u);
-            }
-            scratch.rating[u as usize] += score;
+            self.active.len[e as usize] = len as u32;
         }
+        best.map(|(u, _)| u)
     }
-    let mut best: Option<(u32, f64)> = None;
-    for &u in &scratch.touched {
-        let r = scratch.rating[u as usize];
-        scratch.rating[u as usize] = 0.0;
-        let uw = hg.vertex_weight(u);
-        let fits = vw[0] + uw[0] <= max_cluster[0] && vw[1] + uw[1] <= max_cluster[1];
-        if !fits {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some((bu, br)) => r > br || (r == br && u < bu),
-        };
-        if better {
-            best = Some((u, r));
-        }
-    }
-    best.map(|(u, _)| u)
 }
 
 /// Computes one level of heavy-edge matching.
@@ -126,53 +179,56 @@ pub fn match_level(
     max_cluster: VertexWeight,
     rng: &mut SmallRng,
     parts: Option<&[u32]>,
+    work: &mut PartitionWork,
 ) -> Option<Level> {
+    work.match_levels += 1;
     let n = hg.num_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
 
-    let mut mate = vec![u32::MAX; n];
-    // Process the shuffled order in fixed-size waves: proposals within a
-    // wave are computed in parallel against the mate state left by earlier
-    // waves, then committed serially in wave order. Wave boundaries depend
-    // only on `n`, never on the thread count, so the result is identical at
-    // any `RAYON_NUM_THREADS`; seeing earlier waves' matches lets later
+    let mut matching = Matching {
+        hg,
+        max_cluster,
+        parts,
+        mate: vec![u32::MAX; n],
+        active: ActivePins::new(hg),
+        rated: vec![Rated::default(); n],
+        turn: 0,
+    };
+    // Process the shuffled order in fixed-size waves: a wave's proposals
+    // are all rated against the mate state left by earlier waves, then
+    // committed in wave order. Seeing earlier waves' matches lets later
     // waves skip matched vertices instead of re-rating the whole graph.
     let wave_size = n.div_ceil(8).max(256);
     let mut queue: Vec<u32> = order;
+    let mut proposals: Vec<(u32, u32)> = Vec::new();
     for _ in 0..MAX_MATCH_ROUNDS {
+        work.match_rounds += 1;
         // Vertices whose proposal lost the race this round; they re-propose
         // against the updated matching next round. Vertices that proposed
         // nothing are dropped for good (the candidate pool only shrinks).
         let mut retry: Vec<u32> = Vec::new();
         let mut committed = 0usize;
-        let nt = rayon::current_num_threads().max(1);
         for wave in queue.chunks(wave_size) {
-            let chunk = wave.len().div_ceil(4 * nt).max(64);
-            let proposals: Vec<Vec<(u32, u32)>> = wave
-                .par_chunks(chunk)
-                .map(|vs| {
-                    let mut scratch = RatingScratch::new(n);
-                    vs.iter()
-                        .filter_map(|&v| {
-                            if mate[v as usize] != u32::MAX {
-                                return None;
-                            }
-                            propose(hg, v, max_cluster, &mate, parts, &mut scratch).map(|u| (v, u))
-                        })
-                        .collect()
-                })
-                .collect();
-            for (v, u) in proposals.into_iter().flatten() {
-                if mate[v as usize] != u32::MAX {
+            proposals.clear();
+            for &v in wave {
+                if matching.mate[v as usize] != u32::MAX {
                     continue;
                 }
-                if mate[u as usize] != u32::MAX {
+                if let Some(u) = matching.propose(v, work) {
+                    proposals.push((v, u));
+                }
+            }
+            for &(v, u) in &proposals {
+                if matching.mate[v as usize] != u32::MAX {
+                    continue;
+                }
+                if matching.mate[u as usize] != u32::MAX {
                     retry.push(v);
                     continue;
                 }
-                mate[v as usize] = u;
-                mate[u as usize] = v;
+                matching.mate[v as usize] = u;
+                matching.mate[u as usize] = v;
                 committed += 1;
             }
         }
@@ -181,6 +237,7 @@ pub fn match_level(
         }
         queue = retry;
     }
+    let mate = matching.mate;
 
     // Assign coarse ids.
     let mut fine_to_coarse = vec![u32::MAX; n];
@@ -271,25 +328,16 @@ pub fn contract(hg: &Hypergraph, fine_to_coarse: &[u32], nc: u32) -> Hypergraph 
 }
 
 /// Coarsens until `target` vertices or convergence; returns the levels from
-/// finest to coarsest.
+/// finest to coarsest. With `parts`, matches are restricted to vertices in
+/// the same part (the V-cycle variant; the returned levels then preserve
+/// the partition under projection).
 pub fn coarsen_to(
     hg: &Hypergraph,
     target: usize,
     max_cluster: VertexWeight,
     rng: &mut SmallRng,
-) -> Vec<Level> {
-    coarsen_to_respecting(hg, target, max_cluster, rng, None)
-}
-
-/// Like [`coarsen_to`] but optionally restricting matches to vertices in
-/// the same part of `parts` (the V-cycle variant; the returned levels then
-/// preserve the partition under projection).
-pub fn coarsen_to_respecting(
-    hg: &Hypergraph,
-    target: usize,
-    max_cluster: VertexWeight,
-    rng: &mut SmallRng,
     parts: Option<&[u32]>,
+    work: &mut PartitionWork,
 ) -> Vec<Level> {
     let mut levels: Vec<Level> = Vec::new();
     let mut steps = 0;
@@ -300,7 +348,7 @@ pub fn coarsen_to_respecting(
         if current.num_vertices() <= target || steps > 64 {
             break;
         }
-        match match_level(current, max_cluster, rng, cur_parts.as_deref()) {
+        match match_level(current, max_cluster, rng, cur_parts.as_deref(), work) {
             Some(level) => {
                 if let Some(p) = &cur_parts {
                     let mut coarse_parts = vec![0u32; level.coarse.num_vertices()];
@@ -339,11 +387,15 @@ mod tests {
     fn matching_halves_a_chain() {
         let hg = chain(64);
         let mut rng = SmallRng::seed_from_u64(1);
-        let level = match_level(&hg, [1000, 1000], &mut rng, None).unwrap();
+        let mut work = PartitionWork::default();
+        let level = match_level(&hg, [1000, 1000], &mut rng, None, &mut work).unwrap();
         let nc = level.coarse.num_vertices();
         assert!((32..61).contains(&nc), "nc = {nc}");
         // Weights conserved.
         assert_eq!(level.coarse.total_weight(), hg.total_weight());
+        assert_eq!(work.match_levels, 1);
+        assert!(work.match_rounds >= 1);
+        assert!(work.match_proposals >= 32 && work.match_pins_scanned > 0);
     }
 
     #[test]
@@ -382,7 +434,7 @@ mod tests {
     fn cluster_weight_cap_respected() {
         let hg = chain(16);
         let mut rng = SmallRng::seed_from_u64(7);
-        let level = match_level(&hg, [1, 1], &mut rng, None);
+        let level = match_level(&hg, [1, 1], &mut rng, None, &mut PartitionWork::default());
         // Cap of 1 per dim forbids every merge (each vertex already weighs 1).
         assert!(level.is_none());
     }
@@ -391,7 +443,14 @@ mod tests {
     fn coarsen_to_target() {
         let hg = chain(256);
         let mut rng = SmallRng::seed_from_u64(3);
-        let levels = coarsen_to(&hg, 16, [64, 64], &mut rng);
+        let levels = coarsen_to(
+            &hg,
+            16,
+            [64, 64],
+            &mut rng,
+            None,
+            &mut PartitionWork::default(),
+        );
         assert!(!levels.is_empty());
         let coarsest = &levels.last().unwrap().coarse;
         assert!(coarsest.num_vertices() <= 32, "{}", coarsest.num_vertices());

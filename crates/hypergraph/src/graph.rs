@@ -253,6 +253,14 @@ impl Hypergraph {
         &self.epins[lo..hi]
     }
 
+    /// The forward CSR itself: `pins[offsets[e]..offsets[e + 1]]` are the
+    /// pins of edge `e`. For code that keeps its own per-edge state laid out
+    /// like the pin array (the matching's active pin lists).
+    #[inline]
+    pub(crate) fn pin_csr(&self) -> (&[u32], &[u32]) {
+        (&self.epin_off, &self.epins)
+    }
+
     /// The edges incident to vertex `v`.
     #[inline]
     pub fn incident_edges(&self, v: u32) -> &[u32] {

@@ -58,5 +58,5 @@ pub use graph::{HgArena, Hypergraph, HypergraphBuilder, VertexWeight};
 pub use initial::Caps;
 pub use partitioner::{
     balance_caps_full, partition, partition_warm_with_stats, partition_with_stats, Partition,
-    PartitionConfig, PartitionStats,
+    PartitionConfig, PartitionStats, PartitionWork,
 };

@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::coarsen::{coarsen_to, coarsen_to_respecting, Level};
+use crate::coarsen::{coarsen_to, Level};
 use crate::graph::{Hypergraph, VertexWeight};
 use crate::initial::{initial_partition, is_balanced, Caps};
 use crate::refine::{rebalance, refine};
@@ -24,7 +24,7 @@ pub struct PartitionConfig {
     pub eps: [f64; 2],
     /// RNG seed (plans are deterministic given the seed).
     pub seed: u64,
-    /// Stop coarsening at this many vertices (0 = auto: `64 * k`).
+    /// Stop coarsening at this many vertices (0 = auto: `max(4 * k, 16)`).
     pub coarsen_target: usize,
     /// Refinement passes per level.
     pub refine_passes: u32,
@@ -98,8 +98,48 @@ pub struct Partition {
     pub caps: VertexWeight,
 }
 
-/// Wall-clock breakdown of one partitioning run by pipeline stage.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+/// Deterministic work counters of one partitioning run: they depend only on
+/// the input and the seed, so a speed-up shows here before it shows on a
+/// clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PartitionWork {
+    /// Matching levels attempted, V-cycle re-coarsening included (each
+    /// coarsening's last attempt may find it has converged and build none).
+    #[serde(default)]
+    pub match_levels: u64,
+    /// Proposal/resolution rounds over those levels.
+    #[serde(default)]
+    pub match_rounds: u64,
+    /// Vertices rated for a match partner (one proposal attempt each,
+    /// whether or not a candidate was found).
+    #[serde(default)]
+    pub match_proposals: u64,
+    /// Pins visited while rating them.
+    #[serde(default)]
+    pub match_pins_scanned: u64,
+    /// FM moves applied while passes explored (kept or not).
+    #[serde(default)]
+    pub fm_moves_applied: u64,
+    /// Of those, moves undone by roll-backs to a pass's best prefix.
+    #[serde(default)]
+    pub fm_moves_rolled_back: u64,
+}
+
+impl PartitionWork {
+    /// Adds `other`'s counts to `self`'s.
+    fn merge(&mut self, other: &PartitionWork) {
+        self.match_levels += other.match_levels;
+        self.match_rounds += other.match_rounds;
+        self.match_proposals += other.match_proposals;
+        self.match_pins_scanned += other.match_pins_scanned;
+        self.fm_moves_applied += other.fm_moves_applied;
+        self.fm_moves_rolled_back += other.fm_moves_rolled_back;
+    }
+}
+
+/// One partitioning run by pipeline stage: wall-clock seconds, and the
+/// run's work counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PartitionStats {
     /// Seconds spent coarsening (including V-cycle re-coarsening).
     pub coarsen_s: f64,
@@ -111,6 +151,9 @@ pub struct PartitionStats {
     pub levels: u32,
     /// V-cycles actually executed.
     pub vcycles: u32,
+    /// Matching and FM work counts.
+    #[serde(default)]
+    pub work: PartitionWork,
 }
 
 impl PartitionStats {
@@ -122,6 +165,7 @@ impl PartitionStats {
         self.refine_s += other.refine_s;
         self.levels += other.levels;
         self.vcycles += other.vcycles;
+        self.work.merge(&other.work);
     }
 }
 
@@ -202,19 +246,39 @@ fn check_args(hg: &Hypergraph, cfg: &PartitionConfig) -> DcpResult<()> {
     }
 }
 
-/// One run's fixed inputs, so the helpers below take the assignment alone.
+/// One run's fixed inputs and what it counts, so the helpers below take the
+/// assignment alone.
 struct Run<'a> {
     hg: &'a Hypergraph,
     cfg: &'a PartitionConfig,
     caps: Caps,
     rng: SmallRng,
+    stats: PartitionStats,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    fn new(hg: &'a Hypergraph, cfg: &'a PartitionConfig) -> Self {
+        Run {
+            hg,
+            cfg,
+            caps: balance_caps_full(hg, cfg),
+            rng: SmallRng::seed_from_u64(cfg.seed),
+            stats: PartitionStats::default(),
+        }
+    }
+
     fn refine(&mut self, g: &Hypergraph, assignment: &mut [u32]) {
         if self.cfg.refine_enabled {
             let (k, passes) = (self.cfg.k, self.cfg.refine_passes);
-            refine(g, assignment, k, &self.caps, passes, &mut self.rng);
+            refine(
+                g,
+                assignment,
+                k,
+                &self.caps,
+                passes,
+                &mut self.rng,
+                &mut self.stats.work,
+            );
         }
     }
 
@@ -254,24 +318,27 @@ impl Run<'_> {
         is_balanced(self.hg, assignment, self.cfg.k, &self.caps)
     }
 
-    fn finish(self, assignment: Vec<u32>) -> Partition {
+    /// The partition of `assignment`, and this run's stage times and work
+    /// counts.
+    fn finish(self, assignment: Vec<u32>) -> (Partition, PartitionStats) {
         let cost = self.hg.connectivity_cost(&assignment, self.cfg.k);
         let part_weights = self.hg.part_weights(&assignment, self.cfg.k);
         let balanced = part_weights.iter().enumerate().all(|(p, w)| {
             let cap = self.caps.at(p as u32);
             w[0] <= cap[0] && w[1] <= cap[1]
         });
-        Partition {
+        let partition = Partition {
             assignment,
             cost,
             part_weights,
             balanced,
             caps: self.caps.uniform,
-        }
+        };
+        (partition, self.stats)
     }
 }
 
-/// Like [`partition`], but also returns the per-stage wall-clock breakdown.
+/// Like [`partition`], but also returns the per-stage times and work counts.
 ///
 /// # Errors
 ///
@@ -283,16 +350,10 @@ pub fn partition_with_stats(
 ) -> DcpResult<(Partition, PartitionStats)> {
     check_args(hg, cfg)?;
     let k = cfg.k;
-    let mut run = Run {
-        hg,
-        cfg,
-        caps: balance_caps_full(hg, cfg),
-        rng: SmallRng::seed_from_u64(cfg.seed),
-    };
-    let mut stats = PartitionStats::default();
+    let mut run = Run::new(hg, cfg);
 
     if k == 1 {
-        return Ok((run.finish(vec![0u32; hg.num_vertices()]), stats));
+        return Ok(run.finish(vec![0u32; hg.num_vertices()]));
     }
 
     // Coarsen.
@@ -307,19 +368,26 @@ pub fn partition_with_stats(
         (total[1] / (k as u64 * 8)).max(1),
     ];
     let t = Instant::now();
-    let levels = coarsen_to(hg, target, max_cluster, &mut run.rng);
-    stats.coarsen_s += t.elapsed().as_secs_f64();
-    stats.levels = levels.len() as u32;
+    let levels = coarsen_to(
+        hg,
+        target,
+        max_cluster,
+        &mut run.rng,
+        None,
+        &mut run.stats.work,
+    );
+    run.stats.coarsen_s += t.elapsed().as_secs_f64();
+    run.stats.levels = levels.len() as u32;
     let coarsest = levels.last().map_or(hg, |l| &l.coarse);
 
     // Initial partition on the coarsest level.
     let t = Instant::now();
     let assignment = initial_partition(coarsest, k, &run.caps, cfg.initial_tries, &mut run.rng);
-    stats.initial_s += t.elapsed().as_secs_f64();
+    run.stats.initial_s += t.elapsed().as_secs_f64();
     let t = Instant::now();
     let mut assignment = run.uncoarsen(&levels, assignment);
     run.repair_and_polish(&mut assignment);
-    stats.refine_s += t.elapsed().as_secs_f64();
+    run.stats.refine_s += t.elapsed().as_secs_f64();
 
     // V-cycles: re-coarsen respecting the partition, refine back up.
     for _ in 0..cfg.vcycles {
@@ -328,13 +396,19 @@ pub fn partition_with_stats(
         }
         let before = hg.connectivity_cost(&assignment, k);
         let t = Instant::now();
-        let levels =
-            coarsen_to_respecting(hg, target, max_cluster, &mut run.rng, Some(&assignment));
-        stats.coarsen_s += t.elapsed().as_secs_f64();
+        let levels = coarsen_to(
+            hg,
+            target,
+            max_cluster,
+            &mut run.rng,
+            Some(&assignment),
+            &mut run.stats.work,
+        );
+        run.stats.coarsen_s += t.elapsed().as_secs_f64();
         if levels.is_empty() {
             break;
         }
-        stats.vcycles += 1;
+        run.stats.vcycles += 1;
         // Project the assignment to the coarsest level (well defined:
         // matched vertices share a part by construction).
         let mut coarse = assignment.clone();
@@ -347,7 +421,7 @@ pub fn partition_with_stats(
         }
         let t = Instant::now();
         let a = run.uncoarsen(&levels, coarse);
-        stats.refine_s += t.elapsed().as_secs_f64();
+        run.stats.refine_s += t.elapsed().as_secs_f64();
         let after = hg.connectivity_cost(&a, k);
         if after < before && run.is_balanced(&a) == run.is_balanced(&assignment) {
             assignment = a;
@@ -355,7 +429,7 @@ pub fn partition_with_stats(
             break;
         }
     }
-    Ok((run.finish(assignment), stats))
+    Ok(run.finish(assignment))
 }
 
 /// Refines a caller-supplied seed assignment ("warm start") instead of
@@ -396,20 +470,12 @@ pub fn partition_warm_with_stats(
             cfg.k
         )));
     }
-    let mut run = Run {
-        hg,
-        cfg,
-        caps: balance_caps_full(hg, cfg),
-        rng: SmallRng::seed_from_u64(cfg.seed),
-    };
+    let mut run = Run::new(hg, cfg);
     let mut assignment = seed.to_vec();
     let t = Instant::now();
     run.repair_and_polish(&mut assignment);
-    let stats = PartitionStats {
-        refine_s: t.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
-    Ok((run.finish(assignment), stats))
+    run.stats.refine_s = t.elapsed().as_secs_f64();
+    Ok(run.finish(assignment))
 }
 
 #[cfg(test)]

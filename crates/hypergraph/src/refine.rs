@@ -32,6 +32,7 @@ use rand::Rng;
 
 use crate::graph::{Hypergraph, VertexWeight};
 use crate::initial::Caps;
+use crate::partitioner::PartitionWork;
 
 /// Incremental state for k-way refinement.
 pub struct RefineState {
@@ -458,6 +459,7 @@ fn fm_pass(
     cache: &mut GainCache,
     caps: &Caps,
     rng: &mut SmallRng,
+    work: &mut PartitionWork,
 ) -> bool {
     let n = hg.num_vertices();
     let k = state.k;
@@ -557,6 +559,8 @@ fn fm_pass(
         }
     }
 
+    work.fm_moves_applied += moves.len() as u64;
+    work.fm_moves_rolled_back += (moves.len() - best_len) as u64;
     // Roll back past the best prefix (through the cache, so it stays exact).
     while moves.len() > best_len {
         let (v, prev) = moves.pop().unwrap();
@@ -567,8 +571,8 @@ fn fm_pass(
     best_cost < start_cost
 }
 
-/// Runs up to `passes` FM passes over `assignment` in place. Returns the
-/// resulting connectivity cost.
+/// Runs up to `passes` FM passes over `assignment` in place, adding their
+/// move counts to `work`. Returns the resulting connectivity cost.
 pub fn refine(
     hg: &Hypergraph,
     assignment: &mut [u32],
@@ -576,11 +580,12 @@ pub fn refine(
     caps: &Caps,
     passes: u32,
     rng: &mut SmallRng,
+    work: &mut PartitionWork,
 ) -> u64 {
     let mut state = RefineState::new(hg, assignment, k);
     let mut cache = GainCache::new(hg, &state, assignment);
     for _ in 0..passes {
-        if !fm_pass(hg, assignment, &mut state, &mut cache, caps, rng) {
+        if !fm_pass(hg, assignment, &mut state, &mut cache, caps, rng, work) {
             break;
         }
     }
@@ -932,6 +937,7 @@ mod tests {
         let mut assignment: Vec<u32> = (0..16).map(|v| (v % 2) as u32).collect();
         let before = hg.connectivity_cost(&assignment, 2);
         let mut rng = SmallRng::seed_from_u64(4);
+        let mut work = PartitionWork::default();
         let after = refine(
             &hg,
             &mut assignment,
@@ -939,11 +945,15 @@ mod tests {
             &Caps::uniform([10, 10]),
             16,
             &mut rng,
+            &mut work,
         );
         // FM with negative-gain moves should reach the optimum: two arcs,
         // two cut edges.
         assert_eq!(after, hg.connectivity_cost(&assignment, 2));
         assert!(after <= 4 * 5, "{after} vs before {before}");
+        // Every edge starts cut, so the passes did move vertices, and the
+        // kept moves are the applied ones minus the rolled-back tail.
+        assert!(work.fm_moves_applied > work.fm_moves_rolled_back);
         // Balance maintained.
         let pw = hg.part_weights(&assignment, 2);
         assert!(pw.iter().all(|w| w[0] <= 10));
@@ -954,7 +964,15 @@ mod tests {
         let hg = ring(8, 1);
         let mut assignment = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let mut rng = SmallRng::seed_from_u64(8);
-        refine(&hg, &mut assignment, 2, &Caps::uniform([4, 4]), 8, &mut rng);
+        refine(
+            &hg,
+            &mut assignment,
+            2,
+            &Caps::uniform([4, 4]),
+            8,
+            &mut rng,
+            &mut PartitionWork::default(),
+        );
         let pw = hg.part_weights(&assignment, 2);
         assert!(pw.iter().all(|w| w[0] <= 4 && w[1] <= 4));
     }
@@ -967,7 +985,15 @@ mod tests {
             let mut assignment: Vec<u32> = (0..n).map(|v| (v as u32 * 3) % 3).collect();
             let before = hg.connectivity_cost(&assignment, 3);
             let caps = Caps::uniform([n as u64, n as u64]);
-            let after = refine(&hg, &mut assignment, 3, &caps, 8, &mut rng);
+            let after = refine(
+                &hg,
+                &mut assignment,
+                3,
+                &caps,
+                8,
+                &mut rng,
+                &mut PartitionWork::default(),
+            );
             assert!(after <= before);
         }
     }
@@ -1011,7 +1037,15 @@ mod tests {
             let mut rng_a = SmallRng::seed_from_u64(seed);
             let mut rng_b = SmallRng::seed_from_u64(seed);
             let caps = Caps::uniform([14, 14]);
-            let cost_new = refine(&hg, &mut a, 2, &caps, 16, &mut rng_a);
+            let cost_new = refine(
+                &hg,
+                &mut a,
+                2,
+                &caps,
+                16,
+                &mut rng_a,
+                &mut PartitionWork::default(),
+            );
             let cost_ref = reference::refine(&hg, &mut b, 2, &caps, 16, &mut rng_b);
             assert_eq!(cost_new, 2, "seed {seed}");
             assert_eq!(cost_ref, 2, "seed {seed}");

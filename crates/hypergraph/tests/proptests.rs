@@ -3,7 +3,7 @@
 //! updates staying exact under arbitrary move sequences.
 
 use dcp_hypergraph::refine::{refine, GainCache, RefineState};
-use dcp_hypergraph::{partition, Caps, HypergraphBuilder, PartitionConfig};
+use dcp_hypergraph::{partition, Caps, HypergraphBuilder, PartitionConfig, PartitionWork};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +45,15 @@ proptest! {
         ];
         let before = hg.connectivity_cost(&assignment, k);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xf00d);
-        let after = refine(&hg, &mut assignment, k, &Caps::uniform(caps), 6, &mut rng);
+        let after = refine(
+            &hg,
+            &mut assignment,
+            k,
+            &Caps::uniform(caps),
+            6,
+            &mut rng,
+            &mut PartitionWork::default(),
+        );
         prop_assert!(after <= before, "refine worsened: {before} -> {after}");
         prop_assert_eq!(after, hg.connectivity_cost(&assignment, k));
         let pw = hg.part_weights(&assignment, k);

@@ -1,8 +1,10 @@
-//! Thread-count determinism regression: the partitioner parallelizes
-//! coarsening (wave-based matching proposals) and is required to produce
-//! *bitwise identical* partitions at every `RAYON_NUM_THREADS` — proposals
-//! are computed against an immutable snapshot and committed in a fixed
-//! serial order, so the thread count must never leak into the result.
+//! Thread-count determinism regression: the partitioner is required to
+//! produce *bitwise identical* partitions at every `RAYON_NUM_THREADS`, and
+//! the same partition every time it is run with one seed. The partitioner is
+//! serial today (matching proposals are rated against an immutable snapshot
+//! and committed in a fixed order, with no fan-out), so this guards the
+//! contract for whoever re-introduces parallelism under ROADMAP 1(a): the
+//! thread count must never leak into the result.
 //!
 //! Everything lives in a single `#[test]` in its own integration-test
 //! binary because `RAYON_NUM_THREADS` is process-global state.
@@ -12,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A hypergraph large enough to force several coarsening levels (and thus
-/// the parallel matching waves): clustered 2-pin ring edges plus random
+/// several matching waves per level): clustered 2-pin ring edges plus random
 /// many-pin hyperedges, planner-like weights.
 fn large_hypergraph(n: usize, seed: u64) -> dcp_hypergraph::Hypergraph {
     let mut rng = SmallRng::seed_from_u64(seed);

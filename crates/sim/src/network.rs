@@ -184,6 +184,13 @@ pub struct Network {
     /// Flows whose state changed since the last recompute (seeds the dirty
     /// component).
     dirty: Vec<u32>,
+    /// Flows that delivered their last byte since
+    /// [`Network::drain_completed`] was last called, in completion order.
+    completed: Vec<u32>,
+    /// No rate has changed since the last sweep of [`Network::advance_to`],
+    /// which found nothing to complete or activate at `now`: sweeping again
+    /// at the same instant would find the same.
+    settled: bool,
 }
 
 impl Network {
@@ -214,6 +221,8 @@ impl Network {
             comp_res: Vec::new(),
             comp_flows: Vec::new(),
             dirty: Vec::new(),
+            completed: Vec::new(),
+            settled: false,
         }
     }
 
@@ -324,6 +333,15 @@ impl Network {
         self.flows[f.0].done
     }
 
+    /// The flows that completed since the last call, so a caller can react
+    /// to completions without polling [`Network::is_done`] over its flows.
+    /// Flows complete inside [`Network::advance_to`] — and so inside
+    /// [`Network::add_flow`], which advances to its `t` first. A zero-byte
+    /// flow is done when added and is not reported.
+    pub fn drain_completed(&mut self) -> impl Iterator<Item = FlowId> + '_ {
+        self.completed.drain(..).map(|fi| FlowId(fi as usize))
+    }
+
     /// Advances network time to `t`, draining active flows at their current
     /// rates. Callers must not skip past completion or activation events
     /// (use [`Network::next_event`]).
@@ -337,7 +355,13 @@ impl Network {
         // Sweep even when `dt == 0`: a flow whose completion time is below
         // the floating-point resolution of `now` must still be completed,
         // or the event loop would spin at a frozen clock. "Done" therefore
-        // means: would finish within a nanosecond at the current rate.
+        // means: would finish within a nanosecond at the current rate. Only
+        // a sweep that repeats the last one exactly — same instant, no rate
+        // recomputed since — is skipped: a burst of launches at one instant
+        // would otherwise sweep every live flow once per flow added.
+        if t == self.now && self.settled {
+            return;
+        }
         self.dirty.clear();
         let mut completed = false;
         for idx in 0..self.live_flows.len() {
@@ -354,6 +378,7 @@ impl Network {
                     f.rate = 0.0;
                     completed = true;
                     self.dirty.push(fi as u32);
+                    self.completed.push(fi as u32);
                 }
             } else if f.active_at <= t {
                 // Newly activated.
@@ -381,6 +406,7 @@ impl Network {
             }
         }
         if self.dirty.is_empty() {
+            self.settled = true;
             return;
         }
         // Membership updates before the recompute: completed flows leave,
@@ -502,6 +528,7 @@ impl Network {
     /// global scratch fill restricted to that component — hence bitwise
     /// equality with the reference engine.
     fn recompute_component(&mut self) {
+        self.settled = false;
         self.stats.recomputes += 1;
         self.epoch += 1;
         let epoch = self.epoch;
@@ -604,6 +631,7 @@ impl Network {
     /// exactly like the pre-incremental simulator. Kept for the equivalence
     /// proptest and as the baseline of the scaling benchmark.
     fn recompute_scratch(&mut self) {
+        self.settled = false;
         self.stats.recomputes += 1;
         let mut cap: HashMap<Resource, f64> = HashMap::new();
         let mut members: HashMap<Resource, Vec<usize>> = HashMap::new();

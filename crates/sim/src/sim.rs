@@ -1,6 +1,7 @@
 //! The discrete-event execution of plan instruction streams.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use dcp_sched::stream::{check_ids, depositor, incoming};
 use dcp_sched::{CommId, ExecutionPlan, Instr, PhasePlan};
@@ -160,6 +161,75 @@ pub struct SimCounters {
     pub recomputes: u64,
     /// Total flows visited across all water-fills.
     pub touched_flows: u64,
+    /// Times a device's wait was weighed: once when it reaches a
+    /// `CommWait`, and once per flow that finishes into it while it is
+    /// blocked there.
+    pub wait_checks: u64,
+}
+
+/// Flow bookkeeping for waking and interval accounting. `metas[i]` is the
+/// flow the network numbered `i`: every flow of a phase is added here.
+struct FlowMeta {
+    cid: u32,
+    src: u32,
+    dst: u32,
+    active_at: f64,
+    end: Option<f64>,
+}
+
+/// Which devices wait for what, and which can move at the current instant.
+///
+/// The devices that can move are run in sweeps of ascending device index,
+/// repeated until none can: a device that becomes able to move while device
+/// `d` runs is taken in the same sweep if its index is above `d`, in the
+/// next one otherwise. Flow ids — and through them the order in which the
+/// network freezes rates — follow from that order, so it is part of the
+/// simulation's result.
+struct Waits {
+    /// The comm op each device is blocked on.
+    blocked: Vec<Option<CommId>>,
+    /// Flows of that op into the device that are not done yet.
+    outstanding: Vec<u32>,
+    /// `(sweep, device)` of every device that can move, next first.
+    runnable: BinaryHeap<Reverse<(u32, u32)>>,
+    /// The sweep in progress and the device running in it, if any.
+    sweep: u32,
+    running: Option<u32>,
+    checks: u64,
+}
+
+impl Waits {
+    /// `dev` can move: queue it behind the running device.
+    fn wake(&mut self, dev: u32) {
+        let sweep = match self.running {
+            Some(d) if dev <= d => self.sweep + 1,
+            _ => self.sweep,
+        };
+        self.runnable.push(Reverse((sweep, dev)));
+    }
+
+    /// A flow of op `cid` into `dst` is done. If `dst` is blocked on that
+    /// op the flow is one it was still waiting for (a flow finishes once,
+    /// and those done when it blocked were not counted).
+    fn flow_done(&mut self, cid: u32, dst: u32) {
+        if self.blocked[dst as usize] != Some(CommId(cid)) {
+            return;
+        }
+        self.checks += 1;
+        self.outstanding[dst as usize] -= 1;
+        if self.outstanding[dst as usize] == 0 {
+            self.wake(dst);
+        }
+    }
+
+    /// Takes the flows the network completed since the last call: each may
+    /// wake its receiver now, and gets its end time at the next event.
+    fn settle(&mut self, net: &mut Network, metas: &[FlowMeta], ended: &mut Vec<usize>) {
+        for f in net.drain_completed() {
+            ended.push(f.0);
+            self.flow_done(metas[f.0].cid, metas[f.0].dst);
+        }
+    }
 }
 
 fn simulate_phase_opts(
@@ -194,21 +264,35 @@ fn simulate_phase_opts(
     // between the pair, coalesced so large fused operations (e.g. a ring
     // step relaying hundreds of KV blocks) cost one flow, not hundreds.
     let mut flows: HashMap<(u32, u32, u32), FlowId> = HashMap::new();
-    // Flow bookkeeping for interval accounting.
-    struct FlowMeta {
-        id: FlowId,
-        src: u32,
-        dst: u32,
-        active_at: f64,
-        end: Option<f64>,
-    }
     let mut metas: Vec<FlowMeta> = Vec::new();
+    // Flows completed since the last event: they end at the next one.
+    let mut ended: Vec<usize> = Vec::new();
 
     let mut ip = vec![0usize; n];
     // A delayed device idles until its injected start time.
     let mut ready = delays.clone();
-    let mut blocked: Vec<Option<CommId>> = vec![None; n];
+    // `(time, device)` of every device in a kernel or a start delay,
+    // earliest first. Times are non-negative, so their bit patterns order
+    // as they do.
+    let mut timers: BinaryHeap<Reverse<(u64, u32)>> = (0..n)
+        .map(|d| Reverse((ready[d].to_bits(), d as u32)))
+        .collect();
+    let mut waits = Waits {
+        blocked: vec![None; n],
+        outstanding: vec![0; n],
+        runnable: BinaryHeap::new(),
+        sweep: 0,
+        running: None,
+        checks: 0,
+    };
+    // Devices still blocked or with instructions left.
+    let mut unfinished = phase
+        .devices
+        .iter()
+        .filter(|s| !s.instrs.is_empty())
+        .count();
     let mut wait_start = vec![0.0f64; n];
+    let mut senders: Vec<u32> = Vec::new();
     let mut tl = vec![DeviceTimeline::default(); n];
     // Compute busy intervals per device for overlap accounting.
     let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
@@ -227,160 +311,178 @@ fn simulate_phase_opts(
     let mut now = 0.0f64;
     let mut events: u64 = 0;
     loop {
-        // Mark completions at the current time.
-        for m in metas.iter_mut() {
-            if m.end.is_none() && net.is_done(m.id) {
-                m.end = Some(now.max(m.active_at));
+        for mi in ended.drain(..) {
+            metas[mi].end = Some(now.max(metas[mi].active_at));
+        }
+        // Devices whose kernel or start delay is over can move, next to
+        // those a completed flow has just woken.
+        while let Some(&Reverse((until, dev))) = timers.peek() {
+            if f64::from_bits(until) > now + eps {
+                break;
+            }
+            timers.pop();
+            if ip[dev as usize] < phase.devices[dev as usize].instrs.len() {
+                waits.wake(dev);
             }
         }
-        // Fixpoint: let every runnable device execute.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for d in 0..n {
-                // Try to unblock.
-                if let Some(cid) = blocked[d] {
-                    if wait_done(phase, cid, d as u32, &flows, &net) {
-                        tl[d].exposed_wait += now - wait_start[d];
-                        if now > wait_start[d] {
-                            trace.push(TraceEvent {
-                                device: d as u32,
-                                kind: TraceKind::Wait,
-                                start: wait_start[d],
-                                end: now,
-                            });
-                        }
-                        tl[d].finish = tl[d].finish.max(now);
-                        blocked[d] = None;
-                        changed = true;
-                    } else {
-                        continue;
-                    }
+        // Fixpoint: run every device that can move until none can.
+        while let Some(Reverse((sweep, dev))) = waits.runnable.pop() {
+            waits.sweep = sweep;
+            waits.running = Some(dev);
+            let d = dev as usize;
+            if waits.blocked[d].take().is_some() {
+                tl[d].exposed_wait += now - wait_start[d];
+                if now > wait_start[d] {
+                    trace.push(TraceEvent {
+                        device: dev,
+                        kind: TraceKind::Wait,
+                        start: wait_start[d],
+                        end: now,
+                    });
                 }
-                while blocked[d].is_none() && ready[d] <= now + eps {
-                    let Some(ins) = phase.devices[d].instrs.get(ip[d]) else {
-                        break;
-                    };
-                    match ins {
-                        Instr::CommLaunch(cid) => {
-                            let op = &phase.comms[cid.0 as usize];
-                            // Coalesce this device's transfers by (src, dst).
-                            let mut pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
-                            for tr in &op.transfers {
-                                if depositor(tr) == d as u32
-                                    && !flows.contains_key(&(cid.0, tr.from, tr.to))
-                                {
-                                    *pair_bytes.entry((tr.from, tr.to)).or_insert(0) += tr.bytes;
-                                }
-                            }
-                            let mut pairs: Vec<((u32, u32), u64)> =
-                                pair_bytes.into_iter().collect();
-                            pairs.sort_unstable();
-                            for ((from, to), bytes) in pairs {
-                                let (fid, active_at) = net.add_flow(now, from, to, bytes);
-                                flows.insert((cid.0, from, to), fid);
-                                metas.push(FlowMeta {
-                                    id: fid,
-                                    src: from,
-                                    dst: to,
-                                    active_at,
-                                    end: if net.is_done(fid) {
-                                        Some(active_at)
-                                    } else {
-                                        None
-                                    },
-                                });
-                            }
-                            ip[d] += 1;
-                            changed = true;
-                        }
-                        Instr::CommWait(cid) => {
-                            if wait_done(phase, *cid, d as u32, &flows, &net) {
-                                ip[d] += 1;
-                                changed = true;
-                            } else {
-                                blocked[d] = Some(*cid);
-                                wait_start[d] = now;
-                                ip[d] += 1;
+                tl[d].finish = tl[d].finish.max(now);
+            }
+            while waits.blocked[d].is_none() && ready[d] <= now + eps {
+                let Some(ins) = phase.devices[d].instrs.get(ip[d]) else {
+                    break;
+                };
+                match ins {
+                    Instr::CommLaunch(cid) => {
+                        let op = &phase.comms[cid.0 as usize];
+                        // Coalesce this device's transfers by (src, dst).
+                        let mut pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
+                        for tr in &op.transfers {
+                            if depositor(tr) == dev && !flows.contains_key(&(cid.0, tr.from, tr.to))
+                            {
+                                *pair_bytes.entry((tr.from, tr.to)).or_insert(0) += tr.bytes;
                             }
                         }
-                        Instr::Attn { .. }
-                        | Instr::AttnBwd { .. }
-                        | Instr::Reduce { .. }
-                        | Instr::Copy { .. } => {
-                            let (base, kind) = match ins {
-                                Instr::Attn { flops, .. } => (
-                                    *flops as f64 / eff + cluster.kernel_overhead,
-                                    TraceKind::Attn,
-                                ),
-                                Instr::AttnBwd { flops, .. } => (
-                                    *flops as f64 / eff + cluster.kernel_overhead,
-                                    TraceKind::AttnBwd,
-                                ),
-                                Instr::Reduce { bytes, .. } => (
-                                    *bytes as f64 / cluster.mem_bw + cluster.kernel_overhead,
-                                    TraceKind::Reduce,
-                                ),
-                                Instr::Copy { bytes } => (
-                                    *bytes as f64 / cluster.mem_bw + cluster.kernel_overhead,
-                                    TraceKind::Copy,
-                                ),
-                                _ => unreachable!("compute arm"),
-                            };
-                            // A straggler fault stretches the kernel. The
-                            // extension is traced as its own `Straggle`
-                            // segment (and counted in the compute buckets)
-                            // so un-faulted runs stay bitwise unchanged.
-                            let extra = if slow[d] > 1.0 {
-                                base * (slow[d] - 1.0) * jitter(spec.seed, d as u32, ip[d])
-                            } else {
-                                0.0
-                            };
-                            let dur = base + extra;
-                            match kind {
-                                TraceKind::Attn | TraceKind::AttnBwd => tl[d].attn += dur,
-                                TraceKind::Reduce => tl[d].reduce += dur,
-                                _ => tl[d].copy += dur,
-                            }
-                            trace.push(TraceEvent {
-                                device: d as u32,
-                                kind,
-                                start: now,
-                                end: now + base,
+                        let mut pairs: Vec<((u32, u32), u64)> = pair_bytes.into_iter().collect();
+                        pairs.sort_unstable();
+                        for ((from, to), bytes) in pairs {
+                            let (fid, active_at) = net.add_flow(now, from, to, bytes);
+                            debug_assert_eq!(fid.0, metas.len());
+                            flows.insert((cid.0, from, to), fid);
+                            // Only an empty flow is done on arrival.
+                            let done = net.is_done(fid);
+                            metas.push(FlowMeta {
+                                cid: cid.0,
+                                src: from,
+                                dst: to,
+                                active_at,
+                                end: done.then_some(active_at),
                             });
-                            if extra > 0.0 {
-                                trace.push(TraceEvent {
-                                    device: d as u32,
-                                    kind: TraceKind::Straggle,
-                                    start: now + base,
-                                    end: now + dur,
-                                });
+                            if done {
+                                waits.flow_done(cid.0, to);
                             }
-                            busy[d].push((now, now + dur));
-                            ready[d] = now + dur;
-                            tl[d].finish = tl[d].finish.max(now + dur);
-                            ip[d] += 1;
-                            changed = true;
+                            // Adding a flow settles the network at `now`,
+                            // which can complete flows a rounding error
+                            // short of their end.
+                            waits.settle(&mut net, &metas, &mut ended);
                         }
+                        ip[d] += 1;
+                    }
+                    Instr::CommWait(cid) => {
+                        ip[d] += 1;
+                        waits.checks += 1;
+                        // The op's flows into this device, one per sender.
+                        senders.clear();
+                        let op = &phase.comms[cid.0 as usize];
+                        senders.extend(incoming(op, dev).map(|tr| tr.from));
+                        senders.sort_unstable();
+                        senders.dedup();
+                        let pending = senders
+                            .iter()
+                            .filter(|&&from| {
+                                !flows
+                                    .get(&(cid.0, from, dev))
+                                    .is_some_and(|f| net.is_done(*f))
+                            })
+                            .count();
+                        if pending > 0 {
+                            waits.blocked[d] = Some(*cid);
+                            waits.outstanding[d] = pending as u32;
+                            wait_start[d] = now;
+                        }
+                    }
+                    Instr::Attn { .. }
+                    | Instr::AttnBwd { .. }
+                    | Instr::Reduce { .. }
+                    | Instr::Copy { .. } => {
+                        let (base, kind) = match ins {
+                            Instr::Attn { flops, .. } => (
+                                *flops as f64 / eff + cluster.kernel_overhead,
+                                TraceKind::Attn,
+                            ),
+                            Instr::AttnBwd { flops, .. } => (
+                                *flops as f64 / eff + cluster.kernel_overhead,
+                                TraceKind::AttnBwd,
+                            ),
+                            Instr::Reduce { bytes, .. } => (
+                                *bytes as f64 / cluster.mem_bw + cluster.kernel_overhead,
+                                TraceKind::Reduce,
+                            ),
+                            Instr::Copy { bytes } => (
+                                *bytes as f64 / cluster.mem_bw + cluster.kernel_overhead,
+                                TraceKind::Copy,
+                            ),
+                            _ => unreachable!("compute arm"),
+                        };
+                        // A straggler fault stretches the kernel. The
+                        // extension is traced as its own `Straggle`
+                        // segment (and counted in the compute buckets)
+                        // so un-faulted runs stay bitwise unchanged.
+                        let extra = if slow[d] > 1.0 {
+                            base * (slow[d] - 1.0) * jitter(spec.seed, dev, ip[d])
+                        } else {
+                            0.0
+                        };
+                        let dur = base + extra;
+                        match kind {
+                            TraceKind::Attn | TraceKind::AttnBwd => tl[d].attn += dur,
+                            TraceKind::Reduce => tl[d].reduce += dur,
+                            _ => tl[d].copy += dur,
+                        }
+                        trace.push(TraceEvent {
+                            device: dev,
+                            kind,
+                            start: now,
+                            end: now + base,
+                        });
+                        if extra > 0.0 {
+                            trace.push(TraceEvent {
+                                device: dev,
+                                kind: TraceKind::Straggle,
+                                start: now + base,
+                                end: now + dur,
+                            });
+                        }
+                        busy[d].push((now, now + dur));
+                        ready[d] = now + dur;
+                        tl[d].finish = tl[d].finish.max(now + dur);
+                        ip[d] += 1;
                     }
                 }
             }
+            if waits.blocked[d].is_none() {
+                if ready[d] > now + eps {
+                    timers.push(Reverse((ready[d].to_bits(), dev)));
+                }
+                if ip[d] >= phase.devices[d].instrs.len() {
+                    unfinished -= 1;
+                }
+            }
         }
+        waits.sweep = 0;
+        waits.running = None;
 
-        // Done?
-        let all_done =
-            (0..n).all(|d| ip[d] >= phase.devices[d].instrs.len() && blocked[d].is_none());
-        if all_done && (0..n).all(|d| ready[d] <= now + eps) {
+        // Done: every stream finished and its last kernel is over.
+        if unfinished == 0 && timers.is_empty() {
             break;
         }
 
         // Next event: earliest device wake-up or network event.
-        let mut next: Option<f64> = None;
-        for d in 0..n {
-            if blocked[d].is_none() && ready[d] > now + eps {
-                next = Some(next.map_or(ready[d], |x: f64| x.min(ready[d])));
-            }
-        }
+        let mut next: Option<f64> = timers.peek().map(|t| f64::from_bits(t.0 .0));
         if let Some(t) = net.next_event() {
             next = Some(next.map_or(t, |x: f64| x.min(t)));
         }
@@ -392,6 +494,7 @@ fn simulate_phase_opts(
         net.advance_to(t);
         now = t;
         events += 1;
+        waits.settle(&mut net, &metas, &mut ended);
     }
 
     // Interval accounting: per device, comm_active = |union of its flow
@@ -442,22 +545,9 @@ fn simulate_phase_opts(
             flows: metas.len() as u64,
             recomputes: net_stats.recomputes,
             touched_flows: net_stats.touched_flows,
+            wait_checks: waits.checks,
         },
     ))
-}
-
-fn wait_done(
-    phase: &PhasePlan,
-    cid: CommId,
-    dev: u32,
-    flows: &HashMap<(u32, u32, u32), FlowId>,
-    net: &Network,
-) -> bool {
-    incoming(&phase.comms[cid.0 as usize], dev).all(|tr| {
-        flows
-            .get(&(cid.0, tr.from, tr.to))
-            .is_some_and(|f| net.is_done(*f))
-    })
 }
 
 fn union_intervals(v: &mut [(f64, f64)]) -> Vec<(f64, f64)> {
@@ -687,6 +777,106 @@ mod tests {
         };
         let c = ClusterSpec::p4de(1);
         assert!(simulate_phase(&c, &phase).is_err());
+    }
+
+    /// Device 1 runs a copy kernel, then sends `bytes` of partial output to
+    /// device 0, which does nothing but wait for them.
+    fn late_sender(bytes: u64) -> PhasePlan {
+        use dcp_sched::{CommOp, DeviceStream, Payload, Transfer};
+        PhasePlan {
+            comms: vec![CommOp {
+                transfers: vec![Transfer {
+                    from: 1,
+                    to: 0,
+                    payload: Payload::PartialO(dcp_blocks::TokenBlockId(0), 1),
+                    bytes,
+                }],
+            }],
+            devices: vec![
+                DeviceStream {
+                    device: 0,
+                    instrs: vec![Instr::CommWait(CommId(0))],
+                    buffer: Default::default(),
+                },
+                DeviceStream {
+                    device: 1,
+                    instrs: vec![Instr::Copy { bytes: 1 << 30 }, Instr::CommLaunch(CommId(0))],
+                    buffer: Default::default(),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn a_wait_reached_before_the_launch_is_woken_by_the_flow() {
+        let c = ClusterSpec::p4de(1);
+        let bytes = 1_000_000_000u64;
+        let (sim, counters) = simulate_phase_counted(&c, &late_sender(bytes)).unwrap();
+        let copy = (1u64 << 30) as f64 / c.mem_bw + c.kernel_overhead;
+        let arrival = copy + c.intra_latency + bytes as f64 / c.intra_bw;
+        assert_eq!(sim.devices[1].finish, copy);
+        assert!((sim.devices[0].exposed_wait - arrival).abs() < 1e-9);
+        assert_eq!(sim.devices[0].exposed_wait, sim.makespan);
+        assert_eq!(counters.flows, 1);
+        // Once at the wait (the flow did not exist), once when it finished.
+        assert_eq!(counters.wait_checks, 2);
+    }
+
+    #[test]
+    fn an_empty_transfer_wakes_its_receiver_at_the_launch() {
+        let c = ClusterSpec::p4de(1);
+        let (sim, counters) = simulate_phase_counted(&c, &late_sender(0)).unwrap();
+        let copy = (1u64 << 30) as f64 / c.mem_bw + c.kernel_overhead;
+        // Nothing to carry: the flow is done when launched and never
+        // becomes a network event, so only the launch can wake device 0.
+        assert_eq!(sim.devices[0].exposed_wait, copy);
+        assert_eq!(sim.makespan, copy);
+        assert_eq!(sim.devices[0].comm_active, 0.0);
+        assert_eq!((counters.flows, counters.wait_checks), (1, 2));
+    }
+
+    #[test]
+    fn waits_cost_a_check_per_flow_not_per_event() {
+        use crate::fault::Fault;
+        let l = layout(32768, 1024);
+        let p = ring_placement(&l, 8);
+        let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
+        let c = ClusterSpec::p4de(1);
+        // x4 straggler and one link at a quarter: long waits, many events.
+        let faulted = FaultSpec {
+            seed: 7,
+            faults: vec![
+                Fault::Straggler {
+                    device: 0,
+                    slowdown: 4.0,
+                },
+                Fault::DegradedLink {
+                    src: 1,
+                    dst: 0,
+                    factor: 0.25,
+                },
+            ],
+        };
+        for spec in [FaultSpec::none(), faulted] {
+            for phase in [&plan.fwd, &plan.bwd] {
+                let (_, _, counters) = simulate_phase_opts(&c, phase, &spec, false).unwrap();
+                let waits = phase
+                    .devices
+                    .iter()
+                    .flat_map(|s| &s.instrs)
+                    .filter(|i| matches!(i, Instr::CommWait(_)))
+                    .count() as u64;
+                assert!(counters.flows > 0);
+                assert!(counters.wait_checks >= waits);
+                assert!(
+                    counters.wait_checks <= waits + counters.flows,
+                    "{} checks for {waits} waits and {} flows",
+                    counters.wait_checks,
+                    counters.flows
+                );
+                assert!(counters.wait_checks <= 4 * counters.flows);
+            }
+        }
     }
 
     #[test]
