@@ -214,7 +214,7 @@ fn run_forward(seed: u64, depth2: bool, mid_patch: bool, fault_aware: bool, tall
     let (patch, lost, redone) = if depth2 {
         // Second victim: the shard-hosting survivor with the most spliced
         // attention work.
-        let divs = |x: u32| fwd_divs(&patch1.fwd.devices[x as usize].instrs);
+        let divs = |x: u32| fwd_divs(&patch1.phase.devices[x as usize].instrs);
         let (j2, _) = patch1
             .shard_hosts
             .iter()
@@ -261,9 +261,9 @@ fn run_forward(seed: u64, depth2: bool, mid_patch: bool, fault_aware: bool, tall
     match execute_forward_recovery(
         &out.layout,
         &patch.placement,
-        &patch.fwd,
+        &patch.phase,
         &data,
-        &patch.ctx(),
+        &patch.ctx,
         &ExecObs::disabled(),
     ) {
         Ok(rec) => {
@@ -338,11 +338,11 @@ fn run_backward(seed: u64, tally: &mut Tally) {
     match execute_backward_recovery(
         &out.layout,
         &patch.placement,
-        &patch.bwd,
+        &patch.phase,
         &data,
         &fwd_out,
         &d_o,
-        &patch.ctx(),
+        &patch.ctx,
         &ExecObs::disabled(),
     ) {
         Ok(rec) => {

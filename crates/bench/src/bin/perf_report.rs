@@ -805,25 +805,25 @@ fn main() {
                     },
                 )
                 .expect("patch plan");
-            let ctx = patch.ctx();
-            let mut fwd = patch.fwd.clone();
+            let ctx = &patch.ctx;
+            let mut fwd = patch.phase.clone();
             let fwd_outs =
-                pass_pm.run_phase(&out.layout, &mut fwd, "recovery_fwd", &patch.salvage_comms);
-            verify_phase(&out.layout, &patch.placement, &fwd, false, &ctx)
+                pass_pm.run_phase(&out.layout, &mut fwd, "recovery_fwd", &ctx.salvage_comms);
+            verify_phase(&out.layout, &patch.placement, &fwd, false, ctx)
                 .expect("optimized recovery stream must stay legal");
             let data = BatchData::random(&out.layout, 2024);
             let obs = ExecObs::disabled();
             let base_out = execute_forward_recovery(
                 &out.layout,
                 &patch.placement,
-                &patch.fwd,
+                &patch.phase,
                 &data,
-                &ctx,
+                ctx,
                 &obs,
             )
             .expect("recovery execute");
             let opt_out =
-                execute_forward_recovery(&out.layout, &patch.placement, &fwd, &data, &ctx, &obs)
+                execute_forward_recovery(&out.layout, &patch.placement, &fwd, &data, ctx, &obs)
                     .expect("optimized recovery execute");
             assert_eq!(
                 base_out, opt_out,
@@ -834,7 +834,7 @@ fn main() {
             // Recovery phases count toward the headline totals: fresh plans
             // are comm-tight, so the dead prefetches of a truncated failed
             // stream are where the byte savings actually live.
-            pass_bytes_before += patch.fwd.total_comm_bytes();
+            pass_bytes_before += patch.phase.total_comm_bytes();
             pass_bytes_after += fwd.total_comm_bytes();
 
             let mut timing = patch.timing.clone();
@@ -845,7 +845,7 @@ fn main() {
                 &out.layout,
                 &mut timing,
                 "recovery_timing",
-                &patch.salvage_comms,
+                &ctx.salvage_comms,
             );
             verify_structure(&timing).expect("optimized timing stream must stay legal");
             let t_after = simulate_phase(&cluster, &timing)

@@ -379,19 +379,20 @@ fn main() {
                     continue;
                 }
             };
-            let ctx = patch.ctx();
-            let fwd = verify_phase(&out.layout, &patch.placement, &patch.fwd, false, &ctx).err();
-            let bwd = verify_plan(&out.layout, &patch.bwd_placement, &patch.bwd).err();
+            let ctx = &patch.ctx;
+            let (bwd_placement, bwd_plan) = patch.bwd.as_ref().expect("forward patch");
+            let fwd = verify_phase(&out.layout, &patch.placement, &patch.phase, false, ctx).err();
+            let bwd = verify_plan(&out.layout, bwd_placement, bwd_plan).err();
             let timing = verify_structure(&patch.timing).err();
-            let mut opt_fwd_phase = patch.fwd.clone();
+            let mut opt_fwd_phase = patch.phase.clone();
             pm.run_phase(
                 &out.layout,
                 &mut opt_fwd_phase,
                 "recovery_fwd",
-                &patch.salvage_comms,
+                &ctx.salvage_comms,
             );
             let opt_fwd =
-                verify_phase(&out.layout, &patch.placement, &opt_fwd_phase, false, &ctx).err();
+                verify_phase(&out.layout, &patch.placement, &opt_fwd_phase, false, ctx).err();
             for (what, err) in [
                 ("fwd", &fwd),
                 ("bwd", &bwd),

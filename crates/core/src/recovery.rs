@@ -3,40 +3,47 @@
 //!
 //! The planner (Sec. 4) assumes the device set is fixed for the whole
 //! iteration. This module relaxes that: given a [`PlanOutput`] already in
-//! flight, a per-device execution frontier (how many fused attention
-//! divisions each device completed) and a [`FailureEvent`] naming the lost
-//! device, [`RecoveryPlanner::plan_recovery`] produces a [`RecoveryPatch`]
-//! that completes the batch on the survivors **without recomputing anything
-//! the failed device already finished**:
+//! flight, a [`FailureEvent`] naming the lost device and how many fused
+//! attention divisions it completed (its execution frontier), a
+//! [`RecoveryPlanner`] produces a [`RecoveryPatch`] that completes the phase
+//! on the survivors **without recomputing anything the failed device already
+//! finished**. One pipeline serves both phases (DESIGN.md "Recovery"):
 //!
-//! - the failed device's *un-executed* computation blocks and its ownership
-//!   duties are grouped into per-Q-block **residual units** and re-sharded
-//!   over the survivors by the same hypergraph partitioner the planner uses,
-//!   with each survivor's *remaining* capacity (its own unfinished divisions)
-//!   as the per-part target weight (via
-//!   [`dcp_hypergraph::PartitionConfig::with_part_targets`]);
-//! - partial outputs the failed device already reduced are **salvaged**: its
-//!   raw online-softmax accumulators ship to the replacement shards over
-//!   dedicated salvage comm ops, so the shards fold the residual blocks into
-//!   them exactly where the failed device left off — the merged batch output
-//!   is bitwise identical to an unfaulted run (the salvage and stand-in
-//!   rules are DESIGN.md "Stream semantics", carried by
-//!   [`RecoveryPatch::ctx`]);
+//! - every logical stream the failure kills is cut at its frontier, and its
+//!   *un-executed* computation blocks, its ownership duties and the partials
+//!   it still owed are grouped into **residual units** — accumulators that
+//!   must stay colocated: one output accumulator per Q block going forward;
+//!   connected components going backward, where an item folds into one `dQ`
+//!   and one `dKV` running sum at once;
+//! - units are re-sharded over the survivors against each survivor's
+//!   *remaining* capacity (its own unfinished divisions): forward by the
+//!   same hypergraph partitioner the planner uses (via
+//!   [`dcp_hypergraph::PartitionConfig::with_part_targets`], greedy
+//!   water-fill as the backstop), backward by water-fill alone;
+//! - what the dead stream already reduced is **salvaged**: its raw
+//!   accumulators ship to the replacement shards over dedicated salvage comm
+//!   ops, so the shards fold the residual blocks into them exactly where the
+//!   dead stream left off — online-softmax state forward, plain `dQ`/`dKV`
+//!   sums backward — and the merged result is bitwise identical to an
+//!   unfaulted run (the salvage and stand-in rules are DESIGN.md "Stream
+//!   semantics", carried by [`RecoveryPatch::ctx`]);
 //! - survivor instruction streams are reused **verbatim**: shards deposit
-//!   the failed device's outstanding partials under the original comm ids,
-//!   so nothing downstream of the failure is regenerated. Only the failed
-//!   device's stream (truncated at the frontier plus salvage launches) and
-//!   the shard streams are new.
+//!   the dead stream's outstanding partials under the original comm ids, so
+//!   nothing downstream of the failure is regenerated. Only the dead
+//!   stream (truncated at the frontier plus salvage launches) and the shard
+//!   streams are new.
 //!
-//! The patch carries two phase plans: `fwd`, a *functional* plan over
-//! `D + S` logical devices (shard `j` is logical device `D + j`) for the
-//! numerical executor, and `timing`, the same work folded back onto the `D`
-//! physical ranks (shard `j` on survivor `shard_hosts[j]`) for the cluster
-//! simulator — the recovered-vs-clean makespan delta is the recovery cost
-//! charged into the iteration breakdown.
+//! The patch carries two renderings of the patched phase: `phase`, a
+//! *functional* plan over `D + S` logical devices (shard `j` is logical
+//! device `D + j`) for the numerical executor, and `timing`, the same work
+//! folded back onto the `D` physical ranks (shard `j` on survivor
+//! `shard_hosts[j]`) for the cluster simulator — the recovered-vs-clean
+//! makespan delta is the recovery cost charged into the iteration
+//! breakdown. A forward patch also re-plans the backward phase on the
+//! survivors ([`RecoveryPatch::bwd`]).
 //!
-//! Recovery is **re-entrant**: a [`RecoveryPatch`] is itself a recoverable
-//! plan. If a survivor dies while a patch is in flight —
+//! Forward recovery is **re-entrant**: a [`RecoveryPatch`] is itself a
+//! recoverable plan. If a survivor dies while a patch is in flight —
 //! including one hosting spliced shards — [`RecoveryPlanner::plan_recovery_onto`]
 //! composes a second patch over the first. Every logical stream the new
 //! failure kills (the rank's own stream plus any recovery shards it hosted)
@@ -47,15 +54,6 @@
 //! for the same token block (the owner's reduce state vs. another stream's
 //! outstanding partial), and merging them would change the reduction tree.
 //!
-//! Failures during the **backward** phase do not throw the phase away:
-//! [`RecoveryPlanner::plan_backward_recovery`] cuts the dead stream at its
-//! reduction frontier, groups the surviving partial `dQ`/`dKV` accumulators
-//! into connected components (an item contributes to one dQ and one dKV
-//! accumulator, so co-contributing blocks must stay colocated), salvages
-//! the raw running sums and water-fills the components over the survivors.
-//! Gradient accumulators are plain sums, so the salvaged state folds in
-//! bitwise exactly where the dead stream stopped.
-//!
 //! With [`RecoveryPlanner::with_fault_spec`] the re-shard targets are
 //! scaled by estimated survivor health (straggler slowdowns shrink a
 //! survivor's flop target, degraded links its byte target), closing the
@@ -63,11 +61,11 @@
 //! absent spec leaves the targets byte-identical to the fault-blind path.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
 
 use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
 use dcp_hypergraph::{partition, HypergraphBuilder, PartitionConfig, VertexWeight};
-use dcp_obs::{Event, ObsHandle, Source as ObsSource};
+use dcp_obs::{Event, ObsHandle, Source as ObsSource, Span};
+use dcp_sched::stream::check_ids;
 use dcp_sched::{
     build_plan, verify_phase, verify_plan, verify_structure, BufferStats, CommId, CommOp,
     DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx,
@@ -79,7 +77,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::planner::PlanOutput;
 
-/// A device loss at a division boundary of the forward phase.
+/// A device loss at a division boundary of the phase in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailureEvent {
     /// The lost device rank.
@@ -118,16 +116,17 @@ impl Default for RecoveryConfig {
 /// Accounting for one recovery patch.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RecoveryStats {
-    /// Forward FLOPs the failed device was assigned in the original plan.
+    /// Attention FLOPs the dying streams carried in the plan being patched.
     pub failed_flops: u64,
-    /// Forward FLOPs re-assigned to shards (the failed device's un-executed
-    /// blocks). Everything it finished is salvaged, not redone.
+    /// FLOPs re-assigned to shards (the dying streams' un-executed blocks).
+    /// Everything they finished is salvaged, not redone.
     pub redone_flops: u64,
-    /// Bytes of raw accumulators evacuated from the failed device.
+    /// Bytes of raw accumulators evacuated from the dying streams.
     pub salvage_bytes: u64,
-    /// Bytes of Q/KV inputs the shards re-fetch for residual blocks.
+    /// Bytes of Q/KV (and dO, backward) inputs the shards re-fetch for
+    /// residual blocks.
     pub refetch_bytes: u64,
-    /// Residual units (Q-block groups) re-sharded over the survivors.
+    /// Residual units re-sharded over the survivors.
     pub residual_units: usize,
     /// Whether the hypergraph re-shard fell back to greedy waterfilling.
     pub greedy_fallback: bool,
@@ -138,127 +137,66 @@ pub struct RecoveryStats {
     pub cascade_depth: u32,
 }
 
-/// The shrink-and-reshard patch for one [`FailureEvent`].
+/// The shrink-and-reshard patch for one [`FailureEvent`], in either phase.
 ///
-/// `fwd` is the functional plan: `D + shard_hosts.len()` logical devices,
-/// verified and executed (`dcp_exec::execute_forward_recovery`) under
-/// [`RecoveryPatch::ctx`]. `timing` folds the shard work onto the `D`
-/// physical ranks for the simulator. The backward phase is re-planned:
-/// `bwd_placement` assigns nothing to the failed device and `bwd` is its
-/// freshly built plan.
+/// `phase` is the functional plan: `D + shard_hosts.len()` logical devices,
+/// verified and executed (`dcp_exec::execute_forward_recovery` /
+/// `execute_backward_recovery`) under `ctx`. `timing` folds the shard work
+/// onto the `D` physical ranks for the simulator.
 #[derive(Debug, Clone)]
 pub struct RecoveryPatch {
     /// The most recently failed device rank (this patch's event).
     pub failed: u32,
     /// Divisions the failed device completed (copied from the event).
     pub divisions_done: u32,
+    /// Whether `phase` is the backward phase
+    /// ([`RecoveryPlanner::plan_backward_recovery`]).
+    pub backward: bool,
     /// Every physical rank lost so far, in failure order. The last entry is
     /// `failed`; earlier entries come from the prior patch when composing.
     pub failed_devices: Vec<u32>,
-    /// Every dead *logical* stream: lost ranks plus any shard streams that
-    /// were hosted on them when they died. Their truncated prefixes remain
-    /// in `fwd` and may still read re-owned blocks locally.
-    pub failed_streams: HashSet<u32>,
     /// Physical survivor hosting each shard: shard `j` (logical device
     /// `D + j`) runs on rank `shard_hosts[j]`. Cumulative across cascade
     /// depths — earlier patches' shards keep their slots.
     pub shard_hosts: Vec<u32>,
-    /// Placement over the `D + S` logical devices of `fwd`.
+    /// Placement over the `D + S` logical devices of `phase`.
     pub placement: Placement,
-    /// Patched forward phase over `D + S` logical devices.
-    pub fwd: PhasePlan,
-    /// Comm ids in `fwd` carrying raw salvaged accumulators (cumulative).
-    pub salvage_comms: HashSet<u32>,
-    /// Shard (logical device id) that deposits each outstanding partial
-    /// under the original comm ids, keyed by `(token block, original
-    /// producer)` — two dead streams may owe partials for the same block.
-    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
-    /// Token blocks whose ownership moved off a dead stream (cumulative).
-    pub reowned: HashSet<TokenBlockId>,
-    /// The patched forward phase folded onto the `D` physical ranks, for
-    /// the cluster simulator.
+    /// The patched phase over `D + S` logical devices.
+    pub phase: PhasePlan,
+    /// The recovery semantics of `phase` — what the verifier, the executor
+    /// and the host-fold read it under, cumulative across cascade depths:
+    /// every dead *logical* stream (lost ranks plus the shard streams they
+    /// hosted; their truncated prefixes remain in `phase`), the salvage comm
+    /// ids, the shard standing in for each owed partial, and the token
+    /// blocks whose ownership moved off a dead stream.
+    pub ctx: RecoveryCtx,
+    /// The patched phase folded onto the `D` physical ranks, for the
+    /// cluster simulator.
     pub timing: PhasePlan,
-    /// Backward placement over `D` devices with nothing on any failed rank.
-    pub bwd_placement: Placement,
-    /// Freshly built plan for `bwd_placement` (use its `bwd` phase).
-    pub bwd: ExecutionPlan,
+    /// Forward patches only: the backward phase re-planned over the `D`
+    /// ranks with nothing on any failed one — its placement and the freshly
+    /// built plan (use the plan's `bwd` phase). `None` on a backward patch,
+    /// whose own `phase` finishes the iteration.
+    pub bwd: Option<(Placement, ExecutionPlan)>,
     /// Patch accounting (for this event; sets `cascade_depth`).
     pub stats: RecoveryStats,
 }
 
-impl RecoveryPatch {
-    /// The recovery semantics of `fwd`: what the verifier, the executor and
-    /// the host-fold read it under.
-    pub fn ctx(&self) -> RecoveryCtx {
-        RecoveryCtx {
-            failed: self.failed_streams.clone(),
-            salvage_comms: self.salvage_comms.clone(),
-            producer_of: self.producer_of.clone(),
-            reowned: self.reowned.clone(),
-            ..RecoveryCtx::default()
-        }
-    }
-}
-
-/// A reduction-frontier salvage patch for a failure **during the backward
-/// phase** (see [`RecoveryPlanner::plan_backward_recovery`]).
-///
-/// `bwd` is the functional patched backward phase over `D + S` logical
-/// devices, verified and executed (`dcp_exec::execute_backward_recovery`)
-/// under [`BwdRecoveryPatch::ctx`]. `timing` folds the shard work onto the
-/// `D` physical ranks for the simulator.
-#[derive(Debug, Clone)]
-pub struct BwdRecoveryPatch {
-    /// The failed device rank.
-    pub failed: u32,
-    /// Backward divisions the failed device completed before dying.
-    pub divisions_done: u32,
-    /// Physical survivor hosting each shard stream.
-    pub shard_hosts: Vec<u32>,
-    /// Placement over the `D + S` logical devices of `bwd`.
-    pub placement: Placement,
-    /// Patched backward phase over `D + S` logical devices.
-    pub bwd: PhasePlan,
-    /// Comm ids carrying raw salvaged `dQ`/`dKV` running sums.
-    pub salvage_comms: HashSet<u32>,
-    /// Shard that deposits each outstanding `dQ` partial, keyed by
-    /// `(token block, original producer)`.
-    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
-    /// Shard that deposits each outstanding `dKV` partial.
-    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
-    /// Token blocks whose gradient ownership moved to a shard.
-    pub reowned: HashSet<TokenBlockId>,
-    /// The patched backward phase folded onto the `D` physical ranks.
-    pub timing: PhasePlan,
-    /// Patch accounting.
-    pub stats: RecoveryStats,
-}
-
-impl BwdRecoveryPatch {
-    /// The recovery semantics of `bwd`: what the verifier, the executor and
-    /// the host-fold read it under.
-    pub fn ctx(&self) -> RecoveryCtx {
-        RecoveryCtx {
-            failed: HashSet::from([self.failed]),
-            salvage_comms: self.salvage_comms.clone(),
-            producer_of_dq: self.producer_of_dq.clone(),
-            producer_of_dkv: self.producer_of_dkv.clone(),
-            reowned: self.reowned.clone(),
-            ..RecoveryCtx::default()
-        }
-    }
-}
-
-/// One residual unit: a Q block plus the failed device's un-executed
-/// computation blocks targeting it, moved to a shard as a whole so the
-/// salvaged accumulator, the residual folds and the ownership duties of the
-/// block stay colocated.
+/// One residual unit: accumulators of a dying stream that must move to one
+/// shard together — with the un-executed computation blocks that fold into
+/// them and the token blocks whose ownership follows — so the salvaged
+/// state, the residual folds and the ownership duties stay colocated.
 #[derive(Debug)]
 struct Unit {
-    tb: TokenBlockId,
+    /// The accumulators, each written as the partial its dying stream would
+    /// ship (`dQ` before `dKV`, each in discovery order — the order salvage
+    /// ops carry them in). Never empty.
+    accs: Vec<Payload>,
+    /// Residual computation blocks folding into them, in stream order.
     items: Vec<CompBlockId>,
     flops: u64,
-    owned: bool,
+    /// Token blocks the dying stream owned among them.
+    owned: Vec<TokenBlockId>,
 }
 
 /// Builds [`RecoveryPatch`]es for failures against live [`PlanOutput`]s.
@@ -269,7 +207,8 @@ pub struct RecoveryPlanner {
     fault_spec: Option<FaultSpec>,
 }
 
-/// Per-dying-stream state derived from the execution frontier.
+/// One dying logical stream: its state at the execution frontier, then its
+/// residual units and where the re-shard put them.
 struct DyingView {
     /// The dying logical stream id.
     l: u32,
@@ -277,9 +216,10 @@ struct DyingView {
     k: u32,
     /// Instruction index of the frontier cut.
     cut: usize,
-    /// Token blocks with a live output accumulator at the cut: Q blocks of
-    /// executed items plus blocks installed by salvage waits in the prefix.
-    executed_acc: HashSet<TokenBlockId>,
+    /// Accumulators live at the cut, as the partial this stream would ship:
+    /// those of executed items plus those installed by salvage waits in the
+    /// prefix.
+    live: HashSet<Payload>,
     /// Residual (un-executed) computation blocks, in stream order.
     residual: Vec<CompBlockId>,
     /// Comm ids waited *within* the kept prefix (these waits replay, so
@@ -291,8 +231,38 @@ struct DyingView {
     reduce_items: Vec<ReduceItem>,
     /// Suffix comm launches carrying partials this stream still owed.
     residual_out_cids: Vec<u32>,
-    /// `(token block, original producer)` of each owed partial.
-    outstanding: Vec<(TokenBlockId, u32)>,
+    /// Each owed partial, as the payload its transfer names.
+    outstanding: Vec<Payload>,
+    /// What it leaves behind, grouped ([`residual_units`]).
+    units: Vec<Unit>,
+    /// Logical id of this stream's first shard (one per survivor follows);
+    /// `None` when it got no shard block.
+    shard0: Option<u32>,
+    /// Survivor index each unit was assigned to.
+    part: Vec<u32>,
+}
+
+impl DyingView {
+    /// Each unit with the survivor index and the shard (logical device) it
+    /// was assigned to.
+    fn placed(&self) -> impl Iterator<Item = (&Unit, usize, u32)> {
+        let shard0 = self.shard0.unwrap_or(0); // no shard block, no units
+        let assigned = self.units.iter().zip(&self.part);
+        assigned.map(move |(u, &j)| (u, j as usize, shard0 + j))
+    }
+}
+
+/// The plan being patched: the clean phase at depth 1, the prior patch's
+/// rendering when composing.
+struct Base<'a> {
+    layout: &'a BatchLayout,
+    /// The clean placement: who physically holds each block's inputs.
+    origin: &'a Placement,
+    phase: &'a PhasePlan,
+    placement: &'a Placement,
+    /// Physical ranks `D`; logical streams from `D` up are shards.
+    d_total: u32,
+    backward: bool,
 }
 
 impl RecoveryPlanner {
@@ -305,10 +275,9 @@ impl RecoveryPlanner {
         }
     }
 
-    /// Attaches an observability sink: `plan_recovery` emits a
-    /// `device_lost` instant, a `recovery_plan` span (whose value is the
-    /// cascade depth) and salvage/redo counters under
-    /// [`dcp_obs::Source::Planner`].
+    /// Attaches an observability sink: a patch emits a `device_lost`
+    /// instant, a `recovery_plan` span (whose value is the cascade depth)
+    /// and salvage/redo counters under [`dcp_obs::Source::Planner`].
     #[must_use]
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;
@@ -339,8 +308,8 @@ impl RecoveryPlanner {
         Some(w)
     }
 
-    /// Produces the shrink-and-reshard patch for `ev` against a clean
-    /// `out` (cascade depth 1).
+    /// Produces the shrink-and-reshard patch for a forward-phase `ev`
+    /// against a clean `out` (cascade depth 1).
     ///
     /// # Errors
     ///
@@ -348,16 +317,17 @@ impl RecoveryPlanner {
     /// range or there are no survivors;
     /// [`DcpError::InvalidFailureEvent`] (carrying the device and the
     /// offending frontier) if `divisions_done` exceeds the device's
-    /// division count; [`DcpError::InvalidPlan`] if the plan's streams are
-    /// internally inconsistent.
+    /// division count; [`DcpError::InvalidPlan`] if the plan names ids
+    /// outside its own tables or the layout, its streams are internally
+    /// inconsistent, or a rendering fails verification.
     pub fn plan_recovery(&self, out: &PlanOutput, ev: &FailureEvent) -> DcpResult<RecoveryPatch> {
-        self.plan_patch(out, None, ev)
+        self.plan_patch(out, None, ev, false)
     }
 
-    /// Composes a new patch **over a prior one**: `ev` kills a survivor of
-    /// `prior` (possibly one hosting spliced recovery shards) and the
-    /// result completes the batch on the remaining survivors, bitwise
-    /// identical to the clean run.
+    /// Composes a new forward patch **over a prior one**: `ev` kills a
+    /// survivor of `prior` (possibly one hosting spliced recovery shards)
+    /// and the result completes the batch on the remaining survivors,
+    /// bitwise identical to the clean run.
     ///
     /// `ev.divisions_done` counts the fused divisions the dying rank
     /// completed across *all* the logical streams it was running, in splice
@@ -366,239 +336,155 @@ impl RecoveryPlanner {
     ///
     /// # Errors
     ///
-    /// As [`RecoveryPlanner::plan_recovery`]; additionally
-    /// [`DcpError::InvalidArgument`] if `ev.device` already failed.
+    /// As [`RecoveryPlanner::plan_recovery`] (`prior` is checked like
+    /// `out`); additionally [`DcpError::InvalidArgument`] if `ev.device`
+    /// already failed or `prior` is a backward patch.
     pub fn plan_recovery_onto(
         &self,
         out: &PlanOutput,
         prior: &RecoveryPatch,
         ev: &FailureEvent,
     ) -> DcpResult<RecoveryPatch> {
-        self.plan_patch(out, Some(prior), ev)
+        self.plan_patch(out, Some(prior), ev, false)
     }
 
-    /// The shared re-entrant core behind [`RecoveryPlanner::plan_recovery`]
-    /// and [`RecoveryPlanner::plan_recovery_onto`].
+    /// Produces the patch for a failure **during the backward phase**.
+    ///
+    /// Instead of re-planning the whole backward from scratch, the dead
+    /// stream is cut at its `ev.divisions_done`-th fused `AttnBwd` division
+    /// — its reduction frontier — and its partial `dQ`/`dKV` running sums
+    /// are salvaged. Gradient accumulators are plain sums, so the salvaged
+    /// state folds in bitwise exactly where the dead stream stopped.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecoveryPlanner::plan_recovery`].
+    pub fn plan_backward_recovery(
+        &self,
+        out: &PlanOutput,
+        ev: &FailureEvent,
+    ) -> DcpResult<RecoveryPatch> {
+        self.plan_patch(out, None, ev, true)
+    }
+
+    /// The one patch builder behind the three entry points: cut every dying
+    /// stream at its frontier, group and assign its residual work (the only
+    /// steps the direction shapes beyond payload kinds), then [`render`],
+    /// fold onto the hosts and verify.
     fn plan_patch(
         &self,
         out: &PlanOutput,
         prior: Option<&RecoveryPatch>,
         ev: &FailureEvent,
+        backward: bool,
     ) -> DcpResult<RecoveryPatch> {
-        let t0 = Instant::now();
-        let d_total = out.plan.num_devices;
         let failed = ev.device;
+        let span = Span::enter(
+            self.obs.sink(),
+            Event::span(ObsSource::Planner, "recovery_plan").with_device(failed),
+        );
+        let d_total = out.plan.num_devices;
         let layout = &out.layout;
-        // Views of the plan being patched: the clean plan at depth 1, the
-        // prior patch's rendering when composing.
-        let base_fwd: &PhasePlan = prior.map_or(&out.plan.fwd, |p| &p.fwd);
-        let base_placement: &Placement = prior.map_or(&out.placement, |p| &p.placement);
-        let base_hosts: &[u32] = prior.map_or(&[], |p| &p.shard_hosts);
-        let prior_failed_devices: Vec<u32> =
-            prior.map(|p| p.failed_devices.clone()).unwrap_or_default();
-        let prior_failed_streams: HashSet<u32> =
-            prior.map(|p| p.failed_streams.clone()).unwrap_or_default();
-        let mut salvage_comms: HashSet<u32> =
-            prior.map(|p| p.salvage_comms.clone()).unwrap_or_default();
-        let mut producer_of: HashMap<(TokenBlockId, u32), u32> =
-            prior.map(|p| p.producer_of.clone()).unwrap_or_default();
-        let mut reowned: HashSet<TokenBlockId> =
-            prior.map(|p| p.reowned.clone()).unwrap_or_default();
-        let (bwd_token0, bwd_comp0) = match prior {
-            Some(p) => (
-                p.bwd_placement.token_to_dev.clone(),
-                p.bwd_placement.comp_to_dev.clone(),
-            ),
-            None => (
-                out.placement.token_to_dev.clone(),
-                out.placement.comp_to_dev.clone(),
-            ),
+        if prior.is_some_and(|p| p.backward != backward) {
+            return Err(DcpError::invalid_argument(
+                "cannot compose a forward patch over a backward one",
+            ));
+        }
+        let clean = if backward {
+            &out.plan.bwd
+        } else {
+            &out.plan.fwd
         };
-        let cascade_depth = prior.map_or(0, |p| p.stats.cascade_depth) + 1;
+        let base = Base {
+            layout,
+            origin: &out.placement,
+            phase: prior.map_or(clean, |p| &p.phase),
+            placement: prior.map_or(&out.placement, |p| &p.placement),
+            d_total,
+            backward,
+        };
+        let base_hosts: &[u32] = prior.map_or(&[], |p| &p.shard_hosts);
+        let prior_failed: &[u32] = prior.map_or(&[], |p| &p.failed_devices);
+        let mut ctx = prior.map(|p| p.ctx.clone()).unwrap_or_default();
+
+        // `PlanOutput` and patches deserialize: check every id and shape
+        // the patcher indexes by, once, before it does.
+        let l_total = base.phase.devices.len() as u32;
+        let bwd_base = prior
+            .and_then(|p| p.bwd.as_ref())
+            .map(|(placement, _)| placement);
+        let shape = |what: &str, got: u32, want: u32| match got == want {
+            true => Ok(()),
+            false => Err(DcpError::invalid_plan(format!(
+                "the plan to patch has {got} {what}, expected {want}"
+            ))),
+        };
+        shape("streams", l_total, d_total + base_hosts.len() as u32)?;
+        shape(
+            "devices in its placement",
+            base.placement.num_devices,
+            l_total,
+        )?;
+        shape(
+            "devices in the clean placement",
+            base.origin.num_devices,
+            d_total,
+        )?;
+        let bwd_devices = bwd_base.map_or(d_total, |p| p.num_devices);
+        shape("devices in its backward placement", bwd_devices, d_total)?;
+        check_ids(base.phase, Some(layout))?;
+        let placements = [Some(base.origin), prior.map(|p| &p.placement), bwd_base];
+        for p in placements.into_iter().flatten() {
+            p.validate(layout)
+                .map_err(|e| DcpError::invalid_plan(e.to_string()))?;
+        }
 
         if failed >= d_total {
             return Err(DcpError::invalid_argument(format!(
                 "failed device {failed} out of range for {d_total} devices"
             )));
         }
-        if prior_failed_devices.contains(&failed) {
+        if prior_failed.contains(&failed) {
             return Err(DcpError::invalid_argument(format!(
                 "device {failed} already failed in the prior patch"
             )));
         }
         let survivors: Vec<u32> = (0..d_total)
-            .filter(|x| *x != failed && !prior_failed_devices.contains(x))
+            .filter(|x| *x != failed && !prior_failed.contains(x))
             .collect();
         if survivors.is_empty() {
             return Err(DcpError::invalid_argument(
                 "cannot recover: no surviving devices",
             ));
         }
-        let s_count = survivors.len();
-        let l_total = base_fwd.devices.len() as u32;
-        debug_assert_eq!(l_total, d_total + base_hosts.len() as u32);
 
-        // --- 1. Dying logical streams, in splice order. ------------------
-        // The rank's own stream first, then any live shard streams it was
-        // hosting (ascending logical id). `ev.divisions_done` distributes
-        // across them in that order.
-        let dying: Vec<u32> = std::iter::once(failed)
-            .chain((d_total..l_total).filter(|&l| {
-                base_hosts[(l - d_total) as usize] == failed && !prior_failed_streams.contains(&l)
-            }))
-            .collect();
-        let dying_set: HashSet<u32> = dying.iter().copied().collect();
-
-        // --- 2. Frontier split per dying stream. -------------------------
+        // --- 1. Dying logical streams, in splice order, each split at its
+        // frontier. The rank's own stream first, then any live shard
+        // streams it was hosting (ascending logical id);
+        // `ev.divisions_done` distributes across them in that order.
+        let hosted_live = |host: u32| {
+            let ctx = &ctx;
+            (d_total..l_total)
+                .filter(move |&l| base_hosts[(l - d_total) as usize] == host)
+                .filter(move |l| !ctx.failed.contains(l))
+        };
         let mut budget = ev.divisions_done;
         let mut views: Vec<DyingView> = Vec::new();
         let mut failed_flops = 0u64;
-        for &l in &dying {
-            let instrs = &base_fwd.devices[l as usize].instrs;
-            let na = instrs
-                .iter()
-                .filter(|i| matches!(i, Instr::Attn { .. } | Instr::AttnBwd { .. }))
-                .count() as u32;
-            let k = budget.min(na);
+        for l in std::iter::once(failed).chain(hosted_live(failed)) {
+            let instrs = &base.phase.devices[l as usize].instrs;
+            let is_attn = |i: &&Instr| matches!(i, Instr::Attn { .. } | Instr::AttnBwd { .. });
+            let k = budget.min(instrs.iter().filter(is_attn).count() as u32);
             budget -= k;
-            let (cut, executed, residual, total) = split_frontier(instrs, k, failed)?;
-            failed_flops += total;
-            let mut executed_acc: HashSet<TokenBlockId> = executed
-                .iter()
-                .map(|&c| layout.comp_blocks[c.0 as usize].q_block)
-                .collect();
-            let mut kept_waits: HashSet<u32> = HashSet::new();
-            for ins in &instrs[..cut] {
-                if let Instr::CommWait(cid) = ins {
-                    kept_waits.insert(cid.0);
-                    if salvage_comms.contains(&cid.0) {
-                        // A replayed salvage wait re-installs an inherited
-                        // accumulator — live state this stream can re-ship.
-                        for tr in &base_fwd.comms[cid.0 as usize].transfers {
-                            if tr.to == l {
-                                if let Payload::PartialO(tb, _) = tr.payload {
-                                    executed_acc.insert(tb);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            let tail_waits: Vec<u32> = instrs[cut..]
-                .iter()
-                .filter_map(|ins| match ins {
-                    Instr::CommWait(cid) if !salvage_comms.contains(&cid.0) => Some(cid.0),
-                    _ => None,
-                })
-                .collect();
-            let reduce_items: Vec<ReduceItem> = instrs
-                .iter()
-                .flat_map(|ins| match ins {
-                    Instr::Reduce { items, .. } => items.clone(),
-                    _ => Vec::new(),
-                })
-                .collect();
-            views.push(DyingView {
-                l,
-                k,
-                cut,
-                executed_acc,
-                residual,
-                kept_waits,
-                tail_waits,
-                reduce_items,
-                residual_out_cids: Vec::new(),
-                outstanding: Vec::new(),
-            });
+            let (view, flops) = dying_view(&base, &ctx, l, k, failed)?;
+            failed_flops += flops;
+            views.push(view);
         }
         if budget > 0 {
             return Err(DcpError::invalid_failure_event(failed, ev.divisions_done));
         }
-        let redone_flops: u64 = views
-            .iter()
-            .flat_map(|v| v.residual.iter())
-            .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-            .sum();
 
-        // --- 3. Residual units per dying stream. -------------------------
-        // Units from different dying streams must NOT merge: two dying
-        // streams can each hold a distinct accumulator for the same token
-        // block (owner reduce state vs. an inherited outstanding partial),
-        // and merging them would change the reduction tree — breaking
-        // bitwise equality with the clean run.
-        let view_of_stream: HashMap<u32, usize> =
-            dying.iter().enumerate().map(|(v, &l)| (l, v)).collect();
-        let mut view_units: Vec<Vec<Unit>> = Vec::with_capacity(views.len());
-        let mut unit_idx: HashMap<(u32, TokenBlockId), usize> = HashMap::new();
-        for view in &views {
-            let mut units: Vec<Unit> = Vec::new();
-            for &c in &view.residual {
-                let cb = layout.comp_blocks[c.0 as usize];
-                let idx = *unit_idx.entry((view.l, cb.q_block)).or_insert_with(|| {
-                    units.push(Unit {
-                        tb: cb.q_block,
-                        items: Vec::new(),
-                        flops: 0,
-                        owned: false,
-                    });
-                    units.len() - 1
-                });
-                units[idx].items.push(c);
-                units[idx].flops += cb.flops;
-            }
-            view_units.push(units);
-        }
-        for (i, &owner) in base_placement.token_to_dev.iter().enumerate() {
-            if let Some(&v) = view_of_stream.get(&owner) {
-                let tb = TokenBlockId(i as u32);
-                let units = &mut view_units[v];
-                let idx = *unit_idx.entry((owner, tb)).or_insert_with(|| {
-                    units.push(Unit {
-                        tb,
-                        items: Vec::new(),
-                        flops: 0,
-                        owned: false,
-                    });
-                    units.len() - 1
-                });
-                units[idx].owned = true;
-            }
-        }
-        // Outstanding out-comms: partials launched after a dying stream's
-        // frontier. A zero-item unit keeps an executed-but-unsent block's
-        // salvaged accumulator attached to a shard that re-deposits it.
-        for (v, view) in views.iter_mut().enumerate() {
-            let instrs = &base_fwd.devices[view.l as usize].instrs;
-            for ins in &instrs[view.cut..] {
-                if let Instr::CommLaunch(cid) = ins {
-                    let mut is_out = false;
-                    for tr in &base_fwd.comms[cid.0 as usize].transfers {
-                        if let Payload::PartialO(tb, p) = tr.payload {
-                            let mine = p == view.l || producer_of.get(&(tb, p)) == Some(&view.l);
-                            if mine {
-                                is_out = true;
-                                view.outstanding.push((tb, p));
-                                let units = &mut view_units[v];
-                                unit_idx.entry((view.l, tb)).or_insert_with(|| {
-                                    units.push(Unit {
-                                        tb,
-                                        items: Vec::new(),
-                                        flops: 0,
-                                        owned: false,
-                                    });
-                                    units.len() - 1
-                                });
-                            }
-                        }
-                    }
-                    if is_out {
-                        view.residual_out_cids.push(cid.0);
-                    }
-                }
-            }
-        }
-
-        // --- 4. Re-shard each dying stream onto survivor capacity. -------
+        // --- 2. Re-shard each dying stream onto survivor capacity. -------
         // Each dying stream with units gets its own block of fresh shard
         // streams (one per survivor). Targets water-fill the shortfall
         // between the post-recovery ideal and what each survivor already
@@ -609,348 +495,167 @@ impl RecoveryPlanner {
         let mut queued: Vec<u64> = survivors
             .iter()
             .map(|&s| {
-                let mut q = remaining_flops(&base_fwd.devices[s as usize].instrs, k_own);
-                for l in d_total..l_total {
-                    if base_hosts[(l - d_total) as usize] == s && !prior_failed_streams.contains(&l)
-                    {
-                        q += remaining_flops(&base_fwd.devices[l as usize].instrs, 0);
-                    }
-                }
-                q
+                let flops = |l: u32, k| remaining_flops(&base.phase.devices[l as usize].instrs, k);
+                flops(s, k_own) + hosted_live(s).map(|l| flops(l, 0)).sum::<u64>()
             })
             .collect();
-        let unit_bytes = |u: &Unit| {
-            let tb = &layout.token_blocks[u.tb.0 as usize];
-            tb.o_bytes + if u.owned { tb.total_bytes() } else { 0 }
-        };
         let mut shard_hosts: Vec<u32> = base_hosts.to_vec();
-        let mut view_base: Vec<Option<u32>> = vec![None; views.len()];
-        let mut part_of: Vec<Vec<u32>> = Vec::with_capacity(views.len());
         let mut greedy_fallback = false;
-        for units in &view_units {
-            if units.is_empty() {
-                part_of.push(Vec::new());
+        for view in &mut views {
+            // A forward stream that left nothing behind needs no shards; a
+            // backward patch always carries its one block, so its
+            // `shard_hosts` are the survivors whatever the victim held.
+            if view.units.is_empty() && !backward {
                 continue;
             }
-            let v = part_of.len();
-            view_base[v] = Some(d_total + shard_hosts.len() as u32);
-            shard_hosts.extend(survivors.iter().copied());
-            let residual_total: u64 = units.iter().map(|u| u.flops).sum();
-            let bytes_total: u64 = units.iter().map(unit_bytes).sum();
-            let targets = recovery_targets(
-                &queued,
-                &survivors,
-                residual_total,
-                bytes_total,
-                caps.as_deref(),
-            );
-            let assignment: Vec<u32> = if s_count == 1 {
-                vec![0; units.len()]
+            view.shard0 = Some(d_total + shard_hosts.len() as u32);
+            shard_hosts.extend(&survivors);
+            let flops: u64 = view.units.iter().map(|u| u.flops).sum();
+            let bytes: u64 = view.units.iter().map(|u| unit_bytes(layout, u)).sum();
+            let targets = recovery_targets(&queued, &survivors, flops, bytes, caps.as_deref());
+            // Backward units are whole dQ∼dKV components — few and coarse —
+            // so they water-fill directly, as a lone survivor's must.
+            view.part = if backward || survivors.len() == 1 {
+                waterfill(&view.units, &targets)
             } else {
-                let mut b = HypergraphBuilder::new(units.len());
-                for (i, u) in units.iter().enumerate() {
-                    b.set_vertex_weight(i, [u.flops.max(1), unit_bytes(u)]);
-                }
-                // Units sharing a KV input want to land on the same shard
-                // so the input is fetched once.
-                let mut consumers: BTreeMap<TokenBlockId, Vec<u32>> = BTreeMap::new();
-                for (i, u) in units.iter().enumerate() {
-                    for &c in &u.items {
-                        let kb = layout.comp_blocks[c.0 as usize].kv_block;
-                        consumers.entry(kb).or_default().push(i as u32);
-                    }
-                }
-                for (kb, pins) in consumers {
-                    if pins.len() > 1 {
-                        b.add_edge(layout.token_blocks[kb.0 as usize].kv_bytes, &pins);
-                    }
-                }
-                let hg = b.build()?;
-                let mut pc = PartitionConfig::new(s_count as u32)
-                    .with_epsilon(self.cfg.epsilon)
-                    .with_part_targets(targets.clone());
-                pc.eps[1] = self.cfg.epsilon;
-                pc.seed = self.cfg.seed;
-                match partition(&hg, &pc) {
-                    Ok(p) if p.balanced => p.assignment,
-                    _ => {
+                match self.partition_units(layout, &view.units, &targets)? {
+                    Some(assignment) => assignment,
+                    None => {
                         greedy_fallback = true;
-                        waterfill(units, &targets)
+                        waterfill(&view.units, &targets)
                     }
                 }
             };
-            for (i, u) in units.iter().enumerate() {
-                queued[assignment[i] as usize] += u.flops;
+            for (u, j, _) in view.placed() {
+                queued[j] += u.flops;
             }
-            part_of.push(assignment);
         }
 
-        // --- 5. Patched placement over the grown logical device set. -----
-        let mut token_to_dev = base_placement.token_to_dev.clone();
-        let mut comp_to_dev = base_placement.comp_to_dev.clone();
-        let mut unit_dev: HashMap<(u32, TokenBlockId), u32> = HashMap::new();
-        for (v, units) in view_units.iter().enumerate() {
-            let Some(base) = view_base[v] else { continue };
-            for (i, u) in units.iter().enumerate() {
-                let dev = base + part_of[v][i];
-                unit_dev.insert((views[v].l, u.tb), dev);
-                if u.owned {
-                    token_to_dev[u.tb.0 as usize] = dev;
-                    reowned.insert(u.tb);
-                }
-                for &c in &u.items {
-                    comp_to_dev[c.0 as usize] = dev;
-                }
+        // --- 3. Render the patched phase, and for a forward failure the
+        // backward phase re-planned on the survivors. ----------------------
+        ctx.failed.extend(views.iter().map(|v| v.l));
+        let n_shards = shard_hosts.len() as u32;
+        let rendered = render(&base, &mut ctx, &views, survivors.len(), n_shards)?;
+        let bwd = match backward {
+            true => None,
+            false => {
+                let from = bwd_base.unwrap_or(base.origin);
+                let caps = caps.as_deref();
+                Some(self.replan_backward(layout, from, &views, &survivors, failed, caps)?)
             }
-        }
-        let placement = Placement {
-            num_devices: d_total + shard_hosts.len() as u32,
-            token_to_dev,
-            comp_to_dev,
         };
 
-        // --- 6. Patched comm ops. ----------------------------------------
-        let mut comms: Vec<CommOp> = base_fwd.comms.clone();
-        // Partials bound for a dying stream move with the block — unless
-        // the receiving wait sits in the kept prefix, which replays it.
-        // Non-salvage partials target the block's owner, so they follow
-        // ownership; a prior patch's salvage evacuation follows the unit
-        // that was going to consume it.
-        for (cid, op) in comms.iter_mut().enumerate() {
-            for tr in &mut op.transfers {
-                if !dying_set.contains(&tr.to) {
-                    continue;
-                }
-                if let Payload::PartialO(tb, _) = tr.payload {
-                    let v = view_of_stream[&tr.to];
-                    if views[v].kept_waits.contains(&(cid as u32)) {
-                        continue;
-                    }
-                    if salvage_comms.contains(&(cid as u32)) {
-                        tr.to = *unit_dev.get(&(tr.to, tb)).ok_or_else(|| {
-                            DcpError::invalid_plan(format!(
-                                "inherited salvage for {tb:?} targets dying stream {} \
-                                 but the block has no residual unit",
-                                tr.to
-                            ))
-                        })?;
-                    } else {
-                        let dev = placement.token_dev(tb);
-                        debug_assert!(dev >= d_total, "partial retarget must land on a shard");
-                        tr.to = dev;
-                    }
-                }
-            }
+        // --- 4. Timing rendering, then verify everything that ships. -----
+        // The functional phase under the patch's recovery rules, a
+        // re-planned backward phase as an ordinary plan, and the host-folded
+        // timing phase structurally (folding legitimately leaves some waits
+        // with no incoming transfers, so the full check does not apply).
+        let timing = fold_onto_hosts(&rendered.phase, &ctx, &shard_hosts);
+        let dir = if backward { "bwd" } else { "fwd" };
+        verify_phase(layout, &rendered.placement, &rendered.phase, backward, &ctx)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery {dir} patch: {d}")))?;
+        if let Some((placement, plan)) = &bwd {
+            verify_plan(layout, placement, plan)
+                .map_err(|d| DcpError::invalid_plan(format!("recovery bwd plan: {d}")))?;
         }
-        // Outstanding partials now deposit from each unit's new shard.
-        for (v, view) in views.iter().enumerate() {
-            let _ = v;
-            for &(tb, p) in &view.outstanding {
-                producer_of.insert((tb, p), unit_dev[&(view.l, tb)]);
-            }
-        }
-        // Salvage ops: live accumulators a dying stream built (or had
-        // re-installed) before its frontier that a shard still needs —
-        // residual folds, outstanding partials, or final assembly of a
-        // re-owned block. One op per (dying stream, shard) pair.
-        let mut salvage_bytes = 0u64;
-        let mut view_salvage_cid: Vec<Vec<Option<CommId>>> = Vec::with_capacity(views.len());
-        for (v, view) in views.iter().enumerate() {
-            let mut cids: Vec<Option<CommId>> = vec![None; s_count];
-            if let Some(base) = view_base[v] {
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..s_count {
-                    let transfers: Vec<Transfer> = view_units[v]
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, u)| {
-                            part_of[v][i] == j as u32 && view.executed_acc.contains(&u.tb)
-                        })
-                        .map(|(_, u)| {
-                            let bytes = layout.token_blocks[u.tb.0 as usize].o_bytes;
-                            salvage_bytes += bytes;
-                            Transfer {
-                                from: view.l,
-                                to: base + j as u32,
-                                payload: Payload::PartialO(u.tb, view.l),
-                                bytes,
-                            }
-                        })
-                        .collect();
-                    if !transfers.is_empty() {
-                        let cid = CommId(comms.len() as u32);
-                        cids[j] = Some(cid);
-                        salvage_comms.insert(cid.0);
-                        comms.push(CommOp { transfers });
-                    }
-                }
-            }
-            view_salvage_cid.push(cids);
-        }
-        // Input re-fetch ops: Q/KV slices a shard's residual blocks read
-        // that it does not own under the patched placement. `from` is the
-        // original owner — the device physically holding the data (dead
-        // devices keep serving resident blocks while draining, which the
-        // verifier admits via the re-owned set).
-        let mut refetch_bytes = 0u64;
-        let mut view_fetch_cid: Vec<Vec<Option<CommId>>> = Vec::with_capacity(views.len());
-        for (v, view) in views.iter().enumerate() {
-            let _ = view;
-            let mut cids: Vec<Option<CommId>> = vec![None; s_count];
-            if let Some(base) = view_base[v] {
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..s_count {
-                    let dev = base + j as u32;
-                    let mut seen: HashSet<Payload> = HashSet::new();
-                    let mut transfers: Vec<Transfer> = Vec::new();
-                    for (i, u) in view_units[v].iter().enumerate() {
-                        if part_of[v][i] != j as u32 {
-                            continue;
-                        }
-                        for &c in &u.items {
-                            let cb = layout.comp_blocks[c.0 as usize];
-                            let qb = &layout.token_blocks[cb.q_block.0 as usize];
-                            let kb = &layout.token_blocks[cb.kv_block.0 as usize];
-                            for (payload, bytes) in [
-                                (Payload::Q(cb.q_block), qb.q_bytes),
-                                (Payload::Kv(cb.kv_block), kb.kv_bytes),
-                            ] {
-                                let tb = payload.token_block();
-                                if placement.token_dev(tb) == dev || !seen.insert(payload) {
-                                    continue;
-                                }
-                                refetch_bytes += bytes;
-                                transfers.push(Transfer {
-                                    from: out.placement.token_dev(tb),
-                                    to: dev,
-                                    payload,
-                                    bytes,
-                                });
-                            }
-                        }
-                    }
-                    if !transfers.is_empty() {
-                        let cid = CommId(comms.len() as u32);
-                        cids[j] = Some(cid);
-                        comms.push(CommOp { transfers });
-                    }
-                }
-            }
-            view_fetch_cid.push(cids);
-        }
+        verify_structure(&timing)
+            .map_err(|d| DcpError::invalid_plan(format!("recovery {dir} timing plan: {d}")))?;
 
-        // --- 7. Streams: truncate the dying streams, emit shards. --------
-        let failed_devices: Vec<u32> = prior_failed_devices
-            .iter()
-            .copied()
-            .chain(std::iter::once(failed))
-            .collect();
-        let mut failed_streams = prior_failed_streams;
-        failed_streams.extend(dying.iter().copied());
+        let mut stats = RecoveryStats {
+            failed_flops,
+            redone_flops: views.iter().flat_map(|v| &v.units).map(|u| u.flops).sum(),
+            salvage_bytes: rendered.salvage_bytes,
+            refetch_bytes: rendered.refetch_bytes,
+            residual_units: views.iter().map(|v| v.units.len()).sum(),
+            greedy_fallback,
+            plan_wall_s: 0.0,
+            cascade_depth: prior.map_or(0, |p| p.stats.cascade_depth) + 1,
+        };
+        stats.plan_wall_s = self.emit_obs(ev, &stats, span);
+        Ok(RecoveryPatch {
+            failed,
+            divisions_done: ev.divisions_done,
+            backward,
+            failed_devices: prior_failed.iter().copied().chain([failed]).collect(),
+            shard_hosts,
+            placement: rendered.placement,
+            phase: rendered.phase,
+            ctx,
+            timing,
+            bwd,
+            stats,
+        })
+    }
 
-        let mut devices: Vec<DeviceStream> = base_fwd.devices.clone();
-        for (v, view) in views.iter().enumerate() {
-            let orig = &base_fwd.devices[view.l as usize];
-            let mut truncated: Vec<Instr> = orig.instrs[..view.cut].to_vec();
-            for cid in view_salvage_cid[v].iter().flatten() {
-                truncated.push(Instr::CommLaunch(*cid));
-            }
-            devices[view.l as usize] = DeviceStream {
-                device: view.l,
-                instrs: truncated,
-                buffer: orig.buffer,
-            };
+    /// The forward re-shard: the planner's hypergraph partitioner over the
+    /// units against per-survivor `targets`, `None` when it cannot balance
+    /// them (the caller water-fills instead).
+    fn partition_units(
+        &self,
+        layout: &BatchLayout,
+        units: &[Unit],
+        targets: &[VertexWeight],
+    ) -> DcpResult<Option<Vec<u32>>> {
+        let mut b = HypergraphBuilder::new(units.len());
+        for (i, u) in units.iter().enumerate() {
+            b.set_vertex_weight(i, [u.flops.max(1), unit_bytes(layout, u)]);
         }
-        // Old salvage evacuations whose receiving wait was truncated now
-        // land on new shards; those shards must wait on them before any
-        // residual fold touches the installed accumulator.
-        let base_ncomms = base_fwd.comms.len();
-        for (v, view) in views.iter().enumerate() {
-            let Some(base) = view_base[v] else { continue };
-            for j in 0..s_count {
-                let dev = base + j as u32;
-                let mut instrs: Vec<Instr> = Vec::new();
-                if let Some(cid) = view_fetch_cid[v][j] {
-                    instrs.push(Instr::CommLaunch(cid));
-                }
-                for cid in 0..base_ncomms as u32 {
-                    if salvage_comms.contains(&cid)
-                        && comms[cid as usize].transfers.iter().any(|tr| tr.to == dev)
-                    {
-                        instrs.push(Instr::CommWait(CommId(cid)));
-                    }
-                }
-                if let Some(cid) = view_salvage_cid[v][j] {
-                    instrs.push(Instr::CommWait(cid));
-                }
-                if let Some(cid) = view_fetch_cid[v][j] {
-                    instrs.push(Instr::CommWait(cid));
-                }
-                let items: Vec<CompBlockId> = view
-                    .residual
-                    .iter()
-                    .copied()
-                    .filter(|&c| placement.comp_dev(c) == dev)
-                    .collect();
-                if !items.is_empty() {
-                    let flops = items
-                        .iter()
-                        .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-                        .sum();
-                    instrs.push(Instr::Attn { items, flops });
-                }
-                for &cid in &view.residual_out_cids {
-                    let mine = comms[cid as usize].transfers.iter().any(|tr| {
-                        matches!(tr.payload, Payload::PartialO(tb, p)
-                            if producer_of.get(&(tb, p)) == Some(&dev))
-                    });
-                    if mine {
-                        instrs.push(Instr::CommLaunch(CommId(cid)));
-                    }
-                }
-                for &cid in &view.tail_waits {
-                    if comms[cid as usize].transfers.iter().any(|tr| tr.to == dev) {
-                        instrs.push(Instr::CommWait(CommId(cid)));
-                    }
-                }
-                let ritems: Vec<ReduceItem> = view
-                    .reduce_items
-                    .iter()
-                    .filter(|it| placement.token_dev(it.target) == dev)
-                    .cloned()
-                    .collect();
-                if !ritems.is_empty() {
-                    let bytes = reduce_bytes(layout, &ritems);
-                    instrs.push(Instr::Reduce {
-                        items: ritems,
-                        bytes,
-                    });
-                }
-                devices.push(DeviceStream {
-                    device: dev,
-                    instrs,
-                    buffer: BufferStats::default(),
-                });
+        // Units sharing a KV input want to land on the same shard so the
+        // input is fetched once.
+        let mut consumers: BTreeMap<TokenBlockId, Vec<u32>> = BTreeMap::new();
+        for (i, u) in units.iter().enumerate() {
+            for &c in &u.items {
+                let kb = layout.comp_blocks[c.0 as usize].kv_block;
+                consumers.entry(kb).or_default().push(i as u32);
             }
         }
-        let patch_fwd = PhasePlan { comms, devices };
+        for (kb, pins) in consumers {
+            if pins.len() > 1 {
+                b.add_edge(layout.token_blocks[kb.0 as usize].kv_bytes, &pins);
+            }
+        }
+        let hg = b.build()?;
+        let mut pc = PartitionConfig::new(targets.len() as u32)
+            .with_epsilon(self.cfg.epsilon)
+            .with_part_targets(targets.to_vec());
+        pc.eps[1] = self.cfg.epsilon;
+        pc.seed = self.cfg.seed;
+        Ok(partition(&hg, &pc)
+            .ok()
+            .filter(|p| p.balanced)
+            .map(|p| p.assignment))
+    }
 
-        // --- 8. Backward: re-plan from scratch on the survivors. ---------
-        let mut bwd_token = bwd_token0;
-        let mut bwd_comp = bwd_comp0;
-        for (v, units) in view_units.iter().enumerate() {
-            for (i, u) in units.iter().enumerate() {
-                let s = survivors[part_of[v][i] as usize];
-                if u.owned {
-                    bwd_token[u.tb.0 as usize] = s;
-                }
-                for &c in &u.items {
-                    bwd_comp[c.0 as usize] = s;
-                }
+    /// After a forward failure the backward phase is re-planned from
+    /// scratch on the survivors: `from` (the clean placement, or the prior
+    /// patch's backward one) with every unit moved to the physical host of
+    /// its shard, and whatever else sat on the dead rank water-filled.
+    fn replan_backward(
+        &self,
+        layout: &BatchLayout,
+        from: &Placement,
+        views: &[DyingView],
+        survivors: &[u32],
+        failed: u32,
+        caps: Option<&[[f64; 2]]>,
+    ) -> DcpResult<(Placement, ExecutionPlan)> {
+        let mut placement = from.clone();
+        for (u, j, _) in views.iter().flat_map(DyingView::placed) {
+            for &tb in &u.owned {
+                placement.token_to_dev[tb.0 as usize] = survivors[j];
+            }
+            for &c in &u.items {
+                placement.comp_to_dev[c.0 as usize] = survivors[j];
             }
         }
-        let mut load = vec![0u64; d_total as usize];
-        for (c, &dev) in bwd_comp.iter().enumerate() {
+        if placement.token_to_dev.contains(&failed) {
+            return Err(DcpError::invalid_plan(format!(
+                "backward placement leaves a token block on rank {failed}, \
+                 which the patched forward phase does not"
+            )));
+        }
+        let mut load = vec![0u64; from.num_devices as usize];
+        for (c, &dev) in placement.comp_to_dev.iter().enumerate() {
             if dev != failed {
                 load[dev as usize] += layout.comp_blocks[c].flops;
             }
@@ -958,549 +663,34 @@ impl RecoveryPlanner {
         // The dead rank's *executed* blocks still need a backward home;
         // waterfill them over the survivors by total flop load (effective
         // time when a fault spec scales survivor speed).
-        for (c, dev) in bwd_comp.iter_mut().enumerate() {
+        for (c, dev) in placement.comp_to_dev.iter_mut().enumerate() {
             if *dev == failed {
-                let s = pick_least_loaded(&survivors, &load, caps.as_deref());
-                *dev = s;
-                load[s as usize] += layout.comp_blocks[c].flops;
+                *dev = pick_least_loaded(survivors, &load, caps);
+                load[*dev as usize] += layout.comp_blocks[c].flops;
             }
         }
-        // Defensive: any token still owned by the dead rank (cannot happen
-        // when every owned block formed a unit, but cheap to guarantee).
-        for t in bwd_token.iter_mut() {
-            if *t == failed {
-                *t = pick_least_loaded(&survivors, &load, caps.as_deref());
-            }
-        }
-        let bwd_placement = Placement {
-            num_devices: d_total,
-            token_to_dev: bwd_token,
-            comp_to_dev: bwd_comp,
+        let cfg = ScheduleConfig {
+            divisions: self.cfg.divisions,
+            ..Default::default()
         };
-        let bwd = build_plan(
-            layout,
-            &bwd_placement,
-            &ScheduleConfig {
-                divisions: self.cfg.divisions,
-                ..Default::default()
-            },
-        )?;
-
-        // --- 9. Timing rendering, then verify everything that ships. -----
-        // The functional forward phase under the patch's recovery rules, the
-        // re-planned backward phase as an ordinary plan, and the host-folded
-        // timing phase structurally (folding legitimately leaves some waits
-        // with no incoming transfers, so the full check does not apply).
-        let mut patch = RecoveryPatch {
-            failed,
-            divisions_done: ev.divisions_done,
-            failed_devices,
-            failed_streams,
-            shard_hosts,
-            placement,
-            fwd: patch_fwd,
-            salvage_comms,
-            producer_of,
-            reowned,
-            timing: PhasePlan {
-                comms: Vec::new(),
-                devices: Vec::new(),
-            },
-            bwd_placement,
-            bwd,
-            stats: RecoveryStats {
-                failed_flops,
-                redone_flops,
-                salvage_bytes,
-                refetch_bytes,
-                residual_units: view_units.iter().map(Vec::len).sum(),
-                greedy_fallback,
-                plan_wall_s: 0.0,
-                cascade_depth,
-            },
-        };
-        let ctx = patch.ctx();
-        patch.timing = fold_onto_hosts(&patch.fwd, &ctx, &patch.shard_hosts);
-        verify_phase(layout, &patch.placement, &patch.fwd, false, &ctx)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery fwd patch: {d}")))?;
-        verify_plan(layout, &patch.bwd_placement, &patch.bwd)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd plan: {d}")))?;
-        verify_structure(&patch.timing)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery timing plan: {d}")))?;
-
-        patch.stats.plan_wall_s = t0.elapsed().as_secs_f64();
-        self.emit_obs(failed, ev.divisions_done, &patch.stats);
-        Ok(patch)
+        let plan = build_plan(layout, &placement, &cfg)?;
+        Ok((placement, plan))
     }
 
-    /// Produces a reduction-frontier salvage patch for a failure **during
-    /// the backward phase**.
-    ///
-    /// Instead of re-planning the whole backward from scratch, the dead
-    /// stream is cut at its `ev.divisions_done`-th fused `AttnBwd` division
-    /// and its partial `dQ`/`dKV` running sums are salvaged. Accumulators
-    /// are grouped into connected components of the bipartite contribution
-    /// graph (each residual item links its Q block's `dQ` accumulator to
-    /// its KV block's `dKV` accumulator; a block the dead rank owned links
-    /// its own pair), because a component's accumulators must stay
-    /// colocated for residual folds to extend the salvaged sums in clean
-    /// stream order. Components water-fill over the survivors by remaining
-    /// backward capacity (fault-adjusted under
-    /// [`RecoveryPlanner::with_fault_spec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcpError::InvalidArgument`] if the failed device is out of
-    /// range or there are no survivors;
-    /// [`DcpError::InvalidFailureEvent`] if `divisions_done` exceeds the
-    /// stream's backward division count; [`DcpError::InvalidPlan`] if a
-    /// rendering fails verification.
-    pub fn plan_backward_recovery(
-        &self,
-        out: &PlanOutput,
-        ev: &FailureEvent,
-    ) -> DcpResult<BwdRecoveryPatch> {
-        let t0 = Instant::now();
-        let d_total = out.plan.num_devices;
-        let failed = ev.device;
-        let layout = &out.layout;
-        if failed >= d_total {
-            return Err(DcpError::invalid_argument(format!(
-                "failed device {failed} out of range for {d_total} devices"
-            )));
-        }
-        if d_total < 2 {
-            return Err(DcpError::invalid_argument(
-                "cannot recover: no surviving devices",
-            ));
-        }
-        let survivors: Vec<u32> = (0..d_total).filter(|&x| x != failed).collect();
-        let s_count = survivors.len();
-        let bwd = &out.plan.bwd;
-        let bstream = &bwd.devices[failed as usize];
-
-        // --- 1. Reduction frontier: split the dead backward stream. ------
-        let (cut, executed, residual, failed_flops) =
-            split_frontier(&bstream.instrs, ev.divisions_done, failed)?;
-        let redone_flops: u64 = residual
-            .iter()
-            .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-            .sum();
-        let executed_dq: HashSet<TokenBlockId> = executed
-            .iter()
-            .map(|&c| layout.comp_blocks[c.0 as usize].q_block)
-            .collect();
-        let executed_dkv: HashSet<TokenBlockId> = executed
-            .iter()
-            .map(|&c| layout.comp_blocks[c.0 as usize].kv_block)
-            .collect();
-        let kept_waits: HashSet<u32> = bstream.instrs[..cut]
-            .iter()
-            .filter_map(|ins| match ins {
-                Instr::CommWait(cid) => Some(cid.0),
-                _ => None,
-            })
-            .collect();
-
-        // --- 2. Components of the accumulator contribution graph. --------
-        // Node = one surviving accumulator (dQ or dKV of a token block).
-        let mut nodes: Vec<(bool, TokenBlockId)> = Vec::new();
-        let mut node_id: HashMap<(bool, TokenBlockId), usize> = HashMap::new();
-        let mut parent: Vec<usize> = Vec::new();
-        let mut node = |is_dkv: bool, tb: TokenBlockId, parent: &mut Vec<usize>| -> usize {
-            *node_id.entry((is_dkv, tb)).or_insert_with(|| {
-                nodes.push((is_dkv, tb));
-                parent.push(parent.len());
-                parent.len() - 1
-            })
-        };
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let union = |a: usize, b: usize, parent: &mut Vec<usize>| {
-            let (ra, rb) = (find(parent, a), find(parent, b));
-            if ra != rb {
-                parent[rb.max(ra)] = ra.min(rb);
-            }
-        };
-        for &c in &residual {
-            let cb = layout.comp_blocks[c.0 as usize];
-            let a = node(false, cb.q_block, &mut parent);
-            let b = node(true, cb.kv_block, &mut parent);
-            union(a, b, &mut parent);
-        }
-        let mut owned_tbs: Vec<TokenBlockId> = Vec::new();
-        for (i, &owner) in out.placement.token_to_dev.iter().enumerate() {
-            if owner == failed {
-                let tb = TokenBlockId(i as u32);
-                owned_tbs.push(tb);
-                let a = node(false, tb, &mut parent);
-                let b = node(true, tb, &mut parent);
-                union(a, b, &mut parent);
-            }
-        }
-        // Outstanding gradient partials launched after the frontier.
-        let mut residual_out_cids: Vec<u32> = Vec::new();
-        let mut outstanding: Vec<(bool, TokenBlockId)> = Vec::new();
-        for ins in &bstream.instrs[cut..] {
-            if let Instr::CommLaunch(cid) = ins {
-                let mut is_out = false;
-                for tr in &bwd.comms[cid.0 as usize].transfers {
-                    match tr.payload {
-                        Payload::PartialDq(tb, p) if p == failed => {
-                            is_out = true;
-                            outstanding.push((false, tb));
-                            node(false, tb, &mut parent);
-                        }
-                        Payload::PartialDkv(tb, p) if p == failed => {
-                            is_out = true;
-                            outstanding.push((true, tb));
-                            node(true, tb, &mut parent);
-                        }
-                        _ => {}
-                    }
-                }
-                if is_out {
-                    residual_out_cids.push(cid.0);
-                }
-            }
-        }
-        // Group nodes into components, in node insertion order.
-        #[derive(Default)]
-        struct BwdComponent {
-            flops: u64,
-            key: u32,
-            items: Vec<CompBlockId>,
-            dq: Vec<TokenBlockId>,
-            dkv: Vec<TokenBlockId>,
-        }
-        let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut comps: Vec<BwdComponent> = Vec::new();
-        let mut comp_of_node = vec![0usize; nodes.len()];
-        for i in 0..nodes.len() {
-            let r = find(&mut parent, i);
-            let ci = *comp_of_root.entry(r).or_insert_with(|| {
-                comps.push(BwdComponent {
-                    key: nodes[i].1 .0,
-                    ..Default::default()
-                });
-                comps.len() - 1
-            });
-            comp_of_node[i] = ci;
-            let (is_dkv, tb) = nodes[i];
-            if is_dkv {
-                comps[ci].dkv.push(tb);
-            } else {
-                comps[ci].dq.push(tb);
-            }
-        }
-        for &c in &residual {
-            let cb = layout.comp_blocks[c.0 as usize];
-            let ci = comp_of_node[node_id[&(false, cb.q_block)]];
-            comps[ci].items.push(c);
-            comps[ci].flops += cb.flops;
-        }
-
-        // --- 3. Water-fill components over survivor backward capacity. ---
-        let caps = self.capacity(d_total);
-        let queued: Vec<u64> = survivors
-            .iter()
-            .map(|&s| remaining_flops(&bwd.devices[s as usize].instrs, ev.divisions_done))
-            .collect();
-        let residual_total: u64 = comps.iter().map(|c| c.flops).sum();
-        let bytes_total: u64 = comps
-            .iter()
-            .flat_map(|c| c.dq.iter().chain(&c.dkv))
-            .map(|&tb| layout.token_blocks[tb.0 as usize].o_bytes)
-            .sum();
-        let targets = recovery_targets(
-            &queued,
-            &survivors,
-            residual_total,
-            bytes_total,
-            caps.as_deref(),
-        );
-        let keyed: Vec<(u64, u32)> = comps.iter().map(|c| (c.flops, c.key)).collect();
-        let part_of = waterfill_by(&keyed, &targets);
-
-        // --- 4. Placement over D + S logical devices. --------------------
-        let shard_dev = |j: u32| d_total + j;
-        let mut token_to_dev = out.placement.token_to_dev.clone();
-        let mut comp_to_dev = out.placement.comp_to_dev.clone();
-        let mut reowned: HashSet<TokenBlockId> = HashSet::new();
-        for &tb in &owned_tbs {
-            let ci = comp_of_node[node_id[&(false, tb)]];
-            token_to_dev[tb.0 as usize] = shard_dev(part_of[ci]);
-            reowned.insert(tb);
-        }
-        for (ci, comp) in comps.iter().enumerate() {
-            for &c in &comp.items {
-                comp_to_dev[c.0 as usize] = shard_dev(part_of[ci]);
-            }
-        }
-        let placement = Placement {
-            num_devices: d_total + s_count as u32,
-            token_to_dev,
-            comp_to_dev,
-        };
-
-        // --- 5. Patched comm ops. ----------------------------------------
-        let mut comms: Vec<CommOp> = bwd.comms.clone();
-        for (cid, op) in comms.iter_mut().enumerate() {
-            for tr in &mut op.transfers {
-                if tr.to != failed || kept_waits.contains(&(cid as u32)) {
-                    continue;
-                }
-                if let Payload::PartialDq(tb, _) | Payload::PartialDkv(tb, _) = tr.payload {
-                    let dev = placement.token_dev(tb);
-                    debug_assert!(dev >= d_total, "gradient partial must follow ownership");
-                    tr.to = dev;
-                }
-            }
-        }
-        let mut producer_of_dq: HashMap<(TokenBlockId, u32), u32> = HashMap::new();
-        let mut producer_of_dkv: HashMap<(TokenBlockId, u32), u32> = HashMap::new();
-        for &(is_dkv, tb) in &outstanding {
-            let dev = shard_dev(part_of[comp_of_node[node_id[&(is_dkv, tb)]]]);
-            if is_dkv {
-                producer_of_dkv.insert((tb, failed), dev);
-            } else {
-                producer_of_dq.insert((tb, failed), dev);
-            }
-        }
-        // Salvage ops: the dead stream's raw dQ/dKV running sums for
-        // accumulators with executed contributions, shipped to the shard
-        // hosting their component.
-        let mut salvage_comms: HashSet<u32> = HashSet::new();
-        let mut salvage_cid: Vec<Option<CommId>> = vec![None; s_count];
-        let mut salvage_bytes = 0u64;
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..s_count {
-            let mut transfers: Vec<Transfer> = Vec::new();
-            for (ci, comp) in comps.iter().enumerate() {
-                if part_of[ci] != j as u32 {
-                    continue;
-                }
-                for &tb in &comp.dq {
-                    if executed_dq.contains(&tb) {
-                        let bytes = layout.token_blocks[tb.0 as usize].q_bytes;
-                        salvage_bytes += bytes;
-                        transfers.push(Transfer {
-                            from: failed,
-                            to: shard_dev(j as u32),
-                            payload: Payload::PartialDq(tb, failed),
-                            bytes,
-                        });
-                    }
-                }
-                for &tb in &comp.dkv {
-                    if executed_dkv.contains(&tb) {
-                        let bytes = layout.token_blocks[tb.0 as usize].kv_bytes;
-                        salvage_bytes += bytes;
-                        transfers.push(Transfer {
-                            from: failed,
-                            to: shard_dev(j as u32),
-                            payload: Payload::PartialDkv(tb, failed),
-                            bytes,
-                        });
-                    }
-                }
-            }
-            if !transfers.is_empty() {
-                let cid = CommId(comms.len() as u32);
-                salvage_cid[j] = Some(cid);
-                salvage_comms.insert(cid.0);
-                comms.push(CommOp { transfers });
-            }
-        }
-        // Input re-fetch: Q/KV/dO slices the shard's residual items read.
-        let mut fetch_cid: Vec<Option<CommId>> = vec![None; s_count];
-        let mut refetch_bytes = 0u64;
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..s_count {
-            let dev = shard_dev(j as u32);
-            let mut seen: HashSet<Payload> = HashSet::new();
-            let mut transfers: Vec<Transfer> = Vec::new();
-            for (ci, comp) in comps.iter().enumerate() {
-                if part_of[ci] != j as u32 {
-                    continue;
-                }
-                for &c in &comp.items {
-                    let cb = layout.comp_blocks[c.0 as usize];
-                    let qb = &layout.token_blocks[cb.q_block.0 as usize];
-                    let kb = &layout.token_blocks[cb.kv_block.0 as usize];
-                    for (payload, bytes) in [
-                        (Payload::Q(cb.q_block), qb.q_bytes),
-                        (Payload::Kv(cb.kv_block), kb.kv_bytes),
-                        (Payload::DO(cb.q_block), qb.o_bytes),
-                    ] {
-                        let tb = payload.token_block();
-                        if placement.token_dev(tb) == dev || !seen.insert(payload) {
-                            continue;
-                        }
-                        refetch_bytes += bytes;
-                        transfers.push(Transfer {
-                            from: out.placement.token_dev(tb),
-                            to: dev,
-                            payload,
-                            bytes,
-                        });
-                    }
-                }
-            }
-            if !transfers.is_empty() {
-                let cid = CommId(comms.len() as u32);
-                fetch_cid[j] = Some(cid);
-                comms.push(CommOp { transfers });
-            }
-        }
-
-        // --- 6. Streams. --------------------------------------------------
-        let mut truncated: Vec<Instr> = bstream.instrs[..cut].to_vec();
-        for cid in salvage_cid.iter().flatten() {
-            truncated.push(Instr::CommLaunch(*cid));
-        }
-        let tail_waits: Vec<u32> = bstream.instrs[cut..]
-            .iter()
-            .filter_map(|ins| match ins {
-                Instr::CommWait(cid) => Some(cid.0),
-                _ => None,
-            })
-            .collect();
-        let failed_reduce: Vec<ReduceItem> = bstream
-            .instrs
-            .iter()
-            .flat_map(|ins| match ins {
-                Instr::Reduce { items, .. } => items.clone(),
-                _ => Vec::new(),
-            })
-            .collect();
-        let mut devices: Vec<DeviceStream> = bwd.devices.clone();
-        devices[failed as usize] = DeviceStream {
-            device: failed,
-            instrs: truncated,
-            buffer: bstream.buffer,
-        };
-        for j in 0..s_count {
-            let dev = shard_dev(j as u32);
-            let mut instrs: Vec<Instr> = Vec::new();
-            if let Some(cid) = fetch_cid[j] {
-                instrs.push(Instr::CommLaunch(cid));
-            }
-            if let Some(cid) = salvage_cid[j] {
-                instrs.push(Instr::CommWait(cid));
-            }
-            if let Some(cid) = fetch_cid[j] {
-                instrs.push(Instr::CommWait(cid));
-            }
-            let items: Vec<CompBlockId> = residual
-                .iter()
-                .copied()
-                .filter(|&c| placement.comp_dev(c) == dev)
-                .collect();
-            if !items.is_empty() {
-                let flops = items
-                    .iter()
-                    .map(|&c| layout.comp_blocks[c.0 as usize].flops)
-                    .sum();
-                instrs.push(Instr::AttnBwd { items, flops });
-            }
-            for &cid in &residual_out_cids {
-                let mine = comms[cid as usize]
-                    .transfers
-                    .iter()
-                    .any(|tr| match tr.payload {
-                        Payload::PartialDq(tb, p) => producer_of_dq.get(&(tb, p)) == Some(&dev),
-                        Payload::PartialDkv(tb, p) => producer_of_dkv.get(&(tb, p)) == Some(&dev),
-                        _ => false,
-                    });
-                if mine {
-                    instrs.push(Instr::CommLaunch(CommId(cid)));
-                }
-            }
-            for &cid in &tail_waits {
-                if comms[cid as usize].transfers.iter().any(|tr| tr.to == dev) {
-                    instrs.push(Instr::CommWait(CommId(cid)));
-                }
-            }
-            let ritems: Vec<ReduceItem> = failed_reduce
-                .iter()
-                .filter(|it| placement.token_dev(it.target) == dev)
-                .cloned()
-                .collect();
-            if !ritems.is_empty() {
-                let bytes = reduce_bytes(layout, &ritems);
-                instrs.push(Instr::Reduce {
-                    items: ritems,
-                    bytes,
-                });
-            }
-            devices.push(DeviceStream {
-                device: dev,
-                instrs,
-                buffer: BufferStats::default(),
-            });
-        }
-        let patch_bwd = PhasePlan { comms, devices };
-
-        // --- 7. Timing rendering, then verify both. -----------------------
-        let mut patch = BwdRecoveryPatch {
-            failed,
-            divisions_done: ev.divisions_done,
-            shard_hosts: survivors,
-            placement,
-            bwd: patch_bwd,
-            salvage_comms,
-            producer_of_dq,
-            producer_of_dkv,
-            reowned,
-            timing: PhasePlan {
-                comms: Vec::new(),
-                devices: Vec::new(),
-            },
-            stats: RecoveryStats {
-                failed_flops,
-                redone_flops,
-                salvage_bytes,
-                refetch_bytes,
-                residual_units: comps.len(),
-                greedy_fallback: false,
-                plan_wall_s: 0.0,
-                cascade_depth: 1,
-            },
-        };
-        let ctx = patch.ctx();
-        patch.timing = fold_onto_hosts(&patch.bwd, &ctx, &patch.shard_hosts);
-        verify_phase(layout, &patch.placement, &patch.bwd, true, &ctx)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd patch: {d}")))?;
-        verify_structure(&patch.timing)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery bwd timing plan: {d}")))?;
-
-        patch.stats.plan_wall_s = t0.elapsed().as_secs_f64();
-        self.emit_obs(failed, ev.divisions_done, &patch.stats);
-        Ok(patch)
-    }
-
-    /// Shared obs emission for forward and backward patches.
-    fn emit_obs(&self, failed: u32, divisions_done: u32, stats: &RecoveryStats) {
+    /// Closes the patch's span and emits its events — `device_lost`, the
+    /// `recovery_plan` span (value = cascade depth), the redo and salvage
+    /// counters — returning the measured wall seconds.
+    fn emit_obs(&self, ev: &FailureEvent, stats: &RecoveryStats, mut span: Span<'_>) -> f64 {
         if !self.obs.enabled() {
-            return;
+            return span.finish();
         }
         self.obs.record(
             Event::instant(ObsSource::Planner, "device_lost")
-                .with_device(failed)
-                .with_division(divisions_done),
+                .with_device(ev.device)
+                .with_division(ev.divisions_done),
         );
-        self.obs.record(
-            Event::span(ObsSource::Planner, "recovery_plan")
-                .with_device(failed)
-                .with_time(0.0, stats.plan_wall_s)
-                .with_value(stats.cascade_depth as f64),
-        );
+        span.update(|e| e.value = Some(stats.cascade_depth as f64));
+        let wall = span.finish();
         self.obs.record(
             Event::counter(
                 ObsSource::Planner,
@@ -1523,7 +713,482 @@ impl RecoveryPlanner {
                 "recovery_greedy_fallback",
             ));
         }
+        wall
     }
+}
+
+/// The producer named by a partial payload; `None` for the inputs.
+fn producer(p: Payload) -> Option<u32> {
+    match p {
+        Payload::PartialO(_, d) | Payload::PartialDq(_, d) | Payload::PartialDkv(_, d) => Some(d),
+        Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => None,
+    }
+}
+
+/// Partial `p` as stream `l` would produce it.
+fn produced_by(p: Payload, l: u32) -> Payload {
+    match p {
+        Payload::PartialO(tb, _) => Payload::PartialO(tb, l),
+        Payload::PartialDq(tb, _) => Payload::PartialDq(tb, l),
+        Payload::PartialDkv(tb, _) => Payload::PartialDkv(tb, l),
+        input => input,
+    }
+}
+
+/// The accumulators stream `l` folds a `(q, kv)` block pair into, as the
+/// partials it would ship: the output of the Q block going forward; `dQ` of
+/// the Q block and, colocated with it, `dKV` of the KV block going
+/// backward. Owning a token block is holding the pair for `q == kv`.
+fn accumulators(
+    q: TokenBlockId,
+    kv: TokenBlockId,
+    l: u32,
+    backward: bool,
+) -> (Payload, Option<Payload>) {
+    match backward {
+        false => (Payload::PartialO(q, l), None),
+        true => (Payload::PartialDq(q, l), Some(Payload::PartialDkv(kv, l))),
+    }
+}
+
+/// [`accumulators`] of computation block `c` run by stream `l`.
+fn item_accumulators(base: &Base<'_>, c: CompBlockId, l: u32) -> (Payload, Option<Payload>) {
+    let cb = &base.layout.comp_blocks[c.0 as usize];
+    accumulators(cb.q_block, cb.kv_block, l, base.backward)
+}
+
+/// The inputs computation block `c` reads, with their sizes: Q and KV, plus
+/// dO going backward.
+fn inputs(layout: &BatchLayout, c: CompBlockId, backward: bool) -> Vec<(Payload, u64)> {
+    let cb = &layout.comp_blocks[c.0 as usize];
+    let (qb, kb) = (layout.q_block_of(c), layout.kv_block_of(c));
+    let mut v = vec![
+        (Payload::Q(cb.q_block), qb.q_bytes),
+        (Payload::Kv(cb.kv_block), kb.kv_bytes),
+    ];
+    if backward {
+        v.push((Payload::DO(cb.q_block), qb.o_bytes));
+    }
+    v
+}
+
+/// Bytes of `tb`'s partial of `kind` (the accumulator it ships).
+fn partial_bytes(layout: &BatchLayout, tb: TokenBlockId, kind: PayloadKind) -> u64 {
+    let tb = &layout.token_blocks[tb.0 as usize];
+    match kind {
+        PayloadKind::PartialO => tb.o_bytes,
+        PayloadKind::PartialDq => tb.q_bytes,
+        PayloadKind::PartialDkv => tb.kv_bytes,
+        _ => 0,
+    }
+}
+
+/// Bytes a unit brings to its shard: its accumulators plus the resident
+/// data of the blocks re-owned with it.
+fn unit_bytes(layout: &BatchLayout, u: &Unit) -> u64 {
+    let accs = u
+        .accs
+        .iter()
+        .map(|a| partial_bytes(layout, a.token_block(), a.kind()));
+    let owned = u.owned.iter();
+    accs.chain(owned.map(|tb| layout.token_blocks[tb.0 as usize].total_bytes()))
+        .sum()
+}
+
+/// Cuts dying stream `l` of the plan being patched at its `k`-th division
+/// and groups what it leaves behind into residual units. Also returns the
+/// stream's total attention flops. `failed` is the physical rank, for the
+/// typed frontier error.
+fn dying_view(
+    base: &Base<'_>,
+    ctx: &RecoveryCtx,
+    l: u32,
+    k: u32,
+    failed: u32,
+) -> DcpResult<(DyingView, u64)> {
+    let instrs = &base.phase.devices[l as usize].instrs;
+    let (cut, executed, residual, total) = split_frontier(instrs, k, failed)?;
+    let mut live: HashSet<Payload> = HashSet::new();
+    for (a, b) in executed.iter().map(|&c| item_accumulators(base, c, l)) {
+        live.extend(std::iter::once(a).chain(b));
+    }
+    let mut kept_waits: HashSet<u32> = HashSet::new();
+    for ins in &instrs[..cut] {
+        if let Instr::CommWait(cid) = ins {
+            kept_waits.insert(cid.0);
+            if ctx.salvage_comms.contains(&cid.0) {
+                // A replayed salvage wait re-installs an inherited
+                // accumulator — live state this stream can re-ship.
+                let arriving = base.phase.comms[cid.0 as usize].transfers.iter();
+                let installed = arriving.filter(|tr| tr.to == l && producer(tr.payload).is_some());
+                live.extend(installed.map(|tr| produced_by(tr.payload, l)));
+            }
+        }
+    }
+    let tail_waits: Vec<u32> = instrs[cut..]
+        .iter()
+        .filter_map(|ins| match ins {
+            Instr::CommWait(cid) if !ctx.salvage_comms.contains(&cid.0) => Some(cid.0),
+            _ => None,
+        })
+        .collect();
+    let reduce_items: Vec<ReduceItem> = instrs
+        .iter()
+        .flat_map(|ins| match ins {
+            Instr::Reduce { items, .. } => items.clone(),
+            _ => Vec::new(),
+        })
+        .collect();
+    // Outstanding out-comms: partials launched after the frontier that this
+    // stream produces, for itself or standing in for an earlier casualty.
+    let mut residual_out_cids: Vec<u32> = Vec::new();
+    let mut outstanding: Vec<Payload> = Vec::new();
+    for ins in &instrs[cut..] {
+        if let Instr::CommLaunch(cid) = ins {
+            let before = outstanding.len();
+            let sent = base.phase.comms[cid.0 as usize].transfers.iter();
+            let owed = |p: &Payload| producer(*p) == Some(l) || ctx.stand_in.get(p) == Some(&l);
+            outstanding.extend(sent.map(|tr| tr.payload).filter(owed));
+            if outstanding.len() > before {
+                residual_out_cids.push(cid.0);
+            }
+        }
+    }
+
+    let units = residual_units(base, l, &residual, &outstanding);
+    let view = DyingView {
+        l,
+        k,
+        cut,
+        live,
+        residual,
+        kept_waits,
+        tail_waits,
+        reduce_items,
+        residual_out_cids,
+        outstanding,
+        units,
+        shard0: None,
+        part: Vec::new(),
+    };
+    Ok((view, total))
+}
+
+/// Groups what dying stream `l` leaves behind — its `residual` items, the
+/// token blocks it owns and the partials it still owes (`outstanding`) —
+/// into residual units: the components of the graph whose nodes are the
+/// stream's surviving accumulators and whose edges join the two that one
+/// residual item, or one owned block, folds into together, so residual
+/// folds extend the salvaged state in clean stream order. Forward there is
+/// no second accumulator and a unit is one Q block's; backward an item
+/// links its `dQ` to its `dKV`. An owed partial is a node too: a zero-item
+/// unit keeps an executed-but-unsent block's salvaged accumulator attached
+/// to a shard that re-deposits it.
+///
+/// Units of different dying streams never merge: two streams can each hold
+/// a distinct accumulator for one token block (owner reduce state vs. an
+/// inherited outstanding partial), and merging them would change the
+/// reduction tree — breaking bitwise equality with the clean run.
+fn residual_units(
+    base: &Base<'_>,
+    l: u32,
+    residual: &[CompBlockId],
+    outstanding: &[Payload],
+) -> Vec<Unit> {
+    let layout = base.layout;
+    let mut nodes: Vec<Payload> = Vec::new();
+    let mut node_id: HashMap<Payload, usize> = HashMap::new();
+    let mut parent: Vec<usize> = Vec::new();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    // Joins the pair's nodes (created on first sight) and returns the first.
+    let mut colocate = |(a, b): (Payload, Option<Payload>)| {
+        let mut node = |acc: Payload| {
+            *node_id.entry(acc).or_insert_with(|| {
+                nodes.push(acc);
+                parent.push(parent.len());
+                parent.len() - 1
+            })
+        };
+        let na = node(a);
+        if let Some(nb) = b.map(&mut node) {
+            let (ra, rb) = (find(&mut parent, na), find(&mut parent, nb));
+            parent[ra.max(rb)] = ra.min(rb);
+        }
+        na
+    };
+    let owned: Vec<TokenBlockId> = (0..layout.token_blocks.len() as u32)
+        .map(TokenBlockId)
+        .filter(|&tb| base.placement.token_dev(tb) == l)
+        .collect();
+    let item_nodes: Vec<usize> = residual
+        .iter()
+        .map(|&c| colocate(item_accumulators(base, c, l)))
+        .collect();
+    let owned_nodes: Vec<usize> = owned
+        .iter()
+        .map(|&tb| colocate(accumulators(tb, tb, l, base.backward)))
+        .collect();
+    for &p in outstanding {
+        colocate((produced_by(p, l), None));
+    }
+    // One unit per component, in node discovery order.
+    let mut units: Vec<Unit> = Vec::new();
+    let mut unit_of_root: HashMap<usize, usize> = HashMap::new();
+    let mut unit_of_node: Vec<usize> = Vec::with_capacity(nodes.len());
+    for (i, &acc) in nodes.iter().enumerate() {
+        let u = *unit_of_root.entry(find(&mut parent, i)).or_insert_with(|| {
+            units.push(Unit {
+                accs: Vec::new(),
+                items: Vec::new(),
+                flops: 0,
+                owned: Vec::new(),
+            });
+            units.len() - 1
+        });
+        units[u].accs.push(acc);
+        unit_of_node.push(u);
+    }
+    for u in &mut units {
+        u.accs.sort_by_key(Payload::kind);
+    }
+    for (&c, &n) in residual.iter().zip(&item_nodes) {
+        let u = &mut units[unit_of_node[n]];
+        u.items.push(c);
+        u.flops += layout.comp_blocks[c.0 as usize].flops;
+    }
+    for (&tb, &n) in owned.iter().zip(&owned_nodes) {
+        units[unit_of_node[n]].owned.push(tb);
+    }
+    units
+}
+
+/// What [`render`] produces besides extending the patch's [`RecoveryCtx`].
+struct Rendered {
+    placement: Placement,
+    phase: PhasePlan,
+    salvage_bytes: u64,
+    refetch_bytes: u64,
+}
+
+/// Appends one op per (dying stream, shard) pair with something to carry,
+/// ids in that order. Returns the op of view `v`'s `j`-th shard as
+/// `cids[v][j]`, and the bytes carried in total.
+fn push_ops(
+    comms: &mut Vec<CommOp>,
+    per_view: Vec<Vec<Vec<Transfer>>>,
+) -> (Vec<Vec<Option<CommId>>>, u64) {
+    let mut bytes = 0u64;
+    let mut push = |transfers: Vec<Transfer>| {
+        bytes += transfers.iter().map(|t| t.bytes).sum::<u64>();
+        (!transfers.is_empty()).then(|| {
+            comms.push(CommOp { transfers });
+            CommId(comms.len() as u32 - 1)
+        })
+    };
+    let cids = per_view
+        .into_iter()
+        .map(|per_shard| per_shard.into_iter().map(&mut push).collect())
+        .collect();
+    (cids, bytes)
+}
+
+/// Renders the patched phase over `D + n_shards` logical devices from the
+/// plan being patched and the dying streams' assigned units — the one place
+/// the subtle rules live, for both directions: what a kept-prefix wait
+/// pins, who stands in for an owed partial, and that a shard waits for its
+/// salvage before the first residual fold.
+fn render(
+    base: &Base<'_>,
+    ctx: &mut RecoveryCtx,
+    views: &[DyingView],
+    s_count: usize,
+    n_shards: u32,
+) -> DcpResult<Rendered> {
+    let layout = base.layout;
+
+    // --- Patched placement over the grown logical device set. ------------
+    let mut placement = Placement {
+        num_devices: base.d_total + n_shards,
+        ..base.placement.clone()
+    };
+    let mut acc_dev: HashMap<Payload, u32> = HashMap::new();
+    for (u, _, dev) in views.iter().flat_map(DyingView::placed) {
+        acc_dev.extend(u.accs.iter().map(|&a| (a, dev)));
+        for &tb in &u.owned {
+            placement.token_to_dev[tb.0 as usize] = dev;
+            ctx.reowned.insert(tb);
+        }
+        for &c in &u.items {
+            placement.comp_to_dev[c.0 as usize] = dev;
+        }
+    }
+    let shard_of = |acc: Payload| {
+        acc_dev.get(&acc).copied().ok_or_else(|| {
+            DcpError::invalid_plan(format!(
+                "{acc:?} belongs to a dying stream that has no residual unit for it"
+            ))
+        })
+    };
+
+    // --- Patched comm ops. -----------------------------------------------
+    // Partials bound for a dying stream move with the block — unless the
+    // receiving wait sits in the kept prefix, which replays it. Ordinary
+    // partials target the block's owner, so they follow ownership; a prior
+    // patch's salvage evacuation follows the unit that was going to
+    // consume it.
+    let mut comms: Vec<CommOp> = base.phase.comms.clone();
+    for (cid, op) in comms.iter_mut().enumerate() {
+        let cid = cid as u32;
+        for tr in &mut op.transfers {
+            let Some(view) = views.iter().find(|v| v.l == tr.to) else {
+                continue;
+            };
+            if producer(tr.payload).is_none() || view.kept_waits.contains(&cid) {
+                continue;
+            }
+            tr.to = match ctx.salvage_comms.contains(&cid) {
+                true => shard_of(produced_by(tr.payload, tr.to))?,
+                false => placement.token_dev(tr.payload.token_block()),
+            };
+        }
+    }
+    // Outstanding partials now deposit from each unit's new shard.
+    for view in views {
+        for &p in &view.outstanding {
+            ctx.stand_in.insert(p, shard_of(produced_by(p, view.l))?);
+        }
+    }
+    // Salvage ops: live accumulators a dying stream built (or had
+    // re-installed) before its frontier that a shard still needs — residual
+    // folds, outstanding partials, or final assembly of a re-owned block.
+    let salvage = |view: &DyingView| {
+        let mut per_shard: Vec<Vec<Transfer>> = vec![Vec::new(); s_count];
+        for (u, j, dev) in view.placed() {
+            let live = u.accs.iter().filter(|a| view.live.contains(a));
+            per_shard[j].extend(live.map(|&payload| Transfer {
+                from: view.l,
+                to: dev,
+                payload,
+                bytes: partial_bytes(layout, payload.token_block(), payload.kind()),
+            }));
+        }
+        per_shard
+    };
+    let (salvage_cid, salvage_bytes) = push_ops(&mut comms, views.iter().map(salvage).collect());
+    let new_salvage = salvage_cid.iter().flatten().flatten();
+    ctx.salvage_comms.extend(new_salvage.map(|cid| cid.0));
+    // Input re-fetch ops: the slices a shard's residual blocks read that it
+    // does not own under the patched placement. `from` is the original
+    // owner — the device physically holding the data (dead devices keep
+    // serving resident blocks while draining, which the verifier admits
+    // via the re-owned set).
+    let refetch = |view: &DyingView| {
+        let mut per_shard: Vec<Vec<Transfer>> = vec![Vec::new(); s_count];
+        let mut seen: HashSet<(u32, Payload)> = HashSet::new();
+        for (u, j, dev) in view.placed() {
+            for (payload, bytes) in u
+                .items
+                .iter()
+                .flat_map(|&c| inputs(layout, c, base.backward))
+            {
+                let tb = payload.token_block();
+                if placement.token_dev(tb) != dev && seen.insert((dev, payload)) {
+                    per_shard[j].push(Transfer {
+                        from: base.origin.token_dev(tb),
+                        to: dev,
+                        payload,
+                        bytes,
+                    });
+                }
+            }
+        }
+        per_shard
+    };
+    let (fetch_cid, refetch_bytes) = push_ops(&mut comms, views.iter().map(refetch).collect());
+
+    // --- Streams: truncate the dying streams, emit shards. ---------------
+    let mut devices: Vec<DeviceStream> = base.phase.devices.clone();
+    for (view, cids) in views.iter().zip(&salvage_cid) {
+        let instrs = &mut devices[view.l as usize].instrs;
+        instrs.truncate(view.cut);
+        instrs.extend(cids.iter().flatten().map(|&cid| Instr::CommLaunch(cid)));
+    }
+    let base_ncomms = base.phase.comms.len() as u32;
+    for (v, view) in views.iter().enumerate() {
+        let Some(shard0) = view.shard0 else { continue };
+        for j in 0..s_count {
+            let dev = shard0 + j as u32;
+            let lands_here = |cid: &u32| comms[*cid as usize].transfers.iter().any(|t| t.to == dev);
+            let wait = |cid: u32| Instr::CommWait(CommId(cid));
+            let mut instrs: Vec<Instr> = Vec::new();
+            instrs.extend(fetch_cid[v][j].map(Instr::CommLaunch));
+            // Old salvage evacuations whose receiving wait was truncated
+            // now land on new shards; those shards must wait on them — as
+            // on their own salvage — before any residual fold touches the
+            // installed accumulator.
+            let inherited = (0..base_ncomms).filter(|cid| ctx.salvage_comms.contains(cid));
+            instrs.extend(inherited.filter(lands_here).map(wait));
+            instrs.extend(salvage_cid[v][j].map(Instr::CommWait));
+            instrs.extend(fetch_cid[v][j].map(Instr::CommWait));
+            let items: Vec<CompBlockId> = view
+                .residual
+                .iter()
+                .copied()
+                .filter(|&c| placement.comp_dev(c) == dev)
+                .collect();
+            if !items.is_empty() {
+                let flops = items
+                    .iter()
+                    .map(|&c| layout.comp_blocks[c.0 as usize].flops)
+                    .sum();
+                instrs.push(match base.backward {
+                    false => Instr::Attn { items, flops },
+                    true => Instr::AttnBwd { items, flops },
+                });
+            }
+            // The dying stream's owed partials leave from here under their
+            // original comm ids; its tail waits and reduces follow the
+            // blocks they were for.
+            let stands_in = |cid: &u32| {
+                let mut sent = comms[*cid as usize].transfers.iter();
+                sent.any(|tr| ctx.stand_in.get(&tr.payload) == Some(&dev))
+            };
+            let owed = view.residual_out_cids.iter().copied().filter(stands_in);
+            instrs.extend(owed.map(|cid| Instr::CommLaunch(CommId(cid))));
+            let tail = view.tail_waits.iter().copied().filter(lands_here);
+            instrs.extend(tail.map(wait));
+            let ritems: Vec<ReduceItem> = view
+                .reduce_items
+                .iter()
+                .filter(|it| placement.token_dev(it.target) == dev)
+                .cloned()
+                .collect();
+            if !ritems.is_empty() {
+                let bytes = reduce_bytes(layout, &ritems);
+                instrs.push(Instr::Reduce {
+                    items: ritems,
+                    bytes,
+                });
+            }
+            devices.push(DeviceStream {
+                device: dev,
+                instrs,
+                buffer: BufferStats::default(),
+            });
+        }
+    }
+    Ok(Rendered {
+        placement,
+        phase: PhasePlan { comms, devices },
+        salvage_bytes,
+        refetch_bytes,
+    })
 }
 
 /// Folds a patched logical phase — `D + S` streams, shard `j` being logical
@@ -1554,9 +1219,9 @@ fn fold_onto_hosts(logical: &PhasePlan, ctx: &RecoveryCtx, shard_hosts: &[u32]) 
             let owed = !ctx.salvage_comms.contains(&(cid as u32));
             let transfers = op.transfers.iter().filter_map(|tr| {
                 let stand_in = (owed && ctx.failed.contains(&tr.from))
-                    .then(|| ctx.stand_in(tr.payload))
+                    .then(|| ctx.stand_in.get(&tr.payload))
                     .flatten();
-                let (from, to) = (host(stand_in.unwrap_or(tr.from)), host(tr.to));
+                let (from, to) = (host(*stand_in.unwrap_or(&tr.from)), host(tr.to));
                 (from != to).then_some(Transfer { from, to, ..*tr })
             });
             CommOp {
@@ -1740,34 +1405,31 @@ fn pick_least_loaded(survivors: &[u32], load: &[u64], caps: Option<&[[f64; 2]]>)
             .min_by(|&&a, &&b| {
                 let ta = load[a as usize] as f64 / caps[a as usize][0];
                 let tb = load[b as usize] as f64 / caps[b as usize][0];
-                ta.partial_cmp(&tb).unwrap().then(a.cmp(&b))
+                ta.total_cmp(&tb).then(a.cmp(&b))
             })
             .expect("nonempty survivors"),
     }
 }
 
-/// Deterministic greedy fallback for the residual re-shard: heaviest unit
-/// first into the shard with the most remaining flop capacity. `keyed` is
-/// `(flops, tiebreak key)` per unit.
-fn waterfill_by(keyed: &[(u64, u32)], targets: &[VertexWeight]) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..keyed.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(keyed[i].0), keyed[i].1));
+/// Deterministic greedy re-shard — the backward solver and the forward
+/// backstop: heaviest unit first (ties toward the lowest first token block)
+/// into the shard with the most remaining flop capacity.
+fn waterfill(units: &[Unit], targets: &[VertexWeight]) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&i| {
+        let u = &units[i];
+        (std::cmp::Reverse(u.flops), u.accs[0].token_block().0)
+    });
     let mut cap: Vec<i128> = targets.iter().map(|t| t[0] as i128).collect();
-    let mut part = vec![0u32; keyed.len()];
+    let mut part = vec![0u32; units.len()];
     for i in order {
         let j = (0..cap.len())
             .max_by_key(|&j| (cap[j], std::cmp::Reverse(j)))
             .expect("nonempty targets");
         part[i] = j as u32;
-        cap[j] -= keyed[i].0.max(1) as i128;
+        cap[j] -= units[i].flops.max(1) as i128;
     }
     part
-}
-
-/// [`waterfill_by`] over residual re-shard units.
-fn waterfill(units: &[Unit], targets: &[VertexWeight]) -> Vec<u32> {
-    let keyed: Vec<(u64, u32)> = units.iter().map(|u| (u.flops, u.tb.0)).collect();
-    waterfill_by(&keyed, targets)
 }
 
 /// The schedule's reduce byte model: read every partial plus the resident
@@ -1775,16 +1437,7 @@ fn waterfill(units: &[Unit], targets: &[VertexWeight]) -> Vec<u32> {
 fn reduce_bytes(layout: &BatchLayout, items: &[ReduceItem]) -> u64 {
     items
         .iter()
-        .map(|it| {
-            let tb = &layout.token_blocks[it.target.0 as usize];
-            let unit = match it.kind {
-                PayloadKind::PartialO => tb.o_bytes,
-                PayloadKind::PartialDq => tb.q_bytes,
-                PayloadKind::PartialDkv => tb.kv_bytes,
-                _ => 0,
-            };
-            unit * (it.sources.len() as u64 + 2)
-        })
+        .map(|it| partial_bytes(layout, it.target, it.kind) * (it.sources.len() as u64 + 2))
         .sum()
 }
 
@@ -1861,7 +1514,7 @@ mod tests {
         }
         // Logical device count covers the shards.
         assert_eq!(
-            patch.fwd.devices.len() as u32,
+            patch.phase.devices.len() as u32,
             d + patch.shard_hosts.len() as u32
         );
         assert_eq!(patch.shard_hosts.len(), 7);
@@ -1884,18 +1537,19 @@ mod tests {
             let tb = TokenBlockId(i as u32);
             if owner == dev {
                 assert!(patch.placement.token_dev(tb) >= d);
-                assert!(patch.reowned.contains(&tb));
+                assert!(patch.ctx.reowned.contains(&tb));
             } else {
                 assert_eq!(patch.placement.token_dev(tb), owner);
             }
         }
-        for (&(tb, _p), &shard) in &patch.producer_of {
+        for (p, &shard) in &patch.ctx.stand_in {
             assert!(shard >= d);
-            assert_ne!(out.placement.token_dev(tb), dev, "owner partials self-sent");
+            let owner = out.placement.token_dev(p.token_block());
+            assert_ne!(owner, dev, "owner partials self-sent");
         }
         // No transfer in the patch still targets the failed owner with a
         // partial.
-        for op in &patch.fwd.comms {
+        for op in &patch.phase.comms {
             for tr in &op.transfers {
                 if matches!(tr.payload, Payload::PartialO(..)) {
                     assert_ne!(tr.to, dev, "partial still bound for the failed device");
@@ -1911,9 +1565,10 @@ mod tests {
             }
         }
         // Backward placement has nothing left on the failed rank.
-        assert!(patch.bwd_placement.comp_to_dev.iter().all(|&x| x != dev));
-        assert!(patch.bwd_placement.token_to_dev.iter().all(|&x| x != dev));
-        assert_eq!(patch.bwd.num_devices, d);
+        let (bwd_placement, bwd) = patch.bwd.as_ref().unwrap();
+        assert!(bwd_placement.comp_to_dev.iter().all(|&x| x != dev));
+        assert!(bwd_placement.token_to_dev.iter().all(|&x| x != dev));
+        assert_eq!(bwd.num_devices, d);
     }
 
     #[test]

@@ -623,7 +623,7 @@ pub fn execute_forward_obs(
 }
 
 /// Executes a forward phase under recovery semantics (a patch's
-/// `RecoveryPatch::ctx()`); with the default context this *is* the normal
+/// `RecoveryPatch::ctx`); with the default context this *is* the normal
 /// forward executor. Survivor streams execute verbatim and salvaged
 /// accumulators resume raw, so a patch execution's outputs are bitwise
 /// identical to the unfaulted run's.
@@ -710,7 +710,7 @@ pub fn execute_backward_obs(
 }
 
 /// Executes a backward phase under recovery semantics (a patch's
-/// `BwdRecoveryPatch::ctx()`) — the backward mirror of
+/// `RecoveryPatch::ctx`) — the backward mirror of
 /// [`execute_forward_recovery`]. Gradient accumulators are plain sums, so a
 /// salvaged running sum resumes bitwise exactly where the dead stream's
 /// reduction frontier left off.

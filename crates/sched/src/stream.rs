@@ -50,8 +50,8 @@ pub fn incoming(op: &CommOp, dev: u32) -> impl Iterator<Item = &Transfer> {
 /// shards over salvage ops, and the shards finish the dead streams' work
 /// under the original comm ids. The default context is a normal plan.
 ///
-/// Built only by `RecoveryPatch::ctx()` / `BwdRecoveryPatch::ctx()` in
-/// `dcp-core`; every consumer of a patch takes it from there.
+/// Built only by the recovery patcher in `dcp-core`, which hands it out as
+/// `RecoveryPatch::ctx`; every consumer of a patch takes it from there.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryCtx {
     /// Dead logical streams: the failed rank(s) plus any shard streams they
@@ -59,15 +59,11 @@ pub struct RecoveryCtx {
     pub failed: HashSet<u32>,
     /// Comm ids carrying raw accumulators from dead streams to shards.
     pub salvage_comms: HashSet<u32>,
-    /// Shard that deposits each outstanding forward partial under the
-    /// original comm id, keyed by `(token block, original producer)` — the
-    /// payload's producer field still names the dead stream, and two dead
-    /// streams may owe distinct partials for the same block.
-    pub producer_of: HashMap<(TokenBlockId, u32), u32>,
-    /// Same for outstanding backward dQ partials.
-    pub producer_of_dq: HashMap<(TokenBlockId, u32), u32>,
-    /// Same for outstanding backward dKV partials.
-    pub producer_of_dkv: HashMap<(TokenBlockId, u32), u32>,
+    /// Shard that deposits each outstanding partial (forward O, backward dQ
+    /// or dKV) under the original comm id, keyed by the payload as the
+    /// transfer names it — its producer field still names the dead stream,
+    /// and two dead streams may owe distinct partials for the same block.
+    pub stand_in: HashMap<Payload, u32>,
     /// Token blocks re-owned away from dead streams. A dead stream holds
     /// their data until evacuation completes, so its truncated prefix may
     /// still read (and serve) them.
@@ -75,23 +71,12 @@ pub struct RecoveryCtx {
 }
 
 impl RecoveryCtx {
-    /// The shard standing in for the dead producer of partial `payload`.
-    pub fn stand_in(&self, payload: Payload) -> Option<u32> {
-        match payload {
-            Payload::PartialO(tb, p) => self.producer_of.get(&(tb, p)),
-            Payload::PartialDq(tb, p) => self.producer_of_dq.get(&(tb, p)),
-            Payload::PartialDkv(tb, p) => self.producer_of_dkv.get(&(tb, p)),
-            Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => None,
-        }
-        .copied()
-    }
-
     /// The deposit rule: does a `CommLaunch` by `dev` put `tr` in flight?
     /// The [`depositor`] does; so does the shard standing in for a dead
     /// sender, even though `tr.from` still names the dead stream.
     fn deposits(&self, tr: &Transfer, dev: u32) -> bool {
         depositor(tr) == dev
-            || (self.failed.contains(&tr.from) && self.stand_in(tr.payload) == Some(dev))
+            || (self.failed.contains(&tr.from) && self.stand_in.get(&tr.payload) == Some(&dev))
     }
 
     /// The locality rule: may `dev` read block `tb` without a transfer?

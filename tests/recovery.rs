@@ -4,7 +4,9 @@
 //! computation blocks and salvaging the partials the dead streams already
 //! reduced. Covers single failures, cascading (depth-2) failures where a
 //! shard-hosting survivor dies mid-patch, backward-phase failures salvaged
-//! at reduction frontiers, and a randomized property sweep.
+//! at reduction frontiers, a randomized property sweep over both phases,
+//! content digests pinning four patches to the instruction, and tampered
+//! base plans (typed errors, no panics).
 //!
 //! Tests that exercise the determinism leg mutate `RAYON_NUM_THREADS`,
 //! which is process-global state; they serialize on [`ENV_LOCK`]
@@ -13,21 +15,21 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use dcp::blocks::TokenBlockId;
-use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPlanner};
+use dcp::blocks::{CompBlockId, TokenBlockId};
+use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPatch, RecoveryPlanner};
 use dcp::core::{
     simulate_iteration, simulate_iteration_with_recovery, E2eConfig, PlanOutput, Planner,
     PlannerConfig,
 };
 use dcp::exec::executor::{
     execute_backward, execute_backward_recovery, execute_forward, execute_forward_recovery,
-    BatchData, BlockOut, ExecObs,
+    BatchData, BlockGrads, BlockOut, ExecObs,
 };
 use dcp::mask::MaskSpec;
 use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
-use dcp::sched::Instr;
-use dcp::sim::{simulate_phase, simulate_plan};
-use dcp::types::{AttnSpec, ClusterSpec, DcpError, ModelSpec};
+use dcp::sched::{CommId, Instr, Payload, PayloadKind, PhasePlan, Placement};
+use dcp::sim::{simulate_phase, simulate_plan, Fault, FaultSpec};
+use dcp::types::{AttnSpec, ClusterSpec, DcpError, DcpResult, ModelSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -64,24 +66,42 @@ fn plan_small() -> (ClusterSpec, PlanOutput) {
     (cluster, out)
 }
 
-/// The device with the most attention divisions in the forward plan (ties
-/// broken toward the lowest id), and its division count.
-fn busiest_device(out: &PlanOutput) -> (u32, u32) {
-    out.plan
-        .fwd
-        .devices
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let n = s
-                .instrs
-                .iter()
-                .filter(|ins| matches!(ins, Instr::Attn { .. }))
-                .count() as u32;
-            (i as u32, n)
-        })
+/// Fused attention divisions (forward or backward) in a stream.
+fn divisions(instrs: &[Instr]) -> u32 {
+    let attn = |ins: &&Instr| matches!(ins, Instr::Attn { .. } | Instr::AttnBwd { .. });
+    instrs.iter().filter(attn).count() as u32
+}
+
+/// The device with the most attention divisions in `phase` (ties broken
+/// toward the lowest id), and its division count.
+fn busiest_device(phase: &PhasePlan) -> (u32, u32) {
+    let counts = phase.devices.iter().map(|s| divisions(&s.instrs));
+    (0u32..)
+        .zip(counts)
         .max_by_key(|&(i, n)| (n, std::cmp::Reverse(i)))
         .unwrap()
+}
+
+/// The cascade's second failure: the shard-hosting survivor of `patch1`
+/// whose spliced shard carries the most attention work — so the cascade
+/// really kills a mid-patch shard and not just an idle host — dying after
+/// its own stream plus part of that shard. Also returns the shard's index.
+fn second_failure(d: u32, patch1: &RecoveryPatch) -> (FailureEvent, usize) {
+    let divs = |l: u32| divisions(&patch1.phase.devices[l as usize].instrs);
+    let (j2, shard2) = (0..patch1.shard_hosts.len())
+        .map(|j| (j, divs(d + j as u32)))
+        .max_by_key(|&(j, n)| (n, std::cmp::Reverse(j)))
+        .unwrap();
+    assert!(
+        shard2 >= 1,
+        "second victim must host spliced attention work"
+    );
+    let device = patch1.shard_hosts[j2];
+    let ev = FailureEvent {
+        device,
+        divisions_done: divs(device) + (shard2 / 2).max(1),
+    };
+    (ev, j2)
 }
 
 /// Clean-run forward outputs and a seeded output-gradient batch.
@@ -124,7 +144,7 @@ fn out_bits(outs: &HashMap<TokenBlockId, BlockOut>) -> Vec<u32> {
 fn mid_iteration_recovery_end_to_end() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (cluster, out) = plan_small();
-    let (dev, nd) = busiest_device(&out);
+    let (dev, nd) = busiest_device(&out.plan.fwd);
     assert!(nd >= 3, "victim needs >= 3 attention divisions, got {nd}");
     let k = 2u32;
 
@@ -168,13 +188,12 @@ fn mid_iteration_recovery_end_to_end() {
 
     // Execute the patched forward: survivors + replacement shards, with the
     // failed device replaying only its pre-failure prefix.
-    let ctx = patch.ctx();
     let rec = execute_forward_recovery(
         &out.layout,
         &patch.placement,
-        &patch.fwd,
+        &patch.phase,
         &data,
-        &ctx,
+        &patch.ctx,
         &ExecObs::disabled(),
     )
     .unwrap();
@@ -207,19 +226,15 @@ fn mid_iteration_recovery_end_to_end() {
             .collect();
         d_o.insert(TokenBlockId(i as u32), v);
     }
-    assert!(patch.bwd.bwd.devices[dev as usize]
+    let (bwd_placement, bwd) = patch
+        .bwd
+        .as_ref()
+        .expect("a forward patch re-plans backward");
+    assert!(bwd.bwd.devices[dev as usize]
         .instrs
         .iter()
         .all(|ins| !matches!(ins, Instr::AttnBwd { .. })));
-    let grads = execute_backward(
-        &out.layout,
-        &patch.bwd_placement,
-        &patch.bwd,
-        &data,
-        &rec,
-        &d_o,
-    )
-    .unwrap();
+    let grads = execute_backward(&out.layout, bwd_placement, bwd, &data, &rec, &d_o).unwrap();
     assert_eq!(grads.len(), out.layout.token_blocks.len());
 
     // Recovery wall time is charged into the iteration breakdown: the
@@ -259,13 +274,12 @@ fn mid_iteration_recovery_end_to_end() {
             .plan_recovery(&out, &ev)
             .unwrap();
         let data = BatchData::random(&out.layout, 2024);
-        let ctx = patch.ctx();
         let rec = execute_forward_recovery(
             &out.layout,
             &patch.placement,
-            &patch.fwd,
+            &patch.phase,
             &data,
-            &ctx,
+            &patch.ctx,
             &ExecObs::disabled(),
         )
         .unwrap();
@@ -298,7 +312,7 @@ fn mid_iteration_recovery_end_to_end() {
 fn cascading_failure_composes_patches_bitwise() {
     let (_, out) = plan_small();
     let d = out.plan.num_devices;
-    let (dev1, nd1) = busiest_device(&out);
+    let (dev1, nd1) = busiest_device(&out.plan.fwd);
     assert!(nd1 >= 3);
     let rp = RecoveryPlanner::new(RecoveryConfig::default());
     let patch1 = rp
@@ -312,31 +326,8 @@ fn cascading_failure_composes_patches_bitwise() {
         .unwrap();
     assert_eq!(patch1.stats.cascade_depth, 1);
 
-    // Second victim: the shard-hosting survivor whose spliced shard carries
-    // the most attention work, so the cascade really kills a mid-patch
-    // shard and not just an idle host.
-    let divs = |instrs: &[Instr]| {
-        instrs
-            .iter()
-            .filter(|ins| matches!(ins, Instr::Attn { .. }))
-            .count() as u32
-    };
-    let (j2, _) = patch1
-        .shard_hosts
-        .iter()
-        .enumerate()
-        .map(|(j, _)| (j, divs(&patch1.fwd.devices[(d + j as u32) as usize].instrs)))
-        .max_by_key(|&(j, n)| (n, std::cmp::Reverse(j)))
-        .unwrap();
-    let dev2 = patch1.shard_hosts[j2];
-    let own2 = divs(&patch1.fwd.devices[dev2 as usize].instrs);
-    let shard2 = divs(&patch1.fwd.devices[(d + j2 as u32) as usize].instrs);
-    assert!(
-        shard2 >= 1,
-        "second victim must host spliced attention work"
-    );
-    // Kill after finishing its own stream plus part of the spliced shard.
-    let k2 = own2 + (shard2 / 2).max(1).min(shard2);
+    let (ev2, j2) = second_failure(d, &patch1);
+    let dev2 = ev2.device;
 
     // Depth-2 recovery must always leave a postmortem, even when the
     // bundle buffer is already full (max_pending = 0 blocks every
@@ -348,22 +339,13 @@ fn cascading_failure_composes_patches_bitwise() {
     let rp2 = RecoveryPlanner::new(RecoveryConfig::default()).with_obs(ObsHandle::new(
         recorder.clone() as Arc<dyn dcp::obs::ObsSink + Send + Sync>,
     ));
-    let patch2 = rp2
-        .plan_recovery_onto(
-            &out,
-            &patch1,
-            &FailureEvent {
-                device: dev2,
-                divisions_done: k2,
-            },
-        )
-        .unwrap();
+    let patch2 = rp2.plan_recovery_onto(&out, &patch1, &ev2).unwrap();
     assert_eq!(patch2.stats.cascade_depth, 2);
     assert!(patch2.failed_devices == vec![dev1, dev2]);
-    assert!(patch2.failed_streams.contains(&dev1));
-    assert!(patch2.failed_streams.contains(&dev2));
+    assert!(patch2.ctx.failed.contains(&dev1));
+    assert!(patch2.ctx.failed.contains(&dev2));
     assert!(
-        patch2.failed_streams.contains(&(d + j2 as u32)),
+        patch2.ctx.failed.contains(&(d + j2 as u32)),
         "the hosted shard stream dies with its host"
     );
 
@@ -382,9 +364,9 @@ fn cascading_failure_composes_patches_bitwise() {
     let rec = execute_forward_recovery(
         &out.layout,
         &patch2.placement,
-        &patch2.fwd,
+        &patch2.phase,
         &data,
-        &patch2.ctx(),
+        &patch2.ctx,
         &ExecObs::disabled(),
     )
     .unwrap();
@@ -408,9 +390,9 @@ fn cascading_failure_composes_patches_bitwise() {
         let other = execute_forward_recovery(
             &out.layout,
             &patch2.placement,
-            &patch2.fwd,
+            &patch2.phase,
             &data,
-            &patch2.ctx(),
+            &patch2.ctx,
             &ExecObs::disabled(),
         )
         .unwrap();
@@ -430,22 +412,7 @@ fn cascading_failure_composes_patches_bitwise() {
 #[test]
 fn backward_phase_failure_salvages_partial_accumulators() {
     let (_, out) = plan_small();
-    let (dev, nd) = out
-        .plan
-        .bwd
-        .devices
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let n = s
-                .instrs
-                .iter()
-                .filter(|ins| matches!(ins, Instr::AttnBwd { .. }))
-                .count() as u32;
-            (i as u32, n)
-        })
-        .max_by_key(|&(i, n)| (n, std::cmp::Reverse(i)))
-        .unwrap();
+    let (dev, nd) = busiest_device(&out.plan.bwd);
     assert!(nd >= 2, "victim needs >= 2 backward divisions, got {nd}");
 
     let data = BatchData::random(&out.layout, 2024);
@@ -486,11 +453,11 @@ fn backward_phase_failure_salvages_partial_accumulators() {
     let rec = execute_backward_recovery(
         &out.layout,
         &patch.placement,
-        &patch.bwd,
+        &patch.phase,
         &data,
         &fwd_out,
         &d_o,
-        &patch.ctx(),
+        &patch.ctx,
         &ExecObs::disabled(),
     )
     .unwrap();
@@ -535,17 +502,278 @@ fn out_of_range_frontier_is_a_typed_error() {
     }
 }
 
+/// A base plan that names ids outside its own tables — `PlanOutput` and
+/// patches deserialize, so the patcher cannot trust them — is a typed
+/// `InvalidPlan` from every entry point, never a panic.
+#[test]
+fn tampered_plans_are_typed_errors_not_panics() {
+    type Tamper = fn(&mut PhasePlan, &mut Placement, u32);
+    let tampers: [(&str, Tamper); 3] = [
+        ("comm id outside the op table", |phase, _, victim| {
+            let stray = Instr::CommLaunch(CommId(u32::MAX));
+            phase.devices[victim as usize].instrs.push(stray);
+        }),
+        ("comp block outside the layout", |phase, _, victim| {
+            let instrs = phase.devices[victim as usize].instrs.iter_mut();
+            for ins in instrs {
+                if let Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } = ins {
+                    items.push(CompBlockId(u32::MAX));
+                }
+            }
+        }),
+        ("placement shorter than the layout", |_, placement, _| {
+            placement.token_to_dev.pop();
+        }),
+    ];
+    let (_, out) = plan_small();
+    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let (dev, nd) = busiest_device(&out.plan.fwd);
+    let ev = FailureEvent {
+        device: dev,
+        divisions_done: nd / 2,
+    };
+    let patch1 = rp.plan_recovery(&out, &ev).unwrap();
+    let (ev2, _) = second_failure(out.plan.num_devices, &patch1);
+    for (what, tamper) in tampers {
+        let (mut fwd, mut prior, mut bwd) = (out.clone(), patch1.clone(), out.clone());
+        tamper(&mut fwd.plan.fwd, &mut fwd.placement, dev);
+        tamper(&mut prior.phase, &mut prior.placement, ev2.device);
+        tamper(&mut bwd.plan.bwd, &mut bwd.placement, dev);
+        let expect_invalid = |entry: &str, attempt: &dyn Fn() -> DcpResult<RecoveryPatch>| {
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt)) {
+                Ok(Err(DcpError::InvalidPlan(_))) => {}
+                Ok(other) => panic!("{entry}, {what}: expected InvalidPlan, got {other:?}"),
+                Err(_) => panic!("{entry} panicked on {what}"),
+            }
+        };
+        expect_invalid("plan_recovery", &|| rp.plan_recovery(&fwd, &ev));
+        expect_invalid("plan_recovery_onto", &|| {
+            rp.plan_recovery_onto(&out, &prior, &ev2)
+        });
+        expect_invalid("plan_backward_recovery", &|| {
+            rp.plan_backward_recovery(&bwd, &ev)
+        });
+    }
+}
+
+/// `(kind, token block, producer)` of a payload, inputs having no producer.
+fn payload_key(p: Payload) -> [u32; 3] {
+    let (tag, producer) = match p {
+        Payload::Q(_) => (0, u32::MAX),
+        Payload::Kv(_) => (1, u32::MAX),
+        Payload::DO(_) => (2, u32::MAX),
+        Payload::PartialO(_, d) => (3, d),
+        Payload::PartialDq(_, d) => (4, d),
+        Payload::PartialDkv(_, d) => (5, d),
+    };
+    [tag, p.token_block().0, producer]
+}
+
+/// FNV-1a over what a patch *says*, not how its struct is laid out: the
+/// goldens below were recorded from the two patch types and three stand-in
+/// maps this one replaced.
+struct Digest(u64);
+
+impl Digest {
+    fn u(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    fn ids(&mut self, xs: impl IntoIterator<Item = u32>) {
+        let xs: Vec<u32> = xs.into_iter().collect();
+        self.u(xs.len() as u64);
+        xs.iter().for_each(|&x| self.u(x as u64));
+    }
+
+    fn sorted(&mut self, xs: impl IntoIterator<Item = u32>) {
+        let mut xs: Vec<u32> = xs.into_iter().collect();
+        xs.sort_unstable();
+        self.ids(xs);
+    }
+
+    /// Every op's transfers in order, then every stream's instructions.
+    fn phase(&mut self, phase: &PhasePlan) {
+        self.u(phase.comms.len() as u64);
+        for op in &phase.comms {
+            self.u(op.transfers.len() as u64);
+            for tr in &op.transfers {
+                self.ids([tr.from, tr.to]);
+                self.ids(payload_key(tr.payload));
+                self.u(tr.bytes);
+            }
+        }
+        self.u(phase.devices.len() as u64);
+        for s in &phase.devices {
+            let b = &s.buffer;
+            self.ids([s.device, b.q_slots, b.kv_slots, b.partial_slots]);
+            self.u(b.owned_bytes);
+            self.u(b.fetched_bytes);
+            self.u(s.instrs.len() as u64);
+            for ins in &s.instrs {
+                match ins {
+                    Instr::CommLaunch(c) => self.ids([0, c.0]),
+                    Instr::CommWait(c) => self.ids([1, c.0]),
+                    Instr::Attn { items, flops } | Instr::AttnBwd { items, flops } => {
+                        self.u(2 + matches!(ins, Instr::AttnBwd { .. }) as u64);
+                        self.ids(items.iter().map(|c| c.0));
+                        self.u(*flops);
+                    }
+                    Instr::Reduce { items, bytes } => {
+                        self.ids([4, items.len() as u32]);
+                        for it in items {
+                            let kind = match it.kind {
+                                PayloadKind::PartialO => 3,
+                                PayloadKind::PartialDq => 4,
+                                PayloadKind::PartialDkv => 5,
+                                _ => 9,
+                            };
+                            self.ids([it.target.0, kind]);
+                            self.ids(it.sources.iter().copied());
+                        }
+                        self.u(*bytes);
+                    }
+                    Instr::Copy { bytes } => {
+                        self.u(5);
+                        self.u(*bytes);
+                    }
+                }
+            }
+        }
+    }
+
+    fn placement(&mut self, p: &Placement) {
+        self.u(p.num_devices as u64);
+        self.ids(p.token_to_dev.iter().copied());
+        self.ids(p.comp_to_dev.iter().copied());
+    }
+}
+
+/// The whole patch: event, hosts, placement, both renderings, the recovery
+/// context (sets and the stand-in map sorted), the re-planned backward and
+/// the stats minus `plan_wall_s`.
+fn patch_digest(p: &RecoveryPatch) -> u64 {
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    d.ids([p.failed, p.divisions_done, p.backward as u32]);
+    d.ids(p.failed_devices.iter().copied());
+    d.ids(p.shard_hosts.iter().copied());
+    d.placement(&p.placement);
+    d.phase(&p.phase);
+    d.sorted(p.ctx.failed.iter().copied());
+    d.sorted(p.ctx.salvage_comms.iter().copied());
+    let mut stand_ins: Vec<([u32; 3], u32)> = Vec::new();
+    stand_ins.extend(p.ctx.stand_in.iter().map(|(&p, &s)| (payload_key(p), s)));
+    stand_ins.sort_unstable();
+    d.u(stand_ins.len() as u64);
+    for (key, shard) in stand_ins {
+        d.ids(key);
+        d.u(shard as u64);
+    }
+    d.sorted(p.ctx.reowned.iter().map(|t| t.0));
+    d.phase(&p.timing);
+    match &p.bwd {
+        None => d.u(0),
+        Some((placement, plan)) => {
+            d.ids([1, plan.num_devices]);
+            d.placement(placement);
+            d.phase(&plan.fwd);
+            d.phase(&plan.bwd);
+        }
+    }
+    let st = &p.stats;
+    d.u(st.failed_flops);
+    d.u(st.redone_flops);
+    d.u(st.salvage_bytes);
+    d.u(st.refetch_bytes);
+    d.ids([
+        st.residual_units as u32,
+        st.greedy_fallback as u32,
+        st.cascade_depth,
+    ]);
+    d.0
+}
+
+/// Patch identity: four patches on `plan_small()` — depth 1, a depth-2
+/// cascade onto a shard-hosting survivor mid-patch, a fault-aware one and a
+/// backward one — are, to the instruction, what the commit before the
+/// one-builder refactor emitted (the values were recorded there, with this
+/// digest fed through adapters for its patch types; to re-derive one, copy
+/// the digest into a `git clone` of that commit as the verify skill says).
+#[test]
+fn patches_are_pinned_to_the_instruction() {
+    let (_, out) = plan_small();
+    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let (dev, nd) = busiest_device(&out.plan.fwd);
+    let kill = |device, divisions_done| FailureEvent {
+        device,
+        divisions_done,
+    };
+
+    let depth1 = rp.plan_recovery(&out, &kill(dev, 2)).unwrap();
+    assert_eq!(patch_digest(&depth1), 0x59260bb46de3726e, "depth 1");
+
+    let patch1 = rp.plan_recovery(&out, &kill(dev, nd / 2)).unwrap();
+    let (ev2, _) = second_failure(out.plan.num_devices, &patch1);
+    let depth2 = rp.plan_recovery_onto(&out, &patch1, &ev2).unwrap();
+    assert_eq!(patch_digest(&depth2), 0xa23e9b221350fc14, "depth 2");
+
+    // Every survivor a straggler, most of them on the capacity floor, and
+    // one degraded link (the `tests/scale.rs` recovery golden's shape).
+    let stragglers = (0..8u32)
+        .filter(|&x| x != dev)
+        .map(|device| Fault::Straggler {
+            device,
+            slowdown: [10.0, 40.0, 100.0, 400.0][device as usize % 4],
+        });
+    let link = Fault::DegradedLink {
+        src: (dev + 1) % 8,
+        dst: (dev + 6) % 8,
+        factor: 0.2,
+    };
+    let spec = FaultSpec {
+        seed: 0,
+        faults: stragglers.chain([link]).collect(),
+    };
+    let aware = RecoveryPlanner::new(RecoveryConfig::default()).with_fault_spec(spec);
+    let faulted = aware.plan_recovery(&out, &kill(dev, 1)).unwrap();
+    assert_eq!(patch_digest(&faulted), 0x3dac7cdb51236d57, "fault-aware");
+    let blind = rp.plan_recovery(&out, &kill(dev, 1)).unwrap();
+    assert_ne!(patch_digest(&blind), patch_digest(&faulted));
+
+    let (bdev, bnd) = busiest_device(&out.plan.bwd);
+    let backward = rp
+        .plan_backward_recovery(&out, &kill(bdev, bnd / 2))
+        .unwrap();
+    assert_eq!(patch_digest(&backward), 0xb1a03ab074046421, "backward");
+}
+
+/// Bitwise fingerprint of a backward result, in token-block order.
+fn grad_bits(grads: &HashMap<TokenBlockId, BlockGrads>) -> Vec<u32> {
+    let mut keys: Vec<TokenBlockId> = grads.keys().copied().collect();
+    keys.sort_by_key(|t| t.0);
+    let mut bits = Vec::new();
+    for id in keys {
+        let g = &grads[&id];
+        bits.extend(g.dq.iter().chain(&g.dk).chain(&g.dv).map(|v| v.to_bits()));
+    }
+    bits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized kills — any (survivor count, victim, frontier) — produce
-    /// a patch that passes the stream verifier and executes to merged
-    /// output bitwise equal to the clean run at 1, 2 and 8 rayon threads.
+    /// Randomized kills — any (survivor count, victim, frontier), in the
+    /// forward phase and (`bwd_sel` picks victim and frontier `0..=nd`) in
+    /// the backward phase — produce patches that pass the stream verifier
+    /// and execute to outputs and gradients bitwise equal to the clean
+    /// run's at 1, 2 and 8 rayon threads.
     #[test]
     fn random_failures_recover_bitwise(
         n in 2u32..6,
         dev_sel in 0u32..8,
         frac in 0u32..=4,
+        bwd_sel in 0u32..1000,
         seed in 0u64..500,
     ) {
         let planner = Planner::new(
@@ -558,43 +786,46 @@ proptest! {
             .map(|_| (rng.gen_range(48..220), MaskSpec::Causal))
             .collect();
         let out = planner.plan(&seqs).unwrap();
+        let rp = RecoveryPlanner::new(RecoveryConfig::default());
         let dev = dev_sel % n;
-        let nd = out.plan.fwd.devices[dev as usize]
-            .instrs
-            .iter()
-            .filter(|ins| matches!(ins, Instr::Attn { .. }))
-            .count() as u32;
-        let k = nd * frac / 4;
-        let patch = RecoveryPlanner::new(RecoveryConfig::default())
+        let k = divisions(&out.plan.fwd.devices[dev as usize].instrs) * frac / 4;
+        let fwd_patch = rp
             .plan_recovery(&out, &FailureEvent { device: dev, divisions_done: k })
             .unwrap();
-        // The patch rendering passes the stream verifier under its own
-        // composition context (plan_recovery verifies internally; this
+        let bdev = bwd_sel % n;
+        let bk = (bwd_sel / n) % (divisions(&out.plan.bwd.devices[bdev as usize].instrs) + 1);
+        let bwd_patch = rp
+            .plan_backward_recovery(&out, &FailureEvent { device: bdev, divisions_done: bk })
+            .unwrap();
+        // The patch renderings pass the stream verifier under their own
+        // composition contexts (the patcher verifies internally; this
         // re-checks through the public surface).
-        dcp::sched::verify_phase(
-            &out.layout,
-            &patch.placement,
-            &patch.fwd,
-            false,
-            &patch.ctx(),
-        )
-        .map_err(|d| TestCaseError::fail(format!("patch rejected: {d}")))?;
-        dcp::sched::verify_structure(&patch.timing)
-            .map_err(|d| TestCaseError::fail(format!("timing rejected: {d}")))?;
+        for patch in [&fwd_patch, &bwd_patch] {
+            dcp::sched::verify_phase(
+                &out.layout,
+                &patch.placement,
+                &patch.phase,
+                patch.backward,
+                &patch.ctx,
+            )
+            .map_err(|d| TestCaseError::fail(format!("patch rejected: {d}")))?;
+            dcp::sched::verify_structure(&patch.timing)
+                .map_err(|d| TestCaseError::fail(format!("timing rejected: {d}")))?;
+        }
 
         let data = BatchData::random(&out.layout, seed ^ 0xD15EA5E);
-        let clean = execute_forward(&out.layout, &out.placement, &out.plan, &data).unwrap();
-        let ctx = patch.ctx();
+        let (clean, d_o) = clean_run(&out, &data);
+        let clean_grads =
+            execute_backward(&out.layout, &out.placement, &out.plan, &data, &clean, &d_o).unwrap();
         let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut bits: Option<Vec<u32>> = None;
         for threads in ["1", "2", "8"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
             let rec = execute_forward_recovery(
                 &out.layout,
-                &patch.placement,
-                &patch.fwd,
+                &fwd_patch.placement,
+                &fwd_patch.phase,
                 &data,
-                &ctx,
+                &fwd_patch.ctx,
                 &ExecObs::disabled(),
             )
             .unwrap();
@@ -604,10 +835,23 @@ proptest! {
                 "recovered output diverged at {} threads",
                 threads
             );
-            match &bits {
-                None => bits = Some(out_bits(&rec)),
-                Some(b) => prop_assert_eq!(b.clone(), out_bits(&rec)),
-            }
+            let grads = execute_backward_recovery(
+                &out.layout,
+                &bwd_patch.placement,
+                &bwd_patch.phase,
+                &data,
+                &clean,
+                &d_o,
+                &bwd_patch.ctx,
+                &ExecObs::disabled(),
+            )
+            .unwrap();
+            prop_assert_eq!(
+                grad_bits(&clean_grads),
+                grad_bits(&grads),
+                "recovered gradients diverged at {} threads",
+                threads
+            );
         }
         std::env::remove_var("RAYON_NUM_THREADS");
     }

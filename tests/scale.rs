@@ -341,7 +341,7 @@ fn fault_aware_recovery_patch_is_bitwise_pinned() {
     assert_eq!(
         [
             placement_fnv(&patch.placement),
-            placement_fnv(&patch.bwd_placement),
+            placement_fnv(&patch.bwd.as_ref().unwrap().0),
             timing.makespan.to_bits(),
             patch.timing.total_comm_bytes(),
         ],
