@@ -148,6 +148,79 @@ pub struct BatchLayout {
     pub kv_consumers: Vec<Vec<CompBlockId>>,
 }
 
+/// Maps a token index to its block, dividing only when the index leaves the
+/// block of the previous query: consecutive tokens' range ends move by a
+/// token at a time, so inside a Q block they almost never do.
+struct BlockOf {
+    size: u32,
+    block: u32,
+    lo: u32,
+}
+
+impl BlockOf {
+    fn of(&mut self, x: u32) -> usize {
+        if x.wrapping_sub(self.lo) >= self.size {
+            self.block = x / self.size;
+            self.lo = self.block * self.size;
+        }
+        self.block as usize
+    }
+}
+
+/// The nonzero `(q block, kv block, unmasked pairs)` entries of `mask` cut
+/// into `bs`-token blocks, ordered by (q, kv), into `out`.
+///
+/// Per Q block, every token's allowed ranges are scattered into per-KV-block
+/// pair counts with two difference arrays: point contributions for the (at
+/// most two) partially covered edge blocks, and a range-add of `bs` for fully
+/// covered middle blocks. O(tokens + kv_blocks) per Q block — exactly equal
+/// to summing `mask.pair_count_block` per pair, but ~two orders of magnitude
+/// cheaper at long context (verified by the property test below).
+fn block_pairs(mask: &Mask, bs: u32, out: &mut Vec<(u32, u32, u64)>) {
+    out.clear();
+    let nb = mask.len().div_ceil(bs) as usize;
+    let mut point = vec![0u64; nb];
+    let mut covered = vec![0i64; nb + 1];
+    // One cached block per range end: a.0, a.1 - 1, b.0, b.1 - 1.
+    let mut at = [0; 4].map(|lo| BlockOf {
+        size: bs,
+        block: 0,
+        lo,
+    });
+    for (qi, rows) in mask.ranges().chunks(bs as usize).enumerate() {
+        point.fill(0);
+        covered.fill(0);
+        for rp in rows {
+            let spans = [Some(rp.a), rp.b];
+            for (k, (s, e)) in spans.into_iter().flatten().enumerate() {
+                if s >= e {
+                    continue;
+                }
+                let js = at[2 * k].of(s);
+                let je = at[2 * k + 1].of(e - 1);
+                if js == je {
+                    point[js] += (e - s) as u64;
+                } else {
+                    point[js] += (bs - (s - js as u32 * bs)) as u64;
+                    point[je] += (e - je as u32 * bs) as u64;
+                    if je > js + 1 {
+                        covered[js + 1] += 1;
+                        covered[je] -= 1;
+                    }
+                }
+            }
+        }
+        let mut full = 0i64;
+        for ki in 0..nb {
+            full += covered[ki];
+            let pairs = point[ki] + full as u64 * bs as u64;
+            if pairs > 0 {
+                out.push((qi as u32, ki as u32, pairs));
+            }
+        }
+    }
+}
+
 impl BatchLayout {
     /// Generates the block decomposition of a batch.
     ///
@@ -185,9 +258,13 @@ impl BatchLayout {
 
         let mut token_blocks = Vec::new();
         let mut comp_blocks = Vec::new();
+        // The head groups of a sequence share its mask, so the mask is
+        // scanned once per sequence and the nonzero (q, kv, pairs) list is
+        // replicated into every group under that group's first block id.
+        let mut pairs: Vec<(u32, u32, u64)> = Vec::new();
         for (seq_idx, (len, _)) in seqs.iter().enumerate() {
-            let mask = &masks[seq_idx];
             let n_seq_blocks = len.div_ceil(config.block_size);
+            block_pairs(&masks[seq_idx], config.block_size, &mut pairs);
             for hb in 0..config.head_blocks {
                 let first_id = token_blocks.len() as u32;
                 for bi in 0..n_seq_blocks {
@@ -204,75 +281,25 @@ impl BatchLayout {
                         o_bytes: t * q_heads_per_block * d * eb + t * q_heads_per_block * 4,
                     });
                 }
-                // Computation blocks for this (sequence, head group).
-                //
-                // Per Q block, scatter every token's allowed ranges into
-                // per-KV-block pair counts with two difference arrays: point
-                // contributions for the (at most two) partially covered edge
-                // blocks, and a range-add of `block_size` for fully covered
-                // middle blocks. O(tokens + kv_blocks) per Q block — exactly
-                // equal to summing `mask.pair_count_block` per pair, but
-                // ~two orders of magnitude cheaper at long context (verified
-                // by the property test below).
-                let bs = config.block_size as u64;
-                let nb = n_seq_blocks as usize;
-                let mut point = vec![0u64; nb];
-                let mut covered = vec![0i64; nb + 1];
-                for qi in 0..n_seq_blocks {
-                    let q_id = TokenBlockId(first_id + qi);
-                    let (q_lo, q_hi) = {
-                        let b = &token_blocks[q_id.0 as usize];
-                        (b.start, b.end())
-                    };
-                    point.iter_mut().for_each(|x| *x = 0);
-                    covered.iter_mut().for_each(|x| *x = 0);
-                    for t in q_lo..q_hi {
-                        let rp = mask.allowed(t);
-                        let mut scatter = |s: u32, e: u32| {
-                            if s >= e {
-                                return;
-                            }
-                            let (s, e) = (s as u64, e as u64);
-                            let js = (s / bs) as usize;
-                            let je = ((e - 1) / bs) as usize;
-                            if js == je {
-                                point[js] += e - s;
-                            } else {
-                                point[js] += (js as u64 + 1) * bs - s;
-                                point[je] += e - je as u64 * bs;
-                                if je > js + 1 {
-                                    covered[js + 1] += 1;
-                                    covered[je] -= 1;
-                                }
-                            }
-                        };
-                        scatter(rp.a.0, rp.a.1);
-                        if let Some((b0, b1)) = rp.b {
-                            scatter(b0, b1);
-                        }
-                    }
-                    let mut full = 0i64;
-                    for ki in 0..n_seq_blocks {
-                        full += covered[ki as usize];
-                        let pairs = point[ki as usize] + full as u64 * bs;
-                        if pairs == 0 {
-                            continue;
-                        }
-                        comp_blocks.push(CompBlock {
-                            seq: seq_idx as u32,
-                            head_block: hb,
-                            q_block: q_id,
-                            kv_block: TokenBlockId(first_id + ki),
-                            pairs,
-                            flops: pairs * 4 * d * q_heads_per_block,
-                        });
-                    }
-                }
+                comp_blocks.extend(pairs.iter().map(|&(qi, ki, pairs)| CompBlock {
+                    seq: seq_idx as u32,
+                    head_block: hb,
+                    q_block: TokenBlockId(first_id + qi),
+                    kv_block: TokenBlockId(first_id + ki),
+                    pairs,
+                    flops: pairs * 4 * d * q_heads_per_block,
+                }));
             }
         }
 
-        let mut q_consumers = vec![Vec::new(); token_blocks.len()];
-        let mut kv_consumers = vec![Vec::new(); token_blocks.len()];
+        // Sized by a counting pass: two exact allocations per token block.
+        let mut fan = vec![(0usize, 0usize); token_blocks.len()];
+        for c in &comp_blocks {
+            fan[c.q_block.0 as usize].0 += 1;
+            fan[c.kv_block.0 as usize].1 += 1;
+        }
+        let mut q_consumers: Vec<_> = fan.iter().map(|f| Vec::with_capacity(f.0)).collect();
+        let mut kv_consumers: Vec<_> = fan.iter().map(|f| Vec::with_capacity(f.1)).collect();
         for (i, c) in comp_blocks.iter().enumerate() {
             q_consumers[c.q_block.0 as usize].push(CompBlockId(i as u32));
             kv_consumers[c.kv_block.0 as usize].push(CompBlockId(i as u32));
@@ -524,38 +551,85 @@ mod tests {
 
     proptest! {
         /// Computation blocks cover exactly the nonzero block pairs of the
-        /// mask — no missing work, no wasted blocks (DESIGN.md invariant).
+        /// mask — no missing work, no wasted blocks (DESIGN.md invariant) —
+        /// with the pair count `Mask::pair_count_block` gives, and every head
+        /// group repeats group 0 under its own block ids, in the same order.
         #[test]
         fn comp_blocks_cover_exactly_mask_support(
-            len in 1u32..600,
-            bs in 1u32..130,
-            sink in 0u32..4,
-            window in 1u32..64,
+            bs in prop_oneof![1u32..130, Just(96u32), Just(1000u32), Just(1024u32)],
+            head_blocks in prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
+            // Per sequence: length in blocks/6 (so some are shorter than one
+            // block), mask family and its two parameters.
+            seqs in proptest::collection::vec((any::<u32>(), 0u32..3, any::<u32>(), any::<u32>()), 1..3),
         ) {
-            let spec = MaskSpec::Lambda { sink, window };
-            let cfg = BlockConfig { block_size: bs, head_blocks: 1 };
-            let layout = BatchLayout::build(micro(), cfg, &[(len, spec.clone())]).unwrap();
-            let mask = spec.instantiate(len).unwrap();
-            let nb = len.div_ceil(bs);
+            // Spans that start and end mid-block: a sink and a window that
+            // are not multiples of the block size, a question likewise.
+            let seqs: Vec<(u32, MaskSpec)> = seqs
+                .into_iter()
+                .map(|(l, family, a, b)| {
+                    let len = 1 + l % (6 * bs);
+                    let spec = match family {
+                        0 => MaskSpec::Causal,
+                        1 => MaskSpec::Lambda { sink: a % (bs + 3), window: 1 + b % (2 * bs + 1) },
+                        _ => {
+                            let question_len = 1 + a % len;
+                            let first = b % (len - question_len + 1);
+                            let answer_lens = vec![first, len - question_len - first];
+                            MaskSpec::SharedQuestion { question_len, answer_lens }
+                        }
+                    };
+                    (len, spec)
+                })
+                .collect();
+            let attn = AttnSpec::new(8, 4, 16, 2);
+            let cfg = BlockConfig { block_size: bs, head_blocks };
+            let layout = BatchLayout::build(attn, cfg, &seqs).unwrap();
             let mut covered = std::collections::HashSet::new();
             for c in &layout.comp_blocks {
                 prop_assert!(c.pairs > 0);
                 let q = &layout.token_blocks[c.q_block.0 as usize];
                 let kv = &layout.token_blocks[c.kv_block.0 as usize];
+                prop_assert_eq!((q.seq, q.head_block), (c.seq, c.head_block));
+                prop_assert_eq!((kv.seq, kv.head_block), (c.seq, c.head_block));
                 prop_assert_eq!(
                     c.pairs,
-                    mask.pair_count_block(q.start, q.end(), kv.start, kv.end())
+                    layout.masks[c.seq as usize].pair_count_block(q.start, q.end(), kv.start, kv.end())
                 );
-                covered.insert((q.start / bs, kv.start / bs));
+                covered.insert((c.seq, c.head_block, q.start / bs, kv.start / bs));
             }
-            for qi in 0..nb {
-                for ki in 0..nb {
-                    let q_lo = qi * bs;
-                    let q_hi = (q_lo + bs).min(len);
-                    let k_lo = ki * bs;
-                    let k_hi = (k_lo + bs).min(len);
-                    let nonzero = mask.pair_count_block(q_lo, q_hi, k_lo, k_hi) > 0;
-                    prop_assert_eq!(covered.contains(&(qi, ki)), nonzero);
+            for (seq, &(len, _)) in seqs.iter().enumerate() {
+                let mask = &layout.masks[seq];
+                let nb = len.div_ceil(bs);
+                for qi in 0..nb {
+                    for ki in 0..nb {
+                        let q_lo = qi * bs;
+                        let q_hi = (q_lo + bs).min(len);
+                        let k_lo = ki * bs;
+                        let k_hi = (k_lo + bs).min(len);
+                        let nonzero = mask.pair_count_block(q_lo, q_hi, k_lo, k_hi) > 0;
+                        for hb in 0..head_blocks {
+                            prop_assert_eq!(covered.contains(&(seq as u32, hb, qi, ki)), nonzero);
+                        }
+                    }
+                }
+            }
+            // A head group is the one before it, one group of token blocks
+            // further on — so group h is group 0 shifted by h groups, which
+            // is group h's first token-block id minus group 0's.
+            let per_group = |seq: u32| {
+                let of = |c: &&CompBlock| c.seq == seq && c.head_block == 0;
+                layout.comp_blocks.iter().filter(of).count()
+            };
+            for (i, c) in layout.comp_blocks.iter().enumerate() {
+                if c.head_block > 0 {
+                    let twin = layout.comp_blocks[i - per_group(c.seq)];
+                    let shift = seqs[c.seq as usize].0.div_ceil(bs);
+                    prop_assert_eq!(*c, CompBlock {
+                        head_block: twin.head_block + 1,
+                        q_block: TokenBlockId(twin.q_block.0 + shift),
+                        kv_block: TokenBlockId(twin.kv_block.0 + shift),
+                        ..twin
+                    });
                 }
             }
         }

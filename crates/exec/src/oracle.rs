@@ -97,7 +97,7 @@ mod tests {
     use dcp_sched::{build_plan, PassConfig, PassManager, ScheduleConfig};
     use dcp_types::AttnSpec;
 
-    fn case() -> (BatchLayout, Placement, ExecutionPlan) {
+    fn case_on(n: u32) -> (BatchLayout, Placement, ExecutionPlan) {
         let l = BatchLayout::build(
             AttnSpec::paper_micro(),
             BlockConfig {
@@ -107,7 +107,6 @@ mod tests {
             &[(2048, MaskSpec::Causal)],
         )
         .unwrap();
-        let n = 4;
         let token_to_dev: Vec<u32> = (0..l.token_blocks.len() as u32).map(|i| i % n).collect();
         let comp_to_dev: Vec<u32> = l
             .comp_blocks
@@ -125,26 +124,32 @@ mod tests {
 
     #[test]
     fn plan_is_equivalent_to_itself() {
-        let (l, p, plan) = case();
+        let (l, p, plan) = case_on(4);
         assert!(plans_equivalent(&l, &p, &plan, &p, &plan, 7).unwrap());
     }
 
     #[test]
     fn optimized_plan_is_bitwise_equivalent() {
-        let (l, p, plan) = case();
+        // Two devices, so every fetch op of a device has the same route, and
+        // no fusion cap (one Q block exceeds the default): fetches fuse.
+        let (l, p, plan) = case_on(2);
         let mut opt = plan.clone();
-        let pm = PassManager::new(PassConfig::optimize());
+        let pm = PassManager::new(PassConfig {
+            fuse_threshold_bytes: u64::MAX,
+            ..PassConfig::optimize()
+        });
         let outcomes = pm.run_plan(&l, &p, &mut opt);
         assert!(
             outcomes.iter().any(|o| o.changed()),
             "fixture must give the passes something to rewrite"
         );
+        assert_ne!(plan, opt);
         assert!(plans_equivalent(&l, &p, &plan, &p, &opt, 7).unwrap());
     }
 
     #[test]
     fn different_data_is_detected() {
-        let (l, p, plan) = case();
+        let (l, p, plan) = case_on(4);
         let data_a = BatchData::random(&l, 1);
         let data_b = BatchData::random(&l, 2);
         let out_a = execute_forward(&l, &p, &plan, &data_a).unwrap();

@@ -1,5 +1,7 @@
 //! Materialized masks: per-token attend ranges and blockwise queries.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// At most two normalized half-open ranges of key indices a query token
@@ -140,10 +142,34 @@ impl RangePair {
 /// // The diagonal block is half full:
 /// assert_eq!(mask.pair_count_block(4, 8, 4, 8), 4 + 3 + 2 + 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mask {
     len: u32,
-    ranges: Vec<RangePair>,
+    /// Immutable once built, so clones (a cached plan handed out again, a
+    /// layout kept as a warm-start seed) share the table instead of copying
+    /// 20 bytes per token.
+    ranges: Arc<[RangePair]>,
+}
+
+// By hand because the vendored serde has no `Arc`; the form is the derived
+// one (`{"len": .., "ranges": [..]}`).
+impl Serialize for Mask {
+    fn to_value(&self) -> serde::Value {
+        let mut m = serde::Map::new();
+        m.insert("len".into(), self.len.to_value());
+        m.insert("ranges".into(), self.ranges.to_value());
+        serde::Value::Object(m)
+    }
+}
+
+impl Deserialize for Mask {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        // Anything but an object reads as missing fields.
+        Ok(Mask {
+            len: u32::from_value(&v["len"])?,
+            ranges: Vec::from_value(&v["ranges"])?.into(),
+        })
+    }
 }
 
 impl Mask {
@@ -152,7 +178,8 @@ impl Mask {
     /// # Panics
     ///
     /// Panics if `ranges.len() != len`.
-    pub fn from_ranges(len: u32, ranges: Vec<RangePair>) -> Self {
+    pub fn from_ranges(len: u32, ranges: impl Into<Arc<[RangePair]>>) -> Self {
+        let ranges = ranges.into();
         assert_eq!(ranges.len(), len as usize);
         Mask { len, ranges }
     }
@@ -241,6 +268,21 @@ mod tests {
         // Empty halves are dropped.
         let r = RangePair::merged(3, 3, 1, 2);
         assert_eq!(r, RangePair::single(1, 2));
+    }
+
+    #[test]
+    fn mask_serializes_as_the_derived_struct_and_clones_share_the_table() {
+        let m = MaskSpec::Lambda { sink: 1, window: 1 }
+            .instantiate(3)
+            .unwrap();
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(
+            json,
+            r#"{"len":3,"ranges":[{"a":[0,1],"b":null},{"a":[0,2],"b":null},{"a":[0,1],"b":[2,3]}]}"#
+        );
+        assert_eq!(serde_json::from_str::<Mask>(&json).unwrap(), m);
+        assert!(serde_json::from_str::<Mask>("[3]").is_err());
+        assert!(Arc::ptr_eq(&m.ranges, &m.clone().ranges));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Serializable attention mask specifications.
 
+use std::sync::Arc;
+
 use dcp_types::{DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
@@ -144,7 +146,8 @@ impl MaskSpec {
         if len == 0 {
             return Err(DcpError::InvalidMask("sequence length must be > 0".into()));
         }
-        let ranges = match self {
+        // Collected straight into the shared table: one allocation, no copy.
+        let ranges: Arc<[RangePair]> = match self {
             MaskSpec::Full => (0..len).map(|_| RangePair::single(0, len)).collect(),
             MaskSpec::Causal => (0..len).map(|t| RangePair::single(0, t + 1)).collect(),
             MaskSpec::Lambda { sink, window } => {
@@ -204,7 +207,7 @@ impl MaskSpec {
                     }
                     start += alen;
                 }
-                ranges
+                ranges.into()
             }
             MaskSpec::Custom(ranges) => {
                 if ranges.len() != len as usize {

@@ -3,16 +3,18 @@
 //! The paper's executor keeps one contiguous GPU buffer per block type and
 //! addresses blocks by (type, index), reusing indices whose blocks are no
 //! longer needed. This module replays a device's instruction stream and
-//! computes the peak number of live slots per type — with a free-list, so an
-//! index freed by an earlier division is reused by a later fetch — plus the
-//! resulting peak bytes.
-
-use std::collections::HashMap;
+//! computes the peak number of live slots per type — an index freed by an
+//! earlier division is reused by a later fetch, so the peak is the largest
+//! number of blocks of the type resident at once — plus the resulting peak
+//! bytes.
 
 use dcp_blocks::BatchLayout;
 use serde::{Deserialize, Serialize};
 
+use crate::placement::Placement;
 use crate::plan::{CommOp, Instr, Payload, PayloadKind};
+use crate::stream::{arrivals, reads};
+use crate::table::PayloadTable;
 
 /// Peak buffer usage of one device stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -36,43 +38,112 @@ impl BufferStats {
     }
 }
 
-/// A per-kind slot allocator with index reuse.
-#[derive(Debug, Default)]
-struct SlotPool {
-    free: Vec<u32>,
-    next: u32,
-    peak: u32,
-    live: HashMap<Payload, u32>,
+/// Bytes of the token blocks each device owns.
+pub(crate) fn owned_bytes(layout: &BatchLayout, placement: &Placement) -> Vec<u64> {
+    let mut owned = vec![0u64; placement.num_devices as usize];
+    for (tb, &d) in layout.token_blocks.iter().zip(&placement.token_to_dev) {
+        owned[d as usize] += tb.total_bytes();
+    }
+    owned
 }
 
-impl SlotPool {
-    fn alloc(&mut self, p: Payload) -> u32 {
-        if let Some(&s) = self.live.get(&p) {
-            return s; // Already resident (e.g. re-referenced payload).
-        }
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let s = self.next;
-            self.next += 1;
-            s
-        });
-        self.live.insert(p, slot);
-        self.peak = self.peak.max(self.next);
-        slot
-    }
-
-    fn release(&mut self, p: &Payload) {
-        if let Some(s) = self.live.remove(p) {
-            self.free.push(s);
-        }
-    }
-}
-
-/// Replays `instrs` for device `device`, computing [`BufferStats`].
+/// The accounting of one layout's streams, device after device on one set
+/// of tables.
 ///
-/// Fetched blocks become live at their `CommWait` and are released after the
-/// last instruction that consumes them (attention for Q/KV/DO fetches,
-/// reduction for partials). Owned blocks are counted as resident for the
-/// whole phase.
+/// A slot pool with a free list creates a new slot only while every slot it
+/// has is live, so a kind's peak slot count is the largest number of its
+/// payloads resident at once; which index a payload gets never matters.
+pub(crate) struct Accounting<'a> {
+    layout: &'a BatchLayout,
+    /// Slot size by [`PayloadKind`]: the largest block of the kind (uniform
+    /// slots in one contiguous buffer per kind, as in the paper).
+    slot_bytes: [u64; 6],
+    /// Last reader of each arriving payload, then whether it is resident.
+    table: PayloadTable,
+    /// `(instruction, is a release, payload)`.
+    events: Vec<(u32, bool, Payload)>,
+}
+
+impl<'a> Accounting<'a> {
+    pub(crate) fn new(layout: &'a BatchLayout) -> Self {
+        let max = |bytes: fn(&dcp_blocks::TokenBlock) -> u64| {
+            layout.token_blocks.iter().map(bytes).max().unwrap_or(0)
+        };
+        let (q, kv, o) = (max(|t| t.q_bytes), max(|t| t.kv_bytes), max(|t| t.o_bytes));
+        Accounting {
+            layout,
+            // Q, Kv, PartialO, DO, PartialDq, PartialDkv.
+            slot_bytes: [q, kv, o, o, q, kv],
+            table: PayloadTable::new(layout.token_blocks.len()),
+            events: Vec::new(),
+        }
+    }
+
+    /// Replays `instrs` for device `device`.
+    ///
+    /// Fetched blocks become live at their `CommWait` and are released
+    /// after the last instruction that reads them (attention for Q/KV/dO
+    /// fetches, reduction for partials; at once when nothing does). A
+    /// payload that arrives again while resident takes no second slot.
+    pub(crate) fn stats(
+        &mut self,
+        comms: &[CommOp],
+        device: u32,
+        instrs: &[Instr],
+        owned_bytes: u64,
+    ) -> BufferStats {
+        let table = &mut self.table;
+        table.begin(arrivals(comms, device, instrs).map(|(_, tr)| tr.payload));
+        for (idx, ins) in instrs.iter().enumerate() {
+            reads(self.layout, ins, |p| table.put(p, Some(idx as u32)));
+        }
+        self.events.clear();
+        for (idx, tr) in arrivals(comms, device, instrs) {
+            let release = table.get(tr.payload).unwrap_or(idx as u32);
+            self.events.push((idx as u32, false, tr.payload));
+            self.events.push((release, true, tr.payload));
+        }
+        // At one instruction, arrivals come before releases; the order
+        // inside either group cannot change a count.
+        self.events
+            .sort_unstable_by_key(|&(idx, release, _)| (idx, release));
+        table.clear();
+        let (mut live, mut peak) = ([0u32; 6], [0u32; 6]);
+        for &(_, release, p) in &self.events {
+            let k = p.kind() as usize;
+            match (release, table.get(p).is_some()) {
+                (false, false) => {
+                    table.put(p, Some(0));
+                    live[k] += 1;
+                    peak[k] = peak[k].max(live[k]);
+                }
+                (true, true) => {
+                    table.put(p, None);
+                    live[k] -= 1;
+                }
+                // Already resident, or released before it (re-)arrived.
+                _ => {}
+            }
+        }
+        let q_slots = peak[PayloadKind::Q as usize];
+        let kv_slots = peak[PayloadKind::Kv as usize];
+        BufferStats {
+            q_slots,
+            kv_slots,
+            partial_slots: peak.iter().sum::<u32>() - q_slots - kv_slots,
+            owned_bytes,
+            fetched_bytes: peak
+                .iter()
+                .zip(self.slot_bytes)
+                .map(|(&slots, bytes)| slots as u64 * bytes)
+                .sum(),
+        }
+    }
+}
+
+/// Replays `instrs` for device `device`, computing [`BufferStats`] (see
+/// `Accounting::stats`). Owned blocks are counted as resident for the whole
+/// phase.
 pub fn compute_stats(
     layout: &BatchLayout,
     comms: &[CommOp],
@@ -80,125 +151,11 @@ pub fn compute_stats(
     instrs: &[Instr],
     owned_token_blocks: &[u32],
 ) -> BufferStats {
-    // Last instruction index consuming each incoming payload.
-    let mut last_use: HashMap<Payload, usize> = HashMap::new();
-    // Incoming payloads by the CommWait instruction index that makes them
-    // live.
-    let mut arrivals: Vec<(usize, Payload)> = Vec::new();
-
-    for (idx, ins) in instrs.iter().enumerate() {
-        match ins {
-            Instr::CommWait(cid) => {
-                for t in &comms[cid.0 as usize].transfers {
-                    if t.to == device {
-                        arrivals.push((idx, t.payload));
-                    }
-                }
-            }
-            Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
-                for &c in items {
-                    let cb = &layout.comp_blocks[c.0 as usize];
-                    for payload in [
-                        Payload::Q(cb.q_block),
-                        Payload::Kv(cb.kv_block),
-                        Payload::DO(cb.q_block),
-                    ] {
-                        last_use.insert(payload, idx);
-                    }
-                }
-            }
-            Instr::Reduce { items, .. } => {
-                for item in items {
-                    for &src in &item.sources {
-                        let payload = match item.kind {
-                            PayloadKind::PartialO => Payload::PartialO(item.target, src),
-                            PayloadKind::PartialDq => Payload::PartialDq(item.target, src),
-                            PayloadKind::PartialDkv => Payload::PartialDkv(item.target, src),
-                            _ => continue,
-                        };
-                        last_use.insert(payload, idx);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // Sweep: allocate at arrival, release after last use.
-    let mut pools: HashMap<PayloadKind, SlotPool> = HashMap::new();
-    let mut releases: HashMap<usize, Vec<Payload>> = HashMap::new();
-    for (arrive_idx, payload) in &arrivals {
-        let release_idx = last_use.get(payload).copied().unwrap_or(*arrive_idx);
-        releases.entry(release_idx).or_default().push(*payload);
-        // Allocation happens during the sweep below; remember arrival order.
-        let _ = arrive_idx;
-    }
-    let mut arrivals_by_idx: HashMap<usize, Vec<Payload>> = HashMap::new();
-    for (idx, p) in arrivals {
-        arrivals_by_idx.entry(idx).or_default().push(p);
-    }
-    for idx in 0..instrs.len() {
-        if let Some(ps) = arrivals_by_idx.get(&idx) {
-            for &p in ps {
-                pools.entry(p.kind()).or_default().alloc(p);
-            }
-        }
-        if let Some(ps) = releases.get(&idx) {
-            for p in ps {
-                if let Some(pool) = pools.get_mut(&p.kind()) {
-                    pool.release(p);
-                }
-            }
-        }
-    }
-
-    // Slot byte sizes: the maximum block size of the kind (uniform slots in
-    // one contiguous buffer, as in the paper).
-    let max_q = layout
-        .token_blocks
-        .iter()
-        .map(|t| t.q_bytes)
-        .max()
-        .unwrap_or(0);
-    let max_kv = layout
-        .token_blocks
-        .iter()
-        .map(|t| t.kv_bytes)
-        .max()
-        .unwrap_or(0);
-    let max_o = layout
-        .token_blocks
-        .iter()
-        .map(|t| t.o_bytes)
-        .max()
-        .unwrap_or(0);
-
-    let peak = |k: PayloadKind| pools.get(&k).map_or(0, |p| p.peak);
-    let q_slots = peak(PayloadKind::Q);
-    let kv_slots = peak(PayloadKind::Kv);
-    let partial_slots = peak(PayloadKind::PartialO)
-        + peak(PayloadKind::DO)
-        + peak(PayloadKind::PartialDq)
-        + peak(PayloadKind::PartialDkv);
-
-    let owned_bytes: u64 = owned_token_blocks
+    let owned = owned_token_blocks
         .iter()
         .map(|&t| layout.token_blocks[t as usize].total_bytes())
         .sum();
-    let fetched_bytes = q_slots as u64 * max_q
-        + kv_slots as u64 * max_kv
-        + peak(PayloadKind::PartialO) as u64 * max_o
-        + peak(PayloadKind::DO) as u64 * max_o
-        + peak(PayloadKind::PartialDq) as u64 * max_q
-        + peak(PayloadKind::PartialDkv) as u64 * max_kv;
-
-    BufferStats {
-        q_slots,
-        kv_slots,
-        partial_slots,
-        owned_bytes,
-        fetched_bytes,
-    }
+    Accounting::new(layout).stats(comms, device, instrs, owned)
 }
 
 #[cfg(test)]
@@ -219,18 +176,6 @@ mod tests {
             &[(2048, MaskSpec::Causal)],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn slot_pool_reuses_freed_indices() {
-        let mut pool = SlotPool::default();
-        let a = pool.alloc(Payload::Q(TokenBlockId(0)));
-        let b = pool.alloc(Payload::Q(TokenBlockId(1)));
-        assert_ne!(a, b);
-        pool.release(&Payload::Q(TokenBlockId(0)));
-        let c = pool.alloc(Payload::Q(TokenBlockId(2)));
-        assert_eq!(c, a, "freed slot is reused");
-        assert_eq!(pool.peak, 2);
     }
 
     #[test]
@@ -324,6 +269,39 @@ mod tests {
         assert_eq!(stats.kv_slots, 2);
         assert_eq!(stats.owned_bytes, 0);
         assert!(stats.fetched_bytes > 0);
+    }
+
+    #[test]
+    fn resident_payloads_take_one_slot_and_unread_ones_leave_at_once() {
+        let l = layout();
+        let kv = |tb| CommOp {
+            transfers: vec![Transfer {
+                from: 0,
+                to: 1,
+                payload: Payload::Kv(TokenBlockId(tb)),
+                bytes: 10,
+            }],
+        };
+        let comms = vec![kv(0), kv(2), kv(3)];
+        let c10 = l
+            .comp_blocks
+            .iter()
+            .position(|c| c.q_block == TokenBlockId(1) && c.kv_block == TokenBlockId(0))
+            .unwrap() as u32;
+        // KV(0) arrives twice before its reader: one slot. KV(2) and KV(3)
+        // are read by nothing: each is gone before the next wait.
+        let instrs = vec![
+            Instr::CommWait(CommId(0)),
+            Instr::CommWait(CommId(0)),
+            Instr::CommWait(CommId(1)),
+            Instr::CommWait(CommId(2)),
+            Instr::Attn {
+                items: vec![CompBlockId(c10)],
+                flops: 1,
+            },
+        ];
+        let stats = compute_stats(&l, &comms, 1, &instrs, &[]);
+        assert_eq!(stats.kv_slots, 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    instructions — blockwise attention, blockwise reduction, blockwise
 //!    copy, communication launch, communication wait — for both the forward
 //!    and the backward pass, and
-//! 4. replays the streams through a [`buffer::BufferManager`] to account for
+//! 4. replays the streams through [`buffer::compute_stats`] to account for
 //!    peak block-buffer memory with slot reuse.
 //!
 //! The resulting [`ExecutionPlan`] is given meaning by one driver, the
@@ -31,6 +31,7 @@ pub mod plan;
 pub mod report;
 pub mod schedule;
 pub mod stream;
+mod table;
 pub mod verify;
 
 pub use buffer::BufferStats;

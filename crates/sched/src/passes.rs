@@ -29,16 +29,16 @@
 //! do not observe, or re-batch transfers whose arrival order is already
 //! unordered within a wait.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dcp_blocks::BatchLayout;
 use serde::{Deserialize, Serialize};
 
-use crate::buffer::compute_stats;
+use crate::buffer::{owned_bytes, Accounting};
 use crate::placement::Placement;
-use crate::plan::{ExecutionPlan, Instr, Payload, PhasePlan};
-use crate::stream::{incoming, is_input};
-use crate::verify::instr_reads;
+use crate::plan::{ExecutionPlan, Instr, PhasePlan};
+use crate::stream::{arrivals, incoming, is_input, reads, transfer_offsets};
+use crate::table::PayloadTable;
 
 /// Configuration of the pass pipeline.
 ///
@@ -110,7 +110,7 @@ pub struct PassOutcome {
     pub reduces_coalesced: u64,
     /// Copy instructions merged into a neighbor.
     pub copies_coalesced: u64,
-    /// CommWait instructions moved later.
+    /// CommWait instructions whose position in their stream changed.
     pub waits_sunk: u64,
 }
 
@@ -171,35 +171,39 @@ impl Pass for DeadCommElim {
 
     fn run(&self, phase: &mut PhasePlan, cx: &PassCx<'_>) -> PassOutcome {
         let before = phase.total_comm_bytes();
-        // Per device: which ops it waits on, and which payloads it reads.
-        let mut reads: HashMap<u32, HashSet<Payload>> = HashMap::new();
-        let mut waits_by_dev: HashMap<u32, HashSet<u32>> = HashMap::new();
+        // One flag per transfer, ops laid end to end: set when the
+        // destination waits on the op and reads the payload. A transfer
+        // never waited for can never arrive.
+        let base = transfer_offsets(&phase.comms);
+        let mut live = vec![false; base[phase.comms.len()]];
+        let mut read = PayloadTable::new(cx.layout.token_blocks.len());
         for stream in &phase.devices {
-            let r = reads.entry(stream.device).or_default();
-            let w = waits_by_dev.entry(stream.device).or_default();
+            let dev = stream.device;
+            read.begin(arrivals(&phase.comms, dev, &stream.instrs).map(|(_, tr)| tr.payload));
             for ins in &stream.instrs {
-                if let Instr::CommWait(cid) = ins {
-                    w.insert(cid.0);
+                reads(cx.layout, ins, |p| read.put(p, Some(0)));
+            }
+            for ins in &stream.instrs {
+                let Instr::CommWait(cid) = ins else { continue };
+                let Some(op) = phase.comms.get(cid.0 as usize) else {
+                    continue;
+                };
+                for (k, tr) in op.transfers.iter().enumerate() {
+                    if tr.to == dev && read.get(tr.payload).is_some() {
+                        live[base[cid.0 as usize] + k] = true;
+                    }
                 }
-                instr_reads(cx.layout, ins, r);
             }
         }
-        let empty_reads = HashSet::new();
-        let empty_waits = HashSet::new();
         let mut transfers_removed = 0u64;
         for (cid, op) in phase.comms.iter_mut().enumerate() {
             if cx.protected.contains(&(cid as u32)) {
                 continue;
             }
             let n0 = op.transfers.len();
-            op.transfers.retain(|tr| {
-                let dest_waits = waits_by_dev.get(&tr.to).unwrap_or(&empty_waits);
-                if !dest_waits.contains(&(cid as u32)) {
-                    return false; // never waited: the data can never arrive
-                }
-                let dest_reads = reads.get(&tr.to).unwrap_or(&empty_reads);
-                dest_reads.contains(&tr.payload)
-            });
+            let mut flags = live[base[cid]..].iter();
+            op.transfers
+                .retain(|_| *flags.next().expect("one flag per transfer"));
             transfers_removed += (n0 - op.transfers.len()) as u64;
         }
         // Drop launches/waits that no longer move anything for their device.
@@ -323,12 +327,19 @@ impl Pass for FuseCommLaunch {
     fn run(&self, phase: &mut PhasePlan, cx: &PassCx<'_>) -> PassOutcome {
         let before = phase.total_comm_bytes();
         // Ops referenced by exactly one device (its receiver), input-only:
-        // the scheduler's per-division fetch ops.
-        let mut refs: HashMap<u32, HashSet<u32>> = HashMap::new();
+        // the scheduler's per-division fetch ops. Per op: how many devices'
+        // streams name it, and the last of them (a stream's references are
+        // visited together, so a count of one means one device).
+        let mut refs = vec![(0u32, 0u32); phase.comms.len()];
         for stream in &phase.devices {
             for ins in &stream.instrs {
                 if let Instr::CommLaunch(cid) | Instr::CommWait(cid) = ins {
-                    refs.entry(cid.0).or_default().insert(stream.device);
+                    match refs.get_mut(cid.0 as usize) {
+                        Some(r) if r.0 == 0 || r.1 != stream.device => {
+                            *r = (r.0 + 1, stream.device)
+                        }
+                        _ => {}
+                    }
                 }
             }
         }
@@ -342,9 +353,7 @@ impl Pass for FuseCommLaunch {
                     .transfers
                     .iter()
                     .all(|t| t.to == dev && is_input(t.payload.kind()))
-                && refs
-                    .get(&cid)
-                    .is_some_and(|r| r.len() == 1 && r.contains(&dev))
+                && refs[cid as usize] == (1, dev)
         };
         let route = |cid: u32, phase: &PhasePlan| -> Vec<u32> {
             let mut srcs: Vec<u32> = phase.comms[cid as usize]
@@ -414,58 +423,43 @@ impl Pass for SinkCommWait {
     fn run(&self, phase: &mut PhasePlan, cx: &PassCx<'_>) -> PassOutcome {
         let before = phase.total_comm_bytes();
         let mut waits_sunk = 0u64;
+        // First reader after the position the backward walk has reached, by
+        // payload.
+        let mut next_read = PayloadTable::new(cx.layout.token_blocks.len());
+        let mut keys: Vec<usize> = Vec::new();
         for stream in &mut phase.devices {
             let dev = stream.device;
             let n = stream.instrs.len();
-            // Per instruction: the payloads it reads.
-            let reads: Vec<HashSet<Payload>> = stream
-                .instrs
-                .iter()
-                .map(|ins| {
-                    let mut r = HashSet::new();
-                    instr_reads(cx.layout, ins, &mut r);
-                    r
-                })
-                .collect();
             // Sort key: non-waits keep their slot (2*i); a movable wait
             // whose first reader sits at j sinks to just before it
             // (2*j - 1). Stable sort preserves the relative order of waits
             // sharing a reader and of everything else.
-            let keys: Vec<usize> = stream
-                .instrs
-                .iter()
-                .enumerate()
-                .map(|(i, ins)| {
-                    let Instr::CommWait(cid) = ins else {
-                        return 2 * i;
-                    };
-                    if cx.protected.contains(&cid.0) {
-                        return 2 * i;
-                    }
-                    let arriving: Vec<Payload> = incoming(&phase.comms[cid.0 as usize], dev)
-                        .map(|t| t.payload)
-                        .collect();
-                    if arriving.is_empty() {
-                        return 2 * i;
-                    }
-                    match (i + 1..n).find(|&j| arriving.iter().any(|p| reads[j].contains(p))) {
-                        Some(j) if 2 * j - 1 > 2 * i => {
-                            waits_sunk += 1;
-                            2 * j - 1
+            next_read.begin(arrivals(&phase.comms, dev, &stream.instrs).map(|(_, tr)| tr.payload));
+            keys.clear();
+            keys.resize(n, 0);
+            for (i, ins) in stream.instrs.iter().enumerate().rev() {
+                keys[i] = 2 * i;
+                match ins {
+                    Instr::CommWait(cid) if !cx.protected.contains(&cid.0) => {
+                        let first = incoming(&phase.comms[cid.0 as usize], dev)
+                            .filter_map(|tr| next_read.get(tr.payload))
+                            .min();
+                        if let Some(j) = first {
+                            keys[i] = 2 * j as usize - 1;
                         }
-                        _ => 2 * i,
                     }
-                })
-                .collect();
+                    _ => reads(cx.layout, ins, |p| next_read.put(p, Some(i as u32))),
+                }
+            }
             let mut order: Vec<usize> = (0..n).collect();
             order.sort_by_key(|&i| keys[i]);
             if order.iter().enumerate().any(|(pos, &i)| pos != i) {
-                let mut instrs = std::mem::take(&mut stream.instrs);
-                let mut slot: Vec<Option<Instr>> = instrs.drain(..).map(Some).collect();
-                stream.instrs = order
-                    .into_iter()
-                    .map(|i| slot[i].take().expect("each index used once"))
-                    .collect();
+                let mut slot: Vec<Option<Instr>> = stream.instrs.drain(..).map(Some).collect();
+                for (pos, &i) in order.iter().enumerate() {
+                    let ins = slot[i].take().expect("each index used once");
+                    waits_sunk += (pos != i && matches!(ins, Instr::CommWait(_))) as u64;
+                    stream.instrs.push(ins);
+                }
             }
         }
         PassOutcome {
@@ -547,13 +541,13 @@ impl PassManager {
         let mut out = self.run_phase(layout, &mut plan.fwd, "fwd", &none);
         out.extend(self.run_phase(layout, &mut plan.bwd, "bwd", &none));
         if out.iter().any(PassOutcome::changed) {
+            let owned = owned_bytes(layout, placement);
+            let mut accounting = Accounting::new(layout);
             for phase in [&mut plan.fwd, &mut plan.bwd] {
                 for stream in &mut phase.devices {
-                    let owned: Vec<u32> = (0..layout.token_blocks.len() as u32)
-                        .filter(|&tb| placement.token_to_dev[tb as usize] == stream.device)
-                        .collect();
-                    stream.buffer =
-                        compute_stats(layout, &phase.comms, stream.device, &stream.instrs, &owned);
+                    let dev = stream.device;
+                    let owned = owned.get(dev as usize).copied().unwrap_or(0);
+                    stream.buffer = accounting.stats(&phase.comms, dev, &stream.instrs, owned);
                 }
             }
         }
@@ -565,7 +559,7 @@ impl PassManager {
 mod tests {
     use super::*;
     use crate::buffer::BufferStats;
-    use crate::plan::{CommId, CommOp, DeviceStream, Transfer};
+    use crate::plan::{CommId, CommOp, DeviceStream, Payload, Transfer};
     use crate::schedule::{build_plan, ScheduleConfig};
     use crate::verify::{verify_plan, verify_structure};
     use dcp_blocks::{BlockConfig, CompBlockId, TokenBlockId};
@@ -840,6 +834,53 @@ mod tests {
             "{:?}",
             phase.devices[0].instrs
         );
+    }
+
+    #[test]
+    fn waits_already_at_their_reader_are_not_counted_as_sunk() {
+        // The output phase of every scheduled stream: waits directly before
+        // the reduce that reads them. Each has a later reader, none can move.
+        let l = layout(&[(1024, MaskSpec::Causal)], 512);
+        let tb = TokenBlockId(0);
+        let partial = |from| CommOp {
+            transfers: vec![Transfer {
+                from,
+                to: 1,
+                payload: Payload::PartialO(tb, from),
+                bytes: 64,
+            }],
+        };
+        let instrs = vec![
+            Instr::CommWait(CommId(0)),
+            Instr::CommWait(CommId(1)),
+            Instr::Reduce {
+                items: vec![crate::plan::ReduceItem {
+                    target: tb,
+                    sources: vec![0, 2],
+                    kind: crate::plan::PayloadKind::PartialO,
+                }],
+                bytes: 1,
+            },
+        ];
+        let mut phase = PhasePlan {
+            comms: vec![partial(0), partial(2)],
+            devices: vec![DeviceStream {
+                device: 1,
+                instrs: instrs.clone(),
+                buffer: BufferStats::default(),
+            }],
+        };
+        let outcome = SinkCommWait.run(
+            &mut phase,
+            &PassCx {
+                layout: &l,
+                protected: &HashSet::new(),
+                fuse_threshold_bytes: 0,
+            },
+        );
+        assert_eq!(outcome.waits_sunk, 0);
+        assert!(!outcome.changed());
+        assert_eq!(phase.devices[0].instrs, instrs);
     }
 
     #[test]

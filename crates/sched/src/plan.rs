@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 pub struct CommId(pub u32);
 
 /// What a transfer carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Payload {
     /// The Q slice of a token block (forward input fetch).
     Q(TokenBlockId),

@@ -9,10 +9,13 @@
 //!
 //! The scheduler groups each device's computation blocks into `T` divisions:
 //! division 0 holds the blocks needing no communication, divisions
-//! `1..T-1` are filled greedily (starting from the least-loaded device)
-//! subject to a per-division cap of `1/T` of the device's total incoming
-//! volume per source, and the final division takes everything left. Each
-//! division's communication is launched while the previous division
+//! `1..T-1` are filled greedily, in block order, subject to a per-division
+//! cap of `1/T` of the device's total incoming volume per source, and the
+//! final division takes everything left. The caps are the receiver's alone,
+//! so one device's divisions depend on no other's, the order in which
+//! devices are visited cannot change a plan, and they are taken in rank
+//! order, each scheduled to the end on scratch tables the next one reuses.
+//! Each division's communication is launched while the previous division
 //! computes, which is what overlaps transfer and attention time.
 //!
 //! Timing assumption encoded in the emitted streams: *input* fetches (Q, KV,
@@ -21,18 +24,17 @@
 //! (O/dQ/dKV) are produced data, so the producer launches them after its
 //! last division and the owner waits before its final reduction.
 
-use std::collections::{HashMap, HashSet};
-
-use dcp_blocks::{BatchLayout, CompBlockId};
+use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
 use dcp_types::{DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
-use crate::buffer::compute_stats;
+use crate::buffer::{owned_bytes, Accounting};
 use crate::placement::Placement;
 use crate::plan::{
     CommId, CommOp, DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan,
     ReduceItem, Transfer,
 };
+use crate::table::{PayloadTable, Stamped};
 use crate::verify::verify_plan;
 
 /// Scheduler configuration.
@@ -86,32 +88,208 @@ pub fn build_plan(
     })
 }
 
-/// Remote input payloads of `comp` on its executing device.
+/// A remote input of a computation block: what, from whom, how many bytes.
+type Fetch = (Payload, u32, u64);
+
+/// Remote input payloads of `comp` on its executing device: `Q` (and `dO`
+/// in the backward phase), then `KV`.
 fn remote_inputs(
     layout: &BatchLayout,
     placement: &Placement,
     comp: CompBlockId,
     backward: bool,
-) -> Vec<(Payload, u32, u64)> {
+) -> [Option<Fetch>; 3] {
     let cb = &layout.comp_blocks[comp.0 as usize];
     let dev = placement.comp_dev(comp);
     let q_owner = placement.token_dev(cb.q_block);
     let kv_owner = placement.token_dev(cb.kv_block);
     let qb = &layout.token_blocks[cb.q_block.0 as usize];
     let kvb = &layout.token_blocks[cb.kv_block.0 as usize];
-    let mut v = Vec::new();
-    if q_owner != dev {
-        v.push((Payload::Q(cb.q_block), q_owner, qb.q_bytes));
-        if backward {
-            v.push((Payload::DO(cb.q_block), q_owner, qb.o_bytes));
-        }
-    }
-    if kv_owner != dev {
-        v.push((Payload::Kv(cb.kv_block), kv_owner, kvb.kv_bytes));
-    }
-    v
+    [
+        (q_owner != dev).then_some((Payload::Q(cb.q_block), q_owner, qb.q_bytes)),
+        (q_owner != dev && backward).then_some((Payload::DO(cb.q_block), q_owner, qb.o_bytes)),
+        (kv_owner != dev).then_some((Payload::Kv(cb.kv_block), kv_owner, kvb.kv_bytes)),
+    ]
 }
 
+/// What every device does in every division — `[d * t + i]` is device `d`,
+/// division `i` — and every partial that travels back.
+struct Divisions {
+    /// Computation blocks, in id order.
+    items: Vec<Vec<CompBlockId>>,
+    /// Inputs first needed by the division, in the order its blocks need them.
+    fetch: Vec<Vec<Transfer>>,
+    /// Partials the division completes, in the order the device's blocks
+    /// first touch them.
+    out: Vec<Vec<Transfer>>,
+    /// `(owner, block, kind, producer)` of every partial, sorted: an owner's
+    /// reduce items are the runs of equal (block, kind), sources ascending.
+    returned: Vec<(u32, TokenBlockId, PayloadKind, u32)>,
+}
+
+/// The division scheduler. Everything is indexed by what the layout already
+/// numbers densely — devices, token blocks, computation blocks — on tables
+/// that one device after another reuses: a device's divisions depend on no
+/// other device's, so each is scheduled to the end before the next starts.
+fn divide(
+    layout: &BatchLayout,
+    placement: &Placement,
+    cfg: &ScheduleConfig,
+    backward: bool,
+) -> Divisions {
+    let n = placement.num_devices as usize;
+    let t = cfg.divisions as usize;
+    let last = t - 1;
+    let nt = layout.token_blocks.len();
+    let mut out = Divisions {
+        items: vec![Vec::new(); n * t],
+        fetch: vec![Vec::new(); n * t],
+        out: vec![Vec::new(); n * t],
+        returned: Vec::new(),
+    };
+
+    // Per-device computation blocks, in id order (counting sort).
+    let mut first = vec![0usize; n + 1];
+    for &d in &placement.comp_to_dev {
+        first[d as usize + 1] += 1;
+    }
+    for d in 0..n {
+        first[d + 1] += first[d];
+    }
+    let mut dev_comps = vec![CompBlockId(0); layout.comp_blocks.len()];
+    let mut next = first.clone();
+    for (c, &d) in placement.comp_to_dev.iter().enumerate() {
+        dev_comps[next[d as usize]] = CompBlockId(c as u32);
+        next[d as usize] += 1;
+    }
+
+    // Scratch of the device being scheduled. Inputs it has counted, then
+    // inputs it has fetched; bytes it needs from each source in total and in
+    // the division being filled; the last division touching each partial it
+    // produces (by Q block: O or dQ; by KV block: dKV) and those partials in
+    // the order its blocks first touch them.
+    let mut fetched = PayloadTable::new(nt);
+    let mut total: Stamped<u64> = Stamped::new(n);
+    let mut in_div: Stamped<u64> = Stamped::new(n);
+    let mut last_div = [(); 2].map(|()| Stamped::<Option<usize>>::new(nt));
+    let mut touched: Vec<(usize, TokenBlockId)> = Vec::new();
+    let (mut remaining, mut kept) = (Vec::new(), Vec::new());
+    let mut div_of_comp = vec![0usize; layout.comp_blocks.len()];
+
+    for d in 0..n {
+        let comps = &dev_comps[first[d]..first[d + 1]];
+        // Division 0: blocks with no remote inputs at all. The others'
+        // inputs, each counted once, are the device's total incoming volume
+        // per source; a middle division takes at most 1/T of it.
+        fetched.begin(std::iter::empty());
+        total.reset();
+        remaining.clear();
+        for &c in comps {
+            let inputs = remote_inputs(layout, placement, c, backward);
+            if inputs.iter().all(Option::is_none) {
+                out.items[d * t].push(c);
+                div_of_comp[c.0 as usize] = 0;
+                continue;
+            }
+            remaining.push(c);
+            for (payload, src, bytes) in inputs.into_iter().flatten() {
+                if fetched.get(payload).is_none() {
+                    fetched.put(payload, Some(0));
+                    total.set(src as usize, total.get(src as usize) + bytes);
+                }
+            }
+        }
+        fetched.clear();
+
+        // Middle divisions 1..t-1 take, in id order, every block whose new
+        // fetches keep the division's volume from each source under the
+        // cap; the final division (division 0 itself when T == 1) takes
+        // everything left.
+        for i in (1..last).chain([last]) {
+            in_div.reset();
+            for c in remaining.drain(..) {
+                let new = remote_inputs(layout, placement, c, backward)
+                    .map(|f| f.filter(|&(payload, ..)| fetched.get(payload).is_none()));
+                // Check, then commit or take back. Only the sources this
+                // block adds to can newly exceed their cap.
+                if i < last {
+                    for &(_, src, bytes) in new.iter().flatten() {
+                        in_div.set(src as usize, in_div.get(src as usize) + bytes);
+                    }
+                    let fits = new.iter().flatten().all(|&(_, src, _)| {
+                        in_div.get(src as usize) <= total.get(src as usize).div_ceil(t as u64)
+                    });
+                    if !fits {
+                        for &(_, src, bytes) in new.iter().flatten() {
+                            in_div.set(src as usize, in_div.get(src as usize) - bytes);
+                        }
+                        kept.push(c);
+                        continue;
+                    }
+                }
+                for (payload, from, bytes) in new.into_iter().flatten() {
+                    fetched.put(payload, Some(0));
+                    out.fetch[d * t + i].push(Transfer {
+                        from,
+                        to: d as u32,
+                        payload,
+                        bytes,
+                    });
+                }
+                out.items[d * t + i].push(c);
+                div_of_comp[c.0 as usize] = i;
+            }
+            std::mem::swap(&mut remaining, &mut kept);
+        }
+
+        // Output transfers, grouped by launch division. Forward:
+        // PartialO(qb, d) -> owner; backward: PartialDq(qb, d) and
+        // PartialDkv(kb, d). With `early_output`, a partial launches right
+        // after the last division on `d` that contributes to it; otherwise
+        // everything launches after the final division (the paper's
+        // Listing 3).
+        last_div.iter_mut().for_each(Stamped::reset);
+        touched.clear();
+        for &c in comps {
+            let cb = &layout.comp_blocks[c.0 as usize];
+            let div = match cfg.early_output {
+                true => div_of_comp[c.0 as usize],
+                false => last,
+            };
+            for (side, tb) in [(0, cb.q_block), (1, cb.kv_block)] {
+                if (side == 1 && !backward) || placement.token_dev(tb) == d as u32 {
+                    continue;
+                }
+                let prev = last_div[side].get(tb.0 as usize);
+                if prev.is_none() {
+                    touched.push((side, tb));
+                }
+                last_div[side].set(tb.0 as usize, Some(prev.map_or(div, |p| p.max(div))));
+            }
+        }
+        for &(side, tb) in &touched {
+            let block = &layout.token_blocks[tb.0 as usize];
+            let (payload, bytes) = match (side, backward) {
+                (0, false) => (Payload::PartialO(tb, d as u32), block.o_bytes),
+                (0, true) => (Payload::PartialDq(tb, d as u32), block.q_bytes),
+                _ => (Payload::PartialDkv(tb, d as u32), block.kv_bytes),
+            };
+            let div = last_div[side].get(tb.0 as usize).expect("touched above");
+            let to = placement.token_dev(tb);
+            out.out[d * t + div].push(Transfer {
+                from: d as u32,
+                to,
+                payload,
+                bytes,
+            });
+            out.returned.push((to, tb, payload.kind(), d as u32));
+        }
+    }
+    out.returned.sort_unstable();
+    out
+}
+
+/// One phase: its divisions rendered as comm ops and instruction streams.
 fn schedule_phase(
     layout: &BatchLayout,
     placement: &Placement,
@@ -120,237 +298,43 @@ fn schedule_phase(
 ) -> PhasePlan {
     let n = placement.num_devices as usize;
     let t = cfg.divisions as usize;
+    let mut div = divide(layout, placement, cfg, backward);
 
-    // Per-device computation blocks, in id order (deterministic).
-    let mut dev_comps: Vec<Vec<CompBlockId>> = vec![Vec::new(); n];
-    for i in 0..layout.comp_blocks.len() {
-        let c = CompBlockId(i as u32);
-        dev_comps[placement.comp_dev(c) as usize].push(c);
-    }
-
-    // Total deduplicated incoming volume per (device, source).
-    let mut total_req: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-    {
-        let mut seen: Vec<HashSet<Payload>> = vec![HashSet::new(); n];
-        for d in 0..n {
-            for &c in &dev_comps[d] {
-                for (payload, src, bytes) in remote_inputs(layout, placement, c, backward) {
-                    if seen[d].insert(payload) {
-                        *total_req[d].entry(src).or_insert(0) += bytes;
-                    }
-                }
-            }
-        }
-    }
-    let limit =
-        |d: usize, src: u32| -> u64 { total_req[d].get(&src).map_or(0, |&b| b.div_ceil(t as u64)) };
-
-    // Division construction.
-    // divisions[i][d] = (comp blocks, new transfers)
-    let mut divisions: Vec<Vec<(Vec<CompBlockId>, Vec<Transfer>)>> =
-        vec![vec![(Vec::new(), Vec::new()); n]; t];
-    let mut remaining: Vec<Vec<CompBlockId>> = vec![Vec::new(); n];
-    let mut fetched: Vec<HashSet<Payload>> = vec![HashSet::new(); n];
-    let mut comp_load = vec![0u64; n];
-    // Division index of every computation block (for early output launch).
-    let mut div_of_comp = vec![0usize; layout.comp_blocks.len()];
-
-    // Division 0: blocks with no remote inputs at all.
-    for d in 0..n {
-        for &c in &dev_comps[d] {
-            if remote_inputs(layout, placement, c, backward).is_empty() {
-                divisions[0][d].0.push(c);
-                div_of_comp[c.0 as usize] = 0;
-                comp_load[d] += layout.comp_blocks[c.0 as usize].flops;
-            } else {
-                remaining[d].push(c);
-            }
-        }
-    }
-
-    // Middle divisions 1..t-1, least-loaded device first. `i` indexes both
-    // `divisions` and `div_of_comp`, so an iterator form would not be clearer.
-    #[allow(clippy::needless_range_loop)]
-    for i in 1..t.saturating_sub(1) {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&d| comp_load[d]);
-        for &d in &order {
-            let mut div_comm: HashMap<u32, u64> = HashMap::new();
-            let mut kept = Vec::new();
-            let blocks = std::mem::take(&mut remaining[d]);
-            for c in blocks {
-                let new: Vec<(Payload, u32, u64)> = remote_inputs(layout, placement, c, backward)
-                    .into_iter()
-                    .filter(|(p, _, _)| !fetched[d].contains(p))
-                    .collect();
-                // Projected per-source volume must stay under the cap.
-                let mut projected: HashMap<u32, u64> = div_comm.clone();
-                for (_, src, bytes) in &new {
-                    *projected.entry(*src).or_insert(0) += bytes;
-                }
-                let fits = projected.iter().all(|(&src, &b)| b <= limit(d, src));
-                if fits {
-                    for (payload, src, bytes) in new {
-                        fetched[d].insert(payload);
-                        *div_comm.entry(src).or_insert(0) += bytes;
-                        divisions[i][d].1.push(Transfer {
-                            from: src,
-                            to: d as u32,
-                            payload,
-                            bytes,
-                        });
-                    }
-                    divisions[i][d].0.push(c);
-                    div_of_comp[c.0 as usize] = i;
-                    comp_load[d] += layout.comp_blocks[c.0 as usize].flops;
-                } else {
-                    kept.push(c);
-                }
-            }
-            remaining[d] = kept;
-        }
-    }
-
-    // Final division: everything left.
-    let last = t - 1;
-    for d in 0..n {
-        for c in std::mem::take(&mut remaining[d]) {
-            let new: Vec<(Payload, u32, u64)> = remote_inputs(layout, placement, c, backward)
-                .into_iter()
-                .filter(|(p, _, _)| !fetched[d].contains(p))
-                .collect();
-            for (payload, src, bytes) in new {
-                fetched[d].insert(payload);
-                divisions[last][d].1.push(Transfer {
-                    from: src,
-                    to: d as u32,
-                    payload,
-                    bytes,
-                });
-            }
-            divisions[last][d].0.push(c);
-            div_of_comp[c.0 as usize] = last;
-        }
-    }
-
-    // Output transfers, grouped by (producing device, launch division).
-    // For forward: PartialO(qb, producer) -> owner; for backward:
-    // PartialDq(qb, producer) and PartialDkv(kb, producer). With
-    // `early_output`, a partial launches right after the last division on
-    // the producer that contributes to it; otherwise everything launches
-    // after the final division (the paper's Listing 3).
-    let mut out_ops: Vec<Vec<Vec<Transfer>>> = vec![vec![Vec::new(); t]; n];
-    let mut reduce_items: Vec<HashMap<(dcp_blocks::TokenBlockId, PayloadKind), Vec<u32>>> =
-        vec![HashMap::new(); n];
-    {
-        // Last division on each device contributing to each output target.
-        let mut last_div: HashMap<(u32, dcp_blocks::TokenBlockId, PayloadKind), usize> =
-            HashMap::new();
-        for (i, cb) in layout.comp_blocks.iter().enumerate() {
-            let d = placement.comp_dev(CompBlockId(i as u32));
-            let div = if cfg.early_output {
-                div_of_comp[i]
-            } else {
-                t - 1
-            };
-            let mut touch = |tb, kind| {
-                let e = last_div.entry((d, tb, kind)).or_insert(div);
-                *e = (*e).max(div);
-            };
-            if !backward {
-                touch(cb.q_block, PayloadKind::PartialO);
-            } else {
-                touch(cb.q_block, PayloadKind::PartialDq);
-                touch(cb.kv_block, PayloadKind::PartialDkv);
-            }
-        }
-        let mut emitted: HashSet<(u32, dcp_blocks::TokenBlockId, PayloadKind)> = HashSet::new();
-        for (i, cb) in layout.comp_blocks.iter().enumerate() {
-            let c = CompBlockId(i as u32);
-            let d = placement.comp_dev(c);
-            let q_owner = placement.token_dev(cb.q_block);
-            let kv_owner = placement.token_dev(cb.kv_block);
-            let qb = &layout.token_blocks[cb.q_block.0 as usize];
-            let kvb = &layout.token_blocks[cb.kv_block.0 as usize];
-            let mut emit = |tb, kind, to: u32, payload, bytes| {
-                if emitted.insert((d, tb, kind)) {
-                    let div = last_div[&(d, tb, kind)];
-                    out_ops[d as usize][div].push(Transfer {
-                        from: d,
-                        to,
-                        payload,
-                        bytes,
-                    });
-                    reduce_items[to as usize]
-                        .entry((tb, kind))
-                        .or_default()
-                        .push(d);
-                }
-            };
-            if !backward {
-                if q_owner != d {
-                    emit(
-                        cb.q_block,
-                        PayloadKind::PartialO,
-                        q_owner,
-                        Payload::PartialO(cb.q_block, d),
-                        qb.o_bytes,
-                    );
-                }
-            } else {
-                if q_owner != d {
-                    emit(
-                        cb.q_block,
-                        PayloadKind::PartialDq,
-                        q_owner,
-                        Payload::PartialDq(cb.q_block, d),
-                        qb.q_bytes,
-                    );
-                }
-                if kv_owner != d {
-                    emit(
-                        cb.kv_block,
-                        PayloadKind::PartialDkv,
-                        kv_owner,
-                        Payload::PartialDkv(cb.kv_block, d),
-                        kvb.kv_bytes,
-                    );
-                }
-            }
-        }
-    }
-
-    // Assemble comm ops and instruction streams.
+    // Comm ops: fetches by (division, device), then returns by (device,
+    // division); `waits` pairs every owner with the return ops it receives
+    // from, ascending.
     let mut comms: Vec<CommOp> = Vec::new();
-    // comm id of division i on device d (if any).
-    let mut div_comm_id: Vec<Vec<Option<CommId>>> = vec![vec![None; n]; t];
-    for (i, divs) in divisions.iter().enumerate() {
-        for (d, (_, transfers)) in divs.iter().enumerate() {
-            if !transfers.is_empty() {
-                div_comm_id[i][d] = Some(CommId(comms.len() as u32));
-                comms.push(CommOp {
-                    transfers: transfers.clone(),
-                });
-            }
+    let mut push_op = |transfers: &mut Vec<Transfer>| {
+        (!transfers.is_empty()).then(|| {
+            comms.push(CommOp {
+                transfers: std::mem::take(transfers),
+            });
+            CommId(comms.len() as u32 - 1)
+        })
+    };
+    let mut fetch_id = vec![None; n * t];
+    for i in 0..t {
+        for d in 0..n {
+            fetch_id[d * t + i] = push_op(&mut div.fetch[d * t + i]);
         }
     }
-    let mut out_comm_id: Vec<Vec<Option<CommId>>> = vec![vec![None; t]; n];
-    for d in 0..n {
-        for i in 0..t {
-            if !out_ops[d][i].is_empty() {
-                out_comm_id[d][i] = Some(CommId(comms.len() as u32));
-                comms.push(CommOp {
-                    transfers: out_ops[d][i].clone(),
-                });
-            }
-        }
+    let out_id: Vec<Option<CommId>> = div.out.iter_mut().map(&mut push_op).collect();
+    let mut waits: Vec<(u32, CommId)> = Vec::new();
+    for cid in out_id.iter().flatten() {
+        let op = &comms[cid.0 as usize];
+        waits.extend(op.transfers.iter().map(|tr| (tr.to, *cid)));
     }
+    waits.sort_unstable();
+    waits.dedup();
 
+    let owned = owned_bytes(layout, placement);
+    let mut accounting = Accounting::new(layout);
     let mut devices = Vec::with_capacity(n);
+    let (mut waits, mut returned) = (waits.as_slice(), div.returned.as_slice());
     for d in 0..n {
         let mut instrs: Vec<Instr> = Vec::new();
         for i in 0..t {
-            if let Some(cid) = div_comm_id[i][d] {
+            if let Some(cid) = fetch_id[d * t + i] {
                 // Division 0 normally has no communication; when it does
                 // (T == 1 collapses everything into one division), launch
                 // right before waiting.
@@ -360,75 +344,45 @@ fn schedule_phase(
                 instrs.push(Instr::CommWait(cid));
             }
             if i + 1 < t {
-                if let Some(cid) = div_comm_id[i + 1][d] {
+                if let Some(cid) = fetch_id[d * t + i + 1] {
                     instrs.push(Instr::CommLaunch(cid));
                 }
             }
-            let (blocks, _) = &divisions[i][d];
-            if !blocks.is_empty() {
-                let flops: u64 = blocks
-                    .iter()
-                    .map(|&c| {
-                        let f = layout.comp_blocks[c.0 as usize].flops;
-                        if backward {
-                            f * BWD_RATIO.0 / BWD_RATIO.1
-                        } else {
-                            f
-                        }
-                    })
-                    .sum();
-                if backward {
-                    instrs.push(Instr::AttnBwd {
-                        items: blocks.clone(),
-                        flops,
-                    });
+            let items = std::mem::take(&mut div.items[d * t + i]);
+            if !items.is_empty() {
+                let fwd_flops = |c: &CompBlockId| layout.comp_blocks[c.0 as usize].flops;
+                instrs.push(if backward {
+                    let flops = items
+                        .iter()
+                        .map(|c| fwd_flops(c) * BWD_RATIO.0 / BWD_RATIO.1)
+                        .sum();
+                    Instr::AttnBwd { items, flops }
                 } else {
-                    instrs.push(Instr::Attn {
-                        items: blocks.clone(),
-                        flops,
-                    });
-                }
+                    let flops = items.iter().map(fwd_flops).sum();
+                    Instr::Attn { items, flops }
+                });
             }
             // Launch output partials completed by this division, so the
             // return path overlaps later divisions.
-            if let Some(cid) = out_comm_id[d][i] {
+            if let Some(cid) = out_id[d * t + i] {
                 instrs.push(Instr::CommLaunch(cid));
             }
         }
         // Output phase: wait for every op delivering partials to this
-        // device (any producer, any division).
-        let mut incoming: Vec<CommId> = Vec::new();
-        for (s, per_div) in out_comm_id.iter().enumerate() {
-            if s == d {
-                continue;
-            }
-            for cid in per_div.iter().flatten() {
-                if comms[cid.0 as usize]
-                    .transfers
-                    .iter()
-                    .any(|tr| tr.to == d as u32)
-                {
-                    incoming.push(*cid);
-                }
-            }
-        }
-        for cid in incoming {
-            instrs.push(Instr::CommWait(cid));
-        }
-        if !reduce_items[d].is_empty() {
-            let mut items: Vec<ReduceItem> = reduce_items[d]
-                .iter()
-                .map(|(&(target, kind), sources)| {
-                    let mut sources = sources.clone();
-                    sources.sort_unstable();
-                    ReduceItem {
-                        target,
-                        sources,
-                        kind,
-                    }
+        // device (any producer, any division), then reduce them.
+        let mine = waits.partition_point(|w| w.0 == d as u32);
+        instrs.extend(waits[..mine].iter().map(|w| Instr::CommWait(w.1)));
+        waits = &waits[mine..];
+        let mine = returned.partition_point(|r| r.0 == d as u32);
+        if mine > 0 {
+            let items: Vec<ReduceItem> = returned[..mine]
+                .chunk_by(|a, b| (a.1, a.2) == (b.1, b.2))
+                .map(|run| ReduceItem {
+                    target: run[0].1,
+                    sources: run.iter().map(|r| r.3).collect(),
+                    kind: run[0].2,
                 })
                 .collect();
-            items.sort_by_key(|it| (it.target, it.kind));
             let bytes: u64 = items
                 .iter()
                 .map(|it| {
@@ -446,11 +400,9 @@ fn schedule_phase(
                 .sum();
             instrs.push(Instr::Reduce { items, bytes });
         }
+        returned = &returned[mine..];
 
-        let owned: Vec<u32> = (0..layout.token_blocks.len() as u32)
-            .filter(|&tb| placement.token_to_dev[tb as usize] == d as u32)
-            .collect();
-        let buffer = compute_stats(layout, &comms, d as u32, &instrs, &owned);
+        let buffer = accounting.stats(&comms, d as u32, &instrs, owned[d]);
         devices.push(DeviceStream {
             device: d as u32,
             instrs,
@@ -481,6 +433,7 @@ mod tests {
     use dcp_blocks::BlockConfig;
     use dcp_mask::MaskSpec;
     use dcp_types::AttnSpec;
+    use std::collections::{HashMap, HashSet};
 
     fn layout(seqs: &[(u32, MaskSpec)], bs: u32) -> BatchLayout {
         BatchLayout::build(

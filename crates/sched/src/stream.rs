@@ -14,7 +14,8 @@
 //!
 //! The simulator keeps its own event loop (it advances a clock, the walker
 //! does not) but takes [`check_ids`], [`depositor`] and [`incoming`] from
-//! here, as do the passes.
+//! here, as do the passes and the buffer accounting (which also share
+//! `arrivals` and `reads`).
 
 use std::collections::{HashMap, HashSet};
 
@@ -43,6 +44,65 @@ pub fn depositor(tr: &Transfer) -> u32 {
 /// The transfers of `op` that a `CommWait` on `dev` blocks on.
 pub fn incoming(op: &CommOp, dev: u32) -> impl Iterator<Item = &Transfer> {
     op.transfers.iter().filter(move |t| t.to == dev)
+}
+
+/// The index of each op's first transfer when the op table is laid end to
+/// end, then the number of transfers: one flat array can hold a value per
+/// transfer.
+pub(crate) fn transfer_offsets(comms: &[CommOp]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(comms.len() + 1);
+    offsets.push(0);
+    for op in comms {
+        offsets.push(offsets[offsets.len() - 1] + op.transfers.len());
+    }
+    offsets
+}
+
+/// Everything the `CommWait`s of `dev`'s stream deliver to it, in stream
+/// order, each transfer with the index of its wait.
+pub(crate) fn arrivals<'a>(
+    comms: &'a [CommOp],
+    dev: u32,
+    instrs: &'a [Instr],
+) -> impl Iterator<Item = (usize, &'a Transfer)> {
+    instrs.iter().enumerate().flat_map(move |(idx, ins)| {
+        let op = match ins {
+            Instr::CommWait(cid) => comms.get(cid.0 as usize),
+            _ => None,
+        };
+        op.into_iter()
+            .flat_map(move |op| incoming(op, dev))
+            .map(move |tr| (idx, tr))
+    })
+}
+
+/// Calls `read` with every payload `ins` reads from arrived data (a local
+/// block is named too; only its remote consumers ever see it arrive). The
+/// one statement of what an instruction reads: buffer accounting,
+/// dead-comm elimination and wait sinking all go through it.
+pub(crate) fn reads(layout: &BatchLayout, ins: &Instr, mut read: impl FnMut(Payload)) {
+    match ins {
+        Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
+            let backward = matches!(ins, Instr::AttnBwd { .. });
+            for &c in items {
+                let cb = &layout.comp_blocks[c.0 as usize];
+                read(Payload::Q(cb.q_block));
+                read(Payload::Kv(cb.kv_block));
+                if backward {
+                    read(Payload::DO(cb.q_block));
+                }
+            }
+        }
+        Instr::Reduce { items, .. } => {
+            for item in items {
+                item.sources
+                    .iter()
+                    .filter_map(|&s| item.source_payload(s))
+                    .for_each(&mut read);
+            }
+        }
+        _ => {}
+    }
 }
 
 /// Recovery semantics of a patch plan: a phase in which dead logical
@@ -279,7 +339,8 @@ enum Flight<S> {
 struct State<S> {
     /// One entry per transfer, ops laid end to end.
     flights: Vec<Flight<S>>,
-    /// Per op: the index of its first transfer in `flights`.
+    /// Per op: the index of its first transfer in `flights`
+    /// ([`transfer_offsets`]).
     base: Vec<usize>,
     /// Per device: payloads that have arrived.
     avail: Vec<HashMap<Payload, S>>,
@@ -322,14 +383,12 @@ impl Stream<'_> {
                 ));
             }
         }
-        let mut total = 0;
-        let base = phase.comms.iter().map(|op| {
-            total += op.transfers.len();
-            total - op.transfers.len()
-        });
+        let base = transfer_offsets(&phase.comms);
         let mut st = State {
-            base: base.collect(),
-            flights: (0..total).map(|_| Flight::Pending).collect(),
+            flights: (0..base[phase.comms.len()])
+                .map(|_| Flight::Pending)
+                .collect(),
+            base,
             avail: (0..n).map(|_| HashMap::new()).collect(),
         };
         let mut ip = vec![0usize; n];

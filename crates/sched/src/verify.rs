@@ -159,34 +159,6 @@ impl From<Diagnostic> for DcpError {
     }
 }
 
-/// What each instruction of one device's stream reads from arrived data.
-/// Shared by the verifier and the passes (dead-comm, wait sinking).
-pub(crate) fn instr_reads(layout: &BatchLayout, ins: &Instr, out: &mut HashSet<Payload>) {
-    match ins {
-        Instr::Attn { items, .. } => {
-            for &c in items {
-                let cb = &layout.comp_blocks[c.0 as usize];
-                out.insert(Payload::Q(cb.q_block));
-                out.insert(Payload::Kv(cb.kv_block));
-            }
-        }
-        Instr::AttnBwd { items, .. } => {
-            for &c in items {
-                let cb = &layout.comp_blocks[c.0 as usize];
-                out.insert(Payload::Q(cb.q_block));
-                out.insert(Payload::Kv(cb.kv_block));
-                out.insert(Payload::DO(cb.q_block));
-            }
-        }
-        Instr::Reduce { items, .. } => {
-            for item in items {
-                out.extend(item.sources.iter().filter_map(|&s| item.source_payload(s)));
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Verifies both phases of a plan against its layout and placement with
 /// normal (non-recovery) semantics.
 ///

@@ -1,0 +1,1270 @@
+//! The planner's tail against the code it replaced.
+//!
+//! [`oracle`] is the previous `schedule_phase`, `compute_stats` (with its
+//! `SlotPool`), `instr_reads` and the four passes, frozen: per-device
+//! `HashMap`s and `HashSet`s keyed by `Payload`, a cloned per-source map per
+//! block per middle division, an `incoming` scan over every op per device.
+//! Kept verbatim except for `crate::` paths, which name the public
+//! `dcp_sched` items instead, and for `PassManager`'s three methods, folded
+//! into one `run_plan`. Nothing in the library may call it. The scheduler
+//! and the passes in the crate must produce the same `ExecutionPlan` —
+//! instructions, op tables, transfer order, reduce item order,
+//! `BufferStats` — and the same `PassOutcome`s except `waits_sunk`, which
+//! the old `sink_wait` over-counted (every wait with a later reader, moved
+//! or not).
+
+use dcp_blocks::{BatchLayout, BlockConfig};
+use dcp_core::{Planner, PlannerConfig};
+use dcp_mask::MaskSpec;
+use dcp_sched::buffer::compute_stats;
+use dcp_sched::{
+    build_plan, Instr, PassConfig, PassManager, PassOutcome, Placement, ScheduleConfig,
+};
+use dcp_types::{AttnSpec, ClusterSpec};
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+#[allow(clippy::all)]
+mod oracle {
+    use std::collections::{HashMap, HashSet};
+
+    use dcp_blocks::{BatchLayout, CompBlockId};
+    use dcp_sched::buffer::BufferStats;
+    use dcp_sched::stream::incoming;
+    use dcp_sched::{
+        CommId, CommOp, DeviceStream, ExecutionPlan, Instr, Pass, PassConfig, PassCx, PassOutcome,
+        Payload, PayloadKind, PhasePlan, Placement, ReduceItem, ScheduleConfig, Transfer,
+    };
+
+    const BWD_RATIO: (u64, u64) = (5, 2);
+
+    fn is_input(kind: PayloadKind) -> bool {
+        matches!(kind, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO)
+    }
+
+    pub fn build_plan(
+        layout: &BatchLayout,
+        placement: &Placement,
+        cfg: &ScheduleConfig,
+    ) -> ExecutionPlan {
+        ExecutionPlan {
+            num_devices: placement.num_devices,
+            fwd: schedule_phase(layout, placement, cfg, false),
+            bwd: schedule_phase(layout, placement, cfg, true),
+        }
+    }
+
+    /// `PassManager::{passes, run_phase, run_plan}` in one.
+    pub fn run_plan(
+        cfg: &PassConfig,
+        layout: &BatchLayout,
+        placement: &Placement,
+        plan: &mut ExecutionPlan,
+    ) -> Vec<PassOutcome> {
+        if !cfg.enabled {
+            return Vec::new();
+        }
+        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
+        if cfg.dead_comm {
+            passes.push(Box::new(DeadCommElim));
+        }
+        if cfg.coalesce {
+            passes.push(Box::new(CoalesceCopyReduce));
+        }
+        if cfg.fuse {
+            passes.push(Box::new(FuseCommLaunch));
+        }
+        if cfg.sink {
+            passes.push(Box::new(SinkCommWait));
+        }
+        let none = HashSet::new();
+        let cx = PassCx {
+            layout,
+            protected: &none,
+            fuse_threshold_bytes: cfg.fuse_threshold_bytes,
+        };
+        let mut out = Vec::new();
+        for (phase, label) in [(&mut plan.fwd, "fwd"), (&mut plan.bwd, "bwd")] {
+            for p in &passes {
+                let mut o = p.run(phase, &cx);
+                o.phase = label.to_string();
+                out.push(o);
+            }
+        }
+        if out.iter().any(PassOutcome::changed) {
+            for phase in [&mut plan.fwd, &mut plan.bwd] {
+                for stream in &mut phase.devices {
+                    let owned: Vec<u32> = (0..layout.token_blocks.len() as u32)
+                        .filter(|&tb| placement.token_to_dev[tb as usize] == stream.device)
+                        .collect();
+                    stream.buffer =
+                        compute_stats(layout, &phase.comms, stream.device, &stream.instrs, &owned);
+                }
+            }
+        }
+        out
+    }
+
+    // ---- schedule.rs ----
+    /// Remote input payloads of `comp` on its executing device.
+    fn remote_inputs(
+        layout: &BatchLayout,
+        placement: &Placement,
+        comp: CompBlockId,
+        backward: bool,
+    ) -> Vec<(Payload, u32, u64)> {
+        let cb = &layout.comp_blocks[comp.0 as usize];
+        let dev = placement.comp_dev(comp);
+        let q_owner = placement.token_dev(cb.q_block);
+        let kv_owner = placement.token_dev(cb.kv_block);
+        let qb = &layout.token_blocks[cb.q_block.0 as usize];
+        let kvb = &layout.token_blocks[cb.kv_block.0 as usize];
+        let mut v = Vec::new();
+        if q_owner != dev {
+            v.push((Payload::Q(cb.q_block), q_owner, qb.q_bytes));
+            if backward {
+                v.push((Payload::DO(cb.q_block), q_owner, qb.o_bytes));
+            }
+        }
+        if kv_owner != dev {
+            v.push((Payload::Kv(cb.kv_block), kv_owner, kvb.kv_bytes));
+        }
+        v
+    }
+
+    pub fn schedule_phase(
+        layout: &BatchLayout,
+        placement: &Placement,
+        cfg: &ScheduleConfig,
+        backward: bool,
+    ) -> PhasePlan {
+        let n = placement.num_devices as usize;
+        let t = cfg.divisions as usize;
+
+        // Per-device computation blocks, in id order (deterministic).
+        let mut dev_comps: Vec<Vec<CompBlockId>> = vec![Vec::new(); n];
+        for i in 0..layout.comp_blocks.len() {
+            let c = CompBlockId(i as u32);
+            dev_comps[placement.comp_dev(c) as usize].push(c);
+        }
+
+        // Total deduplicated incoming volume per (device, source).
+        let mut total_req: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
+        {
+            let mut seen: Vec<HashSet<Payload>> = vec![HashSet::new(); n];
+            for d in 0..n {
+                for &c in &dev_comps[d] {
+                    for (payload, src, bytes) in remote_inputs(layout, placement, c, backward) {
+                        if seen[d].insert(payload) {
+                            *total_req[d].entry(src).or_insert(0) += bytes;
+                        }
+                    }
+                }
+            }
+        }
+        let limit = |d: usize, src: u32| -> u64 {
+            total_req[d].get(&src).map_or(0, |&b| b.div_ceil(t as u64))
+        };
+
+        // Division construction.
+        // divisions[i][d] = (comp blocks, new transfers)
+        let mut divisions: Vec<Vec<(Vec<CompBlockId>, Vec<Transfer>)>> =
+            vec![vec![(Vec::new(), Vec::new()); n]; t];
+        let mut remaining: Vec<Vec<CompBlockId>> = vec![Vec::new(); n];
+        let mut fetched: Vec<HashSet<Payload>> = vec![HashSet::new(); n];
+        let mut comp_load = vec![0u64; n];
+        // Division index of every computation block (for early output launch).
+        let mut div_of_comp = vec![0usize; layout.comp_blocks.len()];
+
+        // Division 0: blocks with no remote inputs at all.
+        for d in 0..n {
+            for &c in &dev_comps[d] {
+                if remote_inputs(layout, placement, c, backward).is_empty() {
+                    divisions[0][d].0.push(c);
+                    div_of_comp[c.0 as usize] = 0;
+                    comp_load[d] += layout.comp_blocks[c.0 as usize].flops;
+                } else {
+                    remaining[d].push(c);
+                }
+            }
+        }
+
+        // Middle divisions 1..t-1, least-loaded device first. `i` indexes both
+        // `divisions` and `div_of_comp`, so an iterator form would not be clearer.
+        #[allow(clippy::needless_range_loop)]
+        for i in 1..t.saturating_sub(1) {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&d| comp_load[d]);
+            for &d in &order {
+                let mut div_comm: HashMap<u32, u64> = HashMap::new();
+                let mut kept = Vec::new();
+                let blocks = std::mem::take(&mut remaining[d]);
+                for c in blocks {
+                    let new: Vec<(Payload, u32, u64)> =
+                        remote_inputs(layout, placement, c, backward)
+                            .into_iter()
+                            .filter(|(p, _, _)| !fetched[d].contains(p))
+                            .collect();
+                    // Projected per-source volume must stay under the cap.
+                    let mut projected: HashMap<u32, u64> = div_comm.clone();
+                    for (_, src, bytes) in &new {
+                        *projected.entry(*src).or_insert(0) += bytes;
+                    }
+                    let fits = projected.iter().all(|(&src, &b)| b <= limit(d, src));
+                    if fits {
+                        for (payload, src, bytes) in new {
+                            fetched[d].insert(payload);
+                            *div_comm.entry(src).or_insert(0) += bytes;
+                            divisions[i][d].1.push(Transfer {
+                                from: src,
+                                to: d as u32,
+                                payload,
+                                bytes,
+                            });
+                        }
+                        divisions[i][d].0.push(c);
+                        div_of_comp[c.0 as usize] = i;
+                        comp_load[d] += layout.comp_blocks[c.0 as usize].flops;
+                    } else {
+                        kept.push(c);
+                    }
+                }
+                remaining[d] = kept;
+            }
+        }
+
+        // Final division: everything left.
+        let last = t - 1;
+        for d in 0..n {
+            for c in std::mem::take(&mut remaining[d]) {
+                let new: Vec<(Payload, u32, u64)> = remote_inputs(layout, placement, c, backward)
+                    .into_iter()
+                    .filter(|(p, _, _)| !fetched[d].contains(p))
+                    .collect();
+                for (payload, src, bytes) in new {
+                    fetched[d].insert(payload);
+                    divisions[last][d].1.push(Transfer {
+                        from: src,
+                        to: d as u32,
+                        payload,
+                        bytes,
+                    });
+                }
+                divisions[last][d].0.push(c);
+                div_of_comp[c.0 as usize] = last;
+            }
+        }
+
+        // Output transfers, grouped by (producing device, launch division).
+        // For forward: PartialO(qb, producer) -> owner; for backward:
+        // PartialDq(qb, producer) and PartialDkv(kb, producer). With
+        // `early_output`, a partial launches right after the last division on
+        // the producer that contributes to it; otherwise everything launches
+        // after the final division (the paper's Listing 3).
+        let mut out_ops: Vec<Vec<Vec<Transfer>>> = vec![vec![Vec::new(); t]; n];
+        let mut reduce_items: Vec<HashMap<(dcp_blocks::TokenBlockId, PayloadKind), Vec<u32>>> =
+            vec![HashMap::new(); n];
+        {
+            // Last division on each device contributing to each output target.
+            let mut last_div: HashMap<(u32, dcp_blocks::TokenBlockId, PayloadKind), usize> =
+                HashMap::new();
+            for (i, cb) in layout.comp_blocks.iter().enumerate() {
+                let d = placement.comp_dev(CompBlockId(i as u32));
+                let div = if cfg.early_output {
+                    div_of_comp[i]
+                } else {
+                    t - 1
+                };
+                let mut touch = |tb, kind| {
+                    let e = last_div.entry((d, tb, kind)).or_insert(div);
+                    *e = (*e).max(div);
+                };
+                if !backward {
+                    touch(cb.q_block, PayloadKind::PartialO);
+                } else {
+                    touch(cb.q_block, PayloadKind::PartialDq);
+                    touch(cb.kv_block, PayloadKind::PartialDkv);
+                }
+            }
+            let mut emitted: HashSet<(u32, dcp_blocks::TokenBlockId, PayloadKind)> = HashSet::new();
+            for (i, cb) in layout.comp_blocks.iter().enumerate() {
+                let c = CompBlockId(i as u32);
+                let d = placement.comp_dev(c);
+                let q_owner = placement.token_dev(cb.q_block);
+                let kv_owner = placement.token_dev(cb.kv_block);
+                let qb = &layout.token_blocks[cb.q_block.0 as usize];
+                let kvb = &layout.token_blocks[cb.kv_block.0 as usize];
+                let mut emit = |tb, kind, to: u32, payload, bytes| {
+                    if emitted.insert((d, tb, kind)) {
+                        let div = last_div[&(d, tb, kind)];
+                        out_ops[d as usize][div].push(Transfer {
+                            from: d,
+                            to,
+                            payload,
+                            bytes,
+                        });
+                        reduce_items[to as usize]
+                            .entry((tb, kind))
+                            .or_default()
+                            .push(d);
+                    }
+                };
+                if !backward {
+                    if q_owner != d {
+                        emit(
+                            cb.q_block,
+                            PayloadKind::PartialO,
+                            q_owner,
+                            Payload::PartialO(cb.q_block, d),
+                            qb.o_bytes,
+                        );
+                    }
+                } else {
+                    if q_owner != d {
+                        emit(
+                            cb.q_block,
+                            PayloadKind::PartialDq,
+                            q_owner,
+                            Payload::PartialDq(cb.q_block, d),
+                            qb.q_bytes,
+                        );
+                    }
+                    if kv_owner != d {
+                        emit(
+                            cb.kv_block,
+                            PayloadKind::PartialDkv,
+                            kv_owner,
+                            Payload::PartialDkv(cb.kv_block, d),
+                            kvb.kv_bytes,
+                        );
+                    }
+                }
+            }
+        }
+
+        // Assemble comm ops and instruction streams.
+        let mut comms: Vec<CommOp> = Vec::new();
+        // comm id of division i on device d (if any).
+        let mut div_comm_id: Vec<Vec<Option<CommId>>> = vec![vec![None; n]; t];
+        for (i, divs) in divisions.iter().enumerate() {
+            for (d, (_, transfers)) in divs.iter().enumerate() {
+                if !transfers.is_empty() {
+                    div_comm_id[i][d] = Some(CommId(comms.len() as u32));
+                    comms.push(CommOp {
+                        transfers: transfers.clone(),
+                    });
+                }
+            }
+        }
+        let mut out_comm_id: Vec<Vec<Option<CommId>>> = vec![vec![None; t]; n];
+        for d in 0..n {
+            for i in 0..t {
+                if !out_ops[d][i].is_empty() {
+                    out_comm_id[d][i] = Some(CommId(comms.len() as u32));
+                    comms.push(CommOp {
+                        transfers: out_ops[d][i].clone(),
+                    });
+                }
+            }
+        }
+
+        let mut devices = Vec::with_capacity(n);
+        for d in 0..n {
+            let mut instrs: Vec<Instr> = Vec::new();
+            for i in 0..t {
+                if let Some(cid) = div_comm_id[i][d] {
+                    // Division 0 normally has no communication; when it does
+                    // (T == 1 collapses everything into one division), launch
+                    // right before waiting.
+                    if i == 0 {
+                        instrs.push(Instr::CommLaunch(cid));
+                    }
+                    instrs.push(Instr::CommWait(cid));
+                }
+                if i + 1 < t {
+                    if let Some(cid) = div_comm_id[i + 1][d] {
+                        instrs.push(Instr::CommLaunch(cid));
+                    }
+                }
+                let (blocks, _) = &divisions[i][d];
+                if !blocks.is_empty() {
+                    let flops: u64 = blocks
+                        .iter()
+                        .map(|&c| {
+                            let f = layout.comp_blocks[c.0 as usize].flops;
+                            if backward {
+                                f * BWD_RATIO.0 / BWD_RATIO.1
+                            } else {
+                                f
+                            }
+                        })
+                        .sum();
+                    if backward {
+                        instrs.push(Instr::AttnBwd {
+                            items: blocks.clone(),
+                            flops,
+                        });
+                    } else {
+                        instrs.push(Instr::Attn {
+                            items: blocks.clone(),
+                            flops,
+                        });
+                    }
+                }
+                // Launch output partials completed by this division, so the
+                // return path overlaps later divisions.
+                if let Some(cid) = out_comm_id[d][i] {
+                    instrs.push(Instr::CommLaunch(cid));
+                }
+            }
+            // Output phase: wait for every op delivering partials to this
+            // device (any producer, any division).
+            let mut incoming: Vec<CommId> = Vec::new();
+            for (s, per_div) in out_comm_id.iter().enumerate() {
+                if s == d {
+                    continue;
+                }
+                for cid in per_div.iter().flatten() {
+                    if comms[cid.0 as usize]
+                        .transfers
+                        .iter()
+                        .any(|tr| tr.to == d as u32)
+                    {
+                        incoming.push(*cid);
+                    }
+                }
+            }
+            for cid in incoming {
+                instrs.push(Instr::CommWait(cid));
+            }
+            if !reduce_items[d].is_empty() {
+                let mut items: Vec<ReduceItem> = reduce_items[d]
+                    .iter()
+                    .map(|(&(target, kind), sources)| {
+                        let mut sources = sources.clone();
+                        sources.sort_unstable();
+                        ReduceItem {
+                            target,
+                            sources,
+                            kind,
+                        }
+                    })
+                    .collect();
+                items.sort_by_key(|it| (it.target, it.kind));
+                let bytes: u64 = items
+                    .iter()
+                    .map(|it| {
+                        let tb = &layout.token_blocks[it.target.0 as usize];
+                        let unit = match it.kind {
+                            PayloadKind::PartialO => tb.o_bytes,
+                            PayloadKind::PartialDq => tb.q_bytes,
+                            PayloadKind::PartialDkv => tb.kv_bytes,
+                            _ => 0,
+                        };
+                        // Read every partial plus the resident accumulator, write
+                        // the accumulator.
+                        unit * (it.sources.len() as u64 + 2)
+                    })
+                    .sum();
+                instrs.push(Instr::Reduce { items, bytes });
+            }
+
+            let owned: Vec<u32> = (0..layout.token_blocks.len() as u32)
+                .filter(|&tb| placement.token_to_dev[tb as usize] == d as u32)
+                .collect();
+            let buffer = compute_stats(layout, &comms, d as u32, &instrs, &owned);
+            devices.push(DeviceStream {
+                device: d as u32,
+                instrs,
+                buffer,
+            });
+        }
+
+        PhasePlan { comms, devices }
+    }
+
+    // ---- buffer.rs ----
+    /// A per-kind slot allocator with index reuse.
+    #[derive(Debug, Default)]
+    struct SlotPool {
+        free: Vec<u32>,
+        next: u32,
+        peak: u32,
+        live: HashMap<Payload, u32>,
+    }
+
+    impl SlotPool {
+        fn alloc(&mut self, p: Payload) -> u32 {
+            if let Some(&s) = self.live.get(&p) {
+                return s; // Already resident (e.g. re-referenced payload).
+            }
+            let slot = self.free.pop().unwrap_or_else(|| {
+                let s = self.next;
+                self.next += 1;
+                s
+            });
+            self.live.insert(p, slot);
+            self.peak = self.peak.max(self.next);
+            slot
+        }
+
+        fn release(&mut self, p: &Payload) {
+            if let Some(s) = self.live.remove(p) {
+                self.free.push(s);
+            }
+        }
+    }
+
+    /// Replays `instrs` for device `device`, computing [`BufferStats`].
+    ///
+    /// Fetched blocks become live at their `CommWait` and are released after the
+    /// last instruction that consumes them (attention for Q/KV/DO fetches,
+    /// reduction for partials). Owned blocks are counted as resident for the
+    /// whole phase.
+    pub fn compute_stats(
+        layout: &BatchLayout,
+        comms: &[CommOp],
+        device: u32,
+        instrs: &[Instr],
+        owned_token_blocks: &[u32],
+    ) -> BufferStats {
+        // Last instruction index consuming each incoming payload.
+        let mut last_use: HashMap<Payload, usize> = HashMap::new();
+        // Incoming payloads by the CommWait instruction index that makes them
+        // live.
+        let mut arrivals: Vec<(usize, Payload)> = Vec::new();
+
+        for (idx, ins) in instrs.iter().enumerate() {
+            match ins {
+                Instr::CommWait(cid) => {
+                    for t in &comms[cid.0 as usize].transfers {
+                        if t.to == device {
+                            arrivals.push((idx, t.payload));
+                        }
+                    }
+                }
+                Instr::Attn { items, .. } | Instr::AttnBwd { items, .. } => {
+                    for &c in items {
+                        let cb = &layout.comp_blocks[c.0 as usize];
+                        for payload in [
+                            Payload::Q(cb.q_block),
+                            Payload::Kv(cb.kv_block),
+                            Payload::DO(cb.q_block),
+                        ] {
+                            last_use.insert(payload, idx);
+                        }
+                    }
+                }
+                Instr::Reduce { items, .. } => {
+                    for item in items {
+                        for &src in &item.sources {
+                            let payload = match item.kind {
+                                PayloadKind::PartialO => Payload::PartialO(item.target, src),
+                                PayloadKind::PartialDq => Payload::PartialDq(item.target, src),
+                                PayloadKind::PartialDkv => Payload::PartialDkv(item.target, src),
+                                _ => continue,
+                            };
+                            last_use.insert(payload, idx);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        // Sweep: allocate at arrival, release after last use.
+        let mut pools: HashMap<PayloadKind, SlotPool> = HashMap::new();
+        let mut releases: HashMap<usize, Vec<Payload>> = HashMap::new();
+        for (arrive_idx, payload) in &arrivals {
+            let release_idx = last_use.get(payload).copied().unwrap_or(*arrive_idx);
+            releases.entry(release_idx).or_default().push(*payload);
+            // Allocation happens during the sweep below; remember arrival order.
+            let _ = arrive_idx;
+        }
+        let mut arrivals_by_idx: HashMap<usize, Vec<Payload>> = HashMap::new();
+        for (idx, p) in arrivals {
+            arrivals_by_idx.entry(idx).or_default().push(p);
+        }
+        for idx in 0..instrs.len() {
+            if let Some(ps) = arrivals_by_idx.get(&idx) {
+                for &p in ps {
+                    pools.entry(p.kind()).or_default().alloc(p);
+                }
+            }
+            if let Some(ps) = releases.get(&idx) {
+                for p in ps {
+                    if let Some(pool) = pools.get_mut(&p.kind()) {
+                        pool.release(p);
+                    }
+                }
+            }
+        }
+
+        // Slot byte sizes: the maximum block size of the kind (uniform slots in
+        // one contiguous buffer, as in the paper).
+        let max_q = layout
+            .token_blocks
+            .iter()
+            .map(|t| t.q_bytes)
+            .max()
+            .unwrap_or(0);
+        let max_kv = layout
+            .token_blocks
+            .iter()
+            .map(|t| t.kv_bytes)
+            .max()
+            .unwrap_or(0);
+        let max_o = layout
+            .token_blocks
+            .iter()
+            .map(|t| t.o_bytes)
+            .max()
+            .unwrap_or(0);
+
+        let peak = |k: PayloadKind| pools.get(&k).map_or(0, |p| p.peak);
+        let q_slots = peak(PayloadKind::Q);
+        let kv_slots = peak(PayloadKind::Kv);
+        let partial_slots = peak(PayloadKind::PartialO)
+            + peak(PayloadKind::DO)
+            + peak(PayloadKind::PartialDq)
+            + peak(PayloadKind::PartialDkv);
+
+        let owned_bytes: u64 = owned_token_blocks
+            .iter()
+            .map(|&t| layout.token_blocks[t as usize].total_bytes())
+            .sum();
+        let fetched_bytes = q_slots as u64 * max_q
+            + kv_slots as u64 * max_kv
+            + peak(PayloadKind::PartialO) as u64 * max_o
+            + peak(PayloadKind::DO) as u64 * max_o
+            + peak(PayloadKind::PartialDq) as u64 * max_q
+            + peak(PayloadKind::PartialDkv) as u64 * max_kv;
+
+        BufferStats {
+            q_slots,
+            kv_slots,
+            partial_slots,
+            owned_bytes,
+            fetched_bytes,
+        }
+    }
+
+    // ---- verify.rs ----
+    /// What each instruction of one device's stream reads from arrived data.
+    /// Shared by the verifier and the passes (dead-comm, wait sinking).
+    fn instr_reads(layout: &BatchLayout, ins: &Instr, out: &mut HashSet<Payload>) {
+        match ins {
+            Instr::Attn { items, .. } => {
+                for &c in items {
+                    let cb = &layout.comp_blocks[c.0 as usize];
+                    out.insert(Payload::Q(cb.q_block));
+                    out.insert(Payload::Kv(cb.kv_block));
+                }
+            }
+            Instr::AttnBwd { items, .. } => {
+                for &c in items {
+                    let cb = &layout.comp_blocks[c.0 as usize];
+                    out.insert(Payload::Q(cb.q_block));
+                    out.insert(Payload::Kv(cb.kv_block));
+                    out.insert(Payload::DO(cb.q_block));
+                }
+            }
+            Instr::Reduce { items, .. } => {
+                for item in items {
+                    out.extend(item.sources.iter().filter_map(|&s| item.source_payload(s)));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    // ---- passes.rs ----
+    fn outcome(pass: &dyn Pass, phase_bytes_before: u64, phase: &PhasePlan) -> PassOutcome {
+        PassOutcome {
+            pass: pass.name().to_string(),
+            comm_bytes_before: phase_bytes_before,
+            comm_bytes_after: phase.total_comm_bytes(),
+            ..PassOutcome::default()
+        }
+    }
+
+    /// Dead-communication elimination (see module docs).
+    pub struct DeadCommElim;
+
+    impl Pass for DeadCommElim {
+        fn name(&self) -> &'static str {
+            "dead_comm"
+        }
+
+        fn run(&self, phase: &mut PhasePlan, cx: &PassCx<'_>) -> PassOutcome {
+            let before = phase.total_comm_bytes();
+            // Per device: which ops it waits on, and which payloads it reads.
+            let mut reads: HashMap<u32, HashSet<Payload>> = HashMap::new();
+            let mut waits_by_dev: HashMap<u32, HashSet<u32>> = HashMap::new();
+            for stream in &phase.devices {
+                let r = reads.entry(stream.device).or_default();
+                let w = waits_by_dev.entry(stream.device).or_default();
+                for ins in &stream.instrs {
+                    if let Instr::CommWait(cid) = ins {
+                        w.insert(cid.0);
+                    }
+                    instr_reads(cx.layout, ins, r);
+                }
+            }
+            let empty_reads = HashSet::new();
+            let empty_waits = HashSet::new();
+            let mut transfers_removed = 0u64;
+            for (cid, op) in phase.comms.iter_mut().enumerate() {
+                if cx.protected.contains(&(cid as u32)) {
+                    continue;
+                }
+                let n0 = op.transfers.len();
+                op.transfers.retain(|tr| {
+                    let dest_waits = waits_by_dev.get(&tr.to).unwrap_or(&empty_waits);
+                    if !dest_waits.contains(&(cid as u32)) {
+                        return false; // never waited: the data can never arrive
+                    }
+                    let dest_reads = reads.get(&tr.to).unwrap_or(&empty_reads);
+                    dest_reads.contains(&tr.payload)
+                });
+                transfers_removed += (n0 - op.transfers.len()) as u64;
+            }
+            // Drop launches/waits that no longer move anything for their device.
+            let mut instrs_removed = 0u64;
+            if transfers_removed > 0 {
+                for stream in &mut phase.devices {
+                    let dev = stream.device;
+                    let n0 = stream.instrs.len();
+                    stream.instrs.retain(|ins| match ins {
+                        Instr::CommLaunch(cid) => {
+                            // Keep the launch while the op still carries any
+                            // partial: partials are producer-launched, and in a
+                            // recovery patch the launcher can be a salvage
+                            // stand-in whose transfers are still labelled with
+                            // the original (failed) producer — `from`/`to`
+                            // alone cannot prove the launch dead.
+                            cx.protected.contains(&cid.0)
+                                || phase.comms[cid.0 as usize].transfers.iter().any(|t| {
+                                    t.to == dev || t.from == dev || !is_input(t.payload.kind())
+                                })
+                        }
+                        Instr::CommWait(cid) => {
+                            cx.protected.contains(&cid.0)
+                                || incoming(&phase.comms[cid.0 as usize], dev).next().is_some()
+                        }
+                        _ => true,
+                    });
+                    instrs_removed += (n0 - stream.instrs.len()) as u64;
+                }
+            }
+            PassOutcome {
+                transfers_removed,
+                instrs_removed,
+                ..outcome(self, before, phase)
+            }
+        }
+    }
+
+    /// Copy/reduction coalescing (see module docs).
+    pub struct CoalesceCopyReduce;
+
+    impl Pass for CoalesceCopyReduce {
+        fn name(&self) -> &'static str {
+            "coalesce"
+        }
+
+        fn run(&self, phase: &mut PhasePlan, _cx: &PassCx<'_>) -> PassOutcome {
+            let before = phase.total_comm_bytes();
+            let mut reduces_coalesced = 0u64;
+            let mut copies_coalesced = 0u64;
+            let mut instrs_removed = 0u64;
+            for stream in &mut phase.devices {
+                // Reduce carrying: a reduce slides past comm instructions and
+                // copies (none of which read finalized outputs or accumulator
+                // state) and merges into the next reduce it meets. Item order is
+                // preserved — earlier items first — so merged reductions execute
+                // the same per-target source order as before.
+                let mut out: Vec<Instr> = Vec::with_capacity(stream.instrs.len());
+                let mut carry: Option<(Vec<dcp_sched::ReduceItem>, u64)> = None;
+                for ins in stream.instrs.drain(..) {
+                    match ins {
+                        Instr::Reduce { items, bytes } => {
+                            carry = Some(match carry.take() {
+                                None => (items, bytes),
+                                Some((mut acc, b)) => {
+                                    reduces_coalesced += 1;
+                                    instrs_removed += 1;
+                                    acc.extend(items);
+                                    (acc, b + bytes)
+                                }
+                            });
+                        }
+                        Instr::CommWait(_) | Instr::CommLaunch(_) | Instr::Copy { .. } => {
+                            out.push(ins);
+                        }
+                        Instr::Attn { .. } | Instr::AttnBwd { .. } => {
+                            // Attention mutates accumulator state a pending
+                            // reduce may read; flush before crossing it.
+                            if let Some((items, bytes)) = carry.take() {
+                                out.push(Instr::Reduce { items, bytes });
+                            }
+                            out.push(ins);
+                        }
+                    }
+                }
+                if let Some((items, bytes)) = carry.take() {
+                    out.push(Instr::Reduce { items, bytes });
+                }
+                // Adjacent copies fold into one staging call.
+                let mut merged: Vec<Instr> = Vec::with_capacity(out.len());
+                for ins in out {
+                    if let (Some(Instr::Copy { bytes: b0 }), Instr::Copy { bytes }) =
+                        (merged.last_mut(), &ins)
+                    {
+                        *b0 += bytes;
+                        copies_coalesced += 1;
+                        instrs_removed += 1;
+                        continue;
+                    }
+                    merged.push(ins);
+                }
+                stream.instrs = merged;
+            }
+            PassOutcome {
+                reduces_coalesced,
+                copies_coalesced,
+                instrs_removed,
+                ..outcome(self, before, phase)
+            }
+        }
+    }
+
+    /// Small-message launch fusion (see module docs).
+    pub struct FuseCommLaunch;
+
+    impl Pass for FuseCommLaunch {
+        fn name(&self) -> &'static str {
+            "fuse_launch"
+        }
+
+        fn run(&self, phase: &mut PhasePlan, cx: &PassCx<'_>) -> PassOutcome {
+            let before = phase.total_comm_bytes();
+            // Ops referenced by exactly one device (its receiver), input-only:
+            // the scheduler's per-division fetch ops.
+            let mut refs: HashMap<u32, HashSet<u32>> = HashMap::new();
+            for stream in &phase.devices {
+                for ins in &stream.instrs {
+                    if let Instr::CommLaunch(cid) | Instr::CommWait(cid) = ins {
+                        refs.entry(cid.0).or_default().insert(stream.device);
+                    }
+                }
+            }
+            let fusible = |cid: u32, dev: u32, phase: &PhasePlan| -> bool {
+                if cx.protected.contains(&cid) {
+                    return false;
+                }
+                let op = &phase.comms[cid as usize];
+                !op.transfers.is_empty()
+                    && op
+                        .transfers
+                        .iter()
+                        .all(|t| t.to == dev && is_input(t.payload.kind()))
+                    && refs
+                        .get(&cid)
+                        .is_some_and(|r| r.len() == 1 && r.contains(&dev))
+            };
+            let route = |cid: u32, phase: &PhasePlan| -> Vec<u32> {
+                let mut srcs: Vec<u32> = phase.comms[cid as usize]
+                    .transfers
+                    .iter()
+                    .map(|t| t.from)
+                    .collect();
+                srcs.sort_unstable();
+                srcs.dedup();
+                srcs
+            };
+            let mut ops_fused = 0u64;
+            let mut instrs_removed = 0u64;
+            for d in 0..phase.devices.len() {
+                let dev = phase.devices[d].device;
+                // Launch order of this device's fusible fetch ops.
+                let launch_order: Vec<u32> = phase.devices[d]
+                    .instrs
+                    .iter()
+                    .filter_map(|ins| match ins {
+                        Instr::CommLaunch(cid) if fusible(cid.0, dev, phase) => Some(cid.0),
+                        _ => None,
+                    })
+                    .collect();
+                let mut head: Option<u32> = None;
+                let mut drop_ids: HashSet<u32> = HashSet::new();
+                for cid in launch_order {
+                    let Some(h) = head else {
+                        head = Some(cid);
+                        continue;
+                    };
+                    let combined =
+                        phase.comms[h as usize].bytes() + phase.comms[cid as usize].bytes();
+                    if combined <= cx.fuse_threshold_bytes && route(cid, phase) == route(h, phase) {
+                        let moved = std::mem::take(&mut phase.comms[cid as usize].transfers);
+                        phase.comms[h as usize].transfers.extend(moved);
+                        drop_ids.insert(cid);
+                        ops_fused += 1;
+                    } else {
+                        head = Some(cid);
+                    }
+                }
+                if !drop_ids.is_empty() {
+                    let n0 = phase.devices[d].instrs.len();
+                    phase.devices[d].instrs.retain(|ins| match ins {
+                        Instr::CommLaunch(cid) | Instr::CommWait(cid) => !drop_ids.contains(&cid.0),
+                        _ => true,
+                    });
+                    instrs_removed += (n0 - phase.devices[d].instrs.len()) as u64;
+                }
+            }
+            PassOutcome {
+                ops_fused,
+                instrs_removed,
+                ..outcome(self, before, phase)
+            }
+        }
+    }
+
+    /// Wait sinking (see module docs).
+    pub struct SinkCommWait;
+
+    impl Pass for SinkCommWait {
+        fn name(&self) -> &'static str {
+            "sink_wait"
+        }
+
+        fn run(&self, phase: &mut PhasePlan, cx: &PassCx<'_>) -> PassOutcome {
+            let before = phase.total_comm_bytes();
+            let mut waits_sunk = 0u64;
+            for stream in &mut phase.devices {
+                let dev = stream.device;
+                let n = stream.instrs.len();
+                // Per instruction: the payloads it reads.
+                let reads: Vec<HashSet<Payload>> = stream
+                    .instrs
+                    .iter()
+                    .map(|ins| {
+                        let mut r = HashSet::new();
+                        instr_reads(cx.layout, ins, &mut r);
+                        r
+                    })
+                    .collect();
+                // Sort key: non-waits keep their slot (2*i); a movable wait
+                // whose first reader sits at j sinks to just before it
+                // (2*j - 1). Stable sort preserves the relative order of waits
+                // sharing a reader and of everything else.
+                let keys: Vec<usize> = stream
+                    .instrs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, ins)| {
+                        let Instr::CommWait(cid) = ins else {
+                            return 2 * i;
+                        };
+                        if cx.protected.contains(&cid.0) {
+                            return 2 * i;
+                        }
+                        let arriving: Vec<Payload> = incoming(&phase.comms[cid.0 as usize], dev)
+                            .map(|t| t.payload)
+                            .collect();
+                        if arriving.is_empty() {
+                            return 2 * i;
+                        }
+                        match (i + 1..n).find(|&j| arriving.iter().any(|p| reads[j].contains(p))) {
+                            Some(j) if 2 * j - 1 > 2 * i => {
+                                waits_sunk += 1;
+                                2 * j - 1
+                            }
+                            _ => 2 * i,
+                        }
+                    })
+                    .collect();
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by_key(|&i| keys[i]);
+                if order.iter().enumerate().any(|(pos, &i)| pos != i) {
+                    let mut instrs = std::mem::take(&mut stream.instrs);
+                    let mut slot: Vec<Option<Instr>> = instrs.drain(..).map(Some).collect();
+                    stream.instrs = order
+                        .into_iter()
+                        .map(|i| slot[i].take().expect("each index used once"))
+                        .collect();
+                }
+            }
+            PassOutcome {
+                waits_sunk,
+                ..outcome(self, before, phase)
+            }
+        }
+    }
+}
+
+const FAMILIES: u32 = 6;
+
+/// Every mask family, with spans that start and end inside blocks.
+fn mask(family: u32, len: u32, a: u32, b: u32) -> MaskSpec {
+    match family % FAMILIES {
+        0 => MaskSpec::Causal,
+        1 => MaskSpec::Full,
+        2 => MaskSpec::Lambda {
+            sink: a % 9,
+            window: 1 + b % 40,
+        },
+        3 => MaskSpec::CausalBlockwise {
+            block: 1 + a % 12,
+            window_blocks: 1 + b % 3,
+            sink_blocks: 1,
+        },
+        4 => {
+            let question_len = 1 + a % len;
+            let first = b % (len - question_len + 1);
+            MaskSpec::SharedQuestion {
+                question_len,
+                answer_lens: vec![first, len - question_len - first],
+            }
+        }
+        _ => {
+            let first = 1 + a % len;
+            let second = b % (len - first + 1);
+            MaskSpec::packed_documents(&[first, second, len - first - second])
+        }
+    }
+}
+
+fn cluster(n: u32) -> ClusterSpec {
+    match n {
+        32 => ClusterSpec::p4de(4),
+        n => ClusterSpec::single_node(n),
+    }
+}
+
+/// The placement families: what the planner emits, the ring baseline's
+/// shape, comp blocks with their KV owner (forward partials), everything
+/// on one device, a scatter over all devices and one over a third of them
+/// (devices with nothing to do).
+fn placement(
+    kind: u32,
+    seqs: &[(u32, MaskSpec)],
+    cfg: BlockConfig,
+    attn: AttnSpec,
+    n: u32,
+    rng: &mut SmallRng,
+) -> (BatchLayout, Placement) {
+    let layout = BatchLayout::build(attn, cfg, seqs).unwrap();
+    let ring: Vec<u32> = (0..layout.token_blocks.len() as u32)
+        .map(|i| i % n)
+        .collect();
+    let with = |token_to_dev: Vec<u32>, comp_to_dev: Vec<u32>| Placement {
+        num_devices: n,
+        token_to_dev,
+        comp_to_dev,
+    };
+    let owner_of = |owners: &[u32], kv: bool| -> Vec<u32> {
+        let side = |c: &dcp_blocks::CompBlock| if kv { c.kv_block } else { c.q_block };
+        let of = |c| owners[side(c).0 as usize];
+        layout.comp_blocks.iter().map(of).collect()
+    };
+    let mut scatter = |devs: u32| -> Vec<u32> {
+        let total = layout.token_blocks.len() + layout.comp_blocks.len();
+        (0..total).map(|_| rng.gen_range(0..devs)).collect()
+    };
+    let placement = match kind % 6 {
+        0 => {
+            let planner_cfg = PlannerConfig {
+                block_size: cfg.block_size,
+                head_blocks: Some(cfg.head_blocks),
+                ..Default::default()
+            };
+            let planned = Planner::new(cluster(n), attn, planner_cfg)
+                .plan(seqs)
+                .unwrap();
+            planned.placement
+        }
+        1 => with(ring.clone(), owner_of(&ring, false)),
+        2 => with(ring.clone(), owner_of(&ring, true)),
+        3 => Placement::all_on_zero(&layout, n),
+        k => {
+            let mut all = scatter(if k % 6 == 4 { n } else { n.div_ceil(3) });
+            let comps = all.split_off(layout.token_blocks.len());
+            with(all, comps)
+        }
+    };
+    (layout, placement)
+}
+
+fn without_sunk(mut outs: Vec<PassOutcome>) -> Vec<PassOutcome> {
+    outs.iter_mut().for_each(|o| o.waits_sunk = 0);
+    outs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn scheduler_passes_and_accounting_match_the_frozen_ones(
+        seqs in prop::collection::vec((1u32..260, 0u32..FAMILIES, any::<u32>(), any::<u32>()), 1..7),
+        bs in prop_oneof![Just(5u32), Just(16u32), Just(24u32), Just(33u32), Just(64u32)],
+        head_blocks in prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
+        n in prop_oneof![Just(1u32), Just(2u32), Just(7u32), Just(32u32)],
+        divisions in prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(7u32)],
+        early_output in any::<bool>(),
+        tiny_heads in any::<bool>(),
+        kind in 0u32..6,
+        pass_bits in 0u32..16,
+        fuse_threshold_bytes in prop_oneof![Just(0u64), Just(256u64 * 1024), Just(u64::MAX)],
+        seed in any::<u64>(),
+    ) {
+        let seqs: Vec<(u32, MaskSpec)> =
+            seqs.into_iter().map(|(len, f, a, b)| (len, mask(f, len, a, b))).collect();
+        // One-byte heads make volumes odd, so the 1/T cap's rounding counts.
+        let attn = match tiny_heads {
+            true => AttnSpec::new(4, 4, 1, 1),
+            false => AttnSpec::new(8, 4, 16, 2),
+        };
+        let cfg = BlockConfig { block_size: bs, head_blocks };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (layout, placement) = placement(kind, &seqs, cfg, attn, n, &mut rng);
+        let sched = ScheduleConfig { divisions, early_output };
+
+        let mut new = build_plan(&layout, &placement, &sched).unwrap();
+        let mut old = oracle::build_plan(&layout, &placement, &sched);
+        prop_assert_eq!(&new, &old);
+
+        // The accounting on streams no scheduler emits: instructions in a
+        // random order, so a payload can arrive after its last reader, a
+        // wait repeated, so a payload arrives while resident, and one
+        // instruction dropped.
+        for (phase, stream) in [&new.fwd, &new.bwd].into_iter().flat_map(|p| p.devices.iter().map(move |s| (p, s))) {
+            let mut instrs = stream.instrs.clone();
+            let waits: Vec<Instr> =
+                instrs.iter().filter(|i| matches!(i, Instr::CommWait(_))).cloned().collect();
+            instrs.extend(waits.choose(&mut rng).cloned());
+            instrs.shuffle(&mut rng);
+            instrs.pop(); // a reader may be gone: its payloads arrive unread
+            prop_assert_eq!(
+                compute_stats(&layout, &phase.comms, stream.device, &instrs, &[]),
+                oracle::compute_stats(&layout, &phase.comms, stream.device, &instrs, &[])
+            );
+        }
+
+        let passes = PassConfig {
+            enabled: true,
+            dead_comm: pass_bits & 1 != 0,
+            coalesce: pass_bits & 2 != 0,
+            fuse: pass_bits & 4 != 0,
+            sink: pass_bits & 8 != 0,
+            fuse_threshold_bytes,
+        };
+        let new_outs = PassManager::new(passes.clone()).run_plan(&layout, &placement, &mut new);
+        let old_outs = oracle::run_plan(&passes, &layout, &placement, &mut old);
+        prop_assert_eq!(&new, &old);
+        for (n, o) in new_outs.iter().zip(&old_outs) {
+            prop_assert!(n.waits_sunk <= o.waits_sunk);
+        }
+        prop_assert_eq!(without_sunk(new_outs), without_sunk(old_outs));
+    }
+}
+
+/// Streams no scheduler emits, so the rarely taken branches of the passes
+/// run on both sides: a fetch nobody waits for, a fetch waited for but never
+/// read, a partial no reduce names, a copy of a live partial addressed to
+/// another waiter of its op (dead transfers otherwise exist only in recovery
+/// patches), and a fetch op that a second device's stream names too (not
+/// fusible).
+#[test]
+fn passes_agree_with_the_frozen_ones_on_grafted_streams() {
+    use dcp_blocks::TokenBlockId;
+    use dcp_sched::{CommId, CommOp, Payload, Transfer};
+    let attn = AttnSpec::new(8, 4, 16, 2);
+    let cfg = BlockConfig {
+        block_size: 16,
+        head_blocks: 2,
+    };
+    let lambda = MaskSpec::Lambda {
+        sink: 3,
+        window: 20,
+    };
+    let seqs = [(200, MaskSpec::Causal), (90, lambda)];
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut fused = 0;
+    for (kind, n) in [(1, 7), (2, 7), (4, 7), (1, 2)] {
+        let (layout, placement) = placement(kind, &seqs, cfg, attn, n, &mut rng);
+        let mut new = build_plan(&layout, &placement, &ScheduleConfig::default()).unwrap();
+        let mut grafted = 0;
+        for phase in [&mut new.fwd, &mut new.bwd] {
+            let unread = (0..layout.token_blocks.len() as u32)
+                .map(TokenBlockId)
+                .find(|&tb| {
+                    let elsewhere = |c: &dcp_blocks::CompBlockId| placement.comp_dev(*c) != 0;
+                    placement.token_dev(tb) != 0
+                        && layout.q_consumers[tb.0 as usize].iter().all(elsewhere)
+                })
+                .expect("some block device 0 never reads");
+            let from = placement.token_dev(unread);
+            let graft = |payload| Transfer {
+                from,
+                to: 0,
+                payload,
+                bytes: 64,
+            };
+            let cid = CommId(phase.comms.len() as u32);
+            phase.comms.push(CommOp {
+                transfers: vec![graft(Payload::Q(unread))],
+            });
+            phase.comms.push(CommOp {
+                transfers: vec![
+                    graft(Payload::Q(unread)),
+                    graft(Payload::PartialO(unread, from)),
+                ],
+            });
+            grafted += 3;
+            let head = &mut phase.devices[0].instrs;
+            head.insert(0, Instr::CommLaunch(cid));
+            head.insert(1, Instr::CommLaunch(CommId(cid.0 + 1)));
+            head.insert(2, Instr::CommWait(CommId(cid.0 + 1)));
+            // An op returning partials to two owners: address a copy of the
+            // first owner's partial to the second.
+            let two_owners = |op: &&mut CommOp| {
+                let partial = !matches!(op.transfers[0].payload, Payload::Q(_) | Payload::Kv(_));
+                partial && op.transfers.iter().any(|t| t.to != op.transfers[0].to)
+            };
+            let shared = phase.comms.iter_mut().filter(|op| !op.transfers.is_empty());
+            if let Some(op) = shared.take(cid.0 as usize).find(two_owners) {
+                let other = op.transfers.iter().find(|t| t.to != op.transfers[0].to);
+                let to = other.expect("two owners").to;
+                op.transfers.push(Transfer {
+                    to,
+                    ..op.transfers[0]
+                });
+                grafted += 1;
+            }
+            // Device 1's first fetch op, named by another stream as well.
+            let fetch = phase.devices[1].instrs.iter().find_map(|i| match i {
+                Instr::CommLaunch(cid) => Some(*cid),
+                _ => None,
+            });
+            if let Some(cid) = fetch {
+                phase.devices[2 % n as usize]
+                    .instrs
+                    .insert(0, Instr::CommLaunch(cid));
+            }
+        }
+        let mut old = new.clone();
+        let passes = PassConfig::optimize();
+        let new_outs = PassManager::new(passes.clone()).run_plan(&layout, &placement, &mut new);
+        let old_outs = oracle::run_plan(&passes, &layout, &placement, &mut old);
+        assert_eq!(new, old);
+        let removed: u64 = new_outs.iter().map(|o| o.transfers_removed).sum();
+        assert_eq!(removed, grafted);
+        fused += new_outs.iter().map(|o| o.ops_fused).sum::<u64>();
+        assert_eq!(without_sunk(new_outs), without_sunk(old_outs));
+    }
+    assert!(fused > 0);
+}

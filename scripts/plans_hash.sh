@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# "Same plans", mechanically: the hash of every benchmark workload's cold
-# set-up plans (placements and instruction streams) at seed 7, one line per
-# workload, from 3 s checked runs of the ledger — each of which also compares
-# its round plans, cache hits, replays and warm re-plans with those cold
-# plans bitwise and exits non-zero if any differ. The output is committed as
-# results/PLANS_HASH.txt; CI re-runs this and fails when a change moved a
-# plan bit:
+# "Same plans", mechanically: per benchmark workload at seed 7, the hash of
+# its cold set-up plans and the hash of its checked round's plans (placements
+# and instruction streams), one line per workload, from 3 s checked runs of
+# the ledger. The round's plans are the set-up's again where a round plans
+# cold — the run compares them bitwise and exits non-zero if any differ — so
+# the two hashes are equal there; `replan_stream`'s round is its stream, so
+# its second hash covers what the first cannot: every drifted warm re-plan,
+# replay and cache hit. The output is committed as results/PLANS_HASH.txt;
+# CI re-runs this and fails when a change moved a plan bit:
 #
 #   scripts/plans_hash.sh > results/PLANS_HASH.txt
 set -euo pipefail
@@ -24,10 +26,14 @@ for w in exec_dense exec_sparse plan_cold replan_stream; do
         echo "plans_hash.sh: the checked $w run failed" >&2
         exit 1
     fi
-    hash=$(sed -n 's/^LEDGER_DETAIL .*"plans_hash": "\([0-9a-f]*\)".*/\1/p' <<<"$out")
-    if [[ -z $hash ]]; then
-        echo "plans_hash.sh: no plans_hash in the $w run's detail line" >&2
-        exit 1
-    fi
-    echo "$w $hash"
+    line=$w
+    for key in plans_hash round_hash; do
+        hash=$(sed -n 's/^LEDGER_DETAIL .*"'$key'": "\([0-9a-f]*\)".*/\1/p' <<<"$out")
+        if [[ -z $hash ]]; then
+            echo "plans_hash.sh: no $key in the $w run's detail line" >&2
+            exit 1
+        fi
+        line+=" $hash"
+    done
+    echo "$line"
 done

@@ -1,0 +1,92 @@
+//! A deterministic work budget for the planner's tail — block generation,
+//! division scheduling, the pass pipeline: heap allocations, which depend on
+//! the input and the code, never on the host.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use dcp::blocks::{BatchLayout, BlockConfig};
+use dcp::core::{Planner, PlannerConfig};
+use dcp::mask::MaskSpec;
+use dcp::sched::{build_plan, PassConfig, PassManager, ScheduleConfig};
+use dcp::types::{AttnSpec, ClusterSpec};
+
+static ON: AtomicBool = AtomicBool::new(false);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the counters are
+// plain atomics and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ON.load(Ordering::Relaxed) {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which
+        // is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with the
+        // same layout, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if ON.load(Ordering::Relaxed) {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `alloc` + `realloc` calls `f` makes (this file has one test, so nothing
+/// else allocates meanwhile).
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.load(Ordering::Relaxed);
+    ON.store(true, Ordering::Relaxed);
+    let out = f();
+    ON.store(false, Ordering::Relaxed);
+    (out, CALLS.load(Ordering::Relaxed) - before)
+}
+
+/// `work_budget.rs`'s long-document batch: one 131 072-token causal document
+/// on 32 devices, 16 512 computation blocks, a plan of 1 413 instructions and
+/// 7 977 transfers. Keyed by hashed `Payload`s, with a fresh `Vec` per
+/// `remote_inputs` call and a cloned per-source map per block per middle
+/// division, the parent allocated 215 003 times in `build_plan`, 10 395 in
+/// the pass pipeline and 2 606 in `BatchLayout::build`. On dense tables
+/// reused from device to device the counts are 3 574, 401 and 542.
+#[test]
+fn long_document_tail_stays_inside_its_allocation_budget() {
+    let attn = AttnSpec::paper_micro();
+    let seqs = [(131_072, MaskSpec::Causal)];
+    let cfg = PlannerConfig {
+        block_size: 1024,
+        ..Default::default()
+    };
+    let placement = Planner::new(ClusterSpec::p4de(4), attn, cfg)
+        .plan(&seqs)
+        .unwrap()
+        .placement;
+
+    let blocks = BlockConfig::with_block_size(&attn, 1024);
+    let (layout, in_layout) = allocations(|| BatchLayout::build(attn, blocks, &seqs).unwrap());
+    assert_eq!(layout.comp_blocks.len(), 16_512);
+    let (plan, in_build_plan) =
+        allocations(|| build_plan(&layout, &placement, &ScheduleConfig::default()).unwrap());
+    let mut plan = plan;
+    let passes = PassManager::new(PassConfig::optimize());
+    let (outcomes, in_run_plan) = allocations(|| passes.run_plan(&layout, &placement, &mut plan));
+    assert!(!outcomes.is_empty());
+
+    assert!(in_layout <= 1_500, "BatchLayout::build: {in_layout}");
+    assert!(in_build_plan <= 40_000, "build_plan: {in_build_plan}");
+    assert!(in_run_plan <= 5_000, "run_plan: {in_run_plan}");
+}
