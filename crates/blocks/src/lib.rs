@@ -148,77 +148,45 @@ pub struct BatchLayout {
     pub kv_consumers: Vec<Vec<CompBlockId>>,
 }
 
-/// Maps a token index to its block, dividing only when the index leaves the
-/// block of the previous query: consecutive tokens' range ends move by a
-/// token at a time, so inside a Q block they almost never do.
-struct BlockOf {
-    size: u32,
-    block: u32,
-    lo: u32,
-}
-
-impl BlockOf {
-    fn of(&mut self, x: u32) -> usize {
-        if x.wrapping_sub(self.lo) >= self.size {
-            self.block = x / self.size;
-            self.lo = self.block * self.size;
-        }
-        self.block as usize
-    }
-}
-
 /// The nonzero `(q block, kv block, unmasked pairs)` entries of `mask` cut
 /// into `bs`-token blocks, ordered by (q, kv), into `out`.
 ///
-/// Per Q block, every token's allowed ranges are scattered into per-KV-block
-/// pair counts with two difference arrays: point contributions for the (at
-/// most two) partially covered edge blocks, and a range-add of `bs` for fully
-/// covered middle blocks. O(tokens + kv_blocks) per Q block — exactly equal
-/// to summing `mask.pair_count_block` per pair, but ~two orders of magnitude
-/// cheaper at long context (verified by the property test below).
+/// Counted per run, never per token: the queries of a Q block that attend by
+/// one rule ([`Mask::runs_in`]) reach two spans of keys, and for every KV
+/// block under those spans the pair count is a closed form
+/// ([`dcp_mask::Run::pairs_in`]). The cost follows the block grid — exactly
+/// equal to `mask.pair_count_block` per pair (the property test below), with
+/// one visit per (run, computation block).
 fn block_pairs(mask: &Mask, bs: u32, out: &mut Vec<(u32, u32, u64)>) {
     out.clear();
-    let nb = mask.len().div_ceil(bs) as usize;
-    let mut point = vec![0u64; nb];
-    let mut covered = vec![0i64; nb + 1];
-    // One cached block per range end: a.0, a.1 - 1, b.0, b.1 - 1.
-    let mut at = [0; 4].map(|lo| BlockOf {
-        size: bs,
-        block: 0,
-        lo,
-    });
-    for (qi, rows) in mask.ranges().chunks(bs as usize).enumerate() {
-        point.fill(0);
-        covered.fill(0);
-        for rp in rows {
-            let spans = [Some(rp.a), rp.b];
-            for (k, (s, e)) in spans.into_iter().flatten().enumerate() {
-                if s >= e {
+    let len = mask.len();
+    for (qi, q_lo) in (0..len).step_by(bs as usize).enumerate() {
+        let first = out.len();
+        for run in mask.runs_in(q_lo, q_lo.saturating_add(bs).min(len)) {
+            // The spans ascend and may meet inside one block: count it once.
+            let mut next = 0;
+            for (s, e) in run.keys() {
+                if s == e {
                     continue;
                 }
-                let js = at[2 * k].of(s);
-                let je = at[2 * k + 1].of(e - 1);
-                if js == je {
-                    point[js] += (e - s) as u64;
-                } else {
-                    point[js] += (bs - (s - js as u32 * bs)) as u64;
-                    point[je] += (e - je as u32 * bs) as u64;
-                    if je > js + 1 {
-                        covered[js + 1] += 1;
-                        covered[je] -= 1;
-                    }
+                for ki in (s / bs).max(next)..=(e - 1) / bs {
+                    let k_lo = ki * bs;
+                    let pairs = run.pairs_in(k_lo, k_lo.saturating_add(bs).min(len));
+                    out.push((qi as u32, ki, pairs));
                 }
+                next = (e - 1) / bs + 1;
             }
         }
-        let mut full = 0i64;
-        for ki in 0..nb {
-            full += covered[ki];
-            let pairs = point[ki] + full as u64 * bs as u64;
-            if pairs > 0 {
-                out.push((qi as u32, ki as u32, pairs));
-            }
-        }
+        out[first..].sort_unstable_by_key(|&(_, ki, _)| ki);
     }
+    // Two runs of one Q block that reach the same KV block: one entry.
+    out.dedup_by(|later, kept| {
+        let same = (later.0, later.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += later.2;
+        }
+        same
+    });
 }
 
 impl BatchLayout {
@@ -361,6 +329,7 @@ impl BatchLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcp_mask::RangePair;
     use proptest::prelude::*;
 
     fn micro() -> AttnSpec {
@@ -552,35 +521,78 @@ mod tests {
     proptest! {
         /// Computation blocks cover exactly the nonzero block pairs of the
         /// mask — no missing work, no wasted blocks (DESIGN.md invariant) —
-        /// with the pair count `Mask::pair_count_block` gives, and every head
-        /// group repeats group 0 under its own block ids, in the same order.
+        /// with the pair count a token-by-token scan of `Mask::allowed`
+        /// gives, and every head group repeats group 0 under its own block
+        /// ids, in the same order.
         #[test]
         fn comp_blocks_cover_exactly_mask_support(
             bs in prop_oneof![1u32..130, Just(96u32), Just(1000u32), Just(1024u32)],
             head_blocks in prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
             // Per sequence: length in blocks/6 (so some are shorter than one
             // block), mask family and its two parameters.
-            seqs in proptest::collection::vec((any::<u32>(), 0u32..3, any::<u32>(), any::<u32>()), 1..3),
+            seqs in proptest::collection::vec((any::<u32>(), 0u32..7, any::<u32>(), any::<u32>()), 1..3),
         ) {
             // Spans that start and end mid-block: a sink and a window that
-            // are not multiples of the block size, a question likewise.
+            // are not multiples of the block size; a question, a mask block
+            // and documents likewise.
             let seqs: Vec<(u32, MaskSpec)> = seqs
                 .into_iter()
                 .map(|(l, family, a, b)| {
                     let len = 1 + l % (6 * bs);
+                    let split = |total: u32| {
+                        let first = b % (total + 1);
+                        [first, total - first]
+                    };
                     let spec = match family {
                         0 => MaskSpec::Causal,
                         1 => MaskSpec::Lambda { sink: a % (bs + 3), window: 1 + b % (2 * bs + 1) },
-                        _ => {
+                        2 => {
                             let question_len = 1 + a % len;
-                            let first = b % (len - question_len + 1);
-                            let answer_lens = vec![first, len - question_len - first];
+                            let answer_lens = split(len - question_len).to_vec();
                             MaskSpec::SharedQuestion { question_len, answer_lens }
+                        }
+                        3 => MaskSpec::CausalBlockwise {
+                            block: 1 + a % (2 * bs + 1),
+                            window_blocks: 1 + b % 3,
+                            sink_blocks: (b >> 8) % 3,
+                        },
+                        4 => MaskSpec::Full,
+                        5 => {
+                            let [first, rest] = split(len);
+                            let [second, third] = split(rest);
+                            MaskSpec::packed_documents(&[first, second, third])
+                        }
+                        _ => {
+                            // Arbitrary rows in stretches of 1..=2·bs tokens:
+                            // one row repeated, or rows ending at their token.
+                            let mut x = (a as u64) << 32 | b as u64 | 1;
+                            let mut word = |bound: u32| {
+                                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                                ((x >> 33) % bound as u64) as u32
+                            };
+                            let mut rows = Vec::with_capacity(len as usize);
+                            while rows.len() < len as usize {
+                                let stretch = 1 + word(2 * bs);
+                                let (causal, s1, e1, s2, e2) =
+                                    (word(2) == 0, word(len), word(len + 1), word(len), word(len + 1));
+                                for _ in 0..stretch.min(len - rows.len() as u32) {
+                                    let t = rows.len() as u32;
+                                    rows.push(if causal {
+                                        RangePair::merged(0, s1.min(t), s2.min(t), t + 1)
+                                    } else {
+                                        RangePair::merged(s1, e1, s2, e2)
+                                    });
+                                }
+                            }
+                            MaskSpec::Custom(rows)
                         }
                     };
                     (len, spec)
                 })
                 .collect();
+            let scan = |mask: &Mask, (q_lo, q_hi): (u32, u32), (k_lo, k_hi): (u32, u32)| -> u64 {
+                (q_lo..q_hi).map(|t| mask.allowed(t).count_in(k_lo, k_hi)).sum()
+            };
             let attn = AttnSpec::new(8, 4, 16, 2);
             let cfg = BlockConfig { block_size: bs, head_blocks };
             let layout = BatchLayout::build(attn, cfg, &seqs).unwrap();
@@ -591,10 +603,9 @@ mod tests {
                 let kv = &layout.token_blocks[c.kv_block.0 as usize];
                 prop_assert_eq!((q.seq, q.head_block), (c.seq, c.head_block));
                 prop_assert_eq!((kv.seq, kv.head_block), (c.seq, c.head_block));
-                prop_assert_eq!(
-                    c.pairs,
-                    layout.masks[c.seq as usize].pair_count_block(q.start, q.end(), kv.start, kv.end())
-                );
+                let mask = &layout.masks[c.seq as usize];
+                prop_assert_eq!(c.pairs, scan(mask, (q.start, q.end()), (kv.start, kv.end())));
+                prop_assert_eq!(c.pairs, mask.pair_count_block(q.start, q.end(), kv.start, kv.end()));
                 covered.insert((c.seq, c.head_block, q.start / bs, kv.start / bs));
             }
             for (seq, &(len, _)) in seqs.iter().enumerate() {
@@ -606,7 +617,7 @@ mod tests {
                         let q_hi = (q_lo + bs).min(len);
                         let k_lo = ki * bs;
                         let k_hi = (k_lo + bs).min(len);
-                        let nonzero = mask.pair_count_block(q_lo, q_hi, k_lo, k_hi) > 0;
+                        let nonzero = scan(mask, (q_lo, q_hi), (k_lo, k_hi)) > 0;
                         for hb in 0..head_blocks {
                             prop_assert_eq!(covered.contains(&(seq as u32, hb, qi, ki)), nonzero);
                         }

@@ -273,13 +273,19 @@ fn max_in_key_order(xs: &[f32], spans: Spans) -> f32 {
     keys.fold(f32::NEG_INFINITY, |m, &x| m.max(x))
 }
 
-/// A query row's allowed keys inside the KV block, block-local.
-fn row_spans(a: &BlockArgs<'_>, t: usize) -> Spans {
-    let kv_end = a.kv_start + a.kv_len as u32;
-    a.mask
-        .allowed(a.q_start + t as u32)
-        .spans_in(a.kv_start, kv_end)
-        .map(|(lo, hi)| ((lo - a.kv_start) as usize, (hi - a.kv_start) as usize))
+/// Each query row's allowed keys inside the KV block, block-local, in row
+/// order: the mask's runs under the Q block are walked once, not searched
+/// per row.
+fn row_spans<'a>(a: &BlockArgs<'a>) -> impl Iterator<Item = Spans> + 'a {
+    let (kv_start, kv_end) = (a.kv_start, a.kv_start + a.kv_len as u32);
+    let q_end = a.q_start + a.q_len as u32;
+    // As loud as indexing a row past the mask was.
+    assert!(q_end <= a.mask.len(), "Q block ends past its mask");
+    let rows = a.mask.runs_in(a.q_start, q_end);
+    rows.flatten().map(move |row| {
+        row.spans_in(kv_start, kv_end)
+            .map(|(lo, hi)| ((lo - kv_start) as usize, (hi - kv_start) as usize))
+    })
 }
 
 fn is_empty(spans: Spans) -> bool {
@@ -442,8 +448,7 @@ fn fwd_body<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratc
     pack_tiles(&mut s.kt, &a.k[..kv_elems], a.kvh, dim);
     pack_rows(&mut s.v_rows, &a.v[..kv_elems], a.kvh, dim);
     s.p.resize(PAIR * kp, 0.0);
-    for t in 0..a.q_len {
-        let spans = row_spans(&a, t);
+    for (t, spans) in row_spans(&a).enumerate() {
         if is_empty(spans) {
             continue;
         }
@@ -570,8 +575,7 @@ fn bwd_body<const D: usize>(
     pack_tiles(&mut s.vt, &a.v[..kv_elems], a.kvh, dim);
     s.p.resize(PAIR * kp, 0.0);
     s.ds.resize(PAIR * kp, 0.0);
-    for t in 0..a.q_len {
-        let spans = row_spans(&a, t);
+    for (t, spans) in row_spans(&a).enumerate() {
         if is_empty(spans) {
             continue;
         }

@@ -1,7 +1,7 @@
-//! Materialized masks: per-token attend ranges and blockwise queries.
+//! Materialized masks: runs of tokens under one attend rule, per-token and
+//! blockwise queries in closed form.
 
-use std::sync::Arc;
-
+use dcp_types::{DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
 /// At most two normalized half-open ranges of key indices a query token
@@ -70,6 +70,22 @@ impl RangePair {
         }
     }
 
+    /// The normalized pair, for ranges from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DcpError::InvalidMask`] if a range is reversed or ends past
+    /// `len`. An empty range is dropped, as in [`RangePair::merged`].
+    pub(crate) fn checked(&self, len: u32) -> DcpResult<Self> {
+        let (a, b) = (self.a, self.b.unwrap_or((0, 0)));
+        if [a, b].iter().any(|&(s, e)| s > e || e > len) {
+            return Err(DcpError::InvalidMask(format!(
+                "{self:?} is reversed or ends past the sequence ({len} tokens)"
+            )));
+        }
+        Ok(RangePair::merged(a.0, a.1, b.0, b.1))
+    }
+
     /// Total number of keys covered.
     pub fn count_total(&self) -> u64 {
         let (a0, a1) = self.a;
@@ -101,12 +117,6 @@ impl RangePair {
         overlap(self.a) + self.b.map_or(0, overlap)
     }
 
-    /// Whether any covered key lies inside `[lo, hi)`.
-    pub fn intersects(&self, lo: u32, hi: u32) -> bool {
-        let hit = |(s, e): (u32, u32)| s.max(lo) < e.min(hi);
-        hit(self.a) || self.b.is_some_and(hit)
-    }
-
     /// The covered keys inside `[lo, hi)` as two half-open spans in ascending
     /// key order: walking the first and then the second visits exactly the
     /// keys [`RangePair::contains`] accepts, each once. A span that covers
@@ -127,8 +137,196 @@ impl RangePair {
     }
 }
 
-/// A mask bound to a concrete sequence length, with one [`RangePair`] per
-/// query token.
+/// What the query tokens of one [`Run`] attend to. The two causal rules are
+/// how every built-in family (and a packed document) moves from one token to
+/// the next: the range ends at the token itself and starts either at a fixed
+/// key or a fixed distance back, after an optional sink `[0, sink)`.
+///
+/// Canonical form (what [`Mask`] stores): `Since` has `sink == 0` or
+/// `sink < start`, and `start` no later than the run's first token; `Window`
+/// has `window >= 1` and a tail that starts at or after `sink` on the run's
+/// first token. So the sink and the tail never overlap, and a rule that
+/// holds for two or more tokens is the only one that does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) enum Rule {
+    /// The same keys for every token.
+    Fixed(RangePair),
+    /// Token `t` attends to `[0, sink) ∪ [start, t + 1)`.
+    Since { sink: u32, start: u32 },
+    /// Token `t` attends to `[0, sink) ∪ [t + 1 - window, t + 1)`.
+    Window { sink: u32, window: u32 },
+}
+
+impl Rule {
+    /// The attend ranges of token `t`.
+    #[inline]
+    fn at(self, t: u32) -> RangePair {
+        // Canonical: the tail starts at or after the sink's end.
+        let (sink, start) = match self {
+            Rule::Fixed(r) => return r,
+            Rule::Since { sink, start } => (sink, start),
+            Rule::Window { sink, window } => (sink, t + 1 - window),
+        };
+        if sink == 0 || sink == start {
+            let from = if sink == 0 { start } else { 0 };
+            RangePair {
+                a: (from, t + 1),
+                b: None,
+            }
+        } else {
+            RangePair {
+                a: (0, sink),
+                b: Some((start, t + 1)),
+            }
+        }
+    }
+
+    /// `Some((sink, start))` if `row` is what `Since { sink, start }` gives
+    /// token `t`.
+    fn since_of(row: RangePair, t: u32) -> Option<(u32, u32)> {
+        match row.b {
+            _ if row.end() != t + 1 => None,
+            None => Some((0, row.a.0)),
+            Some((start, _)) if row.a.0 == 0 => Some((row.a.1, start)),
+            Some(_) => None,
+        }
+    }
+
+    /// The canonical rule for tokens `[lo, hi)` of a `len`-token sequence.
+    /// A single token is `Since` whenever its row has that shape, so one
+    /// token has one name.
+    fn canonical(self, lo: u32, hi: u32, len: u32) -> DcpResult<Rule> {
+        let bad = |what: &str| {
+            Err(DcpError::InvalidMask(format!(
+                "tokens [{lo}, {hi}): {what}"
+            )))
+        };
+        match self {
+            Rule::Fixed(r) => {
+                let r = r.checked(len)?;
+                match Rule::since_of(r, lo) {
+                    Some((sink, start)) if hi - lo == 1 => Ok(Rule::Since { sink, start }),
+                    _ => Ok(Rule::Fixed(r)),
+                }
+            }
+            Rule::Since { start, .. } if start > lo => bad("the tail starts after its query"),
+            // The sink reaches the tail: plain causal.
+            Rule::Since { sink, start } if sink >= start => Ok(Rule::Since { sink: 0, start: 0 }),
+            Rule::Since { .. } => Ok(self),
+            Rule::Window { window: 0, .. } => bad("empty window"),
+            Rule::Window { sink, window } if sink as u64 + window as u64 > lo as u64 + 1 => {
+                bad("the window reaches back past the end of the sink")
+            }
+            Rule::Window { sink, window } if hi - lo == 1 => {
+                let start = lo + 1 - window;
+                Rule::Since { sink, start }.canonical(lo, hi, len)
+            }
+            Rule::Window { .. } => Ok(self),
+        }
+    }
+}
+
+/// `Σ clamp(x, k_lo, k_hi)` over `x` in `[x0, x1)`: a constant head, an
+/// arithmetic series, a constant tail.
+fn clamped_sum(x0: u64, x1: u64, k_lo: u64, k_hi: u64) -> u64 {
+    let u = k_lo.clamp(x0, x1);
+    let v = k_hi.clamp(u, x1);
+    (u - x0) * k_lo + (v - u) * (u + v).saturating_sub(1) / 2 + (x1 - v) * k_hi
+}
+
+/// Query tokens `[lo, hi)` that attend by one rule: a maximal such stretch
+/// inside a [`Mask`], or its part inside a query window
+/// ([`Mask::runs_in`]). Iterating a run yields its queries' attend ranges in
+/// token order — the kernels' row cursor, one rule evaluation per row where
+/// [`Mask::allowed`] also searches the runs.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct Run {
+    lo: u32,
+    hi: u32,
+    rule: Rule,
+}
+
+impl Iterator for Run {
+    type Item = RangePair;
+
+    #[inline]
+    fn next(&mut self) -> Option<RangePair> {
+        (self.lo < self.hi).then(|| {
+            self.lo += 1;
+            self.rule.at(self.lo - 1)
+        })
+    }
+}
+
+impl Run {
+    /// The keys any of the run's queries attends to, as two disjoint spans
+    /// in ascending order (an empty span is `(x, x)`). Every key inside
+    /// them is attended by at least one query.
+    pub fn keys(&self) -> [(u32, u32); 2] {
+        match self.rule {
+            Rule::Fixed(r) => [r.a, r.b.unwrap_or((r.a.1, r.a.1))],
+            Rule::Since { sink, start } => [(0, sink), (start, self.hi)],
+            Rule::Window { sink, window } => [(0, sink), (self.lo + 1 - window, self.hi)],
+        }
+    }
+
+    /// Number of unmasked (query, key) pairs with the key in `[k_lo, k_hi)`,
+    /// in closed form: per query the covered keys are
+    /// `clamp(end) - clamp(start)` for each range, clamping to the window,
+    /// and both ends are constant or move one key per query.
+    pub fn pairs_in(&self, k_lo: u32, k_hi: u32) -> u64 {
+        let n = (self.hi - self.lo) as u64;
+        let (lo, hi) = (k_lo as u64, k_hi.max(k_lo) as u64);
+        let clamp = |x: u32| (x as u64).clamp(lo, hi);
+        // Σ clamp(t + 1 - back) over the run's queries t.
+        let ends = |back: u32| {
+            let x0 = (self.lo + 1 - back) as u64;
+            clamped_sum(x0, x0 + n, lo, hi)
+        };
+        match self.rule {
+            Rule::Fixed(r) => n * r.count_in(k_lo, k_hi),
+            Rule::Since { sink, start } => n * (clamp(sink) - lo) + ends(0) - n * clamp(start),
+            Rule::Window { sink, window } => n * (clamp(sink) - lo) + ends(0) - ends(window),
+        }
+    }
+
+    /// One run for `self` followed by `next`, if a single canonical rule
+    /// gives every token of both its row. Tried in the order that extends
+    /// `self` as far as possible; a window shows only in the second of two
+    /// tokens, which is why the pair is refitted.
+    fn joined(&self, next: &Run, len: u32) -> Option<Run> {
+        let single = |r: &Run| r.hi - r.lo == 1;
+        let refit = match next.rule {
+            Rule::Since { sink, start } if single(self) && single(next) => Some(Rule::Window {
+                sink,
+                window: next.hi - start,
+            }),
+            _ => None,
+        };
+        [Some(self.rule), Some(next.rule), refit]
+            .into_iter()
+            .flatten()
+            .find_map(|rule| {
+                let rule = rule.canonical(self.lo, next.hi, len).ok()?;
+                let gives =
+                    |r: &Run| rule == r.rule || (single(r) && rule.at(r.lo) == r.rule.at(r.lo));
+                (gives(self) && gives(next)).then_some(Run {
+                    lo: self.lo,
+                    hi: next.hi,
+                    rule,
+                })
+            })
+    }
+}
+
+/// A mask bound to a concrete sequence length: the sorted maximal [`Run`]s
+/// of query tokens that attend by one rule — one run for a causal mask, two
+/// for a lambda mask (growing, then sliding), one per mask block or segment
+/// for the blockwise and shared-question masks, and at worst one per token
+/// for arbitrary ranges. No rule describes two neighbouring runs; where a
+/// token between two causal runs fits either, it stays where its
+/// description put it, so `==` compares descriptions: equal runs are equal
+/// masks, not the other way round.
 ///
 /// # Examples
 ///
@@ -142,46 +340,91 @@ impl RangePair {
 /// // The diagonal block is half full:
 /// assert_eq!(mask.pair_count_block(4, 8, 4, 8), 4 + 3 + 2 + 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Mask {
     len: u32,
-    /// Immutable once built, so clones (a cached plan handed out again, a
-    /// layout kept as a warm-start seed) share the table instead of copying
-    /// 20 bytes per token.
-    ranges: Arc<[RangePair]>,
+    runs: Vec<Run>,
 }
 
-// By hand because the vendored serde has no `Arc`; the form is the derived
-// one (`{"len": .., "ranges": [..]}`).
-impl Serialize for Mask {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("len".into(), self.len.to_value());
-        m.insert("ranges".into(), self.ranges.to_value());
-        serde::Value::Object(m)
-    }
-}
-
+/// Reads `{"len", "runs"}` and the per-token form older plans hold,
+/// `{"len", "ranges"}`; either way the runs are rebuilt and checked, so a
+/// deserialized mask upholds what an instantiated one does.
 impl Deserialize for Mask {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        // Anything but an object reads as missing fields.
-        Ok(Mask {
-            len: u32::from_value(&v["len"])?,
-            ranges: Vec::from_value(&v["ranges"])?.into(),
-        })
+        let len = u32::from_value(&v["len"])?;
+        let mask = if v["runs"].is_null() {
+            Mask::from_ranges(len, &Vec::from_value(&v["ranges"])?)
+        } else {
+            // Field by field: a `Run` exists only inside a checked mask.
+            let mut runs = Vec::new();
+            for r in Vec::<serde::Value>::from_value(&v["runs"])? {
+                let lo = u32::from_value(&r["lo"])?;
+                if runs.last().map_or(0, |&(hi, _)| hi) != lo {
+                    return Err(serde::Error::custom(format!(
+                        "mask run starts at token {lo}, not where the last one ends"
+                    )));
+                }
+                runs.push((u32::from_value(&r["hi"])?, Rule::from_value(&r["rule"])?));
+            }
+            Mask::from_runs(len, runs)
+        };
+        mask.map_err(serde::Error::custom)
     }
 }
 
 impl Mask {
-    /// Builds a mask from explicit per-token ranges (already normalized).
+    /// Builds the mask whose consecutive runs end at the given tokens
+    /// (`(hi, rule)`, the first starting at token 0; an entry that ends
+    /// where it starts is skipped). Rules are made canonical and
+    /// neighbours one rule describes are joined.
+    pub(crate) fn from_runs(
+        len: u32,
+        runs: impl IntoIterator<Item = (u32, Rule)>,
+    ) -> DcpResult<Self> {
+        let mut out: Vec<Run> = Vec::new();
+        let mut lo = 0;
+        for (hi, rule) in runs {
+            if hi == lo {
+                continue;
+            }
+            if hi < lo || hi > len {
+                return Err(DcpError::InvalidMask(format!(
+                    "run [{lo}, {hi}) of a {len}-token sequence"
+                )));
+            }
+            let rule = rule.canonical(lo, hi, len)?;
+            let next = Run { lo, hi, rule };
+            lo = hi;
+            match out.last_mut() {
+                Some(open) => match open.joined(&next, len) {
+                    Some(both) => *open = both,
+                    None => out.push(next),
+                },
+                None => out.push(next),
+            }
+        }
+        if lo != len {
+            return Err(DcpError::InvalidMask(format!(
+                "runs cover {lo} tokens, sequence length is {len}"
+            )));
+        }
+        Ok(Mask { len, runs: out })
+    }
+
+    /// Builds a mask from explicit per-token ranges, compressed into runs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `ranges.len() != len`.
-    pub fn from_ranges(len: u32, ranges: impl Into<Arc<[RangePair]>>) -> Self {
-        let ranges = ranges.into();
-        assert_eq!(ranges.len(), len as usize);
-        Mask { len, ranges }
+    /// Returns [`DcpError::InvalidMask`] if there is not one entry per
+    /// token, or a range is reversed or ends past the sequence.
+    pub fn from_ranges(len: u32, ranges: &[RangePair]) -> DcpResult<Self> {
+        if ranges.len() != len as usize {
+            return Err(DcpError::InvalidMask(format!(
+                "{} per-token entries, sequence length is {len}",
+                ranges.len()
+            )));
+        }
+        Mask::from_runs(len, (1..=len).zip(ranges.iter().map(|&r| Rule::Fixed(r))))
     }
 
     /// Sequence length this mask is bound to.
@@ -200,17 +443,33 @@ impl Mask {
     ///
     /// Panics if `t >= len`.
     pub fn allowed(&self, t: u32) -> RangePair {
-        self.ranges[t as usize]
+        let run = &self.runs[self.runs.partition_point(|r| r.hi <= t)];
+        run.rule.at(t)
     }
 
     /// Whether query `q` attends to key `k`.
     pub fn is_allowed(&self, q: u32, k: u32) -> bool {
-        self.ranges[q as usize].contains(k)
+        self.allowed(q).contains(k)
+    }
+
+    /// The runs of queries `[q_lo, q_hi)`, each cut to that window, in
+    /// token order.
+    pub fn runs_in(&self, q_lo: u32, q_hi: u32) -> impl Iterator<Item = Run> + '_ {
+        let first = self.runs.partition_point(|r| r.hi <= q_lo);
+        let q_hi = q_hi.max(q_lo);
+        self.runs[first..]
+            .iter()
+            .take_while(move |r| r.lo < q_hi)
+            .map(move |r| Run {
+                lo: r.lo.max(q_lo),
+                hi: r.hi.min(q_hi),
+                rule: r.rule,
+            })
     }
 
     /// Total number of unmasked (query, key) pairs.
     pub fn total_pairs(&self) -> u64 {
-        self.ranges.iter().map(RangePair::count_total).sum()
+        self.runs.iter().map(|r| r.pairs_in(0, self.len)).sum()
     }
 
     /// Ratio of unmasked pairs to the causal mask's pair count. The paper's
@@ -225,22 +484,14 @@ impl Mask {
     /// `[k_lo, k_hi)`.
     pub fn pair_count_block(&self, q_lo: u32, q_hi: u32, k_lo: u32, k_hi: u32) -> u64 {
         debug_assert!(q_hi <= self.len);
-        self.ranges[q_lo as usize..q_hi as usize]
-            .iter()
-            .map(|r| r.count_in(k_lo, k_hi))
+        self.runs_in(q_lo, q_hi)
+            .map(|r| r.pairs_in(k_lo, k_hi))
             .sum()
     }
 
     /// Whether the block pair contains any unmasked entry.
     pub fn block_nonempty(&self, q_lo: u32, q_hi: u32, k_lo: u32, k_hi: u32) -> bool {
-        self.ranges[q_lo as usize..q_hi as usize]
-            .iter()
-            .any(|r| r.intersects(k_lo, k_hi))
-    }
-
-    /// Iterator over the per-token ranges (token order).
-    pub fn ranges(&self) -> &[RangePair] {
-        &self.ranges
+        self.runs_in(q_lo, q_hi).any(|r| r.pairs_in(k_lo, k_hi) > 0)
     }
 }
 
@@ -271,18 +522,49 @@ mod tests {
     }
 
     #[test]
-    fn mask_serializes_as_the_derived_struct_and_clones_share_the_table() {
+    fn mask_serializes_its_runs_and_reads_the_per_token_form_too() {
         let m = MaskSpec::Lambda { sink: 1, window: 1 }
-            .instantiate(3)
+            .instantiate(4)
             .unwrap();
         let json = serde_json::to_string(&m).unwrap();
         assert_eq!(
             json,
-            r#"{"len":3,"ranges":[{"a":[0,1],"b":null},{"a":[0,2],"b":null},{"a":[0,1],"b":[2,3]}]}"#
+            concat!(
+                r#"{"len":4,"runs":[{"hi":2,"lo":0,"rule":{"Since":{"sink":0,"start":0}}},"#,
+                r#"{"hi":4,"lo":2,"rule":{"Window":{"sink":1,"window":1}}}]}"#
+            )
         );
         assert_eq!(serde_json::from_str::<Mask>(&json).unwrap(), m);
+        // What plans written before the run form hold: one entry per token.
+        let old = concat!(
+            r#"{"len":4,"ranges":[{"a":[0,1],"b":null},{"a":[0,2],"b":null},"#,
+            r#"{"a":[0,1],"b":[2,3]},{"a":[0,1],"b":[3,4]}]}"#
+        );
+        assert_eq!(serde_json::from_str::<Mask>(old).unwrap(), m);
         assert!(serde_json::from_str::<Mask>("[3]").is_err());
-        assert!(Arc::ptr_eq(&m.ranges, &m.clone().ranges));
+    }
+
+    /// Serialized runs are checked like built ones: tokens left uncovered,
+    /// a gap, a tail that starts after its query, a window that reaches
+    /// before token 0 or into the sink, keys past the end — each is an
+    /// error, not a later panic.
+    #[test]
+    fn malformed_serialized_runs_are_errors() {
+        for bad in [
+            r#"{"len":5,"runs":[]}"#,
+            r#"{"len":4,"runs":[{"lo":0,"hi":2,"rule":{"Since":{"sink":0,"start":0}}}]}"#,
+            r#"{"len":4,"runs":[{"lo":1,"hi":4,"rule":{"Since":{"sink":0,"start":0}}}]}"#,
+            r#"{"len":4,"runs":[{"lo":0,"hi":4,"rule":{"Since":{"sink":0,"start":2}}}]}"#,
+            r#"{"len":4,"runs":[{"lo":0,"hi":4,"rule":{"Window":{"sink":0,"window":3}}}]}"#,
+            r#"{"len":4,"runs":[{"lo":0,"hi":4,"rule":{"Window":{"sink":0,"window":0}}}]}"#,
+            r#"{"len":8,"runs":[{"lo":0,"hi":4,"rule":{"Since":{"sink":0,"start":0}}},{"lo":4,"hi":8,"rule":{"Window":{"sink":3,"window":3}}}]}"#,
+            r#"{"len":4,"runs":[{"lo":0,"hi":4,"rule":{"Fixed":{"a":[0,5],"b":null}}}]}"#,
+            r#"{"len":4,"runs":[{"lo":0,"hi":9,"rule":{"Since":{"sink":0,"start":0}}}]}"#,
+        ] {
+            assert!(serde_json::from_str::<Mask>(bad).is_err(), "{bad}");
+        }
+        let m: Mask = serde_json::from_str(r#"{"len":0,"ranges":[]}"#).unwrap();
+        assert!(m.is_empty());
     }
 
     #[test]
@@ -291,8 +573,6 @@ mod tests {
         assert_eq!(r.count_in(2, 10), 2 + 2);
         assert_eq!(r.count_in(4, 8), 0);
         assert_eq!(r.count_in(0, 100), 8);
-        assert!(r.intersects(3, 5));
-        assert!(!r.intersects(4, 8));
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //!   query token.
 //!
 //! [`MaskSpec`] is the serializable description; [`Mask`] is a spec bound to
-//! a concrete sequence length with all per-token ranges materialized.
+//! a concrete sequence length. It holds no per-token table: every family is
+//! a few stretches of tokens ([`Run`]s) whose ranges follow one rule, so a
+//! token's ranges are looked up and a block's pairs counted in closed form.
 
 pub mod instance;
 pub mod spec;
 
-pub use instance::{Mask, RangePair};
+pub use instance::{Mask, RangePair, Run};
 pub use spec::MaskSpec;

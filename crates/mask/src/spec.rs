@@ -1,11 +1,9 @@
 //! Serializable attention mask specifications.
 
-use std::sync::Arc;
-
 use dcp_types::{DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
-use crate::instance::{Mask, RangePair};
+use crate::instance::{Mask, RangePair, Rule};
 
 /// A description of an attention mask, independent of sequence length.
 ///
@@ -134,32 +132,35 @@ impl MaskSpec {
         }
     }
 
-    /// Binds this spec to a sequence of `len` tokens, materializing the
-    /// per-token attend ranges.
+    /// Binds this spec to a sequence of `len` tokens, as the mask's runs:
+    /// the cost is the number of runs, never the number of tokens (but for
+    /// [`MaskSpec::Custom`], whose description is per token).
     ///
     /// # Errors
     ///
     /// Returns [`DcpError::InvalidMask`] if the spec cannot cover `len`
     /// tokens (e.g. shared-question lengths that do not sum to `len`, zero
-    /// window, or custom ranges of the wrong arity).
+    /// window, or custom ranges of the wrong arity, reversed or past the
+    /// sequence end).
     pub fn instantiate(&self, len: u32) -> DcpResult<Mask> {
         if len == 0 {
             return Err(DcpError::InvalidMask("sequence length must be > 0".into()));
         }
-        // Collected straight into the shared table: one allocation, no copy.
-        let ranges: Arc<[RangePair]> = match self {
-            MaskSpec::Full => (0..len).map(|_| RangePair::single(0, len)).collect(),
-            MaskSpec::Causal => (0..len).map(|t| RangePair::single(0, t + 1)).collect(),
+        let causal = Rule::Since { sink: 0, start: 0 };
+        match self {
+            MaskSpec::Full => Mask::from_runs(len, [(len, Rule::Fixed(RangePair::single(0, len)))]),
+            MaskSpec::Causal => Mask::from_runs(len, [(len, causal)]),
             MaskSpec::Lambda { sink, window } => {
                 if *window == 0 {
                     return Err(DcpError::InvalidMask("lambda window must be > 0".into()));
                 }
-                (0..len)
-                    .map(|t| {
-                        let w_start = (t + 1).saturating_sub(*window);
-                        RangePair::merged(0, (*sink).min(t + 1), w_start, t + 1)
-                    })
-                    .collect()
+                // The window reaches back into the sink until this token.
+                let slides = (*sink as u64 + *window as u64).min(len as u64) as u32;
+                let window = Rule::Window {
+                    sink: *sink,
+                    window: *window,
+                };
+                Mask::from_runs(len, [(slides, causal), (len, window)])
             }
             MaskSpec::CausalBlockwise {
                 block,
@@ -171,19 +172,26 @@ impl MaskSpec {
                         "causal blockwise block and window must be > 0".into(),
                     ));
                 }
+                let Some(sink) = sink_blocks.checked_mul(*block) else {
+                    return Err(DcpError::InvalidMask(format!(
+                        "{sink_blocks} sink blocks of {block} tokens overflow"
+                    )));
+                };
                 let num_blocks = len.div_ceil(*block);
-                (0..len)
-                    .map(|t| {
-                        let bi = t / *block;
+                Mask::from_runs(
+                    len,
+                    (0..num_blocks).map(|bi| {
+                        let lo = bi * *block;
+                        let hi = lo.saturating_add(*block).min(len);
                         if bi + 1 == num_blocks {
                             // Final (test) block attends to everything.
-                            return RangePair::single(0, t + 1);
+                            return (hi, causal);
                         }
-                        let sink_end = (sink_blocks * block).min(t + 1);
-                        let w_start = bi.saturating_sub(*window_blocks - 1) * *block;
-                        RangePair::merged(0, sink_end, w_start, t + 1)
-                    })
-                    .collect()
+                        // A multiple of `block` no greater than `lo`.
+                        let start = bi.saturating_sub(*window_blocks - 1) * *block;
+                        (hi, Rule::Since { sink, start })
+                    }),
+                )
             }
             MaskSpec::SharedQuestion {
                 question_len,
@@ -196,38 +204,17 @@ impl MaskSpec {
                         "shared-question segments sum to {total}, sequence length is {len}"
                     )));
                 }
-                let mut ranges = Vec::with_capacity(len as usize);
-                for t in 0..*question_len {
-                    ranges.push(RangePair::single(0, t + 1));
-                }
-                let mut start = *question_len;
-                for &alen in answer_lens {
-                    for t in start..start + alen {
-                        ranges.push(RangePair::merged(0, *question_len, start, t + 1));
-                    }
+                let sink = *question_len;
+                let mut start = sink;
+                let answers = answer_lens.iter().map(|&alen| {
+                    let rule = Rule::Since { sink, start };
                     start += alen;
-                }
-                ranges.into()
+                    (start, rule)
+                });
+                Mask::from_runs(len, std::iter::once((sink, causal)).chain(answers))
             }
-            MaskSpec::Custom(ranges) => {
-                if ranges.len() != len as usize {
-                    return Err(DcpError::InvalidMask(format!(
-                        "custom mask has {} token entries, sequence length is {len}",
-                        ranges.len()
-                    )));
-                }
-                for (t, r) in ranges.iter().enumerate() {
-                    if r.end() > len {
-                        return Err(DcpError::InvalidMask(format!(
-                            "token {t} attends past the sequence end ({} > {len})",
-                            r.end()
-                        )));
-                    }
-                }
-                ranges.iter().map(|r| r.normalized()).collect()
-            }
-        };
-        Ok(Mask::from_ranges(len, ranges))
+            MaskSpec::Custom(ranges) => Mask::from_ranges(len, ranges),
+        }
     }
 }
 

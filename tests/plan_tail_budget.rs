@@ -1,6 +1,6 @@
 //! A deterministic work budget for the planner's tail — block generation,
-//! division scheduling, the pass pipeline: heap allocations, which depend on
-//! the input and the code, never on the host.
+//! division scheduling, the pass pipeline: heap allocations (calls and
+//! bytes), which depend on the input and the code, never on the host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,6 +13,7 @@ use dcp::types::{AttnSpec, ClusterSpec};
 
 static ON: AtomicBool = AtomicBool::new(false);
 static CALLS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -22,6 +23,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ON.load(Ordering::Relaxed) {
             CALLS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which
         // is `System.alloc`'s.
@@ -37,6 +39,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ON.load(Ordering::Relaxed) {
             CALLS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -46,14 +49,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `alloc` + `realloc` calls `f` makes (this file has one test, so nothing
+/// `alloc` + `realloc` calls `f` makes and the bytes they ask for (a
+/// `realloc` counts its whole new size; this file has one test, so nothing
 /// else allocates meanwhile).
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = CALLS.load(Ordering::Relaxed);
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     ON.store(true, Ordering::Relaxed);
     let out = f();
     ON.store(false, Ordering::Relaxed);
-    (out, CALLS.load(Ordering::Relaxed) - before)
+    let calls = CALLS.load(Ordering::Relaxed) - before.0;
+    (out, calls, BYTES.load(Ordering::Relaxed) - before.1)
 }
 
 /// `work_budget.rs`'s long-document batch: one 131 072-token causal document
@@ -62,7 +67,10 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// `remote_inputs` call and a cloned per-source map per block per middle
 /// division, the parent allocated 215 003 times in `build_plan`, 10 395 in
 /// the pass pipeline and 2 606 in `BatchLayout::build`. On dense tables
-/// reused from device to device the counts are 3 574, 401 and 542.
+/// reused from device to device the counts are 3 574, 401 and 542. The
+/// layout's 542 calls asked for 4 109 140 bytes while a mask was 20 bytes
+/// per token; as runs it is 540 calls and 1 485 748 bytes — the blocks and
+/// their consumer lists, nothing sized by the tokens.
 #[test]
 fn long_document_tail_stays_inside_its_allocation_budget() {
     let attn = AttnSpec::paper_micro();
@@ -77,16 +85,30 @@ fn long_document_tail_stays_inside_its_allocation_budget() {
         .placement;
 
     let blocks = BlockConfig::with_block_size(&attn, 1024);
-    let (layout, in_layout) = allocations(|| BatchLayout::build(attn, blocks, &seqs).unwrap());
+    let (layout, in_layout, layout_bytes) =
+        allocations(|| BatchLayout::build(attn, blocks, &seqs).unwrap());
     assert_eq!(layout.comp_blocks.len(), 16_512);
-    let (plan, in_build_plan) =
+    let (plan, in_build_plan, _) =
         allocations(|| build_plan(&layout, &placement, &ScheduleConfig::default()).unwrap());
     let mut plan = plan;
     let passes = PassManager::new(PassConfig::optimize());
-    let (outcomes, in_run_plan) = allocations(|| passes.run_plan(&layout, &placement, &mut plan));
+    let (outcomes, in_run_plan, _) =
+        allocations(|| passes.run_plan(&layout, &placement, &mut plan));
     assert!(!outcomes.is_empty());
 
-    assert!(in_layout <= 1_500, "BatchLayout::build: {in_layout}");
+    assert!(in_layout <= 540, "BatchLayout::build: {in_layout}");
+    assert!(
+        layout_bytes <= 1_485_748,
+        "BatchLayout::build: {layout_bytes} B"
+    );
     assert!(in_build_plan <= 40_000, "build_plan: {in_build_plan}");
     assert!(in_run_plan <= 5_000, "run_plan: {in_run_plan}");
+
+    // Planning never touches a token: the same block grid over four times
+    // the tokens asks the allocator for exactly the same memory.
+    let blocks = BlockConfig::with_block_size(&attn, 4 * 1024);
+    let seqs = [(4 * 131_072, MaskSpec::Causal)];
+    let (wide, calls, bytes) = allocations(|| BatchLayout::build(attn, blocks, &seqs).unwrap());
+    assert_eq!(wide.comp_blocks.len(), layout.comp_blocks.len());
+    assert_eq!((calls, bytes), (in_layout, layout_bytes));
 }

@@ -245,3 +245,90 @@ fn trace_analysis_structs_roundtrip() {
     bundle.validate().expect("bundle validates");
     roundtrip(&bundle);
 }
+
+/// A `PlanOutput` serialized while a mask was one `RangePair` per token
+/// (`{"len", "ranges"}`; the fixture is PR 18's output for this batch, 8
+/// devices, 16-token blocks) still deserializes: its masks are compressed
+/// into the runs `instantiate` builds today, its plan is the plan the same
+/// batch gets today, and written back it is the run form.
+#[test]
+fn plan_output_with_per_token_masks_still_deserializes() {
+    let seqs = [
+        (
+            96,
+            MaskSpec::Lambda {
+                sink: 3,
+                window: 20,
+            },
+        ),
+        (40, MaskSpec::Causal),
+    ];
+    let text = include_str!("fixtures/plan_output_per_token_masks.json");
+    assert!(text.contains(r#""ranges":[{"a":[0,1],"b":null}"#));
+    let old: dcp::core::PlanOutput = serde_json::from_str(text).expect("old form deserializes");
+    for ((len, spec), mask) in seqs.iter().zip(&old.layout.masks) {
+        assert_eq!(mask, &spec.instantiate(*len).unwrap());
+    }
+
+    let planner = Planner::new(
+        ClusterSpec::p4de(1),
+        AttnSpec::new(4, 2, 16, 1),
+        PlannerConfig {
+            block_size: 16,
+            ..Default::default()
+        },
+    );
+    let new = planner.plan(&seqs).expect("plan");
+    assert_eq!(new.layout.comp_blocks, old.layout.comp_blocks);
+    assert_eq!(new.placement, old.placement);
+    assert_eq!(new.plan, old.plan);
+
+    let rewritten = serde_json::to_string(&old).unwrap();
+    assert!(rewritten.contains(r#""runs":["#) && !rewritten.contains(r#""ranges""#));
+    assert!(rewritten.len() < text.len());
+    let back: dcp::core::PlanOutput = serde_json::from_str(&rewritten).unwrap();
+    assert_eq!(back.layout.masks, old.layout.masks);
+}
+
+/// A retained plan is sized by its blocks, not its tokens: the paper's
+/// lambda mask over one 131 072-token document at 1024-token blocks on 8
+/// devices serialized to 4 290 532 bytes (4 290 563 inside a dataloader
+/// snapshot) while the mask was a row per token — nineteen twentieths of it
+/// rows; as runs it is 216 354.
+#[test]
+fn long_plan_serializes_to_under_a_tenth_of_the_per_token_form() {
+    use dcp::core::DataloaderSnapshot;
+
+    let planner = Planner::new(
+        ClusterSpec::p4de(1),
+        AttnSpec::paper_micro(),
+        PlannerConfig {
+            block_size: 1024,
+            ..Default::default()
+        },
+    );
+    let out = planner
+        .plan(&[(131_072, MaskSpec::paper_lambda())])
+        .expect("plan");
+    let text = serde_json::to_string(&out).unwrap();
+    assert!(text.len() * 10 < 4_290_532, "plan: {} bytes", text.len());
+    let back: dcp::core::PlanOutput = serde_json::from_str(&text).unwrap();
+    assert_eq!(back.layout.masks, out.layout.masks);
+    assert_eq!(back.plan, out.plan);
+
+    let snapshot = DataloaderSnapshot {
+        consumed: 0,
+        planned: vec![(0, out)],
+    };
+    let json = snapshot.to_json().unwrap();
+    assert!(
+        json.len() * 10 < 4_290_563,
+        "snapshot: {} bytes",
+        json.len()
+    );
+    let back = DataloaderSnapshot::from_json(&json).unwrap();
+    assert_eq!(
+        back.planned[0].1.layout.masks,
+        snapshot.planned[0].1.layout.masks
+    );
+}
