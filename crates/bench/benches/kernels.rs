@@ -1,10 +1,10 @@
 //! Criterion benchmark: the numerical blockwise attention kernels (forward,
-//! merge, backward) on realistic block shapes.
+//! merge, backward) on realistic block shapes, at each vector width they are
+//! compiled for, and the exponential under them on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dcp_exec::kernels::{
-    attn_block_bwd, attn_block_fwd, merge_outputs, BlockAcc, BlockArgs, BlockBwdArgs,
-};
+use dcp_bench::{exp_loops, kernel_isas, KernelIsa};
+use dcp_exec::kernels::{merge_outputs, BlockAcc, BlockArgs, BlockBwdArgs};
 use dcp_mask::MaskSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,15 +16,38 @@ fn randv(n: usize, rng: &mut SmallRng) -> Vec<f32> {
 fn bench_kernels(c: &mut Criterion) {
     // The ledger's two executor workloads: head dim 16 and 64.
     for dim in [16usize, 64] {
-        bench_dim(c, dim);
+        for isa in kernel_isas() {
+            bench_dim(c, dim, &isa);
+        }
     }
+    bench_exp(c);
 }
 
-fn bench_dim(c: &mut Criterion, dim: usize) {
+/// A row's worth of score differences through libm's `expf` one call at a
+/// time, then through the kernels' `exp` loop at each of their widths
+/// (refilling the buffer included).
+fn bench_exp(c: &mut Criterion) {
+    let mut rng = SmallRng::seed_from_u64(1);
+    let src: Vec<f32> = (0..4096).map(|_| rng.gen_range(-20.0..0.0)).collect();
+    let mut group = c.benchmark_group("exp_4096");
+    for (name, exp_in_place) in exp_loops() {
+        let mut buf = src.clone();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                buf.copy_from_slice(&src);
+                exp_in_place(criterion::black_box(&mut buf));
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_dim(c: &mut Criterion, dim: usize, isa: &KernelIsa) {
+    let (attn_block_fwd, attn_block_bwd, isa) = (isa.fwd, isa.bwd, isa.name);
     let (qh, kvh) = (4usize, 2usize);
     let mut rng = SmallRng::seed_from_u64(1);
 
-    let mut group = c.benchmark_group(format!("attn_block_fwd_d{dim}"));
+    let mut group = c.benchmark_group(format!("attn_block_fwd_d{dim}_{isa}"));
     for block in [64usize, 128, 256] {
         let q = randv(block * qh * dim, &mut rng);
         let k = randv(block * kvh * dim, &mut rng);
@@ -80,7 +103,7 @@ fn bench_dim(c: &mut Criterion, dim: usize) {
     let (o, lse) = acc.finalize();
     let d_o = randv(block * qh * dim, &mut rng);
 
-    c.bench_function(format!("attn_block_bwd_128_d{dim}"), |b| {
+    c.bench_function(format!("attn_block_bwd_128_d{dim}_{isa}"), |b| {
         b.iter(|| {
             let mut dq = vec![0.0f32; block * qh * dim];
             let mut dk = vec![0.0f32; block * kvh * dim];
@@ -100,9 +123,12 @@ fn bench_dim(c: &mut Criterion, dim: usize) {
         });
     });
 
-    c.bench_function(format!("merge_outputs_128_d{dim}"), |b| {
-        b.iter(|| merge_outputs(&o, &lse, &o, &lse, dim));
-    });
+    // The merge runs at one width: its exponentials are two per row.
+    if isa == "baseline" {
+        c.bench_function(format!("merge_outputs_128_d{dim}"), |b| {
+            b.iter(|| merge_outputs(&o, &lse, &o, &lse, dim));
+        });
+    }
 }
 
 criterion_group!(benches, bench_kernels);

@@ -37,7 +37,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dcp_bench::{trace_doc, trace_workload, Table, BENCH_SCHEMA_VERSION};
+use dcp_bench::{
+    exp_loops, kernel_isas, trace_doc, trace_workload, ExpLoop, Table, BENCH_SCHEMA_VERSION,
+};
 use dcp_blocks::TokenBlockId;
 use dcp_core::dataloader::PlanFn;
 use dcp_core::{
@@ -50,7 +52,7 @@ use dcp_exec::executor::{
     execute_backward, execute_forward, execute_forward_recovery, BatchData, BlockGrads, BlockOut,
     ExecObs,
 };
-use dcp_exec::kernels::{attn_block_bwd, attn_block_fwd, BlockAcc, BlockArgs, BlockBwdArgs};
+use dcp_exec::kernels::{BlockAcc, BlockArgs, BlockBwdArgs};
 use dcp_exec::plans_equivalent;
 use dcp_mask::MaskSpec;
 use dcp_sched::{verify_phase, verify_structure, Instr, PassConfig, PassManager};
@@ -136,28 +138,38 @@ fn run_exec(out: &PlanOutput, data: &BatchData, d_o: &HashMap<TokenBlockId, Vec<
     }
 }
 
+/// Best per-call time of three timed batches of `calls` calls of `f`.
+fn best_s(calls: usize, f: &mut dyn FnMut()) -> f64 {
+    let batch = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        (0..calls).for_each(|_| f());
+        t0.elapsed().as_secs_f64() / calls as f64
+    };
+    (0..3).map(|_| batch(f)).fold(f64::MAX, f64::min)
+}
+
 /// Kernel throughput along the block-size axis (the paper's Fig. 17/18
 /// trade-off seen from the kernel): one (Q-block, KV-block) pair at 4Q/2KV
 /// heads per block size × head dim, fully unmasked and on the causal
-/// diagonal. Each point is the best of three timed batches of calls; flops
-/// count unmasked pairs only (`4 · pairs · q_heads · dim` forward, 2.5× that
-/// backward).
+/// diagonal, at each of [`kernel_isas`] back to back. Each point is the best
+/// of three timed batches of calls; flops count unmasked pairs only
+/// (`4 · pairs · q_heads · dim` forward, 2.5× that backward).
 fn kernel_sweep() -> Vec<serde_json::Value> {
     const BLOCKS: [usize; 4] = [32, 64, 128, 256];
     const DIMS: [usize; 3] = [16, 64, 128];
     let (qh, kvh) = (4usize, 2usize);
     let mut rng = SmallRng::seed_from_u64(SEED);
     let mut randv = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
-    let best_s = |calls: usize, f: &mut dyn FnMut()| {
-        let batch = |f: &mut dyn FnMut()| {
-            let t0 = Instant::now();
-            (0..calls).for_each(|_| f());
-            t0.elapsed().as_secs_f64() / calls as f64
-        };
-        (0..3).map(|_| batch(f)).fold(f64::MAX, f64::min)
-    };
     let mut rows = Vec::new();
-    let mut table = Table::new(&["block", "dim", "mask", "fwd GF/s", "bwd GF/s", "fwd blk/s"]);
+    let mut table = Table::new(&[
+        "block",
+        "dim",
+        "mask",
+        "isa",
+        "fwd GF/s",
+        "bwd GF/s",
+        "fwd blk/s",
+    ]);
     for block in BLOCKS {
         let mask = MaskSpec::Causal
             .instantiate(2 * block as u32)
@@ -191,50 +203,80 @@ fn kernel_sweep() -> Vec<serde_json::Value> {
                 let fwd_flops = 4.0 * pairs as f64 * (qh * dim) as f64;
                 // ~20 ms of forward work per timed batch at 10 GFLOP/s.
                 let calls = ((2e8 / fwd_flops) as usize).clamp(1, 2000);
-                let mut acc = BlockAcc::new(block, qh, dim);
-                attn_block_fwd(&mut acc, fwd);
-                let (o, lse) = acc.finalize();
-                let fwd_s = best_s(calls, &mut || {
+                for isa in kernel_isas() {
                     let mut acc = BlockAcc::new(block, qh, dim);
-                    attn_block_fwd(&mut acc, fwd);
-                    std::hint::black_box(&acc);
-                });
-                let bwd = BlockBwdArgs {
-                    fwd,
-                    o: &o,
-                    lse: &lse,
-                    d_o: &d_o,
-                };
-                let mut dq = vec![0.0f32; q.len()];
-                let (mut dk, mut dv) = (vec![0.0f32; k.len()], vec![0.0f32; v.len()]);
-                let bwd_s = best_s(calls.div_ceil(2), &mut || {
-                    attn_block_bwd(bwd, &mut dq, &mut dk, &mut dv);
-                });
-                std::hint::black_box((&dq, &dk, &dv));
-                let (fwd_gf, bwd_gf) = (fwd_flops / fwd_s / 1e9, 2.5 * fwd_flops / bwd_s / 1e9);
-                table.row(vec![
-                    block.to_string(),
-                    dim.to_string(),
-                    kind.into(),
-                    format!("{fwd_gf:.1}"),
-                    format!("{bwd_gf:.1}"),
-                    format!("{:.0}", 1.0 / fwd_s),
-                ]);
-                rows.push(json!({
-                    "block": block,
-                    "head_dim": dim,
-                    "mask": kind,
-                    "fwd_gflops": fwd_gf,
-                    "bwd_gflops": bwd_gf,
-                    "fwd_blocks_per_s": 1.0 / fwd_s,
-                    "bwd_blocks_per_s": 1.0 / bwd_s,
-                }));
+                    (isa.fwd)(&mut acc, fwd);
+                    let (o, lse) = acc.finalize();
+                    let fwd_s = best_s(calls, &mut || {
+                        let mut acc = BlockAcc::new(block, qh, dim);
+                        (isa.fwd)(&mut acc, fwd);
+                        std::hint::black_box(&acc);
+                    });
+                    let bwd = BlockBwdArgs {
+                        fwd,
+                        o: &o,
+                        lse: &lse,
+                        d_o: &d_o,
+                    };
+                    let mut dq = vec![0.0f32; q.len()];
+                    let (mut dk, mut dv) = (vec![0.0f32; k.len()], vec![0.0f32; v.len()]);
+                    let bwd_s = best_s(calls.div_ceil(2), &mut || {
+                        (isa.bwd)(bwd, &mut dq, &mut dk, &mut dv);
+                    });
+                    std::hint::black_box((&dq, &dk, &dv));
+                    let (fwd_gf, bwd_gf) = (fwd_flops / fwd_s / 1e9, 2.5 * fwd_flops / bwd_s / 1e9);
+                    table.row(vec![
+                        block.to_string(),
+                        dim.to_string(),
+                        kind.into(),
+                        isa.name.into(),
+                        format!("{fwd_gf:.1}"),
+                        format!("{bwd_gf:.1}"),
+                        format!("{:.0}", 1.0 / fwd_s),
+                    ]);
+                    rows.push(json!({
+                        "block": block,
+                        "head_dim": dim,
+                        "mask": kind,
+                        "isa": isa.name,
+                        "fwd_gflops": fwd_gf,
+                        "bwd_gflops": bwd_gf,
+                        "fwd_blocks_per_s": 1.0 / fwd_s,
+                        "bwd_blocks_per_s": 1.0 / bwd_s,
+                    }));
+                }
             }
         }
     }
     println!("\nkernel sweep (4Q/2KV heads, one thread):");
     table.print();
     rows
+}
+
+/// The exponential on its own, ns per element over a row's worth of score
+/// differences (refilling the buffer included): libm's `expf` one call at a
+/// time, then the kernels' `exp` loop at each of their widths.
+fn exp_ns_per_element() -> Vec<serde_json::Value> {
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let src: Vec<f32> = (0..4096).map(|_| rng.gen_range(-20.0..0.0)).collect();
+    let mut buf = src.clone();
+    let mut ns = |exp_in_place: ExpLoop| {
+        let s = best_s(2000, &mut || {
+            buf.copy_from_slice(&src);
+            exp_in_place(std::hint::black_box(&mut buf));
+        });
+        s * 1e9 / src.len() as f64
+    };
+    let rows: Vec<(&str, f64)> = exp_loops()
+        .into_iter()
+        .map(|(name, exp_in_place)| (name, ns(exp_in_place)))
+        .collect();
+    println!("\nexp, ns per element:");
+    for (name, ns) in &rows {
+        println!("  {name:<9} {ns:.2}");
+    }
+    let row = |(name, ns)| json!({ "exp": name, "ns_per_element": ns });
+    rows.into_iter().map(row).collect()
 }
 
 /// Robustness benchmarks: plan latency per fallback tier, fallback-tier
@@ -757,6 +799,7 @@ fn main() {
         "total_wall_s_default": total_tn,
         "runs": exec_rows,
         "kernel_sweep": kernel_sweep(),
+        "exp_ns_per_element": exp_ns_per_element(),
     });
     // Pass pipeline over recovery patches: the truncated failed stream
     // retains prefetches whose waits were cut — genuine dead communication

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use dcp_baselines::{Baseline, BaselineOutput};
 use dcp_core::{DcpDataloader, PlanOutput, Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
+use dcp_exec::kernels::{self, BlockAcc, BlockArgs, BlockBwdArgs};
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event as ObsEvent, ObsHandle, ObsSink, RecordingSink};
 use dcp_sim::{simulate_phase_traced, simulate_plan, trace_to_obs, PlanSim, TraceEvent, TraceKind};
@@ -289,6 +290,54 @@ pub fn e2e_figure(kind: DatasetKind, out_name: &str) {
     );
     table.print();
     write_results(out_name, &table.to_json());
+}
+
+/// A loop that replaces every element with its exponential.
+pub type ExpLoop = fn(&mut [f32]);
+
+/// One vector width the blockwise kernels are compiled at, for the reports
+/// that time each of them.
+pub struct KernelIsa {
+    /// `"avx2"` or `"baseline"`.
+    pub name: &'static str,
+    /// `attn_block_fwd` at this width.
+    pub fwd: fn(&mut BlockAcc, BlockArgs<'_>),
+    /// `attn_block_bwd` at this width.
+    pub bwd: fn(BlockBwdArgs<'_>, &mut [f32], &mut [f32], &mut [f32]),
+    /// The kernels' exponential loop at this width.
+    pub exp_in_place: ExpLoop,
+}
+
+/// The instantiation kernel calls take on this host, then the baseline one
+/// where that is another.
+pub fn kernel_isas() -> Vec<KernelIsa> {
+    let detected = KernelIsa {
+        name: kernels::isa(),
+        fwd: kernels::attn_block_fwd,
+        bwd: kernels::attn_block_bwd,
+        exp_in_place: kernels::exp_in_place,
+    };
+    let baseline = KernelIsa {
+        name: "baseline",
+        fwd: kernels::baseline::attn_block_fwd,
+        bwd: kernels::baseline::attn_block_bwd,
+        exp_in_place: kernels::baseline::exp_in_place,
+    };
+    if detected.name == baseline.name {
+        vec![baseline]
+    } else {
+        vec![detected, baseline]
+    }
+}
+
+/// The exponentials worth timing against each other, by name: libm's `expf`
+/// one call at a time, then the kernels' own loop at each of their widths.
+pub fn exp_loops() -> Vec<(&'static str, ExpLoop)> {
+    let libm: ExpLoop = |xs| xs.iter_mut().for_each(|x| *x = x.exp());
+    let ours = kernel_isas().into_iter().rev();
+    std::iter::once(("libm", libm))
+        .chain(ours.map(|isa| (isa.name, isa.exp_in_place)))
+        .collect()
 }
 
 /// Mean of a slice.

@@ -225,6 +225,54 @@ fn add_into(acc: &mut [f32], part: &[f32]) {
     }
 }
 
+/// Checks every tensor of a call against the shape `layout` gives its block:
+/// the kernels slice them without looking, so a batch built for another
+/// layout, or a `d_o` / `fwd_out` block of the wrong length, would otherwise
+/// panic on an index somewhere inside one.
+fn check_shapes(
+    layout: &BatchLayout,
+    data: &BatchData,
+    grads_in: Option<GradsIn<'_>>,
+) -> DcpResult<()> {
+    let blocks = layout.token_blocks.len();
+    for (name, tensors) in [("q", &data.q), ("k", &data.k), ("v", &data.v)] {
+        if tensors.len() != blocks {
+            return Err(DcpError::invalid_argument(format!(
+                "the batch data holds {} {name} blocks, the layout {blocks} token blocks",
+                tensors.len()
+            )));
+        }
+    }
+    let (qh, kvh) = BatchData::head_counts(layout);
+    let dim = layout.attn.head_dim as usize;
+    for (i, block) in layout.token_blocks.iter().enumerate() {
+        let (tb, len) = (TokenBlockId(i as u32), block.len as usize);
+        let expect = |name: &str, got: usize, want: usize| {
+            if got == want {
+                return Ok(());
+            }
+            Err(DcpError::invalid_argument(format!(
+                "{name} of {tb:?} holds {got} elements, its {len} tokens need {want}"
+            )))
+        };
+        expect("q", data.q[i].len(), len * qh * dim)?;
+        expect("k", data.k[i].len(), len * kvh * dim)?;
+        expect("v", data.v[i].len(), len * kvh * dim)?;
+        let Some((fwd_out, d_o)) = grads_in else {
+            continue;
+        };
+        let (Some(out), Some(d_o)) = (fwd_out.get(&tb), d_o.get(&tb)) else {
+            return Err(DcpError::invalid_argument(format!(
+                "missing forward output or dO for {tb:?}"
+            )));
+        };
+        expect("dO", d_o.len(), len * qh * dim)?;
+        expect("the forward output", out.o.len(), len * qh * dim)?;
+        expect("the forward lse", out.lse.len(), len * qh)?;
+    }
+    Ok(())
+}
+
 /// The numeric backend: batch data in, per-device accumulators, and the
 /// executor's span stream.
 struct Numeric<'a> {
@@ -596,7 +644,9 @@ impl<'a> Backend for Numeric<'a> {
 ///
 /// Returns [`DcpError::InvalidPlan`], carrying the walker's diagnostic, if
 /// the plan reads data that was never communicated, deadlocks, or
-/// references unknown blocks, devices or comm ops.
+/// references unknown blocks, devices or comm ops, and
+/// [`DcpError::InvalidArgument`], naming the block, if `data` does not have
+/// the shapes of `layout`.
 pub fn execute_forward(
     layout: &BatchLayout,
     placement: &Placement,
@@ -639,6 +689,7 @@ pub fn execute_forward_recovery(
     ctx: &RecoveryCtx,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockOut>> {
+    check_shapes(layout, data, None)?;
     let mut num = Numeric::new(layout, phase, data, obs, ObsPhase::Fwd);
     Stream {
         phase,
@@ -681,7 +732,8 @@ pub fn execute_forward_recovery(
 /// # Errors
 ///
 /// Returns [`DcpError::InvalidPlan`] as [`execute_forward`] does, and
-/// [`DcpError::InvalidArgument`] if `d_o` or `fwd_out` is missing a block.
+/// [`DcpError::InvalidArgument`], naming the block, if `data`, `d_o` or
+/// `fwd_out` is missing a block or holds one of another shape.
 pub fn execute_backward(
     layout: &BatchLayout,
     placement: &Placement,
@@ -729,14 +781,7 @@ pub fn execute_backward_recovery(
     ctx: &RecoveryCtx,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    for i in 0..layout.token_blocks.len() {
-        let tb = TokenBlockId(i as u32);
-        if !d_o.contains_key(&tb) || !fwd_out.contains_key(&tb) {
-            return Err(DcpError::invalid_argument(format!(
-                "missing forward output or dO for {tb:?}"
-            )));
-        }
-    }
+    check_shapes(layout, data, Some((fwd_out, d_o)))?;
     let mut num = Numeric::new(layout, phase, data, obs, ObsPhase::Bwd);
     num.grads_in = Some((fwd_out, d_o));
     Stream {

@@ -20,13 +20,24 @@
 //! - a query row's allowed keys are its mask's two spans clipped to the KV
 //!   block, never a per-key test;
 //! - the hot bodies are compiled once per usual head dim and once generic;
-//! - all buffers come from one thread-local [`Scratch`].
+//! - all buffers come from one thread-local [`Scratch`];
+//! - every exponential is the crate's own [`exp`]: f32 multiplies, adds and
+//!   integer operations that vectorize with the loop around them.
+//!
+//! That one source is compiled at two vector widths (DESIGN.md §7, "One
+//! source, two widths"): the baseline every target has, and on `x86_64` an
+//! AVX2 copy that [`run`] takes, per call, when the CPU has it. A wider
+//! vector only holds more of the independent lanes above, and no fused
+//! multiply-add is ever written or enabled, so every lane is the same
+//! sequence of the same roundings at either width: the outputs are
+//! bit-equal, and [`baseline`] exists so a test on an AVX2 host can say so.
 
 use std::cell::RefCell;
 
 use dcp_mask::Mask;
 
-/// Keys per score tile: four SSE vectors of accumulators per query row.
+/// Keys per score tile: four SSE vectors of accumulators per query row, or
+/// two AVX ones.
 const TILE: usize = 16;
 
 /// Query heads of one GQA group scored against a key tile together.
@@ -60,14 +71,59 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+/// `e^x` in f32 multiplies, adds and integer operations only, so it gives the
+/// same bits on every host and at every vector width, and a loop over it
+/// vectorizes. Within 1 ULP of the correctly rounded value and monotone over
+/// every float of `[-87, 88.72283]` (`tests/kernel_oracle.rs` checks every
+/// float of the half the kernels use, `[-87, -0]`, and a strided sample of
+/// the other); `exp(±0)` is exactly 1, inputs below -87 give `+0.0` — the
+/// results there would be about to go subnormal — inputs above 88.72283 give
+/// `+inf`, NaN gives NaN.
+///
+/// `x = n·ln 2 + r` with `n` the nearest integer: adding 1.5·2²³ rounds
+/// `x·log₂e` to an integer in the low mantissa bits of `t` (no `floor`, no
+/// float→int conversion), `ln 2` is split Cody–Waite style into a 9-bit head,
+/// whose product with `n` is exact, and a tail, `e^r` on `|r| ≤ ½ ln 2` is a
+/// degree-6 minimax polynomial with its first two coefficients pinned to 1
+/// (3.8e-9 relative, 0.06 ULP, before any rounding), and `2ⁿ` is `n` shifted
+/// into the exponent field and added to the polynomial's bits.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    const ROUND: f32 = 12_582_912.0; // 1.5 · 2²³
+    const LN2_HEAD: f32 = 355.0 / 512.0;
+    const LN2_TAIL: f32 = -2.121_944_4e-4; // ln 2 − LN2_HEAD
+    const C: [f32; 5] = [
+        0.499_999_94,
+        0.166_665_21,
+        0.041_668_39,
+        0.008_368_719,
+        0.001_381_459_4,
+    ];
+    let t = x * std::f32::consts::LOG2_E + ROUND;
+    let n = t - ROUND;
+    let r = (x - n * LN2_HEAD) - n * LN2_TAIL;
+    let q = (((C[4] * r + C[3]) * r + C[2]) * r + C[1]) * r + C[0];
+    let e_r = 1.0 + (r + r * r * q);
+    let y = f32::from_bits(e_r.to_bits().wrapping_add(t.to_bits() << 23));
+    // Selects, not branches: NaN fails both comparisons and comes back NaN.
+    if x < -87.0 {
+        0.0
+    } else if x <= 88.722_83 {
+        y
+    } else {
+        x + f32::INFINITY
+    }
+}
+
 /// Dot product of two equal-length rows, summed left to right.
-#[inline]
+#[inline(always)]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Writes `src` (`[key][kv_head][d]`) into `dst` tile by tile as
 /// `[kv_head][key / TILE][d][key % TILE]`, the last tile zero-padded.
+#[inline(always)]
 fn pack_tiles(dst: &mut Vec<f32>, src: &[f32], kvh: usize, dim: usize) {
     let kv_len = src.len() / (kvh * dim);
     let kp = kv_len.next_multiple_of(TILE);
@@ -89,6 +145,7 @@ fn pack_tiles(dst: &mut Vec<f32>, src: &[f32], kvh: usize, dim: usize) {
 }
 
 /// Writes `src` (`[key][kv_head][d]`) into `dst` as `[kv_head][key][d]`.
+#[inline(always)]
 fn pack_rows(dst: &mut Vec<f32>, src: &[f32], kvh: usize, dim: usize) {
     let kv_len = src.len() / (kvh * dim);
     dst.resize(src.len(), 0.0);
@@ -247,6 +304,7 @@ fn scatter_rows<const N: usize>(
 
 /// The largest of `xs` over the keys of `spans` (`-inf` when there is none,
 /// NaNs ignored), as a left-to-right `f32::max` fold gives it.
+#[inline(always)]
 fn max_in_key_order(xs: &[f32], spans: Spans) -> f32 {
     // One `maxps` per vector where `f32::max` is five instructions; the two
     // agree on everything but which zero wins a tie.
@@ -276,6 +334,7 @@ fn max_in_key_order(xs: &[f32], spans: Spans) -> f32 {
 /// Each query row's allowed keys inside the KV block, block-local, in row
 /// order: the mask's runs under the Q block are walked once, not searched
 /// per row.
+#[inline(always)]
 fn row_spans<'a>(a: &BlockArgs<'a>) -> impl Iterator<Item = Spans> + 'a {
     let (kv_start, kv_end) = (a.kv_start, a.kv_start + a.kv_len as u32);
     let q_end = a.q_start + a.q_len as u32;
@@ -288,12 +347,14 @@ fn row_spans<'a>(a: &BlockArgs<'a>) -> impl Iterator<Item = Spans> + 'a {
     })
 }
 
+#[inline(always)]
 fn is_empty(spans: Spans) -> bool {
     spans.iter().all(|(lo, hi)| lo == hi)
 }
 
 /// The query heads in ascending order as `(first head, count)` runs of up to
 /// [`PAIR`] heads that share a KV head.
+#[inline(always)]
 fn head_pairs(qh: usize, group: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..qh / group).flat_map(move |g| {
         (0..group)
@@ -365,9 +426,9 @@ impl BlockAcc {
             let c_self = if self.m[r] == f32::NEG_INFINITY {
                 0.0
             } else {
-                (self.m[r] - new_m).exp()
+                exp(self.m[r] - new_m)
             };
-            let c_other = (om - new_m).exp();
+            let c_other = exp(om - new_m);
             self.l[r] = self.l[r] * c_self + other.l[r] * c_other;
             let base = r * self.dim;
             let dst = &mut self.o[base..base + self.dim];
@@ -435,12 +496,13 @@ pub struct BlockArgs<'a> {
 /// of the paper; the fused rescale of the paper's Blockwise Attention
 /// instruction).
 pub fn attn_block_fwd(acc: &mut BlockAcc, a: BlockArgs<'_>) {
-    debug_assert_eq!(acc.len, a.q_len);
-    debug_assert_eq!(acc.qh, a.qh);
-    SCRATCH.with_borrow_mut(|s| with_head_dim!(a.dim, fwd_body(acc, a, s)));
+    run(Call::Fwd(acc, a), true);
 }
 
+#[inline(always)]
 fn fwd_body<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratch) {
+    debug_assert_eq!(acc.len, a.q_len);
+    debug_assert_eq!(acc.qh, a.qh);
     let dim = if D == 0 { a.dim } else { D };
     let group = a.qh / a.kvh;
     let kp = a.kv_len.next_multiple_of(TILE);
@@ -468,12 +530,12 @@ fn fwd_body<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratc
                 let correction = if acc.m[r] == f32::NEG_INFINITY {
                     0.0
                 } else {
-                    (acc.m[r] - new_m).exp()
+                    exp(acc.m[r] - new_m)
                 };
                 acc.m[r] = new_m;
                 for (lo, hi) in spans {
                     for x in &mut p[lo..hi] {
-                        *x = (*x - new_m).exp();
+                        *x = exp(*x - new_m);
                     }
                 }
                 let orow = &mut acc.o[r * dim..][..dim];
@@ -505,12 +567,12 @@ pub(crate) fn merge_into(o: &mut [f32], lse: &mut [f32], o2: &[f32], lse2: &[f32
         let ea = if a == f32::NEG_INFINITY {
             0.0
         } else {
-            (a - m).exp()
+            exp(a - m)
         };
         let eb = if b == f32::NEG_INFINITY {
             0.0
         } else {
-            (b - m).exp()
+            exp(b - m)
         };
         let sum = ea + eb;
         *lse = m + sum.ln();
@@ -556,9 +618,10 @@ pub struct BlockBwdArgs<'a> {
 /// `dV += P^T dO`, `dP = dO V^T`, `delta = rowsum(dO * O)`,
 /// `dS = P * (dP - delta)`, `dQ += dS K * scale`, `dK += dS^T Q * scale`.
 pub fn attn_block_bwd(args: BlockBwdArgs<'_>, dq: &mut [f32], dk: &mut [f32], dv: &mut [f32]) {
-    SCRATCH.with_borrow_mut(|s| with_head_dim!(args.fwd.dim, bwd_body(args, dq, dk, dv, s)));
+    run(Call::Bwd(args, dq, dk, dv), true);
 }
 
+#[inline(always)]
 fn bwd_body<const D: usize>(
     args: BlockBwdArgs<'_>,
     dq: &mut [f32],
@@ -600,10 +663,10 @@ fn bwd_body<const D: usize>(
                 // delta = rowsum(dO * O).
                 let delta = dot(&args.d_o[r * dim..][..dim], &args.o[r * dim..][..dim]);
                 for (lo, hi) in spans {
-                    for j in lo..hi {
+                    for (p, ds) in p[lo..hi].iter_mut().zip(&mut ds[lo..hi]) {
                         // P = exp(S - lse); dS = P * (dP - delta) * scale.
-                        p[j] = (p[j] - lse_r).exp();
-                        ds[j] = p[j] * (ds[j] - delta) * a.scale;
+                        *p = exp(*p - lse_r);
+                        *ds = *p * (*ds - delta) * a.scale;
                     }
                 }
                 live[n_live] = (r, &*p, &*ds);
@@ -631,6 +694,139 @@ fn bwd_body<const D: usize>(
                 gather_rows(&mut dq[r * dim..][..dim], ds, &a.k[head..], kv_row, spans);
             }
         }
+    }
+}
+
+/// One kernel call, so that the fork between the two instantiations is
+/// written once, in [`run`], for every entry point.
+enum Call<'a, 'b> {
+    Fwd(&'b mut BlockAcc, BlockArgs<'a>),
+    Bwd(
+        BlockBwdArgs<'a>,
+        &'b mut [f32],
+        &'b mut [f32],
+        &'b mut [f32],
+    ),
+    Exp(&'b mut [f32]),
+}
+
+/// Compiles the kernel source — [`fwd_body`], [`bwd_body`] and everything
+/// they inline — into module `$isa` under the attributes given: those
+/// attributes are all that separates two instantiations.
+macro_rules! instantiate {
+    ($(#[$width:meta])* mod $isa:ident) => {
+        mod $isa {
+            use super::*;
+
+            // One function per head dim, never merged into `run`: the
+            // optimizer knows that `dq`, `dk`, `dv` and the scratch do not
+            // overlap only while they are reference parameters (the backward
+            // ran at half its speed as one function over a `Call`'s fields).
+            $(#[$width])*
+            #[inline(never)]
+            fn fwd<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratch) {
+                fwd_body::<D>(acc, a, s)
+            }
+
+            $(#[$width])*
+            #[inline(never)]
+            fn bwd<const D: usize>(
+                args: BlockBwdArgs<'_>,
+                dq: &mut [f32],
+                dk: &mut [f32],
+                dv: &mut [f32],
+                s: &mut Scratch,
+            ) {
+                bwd_body::<D>(args, dq, dk, dv, s)
+            }
+
+            $(#[$width])*
+            pub(super) fn run(call: Call<'_, '_>, s: &mut Scratch) {
+                match call {
+                    Call::Fwd(acc, a) => with_head_dim!(a.dim, fwd(acc, a, s)),
+                    Call::Bwd(args, dq, dk, dv) => {
+                        with_head_dim!(args.fwd.dim, bwd(args, dq, dk, dv, s))
+                    }
+                    Call::Exp(xs) => xs.iter_mut().for_each(|x| *x = exp(*x)),
+                }
+            }
+        }
+    };
+}
+
+instantiate!(mod narrow);
+
+// 256-bit vectors, and not `fma`: every product and every sum is rounded on
+// its own (no fused multiply-add is written, and without the feature nothing
+// can fuse one behind the source's back), because fusing where the CPU can
+// and not where it cannot would make the bits depend on the host.
+#[cfg(target_arch = "x86_64")]
+instantiate!(
+    #[target_feature(enable = "avx2")]
+    mod avx2
+);
+
+/// Whether this CPU takes the wide instantiation.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Runs `call` on this thread's scratch: at the widest instantiation the CPU
+/// has when `wide`, at the baseline otherwise.
+fn run(call: Call<'_, '_>, wide: bool) {
+    SCRATCH.with_borrow_mut(|s| {
+        #[cfg(target_arch = "x86_64")]
+        if wide && has_avx2() {
+            // SAFETY: `avx2::run` enables `avx2` and nothing else, and
+            // `has_avx2` has just seen that feature on the running CPU.
+            return unsafe { avx2::run(call, s) };
+        }
+        let _ = wide;
+        narrow::run(call, s)
+    })
+}
+
+/// The instantiation [`attn_block_fwd`] and [`attn_block_bwd`] take on this
+/// host: `"avx2"` or `"baseline"` (for benchmark reports).
+#[doc(hidden)]
+pub fn isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// `x = exp(x)` for every element, at the width the kernels run at: the
+/// kernels' exponential loop on its own, for tests and micro-benchmarks.
+#[doc(hidden)]
+pub fn exp_in_place(xs: &mut [f32]) {
+    run(Call::Exp(xs), true);
+}
+
+/// The kernels at the baseline width whatever the CPU has. No configuration
+/// reaches this module: it is here so that tests and benchmarks on an AVX2
+/// host can compare the two instantiations.
+#[doc(hidden)]
+pub mod baseline {
+    use super::{run, BlockAcc, BlockArgs, BlockBwdArgs, Call};
+
+    /// [`super::attn_block_fwd`], baseline instantiation.
+    pub fn attn_block_fwd(acc: &mut BlockAcc, a: BlockArgs<'_>) {
+        run(Call::Fwd(acc, a), false);
+    }
+
+    /// [`super::attn_block_bwd`], baseline instantiation.
+    pub fn attn_block_bwd(args: BlockBwdArgs<'_>, dq: &mut [f32], dk: &mut [f32], dv: &mut [f32]) {
+        run(Call::Bwd(args, dq, dk, dv), false);
+    }
+
+    /// [`super::exp_in_place`], baseline instantiation.
+    pub fn exp_in_place(xs: &mut [f32]) {
+        run(Call::Exp(xs), false);
     }
 }
 

@@ -1,16 +1,23 @@
 //! The kernel bit contract: `attn_block_fwd` / `attn_block_bwd` must produce
-//! exactly the bits of the scalar kernels they replaced.
+//! exactly the bits of the scalar kernels they replaced, at every vector
+//! width they are compiled for.
 //!
 //! [`oracle`] holds those kernels as they stood before the vector-shaped
 //! rewrite (strict left-to-right dots, a per-key mask test, fresh row
 //! buffers per call). They are frozen: nothing in the library may call them,
 //! and they change only if the summation-order contract (DESIGN.md §7)
-//! changes. The sweep below drives both implementations over head dims with
-//! and without a compiled fast path, ragged tiles, GQA groups, every mask
-//! family, and block offsets that produce empty rows, two-span rows and
-//! fully masked blocks, and compares every output with `to_bits()`.
+//! changes — their exponential is the library's [`exp`], whose own contract
+//! (an error bound, not bits) the tests at the end of this file hold. The
+//! sweep below drives the oracle, the instantiation this host's CPU selects
+//! and the baseline one over head dims with and without a compiled fast
+//! path, ragged tiles, GQA groups, every mask family, block offsets that
+//! produce empty rows, two-span rows and fully masked blocks, and scores
+//! spread wide enough to underflow the exponential, and compares every
+//! output with `to_bits()`.
 
-use dcp::exec::kernels::{attn_block_bwd, attn_block_fwd, BlockAcc, BlockArgs, BlockBwdArgs};
+use dcp::exec::kernels::{
+    attn_block_bwd, attn_block_fwd, baseline, exp, exp_in_place, BlockAcc, BlockArgs, BlockBwdArgs,
+};
 use dcp::mask::{Mask, MaskSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,7 +73,7 @@ mod oracle {
                 let correction = if acc.m[r] == f32::NEG_INFINITY {
                     0.0
                 } else {
-                    (acc.m[r] - new_m).exp()
+                    super::exp(acc.m[r] - new_m)
                 };
                 let orow = &mut acc.o[qbase..qbase + a.dim];
                 for o in orow.iter_mut() {
@@ -78,7 +85,7 @@ mod oracle {
                     if !allowed[j] {
                         continue;
                     }
-                    let p = (scores[j] - new_m).exp();
+                    let p = super::exp(scores[j] - new_m);
                     l_add += p;
                     let vbase = (j * a.kvh + kvh_idx) * a.dim;
                     for (o, &vv) in orow.iter_mut().zip(&a.v[vbase..vbase + a.dim]) {
@@ -117,7 +124,7 @@ mod oracle {
                     let krow = &a.k[kbase..kbase + a.dim];
                     let vrow = &a.v[kbase..kbase + a.dim];
                     let s = dot(qrow, krow) * a.scale;
-                    let p = (s - lse_r).exp();
+                    let p = super::exp(s - lse_r);
                     // dV += p * dO; dP = dO . V ; dS = p * (dP - delta).
                     for (g, &go) in dv[kbase..kbase + a.dim].iter_mut().zip(dorow) {
                         *g += p * go;
@@ -165,13 +172,36 @@ fn masks() -> Vec<Mask> {
     .collect()
 }
 
-fn randv(n: usize, rng: &mut SmallRng) -> Vec<f32> {
-    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+fn randv(n: usize, gain: f32, rng: &mut SmallRng) -> Vec<f32> {
+    (0..n).map(|_| rng.gen_range(-1.0f32..1.0) * gain).collect()
 }
 
 fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|f| f.to_bits()).collect()
 }
+
+type Fwd = fn(&mut BlockAcc, BlockArgs<'_>);
+type Bwd = fn(BlockBwdArgs<'_>, &mut [f32], &mut [f32], &mut [f32]);
+
+/// The implementations compared: the oracle, then the instantiation this
+/// host's CPU selects and the baseline one (the same code where the CPU has
+/// nothing wider).
+const KERNELS: [(&str, Fwd, Bwd); 3] = [
+    ("oracle", oracle::attn_block_fwd, oracle::attn_block_bwd),
+    ("detected", attn_block_fwd, attn_block_bwd),
+    (
+        "baseline",
+        baseline::attn_block_fwd,
+        baseline::attn_block_bwd,
+    ),
+];
+
+/// `q`'s magnitude in a stressed case. A stressed case draws `q` uniform in
+/// `±LOUD` and KV block `i`'s `k` in `±k_gain[i]` — with a gain of 20 there
+/// too, the scores of a row lie hundreds apart, where unit inputs keep them
+/// within a few units — and shows the backward `lse = -inf` on every third
+/// row, keys or no keys.
+const LOUD: f32 = 20.0;
 
 /// What the sweep met, so the test can assert it met everything it claims.
 #[derive(Default)]
@@ -181,11 +211,35 @@ struct Seen {
     two_span_rows: usize,
     masked_blocks: usize,
     softmaxless_rows: usize,
+    /// Rows with a key more than 87 below the row's own maximum: `P = +0`.
+    underflowed_rows: usize,
+    /// Rows of a second KV block that lies wholly more than 87 below the
+    /// running maximum: every `P` is `+0` and the rescale is by exactly 1.
+    swamped_rows: usize,
+    /// Rows whose running maximum a second KV block raises by more than 87:
+    /// the accumulated state is rescaled by `+0`.
+    zeroed_rows: usize,
+    /// Backward rows with keys in the block and `lse = -inf`.
+    dead_lse_rows: usize,
+}
+
+/// The scores of query row `(t, h)` against its allowed keys of the KV
+/// block, as every kernel computes them.
+fn scores(a: &BlockArgs<'_>, t: usize, h: usize) -> Vec<f32> {
+    let allowed = a.mask.allowed(a.q_start + t as u32);
+    let q = &a.q[(t * a.qh + h) * a.dim..][..a.dim];
+    let keys = (0..a.kv_len).filter(|&j| allowed.contains(a.kv_start + j as u32));
+    keys.map(|j| {
+        let k = &a.k[(j * a.kvh + h / (a.qh / a.kvh)) * a.dim..][..a.dim];
+        q.iter().zip(k).map(|(x, y)| x * y).sum::<f32>() * a.scale
+    })
+    .collect()
 }
 
 /// One (Q-block, two KV-blocks) case: forward into a fresh accumulator, then
 /// a second KV block into the same (non-fresh) one, then the backward of the
-/// first block into non-zero gradient buffers.
+/// first block into non-zero gradient buffers. `stress` holds the key gains
+/// of a stressed case ([`LOUD`]).
 #[allow(clippy::too_many_arguments)]
 fn check_case(
     seen: &mut Seen,
@@ -196,21 +250,21 @@ fn check_case(
     (qh, kvh): (usize, usize),
     q_start: u32,
     kv_starts: [u32; 2],
+    stress: Option<[f32; 2]>,
 ) {
     let what = format!(
         "dim {dim} q {q_start}+{q_len} kv {kv_starts:?}+{kv_len} heads {qh}/{kvh} mask #{}",
         seen.cases
     );
-    let q = randv(q_len * qh * dim, rng);
-    let d_o = randv(q_len * qh * dim, rng);
-    let kv: Vec<(Vec<f32>, Vec<f32>)> = (0..2)
-        .map(|_| {
-            (
-                randv(kv_len * kvh * dim, rng),
-                randv(kv_len * kvh * dim, rng),
-            )
-        })
-        .collect();
+    let (q_gain, k_gain) = stress.map_or((1.0, [1.0; 2]), |k_gain| (LOUD, k_gain));
+    let q = randv(q_len * qh * dim, q_gain, rng);
+    let d_o = randv(q_len * qh * dim, 1.0, rng);
+    let kv = k_gain.map(|gain| {
+        (
+            randv(kv_len * kvh * dim, gain, rng),
+            randv(kv_len * kvh * dim, 1.0, rng),
+        )
+    });
     let args = |i: usize| BlockArgs {
         q: &q,
         k: &kv[i].0,
@@ -226,34 +280,63 @@ fn check_case(
         scale: 1.0 / (dim as f32).sqrt(),
     };
 
-    let mut want = BlockAcc::new(q_len, qh, dim);
-    let mut got = BlockAcc::new(q_len, qh, dim);
+    let mut accs = KERNELS.map(|_| BlockAcc::new(q_len, qh, dim));
     for i in 0..2 {
-        oracle::attn_block_fwd(&mut want, args(i));
-        attn_block_fwd(&mut got, args(i));
-        assert_eq!(bits(&got.m), bits(&want.m), "m after block {i}: {what}");
-        assert_eq!(bits(&got.l), bits(&want.l), "l after block {i}: {what}");
-        assert_eq!(bits(&got.o), bits(&want.o), "o after block {i}: {what}");
+        let m_before = accs[0].m.clone();
+        for ((_, fwd, _), acc) in KERNELS.iter().zip(&mut accs) {
+            fwd(acc, args(i));
+        }
+        let [want, others @ ..] = &accs;
+        for ((name, ..), got) in KERNELS[1..].iter().zip(others) {
+            assert_eq!(bits(&got.m), bits(&want.m), "{name} m, block {i}: {what}");
+            assert_eq!(bits(&got.l), bits(&want.l), "{name} l, block {i}: {what}");
+            assert_eq!(bits(&got.o), bits(&want.o), "{name} o, block {i}: {what}");
+        }
+        if stress.is_none() {
+            // Scores a few units apart: nothing below underflows.
+            continue;
+        }
+        for (r, (&before, &after)) in m_before.iter().zip(&want.m).enumerate() {
+            let scores = scores(&args(i), r / qh, r % qh);
+            let Some(top) = scores.iter().copied().reduce(f32::max) else {
+                continue;
+            };
+            let running = before != f32::NEG_INFINITY;
+            seen.underflowed_rows +=
+                usize::from(top - scores.iter().fold(top, |m, &s| m.min(s)) > 87.0);
+            seen.swamped_rows += usize::from(running && before - top > 87.0);
+            seen.zeroed_rows += usize::from(running && after - before > 87.0);
+        }
     }
 
-    let (o, lse) = want.finalize();
-    let grads = [q.len(), kv[0].0.len(), kv[0].0.len()].map(|n| randv(n, rng));
-    let bwd = BlockBwdArgs {
+    let [want, ..] = &accs;
+    let (o, mut lse) = want.finalize();
+    seen.softmaxless_rows += lse.iter().filter(|&&x| x == f32::NEG_INFINITY).count();
+    if stress.is_some() {
+        for (r, lse) in lse.iter_mut().enumerate().step_by(3) {
+            seen.dead_lse_rows += usize::from(!scores(&args(0), r / qh, r % qh).is_empty());
+            *lse = f32::NEG_INFINITY;
+        }
+    }
+    let grads = [q.len(), kv[0].0.len(), kv[0].0.len()].map(|n| randv(n, 1.0, rng));
+    let bwd_args = BlockBwdArgs {
         fwd: args(0),
         o: &o,
         lse: &lse,
         d_o: &d_o,
     };
-    let [mut dq, mut dk, mut dv] = grads.clone();
-    oracle::attn_block_bwd(bwd, &mut dq, &mut dk, &mut dv);
-    let [mut dq2, mut dk2, mut dv2] = grads;
-    attn_block_bwd(bwd, &mut dq2, &mut dk2, &mut dv2);
-    assert_eq!(bits(&dq2), bits(&dq), "dq: {what}");
-    assert_eq!(bits(&dk2), bits(&dk), "dk: {what}");
-    assert_eq!(bits(&dv2), bits(&dv), "dv: {what}");
+    let [want, others @ ..] = KERNELS.map(|(_, _, bwd)| {
+        let [mut dq, mut dk, mut dv] = grads.clone();
+        bwd(bwd_args, &mut dq, &mut dk, &mut dv);
+        [dq, dk, dv].map(|g| bits(&g))
+    });
+    for ((name, ..), got) in KERNELS[1..].iter().zip(others) {
+        for (grad, (got, want)) in ["dq", "dk", "dv"].iter().zip(got.iter().zip(&want)) {
+            assert_eq!(got, want, "{name} {grad}: {what}");
+        }
+    }
 
     seen.cases += 1;
-    seen.softmaxless_rows += lse.iter().filter(|&&x| x == f32::NEG_INFINITY).count();
     for kv_start in kv_starts {
         let kv_end = kv_start + kv_len as u32;
         let spans = (q_start..q_start + q_len as u32).map(|t| {
@@ -330,8 +413,30 @@ fn sweep(dim: usize) -> Seen {
                     heads,
                     q_start,
                     kv_starts,
+                    None,
                 );
             }
+        }
+    }
+    // Scores hundreds apart, which the exponential underflows on: inside one
+    // row, across the two KV blocks in either order (the quiet block is
+    // swamped by the running maximum, or the loud one zeroes what the quiet
+    // one accumulated), and a backward that must skip rows that have keys.
+    for k_gain in [[LOUD, 0.01], [0.01, LOUD]] {
+        for mask in &masks {
+            let (lens, heads) = ((33, 64), HEADS[3]);
+            let kv_starts = [128, 192];
+            check_case(
+                &mut seen,
+                &mut rng,
+                mask,
+                dim,
+                lens,
+                heads,
+                256,
+                kv_starts,
+                Some(k_gain),
+            );
         }
     }
     seen
@@ -343,6 +448,13 @@ fn assert_covered(seen: &Seen) {
     assert!(seen.two_span_rows > 0, "no two-span row met");
     assert!(seen.masked_blocks > 0, "no fully masked block met");
     assert!(seen.softmaxless_rows > 0, "no row without a softmax met");
+    assert!(seen.underflowed_rows > 0, "no underflow inside a row met");
+    assert!(seen.swamped_rows > 0, "no swamped second block met");
+    assert!(seen.zeroed_rows > 0, "no rescale by zero met");
+    assert!(
+        seen.dead_lse_rows > 0,
+        "no backward row with keys but no lse"
+    );
 }
 
 macro_rules! oracle_sweeps {
@@ -364,4 +476,87 @@ oracle_sweeps! {
     bit_equal_dim_24: 24,
     bit_equal_dim_64: 64,
     bit_equal_dim_128: 128,
+}
+
+/// Every `step`-th float from `from` towards `to` (both of one sign, `to` the
+/// larger in magnitude): [`exp`] is within `EXP_MAX_ULPS` of the f64 `exp`
+/// rounded to f32, never moves against its argument, and the library's loops
+/// over it, at the detected and the baseline width, give its very bits.
+fn check_exp_between(from: f32, to: f32, step: usize) {
+    let mut prev = exp(from);
+    let mut xs = (from.to_bits()..=to.to_bits())
+        .step_by(step)
+        .map(f32::from_bits)
+        .peekable();
+    while xs.peek().is_some() {
+        let chunk: Vec<f32> = xs.by_ref().take(1 << 12).collect();
+        let (mut detected, mut narrow) = (chunk.clone(), chunk.clone());
+        exp_in_place(&mut detected);
+        baseline::exp_in_place(&mut narrow);
+        for (i, &x) in chunk.iter().enumerate() {
+            let (got, want) = (exp(x), (x as f64).exp() as f32);
+            let ulps = got.to_bits().abs_diff(want.to_bits());
+            assert!(
+                ulps <= EXP_MAX_ULPS,
+                "exp({x:e}) = {got:e}, {ulps} ULP from {want:e}"
+            );
+            let ordered = if to < from { got <= prev } else { got >= prev };
+            assert!(
+                ordered,
+                "exp is not monotone at {x:e}: {prev:e} then {got:e}"
+            );
+            prev = got;
+            let in_loops = [detected[i], narrow[i]].map(f32::to_bits);
+            assert_eq!(in_loops, [got.to_bits(); 2], "exp({x:e}) in a loop");
+        }
+    }
+}
+
+/// The bound DESIGN.md §7 states for [`exp`], against the correctly rounded
+/// value, over `[EXP_CUT_OFF, EXP_OVERFLOW]`.
+const EXP_MAX_ULPS: u32 = 1;
+/// Below this [`exp`] is `+0.0`: the true values are about to go subnormal.
+const EXP_CUT_OFF: f32 = -87.0;
+/// The largest input with a finite `e^x` in f32.
+const EXP_OVERFLOW: f32 = 88.722_83;
+
+#[test]
+fn exp_holds_its_bound_on_a_strided_sample() {
+    check_exp_between(-0.0, EXP_CUT_OFF, 1021);
+    check_exp_between(0.0, EXP_OVERFLOW, 1021);
+    let next_towards_zero = |x: f32| f32::from_bits(x.to_bits() - 1);
+    let next_away_from_zero = |x: f32| f32::from_bits(x.to_bits() + 1);
+    // An unchanged running maximum must rescale by exactly 1.
+    for zero in [0.0f32, -0.0] {
+        assert_eq!(exp(zero).to_bits(), 1.0f32.to_bits());
+    }
+    assert_eq!(exp(1e-8).to_bits(), 1.0f32.to_bits());
+    // Both sides of the cut-off, and far below it: `+0.0`, never `-0.0`, a
+    // subnormal or a wrapped exponent.
+    check_exp_between(EXP_CUT_OFF, EXP_CUT_OFF, 1);
+    check_exp_between(next_towards_zero(EXP_CUT_OFF), EXP_CUT_OFF, 1);
+    for below in [
+        next_away_from_zero(EXP_CUT_OFF),
+        -88.0,
+        -104.0,
+        -1e30,
+        f32::NEG_INFINITY,
+    ] {
+        assert_eq!(exp(below).to_bits(), 0.0f32.to_bits(), "exp({below:e})");
+    }
+    check_exp_between(EXP_OVERFLOW, EXP_OVERFLOW, 1);
+    for above in [next_away_from_zero(EXP_OVERFLOW), 89.0, 1e30, f32::INFINITY] {
+        assert_eq!(exp(above), f32::INFINITY, "exp({above:e})");
+    }
+    assert!(exp(f32::NAN).is_nan());
+    assert!(exp(-f32::NAN).is_nan());
+}
+
+/// All 1 118 699 521 floats of the interval the kernels evaluate [`exp`] on
+/// (a score minus a maximum of the scores): about 50 s in release, so CI runs
+/// it there (`-- --include-ignored`) and tier-1 runs the strided sample.
+#[test]
+#[ignore = "exhaustive: ~50 s in release, minutes unoptimized"]
+fn exp_holds_its_bound_on_every_float_of_the_kernels_range() {
+    check_exp_between(-0.0, EXP_CUT_OFF, 1);
 }

@@ -3,7 +3,9 @@
 //! placements, each plan taken clean, through the eight `stream_verify`
 //! mutation classes and through the malformed-plan cases that used to panic
 //! a consumer (ids past the op table or the layout, a forward reduce of
-//! nothing, a stream table that disagrees with the placement).
+//! nothing, a stream table that disagrees with the placement) — and each
+//! clean plan executed on tensors of the wrong shape, which used to panic
+//! inside a kernel.
 //!
 //! The contract, checked for every variant:
 //!
@@ -16,7 +18,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dcp::blocks::{BatchLayout, BlockConfig, CompBlockId, TokenBlockId};
-use dcp::exec::{execute_backward, execute_forward, reference, BatchData};
+use dcp::exec::{execute_backward, execute_forward, reference, BatchData, BlockOut};
 use dcp::mask::MaskSpec;
 use dcp::sched::{
     build_plan, verify_plan, CommId, ExecutionPlan, Instr, Payload, PayloadKind, Placement,
@@ -254,6 +256,21 @@ const MUTATIONS: &[Mutation] = &[
     }),
 ];
 
+/// Seeded inputs and output gradients for `layout`.
+fn random_tensors(layout: &BatchLayout) -> (BatchData, HashMap<TokenBlockId, Vec<f32>>) {
+    let (qh, _) = BatchData::head_counts(layout);
+    let dim = layout.attn.head_dim as usize;
+    let mut rng = SmallRng::seed_from_u64(99);
+    let d_o = (0..layout.token_blocks.len())
+        .map(|i| {
+            let n = layout.token_blocks[i].len as usize * qh * dim;
+            let v = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            (TokenBlockId(i as u32), v)
+        })
+        .collect();
+    (BatchData::random(layout, 2024), d_o)
+}
+
 /// Executes forward + backward and returns the largest deviation from the
 /// dense reference over O, dQ, dK and dV.
 fn execute_vs_reference(
@@ -261,19 +278,11 @@ fn execute_vs_reference(
     placement: &Placement,
     plan: &ExecutionPlan,
 ) -> Result<f32, DcpError> {
-    let data = BatchData::random(layout, 2024);
+    let (data, d_o) = random_tensors(layout);
     let (qh, kvh) = BatchData::head_counts(layout);
     let dim = layout.attn.head_dim as usize;
     let hb = layout.config.head_blocks as usize;
     let (tq, tkv) = (qh * hb, kvh * hb);
-    let mut rng = SmallRng::seed_from_u64(99);
-    let d_o: HashMap<TokenBlockId, Vec<f32>> = (0..layout.token_blocks.len())
-        .map(|i| {
-            let n = layout.token_blocks[i].len as usize * qh * dim;
-            let v = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            (TokenBlockId(i as u32), v)
-        })
-        .collect();
     let out = execute_forward(layout, placement, plan, &data)?;
     let grads = execute_backward(layout, placement, plan, &data, &out, &d_o)?;
 
@@ -380,5 +389,84 @@ fn verifier_executor_and_simulator_agree() {
     }
     for ((name, _), n) in MUTATIONS.iter().zip(applied) {
         assert!(n > 0, "mutation {name} applied to no generated plan");
+    }
+}
+
+/// Everything an execution reads besides the plan.
+#[derive(Clone)]
+struct Tensors {
+    data: BatchData,
+    out: HashMap<TokenBlockId, BlockOut>,
+    d_o: HashMap<TokenBlockId, Vec<f32>>,
+}
+
+/// Token block 0 of every generated layout: the one the cases below break.
+const BROKEN: TokenBlockId = TokenBlockId(0);
+
+type Malformation = (&'static str, bool, fn(&mut Tensors));
+
+/// `(name, reaches the forward pass, what to break)`: tensors that do not
+/// have the shapes the layout gives them. Each used to panic on a slice index
+/// inside a kernel or on a block lookup — but for the block that is too long,
+/// which went unnoticed.
+const MALFORMED_TENSORS: &[Malformation] = &[
+    ("data-of-a-shorter-layout", true, |t| {
+        for tensors in [&mut t.data.q, &mut t.data.k, &mut t.data.v] {
+            tensors.pop();
+        }
+    }),
+    ("short-q-block", true, |t| {
+        t.data.q[0].pop();
+    }),
+    ("k-block-of-half-the-tokens", true, |t| {
+        let half = t.data.k[0].len() / 2;
+        t.data.k[0].truncate(half);
+    }),
+    ("short-v-block", true, |t| {
+        t.data.v[0].pop();
+    }),
+    ("short-dO-block", false, |t| {
+        t.d_o.get_mut(&BROKEN).unwrap().pop();
+    }),
+    ("long-dO-block", false, |t| {
+        t.d_o.get_mut(&BROKEN).unwrap().push(0.0);
+    }),
+    ("short-forward-output", false, |t| {
+        t.out.get_mut(&BROKEN).unwrap().o.pop();
+    }),
+    ("short-forward-lse", false, |t| {
+        t.out.get_mut(&BROKEN).unwrap().lse.pop();
+    }),
+];
+
+#[test]
+fn malformed_tensors_are_typed_errors_not_panics() {
+    for seed in 0..SEEDS {
+        let (layout, placement, plan) = random_case(seed);
+        let (data, d_o) = random_tensors(&layout);
+        let out = execute_forward(&layout, &placement, &plan, &data).unwrap();
+        let clean = Tensors { data, out, d_o };
+        for (name, in_forward, malform) in MALFORMED_TENSORS {
+            let what = format!("seed {seed} {name}");
+            let mut t = clean.clone();
+            malform(&mut t);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                (
+                    execute_forward(&layout, &placement, &plan, &t.data).map(drop),
+                    execute_backward(&layout, &placement, &plan, &t.data, &t.out, &t.d_o).map(drop),
+                )
+            }));
+            let Ok((forward, backward)) = outcome else {
+                panic!("{what}: the executor panicked on malformed tensors");
+            };
+            assert_eq!(forward.is_err(), *in_forward, "{what}: forward {forward:?}");
+            assert!(backward.is_err(), "{what}: the backward accepted them");
+            for e in [forward.err(), backward.err()].into_iter().flatten() {
+                assert!(matches!(e, DcpError::InvalidArgument(_)), "{what}: {e}");
+                // A count mismatch has no block to name; every other case does.
+                let named = e.to_string().contains(&format!("{BROKEN:?}"));
+                assert!(named || name.contains("layout"), "{what}: {e}");
+            }
+        }
     }
 }
