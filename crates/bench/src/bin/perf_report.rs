@@ -56,7 +56,7 @@ use dcp_exec::kernels::{BlockAcc, BlockArgs, BlockBwdArgs};
 use dcp_exec::plans_equivalent;
 use dcp_mask::MaskSpec;
 use dcp_sched::{verify_phase, verify_structure, Instr, PassConfig, PassManager};
-use dcp_sim::{simulate_phase, simulate_plan, simulate_plan_faulted, Fault, FaultSpec};
+use dcp_sim::{simulate, simulate_plan, simulate_plan_faulted, Fault, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec, ModelSpec, PlanTier};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -416,8 +416,13 @@ fn robustness_report(cluster: &ClusterSpec, attn: AttnSpec, n: usize) -> serde_j
                 },
             )
             .expect("patch plan");
-        let clean_fwd = simulate_phase(cluster, &out.plan.fwd).expect("simulate clean fwd");
-        let recovered_fwd = simulate_phase(cluster, &patch.timing).expect("simulate recovered fwd");
+        let none = FaultSpec::none();
+        let clean_fwd = simulate(cluster, &out.plan.fwd, &none)
+            .expect("simulate clean fwd")
+            .sim;
+        let recovered_fwd = simulate(cluster, &patch.timing, &none)
+            .expect("simulate recovered fwd")
+            .sim;
         let st = patch.stats;
         patch_walls.push(st.plan_wall_s);
         recovery_rows.push(json!({
@@ -881,8 +886,9 @@ fn main() {
             pass_bytes_after += fwd.total_comm_bytes();
 
             let mut timing = patch.timing.clone();
-            let t_before = simulate_phase(&cluster, &patch.timing)
+            let t_before = simulate(&cluster, &patch.timing, &FaultSpec::none())
                 .expect("simulate timing")
+                .sim
                 .makespan;
             let timing_outs = pass_pm.run_phase(
                 &out.layout,
@@ -891,8 +897,9 @@ fn main() {
                 &ctx.salvage_comms,
             );
             verify_structure(&timing).expect("optimized timing stream must stay legal");
-            let t_after = simulate_phase(&cluster, &timing)
+            let t_after = simulate(&cluster, &timing, &FaultSpec::none())
                 .expect("simulate optimized timing")
+                .sim
                 .makespan;
             rec_timing_before += t_before;
             rec_timing_after += t_after;

@@ -33,7 +33,8 @@ use dcp_bench::{micro_attn, seed, write_results, Table, BENCH_SCHEMA_VERSION};
 use dcp_core::{PlanOutput, Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, DatasetKind};
 use dcp_mask::MaskSpec;
-use dcp_sim::{simulate_phase_counted, simulate_phase_scratch};
+use dcp_sim::network::Network;
+use dcp_sim::{simulate, simulate_on, FaultSpec, SimRun};
 use dcp_types::ClusterSpec;
 
 /// Weak-scaling token budget per device.
@@ -134,7 +135,8 @@ fn main() {
             let plan_s = median(walls.clone());
 
             let t = Instant::now();
-            let (sim, counters) = simulate_phase_counted(cluster, &out.plan.fwd).expect("simulate");
+            let SimRun { sim, counters, .. } =
+                simulate(cluster, &out.plan.fwd, &FaultSpec::none()).expect("simulate");
             let sim_wall = t.elapsed().as_secs_f64();
             let events_per_s = counters.events as f64 / sim_wall.max(1e-12);
 
@@ -142,9 +144,8 @@ fn main() {
             let oracle_ratio = if *name == "flat" {
                 1.0
             } else {
-                let (oracle_sim, _) =
-                    simulate_phase_counted(cluster, &flat_out.plan.fwd).expect("oracle sim");
-                oracle_sim.makespan / sim.makespan
+                let oracle = simulate(cluster, &flat_out.plan.fwd, &FaultSpec::none());
+                oracle.expect("oracle sim").sim.makespan / sim.makespan
             };
 
             table.row(vec![
@@ -189,13 +190,16 @@ fn main() {
     // gated factor on wall time.
     let (cluster, out, topo) = largest.expect("non-empty sweep");
     let t = Instant::now();
-    let (inc_sim, inc_counters) =
-        simulate_phase_counted(&cluster, &out.plan.fwd).expect("incremental sim");
+    let none = FaultSpec::none();
+    let inc = simulate(&cluster, &out.plan.fwd, &none).expect("incremental sim");
     let inc_wall = t.elapsed().as_secs_f64();
+    let mut scratch = Network::new(cluster.clone());
+    scratch.use_scratch_engine(true);
     let t = Instant::now();
-    let (scr_sim, scr_counters) =
-        simulate_phase_scratch(&cluster, &out.plan.fwd).expect("scratch sim");
+    let scr = simulate_on(&cluster, scratch, &out.plan.fwd, &none).expect("scratch sim");
     let scr_wall = t.elapsed().as_secs_f64();
+    let (inc_sim, inc_counters) = (inc.sim, inc.counters);
+    let (scr_sim, scr_counters) = (scr.sim, scr.counters);
     let bitwise = inc_sim == scr_sim;
     // The scratch reference iterates fresh hash maps, so *its* tie-breaks at
     // this scale wander by an ulp run-to-run; exact bitwise agreement on the

@@ -39,7 +39,7 @@ use dcp_obs::{
 };
 use dcp_sched::plan::{Instr, PhasePlan};
 use dcp_sched::{verify_phase, RecoveryCtx};
-use dcp_sim::{estimate_fault_spec, simulate_phase_faulted, trace_to_obs, Fault, FaultSpec};
+use dcp_sim::{estimate_fault_spec, simulate, trace_to_obs, Fault, FaultSpec, SimRun};
 use dcp_types::{AttnSpec, ClusterSpec};
 
 /// The pinned fault scenario (`tests/robustness.rs` faults 1 and 3).
@@ -179,10 +179,10 @@ fn main() {
         let out = planner.plan(&batch.seqs).expect("pinned workload plans");
         for (phase, pp) in [(Phase::Fwd, &out.plan.fwd), (Phase::Bwd, &out.plan.bwd)] {
             let backward = phase == Phase::Bwd;
-            let (clean_sim, clean_trace) =
-                simulate_phase_faulted(&cluster, pp, &FaultSpec::none()).expect("clean sim");
-            let (fault_sim, fault_trace) =
-                simulate_phase_faulted(&cluster, pp, &spec).expect("faulted sim");
+            let clean = simulate(&cluster, pp, &FaultSpec::none()).expect("clean sim");
+            let faulted = simulate(&cluster, pp, &spec).expect("faulted sim");
+            let (clean_sim, clean_trace) = (clean.sim, clean.trace);
+            let (fault_sim, fault_trace) = (faulted.sim, faulted.trace);
             let clean_ev = trace_to_obs(&clean_trace, phase, Some(bi as u64));
             let fault_ev = trace_to_obs(&fault_trace, phase, Some(bi as u64));
 
@@ -273,7 +273,7 @@ fn main() {
     let mut aware_faulted_makespans = Vec::new();
     for batch in &bs {
         let out = aware.plan(&batch.seqs).expect("fault-aware plan");
-        let (sim, _) = simulate_phase_faulted(&cluster, &out.plan.bwd, &spec).expect("aware sim");
+        let SimRun { sim, .. } = simulate(&cluster, &out.plan.bwd, &spec).expect("aware sim");
         aware_faulted_makespans.push(sim.makespan);
     }
     let naive_mean = dcp_bench::mean(&naive_faulted_makespans);

@@ -23,7 +23,9 @@ use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
 use dcp_exec::kernels::{self, BlockAcc, BlockArgs, BlockBwdArgs};
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event as ObsEvent, ObsHandle, ObsSink, RecordingSink};
-use dcp_sim::{simulate_phase_traced, simulate_plan, trace_to_obs, PlanSim, TraceEvent, TraceKind};
+use dcp_sim::{
+    simulate, simulate_plan, trace_to_obs, FaultSpec, PlanSim, SimRun, TraceEvent, TraceKind,
+};
 use dcp_types::{AttnSpec, ClusterSpec, DcpResult};
 use serde::Serialize;
 
@@ -553,7 +555,7 @@ pub fn trace_workload(
     execute: bool,
 ) -> DcpResult<TraceOutcome> {
     use dcp_blocks::TokenBlockId;
-    use dcp_exec::{execute_backward_obs, execute_forward_obs, BatchData, ExecObs};
+    use dcp_exec::{execute_backward_recovery, execute_forward_obs, BatchData, ExecObs};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -580,13 +582,14 @@ pub fn trace_workload(
             }
             let eo = ExecObs::new(sink.as_ref()).with_iter(iter);
             let fwd = execute_forward_obs(&out.layout, &out.placement, &out.plan, &data, &eo)?;
-            execute_backward_obs(
+            execute_backward_recovery(
                 &out.layout,
                 &out.placement,
-                &out.plan,
+                &out.plan.bwd,
                 &data,
                 &fwd,
                 &d_o,
+                &Default::default(),
                 &eo,
             )?;
         }
@@ -594,7 +597,7 @@ pub fn trace_workload(
             ("fwd", dcp_obs::Phase::Fwd, &out.plan.fwd),
             ("bwd", dcp_obs::Phase::Bwd, &out.plan.bwd),
         ] {
-            let (sim, trace) = simulate_phase_traced(cluster, plan_phase)?;
+            let SimRun { sim, trace, .. } = simulate(cluster, plan_phase, &FaultSpec::none())?;
             sink.record_all(trace_to_obs(&trace, obs_phase, Some(iter)));
             for (d, tl) in sim.devices.iter().enumerate() {
                 device_comm[d].0 += tl.comm_active;

@@ -1,7 +1,7 @@
 //! The numeric backend of the stream walker.
 //!
 //! [`dcp_sched::stream`] owns what an instruction stream means — the
-//! round-robin order, who deposits what at `CommLaunch`, what a `CommWait`
+//! order devices run in, who deposits what at `CommLaunch`, what a `CommWait`
 //! blocks on, which blocks a device may read — and rejects illegal streams
 //! with the verifier's typed diagnostics. This module supplies the data:
 //! a deposited slot is an f32 tensor (or a raw accumulator on a salvage
@@ -21,9 +21,10 @@ use std::time::Instant;
 
 use dcp_blocks::{BatchLayout, TokenBlockId};
 use dcp_obs::{Event, ObsSink, Phase as ObsPhase, Source as ObsSource, NOOP};
-use dcp_sched::stream::{AttnItem, Backend, Stream};
+use dcp_sched::stream::{At, AttnItem, Backend, Stream, Wake};
 use dcp_sched::{
     ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx, ReduceItem,
+    Transfer,
 };
 use dcp_types::{DcpError, DcpResult};
 use rand::rngs::SmallRng;
@@ -409,10 +410,10 @@ impl<'a> Backend for Numeric<'a> {
         }
     }
 
-    fn deposit(&mut self, dev: u32, payload: Payload, raw: bool) -> Data<'a> {
+    fn deposit(&mut self, dev: u32, _op: u32, tr: &Transfer, raw: bool) -> Data<'a> {
         const HELD: &str = "the walker checked the device accumulates this block";
         let (d, data) = (dev as usize, self.data);
-        match payload {
+        match tr.payload {
             Payload::Q(tb) => Data::Q(&data.q[tb.0 as usize]),
             Payload::Kv(tb) => Data::Kv(&data.k[tb.0 as usize], &data.v[tb.0 as usize]),
             Payload::DO(tb) => {
@@ -578,11 +579,11 @@ impl<'a> Backend for Numeric<'a> {
     /// per-division index, and the bytes/flops payload. The walker's order
     /// depends only on plan structure — rayon parallelism stays inside an
     /// instruction — so the stream is deterministic across thread counts.
-    fn polled(&mut self, dev: u32, ins: &Instr, retired: bool) {
+    fn polled(&mut self, at: At, ins: &Instr, retired: bool, _wake: &mut Wake) {
         if !self.enabled {
             return;
         }
-        let d = dev as usize;
+        let (dev, d) = (at.dev, at.dev as usize);
         let (polled_at, now) = (self.mark, Instant::now());
         self.mark = now;
         if !retired {
@@ -660,7 +661,9 @@ pub fn execute_forward(
 /// instruction (`attn` / `reduce` / `copy` / `comm_launch` / `comm_wait`,
 /// with per-division indices and bytes/flops payloads) plus per-device
 /// `peak_buffer_bytes` gauges. With [`ExecObs::disabled`] the overhead is a
-/// single branch per instruction.
+/// single branch per instruction. Kept as a name because `benchmark/` calls
+/// it (ROADMAP item 1(c) retires it): it is [`execute_forward_recovery`]
+/// with the default context, which is how the backward is observed too.
 pub fn execute_forward_obs(
     layout: &BatchLayout,
     placement: &Placement,
@@ -742,28 +745,14 @@ pub fn execute_backward(
     fwd_out: &HashMap<TokenBlockId, BlockOut>,
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    let obs = ExecObs::disabled();
-    execute_backward_obs(layout, placement, plan, data, fwd_out, d_o, &obs)
-}
-
-/// [`execute_backward`] with observability — the backward mirror of
-/// [`execute_forward_obs`] (`attn_bwd` spans instead of `attn`).
-pub fn execute_backward_obs(
-    layout: &BatchLayout,
-    placement: &Placement,
-    plan: &ExecutionPlan,
-    data: &BatchData,
-    fwd_out: &HashMap<TokenBlockId, BlockOut>,
-    d_o: &HashMap<TokenBlockId, Vec<f32>>,
-    obs: &ExecObs<'_>,
-) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    let ctx = RecoveryCtx::default();
-    execute_backward_recovery(layout, placement, &plan.bwd, data, fwd_out, d_o, &ctx, obs)
+    let (ctx, obs) = (RecoveryCtx::default(), ExecObs::disabled());
+    execute_backward_recovery(layout, placement, &plan.bwd, data, fwd_out, d_o, &ctx, &obs)
 }
 
 /// Executes a backward phase under recovery semantics (a patch's
 /// `RecoveryPatch::ctx`) — the backward mirror of
-/// [`execute_forward_recovery`]. Gradient accumulators are plain sums, so a
+/// [`execute_forward_recovery`], spans included (`attn_bwd` instead of
+/// `attn`). Gradient accumulators are plain sums, so a
 /// salvaged running sum resumes bitwise exactly where the dead stream's
 /// reduction frontier left off.
 ///

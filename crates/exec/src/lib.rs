@@ -28,8 +28,8 @@ pub mod reference;
 pub mod train;
 
 pub use executor::{
-    execute_backward, execute_backward_obs, execute_backward_recovery, execute_forward,
-    execute_forward_obs, execute_forward_recovery, BatchData, BlockGrads, BlockOut, ExecObs,
+    execute_backward, execute_backward_recovery, execute_forward, execute_forward_obs,
+    execute_forward_recovery, BatchData, BlockGrads, BlockOut, ExecObs,
 };
 pub use oracle::{
     forward_outputs_identical, grads_identical, plans_equivalent, random_output_grads,

@@ -18,9 +18,9 @@
 //!    peak block-buffer memory with slot reuse.
 //!
 //! The resulting [`ExecutionPlan`] is given meaning by one driver, the
-//! [`stream`] walker, which the numerical executor (`dcp-exec`) and the
-//! verifier ([`verify`]) plug backends into; the cluster simulator
-//! (`dcp-sim`) shares its deposit and arrival rules. Plans serialize to
+//! [`stream`] walker, which the numerical executor (`dcp-exec`), the
+//! verifier ([`verify`]) and the cluster simulator (`dcp-sim`) plug
+//! backends into. Plans serialize to
 //! JSON for the dataloader-to-executor handoff the paper implements with a
 //! distributed KV store.
 

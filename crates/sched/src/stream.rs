@@ -1,23 +1,22 @@
 //! The one stream walker: what a rendered instruction stream *means*.
 //!
 //! A [`PhasePlan`] is immutable IR; [`Stream::walk`] is the only driver that
-//! gives it meaning. The walker owns everything every consumer must agree
-//! on — round-robin progress with deadlock detection, shape and id bounds,
-//! the deposit rule at `CommLaunch`, the arrival rule at `CommWait`,
-//! salvage-accumulator install, the locality predicate and per-item input
-//! resolution — and is generic over a small [`Backend`] that says what a
-//! deposited slot *is* and what `Attn`/`AttnBwd`/`Reduce` *do* with resolved
-//! inputs. `dcp-exec` supplies the numeric backend (f32 tensors), the
-//! verifier (`crate::verify`) the symbolic one (no data at all). DESIGN.md
-//! "Stream semantics" states each rule once; this module is that section
-//! in code.
-//!
-//! The simulator keeps its own event loop (it advances a clock, the walker
-//! does not) but takes [`check_ids`], [`depositor`] and [`incoming`] from
-//! here, as do the passes and the buffer accounting (which also share
-//! `arrivals` and `reads`).
+//! gives it meaning, and the only code that advances a device through one.
+//! The walker owns everything every consumer must agree on — the run queue
+//! and deadlock detection, shape and id bounds, the deposit rule at
+//! `CommLaunch`, the arrival rule at `CommWait`, salvage-accumulator
+//! install, the locality predicate and per-item input resolution — and is
+//! generic over a small [`Backend`] that says what a deposited slot *is*,
+//! what `Attn`/`AttnBwd`/`Reduce` *do* with resolved inputs and, if it has
+//! a clock, *when* a slot has landed and a device is free: numeric in
+//! `dcp-exec` (f32 tensors), symbolic in `crate::verify` (no data at all),
+//! timing in `dcp-sim` (flows on a max-min network, kernels as timers).
+//! DESIGN.md "Stream semantics" states each rule once; this module is that
+//! section in code. The passes and the buffer accounting take [`incoming`],
+//! `arrivals` and `reads` from here.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
 
@@ -33,7 +32,7 @@ pub(crate) fn is_input(kind: PayloadKind) -> bool {
 }
 
 /// The device whose `CommLaunch` puts `tr` in flight (outside recovery).
-pub fn depositor(tr: &Transfer) -> u32 {
+fn depositor(tr: &Transfer) -> u32 {
     if is_input(tr.payload.kind()) {
         tr.to
     } else {
@@ -203,9 +202,9 @@ pub trait Backend {
     /// (forward O/lse, backward dQ or dKV running sums).
     fn accumulates(&self, dev: u32, kind: PayloadKind, tb: TokenBlockId) -> bool;
 
-    /// `dev` launches `payload`: materialise an input, or ship its
-    /// accumulator for a partial (`raw` on salvage ops: un-finalized).
-    fn deposit(&mut self, dev: u32, payload: Payload, raw: bool) -> Self::Slot;
+    /// `dev`'s launch of op `op` puts `tr` in flight: materialise an input,
+    /// or ship a partial's accumulator (`raw` on salvage ops: un-finalized).
+    fn deposit(&mut self, dev: u32, op: u32, tr: &Transfer, raw: bool) -> Self::Slot;
 
     /// A raw accumulator arrived over a salvage op: it becomes `dev`'s
     /// starting state for the payload's block, so residual work folds in
@@ -220,9 +219,62 @@ pub trait Backend {
     /// into `dev`'s accumulator for `item.target`.
     fn reduce(&mut self, dev: u32, item: &ReduceItem, parts: &[&Self::Slot]);
 
-    /// Called after every poll of `ins` on `dev`; `retired` is false when
-    /// the device stays blocked on it. Polls are serial and plan-ordered.
-    fn polled(&mut self, _dev: u32, _ins: &Instr, _retired: bool) {}
+    /// Called after every poll of the instruction at `at`; `retired` is
+    /// false when the device stays blocked on it. Polls are serial and
+    /// plan-ordered. A backend with a clock charges the instruction here.
+    fn polled(&mut self, _at: At, _ins: &Instr, _retired: bool, _wake: &mut Wake) {}
+
+    /// Whether a deposited slot has reached its receiver. A data backend has
+    /// no clock: what is sent is there.
+    fn landed(&self, _slot: &Self::Slot) -> bool {
+        true
+    }
+
+    /// Whether `dev` can take its next instruction now. A backend that
+    /// says no wakes the device from [`Backend::advance`] once it can.
+    fn free(&self, _dev: u32) -> bool {
+        true
+    }
+
+    /// No device can move: steps the clock to its next event and tells
+    /// `wake` what landed and which devices became free. `false` when there
+    /// is nothing to wait for, which makes an unfinished stream a deadlock.
+    fn advance(&mut self, _streams_done: bool, _wake: &mut Wake) -> bool {
+        false
+    }
+}
+
+/// The walker's run queue, and the one rule that puts a blocked device back
+/// on it. Devices that can move run in sweeps of ascending index: one that
+/// becomes able to move while device `d` runs is taken in the same sweep if
+/// its index is above `d`, in the next one otherwise — round-robin over all
+/// devices minus the polls that would find a device still blocked. For the
+/// timing backend the order also fixes flow ids, so it is part of a result.
+pub struct Wake {
+    /// The comm op each blocked device waits on (none once it is queued).
+    blocked: Vec<Option<u32>>,
+    /// `(sweep, device)` of every device that can move, next first.
+    queue: BinaryHeap<Reverse<(u32, u32)>>,
+    /// The sweep in progress and the device running in it, if any.
+    sweep: u32,
+    running: Option<u32>,
+}
+
+impl Wake {
+    /// `dev`, which was busy, can move: queue it behind the running device.
+    pub fn device(&mut self, dev: u32) {
+        let behind = self.running.is_some_and(|d| dev <= d);
+        self.queue.push(Reverse((self.sweep + behind as u32, dev)));
+    }
+
+    /// A transfer of op `op` into `dev` landed: if `dev` is blocked on that
+    /// op it polls its wait again.
+    pub fn landed(&mut self, op: u32, dev: u32) {
+        if self.blocked[dev as usize] == Some(op) {
+            self.blocked[dev as usize] = None;
+            self.device(dev);
+        }
+    }
 }
 
 /// Shape and id bounds of an untrusted phase, checked once before anything
@@ -318,8 +370,8 @@ pub struct Stream<'a> {
     pub ctx: &'a RecoveryCtx,
     /// The layout and placement the streams are interpreted against. `None`
     /// walks launch/wait structure only — for host-folded timing plans,
-    /// which have no logical placement, so their compute instructions
-    /// cannot be resolved and no accumulator state exists.
+    /// which have no logical placement, and for the simulator: compute is
+    /// not resolved, no accumulator state exists, no arrived slot is kept.
     pub logical: Option<(&'a BatchLayout, &'a Placement)>,
 }
 
@@ -327,11 +379,10 @@ pub struct Stream<'a> {
 enum Flight<S> {
     /// Not deposited yet.
     Pending,
-    /// Deposited by a launch, not yet waited for.
+    /// Deposited by a launch, not yet taken by a wait (once it has landed).
     Sent(S),
     /// Moved to the receiver by a wait. It stays arrived, so a repeated
-    /// wait on the same op stays satisfied (the simulator's flows are
-    /// idempotent in the same way).
+    /// wait on the same op stays satisfied.
     Arrived,
 }
 
@@ -342,15 +393,17 @@ struct State<S> {
     /// Per op: the index of its first transfer in `flights`
     /// ([`transfer_offsets`]).
     base: Vec<usize>,
-    /// Per device: payloads that have arrived.
+    /// Per device: payloads that have arrived (none in a structure-only walk).
     avail: Vec<HashMap<Payload, S>>,
 }
 
 impl Stream<'_> {
-    /// Walks the phase to completion: devices step round-robin, each
-    /// running until it blocks on a `CommWait` whose data is not yet
-    /// deposited. The order depends only on plan structure and mailbox
-    /// state, so it is identical for every backend and thread count.
+    /// Walks the phase to completion: every device that can move runs, in
+    /// [`Wake`]'s order, until it blocks on a `CommWait` whose data is not
+    /// yet deposited (or landed) or the backend says it is busy; when none
+    /// can, the backend's clock advances. For a backend without a clock the
+    /// order depends only on plan structure and mailbox state, so it is
+    /// identical for every such backend and thread count.
     ///
     /// # Errors
     ///
@@ -391,41 +444,47 @@ impl Stream<'_> {
             base,
             avail: (0..n).map(|_| HashMap::new()).collect(),
         };
+        // Every device starts in the first sweep.
+        let mut wake = Wake {
+            blocked: vec![None; n],
+            queue: (0..n as u32).map(|d| Reverse((0, d))).collect(),
+            sweep: 0,
+            running: None,
+        };
         let mut ip = vec![0usize; n];
         loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            for (d, stream) in phase.devices.iter().enumerate() {
-                while let Some(ins) = stream.instrs.get(ip[d]) {
-                    all_done = false;
-                    let at = At {
-                        dev: d as u32,
-                        idx: ip[d],
+            while let Some(Reverse((sweep, dev))) = wake.queue.pop() {
+                let d = dev as usize;
+                (wake.sweep, wake.running) = (sweep, Some(dev));
+                let instrs = &phase.devices[d].instrs;
+                while backend.free(dev) {
+                    let Some(ins) = instrs.get(ip[d]) else {
+                        break;
                     };
+                    let at = At { dev, idx: ip[d] };
                     backend.admit(at, ins)?;
-                    let retired = self.step(at, ins, backend, &mut st)?;
-                    backend.polled(at.dev, ins, retired);
+                    let retired = self.step(at, ins, backend, &mut st, &mut wake)?;
+                    backend.polled(at, ins, retired, &mut wake);
                     if !retired {
                         break;
                     }
                     ip[d] += 1;
-                    progressed = true;
                 }
             }
-            if all_done {
+            (wake.sweep, wake.running) = (0, None);
+            let stalled = (0..n).find(|&d| ip[d] < phase.devices[d].instrs.len());
+            if backend.advance(stalled.is_none(), &mut wake) {
+                continue;
+            }
+            let Some(d) = stalled else {
                 return Ok(());
-            }
-            if !progressed {
-                let d = (0..n)
-                    .find(|&d| ip[d] < phase.devices[d].instrs.len())
-                    .expect("not all done, so some device is blocked");
-                return Err(Diagnostic::at(
-                    ViolationKind::Deadlock,
-                    d as u32,
-                    ip[d],
-                    "no device can make progress (missing launch or circular wait)",
-                ));
-            }
+            };
+            return Err(Diagnostic::at(
+                ViolationKind::Deadlock,
+                d as u32,
+                ip[d],
+                "no device can make progress (missing launch or circular wait)",
+            ));
         }
     }
 
@@ -436,6 +495,7 @@ impl Stream<'_> {
         ins: &Instr,
         backend: &mut B,
         st: &mut State<B::Slot>,
+        wake: &mut Wake,
     ) -> Result<bool, Diagnostic> {
         let (dev, d) = (at.dev, at.dev as usize);
         let ctx = self.ctx;
@@ -456,7 +516,11 @@ impl Stream<'_> {
                             format!("sends {kind:?} for {tb:?} it never computed"),
                         ));
                     }
-                    *flight = Flight::Sent(backend.deposit(dev, tr.payload, salvage && partial));
+                    let slot = backend.deposit(dev, cid.0, tr, salvage && partial);
+                    if backend.landed(&slot) {
+                        wake.landed(cid.0, tr.to);
+                    }
+                    *flight = Flight::Sent(slot);
                 }
                 Ok(true)
             }
@@ -464,19 +528,25 @@ impl Stream<'_> {
                 let op = &self.phase.comms[cid.0 as usize];
                 let flights = &mut st.flights[st.base[cid.0 as usize]..][..op.transfers.len()];
                 let arriving = || op.transfers.iter().enumerate().filter(|(_, t)| t.to == dev);
+                // The first transfer that is not here decides.
                 for (i, tr) in arriving() {
-                    if !matches!(flights[i], Flight::Pending) {
-                        continue;
+                    match &flights[i] {
+                        // Only this device deposits its own inputs, so a
+                        // missing one can never arrive; a missing partial
+                        // still may.
+                        Flight::Pending if is_input(tr.payload.kind()) => {
+                            return Err(at.err(
+                                ViolationKind::WaitWithoutLaunch,
+                                format!("waits on input op {} before launching it", cid.0),
+                            ));
+                        }
+                        Flight::Sent(slot) if backend.landed(slot) => {}
+                        Flight::Arrived => {}
+                        Flight::Pending | Flight::Sent(_) => {
+                            wake.blocked[d] = Some(cid.0);
+                            return Ok(false);
+                        }
                     }
-                    // Only this device deposits its own inputs, so a missing
-                    // one can never arrive; a missing partial still may.
-                    if is_input(tr.payload.kind()) {
-                        return Err(at.err(
-                            ViolationKind::WaitWithoutLaunch,
-                            format!("waits on input op {} before launching it", cid.0),
-                        ));
-                    }
-                    return Ok(false);
                 }
                 let salvage = ctx.salvage_comms.contains(&cid.0);
                 for (i, tr) in arriving() {
@@ -493,7 +563,7 @@ impl Stream<'_> {
                             ));
                         }
                         backend.install(dev, tr.payload, slot);
-                    } else {
+                    } else if self.logical.is_some() {
                         st.avail[d].insert(tr.payload, slot);
                     }
                 }

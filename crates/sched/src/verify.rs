@@ -220,8 +220,7 @@ pub fn verify_phase(
 /// Structural verification for streams with no logical placement (e.g. a
 /// recovery patch's host-folded `timing` plan): ids in range, every wait's
 /// incoming transfers deposited by some launch (receiver-launched for
-/// inputs, sender-launched for partials), and round-robin progress without
-/// deadlock. Waits that receive nothing are legal here — host folding
+/// inputs, sender-launched for partials), and progress without deadlock. Waits that receive nothing are legal here — host folding
 /// filters same-host transfers out of ops whose waits remain.
 ///
 /// # Errors
@@ -350,7 +349,7 @@ impl Backend for Symbolic<'_> {
         self.acc[dev as usize].contains(&(kind, tb))
     }
 
-    fn deposit(&mut self, _dev: u32, _payload: Payload, _raw: bool) {}
+    fn deposit(&mut self, _dev: u32, _op: u32, _tr: &Transfer, _raw: bool) {}
 
     fn install(&mut self, dev: u32, payload: Payload, _slot: ()) {
         self.acc[dev as usize].insert((payload.kind(), payload.token_block()));

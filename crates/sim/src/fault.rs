@@ -8,9 +8,8 @@
 //! pure function of [`FaultSpec::seed`] and the perturbed instruction's
 //! coordinates, never of iteration order or wall clock.
 //!
-//! An empty spec is the identity: [`crate::simulate_phase_faulted`] with
-//! [`FaultSpec::none`] is bitwise identical to
-//! [`crate::simulate_phase_traced`].
+//! An empty spec is the identity: [`crate::simulate`] under
+//! [`FaultSpec::none`] is the clean simulation, whatever the seed.
 
 use serde::{Deserialize, Serialize};
 

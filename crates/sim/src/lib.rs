@@ -18,10 +18,13 @@
 //!   activity concurrent with compute is recorded as *overlapped* — giving
 //!   the decomposition of the paper's Fig. 1 and Fig. 22 directly.
 //!
-//! Entry points: [`simulate_phase`] and [`simulate_plan`]. The
-//! fault-injected variants [`simulate_phase_faulted`] and
-//! [`simulate_plan_faulted`] perturb a run with deterministic stragglers,
-//! degraded/failed links and delayed workers (see [`fault`]).
+//! One entry point, [`simulate`]: a phase on a cluster under a
+//! [`FaultSpec`] (deterministic stragglers, degraded/failed links and
+//! delayed workers, see [`fault`]), returning result, trace and counters as
+//! a [`SimRun`]. The streams are advanced by `dcp_sched::stream`'s walker,
+//! as for the executor and the verifier; [`sim`] is its timing backend.
+//! [`simulate_on`] takes a caller-built [`network::Network`]; the other
+//! `simulate_*` names are thin calls `benchmark/` uses.
 
 pub mod fault;
 pub mod network;
@@ -30,8 +33,7 @@ pub mod trace;
 
 pub use fault::{estimate_fault_spec, Fault, FaultSpec, FAILED_LINK_FACTOR, MIN_CAPACITY_WEIGHT};
 pub use sim::{
-    simulate_phase, simulate_phase_counted, simulate_phase_faulted, simulate_phase_scratch,
-    simulate_phase_traced, simulate_plan, simulate_plan_faulted, DeviceTimeline, PhaseSim, PlanSim,
-    SimCounters,
+    simulate, simulate_on, simulate_phase_counted, simulate_plan, simulate_plan_faulted,
+    DeviceTimeline, PhaseSim, PlanSim, SimCounters, SimRun,
 };
 pub use trace::{ascii_gantt, to_chrome_trace, trace_to_obs, TraceEvent, TraceKind};

@@ -1,10 +1,23 @@
-//! The discrete-event execution of plan instruction streams.
+//! The timing backend of the stream walker: what an instruction stream
+//! *costs*.
+//!
+//! [`dcp_sched::stream::Stream::walk`] advances every device through its
+//! stream — the order devices run in, what a `CommWait` blocks on, the
+//! deadlock check and its diagnostic are the walker's, shared with the
+//! executor and the verifier. This module supplies the clock: a launch's
+//! transfers become flows on the max-min [`Network`], coalesced per (op,
+//! src, dst); a kernel occupies its device until a timer is due; when no
+//! device can move, time steps to the earlier of the next timer and the
+//! next network event, and the flows that completed wake their receivers.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use dcp_sched::stream::{check_ids, depositor, incoming};
-use dcp_sched::{CommId, ExecutionPlan, Instr, PhasePlan};
+use dcp_blocks::TokenBlockId;
+use dcp_sched::stream::{At, AttnItem, Backend, Stream, Wake};
+use dcp_sched::{
+    ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, RecoveryCtx, ReduceItem, Transfer,
+};
 use dcp_types::{ClusterSpec, DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
@@ -77,83 +90,22 @@ impl PlanSim {
     }
 }
 
-/// Simulates one phase of a plan on `cluster`. Plan ranks map to cluster
-/// ranks identically.
-///
-/// # Errors
-///
-/// Returns [`DcpError::InvalidPlan`] if the streams deadlock (a wait on a
-/// transfer that is never launched), reference comm ops outside the op
-/// table, or reference devices outside the phase or the cluster.
-pub fn simulate_phase(cluster: &ClusterSpec, phase: &PhasePlan) -> DcpResult<PhaseSim> {
-    Ok(simulate_phase_traced(cluster, phase)?.0)
-}
-
-/// Like [`simulate_phase`], additionally returning the execution trace
-/// (compute segments, exposed waits and transfers) for rendering with
-/// [`crate::trace::to_chrome_trace`] or [`crate::trace::ascii_gantt`].
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_phase`].
-pub fn simulate_phase_traced(
-    cluster: &ClusterSpec,
-    phase: &PhasePlan,
-) -> DcpResult<(PhaseSim, Vec<TraceEvent>)> {
-    simulate_phase_faulted(cluster, phase, &FaultSpec::none())
-}
-
-/// Like [`simulate_phase_traced`] with fault injection: stragglers stretch
-/// kernels (the extension shows up as [`TraceKind::Straggle`] and in the
-/// device's compute buckets), degraded/failed links cap flow rates, and
-/// delayed devices idle (as [`TraceKind::Delay`]) before their first
-/// instruction. An empty spec is bitwise identical to the un-faulted
-/// simulation; a non-empty spec is deterministic in `spec.seed`.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_phase`].
-pub fn simulate_phase_faulted(
-    cluster: &ClusterSpec,
-    phase: &PhasePlan,
-    spec: &FaultSpec,
-) -> DcpResult<(PhaseSim, Vec<TraceEvent>)> {
-    simulate_phase_opts(cluster, phase, spec, false).map(|(sim, trace, _)| (sim, trace))
-}
-
-/// Like [`simulate_phase`], additionally returning event-loop and network
-/// engine counters (for throughput benchmarking).
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_phase`].
-pub fn simulate_phase_counted(
-    cluster: &ClusterSpec,
-    phase: &PhasePlan,
-) -> DcpResult<(PhaseSim, SimCounters)> {
-    simulate_phase_opts(cluster, phase, &FaultSpec::none(), false)
-        .map(|(sim, _, counters)| (sim, counters))
-}
-
-/// Like [`simulate_phase_counted`] but on the retained scratch reference
-/// network engine (full water-fill rebuild per event) — the baseline the
-/// incremental engine is benchmarked against.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_phase`].
-pub fn simulate_phase_scratch(
-    cluster: &ClusterSpec,
-    phase: &PhasePlan,
-) -> DcpResult<(PhaseSim, SimCounters)> {
-    simulate_phase_opts(cluster, phase, &FaultSpec::none(), true)
-        .map(|(sim, _, counters)| (sim, counters))
+/// Everything one simulated phase yields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimRun {
+    /// Makespan and per-device breakdowns.
+    pub sim: PhaseSim,
+    /// Compute segments, exposed waits and transfers by start time, for
+    /// [`crate::trace::to_chrome_trace`] or [`crate::trace::ascii_gantt`].
+    pub trace: Vec<TraceEvent>,
+    /// Work counters (for throughput benchmarking).
+    pub counters: SimCounters,
 }
 
 /// Event-loop and network-engine counters from one simulated phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimCounters {
-    /// Discrete events processed by the outer event loop.
+    /// Discrete events the clock stepped through.
     pub events: u64,
     /// Flows carried by the network.
     pub flows: u64,
@@ -161,85 +113,45 @@ pub struct SimCounters {
     pub recomputes: u64,
     /// Total flows visited across all water-fills.
     pub touched_flows: u64,
-    /// Times a device's wait was weighed: once when it reaches a
-    /// `CommWait`, and once per flow that finishes into it while it is
-    /// blocked there.
+    /// Polls of a `CommWait`: one when a device reaches it, and one each
+    /// time the device is woken there by a flow that finished into it.
     pub wait_checks: u64,
 }
 
-/// Flow bookkeeping for waking and interval accounting. `metas[i]` is the
-/// flow the network numbered `i`: every flow of a phase is added here.
-struct FlowMeta {
-    cid: u32,
-    src: u32,
-    dst: u32,
-    active_at: f64,
-    end: Option<f64>,
-}
-
-/// Which devices wait for what, and which can move at the current instant.
+/// Simulates one phase of a plan on `cluster` under the faults of `spec`
+/// ([`FaultSpec::none`] for a clean run); plan ranks are cluster ranks.
+/// Stragglers stretch kernels (the extension shows up as
+/// [`TraceKind::Straggle`] and in the device's compute buckets),
+/// degraded/failed links cap flow rates, and delayed devices idle (as
+/// [`TraceKind::Delay`]) before their first instruction; a run is
+/// deterministic in `spec.seed`. The phase is walked by [`Stream::walk`],
+/// launch/wait structure only, as [`dcp_sched::verify_structure`] walks it.
 ///
-/// The devices that can move are run in sweeps of ascending device index,
-/// repeated until none can: a device that becomes able to move while device
-/// `d` runs is taken in the same sweep if its index is above `d`, in the
-/// next one otherwise. Flow ids — and through them the order in which the
-/// network freezes rates — follow from that order, so it is part of the
-/// simulation's result.
-struct Waits {
-    /// The comm op each device is blocked on.
-    blocked: Vec<Option<CommId>>,
-    /// Flows of that op into the device that are not done yet.
-    outstanding: Vec<u32>,
-    /// `(sweep, device)` of every device that can move, next first.
-    runnable: BinaryHeap<Reverse<(u32, u32)>>,
-    /// The sweep in progress and the device running in it, if any.
-    sweep: u32,
-    running: Option<u32>,
-    checks: u64,
+/// # Errors
+///
+/// [`DcpError::InvalidPlan`], carrying the walker's diagnostic, if the
+/// streams deadlock (a wait on a transfer that is never launched) or
+/// reference comm ops outside the op table or devices outside the phase,
+/// and if the phase has more devices than the cluster.
+pub fn simulate(cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) -> DcpResult<SimRun> {
+    simulate_on(cluster, Network::new(cluster.clone()), phase, spec)
 }
 
-impl Waits {
-    /// `dev` can move: queue it behind the running device.
-    fn wake(&mut self, dev: u32) {
-        let sweep = match self.running {
-            Some(d) if dev <= d => self.sweep + 1,
-            _ => self.sweep,
-        };
-        self.runnable.push(Reverse((sweep, dev)));
-    }
-
-    /// A flow of op `cid` into `dst` is done. If `dst` is blocked on that
-    /// op the flow is one it was still waiting for (a flow finishes once,
-    /// and those done when it blocked were not counted).
-    fn flow_done(&mut self, cid: u32, dst: u32) {
-        if self.blocked[dst as usize] != Some(CommId(cid)) {
-            return;
-        }
-        self.checks += 1;
-        self.outstanding[dst as usize] -= 1;
-        if self.outstanding[dst as usize] == 0 {
-            self.wake(dst);
-        }
-    }
-
-    /// Takes the flows the network completed since the last call: each may
-    /// wake its receiver now, and gets its end time at the next event.
-    fn settle(&mut self, net: &mut Network, metas: &[FlowMeta], ended: &mut Vec<usize>) {
-        for f in net.drain_completed() {
-            ended.push(f.0);
-            self.flow_done(metas[f.0].cid, metas[f.0].dst);
-        }
-    }
-}
-
-fn simulate_phase_opts(
+/// [`simulate`] on a caller-built network, which must be new and over
+/// `cluster`: how the scratch reference engine
+/// ([`Network::use_scratch_engine`]) stays reachable for the tests and
+/// reports that hold the incremental one to it.
+///
+/// # Errors
+///
+/// As [`simulate`].
+pub fn simulate_on(
     cluster: &ClusterSpec,
+    mut net: Network,
     phase: &PhasePlan,
     spec: &FaultSpec,
-    scratch_engine: bool,
-) -> DcpResult<(PhaseSim, Vec<TraceEvent>, SimCounters)> {
+) -> DcpResult<SimRun> {
     cluster.validate()?;
-    check_ids(phase, None)?;
     let n = phase.devices.len();
     if n as u32 > cluster.num_devices() {
         return Err(DcpError::invalid_plan(format!(
@@ -247,307 +159,329 @@ fn simulate_phase_opts(
             cluster.num_devices()
         )));
     }
-    let mut net = Network::new(cluster.clone());
-    net.use_scratch_engine(scratch_engine);
     for (src, dst, factor) in spec.link_factors() {
         net.set_link_factor(src, dst, factor);
     }
     for (src, dst, period_s, duty, factor) in spec.flapping_links() {
         net.set_link_flapping(src, dst, period_s, duty, factor);
     }
-    let slow = spec.slowdowns(n);
-    let delays = spec.delays(n);
-    let eff = cluster.effective_flops();
-    let eps = 1e-15;
-
-    // Per (comm op, src, dst): the flow carrying all of that op's transfers
-    // between the pair, coalesced so large fused operations (e.g. a ring
-    // step relaying hundreds of KV blocks) cost one flow, not hundreds.
-    let mut flows: HashMap<(u32, u32, u32), FlowId> = HashMap::new();
-    let mut metas: Vec<FlowMeta> = Vec::new();
-    // Flows completed since the last event: they end at the next one.
-    let mut ended: Vec<usize> = Vec::new();
-
-    let mut ip = vec![0usize; n];
     // A delayed device idles until its injected start time.
-    let mut ready = delays.clone();
-    // `(time, device)` of every device in a kernel or a start delay,
-    // earliest first. Times are non-negative, so their bit patterns order
-    // as they do.
-    let mut timers: BinaryHeap<Reverse<(u64, u32)>> = (0..n)
-        .map(|d| Reverse((ready[d].to_bits(), d as u32)))
-        .collect();
-    let mut waits = Waits {
-        blocked: vec![None; n],
-        outstanding: vec![0; n],
-        runnable: BinaryHeap::new(),
-        sweep: 0,
-        running: None,
-        checks: 0,
-    };
-    // Devices still blocked or with instructions left.
-    let mut unfinished = phase
-        .devices
-        .iter()
-        .filter(|s| !s.instrs.is_empty())
-        .count();
-    let mut wait_start = vec![0.0f64; n];
-    let mut senders: Vec<u32> = Vec::new();
-    let mut tl = vec![DeviceTimeline::default(); n];
-    // Compute busy intervals per device for overlap accounting.
-    let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
-    let mut trace: Vec<TraceEvent> = Vec::new();
-    for (d, &delay) in delays.iter().enumerate() {
-        if delay > 0.0 && !phase.devices[d].instrs.is_empty() {
-            trace.push(TraceEvent {
-                device: d as u32,
+    let ready = spec.delays(n);
+    let delayed =
+        |d: &u32| ready[*d as usize] > 0.0 && !phase.devices[*d as usize].instrs.is_empty();
+    let mut timing = Timing {
+        cluster,
+        spec,
+        net,
+        slow: spec.slowdowns(n),
+        now: 0.0,
+        counters: SimCounters::default(),
+        timers: (0..n as u32)
+            .filter(|&d| ready[d as usize] > EPS)
+            .map(|d| Reverse((ready[d as usize].to_bits(), d)))
+            .collect(),
+        trace: (0..n as u32)
+            .filter(delayed)
+            .map(|d| TraceEvent {
+                device: d,
                 kind: TraceKind::Delay,
                 start: 0.0,
-                end: delay,
-            });
+                end: ready[d as usize],
+            })
+            .collect(),
+        ready,
+        slots: HashMap::new(),
+        pairs: Vec::new(),
+        launched: 0,
+        flows: Vec::new(),
+        ended: Vec::new(),
+        wait_start: vec![None; n],
+        tl: vec![DeviceTimeline::default(); n],
+        busy: vec![Vec::new(); n],
+    };
+    Stream {
+        phase,
+        backward: false,
+        ctx: &RecoveryCtx::default(),
+        logical: None,
+    }
+    .walk(&mut timing)?;
+    Ok(timing.finish())
+}
+
+/// A device whose kernel ends within this of the current instant is free.
+const EPS: f64 = 1e-15;
+
+/// All transfers of one comm op between one pair of devices, coalesced into
+/// one flow so large fused operations (e.g. a ring step relaying hundreds
+/// of KV blocks) cost one flow, not hundreds. Its index is what the walker
+/// holds as a transfer's slot.
+struct Pair {
+    op: u32,
+    from: u32,
+    to: u32,
+    /// Summed over the transfers of the launch that opened the pair: the
+    /// first launch of a pair wins, later ones add nothing to it.
+    bytes: u64,
+    /// Set, with `active_at`, when that launch has been polled.
+    flow: Option<FlowId>,
+    active_at: f64,
+    end: Option<f64>,
+}
+
+/// The timing backend of the stream walker: a slot is a flow on the max-min
+/// network, a kernel is a timer, and the clock steps to whichever is due
+/// first. The walker decides which device runs next and what a wait blocks
+/// on; everything here is about *when*.
+struct Timing<'a> {
+    cluster: &'a ClusterSpec,
+    spec: &'a FaultSpec,
+    net: Network,
+    now: f64,
+    counters: SimCounters,
+    /// Per device: its straggler factor, and when its kernel or start delay
+    /// is over.
+    slow: Vec<f64>,
+    ready: Vec<f64>,
+    /// `(time, device)` of every device in a kernel or a start delay,
+    /// earliest first. Times are non-negative, so their bit patterns order
+    /// as they do.
+    timers: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per (comm op, src, dst): its index in `pairs`.
+    slots: HashMap<(u32, u32, u32), usize>,
+    pairs: Vec<Pair>,
+    /// The pairs from here on were opened by the launch being walked.
+    launched: usize,
+    /// `flows[i]` is the pair of the flow the network numbered `i`.
+    flows: Vec<usize>,
+    /// Pairs whose flow completed since the last event: it ends at the next.
+    ended: Vec<usize>,
+    /// Per device: when it first blocked on the wait it is at.
+    wait_start: Vec<Option<f64>>,
+    tl: Vec<DeviceTimeline>,
+    /// Compute busy intervals per device, for overlap accounting.
+    busy: Vec<Vec<(f64, f64)>>,
+    trace: Vec<TraceEvent>,
+}
+
+impl Timing<'_> {
+    /// Takes the flows the network completed since the last call: each may
+    /// wake its receiver now, and gets its end time at the next event.
+    fn settle(&mut self, wake: &mut Wake) {
+        for f in self.net.drain_completed() {
+            let pair = &self.pairs[self.flows[f.0]];
+            self.ended.push(self.flows[f.0]);
+            wake.landed(pair.op, pair.to);
         }
     }
 
-    let mut now = 0.0f64;
-    let mut events: u64 = 0;
-    loop {
-        for mi in ended.drain(..) {
-            metas[mi].end = Some(now.max(metas[mi].active_at));
+    /// Interval accounting and the transfer events, once every stream is
+    /// done: per device, comm_active = |union of its flow intervals|,
+    /// overlap = |union(flows) ∩ union(busy)|.
+    fn finish(mut self) -> SimRun {
+        let n = self.tl.len();
+        let mut per_dev_flows: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
+        for p in self.flows.iter().map(|&s| &self.pairs[s]) {
+            let end = p.end.unwrap_or(self.now).max(p.active_at);
+            if end > p.active_at {
+                per_dev_flows[p.from as usize].push((p.active_at, end));
+                per_dev_flows[p.to as usize].push((p.active_at, end));
+                // One transfer event per flow, on the receiving device.
+                self.trace.push(TraceEvent {
+                    device: p.to,
+                    kind: TraceKind::Transfer { from: p.from },
+                    start: p.active_at,
+                    end,
+                });
+            }
         }
-        // Devices whose kernel or start delay is over can move, next to
-        // those a completed flow has just woken.
-        while let Some(&Reverse((until, dev))) = timers.peek() {
-            if f64::from_bits(until) > now + eps {
+        for (d, flows) in per_dev_flows.iter_mut().enumerate() {
+            let fu = union_intervals(flows);
+            let bu = union_intervals(&mut self.busy[d]);
+            self.tl[d].comm_active = total_len(&fu);
+            self.tl[d].overlap = intersect_len(&fu, &bu);
+        }
+        self.trace
+            .sort_by(|a, b| a.start.partial_cmp(&b.start).expect("no NaN"));
+        let net_stats = self.net.stats();
+        SimRun {
+            sim: PhaseSim {
+                makespan: self.tl.iter().map(|t| t.finish).fold(0.0, f64::max),
+                devices: self.tl,
+            },
+            trace: self.trace,
+            counters: SimCounters {
+                flows: self.flows.len() as u64,
+                recomputes: net_stats.recomputes,
+                touched_flows: net_stats.touched_flows,
+                ..self.counters
+            },
+        }
+    }
+}
+
+impl Backend for Timing<'_> {
+    /// Index in `pairs`.
+    type Slot = usize;
+
+    // A structure-only walk resolves no compute and keeps no accumulators.
+    fn accumulates(&self, _dev: u32, _kind: PayloadKind, _tb: TokenBlockId) -> bool {
+        false
+    }
+    fn install(&mut self, _dev: u32, _payload: Payload, _slot: usize) {}
+    fn attn(&mut self, _dev: u32, _backward: bool, _items: &[AttnItem<'_, usize>]) {}
+    fn reduce(&mut self, _dev: u32, _item: &ReduceItem, _parts: &[&usize]) {}
+
+    fn deposit(&mut self, _dev: u32, op: u32, tr: &Transfer, _raw: bool) -> usize {
+        let next = self.pairs.len();
+        let slot = *self.slots.entry((op, tr.from, tr.to)).or_insert(next);
+        if slot == next {
+            self.pairs.push(Pair {
+                op,
+                from: tr.from,
+                to: tr.to,
+                bytes: 0,
+                flow: None,
+                active_at: 0.0,
+                end: None,
+            });
+        }
+        if slot >= self.launched {
+            self.pairs[slot].bytes += tr.bytes;
+        }
+        slot
+    }
+
+    fn landed(&self, slot: &usize) -> bool {
+        self.pairs[*slot].flow.is_some_and(|f| self.net.is_done(f))
+    }
+
+    fn free(&self, dev: u32) -> bool {
+        self.ready[dev as usize] <= self.now + EPS
+    }
+
+    fn polled(&mut self, at: At, ins: &Instr, retired: bool, wake: &mut Wake) {
+        let (dev, d, now) = (at.dev, at.dev as usize, self.now);
+        let cluster = self.cluster;
+        let (work, kind) = match ins {
+            Instr::CommLaunch(_) => {
+                // The pairs this launch opened go on the wire by (src, dst).
+                let mut opened: Vec<usize> = (self.launched..self.pairs.len()).collect();
+                opened.sort_unstable_by_key(|&s| (self.pairs[s].from, self.pairs[s].to));
+                for s in opened {
+                    let pair = &mut self.pairs[s];
+                    let (fid, active_at) = self.net.add_flow(now, pair.from, pair.to, pair.bytes);
+                    debug_assert_eq!(fid.0, self.flows.len());
+                    (pair.flow, pair.active_at) = (Some(fid), active_at);
+                    self.flows.push(s);
+                    // Only an empty flow is done on arrival.
+                    if self.net.is_done(fid) {
+                        pair.end = Some(active_at);
+                        wake.landed(pair.op, pair.to);
+                    }
+                    // Adding a flow settles the network at `now`, which can
+                    // complete flows a rounding error short of their end.
+                    self.settle(wake);
+                }
+                self.launched = self.pairs.len();
+                return;
+            }
+            Instr::CommWait(_) => {
+                // Exposed from the first blocked poll to the retiring one.
+                self.counters.wait_checks += 1;
+                if !retired {
+                    self.wait_start[d].get_or_insert(now);
+                } else if let Some(since) = self.wait_start[d].take() {
+                    self.tl[d].exposed_wait += now - since;
+                    if now > since {
+                        self.trace.push(TraceEvent {
+                            device: dev,
+                            kind: TraceKind::Wait,
+                            start: since,
+                            end: now,
+                        });
+                    }
+                    self.tl[d].finish = self.tl[d].finish.max(now);
+                }
+                return;
+            }
+            Instr::Attn { flops, .. } => {
+                (*flops as f64 / cluster.effective_flops(), TraceKind::Attn)
+            }
+            Instr::AttnBwd { flops, .. } => (
+                *flops as f64 / cluster.effective_flops(),
+                TraceKind::AttnBwd,
+            ),
+            Instr::Reduce { bytes, .. } => (*bytes as f64 / cluster.mem_bw, TraceKind::Reduce),
+            Instr::Copy { bytes } => (*bytes as f64 / cluster.mem_bw, TraceKind::Copy),
+        };
+        let base = work + cluster.kernel_overhead;
+        // A straggler fault stretches the kernel. The extension is traced
+        // as its own `Straggle` segment (and counted in the compute
+        // buckets) so un-faulted runs stay bitwise unchanged.
+        let extra = if self.slow[d] > 1.0 {
+            base * (self.slow[d] - 1.0) * jitter(self.spec.seed, dev, at.idx)
+        } else {
+            0.0
+        };
+        let dur = base + extra;
+        let tl = &mut self.tl[d];
+        match kind {
+            TraceKind::Attn | TraceKind::AttnBwd => tl.attn += dur,
+            TraceKind::Reduce => tl.reduce += dur,
+            _ => tl.copy += dur,
+        }
+        self.trace.push(TraceEvent {
+            device: dev,
+            kind,
+            start: now,
+            end: now + base,
+        });
+        if extra > 0.0 {
+            self.trace.push(TraceEvent {
+                device: dev,
+                kind: TraceKind::Straggle,
+                start: now + base,
+                end: now + dur,
+            });
+        }
+        self.busy[d].push((now, now + dur));
+        self.ready[d] = now + dur;
+        tl.finish = tl.finish.max(now + dur);
+        if !self.free(dev) {
+            self.timers.push(Reverse((self.ready[d].to_bits(), dev)));
+        }
+    }
+
+    /// Steps to the earlier of the next timer and the next network event;
+    /// done when every stream is and its last kernel is over.
+    fn advance(&mut self, streams_done: bool, wake: &mut Wake) -> bool {
+        if streams_done && self.timers.is_empty() {
+            return false;
+        }
+        let timer = self.timers.peek().map(|t| f64::from_bits(t.0 .0));
+        let t = match (timer, self.net.next_event()) {
+            (Some(timer), Some(event)) => timer.min(event),
+            (Some(t), None) | (None, Some(t)) => t,
+            // Blocked devices and nothing pending: the walker's deadlock.
+            (None, None) => return false,
+        };
+        self.net.advance_to(t);
+        self.now = t;
+        self.counters.events += 1;
+        self.settle(wake);
+        for s in self.ended.drain(..) {
+            self.pairs[s].end = Some(t.max(self.pairs[s].active_at));
+        }
+        while let Some(&Reverse((until, dev))) = self.timers.peek() {
+            if f64::from_bits(until) > t + EPS {
                 break;
             }
-            timers.pop();
-            if ip[dev as usize] < phase.devices[dev as usize].instrs.len() {
-                waits.wake(dev);
-            }
+            self.timers.pop();
+            wake.device(dev);
         }
-        // Fixpoint: run every device that can move until none can.
-        while let Some(Reverse((sweep, dev))) = waits.runnable.pop() {
-            waits.sweep = sweep;
-            waits.running = Some(dev);
-            let d = dev as usize;
-            if waits.blocked[d].take().is_some() {
-                tl[d].exposed_wait += now - wait_start[d];
-                if now > wait_start[d] {
-                    trace.push(TraceEvent {
-                        device: dev,
-                        kind: TraceKind::Wait,
-                        start: wait_start[d],
-                        end: now,
-                    });
-                }
-                tl[d].finish = tl[d].finish.max(now);
-            }
-            while waits.blocked[d].is_none() && ready[d] <= now + eps {
-                let Some(ins) = phase.devices[d].instrs.get(ip[d]) else {
-                    break;
-                };
-                match ins {
-                    Instr::CommLaunch(cid) => {
-                        let op = &phase.comms[cid.0 as usize];
-                        // Coalesce this device's transfers by (src, dst).
-                        let mut pair_bytes: HashMap<(u32, u32), u64> = HashMap::new();
-                        for tr in &op.transfers {
-                            if depositor(tr) == dev && !flows.contains_key(&(cid.0, tr.from, tr.to))
-                            {
-                                *pair_bytes.entry((tr.from, tr.to)).or_insert(0) += tr.bytes;
-                            }
-                        }
-                        let mut pairs: Vec<((u32, u32), u64)> = pair_bytes.into_iter().collect();
-                        pairs.sort_unstable();
-                        for ((from, to), bytes) in pairs {
-                            let (fid, active_at) = net.add_flow(now, from, to, bytes);
-                            debug_assert_eq!(fid.0, metas.len());
-                            flows.insert((cid.0, from, to), fid);
-                            // Only an empty flow is done on arrival.
-                            let done = net.is_done(fid);
-                            metas.push(FlowMeta {
-                                cid: cid.0,
-                                src: from,
-                                dst: to,
-                                active_at,
-                                end: done.then_some(active_at),
-                            });
-                            if done {
-                                waits.flow_done(cid.0, to);
-                            }
-                            // Adding a flow settles the network at `now`,
-                            // which can complete flows a rounding error
-                            // short of their end.
-                            waits.settle(&mut net, &metas, &mut ended);
-                        }
-                        ip[d] += 1;
-                    }
-                    Instr::CommWait(cid) => {
-                        ip[d] += 1;
-                        waits.checks += 1;
-                        // The op's flows into this device, one per sender.
-                        senders.clear();
-                        let op = &phase.comms[cid.0 as usize];
-                        senders.extend(incoming(op, dev).map(|tr| tr.from));
-                        senders.sort_unstable();
-                        senders.dedup();
-                        let pending = senders
-                            .iter()
-                            .filter(|&&from| {
-                                !flows
-                                    .get(&(cid.0, from, dev))
-                                    .is_some_and(|f| net.is_done(*f))
-                            })
-                            .count();
-                        if pending > 0 {
-                            waits.blocked[d] = Some(*cid);
-                            waits.outstanding[d] = pending as u32;
-                            wait_start[d] = now;
-                        }
-                    }
-                    Instr::Attn { .. }
-                    | Instr::AttnBwd { .. }
-                    | Instr::Reduce { .. }
-                    | Instr::Copy { .. } => {
-                        let (base, kind) = match ins {
-                            Instr::Attn { flops, .. } => (
-                                *flops as f64 / eff + cluster.kernel_overhead,
-                                TraceKind::Attn,
-                            ),
-                            Instr::AttnBwd { flops, .. } => (
-                                *flops as f64 / eff + cluster.kernel_overhead,
-                                TraceKind::AttnBwd,
-                            ),
-                            Instr::Reduce { bytes, .. } => (
-                                *bytes as f64 / cluster.mem_bw + cluster.kernel_overhead,
-                                TraceKind::Reduce,
-                            ),
-                            Instr::Copy { bytes } => (
-                                *bytes as f64 / cluster.mem_bw + cluster.kernel_overhead,
-                                TraceKind::Copy,
-                            ),
-                            _ => unreachable!("compute arm"),
-                        };
-                        // A straggler fault stretches the kernel. The
-                        // extension is traced as its own `Straggle`
-                        // segment (and counted in the compute buckets)
-                        // so un-faulted runs stay bitwise unchanged.
-                        let extra = if slow[d] > 1.0 {
-                            base * (slow[d] - 1.0) * jitter(spec.seed, dev, ip[d])
-                        } else {
-                            0.0
-                        };
-                        let dur = base + extra;
-                        match kind {
-                            TraceKind::Attn | TraceKind::AttnBwd => tl[d].attn += dur,
-                            TraceKind::Reduce => tl[d].reduce += dur,
-                            _ => tl[d].copy += dur,
-                        }
-                        trace.push(TraceEvent {
-                            device: dev,
-                            kind,
-                            start: now,
-                            end: now + base,
-                        });
-                        if extra > 0.0 {
-                            trace.push(TraceEvent {
-                                device: dev,
-                                kind: TraceKind::Straggle,
-                                start: now + base,
-                                end: now + dur,
-                            });
-                        }
-                        busy[d].push((now, now + dur));
-                        ready[d] = now + dur;
-                        tl[d].finish = tl[d].finish.max(now + dur);
-                        ip[d] += 1;
-                    }
-                }
-            }
-            if waits.blocked[d].is_none() {
-                if ready[d] > now + eps {
-                    timers.push(Reverse((ready[d].to_bits(), dev)));
-                }
-                if ip[d] >= phase.devices[d].instrs.len() {
-                    unfinished -= 1;
-                }
-            }
-        }
-        waits.sweep = 0;
-        waits.running = None;
-
-        // Done: every stream finished and its last kernel is over.
-        if unfinished == 0 && timers.is_empty() {
-            break;
-        }
-
-        // Next event: earliest device wake-up or network event.
-        let mut next: Option<f64> = timers.peek().map(|t| f64::from_bits(t.0 .0));
-        if let Some(t) = net.next_event() {
-            next = Some(next.map_or(t, |x: f64| x.min(t)));
-        }
-        let Some(t) = next else {
-            return Err(DcpError::invalid_plan(
-                "simulation deadlock: blocked devices with no pending events",
-            ));
-        };
-        net.advance_to(t);
-        now = t;
-        events += 1;
-        waits.settle(&mut net, &metas, &mut ended);
+        true
     }
-
-    // Interval accounting: per device, comm_active = |union of its flow
-    // intervals|, overlap = |union(flows) ∩ union(busy)|.
-    let mut per_dev_flows: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
-    for m in &metas {
-        let end = m.end.unwrap_or(now).max(m.active_at);
-        if end > m.active_at {
-            if (m.src as usize) < n {
-                per_dev_flows[m.src as usize].push((m.active_at, end));
-            }
-            if (m.dst as usize) < n {
-                per_dev_flows[m.dst as usize].push((m.active_at, end));
-            }
-        }
-    }
-    for d in 0..n {
-        let fu = union_intervals(&mut per_dev_flows[d]);
-        let bu = union_intervals(&mut busy[d]);
-        tl[d].comm_active = total_len(&fu);
-        tl[d].overlap = intersect_len(&fu, &bu);
-    }
-
-    // Transfer events (one per flow, attributed to the receiving device).
-    for m in &metas {
-        let end = m.end.unwrap_or(now).max(m.active_at);
-        if end > m.active_at && (m.dst as usize) < n {
-            trace.push(TraceEvent {
-                device: m.dst,
-                kind: TraceKind::Transfer { from: m.src },
-                start: m.active_at,
-                end,
-            });
-        }
-    }
-    trace.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("no NaN"));
-
-    let makespan = tl.iter().map(|t| t.finish).fold(0.0, f64::max);
-    let net_stats = net.stats();
-    Ok((
-        PhaseSim {
-            makespan,
-            devices: tl,
-        },
-        trace,
-        SimCounters {
-            events,
-            flows: metas.len() as u64,
-            recomputes: net_stats.recomputes,
-            touched_flows: net_stats.touched_flows,
-            wait_checks: waits.checks,
-        },
-    ))
 }
 
 fn union_intervals(v: &mut [(f64, f64)]) -> Vec<(f64, f64)> {
@@ -584,26 +518,38 @@ fn intersect_len(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     total
 }
 
-/// Simulates the forward then the backward phase of `plan`.
+/// [`simulate`] without faults, result and counters only. Kept as a name
+/// because `benchmark/` calls it; ROADMAP item 1(c) retires it.
 ///
 /// # Errors
 ///
-/// Propagates phase-simulation failures.
-pub fn simulate_plan(cluster: &ClusterSpec, plan: &ExecutionPlan) -> DcpResult<PlanSim> {
-    Ok(PlanSim {
-        fwd: simulate_phase(cluster, &plan.fwd)?,
-        bwd: simulate_phase(cluster, &plan.bwd)?,
-    })
+/// As [`simulate`].
+pub fn simulate_phase_counted(
+    cluster: &ClusterSpec,
+    phase: &PhasePlan,
+) -> DcpResult<(PhaseSim, SimCounters)> {
+    simulate(cluster, phase, &FaultSpec::none()).map(|run| (run.sim, run.counters))
 }
 
-/// Like [`simulate_plan`] with fault injection in both phases. The
-/// backward phase draws straggler jitter from a salted seed so its
-/// perturbations are independent of the forward phase's while remaining a
-/// pure function of `spec.seed`.
+/// [`simulate`] without faults on the forward then the backward phase of
+/// `plan`.
 ///
 /// # Errors
 ///
-/// Propagates phase-simulation failures.
+/// As [`simulate`].
+pub fn simulate_plan(cluster: &ClusterSpec, plan: &ExecutionPlan) -> DcpResult<PlanSim> {
+    simulate_plan_faulted(cluster, plan, &FaultSpec::none())
+}
+
+/// [`simulate`] on both phases of `plan`. The backward phase draws
+/// straggler jitter from a salted seed so its perturbations are independent
+/// of the forward phase's while remaining a pure function of `spec.seed`.
+/// Kept as a name because `benchmark/` calls it; ROADMAP item 1(c) retires
+/// it.
+///
+/// # Errors
+///
+/// As [`simulate`].
 pub fn simulate_plan_faulted(
     cluster: &ClusterSpec,
     plan: &ExecutionPlan,
@@ -614,8 +560,8 @@ pub fn simulate_plan_faulted(
         faults: spec.faults.clone(),
     };
     Ok(PlanSim {
-        fwd: simulate_phase_faulted(cluster, &plan.fwd, spec)?.0,
-        bwd: simulate_phase_faulted(cluster, &plan.bwd, &bwd_spec)?.0,
+        fwd: simulate(cluster, &plan.fwd, spec)?.sim,
+        bwd: simulate(cluster, &plan.bwd, &bwd_spec)?.sim,
     })
 }
 
@@ -624,7 +570,7 @@ mod tests {
     use super::*;
     use dcp_blocks::{BatchLayout, BlockConfig};
     use dcp_mask::MaskSpec;
-    use dcp_sched::{build_plan, Placement, ScheduleConfig};
+    use dcp_sched::{build_plan, CommId, Placement, ScheduleConfig};
     use dcp_types::AttnSpec;
 
     fn layout(len: u32, bs: u32) -> BatchLayout {
@@ -637,6 +583,11 @@ mod tests {
             &[(len, MaskSpec::Causal)],
         )
         .unwrap()
+    }
+
+    /// The un-faulted simulation of `phase`.
+    fn clean(c: &ClusterSpec, phase: &PhasePlan) -> PhaseSim {
+        simulate(c, phase, &FaultSpec::none()).unwrap().sim
     }
 
     fn ring_placement(l: &BatchLayout, n: u32) -> Placement {
@@ -659,7 +610,7 @@ mod tests {
         let p = Placement::all_on_zero(&l, 1);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let c = ClusterSpec::p4de(1);
-        let sim = simulate_phase(&c, &plan.fwd).unwrap();
+        let sim = clean(&c, &plan.fwd);
         let flops: u64 = l.comp_blocks.iter().map(|b| b.flops).sum();
         let expect = flops as f64 / c.effective_flops() + c.kernel_overhead;
         assert!((sim.makespan - expect).abs() < 1e-12);
@@ -673,7 +624,7 @@ mod tests {
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let c = ClusterSpec::p4de(1); // 4 devices used of 8
-        let sim = simulate_phase(&c, &plan.fwd).unwrap();
+        let sim = clean(&c, &plan.fwd);
         let comp_lb = plan
             .fwd
             .comp_loads()
@@ -701,7 +652,7 @@ mod tests {
                 },
             )
             .unwrap();
-            simulate_phase(&c, &plan.fwd).unwrap().makespan
+            clean(&c, &plan.fwd).makespan
         };
         let t4 = {
             let plan = build_plan(
@@ -713,7 +664,7 @@ mod tests {
                 },
             )
             .unwrap();
-            simulate_phase(&c, &plan.fwd).unwrap().makespan
+            clean(&c, &plan.fwd).makespan
         };
         // With one division nothing overlaps (all comm waits precede all
         // compute of remote blocks); four divisions must not be slower.
@@ -728,10 +679,10 @@ mod tests {
         let p_intra = ring_placement(&l, 8);
         let c_intra = ClusterSpec::p4de(1);
         let plan = build_plan(&l, &p_intra, &ScheduleConfig::default()).unwrap();
-        let t_intra = simulate_phase(&c_intra, &plan.fwd).unwrap().makespan;
+        let t_intra = clean(&c_intra, &plan.fwd).makespan;
         let mut c_spread = ClusterSpec::p4de(4);
         c_spread.devices_per_node = 2;
-        let t_spread = simulate_phase(&c_spread, &plan.fwd).unwrap().makespan;
+        let t_spread = clean(&c_spread, &plan.fwd).makespan;
         assert!(
             t_spread > t_intra,
             "cross-node {t_spread} should exceed intra {t_intra}"
@@ -751,32 +702,16 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected() {
-        // Handcraft a stream waiting on a partial op that nobody launches.
-        use dcp_sched::{CommOp, DeviceStream, Payload, Transfer};
-        let phase = PhasePlan {
-            comms: vec![CommOp {
-                transfers: vec![Transfer {
-                    from: 1,
-                    to: 0,
-                    payload: Payload::PartialO(dcp_blocks::TokenBlockId(0), 1),
-                    bytes: 100,
-                }],
-            }],
-            devices: vec![
-                DeviceStream {
-                    device: 0,
-                    instrs: vec![Instr::CommWait(CommId(0))],
-                    buffer: Default::default(),
-                },
-                DeviceStream {
-                    device: 1,
-                    instrs: vec![],
-                    buffer: Default::default(),
-                },
-            ],
-        };
+        // Device 0 waits on a partial op that nobody launches. The
+        // rejection is the walker's, so it is the verifier's.
+        let mut phase = late_sender(100);
+        phase.devices[1].instrs.clear();
         let c = ClusterSpec::p4de(1);
-        assert!(simulate_phase(&c, &phase).is_err());
+        let err = simulate(&c, &phase, &FaultSpec::none()).unwrap_err();
+        let stalled = dcp_sched::verify_structure(&phase).unwrap_err();
+        assert_eq!(stalled.kind, dcp_sched::ViolationKind::Deadlock);
+        assert_eq!((stalled.device, stalled.instr), (Some(0), Some(0)));
+        assert_eq!(err, DcpError::from(stalled));
     }
 
     /// Device 1 runs a copy kernel, then sends `bytes` of partial output to
@@ -811,7 +746,8 @@ mod tests {
     fn a_wait_reached_before_the_launch_is_woken_by_the_flow() {
         let c = ClusterSpec::p4de(1);
         let bytes = 1_000_000_000u64;
-        let (sim, counters) = simulate_phase_counted(&c, &late_sender(bytes)).unwrap();
+        let SimRun { sim, counters, .. } =
+            simulate(&c, &late_sender(bytes), &FaultSpec::none()).unwrap();
         let copy = (1u64 << 30) as f64 / c.mem_bw + c.kernel_overhead;
         let arrival = copy + c.intra_latency + bytes as f64 / c.intra_bw;
         assert_eq!(sim.devices[1].finish, copy);
@@ -825,7 +761,8 @@ mod tests {
     #[test]
     fn an_empty_transfer_wakes_its_receiver_at_the_launch() {
         let c = ClusterSpec::p4de(1);
-        let (sim, counters) = simulate_phase_counted(&c, &late_sender(0)).unwrap();
+        let SimRun { sim, counters, .. } =
+            simulate(&c, &late_sender(0), &FaultSpec::none()).unwrap();
         let copy = (1u64 << 30) as f64 / c.mem_bw + c.kernel_overhead;
         // Nothing to carry: the flow is done when launched and never
         // becomes a network event, so only the launch can wake device 0.
@@ -859,7 +796,7 @@ mod tests {
         };
         for spec in [FaultSpec::none(), faulted] {
             for phase in [&plan.fwd, &plan.bwd] {
-                let (_, _, counters) = simulate_phase_opts(&c, phase, &spec, false).unwrap();
+                let counters = simulate(&c, phase, &spec).unwrap().counters;
                 let waits = phase
                     .devices
                     .iter()
@@ -895,11 +832,13 @@ mod tests {
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let c = ClusterSpec::p4de(1);
-        let (base, base_trace) = simulate_phase_traced(&c, &plan.fwd).unwrap();
-        let (faulted, faulted_trace) =
-            simulate_phase_faulted(&c, &plan.fwd, &FaultSpec::none()).unwrap();
-        assert_eq!(base, faulted);
-        assert_eq!(base_trace, faulted_trace);
+        // A seed with nothing to perturb changes nothing.
+        let seeded = FaultSpec {
+            seed: 99,
+            faults: Vec::new(),
+        };
+        let base = simulate(&c, &plan.fwd, &FaultSpec::none()).unwrap();
+        assert_eq!(base, simulate(&c, &plan.fwd, &seeded).unwrap());
     }
 
     #[test]
@@ -909,7 +848,7 @@ mod tests {
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let c = ClusterSpec::p4de(1);
-        let base = simulate_phase(&c, &plan.fwd).unwrap();
+        let base = clean(&c, &plan.fwd);
         let spec = FaultSpec {
             seed: 42,
             faults: vec![Fault::Straggler {
@@ -917,7 +856,7 @@ mod tests {
                 slowdown: 4.0,
             }],
         };
-        let (sim, trace) = simulate_phase_faulted(&c, &plan.fwd, &spec).unwrap();
+        let SimRun { sim, trace, .. } = simulate(&c, &plan.fwd, &spec).unwrap();
         // Device 0's compute roughly quadruples (x4 with +-10% jitter per
         // kernel), and the makespan grows.
         assert!(sim.devices[0].compute() > base.devices[0].compute() * 3.5);
@@ -937,7 +876,7 @@ mod tests {
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let c = ClusterSpec::p4de(1);
-        let base = simulate_phase(&c, &plan.fwd).unwrap();
+        let base = clean(&c, &plan.fwd);
         // Every link into device 0 collapses to 1% bandwidth.
         let spec = FaultSpec {
             seed: 0,
@@ -949,7 +888,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let (sim, _) = simulate_phase_faulted(&c, &plan.fwd, &spec).unwrap();
+        let sim = simulate(&c, &plan.fwd, &spec).unwrap().sim;
         assert!(
             sim.makespan > base.makespan * 1.05,
             "degraded ingress should cost makespan: {} vs {}",
@@ -983,8 +922,8 @@ mod tests {
                 factor: 0.05,
             }],
         };
-        let (a, _) = simulate_phase_faulted(&c, &plan.fwd, &constant).unwrap();
-        let (b, _) = simulate_phase_faulted(&c, &plan.fwd, &flapping).unwrap();
+        let a = simulate(&c, &plan.fwd, &constant).unwrap().sim;
+        let b = simulate(&c, &plan.fwd, &flapping).unwrap().sim;
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
         assert_eq!(a.devices, b.devices);
     }
@@ -996,7 +935,7 @@ mod tests {
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let c = ClusterSpec::p4de(1);
-        let base = simulate_phase(&c, &plan.fwd).unwrap();
+        let base = clean(&c, &plan.fwd);
         let mk = |fault: fn(u32) -> Fault| FaultSpec {
             seed: 0,
             faults: (1..4).map(fault).collect(),
@@ -1016,8 +955,8 @@ mod tests {
             dst: 0,
             factor: 0.001,
         });
-        let (flapped, _) = simulate_phase_faulted(&c, &plan.fwd, &flap).unwrap();
-        let (degraded, _) = simulate_phase_faulted(&c, &plan.fwd, &constant).unwrap();
+        let flapped = simulate(&c, &plan.fwd, &flap).unwrap().sim;
+        let degraded = simulate(&c, &plan.fwd, &constant).unwrap().sim;
         assert!(
             flapped.makespan > base.makespan,
             "flapping ingress should cost makespan: {} vs {}",
@@ -1039,7 +978,7 @@ mod tests {
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let c = ClusterSpec::p4de(1);
-        let base = simulate_phase(&c, &plan.fwd).unwrap();
+        let base = clean(&c, &plan.fwd);
         let delay = 0.25;
         let spec = FaultSpec {
             seed: 0,
@@ -1048,7 +987,7 @@ mod tests {
                 delay_s: delay,
             }],
         };
-        let (sim, trace) = simulate_phase_faulted(&c, &plan.fwd, &spec).unwrap();
+        let SimRun { sim, trace, .. } = simulate(&c, &plan.fwd, &spec).unwrap();
         assert!(sim.makespan >= base.makespan + delay * 0.9);
         let d = trace
             .iter()
@@ -1103,7 +1042,7 @@ mod tests {
         let p = ring_placement(&l, 8);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let tiny = ClusterSpec::single_node(4);
-        assert!(simulate_phase(&tiny, &plan.fwd).is_err());
+        assert!(simulate(&tiny, &plan.fwd, &FaultSpec::none()).is_err());
     }
 
     #[test]
@@ -1113,7 +1052,7 @@ mod tests {
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
         let mut c = ClusterSpec::p4de(1);
         c.inter_bw = 0.0;
-        let err = simulate_phase(&c, &plan.fwd).unwrap_err();
+        let err = simulate(&c, &plan.fwd, &FaultSpec::none()).unwrap_err();
         assert!(matches!(err, DcpError::InvalidArgument(_)), "{err:?}");
     }
 
@@ -1127,13 +1066,16 @@ mod tests {
             c.devices_per_node = 2;
             c
         }] {
+            let none = FaultSpec::none();
+            let mut scratch = Network::new(cluster.clone());
+            scratch.use_scratch_engine(true);
             let (inc, ci) = simulate_phase_counted(&cluster, &plan.fwd).unwrap();
-            let (scr, cs) = simulate_phase_scratch(&cluster, &plan.fwd).unwrap();
-            assert_eq!(inc.makespan.to_bits(), scr.makespan.to_bits());
-            assert_eq!(inc.devices, scr.devices);
-            assert_eq!(ci.events, cs.events);
-            assert_eq!(ci.flows, cs.flows);
-            assert!(ci.touched_flows <= cs.touched_flows);
+            let scr = simulate_on(&cluster, scratch, &plan.fwd, &none).unwrap();
+            assert_eq!(inc.makespan.to_bits(), scr.sim.makespan.to_bits());
+            assert_eq!(inc.devices, scr.sim.devices);
+            assert_eq!(ci.events, scr.counters.events);
+            assert_eq!(ci.flows, scr.counters.flows);
+            assert!(ci.touched_flows <= scr.counters.touched_flows);
         }
     }
 
@@ -1149,12 +1091,8 @@ mod tests {
         flat.devices_per_node = 1;
         let mut spine = ClusterSpec::p4de_spine(8, 4, 16.0);
         spine.devices_per_node = 1;
-        let t_flat = simulate_phase(&flat, &plan_of(&l, &p).fwd)
-            .unwrap()
-            .makespan;
-        let t_spine = simulate_phase(&spine, &plan_of(&l, &p).fwd)
-            .unwrap()
-            .makespan;
+        let t_flat = clean(&flat, &plan_of(&l, &p).fwd).makespan;
+        let t_spine = clean(&spine, &plan_of(&l, &p).fwd).makespan;
         assert!(
             t_spine > t_flat,
             "oversubscribed spine should cost makespan: {t_spine} vs {t_flat}"

@@ -1,7 +1,7 @@
 //! Execution traces: Chrome-trace export and an ASCII Gantt renderer.
 //!
-//! [`crate::simulate_phase_traced`] records every compute segment, exposed
-//! wait and transfer of a simulated phase. This module turns that into:
+//! [`crate::simulate`] records every compute segment, exposed wait and
+//! transfer of a simulated phase in [`crate::SimRun::trace`]. This module turns that into:
 //!
 //! - [`to_chrome_trace`]: the Chrome Trace Event JSON format — open it at
 //!   `chrome://tracing` (or Perfetto) to inspect a plan's timeline the way
@@ -87,7 +87,7 @@ pub struct TraceEvent {
 /// clocks never mix on one track. Transfers become `recv` spans with the
 /// sender recorded in the label.
 ///
-/// Events are adapted in input order; `simulate_phase_traced` emits its
+/// Events are adapted in input order; [`crate::simulate`] emits its
 /// trace deterministically, so the adapted stream is too.
 pub fn trace_to_obs(
     events: &[TraceEvent],
@@ -317,7 +317,8 @@ mod tests {
         };
         let plan = build_plan(&layout, &placement, &ScheduleConfig::default()).unwrap();
         let cluster = ClusterSpec::single_node(4);
-        let (sim, trace) = crate::simulate_phase_traced(&cluster, &plan.fwd).unwrap();
+        let crate::SimRun { sim, trace, .. } =
+            crate::simulate(&cluster, &plan.fwd, &crate::FaultSpec::none()).unwrap();
         assert!(!trace.is_empty());
         // Every event lies within the makespan and trace compute time sums
         // to the timeline's accounting.

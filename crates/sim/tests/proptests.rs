@@ -4,7 +4,7 @@
 use dcp_blocks::{BatchLayout, BlockConfig};
 use dcp_mask::MaskSpec;
 use dcp_sched::{build_plan, Placement, ScheduleConfig};
-use dcp_sim::simulate_phase;
+use dcp_sim::{simulate, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec};
 use proptest::prelude::*;
 
@@ -60,7 +60,7 @@ proptest! {
     fn makespan_lower_bound((lens, bs, n, seed) in arb_case()) {
         let cluster = ClusterSpec::single_node(8);
         let (_, _, plan) = build_case(&lens, bs, n, seed);
-        let sim = simulate_phase(&cluster, &plan.fwd).unwrap();
+        let sim = simulate(&cluster, &plan.fwd, &FaultSpec::none()).unwrap().sim;
         let eff = cluster.effective_flops();
         for (d, load) in plan.fwd.comp_loads().iter().enumerate() {
             let lb = *load as f64 / eff;
@@ -82,8 +82,8 @@ proptest! {
         fast.intra_bw *= 2.0;
         fast.inter_bw *= 2.0;
         let (_, _, plan) = build_case(&lens, bs, n, seed);
-        let t_slow = simulate_phase(&slow, &plan.fwd).unwrap().makespan;
-        let t_fast = simulate_phase(&fast, &plan.fwd).unwrap().makespan;
+        let t_slow = simulate(&slow, &plan.fwd, &FaultSpec::none()).unwrap().sim.makespan;
+        let t_fast = simulate(&fast, &plan.fwd, &FaultSpec::none()).unwrap().sim.makespan;
         prop_assert!(t_fast <= t_slow * 1.0001, "fast {t_fast} > slow {t_slow}");
     }
 
@@ -92,8 +92,8 @@ proptest! {
     fn simulation_is_deterministic((lens, bs, n, seed) in arb_case()) {
         let cluster = ClusterSpec::p4de(1);
         let (_, _, plan) = build_case(&lens, bs, n, seed);
-        let a = simulate_phase(&cluster, &plan.fwd).unwrap();
-        let b = simulate_phase(&cluster, &plan.fwd).unwrap();
+        let a = simulate(&cluster, &plan.fwd, &FaultSpec::none()).unwrap().sim;
+        let b = simulate(&cluster, &plan.fwd, &FaultSpec::none()).unwrap().sim;
         prop_assert_eq!(a, b);
     }
 
@@ -104,7 +104,7 @@ proptest! {
     fn overlap_accounting_consistent((lens, bs, n, seed) in arb_case()) {
         let cluster = ClusterSpec::p4de(1);
         let (_, _, plan) = build_case(&lens, bs, n, seed);
-        let sim = simulate_phase(&cluster, &plan.fwd).unwrap();
+        let sim = simulate(&cluster, &plan.fwd, &FaultSpec::none()).unwrap().sim;
         for d in &sim.devices {
             prop_assert!(d.exposed_wait >= 0.0);
             prop_assert!(d.overlap <= d.comm_active + 1e-9);

@@ -1,29 +1,34 @@
-//! Differential dump for changes to the simulator's event loop or network
-//! engine (`dcp-sim::sim`, `dcp-sim::network`). Device run order at one
-//! instant fixes flow ids and the water-fill's freeze order, so such a change
-//! has to keep every simulated f64 as it was. This prints one line per case —
-//! an FNV-1a over the makespan, every `DeviceTimeline` field and every trace
-//! event, plus the event-loop and network counters — for 22 400 cases: 400
-//! random scattered placements × 4 clusters (zero-latency and leaf/spine
-//! among them) × forward/backward × {clean, random faults, a third of the
-//! transfers empty, all empty under faults, 0–200-byte transfers, a launch
-//! moved behind its receivers' waits, the same under faults}, then planner
-//! plans on 8, 16, 32 and 256 devices. It uses nothing newer than PR 15's
-//! API, so it builds in a clone of an older commit:
+//! Differential dump for changes to the timing side of the stream walker:
+//! its run queue (`dcp-sched::stream`), the simulator's timing backend
+//! (`dcp-sim::sim`) or the network engine (`dcp-sim::network`). Device run
+//! order at one instant fixes flow ids and the water-fill's freeze order, so
+//! such a change has to keep every simulated f64 as it was. This prints one
+//! line per case — an FNV-1a over the makespan, every `DeviceTimeline` field
+//! and every trace event, plus the event-loop and network counters — for
+//! 22 400 cases: 400 random scattered placements × 4 clusters (zero-latency
+//! and leaf/spine among them) × forward/backward × {clean, random faults, a
+//! third of the transfers empty, all empty under faults, 0–200-byte
+//! transfers, a launch moved behind its receivers' waits, the same under
+//! faults}, then planner plans on 8, 16, 32 and 256 devices.
+//!
+//! "Same simulation" is a mechanical diff: the line count and sha256 of the
+//! output are committed as `results/SIM_DIGEST.txt`, and CI's `verify` job
+//! regenerates and compares them (~2.5 min in release):
 //!
 //! ```sh
-//! git clone -q . /root/scratch/parent && git -C /root/scratch/parent checkout -q <commit>
-//! cp examples/sim_differential.rs /root/scratch/parent/examples/
-//! (cd /root/scratch/parent && cargo run --release -q --example sim_differential) > old.txt
-//! cargo run --release -q --example sim_differential > new.txt   # ~2.5 min each
-//! cmp old.txt new.txt
+//! cargo run --release -q --example sim_differential > sim_differential.txt
+//! echo "$(wc -l < sim_differential.txt) $(sha256sum < sim_differential.txt | cut -d' ' -f1)" \
+//!     | diff -u results/SIM_DIGEST.txt -
 //! ```
 //!
-//! PR 16 (wake-on-completion loop, `advance_to` sweep skip) was checked this
-//! way against its parent: no line differs. The scratch network engine
-//! breaks exact max-min ties in hash-map order and is not bit-stable from
-//! run to run, so its makespan is compared with the incremental engine's to
-//! 1e-9 inside the case and only its counters are printed.
+//! The value there was recorded with PR 16's own event loop, before the
+//! simulator became a backend of the walker, and has not moved since PR 15's
+//! polling loop. When the digest does move, `diff` this output against the
+//! same example's in a `git clone` of the parent to see which cases did. The
+//! scratch network engine breaks exact max-min ties in hash-map order and is
+//! not bit-stable from run to run, so its makespan is compared with the
+//! incremental engine's to 1e-9 inside the case and only its counters are
+//! printed.
 
 use dcp::blocks::{BatchLayout, BlockConfig};
 use dcp::core::{Planner, PlannerConfig};
@@ -31,10 +36,8 @@ use dcp::mask::MaskSpec;
 use dcp::sched::{
     build_plan, ExecutionPlan, Instr, PassConfig, PayloadKind, PhasePlan, Placement, ScheduleConfig,
 };
-use dcp::sim::{
-    simulate_phase_counted, simulate_phase_faulted, simulate_phase_scratch, Fault, FaultSpec,
-    TraceKind,
-};
+use dcp::sim::network::Network;
+use dcp::sim::{simulate, simulate_on, Fault, FaultSpec, SimRun, TraceKind};
 use dcp::types::{AttnSpec, ClusterSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -92,8 +95,9 @@ fn random_case(seed: u64, big: bool) -> (ExecutionPlan, u32) {
 }
 
 fn dump(tag: &str, cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) {
-    match simulate_phase_faulted(cluster, phase, spec) {
-        Ok((sim, trace)) => {
+    let run = simulate(cluster, phase, spec);
+    match &run {
+        Ok(SimRun { sim, trace, .. }) => {
             let mut h = Fnv(0xcbf2_9ce4_8422_2325);
             h.word(sim.makespan.to_bits());
             for d in &sim.devices {
@@ -109,7 +113,7 @@ fn dump(tag: &str, cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) {
                     h.word(x.to_bits());
                 }
             }
-            for e in &trace {
+            for e in trace {
                 h.word(e.device as u64);
                 h.word(match e.kind {
                     TraceKind::Attn => 1,
@@ -128,27 +132,31 @@ fn dump(tag: &str, cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) {
         }
         Err(e) => print!("{tag} err {e:?}"),
     }
+    // The clean cases also print the counters, and those of the scratch
+    // network engine under the same walk.
     if spec.faults.is_empty() {
-        let counted = simulate_phase_counted(cluster, phase);
-        match &counted {
-            Ok((s, c)) => print!(
+        match &run {
+            Ok(SimRun { sim, counters, .. }) => print!(
                 " counted {:016x} ev={} fl={} rc={} tf={}",
-                s.makespan.to_bits(),
-                c.events,
-                c.flows,
-                c.recomputes,
-                c.touched_flows
+                sim.makespan.to_bits(),
+                counters.events,
+                counters.flows,
+                counters.recomputes,
+                counters.touched_flows
             ),
             Err(_) => print!(" counted err"),
         }
-        match (simulate_phase_scratch(cluster, phase), counted) {
-            (Ok((s, c)), Ok((inc, _))) => {
-                let close = (s.makespan - inc.makespan).abs() <= 1e-9 * inc.makespan.max(1e-9);
+        let mut scratch = Network::new(cluster.clone());
+        scratch.use_scratch_engine(true);
+        match (simulate_on(cluster, scratch, phase, spec), &run) {
+            (Ok(scr), Ok(inc)) => {
+                let (s, inc) = (scr.sim.makespan, inc.sim.makespan);
+                let close = (s - inc).abs() <= 1e-9 * inc.max(1e-9);
                 print!(
                     " scratch {} ev={} fl={}",
                     if close { "close" } else { "FAR" },
-                    c.events,
-                    c.flows
+                    scr.counters.events,
+                    scr.counters.flows
                 );
             }
             _ => print!(" scratch err"),

@@ -16,7 +16,7 @@ use dcp::baselines::Baseline;
 use dcp::core::{Planner, PlannerConfig};
 use dcp::data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
 use dcp::mask::MaskSpec;
-use dcp::sim::{ascii_gantt, simulate_phase_traced, simulate_plan, to_chrome_trace};
+use dcp::sim::{ascii_gantt, simulate, simulate_plan, to_chrome_trace, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec};
 use serde::{Deserialize, Serialize};
 
@@ -182,14 +182,16 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
             sim.bwd.makespan * 1e3,
             (sim.fwd.max_exposed() + sim.bwd.max_exposed()) * 1e3
         );
+        let fwd_trace = || {
+            simulate(&cluster, &out.plan.fwd, &FaultSpec::none())
+                .map(|run| run.trace)
+                .map_err(|e| e.to_string())
+        };
         if flags.contains_key("gantt") {
-            let (_, trace) =
-                simulate_phase_traced(&cluster, &out.plan.fwd).map_err(|e| e.to_string())?;
-            print!("{}", ascii_gantt(&trace, 100));
+            print!("{}", ascii_gantt(&fwd_trace()?, 100));
         }
         if let Some(path) = flags.get("trace") {
-            let (_, trace) =
-                simulate_phase_traced(&cluster, &out.plan.fwd).map_err(|e| e.to_string())?;
+            let trace = fwd_trace()?;
             let path = if w.batches.len() == 1 {
                 path.clone()
             } else {

@@ -19,13 +19,13 @@ use std::sync::Arc;
 use dcp::blocks::TokenBlockId;
 use dcp::core::{DcpDataloader, IncrementalConfig, Planner, PlannerConfig};
 use dcp::data::Batch;
-use dcp::exec::{execute_backward_obs, execute_forward_obs, BatchData, ExecObs};
+use dcp::exec::{execute_backward_recovery, execute_forward_obs, BatchData, ExecObs};
 use dcp::mask::MaskSpec;
 use dcp::obs::{
     critical_path, identities, AnalysisScope, Attribution, Event, ObsHandle, ObsSink, Phase,
     RecordingSink,
 };
-use dcp::sim::{simulate_phase_traced, trace_to_obs};
+use dcp::sim::{simulate, trace_to_obs, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -108,19 +108,22 @@ fn capture() -> Vec<Event> {
     let eo = ExecObs::new(sink.as_ref()).with_iter(0);
     let fwd =
         execute_forward_obs(&out.layout, &out.placement, &out.plan, &data, &eo).expect("forward");
-    execute_backward_obs(
+    execute_backward_recovery(
         &out.layout,
         &out.placement,
-        &out.plan,
+        &out.plan.bwd,
         &data,
         &fwd,
         &d_o,
+        &Default::default(),
         &eo,
     )
     .expect("backward");
 
     // 4. Simulator timeline, adapted into the same stream.
-    let (_, trace) = simulate_phase_traced(&cluster, &out.plan.fwd).expect("simulate");
+    let trace = simulate(&cluster, &out.plan.fwd, &FaultSpec::none())
+        .expect("simulate")
+        .trace;
     sink.record_all(trace_to_obs(&trace, Phase::Fwd, Some(0)));
 
     sink.drain()

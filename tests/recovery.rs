@@ -28,7 +28,7 @@ use dcp::exec::executor::{
 use dcp::mask::MaskSpec;
 use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
 use dcp::sched::{CommId, Instr, Payload, PayloadKind, PhasePlan, Placement};
-use dcp::sim::{simulate_phase, simulate_plan, Fault, FaultSpec};
+use dcp::sim::{simulate, simulate_plan, Fault, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, DcpError, DcpResult, ModelSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -241,8 +241,9 @@ fn mid_iteration_recovery_end_to_end() {
     // patched timing plan (shard work spliced onto the survivor hosts) is
     // simulated on the *physical* cluster, and its overhead over the clean
     // forward plus the patch-planning wall time lands in `recovery`.
-    let clean_fwd = simulate_phase(&cluster, &out.plan.fwd).unwrap();
-    let rec_fwd = simulate_phase(&cluster, &patch.timing).unwrap();
+    let none = FaultSpec::none();
+    let clean_fwd = simulate(&cluster, &out.plan.fwd, &none).unwrap().sim;
+    let rec_fwd = simulate(&cluster, &patch.timing, &none).unwrap().sim;
     assert_eq!(rec_fwd.devices.len(), cluster.num_devices() as usize);
     assert!(rec_fwd.makespan > 0.0);
     let overhead = (rec_fwd.makespan - clean_fwd.makespan).max(0.0) + st.plan_wall_s;
@@ -554,6 +555,51 @@ fn tampered_plans_are_typed_errors_not_panics() {
             rp.plan_backward_recovery(&bwd, &ev)
         });
     }
+}
+
+/// The cascade PR 17's sweep found (58 of 40 988 attempts behave like it):
+/// the depth-2 patcher builds a functional patch that verifies, then rejects
+/// its own host-folded *timing* rendering with a `deadlock`. This pins what
+/// happens today — a typed error, no panic. ROADMAP item 2(c) folds shards
+/// onto hosts at walk time instead of rendering `patch.timing`; that flips
+/// this case to `Ok`, and the test should then execute the depth-2 patch
+/// and compare it bitwise with the clean run like
+/// `cascading_failure_composes_patches_bitwise`.
+#[test]
+fn cascade_whose_timing_rendering_deadlocks_is_a_typed_error() {
+    let planner = Planner::new(
+        ClusterSpec::single_node(7),
+        AttnSpec::new(4, 2, 8, 2),
+        PlannerConfig {
+            block_size: 16,
+            ..Default::default()
+        },
+    );
+    let lambda = MaskSpec::Lambda {
+        sink: 4,
+        window: 24,
+    };
+    let seqs = [
+        (174, lambda),
+        (135, MaskSpec::Causal),
+        (98, MaskSpec::Causal),
+    ];
+    let out = planner.plan(&seqs).unwrap();
+    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let kill = |device, divisions_done| FailureEvent {
+        device,
+        divisions_done,
+    };
+    let patch1 = rp.plan_recovery(&out, &kill(0, 2)).unwrap();
+    let err = rp
+        .plan_recovery_onto(&out, &patch1, &kill(4, 0))
+        .unwrap_err();
+    assert!(matches!(err, DcpError::InvalidPlan(_)), "{err:?}");
+    let shown = err.to_string();
+    assert!(
+        shown.starts_with("invalid plan: recovery fwd timing plan: [deadlock] device 1 instr 6: "),
+        "{shown}"
+    );
 }
 
 /// `(kind, token block, producer)` of a payload, inputs having no producer.

@@ -5,7 +5,7 @@ use dcp::baselines::Baseline;
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
 use dcp::sched::PlanReport;
-use dcp::sim::{ascii_gantt, simulate_phase_traced, to_chrome_trace, TraceKind};
+use dcp::sim::{ascii_gantt, simulate, to_chrome_trace, FaultSpec, SimRun, TraceKind};
 use dcp::types::{AttnSpec, ClusterSpec};
 
 fn skewed_batch() -> Vec<(u32, MaskSpec)> {
@@ -82,7 +82,7 @@ fn traces_cover_plan_activity_for_dcp_and_baselines() {
         .build(AttnSpec::paper_micro(), 8, 256, &batch)
         .unwrap();
     for plan in [&dcp.plan, &te.plan] {
-        let (sim, trace) = simulate_phase_traced(&cluster, &plan.fwd).unwrap();
+        let SimRun { sim, trace, .. } = simulate(&cluster, &plan.fwd, &FaultSpec::none()).unwrap();
         assert!(!trace.is_empty());
         let attn_time: f64 = trace
             .iter()

@@ -13,9 +13,8 @@
 use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPlanner};
 use dcp::core::{IncrementalConfig, PlanOutput, Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
-use dcp::sim::{
-    simulate_phase, simulate_phase_counted, simulate_phase_scratch, simulate_plan, Fault, FaultSpec,
-};
+use dcp::sim::network::Network;
+use dcp::sim::{simulate, simulate_on, simulate_plan, Fault, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
 
 fn golden_batch() -> Vec<(u32, MaskSpec)> {
@@ -116,8 +115,13 @@ fn incremental_engine_matches_scratch_on_golden_plans() {
         );
         let out = planner.plan(&golden_batch()).unwrap();
         for phase in [&out.plan.fwd, &out.plan.bwd] {
-            let (inc, inc_counters) = simulate_phase_counted(&cluster, phase).unwrap();
-            let (scr, scr_counters) = simulate_phase_scratch(&cluster, phase).unwrap();
+            let none = FaultSpec::none();
+            let mut scratch = Network::new(cluster.clone());
+            scratch.use_scratch_engine(true);
+            let incremental = simulate(&cluster, phase, &none).unwrap();
+            let reference = simulate_on(&cluster, scratch, phase, &none).unwrap();
+            let (inc, inc_counters) = (incremental.sim, incremental.counters);
+            let (scr, scr_counters) = (reference.sim, reference.counters);
             assert_eq!(
                 inc.makespan.to_bits(),
                 scr.makespan.to_bits(),
@@ -337,7 +341,9 @@ fn fault_aware_recovery_patch_is_bitwise_pinned() {
             },
         )
         .unwrap();
-    let timing = simulate_phase(&cluster, &patch.timing).unwrap();
+    let timing = simulate(&cluster, &patch.timing, &FaultSpec::none())
+        .unwrap()
+        .sim;
     assert_eq!(
         [
             placement_fnv(&patch.placement),

@@ -203,7 +203,7 @@ fn trace_analysis_structs_roundtrip() {
         critical_path, AnalysisScope, DetectorBank, DetectorConfig, FlightRecorder, ObsSink,
         RecorderConfig,
     };
-    use dcp::sim::{simulate_phase_faulted, trace_to_obs};
+    use dcp::sim::{simulate, trace_to_obs};
 
     let out = plan_small();
     let cluster = ClusterSpec::p4de(1);
@@ -214,7 +214,7 @@ fn trace_analysis_structs_roundtrip() {
             slowdown: 4.0,
         }],
     };
-    let (_, trace) = simulate_phase_faulted(&cluster, &out.plan.fwd, &spec).expect("sim");
+    let trace = simulate(&cluster, &out.plan.fwd, &spec).expect("sim").trace;
     let events = trace_to_obs(&trace, Phase::Fwd, Some(0));
 
     // Attribution (with its nested path steps and per-device rows).

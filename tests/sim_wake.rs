@@ -14,10 +14,8 @@
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
 use dcp::sched::{Instr, PassConfig, PayloadKind, PhasePlan};
-use dcp::sim::{
-    simulate_phase_counted, simulate_phase_faulted, simulate_phase_scratch, Fault, FaultSpec,
-    SimCounters, TraceKind,
-};
+use dcp::sim::network::Network;
+use dcp::sim::{simulate, simulate_on, Fault, FaultSpec, SimCounters, SimRun, TraceKind};
 use dcp::types::{AttnSpec, ClusterSpec};
 
 /// Forward and backward phases of a weak-scaled causal batch, 2048 tokens
@@ -47,7 +45,7 @@ fn spine_phases(nodes: u32) -> (ClusterSpec, [PhasePlan; 2]) {
 
 /// FNV-1a over everything a simulated phase reports.
 fn digest(cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) -> u64 {
-    let (sim, trace) = simulate_phase_faulted(cluster, phase, spec).unwrap();
+    let SimRun { sim, trace, .. } = simulate(cluster, phase, spec).unwrap();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut word = |x: u64| {
         for b in x.to_le_bytes() {
@@ -207,7 +205,7 @@ fn wake_on_completion_reproduces_the_polling_loop() {
     for (what, plans, golden) in &variants {
         for (p, phase) in plans.iter().enumerate() {
             let what = format!("{what}, phase {p}");
-            let (_, counters) = simulate_phase_counted(&cluster, phase).unwrap();
+            let counters = simulate(&cluster, phase, &none).unwrap().counters;
             let got = (digest(&cluster, phase, &none), parent_counters(&counters));
             assert_eq!(
                 got, golden[p],
@@ -243,8 +241,12 @@ fn scratch_engine_agrees_under_the_new_loop() {
             ("empty transfers", with_empty_transfers(phase)),
         ] {
             let what = format!("{what}, phase {p}");
-            let (sim, counters) = simulate_phase_counted(&cluster, &phase).unwrap();
-            let (scr, scr_counters) = simulate_phase_scratch(&cluster, &phase).unwrap();
+            let none = FaultSpec::none();
+            let mut scratch = Network::new(cluster.clone());
+            scratch.use_scratch_engine(true);
+            let SimRun { sim, counters, .. } = simulate(&cluster, &phase, &none).unwrap();
+            let reference = simulate_on(&cluster, scratch, &phase, &none).unwrap();
+            let (scr, scr_counters) = (reference.sim, reference.counters);
             assert_eq!(counters.events, scr_counters.events, "{what}");
             assert_eq!(counters.flows, scr_counters.flows, "{what}");
             assert_eq!(counters.wait_checks, scr_counters.wait_checks, "{what}");

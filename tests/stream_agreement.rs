@@ -12,7 +12,13 @@
 //! - (a) nothing panics — untrusted plans return typed errors;
 //! - (b) verifier-accepted ⇒ forward + backward execute to the dense
 //!   reference and the simulation completes;
-//! - (c) executor or simulator error ⇒ verifier error.
+//! - (c) executor error ⇒ verifier error, and the simulator — a backend of
+//!   the same walker, walking launch/wait structure only — rejects a phase
+//!   exactly when `verify_structure` does, with that diagnostic.
+//!
+//! All three are backends of `dcp::sched::stream::Stream::walk`, whose run
+//! queue replaced a round-robin over every device; the round-robin is kept
+//! below as an oracle for the order instructions retire in.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,11 +26,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use dcp::blocks::{BatchLayout, BlockConfig, CompBlockId, TokenBlockId};
 use dcp::exec::{execute_backward, execute_forward, reference, BatchData, BlockOut};
 use dcp::mask::MaskSpec;
+use dcp::sched::stream::{At, AttnItem, Backend, Stream, Wake};
 use dcp::sched::{
-    build_plan, verify_plan, CommId, ExecutionPlan, Instr, Payload, PayloadKind, Placement,
-    ReduceItem, ScheduleConfig,
+    build_plan, verify_plan, verify_structure, CommId, ExecutionPlan, Instr, Payload, PayloadKind,
+    PhasePlan, Placement, RecoveryCtx, ReduceItem, ScheduleConfig, Transfer, ViolationKind,
 };
-use dcp::sim::simulate_plan;
+use dcp::sim::{simulate, simulate_plan, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, DcpError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -357,12 +364,25 @@ fn check_agreement(what: &str, layout: &BatchLayout, placement: &Placement, plan
             .unwrap_or_else(|e| panic!("{what}: verified but exec failed: {e}"));
         assert!(worst < 2e-3, "{what}: off the dense reference by {worst}");
     }
-    for e in [simulated.err(), executed.err()].into_iter().flatten() {
+    if let Err(e) = executed {
         assert!(
             verified.is_err(),
-            "{what}: a consumer rejects ({e}), the verifier accepts"
+            "{what}: the executor rejects ({e}), the verifier accepts"
         );
     }
+    // One walker, one rejection: whatever the structure-only walk says of a
+    // phase is what the simulator says, to the message.
+    let none = FaultSpec::none();
+    for phase in [&plan.fwd, &plan.bwd] {
+        let structural = verify_structure(phase).err().map(DcpError::from);
+        let timed = simulate(&cluster, phase, &none).err();
+        assert_eq!(timed, structural, "{what}: simulator vs verify_structure");
+    }
+    assert_eq!(
+        simulated.is_ok(),
+        verify_structure(&plan.fwd).is_ok() && verify_structure(&plan.bwd).is_ok(),
+        "{what}: simulate_plan"
+    );
 }
 
 #[test]
@@ -390,6 +410,212 @@ fn verifier_executor_and_simulator_agree() {
     for ((name, _), n) in MUTATIONS.iter().zip(applied) {
         assert!(n > 0, "mutation {name} applied to no generated plan");
     }
+}
+
+/// A device that waits on its own input op before launching it can never be
+/// served: the simulator used to call that a deadlock, the verifier and the
+/// executor `wait-without-launch`. Now it is one diagnostic from all three.
+#[test]
+fn a_wait_on_an_unlaunched_input_is_one_diagnostic_for_all_three() {
+    let (_, wait_before_launch) = MUTATIONS[0];
+    let cluster = ClusterSpec::single_node(8);
+    let mut applied = 0;
+    for seed in 0..SEEDS {
+        let (layout, placement, mut plan) = random_case(seed);
+        if !wait_before_launch(&mut plan) {
+            continue;
+        }
+        applied += 1;
+        let diagnostic = verify_plan(&layout, &placement, &plan).unwrap_err();
+        assert_eq!(diagnostic.kind, ViolationKind::WaitWithoutLaunch);
+        assert_eq!(verify_structure(&plan.fwd).unwrap_err(), diagnostic);
+        let expected = DcpError::from(diagnostic);
+        let (data, _) = random_tensors(&layout);
+        let executed = execute_forward(&layout, &placement, &plan, &data).map(drop);
+        assert_eq!(executed.unwrap_err(), expected, "seed {seed}: executor");
+        let simulated = simulate(&cluster, &plan.fwd, &FaultSpec::none()).map(drop);
+        assert_eq!(simulated.unwrap_err(), expected, "seed {seed}: simulator");
+    }
+    assert!(applied > 0);
+}
+
+/// A position in the streams, and why the walk stopped there.
+type Stall = (ViolationKind, u32, usize);
+
+/// Whether `tr` carries a model input (the receiver deposits those) rather
+/// than a partial result (the sender does).
+fn is_input(tr: &Transfer) -> bool {
+    let kind = tr.payload.kind();
+    matches!(kind, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO)
+}
+
+/// The round-robin `Stream::walk` ran before it had a run queue, structure
+/// only: every device in index order, each until it blocks; a launch marks
+/// the transfers its depositor owns (the receiver for inputs, the sender for
+/// partials), a wait blocks on an unmarked incoming transfer — an input
+/// among them can never come — and everything else retires. Returns the
+/// `(device, index)` of every retired instruction, in order, and where it
+/// stalled if it did.
+fn round_robin(phase: &PhasePlan) -> (Vec<(u32, usize)>, Option<Stall>) {
+    let mut sent: Vec<Vec<bool>> = phase
+        .comms
+        .iter()
+        .map(|op| vec![false; op.transfers.len()])
+        .collect();
+    let mut ip = vec![0usize; phase.devices.len()];
+    let mut retired = Vec::new();
+    loop {
+        let mut progressed = false;
+        for (d, stream) in phase.devices.iter().enumerate() {
+            let dev = d as u32;
+            while let Some(ins) = stream.instrs.get(ip[d]) {
+                match ins {
+                    Instr::CommLaunch(cid) => {
+                        let op = &phase.comms[cid.0 as usize];
+                        for (tr, sent) in op.transfers.iter().zip(&mut sent[cid.0 as usize]) {
+                            let depositor = if is_input(tr) { tr.to } else { tr.from };
+                            *sent |= depositor == dev;
+                        }
+                    }
+                    Instr::CommWait(cid) => {
+                        let op = &phase.comms[cid.0 as usize];
+                        let sent = &sent[cid.0 as usize];
+                        let missing = |(i, tr): &(usize, &Transfer)| tr.to == dev && !sent[*i];
+                        match op.transfers.iter().enumerate().find(missing) {
+                            Some((_, tr)) if is_input(tr) => {
+                                let stall = (ViolationKind::WaitWithoutLaunch, dev, ip[d]);
+                                return (retired, Some(stall));
+                            }
+                            Some(_) => break,
+                            None => {}
+                        }
+                    }
+                    _ => {}
+                }
+                retired.push((dev, ip[d]));
+                ip[d] += 1;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            let stalled = (0..ip.len()).find(|&d| ip[d] < phase.devices[d].instrs.len());
+            let stall = stalled.map(|d| (ViolationKind::Deadlock, d as u32, ip[d]));
+            return (retired, stall);
+        }
+    }
+}
+
+/// A backend with no data and no clock that records what retires.
+#[derive(Default)]
+struct Recording {
+    retired: Vec<(u32, usize)>,
+}
+
+impl Backend for Recording {
+    type Slot = ();
+    fn accumulates(&self, _: u32, _: PayloadKind, _: TokenBlockId) -> bool {
+        false
+    }
+    fn deposit(&mut self, _: u32, _: u32, _: &Transfer, _: bool) {}
+    fn install(&mut self, _: u32, _: Payload, _: ()) {}
+    fn attn(&mut self, _: u32, _: bool, _: &[AttnItem<'_, ()>]) {}
+    fn reduce(&mut self, _: u32, _: &ReduceItem, _: &[&()]) {}
+    fn polled(&mut self, at: At, _: &Instr, retired: bool, _: &mut Wake) {
+        if retired {
+            self.retired.push((at.dev, at.idx));
+        }
+    }
+}
+
+/// Moves one device's launch of a partial-result op (the sender deposits
+/// those) four instructions later, so its receivers reach their `CommWait`
+/// first and have to be woken by the deposit.
+fn launch_behind_the_waits(phase: &mut PhasePlan) -> bool {
+    for si in 0..phase.devices.len() {
+        for i in 0..phase.devices[si].instrs.len() {
+            let Instr::CommLaunch(cid) = phase.devices[si].instrs[i] else {
+                continue;
+            };
+            // (A malformed variant may name an op outside the table.)
+            let op = phase.comms.get(cid.0 as usize);
+            if op.is_none_or(|op| op.transfers.iter().all(is_input)) {
+                continue;
+            }
+            let instrs = &mut phase.devices[si].instrs;
+            let j = (i + 4).min(instrs.len() - 1);
+            // Never past the launching device's own wait on the op.
+            if instrs[i + 1..=j].contains(&Instr::CommWait(cid)) {
+                continue;
+            }
+            let launch = instrs.remove(i);
+            instrs.insert(j, launch);
+            return true;
+        }
+    }
+    false
+}
+
+/// The order argument, as an oracle: the run queue is round-robin minus the
+/// polls that would find a device still blocked, so a backend sees the same
+/// instructions retire in the same order and the walk stalls at the same
+/// place — which is why numeric outputs, `ExecObs` span order and verifier
+/// verdicts could not move when the queue replaced the loop.
+#[test]
+fn the_run_queue_retires_what_round_robin_retires() {
+    let (mut walked, mut stalled, mut late) = (0, 0, 0);
+    let mut check = |what: &str, phase: &PhasePlan| {
+        let mut recording = Recording::default();
+        let outcome = Stream {
+            phase,
+            backward: false,
+            ctx: &RecoveryCtx::default(),
+            logical: None,
+        }
+        .walk(&mut recording);
+        let stall = match outcome {
+            Ok(()) => None,
+            Err(d) => match (d.device, d.instr) {
+                (Some(dev), Some(idx)) if d.kind != ViolationKind::CommIdOutOfRange => {
+                    Some((d.kind, dev, idx))
+                }
+                // Ids or shape rejected before the first instruction: the
+                // oracle would index out of bounds.
+                _ => {
+                    assert!(recording.retired.is_empty(), "{what}: {d}");
+                    return;
+                }
+            },
+        };
+        let (retired, oracle_stall) = round_robin(phase);
+        assert_eq!(stall, oracle_stall, "{what}: where the walk stops");
+        assert_eq!(recording.retired, retired, "{what}: retire order");
+        walked += 1;
+        stalled += stall.is_some() as u32;
+    };
+    for seed in 0..4 * SEEDS {
+        let (_, _, plan) = random_case(seed);
+        let variants = MUTATIONS.iter().filter_map(|(name, mutate)| {
+            let mut mutated = plan.clone();
+            mutate(&mut mutated).then_some((*name, mutated))
+        });
+        for (name, plan) in std::iter::once(("clean", plan.clone())).chain(variants) {
+            for (p, phase) in [&plan.fwd, &plan.bwd].into_iter().enumerate() {
+                check(&format!("seed {seed} {name} phase {p}"), phase);
+                let mut moved = phase.clone();
+                if launch_behind_the_waits(&mut moved) {
+                    late += 1;
+                    check(
+                        &format!("seed {seed} {name} phase {p}, late launch"),
+                        &moved,
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        walked > 1000 && stalled > 50 && late > 200,
+        "{walked} {stalled} {late}"
+    );
 }
 
 /// Everything an execution reads besides the plan.

@@ -21,7 +21,7 @@ use dcp::obs::{
 };
 use dcp::sched::plan::{Instr, PhasePlan};
 use dcp::sched::{verify_phase, RecoveryCtx};
-use dcp::sim::{estimate_fault_spec, simulate_phase_faulted, trace_to_obs, Fault, FaultSpec};
+use dcp::sim::{estimate_fault_spec, simulate, trace_to_obs, Fault, FaultSpec, SimRun};
 use dcp::types::{AttnSpec, ClusterSpec};
 use proptest::prelude::*;
 
@@ -71,8 +71,10 @@ fn traces(
     iter: u64,
     spec: &FaultSpec,
 ) -> (Vec<Event>, Vec<Event>) {
-    let (_, clean) = simulate_phase_faulted(cluster, pp, &FaultSpec::none()).expect("clean sim");
-    let (_, faulted) = simulate_phase_faulted(cluster, pp, spec).expect("faulted sim");
+    let clean = simulate(cluster, pp, &FaultSpec::none())
+        .expect("clean sim")
+        .trace;
+    let faulted = simulate(cluster, pp, spec).expect("faulted sim").trace;
     (
         trace_to_obs(&clean, phase, Some(iter)),
         trace_to_obs(&faulted, phase, Some(iter)),
@@ -288,7 +290,7 @@ proptest! {
             .expect("plan");
         let spec = FaultSpec { seed, faults };
         for (phase, pp) in [(Phase::Fwd, &out.plan.fwd), (Phase::Bwd, &out.plan.bwd)] {
-            let (sim, trace) = simulate_phase_faulted(&cluster, pp, &spec).expect("sim");
+            let SimRun { sim, trace, .. } = simulate(&cluster, pp, &spec).expect("sim");
             let ev = trace_to_obs(&trace, phase, None);
             let attr = critical_path(&ev, &AnalysisScope::sim(phase));
             prop_assert!((attr.makespan - sim.makespan).abs() <= 1e-9 * sim.makespan.max(1e-12),
