@@ -696,7 +696,7 @@ impl Digest {
     }
 }
 
-/// The whole patch: event, hosts, placement, both renderings, the recovery
+/// The whole patch: event, hosts, placement, the patched phase, the recovery
 /// context (sets and the stand-in map sorted), the re-planned backward and
 /// the stats minus `plan_wall_s`.
 fn patch_digest(p: &RecoveryPatch) -> u64 {
@@ -717,7 +717,6 @@ fn patch_digest(p: &RecoveryPatch) -> u64 {
         d.u(shard as u64);
     }
     d.sorted(p.ctx.reowned.iter().map(|t| t.0));
-    d.phase(&p.timing);
     match &p.bwd {
         None => d.u(0),
         Some((placement, plan)) => {
@@ -744,8 +743,10 @@ fn patch_digest(p: &RecoveryPatch) -> u64 {
 /// cascade onto a shard-hosting survivor mid-patch, a fault-aware one and a
 /// backward one — are, to the instruction, what the commit before the
 /// one-builder refactor emitted (the values were recorded there, with this
-/// digest fed through adapters for its patch types; to re-derive one, copy
-/// the digest into a `git clone` of that commit as the verify skill says).
+/// digest fed through adapters for its patch types, and re-recorded once
+/// when the host-folded timing rendering left the digest, in a commit that
+/// changed no library code; to re-derive one, copy the digest into a
+/// `git clone` of that commit as the verify skill says).
 #[test]
 fn patches_are_pinned_to_the_instruction() {
     let (_, out) = plan_small();
@@ -757,12 +758,12 @@ fn patches_are_pinned_to_the_instruction() {
     };
 
     let depth1 = rp.plan_recovery(&out, &kill(dev, 2)).unwrap();
-    assert_eq!(patch_digest(&depth1), 0x59260bb46de3726e, "depth 1");
+    assert_eq!(patch_digest(&depth1), 0x411513a4f78f2778, "depth 1");
 
     let patch1 = rp.plan_recovery(&out, &kill(dev, nd / 2)).unwrap();
     let (ev2, _) = second_failure(out.plan.num_devices, &patch1);
     let depth2 = rp.plan_recovery_onto(&out, &patch1, &ev2).unwrap();
-    assert_eq!(patch_digest(&depth2), 0xa23e9b221350fc14, "depth 2");
+    assert_eq!(patch_digest(&depth2), 0x359db27128878d8c, "depth 2");
 
     // Every survivor a straggler, most of them on the capacity floor, and
     // one degraded link (the `tests/scale.rs` recovery golden's shape).
@@ -783,7 +784,7 @@ fn patches_are_pinned_to_the_instruction() {
     };
     let aware = RecoveryPlanner::new(RecoveryConfig::default()).with_fault_spec(spec);
     let faulted = aware.plan_recovery(&out, &kill(dev, 1)).unwrap();
-    assert_eq!(patch_digest(&faulted), 0x3dac7cdb51236d57, "fault-aware");
+    assert_eq!(patch_digest(&faulted), 0x8a90e9b56628f984, "fault-aware");
     let blind = rp.plan_recovery(&out, &kill(dev, 1)).unwrap();
     assert_ne!(patch_digest(&blind), patch_digest(&faulted));
 
@@ -791,7 +792,7 @@ fn patches_are_pinned_to_the_instruction() {
     let backward = rp
         .plan_backward_recovery(&out, &kill(bdev, bnd / 2))
         .unwrap();
-    assert_eq!(patch_digest(&backward), 0xb1a03ab074046421, "backward");
+    assert_eq!(patch_digest(&backward), 0xc90a52587e04cfaa, "backward");
 }
 
 /// Bitwise fingerprint of a backward result, in token-block order.
