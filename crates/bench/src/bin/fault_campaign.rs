@@ -216,13 +216,14 @@ fn run_forward(seed: u64, depth2: bool, mid_patch: bool, fault_aware: bool, tall
         // attention work.
         let divs = |x: u32| fwd_divs(&patch1.phase.devices[x as usize].instrs);
         let (j2, _) = patch1
+            .ctx
             .shard_hosts
             .iter()
             .enumerate()
             .map(|(j, _)| (j, divs(d + j as u32)))
             .max_by_key(|&(j, n)| (n, std::cmp::Reverse(j)))
             .expect("survivors exist");
-        let dev2 = patch1.shard_hosts[j2];
+        let dev2 = patch1.ctx.shard_hosts[j2];
         let own2 = divs(dev2);
         let shard2 = divs(d + j2 as u32);
         let k2 = if mid_patch && shard2 > 0 {

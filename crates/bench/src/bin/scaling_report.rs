@@ -33,6 +33,7 @@ use dcp_bench::{micro_attn, seed, write_results, Table, BENCH_SCHEMA_VERSION};
 use dcp_core::{PlanOutput, Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, DatasetKind};
 use dcp_mask::MaskSpec;
+use dcp_sched::RecoveryCtx;
 use dcp_sim::network::Network;
 use dcp_sim::{simulate, simulate_on, FaultSpec, SimRun};
 use dcp_types::ClusterSpec;
@@ -196,7 +197,14 @@ fn main() {
     let mut scratch = Network::new(cluster.clone());
     scratch.use_scratch_engine(true);
     let t = Instant::now();
-    let scr = simulate_on(&cluster, scratch, &out.plan.fwd, &none).expect("scratch sim");
+    let scr = simulate_on(
+        &cluster,
+        scratch,
+        &out.plan.fwd,
+        &RecoveryCtx::default(),
+        &none,
+    )
+    .expect("scratch sim");
     let scr_wall = t.elapsed().as_secs_f64();
     let (inc_sim, inc_counters) = (inc.sim, inc.counters);
     let (scr_sim, scr_counters) = (scr.sim, scr.counters);

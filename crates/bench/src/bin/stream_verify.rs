@@ -1,8 +1,9 @@
 //! CI stream-legality sweep: runs the `dcp_sched::verify` checker over
 //! every plan the benchmark workload produces — all fallback tiers, the
-//! pass-optimized rewrites and every recovery-patch rendering — and over a
-//! battery of seeded illegal mutations that the verifier must *reject* with
-//! a typed diagnostic.
+//! pass-optimized rewrites and every recovery patch, which the simulator
+//! must accept under the patch's context too — and over a battery of seeded
+//! illegal mutations that the verifier must *reject* with a typed
+//! diagnostic.
 //!
 //! Writes `VERIFY_streams.json` (uploaded as a CI artifact) and exits
 //! non-zero on any illegal stream or any accepted mutation, so a scheduler
@@ -22,6 +23,8 @@ use dcp_sched::{
     verify_phase, verify_plan, verify_structure, CommId, Diagnostic, ExecutionPlan, Instr,
     PassConfig, PassManager, Payload, PayloadKind, Placement, ViolationKind,
 };
+use dcp_sim::network::Network;
+use dcp_sim::{simulate_on, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec, PlanTier};
 use serde_json::json;
 
@@ -325,8 +328,9 @@ fn main() {
         }
     }
 
-    // Recovery patches: the functional forward phase under the salvage
-    // rules, the re-planned backward phase and the host-folded timing plan.
+    // Recovery patches: the patched forward phase under the salvage rules
+    // (verified, pass-optimized, and simulated with shards on their hosts)
+    // and the re-planned backward phase.
     let rp = RecoveryPlanner::new(RecoveryConfig::default());
     let mut recovery_rows = Vec::new();
     {
@@ -383,7 +387,8 @@ fn main() {
             let (bwd_placement, bwd_plan) = patch.bwd.as_ref().expect("forward patch");
             let fwd = verify_phase(&out.layout, &patch.placement, &patch.phase, false, ctx).err();
             let bwd = verify_plan(&out.layout, bwd_placement, bwd_plan).err();
-            let timing = verify_structure(&patch.timing).err();
+            let net = Network::new(cluster.clone());
+            let simulated = simulate_on(&cluster, net, &patch.phase, ctx, &FaultSpec::none()).err();
             let mut opt_fwd_phase = patch.phase.clone();
             pm.run_phase(
                 &out.layout,
@@ -393,17 +398,15 @@ fn main() {
             );
             let opt_fwd =
                 verify_phase(&out.layout, &patch.placement, &opt_fwd_phase, false, ctx).err();
-            for (what, err) in [
-                ("fwd", &fwd),
-                ("bwd", &bwd),
-                ("timing", &timing),
-                ("optimized-fwd", &opt_fwd),
-            ] {
+            for (what, err) in [("fwd", &fwd), ("bwd", &bwd), ("optimized-fwd", &opt_fwd)] {
                 if let Some(d) = err {
                     failures.push(format!("recovery/batch{bi} ({what}): {d}"));
                 }
             }
-            let diagnostics: Vec<_> = [&fwd, &bwd, &timing, &opt_fwd]
+            if let Some(e) = &simulated {
+                failures.push(format!("recovery/batch{bi} (simulated): {e}"));
+            }
+            let diagnostics: Vec<_> = [&fwd, &bwd, &opt_fwd]
                 .iter()
                 .filter_map(|e| e.as_ref().map(diag_json))
                 .collect();
@@ -413,7 +416,7 @@ fn main() {
                 "divisions_done": (nd / 2).max(1),
                 "fwd_ok": fwd.is_none(),
                 "bwd_ok": bwd.is_none(),
-                "timing_ok": timing.is_none(),
+                "simulated_ok": simulated.is_none(),
                 "optimized_fwd_ok": opt_fwd.is_none(),
                 "diagnostics": diagnostics,
             }));

@@ -314,16 +314,6 @@ impl BatchLayout {
     pub fn kv_block_of(&self, comp: CompBlockId) -> &TokenBlock {
         &self.token_blocks[self.comp_blocks[comp.0 as usize].kv_block.0 as usize]
     }
-
-    /// Ids of all token blocks of sequence `seq` (all head groups).
-    pub fn token_blocks_of_seq(&self, seq: u32) -> Vec<TokenBlockId> {
-        self.token_blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.seq == seq)
-            .map(|(i, _)| TokenBlockId(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]

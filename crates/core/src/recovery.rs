@@ -33,14 +33,14 @@
 //!   stream (truncated at the frontier plus salvage launches) and the shard
 //!   streams are new.
 //!
-//! The patch carries two renderings of the patched phase: `phase`, a
-//! *functional* plan over `D + S` logical devices (shard `j` is logical
-//! device `D + j`) for the numerical executor, and `timing`, the same work
-//! folded back onto the `D` physical ranks (shard `j` on survivor
-//! `shard_hosts[j]`) for the cluster simulator — the recovered-vs-clean
-//! makespan delta is the recovery cost charged into the iteration
-//! breakdown. A forward patch also re-plans the backward phase on the
-//! survivors ([`RecoveryPatch::bwd`]).
+//! The patch carries one rendering of the patched phase: `phase`, a plan
+//! over `D + S` logical devices (shard `j` is logical device `D + j`, run by
+//! survivor `ctx.shard_hosts[j]`) that the verifier, the numerical executor
+//! and the cluster simulator all read under `ctx` — the simulator puts each
+//! shard on its host's clock, and the recovered-vs-clean makespan delta is
+//! the recovery cost charged into the iteration breakdown. A forward patch
+//! also re-plans the backward phase on the survivors
+//! ([`RecoveryPatch::bwd`]).
 //!
 //! Forward recovery is **re-entrant**: a [`RecoveryPatch`] is itself a
 //! recoverable plan. If a survivor dies while a patch is in flight —
@@ -67,9 +67,9 @@ use dcp_hypergraph::{partition, HypergraphBuilder, PartitionConfig, VertexWeight
 use dcp_obs::{Event, ObsHandle, Source as ObsSource, Span};
 use dcp_sched::stream::check_ids;
 use dcp_sched::{
-    build_plan, verify_phase, verify_plan, verify_structure, BufferStats, CommId, CommOp,
-    DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx,
-    ReduceItem, ScheduleConfig, Transfer,
+    build_plan, verify_phase, verify_plan, BufferStats, CommId, CommOp, DeviceStream,
+    ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx, ReduceItem,
+    ScheduleConfig, Transfer,
 };
 use dcp_sim::{FaultSpec, MIN_CAPACITY_WEIGHT};
 use dcp_types::{DcpError, DcpResult};
@@ -139,10 +139,10 @@ pub struct RecoveryStats {
 
 /// The shrink-and-reshard patch for one [`FailureEvent`], in either phase.
 ///
-/// `phase` is the functional plan: `D + shard_hosts.len()` logical devices,
-/// verified and executed (`dcp_exec::execute_forward_recovery` /
-/// `execute_backward_recovery`) under `ctx`. `timing` folds the shard work
-/// onto the `D` physical ranks for the simulator.
+/// `phase` is the patched plan: `D + ctx.shard_hosts.len()` logical devices,
+/// verified, executed (`dcp_exec::execute_forward_recovery` /
+/// `execute_backward_recovery`) and simulated (`dcp_sim::simulate_on`) under
+/// `ctx`.
 #[derive(Debug, Clone)]
 pub struct RecoveryPatch {
     /// The most recently failed device rank (this patch's event).
@@ -155,24 +155,18 @@ pub struct RecoveryPatch {
     /// Every physical rank lost so far, in failure order. The last entry is
     /// `failed`; earlier entries come from the prior patch when composing.
     pub failed_devices: Vec<u32>,
-    /// Physical survivor hosting each shard: shard `j` (logical device
-    /// `D + j`) runs on rank `shard_hosts[j]`. Cumulative across cascade
-    /// depths — earlier patches' shards keep their slots.
-    pub shard_hosts: Vec<u32>,
     /// Placement over the `D + S` logical devices of `phase`.
     pub placement: Placement,
     /// The patched phase over `D + S` logical devices.
     pub phase: PhasePlan,
     /// The recovery semantics of `phase` — what the verifier, the executor
-    /// and the host-fold read it under, cumulative across cascade depths:
+    /// and the simulator read it under, cumulative across cascade depths:
     /// every dead *logical* stream (lost ranks plus the shard streams they
     /// hosted; their truncated prefixes remain in `phase`), the salvage comm
-    /// ids, the shard standing in for each owed partial, and the token
-    /// blocks whose ownership moved off a dead stream.
+    /// ids, the shard standing in for each owed partial, the token blocks
+    /// whose ownership moved off a dead stream, and the physical survivor
+    /// hosting each shard (earlier patches' shards keep their slots).
     pub ctx: RecoveryCtx,
-    /// The patched phase folded onto the `D` physical ranks, for the
-    /// cluster simulator.
-    pub timing: PhasePlan,
     /// Forward patches only: the backward phase re-planned over the `D`
     /// ranks with nothing on any failed one — its placement and the freshly
     /// built plan (use the plan's `bwd` phase). `None` on a backward patch,
@@ -369,8 +363,8 @@ impl RecoveryPlanner {
 
     /// The one patch builder behind the three entry points: cut every dying
     /// stream at its frontier, group and assign its residual work (the only
-    /// steps the direction shapes beyond payload kinds), then [`render`],
-    /// fold onto the hosts and verify.
+    /// steps the direction shapes beyond payload kinds), then [`render`] and
+    /// verify.
     fn plan_patch(
         &self,
         out: &PlanOutput,
@@ -403,7 +397,7 @@ impl RecoveryPlanner {
             d_total,
             backward,
         };
-        let base_hosts: &[u32] = prior.map_or(&[], |p| &p.shard_hosts);
+        let base_hosts: &[u32] = prior.map_or(&[], |p| &p.ctx.shard_hosts);
         let prior_failed: &[u32] = prior.map_or(&[], |p| &p.failed_devices);
         let mut ctx = prior.map(|p| p.ctx.clone()).unwrap_or_default();
 
@@ -499,17 +493,16 @@ impl RecoveryPlanner {
                 flops(s, k_own) + hosted_live(s).map(|l| flops(l, 0)).sum::<u64>()
             })
             .collect();
-        let mut shard_hosts: Vec<u32> = base_hosts.to_vec();
         let mut greedy_fallback = false;
         for view in &mut views {
             // A forward stream that left nothing behind needs no shards; a
-            // backward patch always carries its one block, so its
-            // `shard_hosts` are the survivors whatever the victim held.
+            // backward patch always carries its one block, so its shard
+            // hosts are the survivors whatever the victim held.
             if view.units.is_empty() && !backward {
                 continue;
             }
-            view.shard0 = Some(d_total + shard_hosts.len() as u32);
-            shard_hosts.extend(&survivors);
+            view.shard0 = Some(d_total + ctx.shard_hosts.len() as u32);
+            ctx.shard_hosts.extend(&survivors);
             let flops: u64 = view.units.iter().map(|u| u.flops).sum();
             let bytes: u64 = view.units.iter().map(|u| unit_bytes(layout, u)).sum();
             let targets = recovery_targets(&queued, &survivors, flops, bytes, caps.as_deref());
@@ -534,7 +527,7 @@ impl RecoveryPlanner {
         // --- 3. Render the patched phase, and for a forward failure the
         // backward phase re-planned on the survivors. ----------------------
         ctx.failed.extend(views.iter().map(|v| v.l));
-        let n_shards = shard_hosts.len() as u32;
+        let n_shards = ctx.shard_hosts.len() as u32;
         let rendered = render(&base, &mut ctx, &views, survivors.len(), n_shards)?;
         let bwd = match backward {
             true => None,
@@ -545,12 +538,9 @@ impl RecoveryPlanner {
             }
         };
 
-        // --- 4. Timing rendering, then verify everything that ships. -----
-        // The functional phase under the patch's recovery rules, a
-        // re-planned backward phase as an ordinary plan, and the host-folded
-        // timing phase structurally (folding legitimately leaves some waits
-        // with no incoming transfers, so the full check does not apply).
-        let timing = fold_onto_hosts(&rendered.phase, &ctx, &shard_hosts);
+        // --- 4. Verify everything that ships: the patched phase under the
+        // patch's recovery rules, a re-planned backward phase as an
+        // ordinary plan.
         let dir = if backward { "bwd" } else { "fwd" };
         verify_phase(layout, &rendered.placement, &rendered.phase, backward, &ctx)
             .map_err(|d| DcpError::invalid_plan(format!("recovery {dir} patch: {d}")))?;
@@ -558,8 +548,6 @@ impl RecoveryPlanner {
             verify_plan(layout, placement, plan)
                 .map_err(|d| DcpError::invalid_plan(format!("recovery bwd plan: {d}")))?;
         }
-        verify_structure(&timing)
-            .map_err(|d| DcpError::invalid_plan(format!("recovery {dir} timing plan: {d}")))?;
 
         let mut stats = RecoveryStats {
             failed_flops,
@@ -577,11 +565,9 @@ impl RecoveryPlanner {
             divisions_done: ev.divisions_done,
             backward,
             failed_devices: prior_failed.iter().copied().chain([failed]).collect(),
-            shard_hosts,
             placement: rendered.placement,
             phase: rendered.phase,
             ctx,
-            timing,
             bwd,
             stats,
         })
@@ -1191,72 +1177,6 @@ fn render(
     })
 }
 
-/// Folds a patched logical phase — `D + S` streams, shard `j` being logical
-/// device `D + j` hosted on rank `shard_hosts[j]` — onto its `D` physical
-/// ranks, for the cluster simulator.
-///
-/// Transfers move to their endpoints' hosts and vanish when both share one.
-/// A survivor runs its own stream with its live shards' work (ascending
-/// logical id) slotted in after its own compute, before its trailing output
-/// waits and reduce; a dead rank replays the truncated prefix of every
-/// logical stream it was running, in the same splice order.
-fn fold_onto_hosts(logical: &PhasePlan, ctx: &RecoveryCtx, shard_hosts: &[u32]) -> PhasePlan {
-    let l_total = logical.devices.len() as u32;
-    let d_total = l_total - shard_hosts.len() as u32;
-    let host = |x: u32| match x.checked_sub(d_total) {
-        Some(j) => shard_hosts[j as usize],
-        None => x,
-    };
-    let comms = logical
-        .comms
-        .iter()
-        .enumerate()
-        .map(|(cid, op)| {
-            // An outstanding partial is now produced by a shard, so its
-            // flow must originate from the shard's host for the spliced
-            // launch to start it. Salvage ops are genuine dead→shard
-            // evacuations and keep their source.
-            let owed = !ctx.salvage_comms.contains(&(cid as u32));
-            let transfers = op.transfers.iter().filter_map(|tr| {
-                let stand_in = (owed && ctx.failed.contains(&tr.from))
-                    .then(|| ctx.stand_in.get(&tr.payload))
-                    .flatten();
-                let (from, to) = (host(*stand_in.unwrap_or(&tr.from)), host(tr.to));
-                (from != to).then_some(Transfer { from, to, ..*tr })
-            });
-            CommOp {
-                transfers: transfers.collect(),
-            }
-        })
-        .collect();
-    let devices = (0..d_total)
-        .map(|r| {
-            let own = &logical.devices[r as usize];
-            let dead = ctx.failed.contains(&r);
-            let mut instrs = own.instrs.clone();
-            let at = if dead {
-                instrs.len()
-            } else {
-                let trailing = |i: &Instr| matches!(i, Instr::CommWait(_) | Instr::Reduce { .. });
-                instrs
-                    .iter()
-                    .rposition(|i| !trailing(i))
-                    .map_or(0, |i| i + 1)
-            };
-            let hosted = (d_total..l_total)
-                .filter(|&l| host(l) == r && ctx.failed.contains(&l) == dead)
-                .flat_map(|l| logical.devices[l as usize].instrs.iter().cloned());
-            instrs.splice(at..at, hosted.collect::<Vec<_>>());
-            DeviceStream {
-                device: r,
-                instrs,
-                buffer: own.buffer,
-            }
-        })
-        .collect();
-    PhasePlan { comms, devices }
-}
-
 /// Splits a device stream at its execution frontier: the instruction just
 /// past the `k`-th fused attention call (`Attn` in forward streams,
 /// `AttnBwd` in backward streams), extended through the comm launches that
@@ -1515,9 +1435,9 @@ mod tests {
         // Logical device count covers the shards.
         assert_eq!(
             patch.phase.devices.len() as u32,
-            d + patch.shard_hosts.len() as u32
+            d + patch.ctx.shard_hosts.len() as u32
         );
-        assert_eq!(patch.shard_hosts.len(), 7);
+        assert_eq!(patch.ctx.shard_hosts.len(), 7);
     }
 
     #[test]
@@ -1556,14 +1476,8 @@ mod tests {
                 }
             }
         }
-        // The timing plan stays on the physical ranks.
-        assert_eq!(patch.timing.devices.len() as u32, d);
-        for op in &patch.timing.comms {
-            for tr in &op.transfers {
-                assert!(tr.from < d && tr.to < d);
-                assert_ne!(tr.from, tr.to);
-            }
-        }
+        // Every shard runs on a survivor.
+        assert!(patch.ctx.shard_hosts.iter().all(|&h| h < d && h != dev));
         // Backward placement has nothing left on the failed rank.
         let (bwd_placement, bwd) = patch.bwd.as_ref().unwrap();
         assert!(bwd_placement.comp_to_dev.iter().all(|&x| x != dev));

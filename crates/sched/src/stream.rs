@@ -127,6 +127,11 @@ pub struct RecoveryCtx {
     /// their data until evacuation completes, so its truncated prefix may
     /// still read (and serve) them.
     pub reowned: HashSet<TokenBlockId>,
+    /// The rank hosting each shard: the last `shard_hosts.len()` streams of
+    /// the phase are shards, in this order, and the streams before them are
+    /// the ranks' own. Only a backend with a clock cares where a stream
+    /// runs (DESIGN.md "What the timing backend adds").
+    pub shard_hosts: Vec<u32>,
 }
 
 impl RecoveryCtx {
@@ -232,7 +237,7 @@ pub trait Backend {
 
     /// Whether `dev` can take its next instruction now. A backend that
     /// says no wakes the device from [`Backend::advance`] once it can.
-    fn free(&self, _dev: u32) -> bool {
+    fn free(&mut self, _dev: u32) -> bool {
         true
     }
 
@@ -369,8 +374,7 @@ pub struct Stream<'a> {
     /// Recovery semantics ([`RecoveryCtx::default`] for a normal plan).
     pub ctx: &'a RecoveryCtx,
     /// The layout and placement the streams are interpreted against. `None`
-    /// walks launch/wait structure only — for host-folded timing plans,
-    /// which have no logical placement, and for the simulator: compute is
+    /// walks launch/wait structure only, as the simulator does: compute is
     /// not resolved, no accumulator state exists, no arrived slot is kept.
     pub logical: Option<(&'a BatchLayout, &'a Placement)>,
 }

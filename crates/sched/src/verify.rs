@@ -4,7 +4,7 @@
 //! this module runs that walker over a backend that carries no data — a
 //! deposited slot is `()`, an accumulator is a set membership — so it runs
 //! in microseconds per plan and can gate every planner output and every
-//! recovery-patch rendering. A rejection is a typed [`Diagnostic`] naming
+//! recovery patch. A rejection is a typed [`Diagnostic`] naming
 //! the violated rule, the offending device and the instruction index; the
 //! numeric executor, driving the same walker, rejects exactly the same
 //! streams with the same diagnostics.
@@ -14,10 +14,9 @@
 //! - [`verify_plan`]: both phases of an [`ExecutionPlan`] against its layout
 //!   and placement (normal planner outputs).
 //! - [`verify_phase`]: one phase under an explicit [`RecoveryCtx`] (the
-//!   functional rendering of a recovery patch).
-//! - [`verify_structure`]: launch/wait/deposit structure only, for streams
-//!   with no logical placement (a recovery patch's host-folded `timing`
-//!   plan).
+//!   patched phase of a recovery patch).
+//! - [`verify_structure`]: launch/wait/deposit structure only, with no
+//!   layout and no placement — the walk the simulator times.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -217,11 +216,12 @@ pub fn verify_phase(
     }
 }
 
-/// Structural verification for streams with no logical placement (e.g. a
-/// recovery patch's host-folded `timing` plan): ids in range, every wait's
-/// incoming transfers deposited by some launch (receiver-launched for
-/// inputs, sender-launched for partials), and progress without deadlock. Waits that receive nothing are legal here — host folding
-/// filters same-host transfers out of ops whose waits remain.
+/// Structural verification of an ordinary plan's phase with no layout and
+/// no placement — what the simulator rejects a phase for, to the message:
+/// ids in range, every wait's incoming transfers deposited by some launch
+/// (receiver-launched for inputs, sender-launched for partials), and
+/// progress without deadlock. The placement conventions are not imposed,
+/// so a wait that receives nothing is legal here.
 ///
 /// # Errors
 ///

@@ -23,8 +23,10 @@
 //! delayed workers, see [`fault`]), returning result, trace and counters as
 //! a [`SimRun`]. The streams are advanced by `dcp_sched::stream`'s walker,
 //! as for the executor and the verifier; [`sim`] is its timing backend.
-//! [`simulate_on`] takes a caller-built [`network::Network`]; the other
-//! `simulate_*` names are thin calls `benchmark/` uses.
+//! [`simulate_on`] is the same walk in full: on a caller-built
+//! [`network::Network`], under the `RecoveryCtx` of a recovery patch, whose
+//! shards then run on their hosts' clocks. The other `simulate_*` names are
+//! thin calls `benchmark/` uses.
 
 pub mod fault;
 pub mod network;

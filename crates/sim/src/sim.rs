@@ -134,29 +134,45 @@ pub struct SimCounters {
 /// reference comm ops outside the op table or devices outside the phase,
 /// and if the phase has more devices than the cluster.
 pub fn simulate(cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) -> DcpResult<SimRun> {
-    simulate_on(cluster, Network::new(cluster.clone()), phase, spec)
+    let ctx = RecoveryCtx::default();
+    simulate_on(cluster, Network::new(cluster.clone()), phase, &ctx, spec)
 }
 
-/// [`simulate`] on a caller-built network, which must be new and over
-/// `cluster`: how the scratch reference engine
+/// [`simulate`] in full: `phase` read under `ctx` (a recovery patch's; the
+/// default for a plan), on a caller-built network, which must be new and
+/// over `cluster` — how the scratch reference engine
 /// ([`Network::use_scratch_engine`]) stays reachable for the tests and
-/// reports that hold the incremental one to it.
+/// reports that hold the incremental one to it. The last
+/// `ctx.shard_hosts.len()` streams are shards on their hosts' clocks
+/// (DESIGN.md "What the timing backend adds"): results are per rank.
 ///
 /// # Errors
 ///
-/// As [`simulate`].
+/// As [`simulate`], for the ranks of the phase; also
+/// [`DcpError::InvalidPlan`] if a shard's host is not one of them.
 pub fn simulate_on(
     cluster: &ClusterSpec,
     mut net: Network,
     phase: &PhasePlan,
+    ctx: &RecoveryCtx,
     spec: &FaultSpec,
 ) -> DcpResult<SimRun> {
     cluster.validate()?;
-    let n = phase.devices.len();
+    let streams = phase.devices.len();
+    let shard_hosts = ctx.shard_hosts.as_slice();
+    // The streams that are not shards are the ranks (none, if there are
+    // more shards than streams: then no host is one of them).
+    let n = streams.saturating_sub(shard_hosts.len());
     if n as u32 > cluster.num_devices() {
         return Err(DcpError::invalid_plan(format!(
             "plan uses {n} devices, cluster has {}",
             cluster.num_devices()
+        )));
+    }
+    if let Some(host) = shard_hosts.iter().find(|&&h| h as usize >= n) {
+        return Err(DcpError::invalid_plan(format!(
+            "a shard is hosted on rank {host}: {streams} streams less {} shards are {n} ranks",
+            shard_hosts.len()
         )));
     }
     for (src, dst, factor) in spec.link_factors() {
@@ -165,7 +181,7 @@ pub fn simulate_on(
     for (src, dst, period_s, duty, factor) in spec.flapping_links() {
         net.set_link_flapping(src, dst, period_s, duty, factor);
     }
-    // A delayed device idles until its injected start time.
+    // A delayed rank idles until its injected start time.
     let ready = spec.delays(n);
     let delayed =
         |d: &u32| ready[*d as usize] > 0.0 && !phase.devices[*d as usize].instrs.is_empty();
@@ -173,6 +189,7 @@ pub fn simulate_on(
         cluster,
         spec,
         net,
+        shard_hosts,
         slow: spec.slowdowns(n),
         now: 0.0,
         counters: SimCounters::default(),
@@ -190,19 +207,20 @@ pub fn simulate_on(
             })
             .collect(),
         ready,
+        turned_away: vec![Vec::new(); n],
         slots: HashMap::new(),
         pairs: Vec::new(),
         launched: 0,
         flows: Vec::new(),
         ended: Vec::new(),
-        wait_start: vec![None; n],
+        wait_start: vec![None; streams],
         tl: vec![DeviceTimeline::default(); n],
         busy: vec![Vec::new(); n],
     };
     Stream {
         phase,
         backward: false,
-        ctx: &RecoveryCtx::default(),
+        ctx,
         logical: None,
     }
     .walk(&mut timing)?;
@@ -212,7 +230,7 @@ pub fn simulate_on(
 /// A device whose kernel ends within this of the current instant is free.
 const EPS: f64 = 1e-15;
 
-/// All transfers of one comm op between one pair of devices, coalesced into
+/// All transfers of one comm op between one pair of ranks, coalesced into
 /// one flow so large fused operations (e.g. a ring step relaying hundreds
 /// of KV blocks) cost one flow, not hundreds. Its index is what the walker
 /// holds as a transfer's slot.
@@ -229,25 +247,39 @@ struct Pair {
     end: Option<f64>,
 }
 
+/// The flow of `pair` is done: its receiving rank's own stream, or a shard
+/// on that rank (the streams from `ranks` up), may be blocked on its op.
+fn landed_on(ranks: usize, shard_hosts: &[u32], pair: &Pair, wake: &mut Wake) {
+    wake.landed(pair.op, pair.to);
+    let shards = (ranks as u32..).zip(shard_hosts);
+    for (shard, _) in shards.filter(|&(_, &host)| host == pair.to) {
+        wake.landed(pair.op, shard);
+    }
+}
+
 /// The timing backend of the stream walker: a slot is a flow on the max-min
 /// network, a kernel is a timer, and the clock steps to whichever is due
-/// first. The walker decides which device runs next and what a wait blocks
-/// on; everything here is about *when*.
+/// first. The walker decides which stream runs next and what a wait blocks
+/// on; everything here is about *when*, and a *when* belongs to a rank:
+/// the streams past the ranks are shards on their hosts' clocks.
 struct Timing<'a> {
     cluster: &'a ClusterSpec,
     spec: &'a FaultSpec,
     net: Network,
+    /// The rank hosting each shard.
+    shard_hosts: &'a [u32],
     now: f64,
     counters: SimCounters,
-    /// Per device: its straggler factor, and when its kernel or start delay
-    /// is over.
+    /// Per rank: its straggler factor, when its kernel or start delay is
+    /// over, and the streams it has turned away until then.
     slow: Vec<f64>,
     ready: Vec<f64>,
-    /// `(time, device)` of every device in a kernel or a start delay,
-    /// earliest first. Times are non-negative, so their bit patterns order
-    /// as they do.
+    turned_away: Vec<Vec<u32>>,
+    /// `(time, rank)` of every rank in a kernel or a start delay, earliest
+    /// first. Times are non-negative, so their bit patterns order as they
+    /// do.
     timers: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Per (comm op, src, dst): its index in `pairs`.
+    /// Per (comm op, src rank, dst rank): its index in `pairs`.
     slots: HashMap<(u32, u32, u32), usize>,
     pairs: Vec<Pair>,
     /// The pairs from here on were opened by the launch being walked.
@@ -256,22 +288,36 @@ struct Timing<'a> {
     flows: Vec<usize>,
     /// Pairs whose flow completed since the last event: it ends at the next.
     ended: Vec<usize>,
-    /// Per device: when it first blocked on the wait it is at.
+    /// Per stream: when it first blocked on the wait it is at.
     wait_start: Vec<Option<f64>>,
+    /// Per rank: its breakdown, and its compute busy intervals for overlap
+    /// accounting.
     tl: Vec<DeviceTimeline>,
-    /// Compute busy intervals per device, for overlap accounting.
     busy: Vec<Vec<(f64, f64)>>,
     trace: Vec<TraceEvent>,
 }
 
 impl Timing<'_> {
+    /// The rank whose clock stream `l` runs on: itself, or a shard's host.
+    fn host(&self, l: u32) -> u32 {
+        match (l as usize).checked_sub(self.tl.len()) {
+            Some(shard) => self.shard_hosts[shard],
+            None => l,
+        }
+    }
+
+    /// Whether `rank` is in no kernel or start delay.
+    fn idle(&self, rank: u32) -> bool {
+        self.ready[rank as usize] <= self.now + EPS
+    }
+
     /// Takes the flows the network completed since the last call: each may
-    /// wake its receiver now, and gets its end time at the next event.
+    /// wake its receivers now, and gets its end time at the next event.
     fn settle(&mut self, wake: &mut Wake) {
         for f in self.net.drain_completed() {
             let pair = &self.pairs[self.flows[f.0]];
             self.ended.push(self.flows[f.0]);
-            wake.landed(pair.op, pair.to);
+            landed_on(self.tl.len(), self.shard_hosts, pair, wake);
         }
     }
 
@@ -321,25 +367,35 @@ impl Timing<'_> {
 }
 
 impl Backend for Timing<'_> {
-    /// Index in `pairs`.
-    type Slot = usize;
+    /// Index in `pairs`; `None` between streams of one rank.
+    type Slot = Option<usize>;
 
     // A structure-only walk resolves no compute and keeps no accumulators.
     fn accumulates(&self, _dev: u32, _kind: PayloadKind, _tb: TokenBlockId) -> bool {
         false
     }
-    fn install(&mut self, _dev: u32, _payload: Payload, _slot: usize) {}
-    fn attn(&mut self, _dev: u32, _backward: bool, _items: &[AttnItem<'_, usize>]) {}
-    fn reduce(&mut self, _dev: u32, _item: &ReduceItem, _parts: &[&usize]) {}
+    fn install(&mut self, _dev: u32, _payload: Payload, _slot: Self::Slot) {}
+    fn attn(&mut self, _dev: u32, _backward: bool, _items: &[AttnItem<'_, Self::Slot>]) {}
+    fn reduce(&mut self, _dev: u32, _item: &ReduceItem, _parts: &[&Self::Slot]) {}
 
-    fn deposit(&mut self, _dev: u32, op: u32, tr: &Transfer, _raw: bool) -> usize {
+    fn deposit(&mut self, dev: u32, op: u32, tr: &Transfer, _raw: bool) -> Self::Slot {
+        // An input leaves its holder; a partial leaves whoever deposits it,
+        // its producer or the shard standing in for a dead one.
+        let kind = tr.payload.kind();
+        let input = matches!(kind, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO);
+        let sender = if input { tr.from } else { dev };
+        let (from, to) = (self.host(sender), self.host(tr.to));
+        // Two streams of one rank hand data over without a flow.
+        if sender != tr.to && from == to {
+            return None;
+        }
         let next = self.pairs.len();
-        let slot = *self.slots.entry((op, tr.from, tr.to)).or_insert(next);
+        let slot = *self.slots.entry((op, from, to)).or_insert(next);
         if slot == next {
             self.pairs.push(Pair {
                 op,
-                from: tr.from,
-                to: tr.to,
+                from,
+                to,
                 bytes: 0,
                 flow: None,
                 active_at: 0.0,
@@ -349,19 +405,25 @@ impl Backend for Timing<'_> {
         if slot >= self.launched {
             self.pairs[slot].bytes += tr.bytes;
         }
-        slot
+        Some(slot)
     }
 
-    fn landed(&self, slot: &usize) -> bool {
-        self.pairs[*slot].flow.is_some_and(|f| self.net.is_done(f))
+    fn landed(&self, slot: &Self::Slot) -> bool {
+        slot.is_none_or(|s| self.pairs[s].flow.is_some_and(|f| self.net.is_done(f)))
     }
 
-    fn free(&self, dev: u32) -> bool {
-        self.ready[dev as usize] <= self.now + EPS
+    fn free(&mut self, dev: u32) -> bool {
+        let host = self.host(dev);
+        let idle = self.idle(host);
+        if !idle {
+            self.turned_away[host as usize].push(dev);
+        }
+        idle
     }
 
     fn polled(&mut self, at: At, ins: &Instr, retired: bool, wake: &mut Wake) {
-        let (dev, d, now) = (at.dev, at.dev as usize, self.now);
+        let (rank, now) = (self.host(at.dev), self.now);
+        let d = rank as usize;
         let cluster = self.cluster;
         let (work, kind) = match ins {
             Instr::CommLaunch(_) => {
@@ -377,7 +439,7 @@ impl Backend for Timing<'_> {
                     // Only an empty flow is done on arrival.
                     if self.net.is_done(fid) {
                         pair.end = Some(active_at);
-                        wake.landed(pair.op, pair.to);
+                        landed_on(self.tl.len(), self.shard_hosts, pair, wake);
                     }
                     // Adding a flow settles the network at `now`, which can
                     // complete flows a rounding error short of their end.
@@ -389,13 +451,14 @@ impl Backend for Timing<'_> {
             Instr::CommWait(_) => {
                 // Exposed from the first blocked poll to the retiring one.
                 self.counters.wait_checks += 1;
+                let wait_start = &mut self.wait_start[at.dev as usize];
                 if !retired {
-                    self.wait_start[d].get_or_insert(now);
-                } else if let Some(since) = self.wait_start[d].take() {
+                    wait_start.get_or_insert(now);
+                } else if let Some(since) = wait_start.take() {
                     self.tl[d].exposed_wait += now - since;
                     if now > since {
                         self.trace.push(TraceEvent {
-                            device: dev,
+                            device: rank,
                             kind: TraceKind::Wait,
                             start: since,
                             end: now,
@@ -420,7 +483,7 @@ impl Backend for Timing<'_> {
         // as its own `Straggle` segment (and counted in the compute
         // buckets) so un-faulted runs stay bitwise unchanged.
         let extra = if self.slow[d] > 1.0 {
-            base * (self.slow[d] - 1.0) * jitter(self.spec.seed, dev, at.idx)
+            base * (self.slow[d] - 1.0) * jitter(self.spec.seed, at.dev, at.idx)
         } else {
             0.0
         };
@@ -432,14 +495,14 @@ impl Backend for Timing<'_> {
             _ => tl.copy += dur,
         }
         self.trace.push(TraceEvent {
-            device: dev,
+            device: rank,
             kind,
             start: now,
             end: now + base,
         });
         if extra > 0.0 {
             self.trace.push(TraceEvent {
-                device: dev,
+                device: rank,
                 kind: TraceKind::Straggle,
                 start: now + base,
                 end: now + dur,
@@ -448,8 +511,8 @@ impl Backend for Timing<'_> {
         self.busy[d].push((now, now + dur));
         self.ready[d] = now + dur;
         tl.finish = tl.finish.max(now + dur);
-        if !self.free(dev) {
-            self.timers.push(Reverse((self.ready[d].to_bits(), dev)));
+        if !self.idle(rank) {
+            self.timers.push(Reverse((self.ready[d].to_bits(), rank)));
         }
     }
 
@@ -473,12 +536,14 @@ impl Backend for Timing<'_> {
         for s in self.ended.drain(..) {
             self.pairs[s].end = Some(t.max(self.pairs[s].active_at));
         }
-        while let Some(&Reverse((until, dev))) = self.timers.peek() {
+        while let Some(&Reverse((until, rank))) = self.timers.peek() {
             if f64::from_bits(until) > t + EPS {
                 break;
             }
             self.timers.pop();
-            wake.device(dev);
+            for stream in self.turned_away[rank as usize].drain(..) {
+                wake.device(stream);
+            }
         }
         true
     }
@@ -1070,7 +1135,8 @@ mod tests {
             let mut scratch = Network::new(cluster.clone());
             scratch.use_scratch_engine(true);
             let (inc, ci) = simulate_phase_counted(&cluster, &plan.fwd).unwrap();
-            let scr = simulate_on(&cluster, scratch, &plan.fwd, &none).unwrap();
+            let scr =
+                simulate_on(&cluster, scratch, &plan.fwd, &RecoveryCtx::default(), &none).unwrap();
             assert_eq!(inc.makespan.to_bits(), scr.sim.makespan.to_bits());
             assert_eq!(inc.devices, scr.sim.devices);
             assert_eq!(ci.events, scr.counters.events);

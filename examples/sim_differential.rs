@@ -34,7 +34,8 @@ use dcp::blocks::{BatchLayout, BlockConfig};
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
 use dcp::sched::{
-    build_plan, ExecutionPlan, Instr, PassConfig, PayloadKind, PhasePlan, Placement, ScheduleConfig,
+    build_plan, ExecutionPlan, Instr, PassConfig, PayloadKind, PhasePlan, Placement, RecoveryCtx,
+    ScheduleConfig,
 };
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, Fault, FaultSpec, SimRun, TraceKind};
@@ -148,7 +149,10 @@ fn dump(tag: &str, cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) {
         }
         let mut scratch = Network::new(cluster.clone());
         scratch.use_scratch_engine(true);
-        match (simulate_on(cluster, scratch, phase, spec), &run) {
+        match (
+            simulate_on(cluster, scratch, phase, &RecoveryCtx::default(), spec),
+            &run,
+        ) {
             (Ok(scr), Ok(inc)) => {
                 let (s, inc) = (scr.sim.makespan, inc.sim.makespan);
                 let close = (s - inc).abs() <= 1e-9 * inc.max(1e-9);

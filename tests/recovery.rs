@@ -28,7 +28,8 @@ use dcp::exec::executor::{
 use dcp::mask::MaskSpec;
 use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
 use dcp::sched::{CommId, Instr, Payload, PayloadKind, PhasePlan, Placement};
-use dcp::sim::{simulate, simulate_plan, Fault, FaultSpec};
+use dcp::sim::network::Network;
+use dcp::sim::{simulate, simulate_on, simulate_plan, Fault, FaultSpec, SimRun};
 use dcp::types::{AttnSpec, ClusterSpec, DcpError, DcpResult, ModelSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -88,7 +89,7 @@ fn busiest_device(phase: &PhasePlan) -> (u32, u32) {
 /// its own stream plus part of that shard. Also returns the shard's index.
 fn second_failure(d: u32, patch1: &RecoveryPatch) -> (FailureEvent, usize) {
     let divs = |l: u32| divisions(&patch1.phase.devices[l as usize].instrs);
-    let (j2, shard2) = (0..patch1.shard_hosts.len())
+    let (j2, shard2) = (0..patch1.ctx.shard_hosts.len())
         .map(|j| (j, divs(d + j as u32)))
         .max_by_key(|&(j, n)| (n, std::cmp::Reverse(j)))
         .unwrap();
@@ -96,12 +97,18 @@ fn second_failure(d: u32, patch1: &RecoveryPatch) -> (FailureEvent, usize) {
         shard2 >= 1,
         "second victim must host spliced attention work"
     );
-    let device = patch1.shard_hosts[j2];
+    let device = patch1.ctx.shard_hosts[j2];
     let ev = FailureEvent {
         device,
         divisions_done: divs(device) + (shard2 / 2).max(1),
     };
     (ev, j2)
+}
+
+/// The un-faulted simulation of `patch`'s phase: shards on their hosts.
+fn simulate_patch(cluster: &ClusterSpec, patch: &RecoveryPatch) -> DcpResult<SimRun> {
+    let net = Network::new(cluster.clone());
+    simulate_on(cluster, net, &patch.phase, &patch.ctx, &FaultSpec::none())
 }
 
 /// Clean-run forward outputs and a seeded output-gradient batch.
@@ -238,12 +245,12 @@ fn mid_iteration_recovery_end_to_end() {
     assert_eq!(grads.len(), out.layout.token_blocks.len());
 
     // Recovery wall time is charged into the iteration breakdown: the
-    // patched timing plan (shard work spliced onto the survivor hosts) is
-    // simulated on the *physical* cluster, and its overhead over the clean
-    // forward plus the patch-planning wall time lands in `recovery`.
+    // patched phase (shards on their survivor hosts' clocks) is simulated
+    // on the *physical* cluster, and its overhead over the clean forward
+    // plus the patch-planning wall time lands in `recovery`.
     let none = FaultSpec::none();
     let clean_fwd = simulate(&cluster, &out.plan.fwd, &none).unwrap().sim;
-    let rec_fwd = simulate(&cluster, &patch.timing, &none).unwrap().sim;
+    let rec_fwd = simulate_patch(&cluster, &patch).unwrap().sim;
     assert_eq!(rec_fwd.devices.len(), cluster.num_devices() as usize);
     assert!(rec_fwd.makespan > 0.0);
     let overhead = (rec_fwd.makespan - clean_fwd.makespan).max(0.0) + st.plan_wall_s;
@@ -557,18 +564,17 @@ fn tampered_plans_are_typed_errors_not_panics() {
     }
 }
 
-/// The cascade PR 17's sweep found (58 of 40 988 attempts behave like it):
-/// the depth-2 patcher builds a functional patch that verifies, then rejects
-/// its own host-folded *timing* rendering with a `deadlock`. This pins what
-/// happens today — a typed error, no panic. ROADMAP item 2(c) folds shards
-/// onto hosts at walk time instead of rendering `patch.timing`; that flips
-/// this case to `Ok`, and the test should then execute the depth-2 patch
-/// and compare it bitwise with the clean run like
-/// `cascading_failure_composes_patches_bitwise`.
+/// The cascade PR 17's sweep found (58 of 40 988 attempts behaved like it):
+/// the depth-2 patch verified, but the splice order of the host-folded
+/// timing rendering the patcher then derived from it deadlocked, and the
+/// patcher rejected its own patch. The simulator now walks the patch itself
+/// with shards on their hosts' clocks, so the patch is `Ok`, simulates on
+/// the 7 physical ranks and executes bitwise-equal to the clean forward.
 #[test]
-fn cascade_whose_timing_rendering_deadlocks_is_a_typed_error() {
+fn cascade_the_host_fold_deadlocked_on_simulates_and_executes_bitwise() {
+    let cluster = ClusterSpec::single_node(7);
     let planner = Planner::new(
-        ClusterSpec::single_node(7),
+        cluster.clone(),
         AttnSpec::new(4, 2, 8, 2),
         PlannerConfig {
             block_size: 16,
@@ -591,15 +597,66 @@ fn cascade_whose_timing_rendering_deadlocks_is_a_typed_error() {
         divisions_done,
     };
     let patch1 = rp.plan_recovery(&out, &kill(0, 2)).unwrap();
-    let err = rp
-        .plan_recovery_onto(&out, &patch1, &kill(4, 0))
-        .unwrap_err();
-    assert!(matches!(err, DcpError::InvalidPlan(_)), "{err:?}");
-    let shown = err.to_string();
-    assert!(
-        shown.starts_with("invalid plan: recovery fwd timing plan: [deadlock] device 1 instr 6: "),
-        "{shown}"
-    );
+    let patch2 = rp.plan_recovery_onto(&out, &patch1, &kill(4, 0)).unwrap();
+    assert_eq!(patch2.stats.cascade_depth, 2);
+
+    let clean_fwd = simulate(&cluster, &out.plan.fwd, &FaultSpec::none()).unwrap();
+    let recovered = simulate_patch(&cluster, &patch2).unwrap().sim;
+    assert_eq!(recovered.devices.len(), 7);
+    assert!(recovered.makespan > clean_fwd.sim.makespan);
+
+    let data = BatchData::random(&out.layout, 2024);
+    let clean = execute_forward(&out.layout, &out.placement, &out.plan, &data).unwrap();
+    let rec = execute_forward_recovery(
+        &out.layout,
+        &patch2.placement,
+        &patch2.phase,
+        &data,
+        &patch2.ctx,
+        &ExecObs::disabled(),
+    )
+    .unwrap();
+    assert_eq!(out_bits(&clean), out_bits(&rec), "cascade output diverged");
+}
+
+/// A host map the patcher could not have written — a patch deserializes —
+/// is a typed `InvalidPlan` from the simulator, never an index panic: a
+/// shard hosted outside the phase's ranks (and so outside the cluster), and
+/// more shards than the phase has streams.
+#[test]
+fn tampered_host_maps_are_typed_errors_not_panics() {
+    let (cluster, out) = plan_small();
+    let (dev, nd) = busiest_device(&out.plan.fwd);
+    let ev = FailureEvent {
+        device: dev,
+        divisions_done: nd / 2,
+    };
+    let patch = RecoveryPlanner::new(RecoveryConfig::default())
+        .plan_recovery(&out, &ev)
+        .unwrap();
+    simulate_patch(&cluster, &patch).unwrap();
+    let ranks = out.plan.num_devices;
+    let streams = patch.phase.devices.len();
+    type Tamper = fn(&mut Vec<u32>, u32, usize);
+    let tampers: [(&str, Tamper); 3] = [
+        ("host outside the ranks", |hosts, ranks, _| hosts[0] = ranks),
+        ("host outside the cluster", |hosts, _, _| {
+            hosts[0] = u32::MAX
+        }),
+        ("more shards than streams", |hosts, _, streams| {
+            hosts.resize(streams + 1, 0)
+        }),
+    ];
+    for (what, tamper) in tampers {
+        let mut bad = patch.clone();
+        tamper(&mut bad.ctx.shard_hosts, ranks, streams);
+        let attempt = || simulate_patch(&cluster, &bad);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt)) {
+            Ok(Err(DcpError::InvalidPlan(_))) => {}
+            Ok(other) => panic!("{what}: expected InvalidPlan, got {other:?}"),
+            Err(_) => panic!("simulate_on panicked on {what}"),
+        }
+    }
 }
 
 /// `(kind, token block, producer)` of a payload, inputs having no producer.
@@ -703,7 +760,7 @@ fn patch_digest(p: &RecoveryPatch) -> u64 {
     let mut d = Digest(0xcbf2_9ce4_8422_2325);
     d.ids([p.failed, p.divisions_done, p.backward as u32]);
     d.ids(p.failed_devices.iter().copied());
-    d.ids(p.shard_hosts.iter().copied());
+    d.ids(p.ctx.shard_hosts.iter().copied());
     d.placement(&p.placement);
     d.phase(&p.phase);
     d.sorted(p.ctx.failed.iter().copied());
@@ -844,9 +901,11 @@ proptest! {
         let bwd_patch = rp
             .plan_backward_recovery(&out, &FailureEvent { device: bdev, divisions_done: bk })
             .unwrap();
-        // The patch renderings pass the stream verifier under their own
-        // composition contexts (the patcher verifies internally; this
-        // re-checks through the public surface).
+        // The patches pass the stream verifier under their own composition
+        // contexts (the patcher verifies internally; this re-checks through
+        // the public surface), and the simulator accepts every patch the
+        // verifier accepts, on one timeline row per physical rank.
+        let cluster = ClusterSpec::single_node(n);
         for patch in [&fwd_patch, &bwd_patch] {
             dcp::sched::verify_phase(
                 &out.layout,
@@ -856,8 +915,9 @@ proptest! {
                 &patch.ctx,
             )
             .map_err(|d| TestCaseError::fail(format!("patch rejected: {d}")))?;
-            dcp::sched::verify_structure(&patch.timing)
-                .map_err(|d| TestCaseError::fail(format!("timing rejected: {d}")))?;
+            let timed = simulate_patch(&cluster, patch)
+                .map_err(|e| TestCaseError::fail(format!("simulator rejected: {e}")))?;
+            prop_assert_eq!(timed.sim.devices.len(), n as usize);
         }
 
         let data = BatchData::random(&out.layout, seed ^ 0xD15EA5E);

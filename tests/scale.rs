@@ -13,6 +13,7 @@
 use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPlanner};
 use dcp::core::{IncrementalConfig, PlanOutput, Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
+use dcp::sched::RecoveryCtx;
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, simulate_plan, Fault, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
@@ -119,7 +120,8 @@ fn incremental_engine_matches_scratch_on_golden_plans() {
             let mut scratch = Network::new(cluster.clone());
             scratch.use_scratch_engine(true);
             let incremental = simulate(&cluster, phase, &none).unwrap();
-            let reference = simulate_on(&cluster, scratch, phase, &none).unwrap();
+            let reference =
+                simulate_on(&cluster, scratch, phase, &RecoveryCtx::default(), &none).unwrap();
             let (inc, inc_counters) = (incremental.sim, incremental.counters);
             let (scr, scr_counters) = (reference.sim, reference.counters);
             assert_eq!(
@@ -341,20 +343,37 @@ fn fault_aware_recovery_patch_is_bitwise_pinned() {
             },
         )
         .unwrap();
-    let timing = simulate(&cluster, &patch.timing, &FaultSpec::none())
+    // Shards run on their hosts' clocks; what crosses the network is what
+    // leaves one rank for another: an input leaves its holder, an owed
+    // partial the shard standing in for its dead producer.
+    let ctx = &patch.ctx;
+    let net = Network::new(cluster.clone());
+    let timing = simulate_on(&cluster, net, &patch.phase, ctx, &FaultSpec::none())
         .unwrap()
         .sim;
+    assert_eq!(timing.devices.len(), 8);
+    let host = |l: u32| l.checked_sub(8).map_or(l, |j| ctx.shard_hosts[j as usize]);
+    let cross_host_bytes: u64 = (0u32..)
+        .zip(&patch.phase.comms)
+        .flat_map(|(cid, op)| op.transfers.iter().map(move |tr| (cid, tr)))
+        .filter(|&(cid, tr)| {
+            let owed = ctx.failed.contains(&tr.from) && !ctx.salvage_comms.contains(&cid);
+            let stand_in = ctx.stand_in.get(&tr.payload).filter(|_| owed);
+            host(*stand_in.unwrap_or(&tr.from)) != host(tr.to)
+        })
+        .map(|(_, tr)| tr.bytes)
+        .sum();
     assert_eq!(
         [
             placement_fnv(&patch.placement),
             placement_fnv(&patch.bwd.as_ref().unwrap().0),
             timing.makespan.to_bits(),
-            patch.timing.total_comm_bytes(),
+            cross_host_bytes,
         ],
         [
             0x9e6ac8edc970bbbb,
             0x7881bf953914e411,
-            0x3f284007790b7ae1,
+            0x3f284007790b7ae2,
             36416
         ]
     );

@@ -10,10 +10,12 @@
 //! reaching its wait before the sender's launch, and under faults.
 //! `examples/sim_differential.rs` prints the same digest for 22 400 more
 //! cases, to be diffed against its output in a clone of an older commit.
+//! Last, the rules by which the shards of a recovery patch share their
+//! hosts' clocks, on three hand-built streams.
 
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
-use dcp::sched::{Instr, PassConfig, PayloadKind, PhasePlan};
+use dcp::sched::{Instr, PassConfig, PayloadKind, PhasePlan, RecoveryCtx};
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, Fault, FaultSpec, SimCounters, SimRun, TraceKind};
 use dcp::types::{AttnSpec, ClusterSpec};
@@ -245,7 +247,8 @@ fn scratch_engine_agrees_under_the_new_loop() {
             let mut scratch = Network::new(cluster.clone());
             scratch.use_scratch_engine(true);
             let SimRun { sim, counters, .. } = simulate(&cluster, &phase, &none).unwrap();
-            let reference = simulate_on(&cluster, scratch, &phase, &none).unwrap();
+            let reference =
+                simulate_on(&cluster, scratch, &phase, &RecoveryCtx::default(), &none).unwrap();
             let (scr, scr_counters) = (reference.sim, reference.counters);
             assert_eq!(counters.events, scr_counters.events, "{what}");
             assert_eq!(counters.flows, scr_counters.flows, "{what}");
@@ -268,4 +271,72 @@ fn scratch_engine_agrees_under_the_new_loop() {
             }
         }
     }
+}
+
+/// The host rules of DESIGN.md "What the timing backend adds", on streams
+/// small enough to time by hand.
+#[test]
+fn a_shard_runs_on_its_hosts_clock_and_hands_over_without_a_flow() {
+    use dcp::sched::{CommId, CommOp, DeviceStream, Payload, Transfer};
+    // Ranks 0 and 1, and a shard (stream 2) hosted on rank 0 that runs a
+    // kernel, then sends a partial to its host's own stream and one to
+    // rank 1. Rank 0 runs a kernel of its own first.
+    let bytes = 1_000_000_000u64;
+    let partial = |to, bytes| CommOp {
+        transfers: vec![Transfer {
+            from: 2,
+            to,
+            payload: Payload::PartialO(dcp::blocks::TokenBlockId(0), 2),
+            bytes,
+        }],
+    };
+    let copy = Instr::Copy { bytes: 1 << 30 };
+    let (launch, wait) = (
+        |c| Instr::CommLaunch(CommId(c)),
+        |c| Instr::CommWait(CommId(c)),
+    );
+    let streams = [
+        vec![copy.clone(), wait(0)],
+        vec![wait(1)],
+        vec![copy, launch(0), launch(1)],
+    ];
+    let phase = PhasePlan {
+        comms: vec![partial(0, bytes), partial(1, bytes)],
+        devices: (0u32..)
+            .zip(streams)
+            .map(|(device, instrs)| DeviceStream {
+                device,
+                instrs,
+                buffer: Default::default(),
+            })
+            .collect(),
+    };
+    let ctx = RecoveryCtx {
+        shard_hosts: vec![0],
+        ..Default::default()
+    };
+    let c = ClusterSpec::p4de(1);
+    let net = Network::new(c.clone());
+    let SimRun { sim, counters, .. } =
+        simulate_on(&c, net, &phase, &ctx, &FaultSpec::none()).unwrap();
+    let kernel = (1u64 << 30) as f64 / c.mem_bw + c.kernel_overhead;
+    // One row per rank; the shard's kernel queues behind its host's.
+    assert_eq!(sim.devices.len(), 2);
+    assert_eq!(sim.devices[0].copy, 2.0 * kernel);
+    assert_eq!(sim.devices[0].finish, 2.0 * kernel);
+    // The hand-over inside rank 0 lands at the launch: the host's stream
+    // waited for the shard's kernel and no longer; only the partial for
+    // rank 1 is a flow.
+    assert_eq!(sim.devices[0].exposed_wait, kernel);
+    assert_eq!(sim.devices[0].comm_active, sim.devices[1].comm_active);
+    assert_eq!(counters.flows, 1);
+    let arrival = 2.0 * kernel + c.intra_latency + bytes as f64 / c.intra_bw;
+    assert!((sim.makespan - arrival).abs() < 1e-9);
+    assert_eq!(sim.devices[1].exposed_wait, sim.makespan);
+    // As three ranks the same streams overlap their kernels and pay for
+    // both transfers.
+    let flat = simulate(&c, &phase, &FaultSpec::none()).unwrap();
+    assert_eq!(flat.sim.devices.len(), 3);
+    assert_eq!(flat.counters.flows, 2);
+    assert!(flat.sim.devices[2].finish < sim.devices[0].finish);
 }

@@ -16,6 +16,11 @@
 //!   the same walker, walking launch/wait structure only — rejects a phase
 //!   exactly when `verify_structure` does, with that diagnostic.
 //!
+//! Recovery patches get the same treatment under their `RecoveryCtx`: seeded
+//! kill sequences (forward to depth 2, backward to depth 1) are accepted by
+//! all three — the simulator with shards on their hosts' clocks — and a patch
+//! that lost one stand-in launch is a typed error from all three.
+//!
 //! All three are backends of `dcp::sched::stream::Stream::walk`, whose run
 //! queue replaced a round-robin over every device; the round-robin is kept
 //! below as an oracle for the order instructions retire in.
@@ -24,14 +29,20 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dcp::blocks::{BatchLayout, BlockConfig, CompBlockId, TokenBlockId};
+use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPatch, RecoveryPlanner};
+use dcp::core::{PlanOutput, Planner, PlannerConfig};
+use dcp::exec::executor::BlockGrads;
+use dcp::exec::executor::{execute_backward_recovery, execute_forward_recovery, ExecObs};
 use dcp::exec::{execute_backward, execute_forward, reference, BatchData, BlockOut};
 use dcp::mask::MaskSpec;
 use dcp::sched::stream::{At, AttnItem, Backend, Stream, Wake};
 use dcp::sched::{
-    build_plan, verify_plan, verify_structure, CommId, ExecutionPlan, Instr, Payload, PayloadKind,
-    PhasePlan, Placement, RecoveryCtx, ReduceItem, ScheduleConfig, Transfer, ViolationKind,
+    build_plan, verify_phase, verify_plan, verify_structure, CommId, ExecutionPlan, Instr, Payload,
+    PayloadKind, PhasePlan, Placement, RecoveryCtx, ReduceItem, ScheduleConfig, Transfer,
+    ViolationKind,
 };
-use dcp::sim::{simulate, simulate_plan, FaultSpec};
+use dcp::sim::network::Network;
+use dcp::sim::{simulate, simulate_on, simulate_plan, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, DcpError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -437,6 +448,195 @@ fn a_wait_on_an_unlaunched_input_is_one_diagnostic_for_all_three() {
         assert_eq!(simulated.unwrap_err(), expected, "seed {seed}: simulator");
     }
     assert!(applied > 0);
+}
+
+/// `values` of every token block of a result, in block order, as bits.
+fn bits_of<T>(blocks: &HashMap<TokenBlockId, T>, values: impl Fn(&T) -> Vec<f32>) -> Vec<u32> {
+    let mut ids: Vec<TokenBlockId> = blocks.keys().copied().collect();
+    ids.sort_by_key(|tb| tb.0);
+    let bits = |tb| values(&blocks[tb]).into_iter().map(f32::to_bits);
+    ids.iter().flat_map(bits).collect()
+}
+
+fn grads_of(g: &BlockGrads) -> Vec<f32> {
+    [&g.dq[..], &g.dk, &g.dv].concat()
+}
+
+/// What each consumer says of `patch`'s phase, read under `patch.ctx`: the
+/// verifier, the executor (the phase's outputs or gradients on success, as
+/// bits) and the simulator (its timeline rows).
+#[allow(clippy::type_complexity)]
+fn consume_patch(
+    cluster: &ClusterSpec,
+    out: &PlanOutput,
+    patch: &RecoveryPatch,
+    t: &Tensors,
+) -> (
+    Result<(), DcpError>,
+    Result<Vec<u32>, DcpError>,
+    Result<usize, DcpError>,
+) {
+    let (layout, placement, phase, ctx) = (&out.layout, &patch.placement, &patch.phase, &patch.ctx);
+    let obs = ExecObs::disabled();
+    let executed = match patch.backward {
+        false => execute_forward_recovery(layout, placement, phase, &t.data, ctx, &obs)
+            .map(|out| bits_of(&out, |b| b.o.clone())),
+        true => {
+            execute_backward_recovery(layout, placement, phase, &t.data, &t.out, &t.d_o, ctx, &obs)
+                .map(|grads| bits_of(&grads, grads_of))
+        }
+    };
+    let net = Network::new(cluster.clone());
+    let simulated = simulate_on(cluster, net, phase, ctx, &FaultSpec::none());
+    (
+        verify_phase(layout, placement, phase, patch.backward, ctx).map_err(DcpError::from),
+        executed,
+        simulated.map(|run| run.sim.devices.len()),
+    )
+}
+
+/// Removes the first launch with which a shard stands in for a dead stream's
+/// owed partial, so that partial is never deposited.
+fn drop_a_stand_in_launch(patch: &mut RecoveryPatch) -> bool {
+    let (phase, ctx) = (&mut patch.phase, &patch.ctx);
+    for stream in &mut phase.devices {
+        let shard = stream.device;
+        let stands_in = |ins: &Instr| match ins {
+            Instr::CommLaunch(cid) if !ctx.salvage_comms.contains(&cid.0) => {
+                let mut sent = phase.comms[cid.0 as usize].transfers.iter();
+                sent.any(|tr| ctx.stand_in.get(&tr.payload) == Some(&shard))
+            }
+            _ => false,
+        };
+        if let Some(i) = stream.instrs.iter().position(stands_in) {
+            stream.instrs.remove(i);
+            return true;
+        }
+    }
+    false
+}
+
+/// The recovery half of the contract: every patch of a seeded kill sequence
+/// — depth 1 and depth 2 in the forward phase, depth 1 in the backward — is
+/// accepted by the verifier, the executor (to the clean run's bits) and the
+/// simulator (one timeline row per physical rank), each reading the patched
+/// phase under the patch's `RecoveryCtx`; with one stand-in launch removed,
+/// the owed partial never arrives and all three return a typed error.
+#[test]
+fn patches_under_their_ctx_mean_the_same_to_all_three() {
+    let divisions = |phase: &PhasePlan, l: u32| {
+        let attn = |ins: &&Instr| matches!(ins, Instr::Attn { .. } | Instr::AttnBwd { .. });
+        phase.devices[l as usize].instrs.iter().filter(attn).count() as u32
+    };
+    let (mut depth2, mut broken) = (0, 0);
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA11);
+        let n = rng.gen_range(3..8u32);
+        let cluster = ClusterSpec::single_node(n);
+        let config = PlannerConfig {
+            block_size: 16,
+            ..Default::default()
+        };
+        let seqs: Vec<(u32, MaskSpec)> = (0..rng.gen_range(2..5))
+            .map(|_| match rng.gen_range(0..3) {
+                0 => (
+                    rng.gen_range(64..200),
+                    MaskSpec::Lambda {
+                        sink: 4,
+                        window: 24,
+                    },
+                ),
+                _ => (rng.gen_range(48..200), MaskSpec::Causal),
+            })
+            .collect();
+        let out = Planner::new(cluster.clone(), AttnSpec::new(4, 2, 8, 2), config)
+            .plan(&seqs)
+            .unwrap();
+        let (data, d_o) = random_tensors(&out.layout);
+        let fwd_out = execute_forward(&out.layout, &out.placement, &out.plan, &data).unwrap();
+        let grads = execute_backward(
+            &out.layout,
+            &out.placement,
+            &out.plan,
+            &data,
+            &fwd_out,
+            &d_o,
+        )
+        .unwrap();
+        let tensors = Tensors {
+            data,
+            out: fwd_out,
+            d_o,
+        };
+
+        // The kill sequence: a rank mid-forward, then a survivor somewhere in
+        // its own stream and the shards it hosts; and a rank mid-backward.
+        let rp = RecoveryPlanner::new(RecoveryConfig::default());
+        let mut kill = |phase: &PhasePlan, streams: &[u32]| {
+            let done = streams.iter().map(|&l| divisions(phase, l)).sum::<u32>();
+            rng.gen_range(0..=done)
+        };
+        let dev1 = seed as u32 % n;
+        let ev1 = FailureEvent {
+            device: dev1,
+            divisions_done: kill(&out.plan.fwd, &[dev1]),
+        };
+        let patch1 = rp.plan_recovery(&out, &ev1).unwrap();
+        let dev2 = (dev1 + 1 + seed as u32 / n % (n - 1)) % n;
+        let hosted = (n..).zip(&patch1.ctx.shard_hosts);
+        let running: Vec<u32> = std::iter::once(dev2)
+            .chain(hosted.filter(|&(_, &h)| h == dev2).map(|(l, _)| l))
+            .collect();
+        let ev2 = FailureEvent {
+            device: dev2,
+            divisions_done: kill(&patch1.phase, &running),
+        };
+        let patch2 = rp.plan_recovery_onto(&out, &patch1, &ev2).unwrap();
+        depth2 += (patch2.phase.devices.len() > patch1.phase.devices.len()) as u32;
+        let bdev = (seed as u32 / 2) % n;
+        let bev = FailureEvent {
+            device: bdev,
+            divisions_done: kill(&out.plan.bwd, &[bdev]),
+        };
+        let bpatch = rp.plan_backward_recovery(&out, &bev).unwrap();
+
+        let clean_o = bits_of(&tensors.out, |b| b.o.clone());
+        let clean_grads = bits_of(&grads, grads_of);
+        for (name, patch) in [
+            ("depth 1", patch1),
+            ("depth 2", patch2),
+            ("backward", bpatch),
+        ] {
+            let what = format!("seed {seed} {name}");
+            let (verified, executed, simulated) = consume_patch(&cluster, &out, &patch, &tensors);
+            assert_eq!(verified, Ok(()), "{what}: verifier");
+            let clean = if patch.backward {
+                &clean_grads
+            } else {
+                &clean_o
+            };
+            assert_eq!(executed.as_ref(), Ok(clean), "{what}: executor");
+            assert_eq!(simulated, Ok(n as usize), "{what}: simulator");
+
+            let mut lossy = patch;
+            if !drop_a_stand_in_launch(&mut lossy) {
+                continue;
+            }
+            broken += 1;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                consume_patch(&cluster, &out, &lossy, &tensors)
+            }));
+            let Ok((verified, executed, simulated)) = outcome else {
+                panic!("{what}: a consumer panicked on a patch without a stand-in launch");
+            };
+            let rejections = [verified.err(), executed.err(), simulated.err()];
+            for (who, e) in ["verifier", "executor", "simulator"].iter().zip(rejections) {
+                let e = e.unwrap_or_else(|| panic!("{what}: the {who} accepted the lossy patch"));
+                assert!(matches!(e, DcpError::InvalidPlan(_)), "{what}: {who}: {e}");
+            }
+        }
+    }
+    assert!(depth2 >= 8 && broken >= 16, "{depth2} {broken}");
 }
 
 /// A position in the streams, and why the walk stopped there.
