@@ -3,11 +3,57 @@
 //! compiled for, and the exponential under them on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dcp_bench::{exp_loops, kernel_isas, KernelIsa};
-use dcp_exec::kernels::{merge_outputs, BlockAcc, BlockArgs, BlockBwdArgs};
+use dcp_exec::kernels::{self, merge_outputs, BlockAcc, BlockArgs, BlockBwdArgs};
 use dcp_mask::MaskSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// A loop that replaces every element with its exponential.
+type ExpLoop = fn(&mut [f32]);
+
+/// One vector width the blockwise kernels are compiled at.
+struct KernelIsa {
+    /// `"avx2"` or `"baseline"`.
+    name: &'static str,
+    /// `attn_block_fwd` at this width.
+    fwd: fn(&mut BlockAcc, BlockArgs<'_>),
+    /// `attn_block_bwd` at this width.
+    bwd: fn(BlockBwdArgs<'_>, &mut [f32], &mut [f32], &mut [f32]),
+    /// The kernels' exponential loop at this width.
+    exp_in_place: ExpLoop,
+}
+
+/// The instantiation kernel calls take on this host, then the baseline one
+/// where that is another.
+fn kernel_isas() -> Vec<KernelIsa> {
+    let detected = KernelIsa {
+        name: kernels::isa(),
+        fwd: kernels::attn_block_fwd,
+        bwd: kernels::attn_block_bwd,
+        exp_in_place: kernels::exp_in_place,
+    };
+    let baseline = KernelIsa {
+        name: "baseline",
+        fwd: kernels::baseline::attn_block_fwd,
+        bwd: kernels::baseline::attn_block_bwd,
+        exp_in_place: kernels::baseline::exp_in_place,
+    };
+    if detected.name == baseline.name {
+        vec![baseline]
+    } else {
+        vec![detected, baseline]
+    }
+}
+
+/// The exponentials worth timing against each other, by name: libm's `expf`
+/// one call at a time, then the kernels' own loop at each of their widths.
+fn exp_loops() -> Vec<(&'static str, ExpLoop)> {
+    let libm: ExpLoop = |xs| xs.iter_mut().for_each(|x| *x = x.exp());
+    let ours = kernel_isas().into_iter().rev();
+    std::iter::once(("libm", libm))
+        .chain(ours.map(|isa| (isa.name, isa.exp_in_place)))
+        .collect()
+}
 
 fn randv(n: usize, rng: &mut SmallRng) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()

@@ -17,19 +17,23 @@
 //!
 //! The `sim_engine` section re-simulates the sweep's largest plan under both
 //! network engines — the incremental dirty-component allocator and the
-//! retained per-event scratch water-fill — checking bitwise agreement and
-//! recording the speedup (gated at >= 5x by `plan_gate --scaling`).
+//! retained per-event scratch water-fill — and records agreement and speedup.
 //!
-//! Writes `BENCH_scaling.json` (schema-versioned, at the repo root, gated in
-//! CI against `results/BENCH_scaling_baseline.json`) and the table to
-//! `results/scaling_report.json`.
+//! Two of the wall times taken here have no ledger row yet, so this binary
+//! is their judge (DESIGN.md §5): it exits 1 when a 1024-device cold plan
+//! takes [`COLD_PLAN_1024_MAX_S`] or longer, or the incremental engine is
+//! under [`ENGINE_MIN_SPEEDUP`] times the scratch one or off its makespan by
+//! [`ENGINE_MAX_REL_ERR`] or more.
+//!
+//! Writes `BENCH_scaling.json` (at the repo root, a CI artifact) and the
+//! table to `results/scaling_report.json`.
 //!
 //! Usage: `scaling_report [--smoke]` — `--smoke` keeps the full 16→1024
 //! device coverage but runs one planning rep per point instead of five.
 
 use std::time::Instant;
 
-use dcp_bench::{micro_attn, seed, write_results, Table, BENCH_SCHEMA_VERSION};
+use dcp_bench::{median, micro_attn, seed, write_results, Table};
 use dcp_core::{PlanOutput, Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, DatasetKind};
 use dcp_mask::MaskSpec;
@@ -44,16 +48,13 @@ const TOKENS_PER_DEVICE: u64 = 2048;
 /// comp-block count (quadratic in per-sequence blocks) stays planning-bound
 /// rather than graph-construction-bound at 1024 devices.
 const MAX_LEN: u32 = 65_536;
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
-}
+/// A 1024-device cold plan (median over the reps) takes less than this.
+const COLD_PLAN_1024_MAX_S: f64 = 2.0;
+/// The incremental network engine is at least this much faster than the
+/// scratch water-fill on the sweep's largest plan…
+const ENGINE_MIN_SPEEDUP: f64 = 5.0;
+/// …and their makespans agree to within this relative error.
+const ENGINE_MAX_REL_ERR: f64 = 1e-9;
 
 /// One weak-scaled batch for a cluster of `devices` GPUs.
 fn batch_for(devices: u32) -> Vec<(u32, MaskSpec)> {
@@ -111,6 +112,7 @@ fn main() {
         "sim_kev_per_s",
     ]);
     let mut sweep = Vec::new();
+    let mut violations = Vec::new();
     let mut largest: Option<(ClusterSpec, PlanOutput, String)> = None;
 
     for nodes in [2u32, 8, 32, 128] {
@@ -133,7 +135,13 @@ fn main() {
             } else {
                 cold_plan(cluster, &batch, reps)
             };
-            let plan_s = median(walls.clone());
+            let plan_s = median(&walls);
+            if devices == 1024 && plan_s >= COLD_PLAN_1024_MAX_S {
+                violations.push(format!(
+                    "1024-device/{name} cold plan median {plan_s:.2}s, not under \
+                     {COLD_PLAN_1024_MAX_S}s"
+                ));
+            }
 
             let t = Instant::now();
             let SimRun { sim, counters, .. } =
@@ -186,9 +194,7 @@ fn main() {
         }
     }
 
-    // Engine A/B on the sweep's largest plan: the incremental allocator must
-    // agree bitwise with the retained scratch water-fill and beat it by the
-    // gated factor on wall time.
+    // Engine A/B on the sweep's largest plan.
     let (cluster, out, topo) = largest.expect("non-empty sweep");
     let t = Instant::now();
     let none = FaultSpec::none();
@@ -215,12 +221,17 @@ fn main() {
     // engines must agree to fp-noise tolerance.
     let rel_err = (inc_sim.makespan - scr_sim.makespan).abs() / scr_sim.makespan.max(1e-300);
     let speedup = scr_wall / inc_wall.max(1e-12);
-    assert!(
-        rel_err < 1e-9,
-        "engines diverged: incremental makespan {} vs scratch {} (rel err {rel_err:.3e})",
-        inc_sim.makespan,
-        scr_sim.makespan
-    );
+    if rel_err >= ENGINE_MAX_REL_ERR {
+        violations.push(format!(
+            "engines diverged: incremental makespan {} vs scratch {} (rel err {rel_err:.3e})",
+            inc_sim.makespan, scr_sim.makespan
+        ));
+    }
+    if speedup < ENGINE_MIN_SPEEDUP {
+        violations.push(format!(
+            "incremental engine only {speedup:.1}x the scratch one, under {ENGINE_MIN_SPEEDUP}x"
+        ));
+    }
     println!(
         "Scaling sweep (weak scaling, {TOKENS_PER_DEVICE} tokens/device, {attn_note}, \
          reps={reps}{})",
@@ -236,7 +247,6 @@ fn main() {
     );
 
     let doc = serde_json::json!({
-        "schema_version": BENCH_SCHEMA_VERSION,
         "config": {
             "smoke": smoke,
             "reps": reps as u64,
@@ -267,4 +277,10 @@ fn main() {
     .expect("write BENCH_scaling.json");
     println!("\n[scaling report written to BENCH_scaling.json]");
     write_results("scaling_report", &doc["sweep"]);
+    for v in &violations {
+        eprintln!("scaling_report: FAIL: {v}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
 }

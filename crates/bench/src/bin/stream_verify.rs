@@ -10,12 +10,12 @@
 //! or patcher regression that emits a malformed stream fails the `verify`
 //! job even when no numeric test happens to execute that plan.
 //!
-//! Workload: the `perf_report` batches (p4de(2), LongDataCollections,
-//! block 128, 3 mask settings, `DCP_BENCH_BATCHES` batches per mask).
+//! Workload: p4de(2), LongDataCollections, block 128, 3 mask settings, two
+//! batches per mask — pinned, because CI diffs the report against the
+//! committed `results/VERIFY_streams.json`.
 
 use std::process::exit;
 
-use dcp_bench::BENCH_SCHEMA_VERSION;
 use dcp_core::{FailureEvent, Planner, PlannerConfig, RecoveryConfig, RecoveryPlanner};
 use dcp_data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
@@ -37,12 +37,7 @@ fn exec_attn() -> AttnSpec {
     AttnSpec::new(4, 2, 16, 1)
 }
 
-fn batches_per_mask() -> usize {
-    std::env::var("DCP_BENCH_BATCHES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
+const BATCHES_PER_MASK: usize = 2;
 
 /// One plan candidate the mutation battery can draw from.
 struct Candidate {
@@ -243,7 +238,7 @@ fn diag_json(d: &Diagnostic) -> serde_json::Value {
 fn main() {
     let cluster = ClusterSpec::p4de(2);
     let attn = exec_attn();
-    let n = batches_per_mask();
+    let n = BATCHES_PER_MASK;
     let masks = [
         MaskSetting::Causal,
         MaskSetting::Lambda,
@@ -472,7 +467,7 @@ fn main() {
 
     let ok = failures.is_empty();
     let report = json!({
-        "schema_version": BENCH_SCHEMA_VERSION,
+        "schema_version": 1,
         "workload": {
             "cluster": "p4de(2)",
             "dataset": "LongDataCollections",

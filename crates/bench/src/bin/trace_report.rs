@@ -2,9 +2,12 @@
 //! instrumented dataloader → planner → executor → simulator pipeline and
 //! writes `results/TRACE_e2e.json` — a single Chrome Trace Event file
 //! merging all four sources onto per-device rows, doubled as a
-//! machine-readable report carrying the schema version and the
-//! communication-overlap summary (the fraction of transfer time hidden
-//! under compute, per device and per division).
+//! machine-readable report carrying the communication-overlap summary (the
+//! fraction of transfer time hidden under compute, per device and per
+//! division) and the attribution / blame table: on the pinned straggler
+//! scenario of `tests/trace_analysis.rs`, where the critical path spends a
+//! clean phase and which device and bucket the differential attribution
+//! blames for the faulted one. The table is for reading; the tests judge.
 //!
 //! Open the trace at `chrome://tracing` or <https://ui.perfetto.dev>; the
 //! planner, dataloader, executor and simulator each get their own process
@@ -13,15 +16,15 @@
 //! A JSONL event log (`results/TRACE_e2e.jsonl`) and a Prometheus-style
 //! metric snapshot (`results/TRACE_e2e.prom`) are written alongside from
 //! the same event stream.
-//!
-//! Environment knobs: `DCP_BENCH_BATCHES` (default 2) batches per mask.
 
 use std::path::Path;
 
 use dcp_bench::{trace_doc, trace_workload, Table};
-use dcp_core::PlannerConfig;
+use dcp_core::{Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
-use dcp_obs::{to_jsonl, Registry};
+use dcp_mask::MaskSpec;
+use dcp_obs::{critical_path, diff_attribution, to_jsonl, AnalysisScope, Phase, Registry};
+use dcp_sim::{simulate, trace_to_obs, Fault, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec};
 use serde_json::json;
 
@@ -33,24 +36,92 @@ const BUDGET: u64 = 8192;
 const MAX_LEN: u32 = 2048;
 /// Planner block size.
 const BLOCK_SIZE: u32 = 128;
+/// Batches per mask setting.
+const BATCHES: usize = 2;
+
+/// One row per batch and phase of the pinned straggler scenario (p4de(1),
+/// block 1024, device 0 at ×4): the clean run's critical path by bucket,
+/// then the faulted makespan and whom the differential attribution blames.
+fn blame_table() -> Table {
+    let cluster = ClusterSpec::p4de(1);
+    let cfg = PlannerConfig {
+        block_size: 1024,
+        ..Default::default()
+    };
+    let planner = Planner::new(cluster.clone(), AttnSpec::paper_micro(), cfg);
+    let straggler = Fault::Straggler {
+        device: 0,
+        slowdown: 4.0,
+    };
+    let spec = FaultSpec {
+        seed: SEED,
+        faults: vec![straggler],
+    };
+    let mut table = Table::new(&[
+        "batch",
+        "phase",
+        "clean_ms",
+        "compute_ms",
+        "exposed_comm_ms",
+        "wait_ms",
+        "faulted_ms",
+        "suspect",
+        "share",
+        "bucket",
+    ]);
+    let ms = |s: f64| format!("{:.3}", s * 1e3);
+    for bi in 0..BATCHES as u32 {
+        let seqs = [
+            (8192 + 1024 * bi, MaskSpec::Causal),
+            (4096, MaskSpec::paper_lambda()),
+        ];
+        let out = planner.plan(&seqs).expect("pinned workload plans");
+        for (phase, pp) in [(Phase::Fwd, &out.plan.fwd), (Phase::Bwd, &out.plan.bwd)] {
+            let path = |spec: &FaultSpec| {
+                let trace = simulate(&cluster, pp, spec).expect("simulate").trace;
+                let events = trace_to_obs(&trace, phase, Some(bi as u64));
+                critical_path(&events, &AnalysisScope::sim_iter(phase, bi as u64))
+            };
+            let (clean, faulted) = (path(&FaultSpec::none()), path(&spec));
+            let delta = diff_attribution(&clean, &faulted);
+            table.row(vec![
+                bi.to_string(),
+                phase.label().into(),
+                ms(clean.makespan),
+                ms(clean.compute),
+                ms(clean.exposed_comm),
+                ms(clean.wait),
+                ms(faulted.makespan),
+                delta
+                    .prime_suspect
+                    .map_or("-".into(), |d| format!("dev{d}")),
+                format!("{:.2}", delta.suspect_share),
+                delta.dominant_bucket.map_or("-", |b| b.label()).into(),
+            ]);
+        }
+    }
+    table
+}
 
 fn main() {
     let cluster = ClusterSpec::p4de(2);
     // Small operator so the f32 executor runs at a tractable scale.
     let attn = AttnSpec::new(4, 2, 16, 1);
-    let n = std::env::var("DCP_BENCH_BATCHES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2usize);
 
     // Distinct masks give the trace recognizable per-iteration structure.
     let mut batches: Vec<Batch> = Vec::new();
     for mask in [MaskSetting::Causal, MaskSetting::Lambda] {
-        let lengths = sample_lengths(DatasetKind::LongDataCollections, n * 64, 1.0, MAX_LEN, SEED);
+        let lengths = sample_lengths(
+            DatasetKind::LongDataCollections,
+            BATCHES * 64,
+            1.0,
+            MAX_LEN,
+            SEED,
+        );
         batches.extend(
             pack_batches(&lengths, BUDGET, |l| mask.mask_for(l))
                 .into_iter()
-                .take(n),
+                .take(BATCHES),
         );
     }
     let iters = batches.len();
@@ -82,8 +153,13 @@ fn main() {
         summary["per_division"].as_array().map_or(0, Vec::len),
     );
 
+    let blame = blame_table();
+    println!("\nattribution and blame (p4de(1), device 0 straggling at x4):");
+    blame.print();
+
     let doc = trace_doc(
         &outcome,
+        blame.to_json(),
         json!({
             "cluster": "p4de(2)",
             "dataset": "LongDataCollections",

@@ -1,50 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates every figure of the paper's evaluation. Results land in
-# results/*.json; tables print to stdout.
+# Regenerates the tables of the paper's evaluation into results/*.json
+# (tables also print to stdout): every one, the three of `--smoke`, or the
+# ones named. DCP_BENCH_BATCHES (default 8) is the batches per configuration.
 #
-# Usage: run_all_figures.sh [--smoke]
-#   --smoke   run a small representative subset (micro-benchmark, planning
-#             time, loss curves) — used by CI to keep the figure pipeline
-#             honest without paying for the full sweep.
-#
-# DCP_BENCH_BATCHES (default 8) controls batches per configuration.
+# Usage: run_all_figures.sh [--smoke] [name…]   (the `figures` bin's own)
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-BINS=(
-  fig01_comm_overhead
-  fig02_seqlen_dist
-  fig05_motivating
-  fig07_redundant_comm
-  fig13_micro_causal
-  fig14_micro_masks
-  fig15_e2e_longalign
-  fig16_e2e_ldc
-  fig17_comm_vs_blocksize
-  fig18_planning_time
-  fig19_comm_vs_sparsity
-  fig20_comm_vs_epsilon
-  fig21_loss_curves
-  fig22_decomposition
-  ablations
-  memory_report
-  scaling_report
-)
-
-SMOKE_BINS=(
-  fig13_micro_causal
-  fig18_planning_time
-  fig21_loss_curves
-)
-
-if [[ "${1:-}" == "--smoke" ]]; then
-  BINS=("${SMOKE_BINS[@]}")
-  echo "[smoke mode: ${#BINS[@]} of 17 figure bins]"
-fi
-
-cargo build --release -p dcp-bench --bins
-for bin in "${BINS[@]}"; do
-  echo
-  echo "==================== $bin ===================="
-  cargo run --release -q -p dcp-bench --bin "$bin"
-done
+exec cargo run --release -q -p dcp-bench --bin figures -- "$@"

@@ -5,8 +5,9 @@
 //! reduced. Covers single failures, cascading (depth-2) failures where a
 //! shard-hosting survivor dies mid-patch, backward-phase failures salvaged
 //! at reduction frontiers, a randomized property sweep over both phases,
-//! content digests pinning four patches to the instruction, and tampered
-//! base plans (typed errors, no panics).
+//! content digests pinning four patches to the instruction, the pass
+//! pipeline run over every forward depth-1 patch, and tampered base plans
+//! (typed errors, no panics).
 //!
 //! Tests that exercise the determinism leg mutate `RAYON_NUM_THREADS`,
 //! which is process-global state; they serialize on [`ENV_LOCK`]
@@ -27,7 +28,10 @@ use dcp::exec::executor::{
 };
 use dcp::mask::MaskSpec;
 use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
-use dcp::sched::{CommId, Instr, Payload, PayloadKind, PhasePlan, Placement};
+use dcp::sched::{
+    verify_phase, CommId, Instr, PassConfig, PassManager, PassOutcome, Payload, PayloadKind,
+    PhasePlan, Placement,
+};
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, simulate_plan, Fault, FaultSpec, SimRun};
 use dcp::types::{AttnSpec, ClusterSpec, DcpError, DcpResult, ModelSpec};
@@ -411,6 +415,65 @@ fn cascading_failure_composes_patches_bitwise() {
         );
     }
     std::env::remove_var("RAYON_NUM_THREADS");
+}
+
+/// The pass pipeline on recovery patches: a truncated dead stream keeps
+/// prefetches whose waits were cut, which is where `dead_comm` finds its
+/// bytes. Over every forward depth-1 kill of the 8-device batch (each
+/// device, each frontier) the optimized patch, salvage ops protected, stays
+/// legal under the patch's own ctx and executes bitwise-equal to the patch
+/// as planned — and the passes did change patches, so neither holds
+/// vacuously.
+#[test]
+fn passes_keep_recovery_patches_legal_and_bitwise() {
+    let (_, out) = plan_small();
+    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let pm = PassManager::new(PassConfig::optimize());
+    let data = BatchData::random(&out.layout, 2024);
+    let run = |patch: &RecoveryPatch, phase: &PhasePlan| {
+        let obs = ExecObs::disabled();
+        execute_forward_recovery(
+            &out.layout,
+            &patch.placement,
+            phase,
+            &data,
+            &patch.ctx,
+            &obs,
+        )
+        .unwrap()
+    };
+    let (mut patches, mut changed, mut bytes_saved) = (0u32, 0u32, 0u64);
+    for device in 0..out.plan.num_devices {
+        for divisions_done in 0..=divisions(&out.plan.fwd.devices[device as usize].instrs) {
+            let ev = FailureEvent {
+                device,
+                divisions_done,
+            };
+            let patch = rp.plan_recovery(&out, &ev).unwrap();
+            let mut optimized = patch.phase.clone();
+            let outcomes = pm.run_phase(
+                &out.layout,
+                &mut optimized,
+                "recovery_fwd",
+                &patch.ctx.salvage_comms,
+            );
+            patches += 1;
+            changed += u32::from(outcomes.iter().any(PassOutcome::changed));
+            bytes_saved += outcomes.iter().map(|o| o.comm_bytes_saved()).sum::<u64>();
+            verify_phase(&out.layout, &patch.placement, &optimized, false, &patch.ctx)
+                .unwrap_or_else(|d| panic!("kill {device}@{divisions_done}: {d}"));
+            assert_eq!(
+                out_bits(&run(&patch, &patch.phase)),
+                out_bits(&run(&patch, &optimized)),
+                "kill {device}@{divisions_done}: optimized patch diverged"
+            );
+        }
+    }
+    assert!(patches >= 16, "only {patches} kills swept");
+    assert!(
+        changed > 0 && bytes_saved > 0,
+        "the passes changed {changed} of {patches} patches and saved {bytes_saved} bytes"
+    );
 }
 
 /// A failure mid-backward is salvaged at the reduction frontier: the dead
@@ -907,7 +970,7 @@ proptest! {
         // verifier accepts, on one timeline row per physical rank.
         let cluster = ClusterSpec::single_node(n);
         for patch in [&fwd_patch, &bwd_patch] {
-            dcp::sched::verify_phase(
+            verify_phase(
                 &out.layout,
                 &patch.placement,
                 &patch.phase,
