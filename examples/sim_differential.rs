@@ -5,7 +5,7 @@
 //! such a change has to keep every simulated f64 as it was. This prints one
 //! line per case — an FNV-1a over the makespan, every `DeviceTimeline` field
 //! and every trace event, plus the event-loop and network counters — for
-//! 22 400 cases: 400 random scattered placements × 4 clusters (zero-latency
+//! 22 376 cases: 400 random scattered placements × 4 clusters (zero-latency
 //! and leaf/spine among them) × forward/backward × {clean, random faults, a
 //! third of the transfers empty, all empty under faults, 0–200-byte
 //! transfers, a launch moved behind its receivers' waits, the same under
@@ -21,9 +21,10 @@
 //!     | diff -u results/SIM_DIGEST.txt -
 //! ```
 //!
-//! The value there was recorded with PR 16's own event loop, before the
-//! simulator became a backend of the walker, and has not moved since PR 15's
-//! polling loop. When the digest does move, `diff` this output against the
+//! The random-placement lines have not moved since PR 15's polling loop;
+//! the planner plans' lines were re-recorded once, when the planner's
+//! streams became the scheduler's own emission (PR 24). When the digest
+//! does move, `diff` this output against the
 //! same example's in a `git clone` of the parent to see which cases did. The
 //! scratch network engine breaks exact max-min ties in hash-map order and is
 //! not bit-stable from run to run, so its makespan is compared with the
@@ -297,31 +298,29 @@ fn planner_plans() {
         (8192, MaskSpec::Causal),
     ];
     for nodes in [1u32, 2, 4] {
-        for optimize in [false, true] {
-            let cluster = ClusterSpec::p4de(nodes);
-            let passes = if optimize {
-                PassConfig::optimize()
-            } else {
-                PassConfig::default()
-            };
-            let planner = Planner::new(
-                cluster.clone(),
-                AttnSpec::paper_micro(),
-                PlannerConfig {
-                    block_size: 1024,
-                    passes,
-                    ..Default::default()
+        let cluster = ClusterSpec::p4de(nodes);
+        let planner = Planner::new(
+            cluster.clone(),
+            AttnSpec::paper_micro(),
+            PlannerConfig {
+                block_size: 1024,
+                passes: PassConfig {
+                    coalesce: false,
+                    fuse: false,
+                    sink: false,
+                    ..PassConfig::optimize()
                 },
-            );
-            let out = planner.plan(&batch).unwrap();
-            let mut rng = SmallRng::seed_from_u64(nodes as u64);
-            for (pi, phase) in [&out.plan.fwd, &out.plan.bwd].into_iter().enumerate() {
-                let tag = format!("golden.n{nodes}.o{optimize}.p{pi}");
-                dump(&tag, &cluster, phase, &none);
-                for k in 0..3 {
-                    let f = faults(&mut rng, cluster.num_devices());
-                    dump(&format!("{tag}.f{k}"), &cluster, phase, &f);
-                }
+                ..Default::default()
+            },
+        );
+        let out = planner.plan(&batch).unwrap();
+        let mut rng = SmallRng::seed_from_u64(nodes as u64);
+        for (pi, phase) in [&out.plan.fwd, &out.plan.bwd].into_iter().enumerate() {
+            let tag = format!("golden.n{nodes}.p{pi}");
+            dump(&tag, &cluster, phase, &none);
+            for k in 0..3 {
+                let f = faults(&mut rng, cluster.num_devices());
+                dump(&format!("{tag}.f{k}"), &cluster, phase, &f);
             }
         }
     }
@@ -332,7 +331,12 @@ fn planner_plans() {
         AttnSpec::paper_micro(),
         PlannerConfig {
             block_size: 2048,
-            passes: PassConfig::optimize(),
+            passes: PassConfig {
+                coalesce: false,
+                fuse: false,
+                sink: false,
+                ..PassConfig::optimize()
+            },
             ..Default::default()
         },
     );
