@@ -1,7 +1,6 @@
 //! Criterion benchmark: the multilevel hypergraph partitioner on planner-
 //! shaped hypergraphs of increasing size, the FM-refinement ablation, and
-//! the gain-cache FM pass against the legacy lazy-heap implementation on a
-//! planted k-way instance.
+//! the gain-cache FM pass on a planted k-way instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcp_blocks::{BatchLayout, BlockConfig};
@@ -101,8 +100,7 @@ fn planted_kway(k: u32, size: usize) -> (Hypergraph, Vec<u32>, [u64; 2]) {
     (hg, assignment, caps)
 }
 
-/// Gain-cache FM vs the legacy lazily-revalidated-heap FM, same planted
-/// instance, same seed and pass budget.
+/// Gain-cache FM on a planted instance, fixed seed and pass budget.
 fn bench_refinement(c: &mut Criterion) {
     let mut group = c.benchmark_group("fm_refinement_8way");
     group.sample_size(20);
@@ -123,17 +121,6 @@ fn bench_refinement(c: &mut Criterion) {
                 )
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("reference_lazy_heap", size),
-            &size,
-            |b, _| {
-                b.iter(|| {
-                    let mut a = start.clone();
-                    let mut rng = SmallRng::seed_from_u64(7);
-                    refine::reference::refine(&hg, &mut a, 8, &caps.into(), 8, &mut rng)
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -252,22 +252,12 @@ impl DcpDataloader {
     /// `lookahead` iterations (κ in the paper; 0 plans synchronously),
     /// using the default [`RetryConfig`].
     pub fn new(planner: Planner, batches: Vec<Batch>, lookahead: usize) -> Self {
-        Self::with_retry(planner, batches, lookahead, RetryConfig::default())
-    }
-
-    /// Like [`DcpDataloader::new`] with an explicit retry/timeout policy.
-    pub fn with_retry(
-        planner: Planner,
-        batches: Vec<Batch>,
-        lookahead: usize,
-        retry: RetryConfig,
-    ) -> Self {
         let planner = Arc::new(planner);
         Self::with_plan_fn(
             Arc::new(move |seqs: &[(u32, MaskSpec)]| planner.plan(seqs)),
             batches,
             lookahead,
-            retry,
+            RetryConfig::default(),
         )
     }
 

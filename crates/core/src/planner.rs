@@ -74,11 +74,11 @@ pub struct PlannerConfig {
     /// `None` (the default) places for a healthy cluster.
     #[serde(default)]
     pub fault_spec: Option<FaultSpec>,
-    /// Post-scheduling pass pipeline over the rendered instruction streams
-    /// (`dcp_sched::passes`). Disabled by default: downstream consumers
-    /// that splice streams (the recovery patcher) assume the scheduler's
-    /// canonical emission shape. Enable with [`PassConfig::optimize`] when
-    /// the plan goes straight to the executor or simulator.
+    /// Dead-communication elimination over the rendered instruction
+    /// streams (`dcp_sched::passes`), off by default. The scheduler emits
+    /// no dead transfer, so the plan is the same either way; enabled
+    /// ([`PassConfig::optimize`]), the run is timed and reported in
+    /// [`PlanOutput::passes`].
     #[serde(default)]
     pub passes: PassConfig,
     /// Incremental re-planning: warm-start the partitioner from a similar
@@ -232,9 +232,9 @@ pub struct PlanOutput {
     pub fallback_reason: Option<String>,
     /// Cache outcome and per-stage timing for this call.
     pub stats: PlanStats,
-    /// What each optimizer pass changed, in pipeline order (empty when the
-    /// pipeline is disabled). Deserializes as empty from plans serialized
-    /// before the pipeline existed.
+    /// What dead-communication elimination changed in each phase (empty
+    /// when [`PlannerConfig::passes`] is disabled, and when deserialized
+    /// from a plan that predates the field).
     #[serde(default)]
     pub passes: Vec<PassOutcome>,
 }
@@ -258,13 +258,13 @@ struct NearEntry {
     token_parts: HashMap<BlockKey, u32>,
     /// Comp-block part by [`comp_key`].
     comp_parts: HashMap<BlockKey, u32>,
-    /// Forward communication bytes of the seeding plan (pre-pass), i.e. its
+    /// Forward communication bytes of the seeding plan, i.e. its
     /// connectivity−1 cost.
     cost: u64,
     /// Total multi-pin hyperedge weight of the seeding batch, used to scale
     /// `cost` to the new batch's volume.
     edge_total: u64,
-    /// The seeding plan itself (post-pass, verified). When a layout is
+    /// The seeding plan itself (verified). When a layout is
     /// block-identical to the seeding batch the schedule is a deterministic
     /// replay, so the stored plan is returned directly instead of being
     /// rebuilt — this is what makes the identical-re-plan path
@@ -568,7 +568,7 @@ impl Planner {
         match warm {
             Some(Warm::Replay(placement, plan)) => {
                 let out = call.output(layout, placement, plan, PlanTier::Partitioned, true);
-                call.remember(&out, None);
+                call.remember(&out, false);
                 Ok(out)
             }
             Some(Warm::Refined(placement, plan)) => {
@@ -744,7 +744,6 @@ impl Planner {
         layout: &BatchLayout,
         placement: &Placement,
         plan: &ExecutionPlan,
-        cost: u64,
     ) -> NearEntry {
         let token_parts = layout
             .token_blocks
@@ -762,7 +761,7 @@ impl Planner {
             num_devices: placement.num_devices,
             token_parts,
             comp_parts,
-            cost,
+            cost: plan.fwd.total_comm_bytes(),
             edge_total: Self::total_edge_weight(layout),
             plan: plan.clone(),
         }
@@ -1186,12 +1185,12 @@ impl<'a> Call<'a> {
         }
     }
 
-    /// Caches the finished `out`: in the exact cache and, given `seed_cost`
-    /// (its pre-pass forward bytes), as a warm-start seed for similar
-    /// batches. Copies are made before the shared lock is taken.
-    fn remember(self, out: &PlanOutput, seed_cost: Option<u64>) {
-        if let (Some(near_key), Some(cost)) = (self.near_key, seed_cost) {
-            let entry = Planner::near_entry_of(&out.layout, &out.placement, &out.plan, cost);
+    /// Caches the finished `out`: in the exact cache and, when `seeds`, as
+    /// a warm-start seed for similar batches. Copies are made before the
+    /// shared lock is taken.
+    fn remember(self, out: &PlanOutput, seeds: bool) {
+        if let Some(near_key) = self.near_key.filter(|_| seeds) {
+            let entry = Planner::near_entry_of(&out.layout, &out.placement, &out.plan);
             Lru::lock(&self.p.near).insert(near_key, Arc::new(entry));
         }
         if let Some(key) = self.key {
@@ -1200,11 +1199,10 @@ impl<'a> Call<'a> {
         }
     }
 
-    /// Everything after a tier was chosen: the optimizer pass pipeline (when
-    /// enabled), then the stream verifier on the freshly produced plan —
-    /// optimized or not — the partitioner's stage breakdown, and both
-    /// caches. Cache hits and replays skip the first three: those plans
-    /// already passed.
+    /// Everything after a tier was chosen: dead-communication elimination
+    /// (when enabled), then the stream verifier on the freshly produced
+    /// plan, the partitioner's stage breakdown, and both caches. Cache hits
+    /// and replays skip the first three: those plans already passed.
     fn finish(
         mut self,
         layout: BatchLayout,
@@ -1214,27 +1212,12 @@ impl<'a> Call<'a> {
         near_hit: bool,
     ) -> DcpResult<PlanOutput> {
         let p = self.p;
-        // Forward comm bytes before any pass rewrites them: this equals the
-        // hypergraph connectivity cost and is what future warm starts scale
-        // their quality bound against.
-        let pre_pass_fwd_comm = plan.fwd.total_comm_bytes();
         let mut passes: Vec<PassOutcome> = Vec::new();
         if p.cfg.passes.enabled {
-            // No span of its own: the run is reported as one `pass` span per
-            // outcome, the measured time split evenly between them.
-            let at = self.origin.elapsed().as_secs_f64();
+            let span = self.span(Event::span(ObsSource::Planner, "pass").with_label("dead_comm"));
             passes =
                 PassManager::new(p.cfg.passes.clone()).run_plan(&layout, &placement, &mut plan);
-            let dt = self.origin.elapsed().as_secs_f64() - at;
-            self.times.schedule += dt;
-            let per_pass = dt / passes.len().max(1) as f64;
-            for (i, o) in passes.iter().enumerate() {
-                self.emit(|| {
-                    Event::span(ObsSource::Planner, "pass")
-                        .with_label(format!("{}:{}", o.pass, o.phase))
-                        .with_time(at + i as f64 * per_pass, per_pass)
-                });
-            }
+            self.times.schedule += span.finish();
             self.emit(|| {
                 let saved: u64 = passes.iter().map(PassOutcome::comm_bytes_saved).sum();
                 Event::counter(ObsSource::Planner, "pass_comm_bytes_saved", saved as f64)
@@ -1276,10 +1259,7 @@ impl<'a> Call<'a> {
         // Warm-accepted plans seed too, so the seed chain follows
         // distribution drift. Only the partitioned tier seeds: greedy and
         // static placements are not worth warm-starting from.
-        self.remember(
-            &out,
-            (tier == PlanTier::Partitioned).then_some(pre_pass_fwd_comm),
-        );
+        self.remember(&out, tier == PlanTier::Partitioned);
         Ok(out)
     }
 }

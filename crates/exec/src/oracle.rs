@@ -1,11 +1,10 @@
 //! Bitwise equivalence oracles between execution plans.
 //!
-//! The optimizer passes (`dcp_sched::passes`) promise to preserve merged
-//! outputs *bitwise* — not merely within tolerance. These helpers execute
-//! two plans over the same deterministic random batch and compare every
-//! final output and gradient for exact equality, giving the pass pipeline
-//! (and CI's `plan_gate`) a black-box oracle that does not trust the
-//! passes' own reasoning.
+//! Dead-communication elimination (`dcp_sched::passes`) promises to
+//! preserve merged outputs *bitwise* — not merely within tolerance. These
+//! helpers execute two plans over the same deterministic random batch and
+//! compare every final output and gradient for exact equality: a black-box
+//! oracle that does not trust the rewrite's own reasoning.
 
 use std::collections::HashMap;
 
@@ -94,7 +93,10 @@ mod tests {
     use super::*;
     use dcp_blocks::BlockConfig;
     use dcp_mask::MaskSpec;
-    use dcp_sched::{build_plan, PassConfig, PassManager, ScheduleConfig};
+    use dcp_sched::{
+        build_plan, CommId, CommOp, Instr, PassConfig, PassManager, Payload, ScheduleConfig,
+        Transfer,
+    };
     use dcp_types::AttnSpec;
 
     fn case_on(n: u32) -> (BatchLayout, Placement, ExecutionPlan) {
@@ -130,18 +132,28 @@ mod tests {
 
     #[test]
     fn optimized_plan_is_bitwise_equivalent() {
-        // Two devices, so every fetch op of a device has the same route, and
-        // no fusion cap (one Q block exceeds the default): fetches fuse.
-        let (l, p, plan) = case_on(2);
-        let mut opt = plan.clone();
-        let pm = PassManager::new(PassConfig {
-            fuse_threshold_bytes: u64::MAX,
-            ..PassConfig::optimize()
+        // A fetch nobody waits for, grafted in: the rewrite has a transfer
+        // and its launch to delete.
+        let (l, p, mut plan) = case_on(2);
+        let (from, to) = (p.token_to_dev[0], 1 - p.token_to_dev[0]);
+        let cid = CommId(plan.fwd.comms.len() as u32);
+        plan.fwd.comms.push(CommOp {
+            transfers: vec![Transfer {
+                from,
+                to,
+                payload: Payload::Q(TokenBlockId(0)),
+                bytes: 999,
+            }],
         });
+        plan.fwd.devices[to as usize]
+            .instrs
+            .insert(0, Instr::CommLaunch(cid));
+        let mut opt = plan.clone();
+        let pm = PassManager::new(PassConfig::optimize());
         let outcomes = pm.run_plan(&l, &p, &mut opt);
         assert!(
             outcomes.iter().any(|o| o.changed()),
-            "fixture must give the passes something to rewrite"
+            "fixture must give the rewrite something to delete"
         );
         assert_ne!(plan, opt);
         assert!(plans_equivalent(&l, &p, &plan, &p, &opt, 7).unwrap());

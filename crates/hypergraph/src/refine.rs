@@ -23,9 +23,8 @@
 //! place instead of re-pushed. This replaces the original lazily-revalidated
 //! `BinaryHeap`, which recomputed every popped vertex's best move from
 //! scratch (`O(deg · k)` per pop) and accumulated stale entries for locked
-//! and moved vertices. The original implementation is preserved verbatim in
-//! [`reference`] so benchmarks can pin the speedup and tests can compare
-//! solution quality.
+//! and moved vertices. The original implementation is frozen in
+//! `tests/fm_oracle.rs`, which compares solution quality.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -107,39 +106,6 @@ impl RefineState {
             // Edge spans > 1 part iff no part holds all its pins.
             (0..self.k).all(|p| self.lam(e, p) < pins)
         })
-    }
-
-    /// Best feasible move for `v`: `(to, gain)` maximizing gain, tie-broken
-    /// toward the lighter destination. `None` when no destination fits.
-    fn best_move(
-        &self,
-        hg: &Hypergraph,
-        v: u32,
-        from: u32,
-        caps: &Caps,
-        total: VertexWeight,
-    ) -> Option<(u32, i64)> {
-        let w = hg.vertex_weight(v);
-        let mut best: Option<(u32, i64, f64)> = None;
-        for to in 0..self.k {
-            if to == from {
-                continue;
-            }
-            let l = self.loads[to as usize];
-            if !admissible(l, w, caps.at(to)) {
-                continue;
-            }
-            let g = self.gain(hg, v, from, to);
-            let load_after = norm_load(total, [l[0] + w[0], l[1] + w[1]]);
-            let better = match best {
-                None => true,
-                Some((_, bg, bl)) => g > bg || (g == bg && load_after < bl),
-            };
-            if better {
-                best = Some((to, g, load_after));
-            }
-        }
-        best.map(|(to, g, _)| (to, g))
     }
 }
 
@@ -302,9 +268,8 @@ impl GainCache {
     }
 
     /// Best feasible move for `v` using cached gains: `(to, gain)`
-    /// maximizing gain, tie-broken toward the lighter destination — the same
-    /// policy as [`RefineState::best_move`], at `O(k)` instead of
-    /// `O(deg · k)`.
+    /// maximizing gain, tie-broken toward the lighter destination, at `O(k)`
+    /// where recomputing every gain from the `lambda` table is `O(deg · k)`.
     fn best_move(
         &self,
         hg: &Hypergraph,
@@ -658,165 +623,6 @@ pub fn rebalance(hg: &Hypergraph, assignment: &mut [u32], k: u32, caps: &Caps) -
     })
 }
 
-/// The original lazily-revalidated `BinaryHeap` FM implementation, kept
-/// verbatim as a comparison baseline for the gain-cache path: the
-/// `refinement` microbenchmark in `crates/bench` pins the speedup, and the
-/// partitioner proptests compare solution quality. Not used by
-/// [`crate::partition`].
-pub mod reference {
-    use std::collections::BinaryHeap;
-
-    use rand::rngs::SmallRng;
-    use rand::Rng;
-
-    use super::{RefineState, STALL_LIMIT};
-    use crate::graph::Hypergraph;
-    use crate::initial::Caps;
-
-    /// A heap entry: cached best move of a vertex. Lazily revalidated on
-    /// pop — entries for locked or already-moved vertices stay in the heap
-    /// and are filtered out only when popped (the heap-churn bug class the
-    /// gain cache eliminates).
-    #[derive(PartialEq, Eq)]
-    struct Entry {
-        gain: i64,
-        v: u32,
-        to: u32,
-        /// Random tiebreaker so equal-gain pops are not index-ordered.
-        salt: u32,
-    }
-
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.gain, self.salt, self.v, self.to)
-                .cmp(&(other.gain, other.salt, other.v, other.to))
-        }
-    }
-
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    /// One FM pass. Returns `true` if the pass improved the cost.
-    fn fm_pass(
-        hg: &Hypergraph,
-        assignment: &mut [u32],
-        state: &mut RefineState,
-        caps: &Caps,
-        rng: &mut SmallRng,
-    ) -> bool {
-        let n = hg.num_vertices();
-        let total = hg.total_weight();
-        let mut locked = vec![false; n];
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-        for v in 0..n as u32 {
-            if !state.is_boundary(hg, v) {
-                continue;
-            }
-            if let Some((to, gain)) = state.best_move(hg, v, assignment[v as usize], caps, total) {
-                heap.push(Entry {
-                    gain,
-                    v,
-                    to,
-                    salt: rng.gen(),
-                });
-            }
-        }
-
-        let start_cost = state.cost;
-        let mut best_cost = state.cost;
-        let mut moves: Vec<(u32, u32)> = Vec::new(); // (vertex, previous part)
-        let mut best_len = 0usize;
-        let mut stall = 0usize;
-
-        while let Some(Entry { gain, v, to, .. }) = heap.pop() {
-            if locked[v as usize] {
-                continue;
-            }
-            let from = assignment[v as usize];
-            // Revalidate lazily: the cached move may be stale.
-            match state.best_move(hg, v, from, caps, total) {
-                Some((to2, g2)) => {
-                    if to2 != to || g2 != gain {
-                        heap.push(Entry {
-                            gain: g2,
-                            v,
-                            to: to2,
-                            salt: rng.gen(),
-                        });
-                        continue;
-                    }
-                }
-                None => continue,
-            }
-            state.apply(hg, v, from, to);
-            assignment[v as usize] = to;
-            locked[v as usize] = true;
-            moves.push((v, from));
-            if state.cost < best_cost {
-                best_cost = state.cost;
-                best_len = moves.len();
-                stall = 0;
-            } else {
-                stall += 1;
-                if stall > STALL_LIMIT {
-                    break;
-                }
-            }
-            // Refresh neighbors whose gains may have changed.
-            for &e in hg.incident_edges(v) {
-                for &u in hg.pins(e) {
-                    if locked[u as usize] || u == v {
-                        continue;
-                    }
-                    if let Some((uto, ug)) =
-                        state.best_move(hg, u, assignment[u as usize], caps, total)
-                    {
-                        heap.push(Entry {
-                            gain: ug,
-                            v: u,
-                            to: uto,
-                            salt: rng.gen(),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Roll back past the best prefix.
-        while moves.len() > best_len {
-            let (v, prev) = moves.pop().unwrap();
-            let cur = assignment[v as usize];
-            state.apply(hg, v, cur, prev);
-            assignment[v as usize] = prev;
-        }
-        debug_assert_eq!(state.cost, best_cost);
-        best_cost < start_cost
-    }
-
-    /// Runs up to `passes` FM passes over `assignment` in place, using the
-    /// original lazy-heap implementation. Returns the resulting
-    /// connectivity cost.
-    pub fn refine(
-        hg: &Hypergraph,
-        assignment: &mut [u32],
-        k: u32,
-        caps: &Caps,
-        passes: u32,
-        rng: &mut SmallRng,
-    ) -> u64 {
-        let mut state = RefineState::new(hg, assignment, k);
-        for _ in 0..passes {
-            if !fm_pass(hg, assignment, &mut state, caps, rng) {
-                break;
-            }
-        }
-        state.cost
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -995,60 +801,6 @@ mod tests {
                 &mut PartitionWork::default(),
             );
             assert!(after <= before);
-        }
-    }
-
-    /// Two 12-vertex clusters held together by weight-10 intra-cluster ring
-    /// edges, joined by two weight-1 bridges. Optimum: one cluster per part,
-    /// cost 2.
-    fn planted_two_clusters() -> Hypergraph {
-        let mut b = HypergraphBuilder::new(24);
-        for v in 0..24 {
-            b.set_vertex_weight(v, [1, 1]);
-        }
-        for c in 0..2u32 {
-            let base = c * 12;
-            for i in 0..12u32 {
-                b.add_edge(10, &[base + i, base + (i + 1) % 12]);
-            }
-        }
-        b.add_edge(1, &[0, 12]);
-        b.add_edge(1, &[6, 18]);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn gain_cache_refine_matches_reference_quality() {
-        // Refinement's job in the multilevel pipeline is local cleanup of a
-        // projected coarse solution, not global repair — so the parity
-        // check starts both implementations from a mildly perturbed
-        // optimum. (From adversarial starts, e.g. fully alternating, flat
-        // FM of either flavor gets stuck in zero-gain plateaus and the
-        // outcome is move-order luck.) Both must restore the optimum:
-        // cluster per part, only the two bridges cut, cost 2.
-        for seed in [1u64, 7, 23] {
-            let hg = planted_two_clusters();
-            let mut base: Vec<u32> = (0..24).map(|v| (v / 12) as u32).collect();
-            for v in [0usize, 1, 12, 13] {
-                base[v] = 1 - base[v];
-            }
-            let mut a = base.clone();
-            let mut b = base.clone();
-            let mut rng_a = SmallRng::seed_from_u64(seed);
-            let mut rng_b = SmallRng::seed_from_u64(seed);
-            let caps = Caps::uniform([14, 14]);
-            let cost_new = refine(
-                &hg,
-                &mut a,
-                2,
-                &caps,
-                16,
-                &mut rng_a,
-                &mut PartitionWork::default(),
-            );
-            let cost_ref = reference::refine(&hg, &mut b, 2, &caps, 16, &mut rng_b);
-            assert_eq!(cost_new, 2, "seed {seed}");
-            assert_eq!(cost_ref, 2, "seed {seed}");
         }
     }
 

@@ -15,14 +15,13 @@
 //! The walk partitions `[0, makespan]` exactly — every hop attributes the
 //! full interval it skips — so bucket components always sum to the
 //! makespan (pinned by a proptest in `tests/trace_analysis.rs`). That
-//! conservation law is what lets `plan_gate` treat the attribution as an
-//! audit: if the components stop summing, the reconstruction is wrong,
-//! not the plan.
+//! conservation law makes the attribution an audit: if the components stop
+//! summing, the reconstruction is wrong, not the plan.
 //!
 //! [`diff_attribution`] is the differential mode: given a clean and a
 //! regressed trace of the same workload it blames the makespan delta on
-//! buckets and devices, naming a `prime_suspect` so gate failures report
-//! *which* path segment regressed rather than a bare percentage.
+//! buckets and devices, naming a `prime_suspect` — *which* path segment
+//! regressed rather than a bare percentage.
 
 use serde::{Deserialize, Serialize};
 

@@ -35,7 +35,7 @@ mod table;
 pub mod verify;
 
 pub use buffer::BufferStats;
-pub use passes::{Pass, PassConfig, PassCx, PassManager, PassOutcome};
+pub use passes::{PassConfig, PassManager, PassOutcome};
 pub use placement::Placement;
 pub use plan::{
     CommId, CommOp, DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan,

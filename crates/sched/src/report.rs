@@ -176,31 +176,6 @@ impl PlanReport {
         ));
         out
     }
-
-    /// Renders the per-division breakdown as CSV (one row per device ×
-    /// division) for plotting imbalance at division granularity. The header
-    /// is `device,division,attn_flops,attn_items,launch_bytes,reduce_bytes,
-    /// copy_bytes,waits`.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::from(
-            "device,division,attn_flops,attn_items,launch_bytes,reduce_bytes,copy_bytes,waits\n",
-        );
-        for (d, divs) in self.divisions.iter().enumerate() {
-            for r in divs {
-                out.push_str(&format!(
-                    "{d},{},{},{},{},{},{},{}\n",
-                    r.division,
-                    r.attn_flops,
-                    r.attn_items,
-                    r.launch_bytes,
-                    r.reduce_bytes,
-                    r.copy_bytes,
-                    r.waits,
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -298,22 +273,6 @@ mod tests {
             .map(|r| r.launch_bytes)
             .sum();
         assert_eq!(launched, plan.fwd.total_comm_bytes());
-    }
-
-    #[test]
-    fn csv_has_one_row_per_division() {
-        let (_, _, plan) = sample_phase();
-        let report = PlanReport::from_phase(&plan.fwd);
-        let csv = report.render_csv();
-        let total_divs: usize = report.divisions.iter().map(Vec::len).sum();
-        assert_eq!(csv.lines().count(), 1 + total_divs);
-        assert!(csv.starts_with(
-            "device,division,attn_flops,attn_items,launch_bytes,reduce_bytes,copy_bytes,waits\n"
-        ));
-        // Every data row has the full column count.
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), 8);
-        }
     }
 
     #[test]

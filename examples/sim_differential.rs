@@ -304,12 +304,7 @@ fn planner_plans() {
             AttnSpec::paper_micro(),
             PlannerConfig {
                 block_size: 1024,
-                passes: PassConfig {
-                    coalesce: false,
-                    fuse: false,
-                    sink: false,
-                    ..PassConfig::optimize()
-                },
+                passes: PassConfig::optimize(),
                 ..Default::default()
             },
         );
@@ -331,12 +326,7 @@ fn planner_plans() {
         AttnSpec::paper_micro(),
         PlannerConfig {
             block_size: 2048,
-            passes: PassConfig {
-                coalesce: false,
-                fuse: false,
-                sink: false,
-                ..PassConfig::optimize()
-            },
+            passes: PassConfig::optimize(),
             ..Default::default()
         },
     );

@@ -68,7 +68,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 /// division, the parent allocated 215 003 times in `build_plan`, 10 395 in
 /// the pass pipeline and 2 606 in `BatchLayout::build`. On dense tables
 /// reused from device to device the counts are 3 574, 401 (29 of them
-/// `dead_comm`, the one pass run here) and 542. The
+/// `dead_comm`, the only rewrite there is now) and 542. The
 /// layout's 542 calls asked for 4 109 140 bytes while a mask was 20 bytes
 /// per token; as runs it is 540 calls and 1 485 748 bytes — the blocks and
 /// their consumer lists, nothing sized by the tokens.
@@ -92,12 +92,7 @@ fn long_document_tail_stays_inside_its_allocation_budget() {
     let (plan, in_build_plan, _) =
         allocations(|| build_plan(&layout, &placement, &ScheduleConfig::default()).unwrap());
     let mut plan = plan;
-    let passes = PassManager::new(PassConfig {
-        coalesce: false,
-        fuse: false,
-        sink: false,
-        ..PassConfig::optimize()
-    });
+    let passes = PassManager::new(PassConfig::optimize());
     let (outcomes, in_run_plan, _) =
         allocations(|| passes.run_plan(&layout, &placement, &mut plan));
     assert!(!outcomes.is_empty());

@@ -5,9 +5,10 @@
 //! reduced. Covers single failures, cascading (depth-2) failures where a
 //! shard-hosting survivor dies mid-patch, backward-phase failures salvaged
 //! at reduction frontiers, a randomized property sweep over both phases,
-//! content digests pinning four patches to the instruction, the pass
-//! pipeline run over every forward depth-1 patch, and tampered base plans
-//! (typed errors, no panics).
+//! content digests pinning four patches to the instruction,
+//! dead-communication elimination run over every forward depth-1 patch, a
+//! depth-2 cascade on each and every backward depth-1 patch, and tampered
+//! base plans (typed errors, no panics).
 //!
 //! Tests that exercise the determinism leg mutate `RAYON_NUM_THREADS`,
 //! which is process-global state; they serialize on [`ENV_LOCK`]
@@ -29,8 +30,8 @@ use dcp::exec::executor::{
 use dcp::mask::MaskSpec;
 use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
 use dcp::sched::{
-    verify_phase, CommId, Instr, PassConfig, PassManager, PassOutcome, Payload, PayloadKind,
-    PhasePlan, Placement,
+    verify_phase, CommId, Instr, PassConfig, PassManager, Payload, PayloadKind, PhasePlan,
+    Placement,
 };
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, simulate_plan, Fault, FaultSpec, SimRun};
@@ -417,63 +418,132 @@ fn cascading_failure_composes_patches_bitwise() {
     std::env::remove_var("RAYON_NUM_THREADS");
 }
 
-/// The pass pipeline on recovery patches: a truncated dead stream keeps
-/// prefetches whose waits were cut, which is where `dead_comm` finds its
-/// bytes. Over every forward depth-1 kill of the 8-device batch (each
-/// device, each frontier) the optimized patch, salvage ops protected, stays
+/// Dead-communication elimination on recovery patches: a truncated dead
+/// stream keeps prefetches whose waits were cut, which is where the rewrite
+/// finds its bytes. Three families over the 8-device batch — every forward
+/// depth-1 kill (each device, each frontier), a depth-2 cascade on top of
+/// each of those that spliced attention work onto a survivor, and every
+/// backward depth-1 kill. The rewritten patch, salvage ops protected, stays
 /// legal under the patch's own ctx and executes bitwise-equal to the patch
-/// as planned — and the passes did change patches, so neither holds
-/// vacuously.
+/// as planned; the rewrite changed patches and saved bytes in every family,
+/// so none of that holds vacuously.
 #[test]
 fn passes_keep_recovery_patches_legal_and_bitwise() {
     let (_, out) = plan_small();
+    let d = out.plan.num_devices;
     let rp = RecoveryPlanner::new(RecoveryConfig::default());
     let pm = PassManager::new(PassConfig::optimize());
     let data = BatchData::random(&out.layout, 2024);
-    let run = |patch: &RecoveryPatch, phase: &PhasePlan| {
-        let obs = ExecObs::disabled();
-        execute_forward_recovery(
-            &out.layout,
-            &patch.placement,
-            phase,
-            &data,
-            &patch.ctx,
-            &obs,
-        )
-        .unwrap()
-    };
-    let (mut patches, mut changed, mut bytes_saved) = (0u32, 0u32, 0u64);
-    for device in 0..out.plan.num_devices {
-        for divisions_done in 0..=divisions(&out.plan.fwd.devices[device as usize].instrs) {
-            let ev = FailureEvent {
-                device,
-                divisions_done,
-            };
-            let patch = rp.plan_recovery(&out, &ev).unwrap();
-            let mut optimized = patch.phase.clone();
-            let outcomes = pm.run_phase(
-                &out.layout,
-                &mut optimized,
-                "recovery_fwd",
-                &patch.ctx.salvage_comms,
+    let (fwd_out, d_o) = clean_run(&out, &data);
+    // Outputs (forward) or gradients (backward) of `phase` run as `patch`.
+    let run = |patch: &RecoveryPatch, phase: &PhasePlan| -> Vec<u32> {
+        let (layout, placement, obs) = (&out.layout, &patch.placement, ExecObs::disabled());
+        if patch.backward {
+            let grads = execute_backward_recovery(
+                layout, placement, phase, &data, &fwd_out, &d_o, &patch.ctx, &obs,
             );
-            patches += 1;
-            changed += u32::from(outcomes.iter().any(PassOutcome::changed));
-            bytes_saved += outcomes.iter().map(|o| o.comm_bytes_saved()).sum::<u64>();
-            verify_phase(&out.layout, &patch.placement, &optimized, false, &patch.ctx)
-                .unwrap_or_else(|d| panic!("kill {device}@{divisions_done}: {d}"));
+            grad_bits(&grads.unwrap())
+        } else {
+            out_bits(
+                &execute_forward_recovery(layout, placement, phase, &data, &patch.ctx, &obs)
+                    .unwrap(),
+            )
+        }
+    };
+    let sweep = |family: &str, patches: &[(String, RecoveryPatch)]| {
+        let (mut changed, mut bytes_saved) = (0u32, 0u64);
+        for (kill, patch) in patches {
+            let mut optimized = patch.phase.clone();
+            let outcome = pm
+                .run_phase(
+                    &out.layout,
+                    &mut optimized,
+                    family,
+                    &patch.ctx.salvage_comms,
+                )
+                .expect("the rewrite is enabled");
+            changed += u32::from(outcome.changed());
+            bytes_saved += outcome.comm_bytes_saved();
+            // Launches and waits of op `cid`, over all streams.
+            let naming = |phase: &PhasePlan, cid: u32| -> usize {
+                let all = phase.devices.iter().flat_map(|s| &s.instrs);
+                all.filter(
+                    |ins| matches!(ins, Instr::CommLaunch(c) | Instr::CommWait(c) if c.0 == cid),
+                )
+                .count()
+            };
+            for &cid in &patch.ctx.salvage_comms {
+                assert_eq!(
+                    (&optimized.comms[cid as usize], naming(&optimized, cid)),
+                    (&patch.phase.comms[cid as usize], naming(&patch.phase, cid)),
+                    "{family}, {kill}: salvage op {cid} was touched"
+                );
+            }
+            verify_phase(
+                &out.layout,
+                &patch.placement,
+                &optimized,
+                patch.backward,
+                &patch.ctx,
+            )
+            .unwrap_or_else(|diag| panic!("{family}, {kill}: {diag}"));
             assert_eq!(
-                out_bits(&run(&patch, &patch.phase)),
-                out_bits(&run(&patch, &optimized)),
-                "kill {device}@{divisions_done}: optimized patch diverged"
+                run(patch, &patch.phase),
+                run(patch, &optimized),
+                "{family}, {kill}: optimized patch diverged"
             );
         }
-    }
-    assert!(patches >= 16, "only {patches} kills swept");
-    assert!(
-        changed > 0 && bytes_saved > 0,
-        "the passes changed {changed} of {patches} patches and saved {bytes_saved} bytes"
-    );
+        let patches = patches.len();
+        println!("dead_comm on {family}: {changed} of {patches} patches, {bytes_saved} bytes");
+        assert!(patches >= 16, "{family}: only {patches} kills swept");
+        assert!(
+            changed > 0 && bytes_saved > 0,
+            "{family}: {changed} of {patches} patches changed, {bytes_saved} bytes saved"
+        );
+    };
+    let kills = |phase: &PhasePlan| -> Vec<FailureEvent> {
+        let frontiers = |device: u32| 0..=divisions(&phase.devices[device as usize].instrs);
+        (0..d)
+            .flat_map(|device| {
+                frontiers(device).map(move |divisions_done| FailureEvent {
+                    device,
+                    divisions_done,
+                })
+            })
+            .collect()
+    };
+    let tag = |ev: &FailureEvent| format!("kill {}@{}", ev.device, ev.divisions_done);
+
+    let depth1: Vec<(String, RecoveryPatch)> = kills(&out.plan.fwd)
+        .iter()
+        .map(|ev| (tag(ev), rp.plan_recovery(&out, ev).unwrap()))
+        .collect();
+    sweep("recovery_fwd", &depth1);
+
+    // The second victim hosts the busiest spliced shard and dies partway
+    // through it (`second_failure`); a first patch that spliced no attention
+    // work anywhere has no such victim.
+    let spliced = |patch1: &RecoveryPatch| {
+        (0..patch1.ctx.shard_hosts.len() as u32)
+            .any(|j| divisions(&patch1.phase.devices[(d + j) as usize].instrs) >= 1)
+    };
+    let depth2: Vec<(String, RecoveryPatch)> = depth1
+        .iter()
+        .filter(|(_, patch1)| spliced(patch1))
+        .map(|(kill1, patch1)| {
+            let (ev2, _) = second_failure(d, patch1);
+            let patch2 = rp.plan_recovery_onto(&out, patch1, &ev2).unwrap();
+            assert_eq!(patch2.stats.cascade_depth, 2);
+            (format!("{kill1}, then {}", tag(&ev2)), patch2)
+        })
+        .collect();
+    sweep("recovery_fwd_cascade", &depth2);
+
+    let backward: Vec<(String, RecoveryPatch)> = kills(&out.plan.bwd)
+        .iter()
+        .map(|ev| (tag(ev), rp.plan_backward_recovery(&out, ev).unwrap()))
+        .collect();
+    sweep("recovery_bwd", &backward);
 }
 
 /// A failure mid-backward is salvaged at the reduction frontier: the dead

@@ -170,13 +170,8 @@ fn pass_pipeline_structs_roundtrip() {
 
     // Outcomes from a direct PassManager run round-trip too.
     let mut opt = out.plan.clone();
-    let dead_comm_only = PassConfig {
-        coalesce: false,
-        fuse: false,
-        sink: false,
-        ..PassConfig::optimize()
-    };
-    let outcomes = PassManager::new(dead_comm_only).run_plan(&out.layout, &out.placement, &mut opt);
+    let outcomes =
+        PassManager::new(PassConfig::optimize()).run_plan(&out.layout, &out.placement, &mut opt);
     assert_eq!(outcomes.len(), 2, "one rewrite over two phases");
     for outcome in &outcomes {
         roundtrip(outcome);

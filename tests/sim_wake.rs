@@ -32,12 +32,7 @@ fn spine_phases(nodes: u32) -> (ClusterSpec, [PhasePlan; 2]) {
         AttnSpec::paper_micro(),
         PlannerConfig {
             block_size: 2048,
-            passes: PassConfig {
-                coalesce: false,
-                fuse: false,
-                sink: false,
-                ..PassConfig::optimize()
-            },
+            passes: PassConfig::optimize(),
             ..Default::default()
         },
     );

@@ -1,25 +1,29 @@
-//! Property tests for the plan-IR pass pipeline and the stream verifier
-//! (DESIGN.md Sec. 10).
+//! Property tests for dead-communication elimination and the stream
+//! verifier (DESIGN.md Sec. 10).
 //!
 //! Two families of properties:
 //!
-//! 1. *Legal streams stay legal and bitwise-equal*: any plan the scheduler
-//!    renders for a random (layout, placement) pair passes the verifier,
-//!    still passes it after the full optimizer pipeline, and — the
-//!    load-bearing promise — executes to bitwise-identical merged outputs
-//!    and gradients.
+//! 1. *One emission shape*: any plan the scheduler renders for a random
+//!    (layout, placement) pair passes the verifier, and the rewrite leaves
+//!    it exactly as it found it — the scheduler emits no transfer nobody
+//!    reads. With a dead fetch grafted in, so that the rewrite has
+//!    something to delete, the plan executes to bitwise-identical merged
+//!    outputs and gradients before and after. (Recovery patches, where dead
+//!    transfers really occur, have `tests/recovery.rs`.)
 //! 2. *Illegal streams are rejected with a typed diagnostic*: random
 //!    mutations of a legal stream (wait-before-launch, out-of-range comm
-//!    id, duplicated compute item, self-transfer) must each produce a
+//!    id, duplicated compute item, self-transfer, out-of-range comm ids
+//!    beside a dead transfer) must each produce a
 //!    [`dcp::sched::Diagnostic`] that names the offending instruction
-//!    index, never a pass and never a panic.
+//!    index, before and after the rewrite has run over them, never a pass
+//!    and never a panic.
 
-use dcp::blocks::{BatchLayout, BlockConfig};
+use dcp::blocks::{BatchLayout, BlockConfig, TokenBlockId};
 use dcp::exec::plans_equivalent;
 use dcp::mask::MaskSpec;
 use dcp::sched::{
-    build_plan, verify_plan, CommId, ExecutionPlan, Instr, PassConfig, PassManager, Payload,
-    PayloadKind, Placement, ScheduleConfig, ViolationKind,
+    build_plan, verify_plan, CommId, CommOp, ExecutionPlan, Instr, PassConfig, PassManager,
+    Payload, PayloadKind, Placement, ScheduleConfig, Transfer, ViolationKind,
 };
 use dcp::types::AttnSpec;
 use proptest::prelude::*;
@@ -94,11 +98,32 @@ fn case_plan(
     (layout, placement, plan)
 }
 
+/// Grafts a 999-byte fetch of token block 0 into the forward phase, on a
+/// brand-new op that its receiver launches and nobody waits for (the shape a
+/// recovery patch's truncation leaves behind). Legal, and dead.
+fn graft_unwaited_fetch(placement: &Placement, plan: &mut ExecutionPlan) -> CommId {
+    let from = placement.token_to_dev[0];
+    let to = (from + 1) % placement.num_devices;
+    let cid = CommId(plan.fwd.comms.len() as u32);
+    plan.fwd.comms.push(CommOp {
+        transfers: vec![Transfer {
+            from,
+            to,
+            payload: Payload::Q(TokenBlockId(0)),
+            bytes: 999,
+        }],
+    });
+    plan.fwd.devices[to as usize]
+        .instrs
+        .insert(0, Instr::CommLaunch(cid));
+    cid
+}
+
 /// The seeded illegal rewrites. Each returns `true` when it found a place
 /// to apply itself (small plans may e.g. have no remote transfer to turn
 /// into a self-transfer).
-fn mutate(which: u8, plan: &mut ExecutionPlan) -> bool {
-    match which % 4 {
+fn mutate(which: u8, placement: &Placement, plan: &mut ExecutionPlan) -> bool {
+    match which % 5 {
         // Move a wait on an input-only op in front of its launch.
         0 => {
             for stream in &mut plan.fwd.devices {
@@ -146,7 +171,7 @@ fn mutate(which: u8, plan: &mut ExecutionPlan) -> bool {
             false
         }
         // Point a transfer back at its sender.
-        _ => {
+        3 => {
             for op in &mut plan.fwd.comms {
                 for tr in &mut op.transfers {
                     if matches!(tr.payload, Payload::Q(_) | Payload::Kv(_)) {
@@ -157,14 +182,24 @@ fn mutate(which: u8, plan: &mut ExecutionPlan) -> bool {
             }
             false
         }
+        // A fetch nobody waits for — so the rewrite has a transfer to
+        // delete and goes on to sweep launches and waits — next to a launch
+        // and a wait on comm ids outside the op table.
+        _ => {
+            let dead = graft_unwaited_fetch(placement, plan);
+            let bogus = CommId(dead.0 + 3);
+            let head = [Instr::CommLaunch(bogus), Instr::CommWait(bogus)];
+            plan.fwd.devices[0].instrs.splice(0..0, head);
+            true
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Scheduler output is always verifier-legal, and stays legal through
-    /// the full pass pipeline.
+    /// Scheduler output is always verifier-legal and has no dead transfer:
+    /// the rewrite returns it bit-equal.
     #[test]
     fn passes_preserve_verifier_validity((seqs, bs, n, t, seed) in arb_case()) {
         let (layout, placement, plan) = case_plan(&seqs, bs, n, t, seed);
@@ -172,93 +207,69 @@ proptest! {
             .map_err(|d| TestCaseError::fail(format!("raw plan illegal: {d}")))?;
         let mut opt = plan.clone();
         let pm = PassManager::new(PassConfig::optimize());
-        pm.run_plan(&layout, &placement, &mut opt);
-        verify_plan(&layout, &placement, &opt)
-            .map_err(|d| TestCaseError::fail(format!("optimized plan illegal: {d}")))?;
+        let outcomes = pm.run_plan(&layout, &placement, &mut opt);
+        prop_assert!(
+            outcomes.len() == 2 && outcomes.iter().all(|o| !o.changed()) && opt == plan,
+            "the scheduler emitted a transfer nobody reads: {outcomes:?}"
+        );
     }
 
-    /// The optimizer pipeline preserves merged outputs and gradients
-    /// bitwise, checked by executing both plans (fewer cases: each one
-    /// runs a full forward+backward twice).
+    /// Where the rewrite deletes something — a grafted dead fetch and its
+    /// launch — merged outputs and gradients stay bitwise-identical, checked
+    /// by executing both plans.
     #[test]
     fn passes_preserve_outputs_bitwise((seqs, bs, n, t, seed) in arb_case()) {
-        let (layout, placement, plan) = case_plan(&seqs, bs, n, t, seed);
+        let (layout, placement, mut plan) = case_plan(&seqs, bs, n, t, seed);
+        graft_unwaited_fetch(&placement, &mut plan);
         let mut opt = plan.clone();
         let pm = PassManager::new(PassConfig::optimize());
-        pm.run_plan(&layout, &placement, &mut opt);
+        let outcomes = pm.run_plan(&layout, &placement, &mut opt);
+        prop_assert_eq!(outcomes[0].transfers_removed, 1);
+        prop_assert_eq!(outcomes[0].instrs_removed, 1);
         prop_assert!(
             plans_equivalent(&layout, &placement, &plan, &placement, &opt, seed).unwrap(),
             "optimized plan diverged bitwise"
         );
     }
 
-    /// Launch fusion never grows a comm op past the configured cap — for
-    /// the default 256 KiB threshold and for tiny random caps that actually
-    /// bind at these block sizes. An op that absorbed transfers (bytes
-    /// grew) must sit at or under the cap; untouched ops may be any size.
-    #[test]
-    fn fusion_never_exceeds_the_cap(
-        (seqs, bs, n, t, seed) in arb_case(),
-        small_cap in 1u64..4096,
-    ) {
-        let (layout, placement, plan) = case_plan(&seqs, bs, n, t, seed);
-        for cap in [small_cap, PassConfig::default().fuse_threshold_bytes] {
-            let mut opt = plan.clone();
-            let pm = PassManager::new(PassConfig {
-                enabled: true,
-                dead_comm: false,
-                coalesce: false,
-                sink: false,
-                fuse_threshold_bytes: cap,
-                ..PassConfig::default()
-            });
-            pm.run_plan(&layout, &placement, &mut opt);
-            verify_plan(&layout, &placement, &opt)
-                .map_err(|d| TestCaseError::fail(format!("fused plan illegal: {d}")))?;
-            for (phase, orig) in [(&opt.fwd, &plan.fwd), (&opt.bwd, &plan.bwd)] {
-                for (i, op) in phase.comms.iter().enumerate() {
-                    let before = orig.comms[i].bytes();
-                    if op.bytes() > before {
-                        prop_assert!(
-                            op.bytes() <= cap,
-                            "op {i} fused past the cap: {} > {cap}",
-                            op.bytes()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Every seeded illegal mutation is rejected with a typed diagnostic
-    /// that names the offending instruction index.
+    /// that names the offending instruction index — as mutated, and again
+    /// after the rewrite has run over the mutated plan (which it must
+    /// survive, and must not repair into something the verifier accepts).
     #[test]
-    fn mutated_streams_are_rejected((seqs, bs, n, t, seed) in arb_case(), which in 0u8..4) {
+    fn mutated_streams_are_rejected((seqs, bs, n, t, seed) in arb_case(), which in 0u8..5) {
         let (layout, placement, plan) = case_plan(&seqs, bs, n, t, seed);
         let mut bad = plan.clone();
-        if !mutate(which, &mut bad) {
+        if !mutate(which, &placement, &mut bad) {
             // Nothing to mutate in this plan shape (e.g. fully local):
             // vacuously true.
             return Ok(());
         }
-        let diag = verify_plan(&layout, &placement, &bad)
-            .expect_err("verifier accepted a seeded-illegal stream");
-        prop_assert!(
-            diag.instr.is_some(),
-            "diagnostic must name the offending instruction: {diag}"
-        );
-        prop_assert!(
-            matches!(
-                diag.kind,
-                ViolationKind::WaitWithoutLaunch
-                    | ViolationKind::CommIdOutOfRange
-                    | ViolationKind::DuplicateCompute
-                    | ViolationKind::SelfTransfer
-                    | ViolationKind::MissingInput
-                    | ViolationKind::WaitReceivesNothing
-                    | ViolationKind::Deadlock
-            ),
-            "unexpected diagnostic kind for mutation {which}: {diag}"
-        );
+        let mut rewritten = bad.clone();
+        PassManager::new(PassConfig::optimize()).run_plan(&layout, &placement, &mut rewritten);
+        for (what, plan) in [("mutated", &bad), ("mutated, then rewritten", &rewritten)] {
+            let diag = verify_plan(&layout, &placement, plan)
+                .expect_err("verifier accepted a seeded-illegal stream");
+            prop_assert!(
+                diag.instr.is_some(),
+                "{what}: diagnostic must name the offending instruction: {diag}"
+            );
+            prop_assert!(
+                matches!(
+                    diag.kind,
+                    ViolationKind::WaitWithoutLaunch
+                        | ViolationKind::CommIdOutOfRange
+                        | ViolationKind::DuplicateCompute
+                        | ViolationKind::SelfTransfer
+                        | ViolationKind::MissingInput
+                        | ViolationKind::WaitReceivesNothing
+                        | ViolationKind::Deadlock
+                ),
+                "{what}: unexpected diagnostic kind for mutation {which}: {diag}"
+            );
+            if which == 4 {
+                prop_assert_eq!(diag.kind, ViolationKind::CommIdOutOfRange, "{}", what);
+            }
+        }
     }
 }
