@@ -255,9 +255,9 @@ struct NearEntry {
     /// Device count the seeding placement targeted.
     num_devices: u32,
     /// Token-block part by [`token_key`].
-    token_parts: HashMap<BlockKey, u32>,
+    token_parts: Parts,
     /// Comp-block part by [`comp_key`].
-    comp_parts: HashMap<BlockKey, u32>,
+    comp_parts: Parts,
     /// Forward communication bytes of the seeding plan, i.e. its
     /// connectivity−1 cost.
     cost: u64,
@@ -274,6 +274,30 @@ struct NearEntry {
 
 /// A block's identity across batches.
 type BlockKey = (u32, u32, u32, u32);
+
+/// Block parts by identity, sorted by key. A layout's blocks come in key
+/// order, so looking them up in turn finds each key where the previous one
+/// left off, and only a block that is new or gone costs a binary search.
+#[derive(Debug)]
+struct Parts(Vec<(BlockKey, u32)>);
+
+impl Parts {
+    fn new(mut parts: Vec<(BlockKey, u32)>) -> Self {
+        parts.sort_unstable_by_key(|e| e.0);
+        Parts(parts)
+    }
+
+    /// The part of `key`, looked for at `*next` first; a hit moves `*next`
+    /// past it.
+    fn get(&self, key: BlockKey, next: &mut usize) -> Option<u32> {
+        let at = match self.0.get(*next) {
+            Some(e) if e.0 == key => *next,
+            _ => self.0.binary_search_by_key(&key, |e| e.0).ok()?,
+        };
+        *next = at + 1;
+        Some(self.0[at].1)
+    }
+}
 
 /// `(seq, head_block, start, len)`.
 fn token_key(tb: &TokenBlock) -> BlockKey {
@@ -718,18 +742,19 @@ impl Planner {
         let nt = layout.token_blocks.len();
         let mut seed = vec![0u32; nt + layout.comp_blocks.len()];
         let mut exact =
-            nt == entry.token_parts.len() && layout.comp_blocks.len() == entry.comp_parts.len();
-        let mut last = 0u32;
+            nt == entry.token_parts.0.len() && layout.comp_blocks.len() == entry.comp_parts.0.len();
+        let (mut last, mut next) = (0u32, 0);
         for (i, tb) in layout.token_blocks.iter().enumerate() {
-            match entry.token_parts.get(&token_key(tb)) {
-                Some(&p) => last = p,
+            match entry.token_parts.get(token_key(tb), &mut next) {
+                Some(p) => last = p,
                 None => exact = false,
             }
             seed[i] = last;
         }
+        next = 0;
         for (i, cb) in layout.comp_blocks.iter().enumerate() {
-            match entry.comp_parts.get(&comp_key(layout, cb)) {
-                Some(&p) => seed[nt + i] = p,
+            match entry.comp_parts.get(comp_key(layout, cb), &mut next) {
+                Some(p) => seed[nt + i] = p,
                 None => {
                     exact = false;
                     seed[nt + i] = seed[cb.q_block.0 as usize];
@@ -749,18 +774,16 @@ impl Planner {
             .token_blocks
             .iter()
             .zip(&placement.token_to_dev)
-            .map(|(tb, &d)| (token_key(tb), d))
-            .collect();
+            .map(|(tb, &d)| (token_key(tb), d));
         let comp_parts = layout
             .comp_blocks
             .iter()
             .zip(&placement.comp_to_dev)
-            .map(|(cb, &d)| (comp_key(layout, cb), d))
-            .collect();
+            .map(|(cb, &d)| (comp_key(layout, cb), d));
         NearEntry {
             num_devices: placement.num_devices,
-            token_parts,
-            comp_parts,
+            token_parts: Parts::new(token_parts.collect()),
+            comp_parts: Parts::new(comp_parts.collect()),
             cost: plan.fwd.total_comm_bytes(),
             edge_total: Self::total_edge_weight(layout),
             plan: plan.clone(),
@@ -904,17 +927,20 @@ impl Planner {
             return Ok((part.assignment, part.balanced, stats));
         }
         let mut balanced = part.balanced;
+        // Each part's vertices, ascending, bucketed in one pass.
+        let mut members = vec![Vec::new(); parts as usize];
+        for (v, &p) in (0u32..).zip(&part.assignment) {
+            members[p as usize].push(v);
+        }
         use rayon::prelude::*;
         let locals: Vec<DcpResult<LocalPartition>> = (0..parts)
             .into_par_iter()
             .map(|p| {
-                let verts: Vec<u32> = (0..hg.num_vertices() as u32)
-                    .filter(|&v| part.assignment[v as usize] == p)
-                    .collect();
+                let verts = &members[p as usize];
                 if verts.is_empty() {
                     return Ok((Vec::new(), Vec::new(), true, PartitionStats::default()));
                 }
-                let (sub, map) = hg.induced_subgraph(&verts);
+                let (sub, map) = hg.induced_subgraph(verts);
                 // Seeded sub-level index within the part; still valid when
                 // this level's refinement moved the vertex to another part.
                 let local_seed: Option<Vec<u32>> = warm.map(|devs| {

@@ -152,23 +152,6 @@ pub struct Hypergraph {
 }
 
 impl Hypergraph {
-    /// Builds from vertex weights, edge weights and per-edge pin lists
-    /// (assumed deduplicated and in range).
-    pub(crate) fn from_parts(
-        vwts: Vec<VertexWeight>,
-        ewts: Vec<u64>,
-        pin_lists: Vec<Vec<u32>>,
-    ) -> Self {
-        let mut epin_off = Vec::with_capacity(pin_lists.len() + 1);
-        let mut epins = Vec::new();
-        epin_off.push(0u32);
-        for pins in &pin_lists {
-            epins.extend_from_slice(pins);
-            epin_off.push(epins.len() as u32);
-        }
-        Self::from_csr(vwts, ewts, epin_off, epins, Vec::new(), Vec::new())
-    }
-
     /// Builds from the forward (edge → pin) CSR arrays, deriving the reverse
     /// (vertex → incident edge) CSR by counting sort into the supplied
     /// scratch buffers (their capacity is reused, contents ignored). Pins
@@ -339,25 +322,20 @@ impl Hypergraph {
         }
         let vwts: Vec<VertexWeight> = vertices.iter().map(|&v| self.vwts[v as usize]).collect();
         let mut ewts = Vec::new();
-        let mut pin_lists = Vec::new();
+        let (mut epin_off, mut epins) = (vec![0u32], Vec::new());
         for e in 0..self.num_edges() as u32 {
-            let pins: Vec<u32> = self
-                .pins(e)
-                .iter()
-                .filter_map(|&p| {
-                    let i = index[p as usize];
-                    (i != u32::MAX).then_some(i)
-                })
-                .collect();
-            if pins.len() >= 2 {
+            let start = epins.len();
+            let inside = self.pins(e).iter().map(|&p| index[p as usize]);
+            epins.extend(inside.filter(|&i| i != u32::MAX));
+            if epins.len() - start >= 2 {
                 ewts.push(self.edge_weight(e));
-                pin_lists.push(pins);
+                epin_off.push(epins.len() as u32);
+            } else {
+                epins.truncate(start);
             }
         }
-        (
-            Hypergraph::from_parts(vwts, ewts, pin_lists),
-            vertices.to_vec(),
-        )
+        let sub = Hypergraph::from_csr(vwts, ewts, epin_off, epins, Vec::new(), Vec::new());
+        (sub, vertices.to_vec())
     }
 }
 

@@ -135,12 +135,16 @@ pub struct RecoveryCtx {
 }
 
 impl RecoveryCtx {
-    /// The deposit rule: does a `CommLaunch` by `dev` put `tr` in flight?
+    /// The deposit rule: the devices whose `CommLaunch` puts `tr` in flight.
     /// The [`depositor`] does; so does the shard standing in for a dead
     /// sender, even though `tr.from` still names the dead stream.
-    fn deposits(&self, tr: &Transfer, dev: u32) -> bool {
-        depositor(tr) == dev
-            || (self.failed.contains(&tr.from) && self.stand_in.get(&tr.payload) == Some(&dev))
+    fn depositors(&self, tr: &Transfer) -> impl Iterator<Item = u32> {
+        let first = depositor(tr);
+        let stand_in = match self.failed.contains(&tr.from) {
+            true => self.stand_in.get(&tr.payload).copied(),
+            false => None,
+        };
+        std::iter::once(first).chain(stand_in.filter(|&s| s != first))
     }
 
     /// The locality rule: may `dev` read block `tb` without a transfer?
@@ -397,8 +401,108 @@ struct State<S> {
     /// Per op: the index of its first transfer in `flights`
     /// ([`transfer_offsets`]).
     base: Vec<usize>,
-    /// Per device: payloads that have arrived (none in a structure-only walk).
-    avail: Vec<HashMap<Payload, S>>,
+    /// Who waits for and who deposits each transfer.
+    routes: Routes,
+    /// What has arrived where (nothing in a structure-only walk).
+    arrived: Arrived<S>,
+}
+
+/// Per op, its transfers by the device whose wait receives them and by the
+/// device whose launch deposits them (under the walk's [`RecoveryCtx`]),
+/// built once per walk: a launch or a wait visits its own device's
+/// transfers only, in op order — the order a scan of the whole op would
+/// visit them in, which for the timing backend fixes flow ids.
+struct Routes {
+    /// `(receiver, index in its op)`, one per transfer, ops laid end to end
+    /// as in `State::flights`, each op's run sorted.
+    to: Vec<(u32, u32)>,
+    /// `(depositor, index in its op)`, one per depositor of a transfer (a
+    /// stand-in shard is a second one), each op's run sorted.
+    by: Vec<(u32, u32)>,
+    /// Per op: the index of its first entry in `by`, then `by.len()`.
+    by_base: Vec<usize>,
+}
+
+impl Routes {
+    fn new(comms: &[CommOp], ctx: &RecoveryCtx, transfers: usize) -> Self {
+        let mut routes = Routes {
+            to: Vec::with_capacity(transfers),
+            by: Vec::with_capacity(transfers),
+            by_base: Vec::with_capacity(comms.len() + 1),
+        };
+        routes.by_base.push(0);
+        for op in comms {
+            let (to, by) = (routes.to.len(), routes.by.len());
+            for (i, tr) in (0u32..).zip(&op.transfers) {
+                routes.to.push((tr.to, i));
+                routes.by.extend(ctx.depositors(tr).map(|dev| (dev, i)));
+            }
+            // Indices are unique within an op, so this is each device's
+            // transfers in op order.
+            routes.to[to..].sort_unstable();
+            routes.by[by..].sort_unstable();
+            routes.by_base.push(routes.by.len());
+        }
+        routes
+    }
+}
+
+/// The indices, in op order, of `dev`'s transfers in one op's sorted run.
+fn own(run: &[(u32, u32)], dev: u32) -> impl Iterator<Item = usize> + '_ {
+    let first = run.partition_point(|e| e.0 < dev);
+    run[first..]
+        .iter()
+        .take_while(move |e| e.0 == dev)
+        .map(|e| e.1 as usize)
+}
+
+/// The slots that arrived on each device, flat by (device, token block):
+/// every payload concerning one block on one device — its inputs, and the
+/// partials its producers sent — is a short chain from the latest arrival.
+struct Arrived<S> {
+    /// Token blocks in the layout.
+    blocks: usize,
+    /// Per (device, token block): 1 + the index in `slots` of the latest
+    /// arrival; 0 when none.
+    latest: Vec<u32>,
+    /// Every arrival: payload, slot, and 1 + the index of the previous
+    /// arrival for the same (device, token block).
+    slots: Vec<(Payload, S, u32)>,
+}
+
+impl<S> Arrived<S> {
+    /// An empty table for `devices` × `blocks`, sized for `arrivals`.
+    fn new(devices: usize, blocks: usize, arrivals: usize) -> Self {
+        Arrived {
+            blocks,
+            latest: vec![0; devices * blocks],
+            slots: Vec::with_capacity(arrivals),
+        }
+    }
+
+    fn cell(&self, dev: u32, p: Payload) -> usize {
+        dev as usize * self.blocks + p.token_block().0 as usize
+    }
+
+    /// `slot` arrived on `dev` as `p`; it shadows an earlier arrival of `p`.
+    fn put(&mut self, dev: u32, p: Payload, slot: S) {
+        let cell = self.cell(dev, p);
+        self.slots.push((p, slot, self.latest[cell]));
+        self.latest[cell] = self.slots.len() as u32;
+    }
+
+    /// The latest arrival of `p` on `dev`.
+    fn get(&self, dev: u32, p: Payload) -> Option<&S> {
+        let mut at = self.latest[self.cell(dev, p)];
+        while at != 0 {
+            let (q, slot, prev) = &self.slots[at as usize - 1];
+            if *q == p {
+                return Some(slot);
+            }
+            at = *prev;
+        }
+        None
+    }
 }
 
 impl Stream<'_> {
@@ -441,12 +545,16 @@ impl Stream<'_> {
             }
         }
         let base = transfer_offsets(&phase.comms);
+        let transfers = base[phase.comms.len()];
+        let (blocks, arrivals) = match self.logical {
+            Some((layout, _)) => (layout.token_blocks.len(), transfers),
+            None => (0, 0),
+        };
         let mut st = State {
-            flights: (0..base[phase.comms.len()])
-                .map(|_| Flight::Pending)
-                .collect(),
+            flights: (0..transfers).map(|_| Flight::Pending).collect(),
+            routes: Routes::new(&phase.comms, self.ctx, transfers),
             base,
-            avail: (0..n).map(|_| HashMap::new()).collect(),
+            arrived: Arrived::new(n, blocks, arrivals),
         };
         // Every device starts in the first sweep.
         let mut wake = Wake {
@@ -505,13 +613,13 @@ impl Stream<'_> {
         let ctx = self.ctx;
         match ins {
             Instr::CommLaunch(cid) => {
-                let op = &self.phase.comms[cid.0 as usize];
-                let flights = &mut st.flights[st.base[cid.0 as usize]..][..op.transfers.len()];
+                let c = cid.0 as usize;
+                let op = &self.phase.comms[c];
+                let flights = &mut st.flights[st.base[c]..][..op.transfers.len()];
                 let salvage = ctx.salvage_comms.contains(&cid.0);
-                for (tr, flight) in op.transfers.iter().zip(flights) {
-                    if !ctx.deposits(tr, dev) {
-                        continue;
-                    }
+                let routes = &st.routes;
+                for i in own(&routes.by[routes.by_base[c]..routes.by_base[c + 1]], dev) {
+                    let tr = &op.transfers[i];
                     let (kind, tb) = (tr.payload.kind(), tr.payload.token_block());
                     let partial = !is_input(kind);
                     if partial && self.logical.is_some() && !backend.accumulates(dev, kind, tb) {
@@ -524,14 +632,16 @@ impl Stream<'_> {
                     if backend.landed(&slot) {
                         wake.landed(cid.0, tr.to);
                     }
-                    *flight = Flight::Sent(slot);
+                    flights[i] = Flight::Sent(slot);
                 }
                 Ok(true)
             }
             Instr::CommWait(cid) => {
-                let op = &self.phase.comms[cid.0 as usize];
-                let flights = &mut st.flights[st.base[cid.0 as usize]..][..op.transfers.len()];
-                let arriving = || op.transfers.iter().enumerate().filter(|(_, t)| t.to == dev);
+                let c = cid.0 as usize;
+                let op = &self.phase.comms[c];
+                let flights = &mut st.flights[st.base[c]..][..op.transfers.len()];
+                let run = &st.routes.to[st.base[c]..st.base[c + 1]];
+                let arriving = || own(run, dev).map(|i| (i, &op.transfers[i]));
                 // The first transfer that is not here decides.
                 for (i, tr) in arriving() {
                     match &flights[i] {
@@ -568,7 +678,7 @@ impl Stream<'_> {
                         }
                         backend.install(dev, tr.payload, slot);
                     } else if self.logical.is_some() {
-                        st.avail[d].insert(tr.payload, slot);
+                        st.arrived.put(dev, tr.payload, slot);
                     }
                 }
                 Ok(true)
@@ -589,12 +699,12 @@ impl Stream<'_> {
                         format!("{is} attention in {phase} phase"),
                     ));
                 }
-                let avail = &st.avail[d];
+                let arrived = &st.arrived;
                 // An input is a local read (`None`) or an arrived slot; the
                 // error is the payload that is neither.
                 let fetch = |p: Payload| match ctx.local(placement, dev, p.token_block()) {
                     true => Ok(None),
-                    false => avail.get(&p).map(Some).ok_or(p),
+                    false => arrived.get(dev, p).map(Some).ok_or(p),
                 };
                 let resolve = |c: CompBlockId| {
                     let cb = &layout.comp_blocks[c.0 as usize];
@@ -632,6 +742,8 @@ impl Stream<'_> {
                 if self.logical.is_none() {
                     return Ok(true);
                 }
+                let sources = items.iter().map(|item| item.sources.len()).max();
+                let mut parts = Vec::with_capacity(sources.unwrap_or(0));
                 for item in items {
                     let tb = item.target;
                     if is_input(item.kind) || !kind_in_phase(item.kind, self.backward) {
@@ -651,23 +763,18 @@ impl Stream<'_> {
                             format!("reduces {tb:?} from no source and no local accumulator"),
                         ));
                     }
-                    let avail = &st.avail[d];
-                    let part = |&src: &u32| {
+                    parts.clear();
+                    for &src in &item.sources {
                         let p = item
                             .source_payload(src)
                             .expect("partial kind checked above");
-                        avail.get(&p).ok_or_else(|| {
+                        parts.push(st.arrived.get(dev, p).ok_or_else(|| {
                             at.err(
                                 ViolationKind::MissingPartial,
                                 format!("reduces {tb:?} without partial from {src}"),
                             )
-                        })
-                    };
-                    let parts = item
-                        .sources
-                        .iter()
-                        .map(part)
-                        .collect::<Result<Vec<_>, _>>()?;
+                        })?);
+                    }
                     backend.reduce(dev, item, &parts);
                 }
                 Ok(true)

@@ -18,7 +18,6 @@
 //! - [`verify_structure`]: launch/wait/deposit structure only, with no
 //!   layout and no placement — the walk the simulator times.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use dcp_blocks::{BatchLayout, TokenBlockId};
@@ -189,7 +188,8 @@ pub fn verify_phase(
     ctx: &RecoveryCtx,
 ) -> VerifyResult {
     let mut sym = Symbolic {
-        acc: vec![HashSet::new(); phase.devices.len()],
+        blocks: layout.token_blocks.len(),
+        acc: vec![0; phase.devices.len() * layout.token_blocks.len()],
         placed: Some(Placed {
             phase,
             placement,
@@ -228,6 +228,7 @@ pub fn verify_phase(
 /// Returns the first [`Diagnostic`] encountered.
 pub fn verify_structure(phase: &PhasePlan) -> VerifyResult {
     let mut sym = Symbolic {
+        blocks: 0,
         acc: Vec::new(),
         placed: None,
     };
@@ -241,13 +242,29 @@ pub fn verify_structure(phase: &PhasePlan) -> VerifyResult {
 }
 
 /// The symbolic backend: no data, only which accumulators exist — per
-/// device, the `(partial kind, token block)` pairs it currently accumulates
-/// (forward O/lse, backward dQ, backward dKV).
+/// device and token block, the partial kinds it currently accumulates
+/// (forward O/lse, backward dQ, backward dKV), one bit each.
 struct Symbolic<'a> {
-    acc: Vec<HashSet<(PayloadKind, TokenBlockId)>>,
+    /// Token blocks in the layout (none in a structure-only walk, which
+    /// keeps no accumulators).
+    blocks: usize,
+    /// Per (device, token block): [`Symbolic::bit`]s of the kinds held.
+    acc: Vec<u8>,
     /// The placement a planner output is held to; `None` for a
     /// structure-only walk, which has none.
     placed: Option<Placed<'a>>,
+}
+
+impl Symbolic<'_> {
+    fn bit(kind: PayloadKind) -> u8 {
+        1 << kind as u8
+    }
+
+    fn hold(&mut self, dev: u32, kind: PayloadKind, tb: TokenBlockId) {
+        if let Some(held) = self.acc.get_mut(dev as usize * self.blocks + tb.0 as usize) {
+            *held |= Self::bit(kind);
+        }
+    }
 }
 
 /// The verifier's conventions on top of executability: a stream that breaks
@@ -346,23 +363,23 @@ impl Backend for Symbolic<'_> {
     }
 
     fn accumulates(&self, dev: u32, kind: PayloadKind, tb: TokenBlockId) -> bool {
-        self.acc[dev as usize].contains(&(kind, tb))
+        let cell = self.acc.get(dev as usize * self.blocks + tb.0 as usize);
+        cell.is_some_and(|&held| held & Self::bit(kind) != 0)
     }
 
     fn deposit(&mut self, _dev: u32, _op: u32, _tr: &Transfer, _raw: bool) {}
 
     fn install(&mut self, dev: u32, payload: Payload, _slot: ()) {
-        self.acc[dev as usize].insert((payload.kind(), payload.token_block()));
+        self.hold(dev, payload.kind(), payload.token_block());
     }
 
     fn attn(&mut self, dev: u32, backward: bool, items: &[AttnItem<'_, ()>]) {
-        let acc = &mut self.acc[dev as usize];
         for item in items {
             if backward {
-                acc.insert((PayloadKind::PartialDq, item.q_block));
-                acc.insert((PayloadKind::PartialDkv, item.kv_block));
+                self.hold(dev, PayloadKind::PartialDq, item.q_block);
+                self.hold(dev, PayloadKind::PartialDkv, item.kv_block);
             } else {
-                acc.insert((PayloadKind::PartialO, item.q_block));
+                self.hold(dev, PayloadKind::PartialO, item.q_block);
             }
         }
     }
@@ -549,6 +566,36 @@ mod tests {
             "{err}"
         );
         assert!(err.instr.is_some());
+    }
+
+    #[test]
+    fn a_launch_deposits_in_op_order() {
+        // A device that computes nothing launches its first batch of
+        // partials: the diagnostic names the first of them in op order,
+        // the order the walk deposits in.
+        let (l, p, mut plan) = scatter_case();
+        let phase = &mut plan.fwd;
+        let (d, op) = (0..phase.devices.len())
+            .find_map(|d| {
+                let first = phase.devices[d].instrs.iter().find_map(|ins| match ins {
+                    Instr::CommLaunch(cid) => {
+                        let op = &phase.comms[cid.0 as usize];
+                        let partial = matches!(op.transfers[0].payload, Payload::PartialO(..));
+                        partial.then_some(cid.0 as usize)
+                    }
+                    _ => None,
+                })?;
+                (phase.comms[first].transfers.len() > 1).then_some((d, first))
+            })
+            .expect("a device returning several partials in one op");
+        phase.devices[d]
+            .instrs
+            .retain(|ins| !matches!(ins, Instr::Attn { .. }));
+        let first = phase.comms[op].transfers[0].payload.token_block();
+        let err = verify_plan(&l, &p, &plan).unwrap_err();
+        assert_eq!(err.kind, ViolationKind::MissingProducerState);
+        assert_eq!(err.device, Some(d as u32));
+        assert!(err.message.contains(&format!("{first:?} ")), "{err}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! next network event, and the flows that completed wake their receivers.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use dcp_blocks::TokenBlockId;
 use dcp_sched::stream::{At, AttnItem, Backend, Stream, Wake};
@@ -208,7 +208,9 @@ pub fn simulate_on(
             .collect(),
         ready,
         turned_away: vec![Vec::new(); n],
-        slots: HashMap::new(),
+        rows: [(); 2].map(|()| vec![(0, 0); n]),
+        launches: 1,
+        op_pairs: vec![0; phase.comms.len()],
         pairs: Vec::new(),
         launched: 0,
         flows: Vec::new(),
@@ -245,6 +247,8 @@ struct Pair {
     flow: Option<FlowId>,
     active_at: f64,
     end: Option<f64>,
+    /// 1 + the pair of the same op an earlier launch opened (0: none).
+    prev: u32,
 }
 
 /// The flow of `pair` is done: its receiving rank's own stream, or a shard
@@ -279,8 +283,15 @@ struct Timing<'a> {
     /// first. Times are non-negative, so their bit patterns order as they
     /// do.
     timers: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Per (comm op, src rank, dst rank): its index in `pairs`.
-    slots: HashMap<(u32, u32, u32), usize>,
+    /// The pairs of the launch being walked by their far end: `rows[0]` by
+    /// dst for those leaving the launcher's rank, `rows[1]` by src for those
+    /// entering it, each entry `(launch, pair)` and current only while
+    /// `launch == launches`.
+    rows: [Vec<(u32, usize)>; 2],
+    launches: u32,
+    /// Per comm op: 1 + the last pair a finished launch of it opened (0:
+    /// none); earlier ones chain through `Pair::prev`.
+    op_pairs: Vec<u32>,
     pairs: Vec<Pair>,
     /// The pairs from here on were opened by the launch being walked.
     launched: usize,
@@ -309,6 +320,31 @@ impl Timing<'_> {
     /// Whether `rank` is in no kernel or start delay.
     fn idle(&self, rank: u32) -> bool {
         self.ready[rank as usize] <= self.now + EPS
+    }
+
+    /// The pair of `op` from rank `from` to rank `to`, if a launch opened
+    /// it: the launch being walked (by `row`, `(side, far end)`, when one
+    /// end is the launcher's rank) or an earlier one.
+    fn pair(&self, op: u32, from: u32, to: u32, row: Option<(usize, u32)>) -> Option<usize> {
+        let same = |p: &Pair| (p.op, p.from, p.to) == (op, from, to);
+        let current = match row {
+            Some((side, far)) => match self.rows[side][far as usize] {
+                (launch, s) if launch == self.launches => Some(s),
+                _ => None,
+            },
+            None => (self.launched..self.pairs.len()).find(|&s| same(&self.pairs[s])),
+        };
+        current.or_else(|| {
+            let mut at = self.op_pairs[op as usize];
+            while at != 0 {
+                let s = at as usize - 1;
+                if same(&self.pairs[s]) {
+                    return Some(s);
+                }
+                at = self.pairs[s].prev;
+            }
+            None
+        })
     }
 
     /// Takes the flows the network completed since the last call: each may
@@ -389,9 +425,13 @@ impl Backend for Timing<'_> {
         if sender != tr.to && from == to {
             return None;
         }
-        let next = self.pairs.len();
-        let slot = *self.slots.entry((op, from, to)).or_insert(next);
-        if slot == next {
+        let rank = self.host(dev);
+        let row = match (from == rank, to == rank) {
+            (true, _) => Some((0, to)),
+            (false, true) => Some((1, from)),
+            (false, false) => None,
+        };
+        let slot = self.pair(op, from, to, row).unwrap_or_else(|| {
             self.pairs.push(Pair {
                 op,
                 from,
@@ -400,7 +440,12 @@ impl Backend for Timing<'_> {
                 flow: None,
                 active_at: 0.0,
                 end: None,
+                prev: 0,
             });
+            self.pairs.len() - 1
+        });
+        if let Some((side, far)) = row {
+            self.rows[side][far as usize] = (self.launches, slot);
         }
         if slot >= self.launched {
             self.pairs[slot].bytes += tr.bytes;
@@ -445,7 +490,12 @@ impl Backend for Timing<'_> {
                     // complete flows a rounding error short of their end.
                     self.settle(wake);
                 }
+                for s in self.launched..self.pairs.len() {
+                    let op = &mut self.op_pairs[self.pairs[s].op as usize];
+                    self.pairs[s].prev = std::mem::replace(op, s as u32 + 1);
+                }
                 self.launched = self.pairs.len();
+                self.launches += 1;
                 return;
             }
             Instr::CommWait(_) => {
@@ -835,6 +885,53 @@ mod tests {
         assert_eq!(sim.makespan, copy);
         assert_eq!(sim.devices[0].comm_active, 0.0);
         assert_eq!((counters.flows, counters.wait_checks), (1, 2));
+    }
+
+    #[test]
+    fn launches_of_one_op_share_their_pairs() {
+        use dcp_sched::{CommOp, DeviceStream, Payload, Transfer};
+        // Two inputs from dead device 1 into device 3. Device 2 stands in
+        // for the sender, so its launch opens a pair neither end of which
+        // is its own rank; device 3's launch deposits both again and must
+        // find that pair rather than open a second flow.
+        let tb = dcp_blocks::TokenBlockId(0);
+        let input = |payload, bytes| Transfer {
+            from: 1,
+            to: 3,
+            payload,
+            bytes,
+        };
+        let stream = |device, instrs| DeviceStream {
+            device,
+            instrs,
+            buffer: Default::default(),
+        };
+        let (q, kv) = (Payload::Q(tb), Payload::Kv(tb));
+        let phase = PhasePlan {
+            comms: vec![CommOp {
+                transfers: vec![input(q, 3_000_000), input(kv, 5_000_000)],
+            }],
+            devices: vec![
+                stream(0, vec![]),
+                stream(1, vec![]),
+                stream(2, vec![Instr::CommLaunch(CommId(0))]),
+                stream(
+                    3,
+                    vec![Instr::CommLaunch(CommId(0)), Instr::CommWait(CommId(0))],
+                ),
+            ],
+        };
+        let ctx = RecoveryCtx {
+            failed: [1].into(),
+            stand_in: [(q, 2), (kv, 2)].into(),
+            ..RecoveryCtx::default()
+        };
+        let c = ClusterSpec::p4de(1);
+        let none = FaultSpec::none();
+        let run = simulate_on(&c, Network::new(c.clone()), &phase, &ctx, &none).unwrap();
+        assert_eq!(run.counters.flows, 1);
+        let arrival = c.intra_latency + 8_000_000.0 / c.intra_bw;
+        assert!((run.sim.devices[3].exposed_wait - arrival).abs() < 1e-12);
     }
 
     #[test]

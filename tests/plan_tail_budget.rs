@@ -1,6 +1,7 @@
 //! A deterministic work budget for the planner's tail — block generation,
-//! division scheduling, the pass pipeline: heap allocations (calls and
-//! bytes), which depend on the input and the code, never on the host.
+//! division scheduling, the pass pipeline — and for the verifier's and the
+//! simulator's walks over its plan: heap allocations (calls and bytes),
+//! which depend on the input and the code, never on the host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -8,7 +9,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dcp::blocks::{BatchLayout, BlockConfig};
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
-use dcp::sched::{build_plan, PassConfig, PassManager, ScheduleConfig};
+use dcp::sched::{build_plan, verify_plan, PassConfig, PassManager, ScheduleConfig};
+use dcp::sim::simulate_plan;
 use dcp::types::{AttnSpec, ClusterSpec};
 
 static ON: AtomicBool = AtomicBool::new(false);
@@ -72,6 +74,17 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 /// layout's 542 calls asked for 4 109 140 bytes while a mask was 20 bytes
 /// per token; as runs it is 540 calls and 1 485 748 bytes — the blocks and
 /// their consumer lists, nothing sized by the tokens.
+///
+/// The same plan's two walks. With arrivals in per-device hash maps, the
+/// verifier's accumulators in hash sets and a `Vec` of partials per reduce
+/// item, `verify_plan` allocated 1 881 times (1 606 558 bytes); on flat
+/// tables it is 342 — 13 tables per phase, plus one list of resolved
+/// inputs per `Attn`/`AttnBwd`/`Reduce` (316 of the plan's 1 413
+/// instructions). `simulate_plan` went from 4 625 to 4 615 (2 857 176 →
+/// 2 782 300 bytes): nearly all of it is the network engine's path and
+/// resource list per flow, and the plan's 7 977 transfers are 2 740 flows,
+/// one per (op, source, destination). Neither walk allocates per transfer
+/// or per block.
 #[test]
 fn long_document_tail_stays_inside_its_allocation_budget() {
     let attn = AttnSpec::paper_micro();
@@ -96,7 +109,12 @@ fn long_document_tail_stays_inside_its_allocation_budget() {
     let (outcomes, in_run_plan, _) =
         allocations(|| passes.run_plan(&layout, &placement, &mut plan));
     assert!(!outcomes.is_empty());
-
+    let (verified, in_verify, verify_bytes) =
+        allocations(|| verify_plan(&layout, &placement, &plan));
+    verified.unwrap();
+    let (simulated, in_simulate, simulate_bytes) =
+        allocations(|| simulate_plan(&ClusterSpec::p4de(4), &plan));
+    simulated.unwrap();
     assert!(in_layout <= 540, "BatchLayout::build: {in_layout}");
     assert!(
         layout_bytes <= 1_485_748,
@@ -104,6 +122,13 @@ fn long_document_tail_stays_inside_its_allocation_budget() {
     );
     assert!(in_build_plan <= 40_000, "build_plan: {in_build_plan}");
     assert!(in_run_plan <= 29, "run_plan: {in_run_plan}");
+    assert!(in_verify <= 342, "verify_plan: {in_verify}");
+    assert!(verify_bytes <= 1_445_198, "verify_plan: {verify_bytes} B");
+    assert!(in_simulate <= 4_615, "simulate_plan: {in_simulate}");
+    assert!(
+        simulate_bytes <= 2_782_300,
+        "simulate_plan: {simulate_bytes} B"
+    );
 
     // Planning never touches a token: the same block grid over four times
     // the tokens asks the allocator for exactly the same memory.

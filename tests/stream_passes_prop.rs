@@ -13,19 +13,21 @@
 //! 2. *Illegal streams are rejected with a typed diagnostic*: random
 //!    mutations of a legal stream (wait-before-launch, out-of-range comm
 //!    id, duplicated compute item, self-transfer, out-of-range comm ids
-//!    beside a dead transfer) must each produce a
-//!    [`dcp::sched::Diagnostic`] that names the offending instruction
-//!    index, before and after the rewrite has run over them, never a pass
-//!    and never a panic.
+//!    beside a dead transfer, a forward reduce from a device outside the
+//!    phase) must each produce a [`dcp::sched::Diagnostic`] that names the
+//!    offending instruction index, before and after the rewrite has run
+//!    over them, never a pass and never a panic — for the last one from the
+//!    executor too, and the simulator must not panic on it.
 
 use dcp::blocks::{BatchLayout, BlockConfig, TokenBlockId};
-use dcp::exec::plans_equivalent;
+use dcp::exec::{execute_forward, plans_equivalent, BatchData};
 use dcp::mask::MaskSpec;
 use dcp::sched::{
     build_plan, verify_plan, CommId, CommOp, ExecutionPlan, Instr, PassConfig, PassManager,
-    Payload, PayloadKind, Placement, ScheduleConfig, Transfer, ViolationKind,
+    Payload, PayloadKind, Placement, ReduceItem, ScheduleConfig, Transfer, ViolationKind,
 };
-use dcp::types::AttnSpec;
+use dcp::sim::{simulate, FaultSpec};
+use dcp::types::{AttnSpec, ClusterSpec, DcpError};
 use proptest::prelude::*;
 
 fn arb_mask() -> impl Strategy<Value = MaskSpec> {
@@ -123,7 +125,7 @@ fn graft_unwaited_fetch(placement: &Placement, plan: &mut ExecutionPlan) -> Comm
 /// to apply itself (small plans may e.g. have no remote transfer to turn
 /// into a self-transfer).
 fn mutate(which: u8, placement: &Placement, plan: &mut ExecutionPlan) -> bool {
-    match which % 5 {
+    match which % 6 {
         // Move a wait on an input-only op in front of its launch.
         0 => {
             for stream in &mut plan.fwd.devices {
@@ -185,11 +187,25 @@ fn mutate(which: u8, placement: &Placement, plan: &mut ExecutionPlan) -> bool {
         // A fetch nobody waits for — so the rewrite has a transfer to
         // delete and goes on to sweep launches and waits — next to a launch
         // and a wait on comm ids outside the op table.
-        _ => {
+        4 => {
             let dead = graft_unwaited_fetch(placement, plan);
             let bogus = CommId(dead.0 + 3);
             let head = [Instr::CommLaunch(bogus), Instr::CommWait(bogus)];
             plan.fwd.devices[0].instrs.splice(0..0, head);
+            true
+        }
+        // A forward reduce of a partial from a device outside the phase:
+        // the id bounds cover reduce targets, not sources, so this reaches
+        // the tables of what arrived where.
+        _ => {
+            plan.fwd.devices[0].instrs.push(Instr::Reduce {
+                items: vec![ReduceItem {
+                    target: TokenBlockId(0),
+                    sources: vec![placement.num_devices],
+                    kind: PayloadKind::PartialO,
+                }],
+                bytes: 0,
+            });
             true
         }
     }
@@ -237,7 +253,7 @@ proptest! {
     /// after the rewrite has run over the mutated plan (which it must
     /// survive, and must not repair into something the verifier accepts).
     #[test]
-    fn mutated_streams_are_rejected((seqs, bs, n, t, seed) in arb_case(), which in 0u8..5) {
+    fn mutated_streams_are_rejected((seqs, bs, n, t, seed) in arb_case(), which in 0u8..6) {
         let (layout, placement, plan) = case_plan(&seqs, bs, n, t, seed);
         let mut bad = plan.clone();
         if !mutate(which, &placement, &mut bad) {
@@ -263,12 +279,25 @@ proptest! {
                         | ViolationKind::SelfTransfer
                         | ViolationKind::MissingInput
                         | ViolationKind::WaitReceivesNothing
+                        | ViolationKind::MissingPartial
                         | ViolationKind::Deadlock
                 ),
                 "{what}: unexpected diagnostic kind for mutation {which}: {diag}"
             );
-            if which == 4 {
-                prop_assert_eq!(diag.kind, ViolationKind::CommIdOutOfRange, "{}", what);
+            match which {
+                4 => prop_assert_eq!(diag.kind, ViolationKind::CommIdOutOfRange, "{}", what),
+                5 => {
+                    prop_assert_eq!(diag.kind, ViolationKind::MissingPartial, "{}", what);
+                    let data = BatchData::random(&layout, seed);
+                    let executed = execute_forward(&layout, &placement, plan, &data);
+                    prop_assert_eq!(executed.unwrap_err(), DcpError::from(diag));
+                    // The simulator walks structure only and never resolves
+                    // a source; it must not panic on one.
+                    let cluster = ClusterSpec::single_node(n);
+                    simulate(&cluster, &plan.fwd, &FaultSpec::none())
+                        .map_err(|e| TestCaseError::fail(format!("{what}: simulate: {e}")))?;
+                }
+                _ => {}
             }
         }
     }
