@@ -606,11 +606,11 @@ impl Planner {
     }
 
     /// Schedules `placement` into instruction streams under the configured
-    /// division count.
+    /// division count, cut for the planner's cluster.
     fn schedule(&self, layout: &BatchLayout, placement: &Placement) -> DcpResult<ExecutionPlan> {
         let sched = ScheduleConfig {
             divisions: self.cfg.divisions,
-            ..Default::default()
+            cost: self.cluster.cost(),
         };
         build_plan(layout, placement, &sched)
     }

@@ -7,9 +7,10 @@
 //!
 //! 1. derives the required communication (input fetches and output partial
 //!    returns, deduplicated per destination device),
-//! 2. groups each device's computation blocks into `T` *divisions* with the
-//!    paper's greedy heuristic (Listing 3), so the communication of division
-//!    `i+1` overlaps the computation of division `i`,
+//! 2. groups each device's computation blocks into at most `T` *divisions*
+//!    — the paper's greedy heuristic (Listing 3) orders them, the
+//!    simulator's cost model places the cuts — so the communication of
+//!    division `i+1` overlaps the computation of division `i`,
 //! 3. emits per-device instruction streams over the paper's five
 //!    instructions — blockwise attention, blockwise reduction, blockwise
 //!    copy, communication launch, communication wait — for both the forward
@@ -42,6 +43,6 @@ pub use plan::{
     ReduceItem, Transfer,
 };
 pub use report::{DeviceReport, DivisionReport, PlanReport};
-pub use schedule::{build_plan, ScheduleConfig};
+pub use schedule::{build_plan, modelled_finish, DivisionLoad, ScheduleConfig};
 pub use stream::RecoveryCtx;
 pub use verify::{verify_phase, verify_plan, verify_structure, Diagnostic, ViolationKind};

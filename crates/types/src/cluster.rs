@@ -406,6 +406,55 @@ impl ClusterSpec {
     pub fn effective_flops(&self) -> f64 {
         self.device_flops * self.kernel_efficiency
     }
+
+    /// What the simulator charges one device for a kernel and a transfer.
+    pub fn cost(&self) -> CostModel {
+        CostModel {
+            devices_per_node: self.devices_per_node,
+            effective_flops: self.effective_flops(),
+            kernel_overhead: self.kernel_overhead,
+            links: [
+                (self.intra_latency, 1.0 / self.intra_bw),
+                (
+                    self.inter_latency,
+                    self.devices_per_node.max(1) as f64 / self.inter_bw,
+                ),
+            ],
+        }
+    }
+}
+
+/// The simulator's charges as one device sees them, uncontended: a kernel
+/// of `f` flops takes `f / effective_flops + kernel_overhead`, and bytes to
+/// or from a device of the same node cross its NVSwitch link, bytes to or
+/// from another node its share of the node's NIC, each after that link's
+/// latency. Built by [`ClusterSpec::cost`]; the default is the paper's p4de
+/// testbed. The division scheduler prices its cuts with it, and the
+/// simulator charges kernels with [`CostModel::kernel`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CostModel {
+    /// Devices per node: which ranks share a node.
+    pub devices_per_node: u32,
+    /// Attention-kernel throughput, FLOP/s.
+    pub effective_flops: f64,
+    /// Fixed charge per kernel launch, seconds.
+    pub kernel_overhead: f64,
+    /// `(latency, seconds per byte)` of a device's same-node link, then of
+    /// its share of the node's NIC.
+    pub links: [(f64, f64); 2],
+}
+
+impl Default for CostModel {
+    fn default() -> Self {
+        ClusterSpec::p4de(1).cost()
+    }
+}
+
+impl CostModel {
+    /// Seconds a kernel of `flops` occupies its device.
+    pub fn kernel(&self, flops: u64) -> f64 {
+        flops as f64 / self.effective_flops + self.kernel_overhead
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ pub mod model;
 pub mod robust;
 pub mod units;
 
-pub use cluster::{ClusterSpec, DeviceId, NodeId, TierSpec, TopologySpec};
+pub use cluster::{ClusterSpec, CostModel, DeviceId, NodeId, TierSpec, TopologySpec};
 pub use error::{DcpError, DcpResult};
 pub use model::{AttnSpec, ModelSpec};
 pub use robust::PlanTier;

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # "Same plans", mechanically: per benchmark workload at seed 7, the hash of
 # its cold set-up plans and the hash of its checked round's plans (placements
-# and instruction streams), one line per workload, from 3 s checked runs of
-# the ledger. The round's plans are the set-up's again where a round plans
-# cold — the run compares them bitwise and exits non-zero if any differ — so
-# the two hashes are equal there; `replan_stream`'s round is its stream, so
-# its second hash covers what the first cannot: every drifted warm re-plan,
-# replay and cache hit. The output is committed as results/PLANS_HASH.txt;
-# CI re-runs this and fails when a change moved a plan bit:
+# and instruction streams), then the two modelled ledger metrics the plans
+# decide, `sim_iter_ms` and `comm_bytes_per_token` (both exact per seed),
+# one line per workload, from 3 s checked runs of the ledger. The round's
+# plans are the set-up's again where a round plans cold — the run compares
+# them bitwise and exits non-zero if any differ — so the two hashes are
+# equal there; `replan_stream`'s round is its stream, so its second hash
+# covers what the first cannot: every drifted warm re-plan, replay and cache
+# hit. The output is committed as results/PLANS_HASH.txt; CI re-runs this
+# and fails when a change moved a plan bit, and the diff of a change that
+# means to move plans shows what their quality did:
 #
 #   scripts/plans_hash.sh > results/PLANS_HASH.txt
 set -euo pipefail
@@ -34,6 +37,15 @@ for w in exec_dense exec_sparse plan_cold replan_stream; do
             exit 1
         fi
         line+=" $hash"
+    done
+    result=$(tail -n 1 <<<"$out")
+    for metric in sim_iter_ms comm_bytes_per_token; do
+        value=$(sed -n 's/.*"'$metric'": {"value": \([^,}]*\).*/\1/p' <<<"$result")
+        if [[ -z $value ]]; then
+            echo "plans_hash.sh: no $metric in the $w run's result line" >&2
+            exit 1
+        fi
+        line+=" $metric=$value"
     done
     echo "$line"
 done

@@ -131,8 +131,10 @@ fn capture() -> Vec<Event> {
 
 /// FNV-1a hash of [`executor_identity_hash`] on [`capture`]'s scenario,
 /// computed at the commit before the executor moved onto the shared stream
-/// walker (`dcp_sched::stream`).
-const EXECUTOR_IDENTITY_GOLDEN: u64 = 16_661_483_682_922_942_827;
+/// walker (`dcp_sched::stream`), and again once the division scheduler cut
+/// divisions by cost (the executor runs different divisions of the same
+/// placement).
+const EXECUTOR_IDENTITY_GOLDEN: u64 = 12_862_022_340_069_716_229;
 
 /// FNV-1a over the identity of every executor event, in stream order: name,
 /// device, phase, division, comm id, bytes, flops, value bits and `seq`.
@@ -213,12 +215,12 @@ fn planner_capture() -> Vec<Event> {
     let rejected = strict.plan_for_iter(&drifted, Some(6)).expect("rejected");
     assert!(!rejected.stats.near_hit && strict.near_cache_stats().0 == 1);
 
-    // The greedy plan simulates 1.46x the partitioned estimate, the static
-    // one 1.24x: the gate rejects the first and ships the second.
+    // The greedy plan simulates 1.34x the partitioned estimate, the static
+    // one 0.80x: the gate rejects the first and ships the second.
     let infeasible = mk(PlannerConfig {
         eps_intra: 0.0,
         strict_epsilon: true,
-        max_fallback_regression: 1.35,
+        max_fallback_regression: 1.2,
         ..planner_cfg()
     });
     let fell = infeasible.plan_for_iter(&base, Some(7)).expect("fallback");

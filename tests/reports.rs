@@ -99,35 +99,3 @@ fn traces_cover_plan_activity_for_dcp_and_baselines() {
         assert!(gantt.contains("dev0"));
     }
 }
-
-#[test]
-fn early_output_ablation_never_slower() {
-    use dcp::sched::{build_plan, ScheduleConfig};
-    use dcp::sim::simulate_plan;
-
-    let cluster = ClusterSpec::p4de(2);
-    let planner = Planner::new(
-        cluster.clone(),
-        AttnSpec::paper_micro(),
-        PlannerConfig {
-            block_size: 1024,
-            ..Default::default()
-        },
-    );
-    let out = planner.plan(&skewed_batch()).unwrap();
-    let early = simulate_plan(&cluster, &out.plan).unwrap().total();
-    let listing3 = build_plan(
-        &out.layout,
-        &out.placement,
-        &ScheduleConfig {
-            divisions: 4,
-            early_output: false,
-        },
-    )
-    .unwrap();
-    let late = simulate_plan(&cluster, &listing3).unwrap().total();
-    assert!(
-        early <= late * 1.02,
-        "early-output {early} vs Listing-3 {late}"
-    );
-}

@@ -6,7 +6,9 @@
 //! simulated makespans the pre-refactor engine produced. The constants below
 //! were captured from the engine immediately before the topology/incremental
 //! rewrite landed; any low-bit drift in the partitioner hierarchy, the
-//! water-fill order, or the event loop shows up here as a hard failure.
+//! water-fill order, or the event loop shows up here as a hard failure. The
+//! makespans were re-recorded once, placements and comm bytes unchanged,
+//! when the division scheduler began cutting divisions by cost.
 //! The CI thread matrix re-runs this at `RAYON_NUM_THREADS` 1/2/8, so the
 //! pin doubles as the cross-thread-count determinism check.
 
@@ -45,22 +47,22 @@ fn flat_topology_plans_and_makespans_are_bitwise_pinned() {
         (
             1,
             0x2ce2378498f6bec6,
-            0x3f8060dadf5adccf,
-            0x3f943bd8e5aecb85,
+            0x3f8046a3fc6fc08c,
+            0x3f942d8164fed421,
             826343424,
         ),
         (
             2,
             0x5ba0690d7b5baf5b,
-            0x3f70c311fab7236a,
-            0x3f849101b775bd9a,
+            0x3f708b13cff55d70,
+            0x3f8465a9b62a288c,
             1340702720,
         ),
         (
             4,
             0xc3431b6e89befa6f,
-            0x3f69ca882cd15513,
-            0x3f7d23c8193a1e44,
+            0x3f6837ba7b412d72,
+            0x3f7cc0d359c37bfe,
             2269216768,
         ),
     ];
@@ -99,11 +101,12 @@ fn flat_topology_plans_and_makespans_are_bitwise_pinned() {
 
 #[test]
 fn incremental_engine_matches_scratch_on_golden_plans() {
-    // Event *times* (makespan, every device finish) agree bitwise — the
-    // incremental fill performs the same freeze arithmetic as the global
-    // one. The scratch reference's overlap-interval bookkeeping iterates
-    // fresh hash maps, so its comm_active/overlap sums wander by an ulp on
-    // exact max-min ties; those are held to fp tolerance instead.
+    // The incremental fill performs the same freeze arithmetic as the
+    // global one, but the scratch reference breaks exact max-min ties in
+    // the iteration order of fresh hash maps, so on plans with such ties
+    // (these have them) event times wander by an ulp from run to run:
+    // makespans, device finishes and the interval sums are held to
+    // rounding error, the event count exactly.
     for nodes in [1u32, 2, 4] {
         let cluster = ClusterSpec::p4de(nodes);
         let planner = Planner::new(
@@ -124,28 +127,21 @@ fn incremental_engine_matches_scratch_on_golden_plans() {
                 simulate_on(&cluster, scratch, phase, &RecoveryCtx::default(), &none).unwrap();
             let (inc, inc_counters) = (incremental.sim, incremental.counters);
             let (scr, scr_counters) = (reference.sim, reference.counters);
-            assert_eq!(
-                inc.makespan.to_bits(),
-                scr.makespan.to_bits(),
+            let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * y.abs().max(1e-9);
+            assert!(
+                close(inc.makespan, scr.makespan),
                 "nodes={nodes}: makespans diverged ({} vs {})",
                 inc.makespan,
                 scr.makespan
             );
             for (d, (a, b)) in inc.devices.iter().zip(&scr.devices).enumerate() {
-                assert_eq!(
-                    a.finish.to_bits(),
-                    b.finish.to_bits(),
-                    "nodes={nodes} device {d}: finish diverged"
-                );
                 for (what, x, y) in [
+                    ("finish", a.finish, b.finish),
                     ("comm_active", a.comm_active, b.comm_active),
                     ("overlap", a.overlap, b.overlap),
                     ("exposed_wait", a.exposed_wait, b.exposed_wait),
                 ] {
-                    assert!(
-                        (x - y).abs() <= 1e-9 * y.abs().max(1e-9),
-                        "nodes={nodes} device {d}: {what} {x} vs {y}"
-                    );
+                    assert!(close(x, y), "nodes={nodes} device {d}: {what} {x} vs {y}");
                 }
             }
             assert_eq!(inc_counters.events, scr_counters.events);
@@ -228,8 +224,8 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
         plan_pin(&flat, &warm),
         [
             0xfac48178649dcfb8,
-            0x3f70c0b75493222b,
-            0x3f848e46b19c70ad,
+            0x3f7088b929d15c2f,
+            0x3f8462eeb050dba1,
             1340625440
         ],
         "warm drift re-plan on p4de(2)"
@@ -253,8 +249,8 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
         plan_pin(&flat, &faulted),
         [
             0x2282ce4e2acf9e37,
-            0x3f720434be59b039,
-            0x3f8629a7407fe8a2,
+            0x3f71cbce284de780,
+            0x3f85fb2a3e679859,
             1419640832
         ],
         "fault-aware cold plan on p4de(2)"
@@ -268,8 +264,8 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
         plan_pin(&spine, &cold),
         [
             0x28220176df277219,
-            0x3f6ff13a889757d4,
-            0x3f807e41a0a177ef,
+            0x3f6ef76971db4eee,
+            0x3f7e3671763007ff,
             2179989504
         ],
         "cold plan on the spine"
@@ -280,8 +276,8 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
         plan_pin(&spine, &warm),
         [
             0xe21bb6e8ebd8916f,
-            0x3f701c92613a6d1d,
-            0x3f805bf9d5473576,
+            0x3f6e7716c5dd9125,
+            0x3f7ec48f82cfddb8,
             2168773376
         ],
         "warm drift re-plan on the spine"
@@ -373,7 +369,7 @@ fn fault_aware_recovery_patch_is_bitwise_pinned() {
         [
             0x9e6ac8edc970bbbb,
             0x7881bf953914e411,
-            0x3f284007790b7ae2,
+            0x3f21b24ebe446a17,
             36416
         ]
     );

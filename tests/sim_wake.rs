@@ -7,9 +7,11 @@
 //! and every trace event, plus the event-loop and network counters — are
 //! taken on a 256-device leaf/spine plan, clean, with empty transfers, with
 //! a receiver reaching its wait before the sender's launch, and under
-//! faults. They held from the polling loop to PR 23 and were re-recorded
-//! once, loop untouched, when the plan under them became the scheduler's
-//! own emission (PR 24).
+//! faults. They held from the polling loop on, and were re-recorded, loop
+//! untouched, each time the plan under them changed: when it became the
+//! scheduler's own emission, and when the scheduler began cutting
+//! divisions by cost (the simulator, run on the plans of before, still
+//! reproduced the earlier constants).
 //! `examples/sim_differential.rs` prints the same digest for 22 376 more
 //! cases, to be diffed against its output in a clone of an older commit.
 //! Last, the rules by which the shards of a recovery patch share their
@@ -172,18 +174,18 @@ fn wake_on_completion_reproduces_the_polling_loop() {
     // (digest, [events, flows, recomputes, touched_flows]) per phase.
     type Golden = [(u64, [u64; 4]); 2];
     const CLEAN: Golden = [
-        (0x74f289092c48304c, [1852, 3248, 1384, 215444]),
-        (0x9fc86b48e694ed51, [3409, 5556, 2866, 255242]),
+        (0x2c0fb0cca918b548, [2699, 3686, 1947, 85869]),
+        (0x13b4d00e78c436b1, [4840, 6287, 3974, 122876]),
     ];
     const EMPTY_TRANSFERS: Golden = [
-        (0xdb78e07fb87b7909, [1619, 3248, 1148, 133459]),
-        (0x2738e6dff5e5f372, [3012, 5556, 2469, 133057]),
+        (0x1ee42b94ba28fdb5, [2355, 3686, 1601, 52429]),
+        (0x29b84230635b13aa, [4073, 6287, 3258, 67361]),
     ];
     const LATE_LAUNCHES: Golden = [
-        (0x47f1b7c6c79566c4, [1965, 3248, 1387, 215344]),
-        (0xa6e84bc8d6adc637, [3580, 5556, 2914, 259102]),
+        (0x60a75245f4ab5de2, [2826, 3686, 1960, 85551]),
+        (0x293c903a35feb85e, [5060, 6287, 4064, 118178]),
     ];
-    const FAULTED: [u64; 2] = [0xf7151c7338d7007e, 0xe14a11008500d2be];
+    const FAULTED: [u64; 2] = [0x8407c8f7e3ac7e96, 0xbbcc95e9c592d02a];
 
     let (cluster, phases) = spine_phases(32);
     let none = FaultSpec::none();
