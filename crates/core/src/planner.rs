@@ -388,6 +388,23 @@ impl<V> Lru<V> {
     }
 }
 
+/// Tile rows every document keeps, at least, in the placement hypergraph's
+/// structural coarsening level: a tile never spans more than 1/32 of its
+/// document's block rows. DESIGN.md §11 records what a lower floor measured.
+const TILE_ROWS: u32 = 32;
+
+/// The largest tile side: at most 64 computation blocks a tile.
+const MAX_TILE: u32 = 8;
+
+/// The side `t` of the `t × t` tiles of a document of `nb` blocks: the
+/// largest power of two at most `nb / TILE_ROWS`, capped at [`MAX_TILE`].
+/// Documents under `2 × TILE_ROWS` blocks get `t = 1`: one block per tile,
+/// which coarsening leaves to the matcher.
+fn tile_side(nb: u32) -> u32 {
+    let rows = (nb / TILE_ROWS).max(1);
+    (1 << rows.ilog2()).min(MAX_TILE)
+}
+
 /// The DCP planner, bound to a cluster and an attention operator shape.
 #[derive(Debug, Clone)]
 pub struct Planner {
@@ -681,7 +698,9 @@ impl Planner {
     /// `[flops, 0]`); per token block one hyperedge for Q+O (weight
     /// `q_bytes + o_bytes` — identical pin sets, so they are merged) and one
     /// for KV (weight `kv_bytes`), each connecting the token vertex to the
-    /// consuming computation blocks.
+    /// consuming computation blocks. Each computation block is labelled with
+    /// its tile of the block grid ([`tile_side`]), which the partitioner's
+    /// coarsening contracts before it matches anything.
     pub fn build_hypergraph(layout: &BatchLayout) -> Hypergraph {
         let nt = layout.token_blocks.len();
         let nc = layout.comp_blocks.len();
@@ -713,6 +732,29 @@ impl Planner {
         }
         for (i, cb) in layout.comp_blocks.iter().enumerate() {
             b.set_vertex_weight(nt + i, [cb.flops, 0]);
+        }
+        // Tiles are numbered per (sequence, head group) in layout order,
+        // each group's `cols × cols` grid row by row. Per sequence: the tile
+        // side, the tiles per row, and its first head group's first label.
+        // Token blocks stay unlabelled.
+        let bs = layout.config.block_size;
+        let mut next = 0u32;
+        let grids: Vec<(u32, u32, u32)> = layout
+            .seq_lens
+            .iter()
+            .map(|&len| {
+                let nb = len.div_ceil(bs);
+                let (t, first) = (tile_side(nb), next);
+                let cols = nb.div_ceil(t);
+                next += layout.config.head_blocks * cols * cols;
+                (t, cols, first)
+            })
+            .collect();
+        for (i, cb) in layout.comp_blocks.iter().enumerate() {
+            let (t, cols, first) = grids[cb.seq as usize];
+            let tile = |tb: TokenBlockId| layout.token_blocks[tb.0 as usize].start / bs / t;
+            let base = first + cb.head_block * cols * cols;
+            b.set_label(nt + i, base + tile(cb.q_block) * cols + tile(cb.kv_block));
         }
         let mut pins: Vec<u32> = Vec::new();
         for (weight, i, consumers) in Self::edges(layout) {

@@ -1,10 +1,24 @@
-//! Coarsening: heavy-edge matching and hypergraph contraction.
+//! Coarsening: a structural first level, heavy-edge matching and hypergraph
+//! contraction.
 //!
-//! Each level matches pairs of vertices that share heavy edges (rating
-//! `sum_e w_e / (|e| - 1)`, the classic heavy-edge rating for hypergraphs)
-//! and contracts matched pairs into single coarse vertices. Contraction
-//! dedups pins, drops edges that collapse below two pins, and merges
-//! parallel edges (identical pin sets) by summing their weights.
+//! **The structural level.** A graph built with cluster labels
+//! ([`crate::HypergraphBuilder::set_label`]) states clusters the matcher
+//! would otherwise spend rounds finding: the planner labels each computation
+//! block with a tile of its document's block grid. Before anything is
+//! matched, every group of vertices that share a label — and, in a V-cycle,
+//! a part — is contracted into one vertex. A group heavier than the
+//! matcher's `max_cluster` in either dimension is left alone: its vertices
+//! stay single for the matcher. The level is built only when it shrinks the
+//! graph by at least 5 %, the matcher's own convergence test, and it draws
+//! nothing from the RNG and counts no matching work, so a graph whose labels
+//! are all distinct coarsens exactly as an unlabelled one. Contraction drops
+//! the labels: every later level is matched.
+//!
+//! **Matching.** Each level matches pairs of vertices that share heavy
+//! edges (rating `sum_e w_e / (|e| - 1)`, the classic heavy-edge rating for
+//! hypergraphs) and contracts matched pairs into single coarse vertices.
+//! Contraction dedups pins, drops edges that collapse below two pins, and
+//! merges parallel edges (identical pin sets) by summing their weights.
 //!
 //! Matching runs in waves over a seed-shuffled vertex order: every
 //! unmatched vertex of a wave rates its neighbors against the matching as
@@ -18,7 +32,7 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
-use crate::graph::{Hypergraph, VertexWeight};
+use crate::graph::{Hypergraph, VertexWeight, UNLABELLED};
 use crate::partitioner::PartitionWork;
 
 /// One coarsening level: the coarse hypergraph plus the mapping from fine
@@ -253,7 +267,13 @@ pub fn match_level(
         }
         nc += 1;
     }
-    if (nc as usize) as f64 > 0.95 * n as f64 {
+    contracted(hg, fine_to_coarse, nc)
+}
+
+/// The level `fine_to_coarse` describes, or `None` when it would keep more
+/// than 95 % of the vertices (coarsening has converged).
+fn contracted(hg: &Hypergraph, fine_to_coarse: Vec<u32>, nc: u32) -> Option<Level> {
+    if nc as f64 > 0.95 * hg.num_vertices() as f64 {
         return None;
     }
     Some(Level {
@@ -262,7 +282,50 @@ pub fn match_level(
     })
 }
 
-/// Contracts `hg` according to `fine_to_coarse` (values in `0..nc`).
+/// The structural level (module doc): contracts each group of vertices
+/// that share a label and, with `parts`, a part, unless the group outweighs
+/// `max_cluster`. Coarse ids follow each group's smallest vertex, as
+/// [`match_level`]'s follow each pair's. `None` when `hg` has no labels or
+/// the level would not shrink it by 5 %.
+fn label_level(hg: &Hypergraph, max_cluster: VertexWeight, parts: Option<&[u32]>) -> Option<Level> {
+    let labels = hg.labels()?;
+    let n = hg.num_vertices();
+    let key = |v: u32| (labels[v as usize], parts.map_or(0, |p| p[v as usize]));
+    // Labelled vertices by (label, part, id): each group is a run, led by
+    // its smallest vertex.
+    let mut order: Vec<u32> = (0..n as u32)
+        .filter(|&v| labels[v as usize] != UNLABELLED)
+        .collect();
+    order.sort_unstable_by_key(|&v| (key(v), v));
+    // `lead[v]`: the smallest vertex of `v`'s contracted group, else `v`.
+    let mut lead: Vec<u32> = (0..n as u32).collect();
+    for group in order.chunk_by(|&a, &b| key(a) == key(b)) {
+        let w = group.iter().fold([0u64; 2], |w, &v| {
+            let vw = hg.vertex_weight(v);
+            [w[0] + vw[0], w[1] + vw[1]]
+        });
+        if w[0] <= max_cluster[0] && w[1] <= max_cluster[1] {
+            for &v in group {
+                lead[v as usize] = group[0];
+            }
+        }
+    }
+    let mut fine_to_coarse = vec![u32::MAX; n];
+    let mut nc = 0u32;
+    for v in 0..n {
+        let l = lead[v] as usize;
+        if l == v {
+            fine_to_coarse[v] = nc;
+            nc += 1;
+        } else {
+            fine_to_coarse[v] = fine_to_coarse[l];
+        }
+    }
+    contracted(hg, fine_to_coarse, nc)
+}
+
+/// Contracts `hg` according to `fine_to_coarse` (values in `0..nc`). The
+/// coarse graph carries no labels.
 ///
 /// Edge merging works on flat pin spans (stage all mapped/deduped pin lists
 /// into one array, sort edge indices lexicographically by span, fold equal
@@ -328,9 +391,10 @@ pub fn contract(hg: &Hypergraph, fine_to_coarse: &[u32], nc: u32) -> Hypergraph 
 }
 
 /// Coarsens until `target` vertices or convergence; returns the levels from
-/// finest to coarsest. With `parts`, matches are restricted to vertices in
-/// the same part (the V-cycle variant; the returned levels then preserve
-/// the partition under projection).
+/// finest to coarsest. A labelled `hg` gets the structural level
+/// ([`label_level`]) first; matching does the rest. With `parts`, only
+/// vertices in the same part are merged (the V-cycle variant; the returned
+/// levels then preserve the partition under projection).
 pub fn coarsen_to(
     hg: &Hypergraph,
     target: usize,
@@ -348,7 +412,11 @@ pub fn coarsen_to(
         if current.num_vertices() <= target || steps > 64 {
             break;
         }
-        match match_level(current, max_cluster, rng, cur_parts.as_deref(), work) {
+        // Only `hg` itself can carry labels: a contracted graph has none.
+        let parts = cur_parts.as_deref();
+        let level = label_level(current, max_cluster, parts)
+            .or_else(|| match_level(current, max_cluster, rng, parts, work));
+        match level {
             Some(level) => {
                 if let Some(p) = &cur_parts {
                     let mut coarse_parts = vec![0u32; level.coarse.num_vertices()];
@@ -370,7 +438,9 @@ pub fn coarsen_to(
 mod tests {
     use super::*;
     use crate::graph::HypergraphBuilder;
-    use rand::SeedableRng;
+    use crate::partitioner::{partition_with_stats, PartitionConfig};
+    use proptest::prelude::*;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn chain(n: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::new(n);
@@ -437,6 +507,142 @@ mod tests {
         let level = match_level(&hg, [1, 1], &mut rng, None, &mut PartitionWork::default());
         // Cap of 1 per dim forbids every merge (each vertex already weighs 1).
         assert!(level.is_none());
+    }
+
+    /// A causal block grid shaped like the planner's: `n` token vertices,
+    /// then one computation vertex per `(q, kv <= q)` pair, each token's
+    /// Q-row and KV-column edge, and every computation vertex labelled with
+    /// its `t x t` tile.
+    fn causal_grid(n: u32, t: u32) -> Hypergraph {
+        let cells: Vec<(u32, u32)> = (0..n).flat_map(|q| (0..=q).map(move |k| (q, k))).collect();
+        let mut b = HypergraphBuilder::new(n as usize + cells.len());
+        let cols = n.div_ceil(t);
+        for v in 0..n as usize {
+            b.set_vertex_weight(v, [0, 8]);
+        }
+        for (i, &(q, k)) in cells.iter().enumerate() {
+            b.set_vertex_weight(n as usize + i, [if q == k { 2 } else { 4 }, 0]);
+            b.set_label(n as usize + i, (q / t) * cols + k / t);
+        }
+        for tb in 0..n {
+            for row in [true, false] {
+                let mut pins = vec![tb];
+                let on = |&(q, k): &(u32, u32)| if row { q == tb } else { k == tb };
+                let comp = cells.iter().enumerate().filter(|(_, c)| on(c));
+                pins.extend(comp.map(|(i, _)| n + i as u32));
+                b.add_edge(if row { 3 } else { 2 }, &pins);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// `hg` rebuilt from its pins and weights alone.
+    fn unlabelled(hg: &Hypergraph) -> Hypergraph {
+        let mut b = HypergraphBuilder::new(hg.num_vertices());
+        for v in 0..hg.num_vertices() {
+            b.set_vertex_weight(v, hg.vertex_weight(v as u32));
+        }
+        for e in 0..hg.num_edges() as u32 {
+            b.add_edge(hg.edge_weight(e), hg.pins(e));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_tiled_grid_contracts_its_tiles_before_matching() {
+        let hg = causal_grid(16, 4);
+        let mut work = PartitionWork::default();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let levels = coarsen_to(&hg, 8, [1 << 20; 2], &mut rng, None, &mut work);
+        // 16 tokens + 4 * 5 / 2 tiles, and no matching work for it.
+        let first = &levels[0];
+        assert_eq!(first.coarse.num_vertices(), 16 + 10);
+        assert_eq!(first.coarse.labels(), None);
+        assert_eq!(work.match_levels as usize, levels.len() - 1);
+        // The V-cycle splits a tile by part.
+        let parts: Vec<u32> = (0..hg.num_vertices() as u32).map(|v| v % 2).collect();
+        let level = label_level(&hg, [1 << 20; 2], Some(&parts)).unwrap();
+        assert_eq!(level.coarse.num_vertices(), 16 + 4 * 2 + 6 * 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The structural level conserves weight, contracts exactly the
+        /// groups of one label and one part that fit `max_cluster`, and
+        /// leaves every other vertex single.
+        #[test]
+        fn label_level_contracts_whole_groups_under_the_cap(
+            n in 2usize..160,
+            groups in 1u32..24,
+            cap in 1u64..40,
+            with_parts in any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut b = HypergraphBuilder::new(n);
+            for v in 0..n {
+                b.set_vertex_weight(v, [rng.gen_range(0..6), rng.gen_range(0..6)]);
+                if rng.gen_range(0..4) != 0 {
+                    b.set_label(v, rng.gen_range(0..groups));
+                }
+                if v > 0 {
+                    b.add_edge(1, &[v as u32 - 1, v as u32]);
+                }
+            }
+            let hg = b.build().unwrap();
+            let Some(labels) = hg.labels() else { return Ok(()) };
+            let parts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+            let parts = with_parts.then_some(&parts[..]);
+            let part = |v: usize| parts.map_or(0, |p| p[v]);
+            let Some(level) = label_level(&hg, [cap, cap], parts) else {
+                return Ok(());
+            };
+            let f2c = &level.fine_to_coarse;
+            prop_assert_eq!(level.coarse.total_weight(), hg.total_weight());
+            let group_weight = |v: usize| {
+                (0..n)
+                    .filter(|&u| labels[u] == labels[v] && part(u) == part(v))
+                    .fold([0u64; 2], |w, u| {
+                        let uw = hg.vertex_weight(u as u32);
+                        [w[0] + uw[0], w[1] + uw[1]]
+                    })
+            };
+            for v in 0..n {
+                let fits = |w: VertexWeight| w[0] <= cap && w[1] <= cap;
+                let grouped = labels[v] != UNLABELLED && fits(group_weight(v));
+                for u in 0..n {
+                    let same = labels[u] == labels[v] && part(u) == part(v);
+                    prop_assert_eq!(f2c[u] == f2c[v], u == v || (grouped && same));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_labels_coarsen_and_partition_as_unlabelled() {
+        let labelled = {
+            let grid = causal_grid(24, 1);
+            assert!(grid.labels().is_some());
+            grid
+        };
+        let bare = unlabelled(&labelled);
+        let coarsen = |hg: &Hypergraph| {
+            let mut rng = SmallRng::seed_from_u64(9);
+            let mut work = PartitionWork::default();
+            let levels = coarsen_to(hg, 16, [64, 64], &mut rng, None, &mut work);
+            let maps: Vec<Vec<u32>> = levels.into_iter().map(|l| l.fine_to_coarse).collect();
+            (maps, work, rng.next_u64())
+        };
+        assert_eq!(coarsen(&labelled), coarsen(&bare));
+        for k in [2, 8] {
+            let cfg = PartitionConfig::new(k);
+            let (a, sa) = partition_with_stats(&labelled, &cfg).unwrap();
+            let (b, sb) = partition_with_stats(&bare, &cfg).unwrap();
+            assert_eq!(a.assignment, b.assignment, "k={k}");
+            assert_eq!(a.cost, b.cost, "k={k}");
+            assert_eq!(sa.work, sb.work, "k={k}");
+            assert_eq!((sa.levels, sa.vcycles), (sb.levels, sb.vcycles), "k={k}");
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@ use serde::{Deserialize, Serialize};
 /// DCP use case). Either dimension may be zero.
 pub type VertexWeight = [u64; 2];
 
+/// The cluster label of a vertex no one labelled: it joins no group.
+pub(crate) const UNLABELLED: u32 = u32::MAX;
+
 /// Reusable scratch buffers for repeated hypergraph builds.
 ///
 /// The planner rebuilds a similarly-sized hypergraph every batch; routing
@@ -23,6 +26,7 @@ pub struct HgArena {
     epins: Vec<u32>,
     vedge_off: Vec<u32>,
     vedges: Vec<u32>,
+    labels: Vec<u32>,
 }
 
 impl HgArena {
@@ -37,6 +41,7 @@ impl HgArena {
             epins: std::mem::take(&mut self.epins),
             vedge_off: std::mem::take(&mut self.vedge_off),
             vedges: std::mem::take(&mut self.vedges),
+            labels: std::mem::take(&mut self.labels),
         };
         b.vwts.clear();
         b.vwts.resize(n, [0, 0]);
@@ -46,6 +51,7 @@ impl HgArena {
         b.epin_off.push(0);
         b.vedge_off.clear();
         b.vedges.clear();
+        b.labels.clear();
         b
     }
 
@@ -58,6 +64,7 @@ impl HgArena {
         self.epins = hg.epins;
         self.vedge_off = hg.vedge_off;
         self.vedges = hg.vedges;
+        self.labels = hg.labels;
     }
 }
 
@@ -75,6 +82,7 @@ pub struct HypergraphBuilder {
     epins: Vec<u32>,
     vedge_off: Vec<u32>,
     vedges: Vec<u32>,
+    labels: Vec<u32>,
 }
 
 impl HypergraphBuilder {
@@ -91,6 +99,23 @@ impl HypergraphBuilder {
     /// Panics if `v` is out of range.
     pub fn set_vertex_weight(&mut self, v: usize, w: VertexWeight) {
         self.vwts[v] = w;
+    }
+
+    /// Gives vertex `v` the cluster label `label`: coarsening contracts the
+    /// vertices that share one into a single vertex before it matches
+    /// anything ([`crate::coarsen::coarsen_to`]). Vertices never labelled
+    /// stay single, and a graph with no label at all coarsens by matching
+    /// alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range or `label` is `u32::MAX`.
+    pub fn set_label(&mut self, v: usize, label: u32) {
+        assert_ne!(label, UNLABELLED, "u32::MAX is the unlabelled vertex");
+        if self.labels.is_empty() {
+            self.labels.resize(self.vwts.len(), UNLABELLED);
+        }
+        self.labels[v] = label;
     }
 
     /// Adds a hyperedge with weight `w` over `pins`. Duplicate pins are
@@ -127,20 +152,23 @@ impl HypergraphBuilder {
                 "edge pin {p} out of range for {n} vertices"
             )));
         }
-        Ok(Hypergraph::from_csr(
+        let mut hg = Hypergraph::from_csr(
             self.vwts,
             self.ewts,
             self.epin_off,
             self.epins,
             self.vedge_off,
             self.vedges,
-        ))
+        );
+        hg.labels = self.labels;
+        Ok(hg)
     }
 }
 
 /// An immutable hypergraph with vertex weights and weighted hyperedges,
 /// stored as CSR pin lists in both directions (edge -> pins, vertex ->
-/// incident edges).
+/// incident edges), and optionally a cluster label per vertex
+/// ([`HypergraphBuilder::set_label`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Hypergraph {
     vwts: Vec<VertexWeight>,
@@ -149,13 +177,17 @@ pub struct Hypergraph {
     epins: Vec<u32>,
     vedge_off: Vec<u32>,
     vedges: Vec<u32>,
+    /// Per-vertex cluster label, `UNLABELLED` where none was set; empty
+    /// when the graph has no labels.
+    #[serde(default)]
+    labels: Vec<u32>,
 }
 
 impl Hypergraph {
-    /// Builds from the forward (edge → pin) CSR arrays, deriving the reverse
-    /// (vertex → incident edge) CSR by counting sort into the supplied
-    /// scratch buffers (their capacity is reused, contents ignored). Pins
-    /// must be deduplicated per edge and in range.
+    /// Builds an unlabelled graph from the forward (edge → pin) CSR arrays,
+    /// deriving the reverse (vertex → incident edge) CSR by counting sort
+    /// into the supplied scratch buffers (their capacity is reused, contents
+    /// ignored). Pins must be deduplicated per edge and in range.
     pub(crate) fn from_csr(
         vwts: Vec<VertexWeight>,
         ewts: Vec<u64>,
@@ -198,6 +230,7 @@ impl Hypergraph {
             epins,
             vedge_off,
             vedges,
+            labels: Vec::new(),
         }
     }
 
@@ -242,6 +275,12 @@ impl Hypergraph {
     #[inline]
     pub(crate) fn pin_csr(&self) -> (&[u32], &[u32]) {
         (&self.epin_off, &self.epins)
+    }
+
+    /// The cluster label of every vertex (`u32::MAX`: none), or `None` when
+    /// the graph carries no labels.
+    pub fn labels(&self) -> Option<&[u32]> {
+        (!self.labels.is_empty()).then_some(&self.labels[..])
     }
 
     /// The edges incident to vertex `v`.
@@ -313,8 +352,9 @@ impl Hypergraph {
     /// The sub-hypergraph induced by `vertices` (given as a sorted, deduped
     /// list of vertex ids). Edges are restricted to pins inside the subset;
     /// restricted edges with fewer than two pins are dropped (they cannot
-    /// contribute to connectivity within the subset). Returns the subgraph
-    /// and the mapping from subgraph vertex index to original vertex id.
+    /// contribute to connectivity within the subset). Vertices keep their
+    /// labels. Returns the subgraph and the mapping from subgraph vertex
+    /// index to original vertex id.
     pub fn induced_subgraph(&self, vertices: &[u32]) -> (Hypergraph, Vec<u32>) {
         let mut index = vec![u32::MAX; self.num_vertices()];
         for (i, &v) in vertices.iter().enumerate() {
@@ -334,7 +374,10 @@ impl Hypergraph {
                 epins.truncate(start);
             }
         }
-        let sub = Hypergraph::from_csr(vwts, ewts, epin_off, epins, Vec::new(), Vec::new());
+        let mut sub = Hypergraph::from_csr(vwts, ewts, epin_off, epins, Vec::new(), Vec::new());
+        if !self.labels.is_empty() {
+            sub.labels = vertices.iter().map(|&v| self.labels[v as usize]).collect();
+        }
         (sub, vertices.to_vec())
     }
 }
@@ -442,6 +485,32 @@ mod tests {
         assert_eq!(second.num_pins(), 5);
         // Edge {0,1,2} spans both parts (+7); edge {2,3} stays internal.
         assert_eq!(second.connectivity_cost(&[0, 0, 1, 1], 2), 7);
+    }
+
+    #[test]
+    fn labels_reach_subgraphs_and_survive_serde() {
+        let mut b = HypergraphBuilder::new(4);
+        b.add_edge(7, &[0, 1, 2]);
+        b.add_edge(2, &[2, 3]);
+        b.set_label(1, 5);
+        b.set_label(3, 5);
+        let hg = b.build().unwrap();
+        assert_eq!(hg.labels(), Some(&[UNLABELLED, 5, UNLABELLED, 5][..]));
+        let (sub, _) = hg.induced_subgraph(&[1, 2, 3]);
+        assert_eq!(sub.labels(), Some(&[5, UNLABELLED, 5][..]));
+        let back: Hypergraph = serde_json::from_str(&serde_json::to_string(&hg).unwrap()).unwrap();
+        assert_eq!(back.labels(), hg.labels());
+        assert_eq!(back.pins(0), hg.pins(0));
+        assert_eq!(sample().induced_subgraph(&[0, 1]).0.labels(), None);
+    }
+
+    #[test]
+    fn a_recycled_builder_carries_no_labels() {
+        let mut arena = HgArena::default();
+        let mut b = arena.builder(2);
+        b.set_label(0, 1);
+        arena.recycle(b.build().unwrap());
+        assert_eq!(arena.builder(2).build().unwrap().labels(), None);
     }
 
     #[test]

@@ -64,28 +64,31 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 }
 
 /// `work_budget.rs`'s long-document batch: one 131 072-token causal document
-/// on 32 devices, 16 512 computation blocks, a plan of 1 669 instructions and
-/// 7 977 transfers. Keyed by hashed `Payload`s, with a fresh `Vec` per
-/// `remote_inputs` call and a cloned per-source map per block per middle
-/// division, the parent allocated 215 003 times in `build_plan`, 10 395 in
-/// the pass pipeline and 2 606 in `BatchLayout::build`. On dense tables
-/// reused from device to device the counts were 3 574, 401 (29 of them
-/// `dead_comm`, the only rewrite there is now) and 542. Cut by cost, the
-/// divisions are fewer and `build_plan` allocates 2 168 times: the cut
-/// search's scratch is per phase, not per device. The
-/// layout's 542 calls asked for 4 109 140 bytes while a mask was 20 bytes
-/// per token; as runs it is 540 calls and 1 485 748 bytes — the blocks and
-/// their consumer lists, nothing sized by the tokens.
+/// on 32 devices, 16 512 computation blocks, a plan of 1 340 instructions and
+/// 5 407 transfers (1 669 and 7 977 before coarsening contracted the
+/// document's 4 x 4 block-grid tiles and the placement changed). Keyed by
+/// hashed `Payload`s, with a fresh `Vec` per `remote_inputs` call and a
+/// cloned per-source map per block per middle division, the parent
+/// allocated 215 003 times in `build_plan`, 10 395 in the pass pipeline and
+/// 2 606 in `BatchLayout::build`. On dense tables reused from device to
+/// device the counts were 3 574, 401 (29 of them `dead_comm`, the only
+/// rewrite there is now) and 542. Cut by cost, the divisions are fewer and
+/// `build_plan` allocates 2 168 times (2 187 on the tiled placement): the
+/// cut search's scratch is per phase, not per device. The layout's 542
+/// calls asked for 4 109 140 bytes while a mask was 20 bytes per token; as
+/// runs it is 540 calls and 1 485 748 bytes — the blocks and their consumer
+/// lists, nothing sized by the tokens.
 ///
 /// The same plan's two walks. With arrivals in per-device hash maps, the
 /// verifier's accumulators in hash sets and a `Vec` of partials per reduce
 /// item, `verify_plan` allocated 1 881 times (1 606 558 bytes); on flat
-/// tables it is 322 (1 445 334 bytes) — 13 tables per phase, plus one list
-/// of resolved inputs per `Attn`/`AttnBwd`/`Reduce`. `simulate_plan`
-/// allocates 4 457 times (2 759 396 bytes): nearly all of it is the network
-/// engine's path and resource list per flow, one flow per (op, source,
-/// destination). Neither walk allocates per transfer
-/// or per block.
+/// tables it was 322 (1 445 334 bytes) — 13 tables per phase, plus one list
+/// of resolved inputs per `Attn`/`AttnBwd`/`Reduce`. The tiled placement's
+/// plan has 306 of those instructions instead of 296, so `verify_plan`
+/// allocates 332 times (1 358 807 bytes). `simulate_plan` allocates 3 712
+/// times (2 142 512 bytes; 4 457 and 2 759 396 before): nearly all of it is
+/// the network engine's path and resource list per flow, one flow per (op,
+/// source, destination). Neither walk allocates per transfer or per block.
 #[test]
 fn long_document_tail_stays_inside_its_allocation_budget() {
     let attn = AttnSpec::paper_micro();
@@ -123,11 +126,11 @@ fn long_document_tail_stays_inside_its_allocation_budget() {
     );
     assert!(in_build_plan <= 40_000, "build_plan: {in_build_plan}");
     assert!(in_run_plan <= 29, "run_plan: {in_run_plan}");
-    assert!(in_verify <= 322, "verify_plan: {in_verify}");
-    assert!(verify_bytes <= 1_445_334, "verify_plan: {verify_bytes} B");
-    assert!(in_simulate <= 4_457, "simulate_plan: {in_simulate}");
+    assert!(in_verify <= 332, "verify_plan: {in_verify}");
+    assert!(verify_bytes <= 1_358_807, "verify_plan: {verify_bytes} B");
+    assert!(in_simulate <= 3_712, "simulate_plan: {in_simulate}");
     assert!(
-        simulate_bytes <= 2_759_396,
+        simulate_bytes <= 2_142_512,
         "simulate_plan: {simulate_bytes} B"
     );
 
