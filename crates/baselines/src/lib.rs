@@ -36,8 +36,8 @@
 pub mod ring;
 
 pub use ring::{
-    build_ring_baseline, build_ring_baseline_with_layout, build_ring_layout, static_placement,
-    BaselineOutput, RingConfig,
+    build_ring_baseline_with_layout, build_ring_layout, static_placement, BaselineOutput,
+    RingConfig,
 };
 
 use dcp_mask::MaskSpec;
@@ -136,6 +136,6 @@ impl Baseline {
                 reorder_copy: true,
             },
         };
-        build_ring_baseline(&self.name(), attn, &cfg, seqs)
+        ring::build_ring_baseline(&self.name(), attn, &cfg, seqs)
     }
 }

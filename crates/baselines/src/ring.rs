@@ -48,7 +48,7 @@ pub struct BaselineOutput {
 ///
 /// Returns [`DcpError::InvalidArgument`] if `head_groups` does not divide
 /// the device count or the attention head counts.
-pub fn build_ring_baseline(
+pub(crate) fn build_ring_baseline(
     name: &str,
     attn: AttnSpec,
     cfg: &RingConfig,
@@ -106,7 +106,7 @@ pub fn build_ring_layout(
     )
 }
 
-/// Like [`build_ring_baseline`] but reusing a prebuilt layout (which must
+/// Like `build_ring_baseline` but reusing a prebuilt layout (which must
 /// come from [`build_ring_layout`] with an equivalent config).
 ///
 /// # Errors
@@ -192,7 +192,7 @@ pub fn build_ring_baseline_with_layout(
 /// into `devices` (ring) or `2 * devices` (zigzag) contiguous chunks and
 /// chunks map to devices exactly like RingFlashAttention input placement;
 /// computation blocks run where their Q lives. Unlike
-/// [`build_ring_baseline`], no relay plan is emitted — the DCP scheduler
+/// `build_ring_baseline`, no relay plan is emitted — the DCP scheduler
 /// turns this placement into owner-based transfers — so it composes with
 /// `dcp_sched::build_plan` and is always feasible for any non-empty layout.
 ///

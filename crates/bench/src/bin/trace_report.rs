@@ -13,8 +13,7 @@
 //! planner, dataloader, executor and simulator each get their own process
 //! row, devices their own thread rows (compute and `net` tracks).
 //!
-//! A JSONL event log (`results/TRACE_e2e.jsonl`) and a Prometheus-style
-//! metric snapshot (`results/TRACE_e2e.prom`) are written alongside from
+//! A JSONL event log (`results/TRACE_e2e.jsonl`) is written alongside from
 //! the same event stream.
 
 use std::path::Path;
@@ -23,7 +22,7 @@ use dcp_bench::{trace_doc, trace_workload, Table};
 use dcp_core::{Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
-use dcp_obs::{critical_path, diff_attribution, to_jsonl, AnalysisScope, Phase, Registry};
+use dcp_obs::{critical_path, diff_attribution, to_jsonl, AnalysisScope, Phase};
 use dcp_sim::{simulate, trace_to_obs, Fault, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec};
 use serde_json::json;
@@ -190,12 +189,4 @@ fn main() {
     std::fs::write(&jsonl, to_jsonl(&outcome.events))
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", jsonl.display()));
     println!("[written {}]", jsonl.display());
-
-    let prom = dir.join("TRACE_e2e.prom");
-    std::fs::write(
-        &prom,
-        Registry::from_events(&outcome.events).render_prometheus(),
-    )
-    .unwrap_or_else(|e| panic!("cannot write {}: {e}", prom.display()));
-    println!("[written {}]", prom.display());
 }

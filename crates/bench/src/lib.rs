@@ -308,7 +308,7 @@ pub struct DivisionOverlap {
 /// reductions, copies and straggle time all keep the device busy). Trailing
 /// activity after the last attention call is charged to the last division,
 /// mirroring [`dcp_sched::PlanReport`]'s division accounting.
-pub fn division_overlap(trace: &[TraceEvent]) -> Vec<DivisionOverlap> {
+pub(crate) fn division_overlap(trace: &[TraceEvent]) -> Vec<DivisionOverlap> {
     let n = trace.iter().map(|e| e.device).max().map_or(0, |d| d + 1);
     let mut out = Vec::new();
     for d in 0..n {

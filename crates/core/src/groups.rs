@@ -26,7 +26,7 @@ pub struct GroupedPlan {
 
 impl GroupedPlan {
     /// Per-group total attention FLOPs.
-    pub fn group_flops(&self) -> Vec<u64> {
+    pub(crate) fn group_flops(&self) -> Vec<u64> {
         self.plans.iter().map(|p| p.layout.total_flops()).collect()
     }
 

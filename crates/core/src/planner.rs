@@ -547,9 +547,9 @@ impl Planner {
     /// pass it here so planner spans correlate with executor/sim spans).
     ///
     /// The stages, in order: exact-cache lookup, block layout, the
-    /// incremental path when a near-hit seed exists ([`Call::try_warm`]),
-    /// else the fallback chain ([`Call::walk_tiers`]), then passes,
-    /// verification and caching ([`Call::finish`]).
+    /// incremental path when a near-hit seed exists (`Call::try_warm`),
+    /// else the fallback chain (`Call::walk_tiers`), then passes,
+    /// verification and caching (`Call::finish`).
     pub fn plan_for_iter(
         &self,
         seqs: &[(u32, MaskSpec)],
@@ -699,7 +699,7 @@ impl Planner {
     /// `q_bytes + o_bytes` — identical pin sets, so they are merged) and one
     /// for KV (weight `kv_bytes`), each connecting the token vertex to the
     /// consuming computation blocks. Each computation block is labelled with
-    /// its tile of the block grid ([`tile_side`]), which the partitioner's
+    /// its tile of the block grid (`tile_side`), which the partitioner's
     /// coarsening contracts before it matches anything.
     pub fn build_hypergraph(layout: &BatchLayout) -> Hypergraph {
         let nt = layout.token_blocks.len();
@@ -1292,8 +1292,8 @@ impl<'a> Call<'a> {
             });
         }
         if let Err(diag) = verify_plan(&layout, &placement, &plan) {
-            // Flight-recorder trigger: a postmortem bundle captures the
-            // events leading up to the illegal stream.
+            // On the trace at the device it names, after the events that
+            // led up to the illegal stream.
             self.emit(|| {
                 let ev = Event::instant(ObsSource::Planner, "verify_diagnostic")
                     .with_label(diag.to_string());

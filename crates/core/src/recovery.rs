@@ -278,10 +278,9 @@ impl RecoveryPlanner {
         self
     }
 
-    /// Attaches a fault estimate (e.g. from
-    /// [`crate::estimate_fault_spec`]): re-shard targets are scaled by each
+    /// Attaches a fault estimate: re-shard targets are scaled by each
     /// survivor's estimated health — straggler slowdowns shrink its flop
-    /// target, degraded or flapping incident links its byte target. A
+    /// target, degraded or flapping links its byte target. A
     /// healthy or empty spec leaves every target byte-identical to the
     /// fault-blind path.
     #[must_use]

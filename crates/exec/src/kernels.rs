@@ -9,9 +9,9 @@
 //! summed in which order (DESIGN.md §7, "Kernel summation order"):
 //!
 //! - every product against a key (`q·k`, `dO·v`) runs over a tile-major
-//!   copy of the KV block, [`TILE`] keys at a time with `d` as the outer
+//!   copy of the KV block, `TILE` keys at a time with `d` as the outer
 //!   loop, so each lane still adds `d = 0, 1, …` in order while the lanes
-//!   are independent, and a tile is loaded once for the [`PAIR`] query heads
+//!   are independent, and a tile is loaded once for the `PAIR` query heads
 //!   that share its KV head;
 //! - every update of a query-side row (`PV`, `dQ`) holds a piece of the row
 //!   in registers while it walks the keys in ascending order, and every
@@ -20,13 +20,13 @@
 //! - a query row's allowed keys are its mask's two spans clipped to the KV
 //!   block, never a per-key test;
 //! - the hot bodies are compiled once per usual head dim and once generic;
-//! - all buffers come from one thread-local [`Scratch`];
+//! - all buffers come from one thread-local `Scratch`;
 //! - every exponential is the crate's own [`exp`]: f32 multiplies, adds and
 //!   integer operations that vectorize with the loop around them.
 //!
 //! That one source is compiled at two vector widths (DESIGN.md §7, "One
 //! source, two widths"): the baseline every target has, and on `x86_64` an
-//! AVX2 copy that [`run`] takes, per call, when the CPU has it. A wider
+//! AVX2 copy that `run` takes, per call, when the CPU has it. A wider
 //! vector only holds more of the independent lanes above, and no fused
 //! multiply-add is ever written or enabled, so every lane is the same
 //! sequence of the same roundings at either width: the outputs are
@@ -583,7 +583,7 @@ pub(crate) fn merge_into(o: &mut [f32], lse: &mut [f32], o2: &[f32], lse2: &[f32
     }
 }
 
-/// [`merge_into`] on copies: merges two normalized partial outputs of the
+/// `merge_into` on copies: merges two normalized partial outputs of the
 /// same rows into a new one.
 pub fn merge_outputs(
     o1: &[f32],

@@ -10,8 +10,8 @@
 //! - [`kernels`]: blockwise online-softmax attention forward, the
 //!   rescale-and-merge reduction, and the exact FlashAttention-style
 //!   backward for one (Q-block, KV-block) pair.
-//! - [`reference`]: dense masked multi-head (GQA) attention forward and
-//!   backward, the ground truth.
+//! - [`reference`](mod@reference): dense masked multi-head (GQA)
+//!   attention forward and backward, the ground truth.
 //! - [`executor`]: the numeric backend of the stream walker
 //!   ([`dcp_sched::stream`]) for [`dcp_sched::ExecutionPlan`]s. Each device
 //!   may only read data it owns or data that arrived through a waited

@@ -581,7 +581,7 @@ impl TinyTransformer {
 
 /// Generates a deterministic synthetic token stream (an order-1 Markov chain
 /// with a few strong transitions, so there is structure to learn).
-pub fn synthetic_tokens(vocab: usize, len: usize, seed: u64) -> Vec<usize> {
+pub(crate) fn synthetic_tokens(vocab: usize, len: usize, seed: u64) -> Vec<usize> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut tokens = Vec::with_capacity(len);
     let mut cur = 0usize;

@@ -25,7 +25,7 @@
 //! it stood when the wave began, then the wave's proposals are committed in
 //! wave order; vertices whose proposal was claimed first re-propose in a
 //! later round. A matched vertex never becomes unmatched, so each level
-//! keeps, per edge, the list of pins not yet seen matched ([`ActivePins`])
+//! keeps, per edge, the list of pins not yet seen matched (`ActivePins`)
 //! and a scan drops the matched ones for good: later proposals over the
 //! same edge no longer visit them.
 
@@ -392,10 +392,10 @@ pub fn contract(hg: &Hypergraph, fine_to_coarse: &[u32], nc: u32) -> Hypergraph 
 
 /// Coarsens until `target` vertices or convergence; returns the levels from
 /// finest to coarsest. A labelled `hg` gets the structural level
-/// ([`label_level`]) first; matching does the rest. With `parts`, only
+/// (`label_level`) first; matching does the rest. With `parts`, only
 /// vertices in the same part are merged (the V-cycle variant; the returned
 /// levels then preserve the partition under projection).
-pub fn coarsen_to(
+pub(crate) fn coarsen_to(
     hg: &Hypergraph,
     target: usize,
     max_cluster: VertexWeight,

@@ -103,7 +103,7 @@ impl HypergraphBuilder {
 
     /// Gives vertex `v` the cluster label `label`: coarsening contracts the
     /// vertices that share one into a single vertex before it matches
-    /// anything ([`crate::coarsen::coarsen_to`]). Vertices never labelled
+    /// anything ([`crate::coarsen`]). Vertices never labelled
     /// stay single, and a graph with no label at all coarsens by matching
     /// alone.
     ///

@@ -279,7 +279,7 @@ fn grow(hg: &Hypergraph, k: u32, caps: &Caps, rng: &mut SmallRng) -> Vec<u32> {
 }
 
 /// Whether `assignment` satisfies the balance caps.
-pub fn is_balanced(hg: &Hypergraph, assignment: &[u32], k: u32, caps: &Caps) -> bool {
+pub(crate) fn is_balanced(hg: &Hypergraph, assignment: &[u32], k: u32, caps: &Caps) -> bool {
     hg.part_weights(assignment, k)
         .iter()
         .enumerate()
@@ -290,7 +290,7 @@ pub fn is_balanced(hg: &Hypergraph, assignment: &[u32], k: u32, caps: &Caps) -> 
 }
 
 /// Runs the portfolio and returns the best assignment found.
-pub fn initial_partition(
+pub(crate) fn initial_partition(
     hg: &Hypergraph,
     k: u32,
     caps: &Caps,

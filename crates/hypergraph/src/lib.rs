@@ -57,6 +57,6 @@ pub mod refine;
 pub use graph::{HgArena, Hypergraph, HypergraphBuilder, VertexWeight};
 pub use initial::Caps;
 pub use partitioner::{
-    balance_caps_full, partition, partition_warm_with_stats, partition_with_stats, Partition,
-    PartitionConfig, PartitionStats, PartitionWork,
+    partition, partition_warm_with_stats, partition_with_stats, Partition, PartitionConfig,
+    PartitionStats, PartitionWork,
 };

@@ -176,7 +176,7 @@ impl PartitionStats {
 /// slack: without it, a tolerance smaller than a single block's share of a
 /// part (e.g. the tight data tolerance with large block sizes) would make
 /// the instance infeasible no matter how the blocks are placed.
-pub fn balance_caps(hg: &Hypergraph, cfg: &PartitionConfig) -> VertexWeight {
+pub(crate) fn balance_caps(hg: &Hypergraph, cfg: &PartitionConfig) -> VertexWeight {
     let total = hg.total_weight();
     let maxv = hg.max_vertex_weight();
     let mut caps = [0u64; 2];
@@ -194,7 +194,7 @@ pub fn balance_caps(hg: &Hypergraph, cfg: &PartitionConfig) -> VertexWeight {
 /// `cap[p][d] = max(ceil((1 + eps[d]) * t[p][d]), t[p][d] + max_vertex[d])`,
 /// keeping the same one-vertex granularity slack per part. Without targets
 /// this is exactly the uniform cap.
-pub fn balance_caps_full(hg: &Hypergraph, cfg: &PartitionConfig) -> Caps {
+pub(crate) fn balance_caps_full(hg: &Hypergraph, cfg: &PartitionConfig) -> Caps {
     match &cfg.part_targets {
         None => Caps::uniform(balance_caps(hg, cfg)),
         Some(targets) => {

@@ -19,7 +19,7 @@
 //! Moves are drawn from a [`GainCache`] — per-vertex removal benefits and
 //! per-(vertex, part) insertion penalties that are **updated incrementally**
 //! on every move (delta-gain updates over the `lambda` table) — through an
-//! addressable max-priority queue ([`MoveHeap`]) whose keys are adjusted in
+//! addressable max-priority queue (`MoveHeap`) whose keys are adjusted in
 //! place instead of re-pushed. This replaces the original lazily-revalidated
 //! `BinaryHeap`, which recomputed every popped vertex's best move from
 //! scratch (`O(deg · k)` per pop) and accumulated stale entries for locked
@@ -561,7 +561,7 @@ pub fn refine(
 /// balanced or no improving move exists. Chooses, at each step, the move that
 /// minimizes the connectivity cost increase per unit of overload relieved.
 /// Returns whether the final assignment satisfies the caps.
-pub fn rebalance(hg: &Hypergraph, assignment: &mut [u32], k: u32, caps: &Caps) -> bool {
+pub(crate) fn rebalance(hg: &Hypergraph, assignment: &mut [u32], k: u32, caps: &Caps) -> bool {
     let mut state = RefineState::new(hg, assignment, k);
     // Bounded number of moves to guarantee termination.
     let max_moves = hg.num_vertices() * 2;

@@ -3,18 +3,13 @@
 //! One structured event model for the whole workspace: the planner,
 //! look-ahead dataloader, numerical executor and cluster simulator all
 //! emit [`Event`]s into an [`ObsSink`], and the exporters turn the merged
-//! stream into a multi-source Chrome trace, a JSONL log, or a
-//! Prometheus-style metric snapshot.
+//! stream into a multi-source Chrome trace or a JSONL log.
 //!
-//! On top of recording, the crate *analyzes* streams (DESIGN.md §13):
+//! On top of recording, the crate *attributes* streams (DESIGN.md §13):
 //! [`critical_path`] reconstructs the causal chain that ends an
 //! iteration and attributes the makespan to compute / exposed comm /
-//! wait / straggle / recovery; [`DetectorBank`] runs streaming
-//! EWMA+CUSUM anomaly detectors that turn slow devices and degraded
-//! links into typed [`Incident`]s; and [`FlightRecorder`] is an
-//! always-on bounded ring sink that freezes schema-versioned
-//! [`PostmortemBundle`]s when a verifier diagnostic, tier fallback,
-//! recovery or gate failure fires.
+//! wait / straggle / recovery, and [`diff_attribution`] blames the
+//! difference between two such attributions on devices and buckets.
 //!
 //! Design rules (see DESIGN.md §8):
 //!
@@ -44,24 +39,14 @@
 //! ```
 
 mod analysis;
-mod detect;
 mod event;
 mod export;
-mod recorder;
-mod registry;
 mod sink;
 
 pub use analysis::{
     critical_path, diff_attribution, AnalysisScope, Attribution, AttributionDelta, Bucket,
     DeviceAttribution, DeviceDelta, DivisionAttribution, PathStep,
 };
-pub use detect::{
-    DetectorBank, DetectorConfig, GaugeDetector, Incident, IncidentKind, KernelDurationDetector,
-};
 pub use event::{identities, Event, EventKind, Phase, Source};
 pub use export::{chrome_trace_events, to_chrome_trace, to_jsonl};
-pub use recorder::{
-    FlightRecorder, PostmortemBundle, RecorderConfig, DEFAULT_TRIGGERS, POSTMORTEM_SCHEMA_VERSION,
-};
-pub use registry::{Histogram, Registry, DURATION_BUCKETS};
 pub use sink::{NoopSink, ObsHandle, ObsSink, RecordingSink, Span, NOOP};

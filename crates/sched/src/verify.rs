@@ -174,7 +174,7 @@ pub fn verify_plan(
 }
 
 /// Verifies one phase under explicit recovery semantics: the walker's
-/// executability rules plus the placement conventions of [`Placed`].
+/// executability rules plus the placement conventions of `Placed`.
 ///
 /// # Errors
 ///
@@ -626,22 +626,20 @@ mod tests {
         assert_eq!(err.kind, ViolationKind::SelfTransfer);
     }
 
+    /// Removes the first forward instruction `pick` matches; returns its
+    /// device.
+    fn drop_first_fwd(plan: &mut ExecutionPlan, pick: impl Fn(&Instr) -> bool) -> usize {
+        let (d, i) = (plan.fwd.devices.iter().enumerate())
+            .find_map(|(d, s)| s.instrs.iter().position(&pick).map(|i| (d, i)))
+            .expect("the ring placement has one");
+        plan.fwd.devices[d].instrs.remove(i);
+        d
+    }
+
     #[test]
     fn rejects_dropped_attn_as_missing_state() {
         let (l, p, mut plan) = small_case();
-        let (d, i) = plan
-            .fwd
-            .devices
-            .iter()
-            .enumerate()
-            .find_map(|(d, s)| {
-                s.instrs
-                    .iter()
-                    .position(|ins| matches!(ins, Instr::Attn { .. }))
-                    .map(|i| (d, i))
-            })
-            .unwrap();
-        plan.fwd.devices[d].instrs.remove(i);
+        drop_first_fwd(&mut plan, |ins| matches!(ins, Instr::Attn { .. }));
         let err = verify_plan(&l, &p, &plan).unwrap_err();
         assert!(
             matches!(
@@ -652,6 +650,15 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn rejects_dropped_comm_wait() {
+        let (l, p, mut plan) = small_case();
+        let d = drop_first_fwd(&mut plan, |ins| matches!(ins, Instr::CommWait(_)));
+        let err = verify_plan(&l, &p, &plan).unwrap_err();
+        assert_eq!(err.kind, ViolationKind::MissingInput, "{err}");
+        assert_eq!(err.device, Some(d as u32), "{err}");
     }
 
     #[test]

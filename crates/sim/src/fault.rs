@@ -218,56 +218,6 @@ impl FaultSpec {
     }
 }
 
-/// Folds detector output (`dcp-obs` [`dcp_obs::Incident`]s) into an
-/// *estimated* [`FaultSpec`] the planner's fault-aware placement can
-/// consume — the observe→detect→replan loop. Straggler incidents become
-/// [`Fault::Straggler`] (slowdown clamped to ≥ 1), degraded-link
-/// incidents become [`Fault::DegradedLink`]; tier-level
-/// [`dcp_obs::IncidentKind::BandwidthDrop`]s carry no link coordinates
-/// and are skipped. Repeated incidents on the same device/link keep the
-/// *worst* estimate rather than composing multiplicatively (each
-/// incident re-estimates the same underlying fault).
-pub fn estimate_fault_spec(incidents: &[dcp_obs::Incident], seed: u64) -> FaultSpec {
-    let mut spec = FaultSpec {
-        seed,
-        faults: Vec::new(),
-    };
-    for inc in incidents {
-        match &inc.kind {
-            dcp_obs::IncidentKind::Straggler { device, slowdown } => {
-                let slowdown = slowdown.max(1.0);
-                match spec
-                    .faults
-                    .iter_mut()
-                    .find(|f| matches!(f, Fault::Straggler { device: d, .. } if *d == *device))
-                {
-                    Some(Fault::Straggler { slowdown: s, .. }) => *s = s.max(slowdown),
-                    _ => spec.faults.push(Fault::Straggler {
-                        device: *device,
-                        slowdown,
-                    }),
-                }
-            }
-            dcp_obs::IncidentKind::DegradedLink { src, dst, factor } => {
-                let factor = factor.clamp(1e-9, 1.0);
-                match spec.faults.iter_mut().find(|f| {
-                    matches!(f, Fault::DegradedLink { src: s, dst: d, .. }
-                        if *s == *src && *d == *dst)
-                }) {
-                    Some(Fault::DegradedLink { factor: f, .. }) => *f = f.min(factor),
-                    _ => spec.faults.push(Fault::DegradedLink {
-                        src: *src,
-                        dst: *dst,
-                        factor,
-                    }),
-                }
-            }
-            dcp_obs::IncidentKind::BandwidthDrop { .. } => {}
-        }
-    }
-    spec
-}
-
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
@@ -456,47 +406,6 @@ mod tests {
         let d = jitter(43, 0, 0);
         assert_ne!(a.to_bits(), c.to_bits());
         assert_ne!(a.to_bits(), d.to_bits());
-    }
-
-    #[test]
-    fn estimated_spec_keeps_worst_incident_per_site() {
-        use dcp_obs::{Incident, IncidentKind};
-        let mk = |kind: IncidentKind| Incident {
-            kind,
-            at_s: 0.0,
-            samples: 3,
-            score: 2.0,
-        };
-        let incidents = vec![
-            mk(IncidentKind::Straggler {
-                device: 0,
-                slowdown: 3.0,
-            }),
-            mk(IncidentKind::Straggler {
-                device: 0,
-                slowdown: 4.5,
-            }),
-            mk(IncidentKind::DegradedLink {
-                src: 1,
-                dst: 0,
-                factor: 0.3,
-            }),
-            mk(IncidentKind::DegradedLink {
-                src: 1,
-                dst: 0,
-                factor: 0.1,
-            }),
-            // No coordinates: skipped.
-            mk(IncidentKind::BandwidthDrop {
-                label: "tier0".into(),
-                factor: 0.5,
-            }),
-        ];
-        let spec = estimate_fault_spec(&incidents, 7);
-        assert_eq!(spec.seed, 7);
-        assert_eq!(spec.faults.len(), 2);
-        assert_eq!(spec.slowdowns(2), vec![4.5, 1.0]);
-        assert_eq!(spec.link_factors(), vec![(1, 0, 0.1)]);
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl TopologySpec {
     /// A two-level leaf/spine fabric where each leaf switch serves
     /// `nodes_per_leaf` nodes and its uplink into the spine is oversubscribed
     /// by `oversub` (uplink = nodes_per_leaf * node_nic_bw / oversub).
-    pub fn oversubscribed_spine(
+    pub(crate) fn oversubscribed_spine(
         nodes_per_leaf: u32,
         node_nic_bw: f64,
         oversub: f64,

