@@ -14,9 +14,7 @@
 //!   accumulators are salvaged at the reduction frontier.
 //!
 //! Every run executes the patched plan numerically and compares the merged
-//! output (or gradients) **bitwise** against the unfaulted run. Half the
-//! forward runs plan recovery fault-aware (a straggler and a degraded link
-//! among the survivors) to exercise the `FaultSpec`-adjusted water-fill.
+//! output (or gradients) **bitwise** against the unfaulted run.
 //!
 //! The summary is written to `BENCH_robustness.json` (a CI artifact) under a
 //! `fault_campaign` key, and the process exits 1 on any bitwise mismatch,
@@ -41,7 +39,6 @@ use dcp_exec::{
 };
 use dcp_mask::MaskSpec;
 use dcp_sched::Instr;
-use dcp_sim::{Fault, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec, DcpError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -107,31 +104,6 @@ fn bits_of(outs: &HashMap<TokenBlockId, BlockOut>) -> Vec<u32> {
     bits
 }
 
-/// A FaultSpec degrading two random survivors (straggler + slow link),
-/// exercising the fault-aware water-fill without changing numerics.
-fn survivor_faults(rng: &mut SmallRng, failed: u32) -> FaultSpec {
-    let mut pick = || loop {
-        let d = rng.gen_range(0..DEVICES);
-        if d != failed {
-            return d;
-        }
-    };
-    let straggler = pick();
-    let (src, dst) = (pick(), pick());
-    let mut faults = vec![Fault::Straggler {
-        device: straggler,
-        slowdown: 2.5,
-    }];
-    if src != dst {
-        faults.push(Fault::DegradedLink {
-            src,
-            dst,
-            factor: 0.4,
-        });
-    }
-    FaultSpec { seed: 1, faults }
-}
-
 #[derive(Default)]
 struct Tally {
     runs: u64,
@@ -167,7 +139,7 @@ impl Tally {
 /// One forward-phase campaign run. `depth2` selects a second kill;
 /// `mid_patch` places the second kill frontier inside the spliced shard
 /// (cascade) instead of inside the victim's own stream (concurrent).
-fn run_forward(seed: u64, depth2: bool, mid_patch: bool, fault_aware: bool, tally: &mut Tally) {
+fn run_forward(seed: u64, depth2: bool, mid_patch: bool, tally: &mut Tally) {
     let out = plan_batch(seed);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
     let d = out.plan.num_devices;
@@ -181,10 +153,7 @@ fn run_forward(seed: u64, depth2: bool, mid_patch: bool, fault_aware: bool, tall
     }
     let nd1 = fwd_divs(&out.plan.fwd.devices[dev1 as usize].instrs);
     let k1 = rng.gen_range(0..=nd1);
-    let mut rp = RecoveryPlanner::new(RecoveryConfig::default());
-    if fault_aware {
-        rp = rp.with_fault_spec(survivor_faults(&mut rng, dev1));
-    }
+    let rp = RecoveryPlanner::new(RecoveryConfig::default());
     let t0 = Instant::now();
     let patch1 = match rp.plan_recovery(
         &out,
@@ -374,10 +343,9 @@ fn main() {
     let mut backward = Tally::default();
     for i in 0..seeds_per {
         let seed = CAMPAIGN_SEED + i;
-        // Half the single-kill runs plan fault-aware.
-        run_forward(seed, false, false, i % 2 == 1, &mut single);
-        run_forward(seed + 100, true, false, false, &mut concurrent);
-        run_forward(seed + 200, true, true, i % 2 == 0, &mut cascade);
+        run_forward(seed, false, false, &mut single);
+        run_forward(seed + 100, true, false, &mut concurrent);
+        run_forward(seed + 200, true, true, &mut cascade);
         run_backward(seed + 300, &mut backward);
     }
 

@@ -8,7 +8,7 @@ use std::time::Instant;
 use dcp_blocks::{BatchLayout, BlockConfig, CompBlock, CompBlockId, TokenBlock, TokenBlockId};
 use dcp_hypergraph::{
     partition_warm_with_stats, partition_with_stats, HgArena, Hypergraph, HypergraphBuilder,
-    PartitionConfig, PartitionStats, PartitionWork, VertexWeight,
+    PartitionConfig, PartitionStats, PartitionWork,
 };
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event, ObsHandle, Source as ObsSource, Span};
@@ -16,7 +16,7 @@ use dcp_sched::{
     build_plan, verify_plan, ExecutionPlan, PassConfig, PassManager, PassOutcome, Placement,
     ScheduleConfig,
 };
-use dcp_sim::{simulate_plan, FaultSpec};
+use dcp_sim::simulate_plan;
 use dcp_types::{AttnSpec, ClusterSpec, DcpError, DcpResult, PlanTier};
 use serde::{Deserialize, Serialize};
 
@@ -68,12 +68,6 @@ pub struct PlannerConfig {
     /// estimate. `force_tier` skips the gate (there is no reference).
     #[serde(default = "default_max_fallback_regression")]
     pub max_fallback_regression: f64,
-    /// Known cluster degradations the placement should plan *around*:
-    /// straggler devices get proportionally less compute, devices behind
-    /// degraded or flapping links get proportionally fewer token blocks.
-    /// `None` (the default) places for a healthy cluster.
-    #[serde(default)]
-    pub fault_spec: Option<FaultSpec>,
     /// Dead-communication elimination over the rendered instruction
     /// streams (`dcp_sched::passes`), off by default. The scheduler emits
     /// no dead transfer, so the plan is the same either way; enabled
@@ -157,7 +151,6 @@ impl Default for PlannerConfig {
             force_tier: None,
             plan_cache: default_plan_cache(),
             max_fallback_regression: default_max_fallback_regression(),
-            fault_spec: None,
             passes: PassConfig::default(),
             incremental: IncrementalConfig::default(),
         }
@@ -416,9 +409,6 @@ pub struct Planner {
     /// every knob that can change a plan keys it and retuning a capacity
     /// alone forces no cold miss.
     sig_tail: String,
-    /// `cfg.fault_spec` as per-device `[compute, bytes]` capacity weights
-    /// ([`FaultSpec::capacity_weights`]); `None` plans for a healthy cluster.
-    capacity: Option<Vec<[f64; 2]>>,
     /// Finished plans by exact batch signature.
     exact: Arc<Mutex<Lru<PlanOutput>>>,
     /// Warm-start seeds by similarity key.
@@ -442,10 +432,6 @@ impl Planner {
         keyed.incremental.near_cache = 0;
         let sig_tail = serde_json::to_string(&(&cluster, &keyed))
             .expect("planner signature serialization cannot fail");
-        let capacity = cfg
-            .fault_spec
-            .as_ref()
-            .and_then(|s| s.capacity_weights(cluster.num_devices() as usize));
         Planner {
             exact: Arc::new(Mutex::new(Lru::new(cfg.plan_cache))),
             near: Arc::new(Mutex::new(Lru::new(cfg.incremental.near_cache))),
@@ -453,7 +439,6 @@ impl Planner {
             attn,
             cfg,
             sig_tail,
-            capacity,
             arena: Arc::new(Mutex::new(HgArena::default())),
             obs: ObsHandle::noop(),
         }
@@ -596,14 +581,11 @@ impl Planner {
         );
         call.times.block_gen = span.finish();
         let layout = layout?;
-        // Pinned tiers and fault-aware placements always plan cold (a forced
-        // tier is an explicit user decision; fault targets change the caps
-        // the seed was balanced under).
+        // Pinned tiers always plan cold (a forced tier is an explicit user
+        // decision).
         let warm = seed
             .filter(|e| {
-                self.cfg.force_tier.is_none()
-                    && e.num_devices == self.cluster.num_devices()
-                    && self.capacity.is_none()
+                self.cfg.force_tier.is_none() && e.num_devices == self.cluster.num_devices()
             })
             .and_then(|e| call.try_warm(&layout, &e));
         match warm {
@@ -832,19 +814,6 @@ impl Planner {
         }
     }
 
-    /// Splits `totals` across parts proportionally to `weights` (per
-    /// dimension, floored at 1 so downstream caps stay positive).
-    fn targets_from_weights(totals: VertexWeight, weights: &[[f64; 2]]) -> Vec<VertexWeight> {
-        let mut t = vec![[0u64; 2]; weights.len()];
-        for dim in 0..2 {
-            let sum: f64 = weights.iter().map(|w| w[dim]).sum();
-            for (ti, w) in t.iter_mut().zip(weights) {
-                ti[dim] = ((totals[dim] as f64 * w[dim] / sum).round() as u64).max(1);
-            }
-        }
-        t
-    }
-
     /// The vertex → device `assignment` of a placement hypergraph (token
     /// blocks first, then comp blocks) as a [`Placement`].
     fn split_placement(&self, layout: &BatchLayout, assignment: &[u32]) -> Placement {
@@ -868,14 +837,13 @@ impl Planner {
         let builder = arena().builder(vertices);
         let hg = Self::fill_builder(builder, layout);
         let levels = self.placement_levels();
-        let weights = self.capacity.as_deref();
-        let placed = self
-            .place_levels(&hg, &levels, self.cfg.seed, weights, 0, warm)
-            .map(|(assignment, balanced, stats)| {
+        let placed = self.place_levels(&hg, &levels, self.cfg.seed, warm).map(
+            |(assignment, balanced, stats)| {
                 let cost = hg.connectivity_cost(&assignment, self.cluster.num_devices());
                 let placement = self.split_placement(layout, &assignment);
                 (placement, balanced, stats, cost)
-            });
+            },
+        );
         arena().recycle(hg);
         placed
     }
@@ -914,12 +882,10 @@ impl Planner {
     /// Placement through the level hierarchy: partition this level's graph
     /// `parts` ways (minimizing the traffic that would cross this fabric
     /// boundary), then recurse per part on the induced subgraph with a
-    /// per-part derived seed. `weights` are per-device fault capacities over
-    /// the *global* device space; `base` is this subproblem's first global
-    /// device. With `warm` — a seeded device per vertex — every level
-    /// refines the seed divided down to its granularity instead of
-    /// partitioning from scratch; subgraphs, epsilons and per-part seeds are
-    /// the same either way, so a converged seed reproduces the cold
+    /// per-part derived seed. With `warm` — a seeded device per vertex —
+    /// every level refines the seed divided down to its granularity instead
+    /// of partitioning from scratch; subgraphs, epsilons and per-part seeds
+    /// are the same either way, so a converged seed reproduces the cold
     /// placement exactly. The per-part subproblems are independent — solved
     /// on the rayon pool (the paper parallelizes planning across CPU cores,
     /// Sec. 6.1) and merged in part order, so the result is
@@ -929,8 +895,6 @@ impl Planner {
         hg: &Hypergraph,
         levels: &[(u32, f64)],
         seed: u64,
-        weights: Option<&[[f64; 2]]>,
-        base: usize,
         warm: Option<&[u32]>,
     ) -> DcpResult<(Vec<u32>, bool, PartitionStats)> {
         type LocalPartition = (Vec<u32>, Vec<u32>, bool, PartitionStats);
@@ -940,23 +904,6 @@ impl Planner {
             .with_epsilon(eps)
             .with_seed(seed);
         pc.refine_enabled = self.cfg.refine;
-        if let Some(w) = weights {
-            // A part's capacity is the sum of its member devices', re-scaled
-            // to the load actually present in this subgraph.
-            let totals = hg.part_weights(&vec![0u32; hg.num_vertices()], 1)[0];
-            let span = stride as usize;
-            let pw: Vec<[f64; 2]> = (0..parts as usize)
-                .map(|p| {
-                    let mut s = [0.0f64; 2];
-                    for j in 0..span {
-                        s[0] += w[base + p * span + j][0];
-                        s[1] += w[base + p * span + j][1];
-                    }
-                    s
-                })
-                .collect();
-            pc = pc.with_part_targets(Self::targets_from_weights(totals, &pw));
-        }
         let (part, mut stats) = match warm {
             // A seeded device's part at this level is `device / stride`.
             Some(devs) => {
@@ -994,8 +941,6 @@ impl Planner {
                     &sub,
                     &levels[1..],
                     seed.wrapping_add(p as u64 + 1),
-                    weights,
-                    base + p as usize * stride as usize,
                     local_seed.as_deref(),
                 )?;
                 Ok((map, local, lb, ls))
@@ -1652,71 +1597,6 @@ mod tests {
         );
         let out = p.plan(&[(16384, MaskSpec::Causal)]).unwrap();
         assert_eq!(out.tier, PlanTier::Static);
-    }
-
-    #[test]
-    fn fault_aware_placement_shifts_load_off_straggler() {
-        use dcp_sim::Fault;
-        let seqs = vec![(32768, MaskSpec::Causal), (32768, MaskSpec::Causal)];
-        let mk = |spec: Option<FaultSpec>| {
-            Planner::new(
-                ClusterSpec::p4de(1),
-                AttnSpec::paper_micro(),
-                PlannerConfig {
-                    block_size: 1024,
-                    fault_spec: spec,
-                    ..Default::default()
-                },
-            )
-        };
-        let healthy = mk(None).plan(&seqs).unwrap();
-        let spec = FaultSpec {
-            seed: 0,
-            faults: vec![Fault::Straggler {
-                device: 0,
-                slowdown: 4.0,
-            }],
-        };
-        let aware = mk(Some(spec)).plan(&seqs).unwrap();
-        assert_eq!(
-            aware.tier,
-            PlanTier::Partitioned,
-            "{:?}",
-            aware.fallback_reason
-        );
-        let hl = healthy.placement.comp_loads(&healthy.layout);
-        let al = aware.placement.comp_loads(&aware.layout);
-        assert!(
-            (al[0] as f64) < 0.6 * hl[0] as f64,
-            "straggler kept its load: {} vs healthy {}",
-            al[0],
-            hl[0]
-        );
-    }
-
-    #[test]
-    fn empty_fault_spec_places_identically_to_none() {
-        let seqs = vec![(16384, MaskSpec::Causal), (4096, MaskSpec::Causal)];
-        let mk = |spec: Option<FaultSpec>| {
-            Planner::new(
-                ClusterSpec::p4de(1),
-                AttnSpec::paper_micro(),
-                PlannerConfig {
-                    block_size: 1024,
-                    fault_spec: spec,
-                    ..Default::default()
-                },
-            )
-        };
-        let a = mk(None).plan(&seqs).unwrap();
-        let b = mk(Some(FaultSpec {
-            seed: 0,
-            faults: Vec::new(),
-        }))
-        .plan(&seqs)
-        .unwrap();
-        assert_eq!(a.placement, b.placement);
-        assert_eq!(a.plan, b.plan);
     }
 
     #[test]

@@ -53,12 +53,6 @@
 //! cascade depth: two dying streams may each hold a *distinct* accumulator
 //! for the same token block (the owner's reduce state vs. another stream's
 //! outstanding partial), and merging them would change the reduction tree.
-//!
-//! With [`RecoveryPlanner::with_fault_spec`] the re-shard targets are
-//! scaled by estimated survivor health (straggler slowdowns shrink a
-//! survivor's flop target, degraded links its byte target), closing the
-//! detect → estimate → place loop inside recovery itself. A healthy or
-//! absent spec leaves the targets byte-identical to the fault-blind path.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -71,7 +65,6 @@ use dcp_sched::{
     ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx, ReduceItem,
     ScheduleConfig, Transfer,
 };
-use dcp_sim::{FaultSpec, MIN_CAPACITY_WEIGHT};
 use dcp_types::{DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
@@ -198,7 +191,6 @@ struct Unit {
 pub struct RecoveryPlanner {
     cfg: RecoveryConfig,
     obs: ObsHandle,
-    fault_spec: Option<FaultSpec>,
 }
 
 /// One dying logical stream: its state at the execution frontier, then its
@@ -265,7 +257,6 @@ impl RecoveryPlanner {
         RecoveryPlanner {
             cfg,
             obs: ObsHandle::noop(),
-            fault_spec: None,
         }
     }
 
@@ -276,29 +267,6 @@ impl RecoveryPlanner {
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// Attaches a fault estimate: re-shard targets are scaled by each
-    /// survivor's estimated health — straggler slowdowns shrink its flop
-    /// target, degraded or flapping links its byte target. A
-    /// healthy or empty spec leaves every target byte-identical to the
-    /// fault-blind path.
-    #[must_use]
-    pub fn with_fault_spec(mut self, spec: FaultSpec) -> Self {
-        self.fault_spec = Some(spec);
-        self
-    }
-
-    /// Survivor capacity weights `[compute, bytes]` over `n` physical
-    /// devices ([`FaultSpec::capacity_weights`]), `None` without a spec or
-    /// when it changes nothing. Compute is floored like bytes: a crawling
-    /// survivor keeps a sliver of capacity so its target stays positive.
-    fn capacity(&self, n: u32) -> Option<Vec<[f64; 2]>> {
-        let mut w = self.fault_spec.as_ref()?.capacity_weights(n as usize)?;
-        for x in &mut w {
-            x[0] = x[0].max(MIN_CAPACITY_WEIGHT);
-        }
-        Some(w)
     }
 
     /// Produces the shrink-and-reshard patch for a forward-phase `ev`
@@ -481,9 +449,7 @@ impl RecoveryPlanner {
         // Each dying stream with units gets its own block of fresh shard
         // streams (one per survivor). Targets water-fill the shortfall
         // between the post-recovery ideal and what each survivor already
-        // has queued — scaled by estimated survivor health when a fault
-        // spec is attached.
-        let caps = self.capacity(d_total);
+        // has queued.
         let k_own = views[0].k;
         let mut queued: Vec<u64> = survivors
             .iter()
@@ -504,7 +470,7 @@ impl RecoveryPlanner {
             ctx.shard_hosts.extend(&survivors);
             let flops: u64 = view.units.iter().map(|u| u.flops).sum();
             let bytes: u64 = view.units.iter().map(|u| unit_bytes(layout, u)).sum();
-            let targets = recovery_targets(&queued, &survivors, flops, bytes, caps.as_deref());
+            let targets = recovery_targets(&queued, flops, bytes);
             // Backward units are whole dQ∼dKV components — few and coarse —
             // so they water-fill directly, as a lone survivor's must.
             view.part = if backward || survivors.len() == 1 {
@@ -532,8 +498,7 @@ impl RecoveryPlanner {
             true => None,
             false => {
                 let from = bwd_base.unwrap_or(base.origin);
-                let caps = caps.as_deref();
-                Some(self.replan_backward(layout, from, &views, &survivors, failed, caps)?)
+                Some(self.replan_backward(layout, from, &views, &survivors, failed)?)
             }
         };
 
@@ -622,7 +587,6 @@ impl RecoveryPlanner {
         views: &[DyingView],
         survivors: &[u32],
         failed: u32,
-        caps: Option<&[[f64; 2]]>,
     ) -> DcpResult<(Placement, ExecutionPlan)> {
         let mut placement = from.clone();
         for (u, j, _) in views.iter().flat_map(DyingView::placed) {
@@ -646,11 +610,14 @@ impl RecoveryPlanner {
             }
         }
         // The dead rank's *executed* blocks still need a backward home;
-        // waterfill them over the survivors by total flop load (effective
-        // time when a fault spec scales survivor speed).
+        // waterfill them over the survivors by total flop load, ties toward
+        // the lowest rank.
         for (c, dev) in placement.comp_to_dev.iter_mut().enumerate() {
             if *dev == failed {
-                *dev = pick_least_loaded(survivors, &load, caps);
+                *dev = *survivors
+                    .iter()
+                    .min_by_key(|&&s| (load[s as usize], s))
+                    .expect("nonempty survivors");
                 load[*dev as usize] += layout.comp_blocks[c].flops;
             }
         }
@@ -1242,92 +1209,22 @@ fn remaining_flops(instrs: &[Instr], k: u32) -> u64 {
         .sum()
 }
 
-/// Per-shard `[flops, bytes]` targets for the residual re-shard.
-///
-/// Without a fault spec (`caps == None`) each survivor's flop target is its
-/// shortfall against the water level — the clean planner's equal-finish
-/// heuristic — and bytes split evenly. With a fault spec, shortfalls are
-/// scaled by each survivor's effective compute rate (straggler-slowed ranks
-/// absorb less residual work) and bytes follow the survivors' effective
-/// link weights, mirroring [`Planner::plan`]'s fault-aware targets.
-fn recovery_targets(
-    queued: &[u64],
-    survivors: &[u32],
-    residual_total: u64,
-    bytes_total: u64,
-    caps: Option<&[[f64; 2]]>,
-) -> Vec<VertexWeight> {
-    let s_count = survivors.len();
+/// Per-shard `[flops, bytes]` targets for the residual re-shard: each
+/// survivor's flop target is its shortfall against the water level — the
+/// clean planner's equal-finish heuristic — and bytes split evenly.
+fn recovery_targets(queued: &[u64], residual_total: u64, bytes_total: u64) -> Vec<VertexWeight> {
+    let s_count = queued.len();
     let total_queued: u64 = queued.iter().sum();
     let ideal = (total_queued + residual_total) as f64 / s_count as f64;
-    match caps {
-        None => queued
-            .iter()
-            .map(|&r| {
-                [
-                    (ideal - r as f64).max(1.0).round() as u64,
-                    (bytes_total / s_count as u64).max(1),
-                ]
-            })
-            .collect(),
-        Some(caps) => {
-            // Effective finish-together water level: each survivor should
-            // end up with work proportional to its compute rate.
-            let wsum: f64 = survivors.iter().map(|&s| caps[s as usize][0]).sum();
-            let raw: Vec<f64> = survivors
-                .iter()
-                .zip(queued)
-                .map(|(&s, &r)| {
-                    let w = caps[s as usize][0];
-                    ((total_queued + residual_total) as f64 * w / wsum - r as f64).max(0.0)
-                })
-                .collect();
-            let rsum: f64 = raw.iter().sum();
-            let flops: Vec<f64> = if rsum > 0.0 {
-                raw.iter()
-                    .map(|&x| x * residual_total as f64 / rsum)
-                    .collect()
-            } else {
-                survivors
-                    .iter()
-                    .map(|&s| residual_total as f64 * caps[s as usize][0] / wsum)
-                    .collect()
-            };
-            let nsum: f64 = survivors.iter().map(|&s| caps[s as usize][1]).sum();
-            survivors
-                .iter()
-                .zip(&flops)
-                .map(|(&s, &fl)| {
-                    let net = caps[s as usize][1] / nsum;
-                    [
-                        fl.max(1.0).round() as u64,
-                        (bytes_total as f64 * net).max(1.0).round() as u64,
-                    ]
-                })
-                .collect()
-        }
-    }
-}
-
-/// Picks the survivor with the least effective load: raw flops when no
-/// fault spec is active, flops divided by the survivor's compute rate when
-/// one is (a straggler at half speed counts double). Ties break toward the
-/// lowest rank for determinism.
-fn pick_least_loaded(survivors: &[u32], load: &[u64], caps: Option<&[[f64; 2]]>) -> u32 {
-    match caps {
-        None => *survivors
-            .iter()
-            .min_by_key(|&&s| (load[s as usize], s))
-            .expect("nonempty survivors"),
-        Some(caps) => *survivors
-            .iter()
-            .min_by(|&&a, &&b| {
-                let ta = load[a as usize] as f64 / caps[a as usize][0];
-                let tb = load[b as usize] as f64 / caps[b as usize][0];
-                ta.total_cmp(&tb).then(a.cmp(&b))
-            })
-            .expect("nonempty survivors"),
-    }
+    queued
+        .iter()
+        .map(|&r| {
+            [
+                (ideal - r as f64).max(1.0).round() as u64,
+                (bytes_total / s_count as u64).max(1),
+            ]
+        })
+        .collect()
 }
 
 /// Deterministic greedy re-shard — the backward solver and the forward

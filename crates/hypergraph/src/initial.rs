@@ -15,10 +15,9 @@ use crate::graph::{Hypergraph, VertexWeight};
 /// Balance caps (one cap per weight dimension, optionally per part).
 ///
 /// Most callers use a single uniform cap for every part
-/// ([`Caps::uniform`]). Heterogeneous instances — fault-aware placement
-/// that down-weights stragglers, residual re-partitioning onto survivors
-/// with unequal remaining capacity — give each part its own cap
-/// ([`Caps::per_part`]).
+/// ([`Caps::uniform`]). Heterogeneous instances — residual
+/// re-partitioning onto survivors with unequal remaining capacity — give
+/// each part its own cap ([`Caps::per_part`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Caps {
     /// Cap applied when no per-part entry exists; always the element-wise

@@ -39,10 +39,9 @@ pub struct PartitionConfig {
     pub vcycles: u32,
     /// Optional per-part target weights (length `k`). When set, part `p`'s
     /// balance cap is derived from `part_targets[p]` instead of the uniform
-    /// `total / k` average — heterogeneous capacity for fault-aware
-    /// placement (straggler down-weighting) and residual re-partitioning
-    /// onto survivors with unequal headroom. `None` keeps the classic
-    /// uniform caps.
+    /// `total / k` average — heterogeneous capacity for residual
+    /// re-partitioning onto survivors with unequal headroom. `None` keeps
+    /// the classic uniform caps.
     #[serde(default)]
     pub part_targets: Option<Vec<VertexWeight>>,
 }

@@ -9,7 +9,9 @@
 //! coordinates, never of iteration order or wall clock.
 //!
 //! An empty spec is the identity: [`crate::simulate`] under
-//! [`FaultSpec::none`] is the clean simulation, whatever the seed.
+//! [`FaultSpec::none`] is the clean simulation, whatever the seed. The
+//! simulator is a spec's only reader: the planner and the recovery patcher
+//! place for a healthy cluster, and a spec prices what that costs.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,11 +20,6 @@ use serde::{Deserialize, Serialize};
 /// instead crawl through a rerouted/renegotiated path — so failure is
 /// modeled as a near-total bandwidth collapse rather than a hard stop.
 pub const FAILED_LINK_FACTOR: f64 = 1e-3;
-
-/// Floor on a fault-derived capacity weight: even a near-dead link (or, for
-/// callers that also floor compute, a crawling straggler) keeps a sliver of
-/// capacity, so no placement target is driven to zero.
-pub const MIN_CAPACITY_WEIGHT: f64 = 0.05;
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,24 +50,6 @@ pub enum Fault {
         src: u32,
         /// Receiving device.
         dst: u32,
-    },
-    /// The directed link `src -> dst` flaps: for the first `duty` fraction
-    /// of every `period_s`-second cycle it delivers only `factor` of its
-    /// nominal bandwidth, then recovers for the rest of the cycle
-    /// (piecewise-constant rate, phase-aligned to `t = 0`). `duty >= 1`
-    /// degenerates to a constant degradation and is bitwise identical to
-    /// [`Fault::DegradedLink`] with the same factor.
-    FlappingLink {
-        /// Sending device.
-        src: u32,
-        /// Receiving device.
-        dst: u32,
-        /// Seconds per degrade/recover cycle.
-        period_s: f64,
-        /// Fraction of each cycle spent degraded, in `(0, 1]`.
-        duty: f64,
-        /// Fraction of nominal bandwidth retained while degraded.
-        factor: f64,
     },
     /// `device` joins the phase `delay_s` seconds late (checkpoint
     /// restore, container restart), idling before its first instruction.
@@ -107,7 +86,7 @@ impl FaultSpec {
     }
 
     /// Per-device kernel slowdown factors (1.0 = nominal) for `n` devices.
-    pub fn slowdowns(&self, n: usize) -> Vec<f64> {
+    pub(crate) fn slowdowns(&self, n: usize) -> Vec<f64> {
         let mut s = vec![1.0; n];
         for f in &self.faults {
             if let Fault::Straggler { device, slowdown } = *f {
@@ -120,7 +99,7 @@ impl FaultSpec {
     }
 
     /// Per-device start delays in seconds for `n` devices.
-    pub fn delays(&self, n: usize) -> Vec<f64> {
+    pub(crate) fn delays(&self, n: usize) -> Vec<f64> {
         let mut d = vec![0.0; n];
         for f in &self.faults {
             if let Fault::DelayedStart { device, delay_s } = *f {
@@ -132,24 +111,14 @@ impl FaultSpec {
         d
     }
 
-    /// Directed `(src, dst, factor)` *constant* bandwidth multipliers,
-    /// deduplicated multiplicatively in declaration order. Degenerate
-    /// flapping (`duty >= 1` or `period_s <= 0`, i.e. the link never
-    /// recovers) folds in here, which is what makes it bitwise identical
-    /// to [`Fault::DegradedLink`].
-    pub fn link_factors(&self) -> Vec<(u32, u32, f64)> {
+    /// Directed `(src, dst, factor)` bandwidth multipliers, deduplicated
+    /// multiplicatively in declaration order.
+    pub(crate) fn link_factors(&self) -> Vec<(u32, u32, f64)> {
         let mut out: Vec<(u32, u32, f64)> = Vec::new();
         for f in &self.faults {
             let (src, dst, factor) = match *f {
                 Fault::DegradedLink { src, dst, factor } => (src, dst, factor.clamp(1e-9, 1.0)),
                 Fault::FailedLink { src, dst } => (src, dst, FAILED_LINK_FACTOR),
-                Fault::FlappingLink {
-                    src,
-                    dst,
-                    period_s,
-                    duty,
-                    factor,
-                } if duty >= 1.0 || period_s <= 0.0 => (src, dst, factor.clamp(1e-9, 1.0)),
                 _ => continue,
             };
             match out.iter_mut().find(|(s, d, _)| *s == src && *d == dst) {
@@ -158,63 +127,6 @@ impl FaultSpec {
             }
         }
         out
-    }
-
-    /// Genuinely flapping links: `(src, dst, period_s, duty, factor)` with
-    /// `period_s > 0`, `0 < duty < 1` and `factor < 1`. Degenerate entries
-    /// are folded into [`FaultSpec::link_factors`] (never-recovering) or
-    /// dropped (never-degraded / no-op factor). A later declaration on the
-    /// same link replaces an earlier one.
-    pub fn flapping_links(&self) -> Vec<(u32, u32, f64, f64, f64)> {
-        let mut out: Vec<(u32, u32, f64, f64, f64)> = Vec::new();
-        for f in &self.faults {
-            if let Fault::FlappingLink {
-                src,
-                dst,
-                period_s,
-                duty,
-                factor,
-            } = *f
-            {
-                if period_s <= 0.0 || duty >= 1.0 || duty <= 0.0 || factor >= 1.0 {
-                    continue;
-                }
-                let entry = (src, dst, period_s, duty, factor.clamp(1e-9, 1.0));
-                match out.iter_mut().find(|(s, d, ..)| *s == src && *d == dst) {
-                    Some(e) => *e = entry,
-                    None => out.push(entry),
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-device capacity weights `[compute, bytes]` for placing work on
-    /// `n` devices *around* this spec: compute ∝ 1/slowdown, bytes ∝ the
-    /// rate factor of the device's worst incident link (a flapping link
-    /// counts its duty-weighted mean), floored at [`MIN_CAPACITY_WEIGHT`].
-    /// `None` when the spec changes nothing, so the healthy path stays
-    /// byte-identical to a fault-blind one.
-    pub fn capacity_weights(&self, n: usize) -> Option<Vec<[f64; 2]>> {
-        let mut w: Vec<[f64; 2]> = self
-            .slowdowns(n)
-            .iter()
-            .map(|s| [1.0 / s.max(1.0), 1.0])
-            .collect();
-        let flapping = self
-            .flapping_links()
-            .into_iter()
-            .map(|(src, dst, _period, duty, factor)| (src, dst, duty * factor + (1.0 - duty)));
-        for (src, dst, factor) in self.link_factors().into_iter().chain(flapping) {
-            for d in [src, dst] {
-                if let Some(x) = w.get_mut(d as usize) {
-                    x[1] = x[1].min(factor.max(MIN_CAPACITY_WEIGHT));
-                }
-            }
-        }
-        w.iter()
-            .any(|x| x[0] < 1.0 - 1e-12 || x[1] < 1.0 - 1e-12)
-            .then_some(w)
     }
 }
 
@@ -281,119 +193,6 @@ mod tests {
         let links = s.link_factors();
         assert_eq!(links.len(), 1);
         assert!((links[0].2 - 0.5 * FAILED_LINK_FACTOR).abs() < 1e-15);
-    }
-
-    #[test]
-    fn flapping_links_classify_degenerate_cases() {
-        let s = FaultSpec {
-            seed: 0,
-            faults: vec![
-                // Genuine flapping.
-                Fault::FlappingLink {
-                    src: 0,
-                    dst: 1,
-                    period_s: 0.01,
-                    duty: 0.5,
-                    factor: 0.2,
-                },
-                // duty >= 1: constant degradation, must fold into
-                // link_factors exactly like a DegradedLink.
-                Fault::FlappingLink {
-                    src: 2,
-                    dst: 3,
-                    period_s: 0.01,
-                    duty: 1.0,
-                    factor: 0.3,
-                },
-                // Never degraded / no-op factor: dropped entirely.
-                Fault::FlappingLink {
-                    src: 4,
-                    dst: 5,
-                    period_s: 0.01,
-                    duty: 0.0,
-                    factor: 0.2,
-                },
-                Fault::FlappingLink {
-                    src: 4,
-                    dst: 5,
-                    period_s: 0.01,
-                    duty: 0.5,
-                    factor: 1.0,
-                },
-            ],
-        };
-        let flapping = s.flapping_links();
-        assert_eq!(flapping, vec![(0, 1, 0.01, 0.5, 0.2)]);
-        let constant = FaultSpec {
-            seed: 0,
-            faults: vec![Fault::DegradedLink {
-                src: 2,
-                dst: 3,
-                factor: 0.3,
-            }],
-        };
-        assert_eq!(s.link_factors(), constant.link_factors());
-    }
-
-    #[test]
-    fn later_flapping_declaration_replaces_earlier() {
-        let s = FaultSpec {
-            seed: 0,
-            faults: vec![
-                Fault::FlappingLink {
-                    src: 0,
-                    dst: 1,
-                    period_s: 0.01,
-                    duty: 0.5,
-                    factor: 0.2,
-                },
-                Fault::FlappingLink {
-                    src: 0,
-                    dst: 1,
-                    period_s: 0.02,
-                    duty: 0.25,
-                    factor: 0.4,
-                },
-            ],
-        };
-        assert_eq!(s.flapping_links(), vec![(0, 1, 0.02, 0.25, 0.4)]);
-    }
-
-    #[test]
-    fn capacity_weights_follow_slowdowns_and_worst_incident_link() {
-        assert_eq!(FaultSpec::none().capacity_weights(4), None);
-        let s = FaultSpec {
-            seed: 0,
-            faults: vec![
-                Fault::Straggler {
-                    device: 1,
-                    slowdown: 4.0,
-                },
-                Fault::DegradedLink {
-                    src: 0,
-                    dst: 2,
-                    factor: 0.5,
-                },
-                // Below the floor; device 9 is out of range and ignored.
-                Fault::FailedLink { src: 2, dst: 9 },
-                Fault::FlappingLink {
-                    src: 3,
-                    dst: 0,
-                    period_s: 0.01,
-                    duty: 0.5,
-                    factor: 0.5,
-                },
-            ],
-        };
-        assert_eq!(
-            s.capacity_weights(4),
-            Some(vec![
-                [1.0, 0.5],
-                [0.25, 1.0],
-                [1.0, MIN_CAPACITY_WEIGHT],
-                [1.0, 0.75]
-            ])
-        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod network;
 pub mod sim;
 pub mod trace;
 
-pub use fault::{Fault, FaultSpec, FAILED_LINK_FACTOR, MIN_CAPACITY_WEIGHT};
+pub use fault::{Fault, FaultSpec, FAILED_LINK_FACTOR};
 pub use sim::{
     simulate, simulate_on, simulate_phase_counted, simulate_plan, simulate_plan_faulted,
     DeviceTimeline, PhaseSim, PlanSim, SimCounters, SimRun,

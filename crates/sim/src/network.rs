@@ -22,11 +22,11 @@
 //!
 //! The default engine recomputes rates *incrementally*: each flow caches its
 //! resource list at insertion, each resource keeps a persistent member list,
-//! and an event (activation, completion, fault-factor change) only re-runs
-//! the water-fill over the connected component of the flow/resource
-//! bipartite graph that the event touched. Rates outside the dirty component
-//! are already the max-min fixpoint of their own component and cannot
-//! change, so the restriction is exact — and because the component-local
+//! and an event (activation or completion) only re-runs the water-fill over
+//! the connected component of the flow/resource bipartite graph that the
+//! event touched. Rates outside the dirty component are already the
+//! max-min fixpoint of their own component and cannot change, so the
+//! restriction is exact — and because the component-local
 //! fill performs the same freeze steps in the same share order with the same
 //! arithmetic as a global fill would, it is *bitwise* identical to the
 //! retained scratch engine ([`Network::use_scratch_engine`]), which rebuilds
@@ -50,55 +50,6 @@ enum Resource {
     TierIngress(u8, u32),
 }
 
-/// Piecewise-constant flapping parameters attached to a flow: for the
-/// first `duty` fraction of every `period`-second cycle (phase-aligned to
-/// `t = 0`) the link retains only `factor` of its bandwidth.
-#[derive(Debug, Clone, Copy)]
-struct Flap {
-    period: f64,
-    duty: f64,
-    factor: f64,
-    /// Constant (non-flapping) factor on the same link, composed in.
-    base: f64,
-}
-
-impl Flap {
-    /// Effective rate multiplier at time `t`. Cycle positions within a
-    /// relative epsilon of a boundary snap across it, so a flow advanced to
-    /// a computed boundary time lands in the phase that *starts* there
-    /// despite floating-point rounding.
-    fn factor_at(&self, t: f64) -> f64 {
-        let pos = t / self.period;
-        let mut frac = pos - pos.floor();
-        if 1.0 - frac < 1e-9 {
-            frac = 0.0;
-        }
-        if frac + 1e-9 < self.duty {
-            self.base * self.factor
-        } else {
-            self.base
-        }
-    }
-
-    /// The next phase boundary strictly after `now`.
-    fn next_boundary(&self, now: f64) -> f64 {
-        let eps = self.period * 1e-9 + 1e-12;
-        let cycle = (now / self.period).floor();
-        for mult in [
-            cycle + self.duty,
-            cycle + 1.0,
-            cycle + 1.0 + self.duty,
-            cycle + 2.0,
-        ] {
-            let b = mult * self.period;
-            if b > now + eps {
-                return b;
-            }
-        }
-        (cycle + 2.0) * self.period
-    }
-}
-
 /// A transfer in flight.
 #[derive(Debug, Clone)]
 struct Flow {
@@ -109,11 +60,7 @@ struct Flow {
     /// Time the flow starts moving data (creation + link latency).
     active_at: f64,
     /// Fault multiplier on this flow's achievable rate (degraded link).
-    /// For flapping links this is the *current* effective factor and is
-    /// refreshed at every phase boundary.
     factor: f64,
-    /// Flapping parameters when the flow's link flaps.
-    flap: Option<Flap>,
     done: bool,
     /// Interned ids of the resources on this flow's path, cached at
     /// insertion (never recollected).
@@ -147,8 +94,6 @@ pub struct Network {
     flows: Vec<Flow>,
     /// Fault-injected bandwidth multipliers per directed device pair.
     link_factors: HashMap<(u32, u32), f64>,
-    /// Fault-injected flapping parameters per directed device pair.
-    flapping: HashMap<(u32, u32), (f64, f64, f64)>,
     now: f64,
     /// Resource interner: every distinct port gets a dense id.
     res_ids: HashMap<Resource, u32>,
@@ -164,8 +109,6 @@ pub struct Network {
     live_flows: Vec<u32>,
     /// Stale (done) entries currently in `live_flows`.
     live_dead: usize,
-    /// Flows with flapping links, for the phase-refresh sweep.
-    flap_flows: Vec<u32>,
     /// Use the retained scratch reference engine instead of the
     /// incremental one.
     scratch: bool,
@@ -200,7 +143,6 @@ impl Network {
             cluster,
             flows: Vec::new(),
             link_factors: HashMap::new(),
-            flapping: HashMap::new(),
             now: 0.0,
             res_ids: HashMap::new(),
             res_cap: Vec::new(),
@@ -208,7 +150,6 @@ impl Network {
             nlive: Vec::new(),
             live_flows: Vec::new(),
             live_dead: 0,
-            flap_flows: Vec::new(),
             scratch: false,
             stats: NetStats::default(),
             epoch: 0,
@@ -243,21 +184,9 @@ impl Network {
     /// `factor` of their max-min fair share. Used by fault injection; a
     /// degraded flow still occupies its full share of port capacity (the
     /// bottleneck is the faulty link, not a lighter demand).
-    pub fn set_link_factor(&mut self, src: u32, dst: u32, factor: f64) {
+    pub(crate) fn set_link_factor(&mut self, src: u32, dst: u32, factor: f64) {
         self.link_factors
             .insert((src, dst), factor.clamp(1e-9, 1.0));
-    }
-
-    /// Makes the directed link `src -> dst` flap: for the first `duty`
-    /// fraction of every `period_s`-second cycle (phase-aligned to
-    /// `t = 0`), flows over it retain only `factor` of their share; a
-    /// constant [`Network::set_link_factor`] on the same link composes
-    /// multiplicatively. Callers must pass `period_s > 0` and
-    /// `0 < duty < 1` (degenerate cases belong to the constant path).
-    pub fn set_link_flapping(&mut self, src: u32, dst: u32, period_s: f64, duty: f64, factor: f64) {
-        debug_assert!(period_s > 0.0 && duty > 0.0 && duty < 1.0);
-        self.flapping
-            .insert((src, dst), (period_s, duty, factor.clamp(1e-9, 1.0)));
     }
 
     /// Current simulation time of the network.
@@ -272,20 +201,7 @@ impl Network {
         self.advance_to(t);
         let lat = self.cluster.latency(DeviceId(src), DeviceId(dst));
         let active_at = t + lat;
-        let base = self.link_factors.get(&(src, dst)).copied().unwrap_or(1.0);
-        let flap = self
-            .flapping
-            .get(&(src, dst))
-            .map(|&(period, duty, factor)| Flap {
-                period,
-                duty,
-                factor,
-                base,
-            });
-        let factor = match &flap {
-            Some(fl) => fl.factor_at(t),
-            None => base,
-        };
+        let factor = self.link_factors.get(&(src, dst)).copied().unwrap_or(1.0);
         let resources: Vec<u32> = Self::path_of(&self.cluster, src, dst)
             .into_iter()
             .map(|r| self.intern(r))
@@ -298,7 +214,6 @@ impl Network {
             rate: 0.0,
             active_at,
             factor,
-            flap,
             done: bytes == 0,
             resources,
             member: false,
@@ -308,9 +223,6 @@ impl Network {
         self.flow_mark.push(0);
         if !self.flows[fi].done {
             self.live_flows.push(fi as u32);
-            if self.flows[fi].flap.is_some() {
-                self.flap_flows.push(fi as u32);
-            }
         }
         if self.scratch {
             // The reference engine recomputes on every insertion, like the
@@ -338,7 +250,7 @@ impl Network {
     /// Flows complete inside [`Network::advance_to`] — and so inside
     /// [`Network::add_flow`], which advances to its `t` first. A zero-byte
     /// flow is done when added and is not reported.
-    pub fn drain_completed(&mut self) -> impl Iterator<Item = FlowId> + '_ {
+    pub(crate) fn drain_completed(&mut self) -> impl Iterator<Item = FlowId> + '_ {
         self.completed.drain(..).map(|fi| FlowId(fi as usize))
     }
 
@@ -386,25 +298,6 @@ impl Network {
             }
         }
         self.now = t;
-        // Refresh flapping factors at the new time; a phase change forces a
-        // rate recomputation. The event loop never integrates across a
-        // boundary because `next_event` caps at the next one.
-        if !self.flapping.is_empty() {
-            for idx in 0..self.flap_flows.len() {
-                let fi = self.flap_flows[idx] as usize;
-                let f = &mut self.flows[fi];
-                if f.done {
-                    continue;
-                }
-                if let Some(fl) = &f.flap {
-                    let nf = fl.factor_at(t);
-                    if nf != f.factor {
-                        f.factor = nf;
-                        self.dirty.push(fi as u32);
-                    }
-                }
-            }
-        }
         if self.dirty.is_empty() {
             self.settled = true;
             return;
@@ -424,7 +317,6 @@ impl Network {
             if 2 * self.live_dead > self.live_flows.len() {
                 let flows = &self.flows;
                 self.live_flows.retain(|&fi| !flows[fi as usize].done);
-                self.flap_flows.retain(|&fi| !flows[fi as usize].done);
                 self.live_dead = 0;
             }
         }
@@ -452,12 +344,6 @@ impl Network {
             let f = &self.flows[fi as usize];
             if f.done {
                 continue;
-            }
-            // A flapping flow's rate is only valid until its next phase
-            // boundary, so the boundary caps the event horizon.
-            if let Some(fl) = &f.flap {
-                let b = fl.next_boundary(self.now);
-                best = Some(best.map_or(b, |x: f64| x.min(b)));
             }
             let t = if f.active_at > self.now {
                 f.active_at
@@ -871,92 +757,6 @@ mod tests {
         let (g, b) = rev.add_flow(0.0, 1, 0, bytes);
         rev.advance_to(b);
         assert!((rev.rate(g) - bw).abs() < 1.0);
-    }
-
-    /// Independent piecewise integration of a single flow over a flapping
-    /// link at full nominal rate `bw`, starting at `start`.
-    fn integrate_flapping(bytes: f64, bw: f64, start: f64, p: f64, duty: f64, factor: f64) -> f64 {
-        let mut rem = bytes;
-        let mut now = start;
-        for _ in 0..1_000_000 {
-            let mut cyc = (now / p).floor();
-            let mut frac = now / p - cyc;
-            // Same boundary snap as `Flap::factor_at`: a step landing a
-            // rounding error short of a cycle edge belongs to the next cycle.
-            if 1.0 - frac < 1e-9 {
-                cyc += 1.0;
-                frac = 0.0;
-            }
-            let (rate, boundary) = if frac + 1e-9 < duty {
-                (bw * factor, (cyc + duty) * p)
-            } else {
-                (bw, (cyc + 1.0) * p)
-            };
-            let dt = rem / rate;
-            if now + dt <= boundary + 1e-12 {
-                return now + dt;
-            }
-            rem -= rate * (boundary - now);
-            now = boundary;
-        }
-        panic!("integration did not converge");
-    }
-
-    #[test]
-    fn flapping_link_matches_piecewise_integration() {
-        let c = ClusterSpec::p4de(1);
-        let bw = c.intra_bw;
-        let lat = c.intra_latency;
-        let (p, duty, factor) = (0.003, 0.5, 0.25);
-        let mut net = Network::new(c);
-        net.set_link_flapping(0, 1, p, duty, factor);
-        // Large enough to span several degrade/recover cycles.
-        let bytes = 30_000_000_000u64;
-        let (f, _) = net.add_flow(0.0, 0, 1, bytes);
-        let t = run_until_done(&mut net);
-        assert!(net.is_done(f));
-        let expect = integrate_flapping(bytes as f64, bw, lat, p, duty, factor);
-        assert!(
-            (t - expect).abs() < 1e-7 * expect,
-            "{t} vs piecewise {expect}"
-        );
-        // Sanity: slower than a clean link, faster than constantly degraded.
-        let clean = lat + bytes as f64 / bw;
-        let degraded = lat + bytes as f64 / (bw * factor);
-        assert!(t > clean && t < degraded, "{clean} < {t} < {degraded}");
-    }
-
-    #[test]
-    fn flapping_rate_toggles_at_phase_boundaries() {
-        let c = ClusterSpec::p4de(1);
-        let bw = c.intra_bw;
-        let (p, duty, factor) = (0.01, 0.4, 0.5);
-        let mut net = Network::new(c);
-        net.set_link_flapping(0, 1, p, duty, factor);
-        let (f, a) = net.add_flow(0.0, 0, 1, 100_000_000_000);
-        net.advance_to(a);
-        // Inside the first degraded window.
-        assert!((net.rate(f) - bw * factor).abs() < 1.0, "{}", net.rate(f));
-        // Just past the duty boundary: recovered.
-        net.advance_to(duty * p);
-        assert!((net.rate(f) - bw).abs() < 1.0, "{}", net.rate(f));
-        // Next cycle: degraded again.
-        net.advance_to(p);
-        assert!((net.rate(f) - bw * factor).abs() < 1.0, "{}", net.rate(f));
-    }
-
-    #[test]
-    fn flapping_composes_with_constant_factor() {
-        let c = ClusterSpec::p4de(1);
-        let bw = c.intra_bw;
-        let mut net = Network::new(c);
-        net.set_link_factor(0, 1, 0.5);
-        net.set_link_flapping(0, 1, 0.01, 0.5, 0.5);
-        let (f, a) = net.add_flow(0.0, 0, 1, 100_000_000_000);
-        net.advance_to(a);
-        assert!((net.rate(f) - bw * 0.25).abs() < 1.0, "{}", net.rate(f));
-        net.advance_to(0.005);
-        assert!((net.rate(f) - bw * 0.5).abs() < 1.0, "{}", net.rate(f));
     }
 
     #[test]

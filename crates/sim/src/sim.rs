@@ -178,9 +178,6 @@ pub fn simulate_on(
     for (src, dst, factor) in spec.link_factors() {
         net.set_link_factor(src, dst, factor);
     }
-    for (src, dst, period_s, duty, factor) in spec.flapping_links() {
-        net.set_link_flapping(src, dst, period_s, duty, factor);
-    }
     // A delayed rank idles until its injected start time.
     let ready = spec.delays(n);
     let delayed =
@@ -188,7 +185,7 @@ pub fn simulate_on(
     let mut timing = Timing {
         cluster,
         cost: cluster.cost(),
-        spec,
+        seed: spec.seed,
         net,
         shard_hosts,
         slow: spec.slowdowns(n),
@@ -271,7 +268,8 @@ struct Timing<'a> {
     cluster: &'a ClusterSpec,
     /// What a kernel costs, as the division scheduler prices it.
     cost: CostModel,
-    spec: &'a FaultSpec,
+    /// The fault spec's seed, for the straggler jitter.
+    seed: u64,
     net: Network,
     /// The rank hosting each shard.
     shard_hosts: &'a [u32],
@@ -531,7 +529,7 @@ impl Backend for Timing<'_> {
         // as its own `Straggle` segment (and counted in the compute
         // buckets) so un-faulted runs stay bitwise unchanged.
         let extra = if self.slow[d] > 1.0 {
-            base * (self.slow[d] - 1.0) * jitter(self.spec.seed, at.dev, at.idx)
+            base * (self.slow[d] - 1.0) * jitter(self.seed, at.dev, at.idx)
         } else {
             0.0
         };
@@ -1054,80 +1052,6 @@ mod tests {
             "degraded ingress should cost makespan: {} vs {}",
             sim.makespan,
             base.makespan
-        );
-    }
-
-    #[test]
-    fn flapping_with_full_duty_matches_constant_degradation() {
-        use crate::fault::Fault;
-        let l = layout(32768, 1024);
-        let p = ring_placement(&l, 4);
-        let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
-        let c = ClusterSpec::p4de(1);
-        let constant = FaultSpec {
-            seed: 0,
-            faults: vec![Fault::DegradedLink {
-                src: 1,
-                dst: 0,
-                factor: 0.05,
-            }],
-        };
-        let flapping = FaultSpec {
-            seed: 0,
-            faults: vec![Fault::FlappingLink {
-                src: 1,
-                dst: 0,
-                period_s: 0.001,
-                duty: 1.0,
-                factor: 0.05,
-            }],
-        };
-        let a = simulate(&c, &plan.fwd, &constant).unwrap().sim;
-        let b = simulate(&c, &plan.fwd, &flapping).unwrap().sim;
-        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-        assert_eq!(a.devices, b.devices);
-    }
-
-    #[test]
-    fn flapping_link_costs_makespan_less_than_constant() {
-        use crate::fault::Fault;
-        let l = layout(32768, 1024);
-        let p = ring_placement(&l, 4);
-        let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
-        let c = ClusterSpec::p4de(1);
-        let base = clean(&c, &plan.fwd);
-        let mk = |fault: fn(u32) -> Fault| FaultSpec {
-            seed: 0,
-            faults: (1..4).map(fault).collect(),
-        };
-        // Degraded 99% of each cycle at 1000x slowdown: ~90x mean slowdown,
-        // harsh enough to dominate compute overlap, yet the 1% healthy
-        // windows still beat an always-degraded link.
-        let flap = mk(|s| Fault::FlappingLink {
-            src: s,
-            dst: 0,
-            period_s: 1e-4,
-            duty: 0.99,
-            factor: 0.001,
-        });
-        let constant = mk(|s| Fault::DegradedLink {
-            src: s,
-            dst: 0,
-            factor: 0.001,
-        });
-        let flapped = simulate(&c, &plan.fwd, &flap).unwrap().sim;
-        let degraded = simulate(&c, &plan.fwd, &constant).unwrap().sim;
-        assert!(
-            flapped.makespan > base.makespan,
-            "flapping ingress should cost makespan: {} vs {}",
-            flapped.makespan,
-            base.makespan
-        );
-        assert!(
-            flapped.makespan < degraded.makespan,
-            "99% duty should hurt less than constant degradation: {} vs {}",
-            flapped.makespan,
-            degraded.makespan
         );
     }
 

@@ -217,12 +217,10 @@ fn faults(rng: &mut SmallRng, n: u32) -> FaultSpec {
                 factor: 0.25,
             },
             2 => Fault::FailedLink { src: a, dst: b },
-            3 => Fault::FlappingLink {
+            3 => Fault::DegradedLink {
                 src: a,
                 dst: b,
-                period_s: 1e-5 * rng.gen_range(1..20) as f64,
-                duty: 0.5,
-                factor: 0.1,
+                factor: 0.05 * rng.gen_range(1..20) as f64,
             },
             _ => Fault::DelayedStart {
                 device: a,

@@ -213,8 +213,9 @@ fn one_straggler_one_slow_link() -> FaultSpec {
     }
 }
 
-/// Pins captured at the commit before cold and warm placement, the two
-/// caches and the fault weights were merged into one implementation each.
+/// Pins captured at the commit before cold and warm placement and the two
+/// caches were merged into one implementation each; (b) at the commit that
+/// left fault specs to the simulator alone.
 #[test]
 fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
     // (a) Warm drift re-plan through the two-level hierarchy.
@@ -234,29 +235,32 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
         "warm drift re-plan on p4de(2)"
     );
 
-    // (b) Cold plan around a straggler and a degraded link: the fault
-    // weights reach both levels of the hierarchy.
-    let faulted = Planner::new(
+    // (b) The cold plan simulated around a straggler and a degraded link:
+    // the planner places for a healthy cluster, the simulator prices the
+    // faults.
+    let cold = Planner::new(
         flat.clone(),
         AttnSpec::paper_micro(),
         PlannerConfig {
             block_size: 1024,
-            fault_spec: Some(one_straggler_one_slow_link()),
             ..Default::default()
         },
     )
     .plan(&golden_batch())
     .unwrap();
-    assert_eq!(faulted.tier, PlanTier::Partitioned);
+    assert_eq!(cold.tier, PlanTier::Partitioned);
+    let spec = one_straggler_one_slow_link();
+    let mut pin = Vec::new();
+    for phase in [&cold.plan.fwd, &cold.plan.bwd] {
+        let clean = simulate(&flat, phase, &FaultSpec::none()).unwrap().sim;
+        let faulted = simulate(&flat, phase, &spec).unwrap().sim;
+        assert!(faulted.makespan > clean.makespan);
+        pin.push(faulted.makespan.to_bits());
+    }
     assert_eq!(
-        plan_pin(&flat, &faulted),
-        [
-            0xacb470f66727e18d,
-            0x3f71b884cc0bebf8,
-            0x3f85f7bebc36a2e0,
-            1311997952
-        ],
-        "fault-aware cold plan on p4de(2)"
+        pin,
+        [0x3f84ad8c0823cf60, 0x3f99cf67543c3003],
+        "cold plan on p4de(2) under a straggler and a slow link"
     );
 
     // (c) Three levels (leaves, nodes, devices), cold then warm.
@@ -287,14 +291,11 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
     );
 }
 
-/// One fault-aware recovery patch, pinned at the same commit. Every survivor
-/// is a straggler, most of them slow enough (x40 to x400) that the recovery
-/// planner's floor on compute weights, not the slowdown, decides their
-/// target: without the floor the x40 survivors would be given ten times the
-/// x400 ones' share instead of the same, and half the x10 ones' instead of a
-/// quarter.
+/// One recovery patch, simulated with every survivor a straggler (x10 to
+/// x400) and one degraded link. The patcher places for healthy survivors;
+/// shards run on their hosts' clocks, so a shard is as slow as its host.
 #[test]
-fn fault_aware_recovery_patch_is_bitwise_pinned() {
+fn faulted_recovery_patch_is_bitwise_pinned() {
     let cluster = ClusterSpec::single_node(8);
     let out = Planner::new(
         cluster.clone(),
@@ -333,7 +334,6 @@ fn fault_aware_recovery_patch_is_bitwise_pinned() {
             .collect(),
     };
     let patch = RecoveryPlanner::new(RecoveryConfig::default())
-        .with_fault_spec(spec)
         .plan_recovery(
             &out,
             &FailureEvent {
@@ -347,7 +347,7 @@ fn fault_aware_recovery_patch_is_bitwise_pinned() {
     // partial the shard standing in for its dead producer.
     let ctx = &patch.ctx;
     let net = Network::new(cluster.clone());
-    let timing = simulate_on(&cluster, net, &patch.phase, ctx, &FaultSpec::none())
+    let timing = simulate_on(&cluster, net, &patch.phase, ctx, &spec)
         .unwrap()
         .sim;
     assert_eq!(timing.devices.len(), 8);
@@ -370,10 +370,10 @@ fn fault_aware_recovery_patch_is_bitwise_pinned() {
             cross_host_bytes,
         ],
         [
-            0x9e6ac8edc970bbbb,
-            0x7881bf953914e411,
-            0x3f21b24ebe446a17,
-            36416
+            0xc650ea229b65a2a3,
+            0xdf9e604c5b51264d,
+            0x3fa4ad03e4ae7f2d,
+            35904
         ]
     );
 }
