@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use dcp_bench::median;
 use dcp_blocks::TokenBlockId;
-use dcp_core::{FailureEvent, PlanOutput, Planner, PlannerConfig, RecoveryConfig, RecoveryPlanner};
+use dcp_core::{FailureEvent, PlanOutput, Planner, PlannerConfig, RecoveryPlanner};
 use dcp_exec::{
     execute_backward, execute_backward_recovery, execute_forward, execute_forward_recovery,
     BatchData, BlockOut, ExecObs,
@@ -153,7 +153,7 @@ fn run_forward(seed: u64, depth2: bool, mid_patch: bool, tally: &mut Tally) {
     }
     let nd1 = fwd_divs(&out.plan.fwd.devices[dev1 as usize].instrs);
     let k1 = rng.gen_range(0..=nd1);
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let t0 = Instant::now();
     let patch1 = match rp.plan_recovery(
         &out,
@@ -252,7 +252,7 @@ fn run_backward(seed: u64, tally: &mut Tally) {
     }
     let nd = bwd_divs(&out.plan.bwd.devices[dev as usize].instrs);
     let k = rng.gen_range(1..=nd.max(1));
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let t0 = Instant::now();
     let patch = match rp.plan_backward_recovery(
         &out,

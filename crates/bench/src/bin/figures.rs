@@ -769,7 +769,6 @@ fn fig21_loss_curves() -> Value {
     let cfg = TrainConfig {
         seq_len: 96,
         lr: 0.2,
-        ..Default::default()
     };
     let steps = 60;
     let planned_backend = AttnBackend::Planned {

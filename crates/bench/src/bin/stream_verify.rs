@@ -16,7 +16,7 @@
 
 use std::process::exit;
 
-use dcp_core::{FailureEvent, Planner, PlannerConfig, RecoveryConfig, RecoveryPlanner};
+use dcp_core::{FailureEvent, Planner, PlannerConfig, RecoveryPlanner};
 use dcp_data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
 use dcp_sched::{
@@ -326,7 +326,7 @@ fn main() {
     // Recovery patches: the patched forward phase under the salvage rules
     // (verified, pass-optimized, and simulated with shards on their hosts)
     // and the re-planned backward phase.
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let mut recovery_rows = Vec::new();
     {
         let planner = Planner::new(

@@ -285,7 +285,7 @@ fn intersect_len(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
 /// timeline: how much of the division's incoming-transfer time was hidden
 /// under that device's compute.
 #[derive(Debug, Clone, Copy, Serialize)]
-pub struct DivisionOverlap {
+pub(crate) struct DivisionOverlap {
     /// Device rank.
     pub device: u32,
     /// Division index on that device (attention calls close divisions,

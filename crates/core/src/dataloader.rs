@@ -34,6 +34,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use dcp_data::Batch;
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event, ObsHandle, Source as ObsSource};
+use dcp_sched::verify_plan;
 use dcp_types::{DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
@@ -384,11 +385,13 @@ impl DcpDataloader {
     /// snapshot's plans are served without re-planning.
     ///
     /// The restored plans must match this loader's batches: each entry is
-    /// accepted only while contiguous from the cursor *and* its layout's
-    /// sequence lengths equal the corresponding batch's. The first mismatch
-    /// (a snapshot taken against a different dataset, or a gap) discards
-    /// that entry and everything after it — those batches are re-planned by
-    /// the normal look-ahead path, never served a stale plan.
+    /// accepted only while contiguous from the cursor, its layout's
+    /// sequence lengths equal the corresponding batch's *and* the stream
+    /// verifier ([`verify_plan`]) accepts it. The first mismatch (a
+    /// snapshot taken against a different dataset, a gap, or a corrupted
+    /// plan) discards that entry and everything after it — those batches
+    /// are re-planned by the normal look-ahead path, never served a stale
+    /// or broken plan.
     pub fn restore(mut self, snapshot: &DataloaderSnapshot) -> Self {
         self.consumed = snapshot.consumed.min(self.batches.len());
         self.ready.clear();
@@ -399,7 +402,10 @@ impl DcpDataloader {
                 Some(b) => b.seqs.iter().map(|s| s.0).collect(),
                 None => break,
             };
-            if *idx != expect || plan.layout.seq_lens != lens {
+            if *idx != expect
+                || plan.layout.seq_lens != lens
+                || verify_plan(&plan.layout, &plan.placement, &plan.plan).is_err()
+            {
                 break;
             }
             self.ready.push_back(plan.clone());
@@ -669,6 +675,7 @@ mod tests {
     use super::*;
     use crate::planner::PlannerConfig;
     use dcp_mask::MaskSpec;
+    use dcp_sched::Instr;
     use dcp_types::{AttnSpec, ClusterSpec};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -990,6 +997,40 @@ mod tests {
                 "stale snapshot plans must be re-planned, not served"
             );
         }
+    }
+
+    #[test]
+    fn restore_replans_a_snapshot_plan_the_verifier_rejects() {
+        let bs = batches(4);
+        let mut loader = DcpDataloader::new(planner(), bs.clone(), 3);
+        loader.next().unwrap().unwrap();
+        let mut snap = loader.snapshot();
+        assert_eq!(snap.planned.first().map(|e| e.0), Some(1));
+        // Drop one `CommWait` from the first restored plan's forward phase.
+        let is_wait = |i: &Instr| matches!(i, Instr::CommWait(_));
+        let fwd = &mut snap.planned[0].1.plan.fwd;
+        let waits = fwd
+            .devices
+            .iter_mut()
+            .find_map(|s| s.instrs.iter().position(is_wait).map(|i| (s, i)));
+        let (stream, i) = waits.expect("the plan communicates");
+        stream.instrs.remove(i);
+        let p = planner();
+        let fresh = p.plan(&bs[1].seqs).unwrap().plan;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let calls2 = Arc::clone(&calls);
+        let plan_fn: Arc<PlanFn> = Arc::new(move |seqs: &[(u32, MaskSpec)]| {
+            calls2.fetch_add(1, Ordering::SeqCst);
+            p.plan(seqs)
+        });
+        let restored = DcpDataloader::with_plan_fn(plan_fn, bs.clone(), 1, RetryConfig::default())
+            .restore(&snap);
+        let got: Vec<_> = restored.map(|r| r.unwrap()).collect();
+        assert_eq!(got.len(), bs.len() - 1, "cursor still honored");
+        assert_eq!(got[0].0, bs[1]);
+        assert!(got[0].1.plan == fresh, "the stored plan was served");
+        // The first rejected entry discards the rest of the window too.
+        assert_eq!(calls.load(Ordering::SeqCst), bs.len() - 1);
     }
 
     #[test]

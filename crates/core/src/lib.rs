@@ -33,4 +33,4 @@ pub use groups::{plan_grouped, GroupedPlan};
 pub use planner::{
     IncrementalConfig, PlanOutput, PlanStats, Planner, PlannerConfig, PlanningTimes,
 };
-pub use recovery::{FailureEvent, RecoveryConfig, RecoveryPatch, RecoveryPlanner, RecoveryStats};
+pub use recovery::{FailureEvent, RecoveryPatch, RecoveryPlanner, RecoveryStats};

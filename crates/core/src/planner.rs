@@ -41,10 +41,6 @@ pub struct PlannerConfig {
     pub hierarchical: bool,
     /// Enable FM refinement in the partitioner (ablation).
     pub refine: bool,
-    /// Fall back to greedy and then static placement when hypergraph
-    /// partitioning errors or is ε-infeasible (default `true`). When
-    /// `false`, the first failure surfaces as an error (strict mode).
-    pub fallback: bool,
     /// Enforce the user ε exactly on the achieved device-level compute
     /// balance — no block-granularity slack. A partition violating it counts
     /// as ε-infeasible and triggers the fallback chain. Default `false`
@@ -102,7 +98,8 @@ fn default_max_fallback_regression() -> f64 {
 /// falls back to cold planning, so the warm path can never ship a bad plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalConfig {
-    /// Master switch; `false` (the default) plans every batch cold.
+    /// Master switch; `false` (the default) plans every batch cold. When
+    /// set, the near-hit tier keeps the 8 most recently used seeds.
     #[serde(default)]
     pub enabled: bool,
     /// Accept a warm-started placement only while its communication bytes
@@ -111,26 +108,20 @@ pub struct IncrementalConfig {
     /// batch is allowed proportionally more volume).
     #[serde(default = "default_incremental_regression")]
     pub max_regression: f64,
-    /// Capacity of the near-hit seed cache (LRU entries). `0` disables the
-    /// near-hit tier even when `enabled` is set.
-    #[serde(default = "default_near_cache")]
-    pub near_cache: usize,
 }
 
 fn default_incremental_regression() -> f64 {
     1.25
 }
 
-fn default_near_cache() -> usize {
-    8
-}
+/// Capacity of the near-hit seed cache (LRU entries).
+const NEAR_CACHE: usize = 8;
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
         IncrementalConfig {
             enabled: false,
             max_regression: default_incremental_regression(),
-            near_cache: default_near_cache(),
         }
     }
 }
@@ -146,7 +137,6 @@ impl Default for PlannerConfig {
             seed: 0xdc9,
             hierarchical: true,
             refine: true,
-            fallback: true,
             strict_epsilon: false,
             force_tier: None,
             plan_cache: default_plan_cache(),
@@ -405,8 +395,8 @@ pub struct Planner {
     attn: AttnSpec,
     cfg: PlannerConfig,
     /// The cluster-and-config part of both cache keys, serialized once: the
-    /// whole [`PlannerConfig`] with the two cache capacities zeroed, so
-    /// every knob that can change a plan keys it and retuning a capacity
+    /// whole [`PlannerConfig`] with the plan-cache capacity zeroed, so
+    /// every knob that can change a plan keys it and retuning the capacity
     /// alone forces no cold miss.
     sig_tail: String,
     /// Finished plans by exact batch signature.
@@ -429,12 +419,11 @@ impl Planner {
     pub fn new(cluster: ClusterSpec, attn: AttnSpec, cfg: PlannerConfig) -> Self {
         let mut keyed = cfg.clone();
         keyed.plan_cache = 0;
-        keyed.incremental.near_cache = 0;
         let sig_tail = serde_json::to_string(&(&cluster, &keyed))
             .expect("planner signature serialization cannot fail");
         Planner {
             exact: Arc::new(Mutex::new(Lru::new(cfg.plan_cache))),
-            near: Arc::new(Mutex::new(Lru::new(cfg.incremental.near_cache))),
+            near: Arc::new(Mutex::new(Lru::new(NEAR_CACHE))),
             cluster,
             attn,
             cfg,
@@ -511,10 +500,9 @@ impl Planner {
     /// Plans one batch: generates blocks, places them, schedules divisions.
     ///
     /// Placement walks the fallback chain (paper planner → greedy LPT →
-    /// static zigzag) when `cfg.fallback` is on: a partitioner error or an
-    /// ε-infeasible partition degrades the tier instead of failing the
-    /// batch, and the tier that produced the plan is recorded in
-    /// [`PlanOutput::tier`].
+    /// static zigzag): a partitioner error or an ε-infeasible partition
+    /// degrades the tier instead of failing the batch, and the tier that
+    /// produced the plan is recorded in [`PlanOutput::tier`].
     ///
     /// # Errors
     ///
@@ -564,8 +552,11 @@ impl Planner {
         // shape may have left a placement to warm-start from. The lookup is
         // independent of the exact cache so incremental planning works even
         // with exact caching disabled.
-        let incremental_on = self.cfg.incremental.enabled && self.cfg.incremental.near_cache > 0;
-        call.near_key = incremental_on.then(|| self.near_signature(seqs));
+        call.near_key = self
+            .cfg
+            .incremental
+            .enabled
+            .then(|| self.near_signature(seqs));
         let seed = call
             .near_key
             .as_deref()
@@ -1107,8 +1098,8 @@ impl<'a> Call<'a> {
 
     /// Walks the fallback chain from the configured starting tier until one
     /// tier yields a scheduled plan that passes the quality gate. A tier
-    /// that fails is recorded (event, reason) and, with `cfg.fallback` on,
-    /// the next one is tried; the last failure is the error.
+    /// that fails is recorded (event, reason) and the next one is tried;
+    /// the last failure is the error.
     fn walk_tiers(
         &mut self,
         layout: &BatchLayout,
@@ -1125,9 +1116,6 @@ impl<'a> Call<'a> {
                     self.instant(event, Some(tier.label()));
                     self.reasons.push(format!("{}: {e}", tier.label()));
                     last_err = Some(e);
-                    if !self.p.cfg.fallback {
-                        break;
-                    }
                 }
             }
         }
@@ -1531,31 +1519,26 @@ mod tests {
     #[test]
     fn infeasible_epsilon_falls_back_instead_of_erroring() {
         // strict ε = 0 with coarse blocks cannot be met exactly (block
-        // granularity), so the partitioned tier is ε-infeasible; with
-        // fallback enabled the plan must still come back valid, from a
-        // degraded tier, with the reason recorded.
+        // granularity), so the partitioned tier is ε-infeasible; the plan
+        // must still come back valid, from a degraded tier, with the reason
+        // recorded.
         let seqs = vec![(16384, MaskSpec::Causal), (2048, MaskSpec::Causal)];
-        let mk = |fallback: bool| {
-            Planner::new(
-                ClusterSpec::p4de(1),
-                AttnSpec::paper_micro(),
-                PlannerConfig {
-                    block_size: 4096,
-                    eps_intra: 0.0,
-                    strict_epsilon: true,
-                    fallback,
-                    ..Default::default()
-                },
-            )
-        };
-        let out = mk(true).plan(&seqs).unwrap();
+        let p = Planner::new(
+            ClusterSpec::p4de(1),
+            AttnSpec::paper_micro(),
+            PlannerConfig {
+                block_size: 4096,
+                eps_intra: 0.0,
+                strict_epsilon: true,
+                ..Default::default()
+            },
+        );
+        let out = p.plan(&seqs).unwrap();
         assert_ne!(out.tier, PlanTier::Partitioned, "ε = 0 must be infeasible");
         validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
         let reason = out.fallback_reason.expect("reason recorded");
         assert!(reason.contains("partitioned"), "{reason}");
-        // Strict mode surfaces the infeasibility instead.
-        let err = mk(false).plan(&seqs).unwrap_err();
-        assert!(matches!(err, DcpError::Infeasible(_)), "{err}");
+        assert!(reason.contains("infeasible"), "{reason}");
     }
 
     #[test]
@@ -1699,10 +1682,6 @@ mod tests {
             PlannerConfig {
                 block_size: 1024,
                 plan_cache: 2,
-                incremental: IncrementalConfig {
-                    near_cache: 1,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
         );
@@ -1712,7 +1691,8 @@ mod tests {
         assert!(p.clone().plan(&s1).unwrap().stats.cache_hit);
         // Eviction itself is `lru_evicts_the_least_recently_used_key`.
         assert_eq!(Lru::lock(&p.exact).cap, 2);
-        assert_eq!(Lru::lock(&p.near).cap, 1);
+        assert_eq!(Lru::lock(&p.near).cap, NEAR_CACHE);
+        assert_eq!(Lru::lock(&p.clone().near).cap, NEAR_CACHE);
     }
 
     #[test]
@@ -1821,30 +1801,23 @@ mod tests {
 
     #[test]
     fn cache_capacity_is_not_part_of_signature() {
-        // Changing only cache capacities must not change the signature: a
-        // restarted planner with a retuned cache still warm-hits on plans
-        // persisted under the old config.
-        let mk = |cap: usize, near: usize| {
+        // Changing only the cache capacity must not change either
+        // signature: a restarted planner with a retuned cache still
+        // warm-hits on plans persisted under the old config.
+        let mk = |cap: usize| {
             Planner::new(
                 ClusterSpec::p4de(1),
                 AttnSpec::paper_micro(),
                 PlannerConfig {
                     block_size: 1024,
                     plan_cache: cap,
-                    incremental: IncrementalConfig {
-                        near_cache: near,
-                        ..Default::default()
-                    },
                     ..Default::default()
                 },
             )
         };
         let seqs = [(8192, MaskSpec::Causal), (4096, MaskSpec::paper_lambda())];
-        assert_eq!(mk(16, 8).signature(&seqs), mk(64, 2).signature(&seqs));
-        assert_eq!(
-            mk(16, 8).near_signature(&seqs),
-            mk(64, 2).near_signature(&seqs)
-        );
+        assert_eq!(mk(16).signature(&seqs), mk(64).signature(&seqs));
+        assert_eq!(mk(16).near_signature(&seqs), mk(0).near_signature(&seqs));
         // Semantic incremental knobs DO key: the regression bound changes
         // which plans are acceptable, so it must split the cache space.
         let mk_bound = |max_regression: f64| {
@@ -1856,7 +1829,6 @@ mod tests {
                     incremental: IncrementalConfig {
                         enabled: true,
                         max_regression,
-                        ..Default::default()
                     },
                     ..Default::default()
                 },
@@ -1908,6 +1880,20 @@ mod tests {
             assert_eq!(warm.tier, PlanTier::Partitioned);
             assert_eq!(p.near_cache_stats(), (1, 1));
         }
+    }
+
+    #[test]
+    fn near_cache_evicts_past_its_capacity() {
+        // NEAR_CACHE + 1 shapes: the first one's seed is evicted, the last
+        // one's is still there.
+        let p = incremental_planner(1);
+        let shape = |i: usize| vec![(1024 * (i as u32 + 1), MaskSpec::Causal)];
+        for i in 0..=NEAR_CACHE {
+            assert!(!p.plan(&shape(i)).unwrap().stats.near_hit);
+        }
+        assert!(!p.plan(&shape(0)).unwrap().stats.near_hit, "evicted");
+        assert!(p.plan(&shape(NEAR_CACHE)).unwrap().stats.near_hit);
+        assert_eq!(p.near_cache_stats(), (1, NEAR_CACHE as u64 + 2));
     }
 
     #[test]

@@ -82,29 +82,11 @@ pub struct FailureEvent {
     pub divisions_done: u32,
 }
 
-/// Tuning knobs for the recovery planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryConfig {
-    /// Imbalance tolerance for the residual re-shard (both weight
-    /// dimensions). The residual subproblem is small, so this is looser
-    /// than the planner's placement epsilon.
-    pub epsilon: f64,
-    /// Partitioner seed.
-    pub seed: u64,
-    /// Divisions for the re-planned backward phase (match the original
-    /// [`crate::PlannerConfig::divisions`]).
-    pub divisions: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            epsilon: 0.4,
-            seed: 0x5eed,
-            divisions: 4,
-        }
-    }
-}
+/// Imbalance tolerance of the residual re-shard, in both weight dimensions.
+/// The residual subproblem is small, so this is looser than the planner's
+/// intra-node placement epsilon. The re-shard keeps
+/// [`PartitionConfig::new`]'s seed.
+const RESHARD_EPSILON: f64 = 0.4;
 
 /// Accounting for one recovery patch.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -187,9 +169,8 @@ struct Unit {
 }
 
 /// Builds [`RecoveryPatch`]es for failures against live [`PlanOutput`]s.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryPlanner {
-    cfg: RecoveryConfig,
     obs: ObsHandle,
 }
 
@@ -252,12 +233,9 @@ struct Base<'a> {
 }
 
 impl RecoveryPlanner {
-    /// A recovery planner with the given configuration and no observability.
-    pub fn new(cfg: RecoveryConfig) -> Self {
-        RecoveryPlanner {
-            cfg,
-            obs: ObsHandle::noop(),
-        }
+    /// A recovery planner with no observability.
+    pub fn new() -> Self {
+        RecoveryPlanner::default()
     }
 
     /// Attaches an observability sink: a patch emits a `device_lost`
@@ -566,10 +544,9 @@ impl RecoveryPlanner {
         }
         let hg = b.build()?;
         let mut pc = PartitionConfig::new(targets.len() as u32)
-            .with_epsilon(self.cfg.epsilon)
+            .with_epsilon(RESHARD_EPSILON)
             .with_part_targets(targets.to_vec());
-        pc.eps[1] = self.cfg.epsilon;
-        pc.seed = self.cfg.seed;
+        pc.eps[1] = RESHARD_EPSILON;
         Ok(partition(&hg, &pc)
             .ok()
             .filter(|p| p.balanced)
@@ -621,11 +598,9 @@ impl RecoveryPlanner {
                 load[*dev as usize] += layout.comp_blocks[c].flops;
             }
         }
-        let cfg = ScheduleConfig {
-            divisions: self.cfg.divisions,
-            ..Default::default()
-        };
-        let plan = build_plan(layout, &placement, &cfg)?;
+        // The paper's T = 4 divisions under the default cost model, like
+        // the planner's defaults.
+        let plan = build_plan(layout, &placement, &ScheduleConfig::default())?;
         Ok((placement, plan))
     }
 
@@ -1312,9 +1287,7 @@ mod tests {
             device: dev,
             divisions_done: k,
         };
-        let patch = RecoveryPlanner::new(RecoveryConfig::default())
-            .plan_recovery(&out, &ev)
-            .unwrap();
+        let patch = RecoveryPlanner::new().plan_recovery(&out, &ev).unwrap();
         assert!(patch.stats.redone_flops < patch.stats.failed_flops);
         // Every residual computation block moved to a shard; every executed
         // one stayed.
@@ -1345,9 +1318,7 @@ mod tests {
             device: dev,
             divisions_done: 1,
         };
-        let patch = RecoveryPlanner::new(RecoveryConfig::default())
-            .plan_recovery(&out, &ev)
-            .unwrap();
+        let patch = RecoveryPlanner::new().plan_recovery(&out, &ev).unwrap();
         let d = out.plan.num_devices;
         for (i, &owner) in out.placement.token_to_dev.iter().enumerate() {
             let tb = TokenBlockId(i as u32);
@@ -1385,7 +1356,7 @@ mod tests {
     fn failure_after_all_divisions_salvages_without_redo() {
         let out = plan_8dev();
         let (dev, nd) = busiest_device(&out);
-        let patch = RecoveryPlanner::new(RecoveryConfig::default())
+        let patch = RecoveryPlanner::new()
             .plan_recovery(
                 &out,
                 &FailureEvent {
@@ -1401,7 +1372,7 @@ mod tests {
     #[test]
     fn out_of_range_inputs_error() {
         let out = plan_8dev();
-        let rp = RecoveryPlanner::new(RecoveryConfig::default());
+        let rp = RecoveryPlanner::new();
         assert!(rp
             .plan_recovery(
                 &out,

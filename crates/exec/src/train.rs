@@ -40,41 +40,37 @@ pub enum AttnBackend {
     },
 }
 
-/// Model and training hyper-parameters.
+/// Vocabulary size.
+const VOCAB: usize = 64;
+/// Number of transformer blocks.
+const LAYERS: usize = 2;
+/// Query heads.
+const Q_HEADS: usize = 4;
+/// KV heads (GQA groups).
+const KV_HEADS: usize = 2;
+/// Head dimension. Model width is `Q_HEADS * HEAD_DIM`.
+const HEAD_DIM: usize = 8;
+/// MLP hidden width.
+const FFN: usize = 64;
+/// Seed for init and data.
+const SEED: u64 = 42;
+
+/// Training hyper-parameters. The model's shape (2 blocks, 4 query heads
+/// over 2 KV heads of dimension 8, MLP width 64, vocabulary 64) and its
+/// seed are fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
-    /// Vocabulary size.
-    pub vocab: usize,
-    /// Number of transformer blocks.
-    pub layers: usize,
-    /// Query heads.
-    pub q_heads: usize,
-    /// KV heads (GQA groups).
-    pub kv_heads: usize,
-    /// Head dimension. Model width is `q_heads * head_dim`.
-    pub head_dim: usize,
-    /// MLP hidden width.
-    pub ffn: usize,
     /// Training sequence length.
     pub seq_len: usize,
     /// SGD learning rate.
     pub lr: f32,
-    /// Seed for init and data.
-    pub seed: u64,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
-            vocab: 64,
-            layers: 2,
-            q_heads: 4,
-            kv_heads: 2,
-            head_dim: 8,
-            ffn: 64,
             seq_len: 64,
             lr: 0.05,
-            seed: 42,
         }
     }
 }
@@ -171,8 +167,8 @@ struct Layer {
     w2: Vec<f32>,
 }
 
-/// The model: embedding, `layers` blocks, output head.
-pub struct TinyTransformer {
+/// The model: embedding, two attention+MLP blocks, output head.
+struct TinyTransformer {
     cfg: TrainConfig,
     emb: Vec<f32>,
     layers: Vec<Layer>,
@@ -200,7 +196,7 @@ struct LayerTape {
 
 /// The pluggable attention context: a mask bound to the training length
 /// plus, for the planned backend, the prebuilt layout/placement/plan.
-pub struct AttnCtx {
+struct AttnCtx {
     backend: AttnBackend,
     mask: dcp_mask::Mask,
     /// Plan machinery for the `Planned` backend, built once.
@@ -213,19 +209,14 @@ impl AttnCtx {
     /// # Errors
     ///
     /// Propagates mask/layout/plan construction failures.
-    pub fn new(cfg: &TrainConfig, backend: AttnBackend, mask_spec: &MaskSpec) -> DcpResult<Self> {
+    fn new(cfg: &TrainConfig, backend: AttnBackend, mask_spec: &MaskSpec) -> DcpResult<Self> {
         let mask = mask_spec.instantiate(cfg.seq_len as u32)?;
         let planned = if let AttnBackend::Planned {
             num_devices,
             block_size,
         } = backend
         {
-            let attn = AttnSpec::new(
-                cfg.q_heads as u32,
-                cfg.kv_heads as u32,
-                cfg.head_dim as u32,
-                2,
-            );
+            let attn = AttnSpec::new(Q_HEADS as u32, KV_HEADS as u32, HEAD_DIM as u32, 2);
             let layout = BatchLayout::build(
                 attn,
                 BlockConfig {
@@ -298,26 +289,25 @@ impl AttnCtx {
                 k,
                 v,
                 cfg.seq_len,
-                cfg.q_heads,
-                cfg.kv_heads,
-                cfg.head_dim,
+                Q_HEADS,
+                KV_HEADS,
+                HEAD_DIM,
                 &self.mask,
             )),
             AttnBackend::Planned { .. } => {
                 let (layout, placement, plan) = self.planned.as_ref().expect("built in new");
                 let data = BatchData {
-                    q: Self::split_blocks(layout, q, cfg.q_heads, cfg.head_dim),
-                    k: Self::split_blocks(layout, k, cfg.kv_heads, cfg.head_dim),
-                    v: Self::split_blocks(layout, v, cfg.kv_heads, cfg.head_dim),
+                    q: Self::split_blocks(layout, q, Q_HEADS, HEAD_DIM),
+                    k: Self::split_blocks(layout, k, KV_HEADS, HEAD_DIM),
+                    v: Self::split_blocks(layout, v, KV_HEADS, HEAD_DIM),
                 };
                 let out = execute_forward(layout, placement, plan, &data)?;
                 let o_blocks: HashMap<TokenBlockId, Vec<f32>> =
                     out.iter().map(|(&t, b)| (t, b.o.clone())).collect();
                 let lse_blocks: HashMap<TokenBlockId, Vec<f32>> =
                     out.iter().map(|(&t, b)| (t, b.lse.clone())).collect();
-                let o =
-                    Self::join_blocks(layout, &o_blocks, cfg.seq_len, cfg.q_heads, cfg.head_dim);
-                let lse = Self::join_blocks(layout, &lse_blocks, cfg.seq_len, cfg.q_heads, 1);
+                let o = Self::join_blocks(layout, &o_blocks, cfg.seq_len, Q_HEADS, HEAD_DIM);
+                let lse = Self::join_blocks(layout, &lse_blocks, cfg.seq_len, Q_HEADS, 1);
                 Ok((o, lse))
             }
         }
@@ -343,21 +333,21 @@ impl AttnCtx {
                 lse,
                 d_o,
                 cfg.seq_len,
-                cfg.q_heads,
-                cfg.kv_heads,
-                cfg.head_dim,
+                Q_HEADS,
+                KV_HEADS,
+                HEAD_DIM,
                 &self.mask,
             )),
             AttnBackend::Planned { .. } => {
                 let (layout, placement, plan) = self.planned.as_ref().expect("built in new");
                 let data = BatchData {
-                    q: Self::split_blocks(layout, q, cfg.q_heads, cfg.head_dim),
-                    k: Self::split_blocks(layout, k, cfg.kv_heads, cfg.head_dim),
-                    v: Self::split_blocks(layout, v, cfg.kv_heads, cfg.head_dim),
+                    q: Self::split_blocks(layout, q, Q_HEADS, HEAD_DIM),
+                    k: Self::split_blocks(layout, k, KV_HEADS, HEAD_DIM),
+                    v: Self::split_blocks(layout, v, KV_HEADS, HEAD_DIM),
                 };
-                let o_blocks = Self::split_blocks(layout, o, cfg.q_heads, cfg.head_dim);
-                let lse_blocks = Self::split_blocks(layout, lse, cfg.q_heads, 1);
-                let do_blocks = Self::split_blocks(layout, d_o, cfg.q_heads, cfg.head_dim);
+                let o_blocks = Self::split_blocks(layout, o, Q_HEADS, HEAD_DIM);
+                let lse_blocks = Self::split_blocks(layout, lse, Q_HEADS, 1);
+                let do_blocks = Self::split_blocks(layout, d_o, Q_HEADS, HEAD_DIM);
                 let mut fwd_out = HashMap::new();
                 let mut d_o_map = HashMap::new();
                 for i in 0..layout.token_blocks.len() {
@@ -375,9 +365,9 @@ impl AttnCtx {
                 let dk_map: HashMap<_, _> = grads.iter().map(|(&t, g)| (t, g.dk.clone())).collect();
                 let dv_map: HashMap<_, _> = grads.iter().map(|(&t, g)| (t, g.dv.clone())).collect();
                 Ok((
-                    Self::join_blocks(layout, &dq_map, cfg.seq_len, cfg.q_heads, cfg.head_dim),
-                    Self::join_blocks(layout, &dk_map, cfg.seq_len, cfg.kv_heads, cfg.head_dim),
-                    Self::join_blocks(layout, &dv_map, cfg.seq_len, cfg.kv_heads, cfg.head_dim),
+                    Self::join_blocks(layout, &dq_map, cfg.seq_len, Q_HEADS, HEAD_DIM),
+                    Self::join_blocks(layout, &dk_map, cfg.seq_len, KV_HEADS, HEAD_DIM),
+                    Self::join_blocks(layout, &dv_map, cfg.seq_len, KV_HEADS, HEAD_DIM),
                 ))
             }
         }
@@ -385,27 +375,27 @@ impl AttnCtx {
 }
 
 impl TinyTransformer {
-    /// Deterministically initializes the model from `cfg.seed`.
-    pub fn new(cfg: TrainConfig) -> Self {
-        let h = cfg.q_heads * cfg.head_dim;
-        let kvh = cfg.kv_heads * cfg.head_dim;
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    /// Deterministically initializes the model from the fixed seed.
+    fn new(cfg: TrainConfig) -> Self {
+        let h = Q_HEADS * HEAD_DIM;
+        let kvh = KV_HEADS * HEAD_DIM;
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let mut init = |n: usize, fan_in: usize| -> Vec<f32> {
             let s = (1.0 / fan_in as f32).sqrt();
             (0..n).map(|_| rng.gen_range(-s..s)).collect()
         };
-        let emb = init(cfg.vocab * h, h);
-        let layers = (0..cfg.layers)
+        let emb = init(VOCAB * h, h);
+        let layers = (0..LAYERS)
             .map(|_| Layer {
                 wq: init(h * h, h),
                 wk: init(h * kvh, h),
                 wv: init(h * kvh, h),
                 wo: init(h * h, h),
-                w1: init(h * cfg.ffn, h),
-                w2: init(cfg.ffn * h, cfg.ffn),
+                w1: init(h * FFN, h),
+                w2: init(FFN * h, FFN),
             })
             .collect();
-        let wout = init(h * cfg.vocab, h);
+        let wout = init(h * VOCAB, h);
         TinyTransformer {
             cfg,
             emb,
@@ -416,8 +406,8 @@ impl TinyTransformer {
 
     fn forward(&self, tokens: &[usize], attn: &AttnCtx) -> DcpResult<(f32, Tape)> {
         let cfg = &self.cfg;
-        let h = cfg.q_heads * cfg.head_dim;
-        let kvh = cfg.kv_heads * cfg.head_dim;
+        let h = Q_HEADS * HEAD_DIM;
+        let kvh = KV_HEADS * HEAD_DIM;
         let l = cfg.seq_len;
         let mut x: Vec<f32> = Vec::with_capacity(l * h);
         for &t in &tokens[..l] {
@@ -433,9 +423,9 @@ impl TinyTransformer {
             let (attn_o, lse) = attn.forward(cfg, &q, &k, &v)?;
             let proj = matmul(&attn_o, &layer.wo, l, h, h);
             let x_mid: Vec<f32> = x.iter().zip(&proj).map(|(a, b)| a + b).collect();
-            let h_pre = matmul(&x_mid, &layer.w1, l, h, cfg.ffn);
+            let h_pre = matmul(&x_mid, &layer.w1, l, h, FFN);
             let h_post: Vec<f32> = h_pre.iter().map(|&z| z.max(0.0)).collect();
-            let mlp = matmul(&h_post, &layer.w2, l, cfg.ffn, h);
+            let mlp = matmul(&h_post, &layer.w2, l, FFN, h);
             x = x_mid.iter().zip(&mlp).map(|(a, b)| a + b).collect();
             per_layer.push(LayerTape {
                 x_in,
@@ -449,12 +439,12 @@ impl TinyTransformer {
                 h_post,
             });
         }
-        let logits = matmul(&x, &self.wout, l, h, cfg.vocab);
+        let logits = matmul(&x, &self.wout, l, h, VOCAB);
         // Next-token cross entropy (predict tokens[t+1] from position t).
         let mut loss = 0.0f64;
         let preds = l - 1;
         for t in 0..preds {
-            let row = &logits[t * cfg.vocab..(t + 1) * cfg.vocab];
+            let row = &logits[t * VOCAB..(t + 1) * VOCAB];
             let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let z: f32 = row.iter().map(|&r| (r - m).exp()).sum();
             let target = tokens[t + 1];
@@ -469,35 +459,35 @@ impl TinyTransformer {
     }
 
     /// One SGD step; returns the loss before the update.
-    pub fn train_step(&mut self, tokens: &[usize], attn: &AttnCtx) -> DcpResult<f32> {
+    fn train_step(&mut self, tokens: &[usize], attn: &AttnCtx) -> DcpResult<f32> {
         let cfg = self.cfg;
-        let h = cfg.q_heads * cfg.head_dim;
-        let kvh = cfg.kv_heads * cfg.head_dim;
+        let h = Q_HEADS * HEAD_DIM;
+        let kvh = KV_HEADS * HEAD_DIM;
         let l = cfg.seq_len;
         let (loss, tape) = self.forward(tokens, attn)?;
 
         // dLogits.
         let preds = l - 1;
-        let mut dlogits = vec![0.0f32; l * cfg.vocab];
+        let mut dlogits = vec![0.0f32; l * VOCAB];
         for t in 0..preds {
-            let row = &tape.logits[t * cfg.vocab..(t + 1) * cfg.vocab];
+            let row = &tape.logits[t * VOCAB..(t + 1) * VOCAB];
             let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let z: f32 = row.iter().map(|&r| (r - m).exp()).sum();
-            for c in 0..cfg.vocab {
+            for c in 0..VOCAB {
                 let p = (row[c] - m).exp() / z;
-                dlogits[t * cfg.vocab + c] = p / preds as f32;
+                dlogits[t * VOCAB + c] = p / preds as f32;
             }
-            dlogits[t * cfg.vocab + tokens[t + 1]] -= 1.0 / preds as f32;
+            dlogits[t * VOCAB + tokens[t + 1]] -= 1.0 / preds as f32;
         }
         // x_final = input to wout: recompute from tape (x after last layer).
         let x_final: Vec<f32> = {
             // Rebuild: x_mid + mlp of the last layer.
             let lt = tape.per_layer.last().expect("at least one layer");
-            let mlp = matmul(&lt.h_post, &self.layers.last().unwrap().w2, l, cfg.ffn, h);
+            let mlp = matmul(&lt.h_post, &self.layers.last().unwrap().w2, l, FFN, h);
             lt.x_mid.iter().zip(&mlp).map(|(a, b)| a + b).collect()
         };
-        let dwout = matmul_at(&x_final, &dlogits, l, h, cfg.vocab);
-        let mut dx = matmul_bt(&dlogits, &self.wout, l, cfg.vocab, h);
+        let dwout = matmul_at(&x_final, &dlogits, l, h, VOCAB);
+        let mut dx = matmul_bt(&dlogits, &self.wout, l, VOCAB, h);
 
         struct LayerGrads {
             dwq: Vec<f32>,
@@ -511,15 +501,15 @@ impl TinyTransformer {
         for (li, layer) in self.layers.iter().enumerate().rev() {
             let lt = &tape.per_layer[li];
             // MLP backward: x = x_mid + relu(x_mid W1) W2.
-            let dw2 = matmul_at(&lt.h_post, &dx, l, cfg.ffn, h);
-            let mut dh = matmul_bt(&dx, &layer.w2, l, h, cfg.ffn);
+            let dw2 = matmul_at(&lt.h_post, &dx, l, FFN, h);
+            let mut dh = matmul_bt(&dx, &layer.w2, l, h, FFN);
             for (g, &pre) in dh.iter_mut().zip(&lt.h_pre) {
                 if pre <= 0.0 {
                     *g = 0.0;
                 }
             }
-            let dw1 = matmul_at(&lt.x_mid, &dh, l, h, cfg.ffn);
-            let mut dx_mid = matmul_bt(&dh, &layer.w1, l, cfg.ffn, h);
+            let dw1 = matmul_at(&lt.x_mid, &dh, l, h, FFN);
+            let mut dx_mid = matmul_bt(&dh, &layer.w1, l, FFN, h);
             for (a, b) in dx_mid.iter_mut().zip(&dx) {
                 *a += b; // residual
             }
@@ -550,7 +540,7 @@ impl TinyTransformer {
         lgrads.reverse();
 
         // Embedding gradient.
-        let mut demb = vec![0.0f32; cfg.vocab * h];
+        let mut demb = vec![0.0f32; VOCAB * h];
         for (t, &tok) in tokens[..l].iter().enumerate() {
             for d in 0..h {
                 demb[tok * h + d] += dx[t * h + d];
@@ -611,7 +601,7 @@ pub fn train(
 ) -> DcpResult<Vec<f32>> {
     let mut model = TinyTransformer::new(cfg);
     let attn = AttnCtx::new(&cfg, backend, mask)?;
-    let tokens = synthetic_tokens(cfg.vocab, cfg.seq_len, cfg.seed ^ 0xda7a);
+    let tokens = synthetic_tokens(VOCAB, cfg.seq_len, SEED ^ 0xda7a);
     let mut losses = Vec::with_capacity(steps);
     for _ in 0..steps {
         losses.push(model.train_step(&tokens, &attn)?);
@@ -628,7 +618,6 @@ mod tests {
         let cfg = TrainConfig {
             seq_len: 32,
             lr: 0.3,
-            ..Default::default()
         };
         let losses = train(cfg, AttnBackend::Dense, &MaskSpec::Causal, 80).unwrap();
         assert!(

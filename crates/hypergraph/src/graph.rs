@@ -245,7 +245,7 @@ impl Hypergraph {
     }
 
     /// Total number of pins (sum of edge degrees).
-    pub fn num_pins(&self) -> usize {
+    pub(crate) fn num_pins(&self) -> usize {
         self.epins.len()
     }
 
@@ -302,7 +302,7 @@ impl Hypergraph {
     }
 
     /// The maximum vertex weight, per dimension.
-    pub fn max_vertex_weight(&self) -> VertexWeight {
+    pub(crate) fn max_vertex_weight(&self) -> VertexWeight {
         let mut m = [0u64; 2];
         for w in &self.vwts {
             m[0] = m[0].max(w[0]);

@@ -17,7 +17,7 @@ use crate::graph::{Hypergraph, VertexWeight};
 /// Most callers use a single uniform cap for every part
 /// ([`Caps::uniform`]). Heterogeneous instances — residual
 /// re-partitioning onto survivors with unequal remaining capacity — give
-/// each part its own cap ([`Caps::per_part`]).
+/// each part its own cap (from [`crate::PartitionConfig::part_targets`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Caps {
     /// Cap applied when no per-part entry exists; always the element-wise
@@ -38,7 +38,7 @@ impl Caps {
     }
 
     /// One cap per part (`caps[p]` bounds part `p`).
-    pub fn per_part(caps: Vec<VertexWeight>) -> Self {
+    pub(crate) fn per_part(caps: Vec<VertexWeight>) -> Self {
         let uniform = caps
             .iter()
             .fold([0u64; 2], |m, c| [m[0].max(c[0]), m[1].max(c[1])]);

@@ -12,6 +12,17 @@ use crate::graph::{Hypergraph, VertexWeight};
 use crate::initial::{initial_partition, is_balanced, Caps};
 use crate::refine::{rebalance, refine};
 
+/// FM refinement passes per level.
+const REFINE_PASSES: u32 = 8;
+
+/// Initial-partitioning portfolio size.
+const INITIAL_TRIES: u32 = 4;
+
+/// V-cycles after the initial multilevel pass: each re-coarsens the
+/// hypergraph *respecting* the current partition and refines on the way
+/// back up, escaping local minima the single pass left behind.
+const VCYCLES: u32 = 1;
+
 /// Configuration of one partitioning run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PartitionConfig {
@@ -24,19 +35,8 @@ pub struct PartitionConfig {
     pub eps: [f64; 2],
     /// RNG seed (plans are deterministic given the seed).
     pub seed: u64,
-    /// Stop coarsening at this many vertices (0 = auto: `max(4 * k, 16)`).
-    pub coarsen_target: usize,
-    /// Refinement passes per level.
-    pub refine_passes: u32,
-    /// Initial-partitioning portfolio size.
-    pub initial_tries: u32,
     /// Disable refinement entirely (for ablation benchmarks).
     pub refine_enabled: bool,
-    /// Number of V-cycles after the initial multilevel pass: each V-cycle
-    /// re-coarsens the hypergraph *respecting* the current partition and
-    /// refines on the way back up, escaping local minima the single pass
-    /// left behind.
-    pub vcycles: u32,
     /// Optional per-part target weights (length `k`). When set, part `p`'s
     /// balance cap is derived from `part_targets[p]` instead of the uniform
     /// `total / k` average — heterogeneous capacity for residual
@@ -54,11 +54,7 @@ impl PartitionConfig {
             k,
             eps: [0.10, 0.05],
             seed: 0x5eed,
-            coarsen_target: 0,
-            refine_passes: 8,
-            initial_tries: 4,
             refine_enabled: true,
-            vcycles: 1,
             part_targets: None,
         }
     }
@@ -268,13 +264,12 @@ impl<'a> Run<'a> {
 
     fn refine(&mut self, g: &Hypergraph, assignment: &mut [u32]) {
         if self.cfg.refine_enabled {
-            let (k, passes) = (self.cfg.k, self.cfg.refine_passes);
             refine(
                 g,
                 assignment,
-                k,
+                self.cfg.k,
                 &self.caps,
-                passes,
+                REFINE_PASSES,
                 &mut self.rng,
                 &mut self.stats.work,
             );
@@ -347,6 +342,16 @@ pub fn partition_with_stats(
     hg: &Hypergraph,
     cfg: &PartitionConfig,
 ) -> DcpResult<(Partition, PartitionStats)> {
+    partition_with_vcycles(hg, cfg, VCYCLES)
+}
+
+/// The cold pipeline with `vcycles` V-cycles after the first multilevel
+/// pass (every caller but a test runs [`VCYCLES`]).
+fn partition_with_vcycles(
+    hg: &Hypergraph,
+    cfg: &PartitionConfig,
+    vcycles: u32,
+) -> DcpResult<(Partition, PartitionStats)> {
     check_args(hg, cfg)?;
     let k = cfg.k;
     let mut run = Run::new(hg, cfg);
@@ -355,12 +360,8 @@ pub fn partition_with_stats(
         return Ok(run.finish(vec![0u32; hg.num_vertices()]));
     }
 
-    // Coarsen.
-    let target = if cfg.coarsen_target == 0 {
-        (4 * k as usize).max(16)
-    } else {
-        cfg.coarsen_target
-    };
+    // Coarsen down to `max(4k, 16)` vertices.
+    let target = (4 * k as usize).max(16);
     let total = hg.total_weight();
     let max_cluster = [
         (total[0] / (k as u64 * 8)).max(1),
@@ -381,7 +382,7 @@ pub fn partition_with_stats(
 
     // Initial partition on the coarsest level.
     let t = Instant::now();
-    let assignment = initial_partition(coarsest, k, &run.caps, cfg.initial_tries, &mut run.rng);
+    let assignment = initial_partition(coarsest, k, &run.caps, INITIAL_TRIES, &mut run.rng);
     run.stats.initial_s += t.elapsed().as_secs_f64();
     let t = Instant::now();
     let mut assignment = run.uncoarsen(&levels, assignment);
@@ -389,7 +390,7 @@ pub fn partition_with_stats(
     run.stats.refine_s += t.elapsed().as_secs_f64();
 
     // V-cycles: re-coarsen respecting the partition, refine back up.
-    for _ in 0..cfg.vcycles {
+    for _ in 0..vcycles {
         if !cfg.refine_enabled {
             break;
         }
@@ -707,6 +708,50 @@ mod tests {
         assert!(partition_warm_with_stats(&hg, &cfg_bad, &truth).is_err());
     }
 
+    /// `n` vertices of random weights below `w` and `ne` edges of 2 up to
+    /// `deg - 1` random pins and random weights in `1..ew`.
+    fn random_hypergraph(
+        n: usize,
+        ne: usize,
+        seed: u64,
+        (w, deg, ew): (u64, usize, u64),
+    ) -> Hypergraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = HypergraphBuilder::new(n);
+        for v in 0..n {
+            b.set_vertex_weight(v, [rng.gen_range(0..w), rng.gen_range(0..w)]);
+        }
+        for _ in 0..ne {
+            let deg = rng.gen_range(2..deg.min(n + 1).max(3));
+            let pins: Vec<u32> = (0..deg).map(|_| rng.gen_range(0..n) as u32).collect();
+            b.add_edge(rng.gen_range(1..ew), &pins);
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Adding V-cycles never yields a worse partition than none.
+        #[test]
+        fn vcycles_never_worsen(
+            n in 8usize..100,
+            ne in 4usize..150,
+            k in 2u32..5,
+            seed in 0u64..500,
+        ) {
+            let hg = random_hypergraph(n, ne, seed, (8, 5, 16));
+            let cfg = PartitionConfig::new(k).with_seed(seed);
+            let (a, _) = partition_with_vcycles(&hg, &cfg, 0).unwrap();
+            let (b, _) = partition_with_vcycles(&hg, &cfg, 2).unwrap();
+            prop_assert!(
+                b.cost <= a.cost,
+                "vcycles worsened: {} -> {}",
+                a.cost,
+                b.cost
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         /// Partition invariants on random hypergraphs: every vertex assigned
@@ -718,17 +763,7 @@ mod tests {
             k in 2u32..6,
             seed in 0u64..1000,
         ) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut b = HypergraphBuilder::new(n);
-            for v in 0..n {
-                b.set_vertex_weight(v, [rng.gen_range(0..10), rng.gen_range(0..10)]);
-            }
-            for _ in 0..ne {
-                let deg = rng.gen_range(2..6usize.min(n + 1).max(3));
-                let pins: Vec<u32> = (0..deg).map(|_| rng.gen_range(0..n) as u32).collect();
-                b.add_edge(rng.gen_range(1..20), &pins);
-            }
-            let hg = b.build().unwrap();
+            let hg = random_hypergraph(n, ne, seed, (10, 6, 20));
             let cfg = PartitionConfig::new(k).with_seed(seed);
             let part = partition(&hg, &cfg).unwrap();
             prop_assert_eq!(part.assignment.len(), n);

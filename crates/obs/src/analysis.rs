@@ -159,7 +159,7 @@ impl Attribution {
     }
 
     /// Bucket seconds charged to `device` across all buckets.
-    pub fn device_total(&self, device: u32) -> f64 {
+    pub(crate) fn device_total(&self, device: u32) -> f64 {
         self.per_device
             .iter()
             .find(|d| d.device == device)

@@ -233,7 +233,7 @@ impl Event {
     }
 
     /// Chrome-trace category for this event.
-    pub fn chrome_cat(&self) -> &'static str {
+    pub(crate) fn chrome_cat(&self) -> &'static str {
         match self.kind {
             EventKind::Counter | EventKind::Gauge => "metric",
             _ => match self.name.as_str() {

@@ -241,7 +241,7 @@ impl Network {
     }
 
     /// Whether the flow has delivered all its bytes.
-    pub fn is_done(&self, f: FlowId) -> bool {
+    pub(crate) fn is_done(&self, f: FlowId) -> bool {
         self.flows[f.0].done
     }
 

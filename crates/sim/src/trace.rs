@@ -169,10 +169,13 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
 /// track) with `#` attention, `%` backward, `r` reduce, `c` copy, `.`
 /// exposed wait; a second `net` row per device with `~` for incoming
 /// transfers. Later-starting segments overwrite earlier ones within a cell.
+/// A segment takes at least one cell, so a zero-length one at the trace's
+/// end lands in the last; `width` 0 renders as 1.
 pub fn ascii_gantt(events: &[TraceEvent], width: usize) -> String {
     if events.is_empty() {
         return String::from("(empty trace)\n");
     }
+    let width = width.max(1);
     let t_end = events.iter().map(|e| e.end).fold(0.0, f64::max);
     let n = events.iter().map(|e| e.device).max().unwrap_or(0) as usize + 1;
     let scale = width as f64 / t_end.max(1e-12);
@@ -183,9 +186,9 @@ pub fn ascii_gantt(events: &[TraceEvent], width: usize) -> String {
             TraceKind::Transfer { .. } => &mut net[e.device as usize],
             _ => &mut comp[e.device as usize],
         };
-        let lo = (e.start * scale) as usize;
+        let lo = ((e.start * scale) as usize).min(width - 1);
         let hi = ((e.end * scale) as usize).clamp(lo + 1, width);
-        for cell in row.iter_mut().take(hi).skip(lo.min(width - 1)) {
+        for cell in row.iter_mut().take(hi).skip(lo) {
             *cell = e.kind.glyph();
         }
     }
@@ -278,6 +281,20 @@ mod tests {
         assert!(g.contains('~'));
         // Two devices: dev1 only has a net row.
         assert!(g.contains("dev1"));
+        // A zero-length last segment takes the last cell; width 0 renders
+        // one cell, the latest segment's.
+        let ev = |kind, start, end| TraceEvent {
+            device: 0,
+            kind,
+            start,
+            end,
+        };
+        let (attn, copy) = (
+            ev(TraceKind::Attn, 0.0, 1e-3),
+            ev(TraceKind::Copy, 1e-3, 1e-3),
+        );
+        assert!(ascii_gantt(&[attn, copy], 10).contains("dev0   |#########c|"));
+        assert!(ascii_gantt(&[attn, copy], 0).contains("dev0   |c|"));
     }
 
     #[test]

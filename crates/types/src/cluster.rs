@@ -118,7 +118,7 @@ impl TopologySpec {
     /// A rail-optimized fabric with no extra switch tiers: same aggregate
     /// bandwidth as the flat model, but cross-node flows from different local
     /// ranks never contend for the same NIC.
-    pub fn rail_optimized() -> Self {
+    pub(crate) fn rail_optimized() -> Self {
         TopologySpec {
             tiers: Vec::new(),
             rail_optimized: true,
@@ -147,7 +147,7 @@ impl TopologySpec {
     /// Validate against a cluster with `nodes` nodes. Every tier must have a
     /// group fanout of at least one that divides the unit count of the tier
     /// below, positive finite uplink bandwidth, and non-negative latency.
-    pub fn validate(&self, nodes: u32) -> DcpResult<()> {
+    pub(crate) fn validate(&self, nodes: u32) -> DcpResult<()> {
         let mut units = nodes;
         for (i, t) in self.tiers.iter().enumerate() {
             if t.group == 0 {
@@ -231,7 +231,7 @@ impl ClusterSpec {
     }
 
     /// Attach a fabric description to this cluster.
-    pub fn with_topology(mut self, topology: TopologySpec) -> Self {
+    pub(crate) fn with_topology(mut self, topology: TopologySpec) -> Self {
         self.topology = Some(topology);
         self
     }
@@ -365,22 +365,6 @@ impl ClusterSpec {
         NodeId(dev.0 / self.devices_per_node)
     }
 
-    /// The local index of device `dev` within its node.
-    pub fn local_rank(&self, dev: DeviceId) -> u32 {
-        dev.0 % self.devices_per_node
-    }
-
-    /// The global rank of the `local`-th device on node `node`.
-    pub fn device_on(&self, node: NodeId, local: u32) -> DeviceId {
-        assert!(node.0 < self.nodes && local < self.devices_per_node);
-        DeviceId(node.0 * self.devices_per_node + local)
-    }
-
-    /// Whether two devices are on the same node.
-    pub fn same_node(&self, a: DeviceId, b: DeviceId) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
     /// All device ids, in rank order.
     pub fn devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
         (0..self.num_devices()).map(DeviceId)
@@ -469,15 +453,11 @@ mod tests {
         assert_eq!(c.node_of(DeviceId(7)), NodeId(0));
         assert_eq!(c.node_of(DeviceId(8)), NodeId(1));
         assert_eq!(c.node_of(DeviceId(31)), NodeId(3));
-        assert_eq!(c.local_rank(DeviceId(13)), 5);
-        assert_eq!(c.device_on(NodeId(2), 3), DeviceId(19));
     }
 
     #[test]
     fn same_node_and_latency() {
         let c = ClusterSpec::p4de(2);
-        assert!(c.same_node(DeviceId(0), DeviceId(7)));
-        assert!(!c.same_node(DeviceId(7), DeviceId(8)));
         assert!(c.latency(DeviceId(0), DeviceId(1)) < c.latency(DeviceId(0), DeviceId(9)));
     }
 

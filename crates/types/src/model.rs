@@ -72,18 +72,6 @@ impl AttnSpec {
         tokens * self.q_heads_per_group() as u64 * self.head_dim as u64 * self.dtype_bytes as u64
     }
 
-    /// Bytes of the K+V slices of one head group for `tokens` tokens.
-    pub fn kv_block_bytes(&self, tokens: u64) -> Bytes {
-        2 * tokens * self.head_dim as u64 * self.dtype_bytes as u64
-    }
-
-    /// Bytes of the output slice of one head group for `tokens` tokens.
-    /// Includes the per-token log-sum-exp statistics (one f32 per Q head per
-    /// token) carried alongside the output for blockwise reduction.
-    pub fn o_block_bytes(&self, tokens: u64) -> Bytes {
-        self.q_block_bytes(tokens) + tokens * self.q_heads_per_group() as u64 * 4
-    }
-
     /// Forward FLOPs of attention between `pairs` unmasked (query, key) token
     /// pairs within one head group: two matmuls (`QK^T` and `PV`) of
     /// `2 * head_dim` FLOPs each, for every Q head in the group.
@@ -217,10 +205,6 @@ mod tests {
         let s = AttnSpec::paper_micro();
         // Q: tokens * 4 heads * 128 dim * 2 bytes.
         assert_eq!(s.q_block_bytes(1024), 1024 * 4 * 128 * 2);
-        // KV: 2 tensors * tokens * 128 * 2 (one KV head per group).
-        assert_eq!(s.kv_block_bytes(1024), 2 * 1024 * 128 * 2);
-        // O adds 4 bytes of LSE per Q head per token.
-        assert_eq!(s.o_block_bytes(1024), s.q_block_bytes(1024) + 1024 * 4 * 4);
     }
 
     #[test]

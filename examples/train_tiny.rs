@@ -12,7 +12,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = TrainConfig {
         seq_len: 64,
         lr: 0.2,
-        ..Default::default()
     };
     let steps = 40;
     println!("training a tiny transformer on a synthetic Markov stream ({steps} steps)");

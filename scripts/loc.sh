@@ -11,9 +11,22 @@
 # stale:
 #
 #   scripts/loc.sh > results/LOC.txt
+#
+# `scripts/loc.sh --unnamed` prints the names behind the `unnamed` column
+# instead, one `crate name` pair a line.
 set -euo pipefail
 export LC_ALL=C
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+list_unnamed=0
+case ${1-} in
+'') ;;
+--unnamed) list_unnamed=1 ;;
+*)
+    echo "usage: scripts/loc.sh [--unnamed]" >&2
+    exit 2
+    ;;
+esac
 
 # The identifiers in the .rs files under those of the given paths that
 # exist, sorted, unique.
@@ -26,7 +39,7 @@ idents() {
         xargs -0 -r cat | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u
 }
 
-printf '%-12s %8s %9s %8s %7s\n' crate lines pub_items unnamed options
+((list_unnamed)) || printf '%-12s %8s %9s %8s %7s\n' crate lines pub_items unnamed options
 total_lines=0
 total_items=0
 total_unnamed=0
@@ -45,7 +58,12 @@ for src in src crates/*/src; do
         [[ $p != "$src" && $p != "$dir" ]] && naming+=("$p")
     done
     [[ $name == bench ]] && naming+=("$src/bin")
-    unnamed=$(comm -23 <(grep . <<<"$names" || true) <(idents "${naming[@]}") | grep -c . || true)
+    unnamed_names=$(comm -23 <(grep . <<<"$names" || true) <(idents "${naming[@]}") || true)
+    if ((list_unnamed)); then
+        [[ -n $unnamed_names ]] && sed "s/^/$name /" <<<"$unnamed_names"
+        continue
+    fi
+    unnamed=$(grep -c . <<<"$unnamed_names" || true)
     options=$(find "$src" -name '*.rs' -print0 | xargs -0 cat | awk '
         /^pub struct [A-Za-z0-9_]*Config[^A-Za-z0-9_]/ { in_config = 1; next }
         /^}/ { in_config = 0 }
@@ -57,4 +75,4 @@ for src in src crates/*/src; do
     total_unnamed=$((total_unnamed + unnamed))
     total_options=$((total_options + options))
 done
-printf '%-12s %8d %9d %8d %7d\n' total "$total_lines" "$total_items" "$total_unnamed" "$total_options"
+((list_unnamed)) || printf '%-12s %8d %9d %8d %7d\n' total "$total_lines" "$total_items" "$total_unnamed" "$total_options"

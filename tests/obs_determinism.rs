@@ -189,7 +189,6 @@ fn planner_capture() -> Vec<Event> {
         incremental: IncrementalConfig {
             enabled: true,
             max_regression,
-            ..Default::default()
         },
         ..planner_cfg()
     };

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dcp::blocks::{CompBlockId, TokenBlockId};
-use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPatch, RecoveryPlanner};
+use dcp::core::recovery::{FailureEvent, RecoveryPatch, RecoveryPlanner};
 use dcp::core::{
     simulate_iteration, simulate_iteration_with_recovery, E2eConfig, PlanOutput, Planner,
     PlannerConfig,
@@ -173,7 +173,7 @@ fn mid_iteration_recovery_end_to_end() {
     // Patch-plan the failure with a recording sink: the incident and the
     // recovery plan must land in the observability stream.
     let sink = Arc::new(RecordingSink::new());
-    let rp = RecoveryPlanner::new(RecoveryConfig::default()).with_obs(ObsHandle::new(
+    let rp = RecoveryPlanner::new().with_obs(ObsHandle::new(
         sink.clone() as Arc<dyn dcp::obs::ObsSink + Send + Sync>
     ));
     let ev = FailureEvent {
@@ -289,9 +289,7 @@ fn mid_iteration_recovery_end_to_end() {
     // recovery — is bitwise identical across thread counts.
     let run = || {
         let (_, out) = plan_small();
-        let patch = RecoveryPlanner::new(RecoveryConfig::default())
-            .plan_recovery(&out, &ev)
-            .unwrap();
+        let patch = RecoveryPlanner::new().plan_recovery(&out, &ev).unwrap();
         let data = BatchData::random(&out.layout, 2024);
         let rec = execute_forward_recovery(
             &out.layout,
@@ -333,7 +331,7 @@ fn cascading_failure_composes_patches_bitwise() {
     let d = out.plan.num_devices;
     let (dev1, nd1) = busiest_device(&out.plan.fwd);
     assert!(nd1 >= 3);
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let patch1 = rp
         .plan_recovery(
             &out,
@@ -351,8 +349,8 @@ fn cascading_failure_composes_patches_bitwise() {
     // The cascade is on the trace: its `recovery_plan` span carries the
     // depth.
     let sink = Arc::new(RecordingSink::new());
-    let rp2 = RecoveryPlanner::new(RecoveryConfig::default()).with_obs(ObsHandle::new(
-        sink.clone() as Arc<dyn dcp::obs::ObsSink + Send + Sync>,
+    let rp2 = RecoveryPlanner::new().with_obs(ObsHandle::new(
+        sink.clone() as Arc<dyn dcp::obs::ObsSink + Send + Sync>
     ));
     let patch2 = rp2.plan_recovery_onto(&out, &patch1, &ev2).unwrap();
     assert_eq!(patch2.stats.cascade_depth, 2);
@@ -431,7 +429,7 @@ fn cascading_failure_composes_patches_bitwise() {
 fn passes_keep_recovery_patches_legal_and_bitwise() {
     let (_, out) = plan_small();
     let d = out.plan.num_devices;
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let pm = PassManager::new(PassConfig::optimize());
     let data = BatchData::random(&out.layout, 2024);
     let (fwd_out, d_o) = clean_run(&out, &data);
@@ -568,7 +566,7 @@ fn backward_phase_failure_salvages_partial_accumulators() {
     )
     .unwrap();
 
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let patch = rp
         .plan_backward_recovery(
             &out,
@@ -624,7 +622,7 @@ fn backward_phase_failure_salvages_partial_accumulators() {
 #[test]
 fn out_of_range_frontier_is_a_typed_error() {
     let (_, out) = plan_small();
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let ev = FailureEvent {
         device: 0,
         divisions_done: 10_000,
@@ -667,7 +665,7 @@ fn tampered_plans_are_typed_errors_not_panics() {
         }),
     ];
     let (_, out) = plan_small();
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let (dev, nd) = busiest_device(&out.plan.fwd);
     let ev = FailureEvent {
         device: dev,
@@ -724,7 +722,7 @@ fn cascade_the_host_fold_deadlocked_on_simulates_and_executes_bitwise() {
         (98, MaskSpec::Causal),
     ];
     let out = planner.plan(&seqs).unwrap();
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let kill = |device, divisions_done| FailureEvent {
         device,
         divisions_done,
@@ -764,9 +762,7 @@ fn tampered_host_maps_are_typed_errors_not_panics() {
         device: dev,
         divisions_done: nd / 2,
     };
-    let patch = RecoveryPlanner::new(RecoveryConfig::default())
-        .plan_recovery(&out, &ev)
-        .unwrap();
+    let patch = RecoveryPlanner::new().plan_recovery(&out, &ev).unwrap();
     simulate_patch(&cluster, &patch).unwrap();
     let ranks = out.plan.num_devices;
     let streams = patch.phase.devices.len();
@@ -942,7 +938,7 @@ fn patch_digest(p: &RecoveryPatch) -> u64 {
 #[test]
 fn patches_are_pinned_to_the_instruction() {
     let (_, out) = plan_small();
-    let rp = RecoveryPlanner::new(RecoveryConfig::default());
+    let rp = RecoveryPlanner::new();
     let (dev, nd) = busiest_device(&out.plan.fwd);
     let kill = |device, divisions_done| FailureEvent {
         device,
@@ -1002,7 +998,7 @@ proptest! {
             .map(|_| (rng.gen_range(48..220), MaskSpec::Causal))
             .collect();
         let out = planner.plan(&seqs).unwrap();
-        let rp = RecoveryPlanner::new(RecoveryConfig::default());
+        let rp = RecoveryPlanner::new();
         let dev = dev_sel % n;
         let k = divisions(&out.plan.fwd.devices[dev as usize].instrs) * frac / 4;
         let fwd_patch = rp

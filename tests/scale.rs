@@ -15,7 +15,7 @@
 //! The CI thread matrix re-runs this at `RAYON_NUM_THREADS` 1/2/8, so the
 //! pin doubles as the cross-thread-count determinism check.
 
-use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPlanner};
+use dcp::core::recovery::{FailureEvent, RecoveryPlanner};
 use dcp::core::{IncrementalConfig, PlanOutput, Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
 use dcp::sched::RecoveryCtx;
@@ -333,7 +333,7 @@ fn faulted_recovery_patch_is_bitwise_pinned() {
             }])
             .collect(),
     };
-    let patch = RecoveryPlanner::new(RecoveryConfig::default())
+    let patch = RecoveryPlanner::new()
         .plan_recovery(
             &out,
             &FailureEvent {

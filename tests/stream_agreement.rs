@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dcp::blocks::{BatchLayout, BlockConfig, CompBlockId, TokenBlockId};
-use dcp::core::recovery::{FailureEvent, RecoveryConfig, RecoveryPatch, RecoveryPlanner};
+use dcp::core::recovery::{FailureEvent, RecoveryPatch, RecoveryPlanner};
 use dcp::core::{PlanOutput, Planner, PlannerConfig};
 use dcp::exec::executor::BlockGrads;
 use dcp::exec::executor::{execute_backward_recovery, execute_forward_recovery, ExecObs};
@@ -571,7 +571,7 @@ fn patches_under_their_ctx_mean_the_same_to_all_three() {
 
         // The kill sequence: a rank mid-forward, then a survivor somewhere in
         // its own stream and the shards it hosts; and a rank mid-backward.
-        let rp = RecoveryPlanner::new(RecoveryConfig::default());
+        let rp = RecoveryPlanner::new();
         let mut kill = |phase: &PhasePlan, streams: &[u32]| {
             let done = streams.iter().map(|&l| divisions(phase, l)).sum::<u32>();
             rng.gen_range(0..=done)
