@@ -114,7 +114,7 @@ fn bench_refinement(c: &mut Criterion) {
                     &hg,
                     &mut a,
                     8,
-                    &caps.into(),
+                    caps,
                     8,
                     &mut rng,
                     &mut PartitionWork::default(),

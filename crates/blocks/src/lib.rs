@@ -198,10 +198,26 @@ impl BatchLayout {
     ///
     /// # Errors
     ///
-    /// Returns an error if the config is degenerate (zero block size, head
-    /// grouping that does not divide the head counts) or a mask fails to
-    /// instantiate.
+    /// Returns an error if the attention spec is degenerate (a zero head
+    /// count, head dim or dtype size, or `q_heads` not a multiple of
+    /// `kv_heads`: a deserialized spec never passed [`AttnSpec::new`]'s
+    /// checks), the config is degenerate (zero block size, head grouping
+    /// that does not divide the head counts) or a mask fails to instantiate.
     pub fn build(attn: AttnSpec, config: BlockConfig, seqs: &[(u32, MaskSpec)]) -> DcpResult<Self> {
+        let AttnSpec {
+            q_heads,
+            kv_heads,
+            head_dim,
+            dtype_bytes,
+        } = attn;
+        if [q_heads, kv_heads, head_dim, dtype_bytes].contains(&0)
+            || !q_heads.is_multiple_of(kv_heads)
+        {
+            return Err(DcpError::invalid_argument(format!(
+                "degenerate attention spec {attn:?}: every dimension must be \
+                 > 0 and q_heads a multiple of kv_heads"
+            )));
+        }
         if config.block_size == 0 {
             return Err(DcpError::invalid_argument("block size must be > 0"));
         }
@@ -486,6 +502,33 @@ mod tests {
             &[(100, MaskSpec::Causal)]
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_degenerate_attn_specs() {
+        // A deserialized spec never passes `AttnSpec::new`'s asserts.
+        let config = BlockConfig {
+            block_size: 64,
+            head_blocks: 1,
+        };
+        let ok = micro();
+        for bad in [
+            AttnSpec { q_heads: 0, ..ok },
+            AttnSpec { kv_heads: 0, ..ok },
+            AttnSpec { head_dim: 0, ..ok },
+            AttnSpec {
+                dtype_bytes: 0,
+                ..ok
+            },
+            AttnSpec { kv_heads: 3, ..ok },
+        ] {
+            let err = BatchLayout::build(bad, config, &[(100, MaskSpec::Causal)]);
+            assert!(
+                matches!(err, Err(DcpError::InvalidArgument(_))),
+                "{bad:?} built"
+            );
+        }
+        assert!(BatchLayout::build(ok, config, &[(100, MaskSpec::Causal)]).is_ok());
     }
 
     #[test]

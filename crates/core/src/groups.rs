@@ -201,7 +201,7 @@ mod tests {
         )
         .unwrap();
         for (g, p) in gp.groups.iter().zip(&gp.plans) {
-            dcp_sched::schedule::validate_plan(&p.layout, &p.placement, &p.plan).unwrap();
+            dcp_sched::verify_plan(&p.layout, &p.placement, &p.plan).unwrap();
             let tokens: u64 = g.iter().map(|&i| batch[i].0 as u64).sum();
             assert_eq!(p.layout.total_tokens(), tokens);
         }

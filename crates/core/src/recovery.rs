@@ -16,10 +16,9 @@
 //!   connected components going backward, where an item folds into one `dQ`
 //!   and one `dKV` running sum at once;
 //! - units are re-sharded over the survivors against each survivor's
-//!   *remaining* capacity (its own unfinished divisions): forward by the
-//!   same hypergraph partitioner the planner uses (via
-//!   [`dcp_hypergraph::PartitionConfig::with_part_targets`], greedy
-//!   water-fill as the backstop), backward by water-fill alone;
+//!   *remaining* capacity (its own unfinished divisions) by a greedy
+//!   water-fill: heaviest unit first, into the survivor furthest below the
+//!   water level;
 //! - what the dead stream already reduced is **salvaged**: its raw
 //!   accumulators ship to the replacement shards over dedicated salvage comm
 //!   ops, so the shards fold the residual blocks into them exactly where the
@@ -54,10 +53,9 @@
 //! for the same token block (the owner's reduce state vs. another stream's
 //! outstanding partial), and merging them would change the reduction tree.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
-use dcp_hypergraph::{partition, HypergraphBuilder, PartitionConfig, VertexWeight};
 use dcp_obs::{Event, ObsHandle, Source as ObsSource, Span};
 use dcp_sched::stream::check_ids;
 use dcp_sched::{
@@ -82,12 +80,6 @@ pub struct FailureEvent {
     pub divisions_done: u32,
 }
 
-/// Imbalance tolerance of the residual re-shard, in both weight dimensions.
-/// The residual subproblem is small, so this is looser than the planner's
-/// intra-node placement epsilon. The re-shard keeps
-/// [`PartitionConfig::new`]'s seed.
-const RESHARD_EPSILON: f64 = 0.4;
-
 /// Accounting for one recovery patch.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RecoveryStats {
@@ -103,8 +95,6 @@ pub struct RecoveryStats {
     pub refetch_bytes: u64,
     /// Residual units re-sharded over the survivors.
     pub residual_units: usize,
-    /// Whether the hypergraph re-shard fell back to greedy waterfilling.
-    pub greedy_fallback: bool,
     /// Wall time spent building this patch.
     pub plan_wall_s: f64,
     /// How many failures this patch composes over: `1` for a patch against
@@ -436,7 +426,6 @@ impl RecoveryPlanner {
                 flops(s, k_own) + hosted_live(s).map(|l| flops(l, 0)).sum::<u64>()
             })
             .collect();
-        let mut greedy_fallback = false;
         for view in &mut views {
             // A forward stream that left nothing behind needs no shards; a
             // backward patch always carries its one block, so its shard
@@ -447,21 +436,7 @@ impl RecoveryPlanner {
             view.shard0 = Some(d_total + ctx.shard_hosts.len() as u32);
             ctx.shard_hosts.extend(&survivors);
             let flops: u64 = view.units.iter().map(|u| u.flops).sum();
-            let bytes: u64 = view.units.iter().map(|u| unit_bytes(layout, u)).sum();
-            let targets = recovery_targets(&queued, flops, bytes);
-            // Backward units are whole dQ∼dKV components — few and coarse —
-            // so they water-fill directly, as a lone survivor's must.
-            view.part = if backward || survivors.len() == 1 {
-                waterfill(&view.units, &targets)
-            } else {
-                match self.partition_units(layout, &view.units, &targets)? {
-                    Some(assignment) => assignment,
-                    None => {
-                        greedy_fallback = true;
-                        waterfill(&view.units, &targets)
-                    }
-                }
-            };
+            view.part = waterfill(&view.units, &recovery_targets(&queued, flops));
             for (u, j, _) in view.placed() {
                 queued[j] += u.flops;
             }
@@ -497,7 +472,6 @@ impl RecoveryPlanner {
             salvage_bytes: rendered.salvage_bytes,
             refetch_bytes: rendered.refetch_bytes,
             residual_units: views.iter().map(|v| v.units.len()).sum(),
-            greedy_fallback,
             plan_wall_s: 0.0,
             cascade_depth: prior.map_or(0, |p| p.stats.cascade_depth) + 1,
         };
@@ -513,44 +487,6 @@ impl RecoveryPlanner {
             bwd,
             stats,
         })
-    }
-
-    /// The forward re-shard: the planner's hypergraph partitioner over the
-    /// units against per-survivor `targets`, `None` when it cannot balance
-    /// them (the caller water-fills instead).
-    fn partition_units(
-        &self,
-        layout: &BatchLayout,
-        units: &[Unit],
-        targets: &[VertexWeight],
-    ) -> DcpResult<Option<Vec<u32>>> {
-        let mut b = HypergraphBuilder::new(units.len());
-        for (i, u) in units.iter().enumerate() {
-            b.set_vertex_weight(i, [u.flops.max(1), unit_bytes(layout, u)]);
-        }
-        // Units sharing a KV input want to land on the same shard so the
-        // input is fetched once.
-        let mut consumers: BTreeMap<TokenBlockId, Vec<u32>> = BTreeMap::new();
-        for (i, u) in units.iter().enumerate() {
-            for &c in &u.items {
-                let kb = layout.comp_blocks[c.0 as usize].kv_block;
-                consumers.entry(kb).or_default().push(i as u32);
-            }
-        }
-        for (kb, pins) in consumers {
-            if pins.len() > 1 {
-                b.add_edge(layout.token_blocks[kb.0 as usize].kv_bytes, &pins);
-            }
-        }
-        let hg = b.build()?;
-        let mut pc = PartitionConfig::new(targets.len() as u32)
-            .with_epsilon(RESHARD_EPSILON)
-            .with_part_targets(targets.to_vec());
-        pc.eps[1] = RESHARD_EPSILON;
-        Ok(partition(&hg, &pc)
-            .ok()
-            .filter(|p| p.balanced)
-            .map(|p| p.assignment))
     }
 
     /// After a forward failure the backward phase is re-planned from
@@ -634,12 +570,6 @@ impl RecoveryPlanner {
             )
             .with_bytes(stats.salvage_bytes),
         );
-        if stats.greedy_fallback {
-            self.obs.record(Event::instant(
-                ObsSource::Planner,
-                "recovery_greedy_fallback",
-            ));
-        }
         wall
     }
 }
@@ -708,18 +638,6 @@ fn partial_bytes(layout: &BatchLayout, tb: TokenBlockId, kind: PayloadKind) -> u
         PayloadKind::PartialDkv => tb.kv_bytes,
         _ => 0,
     }
-}
-
-/// Bytes a unit brings to its shard: its accumulators plus the resident
-/// data of the blocks re-owned with it.
-fn unit_bytes(layout: &BatchLayout, u: &Unit) -> u64 {
-    let accs = u
-        .accs
-        .iter()
-        .map(|a| partial_bytes(layout, a.token_block(), a.kind()));
-    let owned = u.owned.iter();
-    accs.chain(owned.map(|tb| layout.token_blocks[tb.0 as usize].total_bytes()))
-        .sum()
 }
 
 /// Cuts dying stream `l` of the plan being patched at its `k`-th division
@@ -1184,34 +1102,26 @@ fn remaining_flops(instrs: &[Instr], k: u32) -> u64 {
         .sum()
 }
 
-/// Per-shard `[flops, bytes]` targets for the residual re-shard: each
-/// survivor's flop target is its shortfall against the water level — the
-/// clean planner's equal-finish heuristic — and bytes split evenly.
-fn recovery_targets(queued: &[u64], residual_total: u64, bytes_total: u64) -> Vec<VertexWeight> {
-    let s_count = queued.len();
+/// Per-shard flop targets for the residual re-shard: each survivor's
+/// shortfall against the water level — the clean planner's equal-finish
+/// heuristic — and at least 1.
+fn recovery_targets(queued: &[u64], residual_total: u64) -> Vec<u64> {
     let total_queued: u64 = queued.iter().sum();
-    let ideal = (total_queued + residual_total) as f64 / s_count as f64;
-    queued
-        .iter()
-        .map(|&r| {
-            [
-                (ideal - r as f64).max(1.0).round() as u64,
-                (bytes_total / s_count as u64).max(1),
-            ]
-        })
-        .collect()
+    let ideal = (total_queued + residual_total) as f64 / queued.len() as f64;
+    let shortfall = |r: u64| (ideal - r as f64).max(1.0).round() as u64;
+    queued.iter().map(|&r| shortfall(r)).collect()
 }
 
-/// Deterministic greedy re-shard — the backward solver and the forward
-/// backstop: heaviest unit first (ties toward the lowest first token block)
-/// into the shard with the most remaining flop capacity.
-fn waterfill(units: &[Unit], targets: &[VertexWeight]) -> Vec<u32> {
+/// The re-shard, both directions: heaviest unit first (ties toward the
+/// lowest first token block) into the shard with the most remaining flop
+/// capacity against its target.
+fn waterfill(units: &[Unit], targets: &[u64]) -> Vec<u32> {
     let mut order: Vec<usize> = (0..units.len()).collect();
     order.sort_by_key(|&i| {
         let u = &units[i];
         (std::cmp::Reverse(u.flops), u.accs[0].token_block().0)
     });
-    let mut cap: Vec<i128> = targets.iter().map(|t| t[0] as i128).collect();
+    let mut cap: Vec<i128> = targets.iter().map(|&t| t as i128).collect();
     let mut part = vec![0u32; units.len()];
     for i in order {
         let j = (0..cap.len())
@@ -1367,6 +1277,63 @@ mod tests {
             .unwrap();
         assert_eq!(patch.stats.redone_flops, 0);
         assert!(patch.stats.salvage_bytes > 0);
+    }
+
+    /// Water-fill balance, for every victim and every frontier: each
+    /// survivor's queued flops plus the residual flops newly assigned to it
+    /// stay within max(its queued flops, the water level) plus the heaviest
+    /// unit (one Q block's residual flops forward) plus 2 for rounding.
+    #[test]
+    fn reshard_stays_within_one_unit_of_the_water_level() {
+        let out = plan_8dev();
+        let d = out.plan.num_devices;
+        let fwd = &out.plan.fwd;
+        let divisions = |s: &DeviceStream| {
+            let attn = s.instrs.iter().filter(|i| matches!(i, Instr::Attn { .. }));
+            attn.count() as u32
+        };
+        let mut patches = 0;
+        for victim in 0..d {
+            for k in 0..=divisions(&fwd.devices[victim as usize]) {
+                let ev = FailureEvent {
+                    device: victim,
+                    divisions_done: k,
+                };
+                let patch = RecoveryPlanner::new().plan_recovery(&out, &ev).unwrap();
+                let hosts = &patch.ctx.shard_hosts;
+                let mut assigned = vec![0u64; d as usize];
+                let mut unit_flops: HashMap<TokenBlockId, u64> = HashMap::new();
+                for (j, &host) in hosts.iter().enumerate() {
+                    for ins in &patch.phase.devices[d as usize + j].instrs {
+                        let Instr::Attn { items, flops } = ins else {
+                            continue;
+                        };
+                        assigned[host as usize] += flops;
+                        for c in items {
+                            let cb = &out.layout.comp_blocks[c.0 as usize];
+                            *unit_flops.entry(cb.q_block).or_default() += cb.flops;
+                        }
+                    }
+                }
+                let survivors: Vec<u32> = (0..d).filter(|&s| s != victim).collect();
+                let queued = |s: u32| remaining_flops(&fwd.devices[s as usize].instrs, k);
+                let residual: u64 = assigned.iter().sum();
+                assert_eq!(residual, patch.stats.redone_flops);
+                let total = survivors.iter().map(|&s| queued(s)).sum::<u64>() + residual;
+                let level = total.div_ceil(survivors.len() as u64);
+                let heaviest = unit_flops.values().copied().max().unwrap_or(0);
+                for &s in &survivors {
+                    let (q, a) = (queued(s), assigned[s as usize]);
+                    assert!(
+                        q + a <= q.max(level) + heaviest + 2,
+                        "victim {victim} at {k}: survivor {s} has {q} queued + {a} \
+                         assigned, water level {level}, heaviest unit {heaviest}"
+                    );
+                }
+                patches += 1;
+            }
+        }
+        assert!(patches > d as usize, "{patches} patches");
     }
 
     #[test]

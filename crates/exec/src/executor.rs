@@ -848,7 +848,7 @@ mod tests {
         tol_bwd: f32,
     ) {
         let plan = build_plan(l, p, &ScheduleConfig::default()).unwrap();
-        dcp_sched::schedule::validate_plan(l, p, &plan).unwrap();
+        dcp_sched::verify_plan(l, p, &plan).unwrap();
         let data = BatchData::random(l, 77);
         let out = execute_forward(l, p, &plan, &data).unwrap();
 

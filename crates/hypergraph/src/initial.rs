@@ -12,58 +12,6 @@ use rand::Rng;
 
 use crate::graph::{Hypergraph, VertexWeight};
 
-/// Balance caps (one cap per weight dimension, optionally per part).
-///
-/// Most callers use a single uniform cap for every part
-/// ([`Caps::uniform`]). Heterogeneous instances — residual
-/// re-partitioning onto survivors with unequal remaining capacity — give
-/// each part its own cap (from [`crate::PartitionConfig::part_targets`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Caps {
-    /// Cap applied when no per-part entry exists; always the element-wise
-    /// maximum over all per-part caps, so it stays meaningful for
-    /// reporting.
-    pub uniform: VertexWeight,
-    /// Optional per-part caps, indexed by part id (length `k`).
-    pub per_part: Option<Vec<VertexWeight>>,
-}
-
-impl Caps {
-    /// The same cap for every part.
-    pub fn uniform(cap: VertexWeight) -> Self {
-        Caps {
-            uniform: cap,
-            per_part: None,
-        }
-    }
-
-    /// One cap per part (`caps[p]` bounds part `p`).
-    pub(crate) fn per_part(caps: Vec<VertexWeight>) -> Self {
-        let uniform = caps
-            .iter()
-            .fold([0u64; 2], |m, c| [m[0].max(c[0]), m[1].max(c[1])]);
-        Caps {
-            uniform,
-            per_part: Some(caps),
-        }
-    }
-
-    /// The cap that applies to part `p`.
-    #[inline]
-    pub fn at(&self, p: u32) -> VertexWeight {
-        match &self.per_part {
-            Some(v) => v[p as usize],
-            None => self.uniform,
-        }
-    }
-}
-
-impl From<VertexWeight> for Caps {
-    fn from(cap: VertexWeight) -> Self {
-        Caps::uniform(cap)
-    }
-}
-
 /// How a strategy orders vertices for greedy assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Order {
@@ -75,9 +23,15 @@ enum Order {
 
 /// Greedily assigns all vertices of `hg` to `k` parts.
 ///
-/// Returns the assignment. Vertices that fit nowhere under `caps` are placed
+/// Returns the assignment. Vertices that fit nowhere under `cap` are placed
 /// on the least-loaded part (the refinement stage repairs the balance).
-fn greedy(hg: &Hypergraph, k: u32, caps: &Caps, order: Order, rng: &mut SmallRng) -> Vec<u32> {
+fn greedy(
+    hg: &Hypergraph,
+    k: u32,
+    cap: VertexWeight,
+    order: Order,
+    rng: &mut SmallRng,
+) -> Vec<u32> {
     let n = hg.num_vertices();
     let total = hg.total_weight();
     let norm = |w: VertexWeight| -> f64 {
@@ -132,7 +86,6 @@ fn greedy(hg: &Hypergraph, k: u32, caps: &Caps, order: Order, rng: &mut SmallRng
         let mut best: Option<(u32, u64, f64)> = None; // (part, delta, load)
         for p in 0..k {
             let l = loads[p as usize];
-            let cap = caps.at(p);
             let fits = l[0] + w[0] <= cap[0] && l[1] + w[1] <= cap[1];
             if !fits {
                 continue;
@@ -177,7 +130,7 @@ fn greedy(hg: &Hypergraph, k: u32, caps: &Caps, order: Order, rng: &mut SmallRng
 /// the growing part, until the part reaches its share of the total weight.
 /// Excellent on locally-connected structures (chains, rings, grids) where
 /// per-vertex greedy assignment fragments.
-fn grow(hg: &Hypergraph, k: u32, caps: &Caps, rng: &mut SmallRng) -> Vec<u32> {
+fn grow(hg: &Hypergraph, k: u32, cap: VertexWeight, rng: &mut SmallRng) -> Vec<u32> {
     let n = hg.num_vertices();
     let mut assignment = vec![u32::MAX; n];
     let mut unassigned = n;
@@ -199,7 +152,6 @@ fn grow(hg: &Hypergraph, k: u32, caps: &Caps, rng: &mut SmallRng) -> Vec<u32> {
                 left[1] += w[1];
             }
         }
-        let cap = caps.at(p);
         let target = [
             (left[0] / remaining_parts).min(cap[0]),
             (left[1] / remaining_parts).min(cap[1]),
@@ -277,33 +229,32 @@ fn grow(hg: &Hypergraph, k: u32, caps: &Caps, rng: &mut SmallRng) -> Vec<u32> {
     assignment
 }
 
-/// Whether `assignment` satisfies the balance caps.
-pub(crate) fn is_balanced(hg: &Hypergraph, assignment: &[u32], k: u32, caps: &Caps) -> bool {
-    hg.part_weights(assignment, k)
-        .iter()
-        .enumerate()
-        .all(|(p, w)| {
-            let cap = caps.at(p as u32);
-            w[0] <= cap[0] && w[1] <= cap[1]
-        })
+/// Whether `assignment` keeps every part within `cap`.
+pub(crate) fn is_balanced(hg: &Hypergraph, assignment: &[u32], k: u32, cap: VertexWeight) -> bool {
+    within(&hg.part_weights(assignment, k), cap)
+}
+
+/// Whether every load is within `cap` in both dimensions.
+pub(crate) fn within(loads: &[VertexWeight], cap: VertexWeight) -> bool {
+    loads.iter().all(|w| w[0] <= cap[0] && w[1] <= cap[1])
 }
 
 /// Runs the portfolio and returns the best assignment found.
 pub(crate) fn initial_partition(
     hg: &Hypergraph,
     k: u32,
-    caps: &Caps,
+    cap: VertexWeight,
     tries: u32,
     rng: &mut SmallRng,
 ) -> Vec<u32> {
     let mut best: Option<(bool, u64, Vec<u32>)> = None;
     for t in 0..tries.max(2) {
         let a = match t {
-            0 => greedy(hg, k, caps, Order::WeightDescending, rng),
-            t if t % 2 == 1 => grow(hg, k, caps, rng),
-            _ => greedy(hg, k, caps, Order::Random, rng),
+            0 => greedy(hg, k, cap, Order::WeightDescending, rng),
+            t if t % 2 == 1 => grow(hg, k, cap, rng),
+            _ => greedy(hg, k, cap, Order::Random, rng),
         };
-        let feasible = is_balanced(hg, &a, k, caps);
+        let feasible = is_balanced(hg, &a, k, cap);
         let cost = hg.connectivity_cost(&a, k);
         let better = match &best {
             None => true,
@@ -345,8 +296,8 @@ mod tests {
     fn finds_the_obvious_bisection() {
         let hg = two_cliques();
         let mut rng = SmallRng::seed_from_u64(11);
-        let a = initial_partition(&hg, 2, &Caps::uniform([4, 4]), 4, &mut rng);
-        assert!(is_balanced(&hg, &a, 2, &Caps::uniform([4, 4])));
+        let a = initial_partition(&hg, 2, [4, 4], 4, &mut rng);
+        assert!(is_balanced(&hg, &a, 2, [4, 4]));
         assert_eq!(hg.connectivity_cost(&a, 2), 1);
     }
 
@@ -354,7 +305,7 @@ mod tests {
     fn all_vertices_assigned() {
         let hg = two_cliques();
         let mut rng = SmallRng::seed_from_u64(2);
-        let a = initial_partition(&hg, 3, &Caps::uniform([3, 3]), 3, &mut rng);
+        let a = initial_partition(&hg, 3, [3, 3], 3, &mut rng);
         assert_eq!(a.len(), 8);
         assert!(a.iter().all(|&p| p < 3));
     }
@@ -364,7 +315,7 @@ mod tests {
         // Caps too tight for everything: greedy must still assign all.
         let hg = two_cliques();
         let mut rng = SmallRng::seed_from_u64(5);
-        let a = initial_partition(&hg, 2, &Caps::uniform([2, 2]), 2, &mut rng);
+        let a = initial_partition(&hg, 2, [2, 2], 2, &mut rng);
         assert_eq!(a.len(), 8);
         assert!(a.iter().all(|&p| p < 2));
     }
@@ -380,26 +331,10 @@ mod tests {
         b.add_edge(1, &[0, 1, 2, 3]);
         let hg = b.build().unwrap();
         let mut rng = SmallRng::seed_from_u64(9);
-        let a = initial_partition(&hg, 2, &Caps::uniform([10, 10]), 4, &mut rng);
-        assert!(is_balanced(&hg, &a, 2, &Caps::uniform([10, 10])));
+        let a = initial_partition(&hg, 2, [10, 10], 4, &mut rng);
+        assert!(is_balanced(&hg, &a, 2, [10, 10]));
         // Each part must hold exactly one compute-heavy and one data-heavy.
         assert_ne!(a[0], a[1]);
         assert_ne!(a[2], a[3]);
-    }
-
-    #[test]
-    fn per_part_caps_skew_the_split() {
-        // Part 0 may hold at most 2 units, part 1 the rest: a 2/6 split of
-        // the two cliques instead of the balanced 4/4.
-        let hg = two_cliques();
-        let caps = Caps::per_part(vec![[2, 2], [6, 6]]);
-        assert_eq!(caps.uniform, [6, 6], "uniform tracks the max");
-        assert_eq!(caps.at(0), [2, 2]);
-        assert_eq!(caps.at(1), [6, 6]);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let a = initial_partition(&hg, 2, &caps, 4, &mut rng);
-        assert!(is_balanced(&hg, &a, 2, &caps), "assignment: {a:?}");
-        let part0 = a.iter().filter(|&&p| p == 0).count();
-        assert!(part0 <= 2, "part 0 over its cap: {a:?}");
     }
 }

@@ -55,7 +55,6 @@ pub mod partitioner;
 pub mod refine;
 
 pub use graph::{HgArena, Hypergraph, HypergraphBuilder, VertexWeight};
-pub use initial::Caps;
 pub use partitioner::{
     partition, partition_warm_with_stats, partition_with_stats, Partition, PartitionConfig,
     PartitionStats, PartitionWork,

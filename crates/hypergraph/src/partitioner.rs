@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::coarsen::{coarsen_to, Level};
 use crate::graph::{Hypergraph, VertexWeight};
-use crate::initial::{initial_partition, is_balanced, Caps};
+use crate::initial::{initial_partition, is_balanced, within};
 use crate::refine::{rebalance, refine};
 
 /// FM refinement passes per level.
@@ -37,13 +37,6 @@ pub struct PartitionConfig {
     pub seed: u64,
     /// Disable refinement entirely (for ablation benchmarks).
     pub refine_enabled: bool,
-    /// Optional per-part target weights (length `k`). When set, part `p`'s
-    /// balance cap is derived from `part_targets[p]` instead of the uniform
-    /// `total / k` average — heterogeneous capacity for residual
-    /// re-partitioning onto survivors with unequal headroom. `None` keeps
-    /// the classic uniform caps.
-    #[serde(default)]
-    pub part_targets: Option<Vec<VertexWeight>>,
 }
 
 impl PartitionConfig {
@@ -55,7 +48,6 @@ impl PartitionConfig {
             eps: [0.10, 0.05],
             seed: 0x5eed,
             refine_enabled: true,
-            part_targets: None,
         }
     }
 
@@ -68,12 +60,6 @@ impl PartitionConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets per-part target weights (must have length `k`).
-    pub fn with_part_targets(mut self, targets: Vec<VertexWeight>) -> Self {
-        self.part_targets = Some(targets);
         self
     }
 }
@@ -164,7 +150,7 @@ impl PartitionStats {
     }
 }
 
-/// Computes the per-part balance caps for `hg` under `cfg`.
+/// Computes the balance cap every part of `hg` is held to under `cfg`.
 ///
 /// `cap[d] = max(ceil((1 + eps[d]) * avg), floor(avg) + max_vertex[d])` with
 /// `avg = total[d] / k`. The second term grants one vertex of granularity
@@ -180,34 +166,6 @@ pub(crate) fn balance_caps(hg: &Hypergraph, cfg: &PartitionConfig) -> VertexWeig
         caps[d] = (((1.0 + cfg.eps[d]) * avg).ceil() as u64).max(avg as u64 + maxv[d]);
     }
     caps
-}
-
-/// The full (possibly per-part) caps for `hg` under `cfg`.
-///
-/// With [`PartitionConfig::part_targets`] set, the uniform average in the
-/// [`balance_caps`] formula is replaced by each part's own target:
-/// `cap[p][d] = max(ceil((1 + eps[d]) * t[p][d]), t[p][d] + max_vertex[d])`,
-/// keeping the same one-vertex granularity slack per part. Without targets
-/// this is exactly the uniform cap.
-pub(crate) fn balance_caps_full(hg: &Hypergraph, cfg: &PartitionConfig) -> Caps {
-    match &cfg.part_targets {
-        None => Caps::uniform(balance_caps(hg, cfg)),
-        Some(targets) => {
-            let maxv = hg.max_vertex_weight();
-            let per_part = targets
-                .iter()
-                .map(|t| {
-                    let mut cap = [0u64; 2];
-                    for d in 0..2 {
-                        cap[d] =
-                            (((1.0 + cfg.eps[d]) * t[d] as f64).ceil() as u64).max(t[d] + maxv[d]);
-                    }
-                    cap
-                })
-                .collect();
-            Caps::per_part(per_part)
-        }
-    }
 }
 
 /// Partitions `hg` into `cfg.k` balanced parts minimizing the
@@ -231,14 +189,7 @@ fn check_args(hg: &Hypergraph, cfg: &PartitionConfig) -> DcpResult<()> {
             "cannot partition an empty hypergraph",
         ));
     }
-    match &cfg.part_targets {
-        Some(t) if t.len() != cfg.k as usize => Err(DcpError::invalid_argument(format!(
-            "part_targets has {} entries for k = {}",
-            t.len(),
-            cfg.k
-        ))),
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 /// One run's fixed inputs and what it counts, so the helpers below take the
@@ -246,7 +197,7 @@ fn check_args(hg: &Hypergraph, cfg: &PartitionConfig) -> DcpResult<()> {
 struct Run<'a> {
     hg: &'a Hypergraph,
     cfg: &'a PartitionConfig,
-    caps: Caps,
+    cap: VertexWeight,
     rng: SmallRng,
     stats: PartitionStats,
 }
@@ -256,7 +207,7 @@ impl<'a> Run<'a> {
         Run {
             hg,
             cfg,
-            caps: balance_caps_full(hg, cfg),
+            cap: balance_caps(hg, cfg),
             rng: SmallRng::seed_from_u64(cfg.seed),
             stats: PartitionStats::default(),
         }
@@ -268,7 +219,7 @@ impl<'a> Run<'a> {
                 g,
                 assignment,
                 self.cfg.k,
-                &self.caps,
+                self.cap,
                 REFINE_PASSES,
                 &mut self.rng,
                 &mut self.stats.work,
@@ -303,13 +254,13 @@ impl<'a> Run<'a> {
     /// cold pipeline and the whole of the warm one.
     fn repair_and_polish(&mut self, assignment: &mut [u32]) {
         if !self.is_balanced(assignment) {
-            rebalance(self.hg, assignment, self.cfg.k, &self.caps);
+            rebalance(self.hg, assignment, self.cfg.k, self.cap);
         }
         self.refine(self.hg, assignment);
     }
 
     fn is_balanced(&self, assignment: &[u32]) -> bool {
-        is_balanced(self.hg, assignment, self.cfg.k, &self.caps)
+        is_balanced(self.hg, assignment, self.cfg.k, self.cap)
     }
 
     /// The partition of `assignment`, and this run's stage times and work
@@ -317,16 +268,12 @@ impl<'a> Run<'a> {
     fn finish(self, assignment: Vec<u32>) -> (Partition, PartitionStats) {
         let cost = self.hg.connectivity_cost(&assignment, self.cfg.k);
         let part_weights = self.hg.part_weights(&assignment, self.cfg.k);
-        let balanced = part_weights.iter().enumerate().all(|(p, w)| {
-            let cap = self.caps.at(p as u32);
-            w[0] <= cap[0] && w[1] <= cap[1]
-        });
         let partition = Partition {
+            balanced: within(&part_weights, self.cap),
             assignment,
             cost,
             part_weights,
-            balanced,
-            caps: self.caps.uniform,
+            caps: self.cap,
         };
         (partition, self.stats)
     }
@@ -336,8 +283,8 @@ impl<'a> Run<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`DcpError::InvalidArgument`] if `k == 0`, the hypergraph has no
-/// vertices, or `part_targets` has the wrong length.
+/// Returns [`DcpError::InvalidArgument`] if `k == 0` or the hypergraph has no
+/// vertices.
 pub fn partition_with_stats(
     hg: &Hypergraph,
     cfg: &PartitionConfig,
@@ -382,7 +329,7 @@ fn partition_with_vcycles(
 
     // Initial partition on the coarsest level.
     let t = Instant::now();
-    let assignment = initial_partition(coarsest, k, &run.caps, INITIAL_TRIES, &mut run.rng);
+    let assignment = initial_partition(coarsest, k, run.cap, INITIAL_TRIES, &mut run.rng);
     run.stats.initial_s += t.elapsed().as_secs_f64();
     let t = Instant::now();
     let mut assignment = run.uncoarsen(&levels, assignment);
@@ -449,8 +396,7 @@ fn partition_with_vcycles(
 /// # Errors
 ///
 /// Returns [`DcpError::InvalidArgument`] if `k == 0`, the hypergraph is
-/// empty, `seed` has the wrong length or contains parts `>= k`, or
-/// `part_targets` has the wrong length.
+/// empty, or `seed` has the wrong length or contains parts `>= k`.
 pub fn partition_warm_with_stats(
     hg: &Hypergraph,
     cfg: &PartitionConfig,
@@ -580,59 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn part_targets_skew_the_partition() {
-        // 4 equal groups, but part 0 is targeted at half a group's weight:
-        // its final load must stay under the skewed cap while the other
-        // parts absorb the slack.
-        let (hg, _) = planted(4, 16, 21);
-        let total = hg.total_weight();
-        let quarter = [total[0] / 4, total[1] / 4];
-        let targets = vec![
-            [quarter[0] / 2, quarter[1] / 2],
-            [quarter[0] + quarter[0] / 6, quarter[1] + quarter[1] / 6],
-            [quarter[0] + quarter[0] / 6, quarter[1] + quarter[1] / 6],
-            [quarter[0] + quarter[0] / 6, quarter[1] + quarter[1] / 6],
-        ];
-        let cfg = PartitionConfig::new(4)
-            .with_epsilon(0.1)
-            .with_part_targets(targets.clone());
-        let part = partition(&hg, &cfg).unwrap();
-        assert!(part.balanced, "part weights: {:?}", part.part_weights);
-        let caps = balance_caps_full(&hg, &cfg);
-        for (p, w) in part.part_weights.iter().enumerate() {
-            let cap = caps.at(p as u32);
-            assert!(
-                w[0] <= cap[0] && w[1] <= cap[1],
-                "part {p} load {w:?} over cap {cap:?}"
-            );
-        }
-        // The skewed part really is lighter than an even split.
-        assert!(
-            part.part_weights[0][0] < quarter[0],
-            "part 0 should be under the uniform average: {:?}",
-            part.part_weights
-        );
-    }
-
-    #[test]
-    fn part_targets_length_mismatch_is_rejected() {
-        let (hg, _) = planted(2, 8, 1);
-        let cfg = PartitionConfig::new(2).with_part_targets(vec![[1, 1]; 3]);
-        assert!(partition(&hg, &cfg).is_err());
-    }
-
-    #[test]
-    fn no_part_targets_matches_uniform_caps() {
-        // `part_targets: None` must be byte-identical to the pre-existing
-        // uniform-caps path (the default config hits it everywhere).
-        let (hg, _) = planted(4, 20, 5);
-        let cfg = PartitionConfig::new(4).with_seed(42);
-        let caps = balance_caps_full(&hg, &cfg);
-        assert_eq!(caps.uniform, balance_caps(&hg, &cfg));
-        assert!(caps.per_part.is_none());
-    }
-
-    #[test]
     fn more_parts_than_vertices_spreads() {
         let mut b = HypergraphBuilder::new(3);
         for v in 0..3 {
@@ -703,9 +596,6 @@ mod tests {
         let mut bad = truth.clone();
         bad[0] = 9;
         assert!(partition_warm_with_stats(&hg, &cfg, &bad).is_err());
-        // part_targets length mismatch.
-        let cfg_bad = PartitionConfig::new(2).with_part_targets(vec![[1, 1]; 3]);
-        assert!(partition_warm_with_stats(&hg, &cfg_bad, &truth).is_err());
     }
 
     /// `n` vertices of random weights below `w` and `ne` edges of 2 up to

@@ -30,7 +30,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::graph::{Hypergraph, VertexWeight};
-use crate::initial::Caps;
+use crate::initial::within;
 use crate::partitioner::PartitionWork;
 
 /// Incremental state for k-way refinement.
@@ -276,7 +276,7 @@ impl GainCache {
         state: &RefineState,
         v: u32,
         from: u32,
-        caps: &Caps,
+        cap: VertexWeight,
         total: VertexWeight,
     ) -> Option<(u32, i64)> {
         let w = hg.vertex_weight(v);
@@ -286,7 +286,7 @@ impl GainCache {
                 continue;
             }
             let l = state.loads[to as usize];
-            if !admissible(l, w, caps.at(to)) {
+            if !admissible(l, w, cap) {
                 continue;
             }
             let g = self.gain(v, to);
@@ -422,7 +422,7 @@ fn fm_pass(
     assignment: &mut [u32],
     state: &mut RefineState,
     cache: &mut GainCache,
-    caps: &Caps,
+    cap: VertexWeight,
     rng: &mut SmallRng,
     work: &mut PartitionWork,
 ) -> bool {
@@ -456,7 +456,7 @@ fn fm_pass(
         if !boundary[v as usize] {
             continue;
         }
-        if let Some((_, g)) = cache.best_move(hg, state, v, assignment[v as usize], caps, total) {
+        if let Some((_, g)) = cache.best_move(hg, state, v, assignment[v as usize], cap, total) {
             heap.push_or_update(v, (g, salts[v as usize]));
         }
     }
@@ -479,7 +479,7 @@ fn fm_pass(
         let from = assignment[v as usize];
         // The key may lag the loads (admissibility and tie-breaks drift as
         // parts fill); recheck against the cache before committing.
-        let Some((to, g)) = cache.best_move(hg, state, v, from, caps, total) else {
+        let Some((to, g)) = cache.best_move(hg, state, v, from, cap, total) else {
             continue;
         };
         if g != key_gain {
@@ -517,7 +517,7 @@ fn fm_pass(
             }
             stamp[u as usize] = move_ctr;
             salts[u as usize] = rng.gen();
-            match cache.best_move(hg, state, u, assignment[u as usize], caps, total) {
+            match cache.best_move(hg, state, u, assignment[u as usize], cap, total) {
                 Some((_, ug)) => heap.push_or_update(u, (ug, salts[u as usize])),
                 None => heap.remove(u),
             }
@@ -542,7 +542,7 @@ pub fn refine(
     hg: &Hypergraph,
     assignment: &mut [u32],
     k: u32,
-    caps: &Caps,
+    cap: VertexWeight,
     passes: u32,
     rng: &mut SmallRng,
     work: &mut PartitionWork,
@@ -550,18 +550,23 @@ pub fn refine(
     let mut state = RefineState::new(hg, assignment, k);
     let mut cache = GainCache::new(hg, &state, assignment);
     for _ in 0..passes {
-        if !fm_pass(hg, assignment, &mut state, &mut cache, caps, rng, work) {
+        if !fm_pass(hg, assignment, &mut state, &mut cache, cap, rng, work) {
             break;
         }
     }
     state.cost
 }
 
-/// Moves vertices out of parts exceeding `caps` until the assignment is
+/// Moves vertices out of parts exceeding `cap` until the assignment is
 /// balanced or no improving move exists. Chooses, at each step, the move that
 /// minimizes the connectivity cost increase per unit of overload relieved.
 /// Returns whether the final assignment satisfies the caps.
-pub(crate) fn rebalance(hg: &Hypergraph, assignment: &mut [u32], k: u32, caps: &Caps) -> bool {
+pub(crate) fn rebalance(
+    hg: &Hypergraph,
+    assignment: &mut [u32],
+    k: u32,
+    cap: VertexWeight,
+) -> bool {
     let mut state = RefineState::new(hg, assignment, k);
     // Bounded number of moves to guarantee termination.
     let max_moves = hg.num_vertices() * 2;
@@ -571,12 +576,12 @@ pub(crate) fn rebalance(hg: &Hypergraph, assignment: &mut [u32], k: u32, caps: &
         // commensurable in absolute terms).
         let mut worst: Option<(u32, usize, f64)> = None;
         for p in 0..k {
-            for (d, &cap) in caps.at(p).iter().enumerate() {
-                let over = state.loads[p as usize][d].saturating_sub(cap);
+            for (d, &c) in cap.iter().enumerate() {
+                let over = state.loads[p as usize][d].saturating_sub(c);
                 if over == 0 {
                     continue;
                 }
-                let frac = over as f64 / cap.max(1) as f64;
+                let frac = over as f64 / c.max(1) as f64;
                 if worst.is_none_or(|(_, _, o)| frac > o) {
                     worst = Some((p, d, frac));
                 }
@@ -601,7 +606,7 @@ pub(crate) fn rebalance(hg: &Hypergraph, assignment: &mut [u32], k: u32, caps: &
                     continue;
                 }
                 let l = state.loads[to as usize];
-                if !admissible(l, w, caps.at(to)) {
+                if !admissible(l, w, cap) {
                     continue;
                 }
                 let g = state.gain(hg, v, from, to);
@@ -617,10 +622,7 @@ pub(crate) fn rebalance(hg: &Hypergraph, assignment: &mut [u32], k: u32, caps: &
         state.apply(hg, v, from, to);
         assignment[v as usize] = to;
     }
-    state.loads.iter().enumerate().all(|(p, l)| {
-        let cap = caps.at(p as u32);
-        l[0] <= cap[0] && l[1] <= cap[1]
-    })
+    within(&state.loads, cap)
 }
 
 #[cfg(test)]
@@ -744,15 +746,7 @@ mod tests {
         let before = hg.connectivity_cost(&assignment, 2);
         let mut rng = SmallRng::seed_from_u64(4);
         let mut work = PartitionWork::default();
-        let after = refine(
-            &hg,
-            &mut assignment,
-            2,
-            &Caps::uniform([10, 10]),
-            16,
-            &mut rng,
-            &mut work,
-        );
+        let after = refine(&hg, &mut assignment, 2, [10, 10], 16, &mut rng, &mut work);
         // FM with negative-gain moves should reach the optimum: two arcs,
         // two cut edges.
         assert_eq!(after, hg.connectivity_cost(&assignment, 2));
@@ -774,7 +768,7 @@ mod tests {
             &hg,
             &mut assignment,
             2,
-            &Caps::uniform([4, 4]),
+            [4, 4],
             8,
             &mut rng,
             &mut PartitionWork::default(),
@@ -790,12 +784,11 @@ mod tests {
             let hg = ring(n, 2);
             let mut assignment: Vec<u32> = (0..n).map(|v| (v as u32 * 3) % 3).collect();
             let before = hg.connectivity_cost(&assignment, 3);
-            let caps = Caps::uniform([n as u64, n as u64]);
             let after = refine(
                 &hg,
                 &mut assignment,
                 3,
-                &caps,
+                [n as u64, n as u64],
                 8,
                 &mut rng,
                 &mut PartitionWork::default(),
@@ -809,7 +802,7 @@ mod tests {
         let hg = ring(8, 1);
         // Everything on part 0.
         let mut assignment = vec![0u32; 8];
-        let ok = rebalance(&hg, &mut assignment, 2, &Caps::uniform([5, 5]));
+        let ok = rebalance(&hg, &mut assignment, 2, [5, 5]);
         assert!(ok);
         let pw = hg.part_weights(&assignment, 2);
         assert!(pw.iter().all(|w| w[0] <= 5 && w[1] <= 5));
@@ -824,11 +817,6 @@ mod tests {
         b.add_edge(1, &[0, 1]);
         let hg = b.build().unwrap();
         let mut assignment = vec![0, 0];
-        assert!(!rebalance(
-            &hg,
-            &mut assignment,
-            2,
-            &Caps::uniform([50, 50])
-        ));
+        assert!(!rebalance(&hg, &mut assignment, 2, [50, 50]));
     }
 }

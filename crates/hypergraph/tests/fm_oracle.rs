@@ -4,7 +4,8 @@
 //! frozen: every popped vertex's best move is recomputed from the `lambda`
 //! table (`O(deg · k)` per pop) and entries for locked and moved vertices
 //! stay in the heap until popped. Kept verbatim except for `crate::` paths,
-//! which name the public `dcp_hypergraph` items instead, and for
+//! which name the public `dcp_hypergraph` items instead, for the balance
+//! cap (one `VertexWeight` for every part, as the library takes it), and for
 //! `RefineState::best_move` (now a function, reading `k` off `loads`), which
 //! only this implementation used and which moved here with it, beside copies
 //! of its two helpers and of the stall limit. Nothing in the library may
@@ -12,7 +13,7 @@
 //! moves.
 
 use dcp_hypergraph::refine::refine;
-use dcp_hypergraph::{Caps, Hypergraph, HypergraphBuilder, PartitionWork};
+use dcp_hypergraph::{Hypergraph, HypergraphBuilder, PartitionWork};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -23,7 +24,7 @@ mod oracle {
     use rand::Rng;
 
     use dcp_hypergraph::refine::RefineState;
-    use dcp_hypergraph::{Caps, Hypergraph, VertexWeight};
+    use dcp_hypergraph::{Hypergraph, VertexWeight};
 
     const STALL_LIMIT: usize = 48;
 
@@ -52,7 +53,7 @@ mod oracle {
         hg: &Hypergraph,
         v: u32,
         from: u32,
-        caps: &Caps,
+        cap: VertexWeight,
         total: VertexWeight,
     ) -> Option<(u32, i64)> {
         let w = hg.vertex_weight(v);
@@ -62,7 +63,7 @@ mod oracle {
                 continue;
             }
             let l = state.loads[to as usize];
-            if !admissible(l, w, caps.at(to)) {
+            if !admissible(l, w, cap) {
                 continue;
             }
             let g = state.gain(hg, v, from, to);
@@ -109,7 +110,7 @@ mod oracle {
         hg: &Hypergraph,
         assignment: &mut [u32],
         state: &mut RefineState,
-        caps: &Caps,
+        cap: VertexWeight,
         rng: &mut SmallRng,
     ) -> bool {
         let n = hg.num_vertices();
@@ -120,7 +121,7 @@ mod oracle {
             if !state.is_boundary(hg, v) {
                 continue;
             }
-            if let Some((to, gain)) = best_move(state, hg, v, assignment[v as usize], caps, total) {
+            if let Some((to, gain)) = best_move(state, hg, v, assignment[v as usize], cap, total) {
                 heap.push(Entry {
                     gain,
                     v,
@@ -142,7 +143,7 @@ mod oracle {
             }
             let from = assignment[v as usize];
             // Revalidate lazily: the cached move may be stale.
-            match best_move(state, hg, v, from, caps, total) {
+            match best_move(state, hg, v, from, cap, total) {
                 Some((to2, g2)) => {
                     if to2 != to || g2 != gain {
                         heap.push(Entry {
@@ -177,7 +178,7 @@ mod oracle {
                         continue;
                     }
                     if let Some((uto, ug)) =
-                        best_move(state, hg, u, assignment[u as usize], caps, total)
+                        best_move(state, hg, u, assignment[u as usize], cap, total)
                     {
                         heap.push(Entry {
                             gain: ug,
@@ -208,13 +209,13 @@ mod oracle {
         hg: &Hypergraph,
         assignment: &mut [u32],
         k: u32,
-        caps: &Caps,
+        cap: VertexWeight,
         passes: u32,
         rng: &mut SmallRng,
     ) -> u64 {
         let mut state = RefineState::new(hg, assignment, k);
         for _ in 0..passes {
-            if !fm_pass(hg, assignment, &mut state, caps, rng) {
+            if !fm_pass(hg, assignment, &mut state, cap, rng) {
                 break;
             }
         }
@@ -260,17 +261,17 @@ fn gain_cache_refine_matches_reference_quality() {
         let mut b = base.clone();
         let mut rng_a = SmallRng::seed_from_u64(seed);
         let mut rng_b = SmallRng::seed_from_u64(seed);
-        let caps = Caps::uniform([14, 14]);
+        let cap = [14, 14];
         let cost_new = refine(
             &hg,
             &mut a,
             2,
-            &caps,
+            cap,
             16,
             &mut rng_a,
             &mut PartitionWork::default(),
         );
-        let cost_ref = oracle::refine(&hg, &mut b, 2, &caps, 16, &mut rng_b);
+        let cost_ref = oracle::refine(&hg, &mut b, 2, cap, 16, &mut rng_b);
         assert_eq!(cost_new, 2, "seed {seed}");
         assert_eq!(cost_ref, 2, "seed {seed}");
     }

@@ -4,7 +4,7 @@
 //! test in `partitioner.rs`: the V-cycle count is a crate-private knob.)
 
 use dcp_hypergraph::refine::{refine, GainCache, RefineState};
-use dcp_hypergraph::{partition, Caps, HypergraphBuilder, PartitionConfig, PartitionWork};
+use dcp_hypergraph::{partition, HypergraphBuilder, PartitionConfig, PartitionWork};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -50,7 +50,7 @@ proptest! {
             &hg,
             &mut assignment,
             k,
-            &Caps::uniform(caps),
+            caps,
             6,
             &mut rng,
             &mut PartitionWork::default(),

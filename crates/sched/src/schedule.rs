@@ -49,7 +49,6 @@ use crate::plan::{
     ReduceItem, Transfer,
 };
 use crate::table::{PayloadTable, Stamped};
-use crate::verify::verify_plan;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -696,23 +695,10 @@ fn schedule_phase(
     PhasePlan { comms, devices }
 }
 
-/// Checks a plan against its layout and placement: [`verify_plan`] with the
-/// diagnostic folded into the crate-wide error type.
-///
-/// # Errors
-///
-/// Returns [`DcpError::InvalidPlan`] describing the first violated rule.
-pub fn validate_plan(
-    layout: &BatchLayout,
-    placement: &Placement,
-    plan: &ExecutionPlan,
-) -> DcpResult<()> {
-    Ok(verify_plan(layout, placement, plan)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_plan;
     use dcp_blocks::BlockConfig;
     use dcp_mask::MaskSpec;
     use dcp_types::AttnSpec;
@@ -751,7 +737,7 @@ mod tests {
         let l = layout(&[(4096, MaskSpec::Causal)], 512);
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
-        validate_plan(&l, &p, &plan).unwrap();
+        verify_plan(&l, &p, &plan).unwrap();
     }
 
     #[test]
@@ -759,7 +745,7 @@ mod tests {
         let l = layout(&[(2048, MaskSpec::Causal)], 512);
         let p = Placement::all_on_zero(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
-        validate_plan(&l, &p, &plan).unwrap();
+        verify_plan(&l, &p, &plan).unwrap();
         assert_eq!(plan.total_comm_bytes(), 0);
         assert!(plan.fwd.comms.is_empty());
     }
@@ -910,7 +896,7 @@ mod tests {
         let p = ring_placement(&l, 4);
         let kernels = |cost: CostModel| {
             let plan = build_plan(&l, &p, &ScheduleConfig { divisions: 4, cost }).unwrap();
-            validate_plan(&l, &p, &plan).unwrap();
+            verify_plan(&l, &p, &plan).unwrap();
             let attn = |i: &&Instr| matches!(i, Instr::Attn { .. });
             let per_device = plan
                 .fwd
@@ -946,7 +932,7 @@ mod tests {
             },
         )
         .unwrap();
-        validate_plan(&l, &p, &plan).unwrap();
+        verify_plan(&l, &p, &plan).unwrap();
         for stream in &plan.fwd.devices {
             let attn_count = stream
                 .instrs

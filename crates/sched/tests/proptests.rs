@@ -5,8 +5,7 @@ use std::collections::HashSet;
 
 use dcp_blocks::{BatchLayout, BlockConfig, CompBlockId};
 use dcp_mask::MaskSpec;
-use dcp_sched::schedule::validate_plan;
-use dcp_sched::{build_plan, Instr, Payload, PayloadKind, Placement, ScheduleConfig};
+use dcp_sched::{build_plan, verify_plan, Instr, Payload, PayloadKind, Placement, ScheduleConfig};
 use dcp_types::AttnSpec;
 use proptest::prelude::*;
 
@@ -74,7 +73,7 @@ proptest! {
             divisions: t,
             ..Default::default()
         }).unwrap();
-        validate_plan(&layout, &placement, &plan).unwrap();
+        verify_plan(&layout, &placement, &plan).unwrap();
     }
 
     /// Each remote input block is fetched at most once per destination

@@ -14,7 +14,7 @@
 use dcp::core::{IncrementalConfig, Planner, PlannerConfig};
 use dcp::exec::plans_equivalent;
 use dcp::mask::MaskSpec;
-use dcp::sched::schedule::validate_plan;
+use dcp::sched::verify_plan;
 use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
 
 fn incremental_planner(nodes: u32) -> Planner {
@@ -83,7 +83,7 @@ fn warm_replan_of_drifted_batch_is_legal_and_within_the_comm_bound() {
     assert_eq!(seeded.tier, PlanTier::Partitioned);
     let out = p.plan(&b).unwrap();
     assert_eq!(p.near_cache_stats().0, 1, "the seed lookup must hit");
-    validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+    verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
     if out.stats.near_hit {
         // The accepted warm plan honors the configured regression bound
         // against the seeding plan's (scaled) communication volume.

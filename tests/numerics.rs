@@ -152,7 +152,7 @@ fn dcp_plans_match_reference_all_masks() {
         let planner = small_planner(4, 16);
         let seqs = vec![(120, mask), (48, MaskSpec::Causal)];
         let out = planner.plan(&seqs).unwrap();
-        dcp::sched::schedule::validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+        dcp::sched::verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
         check_numerics(&out.layout, &out.placement, &out.plan, true);
         let _ = i;
     }
@@ -180,7 +180,7 @@ fn packed_documents_plan_matches_reference() {
     let planner = small_planner(4, 16);
     let seqs = vec![(160, MaskSpec::packed_documents(&[50, 30, 48, 32]))];
     let out = planner.plan(&seqs).unwrap();
-    dcp::sched::schedule::validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+    dcp::sched::verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
     check_numerics(&out.layout, &out.placement, &out.plan, true);
     // Documents never attend across boundaries, so with enough devices the
     // plan needs no KV transfers across documents' owners beyond block

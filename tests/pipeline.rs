@@ -110,7 +110,7 @@ fn dataloader_pipeline_composes_with_simulator() {
     for item in loader {
         let (batch, out) = item.unwrap();
         assert_eq!(batch.tokens(), out.layout.total_tokens());
-        dcp::sched::schedule::validate_plan(&out.layout, &out.placement, &out.plan).unwrap();
+        dcp::sched::verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
         let sim = simulate_plan(&cp, &out.plan).unwrap();
         assert!(sim.total() > 0.0);
         seen += 1;

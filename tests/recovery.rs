@@ -917,11 +917,7 @@ fn patch_digest(p: &RecoveryPatch) -> u64 {
     d.u(st.redone_flops);
     d.u(st.salvage_bytes);
     d.u(st.refetch_bytes);
-    d.ids([
-        st.residual_units as u32,
-        st.greedy_fallback as u32,
-        st.cascade_depth,
-    ]);
+    d.ids([st.residual_units as u32, st.cascade_depth]);
     d.0
 }
 
@@ -933,8 +929,10 @@ fn patch_digest(p: &RecoveryPatch) -> u64 {
 /// timing rendering left the digest, in a commit that changed no library
 /// code, and once when the scheduler began cutting divisions by cost and
 /// `plan_small` moved to a cluster without launch overhead, which changed
-/// the base plans; to re-derive one, copy the digest into a `git clone` of
-/// that commit as the verify skill says).
+/// the base plans, and once when water-fill became the forward re-shard's
+/// only solver — the digest then lost its fallback word, and the backward
+/// patch's value was checked equal before and after; to re-derive one, copy
+/// the digest into a `git clone` of that commit as the verify skill says).
 #[test]
 fn patches_are_pinned_to_the_instruction() {
     let (_, out) = plan_small();
@@ -946,18 +944,18 @@ fn patches_are_pinned_to_the_instruction() {
     };
 
     let depth1 = rp.plan_recovery(&out, &kill(dev, 2)).unwrap();
-    assert_eq!(patch_digest(&depth1), 0x02e2008d1badfcee, "depth 1");
+    assert_eq!(patch_digest(&depth1), 0x460bceb485f94c21, "depth 1");
 
     let patch1 = rp.plan_recovery(&out, &kill(dev, nd / 2)).unwrap();
     let (ev2, _) = second_failure(out.plan.num_devices, &patch1);
     let depth2 = rp.plan_recovery_onto(&out, &patch1, &ev2).unwrap();
-    assert_eq!(patch_digest(&depth2), 0x00af0d6a6f6a39ba, "depth 2");
+    assert_eq!(patch_digest(&depth2), 0x76e9e8f265674a5b, "depth 2");
 
     let (bdev, bnd) = busiest_device(&out.plan.bwd);
     let backward = rp
         .plan_backward_recovery(&out, &kill(bdev, bnd / 2))
         .unwrap();
-    assert_eq!(patch_digest(&backward), 0x0cbe387988aa5f27, "backward");
+    assert_eq!(patch_digest(&backward), 0x5fec20d6584d7086, "backward");
 }
 
 /// Bitwise fingerprint of a backward result, in token-block order.

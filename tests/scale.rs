@@ -370,10 +370,10 @@ fn faulted_recovery_patch_is_bitwise_pinned() {
             cross_host_bytes,
         ],
         [
-            0xc650ea229b65a2a3,
-            0xdf9e604c5b51264d,
-            0x3fa4ad03e4ae7f2d,
-            35904
+            0x7167e22c4640d04d,
+            0x36a3a2f62e708f9c,
+            0x3f9ea9bd8f78b22a,
+            35392
         ]
     );
 }
