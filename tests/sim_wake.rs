@@ -11,33 +11,37 @@
 //! untouched, each time the plan under them changed: when it became the
 //! scheduler's own emission, and when the scheduler began cutting
 //! divisions by cost (the simulator, run on the plans of before, still
-//! reproduced the earlier constants).
+//! reproduced the earlier constants). Since then the plan is scheduled from
+//! a fixed placement (`tests/fixtures/spine32_placement.json`), so a change
+//! to the partitioner no longer moves it.
 //! `examples/sim_differential.rs` prints the same digest for 22 376 more
 //! cases, to be diffed against its output in a clone of an older commit.
 //! Last, the rules by which the shards of a recovery patch share their
 //! hosts' clocks, on three hand-built streams.
 
+use dcp::blocks::{BatchLayout, BlockConfig};
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
-use dcp::sched::{Instr, PassConfig, PayloadKind, PhasePlan, RecoveryCtx};
+use dcp::sched::{
+    build_plan, Instr, PassConfig, PayloadKind, PhasePlan, Placement, RecoveryCtx, ScheduleConfig,
+};
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, Fault, FaultSpec, SimCounters, SimRun, TraceKind};
 use dcp::types::{AttnSpec, ClusterSpec};
 
-/// Forward and backward phases of a weak-scaled causal batch, 2048 tokens
-/// per device, planned cold for a leaf/spine fabric of `nodes` p4de nodes
-/// (four to a leaf, 4× oversubscribed).
-fn spine_phases(nodes: u32) -> (ClusterSpec, [PhasePlan; 2]) {
+/// Planner settings of the spine batches: 2048-token blocks.
+fn spine_config() -> PlannerConfig {
+    PlannerConfig {
+        block_size: 2048,
+        passes: PassConfig::optimize(),
+        ..Default::default()
+    }
+}
+
+/// A weak-scaled causal batch, 2048 tokens per device, for a leaf/spine
+/// fabric of `nodes` p4de nodes (four to a leaf, 4× oversubscribed).
+fn spine_batch(nodes: u32) -> (ClusterSpec, Vec<(u32, MaskSpec)>) {
     let cluster = ClusterSpec::p4de_spine(nodes, 4, 4.0);
-    let planner = Planner::new(
-        cluster.clone(),
-        AttnSpec::paper_micro(),
-        PlannerConfig {
-            block_size: 2048,
-            passes: PassConfig::optimize(),
-            ..Default::default()
-        },
-    );
     // Sixteenths of the batch: 6 + 4 + 4 + 4 + 4 + 4 + 3 + 3.
     let unit = nodes * 8 * 2048 / 32;
     let batch: Vec<(u32, MaskSpec)> = [6, 4, 4, 4, 4, 4, 3, 3]
@@ -45,7 +49,43 @@ fn spine_phases(nodes: u32) -> (ClusterSpec, [PhasePlan; 2]) {
         .map(|units| (units * unit, MaskSpec::Causal))
         .collect();
     assert_eq!(batch.iter().map(|b| b.0).sum::<u32>(), nodes * 8 * 2048);
+    (cluster, batch)
+}
+
+/// Forward and backward phases of the spine batch on `nodes` nodes, planned
+/// cold.
+fn spine_phases(nodes: u32) -> (ClusterSpec, [PhasePlan; 2]) {
+    let (cluster, batch) = spine_batch(nodes);
+    let planner = Planner::new(cluster.clone(), AttnSpec::paper_micro(), spine_config());
     let plan = planner.plan(&batch).unwrap().plan;
+    (cluster, [plan.fwd, plan.bwd])
+}
+
+/// The 32-node spine batch's phases, scheduled by the planner's own
+/// schedule config from a placement the partitioner once chose for it
+/// (`tests/fixtures/spine32_placement.json`). The goldens below pin the
+/// simulator, so the plan under them is fixed here rather than left to
+/// whatever the partitioner places today.
+fn pinned_spine_phases() -> (ClusterSpec, [PhasePlan; 2]) {
+    let (cluster, batch) = spine_batch(32);
+    let cfg = spine_config();
+    let attn = AttnSpec::paper_micro();
+    let layout = BatchLayout::build(
+        attn,
+        BlockConfig {
+            block_size: cfg.block_size,
+            head_blocks: attn.kv_heads,
+        },
+        &batch,
+    )
+    .unwrap();
+    let placement: Placement =
+        serde_json::from_str(include_str!("fixtures/spine32_placement.json")).unwrap();
+    let sched = ScheduleConfig {
+        divisions: cfg.divisions,
+        cost: cluster.cost(),
+    };
+    let plan = build_plan(&layout, &placement, &sched).unwrap();
     (cluster, [plan.fwd, plan.bwd])
 }
 
@@ -187,7 +227,7 @@ fn wake_on_completion_reproduces_the_polling_loop() {
     ];
     const FAULTED: [u64; 2] = [0x8407c8f7e3ac7e96, 0xbbcc95e9c592d02a];
 
-    let (cluster, phases) = spine_phases(32);
+    let (cluster, phases) = pinned_spine_phases();
     let none = FaultSpec::none();
     let variants: [(&str, [PhasePlan; 2], Golden); 3] = [
         ("clean", phases.clone(), CLEAN),
