@@ -372,17 +372,20 @@ impl<V> Lru<V> {
 }
 
 /// Tile rows every document keeps, at least, in the placement hypergraph's
-/// structural coarsening level: a tile never spans more than 1/32 of its
-/// document's block rows. DESIGN.md §11 records what a lower floor measured.
-const TILE_ROWS: u32 = 32;
+/// structural coarsening level: a tile never spans more than 1/16 of its
+/// document's block rows.
+const TILE_ROWS: u32 = 16;
 
-/// The largest tile side: at most 64 computation blocks a tile.
-const MAX_TILE: u32 = 8;
+/// The largest tile side: at most 16 computation blocks a tile. It keeps a
+/// 128-block document at `t = 4`; at `t = 8` it planned slower and moved
+/// more data (DESIGN.md §11).
+const MAX_TILE: u32 = 4;
 
 /// The side `t` of the `t × t` tiles of a document of `nb` blocks: the
-/// largest power of two at most `nb / TILE_ROWS`, capped at [`MAX_TILE`].
-/// Documents under `2 × TILE_ROWS` blocks get `t = 1`: one block per tile,
-/// which coarsening leaves to the matcher.
+/// largest power of two at most `nb / TILE_ROWS`, capped at [`MAX_TILE`] —
+/// 1 under 32 blocks, 2 for 32–63 and 4 from 64 up. Documents under
+/// `2 × TILE_ROWS` blocks get `t = 1`: one block per tile, which coarsening
+/// leaves to the matcher.
 fn tile_side(nb: u32) -> u32 {
     let rows = (nb / TILE_ROWS).max(1);
     (1 << rows.ilog2()).min(MAX_TILE)
@@ -1271,6 +1274,23 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    #[test]
+    fn tile_side_steps_at_32_and_64_blocks_and_stops_at_4() {
+        for (nb, t) in [
+            (1, 1),
+            (31, 1),
+            (32, 2),
+            (63, 2),
+            (64, 4),
+            (127, 4),
+            (128, 4),
+            (256, 4),
+            (1024, 4),
+        ] {
+            assert_eq!(tile_side(nb), t, "{nb} blocks");
+        }
     }
 
     #[test]

@@ -13,8 +13,29 @@
 # means to move plans shows what their quality did:
 #
 #   scripts/plans_hash.sh > results/PLANS_HASH.txt
+#
+# `--seeds 7,11,23` appends, per listed seed and workload, one line with the
+# two modelled metrics at that seed (`<workload> seed=<n> sim_iter_ms=...
+# comm_bytes_per_token=...`), so a change that moves plans shows its effect
+# on several seeds in one command; seed 7's come from the runs above.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+seeds=()
+case ${1-} in
+'') ;;
+--seeds)
+    if [[ ! ${2-} =~ ^[0-9]+(,[0-9]+)*$ || $# -ne 2 ]]; then
+        echo "usage: scripts/plans_hash.sh [--seeds <n>[,<n>...]]" >&2
+        exit 2
+    fi
+    IFS=, read -ra seeds <<<"$2"
+    ;;
+*)
+    echo "usage: scripts/plans_hash.sh [--seeds <n>[,<n>...]]" >&2
+    exit 2
+    ;;
+esac
 
 # benchmark/run.sh builds offline, not --locked, so cargo rewrites
 # benchmark/Cargo.lock in place whenever it is behind a crate's dependency
@@ -24,11 +45,32 @@ lock=$(mktemp)
 cp benchmark/Cargo.lock "$lock"
 trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$lock"' EXIT
 
-for w in exec_dense exec_sparse plan_cold replan_stream; do
-    if ! out=$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 3 --trace 0); then
-        echo "plans_hash.sh: the checked $w run failed" >&2
-        exit 1
+# One checked 3 s run of workload $1 at seed $2; its output on stdout.
+run() {
+    if ! bash benchmark/run.sh --workload "$1" --seed "$2" --seconds 3 --trace 0; then
+        echo "plans_hash.sh: the checked $1 run at seed $2 failed" >&2
+        return 1
     fi
+}
+
+# " sim_iter_ms=<v> comm_bytes_per_token=<v>" from a run's result line.
+modelled() {
+    local result value metric
+    result=$(tail -n 1 <<<"$1")
+    for metric in sim_iter_ms comm_bytes_per_token; do
+        value=$(sed -n 's/.*"'$metric'": {"value": \([^,}]*\).*/\1/p' <<<"$result")
+        if [[ -z $value ]]; then
+            echo "plans_hash.sh: no $metric in the $2 run's result line" >&2
+            return 1
+        fi
+        printf ' %s=%s' "$metric" "$value"
+    done
+}
+
+declare -A at7
+workloads=(exec_dense exec_sparse plan_cold replan_stream)
+for w in "${workloads[@]}"; do
+    out=$(run "$w" 7)
     line=$w
     for key in plans_hash round_hash; do
         hash=$(sed -n 's/^LEDGER_DETAIL .*"'$key'": "\([0-9a-f]*\)".*/\1/p' <<<"$out")
@@ -38,14 +80,18 @@ for w in exec_dense exec_sparse plan_cold replan_stream; do
         fi
         line+=" $hash"
     done
-    result=$(tail -n 1 <<<"$out")
-    for metric in sim_iter_ms comm_bytes_per_token; do
-        value=$(sed -n 's/.*"'$metric'": {"value": \([^,}]*\).*/\1/p' <<<"$result")
-        if [[ -z $value ]]; then
-            echo "plans_hash.sh: no $metric in the $w run's result line" >&2
-            exit 1
+    at7[$w]=$(modelled "$out" "$w")
+    echo "$line${at7[$w]}"
+done
+
+for seed in "${seeds[@]}"; do
+    for w in "${workloads[@]}"; do
+        if ((seed == 7)); then
+            metrics=${at7[$w]}
+        else
+            out=$(run "$w" "$seed")
+            metrics=$(modelled "$out" "$w")
         fi
-        line+=" $metric=$value"
+        echo "$w seed=$seed$metrics"
     done
-    echo "$line"
 done

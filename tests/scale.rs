@@ -10,8 +10,10 @@
 //! makespans were re-recorded once, placements and comm bytes unchanged,
 //! when the division scheduler began cutting divisions by cost; every pin
 //! but the recovery patch's was re-recorded once more when coarsening began
-//! contracting the block-grid tiles of long documents (the golden batch's
-//! 64-block document is tiled 2 x 2; the patch's documents are too short).
+//! contracting the block-grid tiles of long documents, and again when the
+//! tile rule moved to 4 x 4 tiles from 64 blocks and 2 x 2 from 32 (the
+//! golden batch's 64-block document was tiled 2 x 2, then 4 x 4; the
+//! patch's documents stay too short).
 //! The CI thread matrix re-runs this at `RAYON_NUM_THREADS` 1/2/8, so the
 //! pin doubles as the cross-thread-count determinism check.
 
@@ -49,24 +51,24 @@ fn flat_topology_plans_and_makespans_are_bitwise_pinned() {
     let goldens: [(u32, u64, u64, u64, u64); 3] = [
         (
             1,
-            0xaa7eba10d862f93b,
-            0x3f804cafa51219eb,
-            0x3f9436e5f3ab4ced,
-            970031104,
+            0xa1f5fc8696de6081,
+            0x3f7fbfb43ecfac84,
+            0x3f93b681a4c3589f,
+            595165184,
         ),
         (
             2,
-            0x59bfdb0cfe864acb,
-            0x3f707def61c08008,
-            0x3f845c4ad1e0c9e8,
-            1260814336,
+            0x9140d119ae6ca6fc,
+            0x3f709621ae89e071,
+            0x3f8482244192b0b7,
+            1317830656,
         ),
         (
             4,
-            0x750401b0603f8ea6,
-            0x3f6e11401d0975c2,
-            0x3f7d8023d643556f,
-            1719304192,
+            0xdb225ced87052b7d,
+            0x3f6751529ab50ed8,
+            0x3f7d0518ebc1cdb9,
+            1944092672,
         ),
     ];
     for (nodes, fnv, fwd_bits, bwd_bits, comm) in goldens {
@@ -227,10 +229,10 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
     assert_eq!(
         plan_pin(&flat, &warm),
         [
-            0x339c92a40a3a9e50,
-            0x3f7081b169331db5,
-            0x3f8458034f525218,
-            1272861216
+            0x9140d119ae6ca6fc,
+            0x3f7095559375ceb6,
+            0x3f8481e56444a98c,
+            1317804896
         ],
         "warm drift re-plan on p4de(2)"
     );
@@ -259,7 +261,7 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
     }
     assert_eq!(
         pin,
-        [0x3f84ad8c0823cf60, 0x3f99cf67543c3003],
+        [0x3f856626e4413024, 0x3f98c65e70c4d21b],
         "cold plan on p4de(2) under a straggler and a slow link"
     );
 
@@ -270,10 +272,10 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
     assert_eq!(
         plan_pin(&spine, &cold),
         [
-            0x326c9d1e7a71d44c,
-            0x3f66c6880b3a27b1,
-            0x3f7bd4c35230c513,
-            1990262784
+            0x73bcd4a6cebfbb1d,
+            0x3f68d191a8fe1d8f,
+            0x3f7c2ad07d5941ff,
+            1779793920
         ],
         "cold plan on the spine"
     );
@@ -282,10 +284,10 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
     assert_eq!(
         plan_pin(&spine, &warm),
         [
-            0x326c9d1e7a71d44c,
-            0x3f66c6880b3a27b1,
-            0x3f7bd4c0be7bc8a6,
-            1990082464
+            0x9be970c45741be99,
+            0x3f6985afe17d4c1c,
+            0x3f7c1316149f2dbc,
+            1807059168
         ],
         "warm drift re-plan on the spine"
     );

@@ -59,13 +59,13 @@ fn unlabelled(hg: &Hypergraph) -> Hypergraph {
     b.build().unwrap()
 }
 
-/// The tile rule's edge: a document of 63 blocks keeps tiles of one block,
+/// The tile rule's edge: a document of 31 blocks keeps tiles of one block,
 /// so every label is distinct, the structural level cannot shrink the graph
 /// and the partition — placement and every work count — is the unlabelled
 /// graph's. One block more and the tiles are 2 x 2.
 #[test]
-fn a_63_block_document_partitions_as_if_unlabelled() {
-    for (blocks, distinct) in [(63u32, true), (64, false)] {
+fn a_31_block_document_partitions_as_if_unlabelled() {
+    for (blocks, distinct) in [(31u32, true), (32, false)] {
         let out = planner()
             .plan(&[(blocks * 1024, MaskSpec::Causal)])
             .unwrap();
