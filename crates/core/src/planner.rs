@@ -382,10 +382,9 @@ const TILE_ROWS: u32 = 16;
 const MAX_TILE: u32 = 4;
 
 /// The side `t` of the `t × t` tiles of a document of `nb` blocks: the
-/// largest power of two at most `nb / TILE_ROWS`, capped at [`MAX_TILE`] —
-/// 1 under 32 blocks, 2 for 32–63 and 4 from 64 up. Documents under
-/// `2 × TILE_ROWS` blocks get `t = 1`: one block per tile, which coarsening
-/// leaves to the matcher.
+/// largest power of two at most `nb / TILE_ROWS`, capped at [`MAX_TILE`]:
+/// 1 under 32 blocks (one block per tile, which coarsening leaves to the
+/// matcher), 2 for 32–63 and 4 from 64 up.
 fn tile_side(nb: u32) -> u32 {
     let rows = (nb / TILE_ROWS).max(1);
     (1 << rows.ilog2()).min(MAX_TILE)
