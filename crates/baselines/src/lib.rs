@@ -35,10 +35,7 @@
 
 pub mod ring;
 
-pub use ring::{
-    build_ring_baseline_with_layout, build_ring_layout, static_placement, BaselineOutput,
-    RingConfig,
-};
+pub use ring::{build_ring_baseline_with_layout, build_ring_layout, BaselineOutput, RingConfig};
 
 use dcp_mask::MaskSpec;
 use dcp_types::{AttnSpec, DcpResult};

@@ -187,52 +187,6 @@ pub fn build_ring_baseline_with_layout(
     })
 }
 
-/// A static zigzag/ring placement of an ordinary DCP [`BatchLayout`], for
-/// use as the planner's last-resort fallback tier: each sequence is split
-/// into `devices` (ring) or `2 * devices` (zigzag) contiguous chunks and
-/// chunks map to devices exactly like RingFlashAttention input placement;
-/// computation blocks run where their Q lives. Unlike
-/// `build_ring_baseline`, no relay plan is emitted — the DCP scheduler
-/// turns this placement into owner-based transfers — so it composes with
-/// `dcp_sched::build_plan` and is always feasible for any non-empty layout.
-///
-/// # Errors
-///
-/// Returns [`DcpError::InvalidArgument`] if `devices == 0`.
-pub fn static_placement(layout: &BatchLayout, devices: u32, zigzag: bool) -> DcpResult<Placement> {
-    if devices == 0 {
-        return Err(DcpError::invalid_argument(
-            "static placement needs at least one device",
-        ));
-    }
-    let block_size = layout.config.block_size.max(1);
-    let nchunks = if zigzag { 2 * devices } else { devices };
-    let token_to_dev: Vec<u32> = layout
-        .token_blocks
-        .iter()
-        .map(|tb| {
-            let len = layout.seq_lens[tb.seq as usize];
-            let chunk_len = len.div_ceil(nchunks).div_ceil(block_size).max(1) * block_size;
-            let c = (tb.start / chunk_len).min(nchunks - 1);
-            if zigzag && c >= devices {
-                2 * devices - 1 - c
-            } else {
-                c
-            }
-        })
-        .collect();
-    let comp_to_dev: Vec<u32> = layout
-        .comp_blocks
-        .iter()
-        .map(|c| token_to_dev[c.q_block.0 as usize])
-        .collect();
-    Ok(Placement {
-        num_devices: devices,
-        token_to_dev,
-        comp_to_dev,
-    })
-}
-
 /// The physical sender's ring position for the hop delivering step `s`'s
 /// chunk to position `r`: the inner neighbor normally, the outer neighbor
 /// (`w` positions back) on every `w`-th step.
@@ -592,39 +546,6 @@ mod tests {
                 assert_eq!(t.payload.kind(), PayloadKind::Kv);
             }
         }
-    }
-
-    #[test]
-    fn static_placement_is_valid_and_covers_devices() {
-        let layout = BatchLayout::build(
-            micro(),
-            BlockConfig {
-                block_size: 512,
-                head_blocks: 1,
-            },
-            &[(16384, MaskSpec::Causal), (4096, MaskSpec::Causal)],
-        )
-        .unwrap();
-        for zigzag in [false, true] {
-            let p = static_placement(&layout, 4, zigzag).unwrap();
-            p.validate(&layout).unwrap();
-            // Every computation block runs where its Q lives (no Q motion).
-            for (i, cb) in layout.comp_blocks.iter().enumerate() {
-                assert_eq!(
-                    p.comp_to_dev[i], p.token_to_dev[cb.q_block.0 as usize],
-                    "comp block {i} strays from its Q owner"
-                );
-            }
-            // The long sequence touches every device.
-            let used: std::collections::HashSet<u32> = p.token_to_dev.iter().copied().collect();
-            assert_eq!(used.len(), 4, "zigzag={zigzag}: {used:?}");
-        }
-        assert!(static_placement(&layout, 0, true).is_err());
-        // It schedules: the DCP scheduler accepts the placement directly.
-        let p = static_placement(&layout, 4, true).unwrap();
-        let plan =
-            dcp_sched::build_plan(&layout, &p, &dcp_sched::ScheduleConfig::default()).unwrap();
-        assert_eq!(plan.num_devices, 4);
     }
 
     #[test]

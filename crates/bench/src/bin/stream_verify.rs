@@ -1,5 +1,5 @@
 //! CI stream-legality sweep: runs the `dcp_sched::verify` checker over
-//! every plan the benchmark workload produces — all fallback tiers, the
+//! every plan the benchmark workload produces — the planner's plans, their
 //! pass-optimized rewrites and every recovery patch, which the simulator
 //! must accept under the patch's context too — and over a battery of seeded
 //! illegal mutations that the verifier must *reject* with a typed
@@ -25,7 +25,7 @@ use dcp_sched::{
 };
 use dcp_sim::network::Network;
 use dcp_sim::{simulate_on, FaultSpec};
-use dcp_types::{AttnSpec, ClusterSpec, PlanTier};
+use dcp_types::{AttnSpec, ClusterSpec};
 use serde_json::json;
 
 const SEED: u64 = 7;
@@ -250,7 +250,15 @@ fn main() {
     let mut stream_rows = Vec::new();
     let mut candidates: Vec<Candidate> = Vec::new();
 
-    // Every fallback tier over every batch, raw and pass-optimized.
+    // Every batch's plan, raw and pass-optimized.
+    let planner = Planner::new(
+        cluster.clone(),
+        attn,
+        PlannerConfig {
+            block_size: BLOCK_SIZE,
+            ..Default::default()
+        },
+    );
     for mask in masks {
         let lengths = sample_lengths(DatasetKind::LongDataCollections, n * 64, 1.0, MAX_LEN, SEED);
         let batches: Vec<Vec<(u32, MaskSpec)>> =
@@ -260,66 +268,45 @@ fn main() {
                 .map(|b| b.seqs)
                 .collect();
         for (bi, batch) in batches.iter().enumerate() {
-            for tier in PlanTier::all() {
-                let planner = Planner::new(
-                    cluster.clone(),
-                    attn,
-                    PlannerConfig {
-                        block_size: BLOCK_SIZE,
-                        force_tier: Some(tier),
-                        ..Default::default()
-                    },
-                );
-                let out = match planner.plan(batch) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        failures.push(format!(
-                            "{}/batch{bi}/{}: planning failed: {e}",
-                            mask.name(),
-                            tier.label()
-                        ));
-                        continue;
-                    }
-                };
-                let raw = verify_plan(&out.layout, &out.placement, &out.plan).err();
-                let mut optimized = out.plan.clone();
-                pm.run_plan(&out.layout, &out.placement, &mut optimized);
-                let opt = verify_plan(&out.layout, &out.placement, &optimized).err();
-                let fwd_structure = verify_structure(&out.plan.fwd).err();
-                let bwd_structure = verify_structure(&out.plan.bwd).err();
-                for (what, err) in [
-                    ("raw", &raw),
-                    ("optimized", &opt),
-                    ("fwd-structure", &fwd_structure),
-                    ("bwd-structure", &bwd_structure),
-                ] {
-                    if let Some(d) = err {
-                        failures.push(format!(
-                            "{}/batch{bi}/{} ({what}): {d}",
-                            mask.name(),
-                            tier.label()
-                        ));
-                    }
+            let out = match planner.plan(batch) {
+                Ok(out) => out,
+                Err(e) => {
+                    failures.push(format!("{}/batch{bi}: planning failed: {e}", mask.name()));
+                    continue;
                 }
-                stream_rows.push(json!({
-                    "mask": mask.name(),
-                    "batch": bi,
-                    "tier": tier.label(),
-                    "comm_ops": out.plan.fwd.comms.len() + out.plan.bwd.comms.len(),
-                    "comm_bytes": out.plan.total_comm_bytes(),
-                    "raw_ok": raw.is_none(),
-                    "optimized_ok": opt.is_none(),
-                    "raw_diagnostic": raw.as_ref().map(diag_json),
-                    "optimized_diagnostic": opt.as_ref().map(diag_json),
-                }));
-                if tier == PlanTier::Partitioned {
-                    candidates.push(Candidate {
-                        layout: out.layout,
-                        placement: out.placement,
-                        plan: out.plan,
-                    });
+            };
+            let raw = verify_plan(&out.layout, &out.placement, &out.plan).err();
+            let mut optimized = out.plan.clone();
+            pm.run_plan(&out.layout, &out.placement, &mut optimized);
+            let opt = verify_plan(&out.layout, &out.placement, &optimized).err();
+            let fwd_structure = verify_structure(&out.plan.fwd).err();
+            let bwd_structure = verify_structure(&out.plan.bwd).err();
+            for (what, err) in [
+                ("raw", &raw),
+                ("optimized", &opt),
+                ("fwd-structure", &fwd_structure),
+                ("bwd-structure", &bwd_structure),
+            ] {
+                if let Some(d) = err {
+                    failures.push(format!("{}/batch{bi} ({what}): {d}", mask.name()));
                 }
             }
+            stream_rows.push(json!({
+                "mask": mask.name(),
+                "batch": bi,
+                "tier": out.tier.label(),
+                "comm_ops": out.plan.fwd.comms.len() + out.plan.bwd.comms.len(),
+                "comm_bytes": out.plan.total_comm_bytes(),
+                "raw_ok": raw.is_none(),
+                "optimized_ok": opt.is_none(),
+                "raw_diagnostic": raw.as_ref().map(diag_json),
+                "optimized_diagnostic": opt.as_ref().map(diag_json),
+            }));
+            candidates.push(Candidate {
+                layout: out.layout,
+                placement: out.placement,
+                plan: out.plan,
+            });
         }
     }
 
@@ -329,14 +316,6 @@ fn main() {
     let rp = RecoveryPlanner::new();
     let mut recovery_rows = Vec::new();
     {
-        let planner = Planner::new(
-            cluster.clone(),
-            attn,
-            PlannerConfig {
-                block_size: BLOCK_SIZE,
-                ..Default::default()
-            },
-        );
         let lengths = sample_lengths(DatasetKind::LongDataCollections, n * 64, 1.0, MAX_LEN, SEED);
         let batches: Vec<Vec<(u32, MaskSpec)>> =
             pack_batches(&lengths, BUDGET, |l| MaskSetting::Causal.mask_for(l))

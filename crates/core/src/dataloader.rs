@@ -386,25 +386,34 @@ impl DcpDataloader {
     ///
     /// The restored plans must match this loader's batches: each entry is
     /// accepted only while contiguous from the cursor, its layout's
-    /// sequence lengths equal the corresponding batch's *and* the stream
-    /// verifier ([`verify_plan`]) accepts it. The first mismatch (a
-    /// snapshot taken against a different dataset, a gap, or a corrupted
-    /// plan) discards that entry and everything after it — those batches
-    /// are re-planned by the normal look-ahead path, never served a stale
-    /// or broken plan.
+    /// sequence lengths and masks equal the corresponding batch's *and* the
+    /// stream verifier ([`verify_plan`]) accepts it. The first mismatch (a
+    /// snapshot taken against a different dataset or mask, a gap, or a
+    /// corrupted plan) discards that entry and everything after it — those
+    /// batches are re-planned by the normal look-ahead path, never served a
+    /// stale or broken plan.
     pub fn restore(mut self, snapshot: &DataloaderSnapshot) -> Self {
         self.consumed = snapshot.consumed.min(self.batches.len());
         self.ready.clear();
         self.inflight.clear();
         let mut expect = self.consumed;
         for (idx, plan) in &snapshot.planned {
-            let lens: Vec<u32> = match self.batches.get(*idx) {
-                Some(b) => b.seqs.iter().map(|s| s.0).collect(),
-                None => break,
+            let Some(batch) = self.batches.get(*idx) else {
+                break;
             };
+            // `verify_plan` checks a plan against its own layout, so the
+            // layout itself must be the batch's: its lengths and masks.
+            let layout = &plan.layout;
+            let same_batch = layout.seq_lens.len() == batch.seqs.len()
+                && layout.masks.len() == batch.seqs.len()
+                && (batch.seqs.iter().zip(&layout.seq_lens).zip(&layout.masks)).all(
+                    |(((len, spec), &l), mask)| {
+                        l == *len && spec.instantiate(*len).is_ok_and(|m| m == *mask)
+                    },
+                );
             if *idx != expect
-                || plan.layout.seq_lens != lens
-                || verify_plan(&plan.layout, &plan.placement, &plan.plan).is_err()
+                || !same_batch
+                || verify_plan(layout, &plan.placement, &plan.plan).is_err()
             {
                 break;
             }
@@ -995,6 +1004,42 @@ mod tests {
                 out.layout.seq_lens,
                 batch.seqs.iter().map(|s| s.0).collect::<Vec<u32>>(),
                 "stale snapshot plans must be re-planned, not served"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_plans_for_a_different_mask() {
+        // Longer than the lambda mask's 4096-token window, so the two
+        // masks differ.
+        let with_mask = |mask: MaskSpec| -> Vec<Batch> {
+            (0..4)
+                .map(|i| Batch {
+                    seqs: vec![(8192 + 1024 * i, mask.clone())],
+                })
+                .collect()
+        };
+        let mut loader = DcpDataloader::new(planner(), with_mask(MaskSpec::Causal), 3);
+        loader.by_ref().take(1).for_each(|r| {
+            r.unwrap();
+        });
+        let snap = loader.snapshot();
+        assert!(!snap.planned.is_empty());
+
+        // Same lengths, lambda masks: every restored causal plan is stale.
+        let other = with_mask(MaskSpec::paper_lambda());
+        let restored = DcpDataloader::new(planner(), other.clone(), 1).restore(&snap);
+        let got: Vec<_> = restored.map(|r| r.unwrap()).collect();
+        assert_eq!(got.len(), other.len() - 1, "cursor still honored");
+        for (batch, out) in &got {
+            let masks: Vec<_> = batch
+                .seqs
+                .iter()
+                .map(|(len, spec)| spec.instantiate(*len).unwrap())
+                .collect();
+            assert_eq!(
+                out.layout.masks, masks,
+                "plans for another mask must be re-planned, not served"
             );
         }
     }

@@ -16,7 +16,6 @@ use dcp_sched::{
     build_plan, verify_plan, ExecutionPlan, PassConfig, PassManager, PassOutcome, Placement,
     ScheduleConfig,
 };
-use dcp_sim::simulate_plan;
 use dcp_types::{AttnSpec, ClusterSpec, DcpError, DcpResult, PlanTier};
 use serde::{Deserialize, Serialize};
 
@@ -41,29 +40,12 @@ pub struct PlannerConfig {
     pub hierarchical: bool,
     /// Enable FM refinement in the partitioner (ablation).
     pub refine: bool,
-    /// Enforce the user ε exactly on the achieved device-level compute
-    /// balance — no block-granularity slack. A partition violating it counts
-    /// as ε-infeasible and triggers the fallback chain. Default `false`
-    /// (the partitioner's caps, which grant one block of slack, decide).
-    pub strict_epsilon: bool,
-    /// Start the fallback chain at this tier, skipping earlier ones
-    /// (ablations, tests, or pinning a degraded mode). `None` starts at
-    /// [`PlanTier::Partitioned`].
-    pub force_tier: Option<PlanTier>,
     /// Capacity of the signature-keyed plan cache (LRU entries). Long-context
     /// corpora repeat batch shapes constantly, so identical (lengths, masks,
     /// cluster, config) batches reuse the finished plan instead of
     /// re-partitioning. `0` disables caching.
     #[serde(default = "default_plan_cache")]
     pub plan_cache: usize,
-    /// Quality gate on the fallback chain: a greedy or static plan whose
-    /// simulated makespan exceeds this factor times the partitioned tier's
-    /// estimate is rejected ([`DcpError::FallbackRejected`]) instead of
-    /// silently shipped. The reference is the partitioned placement that
-    /// failed the balance check — degraded, but still the best available
-    /// estimate. `force_tier` skips the gate (there is no reference).
-    #[serde(default = "default_max_fallback_regression")]
-    pub max_fallback_regression: f64,
     /// Dead-communication elimination over the rendered instruction
     /// streams (`dcp_sched::passes`), off by default. The scheduler emits
     /// no dead transfer, so the plan is the same either way; enabled
@@ -80,10 +62,6 @@ pub struct PlannerConfig {
 
 fn default_plan_cache() -> usize {
     64
-}
-
-fn default_max_fallback_regression() -> f64 {
-    2.0
 }
 
 /// Configuration of the incremental (warm-start) planning path.
@@ -137,10 +115,7 @@ impl Default for PlannerConfig {
             seed: 0xdc9,
             hierarchical: true,
             refine: true,
-            strict_epsilon: false,
-            force_tier: None,
             plan_cache: default_plan_cache(),
-            max_fallback_regression: default_max_fallback_regression(),
             passes: PassConfig::default(),
             incremental: IncrementalConfig::default(),
         }
@@ -208,11 +183,9 @@ pub struct PlanOutput {
     pub plan: ExecutionPlan,
     /// Stage timings.
     pub times: PlanningTimes,
-    /// Which tier of the fallback chain produced this plan.
+    /// Which placement produced this plan: always
+    /// [`PlanTier::Partitioned`], the planner's one placement.
     pub tier: PlanTier,
-    /// Why earlier tiers were skipped, when `tier` is not
-    /// [`PlanTier::Partitioned`] (one entry per skipped tier).
-    pub fallback_reason: Option<String>,
     /// Cache outcome and per-stage timing for this call.
     pub stats: PlanStats,
     /// What dead-communication elimination changed in each phase (empty
@@ -410,8 +383,8 @@ pub struct Planner {
     obs: ObsHandle,
 }
 
-/// A placement with the partitioned tier's by-products: whether every level
-/// met its balance caps, the merged stage stats, and the connectivity cost
+/// A placement with its by-products: whether every level met its balance
+/// caps, the merged stage stats, and the connectivity cost
 /// (== forward comm bytes, pinned by
 /// `hypergraph_cost_matches_plan_forward_comm`).
 type Placed = (Placement, bool, PartitionStats, u64);
@@ -438,8 +411,8 @@ impl Planner {
     /// Attaches an observability sink: every subsequent `plan()` call emits
     /// stage spans (block_gen / place / schedule plus the partitioner's
     /// coarsen / initial / refine breakdown), cache hit/miss counters and
-    /// fallback-tier transition events. All emission happens on the calling
-    /// thread, in plan order, so the stream is deterministic.
+    /// warm-path events. All emission happens on the calling thread, in plan
+    /// order, so the stream is deterministic.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;
         self
@@ -494,17 +467,15 @@ impl Planner {
 
     /// Plans one batch: generates blocks, places them, schedules divisions.
     ///
-    /// Placement walks the fallback chain (paper planner → greedy LPT →
-    /// static zigzag): a partitioner error or an ε-infeasible partition
-    /// degrades the tier instead of failing the batch, and the tier that
-    /// produced the plan is recorded in [`PlanOutput::tier`].
+    /// Placement is the hierarchical hypergraph partition. A partition over
+    /// its balance caps ships as it is: it is a legal plan, and the best one
+    /// the partitioner found.
     ///
     /// # Errors
     ///
     /// Returns [`DcpError::InvalidArgument`] for degenerate inputs (empty
-    /// batch, zero devices, `divisions == 0`); otherwise propagates layout
-    /// failures, and placement/scheduling failures only once every enabled
-    /// tier has been exhausted.
+    /// batch, zero devices, `divisions == 0`); otherwise propagates layout,
+    /// placement and scheduling failures.
     pub fn plan(&self, seqs: &[(u32, MaskSpec)]) -> DcpResult<PlanOutput> {
         self.plan_for_iter(seqs, None)
     }
@@ -516,8 +487,8 @@ impl Planner {
     ///
     /// The stages, in order: exact-cache lookup, block layout, the
     /// incremental path when a near-hit seed exists (`Call::try_warm`),
-    /// else the fallback chain (`Call::walk_tiers`), then passes,
-    /// verification and caching (`Call::finish`).
+    /// else cold placement (`Call::cold`), then passes, verification and
+    /// caching (`Call::finish`).
     pub fn plan_for_iter(
         &self,
         seqs: &[(u32, MaskSpec)],
@@ -538,7 +509,6 @@ impl Planner {
             near_key: None,
             times: PlanningTimes::default(),
             pstats: PartitionStats::default(),
-            reasons: Vec::new(),
         };
         if let Some(hit) = call.lookup() {
             return Ok(hit);
@@ -567,25 +537,19 @@ impl Planner {
         );
         call.times.block_gen = span.finish();
         let layout = layout?;
-        // Pinned tiers always plan cold (a forced tier is an explicit user
-        // decision).
         let warm = seed
-            .filter(|e| {
-                self.cfg.force_tier.is_none() && e.num_devices == self.cluster.num_devices()
-            })
+            .filter(|e| e.num_devices == self.cluster.num_devices())
             .and_then(|e| call.try_warm(&layout, &e));
         match warm {
             Some(Warm::Replay(placement, plan)) => {
-                let out = call.output(layout, placement, plan, PlanTier::Partitioned, true);
+                let out = call.output(layout, placement, plan, true);
                 call.remember(&out, false);
                 Ok(out)
             }
-            Some(Warm::Refined(placement, plan)) => {
-                call.finish(layout, placement, plan, PlanTier::Partitioned, true)
-            }
+            Some(Warm::Refined(placement, plan)) => call.finish(layout, placement, plan, true),
             None => {
-                let (placement, plan, tier) = call.walk_tiers(&layout)?;
-                call.finish(layout, placement, plan, tier, false)
+                let (placement, plan) = call.cold(&layout)?;
+                call.finish(layout, placement, plan, false)
             }
         }
     }
@@ -598,67 +562,6 @@ impl Planner {
             cost: self.cluster.cost(),
         };
         build_plan(layout, placement, &sched)
-    }
-
-    /// Computes the placement for one tier of the fallback chain,
-    /// accumulating partitioner stage timings into `pstats` (the greedy and
-    /// static tiers do not partition and leave it untouched). A partitioned
-    /// placement that fails the balance check is left in `reference`.
-    fn placement_for_tier(
-        &self,
-        layout: &BatchLayout,
-        tier: PlanTier,
-        pstats: &mut PartitionStats,
-        reference: &mut Option<Placement>,
-    ) -> DcpResult<Placement> {
-        let n = self.cluster.num_devices();
-        match tier {
-            PlanTier::Partitioned => {
-                let (placement, balanced, stats, _) = self.place(layout, None)?;
-                pstats.merge(&stats);
-                if !balanced {
-                    *reference = Some(placement);
-                    return Err(DcpError::Infeasible(
-                        "partition exceeded the balance caps (ε-infeasible)".into(),
-                    ));
-                }
-                if self.cfg.strict_epsilon {
-                    let loads = placement.comp_loads(layout);
-                    let total: u64 = loads.iter().sum();
-                    let avg = total as f64 / loads.len().max(1) as f64;
-                    let max = loads.iter().copied().max().unwrap_or(0) as f64;
-                    if max > (1.0 + self.cfg.eps_intra) * avg {
-                        *reference = Some(placement);
-                        return Err(DcpError::Infeasible(format!(
-                            "strict ε violated: max load {max:.0} > (1 + {}) * avg {avg:.0}",
-                            self.cfg.eps_intra
-                        )));
-                    }
-                }
-                Ok(placement)
-            }
-            PlanTier::Greedy => Placement::greedy(layout, n),
-            PlanTier::Static => dcp_baselines::static_placement(layout, n, true),
-        }
-    }
-
-    /// Makespan ratio of a fallback candidate to the partitioned reference
-    /// placement, both simulated on the planner's cluster. `None` (gate
-    /// skipped) when the reference cannot be scheduled or either simulation
-    /// fails — the gate only ever vetoes with positive evidence.
-    fn fallback_regression(
-        &self,
-        layout: &BatchLayout,
-        reference: &Placement,
-        candidate: &ExecutionPlan,
-    ) -> Option<f64> {
-        let ref_plan = self.schedule(layout, reference).ok()?;
-        let ref_t = simulate_plan(&self.cluster, &ref_plan).ok()?.total();
-        let cand_t = simulate_plan(&self.cluster, candidate).ok()?.total();
-        if !ref_t.is_finite() || ref_t <= 0.0 || !cand_t.is_finite() {
-            return None;
-        }
-        Some(cand_t / ref_t)
     }
 
     /// Builds the placement hypergraph of `layout`: one vertex per token
@@ -811,10 +714,10 @@ impl Planner {
         }
     }
 
-    /// The partitioned tier's placement of `layout` through the level
-    /// hierarchy ([`Planner::place_levels`]): cold, or refined from `warm`,
-    /// a full vertex → device seed, skipping coarsening and initial
-    /// partitioning at every level.
+    /// The placement of `layout` through the level hierarchy
+    /// ([`Planner::place_levels`]): cold, or refined from `warm`, a full
+    /// vertex → device seed, skipping coarsening and initial partitioning at
+    /// every level.
     fn place(&self, layout: &BatchLayout, warm: Option<&[u32]>) -> DcpResult<Placed> {
         // Build in the shared arena's recycled buffers (a fresh build per
         // batch churns the allocator) and hand them back afterwards.
@@ -968,8 +871,6 @@ struct Call<'a> {
     near_key: Option<String>,
     times: PlanningTimes,
     pstats: PartitionStats,
-    /// Why each tier that was tried and rejected was rejected.
-    reasons: Vec<String>,
 }
 
 impl<'a> Call<'a> {
@@ -988,14 +889,10 @@ impl<'a> Call<'a> {
     }
 
     /// Records a point event at the current offset from the origin.
-    fn instant(&self, name: &str, label: Option<&str>) {
+    fn instant(&self, name: &str) {
         self.emit(|| {
-            let e = Event::instant(ObsSource::Planner, name)
-                .with_time(self.origin.elapsed().as_secs_f64(), 0.0);
-            match label {
-                Some(l) => e.with_label(l),
-                None => e,
-            }
+            Event::instant(ObsSource::Planner, name)
+                .with_time(self.origin.elapsed().as_secs_f64(), 0.0)
         });
     }
 
@@ -1086,68 +983,21 @@ impl<'a> Call<'a> {
             });
         match refined {
             Some(_) => self.emit(near_hit),
-            None => self.instant("warm_fallback", None),
+            None => self.instant("warm_fallback"),
         }
         refined
     }
 
-    /// Walks the fallback chain from the configured starting tier until one
-    /// tier yields a scheduled plan that passes the quality gate. A tier
-    /// that fails is recorded (event, reason) and the next one is tried;
-    /// the last failure is the error.
-    fn walk_tiers(
-        &mut self,
-        layout: &BatchLayout,
-    ) -> DcpResult<(Placement, ExecutionPlan, PlanTier)> {
-        let start = self.p.cfg.force_tier.unwrap_or(PlanTier::Partitioned);
-        // The partitioned placement that failed the balance check, kept as
-        // the makespan reference the fallback quality gate compares against.
-        let mut reference: Option<Placement> = None;
-        let mut last_err: Option<DcpError> = None;
-        for tier in PlanTier::all().into_iter().filter(|&t| t >= start) {
-            match self.try_tier(layout, tier, &mut reference) {
-                Ok((placement, plan)) => return Ok((placement, plan, tier)),
-                Err((event, e)) => {
-                    self.instant(event, Some(tier.label()));
-                    self.reasons.push(format!("{}: {e}", tier.label()));
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| DcpError::invalid_plan("no fallback tier produced a plan")))
-    }
-
-    /// Places and schedules one tier. An error carries the name of the
-    /// event that reports it: `tier_fallback` when the tier could not
-    /// produce a plan, `fallback_rejected` when the quality gate vetoed it.
-    fn try_tier(
-        &mut self,
-        layout: &BatchLayout,
-        tier: PlanTier,
-        reference: &mut Option<Placement>,
-    ) -> Result<(Placement, ExecutionPlan), (&'static str, DcpError)> {
-        let p = self.p;
-        let span = self.span(Event::span(ObsSource::Planner, "place").with_label(tier.label()));
-        let placed = p.placement_for_tier(layout, tier, &mut self.pstats, reference);
+    /// Cold placement: the hierarchical partition, timed as a `place`
+    /// span, then division scheduling.
+    fn cold(&mut self, layout: &BatchLayout) -> DcpResult<(Placement, ExecutionPlan)> {
+        let label = PlanTier::Partitioned.label();
+        let span = self.span(Event::span(ObsSource::Planner, "place").with_label(label));
+        let placed = self.p.place(layout, None);
         self.times.partition += span.finish();
-        let placement = placed.map_err(|e| ("tier_fallback", e))?;
-        let plan = self
-            .schedule(layout, &placement, tier.label())
-            .map_err(|e| ("tier_fallback", e))?;
-        // Fallback quality gate: a degraded-tier plan must not regress the
-        // simulated makespan past the configured factor of what the
-        // (unbalanced) partitioned placement would have achieved.
-        // `force_tier` has no reference to compare against and is exempt.
-        if tier != PlanTier::Partitioned && p.cfg.force_tier.is_none() {
-            let limit = p.cfg.max_fallback_regression;
-            let factor = reference
-                .as_ref()
-                .and_then(|r| p.fallback_regression(layout, r, &plan));
-            if let Some(factor) = factor.filter(|&f| f > limit) {
-                let e = DcpError::fallback_rejected(tier, factor, limit);
-                return Err(("fallback_rejected", e));
-            }
-        }
+        let (placement, _, stats, _) = placed?;
+        self.pstats.merge(&stats);
+        let plan = self.schedule(layout, &placement, label)?;
         Ok((placement, plan))
     }
 
@@ -1157,7 +1007,6 @@ impl<'a> Call<'a> {
         layout: BatchLayout,
         placement: Placement,
         plan: ExecutionPlan,
-        tier: PlanTier,
         near_hit: bool,
     ) -> PlanOutput {
         PlanOutput {
@@ -1165,8 +1014,7 @@ impl<'a> Call<'a> {
             placement,
             plan,
             times: self.times,
-            tier,
-            fallback_reason: (!self.reasons.is_empty()).then(|| self.reasons.join("; ")),
+            tier: PlanTier::Partitioned,
             stats: PlanStats {
                 cache_hit: false,
                 near_hit,
@@ -1195,16 +1043,15 @@ impl<'a> Call<'a> {
         }
     }
 
-    /// Everything after a tier was chosen: dead-communication elimination
-    /// (when enabled), then the stream verifier on the freshly produced
-    /// plan, the partitioner's stage breakdown, and both caches. Cache hits
-    /// and replays skip the first three: those plans already passed.
+    /// Everything after scheduling: dead-communication elimination (when
+    /// enabled), then the stream verifier on the freshly produced plan, the
+    /// partitioner's stage breakdown, and both caches. Cache hits and
+    /// replays skip the first three: those plans already passed.
     fn finish(
         mut self,
         layout: BatchLayout,
         placement: Placement,
         mut plan: ExecutionPlan,
-        tier: PlanTier,
         near_hit: bool,
     ) -> DcpResult<PlanOutput> {
         let p = self.p;
@@ -1231,8 +1078,7 @@ impl<'a> Call<'a> {
                 }
             });
             return Err(DcpError::invalid_plan(format!(
-                "planner produced an illegal stream ({} tier): {diag}",
-                tier.label()
+                "planner produced an illegal stream: {diag}"
             )));
         }
         // Partitioner stage breakdown (CPU seconds summed over the
@@ -1245,17 +1091,16 @@ impl<'a> Call<'a> {
         ] {
             self.emit(|| {
                 Event::span(ObsSource::Planner, name)
-                    .with_label(tier.label())
+                    .with_label(PlanTier::Partitioned.label())
                     .with_time(at, dur)
             });
             at += dur;
         }
-        let mut out = self.output(layout, placement, plan, tier, near_hit);
+        let mut out = self.output(layout, placement, plan, near_hit);
         out.passes = passes;
         // Warm-accepted plans seed too, so the seed chain follows
-        // distribution drift. Only the partitioned tier seeds: greedy and
-        // static placements are not worth warm-starting from.
-        self.remember(&out, tier == PlanTier::Partitioned);
+        // distribution drift.
+        self.remember(&out, true);
         Ok(out)
     }
 }
@@ -1504,93 +1349,6 @@ mod tests {
         let p = planner(1);
         let out = p.plan(&[(16384, MaskSpec::Causal)]).unwrap();
         assert_eq!(out.tier, PlanTier::Partitioned);
-        assert!(out.fallback_reason.is_none());
-    }
-
-    #[test]
-    fn forced_greedy_and_static_tiers_produce_valid_plans() {
-        let seqs = vec![(16384, MaskSpec::Causal), (4096, MaskSpec::Causal)];
-        for tier in [PlanTier::Greedy, PlanTier::Static] {
-            let p = Planner::new(
-                ClusterSpec::p4de(1),
-                AttnSpec::paper_micro(),
-                PlannerConfig {
-                    block_size: 1024,
-                    force_tier: Some(tier),
-                    ..Default::default()
-                },
-            );
-            let out = p.plan(&seqs).unwrap();
-            assert_eq!(out.tier, tier);
-            verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
-            assert_eq!(out.num_devices(), 8);
-        }
-    }
-
-    #[test]
-    fn infeasible_epsilon_falls_back_instead_of_erroring() {
-        // strict ε = 0 with coarse blocks cannot be met exactly (block
-        // granularity), so the partitioned tier is ε-infeasible; the plan
-        // must still come back valid, from a degraded tier, with the reason
-        // recorded.
-        let seqs = vec![(16384, MaskSpec::Causal), (2048, MaskSpec::Causal)];
-        let p = Planner::new(
-            ClusterSpec::p4de(1),
-            AttnSpec::paper_micro(),
-            PlannerConfig {
-                block_size: 4096,
-                eps_intra: 0.0,
-                strict_epsilon: true,
-                ..Default::default()
-            },
-        );
-        let out = p.plan(&seqs).unwrap();
-        assert_ne!(out.tier, PlanTier::Partitioned, "ε = 0 must be infeasible");
-        verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
-        let reason = out.fallback_reason.expect("reason recorded");
-        assert!(reason.contains("partitioned"), "{reason}");
-        assert!(reason.contains("infeasible"), "{reason}");
-    }
-
-    #[test]
-    fn tiny_regression_limit_rejects_every_fallback_tier() {
-        // Same ε-infeasible setup as `infeasible_epsilon_falls_back...`, but
-        // with an absurdly tight quality gate: every fallback candidate
-        // regresses past it, the chain exhausts, and the typed rejection
-        // surfaces instead of a silently degraded plan.
-        let seqs = vec![(16384, MaskSpec::Causal), (2048, MaskSpec::Causal)];
-        let p = Planner::new(
-            ClusterSpec::p4de(1),
-            AttnSpec::paper_micro(),
-            PlannerConfig {
-                block_size: 4096,
-                eps_intra: 0.0,
-                strict_epsilon: true,
-                max_fallback_regression: 1e-6,
-                ..Default::default()
-            },
-        );
-        let err = p.plan(&seqs).unwrap_err();
-        assert!(matches!(err, DcpError::FallbackRejected { .. }), "{err}");
-    }
-
-    #[test]
-    fn force_tier_skips_the_fallback_gate() {
-        // Pinning a tier is an explicit user decision; there is no
-        // partitioned reference to compare against, so the gate must not
-        // veto it even at an impossible limit.
-        let p = Planner::new(
-            ClusterSpec::p4de(1),
-            AttnSpec::paper_micro(),
-            PlannerConfig {
-                block_size: 1024,
-                force_tier: Some(PlanTier::Static),
-                max_fallback_regression: 1e-6,
-                ..Default::default()
-            },
-        );
-        let out = p.plan(&[(16384, MaskSpec::Causal)]).unwrap();
-        assert_eq!(out.tier, PlanTier::Static);
     }
 
     #[test]
@@ -1602,34 +1360,6 @@ mod tests {
         assert_eq!(back.placement, out.placement);
         assert_eq!(back.plan, out.plan);
         assert_eq!(back.tier, out.tier);
-    }
-
-    #[test]
-    fn greedy_fallback_balances_compute() {
-        let p = Planner::new(
-            ClusterSpec::p4de(1),
-            AttnSpec::paper_micro(),
-            PlannerConfig {
-                block_size: 1024,
-                force_tier: Some(PlanTier::Greedy),
-                ..Default::default()
-            },
-        );
-        let out = p.plan(&[(32768, MaskSpec::Causal)]).unwrap();
-        let loads = out.placement.comp_loads(&out.layout);
-        let avg = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-        let max_block = out
-            .layout
-            .comp_blocks
-            .iter()
-            .map(|c| c.flops)
-            .max()
-            .unwrap();
-        let max = *loads.iter().max().unwrap();
-        assert!(
-            (max as f64) <= avg + max_block as f64,
-            "greedy LPT bound violated: max {max} avg {avg}"
-        );
     }
 
     #[test]

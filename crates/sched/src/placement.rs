@@ -76,67 +76,6 @@ impl Placement {
         }
     }
 
-    /// A deterministic greedy placement for `n` devices: computation blocks
-    /// are assigned longest-processing-time-first to the least-loaded device
-    /// (balancing FLOPs within one block of granularity), then each token
-    /// block goes to the device executing the most of its consumers (Q + KV),
-    /// minimizing communication locally. This is the planner's first
-    /// fallback tier when hypergraph partitioning is infeasible: it
-    /// guarantees good compute balance but optimizes communication only
-    /// locally.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcpError::InvalidArgument`] if `n == 0`.
-    pub fn greedy(layout: &BatchLayout, n: u32) -> DcpResult<Self> {
-        if n == 0 {
-            return Err(DcpError::invalid_argument(
-                "greedy placement needs at least one device",
-            ));
-        }
-        // LPT: heaviest computation block first, ties broken by block id so
-        // the result is deterministic.
-        let mut order: Vec<usize> = (0..layout.comp_blocks.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(layout.comp_blocks[i].flops), i));
-        let mut comp_to_dev = vec![0u32; layout.comp_blocks.len()];
-        let mut loads = vec![0u64; n as usize];
-        for i in order {
-            let dev = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(d, &l)| (l, d))
-                .map(|(d, _)| d)
-                .unwrap_or(0);
-            comp_to_dev[i] = dev as u32;
-            loads[dev] += layout.comp_blocks[i].flops;
-        }
-        // Token blocks follow their consumers: pick the device executing the
-        // largest FLOP share of this block's Q and KV consumers (so the
-        // heaviest transfers become local). Blocks without consumers spread
-        // round-robin to keep token memory balanced.
-        let mut token_to_dev = vec![0u32; layout.token_blocks.len()];
-        for (t, dev) in token_to_dev.iter_mut().enumerate() {
-            let mut weight = vec![0u64; n as usize];
-            for c in layout.q_consumers[t].iter().chain(&layout.kv_consumers[t]) {
-                let d = comp_to_dev[c.0 as usize] as usize;
-                weight[d] += layout.comp_blocks[c.0 as usize].flops;
-            }
-            *dev = match weight
-                .iter()
-                .enumerate()
-                .max_by_key(|&(d, &w)| (w, std::cmp::Reverse(d)))
-            {
-                Some((d, &w)) if w > 0 => d as u32,
-                _ => (t % n as usize) as u32,
-            };
-        }
-        Ok(Placement {
-            num_devices: n,
-            token_to_dev,
-            comp_to_dev,
-        })
-    }
-
     /// Per-device computation FLOPs under this placement.
     pub fn comp_loads(&self, layout: &BatchLayout) -> Vec<u64> {
         let mut loads = vec![0u64; self.num_devices as usize];
@@ -188,46 +127,6 @@ mod tests {
         let mut bad = p.clone();
         bad.comp_to_dev[0] = 9;
         assert!(bad.validate(&l).is_err());
-    }
-
-    #[test]
-    fn greedy_is_valid_balanced_and_deterministic() {
-        let l = BatchLayout::build(
-            AttnSpec::paper_micro(),
-            BlockConfig {
-                block_size: 512,
-                head_blocks: 1,
-            },
-            &[(8192, MaskSpec::Causal), (4096, MaskSpec::Causal)],
-        )
-        .unwrap();
-        let a = Placement::greedy(&l, 4).unwrap();
-        a.validate(&l).unwrap();
-        let b = Placement::greedy(&l, 4).unwrap();
-        assert_eq!(a, b, "greedy placement must be deterministic");
-        // LPT bound: max load is within one block of the average.
-        let loads = a.comp_loads(&l);
-        let avg = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-        let max_block = l.comp_blocks.iter().map(|c| c.flops).max().unwrap();
-        let max = *loads.iter().max().unwrap();
-        assert!(
-            (max as f64) <= avg + max_block as f64,
-            "max {max} vs avg {avg} + block {max_block}"
-        );
-    }
-
-    #[test]
-    fn greedy_rejects_zero_devices() {
-        let l = layout();
-        assert!(Placement::greedy(&l, 0).is_err());
-    }
-
-    #[test]
-    fn greedy_single_device_is_local() {
-        let l = layout();
-        let p = Placement::greedy(&l, 1).unwrap();
-        assert!(p.token_to_dev.iter().all(|&d| d == 0));
-        assert!(p.comp_to_dev.iter().all(|&d| d == 0));
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::robust::PlanTier;
-
 /// Result alias using [`DcpError`].
 pub type DcpResult<T> = Result<T, DcpError>;
 
@@ -20,9 +18,6 @@ pub enum DcpError {
     /// A mask specification is inconsistent with the sequence it is applied
     /// to (e.g. boundaries out of range).
     InvalidMask(String),
-    /// The hypergraph partitioner could not produce a feasible partition
-    /// under the requested balance constraints.
-    Infeasible(String),
     /// An execution plan is malformed (e.g. a `CommWait` without a matching
     /// `CommLaunch`, or a buffer index out of range).
     InvalidPlan(String),
@@ -30,10 +25,10 @@ pub enum DcpError {
     Numerics(String),
     /// Plan (de)serialization failed.
     Serialization(String),
-    /// Planning a specific batch failed after exhausting the fallback chain
-    /// and all retries (look-ahead worker death/timeout plus synchronous
-    /// re-planning). Carries enough structure for callers to account for the
-    /// lost batch without parsing strings.
+    /// Planning a specific batch failed after all retries (look-ahead
+    /// worker death/timeout plus synchronous re-planning). Carries enough
+    /// structure for callers to account for the lost batch without parsing
+    /// strings.
     PlanningFailed {
         /// Index of the batch whose plan could not be produced.
         batch_index: usize,
@@ -53,19 +48,6 @@ pub enum DcpError {
         device: u32,
         /// The out-of-range `divisions_done` frontier.
         frontier: u32,
-    },
-    /// A fallback tier produced a plan, but its simulated makespan regressed
-    /// past the configured limit relative to the partitioned tier's
-    /// estimate — shipping it would silently burn cluster time, so the
-    /// planner surfaces the regression instead.
-    FallbackRejected {
-        /// The fallback tier whose plan was rejected.
-        tier: PlanTier,
-        /// Measured regression: fallback makespan / partitioned estimate.
-        factor: f64,
-        /// The configured limit the factor exceeded
-        /// (`max_fallback_regression`).
-        limit: f64,
     },
 }
 
@@ -97,15 +79,6 @@ impl DcpError {
     pub fn invalid_failure_event(device: u32, frontier: u32) -> Self {
         DcpError::InvalidFailureEvent { device, frontier }
     }
-
-    /// Convenience constructor for [`DcpError::FallbackRejected`].
-    pub fn fallback_rejected(tier: PlanTier, factor: f64, limit: f64) -> Self {
-        DcpError::FallbackRejected {
-            tier,
-            factor,
-            limit,
-        }
-    }
 }
 
 impl fmt::Display for DcpError {
@@ -113,7 +86,6 @@ impl fmt::Display for DcpError {
         match self {
             DcpError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
             DcpError::InvalidMask(m) => write!(f, "invalid mask: {m}"),
-            DcpError::Infeasible(m) => write!(f, "infeasible partition: {m}"),
             DcpError::InvalidPlan(m) => write!(f, "invalid plan: {m}"),
             DcpError::Numerics(m) => write!(f, "numerical check failed: {m}"),
             DcpError::Serialization(m) => write!(f, "serialization error: {m}"),
@@ -131,15 +103,6 @@ impl fmt::Display for DcpError {
                 "invalid failure event: device {device} has fewer than divisions_done = \
                  {frontier} attention divisions"
             ),
-            DcpError::FallbackRejected {
-                tier,
-                factor,
-                limit,
-            } => write!(
-                f,
-                "fallback rejected: {tier} plan regresses simulated makespan {factor:.2}x \
-                 vs the partitioned estimate (limit {limit:.2}x)"
-            ),
         }
     }
 }
@@ -154,8 +117,6 @@ mod tests {
     fn display_includes_subsystem_and_message() {
         let e = DcpError::invalid_argument("block size must be > 0");
         assert_eq!(e.to_string(), "invalid argument: block size must be > 0");
-        let e = DcpError::Infeasible("epsilon too tight".into());
-        assert!(e.to_string().contains("infeasible"));
     }
 
     #[test]
@@ -197,26 +158,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("device 3"), "{s}");
         assert!(s.contains("divisions_done = 1000"), "{s}");
-    }
-
-    #[test]
-    fn fallback_rejected_carries_structure() {
-        let e = DcpError::fallback_rejected(PlanTier::Greedy, 3.5, 2.0);
-        match &e {
-            DcpError::FallbackRejected {
-                tier,
-                factor,
-                limit,
-            } => {
-                assert_eq!(*tier, PlanTier::Greedy);
-                assert_eq!(*factor, 3.5);
-                assert_eq!(*limit, 2.0);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let s = e.to_string();
-        assert!(s.contains("greedy"), "{s}");
-        assert!(s.contains("3.50x"), "{s}");
-        assert!(s.contains("2.00x"), "{s}");
     }
 }

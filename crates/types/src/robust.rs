@@ -1,27 +1,17 @@
-//! Robustness vocabulary: the planner fallback chain.
+//! Which placement produced a plan.
 //!
-//! The planner degrades gracefully instead of failing an iteration: when the
-//! hierarchical hypergraph partitioner is ε-infeasible or errors, it falls
-//! back to a greedy placement, and from there to a static zigzag/ring
-//! placement that always succeeds. [`PlanTier`] records which tier actually
-//! produced a plan so callers (and benchmarks) can account for degraded
-//! iterations.
+//! The planner has one placement: the hierarchical hypergraph partition
+//! (paper §4.2). A partition over its balance caps still ships, since it is
+//! a legal plan and the best one the partitioner found. [`PlanTier`] names
+//! that placement on every plan, span and report row.
 
 use serde::{Deserialize, Serialize};
 
-/// Which tier of the planner fallback chain produced a plan.
-///
-/// Ordered from most to least preferred; `Ord` follows that preference
-/// (`Partitioned < Greedy < Static`), so "worst tier seen" is a `max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// Which placement produced a plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlanTier {
     /// Hierarchical hypergraph partitioning (the paper's planner).
     Partitioned,
-    /// Greedy longest-processing-time placement: balanced compute, no
-    /// communication objective.
-    Greedy,
-    /// Static zigzag/ring placement (baseline-style); always feasible.
-    Static,
 }
 
 impl PlanTier {
@@ -29,14 +19,7 @@ impl PlanTier {
     pub fn label(&self) -> &'static str {
         match self {
             PlanTier::Partitioned => "partitioned",
-            PlanTier::Greedy => "greedy",
-            PlanTier::Static => "static",
         }
-    }
-
-    /// All tiers, in fallback order.
-    pub fn all() -> [PlanTier; 3] {
-        [PlanTier::Partitioned, PlanTier::Greedy, PlanTier::Static]
     }
 }
 
@@ -51,19 +34,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiers_order_by_preference() {
-        assert!(PlanTier::Partitioned < PlanTier::Greedy);
-        assert!(PlanTier::Greedy < PlanTier::Static);
-        assert_eq!(
-            PlanTier::all().iter().copied().max(),
-            Some(PlanTier::Static)
-        );
-    }
-
-    #[test]
     fn labels_are_stable() {
         assert_eq!(PlanTier::Partitioned.to_string(), "partitioned");
-        assert_eq!(PlanTier::Greedy.label(), "greedy");
-        assert_eq!(PlanTier::Static.label(), "static");
     }
 }

@@ -26,7 +26,7 @@ use dcp::obs::{
     RecordingSink,
 };
 use dcp::sim::{simulate, trace_to_obs, FaultSpec};
-use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
+use dcp::types::{AttnSpec, ClusterSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -171,13 +171,14 @@ fn fnv1a(lines: impl Iterator<Item = String>) -> u64 {
 /// FNV-1a of the `Debug` form of every event's identity in
 /// [`planner_capture`]'s stream, computed at the commit before the planner's
 /// stages moved onto `dcp_obs::Span`: same events, labels, `iter` stamps and
-/// order.
-const PLANNER_IDENTITY_GOLDEN: u64 = 9_858_070_285_007_540_427;
+/// order. Re-pinned when the greedy/static fallback chain went, to the hash
+/// the commit before that gave for the same capture without its
+/// ε-infeasible plan.
+const PLANNER_IDENTITY_GOLDEN: u64 = 12_751_455_024_774_783_327;
 
 /// Every way a `plan()` call can end, in a fixed order on one sink: cold
-/// plan, exact hit, identical replay, warm drift accepted, warm drift
-/// rejected (so planned cold), and an ε-infeasible partition that falls
-/// through the gated greedy tier to the static one.
+/// plan, exact hit, identical replay, warm drift accepted, and warm drift
+/// rejected (so planned cold).
 fn planner_capture() -> Vec<Event> {
     let sink = Arc::new(RecordingSink::new());
     let handle = ObsHandle::new(sink.clone());
@@ -213,17 +214,6 @@ fn planner_capture() -> Vec<Event> {
     strict.plan_for_iter(&base, Some(5)).expect("seed");
     let rejected = strict.plan_for_iter(&drifted, Some(6)).expect("rejected");
     assert!(!rejected.stats.near_hit && strict.near_cache_stats().0 == 1);
-
-    // The greedy plan simulates 1.34x the partitioned estimate, the static
-    // one 0.80x: the gate rejects the first and ships the second.
-    let infeasible = mk(PlannerConfig {
-        eps_intra: 0.0,
-        strict_epsilon: true,
-        max_fallback_regression: 1.2,
-        ..planner_cfg()
-    });
-    let fell = infeasible.plan_for_iter(&base, Some(7)).expect("fallback");
-    assert_eq!(fell.tier, PlanTier::Static, "{:?}", fell.fallback_reason);
 
     sink.drain()
 }
