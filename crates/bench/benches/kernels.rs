@@ -125,52 +125,64 @@ fn bench_dim(c: &mut Criterion, dim: usize, isa: &KernelIsa) {
     }
     group.finish();
 
-    let block = 128usize;
-    let q = randv(block * qh * dim, &mut rng);
-    let k = randv(block * kvh * dim, &mut rng);
-    let v = randv(block * kvh * dim, &mut rng);
-    let mask = MaskSpec::Causal.instantiate(2 * block as u32).unwrap();
-    let mut acc = BlockAcc::new(block, qh, dim);
-    let args = BlockArgs {
-        q: &q,
-        k: &k,
-        v: &v,
-        qh,
-        kvh,
-        dim,
-        q_len: block,
-        kv_len: block,
-        q_start: block as u32,
-        kv_start: 0,
-        mask: &mask,
-        scale: 0.17,
-    };
-    attn_block_fwd(&mut acc, args);
-    let (o, lse) = acc.finalize();
-    let d_o = randv(block * qh * dim, &mut rng);
-
-    c.bench_function(format!("attn_block_bwd_128_d{dim}_{isa}"), |b| {
-        b.iter(|| {
-            let mut dq = vec![0.0f32; block * qh * dim];
-            let mut dk = vec![0.0f32; block * kvh * dim];
-            let mut dv = vec![0.0f32; block * kvh * dim];
-            attn_block_bwd(
-                BlockBwdArgs {
-                    fwd: args,
-                    o: &o,
-                    lse: &lse,
-                    d_o: &d_o,
-                },
-                &mut dq,
-                &mut dk,
-                &mut dv,
-            );
-            (dq, dk, dv)
-        });
-    });
+    // The backward at the ledger's two block shapes (`exec_dense` 128 keys at
+    // head dim 64, `exec_sparse` 64 at head dim 16) and the other, each on a
+    // fully visible block and on a causal diagonal one.
+    let mut group = c.benchmark_group(format!("attn_block_bwd_d{dim}_{isa}"));
+    let mut merge_input = None;
+    for block in [64usize, 128] {
+        let q = randv(block * qh * dim, &mut rng);
+        let k = randv(block * kvh * dim, &mut rng);
+        let v = randv(block * kvh * dim, &mut rng);
+        let d_o = randv(block * qh * dim, &mut rng);
+        let mask = MaskSpec::Causal.instantiate(2 * block as u32).unwrap();
+        for (visible, q_start) in [("full", block as u32), ("diagonal", 0)] {
+            let args = BlockArgs {
+                q: &q,
+                k: &k,
+                v: &v,
+                qh,
+                kvh,
+                dim,
+                q_len: block,
+                kv_len: block,
+                q_start,
+                kv_start: 0,
+                mask: &mask,
+                scale: 0.17,
+            };
+            let mut acc = BlockAcc::new(block, qh, dim);
+            attn_block_fwd(&mut acc, args);
+            let (o, lse) = acc.finalize();
+            let id = BenchmarkId::new(visible, block);
+            group.bench_with_input(id, &block, |b, &block| {
+                b.iter(|| {
+                    let mut dq = vec![0.0f32; block * qh * dim];
+                    let mut dk = vec![0.0f32; block * kvh * dim];
+                    let mut dv = vec![0.0f32; block * kvh * dim];
+                    attn_block_bwd(
+                        BlockBwdArgs {
+                            fwd: args,
+                            o: &o,
+                            lse: &lse,
+                            d_o: &d_o,
+                        },
+                        &mut dq,
+                        &mut dk,
+                        &mut dv,
+                    );
+                    (dq, dk, dv)
+                });
+            });
+            if visible == "full" && block == 128 {
+                merge_input = Some((o, lse));
+            }
+        }
+    }
+    group.finish();
 
     // The merge runs at one width: its exponentials are two per row.
-    if isa == "baseline" {
+    if let (Some((o, lse)), "baseline") = (merge_input, isa) {
         c.bench_function(format!("merge_outputs_128_d{dim}"), |b| {
             b.iter(|| merge_outputs(&o, &lse, &o, &lse, dim));
         });

@@ -220,6 +220,14 @@ type GradsIn<'a> = (
     &'a HashMap<TokenBlockId, Vec<f32>>,
 );
 
+/// `n` zeros in `v`'s buffer: `vec![0.0; n]` without an allocation once the
+/// buffer has grown.
+fn zeroed(mut v: Vec<f32>, n: usize) -> Vec<f32> {
+    v.clear();
+    v.resize(n, 0.0);
+    v
+}
+
 fn add_into(acc: &mut [f32], part: &[f32]) {
     for (a, b) in acc.iter_mut().zip(part) {
         *a += b;
@@ -293,6 +301,10 @@ struct Numeric<'a> {
     acc_dkv: Vec<HashMap<TokenBlockId, KvGrad>>,
     /// Blocks finalized by a forward `Reduce`.
     finals: HashMap<TokenBlockId, BlockOut>,
+    /// Per-block partials already folded, kept for the next `Attn` /
+    /// `AttnBwd` to reset and reuse instead of allocating its own.
+    spare_accs: Vec<BlockAcc>,
+    spare_grads: Vec<Vec<f32>>,
     obs: &'a ExecObs<'a>,
     obs_phase: ObsPhase,
     enabled: bool,
@@ -334,6 +346,8 @@ impl<'a> Numeric<'a> {
             acc_dq: vec![HashMap::new(); n],
             acc_dkv: vec![HashMap::new(); n],
             finals: HashMap::new(),
+            spare_accs: Vec::new(),
+            spare_grads: Vec::new(),
             obs,
             obs_phase,
             enabled: obs.sink.enabled(),
@@ -462,21 +476,25 @@ impl<'a> Backend for Numeric<'a> {
     fn attn(&mut self, dev: u32, backward: bool, items: &[AttnItem<'_, Data<'a>>]) {
         let d = dev as usize;
         if !backward {
-            let work: Vec<(TokenBlockId, BlockArgs<'_>)> = items
+            let work: Vec<(TokenBlockId, BlockArgs<'_>, Option<BlockAcc>)> = items
                 .iter()
-                .map(|item| (item.q_block, self.block_args(item)))
+                .map(|item| (item.q_block, self.block_args(item), self.spare_accs.pop()))
                 .collect();
             let parts: Vec<(TokenBlockId, BlockAcc)> = work
                 .into_par_iter()
-                .map(|(qb, args)| {
-                    let mut acc = BlockAcc::new(args.q_len, args.qh, args.dim);
+                .map(|(qb, args, spare)| {
+                    let mut acc = spare.unwrap_or_else(|| BlockAcc::new(0, 0, 0));
+                    acc.reset(args.q_len, args.qh, args.dim);
                     attn_block_fwd(&mut acc, args);
                     (qb, acc)
                 })
                 .collect();
             for (qb, part) in parts {
                 match self.acc_o[d].entry(qb) {
-                    Entry::Occupied(e) => e.into_mut().merge(&part),
+                    Entry::Occupied(e) => {
+                        e.into_mut().merge(&part);
+                        self.spare_accs.push(part);
+                    }
                     Entry::Vacant(e) => {
                         e.insert(part);
                     }
@@ -485,7 +503,7 @@ impl<'a> Backend for Numeric<'a> {
             return;
         }
         let (fwd_out, d_o) = self.grads_in.expect("AttnBwd is legal only in backward");
-        let work: Vec<(TokenBlockId, TokenBlockId, BlockBwdArgs<'_>)> = items
+        let work: Vec<(TokenBlockId, TokenBlockId, BlockBwdArgs<'_>, [Vec<f32>; 3])> = items
             .iter()
             .map(|item| {
                 let qb = item.q_block;
@@ -498,31 +516,34 @@ impl<'a> Backend for Numeric<'a> {
                     Some(_) => unreachable!("{SLOT_KIND}"),
                 };
                 let fwd = self.block_args(item);
-                (qb, item.kv_block, BlockBwdArgs { fwd, o, lse, d_o })
+                let spares = [(); 3].map(|_| self.spare_grads.pop().unwrap_or_default());
+                (qb, item.kv_block, BlockBwdArgs { fwd, o, lse, d_o }, spares)
             })
             .collect();
-        type GradPart = (TokenBlockId, TokenBlockId, Vec<f32>, Vec<f32>, Vec<f32>);
+        type GradPart = (TokenBlockId, TokenBlockId, [Vec<f32>; 3]);
         let parts: Vec<GradPart> = work
             .into_par_iter()
-            .map(|(qb, kb, args)| {
+            .map(|(qb, kb, args, [dq, dk, dv])| {
                 let a = args.fwd;
-                let mut pdq = vec![0.0f32; a.q_len * a.qh * a.dim];
-                let mut pdk = vec![0.0f32; a.kv_len * a.kvh * a.dim];
-                let mut pdv = vec![0.0f32; a.kv_len * a.kvh * a.dim];
+                let kv_elems = a.kv_len * a.kvh * a.dim;
+                let mut pdq = zeroed(dq, a.q_len * a.qh * a.dim);
+                let (mut pdk, mut pdv) = (zeroed(dk, kv_elems), zeroed(dv, kv_elems));
                 attn_block_bwd(args, &mut pdq, &mut pdk, &mut pdv);
-                (qb, kb, pdq, pdk, pdv)
+                (qb, kb, [pdq, pdk, pdv])
             })
             .collect();
-        for (qb, kb, pdq, pdk, pdv) in parts {
+        for (qb, kb, grads) in parts {
+            let [pdq, pdk, pdv] = &grads;
             let dq = self.acc_dq[d]
                 .entry(qb)
                 .or_insert_with(|| vec![0.0; pdq.len()]);
-            add_into(dq, &pdq);
+            add_into(dq, pdq);
             let (dk, dv) = self.acc_dkv[d]
                 .entry(kb)
                 .or_insert_with(|| (vec![0.0; pdk.len()], vec![0.0; pdv.len()]));
-            add_into(dk, &pdk);
-            add_into(dv, &pdv);
+            add_into(dk, pdk);
+            add_into(dv, pdv);
+            self.spare_grads.extend(grads);
         }
     }
 

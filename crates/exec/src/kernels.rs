@@ -14,9 +14,14 @@
 //!   are independent, and a tile is loaded once for the `PAIR` query heads
 //!   that share its KV head;
 //! - every update of a query-side row (`PV`, `dQ`) holds a piece of the row
-//!   in registers while it walks the keys in ascending order, and every
-//!   update of a KV-side row (`dV`, `dK`) loads and stores the row once per
-//!   head pair;
+//!   in registers while it walks the keys in ascending order;
+//! - the backward takes one KV head's rows in passes of up to 8 tokens and
+//!   16 rows, computes their `P` and `dS`, then updates `dV` and `dK`
+//!   key-major: on each stretch of keys between two of the pass's span
+//!   ends, a KV-side row is loaded and stored once for the terms of all the
+//!   pass's rows that reach it, added in `(t, h)` order (never a zero-weight
+//!   term for a row that does not), and `dQ` takes a long stretch four rows
+//!   at a time;
 //! - a query row's allowed keys are its mask's two spans clipped to the KV
 //!   block, never a per-key test;
 //! - the hot bodies are compiled once per usual head dim and once generic;
@@ -43,6 +48,17 @@ const TILE: usize = 16;
 /// Query heads of one GQA group scored against a key tile together.
 const PAIR: usize = 2;
 
+/// Query tokens one backward pass takes before it updates dK and dV.
+const PASS_TOKENS: usize = 8;
+
+/// Query rows (token, head) whose P and dS one backward pass holds.
+const PASS_ROWS: usize = 16;
+
+/// Keys a segment of a backward pass needs before its `dQ` rows are taken
+/// four at a time: on fewer, loading and storing the rows' pieces costs more
+/// than sharing the loads of `K` saves.
+const LONG_SEGMENT: usize = 8;
+
 /// Allowed keys of one query row, as block-local `[lo, hi)` spans in
 /// ascending key order.
 type Spans = [(usize, usize); 2];
@@ -61,10 +77,13 @@ struct Scratch {
     v_rows: Vec<f32>,
     /// The query-side rows of one head pair, `[d][row]`.
     x: Vec<f32>,
-    /// Per row of the head pair, by key: scores, then probabilities.
+    /// Per row of the head pair (the forward) or of the pass (the backward),
+    /// by key: scores, then probabilities.
     p: Vec<f32>,
-    /// Per row of the head pair, by key: `dP`, then `dS` (backward only).
+    /// Per row of the pass, by key: `dP`, then `dS` (backward only).
     ds: Vec<f32>,
+    /// Each query row's allowed keys (backward only).
+    spans: Vec<Spans>,
 }
 
 thread_local! {
@@ -158,12 +177,12 @@ fn pack_rows(dst: &mut Vec<f32>, src: &[f32], kvh: usize, dim: usize) {
 
 /// `out[r][j] = dot(x_r, y_j) * scale` for `R` rows `x` (`[d][row]`) and
 /// every key of the tiles that cover `spans`, where `yt` is one KV head's
-/// tile pack and `out` holds [`PAIR`] rows of keys. Each lane adds its
-/// products in `d` order starting from the `-0.0` that `Iterator::sum`
-/// starts from, so a lane holds exactly [`dot`]'s bits.
+/// tile pack and `out` holds `R` rows of keys. Each lane adds its products
+/// in `d` order starting from the `-0.0` that `Iterator::sum` starts from,
+/// so a lane holds exactly [`dot`]'s bits.
 #[inline(always)]
 fn tile_dots<const R: usize>(x: &[f32], yt: &[f32], spans: Spans, scale: f32, out: &mut [f32]) {
-    let (dim, kp) = (x.len() / R, out.len() / PAIR);
+    let (dim, kp) = (x.len() / R, out.len() / R);
     let mut done = 0;
     for (lo, hi) in spans {
         // The spans may end and start inside one tile: compute it once.
@@ -189,7 +208,8 @@ fn tile_dots<const R: usize>(x: &[f32], yt: &[f32], spans: Spans, scale: f32, ou
 }
 
 /// [`tile_dots`] of `rows`: one `dim`-long row or a [`PAIR`] of consecutive
-/// ones, which `x` is the buffer to interleave into.
+/// ones, which `x` is the buffer to interleave into; `out` holds as many
+/// rows of keys.
 #[inline(always)]
 fn head_dots(
     x: &mut Vec<f32>,
@@ -263,42 +283,154 @@ fn gather_rows(out: &mut [f32], w: &[f32], rows: &[f32], stride: usize, spans: S
     sum
 }
 
-/// `row_j += Σ_n w[n][j] * x[n]` for the keys of `spans`, the `N` terms added
-/// in order, where `row_j` is the first `x[n].len()` elements of
-/// `rows[j * stride..]` (`dV` and `dK`). A row is updated piece by piece in a
-/// local copy: it is loaded and stored once for all `N` terms, and the
-/// compiler need not prove `rows` and `x` disjoint before it vectorizes.
+/// `row_j[off..][..C] += Σ_n w[wo_n + j] * x[xo_n + off..][..C]` for the `K`
+/// keys from `j` on, where `row_j` starts at `rows[j * stride..]` and the
+/// `(wo_n, xo_n)` of `terms` are added in their order: `K` pieces of rows
+/// held in registers throughout, so `K × C / lanes` sums advance side by
+/// side, each product of a query-side piece shared by the `K` keys.
 #[inline(always)]
-fn scatter_rows<const N: usize>(
+fn scatter_tile<const K: usize, const C: usize>(
     rows: &mut [f32],
     stride: usize,
-    w: [&[f32]; N],
-    x: [&[f32]; N],
-    spans: Spans,
+    (j, off): (usize, usize),
+    (w, x): (&[f32], &[f32]),
+    terms: &[(usize, usize)],
 ) {
-    const PIECE: usize = 8;
-    let dim = x[0].len();
-    for (lo, hi) in spans {
-        for (j, row) in (lo..hi).zip(rows[lo * stride..].chunks_mut(stride)) {
-            let wj = w.map(|w| w[j]);
-            let mut pieces = row[..dim].chunks_exact_mut(PIECE);
-            for (piece, off) in (&mut pieces).zip((0..).step_by(PIECE)) {
-                let mut r = [0.0f32; PIECE];
-                r.copy_from_slice(piece);
-                for (wj, x) in wj.iter().zip(x) {
-                    for (a, &x) in r.iter_mut().zip(&x[off..off + PIECE]) {
-                        *a += wj * x;
-                    }
-                }
-                piece.copy_from_slice(&r);
-            }
-            let off = dim - dim % PIECE;
-            for (o, c) in pieces.into_remainder().iter_mut().zip(off..) {
-                for (wj, x) in wj.iter().zip(x) {
-                    *o += wj * x[c];
-                }
+    let mut r = [[0.0f32; C]; K];
+    for (k, r) in r.iter_mut().enumerate() {
+        r.copy_from_slice(&rows[(j + k) * stride + off..][..C]);
+    }
+    for &(wo, xo) in terms {
+        let wk: &[f32; K] = w[wo + j..][..K].try_into().expect("K weights");
+        let xc: &[f32; C] = x[xo + off..][..C].try_into().expect("a C-long piece");
+        for (r, &wk) in r.iter_mut().zip(wk) {
+            for (a, &xc) in r.iter_mut().zip(xc) {
+                *a += wk * xc;
             }
         }
+    }
+    for (k, r) in r.iter().enumerate() {
+        rows[(j + k) * stride + off..][..C].copy_from_slice(r);
+    }
+}
+
+/// `row_j += Σ_n w[wo_n + j] * x[xo_n..][..dim]` for every key `j` of
+/// `lo..hi`, the terms added in the order of `terms`, where `row_j` is the
+/// first `dim` elements of `rows[j * stride..]` (`dV` and `dK`). Every
+/// element is loaded and stored once for all the terms: the rows are taken
+/// in register-sized pieces, widest first, a few keys at a time.
+#[inline(always)]
+fn scatter_keys(
+    rows: &mut [f32],
+    stride: usize,
+    dim: usize,
+    wx: (&[f32], &[f32]),
+    terms: &[(usize, usize)],
+    (lo, hi): (usize, usize),
+) {
+    let mut off = 0;
+    macro_rules! pass {
+        ($c:literal, $k:literal) => {
+            while dim - off >= $c {
+                let mut j = lo;
+                while hi - j >= $k {
+                    scatter_tile::<$k, $c>(rows, stride, (j, off), wx, terms);
+                    j += $k;
+                }
+                for j in j..hi {
+                    scatter_tile::<1, $c>(rows, stride, (j, off), wx, terms);
+                }
+                off += $c;
+            }
+        };
+    }
+    pass!(16, 4);
+    pass!(4, 4);
+    pass!(1, 4);
+}
+
+/// `out[oo_i + off..][..C] += Σ_j w[wo_i + j] * y[j * stride + off..][..C]`
+/// over the keys `j` of `lo..hi` in ascending order, for the `R` rows
+/// `(wo_i, oo_i)`: `R` pieces of output rows held in registers while the keys
+/// go by, each piece of a key's row loaded once for all `R`.
+#[inline(always)]
+fn gather_tile<const R: usize, const C: usize>(
+    out: &mut [f32],
+    (w, y): (&[f32], &[f32]),
+    stride: usize,
+    rows: &[(usize, usize)],
+    (lo, hi): (usize, usize),
+    off: usize,
+) {
+    let rows: &[(usize, usize); R] = rows.try_into().expect("R rows");
+    let mut r = [[0.0f32; C]; R];
+    for (r, &(_, oo)) in r.iter_mut().zip(rows) {
+        r.copy_from_slice(&out[oo + off..][..C]);
+    }
+    for (j, yj) in (lo..hi).zip(y[lo * stride + off..].chunks(stride)) {
+        let yc: &[f32; C] = yj[..C].try_into().expect("a C-long piece");
+        for (r, &(wo, _)) in r.iter_mut().zip(rows) {
+            let wj = w[wo + j];
+            for (a, &yc) in r.iter_mut().zip(yc) {
+                *a += wj * yc;
+            }
+        }
+    }
+    for (r, &(_, oo)) in r.iter().zip(rows) {
+        out[oo + off..][..C].copy_from_slice(r);
+    }
+}
+
+/// `out_i += Σ_j w[wo_i + j] * y_j` over the keys of `lo..hi` in ascending
+/// order per element, for every `(wo_i, oo_i)` of `rows`, where `out_i` is
+/// `out[oo_i..][..dim]` and `y_j` starts at `y[j * stride..]` (`dQ`): the
+/// rows are taken four at a time, in register-sized pieces, widest first.
+#[inline(always)]
+fn gather_keys(
+    out: &mut [f32],
+    wy: (&[f32], &[f32]),
+    stride: usize,
+    dim: usize,
+    rows: &[(usize, usize)],
+    seg: (usize, usize),
+) {
+    let mut off = 0;
+    macro_rules! pass {
+        ($c:literal, $r:literal) => {
+            while dim - off >= $c {
+                let mut tiles = rows.chunks_exact($r);
+                for tile in &mut tiles {
+                    gather_tile::<$r, $c>(out, wy, stride, tile, seg, off);
+                }
+                for row in tiles.remainder().chunks(1) {
+                    gather_tile::<1, $c>(out, wy, stride, row, seg, off);
+                }
+                off += $c;
+            }
+        };
+    }
+    pass!(16, 4);
+    pass!(4, 4);
+    pass!(1, 4);
+}
+
+/// `dq_i += Σ_j w[wo_i + j] * y_j` over the keys of `from..to` in ascending
+/// order per element, row by row, for the live rows `(wo_i, oo_i, t_i)` of a
+/// backward pass, where `dq_i` is `dq[oo_i..][..dim]`, `y_j` starts at
+/// `y[j * stride..]` and row `i` reaches the keys of `spans[t_i]` (`dQ`).
+#[inline(always)]
+fn gather_each(
+    dq: &mut [f32],
+    (w, y): (&[f32], &[f32]),
+    stride: usize,
+    dim: usize,
+    live: &[(usize, usize, usize)],
+    spans: &[Spans],
+    (from, to): (usize, usize),
+) {
+    for &(wo, oo, t) in live {
+        let keys = spans[t].map(|(lo, hi)| (lo.clamp(from, to), hi.clamp(from, to)));
+        gather_rows(&mut dq[oo..][..dim], &w[wo..], y, stride, keys);
     }
 }
 
@@ -405,6 +537,20 @@ impl BlockAcc {
             m: vec![f32::NEG_INFINITY; len * qh],
             l: vec![0.0; len * qh],
             o: vec![0.0; len * qh * dim],
+        }
+    }
+
+    /// Makes this accumulator equal to `BlockAcc::new(len, qh, dim)`, in the
+    /// buffers it already has.
+    pub(crate) fn reset(&mut self, len: usize, qh: usize, dim: usize) {
+        (self.len, self.qh, self.dim) = (len, qh, dim);
+        for (v, n, x) in [
+            (&mut self.m, len * qh, f32::NEG_INFINITY),
+            (&mut self.l, len * qh, 0.0),
+            (&mut self.o, len * qh * dim, 0.0),
+        ] {
+            v.clear();
+            v.resize(n, x);
         }
     }
 
@@ -519,7 +665,7 @@ fn fwd_body<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratc
             let r0 = t * a.qh + h;
             let kt = &s.kt[kv_head * dim * kp..][..dim * kp];
             let q = &a.q[r0 * dim..][..n * dim];
-            head_dots(&mut s.x, q, dim, kt, spans, a.scale, &mut s.p);
+            head_dots(&mut s.x, q, dim, kt, spans, a.scale, &mut s.p[..n * kp]);
             for (r, p) in (r0..r0 + n).zip(s.p.chunks_exact_mut(kp)) {
                 let row_max = max_in_key_order(p, spans);
                 if row_max == f32::NEG_INFINITY {
@@ -634,65 +780,142 @@ fn bwd_body<const D: usize>(
     let group = a.qh / a.kvh;
     let kp = a.kv_len.next_multiple_of(TILE);
     let (kv_row, kv_elems) = (a.kvh * dim, a.kv_len * a.kvh * dim);
-    pack_tiles(&mut s.kt, &a.k[..kv_elems], a.kvh, dim);
-    pack_tiles(&mut s.vt, &a.v[..kv_elems], a.kvh, dim);
-    s.p.resize(PAIR * kp, 0.0);
-    s.ds.resize(PAIR * kp, 0.0);
-    for (t, spans) in row_spans(&a).enumerate() {
-        if is_empty(spans) {
-            continue;
-        }
-        for (h, n) in head_pairs(a.qh, group) {
-            let kv_head = h / group;
-            let r0 = t * a.qh + h;
-            let head_pack = kv_head * dim * kp..(kv_head + 1) * dim * kp;
-            let (kt, vt) = (&s.kt[head_pack.clone()], &s.vt[head_pack]);
-            let rows = r0 * dim..(r0 + n) * dim;
-            let (q, d_o) = (&a.q[rows.clone()], &args.d_o[rows]);
-            head_dots(&mut s.x, q, dim, kt, spans, a.scale, &mut s.p);
-            head_dots(&mut s.x, d_o, dim, vt, spans, 1.0, &mut s.ds);
-            // P and dS of the rows that have a softmax at all.
-            let mut live = [(0, &[][..], &[][..]); PAIR];
-            let mut n_live = 0;
-            let rows = s.p.chunks_exact_mut(kp).zip(s.ds.chunks_exact_mut(kp));
-            for (r, (p, ds)) in (r0..r0 + n).zip(rows) {
-                let lse_r = args.lse[r];
-                if lse_r == f32::NEG_INFINITY {
-                    continue;
-                }
-                // delta = rowsum(dO * O).
-                let delta = dot(&args.d_o[r * dim..][..dim], &args.o[r * dim..][..dim]);
-                for (lo, hi) in spans {
-                    for (p, ds) in p[lo..hi].iter_mut().zip(&mut ds[lo..hi]) {
-                        // P = exp(S - lse); dS = P * (dP - delta) * scale.
-                        *p = exp(*p - lse_r);
-                        *ds = *p * (*ds - delta) * a.scale;
+    let Scratch {
+        kt,
+        vt,
+        x,
+        p,
+        ds,
+        spans,
+        ..
+    } = s;
+    pack_tiles(kt, &a.k[..kv_elems], a.kvh, dim);
+    pack_tiles(vt, &a.v[..kv_elems], a.kvh, dim);
+    p.resize(PASS_ROWS * kp, 0.0);
+    ds.resize(PASS_ROWS * kp, 0.0);
+    spans.clear();
+    spans.extend(row_spans(&a));
+    // A pass takes whole tokens while their rows fit, else one token's heads
+    // in consecutive runs: either way its rows follow on in `(t, h)` order.
+    let heads = group.min(PASS_ROWS);
+    let tokens = (PASS_ROWS / group).clamp(1, PASS_TOKENS);
+    let passes = (0..a.kvh).flat_map(|g| {
+        let firsts = move |t0| {
+            (g * group..(g + 1) * group)
+                .step_by(heads)
+                .map(move |h0| (g, t0, h0))
+        };
+        (0..a.q_len).step_by(tokens).flat_map(firsts)
+    });
+    for (kv_head, t0, h0) in passes {
+        let head_pack = kv_head * dim * kp..(kv_head + 1) * dim * kp;
+        let (kt, vt) = (&kt[head_pack.clone()], &vt[head_pack]);
+        let head = kv_head * dim;
+        let h1 = h0 + heads.min((kv_head + 1) * group - h0);
+        // The pass's rows that have a softmax, in `(t, h)` order, as (offset
+        // of its P and dS, offset of the row, token), and the key-axis cuts
+        // at their tokens' span ends.
+        let mut live = [(0, 0, 0); PASS_ROWS];
+        let mut n_live = 0;
+        let mut cuts = [0; 4 * PASS_TOKENS];
+        let mut n_cuts = 0;
+        let mut slot = 0;
+        for (t, &token_spans) in spans.iter().enumerate().skip(t0).take(tokens) {
+            if is_empty(token_spans) {
+                continue;
+            }
+            let live_before = n_live;
+            for h in (h0..h1).step_by(PAIR) {
+                let (r0, n) = (t * a.qh + h, PAIR.min(h1 - h));
+                let rows = r0 * dim..(r0 + n) * dim;
+                let (q, d_o) = (&a.q[rows.clone()], &args.d_o[rows]);
+                let out = slot * kp..(slot + n) * kp;
+                head_dots(x, q, dim, kt, token_spans, a.scale, &mut p[out.clone()]);
+                head_dots(x, d_o, dim, vt, token_spans, 1.0, &mut ds[out.clone()]);
+                let pd = p[out.clone()]
+                    .chunks_exact_mut(kp)
+                    .zip(ds[out].chunks_exact_mut(kp));
+                for (r, (p, ds)) in (r0..r0 + n).zip(pd) {
+                    slot += 1;
+                    let lse_r = args.lse[r];
+                    if lse_r == f32::NEG_INFINITY {
+                        continue;
                     }
+                    // delta = rowsum(dO * O).
+                    let delta = dot(&args.d_o[r * dim..][..dim], &args.o[r * dim..][..dim]);
+                    for (lo, hi) in token_spans {
+                        for (p, ds) in p[lo..hi].iter_mut().zip(&mut ds[lo..hi]) {
+                            // P = exp(S - lse); dS = P * (dP - delta) * scale.
+                            *p = exp(*p - lse_r);
+                            *ds = *p * (*ds - delta) * a.scale;
+                        }
+                    }
+                    live[n_live] = ((slot - 1) * kp, r * dim, t);
+                    n_live += 1;
                 }
-                live[n_live] = (r, &*p, &*ds);
-                n_live += 1;
             }
-            // dV += P^T dO, then dK += dS^T Q: one array at a time, so a
-            // store to one never sits in front of a load from the other.
-            let (pw, dw) = (live.map(|(_, p, _)| p), live.map(|(_, _, ds)| ds));
-            let dos = live.map(|(r, _, _)| &args.d_o[r * dim..][..dim]);
-            let qs = live.map(|(r, _, _)| &a.q[r * dim..][..dim]);
-            let head = kv_head * dim;
-            match n_live {
-                2 => {
-                    scatter_rows::<2>(&mut dv[head..], kv_row, pw, dos, spans);
-                    scatter_rows::<2>(&mut dk[head..], kv_row, dw, qs, spans);
+            if n_live > live_before {
+                for (lo, hi) in token_spans.into_iter().filter(|(lo, hi)| lo < hi) {
+                    cuts[n_cuts..n_cuts + 2].copy_from_slice(&[lo, hi]);
+                    n_cuts += 2;
                 }
-                1 => {
-                    scatter_rows::<1>(&mut dv[head..], kv_row, [pw[0]], [dos[0]], spans);
-                    scatter_rows::<1>(&mut dk[head..], kv_row, [dw[0]], [qs[0]], spans);
+            }
+        }
+        let live = &live[..n_live];
+        // dV += P^T dO and dK += dS^T Q key-major: between two cuts the same
+        // rows reach every key, and each key's rows are loaded and stored
+        // once for all of their terms.
+        let cuts = &mut cuts[..n_cuts];
+        cuts.sort_unstable();
+        // Where the run of short segments whose dQ is still owed starts.
+        let mut short_from = None;
+        for seg in cuts
+            .windows(2)
+            .map(|c| (c[0], c[1]))
+            .filter(|(lo, hi)| lo < hi)
+        {
+            let mut terms = [(0, 0); PASS_ROWS];
+            let mut n_terms = 0;
+            for &(wo, oo, t) in live {
+                if spans[t].iter().any(|&(lo, hi)| lo <= seg.0 && seg.0 < hi) {
+                    terms[n_terms] = (wo, oo);
+                    n_terms += 1;
                 }
-                _ => {}
             }
-            // dQ += dS K.
-            for &(r, _, ds) in &live[..n_live] {
-                gather_rows(&mut dq[r * dim..][..dim], ds, &a.k[head..], kv_row, spans);
+            let terms = &terms[..n_terms];
+            scatter_keys(&mut dv[head..], kv_row, dim, (p, args.d_o), terms, seg);
+            scatter_keys(&mut dk[head..], kv_row, dim, (ds, a.q), terms, seg);
+            // dQ += dS K, keys ascending per row: a long segment four rows
+            // at a time, so a piece of a key's row serves four; a run of
+            // short ones row by row, so that a dQ row is not loaded and
+            // stored once per key.
+            if seg.1 - seg.0 < LONG_SEGMENT {
+                short_from.get_or_insert(seg.0);
+                continue;
             }
+            if let Some(from) = short_from.take() {
+                gather_each(
+                    dq,
+                    (ds, &a.k[head..]),
+                    kv_row,
+                    dim,
+                    live,
+                    spans,
+                    (from, seg.0),
+                );
+            }
+            gather_keys(dq, (ds, &a.k[head..]), kv_row, dim, terms, seg);
+        }
+        if let Some(from) = short_from {
+            gather_each(
+                dq,
+                (ds, &a.k[head..]),
+                kv_row,
+                dim,
+                live,
+                spans,
+                (from, a.kv_len),
+            );
         }
     }
 }

@@ -145,8 +145,10 @@ mod oracle {
 const SEQ: u32 = 384;
 const DIMS: [usize; 6] = [4, 8, 16, 24, 64, 128];
 const LENS: [usize; 5] = [1, 7, 33, 64, 128];
-/// `(query heads, kv heads)`: GQA groups 1, 2 and 4, one with two KV heads.
-const HEADS: [(usize, usize); 4] = [(1, 1), (2, 1), (4, 1), (4, 2)];
+/// `(query heads, kv heads)`: GQA groups 1, 2 and 4, one with two KV heads,
+/// then groups of 16, 24 and 32, wider than the backward's pass of 16 rows
+/// for one token at 24 and 32 (light cases only: the oracle runs every head).
+const HEADS: [(usize, usize); 7] = [(1, 1), (2, 1), (4, 1), (4, 2), (16, 1), (24, 1), (32, 1)];
 
 fn masks() -> Vec<Mask> {
     [
@@ -221,6 +223,8 @@ struct Seen {
     zeroed_rows: usize,
     /// Backward rows with keys in the block and `lse = -inf`.
     dead_lse_rows: usize,
+    /// Cases whose GQA group is wider than the backward's pass.
+    wide_groups: usize,
 }
 
 /// The scores of query row `(t, h)` against its allowed keys of the KV
@@ -337,6 +341,7 @@ fn check_case(
     }
 
     seen.cases += 1;
+    seen.wide_groups += usize::from(qh / kvh > 16);
     for kv_start in kv_starts {
         let kv_end = kv_start + kv_len as u32;
         let spans = (q_start..q_start + q_len as u32).map(|t| {
@@ -391,6 +396,8 @@ fn sweep(dim: usize) -> Seen {
                 let layouts = match work {
                     _ if heavy => 1,
                     w if w > 64 * 64 * 32 => 2,
+                    // The wide groups put 16 to 32 rows on every token.
+                    w if w > 64 * 64 * 4 => 4,
                     _ => HEADS.len(),
                 };
                 let heads = HEADS[rng.gen_range(0..layouts)];
@@ -455,6 +462,7 @@ fn assert_covered(seen: &Seen) {
         seen.dead_lse_rows > 0,
         "no backward row with keys but no lse"
     );
+    assert!(seen.wide_groups > 0, "no GQA group wider than a pass met");
 }
 
 macro_rules! oracle_sweeps {
