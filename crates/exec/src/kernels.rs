@@ -20,8 +20,7 @@
 //!   key-major: on each stretch of keys between two of the pass's span
 //!   ends, a KV-side row is loaded and stored once for the terms of all the
 //!   pass's rows that reach it, added in `(t, h)` order (never a zero-weight
-//!   term for a row that does not), and `dQ` takes a long stretch four rows
-//!   at a time;
+//!   term for a row that does not);
 //! - a query row's allowed keys are its mask's two spans clipped to the KV
 //!   block, never a per-key test;
 //! - the hot bodies are compiled once per usual head dim and once generic;
@@ -53,11 +52,6 @@ const PASS_TOKENS: usize = 8;
 
 /// Query rows (token, head) whose P and dS one backward pass holds.
 const PASS_ROWS: usize = 16;
-
-/// Keys a segment of a backward pass needs before its `dQ` rows are taken
-/// four at a time: on fewer, loading and storing the rows' pieces costs more
-/// than sharing the loads of `K` saves.
-const LONG_SEGMENT: usize = 8;
 
 /// Allowed keys of one query row, as block-local `[lo, hi)` spans in
 /// ascending key order.
@@ -347,91 +341,6 @@ fn scatter_keys(
     pass!(16, 4);
     pass!(4, 4);
     pass!(1, 4);
-}
-
-/// `out[oo_i + off..][..C] += Σ_j w[wo_i + j] * y[j * stride + off..][..C]`
-/// over the keys `j` of `lo..hi` in ascending order, for the `R` rows
-/// `(wo_i, oo_i)`: `R` pieces of output rows held in registers while the keys
-/// go by, each piece of a key's row loaded once for all `R`.
-#[inline(always)]
-fn gather_tile<const R: usize, const C: usize>(
-    out: &mut [f32],
-    (w, y): (&[f32], &[f32]),
-    stride: usize,
-    rows: &[(usize, usize)],
-    (lo, hi): (usize, usize),
-    off: usize,
-) {
-    let rows: &[(usize, usize); R] = rows.try_into().expect("R rows");
-    let mut r = [[0.0f32; C]; R];
-    for (r, &(_, oo)) in r.iter_mut().zip(rows) {
-        r.copy_from_slice(&out[oo + off..][..C]);
-    }
-    for (j, yj) in (lo..hi).zip(y[lo * stride + off..].chunks(stride)) {
-        let yc: &[f32; C] = yj[..C].try_into().expect("a C-long piece");
-        for (r, &(wo, _)) in r.iter_mut().zip(rows) {
-            let wj = w[wo + j];
-            for (a, &yc) in r.iter_mut().zip(yc) {
-                *a += wj * yc;
-            }
-        }
-    }
-    for (r, &(_, oo)) in r.iter().zip(rows) {
-        out[oo + off..][..C].copy_from_slice(r);
-    }
-}
-
-/// `out_i += Σ_j w[wo_i + j] * y_j` over the keys of `lo..hi` in ascending
-/// order per element, for every `(wo_i, oo_i)` of `rows`, where `out_i` is
-/// `out[oo_i..][..dim]` and `y_j` starts at `y[j * stride..]` (`dQ`): the
-/// rows are taken four at a time, in register-sized pieces, widest first.
-#[inline(always)]
-fn gather_keys(
-    out: &mut [f32],
-    wy: (&[f32], &[f32]),
-    stride: usize,
-    dim: usize,
-    rows: &[(usize, usize)],
-    seg: (usize, usize),
-) {
-    let mut off = 0;
-    macro_rules! pass {
-        ($c:literal, $r:literal) => {
-            while dim - off >= $c {
-                let mut tiles = rows.chunks_exact($r);
-                for tile in &mut tiles {
-                    gather_tile::<$r, $c>(out, wy, stride, tile, seg, off);
-                }
-                for row in tiles.remainder().chunks(1) {
-                    gather_tile::<1, $c>(out, wy, stride, row, seg, off);
-                }
-                off += $c;
-            }
-        };
-    }
-    pass!(16, 4);
-    pass!(4, 4);
-    pass!(1, 4);
-}
-
-/// `dq_i += Σ_j w[wo_i + j] * y_j` over the keys of `from..to` in ascending
-/// order per element, row by row, for the live rows `(wo_i, oo_i, t_i)` of a
-/// backward pass, where `dq_i` is `dq[oo_i..][..dim]`, `y_j` starts at
-/// `y[j * stride..]` and row `i` reaches the keys of `spans[t_i]` (`dQ`).
-#[inline(always)]
-fn gather_each(
-    dq: &mut [f32],
-    (w, y): (&[f32], &[f32]),
-    stride: usize,
-    dim: usize,
-    live: &[(usize, usize, usize)],
-    spans: &[Spans],
-    (from, to): (usize, usize),
-) {
-    for &(wo, oo, t) in live {
-        let keys = spans[t].map(|(lo, hi)| (lo.clamp(from, to), hi.clamp(from, to)));
-        gather_rows(&mut dq[oo..][..dim], &w[wo..], y, stride, keys);
-    }
 }
 
 /// The largest of `xs` over the keys of `spans` (`-inf` when there is none,
@@ -867,8 +776,6 @@ fn bwd_body<const D: usize>(
         // once for all of their terms.
         let cuts = &mut cuts[..n_cuts];
         cuts.sort_unstable();
-        // Where the run of short segments whose dQ is still owed starts.
-        let mut short_from = None;
         for seg in cuts
             .windows(2)
             .map(|c| (c[0], c[1]))
@@ -885,37 +792,12 @@ fn bwd_body<const D: usize>(
             let terms = &terms[..n_terms];
             scatter_keys(&mut dv[head..], kv_row, dim, (p, args.d_o), terms, seg);
             scatter_keys(&mut dk[head..], kv_row, dim, (ds, a.q), terms, seg);
-            // dQ += dS K, keys ascending per row: a long segment four rows
-            // at a time, so a piece of a key's row serves four; a run of
-            // short ones row by row, so that a dQ row is not loaded and
-            // stored once per key.
-            if seg.1 - seg.0 < LONG_SEGMENT {
-                short_from.get_or_insert(seg.0);
-                continue;
-            }
-            if let Some(from) = short_from.take() {
-                gather_each(
-                    dq,
-                    (ds, &a.k[head..]),
-                    kv_row,
-                    dim,
-                    live,
-                    spans,
-                    (from, seg.0),
-                );
-            }
-            gather_keys(dq, (ds, &a.k[head..]), kv_row, dim, terms, seg);
         }
-        if let Some(from) = short_from {
-            gather_each(
-                dq,
-                (ds, &a.k[head..]),
-                kv_row,
-                dim,
-                live,
-                spans,
-                (from, a.kv_len),
-            );
+        // dQ += dS K, row by row, each row held in registers while it walks
+        // its keys in ascending order.
+        let k = &a.k[head..];
+        for &(wo, oo, t) in live {
+            gather_rows(&mut dq[oo..][..dim], &ds[wo..], k, kv_row, spans[t]);
         }
     }
 }
