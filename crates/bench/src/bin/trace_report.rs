@@ -3,8 +3,8 @@
 //! writes `results/TRACE_e2e.json` — a single Chrome Trace Event file
 //! merging all four sources onto per-device rows, doubled as a
 //! machine-readable report carrying the communication-overlap summary (the
-//! fraction of transfer time hidden under compute, per device and per
-//! division) and the attribution / blame table: on the pinned straggler
+//! fraction of transfer time hidden under compute, overall and per device,
+//! from the simulator's timelines) and the attribution / blame table: on the pinned straggler
 //! scenario of `tests/trace_analysis.rs`, where the critical path spends a
 //! clean phase and which device and bucket the differential attribution
 //! blames for the faulted one. The table is for reading; the tests judge.
@@ -146,10 +146,9 @@ fn main() {
     }
     table.print();
     println!(
-        "overall overlap efficiency: {:.3} ({} events captured, {} division rows)",
+        "overall overlap efficiency: {:.3} ({} events captured)",
         summary["overall"].as_f64().unwrap_or(1.0),
         outcome.events.len(),
-        summary["per_division"].as_array().map_or(0, Vec::len),
     );
 
     let blame = blame_table();

@@ -28,11 +28,8 @@ use dcp_core::{DcpDataloader, PlanOutput, Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event as ObsEvent, ObsHandle, ObsSink, RecordingSink};
-use dcp_sim::{
-    simulate, simulate_plan, trace_to_obs, FaultSpec, PlanSim, SimRun, TraceEvent, TraceKind,
-};
+use dcp_sim::{simulate, simulate_plan, trace_to_obs, FaultSpec, PlanSim, SimRun};
 use dcp_types::{AttnSpec, ClusterSpec, DcpResult};
-use serde::Serialize;
 
 /// Batches averaged per configuration (`DCP_BENCH_BATCHES`, default 8).
 pub fn num_batches() -> usize {
@@ -244,130 +241,6 @@ pub fn write_results(name: &str, value: &serde_json::Value) {
     println!("\n[results written to {}]", path.display());
 }
 
-/// Merges intervals into a sorted disjoint union.
-fn interval_union(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    iv.retain(|(s, e)| e > s);
-    iv.sort_by(|a, b| a.partial_cmp(b).expect("no NaN interval"));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(iv.len());
-    for (s, e) in iv {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Total length of a disjoint union.
-fn union_len(u: &[(f64, f64)]) -> f64 {
-    u.iter().map(|(s, e)| e - s).sum()
-}
-
-/// Length of the intersection of two disjoint unions (two-pointer sweep).
-fn intersect_len(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    let (mut i, mut j, mut acc) = (0usize, 0usize, 0.0f64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            acc += hi - lo;
-        }
-        if a[i].1 < b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    acc
-}
-
-/// Communication-overlap summary for one division of one device's simulated
-/// timeline: how much of the division's incoming-transfer time was hidden
-/// under that device's compute.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub(crate) struct DivisionOverlap {
-    /// Device rank.
-    pub device: u32,
-    /// Division index on that device (attention calls close divisions,
-    /// matching [`dcp_sched::DivisionReport`]'s attribution).
-    pub division: u32,
-    /// Seconds of incoming transfer activity in this division's window.
-    pub comm_s: f64,
-    /// Seconds of that activity concurrent with this device's compute.
-    pub hidden_s: f64,
-    /// `hidden_s / comm_s`; defined as 1.0 for a communication-free
-    /// division (nothing was exposed).
-    pub efficiency: f64,
-}
-
-/// Derives per-division overlap efficiency from a simulated phase trace.
-///
-/// Each device's timeline is split at the end of each fused attention call
-/// (the instant its division closes); transfers are clipped to the division
-/// windows and intersected with the device's compute segments (attention,
-/// reductions, copies and straggle time all keep the device busy). Trailing
-/// activity after the last attention call is charged to the last division,
-/// mirroring [`dcp_sched::PlanReport`]'s division accounting.
-pub(crate) fn division_overlap(trace: &[TraceEvent]) -> Vec<DivisionOverlap> {
-    let n = trace.iter().map(|e| e.device).max().map_or(0, |d| d + 1);
-    let mut out = Vec::new();
-    for d in 0..n {
-        let dev: Vec<&TraceEvent> = trace.iter().filter(|e| e.device == d).collect();
-        let compute: Vec<(f64, f64)> = dev
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    TraceKind::Attn
-                        | TraceKind::AttnBwd
-                        | TraceKind::Reduce
-                        | TraceKind::Copy
-                        | TraceKind::Straggle
-                )
-            })
-            .map(|e| (e.start, e.end))
-            .collect();
-        let transfers: Vec<(f64, f64)> = dev
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Transfer { .. }))
-            .map(|e| (e.start, e.end))
-            .collect();
-        let mut bounds: Vec<f64> = dev
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Attn | TraceKind::AttnBwd))
-            .map(|e| e.end)
-            .collect();
-        bounds.sort_by(|a, b| a.partial_cmp(b).expect("no NaN trace"));
-        if bounds.is_empty() {
-            bounds.push(f64::INFINITY);
-        }
-        let m = bounds.len();
-        for (k, &bound) in bounds.iter().enumerate() {
-            let w0 = if k == 0 { 0.0 } else { bounds[k - 1] };
-            // The last division absorbs trailing activity.
-            let w1 = if k == m - 1 { f64::INFINITY } else { bound };
-            let clip = |iv: &[(f64, f64)]| -> Vec<(f64, f64)> {
-                iv.iter()
-                    .map(|&(s, e)| (s.max(w0), e.min(w1)))
-                    .filter(|(s, e)| e > s)
-                    .collect()
-            };
-            let tu = interval_union(clip(&transfers));
-            let cu = interval_union(clip(&compute));
-            let comm_s = union_len(&tu);
-            let hidden_s = intersect_len(&tu, &cu);
-            out.push(DivisionOverlap {
-                device: d,
-                division: k as u32,
-                comm_s,
-                hidden_s,
-                efficiency: if comm_s > 0.0 { hidden_s / comm_s } else { 1.0 },
-            });
-        }
-    }
-    out
-}
-
 /// The unified event stream and overlap summary produced by
 /// [`trace_workload`].
 pub struct TraceOutcome {
@@ -376,8 +249,6 @@ pub struct TraceOutcome {
     /// instruction spans and buffer gauges, and the adapted simulator
     /// timeline.
     pub events: Vec<ObsEvent>,
-    /// Per-iteration, per-phase, per-device, per-division overlap rows.
-    pub overlap: Vec<serde_json::Value>,
     /// Aggregate per-device `(comm_s, hidden_s)` from the simulator's own
     /// interval accounting, across all iterations and both phases.
     pub device_comm: Vec<(f64, f64)>,
@@ -404,7 +275,6 @@ impl TraceOutcome {
         serde_json::json!({
             "overall": if comm > 0.0 { hidden / comm } else { 1.0 },
             "per_device": per_device,
-            "per_division": self.overlap,
         })
     }
 }
@@ -412,8 +282,8 @@ impl TraceOutcome {
 /// Runs `batches` through the full instrumented pipeline — look-ahead
 /// dataloader (which replays planner stage spans serially), the numeric
 /// executor (when `execute` is set) and the cluster simulator — collecting
-/// every span, counter and gauge into one recorded stream plus a
-/// per-division communication-overlap summary.
+/// every span, counter and gauge into one recorded stream plus each
+/// device's communication overlap from the simulator's timelines.
 ///
 /// The event stream is deterministic across `RAYON_NUM_THREADS` up to span
 /// durations: all emission happens on the consumer thread (loader), the
@@ -438,7 +308,6 @@ pub fn trace_workload(
     let obs = ObsHandle::new(sink.clone());
     let planner = Planner::new(cluster.clone(), attn, cfg.clone());
     let loader = DcpDataloader::new(planner, batches, 2).with_obs(obs);
-    let mut overlap = Vec::new();
     let mut device_comm = vec![(0.0f64, 0.0f64); cluster.num_devices() as usize];
     for (iter, item) in loader.enumerate() {
         let iter = iter as u64;
@@ -468,9 +337,9 @@ pub fn trace_workload(
                 &eo,
             )?;
         }
-        for (phase, obs_phase, plan_phase) in [
-            ("fwd", dcp_obs::Phase::Fwd, &out.plan.fwd),
-            ("bwd", dcp_obs::Phase::Bwd, &out.plan.bwd),
+        for (obs_phase, plan_phase) in [
+            (dcp_obs::Phase::Fwd, &out.plan.fwd),
+            (dcp_obs::Phase::Bwd, &out.plan.bwd),
         ] {
             let SimRun { sim, trace, .. } = simulate(cluster, plan_phase, &FaultSpec::none())?;
             sink.record_all(trace_to_obs(&trace, obs_phase, Some(iter)));
@@ -478,22 +347,10 @@ pub fn trace_workload(
                 device_comm[d].0 += tl.comm_active;
                 device_comm[d].1 += tl.overlap;
             }
-            for row in division_overlap(&trace) {
-                overlap.push(serde_json::json!({
-                    "iter": iter,
-                    "phase": phase,
-                    "device": row.device,
-                    "division": row.division,
-                    "comm_s": row.comm_s,
-                    "hidden_s": row.hidden_s,
-                    "efficiency": row.efficiency,
-                }));
-            }
         }
     }
     Ok(TraceOutcome {
         events: sink.drain(),
-        overlap,
         device_comm,
     })
 }
@@ -602,55 +459,6 @@ mod tests {
             let tokens: u64 = b.iter().map(|(l, _)| *l as u64).sum();
             assert!(tokens <= 131072);
         }
-    }
-
-    #[test]
-    fn division_overlap_splits_at_attention_calls() {
-        use dcp_sim::TraceKind;
-        // Device 0: two divisions. Division 0: attn [0,2) with a transfer
-        // [1,3) — 1s hidden under attn, 1s exposed in division 1's window.
-        // Division 1: attn [4,6) closes it; a trailing transfer [6,7) is
-        // charged to it, fully exposed.
-        let t = |kind, start: f64, end: f64| TraceEvent {
-            device: 0,
-            kind,
-            start,
-            end,
-        };
-        let trace = vec![
-            t(TraceKind::Attn, 0.0, 2.0),
-            t(TraceKind::Transfer { from: 1 }, 1.0, 3.0),
-            t(TraceKind::Attn, 4.0, 6.0),
-            t(TraceKind::Transfer { from: 1 }, 6.0, 7.0),
-        ];
-        let rows = division_overlap(&trace);
-        assert_eq!(rows.len(), 2);
-        assert_eq!((rows[0].device, rows[0].division), (0, 0));
-        assert!((rows[0].comm_s - 1.0).abs() < 1e-12);
-        assert!((rows[0].hidden_s - 1.0).abs() < 1e-12);
-        assert!((rows[0].efficiency - 1.0).abs() < 1e-12);
-        // Division 1: transfer slice [2,3) exposed (no compute there),
-        // trailing [6,7) exposed too.
-        assert!((rows[1].comm_s - 2.0).abs() < 1e-12);
-        assert!(rows[1].hidden_s.abs() < 1e-12);
-        assert!(rows[1].efficiency.abs() < 1e-12);
-    }
-
-    #[test]
-    fn division_overlap_handles_attention_free_devices() {
-        use dcp_sim::TraceKind;
-        let trace = vec![TraceEvent {
-            device: 0,
-            kind: TraceKind::Transfer { from: 1 },
-            start: 0.0,
-            end: 1.0,
-        }];
-        let rows = division_overlap(&trace);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].division, 0);
-        assert!((rows[0].comm_s - 1.0).abs() < 1e-12);
-        assert_eq!(rows[0].efficiency, 0.0);
-        assert!(division_overlap(&[]).is_empty());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! runs, the plans for iterations `i+1 ..= i+kappa` are computed in
 //! parallel on CPU cores and shipped to devices through a key-value store.
 //! Here the "KV store" is an in-process channel per iteration and the CPU
-//! pool is rayon; the observable contract is the same — `next()` returns
-//! `(batch, plan)` pairs in order, with planning latency hidden behind the
-//! look-ahead window.
+//! pool is the loader's own planning threads; the observable contract is
+//! the same — `next()` returns `(batch, plan)` pairs in order, with
+//! planning latency hidden behind the look-ahead window.
 //!
 //! Robustness: a planning worker that panics, times out, or returns an
 //! error does not lose the batch. The loader re-plans synchronously (with
@@ -27,10 +27,10 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use dcp_data::Batch;
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event, ObsHandle, Source as ObsSource};
@@ -162,27 +162,31 @@ struct WorkerPool {
 
 /// One look-ahead planning job: the batch to plan and the per-batch channel
 /// its result (or disconnect, on panic) is delivered on.
-type PlanJob = (Vec<(u32, MaskSpec)>, Sender<DcpResult<PlanOutput>>);
+type PlanJob = (Vec<(u32, MaskSpec)>, SyncSender<DcpResult<PlanOutput>>);
 
 impl WorkerPool {
     fn new(size: usize, plan_fn: Arc<PlanFn>) -> Self {
         let size = size.max(1);
-        let (jobs, rx) = unbounded::<PlanJob>();
+        let (jobs, rx) = channel::<PlanJob>();
+        let rx = Arc::new(Mutex::new(rx));
         for w in 0..size {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let plan_fn = Arc::clone(&plan_fn);
             std::thread::Builder::new()
                 .name(format!("dcp-plan-{w}"))
-                .spawn(move || {
-                    while let Ok((seqs, tx)) = rx.recv() {
-                        match catch_unwind(AssertUnwindSafe(|| plan_fn(&seqs))) {
-                            Ok(result) => {
-                                let _ = tx.send(result);
-                            }
-                            // Dropping `tx` without sending signals the
-                            // panic to the consumer as a disconnect.
-                            Err(_) => drop(tx),
+                .spawn(move || loop {
+                    // The guard drops at the end of this statement: the lock
+                    // is held while waiting for a job, never while planning,
+                    // so workers plan concurrently and a panic cannot poison it.
+                    let job = rx.lock().expect("job queue lock").recv();
+                    let Ok((seqs, tx)) = job else { break };
+                    match catch_unwind(AssertUnwindSafe(|| plan_fn(&seqs))) {
+                        Ok(result) => {
+                            let _ = tx.send(result);
                         }
+                        // Dropping `tx` without sending signals the panic
+                        // to the consumer as a disconnect.
+                        Err(_) => drop(tx),
                     }
                 })
                 .expect("failed to spawn planning worker thread");
@@ -190,7 +194,7 @@ impl WorkerPool {
         WorkerPool { jobs, size }
     }
 
-    fn submit(&self, seqs: Vec<(u32, MaskSpec)>, tx: Sender<DcpResult<PlanOutput>>) {
+    fn submit(&self, seqs: Vec<(u32, MaskSpec)>, tx: SyncSender<DcpResult<PlanOutput>>) {
         let _ = self.jobs.send((seqs, tx));
     }
 }
@@ -433,7 +437,7 @@ impl DcpDataloader {
 
     fn submit_upto(&mut self, target: usize) {
         while self.submitted < target.min(self.batches.len()) {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = sync_channel(1);
             self.pool
                 .submit(self.batches[self.submitted].seqs.clone(), tx);
             if self.obs.enabled() {
@@ -842,6 +846,33 @@ mod tests {
             .map(|r| r.unwrap().0)
             .collect();
         assert_eq!(got, bs);
+    }
+
+    /// Polls `Arc::strong_count(f)` until it reads `n` (or 5 s pass) and
+    /// returns the last reading: pool threads drop their clone of the plan
+    /// function only when they exit, some time after their queue closes.
+    fn settled_holders(f: &Arc<PlanFn>, n: usize) -> usize {
+        let t0 = Instant::now();
+        while Arc::strong_count(f) != n && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        Arc::strong_count(f)
+    }
+
+    #[test]
+    fn pool_threads_hold_the_plan_fn_until_they_exit() {
+        // Callers count the plan function's holders to know when the pool
+        // has spun up or wound down: this test, the loader, one per worker.
+        let p = planner();
+        let f: Arc<PlanFn> = Arc::new(move |seqs: &[(u32, MaskSpec)]| p.plan(seqs));
+        let loader =
+            DcpDataloader::with_plan_fn(Arc::clone(&f), batches(3), 4, RetryConfig::default());
+        assert_eq!(settled_holders(&f, 2 + 4), 2 + 4, "spawned eagerly");
+        let mut loader = loader.with_workers(1);
+        assert_eq!(settled_holders(&f, 2 + 1), 2 + 1, "displaced pool exited");
+        assert_eq!(loader.by_ref().count(), 3);
+        drop(loader);
+        assert_eq!(settled_holders(&f, 1), 1, "workers exit with the loader");
     }
 
     #[test]

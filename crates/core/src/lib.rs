@@ -8,8 +8,9 @@
 //!   division scheduling (`dcp-sched`) — producing a ready-to-execute
 //!   [`dcp_sched::ExecutionPlan`].
 //! - [`dataloader`]: the look-ahead dataloader of Sec. 6.1 — plans for the
-//!   next κ batches are computed in parallel on CPU cores (rayon) while the
-//!   current iteration "executes", hiding planning latency.
+//!   next κ batches are computed in parallel on the loader's own planning
+//!   threads while the current iteration "executes", hiding planning
+//!   latency.
 //! - [`e2e`]: the end-to-end iteration model for the paper's 8B-GPT
 //!   experiments — attention time comes from the plan simulator, while
 //!   context-independent operators, gradient synchronization and the

@@ -1,7 +1,7 @@
 //! Exporters: unified Chrome trace, JSONL event log.
 //!
-//! The Chrome trace generalises `dcp-sim`'s single-source
-//! `to_chrome_trace` to multi-source streams: each [`Source`] becomes a
+//! The Chrome trace is the one exporter of every timeline, simulated ones
+//! included (`dcp_sim::trace_to_obs` adapts them): each [`Source`] becomes a
 //! Chrome *process* (named via `"M"` metadata events) and each device a
 //! pair of *threads* (compute row + comm row), so planner, dataloader,
 //! executor and sim timelines sit side by side in `chrome://tracing` or

@@ -289,13 +289,19 @@ impl Wake {
 /// Shape and id bounds of an untrusted phase, checked once before anything
 /// indexes by them: streams are one per device in rank order, comm ids are
 /// inside the op table, transfer endpoints are devices of the phase and —
-/// given a layout — computation and token block ids are inside it.
+/// given a layout — computation and token block ids are inside it. The
+/// layout's own ids are checked too, for it may be deserialized as well:
+/// each computation block reads token blocks of the layout, and each token
+/// block lies inside the mask of a sequence of it.
 ///
 /// # Errors
 ///
 /// [`ViolationKind::ShapeMismatch`], [`ViolationKind::CommIdOutOfRange`],
 /// [`ViolationKind::BadRoute`] or [`ViolationKind::BlockIdOutOfRange`].
 pub fn check_ids(phase: &PhasePlan, layout: Option<&BatchLayout>) -> Result<(), Diagnostic> {
+    if let Some(layout) = layout {
+        check_layout_ids(layout)?;
+    }
     let n = phase.devices.len() as u32;
     let tb_ok = |tb: TokenBlockId| layout.is_none_or(|l| (tb.0 as usize) < l.token_blocks.len());
     for (cid, op) in phase.comms.iter().enumerate() {
@@ -356,6 +362,46 @@ pub fn check_ids(phase: &PhasePlan, layout: Option<&BatchLayout>) -> Result<(), 
                 Instr::Copy { .. } => {}
             }
         }
+    }
+    Ok(())
+}
+
+/// The layout half of [`check_ids`]: its computation blocks name its token
+/// blocks, and its token blocks name its masks and end inside them.
+fn check_layout_ids(layout: &BatchLayout) -> Result<(), Diagnostic> {
+    let blocks = layout.token_blocks.len();
+    let outside = |tb: TokenBlockId| tb.0 as usize >= blocks;
+    let mut comps = layout.comp_blocks.iter().enumerate();
+    if let Some((c, cb)) = comps.find(|(_, cb)| outside(cb.q_block) || outside(cb.kv_block)) {
+        let (q, kv) = (cb.q_block, cb.kv_block);
+        let msg = format!("layout comp block {c} reads {q:?} and {kv:?} of {blocks} token blocks");
+        return Err(Diagnostic::phase_level(
+            ViolationKind::BlockIdOutOfRange,
+            msg,
+        ));
+    }
+    for (t, tb) in layout.token_blocks.iter().enumerate() {
+        let (kind, msg) = match layout.masks.get(tb.seq as usize) {
+            None => (
+                ViolationKind::BlockIdOutOfRange,
+                format!(
+                    "layout token block {t} names sequence {} of {}",
+                    tb.seq,
+                    layout.masks.len()
+                ),
+            ),
+            Some(m) if u64::from(tb.start) + u64::from(tb.len) > u64::from(m.len()) => (
+                ViolationKind::ShapeMismatch,
+                format!(
+                    "layout token block {t} covers tokens {}..+{} of a {}-token mask",
+                    tb.start,
+                    tb.len,
+                    m.len()
+                ),
+            ),
+            Some(_) => continue,
+        };
+        return Err(Diagnostic::phase_level(kind, msg));
     }
     Ok(())
 }

@@ -38,4 +38,4 @@ pub use sim::{
     simulate, simulate_on, simulate_phase_counted, simulate_plan, simulate_plan_faulted,
     DeviceTimeline, PhaseSim, PlanSim, SimCounters, SimRun,
 };
-pub use trace::{ascii_gantt, to_chrome_trace, trace_to_obs, TraceEvent, TraceKind};
+pub use trace::{ascii_gantt, trace_to_obs, TraceEvent, TraceKind};

@@ -96,7 +96,8 @@ pub struct SimRun {
     /// Makespan and per-device breakdowns.
     pub sim: PhaseSim,
     /// Compute segments, exposed waits and transfers by start time, for
-    /// [`crate::trace::to_chrome_trace`] or [`crate::trace::ascii_gantt`].
+    /// [`crate::trace::trace_to_obs`] (then `dcp_obs::to_chrome_trace`) or
+    /// [`crate::trace::ascii_gantt`].
     pub trace: Vec<TraceEvent>,
     /// Work counters (for throughput benchmarking).
     pub counters: SimCounters,

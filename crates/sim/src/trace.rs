@@ -1,11 +1,12 @@
-//! Execution traces: Chrome-trace export and an ASCII Gantt renderer.
+//! Execution traces: the adapter into `dcp-obs` and an ASCII Gantt renderer.
 //!
 //! [`crate::simulate`] records every compute segment, exposed wait and
 //! transfer of a simulated phase in [`crate::SimRun::trace`]. This module turns that into:
 //!
-//! - [`to_chrome_trace`]: the Chrome Trace Event JSON format — open it at
-//!   `chrome://tracing` (or Perfetto) to inspect a plan's timeline the way
-//!   the paper inspects Nsight Systems traces (Fig. 22);
+//! - [`trace_to_obs`]: `dcp-obs` events, which `dcp_obs::to_chrome_trace`
+//!   writes as Chrome Trace Event JSON — open it at `chrome://tracing` (or
+//!   Perfetto) to inspect a plan's timeline the way the paper inspects
+//!   Nsight Systems traces (Fig. 22);
 //! - [`ascii_gantt`]: a terminal rendering for quick looks and examples.
 
 use serde::{Deserialize, Serialize};
@@ -112,59 +113,6 @@ pub fn trace_to_obs(
         .collect()
 }
 
-/// Serializes events to the Chrome Trace Event format (JSON object with a
-/// `traceEvents` array of complete `"X"` events; timestamps in µs).
-/// Compute/wait segments go on track `tid = 2*device`, transfers on
-/// `tid = 2*device + 1`.
-///
-/// This is the single-source renderer kept for quick looks at one simulated
-/// phase; the multi-source export shared with the real executor lives in
-/// [`dcp_obs::to_chrome_trace`] (see [`trace_to_obs`]).
-pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    #[derive(Serialize)]
-    struct ChromeEvent<'a> {
-        name: &'a str,
-        cat: &'a str,
-        ph: &'a str,
-        ts: f64,
-        dur: f64,
-        pid: u32,
-        tid: u32,
-    }
-    #[derive(Serialize)]
-    struct ChromeTrace<'a> {
-        #[serde(rename = "traceEvents")]
-        trace_events: Vec<ChromeEvent<'a>>,
-        #[serde(rename = "displayTimeUnit")]
-        display_time_unit: &'a str,
-    }
-    let trace_events = events
-        .iter()
-        .map(|e| ChromeEvent {
-            name: e.kind.label(),
-            cat: match e.kind {
-                TraceKind::Transfer { .. } => "comm",
-                TraceKind::Wait => "wait",
-                TraceKind::Straggle | TraceKind::Delay => "fault",
-                _ => "compute",
-            },
-            ph: "X",
-            ts: e.start * 1e6,
-            dur: (e.end - e.start) * 1e6,
-            pid: 0,
-            tid: match e.kind {
-                TraceKind::Transfer { .. } => 2 * e.device + 1,
-                _ => 2 * e.device,
-            },
-        })
-        .collect();
-    serde_json::to_string_pretty(&ChromeTrace {
-        trace_events,
-        display_time_unit: "ms",
-    })
-    .expect("trace serializes")
-}
-
 /// Renders a fixed-width ASCII Gantt chart: one row per device (compute
 /// track) with `#` attention, `%` backward, `r` reduce, `c` copy, `.`
 /// exposed wait; a second `net` row per device with `~` for incoming
@@ -237,21 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_valid_json_with_events() {
-        let s = to_chrome_trace(&sample());
-        let v: serde_json::Value = serde_json::from_str(&s).unwrap();
-        let evs = v["traceEvents"].as_array().unwrap();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0]["ph"], "X");
-        assert_eq!(evs[0]["name"], "attn");
-        // Transfers land on the odd track.
-        let recv = evs.iter().find(|e| e["name"] == "recv").unwrap();
-        assert_eq!(recv["tid"], 3);
-        // Microsecond timestamps.
-        assert!((evs[0]["dur"].as_f64().unwrap() - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn trace_adapts_into_obs_stream() {
         let obs = trace_to_obs(&sample(), dcp_obs::Phase::Fwd, Some(3));
         assert_eq!(obs.len(), 3);
@@ -266,10 +199,21 @@ mod tests {
         assert_eq!(recv.name, "recv");
         assert_eq!(recv.label.as_deref(), Some("from dev0"));
         assert_eq!(recv.device, Some(1));
-        // The unified exporter accepts the adapted stream.
+        // The unified exporter writes the adapted stream as complete "X"
+        // events in microseconds, transfers on the device's odd track.
         let chrome = dcp_obs::to_chrome_trace(&obs);
         let v: serde_json::Value = serde_json::from_str(&chrome).unwrap();
-        assert!(v["traceEvents"].as_array().unwrap().len() >= 3);
+        let evs: Vec<_> = v["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["ph"] == "X")
+            .collect();
+        assert_eq!(evs.len(), 3);
+        assert_eq!(evs[0]["name"], "attn");
+        assert!((evs[0]["dur"].as_f64().unwrap() - 500.0).abs() < 1e-9);
+        let recv = evs.iter().find(|e| e["name"] == "recv").unwrap();
+        assert_eq!(recv["tid"], 3, "device 1's comm track, 2 * 1 + 1");
     }
 
     #[test]
@@ -350,6 +294,5 @@ mod tests {
         for (d, attn_s) in per_dev_attn.iter().enumerate() {
             assert!((attn_s - sim.devices[d].attn).abs() < 1e-12);
         }
-        let _ = to_chrome_trace(&trace);
     }
 }

@@ -16,7 +16,8 @@ use dcp::baselines::Baseline;
 use dcp::core::{Planner, PlannerConfig};
 use dcp::data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
 use dcp::mask::MaskSpec;
-use dcp::sim::{ascii_gantt, simulate, simulate_plan, to_chrome_trace, FaultSpec};
+use dcp::obs::{to_chrome_trace, Phase};
+use dcp::sim::{ascii_gantt, simulate, simulate_plan, trace_to_obs, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec};
 use serde::{Deserialize, Serialize};
 
@@ -197,8 +198,11 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
             } else {
                 format!("{path}.{i}")
             };
-            std::fs::write(&path, to_chrome_trace(&trace))
-                .map_err(|e| format!("write {path}: {e}"))?;
+            std::fs::write(
+                &path,
+                to_chrome_trace(&trace_to_obs(&trace, Phase::Fwd, None)),
+            )
+            .map_err(|e| format!("write {path}: {e}"))?;
             println!("  chrome trace written to {path} (open in chrome://tracing)");
         }
     }

@@ -4,8 +4,9 @@
 use dcp::baselines::Baseline;
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
+use dcp::obs::{to_chrome_trace, Phase};
 use dcp::sched::PlanReport;
-use dcp::sim::{ascii_gantt, simulate, to_chrome_trace, FaultSpec, SimRun, TraceKind};
+use dcp::sim::{ascii_gantt, simulate, trace_to_obs, FaultSpec, SimRun, TraceKind};
 use dcp::types::{AttnSpec, ClusterSpec};
 
 fn skewed_batch() -> Vec<(u32, MaskSpec)> {
@@ -92,7 +93,7 @@ fn traces_cover_plan_activity_for_dcp_and_baselines() {
         let timeline_attn: f64 = sim.devices.iter().map(|d| d.attn).sum();
         assert!((attn_time - timeline_attn).abs() < 1e-9);
         // Exports work.
-        let json = to_chrome_trace(&trace);
+        let json = to_chrome_trace(&trace_to_obs(&trace, Phase::Fwd, None));
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert!(v["traceEvents"].as_array().unwrap().len() >= trace.len());
         let gantt = ascii_gantt(&trace, 80);

@@ -2,10 +2,10 @@
 //! executor and the simulator, over seeded random layouts × masks ×
 //! placements, each plan taken clean, through the eight `stream_verify`
 //! mutation classes and through the malformed-plan cases that used to panic
-//! a consumer (ids past the op table or the layout, a forward reduce of
-//! nothing, a stream table that disagrees with the placement) — and each
-//! clean plan executed on tensors of the wrong shape, which used to panic
-//! inside a kernel.
+//! a consumer (ids past the op table or the layout, a layout whose own ids
+//! point outside it, a forward reduce of nothing, a stream table that
+//! disagrees with the placement) — and each clean plan executed on tensors
+//! of the wrong shape, which used to panic inside a kernel.
 //!
 //! The contract, checked for every variant:
 //!
@@ -420,6 +420,68 @@ fn verifier_executor_and_simulator_agree() {
     }
     for ((name, _), n) in MUTATIONS.iter().zip(applied) {
         assert!(n > 0, "mutation {name} applied to no generated plan");
+    }
+}
+
+type LayoutMutation = (&'static str, fn(&mut BatchLayout));
+
+/// Ids of a deserialized layout itself, wrong: each used to pass the verifier
+/// and panic the executor, or panic both.
+const CORRUPT_LAYOUTS: &[LayoutMutation] = &[
+    ("token-block-of-no-sequence", |l| {
+        l.token_blocks[0].seq = l.masks.len() as u32;
+    }),
+    ("token-block-past-its-mask", |l| {
+        let tb = &mut l.token_blocks[0];
+        tb.start = l.masks[tb.seq as usize].len();
+    }),
+    ("kv-block-of-no-token-block", |l| {
+        l.comp_blocks[0].kv_block = TokenBlockId(l.token_blocks.len() as u32);
+    }),
+];
+
+#[test]
+fn corrupted_layout_ids_are_typed_errors_not_panics() {
+    let config = BlockConfig {
+        block_size: 64,
+        head_blocks: 1,
+    };
+    let seqs = [(256, MaskSpec::Causal)];
+    let layout = BatchLayout::build(AttnSpec::new(4, 2, 8, 2), config, &seqs).unwrap();
+    let placement = Placement {
+        num_devices: 2,
+        token_to_dev: (0..layout.token_blocks.len() as u32)
+            .map(|t| t % 2)
+            .collect(),
+        comp_to_dev: layout.comp_blocks.iter().map(|c| c.q_block.0 % 2).collect(),
+    };
+    let plan = build_plan(&layout, &placement, &ScheduleConfig::default()).unwrap();
+    let (data, _) = random_tensors(&layout);
+    for (name, corrupt) in CORRUPT_LAYOUTS {
+        let mut bad = layout.clone();
+        corrupt(&mut bad);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            (
+                verify_plan(&bad, &placement, &plan),
+                execute_forward(&bad, &placement, &plan, &data).map(drop),
+            )
+        }));
+        let Ok((verified, executed)) = outcome else {
+            panic!("{name}: a consumer panicked on a corrupted layout");
+        };
+        let diagnostic = verified.expect_err(name);
+        assert!(
+            matches!(
+                diagnostic.kind,
+                ViolationKind::BlockIdOutOfRange | ViolationKind::ShapeMismatch
+            ),
+            "{name}: {diagnostic}"
+        );
+        assert_eq!(
+            executed.unwrap_err(),
+            DcpError::from(diagnostic),
+            "{name}: executor"
+        );
     }
 }
 
