@@ -16,10 +16,15 @@
 //!   local attention steps. Masked-out steps skip computation but the
 //!   KV relay still runs in full.
 //!
-//! All builders emit ordinary [`dcp_sched::ExecutionPlan`]s: ring steps
-//! become divisions whose `CommLaunch` overlaps the previous step's
-//! compute, so the simulator and (for the forward pass) the numerical
-//! executor run baselines and DCP through identical machinery.
+//! [`Baseline::build`] is the crate's one entry point: it checks the
+//! configuration, then one private ring builder lays out the (for
+//! LoongTrain, padded) batch, places it and emits ordinary
+//! [`dcp_sched::ExecutionPlan`]s. Ring steps become divisions whose
+//! `CommLaunch` overlaps the previous step's compute, so the simulator and
+//! (for the forward pass) the numerical executor run baselines and DCP
+//! through identical machinery. A search over a baseline's parameters (the
+//! paper's best LoongTrain inner ring) builds each candidate through the
+//! same call.
 //!
 //! Modelling notes, for honesty about fidelity:
 //!
@@ -33,9 +38,10 @@
 //!   and sequence layouts) is modelled as an on-device `Copy` of the local
 //!   blocks at the start of each phase.
 
-pub mod ring;
+mod ring;
 
-pub use ring::{build_ring_baseline_with_layout, build_ring_layout, BaselineOutput, RingConfig};
+pub use ring::BaselineOutput;
+use ring::RingConfig;
 
 use dcp_mask::MaskSpec;
 use dcp_types::{AttnSpec, DcpResult};
@@ -76,8 +82,11 @@ impl Baseline {
     ///
     /// # Errors
     ///
-    /// Returns an error for unsupported combinations (LoongTrain with
-    /// non-causal masks) or degenerate configurations.
+    /// Returns [`dcp_types::DcpError::InvalidArgument`] for LoongTrain with
+    /// a non-causal mask, for zero devices, for a head-parallel degree that
+    /// is zero or does not divide the device count and both head counts,
+    /// and for an inner ring that is zero or does not divide the ring size
+    /// (`devices / head_groups`).
     pub fn build(
         &self,
         attn: AttnSpec,

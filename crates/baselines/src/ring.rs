@@ -7,25 +7,26 @@ use dcp_sched::{
 };
 use dcp_types::{AttnSpec, DcpError, DcpResult};
 
-/// Configuration of a ring baseline.
+/// Configuration of a ring baseline: the parameters behind each named
+/// [`crate::Baseline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingConfig {
+pub(crate) struct RingConfig {
     /// Total devices `n = head_groups * ring_size`.
-    pub devices: u32,
+    pub(crate) devices: u32,
     /// Head-parallel degree (must divide both head counts and `devices`).
-    pub head_groups: u32,
+    pub(crate) head_groups: u32,
     /// ZigZag placement (2 chunks per ring position) vs contiguous Ring.
-    pub zigzag: bool,
+    pub(crate) zigzag: bool,
     /// Double-ring inner size `w` (1 = plain ring). Every `w`-th hop is an
     /// outer (typically inter-node) hop; the rest stay within the inner
     /// ring.
-    pub inner_ring: u32,
+    pub(crate) inner_ring: u32,
     /// Pad every sequence to the longest in the batch (LoongTrain).
-    pub pad_to_max: bool,
+    pub(crate) pad_to_max: bool,
     /// Sequence-dimension block size used for the underlying layout.
-    pub block_size: u32,
+    pub(crate) block_size: u32,
     /// Emit the head/sequence-layout reorder copy at phase start (TE/LT).
-    pub reorder_copy: bool,
+    pub(crate) reorder_copy: bool,
 }
 
 /// A baseline's layout, placement and plan.
@@ -42,12 +43,14 @@ pub struct BaselineOutput {
     pub plan: ExecutionPlan,
 }
 
-/// Builds a ring-attention baseline plan.
+/// Builds a ring-attention baseline: validates `cfg`, builds the (possibly
+/// padded) block layout, then the placement and both phases' plans.
 ///
 /// # Errors
 ///
 /// Returns [`DcpError::InvalidArgument`] if `head_groups` does not divide
-/// the device count or the attention head counts.
+/// the device count or the attention head counts, or `inner_ring` does not
+/// divide the ring size; propagates layout-construction failures.
 pub(crate) fn build_ring_baseline(
     name: &str,
     attn: AttnSpec,
@@ -74,50 +77,22 @@ pub(crate) fn build_ring_baseline(
         ));
     }
 
-    let layout = build_ring_layout(attn, cfg, seqs)?;
-    build_ring_baseline_with_layout(name, cfg, layout)
-}
-
-/// Builds the (possibly padded) block layout a ring baseline runs on.
-/// Useful to share one layout across LoongTrain's inner-ring sweep.
-///
-/// # Errors
-///
-/// Propagates layout-construction failures.
-pub fn build_ring_layout(
-    attn: AttnSpec,
-    cfg: &RingConfig,
-    seqs: &[(u32, MaskSpec)],
-) -> DcpResult<BatchLayout> {
-    // Padded workload for LoongTrain.
+    // LoongTrain computes on a workload padded to the longest sequence.
     let max_len = seqs.iter().map(|(l, _)| *l).max().unwrap_or(0);
     let effective: Vec<(u32, MaskSpec)> = if cfg.pad_to_max {
         seqs.iter().map(|(_, m)| (max_len, m.clone())).collect()
     } else {
         seqs.to_vec()
     };
-    BatchLayout::build(
+    let layout = BatchLayout::build(
         attn,
         BlockConfig {
             block_size: cfg.block_size,
             head_blocks: cfg.head_groups,
         },
         &effective,
-    )
-}
+    )?;
 
-/// Like `build_ring_baseline` but reusing a prebuilt layout (which must
-/// come from [`build_ring_layout`] with an equivalent config).
-///
-/// # Errors
-///
-/// Never fails today; kept fallible for symmetry and future validation.
-pub fn build_ring_baseline_with_layout(
-    name: &str,
-    cfg: &RingConfig,
-    layout: BatchLayout,
-) -> DcpResult<BaselineOutput> {
-    let rp = cfg.devices / cfg.head_groups;
     // Ring position of every token block.
     let nchunks = if cfg.zigzag { 2 * rp } else { rp };
     let pos_of = |tb: &dcp_blocks::TokenBlock| -> u32 {
@@ -300,31 +275,11 @@ fn build_phase(
             }
         }
 
-        // Fix up launch ordering: waits reference ops launched by this
-        // device one step earlier; step 1's op must be launched during step
-        // 0. The loop above already interleaves launches, but step 1's
-        // launch happens at s = 0 — verify the first wait has a prior
-        // launch, else insert one at the stream head.
-        let mut launched = std::collections::HashSet::new();
-        let mut fixed: Vec<Instr> = Vec::new();
-        for ins in instrs {
-            if let Instr::CommWait(cid) = ins {
-                if !launched.contains(&cid) {
-                    launched.insert(cid);
-                    fixed.push(Instr::CommLaunch(cid));
-                }
-            }
-            if let Instr::CommLaunch(cid) = ins {
-                launched.insert(cid);
-            }
-            fixed.push(ins);
-        }
-
         let owned_u32: Vec<u32> = owned[dev as usize].iter().map(|t| t.0).collect();
-        let buffer = dcp_sched::buffer::compute_stats(layout, &comms, dev, &fixed, &owned_u32);
+        let buffer = dcp_sched::buffer::compute_stats(layout, &comms, dev, &instrs, &owned_u32);
         devices.push(DeviceStream {
             device: dev,
-            instrs: fixed,
+            instrs,
             buffer,
         });
     }
@@ -514,22 +469,40 @@ mod tests {
     }
 
     #[test]
-    fn waits_are_launched_or_first_fixed() {
-        let out = Baseline::RfaZigzag
-            .build(micro(), 4, 512, &[(8192, MaskSpec::Causal)])
-            .unwrap();
-        for phase in [&out.plan.fwd, &out.plan.bwd] {
-            for stream in &phase.devices {
-                let mut launched = std::collections::HashSet::new();
-                for ins in &stream.instrs {
-                    match ins {
-                        Instr::CommLaunch(c) => {
-                            launched.insert(*c);
+    fn waits_are_launched() {
+        // Every wait follows its own op's launch on the same stream: step
+        // s + 1's op is launched during step s, for every baseline, with a
+        // double ring's outer hops included.
+        for b in [
+            Baseline::RfaRing,
+            Baseline::RfaZigzag,
+            Baseline::TransformerEngine { head_groups: 2 },
+            Baseline::LoongTrain {
+                head_groups: 2,
+                inner_ring: 4,
+            },
+        ] {
+            let out = b
+                .build(
+                    micro(),
+                    16,
+                    512,
+                    &[(8192, MaskSpec::Causal), (3000, MaskSpec::Causal)],
+                )
+                .unwrap();
+            for phase in [&out.plan.fwd, &out.plan.bwd] {
+                for stream in &phase.devices {
+                    let mut launched = std::collections::HashSet::new();
+                    for ins in &stream.instrs {
+                        match ins {
+                            Instr::CommLaunch(c) => {
+                                launched.insert(*c);
+                            }
+                            Instr::CommWait(c) => {
+                                assert!(launched.contains(c), "{}: wait before launch", b.name());
+                            }
+                            _ => {}
                         }
-                        Instr::CommWait(c) => {
-                            assert!(launched.contains(c), "wait before launch");
-                        }
-                        _ => {}
                     }
                 }
             }

@@ -159,7 +159,9 @@ pub fn run_dcp_best(
 }
 
 /// LoongTrain with the best inner-ring size in {1, 2, 4, 8} (the paper
-/// reports the best), by simulated total time.
+/// reports the best), by simulated total time. Sizes that do not divide the
+/// ring (`devices / head_groups`) are not candidates; every candidate is
+/// built through [`Baseline::build`].
 ///
 /// # Errors
 ///
@@ -171,40 +173,22 @@ pub fn run_loongtrain_best(
     block_size: u32,
     batch: &[(u32, MaskSpec)],
 ) -> DcpResult<(PlanSim, BaselineOutput)> {
-    use dcp_baselines::{build_ring_baseline_with_layout, build_ring_layout, RingConfig};
-
-    if batch.iter().any(|(_, m)| !matches!(m, MaskSpec::Causal)) {
-        return Err(dcp_types::DcpError::invalid_argument(
-            "LoongTrain supports only the causal mask",
-        ));
-    }
+    let ring = cluster.num_devices() / head_groups.max(1);
     let mut best: Option<(PlanSim, BaselineOutput)> = None;
-    let rp = cluster.num_devices() / head_groups;
-    let mut cfg = RingConfig {
-        devices: cluster.num_devices(),
-        head_groups,
-        zigzag: true,
-        inner_ring: 1,
-        pad_to_max: true,
-        block_size,
-        reorder_copy: true,
-    };
-    // The padded layout is the expensive part; build it once and share it
-    // across the inner-ring sweep.
-    let layout = build_ring_layout(attn, &cfg, batch)?;
-    for w in [1u32, 2, 4, 8] {
-        if w > 1 && !rp.is_multiple_of(w) {
+    for inner_ring in [1u32, 2, 4, 8] {
+        if !ring.is_multiple_of(inner_ring) {
             continue;
         }
-        cfg.inner_ring = w;
-        let out =
-            build_ring_baseline_with_layout(&format!("loongtrain-w{w}"), &cfg, layout.clone())?;
-        let sim = simulate_plan(cluster, &out.plan)?;
+        let lt = Baseline::LoongTrain {
+            head_groups,
+            inner_ring,
+        };
+        let (sim, out) = run_baseline(cluster, attn, lt, block_size, batch)?;
         if best.as_ref().is_none_or(|(b, _)| sim.total() < b.total()) {
             best = Some((sim, out));
         }
     }
-    Ok(best.expect("w = 1 always valid"))
+    Ok(best.expect("inner ring 1 divides every ring"))
 }
 
 /// Mean of a slice.

@@ -83,13 +83,7 @@ pub struct IterationBreakdown {
     pub grad_sync: f64,
     /// Optimizer and miscellaneous per-iteration time.
     pub other: f64,
-    /// Dataloader recovery wall time charged to this iteration (planning
-    /// retries after a worker died, timed out, or errored — see
-    /// [`crate::ReplanEvent::recovery_wall_s`]). Zero for the fault-free
-    /// path. A recovered re-plan is synchronous, so nothing hides it: it
-    /// lands on the critical path and is charged into [`Self::total`].
-    pub recovery: f64,
-    /// End-to-end iteration seconds (including `recovery`).
+    /// End-to-end iteration seconds.
     pub total: f64,
 }
 
@@ -104,22 +98,6 @@ pub fn simulate_iteration(
     attn_sim: &PlanSim,
     max_device_tokens: u64,
     total_tokens: u64,
-) -> IterationBreakdown {
-    simulate_iteration_with_recovery(cfg, attn_sim, max_device_tokens, total_tokens, 0.0)
-}
-
-/// [`simulate_iteration`] with dataloader recovery time charged to the
-/// timeline. `recovery_s` is the wall time the loader spent synchronously
-/// re-planning this batch (the sum of [`crate::ReplanEvent::recovery_wall_s`]
-/// for its incidents); a synchronous re-plan stalls the training step — the
-/// look-ahead window cannot hide it — so it is added to
-/// [`IterationBreakdown::total`] rather than only reported on the side.
-pub fn simulate_iteration_with_recovery(
-    cfg: &E2eConfig,
-    attn_sim: &PlanSim,
-    max_device_tokens: u64,
-    total_tokens: u64,
-    recovery_s: f64,
 ) -> IterationBreakdown {
     let m = &cfg.model;
     let layers = m.layers as f64;
@@ -161,8 +139,7 @@ pub fn simulate_iteration_with_recovery(
     // Optimizer: Adam reads/writes ~16 bytes of state per parameter shard.
     let other = (m.param_count() / cfg.tp as u64) as f64 * 16.0 / cfg.cluster.mem_bw;
 
-    let recovery = recovery_s.max(0.0);
-    let total = layers * attn_sim.total() + ctx_independent + grad_sync + other + recovery;
+    let total = layers * attn_sim.total() + ctx_independent + grad_sync + other;
     let _ = total_tokens;
     IterationBreakdown {
         attn_compute,
@@ -171,7 +148,6 @@ pub fn simulate_iteration_with_recovery(
         ctx_independent,
         grad_sync,
         other,
-        recovery,
         total,
     }
 }
@@ -224,33 +200,6 @@ mod tests {
         // An 8B model at 128k tokens: iteration should land in a sane range
         // (hundreds of ms to tens of seconds).
         assert!(it.total > 0.05 && it.total < 60.0, "total = {}", it.total);
-    }
-
-    #[test]
-    fn recovery_is_charged_into_the_total() {
-        let cfg = E2eConfig::paper();
-        let cp = cp_cluster(&cfg.cluster, cfg.tp);
-        let planner = Planner::new(
-            cp.clone(),
-            cfg.model.attn_spec(cfg.tp),
-            PlannerConfig::default(),
-        );
-        let out = planner.plan(&[(65536, MaskSpec::Causal)]).unwrap();
-        let sim = simulate_plan(&cp, &out.plan).unwrap();
-        let max_tokens = *out.placement.token_loads(&out.layout).iter().max().unwrap();
-        let tokens = out.layout.total_tokens();
-        let clean = simulate_iteration(&cfg, &sim, max_tokens, tokens);
-        assert_eq!(clean.recovery, 0.0);
-        let faulted = simulate_iteration_with_recovery(&cfg, &sim, max_tokens, tokens, 0.25);
-        assert_eq!(faulted.recovery, 0.25);
-        assert!((faulted.total - (clean.total + 0.25)).abs() < 1e-12);
-        // Everything else is unchanged.
-        assert_eq!(faulted.attn_compute, clean.attn_compute);
-        assert_eq!(faulted.grad_sync, clean.grad_sync);
-        // A negative input is clamped, not subtracted.
-        let neg = simulate_iteration_with_recovery(&cfg, &sim, max_tokens, tokens, -1.0);
-        assert_eq!(neg.recovery, 0.0);
-        assert_eq!(neg.total, clean.total);
     }
 
     #[test]

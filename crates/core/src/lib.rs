@@ -27,9 +27,7 @@ pub mod recovery;
 pub use dataloader::{
     DataloaderSnapshot, DcpDataloader, FailureClass, PlanFn, ReplanEvent, RetryConfig,
 };
-pub use e2e::{
-    cp_cluster, simulate_iteration, simulate_iteration_with_recovery, E2eConfig, IterationBreakdown,
-};
+pub use e2e::{cp_cluster, simulate_iteration, E2eConfig, IterationBreakdown};
 pub use groups::{plan_grouped, GroupedPlan};
 pub use planner::{
     IncrementalConfig, PlanOutput, PlanStats, Planner, PlannerConfig, PlanningTimes,

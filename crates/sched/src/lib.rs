@@ -42,7 +42,7 @@ pub use plan::{
     CommId, CommOp, DeviceStream, ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan,
     ReduceItem, Transfer,
 };
-pub use report::{DeviceReport, DivisionReport, PlanReport};
+pub use report::{DeviceReport, PlanReport};
 pub use schedule::{build_plan, modelled_finish, DivisionLoad, ScheduleConfig};
 pub use stream::RecoveryCtx;
 pub use verify::{verify_phase, verify_plan, verify_structure, Diagnostic, ViolationKind};

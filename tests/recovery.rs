@@ -19,10 +19,7 @@ use std::sync::{Arc, Mutex};
 
 use dcp::blocks::{CompBlockId, TokenBlockId};
 use dcp::core::recovery::{FailureEvent, RecoveryPatch, RecoveryPlanner};
-use dcp::core::{
-    simulate_iteration, simulate_iteration_with_recovery, E2eConfig, PlanOutput, Planner,
-    PlannerConfig,
-};
+use dcp::core::{PlanOutput, Planner, PlannerConfig};
 use dcp::exec::executor::{
     execute_backward, execute_backward_recovery, execute_forward, execute_forward_recovery,
     BatchData, BlockGrads, BlockOut, ExecObs,
@@ -34,8 +31,8 @@ use dcp::sched::{
     Placement,
 };
 use dcp::sim::network::Network;
-use dcp::sim::{simulate, simulate_on, simulate_plan, FaultSpec, SimRun};
-use dcp::types::{AttnSpec, ClusterSpec, DcpError, DcpResult, ModelSpec};
+use dcp::sim::{simulate, simulate_on, FaultSpec, SimRun};
+use dcp::types::{AttnSpec, ClusterSpec, DcpError, DcpResult};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -255,10 +252,9 @@ fn mid_iteration_recovery_end_to_end() {
     let grads = execute_backward(&out.layout, bwd_placement, bwd, &data, &rec, &d_o).unwrap();
     assert_eq!(grads.len(), out.layout.token_blocks.len());
 
-    // Recovery wall time is charged into the iteration breakdown: the
-    // patched phase (shards on their survivor hosts' clocks) is simulated
-    // on the *physical* cluster, and its overhead over the clean forward
-    // plus the patch-planning wall time lands in `recovery`.
+    // The patched phase (shards on their survivor hosts' clocks) is
+    // simulated on the *physical* cluster, and it costs more than the
+    // clean forward once the patch-planning wall time is added.
     let none = FaultSpec::none();
     let clean_fwd = simulate(&cluster, &out.plan.fwd, &none).unwrap().sim;
     let rec_fwd = simulate_patch(&cluster, &patch).unwrap().sim;
@@ -266,24 +262,6 @@ fn mid_iteration_recovery_end_to_end() {
     assert!(rec_fwd.makespan > 0.0);
     let overhead = (rec_fwd.makespan - clean_fwd.makespan).max(0.0) + st.plan_wall_s;
     assert!(overhead > 0.0);
-
-    let plan_sim = simulate_plan(&cluster, &out.plan).unwrap();
-    let e2e = E2eConfig {
-        model: ModelSpec::gpt_8b(),
-        tp: 1,
-        cluster: cluster.clone(),
-    };
-    let mut device_tokens = vec![0u64; cluster.num_devices() as usize];
-    for (i, tb) in out.layout.token_blocks.iter().enumerate() {
-        device_tokens[out.placement.token_dev(TokenBlockId(i as u32)) as usize] += tb.len as u64;
-    }
-    let max_tokens = *device_tokens.iter().max().unwrap();
-    let total_tokens: u64 = out.layout.seq_lens.iter().map(|&l| l as u64).sum();
-    let base = simulate_iteration(&e2e, &plan_sim, max_tokens, total_tokens);
-    let with_rec =
-        simulate_iteration_with_recovery(&e2e, &plan_sim, max_tokens, total_tokens, overhead);
-    assert_eq!(with_rec.recovery, overhead);
-    assert!((with_rec.total - base.total - overhead).abs() < 1e-12);
 
     // Determinism: the whole patch pipeline — plan, patch, execute the
     // recovery — is bitwise identical across thread counts.
