@@ -94,25 +94,22 @@ impl Baseline {
         block_size: u32,
         seqs: &[(u32, MaskSpec)],
     ) -> DcpResult<BaselineOutput> {
+        // RFA zigzag; every other system states how it differs.
+        let zigzag = RingConfig {
+            devices,
+            head_groups: 1,
+            zigzag: true,
+            inner_ring: 1,
+            pad_to_max: false,
+            block_size,
+            reorder_copy: false,
+        };
         let cfg = match *self {
             Baseline::RfaRing => RingConfig {
-                devices,
-                head_groups: 1,
                 zigzag: false,
-                inner_ring: 1,
-                pad_to_max: false,
-                block_size,
-                reorder_copy: false,
+                ..zigzag
             },
-            Baseline::RfaZigzag => RingConfig {
-                devices,
-                head_groups: 1,
-                zigzag: true,
-                inner_ring: 1,
-                pad_to_max: false,
-                block_size,
-                reorder_copy: false,
-            },
+            Baseline::RfaZigzag => zigzag,
             Baseline::LoongTrain {
                 head_groups,
                 inner_ring,
@@ -123,23 +120,17 @@ impl Baseline {
                     ));
                 }
                 RingConfig {
-                    devices,
                     head_groups,
-                    zigzag: true,
                     inner_ring,
                     pad_to_max: true,
-                    block_size,
                     reorder_copy: true,
+                    ..zigzag
                 }
             }
             Baseline::TransformerEngine { head_groups } => RingConfig {
-                devices,
                 head_groups,
-                zigzag: true,
-                inner_ring: 1,
-                pad_to_max: false,
-                block_size,
                 reorder_copy: true,
+                ..zigzag
             },
         };
         ring::build_ring_baseline(&self.name(), attn, &cfg, seqs)
