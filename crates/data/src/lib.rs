@@ -98,7 +98,8 @@ pub fn pack_batches(
     let mut cur: Vec<(u32, MaskSpec)> = Vec::new();
     let mut cur_tokens = 0u64;
     for &len in lengths {
-        let len = len.min(budget as u32);
+        // The shorter of the two fits a u32.
+        let len = u64::from(len).min(budget) as u32;
         if cur_tokens + len as u64 > budget && !cur.is_empty() {
             batches.push(Batch {
                 seqs: std::mem::take(&mut cur),

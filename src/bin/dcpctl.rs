@@ -10,7 +10,9 @@
 //! Workload files are JSON: `{ "attn": {...}, "batches": [[[len, mask], ...], ...] }`.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use dcp::baselines::Baseline;
 use dcp::core::{Planner, PlannerConfig};
@@ -45,6 +47,37 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// Why a command stopped: a flag it cannot use (exit 2, as for a usage
+/// error) or the work itself (exit 1).
+enum Failure {
+    Flag(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Run(e)
+    }
+}
+
+/// `--name` parsed, or `default` when it is absent (`None`: required).
+fn flag<T: FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: Option<T>,
+) -> Result<T, Failure>
+where
+    T::Err: Display,
+{
+    match (flags.get(name), default) {
+        (Some(v), _) => v
+            .parse()
+            .map_err(|e| Failure::Flag(format!("--{name} {v}: {e}"))),
+        (None, Some(d)) => Ok(d),
+        (None, None) => Err(Failure::Flag(format!("missing --{name}"))),
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: dcpctl <gen-workload|plan|simulate|compare> [flags]\n\
@@ -59,74 +92,66 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_workload(flags: &HashMap<String, String>) -> Result<Workload, String> {
-    let path = flags.get("workload").ok_or("missing --workload")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
+fn load_workload(flags: &HashMap<String, String>) -> Result<Workload, Failure> {
+    let path: String = flag(flags, "workload", None)?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
+    Ok(serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?)
 }
 
-fn cluster_of(flags: &HashMap<String, String>) -> Result<ClusterSpec, String> {
-    let nodes: u32 = flags
-        .get("nodes")
-        .ok_or("missing --nodes")?
-        .parse()
-        .map_err(|e| format!("--nodes: {e}"))?;
-    Ok(ClusterSpec::p4de(nodes.max(1)))
+/// The `--nodes` p4de cluster and the planner's block size, checked before
+/// any work starts.
+fn cluster_of(flags: &HashMap<String, String>) -> Result<(ClusterSpec, u32), Failure> {
+    let nodes: u32 = flag(flags, "nodes", None)?;
+    if nodes == 0 {
+        return Err(Failure::Flag("--nodes 0: a cluster needs a node".into()));
+    }
+    Ok((ClusterSpec::p4de(nodes), flag(flags, "block", Some(1024))?))
 }
 
-fn planner_of(
-    flags: &HashMap<String, String>,
-    cluster: &ClusterSpec,
-    attn: AttnSpec,
-) -> Result<Planner, String> {
-    let block: u32 = flags
-        .get("block")
-        .map(|b| b.parse())
-        .transpose()
-        .map_err(|e| format!("--block: {e}"))?
-        .unwrap_or(1024);
-    Ok(Planner::new(
+fn planner_of(cluster: &ClusterSpec, block: u32, attn: AttnSpec) -> Planner {
+    Planner::new(
         cluster.clone(),
         attn,
         PlannerConfig {
             block_size: block,
             ..Default::default()
         },
-    ))
+    )
 }
 
-fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), Failure> {
     let dataset = match flags.get("dataset").map(String::as_str) {
         Some("longalign") => DatasetKind::LongAlign,
         Some("ldc") | None => DatasetKind::LongDataCollections,
-        Some(other) => return Err(format!("unknown dataset {other}")),
+        Some(other) => return Err(Failure::Flag(format!("--dataset: unknown dataset {other}"))),
     };
     let mask = match flags.get("mask").map(String::as_str) {
         Some("causal") | None => MaskSetting::Causal,
         Some("lambda") => MaskSetting::Lambda,
         Some("causal_blockwise") => MaskSetting::CausalBlockwise,
         Some("shared_question") => MaskSetting::SharedQuestion,
-        Some(other) => return Err(format!("unknown mask {other}")),
+        Some(other) => return Err(Failure::Flag(format!("--mask: unknown mask {other}"))),
     };
-    let n: usize = flags
-        .get("batches")
-        .map_or(Ok(1), |v| v.parse())
-        .map_err(|e| format!("--batches: {e}"))?;
-    let budget: u64 = flags
-        .get("budget")
-        .map_or(Ok(131_072), |v| v.parse())
-        .map_err(|e| format!("--budget: {e}"))?;
-    let scale: f64 = flags
-        .get("scale")
-        .map_or(Ok(1.0), |v| v.parse())
-        .map_err(|e| format!("--scale: {e}"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(Ok(7), |v| v.parse())
-        .map_err(|e| format!("--seed: {e}"))?;
-    let out = flags.get("out").ok_or("missing --out")?;
+    let n: usize = flag(flags, "batches", Some(1))?;
+    let budget: u64 = flag(flags, "budget", Some(131_072))?;
+    let scale: f64 = flag(flags, "scale", Some(1.0))?;
+    let seed: u64 = flag(flags, "seed", Some(7))?;
+    let out: String = flag(flags, "out", None)?;
+    // The sampler's shortest sequence is 32 tokens.
+    if budget < 32 {
+        return Err(Failure::Flag(format!(
+            "--budget {budget}: under the 32-token shortest sequence"
+        )));
+    }
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(Failure::Flag(format!(
+            "--scale {scale}: not a positive finite factor"
+        )));
+    }
 
-    let lengths = sample_lengths(dataset, n * 64, scale, budget as u32, seed);
+    // A sequence is at most the budget, and its length a u32.
+    let cap = u32::try_from(budget).unwrap_or(u32::MAX);
+    let lengths = sample_lengths(dataset, n * 64, scale, cap, seed);
     let batches: Vec<Vec<(u32, MaskSpec)>> = pack_batches(&lengths, budget, |l| mask.mask_for(l))
         .into_iter()
         .take(n)
@@ -136,16 +161,19 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
         attn: AttnSpec::paper_micro(),
         batches,
     };
-    std::fs::write(out, serde_json::to_string_pretty(&w).expect("serializable"))
-        .map_err(|e| format!("write {out}: {e}"))?;
+    std::fs::write(
+        &out,
+        serde_json::to_string_pretty(&w).expect("serializable"),
+    )
+    .map_err(|e| format!("write {out}: {e}"))?;
     println!("wrote {} batches to {out}", w.batches.len());
     Ok(())
 }
 
-fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), Failure> {
+    let (cluster, block) = cluster_of(flags)?;
     let w = load_workload(flags)?;
-    let cluster = cluster_of(flags)?;
-    let planner = planner_of(flags, &cluster, w.attn)?;
+    let planner = planner_of(&cluster, block, w.attn);
     for (i, batch) in w.batches.iter().enumerate() {
         let out = planner.plan(batch).map_err(|e| e.to_string())?;
         println!(
@@ -170,10 +198,10 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), Failure> {
+    let (cluster, block) = cluster_of(flags)?;
     let w = load_workload(flags)?;
-    let cluster = cluster_of(flags)?;
-    let planner = planner_of(flags, &cluster, w.attn)?;
+    let planner = planner_of(&cluster, block, w.attn);
     for (i, batch) in w.batches.iter().enumerate() {
         let out = planner.plan(batch).map_err(|e| e.to_string())?;
         let sim = simulate_plan(&cluster, &out.plan).map_err(|e| e.to_string())?;
@@ -209,10 +237,10 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), Failure> {
+    let (cluster, block) = cluster_of(flags)?;
     let w = load_workload(flags)?;
-    let cluster = cluster_of(flags)?;
-    let planner = planner_of(flags, &cluster, w.attn)?;
+    let planner = planner_of(&cluster, block, w.attn);
     println!(
         "{:<16} {:>10} {:>10} {:>12}",
         "system", "fwd_ms", "bwd_ms", "comm_MiB"
@@ -272,11 +300,11 @@ fn main() -> ExitCode {
         "compare" => cmd_compare(&flags),
         _ => return usage(),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("dcpctl {cmd}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (e, code) = match result {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Flag(e)) => (e, 2),
+        Err(Failure::Run(e)) => (e, 1),
+    };
+    eprintln!("dcpctl {cmd}: {e}");
+    ExitCode::from(code)
 }
