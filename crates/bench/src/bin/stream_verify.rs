@@ -1,14 +1,12 @@
 //! CI stream-legality sweep: runs the `dcp_sched::verify` checker over
-//! every plan the benchmark workload produces — the planner's plans, their
-//! pass-optimized rewrites and every recovery patch, which the simulator
-//! must accept under the patch's context too — and over a battery of seeded
-//! illegal mutations that the verifier must *reject* with a typed
-//! diagnostic.
+//! every plan the benchmark workload produces — the planner's plans and
+//! their pass-optimized rewrites — and over a battery of seeded illegal
+//! mutations that the verifier must *reject* with a typed diagnostic.
 //!
 //! Writes `VERIFY_streams.json` (uploaded as a CI artifact) and exits
 //! non-zero on any illegal stream or any accepted mutation, so a scheduler
-//! or patcher regression that emits a malformed stream fails the `verify`
-//! job even when no numeric test happens to execute that plan.
+//! regression that emits a malformed stream fails the `reports` job even
+//! when no numeric test happens to execute that plan.
 //!
 //! Workload: p4de(2), LongDataCollections, block 128, 3 mask settings, two
 //! batches per mask — pinned, because CI diffs the report against the
@@ -16,15 +14,13 @@
 
 use std::process::exit;
 
-use dcp_core::{FailureEvent, Planner, PlannerConfig, RecoveryPlanner};
+use dcp_core::{Planner, PlannerConfig};
 use dcp_data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
 use dcp_sched::{
-    verify_phase, verify_plan, verify_structure, CommId, Diagnostic, ExecutionPlan, Instr,
-    PassConfig, PassManager, Payload, PayloadKind, Placement, ViolationKind,
+    verify_plan, verify_structure, CommId, Diagnostic, ExecutionPlan, Instr, PassConfig,
+    PassManager, Payload, PayloadKind, Placement, ViolationKind,
 };
-use dcp_sim::network::Network;
-use dcp_sim::{simulate_on, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec};
 use serde_json::json;
 
@@ -236,7 +232,6 @@ fn diag_json(d: &Diagnostic) -> serde_json::Value {
 }
 
 fn main() {
-    let cluster = ClusterSpec::p4de(2);
     let attn = exec_attn();
     let n = BATCHES_PER_MASK;
     let masks = [
@@ -252,7 +247,7 @@ fn main() {
 
     // Every batch's plan, raw and pass-optimized.
     let planner = Planner::new(
-        cluster.clone(),
+        ClusterSpec::p4de(2),
         attn,
         PlannerConfig {
             block_size: BLOCK_SIZE,
@@ -307,93 +302,6 @@ fn main() {
                 placement: out.placement,
                 plan: out.plan,
             });
-        }
-    }
-
-    // Recovery patches: the patched forward phase under the salvage rules
-    // (verified, pass-optimized, and simulated with shards on their hosts)
-    // and the re-planned backward phase.
-    let rp = RecoveryPlanner::new();
-    let mut recovery_rows = Vec::new();
-    {
-        let lengths = sample_lengths(DatasetKind::LongDataCollections, n * 64, 1.0, MAX_LEN, SEED);
-        let batches: Vec<Vec<(u32, MaskSpec)>> =
-            pack_batches(&lengths, BUDGET, |l| MaskSetting::Causal.mask_for(l))
-                .into_iter()
-                .take(n)
-                .map(|b| b.seqs)
-                .collect();
-        for (bi, batch) in batches.iter().enumerate() {
-            let out = planner.plan(batch).expect("plan");
-            let (dev, nd) = out
-                .plan
-                .fwd
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let divs = s
-                        .instrs
-                        .iter()
-                        .filter(|ins| matches!(ins, Instr::Attn { .. }))
-                        .count() as u32;
-                    (i as u32, divs)
-                })
-                .max_by_key(|&(i, divs)| (divs, std::cmp::Reverse(i)))
-                .expect("nonempty plan");
-            if nd < 2 {
-                continue;
-            }
-            let patch = match rp.plan_recovery(
-                &out,
-                &FailureEvent {
-                    device: dev,
-                    divisions_done: (nd / 2).max(1),
-                },
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    failures.push(format!("recovery/batch{bi}: patch planning failed: {e}"));
-                    continue;
-                }
-            };
-            let ctx = &patch.ctx;
-            let (bwd_placement, bwd_plan) = patch.bwd.as_ref().expect("forward patch");
-            let fwd = verify_phase(&out.layout, &patch.placement, &patch.phase, false, ctx).err();
-            let bwd = verify_plan(&out.layout, bwd_placement, bwd_plan).err();
-            let net = Network::new(cluster.clone());
-            let simulated = simulate_on(&cluster, net, &patch.phase, ctx, &FaultSpec::none()).err();
-            let mut opt_fwd_phase = patch.phase.clone();
-            pm.run_phase(
-                &out.layout,
-                &mut opt_fwd_phase,
-                "recovery_fwd",
-                &ctx.salvage_comms,
-            );
-            let opt_fwd =
-                verify_phase(&out.layout, &patch.placement, &opt_fwd_phase, false, ctx).err();
-            for (what, err) in [("fwd", &fwd), ("bwd", &bwd), ("optimized-fwd", &opt_fwd)] {
-                if let Some(d) = err {
-                    failures.push(format!("recovery/batch{bi} ({what}): {d}"));
-                }
-            }
-            if let Some(e) = &simulated {
-                failures.push(format!("recovery/batch{bi} (simulated): {e}"));
-            }
-            let diagnostics: Vec<_> = [&fwd, &bwd, &opt_fwd]
-                .iter()
-                .filter_map(|e| e.as_ref().map(diag_json))
-                .collect();
-            recovery_rows.push(json!({
-                "batch": bi,
-                "failed_device": dev,
-                "divisions_done": (nd / 2).max(1),
-                "fwd_ok": fwd.is_none(),
-                "bwd_ok": bwd.is_none(),
-                "simulated_ok": simulated.is_none(),
-                "optimized_fwd_ok": opt_fwd.is_none(),
-                "diagnostics": diagnostics,
-            }));
         }
     }
 
@@ -457,7 +365,6 @@ fn main() {
             "batches_per_mask": n,
         },
         "streams": stream_rows,
-        "recovery": recovery_rows,
         "mutations": mutation_rows,
         "failures": failures,
         "ok": ok,
@@ -468,9 +375,8 @@ fn main() {
     )
     .unwrap_or_else(|e| panic!("cannot write VERIFY_streams.json: {e}"));
     println!(
-        "stream_verify: {} streams, {} recovery patches, {} mutations — {}",
+        "stream_verify: {} streams, {} mutations — {}",
         report["streams"].as_array().unwrap().len(),
-        report["recovery"].as_array().unwrap().len(),
         report["mutations"].as_array().unwrap().len(),
         if ok { "OK" } else { "FAIL" }
     );

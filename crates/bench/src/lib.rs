@@ -1,17 +1,17 @@
-//! Shared infrastructure for the bench crate's five binaries.
+//! Shared infrastructure for the bench crate's four binaries.
 //!
 //! `figures` regenerates every table of the paper's evaluation from the
 //! simulated cluster (one row of its table per figure, written to
-//! `results/<name>.json`); `scaling_report`, `fault_campaign`,
-//! `stream_verify` and `trace_report` drive the planner, recovery patcher,
-//! verifier and observability layer at their surfaces. This library holds
+//! `results/<name>.json`); `scaling_report`, `stream_verify` and
+//! `trace_report` drive the planner, network engine, verifier and
+//! observability layer at their surfaces. This library holds
 //! what they share: the paper's testbed configurations, dataset batching,
 //! the DCP/baseline runners, the traced workload and a table printer.
 //!
 //! Nothing here judges a measurement. Deterministic facts are `#[test]`s,
-//! wall time is the ledger (`benchmark/`, `BENCHMARK.json`), and the three
-//! wall times without a ledger row are constants in the binary that takes
-//! them — DESIGN.md §5 lists every check with its one judge.
+//! wall time is the ledger (`benchmark/`, `BENCHMARK.json`), and the
+//! measurements without a ledger row are constants in `scaling_report` —
+//! DESIGN.md §5 lists every check with its one judge.
 //!
 //! Environment knobs, each read in exactly one place:
 //!
@@ -284,7 +284,7 @@ pub fn trace_workload(
     execute: bool,
 ) -> DcpResult<TraceOutcome> {
     use dcp_blocks::TokenBlockId;
-    use dcp_exec::{execute_backward_recovery, execute_forward_obs, BatchData, ExecObs};
+    use dcp_exec::{execute_backward_obs, execute_forward_obs, BatchData, ExecObs};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -310,14 +310,13 @@ pub fn trace_workload(
             }
             let eo = ExecObs::new(sink.as_ref()).with_iter(iter);
             let fwd = execute_forward_obs(&out.layout, &out.placement, &out.plan, &data, &eo)?;
-            execute_backward_recovery(
+            execute_backward_obs(
                 &out.layout,
                 &out.placement,
-                &out.plan.bwd,
+                &out.plan,
                 &data,
                 &fwd,
                 &d_o,
-                &Default::default(),
                 &eo,
             )?;
         }

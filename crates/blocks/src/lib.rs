@@ -320,16 +320,6 @@ impl BatchLayout {
     pub fn total_bytes(&self) -> Bytes {
         self.token_blocks.iter().map(TokenBlock::total_bytes).sum()
     }
-
-    /// The token block providing queries for `comp`.
-    pub fn q_block_of(&self, comp: CompBlockId) -> &TokenBlock {
-        &self.token_blocks[self.comp_blocks[comp.0 as usize].q_block.0 as usize]
-    }
-
-    /// The token block providing keys/values for `comp`.
-    pub fn kv_block_of(&self, comp: CompBlockId) -> &TokenBlock {
-        &self.token_blocks[self.comp_blocks[comp.0 as usize].kv_block.0 as usize]
-    }
 }
 
 #[cfg(test)]

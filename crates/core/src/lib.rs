@@ -22,7 +22,6 @@ pub mod dataloader;
 pub mod e2e;
 pub mod groups;
 pub mod planner;
-pub mod recovery;
 
 pub use dataloader::{
     DataloaderSnapshot, DcpDataloader, FailureClass, PlanFn, ReplanEvent, RetryConfig,
@@ -32,4 +31,3 @@ pub use groups::{plan_grouped, GroupedPlan};
 pub use planner::{
     IncrementalConfig, PlanOutput, PlanStats, Planner, PlannerConfig, PlanningTimes,
 };
-pub use recovery::{FailureEvent, RecoveryPatch, RecoveryPlanner, RecoveryStats};

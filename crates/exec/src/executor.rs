@@ -4,10 +4,9 @@
 //! order devices run in, who deposits what at `CommLaunch`, what a `CommWait`
 //! blocks on, which blocks a device may read — and rejects illegal streams
 //! with the verifier's typed diagnostics. This module supplies the data:
-//! a deposited slot is an f32 tensor (or a raw accumulator on a salvage
-//! op), `Attn`/`AttnBwd` run the blockwise kernels on the rayon pool and
-//! `Reduce` merges partials, always in plan order, so results are bitwise
-//! identical at every thread count.
+//! a deposited slot is an f32 tensor, `Attn`/`AttnBwd` run the blockwise
+//! kernels on the rayon pool and `Reduce` merges partials, always in plan
+//! order, so results are bitwise identical at every thread count.
 //!
 //! A device can only read block data it **owns** or that **arrived** through
 //! a waited operation — the walker resolves every input — so a plan that
@@ -23,8 +22,7 @@ use dcp_blocks::{BatchLayout, TokenBlockId};
 use dcp_obs::{Event, ObsSink, Phase as ObsPhase, Source as ObsSource, NOOP};
 use dcp_sched::stream::{At, AttnItem, Backend, Stream, Wake};
 use dcp_sched::{
-    ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, RecoveryCtx, ReduceItem,
-    Transfer,
+    ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, Placement, ReduceItem, Transfer,
 };
 use dcp_types::{DcpError, DcpResult};
 use rand::rngs::SmallRng;
@@ -157,15 +155,8 @@ enum Data<'a> {
         o: Vec<f32>,
         lse: Vec<f32>,
     },
-    /// A dQ partial. Gradient accumulators are plain sums, so the raw state
-    /// salvaged from a failing device and the partial payload coincide.
     PartialDq(Vec<f32>),
     PartialDkv(Vec<f32>, Vec<f32>),
-    /// A *raw* (un-finalized) flash-attention accumulator, salvaged from a
-    /// failing device so its replacement can keep folding blocks into it.
-    /// Shipping the finalized `(O, lse)` instead would not be bitwise equal:
-    /// finalize-then-merge and continued raw accumulation round differently.
-    Acc(BlockAcc),
 }
 
 /// The walker hands back each slot under the payload it was deposited for.
@@ -424,7 +415,7 @@ impl<'a> Backend for Numeric<'a> {
         }
     }
 
-    fn deposit(&mut self, dev: u32, _op: u32, tr: &Transfer, raw: bool) -> Data<'a> {
+    fn deposit(&mut self, dev: u32, _op: u32, tr: &Transfer) -> Data<'a> {
         const HELD: &str = "the walker checked the device accumulates this block";
         let (d, data) = (dev as usize, self.data);
         match tr.payload {
@@ -440,13 +431,8 @@ impl<'a> Backend for Numeric<'a> {
                 }
             }
             Payload::PartialO(tb, _) => {
-                let acc = self.acc_o[d].get(&tb).expect(HELD);
-                if raw {
-                    Data::Acc(acc.clone())
-                } else {
-                    let (o, lse) = acc.finalize();
-                    Data::PartialO { o, lse }
-                }
+                let (o, lse) = self.acc_o[d].get(&tb).expect(HELD).finalize();
+                Data::PartialO { o, lse }
             }
             Payload::PartialDq(tb, _) => {
                 Data::PartialDq(self.acc_dq[d].get(&tb).expect(HELD).clone())
@@ -455,16 +441,6 @@ impl<'a> Backend for Numeric<'a> {
                 let (gk, gv) = self.acc_dkv[d].get(&tb).expect(HELD);
                 Data::PartialDkv(gk.clone(), gv.clone())
             }
-        }
-    }
-
-    fn install(&mut self, dev: u32, payload: Payload, slot: Data<'a>) {
-        let (d, tb) = (dev as usize, payload.token_block());
-        match slot {
-            Data::Acc(acc) => drop(self.acc_o[d].insert(tb, acc)),
-            Data::PartialDq(g) => drop(self.acc_dq[d].insert(tb, g)),
-            Data::PartialDkv(gk, gv) => drop(self.acc_dkv[d].insert(tb, (gk, gv))),
-            _ => unreachable!("{SLOT_KIND}"),
         }
     }
 
@@ -682,9 +658,11 @@ pub fn execute_forward(
 /// instruction (`attn` / `reduce` / `copy` / `comm_launch` / `comm_wait`,
 /// with per-division indices and bytes/flops payloads) plus per-device
 /// `peak_buffer_bytes` gauges. With [`ExecObs::disabled`] the overhead is a
-/// single branch per instruction. Kept as a name because `benchmark/` calls
-/// it (ROADMAP item 1(c) retires it): it is [`execute_forward_recovery`]
-/// with the default context, which is how the backward is observed too.
+/// single branch per instruction.
+///
+/// # Errors
+///
+/// As [`execute_forward`].
 pub fn execute_forward_obs(
     layout: &BatchLayout,
     placement: &Placement,
@@ -692,33 +670,12 @@ pub fn execute_forward_obs(
     data: &BatchData,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockOut>> {
-    let ctx = RecoveryCtx::default();
-    execute_forward_recovery(layout, placement, &plan.fwd, data, &ctx, obs)
-}
-
-/// Executes a forward phase under recovery semantics (a patch's
-/// `RecoveryPatch::ctx`); with the default context this *is* the normal
-/// forward executor. Survivor streams execute verbatim and salvaged
-/// accumulators resume raw, so a patch execution's outputs are bitwise
-/// identical to the unfaulted run's.
-///
-/// # Errors
-///
-/// As [`execute_forward`].
-pub fn execute_forward_recovery(
-    layout: &BatchLayout,
-    placement: &Placement,
-    phase: &PhasePlan,
-    data: &BatchData,
-    ctx: &RecoveryCtx,
-    obs: &ExecObs<'_>,
-) -> DcpResult<HashMap<TokenBlockId, BlockOut>> {
     check_shapes(layout, data, None)?;
+    let phase = &plan.fwd;
     let mut num = Numeric::new(layout, phase, data, obs, ObsPhase::Fwd);
     Stream {
         phase,
         backward: false,
-        ctx,
         logical: Some((layout, placement)),
     }
     .walk(&mut num)?;
@@ -766,38 +723,39 @@ pub fn execute_backward(
     fwd_out: &HashMap<TokenBlockId, BlockOut>,
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
-    let (ctx, obs) = (RecoveryCtx::default(), ExecObs::disabled());
-    execute_backward_recovery(layout, placement, &plan.bwd, data, fwd_out, d_o, &ctx, &obs)
+    execute_backward_obs(
+        layout,
+        placement,
+        plan,
+        data,
+        fwd_out,
+        d_o,
+        &ExecObs::disabled(),
+    )
 }
 
-/// Executes a backward phase under recovery semantics (a patch's
-/// `RecoveryPatch::ctx`) — the backward mirror of
-/// [`execute_forward_recovery`], spans included (`attn_bwd` instead of
-/// `attn`). Gradient accumulators are plain sums, so a
-/// salvaged running sum resumes bitwise exactly where the dead stream's
-/// reduction frontier left off.
+/// [`execute_backward`] with observability — the backward mirror of
+/// [`execute_forward_obs`], spans included (`attn_bwd` instead of `attn`).
 ///
 /// # Errors
 ///
 /// As [`execute_backward`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_backward_recovery(
+pub fn execute_backward_obs(
     layout: &BatchLayout,
     placement: &Placement,
-    phase: &PhasePlan,
+    plan: &ExecutionPlan,
     data: &BatchData,
     fwd_out: &HashMap<TokenBlockId, BlockOut>,
     d_o: &HashMap<TokenBlockId, Vec<f32>>,
-    ctx: &RecoveryCtx,
     obs: &ExecObs<'_>,
 ) -> DcpResult<HashMap<TokenBlockId, BlockGrads>> {
     check_shapes(layout, data, Some((fwd_out, d_o)))?;
+    let phase = &plan.bwd;
     let mut num = Numeric::new(layout, phase, data, obs, ObsPhase::Bwd);
     num.grads_in = Some((fwd_out, d_o));
     Stream {
         phase,
         backward: true,
-        ctx,
         logical: Some((layout, placement)),
     }
     .walk(&mut num)?;

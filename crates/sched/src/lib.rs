@@ -44,5 +44,4 @@ pub use plan::{
 };
 pub use report::{DeviceReport, PlanReport};
 pub use schedule::{build_plan, modelled_finish, DivisionLoad, ScheduleConfig};
-pub use stream::RecoveryCtx;
-pub use verify::{verify_phase, verify_plan, verify_structure, Diagnostic, ViolationKind};
+pub use verify::{verify_plan, verify_structure, Diagnostic, ViolationKind};

@@ -3,19 +3,17 @@
 //!
 //! [`PassManager`] removes transfers whose destination never waits for them
 //! or never reads them, then drops the launches and waits that no longer
-//! move anything for their device. The scheduler emits no such transfer —
-//! the rewrite leaves every fresh plan exactly as it found it — but a
-//! recovery patch truncates dead streams at their frontiers and keeps
-//! prefetches whose waits were cut, and those are the bytes it saves.
+//! move anything for their device. The scheduler emits no such transfer, so
+//! the rewrite saves nothing on any plan this workspace emits: it returns
+//! every fresh plan exactly as it found it, and only hand-grafted dead
+//! transfers (the tests') give it work. It stays because `benchmark/` names
+//! [`PassManager`] and `PlannerConfig::passes` (ROADMAP item 1(c)).
 //!
-//! Comm ops are never renumbered: an emptied op stays in the table so
-//! external comm-id references (salvage contexts, spliced recovery streams)
-//! stay valid. The rewrite preserves the verifier contract (`crate::verify`)
-//! and the executor's merged outputs bitwise: it only deletes data no
-//! instruction reads. An instruction naming an op outside the table is left
-//! for the verifier to report.
-
-use std::collections::HashSet;
+//! Comm ops are never renumbered: an emptied op stays in the table, so every
+//! comm id of the streams stays valid. The rewrite preserves the verifier
+//! contract (`crate::verify`) and the executor's merged outputs bitwise: it
+//! only deletes data no instruction reads. An instruction naming an op
+//! outside the table is left for the verifier to report.
 
 use dcp_blocks::BatchLayout;
 use serde::{Deserialize, Serialize};
@@ -70,15 +68,8 @@ impl PassOutcome {
     }
 }
 
-/// Deletes the dead transfers of `phase` (see module docs) except on
-/// `protected` ops: a recovery patch's salvage ops, whose waits carry
-/// install-accumulator side effects the rewrite cannot see.
-fn dead_comm(
-    layout: &BatchLayout,
-    phase: &mut PhasePlan,
-    label: &str,
-    protected: &HashSet<u32>,
-) -> PassOutcome {
+/// Deletes the dead transfers of `phase` (see module docs).
+fn dead_comm(layout: &BatchLayout, phase: &mut PhasePlan, label: &str) -> PassOutcome {
     let comm_bytes_before = phase.total_comm_bytes();
     // One flag per transfer, ops laid end to end: set when the destination
     // waits on the op and reads the payload. A transfer never waited for can
@@ -106,9 +97,6 @@ fn dead_comm(
     }
     let mut transfers_removed = 0u64;
     for (cid, op) in phase.comms.iter_mut().enumerate() {
-        if protected.contains(&(cid as u32)) {
-            continue;
-        }
         let n0 = op.transfers.len();
         let mut flags = live[base[cid]..].iter();
         op.transfers
@@ -128,16 +116,11 @@ fn dead_comm(
                 let Some(op) = phase.comms.get(cid.0 as usize) else {
                     return true;
                 };
-                if protected.contains(&cid.0) {
-                    return true;
-                }
                 match ins {
-                    // Keep the launch while the op still carries any
-                    // partial: partials are producer-launched, and in a
-                    // recovery patch the launcher can be a salvage stand-in
-                    // whose transfers are still labelled with the original
-                    // (failed) producer — `from`/`to` alone cannot prove the
-                    // launch dead.
+                    // Keep the launch while the op still moves anything into
+                    // or out of its device, or carries any partial at all:
+                    // the frozen rewrite in `tests/schedule_oracle.rs` keeps
+                    // it then, and outcomes must match it.
                     Instr::CommLaunch(_) => op
                         .transfers
                         .iter()
@@ -169,19 +152,15 @@ impl PassManager {
         PassManager { cfg }
     }
 
-    /// Rewrites one phase — of a plan or of a recovery patch, whose salvage
-    /// ops the caller passes as `protected`. `label` tags the outcome;
-    /// `None` when the configuration is disabled.
-    pub fn run_phase(
+    /// Rewrites one phase; `label` tags the outcome. `None` when the
+    /// configuration is disabled.
+    fn run_phase(
         &self,
         layout: &BatchLayout,
         phase: &mut PhasePlan,
         label: &str,
-        protected: &HashSet<u32>,
     ) -> Option<PassOutcome> {
-        self.cfg
-            .enabled
-            .then(|| dead_comm(layout, phase, label, protected))
+        self.cfg.enabled.then(|| dead_comm(layout, phase, label))
     }
 
     /// Rewrites both phases of a plan: one outcome per phase, none when the
@@ -195,10 +174,9 @@ impl PassManager {
         _placement: &Placement,
         plan: &mut ExecutionPlan,
     ) -> Vec<PassOutcome> {
-        let none = HashSet::new();
         [(&mut plan.fwd, "fwd"), (&mut plan.bwd, "bwd")]
             .into_iter()
-            .filter_map(|(phase, label)| self.run_phase(layout, phase, label, &none))
+            .filter_map(|(phase, label)| self.run_phase(layout, phase, label))
             .collect()
     }
 }
@@ -241,8 +219,8 @@ mod tests {
     }
 
     /// Grafts a 999-byte fetch into the forward phase on a brand-new op that
-    /// only a launch references — the wait was "truncated" (the recovery
-    /// prefetch shape). Returns the op and the receiving device.
+    /// only a launch references: no wait ever receives it. Returns the op
+    /// and the receiving device.
     fn graft_unwaited_fetch(p: &Placement, plan: &mut ExecutionPlan) -> (CommId, u32) {
         let from = p.token_to_dev[0];
         let to = (from + 1) % p.num_devices;
@@ -290,9 +268,7 @@ mod tests {
         let (cid, _) = graft_unwaited_fetch(&p, &mut plan);
         let before = plan.fwd.total_comm_bytes();
         let pm = PassManager::new(PassConfig::optimize());
-        let dead = pm
-            .run_phase(&l, &mut plan.fwd, "fwd", &HashSet::new())
-            .unwrap();
+        let dead = pm.run_phase(&l, &mut plan.fwd, "fwd").unwrap();
         assert_eq!(plan.fwd.total_comm_bytes(), before - 999);
         assert_eq!(dead.comm_bytes_saved(), 999);
         assert_eq!(dead.transfers_removed, 1);
@@ -310,21 +286,6 @@ mod tests {
         let outs = pm.run_plan(&l, &p, &mut plan);
         assert!(outs.is_empty());
         assert_eq!(plan, orig);
-    }
-
-    #[test]
-    fn protected_ops_are_untouched() {
-        // The same dead fetch, on a protected op: neither the transfer nor
-        // its launch may go.
-        let (l, p, mut plan) = small_case();
-        let (cid, _) = graft_unwaited_fetch(&p, &mut plan);
-        let orig = plan.fwd.clone();
-        let pm = PassManager::new(PassConfig::optimize());
-        let out = pm
-            .run_phase(&l, &mut plan.fwd, "fwd", &HashSet::from([cid.0]))
-            .unwrap();
-        assert!(!out.changed(), "{out:?}");
-        assert_eq!(plan.fwd, orig);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! gives it meaning, and the only code that advances a device through one.
 //! The walker owns everything every consumer must agree on — the run queue
 //! and deadlock detection, shape and id bounds, the deposit rule at
-//! `CommLaunch`, the arrival rule at `CommWait`, salvage-accumulator
-//! install, the locality predicate and per-item input resolution — and is
-//! generic over a small [`Backend`] that says what a deposited slot *is*,
-//! what `Attn`/`AttnBwd`/`Reduce` *do* with resolved inputs and, if it has
-//! a clock, *when* a slot has landed and a device is free: numeric in
+//! `CommLaunch`, the arrival rule at `CommWait`, the locality predicate
+//! and per-item input resolution — and is generic over a small [`Backend`]
+//! that says what a deposited slot *is*, what `Attn`/`AttnBwd`/`Reduce`
+//! *do* with resolved inputs and, if it has a clock, *when* a slot has
+//! landed and a device is free: numeric in
 //! `dcp-exec` (f32 tensors), symbolic in `crate::verify` (no data at all),
 //! timing in `dcp-sim` (flows on a max-min network, kernels as timers).
 //! DESIGN.md "Stream semantics" states each rule once; this module is that
@@ -16,7 +16,7 @@
 //! `arrivals` and `reads` from here.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 use dcp_blocks::{BatchLayout, CompBlockId, TokenBlockId};
 
@@ -31,7 +31,7 @@ pub(crate) fn is_input(kind: PayloadKind) -> bool {
     matches!(kind, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO)
 }
 
-/// The device whose `CommLaunch` puts `tr` in flight (outside recovery).
+/// The device whose `CommLaunch` puts `tr` in flight.
 fn depositor(tr: &Transfer) -> u32 {
     if is_input(tr.payload.kind()) {
         tr.to
@@ -104,57 +104,6 @@ pub(crate) fn reads(layout: &BatchLayout, ins: &Instr, mut read: impl FnMut(Payl
     }
 }
 
-/// Recovery semantics of a patch plan: a phase in which dead logical
-/// streams stop at their frontiers, ship raw accumulators to replacement
-/// shards over salvage ops, and the shards finish the dead streams' work
-/// under the original comm ids. The default context is a normal plan.
-///
-/// Built only by the recovery patcher in `dcp-core`, which hands it out as
-/// `RecoveryPatch::ctx`; every consumer of a patch takes it from there.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryCtx {
-    /// Dead logical streams: the failed rank(s) plus any shard streams they
-    /// hosted when they died (cascading failures compose patches).
-    pub failed: HashSet<u32>,
-    /// Comm ids carrying raw accumulators from dead streams to shards.
-    pub salvage_comms: HashSet<u32>,
-    /// Shard that deposits each outstanding partial (forward O, backward dQ
-    /// or dKV) under the original comm id, keyed by the payload as the
-    /// transfer names it — its producer field still names the dead stream,
-    /// and two dead streams may owe distinct partials for the same block.
-    pub stand_in: HashMap<Payload, u32>,
-    /// Token blocks re-owned away from dead streams. A dead stream holds
-    /// their data until evacuation completes, so its truncated prefix may
-    /// still read (and serve) them.
-    pub reowned: HashSet<TokenBlockId>,
-    /// The rank hosting each shard: the last `shard_hosts.len()` streams of
-    /// the phase are shards, in this order, and the streams before them are
-    /// the ranks' own. Only a backend with a clock cares where a stream
-    /// runs (DESIGN.md "What the timing backend adds").
-    pub shard_hosts: Vec<u32>,
-}
-
-impl RecoveryCtx {
-    /// The deposit rule: the devices whose `CommLaunch` puts `tr` in flight.
-    /// The [`depositor`] does; so does the shard standing in for a dead
-    /// sender, even though `tr.from` still names the dead stream.
-    fn depositors(&self, tr: &Transfer) -> impl Iterator<Item = u32> {
-        let first = depositor(tr);
-        let stand_in = match self.failed.contains(&tr.from) {
-            true => self.stand_in.get(&tr.payload).copied(),
-            false => None,
-        };
-        std::iter::once(first).chain(stand_in.filter(|&s| s != first))
-    }
-
-    /// The locality rule: may `dev` read block `tb` without a transfer?
-    /// Its owner may, and so may a dead stream that held the block before
-    /// the patch re-owned it.
-    pub(crate) fn local(&self, placement: &Placement, dev: u32, tb: TokenBlockId) -> bool {
-        placement.token_dev(tb) == dev || (self.failed.contains(&dev) && self.reowned.contains(&tb))
-    }
-}
-
 /// A stream position, for anchoring diagnostics.
 #[derive(Debug, Clone, Copy)]
 pub struct At {
@@ -212,13 +161,8 @@ pub trait Backend {
     fn accumulates(&self, dev: u32, kind: PayloadKind, tb: TokenBlockId) -> bool;
 
     /// `dev`'s launch of op `op` puts `tr` in flight: materialise an input,
-    /// or ship a partial's accumulator (`raw` on salvage ops: un-finalized).
-    fn deposit(&mut self, dev: u32, op: u32, tr: &Transfer, raw: bool) -> Self::Slot;
-
-    /// A raw accumulator arrived over a salvage op: it becomes `dev`'s
-    /// starting state for the payload's block, so residual work folds in
-    /// exactly where the dead stream left off.
-    fn install(&mut self, dev: u32, payload: Payload, slot: Self::Slot);
+    /// or ship a partial's accumulator.
+    fn deposit(&mut self, dev: u32, op: u32, tr: &Transfer) -> Self::Slot;
 
     /// Fused blockwise attention (backward when `backward`) over resolved
     /// items, in plan order.
@@ -298,7 +242,7 @@ impl Wake {
 ///
 /// [`ViolationKind::ShapeMismatch`], [`ViolationKind::CommIdOutOfRange`],
 /// [`ViolationKind::BadRoute`] or [`ViolationKind::BlockIdOutOfRange`].
-pub fn check_ids(phase: &PhasePlan, layout: Option<&BatchLayout>) -> Result<(), Diagnostic> {
+pub(crate) fn check_ids(phase: &PhasePlan, layout: Option<&BatchLayout>) -> Result<(), Diagnostic> {
     if let Some(layout) = layout {
         check_layout_ids(layout)?;
     }
@@ -421,8 +365,6 @@ pub struct Stream<'a> {
     pub phase: &'a PhasePlan,
     /// Whether this is the backward phase.
     pub backward: bool,
-    /// Recovery semantics ([`RecoveryCtx::default`] for a normal plan).
-    pub ctx: &'a RecoveryCtx,
     /// The layout and placement the streams are interpreted against. `None`
     /// walks launch/wait structure only, as the simulator does: compute is
     /// not resolved, no accumulator state exists, no arrived slot is kept.
@@ -454,40 +396,34 @@ struct State<S> {
 }
 
 /// Per op, its transfers by the device whose wait receives them and by the
-/// device whose launch deposits them (under the walk's [`RecoveryCtx`]),
-/// built once per walk: a launch or a wait visits its own device's
-/// transfers only, in op order — the order a scan of the whole op would
-/// visit them in, which for the timing backend fixes flow ids.
+/// device whose launch deposits them, built once per walk: a launch or a
+/// wait visits its own device's transfers only, in op order — the order a
+/// scan of the whole op would visit them in, which for the timing backend
+/// fixes flow ids.
 struct Routes {
     /// `(receiver, index in its op)`, one per transfer, ops laid end to end
     /// as in `State::flights`, each op's run sorted.
     to: Vec<(u32, u32)>,
-    /// `(depositor, index in its op)`, one per depositor of a transfer (a
-    /// stand-in shard is a second one), each op's run sorted.
+    /// `(depositor, index in its op)`, laid out as `to`.
     by: Vec<(u32, u32)>,
-    /// Per op: the index of its first entry in `by`, then `by.len()`.
-    by_base: Vec<usize>,
 }
 
 impl Routes {
-    fn new(comms: &[CommOp], ctx: &RecoveryCtx, transfers: usize) -> Self {
+    fn new(comms: &[CommOp], transfers: usize) -> Self {
         let mut routes = Routes {
             to: Vec::with_capacity(transfers),
             by: Vec::with_capacity(transfers),
-            by_base: Vec::with_capacity(comms.len() + 1),
         };
-        routes.by_base.push(0);
         for op in comms {
-            let (to, by) = (routes.to.len(), routes.by.len());
+            let start = routes.to.len();
             for (i, tr) in (0u32..).zip(&op.transfers) {
                 routes.to.push((tr.to, i));
-                routes.by.extend(ctx.depositors(tr).map(|dev| (dev, i)));
+                routes.by.push((depositor(tr), i));
             }
             // Indices are unique within an op, so this is each device's
             // transfers in op order.
-            routes.to[to..].sort_unstable();
-            routes.by[by..].sort_unstable();
-            routes.by_base.push(routes.by.len());
+            routes.to[start..].sort_unstable();
+            routes.by[start..].sort_unstable();
         }
         routes
     }
@@ -598,7 +534,7 @@ impl Stream<'_> {
         };
         let mut st = State {
             flights: (0..transfers).map(|_| Flight::Pending).collect(),
-            routes: Routes::new(&phase.comms, self.ctx, transfers),
+            routes: Routes::new(&phase.comms, transfers),
             base,
             arrived: Arrived::new(n, blocks, arrivals),
         };
@@ -656,25 +592,24 @@ impl Stream<'_> {
         wake: &mut Wake,
     ) -> Result<bool, Diagnostic> {
         let (dev, d) = (at.dev, at.dev as usize);
-        let ctx = self.ctx;
         match ins {
             Instr::CommLaunch(cid) => {
                 let c = cid.0 as usize;
                 let op = &self.phase.comms[c];
                 let flights = &mut st.flights[st.base[c]..][..op.transfers.len()];
-                let salvage = ctx.salvage_comms.contains(&cid.0);
-                let routes = &st.routes;
-                for i in own(&routes.by[routes.by_base[c]..routes.by_base[c + 1]], dev) {
+                for i in own(&st.routes.by[st.base[c]..st.base[c + 1]], dev) {
                     let tr = &op.transfers[i];
                     let (kind, tb) = (tr.payload.kind(), tr.payload.token_block());
-                    let partial = !is_input(kind);
-                    if partial && self.logical.is_some() && !backend.accumulates(dev, kind, tb) {
+                    if !is_input(kind)
+                        && self.logical.is_some()
+                        && !backend.accumulates(dev, kind, tb)
+                    {
                         return Err(at.err(
                             ViolationKind::MissingProducerState,
                             format!("sends {kind:?} for {tb:?} it never computed"),
                         ));
                     }
-                    let slot = backend.deposit(dev, cid.0, tr, salvage && partial);
+                    let slot = backend.deposit(dev, cid.0, tr);
                     if backend.landed(&slot) {
                         wake.landed(cid.0, tr.to);
                     }
@@ -708,22 +643,12 @@ impl Stream<'_> {
                         }
                     }
                 }
-                let salvage = ctx.salvage_comms.contains(&cid.0);
                 for (i, tr) in arriving() {
                     let Flight::Sent(slot) = std::mem::replace(&mut flights[i], Flight::Arrived)
                     else {
                         continue;
                     };
-                    let (kind, tb) = (tr.payload.kind(), tr.payload.token_block());
-                    if salvage && !is_input(kind) {
-                        if backend.accumulates(dev, kind, tb) {
-                            return Err(at.err(
-                                ViolationKind::DuplicateSalvage,
-                                format!("salvaged {tb:?} it already accumulates"),
-                            ));
-                        }
-                        backend.install(dev, tr.payload, slot);
-                    } else if self.logical.is_some() {
+                    if self.logical.is_some() {
                         st.arrived.put(dev, tr.payload, slot);
                     }
                 }
@@ -748,7 +673,7 @@ impl Stream<'_> {
                 let arrived = &st.arrived;
                 // An input is a local read (`None`) or an arrived slot; the
                 // error is the payload that is neither.
-                let fetch = |p: Payload| match ctx.local(placement, dev, p.token_block()) {
+                let fetch = |p: Payload| match placement.token_dev(p.token_block()) == dev {
                     true => Ok(None),
                     false => arrived.get(dev, p).map(Some).ok_or(p),
                 };

@@ -3,18 +3,16 @@
 //! [`crate::stream`] owns what a stream means and which streams are legal;
 //! this module runs that walker over a backend that carries no data — a
 //! deposited slot is `()`, an accumulator is a set membership — so it runs
-//! in microseconds per plan and can gate every planner output and every
-//! recovery patch. A rejection is a typed [`Diagnostic`] naming
+//! in microseconds per plan and can gate every planner output. A
+//! rejection is a typed [`Diagnostic`] naming
 //! the violated rule, the offending device and the instruction index; the
 //! numeric executor, driving the same walker, rejects exactly the same
 //! streams with the same diagnostics.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! - [`verify_plan`]: both phases of an [`ExecutionPlan`] against its layout
 //!   and placement (normal planner outputs).
-//! - [`verify_phase`]: one phase under an explicit [`RecoveryCtx`] (the
-//!   patched phase of a recovery patch).
 //! - [`verify_structure`]: launch/wait/deposit structure only, with no
 //!   layout and no placement — the walk the simulator times.
 
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::placement::Placement;
 use crate::plan::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, ReduceItem, Transfer};
-use crate::stream::{incoming, At, AttnItem, Backend, RecoveryCtx, Stream};
+use crate::stream::{incoming, At, AttnItem, Backend, Stream};
 
 /// Which legality rule a stream violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,8 +39,7 @@ pub enum ViolationKind {
     /// An attention instruction reads a Q/KV/dO block that is neither local
     /// nor arrived.
     MissingInput,
-    /// A reduction reads a partial that never arrived (or arrived as a raw
-    /// salvage accumulator rather than a finalized partial).
+    /// A reduction reads a partial that never arrived.
     MissingPartial,
     /// A device launches a partial it has not computed yet.
     MissingProducerState,
@@ -58,8 +55,6 @@ pub enum ViolationKind {
     BadRoute,
     /// A transfer sends a device data it already holds.
     SelfTransfer,
-    /// A salvage op installs an accumulator the device already has.
-    DuplicateSalvage,
     /// No device can make progress (circular or absent dependencies).
     Deadlock,
     /// A computation or token block id lies outside the layout.
@@ -84,7 +79,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::MissingCompute => "missing-compute",
             ViolationKind::BadRoute => "bad-route",
             ViolationKind::SelfTransfer => "self-transfer",
-            ViolationKind::DuplicateSalvage => "duplicate-salvage",
             ViolationKind::Deadlock => "deadlock",
             ViolationKind::BlockIdOutOfRange => "block-id-out-of-range",
             ViolationKind::ShapeMismatch => "shape-mismatch",
@@ -157,35 +151,28 @@ impl From<Diagnostic> for DcpError {
     }
 }
 
-/// Verifies both phases of a plan against its layout and placement with
-/// normal (non-recovery) semantics.
-///
-/// # Errors
-///
-/// Returns the first [`Diagnostic`] encountered.
-pub fn verify_plan(
-    layout: &BatchLayout,
-    placement: &Placement,
-    plan: &ExecutionPlan,
-) -> VerifyResult {
-    let ctx = RecoveryCtx::default();
-    verify_phase(layout, placement, &plan.fwd, false, &ctx)?;
-    verify_phase(layout, placement, &plan.bwd, true, &ctx)
-}
-
-/// Verifies one phase under explicit recovery semantics: the walker's
-/// executability rules plus the placement conventions of `Placed`.
+/// Verifies both phases of a plan against its layout and placement.
 ///
 /// # Errors
 ///
 /// Returns the first [`Diagnostic`] encountered; blocked progress surfaces
 /// as [`ViolationKind::Deadlock`] anchored at the first stalled device.
-pub fn verify_phase(
+pub fn verify_plan(
+    layout: &BatchLayout,
+    placement: &Placement,
+    plan: &ExecutionPlan,
+) -> VerifyResult {
+    verify_phase(layout, placement, &plan.fwd, false)?;
+    verify_phase(layout, placement, &plan.bwd, true)
+}
+
+/// Verifies one phase (the backward one when `backward`): the walker's
+/// executability rules plus the placement conventions of `Placed`.
+fn verify_phase(
     layout: &BatchLayout,
     placement: &Placement,
     phase: &PhasePlan,
     backward: bool,
-    ctx: &RecoveryCtx,
 ) -> VerifyResult {
     let mut sym = Symbolic {
         blocks: layout.token_blocks.len(),
@@ -193,7 +180,6 @@ pub fn verify_phase(
         placed: Some(Placed {
             phase,
             placement,
-            ctx,
             routed: vec![false; phase.comms.len()],
             seen: vec![false; layout.comp_blocks.len()],
         }),
@@ -201,7 +187,6 @@ pub fn verify_phase(
     Stream {
         phase,
         backward,
-        ctx,
         logical: Some((layout, placement)),
     }
     .walk(&mut sym)?;
@@ -235,7 +220,6 @@ pub fn verify_structure(phase: &PhasePlan) -> VerifyResult {
     Stream {
         phase,
         backward: false,
-        ctx: &RecoveryCtx::default(),
         logical: None,
     }
     .walk(&mut sym)
@@ -272,7 +256,6 @@ impl Symbolic<'_> {
 struct Placed<'a> {
     phase: &'a PhasePlan,
     placement: &'a Placement,
-    ctx: &'a RecoveryCtx,
     /// Ops whose routes were checked (at their first launch, the first
     /// stream position that references the op).
     routed: Vec<bool>,
@@ -323,7 +306,7 @@ impl Placed<'_> {
     }
 
     /// Inputs leave a device that holds the block; partials leave their
-    /// producer for the block's owner (or, on a salvage op, for a shard).
+    /// producer for the block's owner.
     fn check_route(&self, at: At, cid: u32, tr: &Transfer) -> Result<(), Diagnostic> {
         if tr.from == tr.to {
             return Err(at.err(
@@ -337,12 +320,10 @@ impl Placed<'_> {
         let tb = tr.payload.token_block();
         let ok = match tr.payload {
             Payload::Q(_) | Payload::Kv(_) | Payload::DO(_) => {
-                self.ctx.local(self.placement, tr.from, tb)
+                tr.from == self.placement.token_dev(tb)
             }
             Payload::PartialO(_, p) | Payload::PartialDq(_, p) | Payload::PartialDkv(_, p) => {
-                tr.from == p
-                    && (tr.to == self.placement.token_dev(tb)
-                        || self.ctx.salvage_comms.contains(&cid))
+                tr.from == p && tr.to == self.placement.token_dev(tb)
             }
         };
         if !ok {
@@ -367,11 +348,7 @@ impl Backend for Symbolic<'_> {
         cell.is_some_and(|&held| held & Self::bit(kind) != 0)
     }
 
-    fn deposit(&mut self, _dev: u32, _op: u32, _tr: &Transfer, _raw: bool) {}
-
-    fn install(&mut self, dev: u32, payload: Payload, _slot: ()) {
-        self.hold(dev, payload.kind(), payload.token_block());
-    }
+    fn deposit(&mut self, _dev: u32, _op: u32, _tr: &Transfer) {}
 
     fn attn(&mut self, dev: u32, backward: bool, items: &[AttnItem<'_, ()>]) {
         for item in items {

@@ -7,9 +7,11 @@
 //! every op per device. Kept verbatim except for `crate::` paths, which name
 //! the public `dcp_sched` items instead, for the pass-pipeline plumbing
 //! that carried `dead_comm` (a trait object and three `PassManager`
-//! methods), folded into one `run_plan`, and for the branch that deferred
-//! every partial to the last division (partials launch after their last
-//! contributing division). Nothing in the library may call it.
+//! methods), folded into one `run_plan`, for the set of protected ops that
+//! `dead_comm` skipped (always empty since the recovery patcher it served
+//! was deleted), and for the branch that deferred every partial to the
+//! last division (partials launch after their last contributing division).
+//! Nothing in the library may call it.
 //!
 //! The frozen scheduler is the volume-cap greedy whose divisions the
 //! crate's scheduler now re-cuts by cost, so it is no longer a bit-equality
@@ -65,10 +67,9 @@ mod oracle {
 
     /// `PassManager::{run_phase, run_plan}` in one, enabled.
     pub fn run_plan(layout: &BatchLayout, plan: &mut ExecutionPlan) -> Vec<PassOutcome> {
-        let none = HashSet::new();
         vec![
-            dead_comm(&mut plan.fwd, layout, "fwd", &none),
-            dead_comm(&mut plan.bwd, layout, "bwd", &none),
+            dead_comm(&mut plan.fwd, layout, "fwd"),
+            dead_comm(&mut plan.bwd, layout, "bwd"),
         ]
     }
 
@@ -642,12 +643,7 @@ mod oracle {
 
     // ---- passes.rs ----
     /// Dead-communication elimination.
-    fn dead_comm(
-        phase: &mut PhasePlan,
-        layout: &BatchLayout,
-        label: &str,
-        protected: &HashSet<u32>,
-    ) -> PassOutcome {
+    fn dead_comm(phase: &mut PhasePlan, layout: &BatchLayout, label: &str) -> PassOutcome {
         let before = phase.total_comm_bytes();
         // Per device: which ops it waits on, and which payloads it reads.
         let mut reads: HashMap<u32, HashSet<Payload>> = HashMap::new();
@@ -666,9 +662,6 @@ mod oracle {
         let empty_waits = HashSet::new();
         let mut transfers_removed = 0u64;
         for (cid, op) in phase.comms.iter_mut().enumerate() {
-            if protected.contains(&(cid as u32)) {
-                continue;
-            }
             let n0 = op.transfers.len();
             op.transfers.retain(|tr| {
                 let dest_waits = waits_by_dev.get(&tr.to).unwrap_or(&empty_waits);
@@ -689,19 +682,14 @@ mod oracle {
                 stream.instrs.retain(|ins| match ins {
                     Instr::CommLaunch(cid) => {
                         // Keep the launch while the op still carries any
-                        // partial: partials are producer-launched, and in a
-                        // recovery patch the launcher can be a salvage
-                        // stand-in whose transfers are still labelled with
-                        // the original (failed) producer — `from`/`to`
-                        // alone cannot prove the launch dead.
-                        protected.contains(&cid.0)
-                            || phase.comms[cid.0 as usize].transfers.iter().any(|t| {
-                                t.to == dev || t.from == dev || !is_input(t.payload.kind())
-                            })
+                        // partial: partials are producer-launched.
+                        phase.comms[cid.0 as usize]
+                            .transfers
+                            .iter()
+                            .any(|t| t.to == dev || t.from == dev || !is_input(t.payload.kind()))
                     }
                     Instr::CommWait(cid) => {
-                        protected.contains(&cid.0)
-                            || incoming(&phase.comms[cid.0 as usize], dev).next().is_some()
+                        incoming(&phase.comms[cid.0 as usize], dev).next().is_some()
                     }
                     _ => true,
                 });
@@ -1010,8 +998,8 @@ fn paced_divisions_beat_the_frozen_volume_cap() {
 /// Streams no scheduler emits, so the rewrite has something to delete on
 /// both sides: a fetch nobody waits for, a fetch waited for but never read,
 /// a partial no reduce names, a copy of a live partial addressed to another
-/// waiter of its op (dead transfers otherwise exist only in recovery
-/// patches), and a fetch op that a second device's stream launches too.
+/// waiter of its op, and a fetch op that a second device's stream launches
+/// too.
 #[test]
 fn passes_agree_with_the_frozen_ones_on_grafted_streams() {
     use dcp_blocks::TokenBlockId;

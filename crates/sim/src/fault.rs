@@ -10,8 +10,8 @@
 //!
 //! An empty spec is the identity: [`crate::simulate`] under
 //! [`FaultSpec::none`] is the clean simulation, whatever the seed. The
-//! simulator is a spec's only reader: the planner and the recovery patcher
-//! place for a healthy cluster, and a spec prices what that costs.
+//! simulator is a spec's only reader: the planner places for a healthy
+//! cluster, and a spec prices what that costs.
 
 use serde::{Deserialize, Serialize};
 

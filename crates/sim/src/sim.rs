@@ -15,9 +15,7 @@ use std::collections::BinaryHeap;
 
 use dcp_blocks::TokenBlockId;
 use dcp_sched::stream::{At, AttnItem, Backend, Stream, Wake};
-use dcp_sched::{
-    ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, RecoveryCtx, ReduceItem, Transfer,
-};
+use dcp_sched::{ExecutionPlan, Instr, PayloadKind, PhasePlan, ReduceItem, Transfer};
 use dcp_types::{ClusterSpec, CostModel, DcpError, DcpResult};
 use serde::{Deserialize, Serialize};
 
@@ -135,45 +133,29 @@ pub struct SimCounters {
 /// reference comm ops outside the op table or devices outside the phase,
 /// and if the phase has more devices than the cluster.
 pub fn simulate(cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) -> DcpResult<SimRun> {
-    let ctx = RecoveryCtx::default();
-    simulate_on(cluster, Network::new(cluster.clone()), phase, &ctx, spec)
+    simulate_on(cluster, Network::new(cluster.clone()), phase, spec)
 }
 
-/// [`simulate`] in full: `phase` read under `ctx` (a recovery patch's; the
-/// default for a plan), on a caller-built network, which must be new and
-/// over `cluster` — how the scratch reference engine
+/// [`simulate`] on a caller-built network, which must be new and over
+/// `cluster` — how the scratch reference engine
 /// ([`Network::use_scratch_engine`]) stays reachable for the tests and
-/// reports that hold the incremental one to it. The last
-/// `ctx.shard_hosts.len()` streams are shards on their hosts' clocks
-/// (DESIGN.md "What the timing backend adds"): results are per rank.
+/// reports that hold the incremental one to it.
 ///
 /// # Errors
 ///
-/// As [`simulate`], for the ranks of the phase; also
-/// [`DcpError::InvalidPlan`] if a shard's host is not one of them.
+/// As [`simulate`].
 pub fn simulate_on(
     cluster: &ClusterSpec,
     mut net: Network,
     phase: &PhasePlan,
-    ctx: &RecoveryCtx,
     spec: &FaultSpec,
 ) -> DcpResult<SimRun> {
     cluster.validate()?;
-    let streams = phase.devices.len();
-    let shard_hosts = ctx.shard_hosts.as_slice();
-    // The streams that are not shards are the ranks (none, if there are
-    // more shards than streams: then no host is one of them).
-    let n = streams.saturating_sub(shard_hosts.len());
+    let n = phase.devices.len();
     if n as u32 > cluster.num_devices() {
         return Err(DcpError::invalid_plan(format!(
             "plan uses {n} devices, cluster has {}",
             cluster.num_devices()
-        )));
-    }
-    if let Some(host) = shard_hosts.iter().find(|&&h| h as usize >= n) {
-        return Err(DcpError::invalid_plan(format!(
-            "a shard is hosted on rank {host}: {streams} streams less {} shards are {n} ranks",
-            shard_hosts.len()
         )));
     }
     for (src, dst, factor) in spec.link_factors() {
@@ -188,7 +170,6 @@ pub fn simulate_on(
         cost: cluster.cost(),
         seed: spec.seed,
         net,
-        shard_hosts,
         slow: spec.slowdowns(n),
         now: 0.0,
         counters: SimCounters::default(),
@@ -206,7 +187,7 @@ pub fn simulate_on(
             })
             .collect(),
         ready,
-        turned_away: vec![Vec::new(); n],
+        turned_away: vec![false; n],
         rows: [(); 2].map(|()| vec![(0, 0); n]),
         launches: 1,
         op_pairs: vec![0; phase.comms.len()],
@@ -214,14 +195,13 @@ pub fn simulate_on(
         launched: 0,
         flows: Vec::new(),
         ended: Vec::new(),
-        wait_start: vec![None; streams],
+        wait_start: vec![None; n],
         tl: vec![DeviceTimeline::default(); n],
         busy: vec![Vec::new(); n],
     };
     Stream {
         phase,
         backward: false,
-        ctx,
         logical: None,
     }
     .walk(&mut timing)?;
@@ -250,21 +230,10 @@ struct Pair {
     prev: u32,
 }
 
-/// The flow of `pair` is done: its receiving rank's own stream, or a shard
-/// on that rank (the streams from `ranks` up), may be blocked on its op.
-fn landed_on(ranks: usize, shard_hosts: &[u32], pair: &Pair, wake: &mut Wake) {
-    wake.landed(pair.op, pair.to);
-    let shards = (ranks as u32..).zip(shard_hosts);
-    for (shard, _) in shards.filter(|&(_, &host)| host == pair.to) {
-        wake.landed(pair.op, shard);
-    }
-}
-
 /// The timing backend of the stream walker: a slot is a flow on the max-min
 /// network, a kernel is a timer, and the clock steps to whichever is due
-/// first. The walker decides which stream runs next and what a wait blocks
-/// on; everything here is about *when*, and a *when* belongs to a rank:
-/// the streams past the ranks are shards on their hosts' clocks.
+/// first. The walker decides which device runs next and what a wait blocks
+/// on; everything here is about *when*.
 struct Timing<'a> {
     cluster: &'a ClusterSpec,
     /// What a kernel costs, as the division scheduler prices it.
@@ -272,21 +241,19 @@ struct Timing<'a> {
     /// The fault spec's seed, for the straggler jitter.
     seed: u64,
     net: Network,
-    /// The rank hosting each shard.
-    shard_hosts: &'a [u32],
     now: f64,
     counters: SimCounters,
-    /// Per rank: its straggler factor, when its kernel or start delay is
-    /// over, and the streams it has turned away until then.
+    /// Per device: its straggler factor, when its kernel or start delay is
+    /// over, and whether it was turned away until then.
     slow: Vec<f64>,
     ready: Vec<f64>,
-    turned_away: Vec<Vec<u32>>,
-    /// `(time, rank)` of every rank in a kernel or a start delay, earliest
-    /// first. Times are non-negative, so their bit patterns order as they
-    /// do.
+    turned_away: Vec<bool>,
+    /// `(time, device)` of every device in a kernel or a start delay,
+    /// earliest first. Times are non-negative, so their bit patterns order
+    /// as they do.
     timers: BinaryHeap<Reverse<(u64, u32)>>,
     /// The pairs of the launch being walked by their far end: `rows[0]` by
-    /// dst for those leaving the launcher's rank, `rows[1]` by src for those
+    /// dst for those leaving the launcher, `rows[1]` by src for those
     /// entering it, each entry `(launch, pair)` and current only while
     /// `launch == launches`.
     rows: [Vec<(u32, usize)>; 2],
@@ -301,9 +268,9 @@ struct Timing<'a> {
     flows: Vec<usize>,
     /// Pairs whose flow completed since the last event: it ends at the next.
     ended: Vec<usize>,
-    /// Per stream: when it first blocked on the wait it is at.
+    /// Per device: when it first blocked on the wait it is at.
     wait_start: Vec<Option<f64>>,
-    /// Per rank: its breakdown, and its compute busy intervals for overlap
+    /// Per device: its breakdown, and its compute busy intervals for overlap
     /// accounting.
     tl: Vec<DeviceTimeline>,
     busy: Vec<Vec<(f64, f64)>>,
@@ -311,30 +278,19 @@ struct Timing<'a> {
 }
 
 impl Timing<'_> {
-    /// The rank whose clock stream `l` runs on: itself, or a shard's host.
-    fn host(&self, l: u32) -> u32 {
-        match (l as usize).checked_sub(self.tl.len()) {
-            Some(shard) => self.shard_hosts[shard],
-            None => l,
-        }
+    /// Whether `dev` is in no kernel or start delay.
+    fn idle(&self, dev: u32) -> bool {
+        self.ready[dev as usize] <= self.now + EPS
     }
 
-    /// Whether `rank` is in no kernel or start delay.
-    fn idle(&self, rank: u32) -> bool {
-        self.ready[rank as usize] <= self.now + EPS
-    }
-
-    /// The pair of `op` from rank `from` to rank `to`, if a launch opened
-    /// it: the launch being walked (by `row`, `(side, far end)`, when one
-    /// end is the launcher's rank) or an earlier one.
-    fn pair(&self, op: u32, from: u32, to: u32, row: Option<(usize, u32)>) -> Option<usize> {
+    /// The pair of `op` from `from` to `to`, if a launch opened it: the
+    /// launch being walked (by `row`, `(side, far end)`; one end is the
+    /// launcher) or an earlier one.
+    fn pair(&self, op: u32, from: u32, to: u32, (side, far): (usize, u32)) -> Option<usize> {
         let same = |p: &Pair| (p.op, p.from, p.to) == (op, from, to);
-        let current = match row {
-            Some((side, far)) => match self.rows[side][far as usize] {
-                (launch, s) if launch == self.launches => Some(s),
-                _ => None,
-            },
-            None => (self.launched..self.pairs.len()).find(|&s| same(&self.pairs[s])),
+        let current = match self.rows[side][far as usize] {
+            (launch, s) if launch == self.launches => Some(s),
+            _ => None,
         };
         current.or_else(|| {
             let mut at = self.op_pairs[op as usize];
@@ -355,7 +311,7 @@ impl Timing<'_> {
         for f in self.net.drain_completed() {
             let pair = &self.pairs[self.flows[f.0]];
             self.ended.push(self.flows[f.0]);
-            landed_on(self.tl.len(), self.shard_hosts, pair, wake);
+            wake.landed(pair.op, pair.to);
         }
     }
 
@@ -405,34 +361,21 @@ impl Timing<'_> {
 }
 
 impl Backend for Timing<'_> {
-    /// Index in `pairs`; `None` between streams of one rank.
-    type Slot = Option<usize>;
+    /// Index in `pairs`.
+    type Slot = usize;
 
     // A structure-only walk resolves no compute and keeps no accumulators.
     fn accumulates(&self, _dev: u32, _kind: PayloadKind, _tb: TokenBlockId) -> bool {
         false
     }
-    fn install(&mut self, _dev: u32, _payload: Payload, _slot: Self::Slot) {}
     fn attn(&mut self, _dev: u32, _backward: bool, _items: &[AttnItem<'_, Self::Slot>]) {}
     fn reduce(&mut self, _dev: u32, _item: &ReduceItem, _parts: &[&Self::Slot]) {}
 
-    fn deposit(&mut self, dev: u32, op: u32, tr: &Transfer, _raw: bool) -> Self::Slot {
-        // An input leaves its holder; a partial leaves whoever deposits it,
-        // its producer or the shard standing in for a dead one.
-        let kind = tr.payload.kind();
-        let input = matches!(kind, PayloadKind::Q | PayloadKind::Kv | PayloadKind::DO);
-        let sender = if input { tr.from } else { dev };
-        let (from, to) = (self.host(sender), self.host(tr.to));
-        // Two streams of one rank hand data over without a flow.
-        if sender != tr.to && from == to {
-            return None;
-        }
-        let rank = self.host(dev);
-        let row = match (from == rank, to == rank) {
-            (true, _) => Some((0, to)),
-            (false, true) => Some((1, from)),
-            (false, false) => None,
-        };
+    fn deposit(&mut self, dev: u32, op: u32, tr: &Transfer) -> Self::Slot {
+        // The launcher is the sender (a partial's producer) or the receiver
+        // (an input's).
+        let (from, to) = (tr.from, tr.to);
+        let row = if from == dev { (0, to) } else { (1, from) };
         let slot = self.pair(op, from, to, row).unwrap_or_else(|| {
             self.pairs.push(Pair {
                 op,
@@ -446,31 +389,28 @@ impl Backend for Timing<'_> {
             });
             self.pairs.len() - 1
         });
-        if let Some((side, far)) = row {
-            self.rows[side][far as usize] = (self.launches, slot);
-        }
+        self.rows[row.0][row.1 as usize] = (self.launches, slot);
         if slot >= self.launched {
             self.pairs[slot].bytes += tr.bytes;
         }
-        Some(slot)
+        slot
     }
 
-    fn landed(&self, slot: &Self::Slot) -> bool {
-        slot.is_none_or(|s| self.pairs[s].flow.is_some_and(|f| self.net.is_done(f)))
+    fn landed(&self, &slot: &Self::Slot) -> bool {
+        self.pairs[slot].flow.is_some_and(|f| self.net.is_done(f))
     }
 
     fn free(&mut self, dev: u32) -> bool {
-        let host = self.host(dev);
-        let idle = self.idle(host);
+        let idle = self.idle(dev);
         if !idle {
-            self.turned_away[host as usize].push(dev);
+            self.turned_away[dev as usize] = true;
         }
         idle
     }
 
     fn polled(&mut self, at: At, ins: &Instr, retired: bool, wake: &mut Wake) {
-        let (rank, now) = (self.host(at.dev), self.now);
-        let d = rank as usize;
+        let (dev, now) = (at.dev, self.now);
+        let d = dev as usize;
         let (cluster, cost) = (self.cluster, &self.cost);
         let copy = |bytes: u64| bytes as f64 / cluster.mem_bw + cluster.kernel_overhead;
         let (base, kind) = match ins {
@@ -487,7 +427,7 @@ impl Backend for Timing<'_> {
                     // Only an empty flow is done on arrival.
                     if self.net.is_done(fid) {
                         pair.end = Some(active_at);
-                        landed_on(self.tl.len(), self.shard_hosts, pair, wake);
+                        wake.landed(pair.op, pair.to);
                     }
                     // Adding a flow settles the network at `now`, which can
                     // complete flows a rounding error short of their end.
@@ -504,14 +444,14 @@ impl Backend for Timing<'_> {
             Instr::CommWait(_) => {
                 // Exposed from the first blocked poll to the retiring one.
                 self.counters.wait_checks += 1;
-                let wait_start = &mut self.wait_start[at.dev as usize];
+                let wait_start = &mut self.wait_start[d];
                 if !retired {
                     wait_start.get_or_insert(now);
                 } else if let Some(since) = wait_start.take() {
                     self.tl[d].exposed_wait += now - since;
                     if now > since {
                         self.trace.push(TraceEvent {
-                            device: rank,
+                            device: dev,
                             kind: TraceKind::Wait,
                             start: since,
                             end: now,
@@ -542,14 +482,14 @@ impl Backend for Timing<'_> {
             _ => tl.copy += dur,
         }
         self.trace.push(TraceEvent {
-            device: rank,
+            device: dev,
             kind,
             start: now,
             end: now + base,
         });
         if extra > 0.0 {
             self.trace.push(TraceEvent {
-                device: rank,
+                device: dev,
                 kind: TraceKind::Straggle,
                 start: now + base,
                 end: now + dur,
@@ -558,8 +498,8 @@ impl Backend for Timing<'_> {
         self.busy[d].push((now, now + dur));
         self.ready[d] = now + dur;
         tl.finish = tl.finish.max(now + dur);
-        if !self.idle(rank) {
-            self.timers.push(Reverse((self.ready[d].to_bits(), rank)));
+        if !self.idle(dev) {
+            self.timers.push(Reverse((self.ready[d].to_bits(), dev)));
         }
     }
 
@@ -583,13 +523,13 @@ impl Backend for Timing<'_> {
         for s in self.ended.drain(..) {
             self.pairs[s].end = Some(t.max(self.pairs[s].active_at));
         }
-        while let Some(&Reverse((until, rank))) = self.timers.peek() {
+        while let Some(&Reverse((until, dev))) = self.timers.peek() {
             if f64::from_bits(until) > t + EPS {
                 break;
             }
             self.timers.pop();
-            for stream in self.turned_away[rank as usize].drain(..) {
-                wake.device(stream);
+            if std::mem::take(&mut self.turned_away[dev as usize]) {
+                wake.device(dev);
             }
         }
         true
@@ -887,14 +827,14 @@ mod tests {
     #[test]
     fn launches_of_one_op_share_their_pairs() {
         use dcp_sched::{CommOp, DeviceStream, Payload, Transfer};
-        // Two inputs from dead device 1 into device 3. Device 2 stands in
-        // for the sender, so its launch opens a pair neither end of which
-        // is its own rank; device 3's launch deposits both again and must
-        // find that pair rather than open a second flow.
+        // One op from device 3 into device 1: two inputs, which device 1
+        // deposits, and a partial, which device 3 does. Device 1's launch
+        // puts both inputs on one pair; device 3's launch, later, must find
+        // that pair rather than open a second flow, and adds nothing to it.
         let tb = dcp_blocks::TokenBlockId(0);
-        let input = |payload, bytes| Transfer {
-            from: 1,
-            to: 3,
+        let transfer = |payload, bytes| Transfer {
+            from: 3,
+            to: 1,
             payload,
             bytes,
         };
@@ -903,32 +843,29 @@ mod tests {
             instrs,
             buffer: Default::default(),
         };
-        let (q, kv) = (Payload::Q(tb), Payload::Kv(tb));
         let phase = PhasePlan {
             comms: vec![CommOp {
-                transfers: vec![input(q, 3_000_000), input(kv, 5_000_000)],
+                transfers: vec![
+                    transfer(Payload::Q(tb), 3_000_000),
+                    transfer(Payload::Kv(tb), 5_000_000),
+                    transfer(Payload::PartialO(tb, 3), 7_000_000),
+                ],
             }],
             devices: vec![
                 stream(0, vec![]),
-                stream(1, vec![]),
-                stream(2, vec![Instr::CommLaunch(CommId(0))]),
                 stream(
-                    3,
+                    1,
                     vec![Instr::CommLaunch(CommId(0)), Instr::CommWait(CommId(0))],
                 ),
+                stream(2, vec![]),
+                stream(3, vec![Instr::CommLaunch(CommId(0))]),
             ],
         };
-        let ctx = RecoveryCtx {
-            failed: [1].into(),
-            stand_in: [(q, 2), (kv, 2)].into(),
-            ..RecoveryCtx::default()
-        };
         let c = ClusterSpec::p4de(1);
-        let none = FaultSpec::none();
-        let run = simulate_on(&c, Network::new(c.clone()), &phase, &ctx, &none).unwrap();
+        let run = simulate(&c, &phase, &FaultSpec::none()).unwrap();
         assert_eq!(run.counters.flows, 1);
         let arrival = c.intra_latency + 8_000_000.0 / c.intra_bw;
-        assert!((run.sim.devices[3].exposed_wait - arrival).abs() < 1e-12);
+        assert!((run.sim.devices[1].exposed_wait - arrival).abs() < 1e-12);
     }
 
     #[test]
@@ -1159,8 +1096,7 @@ mod tests {
             let mut scratch = Network::new(cluster.clone());
             scratch.use_scratch_engine(true);
             let (inc, ci) = simulate_phase_counted(&cluster, &plan.fwd).unwrap();
-            let scr =
-                simulate_on(&cluster, scratch, &plan.fwd, &RecoveryCtx::default(), &none).unwrap();
+            let scr = simulate_on(&cluster, scratch, &plan.fwd, &none).unwrap();
             assert!(close(inc.makespan, scr.sim.makespan));
             for (a, b) in inc.devices.iter().zip(&scr.sim.devices) {
                 let fields = |t: &DeviceTimeline| {

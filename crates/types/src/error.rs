@@ -37,18 +37,6 @@ pub enum DcpError {
         /// Human-readable description of the last failure.
         last_error: String,
     },
-    /// A [`FailureEvent`](https://docs.rs/dcp-core) names an execution
-    /// frontier the failed device never reached: `divisions_done` exceeds
-    /// the number of attention divisions scheduled on that device's stream
-    /// (summed over any recovery-shard streams it was hosting). Carries the
-    /// device and the out-of-range frontier so fault-campaign drivers can
-    /// clamp and retry without parsing strings.
-    InvalidFailureEvent {
-        /// Physical rank named by the failure event.
-        device: u32,
-        /// The out-of-range `divisions_done` frontier.
-        frontier: u32,
-    },
 }
 
 impl DcpError {
@@ -74,11 +62,6 @@ impl DcpError {
             last_error: last_error.into(),
         }
     }
-
-    /// Convenience constructor for [`DcpError::InvalidFailureEvent`].
-    pub fn invalid_failure_event(device: u32, frontier: u32) -> Self {
-        DcpError::InvalidFailureEvent { device, frontier }
-    }
 }
 
 impl fmt::Display for DcpError {
@@ -97,11 +80,6 @@ impl fmt::Display for DcpError {
                 f,
                 "planning failed for batch {batch_index} after {attempts} attempt(s): \
                  {last_error}"
-            ),
-            DcpError::InvalidFailureEvent { device, frontier } => write!(
-                f,
-                "invalid failure event: device {device} has fewer than divisions_done = \
-                 {frontier} attention divisions"
             ),
         }
     }
@@ -143,20 +121,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("batch 7"), "{s}");
         assert!(s.contains("3 attempt"), "{s}");
-    }
-
-    #[test]
-    fn invalid_failure_event_carries_structure() {
-        let e = DcpError::invalid_failure_event(3, 1000);
-        match &e {
-            DcpError::InvalidFailureEvent { device, frontier } => {
-                assert_eq!(*device, 3);
-                assert_eq!(*frontier, 1000);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let s = e.to_string();
-        assert!(s.contains("device 3"), "{s}");
-        assert!(s.contains("divisions_done = 1000"), "{s}");
     }
 }

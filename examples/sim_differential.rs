@@ -35,8 +35,7 @@ use dcp::blocks::{BatchLayout, BlockConfig};
 use dcp::core::{Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
 use dcp::sched::{
-    build_plan, ExecutionPlan, Instr, PassConfig, PayloadKind, PhasePlan, Placement, RecoveryCtx,
-    ScheduleConfig,
+    build_plan, ExecutionPlan, Instr, PassConfig, PayloadKind, PhasePlan, Placement, ScheduleConfig,
 };
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, Fault, FaultSpec, SimRun, TraceKind};
@@ -150,10 +149,7 @@ fn dump(tag: &str, cluster: &ClusterSpec, phase: &PhasePlan, spec: &FaultSpec) {
         }
         let mut scratch = Network::new(cluster.clone());
         scratch.use_scratch_engine(true);
-        match (
-            simulate_on(cluster, scratch, phase, &RecoveryCtx::default(), spec),
-            &run,
-        ) {
+        match (simulate_on(cluster, scratch, phase, spec), &run) {
             (Ok(scr), Ok(inc)) => {
                 let (s, inc) = (scr.sim.makespan, inc.sim.makespan);
                 let close = (s - inc).abs() <= 1e-9 * inc.max(1e-9);

@@ -158,9 +158,11 @@ fn dcp_plans_match_reference_all_masks() {
     }
 }
 
+/// On a full 8-device node, and on the 7 survivors of one device lost from
+/// it: recovery from a device loss is this, the batch planned again on the
+/// survivors' cluster.
 #[test]
 fn dcp_plan_matches_reference_on_skewed_batch() {
-    let planner = small_planner(8, 16);
     let seqs: Vec<(u32, MaskSpec)> = vec![
         (200, MaskSpec::Causal),
         (40, MaskSpec::Causal),
@@ -168,8 +170,12 @@ fn dcp_plan_matches_reference_on_skewed_batch() {
         (64, MaskSpec::Causal),
         (17, MaskSpec::Causal),
     ];
-    let out = planner.plan(&seqs).unwrap();
-    check_numerics(&out.layout, &out.placement, &out.plan, true);
+    for devices in [8, 7] {
+        let out = small_planner(devices, 16).plan(&seqs).unwrap();
+        assert_eq!(out.plan.num_devices, devices);
+        dcp::sched::verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
+        check_numerics(&out.layout, &out.placement, &out.plan, true);
+    }
 }
 
 #[test]

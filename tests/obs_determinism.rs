@@ -19,7 +19,7 @@ use std::sync::Arc;
 use dcp::blocks::TokenBlockId;
 use dcp::core::{DcpDataloader, IncrementalConfig, Planner, PlannerConfig};
 use dcp::data::Batch;
-use dcp::exec::{execute_backward_recovery, execute_forward_obs, BatchData, ExecObs};
+use dcp::exec::{execute_backward_obs, execute_forward_obs, BatchData, ExecObs};
 use dcp::mask::MaskSpec;
 use dcp::obs::{
     critical_path, identities, AnalysisScope, Attribution, Event, ObsHandle, ObsSink, Phase,
@@ -108,14 +108,13 @@ fn capture() -> Vec<Event> {
     let eo = ExecObs::new(sink.as_ref()).with_iter(0);
     let fwd =
         execute_forward_obs(&out.layout, &out.placement, &out.plan, &data, &eo).expect("forward");
-    execute_backward_recovery(
+    execute_backward_obs(
         &out.layout,
         &out.placement,
-        &out.plan.bwd,
+        &out.plan,
         &data,
         &fwd,
         &d_o,
-        &Default::default(),
         &eo,
     )
     .expect("backward");

@@ -9,18 +9,15 @@
 //! water-fill order, or the event loop shows up here as a hard failure. The
 //! makespans were re-recorded once, placements and comm bytes unchanged,
 //! when the division scheduler began cutting divisions by cost; every pin
-//! but the recovery patch's was re-recorded once more when coarsening began
-//! contracting the block-grid tiles of long documents, and again when the
-//! tile rule moved to 4 x 4 tiles from 64 blocks and 2 x 2 from 32 (the
-//! golden batch's 64-block document was tiled 2 x 2, then 4 x 4; the
-//! patch's documents stay too short).
+//! was re-recorded once more when coarsening began contracting the
+//! block-grid tiles of long documents, and again when the tile rule moved
+//! to 4 x 4 tiles from 64 blocks and 2 x 2 from 32 (the golden batch's
+//! 64-block document was tiled 2 x 2, then 4 x 4).
 //! The CI thread matrix re-runs this at `RAYON_NUM_THREADS` 1/2/8, so the
 //! pin doubles as the cross-thread-count determinism check.
 
-use dcp::core::recovery::{FailureEvent, RecoveryPlanner};
 use dcp::core::{IncrementalConfig, PlanOutput, Planner, PlannerConfig};
 use dcp::mask::MaskSpec;
-use dcp::sched::RecoveryCtx;
 use dcp::sim::network::Network;
 use dcp::sim::{simulate, simulate_on, simulate_plan, Fault, FaultSpec};
 use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
@@ -128,8 +125,7 @@ fn incremental_engine_matches_scratch_on_golden_plans() {
             let mut scratch = Network::new(cluster.clone());
             scratch.use_scratch_engine(true);
             let incremental = simulate(&cluster, phase, &none).unwrap();
-            let reference =
-                simulate_on(&cluster, scratch, phase, &RecoveryCtx::default(), &none).unwrap();
+            let reference = simulate_on(&cluster, scratch, phase, &none).unwrap();
             let (inc, inc_counters) = (incremental.sim, incremental.counters);
             let (scr, scr_counters) = (reference.sim, reference.counters);
             let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * y.abs().max(1e-9);
@@ -290,92 +286,5 @@ fn warm_faulted_and_spine_plans_are_bitwise_pinned() {
             1807059168
         ],
         "warm drift re-plan on the spine"
-    );
-}
-
-/// One recovery patch, simulated with every survivor a straggler (x10 to
-/// x400) and one degraded link. The patcher places for healthy survivors;
-/// shards run on their hosts' clocks, so a shard is as slow as its host.
-#[test]
-fn faulted_recovery_patch_is_bitwise_pinned() {
-    let cluster = ClusterSpec::single_node(8);
-    let out = Planner::new(
-        cluster.clone(),
-        AttnSpec::new(4, 2, 8, 2),
-        PlannerConfig {
-            block_size: 16,
-            ..Default::default()
-        },
-    )
-    .plan(&[
-        (200, MaskSpec::Causal),
-        (
-            160,
-            MaskSpec::Lambda {
-                sink: 4,
-                window: 24,
-            },
-        ),
-        (120, MaskSpec::Causal),
-        (96, MaskSpec::Causal),
-        (64, MaskSpec::Causal),
-    ])
-    .unwrap();
-    let spec = FaultSpec {
-        seed: 0,
-        faults: (1..8u32)
-            .map(|device| Fault::Straggler {
-                device,
-                slowdown: [10.0, 40.0, 100.0, 400.0][device as usize % 4],
-            })
-            .chain([Fault::DegradedLink {
-                src: 1,
-                dst: 6,
-                factor: 0.2,
-            }])
-            .collect(),
-    };
-    let patch = RecoveryPlanner::new()
-        .plan_recovery(
-            &out,
-            &FailureEvent {
-                device: 0,
-                divisions_done: 1,
-            },
-        )
-        .unwrap();
-    // Shards run on their hosts' clocks; what crosses the network is what
-    // leaves one rank for another: an input leaves its holder, an owed
-    // partial the shard standing in for its dead producer.
-    let ctx = &patch.ctx;
-    let net = Network::new(cluster.clone());
-    let timing = simulate_on(&cluster, net, &patch.phase, ctx, &spec)
-        .unwrap()
-        .sim;
-    assert_eq!(timing.devices.len(), 8);
-    let host = |l: u32| l.checked_sub(8).map_or(l, |j| ctx.shard_hosts[j as usize]);
-    let cross_host_bytes: u64 = (0u32..)
-        .zip(&patch.phase.comms)
-        .flat_map(|(cid, op)| op.transfers.iter().map(move |tr| (cid, tr)))
-        .filter(|&(cid, tr)| {
-            let owed = ctx.failed.contains(&tr.from) && !ctx.salvage_comms.contains(&cid);
-            let stand_in = ctx.stand_in.get(&tr.payload).filter(|_| owed);
-            host(*stand_in.unwrap_or(&tr.from)) != host(tr.to)
-        })
-        .map(|(_, tr)| tr.bytes)
-        .sum();
-    assert_eq!(
-        [
-            placement_fnv(&patch.placement),
-            placement_fnv(&patch.bwd.as_ref().unwrap().0),
-            timing.makespan.to_bits(),
-            cross_host_bytes,
-        ],
-        [
-            0x7167e22c4640d04d,
-            0x36a3a2f62e708f9c,
-            0x3f9ea9bd8f78b22a,
-            35392
-        ]
     );
 }

@@ -8,8 +8,7 @@
 //!    it exactly as it found it — the scheduler emits no transfer nobody
 //!    reads. With a dead fetch grafted in, so that the rewrite has
 //!    something to delete, the plan executes to bitwise-identical merged
-//!    outputs and gradients before and after. (Recovery patches, where dead
-//!    transfers really occur, have `tests/recovery.rs`.)
+//!    outputs and gradients before and after.
 //! 2. *Illegal streams are rejected with a typed diagnostic*: random
 //!    mutations of a legal stream (wait-before-launch, out-of-range comm
 //!    id, duplicated compute item, self-transfer, out-of-range comm ids
@@ -101,8 +100,8 @@ fn case_plan(
 }
 
 /// Grafts a 999-byte fetch of token block 0 into the forward phase, on a
-/// brand-new op that its receiver launches and nobody waits for (the shape a
-/// recovery patch's truncation leaves behind). Legal, and dead.
+/// brand-new op that its receiver launches and nobody waits for. Legal, and
+/// dead.
 fn graft_unwaited_fetch(placement: &Placement, plan: &mut ExecutionPlan) -> CommId {
     let from = placement.token_to_dev[0];
     let to = (from + 1) % placement.num_devices;
