@@ -3,14 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcp_core::{Planner, PlannerConfig};
-use dcp_data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
+use dcp_data::{sample_batches, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
 use dcp_types::{AttnSpec, ClusterSpec};
 
 fn bench_planner(c: &mut Criterion) {
     let cluster = dcp_core::cp_cluster(&ClusterSpec::p4de(8), 4);
-    let lengths = sample_lengths(DatasetKind::LongAlign, 64, 1.0, 65536, 1);
-    let batch = pack_batches(&lengths, 65536, |l| MaskSetting::Causal.mask_for(l))
+    let kind = DatasetKind::LongAlign;
+    let batch = sample_batches(kind, 1, 1.0, 65536, 65536, MaskSetting::Causal, 1)
         .remove(0)
         .seqs;
 

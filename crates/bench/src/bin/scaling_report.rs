@@ -33,9 +33,9 @@
 
 use std::time::Instant;
 
-use dcp_bench::{median, micro_attn, seed, write_results, Table};
+use dcp_bench::{median, micro_attn, write_results, Table, SEED};
 use dcp_core::{PlanOutput, Planner, PlannerConfig};
-use dcp_data::{pack_batches, sample_lengths, DatasetKind};
+use dcp_data::{sample_batches, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
 use dcp_sim::network::Network;
 use dcp_sim::{simulate, simulate_on, FaultSpec, SimRun};
@@ -59,12 +59,9 @@ const ENGINE_MAX_REL_ERR: f64 = 1e-9;
 fn batch_for(devices: u32) -> Vec<(u32, MaskSpec)> {
     let budget = devices as u64 * TOKENS_PER_DEVICE;
     let max_len = MAX_LEN.min(budget as u32);
-    let lengths = sample_lengths(DatasetKind::LongAlign, 4096, 1.0, max_len, seed());
-    pack_batches(&lengths, budget, |_| MaskSpec::Causal)
-        .into_iter()
-        .next()
-        .expect("non-empty budget")
-        .seqs
+    let kind = DatasetKind::LongAlign;
+    let mut batches = sample_batches(kind, 1, 1.0, max_len, budget, MaskSetting::Causal, SEED);
+    batches.pop().expect("one batch").seqs
 }
 
 fn planner_cfg(devices: u32) -> PlannerConfig {

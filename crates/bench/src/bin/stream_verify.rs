@@ -14,9 +14,9 @@
 
 use std::process::exit;
 
+use dcp_bench::SEED;
 use dcp_core::{Planner, PlannerConfig};
-use dcp_data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
-use dcp_mask::MaskSpec;
+use dcp_data::{sample_batches, DatasetKind, MaskSetting};
 use dcp_sched::{
     verify_plan, verify_structure, CommId, Diagnostic, ExecutionPlan, Instr, PassConfig,
     PassManager, Payload, PayloadKind, Placement, ViolationKind,
@@ -24,7 +24,6 @@ use dcp_sched::{
 use dcp_types::{AttnSpec, ClusterSpec};
 use serde_json::json;
 
-const SEED: u64 = 7;
 const BUDGET: u64 = 8192;
 const MAX_LEN: u32 = 2048;
 const BLOCK_SIZE: u32 = 128;
@@ -255,14 +254,9 @@ fn main() {
         },
     );
     for mask in masks {
-        let lengths = sample_lengths(DatasetKind::LongDataCollections, n * 64, 1.0, MAX_LEN, SEED);
-        let batches: Vec<Vec<(u32, MaskSpec)>> =
-            pack_batches(&lengths, BUDGET, |l| mask.mask_for(l))
-                .into_iter()
-                .take(n)
-                .map(|b| b.seqs)
-                .collect();
-        for (bi, batch) in batches.iter().enumerate() {
+        let kind = DatasetKind::LongDataCollections;
+        let batches = sample_batches(kind, n, 1.0, MAX_LEN, BUDGET, mask, SEED);
+        for (bi, batch) in batches.iter().map(|b| &b.seqs).enumerate() {
             let out = match planner.plan(batch) {
                 Ok(out) => out,
                 Err(e) => {

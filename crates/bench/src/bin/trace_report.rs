@@ -18,17 +18,15 @@
 
 use std::path::Path;
 
-use dcp_bench::{trace_doc, trace_workload, Table};
+use dcp_bench::{trace_doc, trace_workload, Table, SEED};
 use dcp_core::{Planner, PlannerConfig};
-use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
+use dcp_data::{sample_batches, Batch, DatasetKind, MaskSetting};
 use dcp_mask::MaskSpec;
 use dcp_obs::{critical_path, diff_attribution, to_jsonl, AnalysisScope, Phase};
 use dcp_sim::{simulate, trace_to_obs, Fault, FaultSpec};
 use dcp_types::{AttnSpec, ClusterSpec};
 use serde_json::json;
 
-/// Fixed dataset seed (the report must be comparable across machines).
-const SEED: u64 = 7;
 /// Tokens per batch.
 const BUDGET: u64 = 8192;
 /// Maximum sequence length.
@@ -108,21 +106,11 @@ fn main() {
     let attn = AttnSpec::new(4, 2, 16, 1);
 
     // Distinct masks give the trace recognizable per-iteration structure.
-    let mut batches: Vec<Batch> = Vec::new();
-    for mask in [MaskSetting::Causal, MaskSetting::Lambda] {
-        let lengths = sample_lengths(
-            DatasetKind::LongDataCollections,
-            BATCHES * 64,
-            1.0,
-            MAX_LEN,
-            SEED,
-        );
-        batches.extend(
-            pack_batches(&lengths, BUDGET, |l| mask.mask_for(l))
-                .into_iter()
-                .take(BATCHES),
-        );
-    }
+    let kind = DatasetKind::LongDataCollections;
+    let batches: Vec<Batch> = [MaskSetting::Causal, MaskSetting::Lambda]
+        .into_iter()
+        .flat_map(|mask| sample_batches(kind, BATCHES, 1.0, MAX_LEN, BUDGET, mask, SEED))
+        .collect();
     let iters = batches.len();
     println!(
         "trace_report: p4de(2) / LongDataCollections / block {BLOCK_SIZE} / {iters} iteration(s)"

@@ -1,23 +1,22 @@
-//! Shared infrastructure for the bench crate's four binaries.
+//! Shared infrastructure for the bench crate's four binaries, and the
+//! paper's evaluation as library functions.
 //!
-//! `figures` regenerates every table of the paper's evaluation from the
-//! simulated cluster (one row of its table per figure, written to
-//! `results/<name>.json`); `scaling_report`, `stream_verify` and
-//! `trace_report` drive the planner, network engine, verifier and
-//! observability layer at their surfaces. This library holds
-//! what they share: the paper's testbed configurations, dataset batching,
-//! the DCP/baseline runners, the traced workload and a table printer.
+//! [`experiments`] holds every sweep of the paper's evaluation, each a
+//! function of an explicit batch count that returns its table; the
+//! `figures` binary prints them and writes `results/<name>.json`, and
+//! `tests/reports.rs` asserts the paper's orderings on them.
+//! `scaling_report`, `stream_verify` and `trace_report` drive the planner,
+//! network engine, verifier and observability layer at their surfaces. This
+//! library holds what they share: the paper's testbed configurations, the
+//! dataset seed, the DCP/baseline runners, the traced workload and a table
+//! printer. Nothing here reads the environment.
 //!
 //! Nothing here judges a measurement. Deterministic facts are `#[test]`s,
 //! wall time is the ledger (`benchmark/`, `BENCHMARK.json`), and the
 //! measurements without a ledger row are constants in `scaling_report` —
 //! DESIGN.md §5 lists every check with its one judge.
-//!
-//! Environment knobs, each read in exactly one place:
-//!
-//! - `DCP_BENCH_BATCHES` ([`num_batches`]): batches averaged per figure
-//!   configuration (default 8; the paper averages 200).
-//! - `DCP_BENCH_SEED` ([`seed`]): dataset seed (default 7).
+
+pub mod experiments;
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -25,27 +24,14 @@ use std::sync::Arc;
 
 use dcp_baselines::{Baseline, BaselineOutput};
 use dcp_core::{DcpDataloader, PlanOutput, Planner, PlannerConfig};
-use dcp_data::{pack_batches, sample_lengths, Batch, DatasetKind, MaskSetting};
+use dcp_data::Batch;
 use dcp_mask::MaskSpec;
 use dcp_obs::{Event as ObsEvent, ObsHandle, ObsSink, RecordingSink};
 use dcp_sim::{simulate, simulate_plan, trace_to_obs, FaultSpec, PlanSim, SimRun};
 use dcp_types::{AttnSpec, ClusterSpec, DcpResult};
 
-/// Batches averaged per configuration (`DCP_BENCH_BATCHES`, default 8).
-pub fn num_batches() -> usize {
-    std::env::var("DCP_BENCH_BATCHES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
-}
-
-/// Dataset seed (`DCP_BENCH_SEED`, default 7).
-pub fn seed() -> u64 {
-    std::env::var("DCP_BENCH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7)
-}
+/// The dataset seed of every sweep and report.
+pub const SEED: u64 = 7;
 
 /// The paper's micro-benchmark testbed: 4 p4de nodes, 32 GPUs, all used for
 /// context parallelism, GQA 8Q/2KV heads, d = 128.
@@ -55,7 +41,7 @@ pub fn micro_cluster() -> ClusterSpec {
 
 /// The paper's end-to-end CP topology: 8 nodes x 8 GPUs with TP = 4,
 /// leaving 16 CP ranks (2 per node).
-pub fn e2e_cp_cluster() -> ClusterSpec {
+pub(crate) fn e2e_cp_cluster() -> ClusterSpec {
     dcp_core::cp_cluster(&ClusterSpec::p4de(8), 4)
 }
 
@@ -70,32 +56,12 @@ pub fn micro_attn() -> AttnSpec {
     AttnSpec::paper_micro()
 }
 
-/// Batches for one benchmark configuration: `n` batches of up to `budget`
-/// tokens drawn from `kind` at the given length `scale`, capped at
-/// `max_len`, with masks from `mask`.
-pub fn make_batches(
-    kind: DatasetKind,
-    scale: f64,
-    max_len: u32,
-    budget: u64,
-    mask: MaskSetting,
-    n: usize,
-) -> Vec<Vec<(u32, MaskSpec)>> {
-    // Draw generously, then keep the first n batches.
-    let lengths = sample_lengths(kind, n * 64, scale, max_len, seed());
-    pack_batches(&lengths, budget, |l| mask.mask_for(l))
-        .into_iter()
-        .take(n)
-        .map(|b| b.seqs)
-        .collect()
-}
-
 /// Plans and simulates one batch with DCP. Returns `(sim, plan_output)`.
 ///
 /// # Errors
 ///
 /// Propagates planner/simulator failures.
-pub fn run_dcp(
+pub(crate) fn run_dcp(
     cluster: &ClusterSpec,
     attn: AttnSpec,
     cfg: &PlannerConfig,
@@ -112,7 +78,7 @@ pub fn run_dcp(
 /// # Errors
 ///
 /// Propagates builder/simulator failures.
-pub fn run_baseline(
+pub(crate) fn run_baseline(
     cluster: &ClusterSpec,
     attn: AttnSpec,
     baseline: Baseline,
@@ -134,7 +100,7 @@ pub fn run_baseline(
 /// # Errors
 ///
 /// Propagates planner/simulator failures.
-pub fn run_dcp_best(
+pub(crate) fn run_dcp_best(
     cluster: &ClusterSpec,
     attn: AttnSpec,
     base: &PlannerConfig,
@@ -166,7 +132,7 @@ pub fn run_dcp_best(
 /// # Errors
 ///
 /// Propagates builder/simulator failures.
-pub fn run_loongtrain_best(
+pub(crate) fn run_loongtrain_best(
     cluster: &ClusterSpec,
     attn: AttnSpec,
     head_groups: u32,
@@ -426,23 +392,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batches_respect_budget_and_count() {
-        let bs = make_batches(
-            DatasetKind::LongDataCollections,
-            1.0,
-            131072,
-            131072,
-            MaskSetting::Causal,
-            5,
-        );
-        assert_eq!(bs.len(), 5);
-        for b in &bs {
-            let tokens: u64 = b.iter().map(|(l, _)| *l as u64).sum();
-            assert!(tokens <= 131072);
-        }
-    }
 
     #[test]
     fn trace_workload_captures_all_sources() {

@@ -51,20 +51,41 @@ impl DatasetKind {
     }
 }
 
-/// Samples `n` sequence lengths from `kind`'s distribution, multiplied by
-/// `scale` and clamped to `[32, cap]`.
-///
-/// Deterministic for a given seed.
-pub fn sample_lengths(kind: DatasetKind, n: usize, scale: f64, cap: u32, seed: u64) -> Vec<u32> {
+/// The endless stream of sequence lengths from `kind`'s distribution,
+/// multiplied by `scale` and clamped to `[32, cap]`. Deterministic for a
+/// given seed.
+fn lengths(kind: DatasetKind, scale: f64, cap: u32, seed: u64) -> impl Iterator<Item = u32> {
     assert!(scale > 0.0 && cap >= 32, "degenerate sampler parameters");
     let (mu, sigma) = kind.params();
     let dist = LogNormal::new(mu, sigma).expect("valid lognormal parameters");
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-    (0..n)
-        .map(|_| {
-            let raw = dist.sample(&mut rng) * scale;
-            (raw as u32).clamp(32, cap)
-        })
+    std::iter::repeat_with(move || ((dist.sample(&mut rng) * scale) as u32).clamp(32, cap))
+}
+
+/// The first `n` sequence lengths of `kind`'s distribution, multiplied by
+/// `scale` and clamped to `[32, cap]`.
+///
+/// Deterministic for a given seed.
+pub fn sample_lengths(kind: DatasetKind, n: usize, scale: f64, cap: u32, seed: u64) -> Vec<u32> {
+    lengths(kind, scale, cap, seed).take(n).collect()
+}
+
+/// The first `n` batches of at most `budget` tokens packed (as by
+/// [`pack_batches`]) from the length stream [`sample_lengths`] draws from,
+/// every one closed: the sequence after it did not fit. Lengths are drawn
+/// lazily, only until the `n`-th batch closes.
+pub fn sample_batches(
+    kind: DatasetKind,
+    n: usize,
+    scale: f64,
+    cap: u32,
+    budget: u64,
+    mask: MaskSetting,
+    seed: u64,
+) -> Vec<Batch> {
+    let lengths = lengths(kind, scale, cap, seed);
+    packed(lengths, budget, |l| mask.mask_for(l))
+        .take(n)
         .collect()
 }
 
@@ -91,28 +112,34 @@ impl Batch {
 pub fn pack_batches(
     lengths: &[u32],
     budget: u64,
-    mut mask_fn: impl FnMut(u32) -> MaskSpec,
+    mask_fn: impl FnMut(u32) -> MaskSpec,
 ) -> Vec<Batch> {
+    packed(lengths.iter().copied(), budget, mask_fn).collect()
+}
+
+/// [`pack_batches`] as a lazy iterator: a batch is yielded once the next
+/// length does not fit, or the lengths end.
+fn packed(
+    lengths: impl Iterator<Item = u32>,
+    budget: u64,
+    mut mask_fn: impl FnMut(u32) -> MaskSpec,
+) -> impl Iterator<Item = Batch> {
     assert!(budget >= 32, "budget too small");
-    let mut batches = Vec::new();
-    let mut cur: Vec<(u32, MaskSpec)> = Vec::new();
-    let mut cur_tokens = 0u64;
-    for &len in lengths {
-        // The shorter of the two fits a u32.
-        let len = u64::from(len).min(budget) as u32;
-        if cur_tokens + len as u64 > budget && !cur.is_empty() {
-            batches.push(Batch {
-                seqs: std::mem::take(&mut cur),
-            });
-            cur_tokens = 0;
+    // The shorter of the two fits a u32.
+    let mut lengths = lengths
+        .map(move |len| u64::from(len).min(budget) as u32)
+        .peekable();
+    std::iter::from_fn(move || {
+        let mut seqs = Vec::new();
+        let mut tokens = 0u64;
+        while let Some(len) =
+            lengths.next_if(|&len| seqs.is_empty() || tokens + u64::from(len) <= budget)
+        {
+            seqs.push((len, mask_fn(len)));
+            tokens += u64::from(len);
         }
-        cur.push((len, mask_fn(len)));
-        cur_tokens += len as u64;
-    }
-    if !cur.is_empty() {
-        batches.push(Batch { seqs: cur });
-    }
-    batches
+        (!seqs.is_empty()).then_some(Batch { seqs })
+    })
 }
 
 /// The paper's four mask settings as mask functions.
@@ -158,31 +185,6 @@ impl MaskSetting {
     }
 }
 
-/// Loads sequence lengths from a text file (one decimal length per line;
-/// blank lines and `#` comments ignored) so real dataset length dumps can
-/// replace the synthetic samplers.
-///
-/// # Errors
-///
-/// Returns [`std::io::Error`]-backed messages for unreadable files and a
-/// parse error naming the offending line otherwise.
-pub fn load_lengths(path: &std::path::Path) -> Result<Vec<u32>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut lengths = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let v: u32 = line
-            .parse()
-            .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
-        lengths.push(v);
-    }
-    Ok(lengths)
-}
-
 /// A histogram of sequence lengths over logarithmic bins (Fig. 2).
 ///
 /// Returns `(bin_upper_bounds, counts)`.
@@ -211,6 +213,25 @@ mod tests {
         let b = sample_lengths(DatasetKind::LongAlign, 500, 1.0, 131072, 7);
         assert_eq!(a, b);
         assert!(a.iter().all(|&l| (32..=131072).contains(&l)));
+        // Fewer draws are a prefix of the same stream.
+        assert_eq!(
+            a[..100],
+            sample_lengths(DatasetKind::LongAlign, 100, 1.0, 131072, 7)
+        );
+    }
+
+    #[test]
+    fn sampled_batches_are_the_closed_batches_of_the_stream() {
+        for (kind, n, budget) in [
+            (DatasetKind::LongAlign, 3, 32768u64),
+            (DatasetKind::LongDataCollections, 5, 131072),
+        ] {
+            let lengths = sample_lengths(kind, n * 64, 1.0, budget as u32, 7);
+            let packed = pack_batches(&lengths, budget, |l| MaskSetting::Lambda.mask_for(l));
+            assert!(packed.len() > n, "the draw closes {n} batches");
+            let lazy = sample_batches(kind, n, 1.0, budget as u32, budget, MaskSetting::Lambda, 7);
+            assert_eq!(lazy, packed[..n]);
+        }
     }
 
     #[test]
@@ -281,20 +302,6 @@ mod tests {
         // Shared question adapts to the length.
         let m = MaskSetting::SharedQuestion.mask_for(1000);
         assert_eq!(m.instantiate(1000).unwrap().len(), 1000);
-    }
-
-    #[test]
-    fn load_lengths_parses_and_reports_errors() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("dcp_lengths_test.txt");
-        std::fs::write(&path, "# comment\n1024\n\n2048\n 42 \n").unwrap();
-        assert_eq!(load_lengths(&path).unwrap(), vec![1024, 2048, 42]);
-        std::fs::write(&path, "12\nnot-a-number\n").unwrap();
-        let err = load_lengths(&path).unwrap_err();
-        assert!(err.contains(":2:"), "{err}");
-        let missing = dir.join("dcp_lengths_missing.txt");
-        assert!(load_lengths(&missing).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::str::FromStr;
 
 use dcp::baselines::Baseline;
 use dcp::core::{Planner, PlannerConfig};
-use dcp::data::{pack_batches, sample_lengths, DatasetKind, MaskSetting};
+use dcp::data::{sample_batches, DatasetKind, MaskSetting};
 use dcp::mask::MaskSpec;
 use dcp::obs::{to_chrome_trace, Phase};
 use dcp::sim::{ascii_gantt, simulate, simulate_plan, trace_to_obs, FaultSpec};
@@ -78,6 +78,12 @@ where
     }
 }
 
+/// The most batches `gen-workload` writes.
+const MAX_BATCHES: usize = 100_000;
+/// The most tokens `gen-workload` packs: it draws lengths until the last
+/// batch closes, so its work and output grow with batches × budget.
+const MAX_TOKENS: u64 = 1 << 34;
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: dcpctl <gen-workload|plan|simulate|compare> [flags]\n\
@@ -85,6 +91,7 @@ fn usage() -> ExitCode {
          gen-workload  --dataset <longalign|ldc> --batches N --budget TOKENS\n\
          \u{20}             --mask <causal|lambda|causal_blockwise|shared_question>\n\
          \u{20}             [--scale F] [--seed N] --out FILE\n\
+         \u{20}             (N at most 100000, N × TOKENS at most 2^34)\n\
          plan          --workload FILE --nodes N [--block B] [--out FILE]\n\
          simulate      --workload FILE --nodes N [--block B] [--trace FILE] [--gantt]\n\
          compare       --workload FILE --nodes N [--block B]"
@@ -137,10 +144,20 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), Failure> {
     let scale: f64 = flag(flags, "scale", Some(1.0))?;
     let seed: u64 = flag(flags, "seed", Some(7))?;
     let out: String = flag(flags, "out", None)?;
+    if !(1..=MAX_BATCHES).contains(&n) {
+        return Err(Failure::Flag(format!(
+            "--batches {n}: not between 1 and {MAX_BATCHES}"
+        )));
+    }
     // The sampler's shortest sequence is 32 tokens.
     if budget < 32 {
         return Err(Failure::Flag(format!(
             "--budget {budget}: under the 32-token shortest sequence"
+        )));
+    }
+    if (n as u64).saturating_mul(budget) > MAX_TOKENS {
+        return Err(Failure::Flag(format!(
+            "--budget {budget}: {n} batches of it are over {MAX_TOKENS} tokens"
         )));
     }
     if !(scale.is_finite() && scale > 0.0) {
@@ -151,15 +168,10 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), Failure> {
 
     // A sequence is at most the budget, and its length a u32.
     let cap = u32::try_from(budget).unwrap_or(u32::MAX);
-    let lengths = sample_lengths(dataset, n * 64, scale, cap, seed);
-    let batches: Vec<Vec<(u32, MaskSpec)>> = pack_batches(&lengths, budget, |l| mask.mask_for(l))
-        .into_iter()
-        .take(n)
-        .map(|b| b.seqs)
-        .collect();
+    let batches = sample_batches(dataset, n, scale, cap, budget, mask, seed);
     let w = Workload {
         attn: AttnSpec::paper_micro(),
-        batches,
+        batches: batches.into_iter().map(|b| b.seqs).collect(),
     };
     std::fs::write(
         &out,

@@ -2,6 +2,9 @@
 //! exit status 2, never a panic (101) or a silently changed workload. A
 //! budget past `u32::MAX` is a budget like any other: it caps a sequence at
 //! `u32::MAX` tokens, where a wrapping cast once capped it at a few hundred.
+//! `gen-workload` draws until its last batch closes, so the batch count and
+//! the tokens in all are capped: 2^58 batches once wrapped a multiply to a
+//! workload of none.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -50,6 +53,10 @@ fn gen_workload_and_plan_reject_unusable_flags_with_exit_2() {
         ("--scale", "0"),
         ("--scale", "nan"),
         ("--budget", "-1"),
+        ("--batches", "0"),
+        ("--batches", "100001"),
+        ("--batches", "288230376151711744"),
+        ("--budget", "18446744073709551615"),
     ] {
         let run = gen(&[flag, value]);
         let stderr = String::from_utf8_lossy(&run.stderr);

@@ -1,5 +1,7 @@
 //! Cross-crate tests of the reporting surfaces: plan reports, execution
-//! traces, and the paper's memory-balance property on planner output.
+//! traces, the paper's memory-balance property on planner output, and the
+//! orderings the paper's figures show, asserted on the tables the
+//! `dcp_bench::experiments` sweeps return at one batch per configuration.
 
 use dcp::baselines::Baseline;
 use dcp::core::{Planner, PlannerConfig};
@@ -8,6 +10,8 @@ use dcp::obs::{to_chrome_trace, Phase};
 use dcp::sched::PlanReport;
 use dcp::sim::{ascii_gantt, simulate, trace_to_obs, FaultSpec, SimRun, TraceKind};
 use dcp::types::{AttnSpec, ClusterSpec};
+use dcp_bench::experiments;
+use serde_json::Value;
 
 fn skewed_batch() -> Vec<(u32, MaskSpec)> {
     let mut seqs = vec![(24576u32, MaskSpec::Causal)];
@@ -74,4 +78,86 @@ fn traces_cover_plan_activity_for_dcp_and_baselines() {
         let gantt = ascii_gantt(&trace, 80);
         assert!(gantt.contains("dev0"));
     }
+}
+
+/// The `column` cells of `dataset`'s rows of a sweep table, in sweep order.
+fn column(table: &Value, dataset: &str, column: &str) -> Vec<f64> {
+    let rows = table.as_array().expect("a table");
+    rows.iter()
+        .filter(|row| row["dataset"] == dataset)
+        .map(|row| {
+            row[column]
+                .as_str()
+                .expect("a cell")
+                .parse()
+                .expect("a number")
+        })
+        .collect()
+}
+
+fn non_decreasing(v: &[f64]) -> bool {
+    v.windows(2).all(|w| w[0] <= w[1])
+}
+
+#[test]
+fn fig05_the_mixed_configuration_beats_pure_cp_and_pure_dp() {
+    let table = experiments::fig05_motivating();
+    let rows = table.as_array().expect("a table");
+    let [cp, dp, mixed, planner] =
+        ["(a) pure CP", "(b) pure DP", "(c) mixed", "planner"].map(|c| {
+            let config = |row: &&Value| row["config"].as_str().is_some_and(|n| n.starts_with(c));
+            rows.iter().find(config).expect("a configuration")
+        });
+    let num = |row: &Value, key: &str| row[key].as_f64().expect("a number");
+    assert!(
+        num(mixed, "comm_bytes") < num(cp, "comm_bytes"),
+        "{table:?}"
+    );
+    assert!(num(mixed, "imbalance") < num(dp, "imbalance"), "{table:?}");
+    assert!(num(planner, "sim_ms") <= num(cp, "sim_ms"), "{table:?}");
+}
+
+#[test]
+fn fig07_dcp_sends_no_redundant_kv_block_and_ring_attention_does() {
+    let table = experiments::fig07_redundant_comm();
+    assert_eq!(table["dcp"]["redundant"].as_u64(), Some(0), "{table:?}");
+    assert!(table["ring"]["redundant"].as_u64() >= Some(1), "{table:?}");
+}
+
+/// On LongDataCollections only: at one batch LongAlign's lambda plan at
+/// window 16384 (attended fraction 0.991) moves more bytes than its causal
+/// plan, so its column falls.
+#[test]
+fn fig19_comm_does_not_fall_as_the_lambda_window_grows() {
+    let table = experiments::fig19_comm_vs_sparsity(1);
+    let comm = column(&table, "LongDataCollections", "DCP_comm_MiB");
+    assert_eq!(comm.len(), 7);
+    assert!(non_decreasing(&comm), "{comm:?}");
+}
+
+#[test]
+fn fig20_looser_epsilon_trades_balance_for_comm() {
+    let table = experiments::fig20_comm_vs_epsilon(1);
+    for dataset in ["LongAlign", "LongDataCollections"] {
+        let mut comm = column(&table, dataset, "DCP_comm_MiB");
+        let imbalance = column(&table, dataset, "comp_imbalance");
+        assert_eq!(comm.len(), 5);
+        comm.reverse();
+        assert!(
+            non_decreasing(&comm),
+            "{dataset}: comm rises with ε: {comm:?}"
+        );
+        assert!(non_decreasing(&imbalance), "{dataset}: {imbalance:?}");
+    }
+}
+
+#[test]
+fn fig21_dcp_loss_curves_coincide_with_dense() {
+    let curves = experiments::loss_curves();
+    let diffs = curves.iter().flat_map(|(_, dense, planned)| {
+        assert_eq!(dense.len(), planned.len());
+        dense.iter().zip(planned).map(|(a, b)| (a - b).abs())
+    });
+    let worst = diffs.fold(0.0f32, f32::max);
+    assert!(worst < 1e-2, "max |DCP - dense| loss {worst}");
 }
