@@ -8,13 +8,16 @@
 //! The kernels are laid out for the vector units without changing what is
 //! summed in which order (DESIGN.md §7, "Kernel summation order"):
 //!
+//! - query rows that read the same K and V rows — one KV head's rows of
+//!   consecutive tokens with equal spans — go together, in tiles of up to 4
+//!   rows (2 at the baseline width);
 //! - every product against a key (`q·k`, `dO·v`) runs over a tile-major
 //!   copy of the KV block, `TILE` keys at a time with `d` as the outer
 //!   loop, so each lane still adds `d = 0, 1, …` in order while the lanes
-//!   are independent, and a tile is loaded once for the `PAIR` query heads
-//!   that share its KV head;
-//! - every update of a query-side row (`PV`, `dQ`) holds a piece of the row
-//!   in registers while it walks the keys in ascending order;
+//!   are independent, and a key tile is loaded once for a tile of rows;
+//! - every update of a query-side row (`PV`, `dQ`) holds pieces of a tile's
+//!   rows in registers while they walk the keys in ascending order, each
+//!   piece of a key's row loaded once for all of them;
 //! - the backward takes one KV head's rows in passes of up to 8 tokens and
 //!   16 rows, computes their `P` and `dS`, then updates `dV` and `dK`
 //!   key-major: on each stretch of keys between two of the pass's span
@@ -31,12 +34,14 @@
 //! That one source is compiled at two vector widths (DESIGN.md §7, "One
 //! source, two widths"): the baseline every target has, and on `x86_64` an
 //! AVX2 copy that `run` takes, per call, when the CPU has it. A wider
-//! vector only holds more of the independent lanes above, and no fused
+//! vector only holds more of the independent lanes above (and a tile more
+//! rows), and no fused
 //! multiply-add is ever written or enabled, so every lane is the same
 //! sequence of the same roundings at either width: the outputs are
 //! bit-equal, and [`baseline`] exists so a test on an AVX2 host can say so.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use dcp_mask::Mask;
 
@@ -44,8 +49,8 @@ use dcp_mask::Mask;
 /// two AVX ones.
 const TILE: usize = 16;
 
-/// Query heads of one GQA group scored against a key tile together.
-const PAIR: usize = 2;
+/// The most query rows a tile takes (at 8 lanes; 2 at 4).
+const TILE_ROWS: usize = 4;
 
 /// Query tokens one backward pass takes before it updates dK and dV.
 const PASS_TOKENS: usize = 8;
@@ -69,14 +74,14 @@ struct Scratch {
     /// The KV block's V as `[kv_head][key][d]`, so the rows one head's `PV`
     /// walks are contiguous (forward only).
     v_rows: Vec<f32>,
-    /// The query-side rows of one head pair, `[d][row]`.
+    /// The query-side rows of one tile, `[d][row]`.
     x: Vec<f32>,
-    /// Per row of the head pair (the forward) or of the pass (the backward),
-    /// by key: scores, then probabilities.
+    /// Per row of the tile (the forward) or of the pass (the backward), by
+    /// key: scores, then probabilities.
     p: Vec<f32>,
     /// Per row of the pass, by key: `dP`, then `dS` (backward only).
     ds: Vec<f32>,
-    /// Each query row's allowed keys (backward only).
+    /// Each query token's allowed keys.
     spans: Vec<Spans>,
 }
 
@@ -169,112 +174,219 @@ fn pack_rows(dst: &mut Vec<f32>, src: &[f32], kvh: usize, dim: usize) {
     }
 }
 
-/// `out[r][j] = dot(x_r, y_j) * scale` for `R` rows `x` (`[d][row]`) and
-/// every key of the tiles that cover `spans`, where `yt` is one KV head's
-/// tile pack and `out` holds `R` rows of keys. Each lane adds its products
-/// in `d` order starting from the `-0.0` that `Iterator::sum` starts from,
-/// so a lane holds exactly [`dot`]'s bits.
-#[inline(always)]
-fn tile_dots<const R: usize>(x: &[f32], yt: &[f32], spans: Spans, scale: f32, out: &mut [f32]) {
-    let (dim, kp) = (x.len() / R, out.len() / R);
-    let mut done = 0;
-    for (lo, hi) in spans {
-        // The spans may end and start inside one tile: compute it once.
-        let first = (lo - lo % TILE).max(done);
-        done = hi.next_multiple_of(TILE).max(first);
-        let tiles = yt[first * dim..done * dim].chunks_exact(TILE * dim);
-        for (tile, j0) in tiles.zip((first..).step_by(TILE)) {
-            let mut acc = [[-0.0f32; TILE]; R];
-            for (y, xd) in tile.chunks_exact(TILE).zip(x.chunks_exact(R)) {
-                for (acc, &xr) in acc.iter_mut().zip(xd) {
-                    for (a, &yc) in acc.iter_mut().zip(y) {
-                        *a += xr * yc;
+/// Defines `$name(x, yt, spans, scale, out)`: `out[r][j] = dot(x_r, y_j) *
+/// scale` for the rows `x` (`[d][row]`) and every key of the tiles that
+/// cover `spans`, where `yt` is one KV head's tile pack and `out` holds as
+/// many rows of keys. Each K tile loaded serves every row. Each lane adds
+/// its products in `d` order starting from the `-0.0` that `Iterator::sum`
+/// starts from, so a lane holds exactly [`dot`]'s bits.
+///
+/// This macro and `gather_chunk!` define one function per row count, the
+/// rows written out: as a loop over rows, a four-row tile's accumulators
+/// ended up in memory, at a third of the speed or less.
+macro_rules! tile_dots {
+    ($name:ident, $r:literal, $($acc:ident $x:ident $i:literal),+) => {
+        #[inline(always)]
+        fn $name(x: &[f32], yt: &[f32], spans: Spans, scale: f32, out: &mut [f32]) {
+            let (dim, kp) = (x.len() / $r, out.len() / $r);
+            let mut done = 0;
+            for (lo, hi) in spans {
+                // The spans may end and start inside one tile: compute it once.
+                let first = (lo - lo % TILE).max(done);
+                done = hi.next_multiple_of(TILE).max(first);
+                let tiles = yt[first * dim..done * dim].chunks_exact(TILE * dim);
+                for (tile, j0) in tiles.zip((first..).step_by(TILE)) {
+                    $(let mut $acc = [-0.0f32; TILE];)+
+                    for (y, xd) in tile.chunks_exact(TILE).zip(x.chunks_exact($r)) {
+                        $(let $x = xd[$i];)+
+                        for (c, &y) in y.iter().enumerate() {
+                            $($acc[c] += $x * y;)+
+                        }
                     }
-                }
-            }
-            for (r, acc) in acc.iter().enumerate() {
-                for (o, &a) in out[r * kp + j0..][..TILE].iter_mut().zip(acc) {
-                    *o = a * scale;
+                    $(
+                        for (o, &a) in out[$i * kp + j0..][..TILE].iter_mut().zip(&$acc) {
+                            *o = a * scale;
+                        }
+                    )+
                 }
             }
         }
-    }
+    };
 }
 
-/// [`tile_dots`] of `rows`: one `dim`-long row or a [`PAIR`] of consecutive
-/// ones, which `x` is the buffer to interleave into; `out` holds as many
-/// rows of keys.
+tile_dots!(tile_dots_1, 1, a0 x0 0);
+tile_dots!(tile_dots_2, 2, a0 x0 0, a1 x1 1);
+tile_dots!(tile_dots_4, 4, a0 x0 0, a1 x1 1, a2 x2 2, a3 x3 3);
+
+/// Splits `n` rows into tiles of 4 (at 8 lanes), then 2, then 1, and runs
+/// `$body::<R>(first row, ..)` on each: a tile of `R` rows against 16 keys
+/// holds `16 R / LANES` vectors of accumulators, at most 8 of the 16
+/// registers either width has.
+macro_rules! by_tiles {
+    ($n:expr, $body:ident($($arg:expr),*)) => {{
+        let (n, mut i) = ($n, 0);
+        while i < n {
+            i += match n - i {
+                TILE_ROWS.. if LANES >= 8 => $body::<TILE_ROWS>(i, $($arg),*),
+                2.. => $body::<2>(i, $($arg),*),
+                _ => $body::<1>(i, $($arg),*),
+            };
+        }
+    }};
+}
+
+/// The scores (`tile_dots!`) of the `dim`-long rows of `src` at `offs`,
+/// which share `spans`, in tiles interleaved into `x`; `out` holds as many
+/// rows of keys as `offs` has rows.
 #[inline(always)]
-fn head_dots(
+#[allow(clippy::too_many_arguments)]
+fn row_dots<const LANES: usize>(
     x: &mut Vec<f32>,
-    rows: &[f32],
+    src: &[f32],
+    offs: &[usize],
     dim: usize,
     yt: &[f32],
     spans: Spans,
     scale: f32,
     out: &mut [f32],
 ) {
-    if rows.len() == dim {
-        return tile_dots::<1>(rows, yt, spans, scale, out);
-    }
-    x.resize(PAIR * dim, 0.0);
-    for (r, row) in rows.chunks_exact(dim).enumerate() {
-        for (lanes, &v) in x.chunks_exact_mut(PAIR).zip(row) {
-            lanes[r] = v;
+    let kp = out.len() / offs.len();
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const R: usize>(
+        i: usize,
+        x: &mut Vec<f32>,
+        src: &[f32],
+        offs: &[usize],
+        dim: usize,
+        (yt, spans, scale): (&[f32], Spans, f32),
+        out: &mut [f32],
+        kp: usize,
+    ) -> usize {
+        let out = &mut out[i * kp..(i + R) * kp];
+        if R == 1 {
+            tile_dots_1(&src[offs[i]..][..dim], yt, spans, scale, out);
+            return 1;
         }
+        x.resize(R * dim, 0.0);
+        for (r, &o) in offs[i..i + R].iter().enumerate() {
+            for (lanes, &v) in x.chunks_exact_mut(R).zip(&src[o..][..dim]) {
+                lanes[r] = v;
+            }
+        }
+        match R {
+            2 => tile_dots_2(x, yt, spans, scale, out),
+            _ => tile_dots_4(x, yt, spans, scale, out),
+        }
+        R
     }
-    tile_dots::<PAIR>(x, yt, spans, scale, out);
+    by_tiles!(
+        offs.len(),
+        tile(x, src, offs, dim, (yt, spans, scale), out, kp)
+    );
 }
 
-/// `out[c] += w[j] * rows[j * stride + c]` for the keys of `spans` in
-/// ascending order, `out` (exactly `C` long) held in registers throughout.
-/// Returns `Σ_j w[j]`, added in the same order.
+/// Defines `$name::<C>(out, wo, w, (rows, stride), spans, sums)`:
+/// `out[o_r..][..C] += w[w_r + j] * rows[j * stride..][..C]` for the rows
+/// `(w_r, o_r)` of `wo` and the keys of `spans` in ascending order, the
+/// pieces held in registers throughout, so each piece of a key's row loaded
+/// serves every row; each row's `Σ_j w[w_r + j]`, added in the same order,
+/// goes to `sums`. One function per row count, as for `tile_dots!`.
+macro_rules! gather_chunk {
+    ($name:ident, $r:literal, $($acc:ident $w:ident $i:literal),+) => {
+        #[inline(always)]
+        fn $name<const C: usize>(
+            out: &mut [f32],
+            wo: &[(usize, usize)],
+            w: &[f32],
+            (rows, stride): (&[f32], usize),
+            spans: Spans,
+            sums: &mut [f32],
+        ) {
+            $(let mut $acc: [f32; C] = out[wo[$i].1..][..C].try_into().expect("C elements");)+
+            let mut sum = [0.0f32; $r];
+            for (lo, hi) in spans {
+                $(let $w = &w[wo[$i].0 + lo..][..hi - lo];)+
+                for k in 0..hi - lo {
+                    let x: &[f32; C] = rows[(lo + k) * stride..][..C].try_into().expect("C elements");
+                    $(
+                        sum[$i] += $w[k];
+                        for (a, &x) in $acc.iter_mut().zip(x) {
+                            *a += $w[k] * x;
+                        }
+                    )+
+                }
+            }
+            $(out[wo[$i].1..][..C].copy_from_slice(&$acc);)+
+            sums[..$r].copy_from_slice(&sum);
+        }
+    };
+}
+
+gather_chunk!(gather_chunk_1, 1, a0 w0 0);
+gather_chunk!(gather_chunk_2, 2, a0 w0 0, a1 w1 1);
+gather_chunk!(gather_chunk_4, 4, a0 w0 0, a1 w1 1, a2 w2 2, a3 w3 3);
+
+/// `out_r += Σ_j w[w_r + j] * row_j` over the keys of `spans` in ascending
+/// order per element (`PV` and `dQ`) for the rows `(w_r, o_r)` of `wo`, whose
+/// output rows are the `dim` elements of `out` from `o_r` on, `stride`
+/// separating consecutive key rows. The rows go in tiles, each output row
+/// in register-sized chunks, widest first, so every head dim goes through
+/// the same code. Writes each row's `Σ_j w[w_r + j]` in key order to `sums`:
+/// the sum rides along a chunk's walk, where its add chain hides behind the
+/// multiplies instead of stalling a loop of its own.
 #[inline(always)]
-fn gather_chunk<const C: usize>(
+#[allow(clippy::too_many_arguments)]
+fn gather_rows<const LANES: usize>(
     out: &mut [f32],
+    wo: &[(usize, usize)],
     w: &[f32],
     rows: &[f32],
     stride: usize,
+    dim: usize,
     spans: Spans,
-) -> f32 {
-    let out: &mut [f32; C] = out.try_into().expect("a C-long slice");
-    let (mut r, mut sum) = (*out, 0.0f32);
-    for (lo, hi) in spans {
-        for (&wj, row) in w[lo..hi].iter().zip(rows[lo * stride..].chunks(stride)) {
-            sum += wj;
-            for (a, &x) in r.iter_mut().zip(&row[..C]) {
-                *a += wj * x;
-            }
+    sums: &mut [f32],
+) {
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const R: usize>(
+        i: usize,
+        out: &mut [f32],
+        wo: &[(usize, usize)],
+        w: &[f32],
+        (rows, stride, dim, lanes): (&[f32], usize, usize, usize),
+        spans: Spans,
+        sums: &mut [f32],
+    ) -> usize {
+        let wo: [(usize, usize); R] = wo[i..i + R].try_into().expect("R rows");
+        let mut off = 0;
+        macro_rules! pass {
+            ($c:literal) => {
+                while dim - off >= $c {
+                    // Every chunk walks the same keys: any one's sums are
+                    // the sums.
+                    let wo = wo.map(|(w, o)| (w, o + off));
+                    let (at, sums) = ((&rows[off..], stride), &mut sums[i..i + R]);
+                    match R {
+                        1 => gather_chunk_1::<$c>(out, &wo, w, at, spans, sums),
+                        2 => gather_chunk_2::<$c>(out, &wo, w, at, spans, sums),
+                        _ => gather_chunk_4::<$c>(out, &wo, w, at, spans, sums),
+                    }
+                    off += $c;
+                }
+            };
         }
+        // At most 8 vectors of accumulators, as in a score tile.
+        if 4 * R <= lanes {
+            pass!(32);
+        }
+        pass!(16);
+        pass!(4);
+        pass!(1);
+        R
     }
-    *out = r;
-    sum
-}
-
-/// `out += Σ_j w[j] * row_j` over the keys of `spans` in ascending order per
-/// element (`PV` and `dQ`), `stride` separating consecutive rows. The output
-/// row is taken in register-sized chunks, widest first, so every head dim
-/// goes through the same code. Returns `Σ_j w[j]` in key order: the sum rides
-/// along a chunk's walk, where its add chain hides behind the multiplies
-/// instead of stalling a loop of its own.
-#[inline(always)]
-fn gather_rows(out: &mut [f32], w: &[f32], rows: &[f32], stride: usize, spans: Spans) -> f32 {
-    let (mut off, mut sum) = (0, 0.0);
-    macro_rules! pass {
-        ($c:literal) => {
-            while out.len() - off >= $c {
-                let chunk = &mut out[off..off + $c];
-                // Every chunk walks the same keys: any one's sum is the sum.
-                sum = gather_chunk::<$c>(chunk, w, &rows[off..], stride, spans);
-                off += $c;
-            }
-        };
-    }
-    pass!(32);
-    pass!(16);
-    pass!(4);
-    pass!(1);
-    sum
+    let keys = (rows, stride, dim, LANES);
+    by_tiles!(wo.len(), tile(out, wo, w, keys, spans, sums));
 }
 
 /// `row_j[off..][..C] += Σ_n w[wo_n + j] * x[xo_n + off..][..C]` for the `K`
@@ -393,14 +505,18 @@ fn is_empty(spans: Spans) -> bool {
     spans.iter().all(|(lo, hi)| lo == hi)
 }
 
-/// The query heads in ascending order as `(first head, count)` runs of up to
-/// [`PAIR`] heads that share a KV head.
+/// The runs of consecutive tokens that share one non-empty `Spans`, in
+/// token order: the rows of a run's tokens on one KV head share every K and
+/// V row they read.
 #[inline(always)]
-fn head_pairs(qh: usize, group: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..qh / group).flat_map(move |g| {
-        (0..group)
-            .step_by(PAIR)
-            .map(move |i| (g * group + i, PAIR.min(group - i)))
+fn runs(spans: &[Spans]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut t = 0;
+    std::iter::from_fn(move || {
+        t += spans[t..].iter().take_while(|&&s| is_empty(s)).count();
+        let first = *spans.get(t)?;
+        let run = t..t + spans[t..].iter().take_while(|&&s| s == first).count();
+        t = run.end;
+        Some(run)
     })
 }
 
@@ -555,51 +671,85 @@ pub fn attn_block_fwd(acc: &mut BlockAcc, a: BlockArgs<'_>) {
 }
 
 #[inline(always)]
-fn fwd_body<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratch) {
+fn fwd_body<const D: usize, const LANES: usize>(
+    acc: &mut BlockAcc,
+    a: BlockArgs<'_>,
+    s: &mut Scratch,
+) {
     debug_assert_eq!(acc.len, a.q_len);
     debug_assert_eq!(acc.qh, a.qh);
     let dim = if D == 0 { a.dim } else { D };
     let group = a.qh / a.kvh;
     let kp = a.kv_len.next_multiple_of(TILE);
     let kv_elems = a.kv_len * a.kvh * dim;
-    pack_tiles(&mut s.kt, &a.k[..kv_elems], a.kvh, dim);
-    pack_rows(&mut s.v_rows, &a.v[..kv_elems], a.kvh, dim);
-    s.p.resize(PAIR * kp, 0.0);
-    for (t, spans) in row_spans(&a).enumerate() {
-        if is_empty(spans) {
-            continue;
-        }
-        for (h, n) in head_pairs(a.qh, group) {
-            let kv_head = h / group;
-            let r0 = t * a.qh + h;
-            let kt = &s.kt[kv_head * dim * kp..][..dim * kp];
-            let q = &a.q[r0 * dim..][..n * dim];
-            head_dots(&mut s.x, q, dim, kt, spans, a.scale, &mut s.p[..n * kp]);
-            for (r, p) in (r0..r0 + n).zip(s.p.chunks_exact_mut(kp)) {
-                let row_max = max_in_key_order(p, spans);
-                if row_max == f32::NEG_INFINITY {
-                    continue;
+    let Scratch {
+        kt,
+        v_rows,
+        x,
+        p,
+        spans,
+        ..
+    } = s;
+    pack_tiles(kt, &a.k[..kv_elems], a.kvh, dim);
+    pack_rows(v_rows, &a.v[..kv_elems], a.kvh, dim);
+    p.resize(TILE_ROWS * kp, 0.0);
+    spans.clear();
+    spans.extend(row_spans(&a));
+    for run in runs(spans) {
+        let token_spans = spans[run.start];
+        for kv_head in 0..a.kvh {
+            let kt = &kt[kv_head * dim * kp..][..dim * kp];
+            let v = &v_rows[kv_head * a.kv_len * dim..][..a.kv_len * dim];
+            let heads = kv_head * group..(kv_head + 1) * group;
+            let mut rows = run
+                .clone()
+                .flat_map(|t| heads.clone().map(move |h| (t * a.qh + h) * dim));
+            loop {
+                // The next tile's rows: this KV head's, sharing their keys.
+                let mut offs = [0; TILE_ROWS];
+                let n = offs.iter_mut().zip(&mut rows).map(|(o, r)| *o = r).count();
+                if n == 0 {
+                    break;
                 }
-                // Online-softmax rescale, fused over the hoisted output row.
-                let new_m = acc.m[r].max(row_max);
-                let correction = if acc.m[r] == f32::NEG_INFINITY {
-                    0.0
-                } else {
-                    exp(acc.m[r] - new_m)
-                };
-                acc.m[r] = new_m;
-                for (lo, hi) in spans {
-                    for x in &mut p[lo..hi] {
-                        *x = exp(*x - new_m);
+                let p = &mut p[..n * kp];
+                row_dots::<LANES>(x, a.q, &offs[..n], dim, kt, token_spans, a.scale, p);
+                // The rows with a softmax, as (offset of its P, offset of the
+                // row), and each one's correction.
+                let mut live = [(0, 0); TILE_ROWS];
+                let mut corrections = [0.0; TILE_ROWS];
+                let mut n_live = 0;
+                for (i, (&off, p)) in offs.iter().zip(p.chunks_exact_mut(kp)).enumerate() {
+                    let r = off / dim;
+                    let row_max = max_in_key_order(p, token_spans);
+                    if row_max == f32::NEG_INFINITY {
+                        continue;
                     }
+                    // Online-softmax rescale, fused over the hoisted output row.
+                    let new_m = acc.m[r].max(row_max);
+                    let correction = if acc.m[r] == f32::NEG_INFINITY {
+                        0.0
+                    } else {
+                        exp(acc.m[r] - new_m)
+                    };
+                    acc.m[r] = new_m;
+                    for (lo, hi) in token_spans {
+                        for x in &mut p[lo..hi] {
+                            *x = exp(*x - new_m);
+                        }
+                    }
+                    for o in &mut acc.o[off..][..dim] {
+                        *o *= correction;
+                    }
+                    (live[n_live], corrections[n_live]) = ((i * kp, off), correction);
+                    n_live += 1;
                 }
-                let orow = &mut acc.o[r * dim..][..dim];
-                for o in orow.iter_mut() {
-                    *o *= correction;
+                let mut l_add = [0.0; TILE_ROWS];
+                let (live, l_add) = (&live[..n_live], &mut l_add[..n_live]);
+                gather_rows::<LANES>(&mut acc.o, live, p, v, dim, dim, token_spans, l_add);
+                for ((&(_, off), &c), &l_add) in live.iter().zip(&corrections).zip(&*l_add) {
+                    let r = off / dim;
+                    acc.l[r] = acc.l[r] * c + l_add;
                 }
-                let v = &s.v_rows[kv_head * a.kv_len * dim..];
-                let l_add = gather_rows(orow, p, v, dim, spans);
-                acc.l[r] = acc.l[r] * correction + l_add;
             }
         }
     }
@@ -677,7 +827,7 @@ pub fn attn_block_bwd(args: BlockBwdArgs<'_>, dq: &mut [f32], dk: &mut [f32], dv
 }
 
 #[inline(always)]
-fn bwd_body<const D: usize>(
+fn bwd_body<const D: usize, const LANES: usize>(
     args: BlockBwdArgs<'_>,
     dq: &mut [f32],
     dk: &mut [f32],
@@ -729,39 +879,41 @@ fn bwd_body<const D: usize>(
         let mut cuts = [0; 4 * PASS_TOKENS];
         let mut n_cuts = 0;
         let mut slot = 0;
-        for (t, &token_spans) in spans.iter().enumerate().skip(t0).take(tokens) {
-            if is_empty(token_spans) {
-                continue;
-            }
+        let pass_tokens = t0..(t0 + tokens).min(a.q_len);
+        for run in runs(&spans[pass_tokens.clone()]) {
+            let run = run.start + t0..run.end + t0;
+            let token_spans = spans[run.start];
+            // The run's rows in `(t, h)` order: they share K, V and keys.
+            let mut offs = [0; PASS_ROWS];
+            let rows = run
+                .clone()
+                .flat_map(|t| (h0..h1).map(move |h| (t * a.qh + h) * dim));
+            let n = offs.iter_mut().zip(rows).map(|(o, r)| *o = r).count();
+            let offs = &offs[..n];
+            let out = slot * kp..(slot + n) * kp;
+            let (p, ds) = (&mut p[out.clone()], &mut ds[out]);
+            row_dots::<LANES>(x, a.q, offs, dim, kt, token_spans, a.scale, p);
+            row_dots::<LANES>(x, args.d_o, offs, dim, vt, token_spans, 1.0, ds);
             let live_before = n_live;
-            for h in (h0..h1).step_by(PAIR) {
-                let (r0, n) = (t * a.qh + h, PAIR.min(h1 - h));
-                let rows = r0 * dim..(r0 + n) * dim;
-                let (q, d_o) = (&a.q[rows.clone()], &args.d_o[rows]);
-                let out = slot * kp..(slot + n) * kp;
-                head_dots(x, q, dim, kt, token_spans, a.scale, &mut p[out.clone()]);
-                head_dots(x, d_o, dim, vt, token_spans, 1.0, &mut ds[out.clone()]);
-                let pd = p[out.clone()]
-                    .chunks_exact_mut(kp)
-                    .zip(ds[out].chunks_exact_mut(kp));
-                for (r, (p, ds)) in (r0..r0 + n).zip(pd) {
-                    slot += 1;
-                    let lse_r = args.lse[r];
-                    if lse_r == f32::NEG_INFINITY {
-                        continue;
-                    }
-                    // delta = rowsum(dO * O).
-                    let delta = dot(&args.d_o[r * dim..][..dim], &args.o[r * dim..][..dim]);
-                    for (lo, hi) in token_spans {
-                        for (p, ds) in p[lo..hi].iter_mut().zip(&mut ds[lo..hi]) {
-                            // P = exp(S - lse); dS = P * (dP - delta) * scale.
-                            *p = exp(*p - lse_r);
-                            *ds = *p * (*ds - delta) * a.scale;
-                        }
-                    }
-                    live[n_live] = ((slot - 1) * kp, r * dim, t);
-                    n_live += 1;
+            let pd = p.chunks_exact_mut(kp).zip(ds.chunks_exact_mut(kp));
+            for (&off, (p, ds)) in offs.iter().zip(pd) {
+                slot += 1;
+                let r = off / dim;
+                let lse_r = args.lse[r];
+                if lse_r == f32::NEG_INFINITY {
+                    continue;
                 }
+                // delta = rowsum(dO * O).
+                let delta = dot(&args.d_o[off..][..dim], &args.o[off..][..dim]);
+                for (lo, hi) in token_spans {
+                    for (p, ds) in p[lo..hi].iter_mut().zip(&mut ds[lo..hi]) {
+                        // P = exp(S - lse); dS = P * (dP - delta) * scale.
+                        *p = exp(*p - lse_r);
+                        *ds = *p * (*ds - delta) * a.scale;
+                    }
+                }
+                live[n_live] = ((slot - 1) * kp, off, r / a.qh);
+                n_live += 1;
             }
             if n_live > live_before {
                 for (lo, hi) in token_spans.into_iter().filter(|(lo, hi)| lo < hi) {
@@ -793,11 +945,22 @@ fn bwd_body<const D: usize>(
             scatter_keys(&mut dv[head..], kv_row, dim, (p, args.d_o), terms, seg);
             scatter_keys(&mut dk[head..], kv_row, dim, (ds, a.q), terms, seg);
         }
-        // dQ += dS K, row by row, each row held in registers while it walks
-        // its keys in ascending order.
+        // dQ += dS K, the live rows that share their keys together, each
+        // row held in registers while they walk their keys in ascending order.
         let k = &a.k[head..];
-        for &(wo, oo, t) in live {
-            gather_rows(&mut dq[oo..][..dim], &ds[wo..], k, kv_row, spans[t]);
+        let mut rest = live;
+        while let Some(&(_, _, t)) = rest.first() {
+            let n = rest
+                .iter()
+                .take_while(|&&(_, _, u)| spans[u] == spans[t])
+                .count();
+            let mut wo = [(0, 0); PASS_ROWS];
+            for (wo, &(w, o, _)) in wo.iter_mut().zip(&rest[..n]) {
+                *wo = (w, o);
+            }
+            let mut sums = [0.0; PASS_ROWS];
+            gather_rows::<LANES>(dq, &wo[..n], ds, k, kv_row, dim, spans[t], &mut sums[..n]);
+            rest = &rest[n..];
         }
     }
 }
@@ -819,7 +982,7 @@ enum Call<'a, 'b> {
 /// they inline — into module `$isa` under the attributes given: those
 /// attributes are all that separates two instantiations.
 macro_rules! instantiate {
-    ($(#[$width:meta])* mod $isa:ident) => {
+    ($(#[$width:meta])* mod $isa:ident, lanes = $lanes:literal) => {
         mod $isa {
             use super::*;
 
@@ -830,7 +993,7 @@ macro_rules! instantiate {
             $(#[$width])*
             #[inline(never)]
             fn fwd<const D: usize>(acc: &mut BlockAcc, a: BlockArgs<'_>, s: &mut Scratch) {
-                fwd_body::<D>(acc, a, s)
+                fwd_body::<D, $lanes>(acc, a, s)
             }
 
             $(#[$width])*
@@ -842,7 +1005,7 @@ macro_rules! instantiate {
                 dv: &mut [f32],
                 s: &mut Scratch,
             ) {
-                bwd_body::<D>(args, dq, dk, dv, s)
+                bwd_body::<D, $lanes>(args, dq, dk, dv, s)
             }
 
             $(#[$width])*
@@ -859,7 +1022,7 @@ macro_rules! instantiate {
     };
 }
 
-instantiate!(mod narrow);
+instantiate!(mod narrow, lanes = 4);
 
 // 256-bit vectors, and not `fma`: every product and every sum is rounded on
 // its own (no fused multiply-add is written, and without the feature nothing
@@ -868,7 +1031,8 @@ instantiate!(mod narrow);
 #[cfg(target_arch = "x86_64")]
 instantiate!(
     #[target_feature(enable = "avx2")]
-    mod avx2
+    mod avx2,
+    lanes = 8
 );
 
 /// Whether this CPU takes the wide instantiation.

@@ -145,8 +145,9 @@ mod oracle {
 const SEQ: u32 = 384;
 const DIMS: [usize; 6] = [4, 8, 16, 24, 64, 128];
 const LENS: [usize; 5] = [1, 7, 33, 64, 128];
-/// `(query heads, kv heads)`: GQA groups 1, 2 and 4, one with two KV heads.
-const HEADS: [(usize, usize); 4] = [(1, 1), (2, 1), (4, 1), (4, 2)];
+/// `(query heads, kv heads)`: GQA groups 1, 2, 4 and 3 (a head left over
+/// from a pair), one with two KV heads.
+const HEADS: [(usize, usize); 5] = [(1, 1), (2, 1), (4, 1), (4, 2), (3, 1)];
 /// GQA groups of 16, 24 and 32: 24 and 32 are wider than the backward's
 /// pass of 16 rows for one token. Met on small blocks only, after the main
 /// sweep: the oracle runs every head unoptimized.
@@ -227,6 +228,17 @@ struct Seen {
     dead_lse_rows: usize,
     /// Cases whose GQA group is wider than the backward's pass.
     wide_groups: usize,
+    /// Cases whose GQA group is odd and wider than one head.
+    odd_groups: usize,
+    /// Runs of two or more consecutive tokens with equal spans: rows the
+    /// kernels score and gather together.
+    token_groups: usize,
+    /// Tokens left without a partner: the odd tail of a run, or a token whose
+    /// neighbours' spans differ from its own (a diagonal block's).
+    lone_tokens: usize,
+    /// Backward runs in which, on one KV head, one row has a softmax and
+    /// another has none.
+    mixed_groups: usize,
 }
 
 /// The scores of query row `(t, h)` against its allowed keys of the KV
@@ -343,19 +355,35 @@ fn check_case(
     }
 
     seen.cases += 1;
-    seen.wide_groups += usize::from(qh / kvh > 16);
-    for kv_start in kv_starts {
+    let group = qh / kvh;
+    seen.wide_groups += usize::from(group > 16);
+    seen.odd_groups += usize::from(group > 1 && group % 2 == 1);
+    for (i, kv_start) in kv_starts.into_iter().enumerate() {
         let kv_end = kv_start + kv_len as u32;
-        let spans = (q_start..q_start + q_len as u32).map(|t| {
-            mask.allowed(t)
-                .spans_in(kv_start, kv_end)
-                .map(|(lo, hi)| hi - lo)
-        });
-        let rows: Vec<[u32; 2]> = spans.collect();
+        let spans =
+            (q_start..q_start + q_len as u32).map(|t| mask.allowed(t).spans_in(kv_start, kv_end));
+        let spans: Vec<[(u32, u32); 2]> = spans.collect();
+        let rows: Vec<[u32; 2]> = spans.iter().map(|s| s.map(|(lo, hi)| hi - lo)).collect();
         let empty = rows.iter().filter(|r| r == &&[0, 0]).count();
         seen.empty_rows += empty;
         seen.masked_blocks += usize::from(empty == rows.len());
         seen.two_span_rows += rows.iter().filter(|r| r[0] > 0 && r[1] > 0).count();
+        let mut t = 0;
+        while t < spans.len() {
+            let n = spans[t..].iter().take_while(|&&s| s == spans[t]).count();
+            if rows[t] != [0, 0] {
+                seen.token_groups += usize::from(n >= 2);
+                seen.lone_tokens += n % 2;
+                // The backward runs on the first KV block.
+                for g in (0..kvh).filter(|_| i == 0) {
+                    let heads = g * group..(g + 1) * group;
+                    let run = (t..t + n).flat_map(|t| heads.clone().map(move |h| t * qh + h));
+                    let dead = run.clone().filter(|&r| lse[r] == f32::NEG_INFINITY).count();
+                    seen.mixed_groups += usize::from(dead > 0 && dead < run.count());
+                }
+            }
+            t += n;
+        }
     }
 }
 
@@ -482,6 +510,16 @@ fn assert_covered(seen: &Seen) {
         "no backward row with keys but no lse"
     );
     assert!(seen.wide_groups > 0, "no GQA group wider than a pass met");
+    assert!(seen.odd_groups > 0, "no odd GQA group met");
+    assert!(
+        seen.token_groups > 0,
+        "no run of tokens with equal spans met"
+    );
+    assert!(seen.lone_tokens > 0, "no token without a partner met");
+    assert!(
+        seen.mixed_groups > 0,
+        "no run with rows with and without a softmax met"
+    );
 }
 
 macro_rules! oracle_sweeps {
