@@ -508,18 +508,30 @@ impl<'a> Backend for Numeric<'a> {
                 (qb, kb, [pdq, pdk, pdv])
             })
             .collect();
-        for (qb, kb, grads) in parts {
-            let [pdq, pdk, pdv] = &grads;
-            let dq = self.acc_dq[d]
-                .entry(qb)
-                .or_insert_with(|| vec![0.0; pdq.len()]);
-            add_into(dq, pdq);
-            let (dk, dv) = self.acc_dkv[d]
-                .entry(kb)
-                .or_insert_with(|| (vec![0.0; pdk.len()], vec![0.0; pdv.len()]));
-            add_into(dk, pdk);
-            add_into(dv, pdv);
-            self.spare_grads.extend(grads);
+        // A block's first partial becomes its accumulator, as `acc_o`'s does
+        // above: a partial sum that starts at `+0.0` is never `-0.0`, so
+        // adding it to zeros would copy its bits.
+        for (qb, kb, [pdq, pdk, pdv]) in parts {
+            match self.acc_dq[d].entry(qb) {
+                Entry::Occupied(e) => {
+                    add_into(e.into_mut(), &pdq);
+                    self.spare_grads.push(pdq);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(pdq);
+                }
+            }
+            match self.acc_dkv[d].entry(kb) {
+                Entry::Occupied(e) => {
+                    let (dk, dv) = e.into_mut();
+                    add_into(dk, &pdk);
+                    add_into(dv, &pdv);
+                    self.spare_grads.extend([pdk, pdv]);
+                }
+                Entry::Vacant(e) => {
+                    e.insert((pdk, pdv));
+                }
+            }
         }
     }
 
