@@ -16,23 +16,37 @@ use rand::{Rng, SeedableRng};
 
 use crate::executor::{execute_backward, execute_forward, BatchData, BlockGrads, BlockOut};
 
-/// Exact equality of two forward result maps (same blocks, same `O` and
-/// `lse` bit patterns).
+/// Exact equality of two forward result maps: the same blocks, and the same
+/// `O` and `lse` bit patterns.
 pub fn forward_outputs_identical(
     a: &HashMap<TokenBlockId, BlockOut>,
     b: &HashMap<TokenBlockId, BlockOut>,
 ) -> bool {
     a.len() == b.len()
-        && a.iter()
-            .all(|(tb, out)| b.get(tb).is_some_and(|o| o.o == out.o && o.lse == out.lse))
+        && a.iter().all(|(tb, x)| {
+            b.get(tb)
+                .is_some_and(|y| same_bits(&x.o, &y.o) && same_bits(&x.lse, &y.lse))
+        })
 }
 
-/// Exact equality of two gradient maps.
+/// Exact equality of two gradient maps: the same blocks, and the same `dQ`,
+/// `dK` and `dV` bit patterns.
 pub fn grads_identical(
     a: &HashMap<TokenBlockId, BlockGrads>,
     b: &HashMap<TokenBlockId, BlockGrads>,
 ) -> bool {
-    a.len() == b.len() && a.iter().all(|(tb, g)| b.get(tb) == Some(g))
+    a.len() == b.len()
+        && a.iter().all(|(tb, x)| {
+            b.get(tb).is_some_and(|y| {
+                same_bits(&x.dq, &y.dq) && same_bits(&x.dk, &y.dk) && same_bits(&x.dv, &y.dv)
+            })
+        })
+}
+
+/// Whether `a` and `b` hold the same bit patterns: `-0.0` is not `+0.0`, and
+/// a NaN is a NaN of the same bits, where `==` says the opposite of both.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Deterministic per-block output gradients for backward runs (the same
@@ -99,14 +113,16 @@ mod tests {
     };
     use dcp_types::AttnSpec;
 
+    /// A causal sequence of six 64-token blocks on `n` devices, each
+    /// computation block on its KV block's device.
     fn case_on(n: u32) -> (BatchLayout, Placement, ExecutionPlan) {
         let l = BatchLayout::build(
-            AttnSpec::paper_micro(),
+            AttnSpec::new(2, 1, 16, 2),
             BlockConfig {
-                block_size: 256,
+                block_size: 64,
                 head_blocks: 1,
             },
-            &[(2048, MaskSpec::Causal)],
+            &[(384, MaskSpec::Causal)],
         )
         .unwrap();
         let token_to_dev: Vec<u32> = (0..l.token_blocks.len() as u32).map(|i| i % n).collect();
@@ -167,5 +183,44 @@ mod tests {
         let out_a = execute_forward(&l, &p, &plan, &data_a).unwrap();
         let out_b = execute_forward(&l, &p, &plan, &data_b).unwrap();
         assert!(!forward_outputs_identical(&out_a, &out_b));
+    }
+
+    /// One block of one row: `O` and `lse` (or `dQ`, `dK`, `dV`) set to `x`.
+    fn one(
+        x: f32,
+    ) -> (
+        HashMap<TokenBlockId, BlockOut>,
+        HashMap<TokenBlockId, BlockGrads>,
+    ) {
+        let out = BlockOut {
+            o: vec![x],
+            lse: vec![x],
+        };
+        let grads = BlockGrads {
+            dq: vec![x],
+            dk: vec![x],
+            dv: vec![x],
+        };
+        let id = TokenBlockId(0);
+        (HashMap::from([(id, out)]), HashMap::from([(id, grads)]))
+    }
+
+    #[test]
+    fn zeros_of_opposite_sign_differ() {
+        let ((o_pos, g_pos), (o_neg, g_neg)) = (one(0.0), one(-0.0));
+        assert!(!forward_outputs_identical(&o_pos, &o_neg));
+        assert!(!grads_identical(&g_pos, &g_neg));
+        assert!(forward_outputs_identical(&o_neg, &o_neg));
+        assert!(grads_identical(&g_neg, &g_neg));
+    }
+
+    #[test]
+    fn a_nan_is_identical_to_itself() {
+        let (o, g) = one(f32::NAN);
+        assert!(forward_outputs_identical(&o, &o.clone()));
+        assert!(grads_identical(&g, &g.clone()));
+        let (o_other, g_other) = one(-f32::NAN);
+        assert!(!forward_outputs_identical(&o, &o_other));
+        assert!(!grads_identical(&g, &g_other));
     }
 }
