@@ -295,7 +295,9 @@ struct Numeric<'a> {
     /// Per-block partials already folded, kept for the next `Attn` /
     /// `AttnBwd` to reset and reuse instead of allocating its own.
     spare_accs: Vec<BlockAcc>,
-    spare_grads: Vec<Vec<f32>>,
+    /// Folded `dQ` partials, then folded `dK` / `dV` ones: apart, so that a
+    /// partial that becomes an accumulator has its block's size.
+    spare_grads: [Vec<Vec<f32>>; 2],
     obs: &'a ExecObs<'a>,
     obs_phase: ObsPhase,
     enabled: bool,
@@ -338,7 +340,7 @@ impl<'a> Numeric<'a> {
             acc_dkv: vec![HashMap::new(); n],
             finals: HashMap::new(),
             spare_accs: Vec::new(),
-            spare_grads: Vec::new(),
+            spare_grads: [Vec::new(), Vec::new()],
             obs,
             obs_phase,
             enabled: obs.sink.enabled(),
@@ -492,7 +494,7 @@ impl<'a> Backend for Numeric<'a> {
                     Some(_) => unreachable!("{SLOT_KIND}"),
                 };
                 let fwd = self.block_args(item);
-                let spares = [(); 3].map(|_| self.spare_grads.pop().unwrap_or_default());
+                let spares = [0, 1, 1].map(|i| self.spare_grads[i].pop().unwrap_or_default());
                 (qb, item.kv_block, BlockBwdArgs { fwd, o, lse, d_o }, spares)
             })
             .collect();
@@ -515,7 +517,7 @@ impl<'a> Backend for Numeric<'a> {
             match self.acc_dq[d].entry(qb) {
                 Entry::Occupied(e) => {
                     add_into(e.into_mut(), &pdq);
-                    self.spare_grads.push(pdq);
+                    self.spare_grads[0].push(pdq);
                 }
                 Entry::Vacant(e) => {
                     e.insert(pdq);
@@ -526,7 +528,7 @@ impl<'a> Backend for Numeric<'a> {
                     let (dk, dv) = e.into_mut();
                     add_into(dk, &pdk);
                     add_into(dv, &pdv);
-                    self.spare_grads.extend([pdk, pdv]);
+                    self.spare_grads[1].extend([pdk, pdv]);
                 }
                 Entry::Vacant(e) => {
                     e.insert((pdk, pdv));

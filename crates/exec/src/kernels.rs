@@ -35,10 +35,10 @@
 //! source, two widths"): the baseline every target has, and on `x86_64` an
 //! AVX2 copy that `run` takes, per call, when the CPU has it. A wider
 //! vector only holds more of the independent lanes above (and a tile more
-//! rows), and no fused
-//! multiply-add is ever written or enabled, so every lane is the same
-//! sequence of the same roundings at either width: the outputs are
-//! bit-equal, and [`baseline`] exists so a test on an AVX2 host can say so.
+//! rows), and no fused multiply-add is ever written or enabled, so every
+//! lane is the same sequence of the same roundings at either width: the
+//! outputs are bit-equal, and [`baseline`] exists so a test on an AVX2 host
+//! can say so.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -979,8 +979,9 @@ enum Call<'a, 'b> {
 }
 
 /// Compiles the kernel source — [`fwd_body`], [`bwd_body`] and everything
-/// they inline — into module `$isa` under the attributes given: those
-/// attributes are all that separates two instantiations.
+/// they inline — into module `$isa` under the attributes given, for vectors
+/// of `$lanes` f32: those attributes and the lanes, which size the row
+/// tiles to the registers, are all that separates two instantiations.
 macro_rules! instantiate {
     ($(#[$width:meta])* mod $isa:ident, lanes = $lanes:literal) => {
         mod $isa {
