@@ -264,10 +264,6 @@ fn row_dots<const LANES: usize>(
         kp: usize,
     ) -> usize {
         let out = &mut out[i * kp..(i + R) * kp];
-        if R == 1 {
-            tile_dots_1(&src[offs[i]..][..dim], yt, spans, scale, out);
-            return 1;
-        }
         x.resize(R * dim, 0.0);
         for (r, &o) in offs[i..i + R].iter().enumerate() {
             for (lanes, &v) in x.chunks_exact_mut(R).zip(&src[o..][..dim]) {
@@ -275,6 +271,7 @@ fn row_dots<const LANES: usize>(
             }
         }
         match R {
+            1 => tile_dots_1(x, yt, spans, scale, out),
             2 => tile_dots_2(x, yt, spans, scale, out),
             _ => tile_dots_4(x, yt, spans, scale, out),
         }
