@@ -1,12 +1,15 @@
 //! Criterion benchmark: the multilevel hypergraph partitioner on planner-
-//! shaped hypergraphs of increasing size, the FM-refinement ablation, and
+//! shaped hypergraphs of increasing size, the FM-refinement ablation, the
+//! first placement level of a 131 072-token LongDataCollections batch, and
 //! the gain-cache FM pass on a planted k-way instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcp_blocks::{BatchLayout, BlockConfig};
-use dcp_core::Planner;
+use dcp_core::{Planner, PlannerConfig};
+use dcp_data::{sample_batches, DatasetKind, MaskSetting};
 use dcp_hypergraph::{
-    partition, refine, Hypergraph, HypergraphBuilder, PartitionConfig, PartitionWork,
+    partition, partition_with_stats, refine, Hypergraph, HypergraphBuilder, PartitionConfig,
+    PartitionWork,
 };
 use dcp_mask::MaskSpec;
 use dcp_types::AttnSpec;
@@ -53,6 +56,46 @@ fn bench_partitioner(c: &mut Criterion) {
                 let mut cfg = PartitionConfig::new(16);
                 cfg.refine_enabled = refine;
                 b.iter(|| partition(&hg, &cfg).expect("partition"));
+            },
+        );
+    }
+    group.finish();
+
+    // The first placement level of the ledger's `plan_cold` batches: one
+    // 131 072-token LongDataCollections batch at block 1024, cut 4 ways
+    // (the four nodes of a 32-device cluster) and 8 ways, at the planner's
+    // seed and inter-node tolerance.
+    let mut group = c.benchmark_group("partition_ldc_131k_b1024");
+    group.sample_size(10);
+    let batch = sample_batches(
+        DatasetKind::LongDataCollections,
+        1,
+        1.0,
+        131_072,
+        131_072,
+        MaskSetting::Causal,
+        dcp_bench::SEED,
+    );
+    let layout = BatchLayout::build(
+        AttnSpec::paper_micro(),
+        BlockConfig {
+            block_size: 1024,
+            head_blocks: AttnSpec::paper_micro().kv_heads,
+        },
+        &batch[0].seqs,
+    )
+    .expect("layout");
+    let hg = Planner::build_hypergraph(&layout);
+    for k in [4u32, 8] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("k{k}_v{}", hg.num_vertices())),
+            &k,
+            |b, &k| {
+                let planner = PlannerConfig::default();
+                let cfg = PartitionConfig::new(k)
+                    .with_epsilon(planner.eps_inter)
+                    .with_seed(planner.seed);
+                b.iter(|| partition_with_stats(&hg, &cfg).expect("partition"));
             },
         );
     }

@@ -558,26 +558,43 @@ impl<'a> Backend for Numeric<'a> {
                 let (o, lse) = merged.expect("the walker requires a source or a local accumulator");
                 self.finals.insert(tb, BlockOut { o, lse });
             }
+            // With no partial of its own, the device starts from a copy of
+            // the first one it received, as `attn`'s fold does: a partial
+            // is a sum begun at `+0.0`, never `-0.0`, so adding it to zeros
+            // would copy its bits.
             PayloadKind::PartialDq => {
-                let acc = self.acc_dq[d]
-                    .entry(tb)
-                    .or_insert_with(|| vec![0.0; len * self.qh * self.dim]);
-                for part in parts {
+                let mut grads = parts.iter().map(|part| {
                     let Data::PartialDq(g) = part else {
                         unreachable!("{SLOT_KIND}")
                     };
-                    add_into(acc, g);
-                }
+                    g
+                });
+                let acc = match self.acc_dq[d].entry(tb) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(
+                        grads
+                            .next()
+                            .map_or_else(|| vec![0.0; len * self.qh * self.dim], Vec::clone),
+                    ),
+                };
+                grads.for_each(|g| add_into(acc, g));
             }
             PayloadKind::PartialDkv => {
                 let n = len * self.kvh * self.dim;
-                let (dk, dv) = self.acc_dkv[d]
-                    .entry(tb)
-                    .or_insert_with(|| (vec![0.0; n], vec![0.0; n]));
-                for part in parts {
+                let mut grads = parts.iter().map(|part| {
                     let Data::PartialDkv(gk, gv) = part else {
                         unreachable!("{SLOT_KIND}")
                     };
+                    (gk, gv)
+                });
+                let (dk, dv) = match self.acc_dkv[d].entry(tb) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(grads.next().map_or_else(
+                        || (vec![0.0; n], vec![0.0; n]),
+                        |(gk, gv)| (gk.clone(), gv.clone()),
+                    )),
+                };
+                for (gk, gv) in grads {
                     add_into(dk, gk);
                     add_into(dv, gv);
                 }

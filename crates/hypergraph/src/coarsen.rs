@@ -55,15 +55,26 @@ const MAX_RATED_EDGE: usize = 512;
 /// rounds shrink geometrically, so the bound is rarely reached.
 const MAX_MATCH_ROUNDS: usize = 8;
 
-/// A candidate's rating so far in proposal number `turn` of the level
-/// (stale otherwise): a dense per-vertex accumulator that is never swept
-/// clean — a vertex can receive hundreds of contributions through large
-/// edges, and most vertices none.
-#[derive(Clone, Copy, Default)]
-struct Rated {
+/// One vertex's matching record: its partner, and its rating as a
+/// candidate so far in proposal number `turn` of the level (stale
+/// otherwise) — a dense per-vertex accumulator that is never swept clean: a
+/// vertex can receive hundreds of contributions through large edges, and
+/// most vertices none. A scanned pin reads its mate and then its rating,
+/// so the two share a record, and a record never straddles a cache line.
+#[derive(Clone, Copy)]
+#[repr(C, align(16))]
+struct Record {
     rating: f64,
     turn: u32,
+    /// The vertex's partner, `u32::MAX` while unmatched.
+    mate: u32,
 }
+
+const UNMATCHED: Record = Record {
+    rating: 0.0,
+    turn: 0,
+    mate: u32::MAX,
+};
 
 /// One level's rated edges: for each, its score `w / (|e| - 1)` and the
 /// pins not yet seen matched, laid out like the hypergraph's pin array.
@@ -109,15 +120,25 @@ struct Matching<'a> {
     hg: &'a Hypergraph,
     max_cluster: VertexWeight,
     parts: Option<&'a [u32]>,
-    /// `mate[v]` is `v`'s partner, `u32::MAX` while unmatched.
-    mate: Vec<u32>,
+    records: Vec<Record>,
     active: ActivePins<'a>,
-    rated: Vec<Rated>,
     /// Proposals rated so far (the current one's number while it runs).
     turn: u32,
 }
 
 impl Matching<'_> {
+    /// `v`'s partner, `u32::MAX` while unmatched.
+    #[inline]
+    fn mate(&self, v: u32) -> u32 {
+        self.records[v as usize].mate
+    }
+
+    /// Matches `v` and `u` with each other.
+    fn pair(&mut self, v: u32, u: u32) {
+        self.records[v as usize].mate = u;
+        self.records[u as usize].mate = v;
+    }
+
     /// Best match candidate for `v` against the current `mate`: the
     /// unmatched, weight-compatible neighbor with the highest accumulated
     /// heavy-edge rating, ties broken toward the smaller vertex id.
@@ -128,7 +149,7 @@ impl Matching<'_> {
     /// and the maximum over everything shown is the maximum over the final
     /// values.
     fn propose(&mut self, v: u32, work: &mut PartitionWork) -> Option<u32> {
-        let (hg, mate, max_cluster) = (self.hg, &self.mate, self.max_cluster);
+        let (hg, max_cluster) = (self.hg, self.max_cluster);
         work.match_proposals += 1;
         self.turn += 1;
         let turn = self.turn;
@@ -143,7 +164,8 @@ impl Matching<'_> {
             let mut i = 0;
             while i < len {
                 let u = pins[i];
-                if mate[u as usize] != u32::MAX {
+                let slot = &mut self.records[u as usize];
+                if slot.mate != u32::MAX {
                     len -= 1;
                     pins[i] = pins[len];
                     continue;
@@ -157,13 +179,13 @@ impl Matching<'_> {
                         continue;
                     }
                 }
-                let slot = &mut self.rated[u as usize];
                 let r = if slot.turn == turn {
                     slot.rating + score
                 } else {
                     score
                 };
-                *slot = Rated { rating: r, turn };
+                slot.rating = r;
+                slot.turn = turn;
                 let better = match best {
                     None => true,
                     Some((bu, br)) => r > br || (r == br && u < bu),
@@ -204,9 +226,8 @@ pub fn match_level(
         hg,
         max_cluster,
         parts,
-        mate: vec![u32::MAX; n],
+        records: vec![UNMATCHED; n],
         active: ActivePins::new(hg),
-        rated: vec![Rated::default(); n],
         turn: 0,
     };
     // Process the shuffled order in fixed-size waves: a wave's proposals
@@ -226,7 +247,7 @@ pub fn match_level(
         for wave in queue.chunks(wave_size) {
             proposals.clear();
             for &v in wave {
-                if matching.mate[v as usize] != u32::MAX {
+                if matching.mate(v) != u32::MAX {
                     continue;
                 }
                 if let Some(u) = matching.propose(v, work) {
@@ -234,15 +255,14 @@ pub fn match_level(
                 }
             }
             for &(v, u) in &proposals {
-                if matching.mate[v as usize] != u32::MAX {
+                if matching.mate(v) != u32::MAX {
                     continue;
                 }
-                if matching.mate[u as usize] != u32::MAX {
+                if matching.mate(u) != u32::MAX {
                     retry.push(v);
                     continue;
                 }
-                matching.mate[v as usize] = u;
-                matching.mate[u as usize] = v;
+                matching.pair(v, u);
                 committed += 1;
             }
         }
@@ -251,8 +271,6 @@ pub fn match_level(
         }
         queue = retry;
     }
-    let mate = matching.mate;
-
     // Assign coarse ids.
     let mut fine_to_coarse = vec![u32::MAX; n];
     let mut nc = 0u32;
@@ -261,7 +279,7 @@ pub fn match_level(
             continue;
         }
         fine_to_coarse[v as usize] = nc;
-        let m = mate[v as usize];
+        let m = matching.mate(v);
         if m != u32::MAX {
             fine_to_coarse[m as usize] = nc;
         }
@@ -290,23 +308,28 @@ fn contracted(hg: &Hypergraph, fine_to_coarse: Vec<u32>, nc: u32) -> Option<Leve
 fn label_level(hg: &Hypergraph, max_cluster: VertexWeight, parts: Option<&[u32]>) -> Option<Level> {
     let labels = hg.labels()?;
     let n = hg.num_vertices();
-    let key = |v: u32| (labels[v as usize], parts.map_or(0, |p| p[v as usize]));
-    // Labelled vertices by (label, part, id): each group is a run, led by
-    // its smallest vertex.
-    let mut order: Vec<u32> = (0..n as u32)
+    // Labelled vertices by (label, part, id), each packed into one integer
+    // of that order: each group is a run, led by its smallest vertex.
+    let vertex = |x: u128| x as u32;
+    let key = |x: u128| x >> 32;
+    let mut order: Vec<u128> = (0..n as u32)
         .filter(|&v| labels[v as usize] != UNLABELLED)
+        .map(|v| {
+            let part = parts.map_or(0, |p| p[v as usize]);
+            (u128::from(labels[v as usize]) << 64) | (u128::from(part) << 32) | u128::from(v)
+        })
         .collect();
-    order.sort_unstable_by_key(|&v| (key(v), v));
+    order.sort_unstable();
     // `lead[v]`: the smallest vertex of `v`'s contracted group, else `v`.
     let mut lead: Vec<u32> = (0..n as u32).collect();
     for group in order.chunk_by(|&a, &b| key(a) == key(b)) {
-        let w = group.iter().fold([0u64; 2], |w, &v| {
-            let vw = hg.vertex_weight(v);
+        let w = group.iter().fold([0u64; 2], |w, &x| {
+            let vw = hg.vertex_weight(vertex(x));
             [w[0] + vw[0], w[1] + vw[1]]
         });
         if w[0] <= max_cluster[0] && w[1] <= max_cluster[1] {
-            for &v in group {
-                lead[v as usize] = group[0];
+            for &x in group {
+                lead[vertex(x) as usize] = vertex(group[0]);
             }
         }
     }

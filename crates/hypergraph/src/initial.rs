@@ -66,11 +66,13 @@ fn greedy(
     let mut lambda = vec![0u32; hg.num_edges() * k as usize];
     // assigned_pins[e]: number of assigned pins of edge e.
     let mut assigned_pins = vec![0u32; hg.num_edges()];
+    // Connectivity delta of putting the current vertex into part p, for all
+    // p at once.
+    let mut delta = vec![0u64; k as usize];
 
     for &v in &verts {
         let w = hg.vertex_weight(v);
-        // Connectivity delta of putting v into part p, for all p at once.
-        let mut delta = vec![0u64; k as usize];
+        delta.fill(0);
         for &e in hg.incident_edges(v) {
             if assigned_pins[e as usize] == 0 {
                 continue;
@@ -90,14 +92,15 @@ fn greedy(
             if !fits {
                 continue;
             }
+            // The load breaks ties only: it is computed (two divisions)
+            // where the delta does not decide.
             let d = delta[p as usize];
-            let ln = norm(l);
             let better = match best {
                 None => true,
-                Some((_, bd, bl)) => d < bd || (d == bd && ln < bl),
+                Some((_, bd, bl)) => d < bd || (d == bd && norm(l) < bl),
             };
             if better {
-                best = Some((p, d, ln));
+                best = Some((p, d, norm(l)));
             }
         }
         let part = match best {

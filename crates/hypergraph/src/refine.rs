@@ -45,19 +45,24 @@ pub struct RefineState {
 }
 
 impl RefineState {
-    /// Builds the lambda table and loads for `assignment`.
+    /// Builds the lambda table and loads for `assignment`; the cost is read
+    /// off each edge's lambda row as it is filled.
     pub fn new(hg: &Hypergraph, assignment: &[u32], k: u32) -> Self {
-        let mut lambda = vec![0u32; hg.num_edges() * k as usize];
-        for e in 0..hg.num_edges() as u32 {
+        let ku = k as usize;
+        let mut lambda = vec![0u32; hg.num_edges() * ku];
+        let mut cost = 0u64;
+        for (e, row) in (0u32..).zip(lambda.chunks_exact_mut(ku)) {
             for &p in hg.pins(e) {
-                lambda[e as usize * k as usize + assignment[p as usize] as usize] += 1;
+                row[assignment[p as usize] as usize] += 1;
             }
+            let spans = row.iter().filter(|&&c| c > 0).count() as u64;
+            cost += hg.edge_weight(e) * spans.saturating_sub(1);
         }
         RefineState {
             k,
             lambda,
             loads: hg.part_weights(assignment, k),
-            cost: hg.connectivity_cost(assignment, k),
+            cost,
         }
     }
 
@@ -162,28 +167,38 @@ pub struct GainCache {
 
 impl GainCache {
     /// Builds the cache from scratch for `state`'s lambda table.
+    ///
+    /// Every penalty row starts at the vertex's total edge weight, and each
+    /// edge then takes its weight off the rows of its pins at the parts it
+    /// already spans: `O(n·k + pins·λ)`, where testing every part of every
+    /// pin's edges would be `O(pins·k)`. The sums are of integers, so their
+    /// order is free.
     pub fn new(hg: &Hypergraph, state: &RefineState, assignment: &[u32]) -> Self {
         let n = hg.num_vertices();
-        let k = state.k;
+        let k = state.k as usize;
         let mut benefit = vec![0i64; n];
-        let mut penalty = vec![0i64; n * k as usize];
+        let mut penalty = Vec::with_capacity(n * k);
         for v in 0..n as u32 {
-            let from = assignment[v as usize];
-            let base = v as usize * k as usize;
-            for &e in hg.incident_edges(v) {
-                let w = hg.edge_weight(e) as i64;
-                if state.lam(e, from) == 1 {
-                    benefit[v as usize] += w;
+            let edges = hg.incident_edges(v).iter();
+            let all: i64 = edges.map(|&e| hg.edge_weight(e) as i64).sum();
+            penalty.resize(penalty.len() + k, all);
+        }
+        let mut spanned: Vec<usize> = Vec::with_capacity(k);
+        for (e, row) in (0u32..).zip(state.lambda.chunks_exact(k)) {
+            let w = hg.edge_weight(e) as i64;
+            spanned.clear();
+            spanned.extend((0..k).filter(|&p| row[p] > 0));
+            for &u in hg.pins(e) {
+                if row[assignment[u as usize] as usize] == 1 {
+                    benefit[u as usize] += w;
                 }
-                for p in 0..k {
-                    if state.lam(e, p) == 0 {
-                        penalty[base + p as usize] += w;
-                    }
+                for &p in &spanned {
+                    penalty[u as usize * k + p] -= w;
                 }
             }
         }
         GainCache {
-            k,
+            k: state.k,
             benefit,
             penalty,
         }
@@ -301,53 +316,107 @@ impl GainCache {
         }
         best.map(|(to, g, _)| (to, g))
     }
+
+    /// The gain of [`GainCache::best_move`] alone: the largest gain over the
+    /// admissible destinations, `None` exactly when none is admissible. The
+    /// tie-break only chooses among destinations of that gain, so leaving
+    /// it out (and its two divisions per destination) cannot change the
+    /// gain. FM keys a vertex by this; only a vertex it moves needs the
+    /// destination.
+    fn best_gain(
+        &self,
+        hg: &Hypergraph,
+        state: &RefineState,
+        v: u32,
+        from: u32,
+        cap: VertexWeight,
+    ) -> Option<i64> {
+        let w = hg.vertex_weight(v);
+        let k = self.k as usize;
+        let row = &self.penalty[v as usize * k..][..k];
+        let fits = |&to: &usize| to != from as usize && admissible(state.loads[to], w, cap);
+        let least = (0..k).filter(fits).map(|to| row[to]).min()?;
+        Some(self.benefit[v as usize] - least)
+    }
 }
 
 /// An addressable max-priority queue over vertices, keyed by
 /// `(gain, salt, vertex)`. Unlike a `BinaryHeap` of move entries, keys are
 /// updated **in place** (sift up/down from the vertex's tracked position),
 /// so the queue never holds stale entries for moved or locked vertices.
+///
+/// The key is kept inline, packed into one `u128` whose unsigned order is
+/// the key's order, so a sift compares entries without looking anything
+/// up. The key is a strict total order (the vertex is part of it), so every
+/// correct max-heap over the same entries pops the same sequence: the
+/// shape the heap happens to have, built one push at a time or by
+/// [`MoveHeap::seed`]'s bottom-up heapify, never shows.
 struct MoveHeap {
-    /// Heap of vertex ids, ordered by `key`.
-    heap: Vec<u32>,
-    /// `pos[v]`: index of `v` in `heap`, or `ABSENT`.
-    pos: Vec<usize>,
-    /// `key[v]`: `(gain, salt)` for vertices currently in the heap.
-    key: Vec<(i64, u32)>,
+    /// Packed keys (`MoveHeap::pack`), a binary max-heap.
+    heap: Vec<u128>,
+    /// `pos[v]`: index of `v`'s entry in `heap`, or `ABSENT`.
+    pos: Vec<u32>,
 }
 
-const ABSENT: usize = usize::MAX;
+const ABSENT: u32 = u32::MAX;
 
 impl MoveHeap {
     fn new(n: usize) -> Self {
         MoveHeap {
             heap: Vec::with_capacity(n),
             pos: vec![ABSENT; n],
-            key: vec![(0, 0); n],
         }
     }
 
+    /// `(gain, salt, v)` as one integer of the same order: the gain's sign
+    /// bit flipped makes its two's complement order unsigned.
     #[inline]
-    fn ord(&self, v: u32) -> (i64, u32, u32) {
-        let (g, s) = self.key[v as usize];
-        (g, s, v)
+    fn pack(gain: i64, salt: u32, v: u32) -> u128 {
+        let g = (gain as u64) ^ (1 << 63);
+        (u128::from(g) << 64) | (u128::from(salt) << 32) | u128::from(v)
     }
 
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    #[inline]
+    fn vertex(key: u128) -> u32 {
+        key as u32
     }
 
-    /// Inserts `v` with `key`, or adjusts its key if already present.
-    fn push_or_update(&mut self, v: u32, key: (i64, u32)) {
+    #[inline]
+    fn gain(key: u128) -> i64 {
+        (((key >> 64) as u64) ^ (1 << 63)) as i64
+    }
+
+    /// Replaces the contents with `entries` (`(v, gain, salt)`, each vertex
+    /// at most once), heapified bottom-up in `O(len)`.
+    fn seed(&mut self, entries: impl IntoIterator<Item = (u32, i64, u32)>) {
+        self.clear();
+        for (v, gain, salt) in entries {
+            debug_assert_eq!(self.pos[v as usize], ABSENT, "vertex {v} seeded twice");
+            self.pos[v as usize] = self.heap.len() as u32;
+            self.heap.push(Self::pack(gain, salt, v));
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// Empties the queue.
+    fn clear(&mut self) {
+        for &key in &self.heap {
+            self.pos[Self::vertex(key) as usize] = ABSENT;
+        }
+        self.heap.clear();
+    }
+
+    /// Inserts `v` keyed by `(gain, salt)`, or re-keys it if present.
+    fn push_or_update(&mut self, v: u32, gain: i64, salt: u32) {
+        let key = Self::pack(gain, salt, v);
         let i = self.pos[v as usize];
-        self.key[v as usize] = key;
         if i == ABSENT {
-            self.pos[v as usize] = self.heap.len();
-            self.heap.push(v);
+            self.heap.push(key);
             self.sift_up(self.heap.len() - 1);
         } else {
-            self.sift_up(i);
-            self.sift_down(self.pos[v as usize]);
+            self.replace(i as usize, key);
         }
     }
 
@@ -359,55 +428,74 @@ impl MoveHeap {
         }
         self.pos[v as usize] = ABSENT;
         let last = self.heap.pop().expect("nonempty");
-        if i < self.heap.len() {
-            self.heap[i] = last;
-            self.pos[last as usize] = i;
-            self.sift_up(i);
-            self.sift_down(self.pos[last as usize]);
+        if (i as usize) < self.heap.len() {
+            self.replace(i as usize, last);
         }
     }
 
-    /// Pops the maximum-key vertex.
+    /// Pops the maximum-key vertex and its gain.
     fn pop(&mut self) -> Option<(u32, i64)> {
         let top = *self.heap.first()?;
-        self.remove(top);
-        Some((top, self.key[top as usize].0))
+        self.remove(Self::vertex(top));
+        Some((Self::vertex(top), Self::gain(top)))
     }
 
+    /// Puts `key` at index `i` in place of the entry there, and restores
+    /// the heap order around it.
+    fn replace(&mut self, i: usize, key: u128) {
+        let old = std::mem::replace(&mut self.heap[i], key);
+        if key > old {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    /// Moves the entry at `i` up to its place, shifting the parents it
+    /// passes down one level each.
     fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.ord(self.heap[i]) <= self.ord(self.heap[parent]) {
+            let above = self.heap[parent];
+            if key < above {
                 break;
             }
-            self.swap(i, parent);
+            self.put(i, above);
             i = parent;
         }
+        self.put(i, key);
     }
 
+    /// Moves the entry at `i` down to its place, shifting the larger child
+    /// up one level at each step.
     fn sift_down(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        let len = self.heap.len();
         loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut m = i;
-            if l < self.heap.len() && self.ord(self.heap[l]) > self.ord(self.heap[m]) {
-                m = l;
-            }
-            if r < self.heap.len() && self.ord(self.heap[r]) > self.ord(self.heap[m]) {
-                m = r;
-            }
-            if m == i {
+            let l = 2 * i + 1;
+            if l >= len {
                 break;
             }
-            self.swap(i, m);
-            i = m;
+            let c = if l + 1 < len && self.heap[l + 1] > self.heap[l] {
+                l + 1
+            } else {
+                l
+            };
+            let below = self.heap[c];
+            if below < key {
+                break;
+            }
+            self.put(i, below);
+            i = c;
         }
+        self.put(i, key);
     }
 
     #[inline]
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i] as usize] = i;
-        self.pos[self.heap[j] as usize] = j;
+    fn put(&mut self, i: usize, key: u128) {
+        self.heap[i] = key;
+        self.pos[Self::vertex(key) as usize] = i as u32;
     }
 }
 
@@ -415,125 +503,201 @@ impl MoveHeap {
 /// giving up on the current trajectory.
 const STALL_LIMIT: usize = 48;
 
-/// One FM pass over the gain cache. Returns `true` if the pass improved the
-/// cost.
-fn fm_pass(
-    hg: &Hypergraph,
-    assignment: &mut [u32],
-    state: &mut RefineState,
-    cache: &mut GainCache,
+/// FM refinement of one graph: its lambda table and gain cache, which
+/// every pass keeps exact, and the buffers the passes reset and reuse. It
+/// describes the assignment it last refined, so a caller that refines that
+/// assignment again can keep it and skip the set-up.
+pub(crate) struct Refiner<'a> {
+    hg: &'a Hypergraph,
+    state: RefineState,
+    cache: GainCache,
+    /// The balance cap every destination is held to.
     cap: VertexWeight,
-    rng: &mut SmallRng,
-    work: &mut PartitionWork,
-) -> bool {
-    let n = hg.num_vertices();
-    let k = state.k;
-    let total = hg.total_weight();
-    let mut locked = vec![false; n];
-    // Equal-gain pops are salt-ordered, and a vertex draws a fresh salt
-    // every time it is (re-)keyed — matching the lazy heap, where every
-    // push carried a fresh salt. Re-salting on every re-key is load-bearing
-    // for quality: it keeps plateau walks (chains of zero-gain moves) from
-    // locking into a fixed direction and stalling. Draws happen in the
-    // serial move loop only, so the stream is identical at every thread
-    // count.
-    let mut salts: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
+    /// The graph's total weight, which the tie-break normalizes loads by.
+    total: VertexWeight,
+    locked: Vec<bool>,
+    /// Each vertex's current salt: equal-gain pops are salt-ordered.
+    salts: Vec<u32>,
+    boundary: Vec<bool>,
+    heap: MoveHeap,
+    /// `(vertex, previous part)` of every move of the pass, in order.
+    moves: Vec<(u32, u32)>,
+    touched: Vec<u32>,
+    /// Dedup stamp for `touched`: `stamp[v] == move_ctr` means already
+    /// re-keyed after this move. The counter runs on across passes, so the
+    /// stamps never need clearing.
+    stamp: Vec<u64>,
+    move_ctr: u64,
+}
 
-    // Seed the queue with boundary vertices. Boundary flags come from one
-    // sweep over the edges (an edge spanning > 1 part marks all its pins)
-    // instead of a per-vertex `O(deg · k)` test.
-    let mut heap = MoveHeap::new(n);
-    let mut boundary = vec![false; n];
-    for e in 0..hg.num_edges() as u32 {
-        let spans = (0..k).filter(|&p| state.lam(e, p) > 0).count();
-        if spans > 1 {
-            for &u in hg.pins(e) {
-                boundary[u as usize] = true;
-            }
+impl<'a> Refiner<'a> {
+    pub(crate) fn new(hg: &'a Hypergraph, assignment: &[u32], k: u32, cap: VertexWeight) -> Self {
+        let n = hg.num_vertices();
+        let state = RefineState::new(hg, assignment, k);
+        Refiner {
+            hg,
+            cache: GainCache::new(hg, &state, assignment),
+            state,
+            cap,
+            total: hg.total_weight(),
+            locked: vec![false; n],
+            salts: vec![0; n],
+            boundary: vec![false; n],
+            heap: MoveHeap::new(n),
+            moves: Vec::new(),
+            touched: Vec::new(),
+            stamp: vec![u64::MAX; n],
+            move_ctr: 0,
         }
     }
-    for v in 0..n as u32 {
-        if !boundary[v as usize] {
-            continue;
-        }
-        if let Some((_, g)) = cache.best_move(hg, state, v, assignment[v as usize], cap, total) {
-            heap.push_or_update(v, (g, salts[v as usize]));
-        }
+
+    /// The connectivity cost of the assignment it describes.
+    pub(crate) fn cost(&self) -> u64 {
+        self.state.cost
     }
 
-    let start_cost = state.cost;
-    let mut best_cost = state.cost;
-    let mut moves: Vec<(u32, u32)> = Vec::new(); // (vertex, previous part)
-    let mut best_len = 0usize;
-    let mut stall = 0usize;
-    let mut touched: Vec<u32> = Vec::new();
-    // Dedup stamp for `touched` (stamp[v] == move counter => already seen).
-    let mut stamp = vec![u64::MAX; n];
-    let mut move_ctr = 0u64;
-
-    while !heap.is_empty() {
-        let Some((v, key_gain)) = heap.pop() else {
-            break;
-        };
-        debug_assert!(!locked[v as usize], "locked vertices leave the queue");
-        let from = assignment[v as usize];
-        // The key may lag the loads (admissibility and tie-breaks drift as
-        // parts fill); recheck against the cache before committing.
-        let Some((to, g)) = cache.best_move(hg, state, v, from, cap, total) else {
-            continue;
-        };
-        if g != key_gain {
-            salts[v as usize] = rng.gen();
-            heap.push_or_update(v, (g, salts[v as usize]));
-            continue;
-        }
-        // The popped gain must agree with a from-scratch recomputation —
-        // this is the regression guard for the delta-update rules.
-        debug_assert_eq!(
-            g,
-            state.gain(hg, v, from, to),
-            "gain cache out of sync for v={v} {from}->{to}"
-        );
-        touched.clear();
-        cache.apply(hg, state, assignment, v, to, &mut touched);
-        locked[v as usize] = true;
-        heap.remove(v);
-        moves.push((v, from));
-        if state.cost < best_cost {
-            best_cost = state.cost;
-            best_len = moves.len();
-            stall = 0;
-        } else {
-            stall += 1;
-            if stall > STALL_LIMIT {
+    /// Runs up to `passes` FM passes over `assignment` — the one this
+    /// refiner describes — in place, adding their move counts to `work`.
+    /// Returns the resulting connectivity cost.
+    pub(crate) fn run(
+        &mut self,
+        assignment: &mut [u32],
+        passes: u32,
+        rng: &mut SmallRng,
+        work: &mut PartitionWork,
+    ) -> u64 {
+        for _ in 0..passes {
+            if !self.pass(assignment, rng, work) {
                 break;
             }
         }
-        // Re-key the vertices whose cached gains the move changed.
-        move_ctr += 1;
-        for &u in &touched {
-            if locked[u as usize] || stamp[u as usize] == move_ctr {
-                continue;
-            }
-            stamp[u as usize] = move_ctr;
-            salts[u as usize] = rng.gen();
-            match cache.best_move(hg, state, u, assignment[u as usize], cap, total) {
-                Some((_, ug)) => heap.push_or_update(u, (ug, salts[u as usize])),
-                None => heap.remove(u),
-            }
-        }
+        self.state.cost
     }
 
-    work.fm_moves_applied += moves.len() as u64;
-    work.fm_moves_rolled_back += (moves.len() - best_len) as u64;
-    // Roll back past the best prefix (through the cache, so it stays exact).
-    while moves.len() > best_len {
-        let (v, prev) = moves.pop().unwrap();
-        touched.clear();
-        cache.apply(hg, state, assignment, v, prev, &mut touched);
+    /// One FM pass over the gain cache. Returns `true` if the pass improved
+    /// the cost.
+    fn pass(
+        &mut self,
+        assignment: &mut [u32],
+        rng: &mut SmallRng,
+        work: &mut PartitionWork,
+    ) -> bool {
+        let Refiner {
+            hg,
+            ref mut state,
+            ref mut cache,
+            cap,
+            total,
+            ..
+        } = *self;
+        self.locked.fill(false);
+        // Equal-gain pops are salt-ordered, and a vertex draws a fresh salt
+        // every time it is (re-)keyed — matching the lazy heap, where every
+        // push carried a fresh salt. Re-salting on every re-key is
+        // load-bearing for quality: it keeps plateau walks (chains of
+        // zero-gain moves) from locking into a fixed direction and
+        // stalling. Draws happen in the serial move loop only, so the
+        // stream is identical at every thread count.
+        for salt in &mut self.salts {
+            *salt = rng.gen();
+        }
+
+        // Seed the queue with boundary vertices. Boundary flags come from
+        // one sweep over the edges (an edge spans > 1 part iff its first
+        // pin's part holds fewer than all its pins, and then marks all of
+        // them) instead of a per-vertex `O(deg · k)` test.
+        self.boundary.fill(false);
+        for e in 0..hg.num_edges() as u32 {
+            let pins = hg.pins(e);
+            let Some(&first) = pins.first() else {
+                continue;
+            };
+            if (state.lam(e, assignment[first as usize]) as usize) < pins.len() {
+                for &u in pins {
+                    self.boundary[u as usize] = true;
+                }
+            }
+        }
+        let (boundary, salts) = (&self.boundary, &self.salts);
+        self.heap
+            .seed((0..hg.num_vertices() as u32).filter_map(|v| {
+                if !boundary[v as usize] {
+                    return None;
+                }
+                let g = cache.best_gain(hg, state, v, assignment[v as usize], cap)?;
+                Some((v, g, salts[v as usize]))
+            }));
+
+        let start_cost = state.cost;
+        let mut best_cost = state.cost;
+        self.moves.clear();
+        let mut best_len = 0usize;
+        let mut stall = 0usize;
+
+        while let Some((v, key_gain)) = self.heap.pop() {
+            debug_assert!(!self.locked[v as usize], "locked vertices leave the queue");
+            let from = assignment[v as usize];
+            // The key may lag the loads (admissibility drifts as parts
+            // fill); recheck against the cache before committing.
+            let Some(g) = cache.best_gain(hg, state, v, from, cap) else {
+                continue;
+            };
+            if g != key_gain {
+                self.salts[v as usize] = rng.gen();
+                self.heap.push_or_update(v, g, self.salts[v as usize]);
+                continue;
+            }
+            let (to, _) = cache
+                .best_move(hg, state, v, from, cap, total)
+                .expect("a vertex with a best gain has a destination");
+            // The popped gain must agree with a from-scratch recomputation
+            // — this is the regression guard for the delta-update rules.
+            debug_assert_eq!(
+                g,
+                state.gain(hg, v, from, to),
+                "gain cache out of sync for v={v} {from}->{to}"
+            );
+            self.touched.clear();
+            cache.apply(hg, state, assignment, v, to, &mut self.touched);
+            self.locked[v as usize] = true;
+            self.moves.push((v, from));
+            if state.cost < best_cost {
+                best_cost = state.cost;
+                best_len = self.moves.len();
+                stall = 0;
+            } else {
+                stall += 1;
+                if stall > STALL_LIMIT {
+                    break;
+                }
+            }
+            // Re-key the vertices whose cached gains the move changed.
+            self.move_ctr += 1;
+            for &u in &self.touched {
+                if self.locked[u as usize] || self.stamp[u as usize] == self.move_ctr {
+                    continue;
+                }
+                self.stamp[u as usize] = self.move_ctr;
+                self.salts[u as usize] = rng.gen();
+                match cache.best_gain(hg, state, u, assignment[u as usize], cap) {
+                    Some(ug) => self.heap.push_or_update(u, ug, self.salts[u as usize]),
+                    None => self.heap.remove(u),
+                }
+            }
+        }
+
+        work.fm_moves_applied += self.moves.len() as u64;
+        work.fm_moves_rolled_back += (self.moves.len() - best_len) as u64;
+        // Roll back past the best prefix (through the cache, so it stays
+        // exact).
+        while self.moves.len() > best_len {
+            let (v, prev) = self.moves.pop().unwrap();
+            self.touched.clear();
+            cache.apply(hg, state, assignment, v, prev, &mut self.touched);
+        }
+        debug_assert_eq!(state.cost, best_cost);
+        best_cost < start_cost
     }
-    debug_assert_eq!(state.cost, best_cost);
-    best_cost < start_cost
 }
 
 /// Runs up to `passes` FM passes over `assignment` in place, adding their
@@ -547,14 +711,7 @@ pub fn refine(
     rng: &mut SmallRng,
     work: &mut PartitionWork,
 ) -> u64 {
-    let mut state = RefineState::new(hg, assignment, k);
-    let mut cache = GainCache::new(hg, &state, assignment);
-    for _ in 0..passes {
-        if !fm_pass(hg, assignment, &mut state, &mut cache, cap, rng, work) {
-            break;
-        }
-    }
-    state.cost
+    Refiner::new(hg, assignment, k, cap).run(assignment, passes, rng, work)
 }
 
 /// Moves vertices out of parts exceeding `cap` until the assignment is
@@ -732,12 +889,12 @@ mod tests {
     #[test]
     fn move_heap_updates_in_place() {
         let mut heap = MoveHeap::new(4);
-        heap.push_or_update(0, (5, 0));
-        heap.push_or_update(1, (9, 0));
-        heap.push_or_update(2, (1, 0));
+        heap.push_or_update(0, 5, 0);
+        heap.push_or_update(1, 9, 0);
+        heap.push_or_update(2, 1, 0);
         // Re-key vertex 2 above everything; vertex 1 below.
-        heap.push_or_update(2, (20, 0));
-        heap.push_or_update(1, (0, 0));
+        heap.push_or_update(2, 20, 0);
+        heap.push_or_update(1, 0, 0);
         assert_eq!(heap.pop(), Some((2, 20)));
         assert_eq!(heap.pop(), Some((0, 5)));
         heap.remove(1);
@@ -947,5 +1104,108 @@ mod tests {
         let hg = b.build().unwrap();
         let mut assignment = vec![0, 0];
         assert!(!rebalance(&hg, &mut assignment, 2, [50, 50]));
+    }
+
+    #[test]
+    fn best_gain_is_the_gain_of_best_move() {
+        let mut rng = SmallRng::seed_from_u64(45);
+        let (mut some, mut none) = (0, 0);
+        for case in 0..400 {
+            let hg = random_graph(&mut rng);
+            let k = [2u32, 3, 4, 8][case % 4];
+            let assignment: Vec<u32> = (0..hg.num_vertices())
+                .map(|_| rng.gen_range(0..k))
+                .collect();
+            let mut state = RefineState::new(&hg, &assignment, k);
+            let cache = GainCache::new(&hg, &state, &assignment);
+            let total = hg.total_weight();
+            // Loads off the assignment, or drawn at random; caps from tight
+            // (few destinations admissible) to loose.
+            if rng.gen_bool(0.5) {
+                for l in &mut state.loads {
+                    *l = total.map(|t| rng.gen_range(0..=t));
+                }
+            }
+            let slack: f64 = rng.gen_range(0.3..1.6);
+            let cap = total.map(|t| (t as f64 / k as f64 * slack) as u64);
+            for v in 0..hg.num_vertices() as u32 {
+                let from = assignment[v as usize];
+                let full = cache.best_move(&hg, &state, v, from, cap, total);
+                let gain = cache.best_gain(&hg, &state, v, from, cap);
+                assert_eq!(gain, full.map(|(_, g)| g), "case {case}, v = {v}");
+                some += usize::from(gain.is_some());
+                none += usize::from(gain.is_none());
+            }
+        }
+        assert!(
+            some > 1000 && none > 1000,
+            "{some} with a move, {none} without"
+        );
+    }
+
+    #[test]
+    fn move_heap_pops_what_an_ordered_set_pops() {
+        use std::collections::BTreeSet;
+        let mut rng = SmallRng::seed_from_u64(46);
+        for case in 0..300 {
+            let n = rng.gen_range(1..40u32);
+            let mut heap = MoveHeap::new(n as usize);
+            let mut set: BTreeSet<(i64, u32, u32)> = BTreeSet::new();
+            let mut key: Vec<Option<(i64, u32)>> = vec![None; n as usize];
+            // Narrow gain and salt ranges, so ties fall through to the salt
+            // and to the vertex; gains of either sign and at the extremes.
+            let draw = |rng: &mut SmallRng| {
+                let g = match rng.gen_range(0..8) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.gen_range(-3..4),
+                };
+                (g, rng.gen_range(0..3u32))
+            };
+            for step in 0..rng.gen_range(1..200) {
+                let v = rng.gen_range(0..n);
+                match rng.gen_range(0..10) {
+                    0..=3 => {
+                        let (g, salt) = draw(&mut rng);
+                        heap.push_or_update(v, g, salt);
+                        if let Some((og, os)) = key[v as usize].replace((g, salt)) {
+                            set.remove(&(og, os, v));
+                        }
+                        set.insert((g, salt, v));
+                    }
+                    4 | 5 => {
+                        heap.remove(v);
+                        if let Some((g, salt)) = key[v as usize].take() {
+                            set.remove(&(g, salt, v));
+                        }
+                    }
+                    6..=8 => {
+                        let want = set.pop_last().map(|(g, _, u)| (u, g));
+                        if let Some((u, _)) = want {
+                            key[u as usize] = None;
+                        }
+                        assert_eq!(heap.pop(), want, "case {case}, step {step}");
+                    }
+                    _ => {
+                        let mut entries = Vec::new();
+                        set.clear();
+                        key.fill(None);
+                        for u in 0..n {
+                            if rng.gen_bool(0.6) {
+                                let (g, salt) = draw(&mut rng);
+                                entries.push((u, g, salt));
+                                key[u as usize] = Some((g, salt));
+                                set.insert((g, salt, u));
+                            }
+                        }
+                        heap.seed(entries);
+                    }
+                }
+            }
+            while let Some((g, _, u)) = set.pop_last() {
+                assert_eq!(heap.pop(), Some((u, g)), "case {case}, draining");
+            }
+            assert_eq!(heap.pop(), None, "case {case}");
+        }
     }
 }
