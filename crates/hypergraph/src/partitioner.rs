@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::coarsen::{coarsen_to, Level};
 use crate::graph::{Hypergraph, VertexWeight};
 use crate::initial::{initial_partition, is_balanced, within};
-use crate::refine::{rebalance, Refiner};
+use crate::refine::{rebalance, refine};
 
 /// FM refinement passes per level.
 const REFINE_PASSES: u32 = 8;
@@ -213,64 +213,50 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// FM-refines `assignment` on `g` with `kept`, a refiner that
-    /// describes it, or else a new one. Returns the refiner, which then
-    /// describes the refined assignment (`None` when refinement is off).
-    fn refine<'g>(
-        &mut self,
-        g: &'g Hypergraph,
-        assignment: &mut [u32],
-        kept: Option<Refiner<'g>>,
-    ) -> Option<Refiner<'g>> {
-        if !self.cfg.refine_enabled {
-            return None;
+    fn refine(&mut self, g: &Hypergraph, assignment: &mut [u32]) {
+        if self.cfg.refine_enabled {
+            refine(
+                g,
+                assignment,
+                self.cfg.k,
+                self.cap,
+                REFINE_PASSES,
+                &mut self.rng,
+                &mut self.stats.work,
+            );
         }
-        let mut r = kept.unwrap_or_else(|| Refiner::new(g, assignment, self.cfg.k, self.cap));
-        r.run(
-            assignment,
-            REFINE_PASSES,
-            &mut self.rng,
-            &mut self.stats.work,
-        );
-        Some(r)
     }
 
     /// Refines `assignment` on the coarsest graph of `levels`, then projects
-    /// it down through every level to `self.hg`, refining at each. Returns
-    /// the assignment and the refiner of the last, finest refinement.
-    fn uncoarsen(
-        &mut self,
-        levels: &[Level],
-        mut assignment: Vec<u32>,
-    ) -> (Vec<u32>, Option<Refiner<'a>>) {
-        for level in levels.iter().rev() {
-            self.refine(&level.coarse, &mut assignment, None);
-            assignment = level
+    /// it down through every level to `self.hg`, refining at each.
+    fn uncoarsen(&mut self, levels: &[Level], mut assignment: Vec<u32>) -> Vec<u32> {
+        self.refine(
+            levels.last().map_or(self.hg, |l| &l.coarse),
+            &mut assignment,
+        );
+        for i in (0..levels.len()).rev() {
+            let fine = if i == 0 {
+                self.hg
+            } else {
+                &levels[i - 1].coarse
+            };
+            assignment = levels[i]
                 .fine_to_coarse
                 .iter()
                 .map(|&c| assignment[c as usize])
                 .collect();
+            self.refine(fine, &mut assignment);
         }
-        let finest = self.refine(self.hg, &mut assignment, None);
-        (assignment, finest)
+        assignment
     }
 
     /// Balance repair and a last polish at the finest level: the tail of the
-    /// cold pipeline and the whole of the warm one. `kept` is a refiner
-    /// that describes `assignment` (the cold pipeline's finest level); a
-    /// repair moves vertices, so it is dropped then. Returns the cost when
-    /// the polish ran.
-    fn repair_and_polish(
-        &mut self,
-        assignment: &mut [u32],
-        mut kept: Option<Refiner<'a>>,
-    ) -> Option<u64> {
+    /// cold pipeline and the whole of the warm one.
+    fn repair_and_polish(&mut self, assignment: &mut [u32]) {
         if !self.is_balanced(assignment) {
             rebalance(self.hg, assignment, self.cfg.k, self.cap);
-            kept = None;
         }
-        let hg = self.hg;
-        self.refine(hg, assignment, kept).map(|r| r.cost())
+        self.refine(self.hg, assignment);
     }
 
     fn is_balanced(&self, assignment: &[u32]) -> bool {
@@ -346,16 +332,16 @@ fn partition_with_vcycles(
     let assignment = initial_partition(coarsest, k, run.cap, INITIAL_TRIES, &mut run.rng);
     run.stats.initial_s += t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let (mut assignment, finest) = run.uncoarsen(&levels, assignment);
-    let polished = run.repair_and_polish(&mut assignment, finest);
+    let mut assignment = run.uncoarsen(&levels, assignment);
+    run.repair_and_polish(&mut assignment);
     run.stats.refine_s += t.elapsed().as_secs_f64();
 
-    // V-cycles: re-coarsen respecting the partition, refine back up. They
-    // refine, so they run only when the polish did and left its cost.
-    let Some(mut before) = polished else {
-        return Ok(run.finish(assignment));
-    };
+    // V-cycles: re-coarsen respecting the partition, refine back up.
     for _ in 0..vcycles {
+        if !cfg.refine_enabled {
+            break;
+        }
+        let before = hg.connectivity_cost(&assignment, k);
         let t = Instant::now();
         let levels = coarsen_to(
             hg,
@@ -381,12 +367,11 @@ fn partition_with_vcycles(
             coarse = next;
         }
         let t = Instant::now();
-        let (a, finest) = run.uncoarsen(&levels, coarse);
+        let a = run.uncoarsen(&levels, coarse);
         run.stats.refine_s += t.elapsed().as_secs_f64();
-        let after = finest.expect("refinement is on").cost();
+        let after = hg.connectivity_cost(&a, k);
         if after < before && run.is_balanced(&a) == run.is_balanced(&assignment) {
             assignment = a;
-            before = after;
         } else if after >= before {
             break;
         }
@@ -434,7 +419,7 @@ pub fn partition_warm_with_stats(
     let mut run = Run::new(hg, cfg);
     let mut assignment = seed.to_vec();
     let t = Instant::now();
-    run.repair_and_polish(&mut assignment, None);
+    run.repair_and_polish(&mut assignment);
     run.stats.refine_s = t.elapsed().as_secs_f64();
     Ok(run.finish(assignment))
 }

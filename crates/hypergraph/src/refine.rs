@@ -503,11 +503,9 @@ impl MoveHeap {
 /// giving up on the current trajectory.
 const STALL_LIMIT: usize = 48;
 
-/// FM refinement of one graph: its lambda table and gain cache, which
-/// every pass keeps exact, and the buffers the passes reset and reuse. It
-/// describes the assignment it last refined, so a caller that refines that
-/// assignment again can keep it and skip the set-up.
-pub(crate) struct Refiner<'a> {
+/// One [`refine`] call: the graph's lambda table and gain cache, which
+/// every pass keeps exact, and the buffers the passes reset and reuse.
+struct Refiner<'a> {
     hg: &'a Hypergraph,
     state: RefineState,
     cache: GainCache,
@@ -531,7 +529,7 @@ pub(crate) struct Refiner<'a> {
 }
 
 impl<'a> Refiner<'a> {
-    pub(crate) fn new(hg: &'a Hypergraph, assignment: &[u32], k: u32, cap: VertexWeight) -> Self {
+    fn new(hg: &'a Hypergraph, assignment: &[u32], k: u32, cap: VertexWeight) -> Self {
         let n = hg.num_vertices();
         let state = RefineState::new(hg, assignment, k);
         Refiner {
@@ -549,29 +547,6 @@ impl<'a> Refiner<'a> {
             stamp: vec![u64::MAX; n],
             move_ctr: 0,
         }
-    }
-
-    /// The connectivity cost of the assignment it describes.
-    pub(crate) fn cost(&self) -> u64 {
-        self.state.cost
-    }
-
-    /// Runs up to `passes` FM passes over `assignment` — the one this
-    /// refiner describes — in place, adding their move counts to `work`.
-    /// Returns the resulting connectivity cost.
-    pub(crate) fn run(
-        &mut self,
-        assignment: &mut [u32],
-        passes: u32,
-        rng: &mut SmallRng,
-        work: &mut PartitionWork,
-    ) -> u64 {
-        for _ in 0..passes {
-            if !self.pass(assignment, rng, work) {
-                break;
-            }
-        }
-        self.state.cost
     }
 
     /// One FM pass over the gain cache. Returns `true` if the pass improved
@@ -711,7 +686,13 @@ pub fn refine(
     rng: &mut SmallRng,
     work: &mut PartitionWork,
 ) -> u64 {
-    Refiner::new(hg, assignment, k, cap).run(assignment, passes, rng, work)
+    let mut fm = Refiner::new(hg, assignment, k, cap);
+    for _ in 0..passes {
+        if !fm.pass(assignment, rng, work) {
+            break;
+        }
+    }
+    fm.state.cost
 }
 
 /// Moves vertices out of parts exceeding `cap` until the assignment is
