@@ -298,9 +298,8 @@ pub fn fig07_redundant_comm() -> Value {
         let (mut used, mut redundant) = (0u64, 0u64);
         for tr in plan.fwd.comms.iter().flat_map(|op| &op.transfers) {
             if let Payload::Kv(tb) = tr.payload {
-                let consumed = layout.kv_consumers[tb.0 as usize]
-                    .iter()
-                    .any(|&c| placement.comp_dev(c) == tr.to);
+                let consumed = (layout.comp_blocks.iter().zip(&placement.comp_to_dev))
+                    .any(|(cb, &d)| cb.kv_block == tb && d == tr.to);
                 if consumed {
                     used += 1;
                 } else {

@@ -140,12 +140,10 @@ pub struct BatchLayout {
     /// All token blocks, ordered by (sequence, head group, start).
     pub token_blocks: Vec<TokenBlock>,
     /// All computation blocks, ordered by (sequence, head group, q, kv).
+    /// Each names the token blocks it reads, so the blocks consuming a
+    /// token block's Q (or KV) slice are the ones whose `q_block` (or
+    /// `kv_block`) is it.
     pub comp_blocks: Vec<CompBlock>,
-    /// For each token block, the computation blocks consuming its Q slice
-    /// (equivalently, producing into its O slice).
-    pub q_consumers: Vec<Vec<CompBlockId>>,
-    /// For each token block, the computation blocks consuming its KV slice.
-    pub kv_consumers: Vec<Vec<CompBlockId>>,
 }
 
 /// The nonzero `(q block, kv block, unmasked pairs)` entries of `mask` cut
@@ -276,19 +274,6 @@ impl BatchLayout {
             }
         }
 
-        // Sized by a counting pass: two exact allocations per token block.
-        let mut fan = vec![(0usize, 0usize); token_blocks.len()];
-        for c in &comp_blocks {
-            fan[c.q_block.0 as usize].0 += 1;
-            fan[c.kv_block.0 as usize].1 += 1;
-        }
-        let mut q_consumers: Vec<_> = fan.iter().map(|f| Vec::with_capacity(f.0)).collect();
-        let mut kv_consumers: Vec<_> = fan.iter().map(|f| Vec::with_capacity(f.1)).collect();
-        for (i, c) in comp_blocks.iter().enumerate() {
-            q_consumers[c.q_block.0 as usize].push(CompBlockId(i as u32));
-            kv_consumers[c.kv_block.0 as usize].push(CompBlockId(i as u32));
-        }
-
         Ok(BatchLayout {
             attn,
             config,
@@ -296,8 +281,6 @@ impl BatchLayout {
             masks,
             token_blocks,
             comp_blocks,
-            q_consumers,
-            kv_consumers,
         })
     }
 
@@ -435,41 +418,6 @@ mod tests {
             layout.token_blocks[2].q_bytes * 2,
             layout.token_blocks[0].q_bytes
         );
-    }
-
-    #[test]
-    fn consumer_indexes_are_consistent() {
-        let cfg = BlockConfig {
-            block_size: 512,
-            head_blocks: 2,
-        };
-        let layout = BatchLayout::build(
-            micro(),
-            cfg,
-            &[(3000, MaskSpec::Causal), (1500, MaskSpec::paper_lambda())],
-        )
-        .unwrap();
-        for (tb, consumers) in layout.q_consumers.iter().enumerate() {
-            for &c in consumers {
-                assert_eq!(
-                    layout.comp_blocks[c.0 as usize].q_block,
-                    TokenBlockId(tb as u32)
-                );
-            }
-        }
-        for (tb, consumers) in layout.kv_consumers.iter().enumerate() {
-            for &c in consumers {
-                assert_eq!(
-                    layout.comp_blocks[c.0 as usize].kv_block,
-                    TokenBlockId(tb as u32)
-                );
-            }
-        }
-        // Every comp block appears exactly once in each index.
-        let nq: usize = layout.q_consumers.iter().map(Vec::len).sum();
-        let nkv: usize = layout.kv_consumers.iter().map(Vec::len).sum();
-        assert_eq!(nq, layout.comp_blocks.len());
-        assert_eq!(nkv, layout.comp_blocks.len());
     }
 
     #[test]
@@ -666,6 +614,33 @@ mod tests {
                     });
                 }
             }
+        }
+
+        /// A packed-documents mask (a shared-question mask with an empty
+        /// question) is blocked as the per-token rows it was once built
+        /// from: equal token and computation blocks, zero-length and
+        /// one-token documents included.
+        #[test]
+        fn packed_documents_block_as_their_per_token_rows(
+            docs in proptest::collection::vec(prop_oneof![0u32..3, 0u32..300], 1..6),
+            bs in prop_oneof![1u32..64, Just(96u32)],
+        ) {
+            let len: u32 = docs.iter().sum();
+            if len == 0 {
+                return Ok(());
+            }
+            let mut rows = Vec::new();
+            let mut start = 0;
+            for &doc in &docs {
+                rows.extend((start..start + doc).map(|t| RangePair::single(start, t + 1)));
+                start += doc;
+            }
+            let cfg = BlockConfig { block_size: bs, head_blocks: 2 };
+            let build = |spec| BatchLayout::build(micro(), cfg, &[(len, spec)]).unwrap();
+            let new = build(MaskSpec::packed_documents(&docs));
+            let old = build(MaskSpec::Custom(rows));
+            prop_assert_eq!(new.token_blocks, old.token_blocks);
+            prop_assert_eq!(new.comp_blocks, old.comp_blocks);
         }
 
         /// Token blocks tile each sequence exactly.

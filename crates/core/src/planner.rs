@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use dcp_blocks::{BatchLayout, BlockConfig, CompBlock, CompBlockId, TokenBlock, TokenBlockId};
+use dcp_blocks::{BatchLayout, BlockConfig, CompBlock, TokenBlock, TokenBlockId};
 use dcp_hypergraph::{
     partition_warm_with_stats, partition_with_stats, HgArena, Hypergraph, HypergraphBuilder,
     PartitionConfig, PartitionStats, PartitionWork,
@@ -220,11 +220,14 @@ struct NearEntry {
     /// Total multi-pin hyperedge weight of the seeding batch, used to scale
     /// `cost` to the new batch's volume.
     edge_total: u64,
-    /// The seeding plan itself (verified). When a layout is
-    /// block-identical to the seeding batch the schedule is a deterministic
-    /// replay, so the stored plan is returned directly instead of being
-    /// rebuilt — this is what makes the identical-re-plan path
-    /// sub-millisecond.
+    /// The seeding batch's ordered `(length, mask)` list. Only the same
+    /// batch again replays `plan`: block keys alone do not pin a layout
+    /// (two masks can make the same block pairs with other pair counts).
+    seqs: Vec<(u32, MaskSpec)>,
+    /// The seeding plan itself (verified). When the seeding batch comes
+    /// again the schedule is a deterministic replay, so the stored plan is
+    /// returned directly instead of being rebuilt — this is what makes the
+    /// identical-re-plan path sub-millisecond.
     plan: ExecutionPlan,
 }
 
@@ -264,6 +267,27 @@ fn token_key(tb: &TokenBlock) -> BlockKey {
 fn comp_key(layout: &BatchLayout, cb: &CompBlock) -> BlockKey {
     let start = |tb: TokenBlockId| layout.token_blocks[tb.0 as usize].start;
     (cb.seq, cb.head_block, start(cb.q_block), start(cb.kv_block))
+}
+
+/// Per token block, the computation blocks reading it through `side`
+/// (`q_block` or `kv_block`), by one stable counting sort of `comp_blocks`:
+/// token block `i`'s are `ids[off[i]..off[i + 1]]`, ascending, as `(off,
+/// ids)`.
+fn readers(layout: &BatchLayout, side: fn(&CompBlock) -> TokenBlockId) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; layout.token_blocks.len() + 1];
+    for cb in &layout.comp_blocks {
+        off[side(cb).0 as usize + 1] += 1;
+    }
+    for i in 1..off.len() {
+        off[i] += off[i - 1];
+    }
+    let (mut next, mut ids) = (off.clone(), vec![0u32; layout.comp_blocks.len()]);
+    for (c, cb) in layout.comp_blocks.iter().enumerate() {
+        let at = &mut next[side(cb).0 as usize];
+        ids[*at as usize] = c as u32;
+        *at += 1;
+    }
+    (off, ids)
 }
 
 /// A string-keyed LRU map with lookup counters, shared (behind
@@ -505,6 +529,7 @@ impl Planner {
             p: self,
             origin: Instant::now(),
             iter,
+            seqs,
             key: (self.cfg.plan_cache > 0).then(|| self.signature(seqs)),
             near_key: None,
             times: PlanningTimes::default(),
@@ -578,22 +603,24 @@ impl Planner {
         Self::fill_builder(HypergraphBuilder::new(nt + nc), layout)
     }
 
-    /// The placement hypergraph's hyperedges in edge order: per token block
-    /// `i`, `(weight, i, consumers)` for Q+O and then for KV. An edge nobody
-    /// consumes has one pin, never costs, and is skipped.
-    fn edges(layout: &BatchLayout) -> impl Iterator<Item = (u64, usize, &[CompBlockId])> {
-        let per_token = |(i, tb): (usize, &TokenBlock)| {
-            [
-                (tb.q_bytes + tb.o_bytes, i, &layout.q_consumers[i][..]),
-                (tb.kv_bytes, i, &layout.kv_consumers[i][..]),
-            ]
-        };
-        layout
-            .token_blocks
-            .iter()
-            .enumerate()
-            .flat_map(per_token)
-            .filter(|(_, _, consumers)| !consumers.is_empty())
+    /// The placement hypergraph's hyperedges in edge order, each passed to
+    /// `edge(weight, i, readers)`: per token block `i`, Q+O and then KV,
+    /// with the computation blocks reading that slice ([`readers`]). An
+    /// edge nobody reads has one pin, never costs, and is skipped.
+    fn for_each_edge(layout: &BatchLayout, mut edge: impl FnMut(u64, usize, &[u32])) {
+        let sides = [
+            readers(layout, |c| c.q_block),
+            readers(layout, |c| c.kv_block),
+        ];
+        for (i, tb) in layout.token_blocks.iter().enumerate() {
+            let weights = [tb.q_bytes + tb.o_bytes, tb.kv_bytes];
+            for (weight, (off, ids)) in weights.into_iter().zip(&sides) {
+                let read = &ids[off[i] as usize..off[i + 1] as usize];
+                if !read.is_empty() {
+                    edge(weight, i, read);
+                }
+            }
+        }
     }
 
     fn fill_builder(mut b: HypergraphBuilder, layout: &BatchLayout) -> Hypergraph {
@@ -628,57 +655,51 @@ impl Planner {
             b.set_label(nt + i, base + tile(cb.q_block) * cols + tile(cb.kv_block));
         }
         let mut pins: Vec<u32> = Vec::new();
-        for (weight, i, consumers) in Self::edges(layout) {
+        Self::for_each_edge(layout, |weight, i, readers| {
             pins.clear();
             pins.push(i as u32);
-            pins.extend(consumers.iter().map(|c| nt as u32 + c.0));
+            pins.extend(readers.iter().map(|&c| nt as u32 + c));
             b.add_edge(weight, &pins);
-        }
+        });
         b.build().expect("pins are in range by construction")
     }
 
     /// Total hyperedge weight of `layout`'s placement hypergraph, without
     /// building it: what a warm-start seed's cost bound is scaled by.
     fn total_edge_weight(layout: &BatchLayout) -> u64 {
-        Self::edges(layout).map(|(weight, ..)| weight).sum()
+        let mut total = 0;
+        Self::for_each_edge(layout, |weight, _, _| total += weight);
+        total
     }
 
     /// Maps `layout`'s blocks onto the seeding placement's parts by block
     /// identity ([`token_key`], [`comp_key`]). Unmatched token
     /// blocks inherit the last matched part in block order (deterministic
     /// carry-forward keeps new blocks near their sequence neighbors);
-    /// unmatched comp blocks colocate with their Q block. The returned flag
-    /// is `true` when the mapping is a perfect bijection — every block
-    /// matched and the entry has no leftover blocks — i.e. the blocked
-    /// layouts are identical.
-    fn warm_seed(layout: &BatchLayout, entry: &NearEntry) -> (Vec<u32>, bool) {
+    /// unmatched comp blocks colocate with their Q block.
+    fn warm_seed(layout: &BatchLayout, entry: &NearEntry) -> Vec<u32> {
         let nt = layout.token_blocks.len();
         let mut seed = vec![0u32; nt + layout.comp_blocks.len()];
-        let mut exact =
-            nt == entry.token_parts.0.len() && layout.comp_blocks.len() == entry.comp_parts.0.len();
         let (mut last, mut next) = (0u32, 0);
         for (i, tb) in layout.token_blocks.iter().enumerate() {
-            match entry.token_parts.get(token_key(tb), &mut next) {
-                Some(p) => last = p,
-                None => exact = false,
+            if let Some(p) = entry.token_parts.get(token_key(tb), &mut next) {
+                last = p;
             }
             seed[i] = last;
         }
         next = 0;
         for (i, cb) in layout.comp_blocks.iter().enumerate() {
-            match entry.comp_parts.get(comp_key(layout, cb), &mut next) {
-                Some(p) => seed[nt + i] = p,
-                None => {
-                    exact = false;
-                    seed[nt + i] = seed[cb.q_block.0 as usize];
-                }
-            }
+            seed[nt + i] = entry
+                .comp_parts
+                .get(comp_key(layout, cb), &mut next)
+                .unwrap_or(seed[cb.q_block.0 as usize]);
         }
-        (seed, exact)
+        seed
     }
 
-    /// The warm-start seed entry describing a finished plan.
+    /// The warm-start seed entry describing a finished plan of `seqs`.
     fn near_entry_of(
+        seqs: &[(u32, MaskSpec)],
         layout: &BatchLayout,
         placement: &Placement,
         plan: &ExecutionPlan,
@@ -699,6 +720,7 @@ impl Planner {
             comp_parts: Parts::new(comp_parts.collect()),
             cost: plan.fwd.total_comm_bytes(),
             edge_total: Self::total_edge_weight(layout),
+            seqs: seqs.to_vec(),
             plan: plan.clone(),
         }
     }
@@ -864,6 +886,8 @@ struct Call<'a> {
     p: &'a Planner,
     origin: Instant,
     iter: Option<u64>,
+    /// The batch being planned.
+    seqs: &'a [(u32, MaskSpec)],
     /// This batch's exact-cache key (`None`: exact caching is off) and,
     /// once the exact lookup missed, its near-hit key (`None`: incremental
     /// planning is off).
@@ -941,20 +965,19 @@ impl<'a> Call<'a> {
     /// warm plan was rejected and the batch must be planned cold.
     fn try_warm(&mut self, layout: &BatchLayout, entry: &NearEntry) -> Option<Warm> {
         let span = self.span(Event::span(ObsSource::Planner, "warm_seed"));
-        let (seed, exact) = Planner::warm_seed(layout, entry);
-        let edge_total = Planner::total_edge_weight(layout);
+        let seed = Planner::warm_seed(layout, entry);
         self.times.partition += span.finish();
         let near_hit = || Event::counter(ObsSource::Planner, "near_hit", 1.0);
-        // Block-identical layout: the seed IS the seeding placement, and
+        // The seeding batch again: the seed IS the seeding placement, and
         // the retained plan is exactly what the pipeline would rebuild for
-        // it (layout, placement and config all identical) — so
+        // it (batch, placement and config all identical) — so
         // partitioning, scheduling and the pass pipeline are all skipped
         // and the stored plan is replayed through the verifier.
         // Re-planning an unchanged batch reproduces the prior plan bit for
         // bit at near-lookup cost. Anything else — including a stored plan
         // that no longer verifies — goes through warm-started delta
         // refinement.
-        if exact && entry.edge_total == edge_total {
+        if entry.seqs == self.seqs {
             let placement = self.p.split_placement(layout, &seed);
             if verify_plan(layout, &placement, &entry.plan).is_ok() {
                 self.emit(near_hit);
@@ -963,6 +986,7 @@ impl<'a> Call<'a> {
         }
         let span = self.span(Event::span(ObsSource::Planner, "delta_refine"));
         let placed = self.p.place(layout, Some(&seed));
+        let edge_total = Planner::total_edge_weight(layout);
         self.times.partition += span.finish();
         // Quality bound: balanced, and comm bytes within the configured
         // factor of the seeding plan's cost, scaled to this batch's
@@ -1034,7 +1058,7 @@ impl<'a> Call<'a> {
     /// shared lock is taken.
     fn remember(self, out: &PlanOutput, seeds: bool) {
         if let Some(near_key) = self.near_key.filter(|_| seeds) {
-            let entry = Planner::near_entry_of(&out.layout, &out.placement, &out.plan);
+            let entry = Planner::near_entry_of(self.seqs, &out.layout, &out.placement, &out.plan);
             Lru::lock(&self.p.near).insert(near_key, Arc::new(entry));
         }
         if let Some(key) = self.key {

@@ -105,19 +105,15 @@ impl MaskSpec {
     /// itself and blind to the others. This is the masking used when
     /// packing pre-training corpora (the setting WLB-LLM and the paper's
     /// related-work discussion assume); it is exactly a shared-question
-    /// mask with an empty question, expressed via per-token ranges.
+    /// mask with an empty question, and is built as one: one entry per
+    /// document, never per token.
     ///
     /// The instantiated length must equal the sum of `doc_lens`.
     pub fn packed_documents(doc_lens: &[u32]) -> Self {
-        let mut ranges = Vec::new();
-        let mut start = 0u32;
-        for &len in doc_lens {
-            for t in start..start + len {
-                ranges.push(RangePair::single(start, t + 1));
-            }
-            start += len;
+        MaskSpec::SharedQuestion {
+            question_len: 0,
+            answer_lens: doc_lens.to_vec(),
         }
-        MaskSpec::Custom(ranges)
     }
 
     /// A short, stable name for reports and benchmark output.

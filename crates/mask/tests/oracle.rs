@@ -190,12 +190,49 @@ proptest! {
             MaskSpec::Full | MaskSpec::Causal => 1,
             MaskSpec::Lambda { .. } => 2,
             MaskSpec::CausalBlockwise { block, .. } => len.div_ceil(*block),
-            MaskSpec::SharedQuestion { answer_lens, .. } => 1 + answer_lens.len() as u32,
-            MaskSpec::Custom(_) if family == 5 => 3,
+            MaskSpec::SharedQuestion { question_len, answer_lens } => {
+                u32::from(*question_len > 0) + answer_lens.len() as u32
+            }
             MaskSpec::Custom(_) => len,
         };
         prop_assert!(runs(&compressed) <= runs(&mask), "{:?} in {:?}", compressed, mask);
         prop_assert!(runs(&mask) <= most, "{:?} for {:?}", mask, spec);
+    }
+}
+
+/// The per-token rows `MaskSpec::packed_documents` returned before it was
+/// a shared-question mask with an empty question.
+fn packed_rows(docs: &[u32]) -> Vec<RangePair> {
+    let mut ranges = Vec::new();
+    let mut start = 0u32;
+    for &len in docs {
+        for t in start..start + len {
+            ranges.push(RangePair::single(start, t + 1));
+        }
+        start += len;
+    }
+    ranges
+}
+
+proptest! {
+    /// Packed documents attend as their per-token rows did, token by
+    /// token, zero-length and one-token documents included: only the run
+    /// description may differ.
+    #[test]
+    fn packed_documents_attend_as_their_per_token_rows(
+        docs in prop::collection::vec(prop_oneof![0u32..3, 0u32..200], 1..8),
+    ) {
+        let rows = packed_rows(&docs);
+        let len = rows.len() as u32;
+        if len == 0 {
+            return Ok(());
+        }
+        let spec = MaskSpec::packed_documents(&docs);
+        prop_assert!(matches!(spec, MaskSpec::SharedQuestion { question_len: 0, .. }));
+        let (new, old) = (spec.instantiate(len).unwrap(), MaskSpec::Custom(rows).instantiate(len).unwrap());
+        for t in 0..len {
+            prop_assert_eq!(new.allowed(t), old.allowed(t), "token {} of {:?}", t, docs);
+        }
     }
 }
 

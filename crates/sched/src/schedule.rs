@@ -760,19 +760,17 @@ mod tests {
         let l = layout(&[(4096, MaskSpec::Causal), (1024, MaskSpec::Causal)], 512);
         let p = ring_placement(&l, 4);
         let plan = build_plan(&l, &p, &ScheduleConfig::default()).unwrap();
+        // Per token block, the remote devices reading its Q and its KV.
+        let mut devs = vec![[HashSet::new(), HashSet::new()]; l.token_blocks.len()];
+        for (cb, &d) in l.comp_blocks.iter().zip(&p.comp_to_dev) {
+            for (side, tb) in [cb.q_block, cb.kv_block].into_iter().enumerate() {
+                if d != p.token_dev(tb) {
+                    devs[tb.0 as usize][side].insert(d);
+                }
+            }
+        }
         let mut expect = 0u64;
-        for (t, tb) in l.token_blocks.iter().enumerate() {
-            let owner = p.token_to_dev[t];
-            let q_devs: HashSet<u32> = l.q_consumers[t]
-                .iter()
-                .map(|&c| p.comp_dev(c))
-                .filter(|&d| d != owner)
-                .collect();
-            let kv_devs: HashSet<u32> = l.kv_consumers[t]
-                .iter()
-                .map(|&c| p.comp_dev(c))
-                .filter(|&d| d != owner)
-                .collect();
+        for (tb, [q_devs, kv_devs]) in l.token_blocks.iter().zip(&devs) {
             expect += (tb.q_bytes + tb.o_bytes) * q_devs.len() as u64
                 + tb.kv_bytes * kv_devs.len() as u64;
         }

@@ -148,19 +148,17 @@ proptest! {
             divisions: t,
             ..Default::default()
         }).unwrap();
+        // Per token block, the remote devices reading its Q and its KV.
+        let mut devs = vec![[HashSet::new(), HashSet::new()]; layout.token_blocks.len()];
+        for (cb, &d) in layout.comp_blocks.iter().zip(&placement.comp_to_dev) {
+            for (side, tb) in [cb.q_block, cb.kv_block].into_iter().enumerate() {
+                if d != placement.token_dev(tb) {
+                    devs[tb.0 as usize][side].insert(d);
+                }
+            }
+        }
         let mut expect = 0u64;
-        for (i, tb) in layout.token_blocks.iter().enumerate() {
-            let owner = placement.token_to_dev[i];
-            let q_devs: HashSet<u32> = layout.q_consumers[i]
-                .iter()
-                .map(|&c| placement.comp_dev(c))
-                .filter(|&d| d != owner)
-                .collect();
-            let kv_devs: HashSet<u32> = layout.kv_consumers[i]
-                .iter()
-                .map(|&c| placement.comp_dev(c))
-                .filter(|&d| d != owner)
-                .collect();
+        for (tb, [q_devs, kv_devs]) in layout.token_blocks.iter().zip(&devs) {
             expect += (tb.q_bytes + tb.o_bytes) * q_devs.len() as u64
                 + tb.kv_bytes * kv_devs.len() as u64;
         }

@@ -1023,9 +1023,8 @@ fn passes_agree_with_the_frozen_ones_on_grafted_streams() {
             let unread = (0..layout.token_blocks.len() as u32)
                 .map(TokenBlockId)
                 .find(|&tb| {
-                    let elsewhere = |c: &dcp_blocks::CompBlockId| placement.comp_dev(*c) != 0;
-                    placement.token_dev(tb) != 0
-                        && layout.q_consumers[tb.0 as usize].iter().all(elsewhere)
+                    let mut on_0 = layout.comp_blocks.iter().zip(&placement.comp_to_dev);
+                    placement.token_dev(tb) != 0 && !on_0.any(|(cb, &d)| cb.q_block == tb && d == 0)
                 })
                 .expect("some block device 0 never reads");
             let from = placement.token_dev(unread);

@@ -9,7 +9,10 @@
 //! blocks alternately on their Q and their KV block's device), not by the
 //! partitioner, so partial outputs and gradients cross devices both ways and
 //! a planner change does not move the digests; only a scheduler change that
-//! reorders a device's reductions could.
+//! reorders a device's reductions could. A second rule also runs every third
+//! computation block on a device owning neither of its token blocks, so an
+//! owner receives partials of blocks it computed nothing of and its
+//! reduction starts from a received partial.
 
 use dcp::blocks::{BatchLayout, BlockConfig, TokenBlockId};
 use dcp::exec::{execute_backward, execute_forward, random_output_grads, BatchData};
@@ -61,8 +64,18 @@ fn fnv1a<'a>(tensors: impl IntoIterator<Item = &'a [f32]>) -> u64 {
     h
 }
 
-/// The digest of one forward and backward run of the fixed plan.
-fn digest(q_heads: u32, kv_heads: u32, dim: u32) -> u64 {
+/// Where the placement rules run computation block `i`.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// Alternately on its KV and its Q block's device.
+    Owners,
+    /// As `Owners`, but every third block on the next device owning
+    /// neither its Q nor its KV block.
+    Foreign,
+}
+
+/// The digest of one forward and backward run of the plan `rule` places.
+fn digest(q_heads: u32, kv_heads: u32, dim: u32, rule: Rule) -> u64 {
     let layout = BatchLayout::build(
         AttnSpec::new(q_heads, kv_heads, dim, 2),
         BlockConfig {
@@ -76,8 +89,16 @@ fn digest(q_heads: u32, kv_heads: u32, dim: u32) -> u64 {
         .map(|i| i % DEVICES)
         .collect();
     let comp_to_dev = layout.comp_blocks.iter().enumerate().map(|(i, c)| {
-        let owner = if i % 2 == 0 { c.kv_block } else { c.q_block };
-        token_to_dev[owner.0 as usize]
+        let dev = |tb: TokenBlockId| token_to_dev[tb.0 as usize];
+        let (q, kv) = (dev(c.q_block), dev(c.kv_block));
+        match rule {
+            Rule::Foreign if i % 3 == 2 => (1..DEVICES)
+                .map(|step| (q + step) % DEVICES)
+                .find(|&d| d != kv)
+                .expect("four devices"),
+            _ if i % 2 == 0 => kv,
+            _ => q,
+        }
     });
     let placement = Placement {
         num_devices: DEVICES,
@@ -109,7 +130,21 @@ fn executor_bits_are_pinned() {
         ((3, 1, 64), 0xfb32_1a87_a44b_cb5c),
     ];
     for ((qh, kvh, dim), want) in cases {
-        let got = digest(qh, kvh, dim);
+        let got = digest(qh, kvh, dim, Rule::Owners);
+        assert_eq!(got, want, "heads {qh}/{kvh} dim {dim}: {got:#018x}");
+    }
+}
+
+#[test]
+fn executor_bits_are_pinned_where_owners_compute_nothing_of_a_block() {
+    // Owners whose reduction starts from a received `O`, `dQ` or `dK`/`dV`
+    // partial: `Numeric::reduce`'s first-partial arms.
+    let cases = [
+        ((4, 2, 16), 0x7eb5_da34_0684_d3d9),
+        ((3, 1, 64), 0x507e_a78f_c2d1_49ba),
+    ];
+    for ((qh, kvh, dim), want) in cases {
+        let got = digest(qh, kvh, dim, Rule::Foreign);
         assert_eq!(got, want, "heads {qh}/{kvh} dim {dim}: {got:#018x}");
     }
 }

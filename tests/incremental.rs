@@ -3,9 +3,11 @@
 //! The planner's near-hit tier re-uses a similar prior batch's placement as
 //! a warm-start seed. Its correctness contract has two halves:
 //!
-//! 1. *Identity*: re-planning a block-identical batch through the near-hit
-//!    path reproduces the cold plan bit for bit — pinned end to end here by
-//!    executing both plans through the `dcp-exec` bitwise oracle.
+//! 1. *Identity*: re-planning the same batch through the near-hit path
+//!    reproduces the cold plan bit for bit — pinned end to end here by
+//!    executing both plans through the `dcp-exec` bitwise oracle. Only the
+//!    same batch replays: one with another batch's block keys but other
+//!    pair counts is planned for its own flops.
 //! 2. *Legality*: a genuinely different batch that warm-starts from a seed
 //!    still yields a balanced, verifier-legal plan whose communication
 //!    volume stays within the configured bound of what a cold plan would
@@ -97,4 +99,39 @@ fn warm_replan_of_drifted_batch_is_legal_and_within_the_comm_bound() {
             cold.plan.fwd.total_comm_bytes()
         );
     }
+}
+
+#[test]
+fn a_batch_with_another_batchs_blocks_does_not_replay_its_plan() {
+    // At 1024-token blocks a causal and a blockwise mask over 4096 tokens
+    // make the same block pairs with other pair counts, so the swapped
+    // batch finds every block key of the first one. Its plan must still
+    // claim the flops its own blocks weigh. The exact cache is on: the
+    // swapped batch misses it and near-hits.
+    let p = Planner::new(
+        ClusterSpec::p4de(1),
+        AttnSpec::paper_micro(),
+        PlannerConfig {
+            block_size: 1024,
+            incremental: IncrementalConfig {
+                enabled: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let first = vec![
+        (4096, MaskSpec::Causal),
+        (4096, MaskSpec::paper_causal_blockwise()),
+    ];
+    let swapped = vec![first[1].clone(), first[0].clone()];
+    p.plan(&first).unwrap();
+    let out = p.plan(&swapped).unwrap();
+    assert_eq!(p.near_cache_stats().0, 1, "the seed lookup must hit");
+    assert!(
+        !(out.stats.near_hit && out.stats.schedule_s == 0.0),
+        "replayed the first batch's plan"
+    );
+    let claimed = out.plan.fwd.comp_loads();
+    assert_eq!(claimed, out.placement.comp_loads(&out.layout));
 }
