@@ -12,13 +12,18 @@
 //! reorders a device's reductions could. A second rule also runs every third
 //! computation block on a device owning neither of its token blocks, so an
 //! owner receives partials of blocks it computed nothing of and its
-//! reduction starts from a received partial.
+//! reduction starts from a received partial. A third case takes the
+//! placement and plan from the planner, so the partitioner's own placements,
+//! where owners receive gradient partials of blocks they computed nothing
+//! of, are under the pin too; a partitioner or planner change that moves
+//! that placement moves its digests.
 
 use dcp::blocks::{BatchLayout, BlockConfig, TokenBlockId};
+use dcp::core::{Planner, PlannerConfig};
 use dcp::exec::{execute_backward, execute_forward, random_output_grads, BatchData};
 use dcp::mask::MaskSpec;
-use dcp::sched::{build_plan, Placement, ScheduleConfig};
-use dcp::types::AttnSpec;
+use dcp::sched::{build_plan, ExecutionPlan, Placement, ScheduleConfig};
+use dcp::types::{AttnSpec, ClusterSpec};
 
 const DEVICES: u32 = 4;
 
@@ -76,6 +81,17 @@ enum Rule {
 
 /// The digest of one forward and backward run of the plan `rule` places.
 fn digest(q_heads: u32, kv_heads: u32, dim: u32, rule: Rule) -> u64 {
+    let (layout, placement, plan) = ruled_plan(q_heads, kv_heads, dim, rule);
+    run_digest(&layout, &placement, &plan)
+}
+
+/// The layout of [`sequences`] and the plan of the placement `rule` makes.
+fn ruled_plan(
+    q_heads: u32,
+    kv_heads: u32,
+    dim: u32,
+    rule: Rule,
+) -> (BatchLayout, Placement, ExecutionPlan) {
     let layout = BatchLayout::build(
         AttnSpec::new(q_heads, kv_heads, dim, 2),
         BlockConfig {
@@ -106,10 +122,45 @@ fn digest(q_heads: u32, kv_heads: u32, dim: u32, rule: Rule) -> u64 {
         token_to_dev,
     };
     let plan = build_plan(&layout, &placement, &ScheduleConfig::default()).unwrap();
-    let data = BatchData::random(&layout, 7);
-    let out = execute_forward(&layout, &placement, &plan, &data).unwrap();
-    let d_o = random_output_grads(&layout, 8);
-    let grads = execute_backward(&layout, &placement, &plan, &data, &out, &d_o).unwrap();
+    (layout, placement, plan)
+}
+
+/// The layout, placement and plan the planner makes of [`sequences`] on
+/// one eight-device node at block 16.
+fn planned(q_heads: u32, kv_heads: u32, dim: u32) -> (BatchLayout, Placement, ExecutionPlan) {
+    let planner = Planner::new(
+        ClusterSpec::single_node(8),
+        AttnSpec::new(q_heads, kv_heads, dim, 2),
+        PlannerConfig {
+            block_size: 16,
+            ..Default::default()
+        },
+    );
+    let out = planner.plan(&sequences()).unwrap();
+    (out.layout, out.placement, out.plan)
+}
+
+/// How many token blocks' `dQ` or `dK`/`dV` their owner computes none of
+/// (each side counted once): the owner's reduction of that gradient starts
+/// from a received partial.
+fn foreign_gradients(layout: &BatchLayout, placement: &Placement) -> usize {
+    let mut local = vec![[false; 2]; layout.token_blocks.len()];
+    for (c, &dev) in layout.comp_blocks.iter().zip(&placement.comp_to_dev) {
+        for (side, tb) in [c.q_block, c.kv_block].into_iter().enumerate() {
+            if placement.token_to_dev[tb.0 as usize] == dev {
+                local[tb.0 as usize][side] = true;
+            }
+        }
+    }
+    local.iter().flatten().filter(|&&l| !l).count()
+}
+
+/// The digest of one forward and backward run of `plan`.
+fn run_digest(layout: &BatchLayout, placement: &Placement, plan: &ExecutionPlan) -> u64 {
+    let data = BatchData::random(layout, 7);
+    let out = execute_forward(layout, placement, plan, &data).unwrap();
+    let d_o = random_output_grads(layout, 8);
+    let grads = execute_backward(layout, placement, plan, &data, &out, &d_o).unwrap();
     let ids = (0..layout.token_blocks.len() as u32).map(TokenBlockId);
     fnv1a(ids.flat_map(|tb| {
         let (o, g) = (&out[&tb], &grads[&tb]);
@@ -146,5 +197,28 @@ fn executor_bits_are_pinned_where_owners_compute_nothing_of_a_block() {
     for ((qh, kvh, dim), want) in cases {
         let got = digest(qh, kvh, dim, Rule::Foreign);
         assert_eq!(got, want, "heads {qh}/{kvh} dim {dim}: {got:#018x}");
+    }
+}
+
+#[test]
+fn executor_bits_are_pinned_on_a_planned_placement() {
+    // The partitioner's placement: some owners receive `dQ` or `dK`/`dV`
+    // partials of token blocks they computed nothing of.
+    let cases = [
+        ((3, 1, 16), 0xd22b_b733_d523_d589),
+        ((4, 2, 64), 0xb4b2_8e50_8237_204a),
+    ];
+    for ((qh, kvh, dim), want) in cases {
+        let (layout, placement, plan) = planned(qh, kvh, dim);
+        let foreign = foreign_gradients(&layout, &placement);
+        assert!(
+            foreign > 0,
+            "heads {qh}/{kvh} dim {dim}: no gradient starts from a partial"
+        );
+        let got = run_digest(&layout, &placement, &plan);
+        assert_eq!(
+            got, want,
+            "heads {qh}/{kvh} dim {dim}: {got:#018x} ({foreign} foreign)"
+        );
     }
 }
