@@ -219,7 +219,7 @@ fn link(cost: &CostModel, a: u32, b: u32) -> usize {
 }
 
 /// Flops of `comp`'s kernel in the phase.
-fn kernel_flops(layout: &BatchLayout, comp: CompBlockId, backward: bool) -> u64 {
+pub(crate) fn kernel_flops(layout: &BatchLayout, comp: CompBlockId, backward: bool) -> u64 {
     let flops = layout.comp_blocks[comp.0 as usize].flops;
     match backward {
         true => flops * BWD_RATIO.0 / BWD_RATIO.1,

@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::placement::Placement;
 use crate::plan::{ExecutionPlan, Instr, Payload, PayloadKind, PhasePlan, ReduceItem, Transfer};
+use crate::schedule::kernel_flops;
 use crate::stream::{incoming, At, AttnItem, Backend, Stream};
 
 /// Which legality rule a stream violated.
@@ -62,6 +63,9 @@ pub enum ViolationKind {
     /// The stream table, the placement and the layout disagree in shape
     /// (stream count vs. device count, stream order, placement lengths).
     ShapeMismatch,
+    /// An attention instruction's `flops` differ from what its computation
+    /// blocks weigh in the phase.
+    WrongFlops,
 }
 
 impl fmt::Display for ViolationKind {
@@ -82,6 +86,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::Deadlock => "deadlock",
             ViolationKind::BlockIdOutOfRange => "block-id-out-of-range",
             ViolationKind::ShapeMismatch => "shape-mismatch",
+            ViolationKind::WrongFlops => "wrong-flops",
         };
         f.write_str(s)
     }
@@ -192,13 +197,34 @@ fn verify_phase(
     .walk(&mut sym)?;
     // Coverage: every computation block executed exactly once, on its
     // assigned device (duplicates and wrong devices are caught in-stream).
-    match sym.placed.and_then(|p| p.seen.iter().position(|&s| !s)) {
-        Some(missing) => Err(Diagnostic::phase_level(
+    if let Some(missing) = sym.placed.and_then(|p| p.seen.iter().position(|&s| !s)) {
+        return Err(Diagnostic::phase_level(
             ViolationKind::MissingCompute,
             format!("comp block {missing} never scheduled in this phase"),
-        )),
-        None => Ok(()),
+        ));
     }
+    // Prices last, so a structural violation keeps its own diagnostic: a
+    // kernel claims the flops its blocks weigh in this layout (the
+    // simulator times whatever it claims).
+    for (dev, stream) in phase.devices.iter().enumerate() {
+        for (idx, ins) in stream.instrs.iter().enumerate() {
+            if let Instr::Attn { items, flops } | Instr::AttnBwd { items, flops } = ins {
+                let weigh: u64 = items
+                    .iter()
+                    .map(|&c| kernel_flops(layout, c, backward))
+                    .sum();
+                if *flops != weigh {
+                    return Err(Diagnostic::at(
+                        ViolationKind::WrongFlops,
+                        dev as u32,
+                        idx,
+                        format!("claims {flops} flops; its blocks weigh {weigh}"),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Structural verification of an ordinary plan's phase with no layout and
@@ -748,5 +774,36 @@ mod tests {
         assert!(added, "expected a reduce item with a free phantom source");
         let err = verify_plan(&l, &p, &plan).unwrap_err();
         assert_eq!(err.kind, ViolationKind::MissingPartial);
+    }
+
+    #[test]
+    fn rejects_a_kernel_claiming_other_flops() {
+        for backward in [false, true] {
+            let (l, p, mut plan) = small_case();
+            let phase = if backward {
+                &mut plan.bwd
+            } else {
+                &mut plan.fwd
+            };
+            let (d, i) = phase
+                .devices
+                .iter()
+                .enumerate()
+                .find_map(|(d, s)| {
+                    s.instrs
+                        .iter()
+                        .position(|ins| matches!(ins, Instr::Attn { .. } | Instr::AttnBwd { .. }))
+                        .map(|i| (d, i))
+                })
+                .unwrap();
+            if let Instr::Attn { flops, .. } | Instr::AttnBwd { flops, .. } =
+                &mut phase.devices[d].instrs[i]
+            {
+                *flops += 1;
+            }
+            let err = verify_plan(&l, &p, &plan).unwrap_err();
+            assert_eq!(err.kind, ViolationKind::WrongFlops, "{err}");
+            assert_eq!((err.device, err.instr), (Some(d as u32), Some(i)));
+        }
     }
 }

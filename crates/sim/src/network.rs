@@ -20,18 +20,35 @@
 //!
 //! # Incremental engine
 //!
-//! The default engine recomputes rates *incrementally*: each flow caches its
-//! resource list at insertion, each resource keeps a persistent member list,
-//! and an event (activation or completion) only re-runs the water-fill over
-//! the connected component of the flow/resource bipartite graph that the
-//! event touched. Rates outside the dirty component are already the
-//! max-min fixpoint of their own component and cannot change, so the
-//! restriction is exact — and because the component-local
-//! fill performs the same freeze steps in the same share order with the same
-//! arithmetic as a global fill would, it is *bitwise* identical to the
-//! retained scratch engine ([`Network::use_scratch_engine`]), which rebuilds
-//! everything from fresh hash maps on every event and serves as the
-//! reference for tests and the scaling benchmark.
+//! The default engine recomputes rates *incrementally*: each flow's
+//! resource path is interned once, at insertion, into one flat array, each
+//! resource keeps a persistent member list, and an event (activation or
+//! completion) only re-runs the water-fill over the connected component of
+//! the flow/resource bipartite graph that the event touched. Rates outside
+//! the dirty component are already the max-min fixpoint of their own
+//! component and cannot change, so the restriction is exact, and the
+//! component-local fill performs the same freeze steps in the same share
+//! order with the same arithmetic as a global fill would.
+//!
+//! The per-event state lives in dense arrays: activated flows' remaining
+//! bytes and rates in activation order (a finished flow stays behind as an
+//! inert entry, remaining `∞` and rate 0, until a compaction), and the
+//! flows not yet active in their own list, ascending by id. The sweep of
+//! [`Network::advance_to`] is one branch-free pass over the first two, and
+//! [`Network::next_event`] one minimum of `remaining / rate`. Three rules
+//! keep it bit-equal to a per-flow scan: `now + x` rounds monotonically, so
+//! adding `now` once to the least `x` is the least `now + x`; completions
+//! and activations are handled in ascending flow id, as a scan in id order
+//! meets them; and an inert entry neither drains, finishes nor bounds the
+//! next event.
+//!
+//! The retained scratch engine ([`Network::use_scratch_engine`]) rebuilds
+//! the allocation from fresh hash maps on every event and serves as the
+//! semantic reference for tests and the scaling benchmark. It is not
+//! bitwise the same: it breaks exact max-min ties in hash-map order, so on
+//! large plans it wanders by an ulp (the scaling benchmark's makespan
+//! relative error reads about 1e-15, and differs between runs of one
+//! build).
 
 use std::collections::HashMap;
 
@@ -50,25 +67,17 @@ enum Resource {
     TierIngress(u8, u32),
 }
 
-/// A transfer in flight.
-#[derive(Debug, Clone)]
-struct Flow {
-    src: u32,
-    dst: u32,
-    remaining: f64,
-    rate: f64,
+/// A flow that has not started moving data yet.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
     /// Time the flow starts moving data (creation + link latency).
-    active_at: f64,
-    /// Fault multiplier on this flow's achievable rate (degraded link).
-    factor: f64,
-    done: bool,
-    /// Interned ids of the resources on this flow's path, cached at
-    /// insertion (never recollected).
-    resources: Vec<u32>,
-    /// Whether the flow currently sits in its resources' member lists
-    /// (joined at activation, left at completion).
-    member: bool,
+    at: f64,
+    flow: u32,
+    bytes: f64,
 }
+
+/// `slot` of a flow that has not been activated.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Opaque flow handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,7 +100,6 @@ pub struct NetStats {
 #[derive(Debug)]
 pub struct Network {
     cluster: ClusterSpec,
-    flows: Vec<Flow>,
     /// Fault-injected bandwidth multipliers per directed device pair.
     link_factors: HashMap<(u32, u32), f64>,
     now: f64,
@@ -105,10 +113,33 @@ pub struct Network {
     members: Vec<Vec<u32>>,
     /// Live (activated, not done) member count per resource id.
     nlive: Vec<u32>,
-    /// Flows not yet done, in insertion order (includes pending ones).
-    live_flows: Vec<u32>,
-    /// Stale (done) entries currently in `live_flows`.
-    live_dead: usize,
+    // Per flow, by id.
+    /// Endpoints (the scratch engine recollects paths from them).
+    ends: Vec<(u32, u32)>,
+    /// Fault multiplier on the flow's achievable rate (degraded link).
+    factor: Vec<f64>,
+    /// Flow `f`'s interned resources are `path[path_at[f]..path_at[f + 1]]`.
+    path_at: Vec<u32>,
+    path: Vec<u32>,
+    /// Delivered every byte (a zero-byte flow is done when added).
+    done: Vec<bool>,
+    /// Index into the activated arrays, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    // Activated flows, in activation order.
+    /// The flow of each entry.
+    act: Vec<u32>,
+    /// Bytes left; `∞` for an inert (done) entry.
+    remaining: Vec<f64>,
+    /// Current rate; 0 for an inert entry.
+    rate: Vec<f64>,
+    /// Inert entries in the activated arrays.
+    inert: usize,
+    /// Flows not yet active, ascending by id.
+    pending: Vec<Pending>,
+    /// The pending flows one sweep activates (reused buffer).
+    due: Vec<Pending>,
+    /// The ports of the flow being added (reused buffer).
+    ports: Vec<Resource>,
     /// Use the retained scratch reference engine instead of the
     /// incremental one.
     scratch: bool,
@@ -125,7 +156,7 @@ pub struct Network {
     comp_res: Vec<u32>,
     comp_flows: Vec<u32>,
     /// Flows whose state changed since the last recompute (seeds the dirty
-    /// component).
+    /// component), ascending by id.
     dirty: Vec<u32>,
     /// Flows that delivered their last byte since
     /// [`Network::drain_completed`] was last called, in completion order.
@@ -141,15 +172,25 @@ impl Network {
     pub fn new(cluster: ClusterSpec) -> Self {
         Network {
             cluster,
-            flows: Vec::new(),
             link_factors: HashMap::new(),
             now: 0.0,
             res_ids: HashMap::new(),
             res_cap: Vec::new(),
             members: Vec::new(),
             nlive: Vec::new(),
-            live_flows: Vec::new(),
-            live_dead: 0,
+            ends: Vec::new(),
+            factor: Vec::new(),
+            path_at: vec![0],
+            path: Vec::new(),
+            done: Vec::new(),
+            slot: Vec::new(),
+            act: Vec::new(),
+            remaining: Vec::new(),
+            rate: Vec::new(),
+            inert: 0,
+            pending: Vec::new(),
+            due: Vec::new(),
+            ports: Vec::new(),
             scratch: false,
             stats: NetStats::default(),
             epoch: 0,
@@ -171,7 +212,7 @@ impl Network {
     /// full allocation from fresh hash maps and recollected resource lists,
     /// like the pre-incremental simulator. Call before adding flows.
     pub fn use_scratch_engine(&mut self, on: bool) {
-        debug_assert!(self.flows.is_empty(), "switch engines on an empty network");
+        debug_assert!(self.done.is_empty(), "switch engines on an empty network");
         self.scratch = on;
     }
 
@@ -201,48 +242,53 @@ impl Network {
         self.advance_to(t);
         let lat = self.cluster.latency(DeviceId(src), DeviceId(dst));
         let active_at = t + lat;
+        let fi = self.done.len();
+        let mut ports = std::mem::take(&mut self.ports);
+        ports.clear();
+        ports.extend(Self::path_of(&self.cluster, src, dst));
+        for &r in &ports {
+            let id = self.intern(r);
+            self.path.push(id);
+        }
+        self.ports = ports;
+        self.path_at.push(self.path.len() as u32);
+        self.ends.push((src, dst));
         let factor = self.link_factors.get(&(src, dst)).copied().unwrap_or(1.0);
-        let resources: Vec<u32> = Self::path_of(&self.cluster, src, dst)
-            .into_iter()
-            .map(|r| self.intern(r))
-            .collect();
-        let fi = self.flows.len();
-        self.flows.push(Flow {
-            src,
-            dst,
-            remaining: bytes as f64,
-            rate: 0.0,
-            active_at,
-            factor,
-            done: bytes == 0,
-            resources,
-            member: false,
-        });
+        self.factor.push(factor);
+        self.done.push(bytes == 0);
+        self.slot.push(NO_SLOT);
         self.frozen_mark.push(0);
         self.frozen_rate.push(0.0);
         self.flow_mark.push(0);
-        if !self.flows[fi].done {
-            self.live_flows.push(fi as u32);
+        let bytes = bytes as f64;
+        if bytes > 0.0 && active_at <= self.now {
+            // Only possible with zero link latency; normally activation
+            // happens inside a later `advance_to`.
+            self.activate(fi, bytes);
+            if !self.scratch {
+                self.dirty.clear();
+                self.dirty.push(fi as u32);
+                self.recompute_component();
+            }
+        } else if bytes > 0.0 {
+            self.pending.push(Pending {
+                at: active_at,
+                flow: fi as u32,
+                bytes,
+            });
         }
         if self.scratch {
             // The reference engine recomputes on every insertion, like the
             // pre-incremental simulator (a pending flow leaves rates
             // unchanged, but the full rebuild cost is the point).
             self.recompute_scratch();
-        } else if !self.flows[fi].done && active_at <= self.now {
-            // Only possible with zero link latency; normally activation
-            // happens inside a later `advance_to`.
-            self.join(fi);
-            self.dirty.clear();
-            self.dirty.push(fi as u32);
-            self.recompute_component();
         }
         (FlowId(fi), active_at)
     }
 
     /// Whether the flow has delivered all its bytes.
     pub(crate) fn is_done(&self, f: FlowId) -> bool {
-        self.flows[f.0].done
+        self.done[f.0]
     }
 
     /// The flows that completed since the last call, so a caller can react
@@ -275,26 +321,33 @@ impl Network {
             return;
         }
         self.dirty.clear();
-        let mut completed = false;
-        for idx in 0..self.live_flows.len() {
-            let fi = self.live_flows[idx] as usize;
-            let f = &mut self.flows[fi];
-            if f.done {
-                continue;
-            }
-            if f.active_at <= self.now {
-                f.remaining -= f.rate * dt;
-                if f.remaining <= f.rate * 1e-9 + 1e-6 {
-                    f.remaining = 0.0;
-                    f.done = true;
-                    f.rate = 0.0;
-                    completed = true;
-                    self.dirty.push(fi as u32);
-                    self.completed.push(fi as u32);
+        if drain(&mut self.remaining, &self.rate, dt) {
+            for (i, (rem, rate)) in self.remaining.iter_mut().zip(&mut self.rate).enumerate() {
+                if finished(*rem, *rate) {
+                    (*rem, *rate) = (f64::INFINITY, 0.0);
+                    let fi = self.act[i];
+                    self.done[fi as usize] = true;
+                    self.dirty.push(fi);
                 }
-            } else if f.active_at <= t {
-                // Newly activated.
-                self.dirty.push(fi as u32);
+            }
+            self.inert += self.dirty.len();
+            self.dirty.sort_unstable();
+            self.completed.extend_from_slice(&self.dirty);
+        }
+        let completions = self.dirty.len();
+        let due = &mut self.due;
+        due.clear();
+        self.pending.retain(|p| {
+            let ready = p.at <= t;
+            if ready {
+                due.push(*p);
+            }
+            !ready
+        });
+        if !self.due.is_empty() {
+            self.dirty.extend(self.due.iter().map(|p| p.flow));
+            if completions > 0 {
+                self.dirty.sort_unstable();
             }
         }
         self.now = t;
@@ -302,23 +355,21 @@ impl Network {
             self.settled = true;
             return;
         }
-        // Membership updates before the recompute: completed flows leave,
-        // newly activated flows join.
+        // Membership updates before the recompute, in id order: completed
+        // flows leave, newly activated flows join (the ascending `due` is
+        // the not-done subsequence of `dirty`).
+        let mut next_due = 0;
         for idx in 0..self.dirty.len() {
             let fi = self.dirty[idx] as usize;
-            if self.flows[fi].done {
+            if self.done[fi] {
                 self.leave(fi);
-            } else if !self.flows[fi].member && self.flows[fi].active_at <= t {
-                self.join(fi);
+            } else {
+                self.activate(fi, self.due[next_due].bytes);
+                next_due += 1;
             }
         }
-        if completed {
-            self.live_dead += self.dirty.len(); // over-counts harmlessly
-            if 2 * self.live_dead > self.live_flows.len() {
-                let flows = &self.flows;
-                self.live_flows.retain(|&fi| !flows[fi as usize].done);
-                self.live_dead = 0;
-            }
+        if completions > 0 && 2 * self.inert > self.act.len() {
+            self.compact();
         }
         if self.scratch {
             self.recompute_scratch();
@@ -329,32 +380,13 @@ impl Network {
 
     /// The earliest future event (flow activation or completion), if any.
     pub fn next_event(&self) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        // The live index skips completed flows; the scratch engine scans
-        // everything, like the pre-incremental simulator.
-        let ids: &[u32] = &self.live_flows;
-        let all: Vec<u32>;
-        let ids = if self.scratch {
-            all = (0..self.flows.len() as u32).collect();
-            &all
-        } else {
-            ids
-        };
-        for &fi in ids {
-            let f = &self.flows[fi as usize];
-            if f.done {
-                continue;
+        let mut best = self.now + min_ratio(&self.remaining, &self.rate);
+        for p in &self.pending {
+            if p.at < best {
+                best = p.at;
             }
-            let t = if f.active_at > self.now {
-                f.active_at
-            } else if f.rate > 0.0 {
-                self.now + f.remaining / f.rate
-            } else {
-                continue;
-            };
-            best = Some(best.map_or(t, |b: f64| b.min(t)));
         }
-        best
+        (best < f64::INFINITY).then_some(best)
     }
 
     /// Interns a resource, assigning a dense id and its nominal capacity.
@@ -373,34 +405,59 @@ impl Network {
         id
     }
 
-    /// Joins a flow to the member lists of its resources (at activation).
-    fn join(&mut self, fi: usize) {
-        self.flows[fi].member = true;
-        for k in 0..self.flows[fi].resources.len() {
-            let r = self.flows[fi].resources[k] as usize;
+    /// The interned resources on flow `fi`'s path.
+    fn path_of_flow(&self, fi: usize) -> std::ops::Range<usize> {
+        self.path_at[fi] as usize..self.path_at[fi + 1] as usize
+    }
+
+    /// Activates a flow: it takes an entry in the activated arrays and
+    /// joins the member lists of its resources.
+    fn activate(&mut self, fi: usize, bytes: f64) {
+        self.slot[fi] = self.act.len() as u32;
+        self.act.push(fi as u32);
+        self.remaining.push(bytes);
+        self.rate.push(0.0);
+        for k in self.path_of_flow(fi) {
+            let r = self.path[k] as usize;
             self.members[r].push(fi as u32);
             self.nlive[r] += 1;
         }
     }
 
-    /// Removes a flow from its resources' live counts (at completion). The
+    /// Removes a completed flow from its resources' live counts. The
     /// member vectors are pruned lazily once mostly stale, preserving
     /// activation order.
     fn leave(&mut self, fi: usize) {
-        if !self.flows[fi].member {
-            return;
-        }
-        self.flows[fi].member = false;
-        for k in 0..self.flows[fi].resources.len() {
-            let r = self.flows[fi].resources[k] as usize;
+        for k in self.path_of_flow(fi) {
+            let r = self.path[k] as usize;
             self.nlive[r] -= 1;
-            if self.members[r].len() >= 8 && self.members[r].len() as u32 >= 2 * self.nlive[r] + 4 {
-                let mut v = std::mem::take(&mut self.members[r]);
-                let flows = &self.flows;
-                v.retain(|&f| !flows[f as usize].done);
-                self.members[r] = v;
+            let members = &mut self.members[r];
+            if members.len() >= 8 && members.len() as u32 >= 2 * self.nlive[r] + 4 {
+                let done = &self.done;
+                members.retain(|&f| !done[f as usize]);
             }
         }
+    }
+
+    /// Drops the inert entries from the activated arrays, keeping the
+    /// activation order of the rest.
+    fn compact(&mut self) {
+        let mut kept = 0;
+        for i in 0..self.act.len() {
+            let fi = self.act[i];
+            if self.done[fi as usize] {
+                continue;
+            }
+            self.act[kept] = fi;
+            self.remaining[kept] = self.remaining[i];
+            self.rate[kept] = self.rate[i];
+            self.slot[fi as usize] = kept as u32;
+            kept += 1;
+        }
+        self.act.truncate(kept);
+        self.remaining.truncate(kept);
+        self.rate.truncate(kept);
+        self.inert = 0;
     }
 
     /// Recomputes max-min fair rates over the connected component(s) of the
@@ -411,69 +468,83 @@ impl Network {
     /// dirty flows, so all other rates are unchanged; within the dirty
     /// component the fill below performs the same freeze steps, in the same
     /// least-share-first order, with the same `cap - share` arithmetic as a
-    /// global scratch fill restricted to that component — hence bitwise
-    /// equality with the reference engine.
+    /// global fill restricted to that component.
     fn recompute_component(&mut self) {
         self.settled = false;
         self.stats.recomputes += 1;
         self.epoch += 1;
         let epoch = self.epoch;
-        self.comp_res.clear();
-        self.comp_flows.clear();
+        let Network {
+            members,
+            path_at,
+            path,
+            done,
+            res_mark,
+            flow_mark,
+            comp_res,
+            comp_flows,
+            ..
+        } = self;
+        let path_of = |fi: usize| &path[path_at[fi] as usize..path_at[fi + 1] as usize];
+        comp_res.clear();
+        comp_flows.clear();
         // Seed with the dirty flows' resources (a completed flow no longer
         // counts toward demand but its ports still need new shares).
-        for idx in 0..self.dirty.len() {
-            let fi = self.dirty[idx] as usize;
-            for k in 0..self.flows[fi].resources.len() {
-                let r = self.flows[fi].resources[k] as usize;
-                if self.res_mark[r] != epoch {
-                    self.res_mark[r] = epoch;
-                    self.comp_res.push(r as u32);
+        for &fi in &self.dirty {
+            for &r in path_of(fi as usize) {
+                if res_mark[r as usize] != epoch {
+                    res_mark[r as usize] = epoch;
+                    comp_res.push(r);
                 }
             }
         }
         // BFS across the bipartite graph: resources reach their live member
         // flows, flows reach all their resources.
         let mut qi = 0;
-        while qi < self.comp_res.len() {
-            let r = self.comp_res[qi] as usize;
+        while qi < comp_res.len() {
+            let r = comp_res[qi] as usize;
             qi += 1;
-            let mut j = 0;
-            while j < self.members[r].len() {
-                let fi = self.members[r][j] as usize;
-                j += 1;
-                if self.flows[fi].done || self.flow_mark[fi] == epoch {
+            for &fi in &members[r] {
+                let fi = fi as usize;
+                if done[fi] || flow_mark[fi] == epoch {
                     continue;
                 }
-                self.flow_mark[fi] = epoch;
-                self.comp_flows.push(fi as u32);
-                for k in 0..self.flows[fi].resources.len() {
-                    let r2 = self.flows[fi].resources[k] as usize;
-                    if self.res_mark[r2] != epoch {
-                        self.res_mark[r2] = epoch;
-                        self.comp_res.push(r2 as u32);
+                flow_mark[fi] = epoch;
+                comp_flows.push(fi as u32);
+                for &r2 in path_of(fi) {
+                    if res_mark[r2 as usize] != epoch {
+                        res_mark[r2 as usize] = epoch;
+                        comp_res.push(r2);
                     }
                 }
             }
         }
-        self.stats.touched_flows += self.comp_flows.len() as u64;
+        self.stats.touched_flows += comp_flows.len() as u64;
         // Progressive filling restricted to the component.
-        for idx in 0..self.comp_res.len() {
-            let r = self.comp_res[idx] as usize;
-            self.wcap[r] = self.res_cap[r];
-            self.wcount[r] = self.nlive[r];
+        let Network {
+            res_cap,
+            nlive,
+            wcap,
+            wcount,
+            frozen_mark,
+            frozen_rate,
+            ..
+        } = self;
+        for &r in comp_res.iter() {
+            wcap[r as usize] = res_cap[r as usize];
+            wcount[r as usize] = nlive[r as usize];
         }
-        let mut unfrozen = self.comp_flows.len();
+        let mut unfrozen = comp_flows.len();
         while unfrozen > 0 {
             // Resource with the smallest fair share.
             let mut best_r = usize::MAX;
             let mut best_s = f64::INFINITY;
-            for idx in 0..self.comp_res.len() {
-                let r = self.comp_res[idx] as usize;
-                if self.wcount[r] == 0 {
+            for &r in comp_res.iter() {
+                let r = r as usize;
+                if wcount[r] == 0 {
                     continue;
                 }
-                let share = self.wcap[r] / self.wcount[r] as f64;
+                let share = wcap[r] / wcount[r] as f64;
                 if share < best_s {
                     best_s = share;
                     best_r = r;
@@ -483,32 +554,28 @@ impl Network {
                 break;
             }
             // Freeze every unfrozen live flow on the bottleneck at `share`.
-            let mut j = 0;
-            while j < self.members[best_r].len() {
-                let fi = self.members[best_r][j] as usize;
-                j += 1;
-                if self.flows[fi].done || self.frozen_mark[fi] == epoch {
+            for &fi in &members[best_r] {
+                let fi = fi as usize;
+                if done[fi] || frozen_mark[fi] == epoch {
                     continue;
                 }
-                self.frozen_mark[fi] = epoch;
-                self.frozen_rate[fi] = best_s;
+                frozen_mark[fi] = epoch;
+                frozen_rate[fi] = best_s;
                 unfrozen -= 1;
-                for k in 0..self.flows[fi].resources.len() {
-                    let r2 = self.flows[fi].resources[k] as usize;
-                    self.wcap[r2] -= best_s;
-                    self.wcount[r2] -= 1;
+                for &r2 in path_of(fi) {
+                    wcap[r2 as usize] -= best_s;
+                    wcount[r2 as usize] -= 1;
                 }
             }
-            self.wcount[best_r] = 0;
+            wcount[best_r] = 0;
         }
-        for idx in 0..self.comp_flows.len() {
-            let fi = self.comp_flows[idx] as usize;
-            let rate = if self.frozen_mark[fi] == self.epoch {
-                self.frozen_rate[fi] * self.flows[fi].factor
+        for &fi in comp_flows.iter() {
+            let fi = fi as usize;
+            self.rate[self.slot[fi] as usize] = if frozen_mark[fi] == epoch {
+                frozen_rate[fi] * self.factor[fi]
             } else {
                 0.0
             };
-            self.flows[fi].rate = rate;
         }
     }
 
@@ -522,23 +589,18 @@ impl Network {
         let mut cap: HashMap<Resource, f64> = HashMap::new();
         let mut members: HashMap<Resource, Vec<usize>> = HashMap::new();
         let mut unfrozen: Vec<usize> = Vec::new();
-        let now = self.now;
         let resources: Vec<Vec<Resource>> = self
-            .flows
+            .ends
             .iter()
-            .map(|f| Self::path_of(&self.cluster, f.src, f.dst))
+            .map(|&(src, dst)| Self::path_of(&self.cluster, src, dst).collect())
             .collect();
-        for (i, f) in self.flows.iter_mut().enumerate() {
-            if f.done {
-                f.rate = 0.0;
-                continue;
-            }
-            if f.active_at > now {
-                f.rate = 0.0;
+        for (i, path) in resources.iter().enumerate() {
+            // Done flows and pending ones move no data.
+            if self.done[i] || self.slot[i] == NO_SLOT {
                 continue;
             }
             unfrozen.push(i);
-            for &r in &resources[i] {
+            for &r in path {
                 cap.entry(r)
                     .or_insert_with(|| Self::capacity_of(&self.cluster, r));
                 members.entry(r).or_default().push(i);
@@ -577,32 +639,33 @@ impl Network {
             active_count.insert(r, 0);
         }
         for (&i, &rate) in &frozen {
-            self.flows[i].rate = rate * self.flows[i].factor;
+            self.rate[self.slot[i] as usize] = rate * self.factor[i];
         }
     }
 
     /// The capacity-constrained ports on the path from `src` to `dst`.
-    fn path_of(cluster: &ClusterSpec, src: u32, dst: u32) -> Vec<Resource> {
+    fn path_of(cluster: &ClusterSpec, src: u32, dst: u32) -> impl Iterator<Item = Resource> + '_ {
         let ns = cluster.node_of(DeviceId(src)).0;
         let nd = cluster.node_of(DeviceId(dst)).0;
-        if ns == nd {
-            return vec![Resource::DevEgress(src), Resource::DevIngress(dst)];
-        }
-        let (ke, ki) = if cluster.rail_optimized() {
-            (src, dst)
+        let (ends, tiers) = if ns == nd {
+            ([Resource::DevEgress(src), Resource::DevIngress(dst)], 0)
+        } else if cluster.rail_optimized() {
+            let nic = [Resource::NicEgress(src), Resource::NicIngress(dst)];
+            (nic, cluster.tiers().len())
         } else {
-            (ns, nd)
+            let nic = [Resource::NicEgress(ns), Resource::NicIngress(nd)];
+            (nic, cluster.tiers().len())
         };
-        let mut path = vec![Resource::NicEgress(ke), Resource::NicIngress(ki)];
-        for i in 0..cluster.tiers().len() {
+        let uplinks = (0..tiers).flat_map(move |i| {
             let gs = cluster.tier_group(i, dcp_types::NodeId(ns));
             let gd = cluster.tier_group(i, dcp_types::NodeId(nd));
-            if gs != gd {
-                path.push(Resource::TierEgress(i as u8, gs));
-                path.push(Resource::TierIngress(i as u8, gd));
-            }
-        }
-        path
+            let up = [
+                Resource::TierEgress(i as u8, gs),
+                Resource::TierIngress(i as u8, gd),
+            ];
+            up.into_iter().filter(move |_| gs != gd)
+        });
+        ends.into_iter().chain(uplinks)
     }
 
     /// Nominal capacity of a resource.
@@ -624,8 +687,51 @@ impl Network {
 
     /// Current rate of a flow (testing / instrumentation).
     pub fn rate(&self, f: FlowId) -> f64 {
-        self.flows[f.0].rate
+        match self.slot[f.0] {
+            _ if self.done[f.0] => 0.0,
+            NO_SLOT => 0.0,
+            slot => self.rate[slot as usize],
+        }
     }
+}
+
+/// Whether an activated flow with `remaining` bytes left at `rate` is done:
+/// it would finish within a nanosecond (or a micro-byte). Never true of an
+/// inert entry.
+#[inline]
+fn finished(remaining: f64, rate: f64) -> bool {
+    remaining <= rate * 1e-9 + 1e-6
+}
+
+/// Drains every activated entry for `dt` seconds at its rate; whether one
+/// finished. One pass without branches, so it vectorizes; an inert entry
+/// stays at `∞ - 0`.
+fn drain(remaining: &mut [f64], rate: &[f64], dt: f64) -> bool {
+    let mut any = false;
+    for (rem, &rate) in remaining.iter_mut().zip(rate) {
+        *rem -= rate * dt;
+        any |= finished(*rem, rate);
+    }
+    any
+}
+
+/// The least `remaining / rate` over the activated entries (`∞` when there
+/// is none): an inert entry gives `∞ / 0 = ∞`, a flow at rate 0 `x / 0 = ∞`.
+/// The minimum is exact, so it is taken over independent lanes.
+fn min_ratio(remaining: &[f64], rate: &[f64]) -> f64 {
+    const LANES: usize = 4;
+    let mut least = [f64::INFINITY; LANES];
+    let (rems, rates) = (remaining.chunks_exact(LANES), rate.chunks_exact(LANES));
+    let tail = rems.remainder().iter().zip(rates.remainder());
+    for (rem, rate) in rems.zip(rates) {
+        for k in 0..LANES {
+            let x = rem[k] / rate[k];
+            least[k] = if x < least[k] { x } else { least[k] };
+        }
+    }
+    tail.map(|(rem, rate)| rem / rate)
+        .chain(least)
+        .fold(f64::INFINITY, |a, x| if x < a { x } else { a })
 }
 
 #[cfg(test)]
@@ -890,5 +996,28 @@ mod tests {
         }
         let max_members = net.members.iter().map(Vec::len).max().unwrap_or(0);
         assert!(max_members < 32, "stale members retained: {max_members}");
+        // Each flow finished alone, so each completion compacted the
+        // activated arrays down to nothing.
+        assert_eq!((net.act.len(), net.inert), (0, 0));
+    }
+
+    #[test]
+    fn zero_latency_flows_activate_on_insertion() {
+        let mut c = ClusterSpec::p4de(1);
+        c.intra_latency = 0.0;
+        let bw = c.intra_bw;
+        let mut net = Network::new(c);
+        let (f1, a1) = net.add_flow(0.0, 0, 1, 1_000_000);
+        assert_eq!(a1, 0.0);
+        assert_eq!(net.rate(f1), bw);
+        // A burst at the same instant shares the port at once.
+        let (f2, _) = net.add_flow(0.0, 0, 2, 3_000_000);
+        assert_eq!((net.rate(f1), net.rate(f2)), (bw / 2.0, bw / 2.0));
+        let (f3, _) = net.add_flow(0.0, 0, 3, 0);
+        assert!(net.is_done(f3) && net.rate(f3) == 0.0);
+        let t = run_until_done(&mut net);
+        let done: Vec<FlowId> = net.drain_completed().collect();
+        assert_eq!(done, [f1, f2], "the empty flow is not reported");
+        assert!((t - 4_000_000.0 / bw).abs() < 1e-12, "{t}");
     }
 }

@@ -115,11 +115,22 @@ proptest! {
 }
 
 /// Randomized flow arrivals (departures happen as flows drain), over one of
-/// the fabric topologies.
+/// the fabric topologies. About half the gaps are zero, so flows arrive in
+/// bursts at one instant; about one flow in six is empty; and up to 95
+/// flows make runs long enough that the engine compacts its finished
+/// entries many times.
 fn arb_flows() -> impl Strategy<Value = (usize, Vec<(f64, u32, u32, u64)>)> {
     (
-        0usize..3,
-        prop::collection::vec((0u64..2_000, 0u32..16, 0u32..16, 1u64..4_000_000), 1..40),
+        0usize..4,
+        prop::collection::vec(
+            (
+                (0u64..4_000).prop_map(|g| g.saturating_sub(2_000)),
+                0u32..16,
+                0u32..16,
+                (0u64..4_800_000).prop_map(|b| b.saturating_sub(800_000)),
+            ),
+            1..96,
+        ),
     )
         .prop_map(|(topo, raw)| {
             let mut t = 0.0f64;
@@ -139,7 +150,16 @@ fn topology(idx: usize) -> ClusterSpec {
     match idx {
         0 => ClusterSpec::p4de(2),
         1 => ClusterSpec::p4de_rail(2),
-        _ => ClusterSpec::p4de_spine(4, 2, 4.0),
+        2 => ClusterSpec::p4de_spine(4, 2, 4.0),
+        // No latency anywhere: `add_flow` activates every flow at once.
+        _ => {
+            let mut c = ClusterSpec::p4de_spine(4, 2, 4.0);
+            (c.intra_latency, c.inter_latency) = (0.0, 0.0);
+            for tier in c.topology.iter_mut().flat_map(|t| &mut t.tiers) {
+                tier.latency = 0.0;
+            }
+            c
+        }
     }
 }
 

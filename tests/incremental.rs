@@ -16,7 +16,7 @@
 use dcp::core::{IncrementalConfig, Planner, PlannerConfig};
 use dcp::exec::plans_equivalent;
 use dcp::mask::MaskSpec;
-use dcp::sched::verify_plan;
+use dcp::sched::{verify_plan, ViolationKind};
 use dcp::types::{AttnSpec, ClusterSpec, PlanTier};
 
 fn incremental_planner(nodes: u32) -> Planner {
@@ -125,7 +125,7 @@ fn a_batch_with_another_batchs_blocks_does_not_replay_its_plan() {
         (4096, MaskSpec::paper_causal_blockwise()),
     ];
     let swapped = vec![first[1].clone(), first[0].clone()];
-    p.plan(&first).unwrap();
+    let first_out = p.plan(&first).unwrap();
     let out = p.plan(&swapped).unwrap();
     assert_eq!(p.near_cache_stats().0, 1, "the seed lookup must hit");
     assert!(
@@ -134,4 +134,8 @@ fn a_batch_with_another_batchs_blocks_does_not_replay_its_plan() {
     );
     let claimed = out.plan.fwd.comp_loads();
     assert_eq!(claimed, out.placement.comp_loads(&out.layout));
+    // The first batch's plan names the same blocks, so only its prices
+    // tell it from a plan of the swapped batch.
+    let err = verify_plan(&out.layout, &first_out.placement, &first_out.plan).unwrap_err();
+    assert_eq!(err.kind, ViolationKind::WrongFlops, "{err}");
 }
