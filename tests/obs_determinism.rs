@@ -14,10 +14,14 @@
 //! process-global state.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dcp::blocks::TokenBlockId;
-use dcp::core::{DcpDataloader, IncrementalConfig, Planner, PlannerConfig};
+use dcp::core::{
+    DcpDataloader, IncrementalConfig, PlanFn, Planner, PlannerConfig, RetryConfig,
+};
 use dcp::data::Batch;
 use dcp::exec::{execute_backward_obs, execute_forward_obs, BatchData, ExecObs};
 use dcp::mask::MaskSpec;
@@ -217,6 +221,64 @@ fn planner_capture() -> Vec<Event> {
     sink.drain()
 }
 
+/// FNV-1a of the `Debug` form of every event's identity in
+/// [`loader_capture`]'s stream, computed before the dataloader's ready and
+/// in-flight queues became one queue of slots: same events, labels, `iter`
+/// stamps, values and order.
+const LOADER_IDENTITY_GOLDEN: u64 = 11_735_128_561_842_565_593;
+
+/// Every way the look-ahead loader hands out a batch, on one sink: planned
+/// by a worker, drained into memory by a snapshot and served from a
+/// restore, and re-planned on the consumer thread after its worker
+/// panicked. Four distinct batches, so no plan depends on which worker
+/// reached the shared plan cache first.
+fn loader_capture() -> Vec<Event> {
+    let sink = Arc::new(RecordingSink::new());
+    let handle = ObsHandle::new(sink.clone());
+    let planner = Planner::new(ClusterSpec::p4de(1), AttnSpec::new(4, 2, 16, 1), planner_cfg());
+    let shifted = |seqs: Vec<(u32, MaskSpec)>| -> Vec<(u32, MaskSpec)> {
+        seqs.into_iter().map(|(l, m)| (l + 32, m)).collect()
+    };
+    let doomed = shifted(plain_batch());
+    let batches: Vec<Batch> = [
+        skewed_batch(),
+        plain_batch(),
+        shifted(skewed_batch()),
+        doomed.clone(),
+    ]
+    .into_iter()
+    .map(|seqs| Batch { seqs })
+    .collect();
+    // The last batch's first plan panics: its worker dies and the loader
+    // re-plans it on the consumer thread.
+    let panicked = AtomicBool::new(false);
+    let plan_fn: Arc<PlanFn> = Arc::new(move |seqs: &[(u32, MaskSpec)]| {
+        if seqs == doomed.as_slice() && !panicked.swap(true, Ordering::SeqCst) {
+            panic!("planned to fail once");
+        }
+        planner.plan(seqs)
+    });
+    let retry = RetryConfig {
+        backoff: Duration::ZERO,
+        ..RetryConfig::default()
+    };
+    let loader = |obs: &ObsHandle| {
+        DcpDataloader::with_plan_fn(Arc::clone(&plan_fn), batches.clone(), 1, retry)
+            .with_obs(obs.clone())
+    };
+    let mut first = loader(&handle);
+    first.next().expect("a batch").expect("planned");
+    let snap = first.snapshot();
+    assert_eq!(snap.planned.len(), 1);
+    drop(first);
+    let mut resumed = loader(&handle).restore(&snap);
+    for item in resumed.by_ref() {
+        item.expect("loader yields");
+    }
+    assert_eq!(resumed.replans(), 1);
+    sink.drain()
+}
+
 fn planner_identity_hash(events: &[Event]) -> u64 {
     fnv1a(identities(events).iter().map(|e| format!("{e:?}\n")))
 }
@@ -233,6 +295,11 @@ fn event_stream_is_identical_across_thread_counts() {
             planner_identity_hash(&planner_capture()),
             PLANNER_IDENTITY_GOLDEN,
             "the planner's event identity stream changed (RAYON_NUM_THREADS={threads})"
+        );
+        assert_eq!(
+            planner_identity_hash(&loader_capture()),
+            LOADER_IDENTITY_GOLDEN,
+            "the dataloader's event identity stream changed (RAYON_NUM_THREADS={threads})"
         );
     }
     match saved {
