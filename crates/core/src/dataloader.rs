@@ -149,6 +149,37 @@ pub struct ReplanEvent {
     pub recovery_wall_s: f64,
 }
 
+/// Runs `plan_fn` on `seqs`; `None` when it panicked. The one place a
+/// planning panic is caught, for pool workers and synchronous re-plans
+/// alike.
+fn plan_caught(plan_fn: &PlanFn, seqs: &[(u32, MaskSpec)]) -> Option<DcpResult<PlanOutput>> {
+    catch_unwind(AssertUnwindSafe(|| plan_fn(seqs))).ok()
+}
+
+/// Waits for a look-ahead result, up to `deadline`. `Err((class, msg))`
+/// describes a slow or dead worker.
+fn await_plan(
+    rx: &Receiver<DcpResult<PlanOutput>>,
+    deadline: Option<Duration>,
+) -> Result<DcpResult<PlanOutput>, (FailureClass, String)> {
+    let died = || {
+        (
+            FailureClass::WorkerDied,
+            "planning worker died (panicked)".to_string(),
+        )
+    };
+    match deadline {
+        Some(deadline) => rx.recv_timeout(deadline).map_err(|e| match e {
+            RecvTimeoutError::Timeout => (
+                FailureClass::Timeout,
+                format!("planning worker missed the {deadline:?} deadline"),
+            ),
+            RecvTimeoutError::Disconnected => died(),
+        }),
+        None => rx.recv().map_err(|_| died()),
+    }
+}
+
 /// A fixed pool of detached planning threads consuming look-ahead jobs.
 ///
 /// A panic inside the planning closure is caught so the worker survives;
@@ -180,13 +211,10 @@ impl WorkerPool {
                     // so workers plan concurrently and a panic cannot poison it.
                     let job = rx.lock().expect("job queue lock").recv();
                     let Ok((seqs, tx)) = job else { break };
-                    match catch_unwind(AssertUnwindSafe(|| plan_fn(&seqs))) {
-                        Ok(result) => {
-                            let _ = tx.send(result);
-                        }
-                        // Dropping `tx` without sending signals the panic
-                        // to the consumer as a disconnect.
-                        Err(_) => drop(tx),
+                    // On a panic, dropping `tx` without sending signals it
+                    // to the consumer as a disconnect.
+                    if let Some(result) = plan_caught(plan_fn.as_ref(), &seqs) {
+                        let _ = tx.send(result);
                     }
                 })
                 .expect("failed to spawn planning worker thread");
@@ -197,6 +225,14 @@ impl WorkerPool {
     fn submit(&self, seqs: Vec<(u32, MaskSpec)>, tx: SyncSender<DcpResult<PlanOutput>>) {
         let _ = self.jobs.send((seqs, tx));
     }
+}
+
+/// One submitted batch of the look-ahead window.
+enum Slot {
+    /// A plan in hand: restored from a snapshot, or drained by one.
+    Planned(Box<PlanOutput>),
+    /// A plan a pool worker delivers (or disconnects, on panic) here.
+    Planning(Receiver<DcpResult<PlanOutput>>),
 }
 
 /// An iterator over `(batch, plan)` pairs with asynchronous look-ahead
@@ -229,19 +265,15 @@ impl WorkerPool {
 pub struct DcpDataloader {
     plan_fn: Arc<PlanFn>,
     batches: Vec<Batch>,
-    /// Next batch index to submit for planning.
-    submitted: usize,
     /// Next batch index to hand out.
     consumed: usize,
     /// Look-ahead window κ.
     lookahead: usize,
     /// Retry/timeout policy.
     retry: RetryConfig,
-    /// Plans already in hand (restored from a snapshot or drained by one),
-    /// contiguous from `consumed`; served before polling workers.
-    ready: VecDeque<PlanOutput>,
-    /// In-flight plan results, in batch order after `ready`.
-    inflight: VecDeque<Receiver<DcpResult<PlanOutput>>>,
+    /// The submitted batches not yet handed out, in batch order from
+    /// `consumed`: batch `consumed + slots.len()` is the next to submit.
+    slots: VecDeque<Slot>,
     /// The fixed look-ahead planning pool.
     pool: WorkerPool,
     /// Structured log of every recovery incident, in batch order.
@@ -281,12 +313,10 @@ impl DcpDataloader {
         DcpDataloader {
             plan_fn,
             batches,
-            submitted: 0,
             consumed: 0,
             lookahead,
             retry,
-            ready: VecDeque::new(),
-            inflight: VecDeque::new(),
+            slots: VecDeque::new(),
             pool,
             events: Vec::new(),
             obs: ObsHandle::noop(),
@@ -345,34 +375,32 @@ impl DcpDataloader {
 
     /// Checkpoints the loader: drains every in-flight look-ahead result
     /// (a barrier, honoring [`RetryConfig::batch_deadline`] per batch) into
-    /// the ready queue and returns the consume cursor plus all
+    /// memory and returns the consume cursor plus all
     /// planned-but-unconsumed plans. The loader stays usable afterwards —
     /// drained plans are served from memory, nothing is re-planned.
     ///
     /// A worker that failed, timed out, or died during the drain truncates
     /// the snapshot at its batch: that batch and everything after it are
-    /// simply re-planned after [`Self::restore`] (or on this loader's own
-    /// retry path when iteration continues).
+    /// simply planned again after [`Self::restore`] (or by this loader's
+    /// look-ahead pool when iteration continues).
     pub fn snapshot(&mut self) -> DataloaderSnapshot {
-        while let Some(rx) = self.inflight.pop_front() {
-            match self.await_worker(&rx) {
-                Ok(Ok(plan)) => self.ready.push_back(plan),
-                _ => {
-                    self.inflight.clear();
-                    break;
+        let mut planned = Vec::new();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Slot::Planning(rx) = slot {
+                match await_plan(rx, self.retry.batch_deadline) {
+                    Ok(Ok(plan)) => *slot = Slot::Planned(Box::new(plan)),
+                    _ => break,
                 }
+            }
+            if let Slot::Planned(plan) = slot {
+                planned.push((self.consumed + i, PlanOutput::clone(plan)));
             }
         }
         // Whatever was not drained cleanly must be re-submitted.
-        self.submitted = self.consumed + self.ready.len();
+        self.slots.truncate(planned.len());
         let snap = DataloaderSnapshot {
             consumed: self.consumed,
-            planned: self
-                .ready
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (self.consumed + i, p.clone()))
-                .collect(),
+            planned,
         };
         if self.obs.enabled() {
             self.obs.record(
@@ -398,9 +426,7 @@ impl DcpDataloader {
     /// stale or broken plan.
     pub fn restore(mut self, snapshot: &DataloaderSnapshot) -> Self {
         self.consumed = snapshot.consumed.min(self.batches.len());
-        self.ready.clear();
-        self.inflight.clear();
-        let mut expect = self.consumed;
+        self.slots.clear();
         for (idx, plan) in &snapshot.planned {
             let Some(batch) = self.batches.get(*idx) else {
                 break;
@@ -415,192 +441,63 @@ impl DcpDataloader {
                         l == *len && spec.instantiate(*len).is_ok_and(|m| m == *mask)
                     },
                 );
-            if *idx != expect
+            if *idx != self.consumed + self.slots.len()
                 || !same_batch
                 || verify_plan(layout, &plan.placement, &plan.plan).is_err()
             {
                 break;
             }
-            self.ready.push_back(plan.clone());
-            expect += 1;
+            self.slots.push_back(Slot::Planned(Box::new(plan.clone())));
         }
-        self.submitted = expect;
         if self.obs.enabled() {
             self.obs.record(
                 Event::instant(ObsSource::Dataloader, "snapshot_restored")
                     .with_iter(self.consumed as u64)
-                    .with_value(self.ready.len() as f64),
+                    .with_value(self.slots.len() as f64),
             );
         }
         self
     }
 
     fn submit_upto(&mut self, target: usize) {
-        while self.submitted < target.min(self.batches.len()) {
+        loop {
+            let next = self.consumed + self.slots.len();
+            if next >= target.min(self.batches.len()) {
+                break;
+            }
             let (tx, rx) = sync_channel(1);
-            self.pool
-                .submit(self.batches[self.submitted].seqs.clone(), tx);
+            self.pool.submit(self.batches[next].seqs.clone(), tx);
             if self.obs.enabled() {
                 self.obs.record(
                     Event::instant(ObsSource::Dataloader, "lookahead_submit")
-                        .with_iter(self.submitted as u64),
+                        .with_iter(next as u64),
                 );
             }
-            self.inflight.push_back(rx);
-            self.submitted += 1;
-        }
-    }
-
-    /// Waits for the look-ahead result of the batch at `index`, honoring
-    /// the deadline. `Err((class, msg))` describes a failed/slow/dead
-    /// worker.
-    fn await_worker(
-        &self,
-        rx: &Receiver<DcpResult<PlanOutput>>,
-    ) -> Result<DcpResult<PlanOutput>, (FailureClass, String)> {
-        match self.retry.batch_deadline {
-            Some(deadline) => rx.recv_timeout(deadline).map_err(|e| match e {
-                RecvTimeoutError::Timeout => (
-                    FailureClass::Timeout,
-                    format!("planning worker missed the {deadline:?} deadline"),
-                ),
-                RecvTimeoutError::Disconnected => (
-                    FailureClass::WorkerDied,
-                    "planning worker died (panicked)".to_string(),
-                ),
-            }),
-            None => rx.recv().map_err(|_| {
-                (
-                    FailureClass::WorkerDied,
-                    "planning worker died (panicked)".to_string(),
-                )
-            }),
+            self.slots.push_back(Slot::Planning(rx));
         }
     }
 
     /// One synchronous re-plan, isolating panics in the planning function.
     fn replan(&self, seqs: &[(u32, MaskSpec)]) -> Result<PlanOutput, String> {
-        let plan_fn = Arc::clone(&self.plan_fn);
-        match catch_unwind(AssertUnwindSafe(|| plan_fn(seqs))) {
-            Ok(Ok(plan)) => Ok(plan),
-            Ok(Err(e)) => Err(e.to_string()),
-            Err(_) => Err("synchronous re-plan panicked".to_string()),
+        match plan_caught(self.plan_fn.as_ref(), seqs) {
+            Some(Ok(plan)) => Ok(plan),
+            Some(Err(e)) => Err(e.to_string()),
+            None => Err("synchronous re-plan panicked".to_string()),
         }
     }
 
-    /// Re-emits the worker-side planning summary for batch `index` on the
-    /// consumer thread: cache outcome, then the stage breakdown recorded in
-    /// [`crate::PlanStats`] as consecutive planner-source spans.
-    fn emit_plan_summary(&self, index: usize, out: &PlanOutput) {
-        let iter = index as u64;
-        let s = &out.stats;
-        let cache = if s.cache_hit {
-            "plan_cache_hit"
-        } else {
-            "plan_cache_miss"
-        };
-        self.obs.record(
-            Event::counter(ObsSource::Planner, cache, 1.0)
-                .with_iter(iter)
-                .with_label(out.tier.label()),
-        );
-        if !s.cache_hit {
-            let mut at = 0.0;
-            for (name, dur) in [
-                ("block_gen", out.times.block_gen),
-                ("coarsen", s.coarsen_s),
-                ("initial", s.initial_s),
-                ("refine", s.refine_s),
-                ("schedule", s.schedule_s),
-            ] {
-                self.obs.record(
-                    Event::span(ObsSource::Planner, name)
-                        .with_iter(iter)
-                        .with_label(out.tier.label())
-                        .with_time(at, dur),
-                );
-                at += dur;
-            }
-        }
-    }
-}
-
-impl Iterator for DcpDataloader {
-    type Item = DcpResult<(Batch, PlanOutput)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.consumed >= self.batches.len() {
-            return None;
-        }
-        // Keep the window `consumed .. consumed + 1 + kappa` planned.
-        // Saturating: κ = usize::MAX means "plan everything", not overflow.
-        self.submit_upto(
-            self.consumed
-                .saturating_add(1)
-                .saturating_add(self.lookahead),
-        );
-        // Plans restored from a snapshot (or drained by one) are served
-        // from memory first.
-        if let Some(plan) = self.ready.pop_front() {
-            let batch = self.batches[self.consumed].clone();
-            let index = self.consumed;
-            self.consumed += 1;
-            if self.obs.enabled() {
-                self.emit_plan_summary(index, &plan);
-                self.obs.record(
-                    Event::instant(ObsSource::Dataloader, "plan_ready")
-                        .with_iter(index as u64)
-                        .with_label(plan.tier.label()),
-                );
-            }
-            return Some(Ok((batch, plan)));
-        }
-        let Some(rx) = self.inflight.pop_front() else {
-            // Unreachable (submit_upto above guarantees an in-flight entry
-            // for a non-exhausted loader), but a malformed internal state
-            // must not panic the training stream.
-            let idx = self.consumed;
-            self.consumed += 1;
-            return Some(Err(DcpError::planning_failed(
-                idx,
-                0,
-                "internal error: no in-flight plan for this batch",
-            )));
-        };
-        let batch = self.batches[self.consumed].clone();
-        let index = self.consumed;
-        self.consumed += 1;
-
+    /// The look-ahead result of batch `index` is unusable (`failed`, found
+    /// after waiting since `t_wait`): re-plan synchronously with bounded
+    /// retries and linear backoff. The failure stays confined to this batch
+    /// — later batches keep their own workers and channels.
+    fn recover(
+        &mut self,
+        batch: Batch,
+        index: usize,
+        (failure, mut last_error): (FailureClass, String),
+        t_wait: Instant,
+    ) -> DcpResult<(Batch, PlanOutput)> {
         let obs_on = self.obs.enabled();
-        let t_wait = Instant::now();
-        let waited = self.await_worker(&rx);
-        if obs_on {
-            self.obs.record(
-                Event::span(ObsSource::Dataloader, "plan_wait")
-                    .with_iter(index as u64)
-                    .with_time(0.0, t_wait.elapsed().as_secs_f64()),
-            );
-        }
-        let (failure, mut last_error) = match waited {
-            Ok(Ok(plan)) => {
-                if obs_on {
-                    self.emit_plan_summary(index, &plan);
-                    self.obs.record(
-                        Event::instant(ObsSource::Dataloader, "plan_ready")
-                            .with_iter(index as u64)
-                            .with_label(plan.tier.label()),
-                    );
-                }
-                return Some(Ok((batch, plan)));
-            }
-            Ok(Err(e)) => (FailureClass::PlanError, e.to_string()),
-            Err((class, msg)) => (class, msg),
-        };
-
-        // The look-ahead result is unusable: re-plan synchronously with
-        // bounded retries and linear backoff. The failure stays confined to
-        // this batch — later batches keep their own workers and channels.
-        //
         // Backoff sleeps are charged against the same per-batch deadline the
         // worker wait already consumed: each sleep is clamped to the budget
         // remaining, so a slow worker followed by linear backoff cannot
@@ -673,13 +570,103 @@ impl Iterator for DcpDataloader {
         }
         self.events.push(event);
         match recovered {
-            Some(plan) => Some(Ok((batch, plan))),
-            None => Some(Err(DcpError::planning_failed(
+            Some(plan) => Ok((batch, plan)),
+            None => Err(DcpError::planning_failed(
                 index,
                 1 + self.retry.max_retries,
                 last_error,
-            ))),
+            )),
         }
+    }
+
+    /// Re-emits the worker-side planning summary for batch `index` on the
+    /// consumer thread: cache outcome, then the stage breakdown recorded in
+    /// [`crate::PlanStats`] as consecutive planner-source spans.
+    fn emit_plan_summary(&self, index: usize, out: &PlanOutput) {
+        let iter = index as u64;
+        let s = &out.stats;
+        let cache = if s.cache_hit {
+            "plan_cache_hit"
+        } else {
+            "plan_cache_miss"
+        };
+        self.obs.record(
+            Event::counter(ObsSource::Planner, cache, 1.0)
+                .with_iter(iter)
+                .with_label(out.tier.label()),
+        );
+        if !s.cache_hit {
+            let mut at = 0.0;
+            for (name, dur) in [
+                ("block_gen", out.times.block_gen),
+                ("coarsen", s.coarsen_s),
+                ("initial", s.initial_s),
+                ("refine", s.refine_s),
+                ("schedule", s.schedule_s),
+            ] {
+                self.obs.record(
+                    Event::span(ObsSource::Planner, name)
+                        .with_iter(iter)
+                        .with_label(out.tier.label())
+                        .with_time(at, dur),
+                );
+                at += dur;
+            }
+        }
+    }
+}
+
+impl Iterator for DcpDataloader {
+    type Item = DcpResult<(Batch, PlanOutput)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.consumed >= self.batches.len() {
+            return None;
+        }
+        // Keep the window `consumed .. consumed + 1 + kappa` planned.
+        // Saturating: κ = usize::MAX means "plan everything", not overflow.
+        self.submit_upto(
+            self.consumed
+                .saturating_add(1)
+                .saturating_add(self.lookahead),
+        );
+        let slot = self.slots.pop_front().expect("the window holds this batch");
+        let batch = self.batches[self.consumed].clone();
+        let index = self.consumed;
+        self.consumed += 1;
+        let plan = match slot {
+            // Plans restored from a snapshot (or drained by one) are served
+            // from memory.
+            Slot::Planned(plan) => *plan,
+            Slot::Planning(rx) => {
+                let t_wait = Instant::now();
+                let waited = await_plan(&rx, self.retry.batch_deadline);
+                if self.obs.enabled() {
+                    self.obs.record(
+                        Event::span(ObsSource::Dataloader, "plan_wait")
+                            .with_iter(index as u64)
+                            .with_time(0.0, t_wait.elapsed().as_secs_f64()),
+                    );
+                }
+                match waited {
+                    Ok(Ok(plan)) => plan,
+                    Ok(Err(e)) => {
+                        let failed = (FailureClass::PlanError, e.to_string());
+                        return Some(self.recover(batch, index, failed, t_wait));
+                    }
+                    Err(failed) => return Some(self.recover(batch, index, failed, t_wait)),
+                }
+            }
+        };
+        if self.obs.enabled() {
+            self.emit_plan_summary(index, &plan);
+            self.obs.record(
+                Event::instant(ObsSource::Dataloader, "plan_ready")
+                    .with_iter(index as u64)
+                    .with_label(plan.tier.label()),
+            );
+        }
+        Some(Ok((batch, plan)))
     }
 }
 

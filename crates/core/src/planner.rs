@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use dcp_blocks::{BatchLayout, BlockConfig, CompBlock, TokenBlock, TokenBlockId};
 use dcp_hypergraph::{
-    partition_warm_with_stats, partition_with_stats, HgArena, Hypergraph, HypergraphBuilder,
+    partition_warm_with_stats, partition_with_stats, Hypergraph, HypergraphBuilder,
     PartitionConfig, PartitionStats, PartitionWork,
 };
 use dcp_mask::MaskSpec;
@@ -202,61 +202,20 @@ impl PlanOutput {
     }
 }
 
-/// A warm-start seed retained from a previously planned batch: the part of
-/// every block, keyed by block identity so surviving blocks of a similar
-/// batch map back to their old parts, plus the cost context the quality
-/// bound scales against.
+/// A near-hit tier entry: a planned batch and its finished output, the same
+/// allocation the exact cache holds. The output is both the replay of the
+/// batch itself and the warm-start seed of a batch of its shape.
 #[derive(Debug)]
 struct NearEntry {
-    /// Device count the seeding placement targeted.
-    num_devices: u32,
-    /// Token-block part by [`token_key`].
-    token_parts: Parts,
-    /// Comp-block part by [`comp_key`].
-    comp_parts: Parts,
-    /// Forward communication bytes of the seeding plan, i.e. its
-    /// connectivity−1 cost.
-    cost: u64,
-    /// Total multi-pin hyperedge weight of the seeding batch, used to scale
-    /// `cost` to the new batch's volume.
-    edge_total: u64,
-    /// The seeding batch's ordered `(length, mask)` list. Only the same
-    /// batch again replays `plan`: block keys alone do not pin a layout
-    /// (two masks can make the same block pairs with other pair counts).
+    /// The batch's ordered `(length, mask)` list. Only the same batch again
+    /// replays `out`: block keys alone do not pin a layout (two masks can
+    /// make the same block pairs with other pair counts).
     seqs: Vec<(u32, MaskSpec)>,
-    /// The seeding plan itself (verified). When the seeding batch comes
-    /// again the schedule is a deterministic replay, so the stored plan is
-    /// returned directly instead of being rebuilt — this is what makes the
-    /// identical-re-plan path sub-millisecond.
-    plan: ExecutionPlan,
+    out: Arc<PlanOutput>,
 }
 
 /// A block's identity across batches.
 type BlockKey = (u32, u32, u32, u32);
-
-/// Block parts by identity, sorted by key. A layout's blocks come in key
-/// order, so looking them up in turn finds each key where the previous one
-/// left off, and only a block that is new or gone costs a binary search.
-#[derive(Debug)]
-struct Parts(Vec<(BlockKey, u32)>);
-
-impl Parts {
-    fn new(mut parts: Vec<(BlockKey, u32)>) -> Self {
-        parts.sort_unstable_by_key(|e| e.0);
-        Parts(parts)
-    }
-
-    /// The part of `key`, looked for at `*next` first; a hit moves `*next`
-    /// past it.
-    fn get(&self, key: BlockKey, next: &mut usize) -> Option<u32> {
-        let at = match self.0.get(*next) {
-            Some(e) if e.0 == key => *next,
-            _ => self.0.binary_search_by_key(&key, |e| e.0).ok()?,
-        };
-        *next = at + 1;
-        Some(self.0[at].1)
-    }
-}
 
 /// `(seq, head_block, start, len)`.
 fn token_key(tb: &TokenBlock) -> BlockKey {
@@ -267,6 +226,20 @@ fn token_key(tb: &TokenBlock) -> BlockKey {
 fn comp_key(layout: &BatchLayout, cb: &CompBlock) -> BlockKey {
     let start = |tb: TokenBlockId| layout.token_blocks[tb.0 as usize].start;
     (cb.seq, cb.head_block, start(cb.q_block), start(cb.kv_block))
+}
+
+/// The old part of each of `new`'s keys, `None` where `old` has no such key.
+/// Both must ascend strictly, which makes this one merge: layouts emit their
+/// blocks in key order.
+fn merge_parts(
+    new: impl Iterator<Item = BlockKey>,
+    old: impl Iterator<Item = (BlockKey, u32)>,
+) -> impl Iterator<Item = Option<u32>> {
+    let mut old = old.peekable();
+    new.map(move |key| {
+        while old.next_if(|&(k, _)| k < key).is_some() {}
+        old.next_if(|&(k, _)| k == key).map(|(_, p)| p)
+    })
 }
 
 /// Per token block, the computation blocks reading it through `side`
@@ -400,10 +373,8 @@ pub struct Planner {
     sig_tail: String,
     /// Finished plans by exact batch signature.
     exact: Arc<Mutex<Lru<PlanOutput>>>,
-    /// Warm-start seeds by similarity key.
+    /// Replays and warm-start seeds by similarity key.
     near: Arc<Mutex<Lru<NearEntry>>>,
-    /// Reusable hypergraph build buffers, shared across clones.
-    arena: Arc<Mutex<HgArena>>,
     obs: ObsHandle,
 }
 
@@ -427,7 +398,6 @@ impl Planner {
             attn,
             cfg,
             sig_tail,
-            arena: Arc::new(Mutex::new(HgArena::default())),
             obs: ObsHandle::noop(),
         }
     }
@@ -509,10 +479,11 @@ impl Planner {
     /// of iterations; callers that do — the dataloader, the trace harness —
     /// pass it here so planner spans correlate with executor/sim spans).
     ///
-    /// The stages, in order: exact-cache lookup, block layout, the
-    /// incremental path when a near-hit seed exists (`Call::try_warm`),
-    /// else cold placement (`Call::cold`), then passes, verification and
-    /// caching (`Call::finish`).
+    /// The stages, in order: exact-cache lookup, the replay of a near hit on
+    /// the same batch (`Call::replay`), block layout, the incremental path
+    /// when a near-hit seed exists (`Call::try_warm`), else cold placement
+    /// (`Call::cold`), then passes, verification and caching
+    /// (`Call::finish`).
     pub fn plan_for_iter(
         &self,
         seqs: &[(u32, MaskSpec)],
@@ -539,9 +510,9 @@ impl Planner {
             return Ok(hit);
         }
         // Near-hit tier: on an exact miss, a batch with the same bucketed
-        // shape may have left a placement to warm-start from. The lookup is
-        // independent of the exact cache so incremental planning works even
-        // with exact caching disabled.
+        // shape may have left its output to replay or to warm-start from.
+        // The lookup is independent of the exact cache so incremental
+        // planning works even with exact caching disabled.
         call.near_key = self
             .cfg
             .incremental
@@ -551,6 +522,12 @@ impl Planner {
             .near_key
             .as_deref()
             .and_then(|k| Lru::lock(&self.near).get(k));
+        if let Some(entry) = seed.as_deref().filter(|e| e.seqs == seqs) {
+            if let Some(out) = call.replay(&entry.out) {
+                call.remember(false, || Arc::clone(&entry.out));
+                return Ok(out);
+            }
+        }
         let span = call.span(Event::span(ObsSource::Planner, "block_gen"));
         let layout = BatchLayout::build(
             self.attn,
@@ -562,16 +539,8 @@ impl Planner {
         );
         call.times.block_gen = span.finish();
         let layout = layout?;
-        let warm = seed
-            .filter(|e| e.num_devices == self.cluster.num_devices())
-            .and_then(|e| call.try_warm(&layout, &e));
-        match warm {
-            Some(Warm::Replay(placement, plan)) => {
-                let out = call.output(layout, placement, plan, true);
-                call.remember(&out, false);
-                Ok(out)
-            }
-            Some(Warm::Refined(placement, plan)) => call.finish(layout, placement, plan, true),
+        match seed.and_then(|e| call.try_warm(&layout, &e.out)) {
+            Some((placement, plan)) => call.finish(layout, placement, plan, true),
             None => {
                 let (placement, plan) = call.cold(&layout)?;
                 call.finish(layout, placement, plan, false)
@@ -599,32 +568,7 @@ impl Planner {
     /// coarsening contracts before it matches anything.
     pub fn build_hypergraph(layout: &BatchLayout) -> Hypergraph {
         let nt = layout.token_blocks.len();
-        let nc = layout.comp_blocks.len();
-        Self::fill_builder(HypergraphBuilder::new(nt + nc), layout)
-    }
-
-    /// The placement hypergraph's hyperedges in edge order, each passed to
-    /// `edge(weight, i, readers)`: per token block `i`, Q+O and then KV,
-    /// with the computation blocks reading that slice ([`readers`]). An
-    /// edge nobody reads has one pin, never costs, and is skipped.
-    fn for_each_edge(layout: &BatchLayout, mut edge: impl FnMut(u64, usize, &[u32])) {
-        let sides = [
-            readers(layout, |c| c.q_block),
-            readers(layout, |c| c.kv_block),
-        ];
-        for (i, tb) in layout.token_blocks.iter().enumerate() {
-            let weights = [tb.q_bytes + tb.o_bytes, tb.kv_bytes];
-            for (weight, (off, ids)) in weights.into_iter().zip(&sides) {
-                let read = &ids[off[i] as usize..off[i + 1] as usize];
-                if !read.is_empty() {
-                    edge(weight, i, read);
-                }
-            }
-        }
-    }
-
-    fn fill_builder(mut b: HypergraphBuilder, layout: &BatchLayout) -> Hypergraph {
-        let nt = layout.token_blocks.len();
+        let mut b = HypergraphBuilder::new(nt + layout.comp_blocks.len());
         for (i, tb) in layout.token_blocks.iter().enumerate() {
             b.set_vertex_weight(i, [0, tb.total_bytes()]);
         }
@@ -664,6 +608,26 @@ impl Planner {
         b.build().expect("pins are in range by construction")
     }
 
+    /// The placement hypergraph's hyperedges in edge order, each passed to
+    /// `edge(weight, i, readers)`: per token block `i`, Q+O and then KV,
+    /// with the computation blocks reading that slice ([`readers`]). An
+    /// edge nobody reads has one pin, never costs, and is skipped.
+    fn for_each_edge(layout: &BatchLayout, mut edge: impl FnMut(u64, usize, &[u32])) {
+        let sides = [
+            readers(layout, |c| c.q_block),
+            readers(layout, |c| c.kv_block),
+        ];
+        for (i, tb) in layout.token_blocks.iter().enumerate() {
+            let weights = [tb.q_bytes + tb.o_bytes, tb.kv_bytes];
+            for (weight, (off, ids)) in weights.into_iter().zip(&sides) {
+                let read = &ids[off[i] as usize..off[i + 1] as usize];
+                if !read.is_empty() {
+                    edge(weight, i, read);
+                }
+            }
+        }
+    }
+
     /// Total hyperedge weight of `layout`'s placement hypergraph, without
     /// building it: what a warm-start seed's cost bound is scaled by.
     fn total_edge_weight(layout: &BatchLayout) -> u64 {
@@ -672,57 +636,39 @@ impl Planner {
         total
     }
 
-    /// Maps `layout`'s blocks onto the seeding placement's parts by block
-    /// identity ([`token_key`], [`comp_key`]). Unmatched token
-    /// blocks inherit the last matched part in block order (deterministic
-    /// carry-forward keeps new blocks near their sequence neighbors);
-    /// unmatched comp blocks colocate with their Q block.
-    fn warm_seed(layout: &BatchLayout, entry: &NearEntry) -> Vec<u32> {
-        let nt = layout.token_blocks.len();
-        let mut seed = vec![0u32; nt + layout.comp_blocks.len()];
-        let (mut last, mut next) = (0u32, 0);
-        for (i, tb) in layout.token_blocks.iter().enumerate() {
-            if let Some(p) = entry.token_parts.get(token_key(tb), &mut next) {
-                last = p;
-            }
-            seed[i] = last;
-        }
-        next = 0;
-        for (i, cb) in layout.comp_blocks.iter().enumerate() {
-            seed[nt + i] = entry
-                .comp_parts
-                .get(comp_key(layout, cb), &mut next)
-                .unwrap_or(seed[cb.q_block.0 as usize]);
+    /// Maps `layout`'s blocks onto the parts `at` gave the seeding layout
+    /// `old`, by block identity ([`token_key`], [`comp_key`]): one merge per
+    /// block kind ([`merge_parts`]). Unmatched token blocks inherit the last
+    /// matched part in block order (deterministic carry-forward keeps new
+    /// blocks near their sequence neighbors); unmatched comp blocks
+    /// colocate with their Q block.
+    fn warm_seed(layout: &BatchLayout, old: &BatchLayout, at: &Placement) -> Vec<u32> {
+        let tokens = merge_parts(
+            layout.token_blocks.iter().map(token_key),
+            old.token_blocks
+                .iter()
+                .map(token_key)
+                .zip(at.token_to_dev.iter().copied()),
+        );
+        let mut last = 0;
+        let mut seed: Vec<u32> = tokens
+            .map(|p| {
+                last = p.unwrap_or(last);
+                last
+            })
+            .collect();
+        let comps = merge_parts(
+            layout.comp_blocks.iter().map(|cb| comp_key(layout, cb)),
+            old.comp_blocks
+                .iter()
+                .map(|cb| comp_key(old, cb))
+                .zip(at.comp_to_dev.iter().copied()),
+        );
+        for (cb, p) in layout.comp_blocks.iter().zip(comps) {
+            let part = p.unwrap_or(seed[cb.q_block.0 as usize]);
+            seed.push(part);
         }
         seed
-    }
-
-    /// The warm-start seed entry describing a finished plan of `seqs`.
-    fn near_entry_of(
-        seqs: &[(u32, MaskSpec)],
-        layout: &BatchLayout,
-        placement: &Placement,
-        plan: &ExecutionPlan,
-    ) -> NearEntry {
-        let token_parts = layout
-            .token_blocks
-            .iter()
-            .zip(&placement.token_to_dev)
-            .map(|(tb, &d)| (token_key(tb), d));
-        let comp_parts = layout
-            .comp_blocks
-            .iter()
-            .zip(&placement.comp_to_dev)
-            .map(|(cb, &d)| (comp_key(layout, cb), d));
-        NearEntry {
-            num_devices: placement.num_devices,
-            token_parts: Parts::new(token_parts.collect()),
-            comp_parts: Parts::new(comp_parts.collect()),
-            cost: plan.fwd.total_comm_bytes(),
-            edge_total: Self::total_edge_weight(layout),
-            seqs: seqs.to_vec(),
-            plan: plan.clone(),
-        }
     }
 
     /// The vertex → device `assignment` of a placement hypergraph (token
@@ -741,22 +687,16 @@ impl Planner {
     /// vertex → device seed, skipping coarsening and initial partitioning at
     /// every level.
     fn place(&self, layout: &BatchLayout, warm: Option<&[u32]>) -> DcpResult<Placed> {
-        // Build in the shared arena's recycled buffers (a fresh build per
-        // batch churns the allocator) and hand them back afterwards.
-        let arena = || self.arena.lock().unwrap_or_else(|p| p.into_inner());
-        let vertices = layout.token_blocks.len() + layout.comp_blocks.len();
-        let builder = arena().builder(vertices);
-        let hg = Self::fill_builder(builder, layout);
+        let hg = Self::build_hypergraph(layout);
         let levels = self.placement_levels();
-        let placed = self.place_levels(&hg, &levels, self.cfg.seed, warm).map(
-            |(assignment, balanced, stats)| {
-                let cost = hg.connectivity_cost(&assignment, self.cluster.num_devices());
-                let placement = self.split_placement(layout, &assignment);
-                (placement, balanced, stats, cost)
-            },
-        );
-        arena().recycle(hg);
-        placed
+        let (assignment, balanced, stats) = self.place_levels(&hg, &levels, self.cfg.seed, warm)?;
+        let cost = hg.connectivity_cost(&assignment, self.cluster.num_devices());
+        Ok((
+            self.split_placement(layout, &assignment),
+            balanced,
+            stats,
+            cost,
+        ))
     }
 
     /// The partition hierarchy as `(parts, epsilon)` refinement levels,
@@ -870,15 +810,6 @@ impl Planner {
     }
 }
 
-/// What the incremental path produced from a near-hit seed.
-enum Warm {
-    /// The layout is block-identical to the seeding batch: the seeding
-    /// placement and its stored plan, re-verified, are the answer.
-    Replay(Placement, ExecutionPlan),
-    /// A warm-refined placement that passed the quality bound, scheduled.
-    Refined(Placement, ExecutionPlan),
-}
-
 /// One `plan()` call in flight: the time origin and `iter` stamp every
 /// stage's events share, and what the stages accumulate for the output.
 /// All emission is on the calling thread, in plan order.
@@ -910,14 +841,6 @@ impl<'a> Call<'a> {
         if self.p.obs.enabled() {
             self.p.obs.record(self.stamp(make()));
         }
-    }
-
-    /// Records a point event at the current offset from the origin.
-    fn instant(&self, name: &str) {
-        self.emit(|| {
-            Event::instant(ObsSource::Planner, name)
-                .with_time(self.origin.elapsed().as_secs_f64(), 0.0)
-        });
     }
 
     /// Opens a stage span; `finish()` on it records the stage and returns
@@ -961,41 +884,44 @@ impl<'a> Call<'a> {
         built
     }
 
-    /// Incremental path: warm-start from a near-hit seed. `None` means the
-    /// warm plan was rejected and the batch must be planned cold.
-    fn try_warm(&mut self, layout: &BatchLayout, entry: &NearEntry) -> Option<Warm> {
+    /// The seeding batch again: its stored output is exactly what the
+    /// pipeline would rebuild (batch, cluster and config all identical), so
+    /// block generation, partitioning, scheduling and the passes are all
+    /// skipped and the stored plan, re-verified, is the answer: an unchanged
+    /// batch re-plans bit for bit at lookup cost. `None`: it no longer
+    /// verifies, and the batch is planned again.
+    fn replay(&self, stored: &PlanOutput) -> Option<PlanOutput> {
+        verify_plan(&stored.layout, &stored.placement, &stored.plan).ok()?;
+        self.emit(|| Event::counter(ObsSource::Planner, "near_hit", 1.0));
+        let (layout, placement) = (stored.layout.clone(), stored.placement.clone());
+        Some(self.output(layout, placement, stored.plan.clone(), true))
+    }
+
+    /// Incremental path: delta refinement warm-started from `prev`, the
+    /// near-hit seed's output. `None` means the warm plan was rejected and
+    /// the batch must be planned cold.
+    fn try_warm(
+        &mut self,
+        layout: &BatchLayout,
+        prev: &PlanOutput,
+    ) -> Option<(Placement, ExecutionPlan)> {
         let span = self.span(Event::span(ObsSource::Planner, "warm_seed"));
-        let seed = Planner::warm_seed(layout, entry);
+        let seed = Planner::warm_seed(layout, &prev.layout, &prev.placement);
         self.times.partition += span.finish();
-        let near_hit = || Event::counter(ObsSource::Planner, "near_hit", 1.0);
-        // The seeding batch again: the seed IS the seeding placement, and
-        // the retained plan is exactly what the pipeline would rebuild for
-        // it (batch, placement and config all identical) — so
-        // partitioning, scheduling and the pass pipeline are all skipped
-        // and the stored plan is replayed through the verifier.
-        // Re-planning an unchanged batch reproduces the prior plan bit for
-        // bit at near-lookup cost. Anything else — including a stored plan
-        // that no longer verifies — goes through warm-started delta
-        // refinement.
-        if entry.seqs == self.seqs {
-            let placement = self.p.split_placement(layout, &seed);
-            if verify_plan(layout, &placement, &entry.plan).is_ok() {
-                self.emit(near_hit);
-                return Some(Warm::Replay(placement, entry.plan.clone()));
-            }
-        }
         let span = self.span(Event::span(ObsSource::Planner, "delta_refine"));
         let placed = self.p.place(layout, Some(&seed));
-        let edge_total = Planner::total_edge_weight(layout);
+        let edge_ratio = Planner::total_edge_weight(layout) as f64
+            / Planner::total_edge_weight(&prev.layout).max(1) as f64;
         self.times.partition += span.finish();
         // Quality bound: balanced, and comm bytes within the configured
-        // factor of the seeding plan's cost, scaled to this batch's
-        // hyperedge volume. A zero-cost seed must stay zero-cost.
-        let scaled = entry.cost as f64 * (edge_total as f64 / entry.edge_total.max(1) as f64);
+        // factor of the seeding plan's cost (its forward comm bytes, i.e.
+        // its connectivity−1 cost), scaled to this batch's hyperedge volume.
+        // A zero-cost seed must stay zero-cost.
+        let prev_cost = prev.plan.fwd.total_comm_bytes();
         let max_regression = self.p.cfg.incremental.max_regression;
-        let within = |cost: u64| match entry.cost {
+        let within = |cost: u64| match prev_cost {
             0 => cost == 0,
-            _ => cost as f64 <= max_regression * scaled,
+            _ => cost as f64 <= max_regression * (prev_cost as f64 * edge_ratio),
         };
         let refined = placed
             .ok()
@@ -1003,11 +929,14 @@ impl<'a> Call<'a> {
             .and_then(|(placement, _, stats, _)| {
                 let plan = self.schedule(layout, &placement, "warm").ok()?;
                 self.pstats.merge(&stats);
-                Some(Warm::Refined(placement, plan))
+                Some((placement, plan))
             });
         match refined {
-            Some(_) => self.emit(near_hit),
-            None => self.instant("warm_fallback"),
+            Some(_) => self.emit(|| Event::counter(ObsSource::Planner, "near_hit", 1.0)),
+            None => self.emit(|| {
+                Event::instant(ObsSource::Planner, "warm_fallback")
+                    .with_time(self.origin.elapsed().as_secs_f64(), 0.0)
+            }),
         }
         refined
     }
@@ -1053,16 +982,23 @@ impl<'a> Call<'a> {
         }
     }
 
-    /// Caches the finished `out`: in the exact cache and, when `seeds`, as
-    /// a warm-start seed for similar batches. Copies are made before the
-    /// shared lock is taken.
-    fn remember(self, out: &PlanOutput, seeds: bool) {
-        if let Some(near_key) = self.near_key.filter(|_| seeds) {
-            let entry = Planner::near_entry_of(self.seqs, &out.layout, &out.placement, &out.plan);
+    /// Caches this batch's output in the exact cache and, when `seeds`, as
+    /// the near-hit entry of its shape. `stored` makes the one allocation
+    /// both tiers share, only when either is on, before any lock is taken.
+    fn remember(self, seeds: bool, stored: impl FnOnce() -> Arc<PlanOutput>) {
+        let near_key = self.near_key.filter(|_| seeds);
+        if self.key.is_none() && near_key.is_none() {
+            return;
+        }
+        let stored = stored();
+        if let Some(near_key) = near_key {
+            let entry = NearEntry {
+                seqs: self.seqs.to_vec(),
+                out: Arc::clone(&stored),
+            };
             Lru::lock(&self.p.near).insert(near_key, Arc::new(entry));
         }
         if let Some(key) = self.key {
-            let stored = Arc::new(out.clone());
             Lru::lock(&self.p.exact).insert(key, stored);
         }
     }
@@ -1124,7 +1060,7 @@ impl<'a> Call<'a> {
         out.passes = passes;
         // Warm-accepted plans seed too, so the seed chain follows
         // distribution drift.
-        self.remember(&out, true);
+        self.remember(true, || Arc::new(out.clone()));
         Ok(out)
     }
 }
@@ -1529,12 +1465,10 @@ mod tests {
         let seqs = vec![(16384, MaskSpec::Causal), (4096, MaskSpec::paper_lambda())];
         let out = p.plan(&seqs).unwrap();
         let hg = Planner::build_hypergraph(&out.layout);
-        let nt = out.layout.token_blocks.len();
         let mut assignment = out.placement.token_to_dev.clone();
         assignment.extend_from_slice(&out.placement.comp_to_dev);
         let cost = hg.connectivity_cost(&assignment, out.placement.num_devices);
         assert_eq!(cost, out.plan.fwd.total_comm_bytes());
-        let _ = nt;
     }
 
     #[test]
@@ -1624,9 +1558,8 @@ mod tests {
 
     #[test]
     fn near_hit_on_identical_batch_is_bitwise_equal_to_cold() {
-        // Warm-starting FM from its own converged placement is a fixed
-        // point, so re-planning the identical batch through the near-hit
-        // path must reproduce the cold plan bit for bit.
+        // Re-planning the identical batch replays its stored output, so
+        // the near-hit path must reproduce the cold plan bit for bit.
         for nodes in [1, 2] {
             let p = incremental_planner(nodes);
             let seqs = vec![
@@ -1674,6 +1607,93 @@ mod tests {
         let out = p.plan(&b).unwrap();
         assert_eq!(p.near_cache_stats().0, 1, "seed lookup must hit");
         verify_plan(&out.layout, &out.placement, &out.plan).unwrap();
+    }
+
+    /// A layout's token-block and comp-block keys, in layout order.
+    fn keys(l: &BatchLayout) -> (Vec<BlockKey>, Vec<BlockKey>) {
+        let comps = l.comp_blocks.iter().map(|cb| comp_key(l, cb));
+        (
+            l.token_blocks.iter().map(token_key).collect(),
+            comps.collect(),
+        )
+    }
+
+    /// `warm_seed` by a `HashMap` lookup per block key, which its merge
+    /// stands in for.
+    fn warm_seed_by_key(layout: &BatchLayout, old: &BatchLayout, at: &Placement) -> Vec<u32> {
+        let (tokens, comps) = keys(old);
+        let tokens: HashMap<_, _> = tokens.into_iter().zip(at.token_to_dev.clone()).collect();
+        let comps: HashMap<_, _> = comps.into_iter().zip(at.comp_to_dev.clone()).collect();
+        let mut last = 0;
+        let mut seed = Vec::new();
+        for tb in &layout.token_blocks {
+            last = tokens.get(&token_key(tb)).copied().unwrap_or(last);
+            seed.push(last);
+        }
+        for cb in &layout.comp_blocks {
+            let part = comps.get(&comp_key(layout, cb)).copied();
+            seed.push(part.unwrap_or(seed[cb.q_block.0 as usize]));
+        }
+        seed
+    }
+
+    proptest::proptest! {
+        /// A drifted batch's warm seed, one merge per block kind, is the
+        /// by-key lookup: under lengths shifted within and across blocks,
+        /// sequences added and dropped and masks swapped. The merge rests on
+        /// both layouts' keys ascending strictly, which is checked too.
+        #[test]
+        fn warm_seed_merge_is_the_by_key_lookup(
+            base in proptest::collection::vec((1u32..600, 0u32..3), 1..5),
+            // Per base sequence: a length shift, and 0 drop / 1 swap the
+            // mask / else keep it.
+            drift in proptest::collection::vec((0u32..261, 0u32..6), 5),
+            added in proptest::collection::vec((1u32..600, 0u32..3), 0..3),
+            salt in 0u32..1000,
+        ) {
+            let mask = |m: u32| match m % 3 {
+                0 => MaskSpec::Causal,
+                1 => MaskSpec::Full,
+                _ => MaskSpec::Lambda { sink: 8, window: 48 },
+            };
+            let old_seqs: Vec<(u32, MaskSpec)> =
+                base.iter().map(|&(l, m)| (l, mask(m))).collect();
+            let mut new_seqs = Vec::new();
+            for (&(l, m), &(shift, op)) in base.iter().zip(&drift) {
+                let len = (l + shift).saturating_sub(130).max(1);
+                match op {
+                    0 => {}
+                    1 => new_seqs.push((len, mask(m + 1))),
+                    _ => new_seqs.push((len, mask(m))),
+                }
+            }
+            new_seqs.extend(added.iter().map(|&(l, m)| (l, mask(m))));
+            if new_seqs.is_empty() {
+                // Every sequence dropped and none added: a batch of one new.
+                new_seqs.push((1 + salt % 600, mask(salt)));
+            }
+            let build = |seqs: &[(u32, MaskSpec)]| {
+                let cfg = BlockConfig { block_size: 64, head_blocks: 2 };
+                BatchLayout::build(AttnSpec::new(4, 2, 16, 1), cfg, seqs).unwrap()
+            };
+            let (old, layout) = (build(&old_seqs), build(&new_seqs));
+            for (tokens, comps) in [keys(&old), keys(&layout)] {
+                let ascend = |k: &[BlockKey]| k.windows(2).all(|w| w[0] < w[1]);
+                proptest::prop_assert!(ascend(&tokens) && ascend(&comps));
+            }
+            // An arbitrary placement of the old layout: 8 devices.
+            let dev = |i: usize| (i as u32).wrapping_mul(2_654_435_761).wrapping_add(salt) % 8;
+            let nt = old.token_blocks.len();
+            let at = Placement {
+                num_devices: 8,
+                token_to_dev: (0..nt).map(dev).collect(),
+                comp_to_dev: (nt..nt + old.comp_blocks.len()).map(dev).collect(),
+            };
+            proptest::prop_assert_eq!(
+                Planner::warm_seed(&layout, &old, &at),
+                warm_seed_by_key(&layout, &old, &at)
+            );
+        }
     }
 
     #[test]

@@ -410,7 +410,7 @@ pub fn contract(hg: &Hypergraph, fine_to_coarse: &[u32], nc: u32) -> Hypergraph 
             ewts.push(wts[i as usize]);
         }
     }
-    Hypergraph::from_csr(vwts, ewts, epin_off, epins, Vec::new(), Vec::new())
+    Hypergraph::from_csr(vwts, ewts, epin_off, epins)
 }
 
 /// Coarsens until `target` vertices or convergence; returns the levels from

@@ -10,78 +10,17 @@ pub type VertexWeight = [u64; 2];
 /// The cluster label of a vertex no one labelled: it joins no group.
 pub(crate) const UNLABELLED: u32 = u32::MAX;
 
-/// Reusable scratch buffers for repeated hypergraph builds.
-///
-/// The planner rebuilds a similarly-sized hypergraph every batch; routing
-/// each build through one long-lived arena turns the per-batch allocation
-/// traffic (vertex weights, edge weights, both CSR directions) into plain
-/// buffer reuse. [`HgArena::builder`] hands the buffers to a
-/// [`HypergraphBuilder`]; [`HgArena::recycle`] takes them back from a
-/// finished [`Hypergraph`] once the caller is done with it.
-#[derive(Debug, Default)]
-pub struct HgArena {
-    vwts: Vec<VertexWeight>,
-    ewts: Vec<u64>,
-    epin_off: Vec<u32>,
-    epins: Vec<u32>,
-    vedge_off: Vec<u32>,
-    vedges: Vec<u32>,
-    labels: Vec<u32>,
-}
-
-impl HgArena {
-    /// A builder for a hypergraph with `n` vertices (weights default to
-    /// `[0, 0]`), reusing this arena's buffer capacity. The arena is left
-    /// empty until the resulting hypergraph is [`recycled`](Self::recycle).
-    pub fn builder(&mut self, n: usize) -> HypergraphBuilder {
-        let mut b = HypergraphBuilder {
-            vwts: std::mem::take(&mut self.vwts),
-            ewts: std::mem::take(&mut self.ewts),
-            epin_off: std::mem::take(&mut self.epin_off),
-            epins: std::mem::take(&mut self.epins),
-            vedge_off: std::mem::take(&mut self.vedge_off),
-            vedges: std::mem::take(&mut self.vedges),
-            labels: std::mem::take(&mut self.labels),
-        };
-        b.vwts.clear();
-        b.vwts.resize(n, [0, 0]);
-        b.ewts.clear();
-        b.epins.clear();
-        b.epin_off.clear();
-        b.epin_off.push(0);
-        b.vedge_off.clear();
-        b.vedges.clear();
-        b.labels.clear();
-        b
-    }
-
-    /// Reclaims the buffers of a hypergraph this arena built (or any other —
-    /// buffers are buffers) for the next [`builder`](Self::builder) call.
-    pub fn recycle(&mut self, hg: Hypergraph) {
-        self.vwts = hg.vwts;
-        self.ewts = hg.ewts;
-        self.epin_off = hg.epin_off;
-        self.epins = hg.epins;
-        self.vedge_off = hg.vedge_off;
-        self.vedges = hg.vedges;
-        self.labels = hg.labels;
-    }
-}
-
 /// Incrementally builds a [`Hypergraph`].
 ///
 /// Storage is struct-of-arrays CSR from the start: `add_edge` appends pins
 /// to one flat array and sorts/dedups the tail slice in place, so a build
-/// performs no per-edge allocation. Pair with [`HgArena`] to also reuse the
-/// backing buffers across builds.
+/// performs no per-edge allocation.
 #[derive(Debug, Clone, Default)]
 pub struct HypergraphBuilder {
     vwts: Vec<VertexWeight>,
     ewts: Vec<u64>,
     epin_off: Vec<u32>,
     epins: Vec<u32>,
-    vedge_off: Vec<u32>,
-    vedges: Vec<u32>,
     labels: Vec<u32>,
 }
 
@@ -89,7 +28,11 @@ impl HypergraphBuilder {
     /// A builder for a hypergraph with `n` vertices (weights default to
     /// `[0, 0]`).
     pub fn new(n: usize) -> Self {
-        HgArena::default().builder(n)
+        HypergraphBuilder {
+            vwts: vec![[0, 0]; n],
+            epin_off: vec![0],
+            ..Self::default()
+        }
     }
 
     /// Sets the weight of vertex `v`.
@@ -152,14 +95,7 @@ impl HypergraphBuilder {
                 "edge pin {p} out of range for {n} vertices"
             )));
         }
-        let mut hg = Hypergraph::from_csr(
-            self.vwts,
-            self.ewts,
-            self.epin_off,
-            self.epins,
-            self.vedge_off,
-            self.vedges,
-        );
+        let mut hg = Hypergraph::from_csr(self.vwts, self.ewts, self.epin_off, self.epins);
         hg.labels = self.labels;
         Ok(hg)
     }
@@ -185,28 +121,23 @@ pub struct Hypergraph {
 
 impl Hypergraph {
     /// Builds an unlabelled graph from the forward (edge → pin) CSR arrays,
-    /// deriving the reverse (vertex → incident edge) CSR by counting sort
-    /// into the supplied scratch buffers (their capacity is reused, contents
-    /// ignored). Pins must be deduplicated per edge and in range.
+    /// deriving the reverse (vertex → incident edge) CSR by counting sort.
+    /// Pins must be deduplicated per edge and in range.
     pub(crate) fn from_csr(
         vwts: Vec<VertexWeight>,
         ewts: Vec<u64>,
         epin_off: Vec<u32>,
         epins: Vec<u32>,
-        mut vedge_off: Vec<u32>,
-        mut vedges: Vec<u32>,
     ) -> Self {
         let n = vwts.len();
-        vedge_off.clear();
-        vedge_off.resize(n + 1, 0);
+        let mut vedge_off = vec![0u32; n + 1];
         for &p in &epins {
             vedge_off[p as usize + 1] += 1;
         }
         for v in 0..n {
             vedge_off[v + 1] += vedge_off[v];
         }
-        vedges.clear();
-        vedges.resize(epins.len(), 0);
+        let mut vedges = vec![0u32; epins.len()];
         // Place edges, advancing each vertex's offset as its cursor, then
         // shift the offsets back down one slot.
         for e in 0..ewts.len() {
@@ -220,9 +151,7 @@ impl Hypergraph {
         for v in (1..=n).rev() {
             vedge_off[v] = vedge_off[v - 1];
         }
-        if n > 0 {
-            vedge_off[0] = 0;
-        }
+        vedge_off[0] = 0;
         Hypergraph {
             vwts,
             ewts,
@@ -374,7 +303,7 @@ impl Hypergraph {
                 epins.truncate(start);
             }
         }
-        let mut sub = Hypergraph::from_csr(vwts, ewts, epin_off, epins, Vec::new(), Vec::new());
+        let mut sub = Hypergraph::from_csr(vwts, ewts, epin_off, epins);
         if !self.labels.is_empty() {
             sub.labels = vertices.iter().map(|&v| self.labels[v as usize]).collect();
         }
@@ -415,8 +344,11 @@ mod tests {
     fn builder_dedups_pins_and_validates() {
         let mut b = HypergraphBuilder::new(3);
         b.add_edge(1, &[0, 0, 1]);
+        b.add_edge(2, &[2, 0, 1, 2]);
         let hg = b.build().unwrap();
         assert_eq!(hg.pins(0), &[0, 1]);
+        assert_eq!(hg.pins(1), &[0, 1, 2]);
+        assert_eq!(hg.incident_edges(2), &[1]);
 
         let mut b = HypergraphBuilder::new(2);
         b.add_edge(1, &[0, 5]);
@@ -460,34 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_reuse_builds_identical_graphs() {
-        let mut arena = HgArena::default();
-        let build = |arena: &mut HgArena| {
-            let mut b = arena.builder(4);
-            b.set_vertex_weight(0, [10, 0]);
-            b.set_vertex_weight(2, [3, 3]);
-            b.add_edge(7, &[2, 0, 1, 2]);
-            b.add_edge(2, &[3, 2]);
-            b.build().unwrap()
-        };
-        let first = build(&mut arena);
-        let reference = sample();
-        assert_eq!(first.pins(0), &[0, 1, 2]);
-        assert_eq!(first.pins(1), &[2, 3]);
-        assert_eq!(first.incident_edges(2), &[0, 1]);
-        let _ = reference;
-        arena.recycle(first);
-        // Second build through the recycled buffers must be identical.
-        let second = build(&mut arena);
-        assert_eq!(second.pins(0), &[0, 1, 2]);
-        assert_eq!(second.pins(1), &[2, 3]);
-        assert_eq!(second.vertex_weight(0), [10, 0]);
-        assert_eq!(second.num_pins(), 5);
-        // Edge {0,1,2} spans both parts (+7); edge {2,3} stays internal.
-        assert_eq!(second.connectivity_cost(&[0, 0, 1, 1], 2), 7);
-    }
-
-    #[test]
     fn labels_reach_subgraphs_and_survive_serde() {
         let mut b = HypergraphBuilder::new(4);
         b.add_edge(7, &[0, 1, 2]);
@@ -502,23 +406,6 @@ mod tests {
         assert_eq!(back.labels(), hg.labels());
         assert_eq!(back.pins(0), hg.pins(0));
         assert_eq!(sample().induced_subgraph(&[0, 1]).0.labels(), None);
-    }
-
-    #[test]
-    fn a_recycled_builder_carries_no_labels() {
-        let mut arena = HgArena::default();
-        let mut b = arena.builder(2);
-        b.set_label(0, 1);
-        arena.recycle(b.build().unwrap());
-        assert_eq!(arena.builder(2).build().unwrap().labels(), None);
-    }
-
-    #[test]
-    fn arena_builder_validates_pins_like_fresh_builder() {
-        let mut arena = HgArena::default();
-        let mut b = arena.builder(2);
-        b.add_edge(1, &[0, 5]);
-        assert!(b.build().is_err());
     }
 
     #[test]

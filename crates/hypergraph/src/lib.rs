@@ -54,7 +54,7 @@ pub mod initial;
 pub mod partitioner;
 pub mod refine;
 
-pub use graph::{HgArena, Hypergraph, HypergraphBuilder, VertexWeight};
+pub use graph::{Hypergraph, HypergraphBuilder, VertexWeight};
 pub use partitioner::{
     partition, partition_warm_with_stats, partition_with_stats, Partition, PartitionConfig,
     PartitionStats, PartitionWork,

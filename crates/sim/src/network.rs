@@ -44,18 +44,21 @@
 //!
 //! The retained scratch engine ([`Network::use_scratch_engine`]) rebuilds
 //! the allocation from fresh hash maps on every event and serves as the
-//! semantic reference for tests and the scaling benchmark. It is not
-//! bitwise the same: it breaks exact max-min ties in hash-map order, so on
-//! large plans it wanders by an ulp (the scaling benchmark's makespan
-//! relative error reads about 1e-15, and differs between runs of one
-//! build).
+//! semantic reference for tests and the scaling benchmark. It is
+//! deterministic, but not bitwise the incremental engine: between
+//! bottlenecks of exactly equal share it freezes the smaller resource first
+//! (the derived order on ports), where the incremental engine takes the one
+//! its component met first. So on large plans the two differ by an ulp (the
+//! scaling benchmark's makespan relative error reads about 1e-15), while
+//! two runs of the scratch engine agree bit for bit.
 
 use std::collections::HashMap;
 
 use dcp_types::{ClusterSpec, DeviceId};
 
-/// Identifies a capacity-constrained port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Identifies a capacity-constrained port. The order breaks the scratch
+/// engine's ties between equal shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Resource {
     DevEgress(u32),
     DevIngress(u32),
@@ -611,14 +614,15 @@ impl Network {
         let mut active_count: HashMap<Resource, usize> =
             members.iter().map(|(r, m)| (*r, m.len())).collect();
         while frozen.len() < unfrozen.len() {
-            // Resource with the smallest fair share.
+            // Resource with the smallest fair share, the smaller resource
+            // among equal ones: the map's order never decides.
             let mut best: Option<(Resource, f64)> = None;
             for (&r, &count) in &active_count {
                 if count == 0 {
                     continue;
                 }
                 let share = cap[&r] / count as f64;
-                if best.is_none_or(|(_, s)| share < s) {
+                if best.is_none_or(|(b, s)| share < s || (share == s && r < b)) {
                     best = Some((r, share));
                 }
             }

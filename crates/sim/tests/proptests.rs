@@ -146,6 +146,20 @@ fn arb_flows() -> impl Strategy<Value = (usize, Vec<(f64, u32, u32, u64)>)> {
         })
 }
 
+/// Bursts of 1, 2 or 3 MB flows at three instants on the rail-optimized
+/// fabric, where every device has a rail of its own: bottlenecks of exactly
+/// equal share are the rule, so the water-fill's tie order shows in the
+/// rates.
+fn arb_tied_flows() -> impl Strategy<Value = Vec<(f64, u32, u32, u64)>> {
+    prop::collection::vec((0u64..3, 0u32..16, 0u32..16, 1u64..4), 64..128).prop_map(|mut raw| {
+        raw.sort_by_key(|f| f.0);
+        raw.into_iter()
+            .filter(|(_, s, d, _)| s != d)
+            .map(|(t, s, d, mb)| (t as f64 * 1e-3, s, d, mb * 1_000_000))
+            .collect()
+    })
+}
+
 fn topology(idx: usize) -> ClusterSpec {
     match idx {
         0 => ClusterSpec::p4de(2),
@@ -209,8 +223,8 @@ proptest! {
     /// The incremental dirty-component allocator reproduces the retained
     /// scratch water-fill reference on arbitrary arrival/departure
     /// sequences: same event count, same event times and same per-flow
-    /// rates to fp tolerance (the reference's hash-map iteration order
-    /// wanders by an ulp on exact max-min ties) — and the incremental
+    /// rates to fp tolerance (the two engines break exact max-min ties in
+    /// different orders, which moves an ulp) — and the incremental
     /// engine itself is exactly deterministic run-to-run. The CI thread
     /// matrix re-runs this at `RAYON_NUM_THREADS` 1/2/8; the engine is
     /// single-threaded so the pin must hold bitwise across legs.
@@ -238,5 +252,22 @@ proptest! {
         let (again_ev, again_rates) = drive(&cluster, &flows, false);
         prop_assert_eq!(inc_ev, again_ev);
         prop_assert_eq!(inc_rates, again_rates);
+    }
+
+    /// The scratch engine is deterministic too: between bottlenecks of
+    /// equal share it freezes the smaller resource first, never in hash-map
+    /// order, so two runs of one flow program agree bit for bit.
+    #[test]
+    fn scratch_engine_is_deterministic(
+        (topo, flows) in arb_flows(),
+        tied in arb_tied_flows(),
+    ) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+        for (cluster, flows) in [(topology(topo), flows), (topology(1), tied)] {
+            let (ev, rates) = drive(&cluster, &flows, true);
+            let (again_ev, again_rates) = drive(&cluster, &flows, true);
+            prop_assert_eq!(bits(ev), bits(again_ev));
+            prop_assert_eq!(bits(rates), bits(again_rates));
+        }
     }
 }

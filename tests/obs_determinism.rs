@@ -19,9 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcp::blocks::TokenBlockId;
-use dcp::core::{
-    DcpDataloader, IncrementalConfig, PlanFn, Planner, PlannerConfig, RetryConfig,
-};
+use dcp::core::{DcpDataloader, IncrementalConfig, PlanFn, Planner, PlannerConfig, RetryConfig};
 use dcp::data::Batch;
 use dcp::exec::{execute_backward_obs, execute_forward_obs, BatchData, ExecObs};
 use dcp::mask::MaskSpec;
@@ -176,8 +174,11 @@ fn fnv1a(lines: impl Iterator<Item = String>) -> u64 {
 /// stages moved onto `dcp_obs::Span`: same events, labels, `iter` stamps and
 /// order. Re-pinned when the greedy/static fallback chain went, to the hash
 /// the commit before that gave for the same capture without its
-/// ε-infeasible plan.
-const PLANNER_IDENTITY_GOLDEN: u64 = 12_751_455_024_774_783_327;
+/// ε-infeasible plan. Re-pinned once more when the identical replay moved
+/// ahead of block generation: the replay now emits its `near_hit` counter
+/// alone, with no `block_gen` and no `warm_seed` span; every other event is
+/// unchanged.
+const PLANNER_IDENTITY_GOLDEN: u64 = 1_177_305_725_659_634_487;
 
 /// Every way a `plan()` call can end, in a fixed order on one sink: cold
 /// plan, exact hit, identical replay, warm drift accepted, and warm drift
@@ -235,7 +236,11 @@ const LOADER_IDENTITY_GOLDEN: u64 = 11_735_128_561_842_565_593;
 fn loader_capture() -> Vec<Event> {
     let sink = Arc::new(RecordingSink::new());
     let handle = ObsHandle::new(sink.clone());
-    let planner = Planner::new(ClusterSpec::p4de(1), AttnSpec::new(4, 2, 16, 1), planner_cfg());
+    let planner = Planner::new(
+        ClusterSpec::p4de(1),
+        AttnSpec::new(4, 2, 16, 1),
+        planner_cfg(),
+    );
     let shifted = |seqs: Vec<(u32, MaskSpec)>| -> Vec<(u32, MaskSpec)> {
         seqs.into_iter().map(|(l, m)| (l + 32, m)).collect()
     };
