@@ -691,12 +691,8 @@ impl Planner {
         let levels = self.placement_levels();
         let (assignment, balanced, stats) = self.place_levels(&hg, &levels, self.cfg.seed, warm)?;
         let cost = hg.connectivity_cost(&assignment, self.cluster.num_devices());
-        Ok((
-            self.split_placement(layout, &assignment),
-            balanced,
-            stats,
-            cost,
-        ))
+        let placement = self.split_placement(layout, &assignment);
+        Ok((placement, balanced, stats, cost))
     }
 
     /// The partition hierarchy as `(parts, epsilon)` refinement levels,
